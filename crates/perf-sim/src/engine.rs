@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use machine_model::MachineModel;
 use ssp_runtime::sim::Simulator;
 use ssp_runtime::{
-    Process, RecordingObserver, RoundRobin, RunError, RunMetrics, SchedulePolicy, StepEvent,
+    Process, RecordingObserver, RoundRobin, RunError, RunMetrics, SchedulePolicy, StepEvent, Tee,
     Topology, Trace,
 };
 
@@ -105,7 +105,7 @@ pub fn run_des<P: Process>(
         }
         let p = policy.pick(&runnable);
         debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
-        sim.step_process_with(p, &mut trace, &mut rec)?;
+        sim.step_process_with(p, &mut Tee(&mut trace, &mut rec))?;
         steps += 1;
         for ev in std::mem::take(&mut rec.events) {
             match ev {

@@ -44,7 +44,13 @@ pub fn measured_timelines(log: &FlightLog, n_procs: usize) -> Vec<Timeline> {
             let rank = e.rank as usize;
             if rank < n_procs {
                 t0 = t0.min(e.nanos);
-                per_rank[rank].push((e.nanos, e.kind, e.chan as usize, e.bytes));
+                // A Wake or Steal names the rank it moved but is an instant
+                // of the waker's or thief's thread, not of the rank: it
+                // sits between the rank's Park and its next Run and must
+                // not end the blocked interval.
+                if !matches!(e.kind, FlightKind::Wake | FlightKind::Steal) {
+                    per_rank[rank].push((e.nanos, e.kind, e.chan as usize, e.bytes));
+                }
             }
         }
     }
@@ -259,6 +265,10 @@ mod tests {
                     ev(2_000, FlightKind::Compute, 0, 0, 10),
                     ev(2_500, FlightKind::Send, 0, 3, 64),
                     ev(3_000, FlightKind::Park, 0, 5, 0),
+                    // What a real pool logs between a park and the next
+                    // run: the peer's wake, then a sibling's steal.
+                    ev(3_400, FlightKind::Wake, 0, 0, 0),
+                    ev(3_600, FlightKind::Steal, 0, 1, 0),
                     ev(4_000, FlightKind::Run, 0, 0, 0),
                     ev(4_250, FlightKind::Recv, 0, 5, 64),
                     ev(5_000, FlightKind::Halt, 0, 0, 0),
@@ -279,7 +289,10 @@ mod tests {
         let first = &tls[0].spans[0];
         assert!((first.start - 0.0).abs() < 1e-12);
         assert!((first.end - 1e-6).abs() < 1e-12);
-        // The blocked span reads the park's channel and recv-wait tag.
+        // The blocked span runs from the park to the next run, across the
+        // wake and the steal, and reads the park's channel and recv-wait tag.
+        assert!((tls[0].spans[2].start - 2e-6).abs() < 1e-12);
+        assert!((tls[0].spans[2].end - 3e-6).abs() < 1e-12);
         match tls[0].spans[2].kind {
             SpanKind::Blocked { why: BlockReason::Arrival { chan } } => {
                 assert_eq!(chan, ChannelId(5));

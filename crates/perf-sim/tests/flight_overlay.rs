@@ -51,6 +51,13 @@ fn overlay_trace_and_drift_report_from_a_real_run() {
             assert!((0.0..=1.0 + 1e-12).contains(share));
         }
     }
+    // Four ranks exchanging halos wait for each other: some measured time
+    // is blocked time.
+    assert!(
+        report.procs.iter().any(|row| row.measured[2] > 0.0),
+        "no rank shows a blocked share: {:?}",
+        report.procs
+    );
     let doc = ssp_runtime::json::parse(&report.to_json()).unwrap();
     assert_eq!(
         doc.get("procs").and_then(|v| v.as_arr()).map(|a| a.len()),

@@ -24,10 +24,10 @@ use mesh_archetype::driver::{
 use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
 use ssp_runtime::{
-    launch_partial, launch_partial_flight, launch_partial_seeded, launch_partial_seeded_flight,
-    ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightSink, Gateway, GroupManifest,
-    LiveTelemetry, ManifestRank, ManifestStatus, PartialRun, PartialSeed, ProcMetrics, ProcState,
-    Process, RoundRobin, RunError, RunMetrics, Simulator, ThreadedConfig, Topology,
+    launch_partial, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder,
+    FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, ManifestStatus, NoFlight,
+    PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, SimState,
+    Simulator, StepEvent, StepObserver, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -152,55 +152,23 @@ pub trait ProgramShadow: Send {
     fn manifest(&self, ranks: &[usize]) -> Vec<u8>;
 }
 
-/// Shadow scheduler status of one rank (an untyped mirror of
-/// [`ProcState`], kept separate so gated sends can *hold* the message
-/// while waiting for a mirror credit).
-#[derive(Clone)]
-enum ShStatus<M> {
-    Ready,
-    BlockedRecv(usize),
-    BlockedSend(usize, M),
-    Halted,
-}
-
-/// One consistent cut of the shadow (a clone of its whole data plane).
-struct ShadowCut<P: Process + Clone>
-where
-    P::Msg: Clone,
-{
-    procs: Vec<P>,
-    status: Vec<ShStatus<P::Msg>>,
-    queues: Vec<VecDeque<P::Msg>>,
-    consumed: Vec<u64>,
-    counters: Vec<(u64, u64, u64)>,
-    pm: Vec<ProcMetrics>,
-    steps: u64,
-}
-
 /// The typed whole-program shadow executor behind [`ProgramShadow`].
 ///
-/// Step semantics replicate [`Simulator`] exactly (delivery = pop +
-/// resume(Some); a blocked send completes *without* resuming the process),
-/// with one addition: sends on *gated* channels complete only when a
-/// mirror credit is queued, and the completed message's encoding must
-/// byte-match that credit. Gating keeps the shadow at-or-behind the real
-/// execution on every cross-group channel, which is what makes the cut's
-/// in-flight window `[consumed, sent)` provably present in the
-/// supervisor's channel logs (every gated send the shadow completed was
-/// first logged as a mirror).
+/// The shadow *is* the [`Simulator`] — the deterministic ancestor the
+/// distributed run is compared against, stepped through the same
+/// `step_process_with` every other backend replays — plus the one thing
+/// that is the supervisor's own: gated channels are simulator *ports*,
+/// open while a mirror credit is queued, and the message a gated send
+/// queues must byte-match that credit. Gating keeps the shadow
+/// at-or-behind the real execution on every cross-group channel, which is
+/// what makes the cut's in-flight window `[consumed, sent)` provably
+/// present in the supervisor's channel logs (every gated send the shadow
+/// completed was first logged as a mirror).
 struct ShadowExec<P: Process + Clone>
 where
     P::Msg: Clone,
 {
-    topo: Topology,
-    procs: Vec<P>,
-    status: Vec<ShStatus<P::Msg>>,
-    queues: Vec<VecDeque<P::Msg>>,
-    /// Deliveries completed per channel.
-    consumed: Vec<u64>,
-    /// Writer-side `(messages, bytes, max_depth)` per channel.
-    counters: Vec<(u64, u64, u64)>,
-    pm: Vec<ProcMetrics>,
+    sim: Simulator<P>,
     gated: Vec<bool>,
     /// Mirror credits per gated channel: the logged wire bytes, in seq
     /// order, not yet consumed by a shadow send.
@@ -208,9 +176,24 @@ where
     steps: u64,
     cuts: u64,
     every: u64,
-    cut: ShadowCut<P>,
+    /// The latest consistent cut (a clone of the simulator, exported) and
+    /// the shadow step it was taken at.
+    cut: SimState<P>,
+    cut_steps: u64,
     encode: fn(&P::Msg) -> Vec<u8>,
     state: fn(&P) -> Vec<u8>,
+}
+
+/// Observer that keeps the channel of the step's completed send, if any (a
+/// step completes at most one).
+struct SentOn(Option<ChannelId>);
+
+impl StepObserver for SentOn {
+    fn on_event(&mut self, ev: StepEvent) {
+        if let StepEvent::Sent { chan, .. } = ev {
+            self.0 = Some(chan);
+        }
+    }
 }
 
 impl<P: Process + Clone> ShadowExec<P>
@@ -225,145 +208,52 @@ where
         every: u64,
     ) -> ShadowExec<P> {
         let n = topo.n_channels();
-        let status: Vec<ShStatus<P::Msg>> = vec![ShStatus::Ready; procs.len()];
-        let queues: Vec<VecDeque<P::Msg>> = vec![VecDeque::new(); n];
-        let pm = vec![ProcMetrics::default(); procs.len()];
-        let cut = ShadowCut {
-            procs: procs.clone(),
-            status: status.clone(),
-            queues: queues.clone(),
-            consumed: vec![0; n],
-            counters: vec![(0, 0, 0); n],
-            pm: pm.clone(),
-            steps: 0,
-        };
+        let sim = Simulator::new(topo, procs);
         ShadowExec {
-            topo,
-            procs,
-            status,
-            queues,
-            consumed: vec![0; n],
-            counters: vec![(0, 0, 0); n],
-            pm,
+            cut: sim.clone().into_state(),
+            sim,
             gated: vec![false; n],
             credits: vec![VecDeque::new(); n],
             steps: 0,
             cuts: 1,
             every: every.max(1),
-            cut,
+            cut_steps: 0,
             encode,
             state,
         }
     }
 
-    fn can_complete_send(&self, c: usize) -> bool {
-        if self.gated[c] {
-            return !self.credits[c].is_empty();
-        }
-        match self.topo.spec(ChannelId(c)).capacity {
-            Some(k) => self.queues[c].len() < k,
-            None => true,
-        }
-    }
-
-    fn is_runnable(&self, p: usize) -> bool {
-        match &self.status[p] {
-            ShStatus::Ready => true,
-            ShStatus::BlockedRecv(c) => !self.queues[*c].is_empty(),
-            ShStatus::BlockedSend(c, _) => self.can_complete_send(*c),
-            ShStatus::Halted => false,
-        }
-    }
-
-    /// Complete a send on `c` (gated: consume + byte-verify the credit).
-    fn complete_send(&mut self, p: usize, c: usize, msg: P::Msg) -> Result<(), RunError> {
-        if self.gated[c] {
+    /// One simulator step of rank `p`; a send it completes on a gated
+    /// channel consumes and byte-verifies the head credit.
+    fn step(&mut self, p: usize) -> Result<(), RunError> {
+        let mut sent = SentOn(None);
+        self.sim.step_process_with(p, &mut sent)?;
+        self.steps += 1;
+        if let Some(chan) = sent.0.filter(|c| self.gated[c.0]) {
+            let c = chan.0;
             let credit = self.credits[c].pop_front().expect("send gated without credit");
-            let enc = (self.encode)(&msg);
+            let msg = self.sim.queue(chan).back().expect("a completed send is queued");
+            let enc = (self.encode)(msg);
             if enc != credit {
                 return Err(RunError::Protocol {
                     proc: p,
                     detail: format!(
                         "determinism violation on ch{c}: shadow send #{} encodes to {} bytes \
                          that differ from the mirrored frame ({} bytes)",
-                        self.counters[c].0,
+                        self.sim.metrics().channels[c].messages - 1,
                         enc.len(),
                         credit.len()
                     ),
                 });
             }
+            self.sim.set_port(chan, Some(!self.credits[c].is_empty()));
         }
-        let ctr = &mut self.counters[c];
-        ctr.0 += 1;
-        ctr.1 += P::msg_size_bytes(&msg);
-        self.queues[c].push_back(msg);
-        ctr.2 = ctr.2.max(self.queues[c].len() as u64);
-        self.pm[p].sends += 1;
-        Ok(())
-    }
-
-    fn apply_effect(&mut self, p: usize, effect: Effect<P::Msg>) -> Result<(), RunError> {
-        match effect {
-            Effect::Compute { units } => {
-                self.pm[p].compute_units += units;
-                self.status[p] = ShStatus::Ready;
-            }
-            Effect::Send { chan, msg } => {
-                let c = chan.0;
-                if self.can_complete_send(c) {
-                    self.complete_send(p, c, msg)?;
-                    self.status[p] = ShStatus::Ready;
-                } else {
-                    self.status[p] = ShStatus::BlockedSend(c, msg);
-                }
-            }
-            Effect::Recv { chan } => self.status[p] = ShStatus::BlockedRecv(chan.0),
-            Effect::Halt => self.status[p] = ShStatus::Halted,
-            Effect::Fault { error } => {
-                self.status[p] = ShStatus::Halted;
-                return Err(error);
-            }
+        if self.steps - self.cut_steps >= self.every {
+            self.cut = self.sim.clone().into_state();
+            self.cut_steps = self.steps;
+            self.cuts += 1;
         }
         Ok(())
-    }
-
-    fn step(&mut self, p: usize) -> Result<(), RunError> {
-        self.steps += 1;
-        self.pm[p].steps += 1;
-        match std::mem::replace(&mut self.status[p], ShStatus::Ready) {
-            ShStatus::Ready => {
-                let effect = self.procs[p].resume(None);
-                self.apply_effect(p, effect)?;
-            }
-            ShStatus::BlockedRecv(c) => {
-                let msg = self.queues[c].pop_front().expect("recv stepped on empty queue");
-                self.consumed[c] += 1;
-                self.pm[p].receives += 1;
-                let effect = self.procs[p].resume(Some(msg));
-                self.apply_effect(p, effect)?;
-            }
-            // Like the simulator: completing a blocked send does not
-            // resume the process in the same step.
-            ShStatus::BlockedSend(c, msg) => self.complete_send(p, c, msg)?,
-            ShStatus::Halted => unreachable!("halted rank stepped"),
-        }
-        if self.steps - self.cut.steps >= self.every {
-            self.take_cut();
-        }
-        Ok(())
-    }
-
-    fn take_cut(&mut self) {
-        self.cut = ShadowCut {
-            procs: self.procs.clone(),
-            status: self.status.clone(),
-            queues: self.queues.clone(),
-            consumed: self.consumed.clone(),
-            counters: self.counters.clone(),
-            pm: self.pm.clone(),
-            steps: self.steps,
-        };
-        self.cuts += 1;
     }
 }
 
@@ -376,19 +266,23 @@ where
         if !gated {
             self.credits[chan].clear();
         }
+        let port = gated.then(|| !self.credits[chan].is_empty());
+        self.sim.set_port(ChannelId(chan), port);
     }
 
     fn on_mirror(&mut self, chan: usize, bytes: &[u8]) {
         if self.gated[chan] {
             self.credits[chan].push_back(bytes.to_vec());
+            self.sim.set_port(ChannelId(chan), Some(true));
         }
     }
 
     fn advance(&mut self) -> Result<(), RunError> {
+        let n_ranks = self.cut.procs.len();
         loop {
             let mut progressed = false;
-            for p in 0..self.procs.len() {
-                while self.is_runnable(p) {
+            for p in 0..n_ranks {
+                while self.sim.is_runnable(p) {
                     self.step(p)?;
                     progressed = true;
                 }
@@ -404,7 +298,7 @@ where
     }
 
     fn cut_steps(&self) -> u64 {
-        self.cut.steps
+        self.cut_steps
     }
 
     fn cuts_taken(&self) -> u64 {
@@ -412,7 +306,7 @@ where
     }
 
     fn cut_consumed(&self, chan: usize) -> u64 {
-        self.cut.consumed[chan]
+        self.cut.consumed(chan)
     }
 
     fn manifest(&self, ranks: &[usize]) -> Vec<u8> {
@@ -422,40 +316,42 @@ where
             .iter()
             .map(|&r| {
                 let status = match &cut.status[r] {
-                    ShStatus::Ready => ManifestStatus::Ready,
-                    ShStatus::BlockedRecv(c) => ManifestStatus::BlockedRecv(*c as u32),
-                    ShStatus::BlockedSend(c, m) => {
-                        ManifestStatus::BlockedSend(*c as u32, (self.encode)(m))
+                    ProcState::Ready => ManifestStatus::Ready,
+                    ProcState::BlockedRecv(c) => ManifestStatus::BlockedRecv(c.0 as u32),
+                    ProcState::BlockedSend(c, m) => {
+                        ManifestStatus::BlockedSend(c.0 as u32, (self.encode)(m))
                     }
-                    ShStatus::Halted => ManifestStatus::Halted,
+                    ProcState::Halted => ManifestStatus::Halted,
                 };
                 ManifestRank {
                     rank: r as u32,
                     status,
                     state: (self.state)(&cut.procs[r]),
-                    metrics: cut.pm[r],
+                    metrics: cut.metrics.procs[r],
                 }
             })
             .collect();
         // Only channels *internal* to the resumed set travel as seeded
         // queues; in-flight messages on inbound channels are replayed
         // from the supervisor's logs (gating guarantees they are there).
-        let queues = self
-            .topo
-            .specs()
+        let chans = &cut.metrics.channels;
+        let queues = chans
             .iter()
             .enumerate()
-            .filter(|(i, s)| {
-                rset.contains(&s.writer) && rset.contains(&s.reader) && !cut.queues[*i].is_empty()
+            .filter(|(i, c)| {
+                rset.contains(&c.writer) && rset.contains(&c.reader) && !cut.queues[*i].is_empty()
             })
             .map(|(i, _)| (i as u32, cut.queues[i].iter().map(|m| (self.encode)(m)).collect()))
             .collect();
         GroupManifest {
-            steps: cut.steps,
+            steps: self.cut_steps,
             ranks: mranks,
             queues,
-            consumed: cut.consumed.clone(),
-            counters: cut.counters.clone(),
+            consumed: (0..chans.len()).map(|c| cut.consumed(c)).collect(),
+            counters: chans
+                .iter()
+                .map(|c| (c.messages, c.bytes, c.max_queue_depth as u64))
+                .collect(),
         }
         .encode()
     }
@@ -540,14 +436,7 @@ where
         consumed: manifest.consumed.clone(),
         counters: manifest.counters.clone(),
     };
-    let config = ThreadedConfig { watchdog: None, workers, flight };
-    Ok(if flight.is_some() {
-        let run = launch_partial_seeded_flight(topo, seed, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
-    } else {
-        let run = launch_partial_seeded(topo, seed, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
-    })
+    Ok(launch_typed(topo, seed, workers, flight, encode, decode, sink))
 }
 
 /// Typed ingress: decodes bytes and hands them to the scheduler gateway.
@@ -617,13 +506,13 @@ where
     (Arc::new(TypedIngress { gateway, decode }), Box::new(TypedJoin { run, pump }))
 }
 
-/// Launch a typed group and erase it behind the two group traits. The
-/// flight choice picks the scheduler monomorphization: `None` runs the
-/// zero-cost [`ssp_runtime::NoFlight`] build, `Some(cap)` the recording
-/// one — type-erased here so the distributed layer stays untyped.
+/// Launch a typed group from `seed` and erase it behind the two group
+/// traits. The flight choice picks the scheduler monomorphization: `None`
+/// runs the zero-cost [`NoFlight`] build, `Some(cap)` the recording one —
+/// type-erased here so the distributed layer stays untyped.
 fn launch_typed<P>(
     topo: &Topology,
-    procs: Vec<(usize, P)>,
+    seed: PartialSeed<P>,
     workers: Option<usize>,
     flight: Option<usize>,
     encode: fn(&P::Msg) -> Vec<u8>,
@@ -633,13 +522,16 @@ fn launch_typed<P>(
 where
     P: Process + 'static,
 {
-    let config = ThreadedConfig { watchdog: None, workers, flight };
-    if flight.is_some() {
-        let run = launch_partial_flight(topo, procs, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
-    } else {
-        let run = launch_partial(topo, procs, config, &FaultPlan::none());
-        erase_run(run, encode, decode, sink)
+    let faults = FaultPlan::none();
+    match flight {
+        None => {
+            let run = launch_partial(topo, seed, workers, &faults, |_| NoFlight);
+            erase_run(run, encode, decode, sink)
+        }
+        Some(cap) => {
+            let run = launch_partial(topo, seed, workers, &faults, |w| FlightRecorder::new(w, cap));
+            erase_run(run, encode, decode, sink)
+        }
     }
 }
 
@@ -840,7 +732,9 @@ impl Workload for RingWorkload {
         let all = self.procs();
         let procs: Vec<(usize, RingNode)> =
             ranks.iter().map(|&r| (r, all[r].clone())).collect();
-        launch_typed(&self.topology(), procs, workers, flight, encode_u64, decode_u64, sink)
+        let topo = self.topology();
+        let seed = PartialSeed::fresh(&topo, procs);
+        launch_typed(&topo, seed, workers, flight, encode_u64, decode_u64, sink)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -935,7 +829,8 @@ impl Workload for FdtdAWorkload {
             .iter()
             .map(|&r| (r, slots[r].take().expect("rank assigned twice")))
             .collect();
-        launch_typed(&topo, procs, workers, flight, encode_mesh, decode_mesh_msg, sink)
+        let seed = PartialSeed::fresh(&topo, procs);
+        launch_typed(&topo, seed, workers, flight, encode_mesh, decode_mesh_msg, sink)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -1079,6 +974,62 @@ mod tests {
             base.run_reference().unwrap(),
             over.run_reference().unwrap(),
             "overlap reordering changed a distributed reference bit"
+        );
+    }
+
+    /// With every channel ungated the shadow is the simulator and nothing
+    /// else: same final snapshots, same step count under the same
+    /// rank-major order, a cut every `every` steps.
+    fn ungated_shadow_is_the_simulator<P>(
+        build: impl Fn() -> (Topology, Vec<P>),
+        encode: fn(&P::Msg) -> Vec<u8>,
+        state: fn(&P) -> Vec<u8>,
+        reference: Vec<Vec<u8>>,
+    ) where
+        P: Process + Clone + 'static,
+        P::Msg: Clone,
+    {
+        let (topo, procs) = build();
+        let n = procs.len();
+        let mut sim = Simulator::new(topo, procs);
+        let mut steps = 0u64;
+        while !sim.is_done() {
+            for p in 0..n {
+                while sim.is_runnable(p) {
+                    sim.step_process_with(p, &mut ssp_runtime::NoopObserver).unwrap();
+                    steps += 1;
+                }
+            }
+        }
+        for every in [1, 7, 64] {
+            let (topo, procs) = build();
+            let mut sh = ShadowExec::new(topo, procs, encode, state, every);
+            sh.advance().unwrap();
+            assert!(sh.sim.is_done());
+            assert_eq!(sh.sim.snapshots_now(), reference, "every={every}");
+            assert_eq!(sh.steps(), steps, "every={every}");
+            assert_eq!(sh.cuts_taken(), 1 + steps / every, "every={every}");
+            assert_eq!(sh.cut_steps(), steps - steps % every, "every={every}");
+        }
+    }
+
+    #[test]
+    fn ungated_shadows_match_their_references_bitwise() {
+        let ring = RingWorkload { n: 5, laps: 6 };
+        ungated_shadow_is_the_simulator(
+            || (ring.topology(), ring.procs()),
+            encode_u64,
+            ring_state_encode,
+            ring.run_reference().unwrap(),
+        );
+        let params = Params::tiny();
+        let pg = ProcGrid3::choose(params.n, 4);
+        let fdtd = FdtdAWorkload { params: Arc::new(params), pg, overlap: false };
+        ungated_shadow_is_the_simulator(
+            || fdtd.build(),
+            encode_mesh,
+            mesh_state_encode,
+            fdtd.run_reference().unwrap(),
         );
     }
 

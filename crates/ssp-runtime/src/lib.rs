@@ -36,6 +36,20 @@
 //! returns an [`proc::Effect`] telling the runner what happened (a local
 //! computation, a send, a receive request, or termination).
 //!
+//! The two runners meet at a *consistent cut*. Theorem 1 makes a cut of the
+//! processes plus the steps after it just another maximal interleaving, so
+//! a run may stop on one runner and finish on the other. There is one path
+//! for that: a [`sim::Simulator`] (clone it to keep a cut) exports its state
+//! by move as a [`sim::SimState`], which converts into a
+//! [`sched::PartialSeed`] — what the scheduler's one launcher starts every
+//! run from, fresh ([`sched::PartialSeed::fresh`]) or resumed, whole
+//! program or a hosted subset of ranks ([`sched::launch_partial`]).
+//! [`recover`] builds checkpoint/restart on it and gives a cut its two wire
+//! forms (a replay recipe and a sealed state). External steppers — the
+//! `perf-sim` discrete-event engine, the distributed supervisor's shadow —
+//! drive the same simulator through [`sim::Simulator::step_process_with`]
+//! and a [`observer::StepObserver`] instead of re-implementing it.
+//!
 //! Channels are declared up front in a [`chan::Topology`], which statically
 //! checks the single-reader single-writer restriction. Channels have infinite
 //! slack by default; a bounded capacity can be requested per channel (or
@@ -86,10 +100,7 @@ pub use recover::{
     run_threaded_recovering, Checkpoint, GroupManifest, ManifestRank, ManifestStatus,
     RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
-pub use sched::{
-    launch_partial, launch_partial_flight, launch_partial_seeded, launch_partial_seeded_flight,
-    Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed,
-};
+pub use sched::{launch_partial, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};
 pub use sim::{run_simulated, ProcState, RunOutcome, SimState, Simulator};
 pub use threaded::{
     run_threaded, run_threaded_faulted, run_threaded_seeded, run_threaded_with, ThreadedConfig,

@@ -8,10 +8,12 @@
 //! machine model, guaranteeing (by construction) that the timed execution
 //! performs exactly the actions of the untimed one.
 //!
-//! Events are strictly more detailed than [`crate::trace::Trace`] entries:
-//! a posted receive and a blocked send produce no trace event (they are not
-//! visible actions of the interleaving) but *are* reported here, because a
-//! cost model needs to know when waiting started.
+//! The stepper reports to exactly one observer. A [`crate::trace::Trace`]
+//! is one — the observer that keeps the interleaving's actions — and
+//! [`Tee`] feeds two. Events are strictly more detailed than trace
+//! entries: a posted receive and a blocked send produce no trace event
+//! (they are not visible actions of the interleaving) but *are* reported
+//! here, because a cost model needs to know when waiting started.
 
 use crate::chan::ChannelId;
 use crate::proc::ProcId;

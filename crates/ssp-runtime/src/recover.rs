@@ -15,11 +15,11 @@
 //!   states, statuses, in-flight channel contents, the executed pick
 //!   prefix, and the fault plan's bookkeeping), taken every *K* steps by
 //!   the supervisor. In memory it is a [`Simulator`] clone (fast restore);
-//!   on the wire it is a JSON manifest ([`Checkpoint::to_json`]) carrying
-//!   the *data plane* — the code plane (process closures) is rebuilt from
-//!   source and re-validated against the manifest's fingerprint by
-//!   [`replay_checkpoint`], which replays the pick prefix through a fresh
-//!   simulator. Determinism is what makes that replay sound.
+//!   on the wire it is a *replay recipe* ([`Checkpoint::to_json`]): the
+//!   pick prefix plus the state's fingerprint. [`replay_checkpoint`]
+//!   rebuilds the processes from source, re-runs the picks through a fresh
+//!   simulator and verifies the fingerprint. Determinism is what makes
+//!   that replay sound.
 //! * [`run_recovering`] — the supervisor: steps the simulator under a
 //!   [`FaultPlan`], checkpoints every `checkpoint_every` steps, and on an
 //!   injected crash (or a deadlock) restores the latest checkpoint and
@@ -33,12 +33,16 @@
 //!   schedule-independent), round-trips the cut through the JSON wire
 //!   format, and seeds a fresh pool from the restored state — resuming,
 //!   not restarting.
+//!
+//! [`GroupManifest`] is the other wire form of a cut, a *sealed state* for
+//! callers whose workload can decode process state (the distributed
+//! backend's migrations); DESIGN.md §9 says why there are two.
 
 use crate::chan::Topology;
 use crate::error::RunError;
 use crate::fault::{Crash, FaultPlan};
 use crate::json::{parse, JsonValue};
-use crate::observer::{NoopObserver, StepObserver};
+use crate::observer::{NoopObserver, StepObserver, Tee};
 use crate::policy::{RoundRobin, SchedulePolicy};
 use crate::proc::{ProcId, Process};
 use crate::sim::Simulator;
@@ -171,20 +175,20 @@ where
         &self.trace
     }
 
-    /// The wire form: a JSON manifest carrying the schedule prefix and the
-    /// full data plane ([`Simulator::state_manifest`]) — statuses, queued
-    /// messages, snapshots, and the state fingerprint the replay restore
-    /// path re-validates against.
+    /// The wire form, a replay recipe: exactly what [`replay_checkpoint`]
+    /// reads — format version, step count, the pick prefix, and the
+    /// [`Simulator::state_fingerprint`] the replayed state must match.
     pub fn manifest(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> JsonValue {
         use std::collections::BTreeMap;
+        fn nums(it: impl Iterator<Item = f64>) -> JsonValue {
+            JsonValue::Arr(it.map(JsonValue::Num).collect())
+        }
         let mut top = BTreeMap::new();
-        top.insert("version".to_string(), JsonValue::Num(1.0));
+        top.insert("version".to_string(), JsonValue::Num(MANIFEST_VERSION as f64));
         top.insert("step".to_string(), JsonValue::Num(self.step as f64));
-        top.insert(
-            "picks".to_string(),
-            JsonValue::Arr(self.picks.iter().map(|&p| JsonValue::Num(p as f64)).collect()),
-        );
-        top.insert("state".to_string(), self.sim.state_manifest(msg_bytes));
+        top.insert("picks".to_string(), nums(self.picks.iter().map(|&p| p as f64)));
+        let fingerprint = self.sim.state_fingerprint(msg_bytes);
+        top.insert("fingerprint".to_string(), nums(fingerprint.iter().map(|&b| b as f64)));
         JsonValue::Obj(top)
     }
 
@@ -193,6 +197,10 @@ where
         self.manifest(msg_bytes).to_json()
     }
 }
+
+/// The checkpoint manifest format [`Checkpoint::manifest`] writes and the
+/// only one [`replay_checkpoint`] accepts.
+const MANIFEST_VERSION: u64 = 1;
 
 fn corrupt(detail: impl Into<String>) -> RunError {
     RunError::Protocol { proc: 0, detail: detail.into() }
@@ -206,8 +214,8 @@ fn corrupt(detail: impl Into<String>) -> RunError {
 /// This is the fully serializable restore path: only data crosses the wire;
 /// the code plane is reconstructed and *proven* equivalent (determinism,
 /// Theorem 1) rather than trusted. Returns the positioned simulator and the
-/// replayed pick prefix. A corrupt or mismatched manifest yields
-/// [`RunError::Protocol`].
+/// replayed pick prefix. A corrupt or mismatched manifest, or one of any
+/// format version other than the current one, yields [`RunError::Protocol`].
 pub fn replay_checkpoint<P: Process>(
     json_text: &str,
     topo: Topology,
@@ -215,6 +223,14 @@ pub fn replay_checkpoint<P: Process>(
     msg_bytes: impl Fn(&P::Msg) -> Vec<u8>,
 ) -> Result<(Simulator<P>, Vec<ProcId>), RunError> {
     let manifest = parse(json_text).map_err(|e| corrupt(format!("checkpoint manifest: {e}")))?;
+    let version =
+        manifest.get("version").ok_or_else(|| corrupt("checkpoint manifest: missing version"))?;
+    if version.as_u64() != Some(MANIFEST_VERSION) {
+        return Err(corrupt(format!(
+            "checkpoint manifest: unsupported version {} (this build reads {MANIFEST_VERSION})",
+            version.to_json()
+        )));
+    }
     let picks: Vec<ProcId> = manifest
         .get("picks")
         .and_then(JsonValue::as_arr)
@@ -223,8 +239,7 @@ pub fn replay_checkpoint<P: Process>(
         .map(|v| v.as_usize().ok_or_else(|| corrupt("checkpoint manifest: bad pick")))
         .collect::<Result<_, _>>()?;
     let want: Vec<u8> = manifest
-        .get("state")
-        .and_then(|s| s.get("fingerprint"))
+        .get("fingerprint")
         .and_then(JsonValue::as_arr)
         .ok_or_else(|| corrupt("checkpoint manifest: missing fingerprint"))?
         .iter()
@@ -294,150 +309,93 @@ where
     P: Process + Clone,
     P::Msg: Clone,
 {
-    let every = cfg.checkpoint_every.max(1);
-    let mut sim = Simulator::new(topo, procs);
-    let mut trace = Trace::new();
-    let mut picks: Vec<ProcId> = Vec::new();
-    let mut steps: u64 = 0;
     let mut stats = RecoveryStats::default();
-    let mut fired: Vec<Crash> = Vec::new();
-    let mut latest = Checkpoint::take(0, &picks, &sim, &faults, &trace);
-
-    while !sim.is_done() {
-        let failure = {
-            let runnable = sim.runnable_under(&faults);
-            if runnable.is_empty() {
-                Some(sim.deadlock_error())
-            } else if steps >= sim.step_limit {
-                // Would recur on every re-run: not recoverable.
-                return Err(RunError::StepLimit { limit: sim.step_limit });
-            } else {
-                let p = policy.pick(&runnable);
-                match sim.step_process_injected(p, &mut faults, &mut trace, obs) {
-                    Ok(()) => {
-                        picks.push(p);
-                        steps += 1;
-                        if steps.is_multiple_of(every) {
-                            latest = Checkpoint::take(steps, &picks, &sim, &faults, &trace);
-                            stats.checkpoints_taken += 1;
-                        }
-                        None
-                    }
-                    Err(e @ RunError::Injected { .. }) => {
-                        if let RunError::Injected { proc, step } = e {
-                            fired.push(Crash { proc, at_step: step });
-                        }
-                        Some(e)
-                    }
-                    // Protocol violations etc. are deterministic program
-                    // bugs: re-running reproduces them, so don't.
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        if let Some(e) = failure {
-            stats.faults_fired.push(e.clone());
-            stats.restarts += 1;
-            if stats.restarts as usize > cfg.max_restarts {
-                return Err(e);
-            }
-            // Restore the latest checkpoint. The fault plan rolls back with
-            // it — except that every crash that has *ever* fired stays
-            // consumed, else the same proc-local trigger would re-fire on
-            // every lineage and recovery would livelock.
-            sim = latest.restore_sim();
-            faults = latest.faults().clone();
-            for c in &fired {
-                faults.remove_crash(*c);
-            }
-            trace = latest.trace().clone();
-            picks = latest.picks().to_vec();
-            stats.steps_reexecuted += steps - latest.step();
-            steps = latest.step();
-        }
-    }
-
+    let sim = Simulator::new(topo, procs);
+    let end = run_checkpointed(sim, &mut faults, policy, cfg, &mut stats, obs, |_| false)?;
     Ok(RecoveryOutcome {
-        snapshots: sim.snapshots_now(),
-        picks,
-        steps,
-        metrics: sim.metrics().clone(),
-        trace,
+        snapshots: end.sim.snapshots_now(),
+        picks: end.picks,
+        steps: end.step,
+        metrics: end.sim.into_state().metrics,
+        trace: end.trace,
         stats,
     })
 }
 
-/// Simulate the program from its initial state until `target` has
-/// completed `target_steps` local steps, and checkpoint that cut. This is
-/// how the threaded recovery path rebuilds a crash frontier: process-local
-/// step ordinals are schedule-independent in the paper's model, so the
-/// round-robin simulation passes through exactly the state the threaded
-/// lineage crashed out of. Crashes planned before the frontier fire *here*
-/// (the plan's bookkeeping advances exactly as a live run's would); each
-/// is consumed, counted, and recovered via the latest mini-checkpoint,
-/// just like [`run_recovering`].
-fn frontier_checkpoint<P>(
-    topo: Topology,
-    procs: Vec<P>,
+/// The one checkpoint/restore loop: step `sim` under `policy` and `faults`
+/// until it is done or `stop` says so, checkpointing every
+/// [`RecoveryConfig::checkpoint_every`] steps. An injected crash or a
+/// deadlock restores the latest checkpoint and re-runs, at most
+/// [`RecoveryConfig::max_restarts`] times; errors that would recur on every
+/// lineage (protocol violations, the step limit) abort at once. Returns the
+/// cut it stopped at, `faults` holding the plan's bookkeeping as of that cut.
+fn run_checkpointed<P>(
+    mut sim: Simulator<P>,
     faults: &mut FaultPlan,
-    target: ProcId,
-    target_steps: u64,
+    policy: &mut dyn SchedulePolicy,
     cfg: RecoveryConfig,
     stats: &mut RecoveryStats,
+    obs: &mut dyn StepObserver,
+    stop: impl Fn(&Simulator<P>) -> bool,
 ) -> Result<Checkpoint<P>, RunError>
 where
     P: Process + Clone,
     P::Msg: Clone,
 {
     let every = cfg.checkpoint_every.max(1);
-    let mut policy = RoundRobin::new();
-    let mut sim = Simulator::new(topo, procs);
     let mut trace = Trace::new();
     let mut picks: Vec<ProcId> = Vec::new();
     let mut steps: u64 = 0;
     let mut fired: Vec<Crash> = Vec::new();
     let mut latest = Checkpoint::take(0, &picks, &sim, faults, &trace);
-    while sim.metrics().procs[target].steps < target_steps && !sim.is_done() {
+
+    while !sim.is_done() && !stop(&sim) {
         let runnable = sim.runnable_under(faults);
-        if runnable.is_empty() {
-            return Err(sim.deadlock_error());
-        }
-        let p = policy.pick(&runnable);
-        match sim.step_process_injected(p, faults, &mut trace, &mut NoopObserver) {
-            Ok(()) => {
-                picks.push(p);
-                steps += 1;
-                stats.steps_replayed += 1;
-                if steps.is_multiple_of(every) {
-                    latest = Checkpoint::take(steps, &picks, &sim, faults, &trace);
-                    stats.checkpoints_taken += 1;
+        let failure = if runnable.is_empty() {
+            sim.deadlock_error()
+        } else if steps >= sim.step_limit {
+            return Err(RunError::StepLimit { limit: sim.step_limit });
+        } else {
+            let p = policy.pick(&runnable);
+            match sim.step_process_injected(p, faults, &mut Tee(&mut trace, obs)) {
+                Ok(()) => {
+                    picks.push(p);
+                    steps += 1;
+                    if steps.is_multiple_of(every) {
+                        latest = Checkpoint::take(steps, &picks, &sim, faults, &trace);
+                        stats.checkpoints_taken += 1;
+                    }
+                    continue;
                 }
-            }
-            Err(e @ RunError::Injected { .. }) => {
-                stats.faults_fired.push(e.clone());
-                stats.restarts += 1;
-                if stats.restarts as usize > cfg.max_restarts {
-                    return Err(e);
-                }
-                if let RunError::Injected { proc, step } = e {
+                Err(RunError::Injected { proc, step }) => {
                     fired.push(Crash { proc, at_step: step });
+                    RunError::Injected { proc, step }
                 }
-                // Restore; every crash that has ever fired stays consumed
-                // (the plan lives outside the checkpointed state).
-                *faults = latest.faults().clone();
-                for c in &fired {
-                    faults.remove_crash(*c);
-                }
-                sim = latest.restore_sim();
-                trace = latest.trace().clone();
-                picks = latest.picks().to_vec();
-                stats.steps_reexecuted += steps - latest.step();
-                steps = latest.step();
+                // Protocol violations etc. are deterministic program
+                // bugs: re-running reproduces them, so don't.
+                Err(e) => return Err(e),
             }
-            Err(e) => return Err(e),
+        };
+        stats.faults_fired.push(failure.clone());
+        stats.restarts += 1;
+        if stats.restarts as usize > cfg.max_restarts {
+            return Err(failure);
         }
+        // Restore the latest checkpoint. The fault plan rolls back with
+        // it — except that every crash that has *ever* fired stays
+        // consumed, else the same proc-local trigger would re-fire on
+        // every lineage and recovery would livelock.
+        sim = latest.restore_sim();
+        *faults = latest.faults().clone();
+        for c in &fired {
+            faults.remove_crash(*c);
+        }
+        trace = latest.trace().clone();
+        picks = latest.picks().to_vec();
+        stats.steps_reexecuted += steps - latest.step();
+        steps = latest.step();
     }
-    Ok(Checkpoint::take(steps, &picks, &sim, faults, &trace))
+    Ok(Checkpoint { step: steps, picks, sim, faults: faults.clone(), trace })
 }
 
 /// Crash recovery for the threaded backend — *resuming*, not restarting.
@@ -452,8 +410,7 @@ where
 ///    schedule-independent, so the simulated prefix passes through the
 ///    state the threaded lineage crashed out of);
 /// 2. serializes that cut through the [`Checkpoint::to_json`] wire format
-///    and restores it with [`replay_checkpoint`] — fingerprint-verified,
-///    the same code path the distributed supervisor uses to migrate ranks;
+///    and restores it with [`replay_checkpoint`], fingerprint-verified;
 /// 3. seeds a fresh pool with the restored state via
 ///    [`crate::threaded::run_threaded_seeded`] and runs to completion.
 ///
@@ -519,15 +476,22 @@ where
                 if let RunError::Injected { proc, step } = e {
                     faults.remove_crash(Crash { proc, at_step: step });
                     lifecycle.push((FlightKind::Fault, proc, step));
-                    let ck = frontier_checkpoint(
-                        topo.clone(),
-                        make_procs(),
+                    // Rebuild the crash frontier: simulate from the initial
+                    // state until `proc` has completed `step − 1` local
+                    // steps. Crashes planned before the frontier fire here
+                    // (the plan's bookkeeping advances exactly as a live
+                    // run's would) and are recovered like any other.
+                    let reexecuted = stats.steps_reexecuted;
+                    let ck = run_checkpointed(
+                        Simulator::new(topo.clone(), make_procs()),
                         &mut faults,
-                        proc,
-                        step.saturating_sub(1),
+                        &mut RoundRobin::new(),
                         cfg,
                         &mut stats,
+                        &mut NoopObserver,
+                        |sim| sim.metrics().procs[proc].steps >= step.saturating_sub(1),
                     )?;
+                    stats.steps_replayed += ck.step() + stats.steps_reexecuted - reexecuted;
                     stats.checkpoints_taken += 1;
                     lifecycle.push((FlightKind::Checkpoint, proc, ck.step()));
                     lifecycle.push((FlightKind::Restore, proc, ck.step()));

@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::flight::{FlightRecorder, FlightSink, NoFlight, DEFAULT_FLIGHT_CAP};
+use crate::flight::{FlightRecorder, FlightSink, NoFlight};
 use crate::proc::{Effect, ProcId, Process};
 use crate::sim::{ProcState, SimState};
 use crate::spsc::{ParkSlot, SpscRing};
@@ -357,12 +357,13 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
         q
     }
 
-    /// Reclaim the task box after a failed park (lost race or `NOTIFIED`).
+    /// Reclaim the task box after a failed park (lost race or `NOTIFIED`),
+    /// still holding the pending operation it was parked with — a send's
+    /// message lives there, so the caller takes it back.
     fn reclaim(&self, rank: ProcId) -> Task<P> {
         let mut task = lock(&self.slots[rank])
             .take()
             .expect("rank still owned by this worker");
-        task.pending = None;
         if let Some(t0) = task.parked_since.take() {
             task.pm.blocked_nanos += t0.elapsed().as_nanos() as u64;
         }
@@ -380,27 +381,24 @@ enum After<P: Process> {
 }
 
 /// Build the channel fabric for one scheduler instance. `hosted` marks the
-/// ranks this instance runs: `None` hosts all of them (every channel
-/// [`ChanKind::Direct`], spec capacity honored); otherwise a channel with a
-/// remote endpoint becomes `Egress`/`Ingress` — forced *unbounded*, because
-/// flow control across the process boundary belongs to the transport and a
-/// bounded port ring could wedge the pump — or `Absent`. Returns the
-/// channels plus the egress index list in id order.
-fn build_chans<M>(topo: &Topology, hosted: Option<&[bool]>) -> (Vec<Chan<M>>, Vec<usize>) {
+/// ranks this instance runs. A channel with both endpoints hosted is
+/// [`ChanKind::Direct`] (spec capacity honored) — every channel, when all
+/// ranks are hosted; one with a remote endpoint becomes `Egress`/`Ingress`
+/// — forced *unbounded*, because flow control across the process boundary
+/// belongs to the transport and a bounded port ring could wedge the pump —
+/// or `Absent`. Returns the channels plus the egress index list in id order.
+fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> (Vec<Chan<M>>, Vec<usize>) {
     let mut egress = Vec::new();
     let chans = topo
         .specs()
         .iter()
         .enumerate()
         .map(|(i, s)| {
-            let kind = match hosted {
-                None => ChanKind::Direct,
-                Some(h) => match (h[s.writer], h[s.reader]) {
-                    (true, true) => ChanKind::Direct,
-                    (true, false) => ChanKind::Egress,
-                    (false, true) => ChanKind::Ingress,
-                    (false, false) => ChanKind::Absent,
-                },
+            let kind = match (hosted[s.writer], hosted[s.reader]) {
+                (true, true) => ChanKind::Direct,
+                (true, false) => ChanKind::Egress,
+                (false, true) => ChanKind::Ingress,
+                (false, false) => ChanKind::Absent,
             };
             if kind == ChanKind::Egress {
                 egress.push(i);
@@ -420,19 +418,6 @@ fn build_chans<M>(topo: &Topology, hosted: Option<&[bool]>) -> (Vec<Chan<M>>, Ve
         })
         .collect();
     (chans, egress)
-}
-
-/// Fresh task box for a rank entering the scheduler at its initial state.
-fn fresh_task<P: Process>(proc: P, n_chans: usize) -> Task<P> {
-    Task {
-        proc,
-        delivery: None,
-        pending: None,
-        pm: ProcMetrics::default(),
-        recvs_done: vec![0; n_chans],
-        parked_since: None,
-        result: None,
-    }
 }
 
 /// Assemble the shared state for a pool of `n_workers` over `slots` (one
@@ -555,193 +540,44 @@ fn harvest<P: Process, F: FlightSink>(
     Ok(ThreadedOutcome { snapshots, metrics, flight: shared.flight.drain() })
 }
 
-/// Entry point: run `procs` over a worker pool. Called by
-/// [`crate::threaded::run_threaded_faulted`]; same contract. Dispatches
-/// between the two monomorphizations: [`NoFlight`] (the default — the
-/// compile-time no-op path) and [`FlightRecorder`] when
+/// Run a whole program — `seed` hosts every rank of `topo` — over a worker
+/// pool and harvest it. The entry point behind every
+/// [`crate::threaded`] `run_threaded_*`: a fresh start passes
+/// [`PartialSeed::fresh`], a resumed run a [`SimState`] converted with
+/// `into()`. Chooses between the two monomorphizations: [`NoFlight`] (the
+/// default — the compile-time no-op path) and [`FlightRecorder`] when
 /// [`ThreadedConfig::flight`] is set.
-pub(crate) fn run_scheduled<P>(
+pub(crate) fn run_full<P>(
     topo: &Topology,
-    procs: Vec<P>,
+    seed: PartialSeed<P>,
     config: ThreadedConfig,
     faults: &FaultPlan,
 ) -> Result<ThreadedOutcome, RunError>
 where
     P: Process + 'static,
 {
+    assert_eq!(seed.procs.len(), topo.n_procs(), "process count must match topology");
+    let n_workers = resolve_workers(config.workers, seed.procs.len());
     match config.flight {
-        None => run_scheduled_flight(topo, procs, config, faults, NoFlight),
+        None => launch(topo, seed, n_workers, config.watchdog, faults, NoFlight).harvest(),
         Some(cap) => {
-            let n_workers = resolve_workers(config.workers, procs.len());
             let flight = FlightRecorder::new(n_workers, cap);
-            run_scheduled_flight(topo, procs, config, faults, flight)
+            launch(topo, seed, n_workers, config.watchdog, faults, flight).harvest()
         }
     }
 }
 
-fn run_scheduled_flight<P, F>(
-    topo: &Topology,
-    procs: Vec<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-    flight: F,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
-    assert_eq!(procs.len(), topo.n_procs(), "process count must match topology");
-    let n = procs.len();
-    if n == 0 {
-        return Ok(ThreadedOutcome {
-            snapshots: Vec::new(),
-            metrics: RunMetrics::for_topology(topo),
-            flight: flight.drain(),
-        });
-    }
-    let n_workers = resolve_workers(config.workers, n);
-    let (chans, egress) = build_chans(topo, None);
-    let n_chans = chans.len();
-    let slots = procs.into_iter().map(|p| Some(fresh_task(p, n_chans))).collect();
-    let shared = build_shared(topo, slots, chans, egress, n, 0, n_workers, faults, flight);
-
-    // Seed the deques round-robin so every worker starts with local work.
-    for rank in 0..n {
-        lock(&shared.workers[rank % n_workers].deque).push_back(rank);
-    }
-    let (handles, watchdog) = spawn_pool(&shared, n_workers, config.watchdog);
-    harvest(&shared, handles, watchdog, n_workers)
-}
-
-/// Resume a run from a simulator cut ([`SimState`], typically obtained by
-/// replaying a fingerprint-verified checkpoint): seed tasks, rings, and
-/// counters from `state`, then drive the remainder over the pool. The
-/// prefix's metrics are carried forward, so process-local step ordinals
-/// (which key fault injection) and traffic counters continue rather than
-/// restart — and by Theorem 1 the final snapshots are the same as if the
-/// whole run had happened on either backend alone.
-pub(crate) fn run_seeded<P>(
-    topo: &Topology,
-    state: SimState<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-{
-    match config.flight {
-        None => run_seeded_flight(topo, state, config, faults, NoFlight),
-        Some(cap) => {
-            let n_workers = resolve_workers(config.workers, state.procs.len());
-            let flight = FlightRecorder::new(n_workers, cap);
-            run_seeded_flight(topo, state, config, faults, flight)
-        }
-    }
-}
-
-fn run_seeded_flight<P, F>(
-    topo: &Topology,
-    state: SimState<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-    flight: F,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
-    let SimState { procs, status, queues, metrics } = state;
-    assert_eq!(procs.len(), topo.n_procs(), "process count must match topology");
-    let n = procs.len();
-    if n == 0 {
-        return Ok(ThreadedOutcome {
-            snapshots: Vec::new(),
-            metrics: RunMetrics::for_topology(topo),
-            flight: flight.drain(),
-        });
-    }
-    let n_workers = resolve_workers(config.workers, n);
-    let (chans, egress) = build_chans::<P::Msg>(topo, None);
-    let n_chans = chans.len();
-
-    // Deliveries completed per channel *before* the cut: sends counted by
-    // the prefix minus messages still in flight. Seeds the reader's
-    // `recvs_done` so stall-fault ordinals stay aligned across the cut.
-    let delivered: Vec<u64> = (0..n_chans)
-        .map(|i| metrics.channels[i].messages.saturating_sub(queues[i].len() as u64))
-        .collect();
-
-    // Pre-fill the rings single-threaded (no worker is running yet) and
-    // seed the writer-side traffic counters from the prefix.
-    for (i, q) in queues.into_iter().enumerate() {
-        let c = &chans[i];
-        c.messages.store(metrics.channels[i].messages, Ordering::Relaxed);
-        c.bytes.store(metrics.channels[i].bytes, Ordering::Relaxed);
-        c.max_depth.store(metrics.channels[i].max_queue_depth, Ordering::Relaxed);
-        for m in q {
-            assert!(
-                c.ring.try_push(m).is_ok(),
-                "seed queue exceeds channel capacity (state/topology mismatch)"
-            );
-        }
-    }
-
-    let mut finished = 0usize;
-    let mut runnable: Vec<ProcId> = Vec::new();
-    let mut slots: Vec<Option<Task<P>>> = Vec::with_capacity(n);
-    for (rank, (proc, st)) in procs.into_iter().zip(status).enumerate() {
-        let mut task = fresh_task(proc, n_chans);
-        task.pm = metrics.procs[rank];
-        for (i, d) in delivered.iter().enumerate() {
-            if chans[i].reader == rank {
-                task.recvs_done[i] = *d;
-            }
-        }
-        match st {
-            ProcState::Ready => runnable.push(rank),
-            ProcState::BlockedRecv(chan) => {
-                // Retried as a pending op with `fresh = false`: the block
-                // episode was already counted by the prefix.
-                task.pending = Some(Pending::Recv { chan });
-                runnable.push(rank);
-            }
-            ProcState::BlockedSend(chan, msg) => {
-                let bytes = P::msg_size_bytes(&msg);
-                task.pending = Some(Pending::Send { chan, msg, bytes });
-                runnable.push(rank);
-            }
-            ProcState::Halted => {
-                task.result = Some(task.proc.snapshot());
-                finished += 1;
-            }
-        }
-        slots.push(Some(task));
-    }
-
-    let shared = build_shared(topo, slots, chans, egress, n, finished, n_workers, faults, flight);
-    // No worker thread exists yet, so the control lane is safely ours for
-    // this single lifecycle mark (spawn establishes the happens-before).
-    shared.flight.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
-    if finished == n {
-        shared.finish();
-    }
-    for (i, &rank) in runnable.iter().enumerate() {
-        lock(&shared.workers[i % n_workers].deque).push_back(rank);
-    }
-    let (handles, watchdog) = spawn_pool(&shared, n_workers, config.watchdog);
-    harvest(&shared, handles, watchdog, n_workers)
-}
-
-/// A scheduler instance hosting a *subset* of a topology's ranks — the
-/// distributed backend's worker side. Obtain one from [`launch_partial`]
-/// (or [`launch_partial_flight`] with the recorder on), bridge its port
-/// channels through [`PartialRun::gateway`], then collect the hosted
-/// ranks' results with [`PartialRun::join`].
+/// A running scheduler instance. One hosting a *subset* of a topology's
+/// ranks is the distributed backend's worker side: obtain it from
+/// [`launch_partial`], bridge its port channels through
+/// [`PartialRun::gateway`], then collect the hosted ranks' results with
+/// [`PartialRun::join`].
 pub struct PartialRun<P: Process, F: FlightSink = NoFlight> {
     shared: Arc<Shared<P, F>>,
     hosted: Vec<ProcId>,
     n_workers: usize,
     handles: Vec<JoinHandle<()>>,
+    watchdog: Option<JoinHandle<()>>,
 }
 
 /// Final state of a partial run: snapshots for the hosted ranks only, plus
@@ -763,110 +599,30 @@ impl<P: Process, F: FlightSink> PartialRun<P, F> {
         Gateway { shared: Arc::clone(&self.shared) }
     }
 
+    /// Block until the run is over and harvest it, snapshots indexed by
+    /// global rank.
+    fn harvest(self) -> Result<ThreadedOutcome, RunError> {
+        harvest(&self.shared, self.handles, self.watchdog, self.n_workers)
+    }
+
     /// Block until every hosted rank halts (or the run is poisoned) and
     /// harvest snapshots and the local metrics slice.
     pub fn join(self) -> Result<PartialOutcome, RunError> {
-        let outcome = harvest(&self.shared, self.handles, None, self.n_workers)?;
-        let mut snapshots = outcome.snapshots;
-        let snaps = self
-            .hosted
-            .iter()
-            .map(|&r| (r, std::mem::take(&mut snapshots[r])))
-            .collect();
-        Ok(PartialOutcome { snapshots: snaps, metrics: outcome.metrics, flight: outcome.flight })
+        let hosted = self.hosted.clone();
+        let ThreadedOutcome { mut snapshots, metrics, flight } = self.harvest()?;
+        let snapshots = hosted.iter().map(|&r| (r, std::mem::take(&mut snapshots[r]))).collect();
+        Ok(PartialOutcome { snapshots, metrics, flight })
     }
 }
 
-/// Launch a scheduler instance that hosts only `procs` — pairs of *global*
-/// rank id and process — out of `topo`'s ranks. Channels whose peer rank is
-/// not hosted become ports: sends queue on an unbounded egress ring drained
-/// by [`Gateway::pump_outbound`], and receives block until the transport
-/// feeds the ring via [`Gateway::push_inbound`].
-///
-/// Global ids are used throughout — rank ids and channel ids mean the same
-/// here as in the full topology, so checkpoints and wire frames never
-/// renumber anything.
-///
-/// No watchdog runs regardless of `config.watchdog`: a partial instance
-/// blocked on a remote peer is locally indistinguishable from deadlock, so
-/// liveness belongs to the supervisor (socket EOF / heartbeat).
-pub fn launch_partial<P>(
-    topo: &Topology,
-    procs: Vec<(ProcId, P)>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P>
-where
-    P: Process + 'static,
-{
-    launch_partial_sink(topo, procs, config, faults, NoFlight)
-}
-
-/// [`launch_partial`] with the flight recorder enabled: the instance's
-/// scheduler events land in per-worker lanes and drain into
-/// [`PartialOutcome::flight`] at join. The per-lane window comes from
-/// [`ThreadedConfig::flight`] (default [`DEFAULT_FLIGHT_CAP`]). The
-/// `gateway` lane is written by [`Gateway::push_inbound`]; the transport
-/// must call that from a *single* inbound thread (the ring is
-/// single-writer), which the distributed worker does.
-pub fn launch_partial_flight<P>(
-    topo: &Topology,
-    procs: Vec<(ProcId, P)>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P, FlightRecorder>
-where
-    P: Process + 'static,
-{
-    let n_workers = resolve_workers(config.workers, procs.len());
-    let cap = config.flight.unwrap_or(DEFAULT_FLIGHT_CAP);
-    launch_partial_sink(topo, procs, config, faults, FlightRecorder::new(n_workers, cap))
-}
-
-fn launch_partial_sink<P, F>(
-    topo: &Topology,
-    procs: Vec<(ProcId, P)>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-    flight: F,
-) -> PartialRun<P, F>
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
-    let n = topo.n_procs();
-    let mut hosted_mask = vec![false; n];
-    let hosted: Vec<ProcId> = procs.iter().map(|&(r, _)| r).collect();
-    for &r in &hosted {
-        assert!(r < n, "hosted rank {r} outside topology");
-        assert!(!hosted_mask[r], "rank {r} hosted twice");
-        hosted_mask[r] = true;
-    }
-    let target = hosted.len();
-    let n_workers = resolve_workers(config.workers, target);
-    let (chans, egress) = build_chans(topo, Some(&hosted_mask));
-    let n_chans = chans.len();
-    let mut slots: Vec<Option<Task<P>>> = (0..n).map(|_| None).collect();
-    for (r, p) in procs {
-        slots[r] = Some(fresh_task(p, n_chans));
-    }
-    let shared = build_shared(topo, slots, chans, egress, target, 0, n_workers, faults, flight);
-    if target == 0 {
-        shared.finish();
-    }
-    for (i, &rank) in hosted.iter().enumerate() {
-        lock(&shared.workers[i % n_workers].deque).push_back(rank);
-    }
-    let (handles, _) = spawn_pool(&shared, n_workers, None);
-    PartialRun { shared, hosted, n_workers, handles }
-}
-
-/// A consistent cut of a rank subset, ready to seed a resumed partial
-/// instance — the distributed backend's checkpoint-resumed migration
-/// payload, decoded. The same Theorem-1 argument that licenses
-/// [`run_seeded`] applies per subset: given every hosted rank's state, the
-/// contents of internal queues, and the delivery ordinals of cross
-/// channels, resuming is just another maximal interleaving.
+/// A consistent cut of a rank subset, ready to seed a scheduler instance —
+/// what every launch starts from. A fresh start is the trivial cut
+/// ([`PartialSeed::fresh`]); a [`SimState`] converts into the cut of a
+/// whole program; the distributed backend decodes its checkpoint-resumed
+/// migration payload into one. Theorem 1 licenses resuming per subset:
+/// given every hosted rank's state, the contents of internal queues, and
+/// the delivery ordinals of cross channels, the cut plus the steps after it
+/// is just another maximal interleaving.
 pub struct PartialSeed<P: Process> {
     /// `(global rank, process, scheduler status, prefix metrics)` for each
     /// hosted rank.
@@ -885,41 +641,95 @@ pub struct PartialSeed<P: Process> {
     pub counters: Vec<(u64, u64, u64)>,
 }
 
-/// [`launch_partial`], but resuming from `seed` instead of starting every
-/// hosted rank at its initial state. Used by the distributed worker to
-/// resume a migrated group from the supervisor's checkpoint cut.
-pub fn launch_partial_seeded<P>(
-    topo: &Topology,
-    seed: PartialSeed<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P>
-where
-    P: Process + 'static,
-{
-    launch_partial_seeded_sink(topo, seed, config, faults, NoFlight)
+impl<P: Process> PartialSeed<P> {
+    /// The cut before any step: `procs` — pairs of *global* rank id and
+    /// process — at their initial states, nothing in flight on `topo`.
+    pub fn fresh(topo: &Topology, procs: Vec<(ProcId, P)>) -> Self {
+        let n_chans = topo.n_channels();
+        PartialSeed {
+            procs: procs
+                .into_iter()
+                .map(|(r, p)| (r, p, ProcState::Ready, ProcMetrics::default()))
+                .collect(),
+            queues: Vec::new(),
+            consumed: vec![0; n_chans],
+            counters: vec![(0, 0, 0); n_chans],
+        }
+    }
 }
 
-/// [`launch_partial_seeded`] with the flight recorder enabled (see
-/// [`launch_partial_flight`] for the lane contract).
-pub fn launch_partial_seeded_flight<P>(
-    topo: &Topology,
-    seed: PartialSeed<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> PartialRun<P, FlightRecorder>
-where
-    P: Process + 'static,
-{
-    let n_workers = resolve_workers(config.workers, seed.procs.len());
-    let cap = config.flight.unwrap_or(DEFAULT_FLIGHT_CAP);
-    launch_partial_seeded_sink(topo, seed, config, faults, FlightRecorder::new(n_workers, cap))
+/// A simulator cut of the whole program, as a seed hosting every rank.
+impl<P: Process> From<SimState<P>> for PartialSeed<P> {
+    fn from(state: SimState<P>) -> Self {
+        let consumed = (0..state.queues.len()).map(|c| state.consumed(c)).collect();
+        let SimState { procs, status, queues, metrics } = state;
+        PartialSeed {
+            procs: procs
+                .into_iter()
+                .zip(status)
+                .enumerate()
+                .map(|(rank, (proc, st))| (rank, proc, st, metrics.procs[rank]))
+                .collect(),
+            consumed,
+            counters: metrics
+                .channels
+                .iter()
+                .map(|c| (c.messages, c.bytes, c.max_queue_depth as u64))
+                .collect(),
+            queues: queues.into_iter().map(Vec::from).enumerate().collect(),
+        }
+    }
 }
 
-fn launch_partial_seeded_sink<P, F>(
+/// Launch a scheduler instance that hosts only `seed`'s ranks out of
+/// `topo`'s, starting each from the seed's cut ([`PartialSeed::fresh`] for
+/// a start from the initial states; a decoded migration payload to resume
+/// a group). Channels whose peer rank is not hosted become ports: sends
+/// queue on an unbounded egress ring drained by [`Gateway::pump_outbound`],
+/// and receives block until the transport feeds the ring via
+/// [`Gateway::push_inbound`].
+///
+/// Global ids are used throughout — rank ids and channel ids mean the same
+/// here as in the full topology, so checkpoints and wire frames never
+/// renumber anything.
+///
+/// `flight` builds the recorder sink from the resolved pool size: `|_|
+/// NoFlight` for the no-op build, `|w| FlightRecorder::new(w, cap)` to
+/// record — the instance's scheduler events then land in per-worker lanes
+/// and drain into [`PartialOutcome::flight`] at join. The `gateway` lane is
+/// written by [`Gateway::push_inbound`]; the transport must call that from
+/// a *single* inbound thread (the ring is single-writer), which the
+/// distributed worker does.
+///
+/// No watchdog runs: a partial instance blocked on a remote peer is locally
+/// indistinguishable from deadlock, so liveness belongs to the supervisor
+/// (socket EOF / heartbeat).
+pub fn launch_partial<P, F>(
     topo: &Topology,
     seed: PartialSeed<P>,
-    config: ThreadedConfig,
+    workers: Option<usize>,
+    faults: &FaultPlan,
+    flight: impl FnOnce(usize) -> F,
+) -> PartialRun<P, F>
+where
+    P: Process + 'static,
+    F: FlightSink,
+{
+    let n_workers = resolve_workers(workers, seed.procs.len());
+    launch(topo, seed, n_workers, None, faults, flight(n_workers))
+}
+
+/// The one launcher: seed tasks, rings and counters from `seed`'s cut, then
+/// start `n_workers` workers (and the watchdog, if a window is given) on
+/// the remainder. The prefix's metrics are carried forward, so
+/// process-local step ordinals (which key fault injection) and traffic
+/// counters continue rather than restart — and by Theorem 1 the final
+/// snapshots are the same as if the whole run had happened on one backend.
+fn launch<P, F>(
+    topo: &Topology,
+    seed: PartialSeed<P>,
+    n_workers: usize,
+    watchdog: Option<Duration>,
     faults: &FaultPlan,
     flight: F,
 ) -> PartialRun<P, F>
@@ -937,8 +747,7 @@ where
         hosted_mask[r] = true;
     }
     let target = hosted.len();
-    let n_workers = resolve_workers(config.workers, target);
-    let (chans, egress) = build_chans(topo, Some(&hosted_mask));
+    let (chans, egress) = build_chans(topo, &hosted_mask);
     let n_chans = chans.len();
     assert_eq!(consumed.len(), n_chans, "seed consumed vector must cover the topology");
     assert_eq!(counters.len(), n_chans, "seed counter vector must cover the topology");
@@ -968,11 +777,20 @@ where
     }
 
     let mut finished = 0usize;
+    let mut prefix_steps = 0u64;
     let mut runnable: Vec<ProcId> = Vec::new();
     let mut slots: Vec<Option<Task<P>>> = (0..n).map(|_| None).collect();
     for (rank, proc, st, pm) in procs {
-        let mut task = fresh_task(proc, n_chans);
-        task.pm = pm;
+        prefix_steps += pm.steps;
+        let mut task = Task {
+            proc,
+            delivery: None,
+            pending: None,
+            pm,
+            recvs_done: vec![0; n_chans],
+            parked_since: None,
+            result: None,
+        };
         for (i, c) in chans.iter().enumerate() {
             if c.reader == rank {
                 task.recvs_done[i] = consumed[i];
@@ -981,6 +799,8 @@ where
         match st {
             ProcState::Ready => runnable.push(rank),
             ProcState::BlockedRecv(chan) => {
+                // Retried as a pending op with `fresh = false`: the block
+                // episode was already counted by the prefix.
                 task.pending = Some(Pending::Recv { chan });
                 runnable.push(rank);
             }
@@ -998,16 +818,21 @@ where
     }
 
     let shared = build_shared(topo, slots, chans, egress, target, finished, n_workers, faults, flight);
-    // Pre-spawn, so the control lane is safely ours for the lifecycle mark.
-    shared.flight.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
+    if prefix_steps > 0 {
+        // A resumed cut. No worker thread exists yet, so the control lane
+        // is safely ours for this single lifecycle mark (spawn establishes
+        // the happens-before).
+        shared.flight.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
+    }
     if finished == target {
         shared.finish();
     }
+    // Seed the deques round-robin so every worker starts with local work.
     for (i, &rank) in runnable.iter().enumerate() {
         lock(&shared.workers[i % n_workers].deque).push_back(rank);
     }
-    let (handles, _) = spawn_pool(&shared, n_workers, None);
-    PartialRun { shared, hosted, n_workers, handles }
+    let (handles, watchdog) = spawn_pool(&shared, n_workers, watchdog);
+    PartialRun { shared, hosted, n_workers, handles, watchdog }
 }
 
 /// Transport-side handle to a partial run: the bridge between this
@@ -1089,7 +914,7 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
         }
         // The inbound delivery is a remote writer's send landing here;
         // record it in the gateway lane (single inbound thread by
-        // contract — see `launch_partial_flight`).
+        // contract — see `launch_partial`).
         let lane = self.shared.gateway_lane();
         self.shared.flight.record(lane, FlightKind::Send, c.writer, chan.0, bytes);
         fence(Ordering::SeqCst);
@@ -1392,6 +1217,7 @@ fn attempt_recv<P: Process, F: FlightSink>(
             // Lost race: the message landed between check and flag.
             c.reader_waiting.store(false, Ordering::SeqCst);
             task = shared.reclaim(rank);
+            task.pending = None;
             continue;
         }
         match shared.states[rank].compare_exchange(RUN, PARKED, Ordering::AcqRel, Ordering::Acquire)
@@ -1406,6 +1232,7 @@ fn attempt_recv<P: Process, F: FlightSink>(
                 // NOTIFIED: a wake raced us; consume the token and retry.
                 shared.states[rank].store(RUN, Ordering::SeqCst);
                 task = shared.reclaim(rank);
+                task.pending = None;
             }
         }
     }
@@ -1581,6 +1408,41 @@ mod tests {
         assert_eq!(resolve_workers(Some(8), 3), 3);
         assert_eq!(resolve_workers(Some(0), 3), 1);
         assert_eq!(resolve_workers(Some(2), 64), 2);
+    }
+
+    #[test]
+    fn a_program_of_no_ranks_finishes_at_launch() {
+        let topo = Topology::new(0);
+        let watched = ThreadedConfig::with_watchdog(Duration::from_secs(5));
+        for config in [ThreadedConfig::default(), watched.with_flight(8)] {
+            let seed = PartialSeed::<Nop>::fresh(&topo, Vec::new());
+            let out = run_full(&topo, seed, config, &FaultPlan::none()).unwrap();
+            assert!(out.snapshots.is_empty());
+            assert_eq!(out.flight.is_some(), config.flight.is_some());
+        }
+    }
+
+    #[test]
+    fn reclaim_hands_back_the_pending_send() {
+        // `attempt_send`'s lost-race paths take the message back out of the
+        // reclaimed box; a reclaim that cleared it would lose the message.
+        let mut topo = Topology::new(2);
+        let chan = topo.connect(0, 1);
+        let (chans, egress) = build_chans::<u64>(&topo, &[true, true]);
+        let task = Task {
+            proc: Nop,
+            delivery: None,
+            pending: Some(Pending::Send { chan, msg: 7, bytes: 8 }),
+            pm: ProcMetrics::default(),
+            recvs_done: vec![0],
+            parked_since: Some(Instant::now()),
+            result: None,
+        };
+        let slots = vec![Some(task), None];
+        let shared = build_shared(&topo, slots, chans, egress, 1, 0, 1, &FaultPlan::none(), NoFlight);
+        let task = shared.reclaim(0);
+        assert!(matches!(task.pending, Some(Pending::Send { msg: 7, .. })));
+        assert!(task.parked_since.is_none());
     }
 
     #[test]

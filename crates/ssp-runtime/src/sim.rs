@@ -19,11 +19,10 @@ use std::collections::VecDeque;
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::json::JsonValue;
-use crate::observer::{NoopObserver, StepEvent, StepObserver};
+use crate::observer::{StepEvent, StepObserver, Tee};
 use crate::policy::SchedulePolicy;
 use crate::proc::{Effect, ProcId, Process};
-use crate::trace::{Event, EventKind, RunMetrics, Trace};
+use crate::trace::{RunMetrics, Trace};
 use crate::waitgraph::{self, BlockKind};
 
 /// Result of a terminated simulated run.
@@ -60,28 +59,18 @@ impl RunOutcome {
     }
 }
 
-enum Status<M> {
-    /// Can be resumed with `None`.
-    Ready,
-    /// Waiting for a message on the channel; runnable iff queue non-empty.
-    BlockedRecv(ChannelId),
-    /// Waiting for space on a bounded channel; holds the undelivered
-    /// message. Only possible for bounded (non-paper-model) channels.
-    BlockedSend(ChannelId, M),
-    /// Terminated.
-    Halted,
-}
-
-/// Public mirror of a process's scheduling status, used when a simulator's
-/// state is exported ([`Simulator::into_state`]) to seed another backend —
-/// notably the threaded scheduler resuming from a replayed checkpoint.
+/// A process's scheduling status: what the simulator stores per process,
+/// what an exported cut ([`Simulator::into_state`]) carries to seed another
+/// backend, and what the threaded scheduler resumes from.
 #[derive(Debug, Clone)]
 pub enum ProcState<M> {
     /// Can be resumed with no delivery.
     Ready,
     /// A receive is posted on the channel; the delivery has not happened.
+    /// Runnable iff the queue is non-empty.
     BlockedRecv(ChannelId),
-    /// A send is pending on a full bounded channel; holds the message.
+    /// A send is pending on a channel that would not admit it (a full
+    /// bounded channel, or a closed port); holds the undelivered message.
     BlockedSend(ChannelId, M),
     /// The process has halted.
     Halted,
@@ -106,40 +95,26 @@ pub struct SimState<P: Process> {
     pub metrics: RunMetrics,
 }
 
+impl<P: Process> SimState<P> {
+    /// Deliveries completed on channel `chan` before the cut: sends counted
+    /// by the prefix minus messages still in flight.
+    pub fn consumed(&self, chan: usize) -> u64 {
+        self.metrics.channels[chan].messages.saturating_sub(self.queues[chan].len() as u64)
+    }
+}
+
 /// Simulated executor for one process collection over one topology.
+#[derive(Clone)]
 pub struct Simulator<P: Process> {
     topo: Topology,
     procs: Vec<P>,
-    status: Vec<Status<P::Msg>>,
+    status: Vec<ProcState<P::Msg>>,
     queues: Vec<VecDeque<P::Msg>>,
+    /// Per channel: `Some(open)` marks a port (see [`Simulator::set_port`]).
+    ports: Vec<Option<bool>>,
     metrics: RunMetrics,
     /// Maximum atomic actions before aborting with [`RunError::StepLimit`].
     pub step_limit: u64,
-}
-
-impl<P: Process + Clone> Clone for Simulator<P>
-where
-    P::Msg: Clone,
-{
-    fn clone(&self) -> Self {
-        Simulator {
-            topo: self.topo.clone(),
-            procs: self.procs.clone(),
-            status: self
-                .status
-                .iter()
-                .map(|s| match s {
-                    Status::Ready => Status::Ready,
-                    Status::BlockedRecv(c) => Status::BlockedRecv(*c),
-                    Status::BlockedSend(c, m) => Status::BlockedSend(*c, m.clone()),
-                    Status::Halted => Status::Halted,
-                })
-                .collect(),
-            queues: self.queues.clone(),
-            metrics: self.metrics.clone(),
-            step_limit: self.step_limit,
-        }
-    }
 }
 
 impl<P: Process> Simulator<P> {
@@ -157,8 +132,9 @@ impl<P: Process> Simulator<P> {
         Simulator {
             topo,
             procs,
-            status: (0..n_procs).map(|_| Status::Ready).collect(),
+            status: (0..n_procs).map(|_| ProcState::Ready).collect(),
             queues: (0..n_chans).map(|_| VecDeque::new()).collect(),
+            ports: vec![None; n_chans],
             metrics,
             step_limit: u64::MAX,
         }
@@ -170,27 +146,44 @@ impl<P: Process> Simulator<P> {
         self
     }
 
-    fn is_runnable(&self, p: ProcId) -> bool {
-        match &self.status[p] {
-            Status::Ready => true,
-            Status::BlockedRecv(c) => !self.queues[c.0].is_empty(),
-            Status::BlockedSend(c, _) => {
-                let cap = self.topo.spec(*c).capacity;
-                match cap {
-                    None => true, // cannot actually happen: unbounded sends never block
-                    Some(k) => self.queues[c.0].len() < k,
-                }
-            }
-            Status::Halted => false,
+    /// Mark `chan` as a *port* — a channel whose far end lives outside this
+    /// simulator — or back as an ordinary channel. `None` is the spec's
+    /// capacity rule; `Some(open)` lets a send complete iff `open` and
+    /// ignores capacity, because flow control across a process boundary
+    /// belongs to the transport (the rule `sched` applies to egress rings).
+    /// This is API for external steppers that admit sends themselves (the
+    /// distributed supervisor's shadow), not a user setting.
+    pub fn set_port(&mut self, chan: ChannelId, port: Option<bool>) {
+        self.ports[chan.0] = port;
+    }
+
+    /// The messages in flight on `chan`, front (next delivered) to back
+    /// (last sent).
+    pub fn queue(&self, chan: ChannelId) -> &VecDeque<P::Msg> {
+        &self.queues[chan.0]
+    }
+
+    /// Would a send on `chan` complete now?
+    fn admits_send(&self, chan: ChannelId) -> bool {
+        match self.ports[chan.0] {
+            Some(open) => open,
+            None => self.topo.spec(chan).capacity.is_none_or(|k| self.queues[chan.0].len() < k),
         }
     }
 
-    fn runnable_set(&self) -> Vec<ProcId> {
-        (0..self.procs.len()).filter(|&p| self.is_runnable(p)).collect()
+    /// Can `p` take a step now? [`Simulator::runnable`] is the set of
+    /// processes for which this holds.
+    pub fn is_runnable(&self, p: ProcId) -> bool {
+        match &self.status[p] {
+            ProcState::Ready => true,
+            ProcState::BlockedRecv(c) => !self.queues[c.0].is_empty(),
+            ProcState::BlockedSend(c, _) => self.admits_send(*c),
+            ProcState::Halted => false,
+        }
     }
 
     fn all_halted(&self) -> bool {
-        self.status.iter().all(|s| matches!(s, Status::Halted))
+        self.status.iter().all(|s| matches!(s, ProcState::Halted))
     }
 
     fn blocked_list(&self) -> Vec<(ProcId, ChannelId, BlockKind)> {
@@ -198,45 +191,37 @@ impl<P: Process> Simulator<P> {
             .iter()
             .enumerate()
             .filter_map(|(p, s)| match s {
-                Status::BlockedRecv(c) => Some((p, *c, BlockKind::Recv)),
-                Status::BlockedSend(c, _) => Some((p, *c, BlockKind::Send)),
+                ProcState::BlockedRecv(c) => Some((p, *c, BlockKind::Recv)),
+                ProcState::BlockedSend(c, _) => Some((p, *c, BlockKind::Send)),
                 _ => None,
             })
             .collect()
     }
 
     /// Handle the effect a process returned from `resume`, updating its
-    /// status and the queues, and record the corresponding event.
+    /// status and the queues, and report the corresponding event.
     fn apply_effect(
         &mut self,
         p: ProcId,
         eff: Effect<P::Msg>,
-        trace: &mut Trace,
         obs: &mut dyn StepObserver,
     ) -> Result<(), RunError> {
         match eff {
             Effect::Compute { units } => {
-                trace.push(Event { proc: p, kind: EventKind::Computed { units } });
                 self.metrics.procs[p].compute_units += units;
-                self.status[p] = Status::Ready;
+                self.status[p] = ProcState::Ready;
                 obs.on_event(StepEvent::Computed { proc: p, units });
             }
             Effect::Send { chan, msg } => {
                 self.topo.check_writer(chan, p)?;
-                let cap = self.topo.spec(chan).capacity;
-                let full = cap.is_some_and(|k| self.queues[chan.0].len() >= k);
-                let bytes = P::msg_size_bytes(&msg);
-                if full {
-                    // Bounded channel (non-paper model): hold the message and
-                    // block until the reader makes space.
-                    self.status[p] = Status::BlockedSend(chan, msg);
-                    obs.on_event(StepEvent::SendBlocked { proc: p, chan, bytes });
+                if self.admits_send(chan) {
+                    self.complete_send(p, chan, msg, obs);
                 } else {
-                    self.queues[chan.0].push_back(msg);
-                    self.metrics.on_send(chan, bytes, self.queues[chan.0].len());
-                    trace.push(Event { proc: p, kind: EventKind::Sent { chan } });
-                    self.status[p] = Status::Ready;
-                    obs.on_event(StepEvent::Sent { proc: p, chan, bytes });
+                    // Full bounded channel (non-paper model) or closed
+                    // port: hold the message until the send is admitted.
+                    let bytes = P::msg_size_bytes(&msg);
+                    self.status[p] = ProcState::BlockedSend(chan, msg);
+                    obs.on_event(StepEvent::SendBlocked { proc: p, chan, bytes });
                 }
             }
             Effect::Recv { chan } => {
@@ -244,69 +229,72 @@ impl<P: Process> Simulator<P> {
                 // The receive itself (delivery) is a separate atomic action,
                 // taken when this process is next scheduled and the queue is
                 // non-empty.
-                self.status[p] = Status::BlockedRecv(chan);
+                self.status[p] = ProcState::BlockedRecv(chan);
                 obs.on_event(StepEvent::RecvPosted { proc: p, chan });
             }
             Effect::Halt => {
-                trace.push(Event { proc: p, kind: EventKind::Halted });
-                self.status[p] = Status::Halted;
+                self.status[p] = ProcState::Halted;
                 obs.on_event(StepEvent::Halted { proc: p });
             }
             Effect::Fault { error } => {
                 // The process detected an unrecoverable condition; mark it
                 // halted so it is never resumed again and abort the run.
-                self.status[p] = Status::Halted;
+                self.status[p] = ProcState::Halted;
                 return Err(error);
             }
         }
         Ok(())
     }
 
-    /// Take one atomic step for process `p` (which must be runnable).
-    fn step(
+    /// Enqueue `msg` on `chan` (which admits it) and leave `p` ready.
+    fn complete_send(
         &mut self,
         p: ProcId,
-        trace: &mut Trace,
+        chan: ChannelId,
+        msg: P::Msg,
         obs: &mut dyn StepObserver,
-    ) -> Result<(), RunError> {
+    ) {
+        let bytes = P::msg_size_bytes(&msg);
+        self.queues[chan.0].push_back(msg);
+        self.metrics.on_send(chan, bytes, self.queues[chan.0].len());
+        self.status[p] = ProcState::Ready;
+        obs.on_event(StepEvent::Sent { proc: p, chan, bytes });
+    }
+
+    /// Take one atomic step for process `p` (which must be runnable).
+    fn step(&mut self, p: ProcId, obs: &mut dyn StepObserver) -> Result<(), RunError> {
         // Temporarily replace the status to take ownership of any held message.
-        let status = std::mem::replace(&mut self.status[p], Status::Ready);
+        let status = std::mem::replace(&mut self.status[p], ProcState::Ready);
         self.metrics.procs[p].steps += 1;
         match status {
-            Status::Ready => {
+            ProcState::Ready => {
                 let eff = self.procs[p].resume(None);
-                self.apply_effect(p, eff, trace, obs)?;
+                self.apply_effect(p, eff, obs)
             }
-            Status::BlockedRecv(chan) => {
+            ProcState::BlockedRecv(chan) => {
                 let msg = self.queues[chan.0]
                     .pop_front()
                     .expect("scheduled a recv-blocked process with empty queue");
-                trace.push(Event { proc: p, kind: EventKind::Received { chan } });
                 self.metrics.on_recv(chan);
                 obs.on_event(StepEvent::Received { proc: p, chan });
                 let eff = self.procs[p].resume(Some(msg));
-                self.apply_effect(p, eff, trace, obs)?;
+                self.apply_effect(p, eff, obs)
             }
-            Status::BlockedSend(chan, msg) => {
-                // Space is now available: complete the pending send. The
-                // process is not resumed this step; the send is the action.
-                let bytes = P::msg_size_bytes(&msg);
-                self.queues[chan.0].push_back(msg);
-                self.metrics.on_send(chan, bytes, self.queues[chan.0].len());
-                trace.push(Event { proc: p, kind: EventKind::Sent { chan } });
-                self.status[p] = Status::Ready;
-                obs.on_event(StepEvent::Sent { proc: p, chan, bytes });
+            ProcState::BlockedSend(chan, msg) => {
+                // The channel now admits the pending send. The process is
+                // not resumed this step; the send is the action.
+                self.complete_send(p, chan, msg, obs);
+                Ok(())
             }
-            Status::Halted => unreachable!("halted processes are never scheduled"),
+            ProcState::Halted => unreachable!("halted processes are never scheduled"),
         }
-        Ok(())
     }
 
     /// The currently runnable processes (empty + not all halted ⇒ deadlock).
     /// Public for interactive exploration: exhaustive interleaving
     /// enumeration branches on exactly this set.
     pub fn runnable(&self) -> Vec<ProcId> {
-        self.runnable_set()
+        (0..self.procs.len()).filter(|&p| self.is_runnable(p)).collect()
     }
 
     /// [`Simulator::runnable`] under a fault plan: processes whose pending
@@ -318,13 +306,16 @@ impl<P: Process> Simulator<P> {
     /// the stalls are released for this step and the unfiltered set is
     /// returned.
     pub fn runnable_under(&self, faults: &FaultPlan) -> Vec<ProcId> {
-        let base = self.runnable_set();
+        let base = self.runnable();
+        if faults.stalls().is_empty() {
+            return base;
+        }
         let filtered: Vec<ProcId> = base
             .iter()
             .copied()
             .filter(|&p| {
                 !matches!(&self.status[p],
-                          Status::BlockedRecv(c) if faults.delivery_withheld(*c))
+                          ProcState::BlockedRecv(c) if faults.delivery_withheld(*c))
             })
             .collect();
         if filtered.is_empty() {
@@ -343,22 +334,23 @@ impl<P: Process> Simulator<P> {
     /// `trace`. Public counterpart of the internal stepper, for interactive
     /// exploration.
     pub fn step_process(&mut self, p: ProcId, trace: &mut Trace) -> Result<(), RunError> {
-        self.step_process_with(p, trace, &mut NoopObserver)
+        self.step_process_with(p, trace)
     }
 
-    /// [`Simulator::step_process`] with a [`StepObserver`] that is told
-    /// exactly what the step did (including the non-actions a trace omits:
-    /// posted receives and blocked sends). External steppers — notably the
-    /// `perf-sim` discrete-event engine — use this to reuse the simulator's
-    /// semantics instead of reimplementing them.
+    /// Take one atomic step for runnable process `p`, telling `obs` exactly
+    /// what the step did (including the non-actions a [`Trace`] omits:
+    /// posted receives and blocked sends). A [`Trace`] is itself an
+    /// observer; pass a [`crate::observer::Tee`] to feed two. External
+    /// steppers — the `perf-sim` discrete-event engine, the distributed
+    /// supervisor's shadow — use this to reuse the simulator's semantics
+    /// instead of reimplementing them.
     pub fn step_process_with(
         &mut self,
         p: ProcId,
-        trace: &mut Trace,
         obs: &mut dyn StepObserver,
     ) -> Result<(), RunError> {
         assert!(self.is_runnable(p), "step_process requires a runnable process");
-        self.step(p, trace, obs)
+        self.step(p, obs)
     }
 
     /// [`Simulator::step_process_with`] under a fault plan.
@@ -373,20 +365,19 @@ impl<P: Process> Simulator<P> {
         &mut self,
         p: ProcId,
         faults: &mut FaultPlan,
-        trace: &mut Trace,
         obs: &mut dyn StepObserver,
     ) -> Result<(), RunError> {
         assert!(self.is_runnable(p), "step_process requires a runnable process");
         let local_step = self.metrics.procs[p].steps + 1;
         if let Some(crash) = faults.take_crash(p, local_step) {
-            self.status[p] = Status::Halted;
+            self.status[p] = ProcState::Halted;
             return Err(RunError::Injected { proc: p, step: crash.at_step });
         }
         let delivering = match &self.status[p] {
-            Status::BlockedRecv(c) if !self.queues[c.0].is_empty() => Some(*c),
+            ProcState::BlockedRecv(c) if !self.queues[c.0].is_empty() => Some(*c),
             _ => None,
         };
-        let r = self.step(p, trace, obs);
+        let r = self.step(p, obs);
         faults.tick();
         if let Some(c) = delivering {
             faults.note_recv(c);
@@ -430,19 +421,19 @@ impl<P: Process> Simulator<P> {
         }
         for s in &self.status {
             match s {
-                Status::Ready => buf.push(0),
-                Status::BlockedRecv(c) => {
+                ProcState::Ready => buf.push(0),
+                ProcState::BlockedRecv(c) => {
                     buf.push(1);
                     buf.extend_from_slice(&(c.0 as u64).to_le_bytes());
                 }
-                Status::BlockedSend(c, m) => {
+                ProcState::BlockedSend(c, m) => {
                     buf.push(2);
                     buf.extend_from_slice(&(c.0 as u64).to_le_bytes());
                     let mb = msg_bytes(m);
                     buf.extend_from_slice(&(mb.len() as u64).to_le_bytes());
                     buf.extend_from_slice(&mb);
                 }
-                Status::Halted => buf.push(3),
+                ProcState::Halted => buf.push(3),
             }
         }
         for q in &self.queues {
@@ -456,79 +447,13 @@ impl<P: Process> Simulator<P> {
         buf
     }
 
-    /// A structured JSON view of the *entire* simulator state — per-process
-    /// snapshot, progress counter, and status, every queued message (encoded
-    /// by `msg_bytes`), and the [`Simulator::state_fingerprint`]. This is
-    /// the data plane of a checkpoint manifest
-    /// ([`crate::recover::Checkpoint`]): the code plane (the processes
-    /// themselves) is rebuilt from source and re-validated against the
-    /// fingerprint on restore.
-    pub fn state_manifest(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> JsonValue {
-        use std::collections::BTreeMap;
-        fn bytes_arr(b: &[u8]) -> JsonValue {
-            JsonValue::Arr(b.iter().map(|&x| JsonValue::Num(x as f64)).collect())
-        }
-        let procs: Vec<JsonValue> = self
-            .procs
-            .iter()
-            .zip(&self.status)
-            .map(|(p, s)| {
-                let mut m = BTreeMap::new();
-                m.insert("snapshot".to_string(), bytes_arr(&p.snapshot()));
-                m.insert("progress".to_string(), bytes_arr(&p.progress().to_le_bytes()));
-                let mut sm = BTreeMap::new();
-                match s {
-                    Status::Ready => {
-                        sm.insert("tag".to_string(), JsonValue::Str("ready".into()));
-                    }
-                    Status::BlockedRecv(c) => {
-                        sm.insert("tag".to_string(), JsonValue::Str("blocked_recv".into()));
-                        sm.insert("chan".to_string(), JsonValue::Num(c.0 as f64));
-                    }
-                    Status::BlockedSend(c, msg) => {
-                        sm.insert("tag".to_string(), JsonValue::Str("blocked_send".into()));
-                        sm.insert("chan".to_string(), JsonValue::Num(c.0 as f64));
-                        sm.insert("msg".to_string(), bytes_arr(&msg_bytes(msg)));
-                    }
-                    Status::Halted => {
-                        sm.insert("tag".to_string(), JsonValue::Str("halted".into()));
-                    }
-                }
-                m.insert("status".to_string(), JsonValue::Obj(sm));
-                JsonValue::Obj(m)
-            })
-            .collect();
-        let queues: Vec<JsonValue> = self
-            .queues
-            .iter()
-            .map(|q| JsonValue::Arr(q.iter().map(|m| bytes_arr(&msg_bytes(m))).collect()))
-            .collect();
-        let mut top = BTreeMap::new();
-        top.insert("procs".to_string(), JsonValue::Arr(procs));
-        top.insert("queues".to_string(), JsonValue::Arr(queues));
-        top.insert(
-            "fingerprint".to_string(),
-            bytes_arr(&self.state_fingerprint(&msg_bytes)),
-        );
-        JsonValue::Obj(top)
-    }
-
     /// Export the simulator's entire data plane for another backend to
     /// resume from (see [`SimState`]). Consumes the simulator: the state is
     /// moved, not copied.
     pub fn into_state(self) -> SimState<P> {
         SimState {
             procs: self.procs,
-            status: self
-                .status
-                .into_iter()
-                .map(|s| match s {
-                    Status::Ready => ProcState::Ready,
-                    Status::BlockedRecv(c) => ProcState::BlockedRecv(c),
-                    Status::BlockedSend(c, m) => ProcState::BlockedSend(c, m),
-                    Status::Halted => ProcState::Halted,
-                })
-                .collect(),
+            status: self.status,
             queues: self.queues,
             metrics: self.metrics,
         }
@@ -537,7 +462,7 @@ impl<P: Process> Simulator<P> {
     /// Run to termination under `policy`, producing the maximal interleaving
     /// taken and the final state.
     pub fn run(self, policy: &mut dyn SchedulePolicy) -> Result<RunOutcome, RunError> {
-        self.run_observed(policy, &mut NoopObserver)
+        self.drive(policy, &mut FaultPlan::none(), None)
     }
 
     /// [`Simulator::run`] under a fault plan: channel stalls delay
@@ -547,55 +472,38 @@ impl<P: Process> Simulator<P> {
     /// [`crate::recover::run_recovering`], which wraps this stepping with
     /// checkpoints and a restart supervisor.
     pub fn run_injected(
-        mut self,
+        self,
         policy: &mut dyn SchedulePolicy,
         faults: &mut FaultPlan,
     ) -> Result<RunOutcome, RunError> {
-        let mut trace = Trace::new();
-        let mut picks = Vec::new();
-        let mut steps: u64 = 0;
-        let mut max_queued = 0usize;
-        let mut obs = NoopObserver;
-        while !self.all_halted() {
-            let runnable = self.runnable_under(faults);
-            if runnable.is_empty() {
-                return Err(waitgraph::deadlock_error(&self.topo, &self.blocked_list()));
-            }
-            if steps >= self.step_limit {
-                return Err(RunError::StepLimit { limit: self.step_limit });
-            }
-            let p = policy.pick(&runnable);
-            debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
-            picks.push(p);
-            for (q, _, _) in self.blocked_list() {
-                if !self.is_runnable(q) {
-                    self.metrics.procs[q].blocked_steps += 1;
-                }
-            }
-            self.step_process_injected(p, faults, &mut trace, &mut obs)?;
-            steps += 1;
-            let queued: usize = self.queues.iter().map(|q| q.len()).sum();
-            max_queued = max_queued.max(queued);
-        }
-        let snapshots = self.procs.iter().map(|p| p.snapshot()).collect();
-        let metrics = std::mem::take(&mut self.metrics);
-        Ok(RunOutcome { snapshots, trace, steps, max_queued, picks, metrics })
+        self.drive(policy, faults, None)
     }
 
     /// [`Simulator::run`] with every atomic action reported to `obs`.
     pub fn run_observed(
-        mut self,
+        self,
         policy: &mut dyn SchedulePolicy,
         obs: &mut dyn StepObserver,
+    ) -> Result<RunOutcome, RunError> {
+        self.drive(policy, &mut FaultPlan::none(), Some(obs))
+    }
+
+    /// The driver loop behind every `run*`: pick, account, step, until all
+    /// processes halt. An empty `faults` plan injects nothing.
+    fn drive(
+        mut self,
+        policy: &mut dyn SchedulePolicy,
+        faults: &mut FaultPlan,
+        mut obs: Option<&mut dyn StepObserver>,
     ) -> Result<RunOutcome, RunError> {
         let mut trace = Trace::new();
         let mut picks = Vec::new();
         let mut steps: u64 = 0;
         let mut max_queued = 0usize;
         while !self.all_halted() {
-            let runnable = self.runnable_set();
+            let runnable = self.runnable_under(faults);
             if runnable.is_empty() {
-                return Err(waitgraph::deadlock_error(&self.topo, &self.blocked_list()));
+                return Err(self.deadlock_error());
             }
             if steps >= self.step_limit {
                 return Err(RunError::StepLimit { limit: self.step_limit });
@@ -605,19 +513,25 @@ impl<P: Process> Simulator<P> {
             picks.push(p);
             // Every blocked, non-runnable process loses this scheduling slot:
             // one blocked step of virtual time.
-            for (q, _, _) in self.blocked_list() {
-                if !self.is_runnable(q) {
+            for q in 0..self.status.len() {
+                let blocked = matches!(
+                    self.status[q],
+                    ProcState::BlockedRecv(_) | ProcState::BlockedSend(..)
+                );
+                if blocked && !self.is_runnable(q) {
                     self.metrics.procs[q].blocked_steps += 1;
                 }
             }
-            self.step(p, &mut trace, obs)?;
+            match obs.as_deref_mut() {
+                Some(o) => self.step_process_injected(p, faults, &mut Tee(&mut trace, o))?,
+                None => self.step_process_injected(p, faults, &mut trace)?,
+            }
             steps += 1;
             let queued: usize = self.queues.iter().map(|q| q.len()).sum();
             max_queued = max_queued.max(queued);
         }
-        let snapshots = self.procs.iter().map(|p| p.snapshot()).collect();
-        let metrics = std::mem::take(&mut self.metrics);
-        Ok(RunOutcome { snapshots, trace, steps, max_queued, picks, metrics })
+        let snapshots = self.snapshots_now();
+        Ok(RunOutcome { snapshots, trace, steps, max_queued, picks, metrics: self.metrics })
     }
 }
 
@@ -1094,21 +1008,59 @@ mod tests {
     }
 
     #[test]
-    fn state_manifest_round_trips_and_fingerprint_tracks_state() {
-        use crate::json::parse;
+    fn fingerprint_tracks_state() {
         let (topo, procs) = pair(3);
-        let sim = Simulator::new(topo, procs);
-        let man = sim.state_manifest(|m| m.to_le_bytes().to_vec());
-        let text = man.to_json();
-        let back = parse(&text).unwrap();
-        assert_eq!(back, man, "manifest survives its own wire format");
-        assert_eq!(back.get("procs").unwrap().as_arr().unwrap().len(), 2);
-        // Fingerprints differ once any process steps.
+        let mut sim = Simulator::new(topo, procs);
         let f0 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
-        let mut sim = sim;
+        // Fingerprints differ once any process steps.
         let mut trace = Trace::new();
         sim.step_process(0, &mut trace).unwrap();
         let f1 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         assert_ne!(f0, f1);
+    }
+
+    #[test]
+    fn a_port_admits_sends_by_its_gate_not_by_capacity() {
+        use crate::observer::{RecordingObserver, StepEvent};
+        // Capacity 1, eager sender: as an ordinary channel the second send
+        // would block on the full queue.
+        let mut topo = Topology::new(2);
+        let c = topo.add(ChannelSpec::bounded(0, 1, 1));
+        let procs = vec![
+            PingPong::Sender { chan: c, next: 0, count: 3 },
+            PingPong::Receiver { chan: c, got: 0, sum: 0, count: 3 },
+        ];
+        let mut sim = Simulator::new(topo, procs);
+        let mut rec = RecordingObserver::default();
+
+        // A closed port blocks its sender, empty queue or not.
+        sim.set_port(c, Some(false));
+        sim.step_process_with(0, &mut rec).unwrap();
+        assert_eq!(rec.events, [StepEvent::SendBlocked { proc: 0, chan: c, bytes: 0 }]);
+        assert!(sim.queue(c).is_empty());
+        assert!(!sim.is_runnable(0));
+        assert_eq!(sim.runnable(), [1], "the receiver may still post its receive");
+
+        // Opening it completes the held send without resuming the process:
+        // message 0 lands, message 1 has not been produced yet.
+        sim.set_port(c, Some(true));
+        assert!(sim.is_runnable(0));
+        rec.events.clear();
+        sim.step_process_with(0, &mut rec).unwrap();
+        assert_eq!(rec.events, [StepEvent::Sent { proc: 0, chan: c, bytes: 0 }]);
+        assert_eq!(sim.queue(c).iter().copied().collect::<Vec<_>>(), [0]);
+
+        // Capacity is ignored while the channel is a port...
+        sim.step_process_with(0, &mut rec).unwrap();
+        sim.step_process_with(0, &mut rec).unwrap();
+        assert_eq!(sim.queue(c).len(), 3, "an open port outruns capacity 1");
+        assert_eq!(sim.metrics().channels[c.0].max_queue_depth, 3);
+
+        // ...and is the rule again once it no longer is one.
+        sim.set_port(c, None);
+        let out = sim.run(&mut RoundRobin::new()).unwrap();
+        let (topo, procs) = pair(3);
+        let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
+        assert_eq!(out.snapshots, clean.snapshots);
     }
 }

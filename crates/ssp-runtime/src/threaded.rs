@@ -36,7 +36,7 @@ use crate::chan::Topology;
 use crate::error::RunError;
 use crate::fault::FaultPlan;
 use crate::proc::Process;
-use crate::sched;
+use crate::sched::{self, PartialSeed};
 use crate::sim::SimState;
 use crate::trace::RunMetrics;
 
@@ -158,7 +158,8 @@ pub fn run_threaded_faulted<P>(
 where
     P: Process + 'static,
 {
-    sched::run_scheduled(topo, procs, config, faults)
+    let seed = PartialSeed::fresh(topo, procs.into_iter().enumerate().collect());
+    sched::run_full(topo, seed, config, faults)
 }
 
 /// Resume a run on the worker pool from a simulator cut ([`SimState`],
@@ -179,7 +180,7 @@ pub fn run_threaded_seeded<P>(
 where
     P: Process + 'static,
 {
-    sched::run_seeded(topo, state, config, faults)
+    sched::run_full(topo, state.into(), config, faults)
 }
 
 #[cfg(test)]
@@ -381,6 +382,48 @@ mod tests {
             .unwrap();
             assert_eq!(out.snapshots, reference, "pool size {workers} changed the result");
             assert_eq!(out.metrics.sched.workers, workers.min(6));
+        }
+    }
+
+    #[test]
+    fn every_cut_of_the_ring_launches_to_the_simulators_final_state() {
+        use crate::sched::launch_partial;
+        use crate::sim::Simulator;
+        use crate::{NoFlight, Trace};
+        let (topo, procs) = ring(4, 3);
+        let reference = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
+
+        // The trivial cut: a fresh seed over all ranks, through both doors
+        // of the one launcher.
+        for workers in [1, 2, 4] {
+            let (topo, procs) = ring(4, 3);
+            let config = ThreadedConfig::default().with_workers(workers);
+            let out = run_threaded_with(&topo, procs, config).unwrap();
+            assert_eq!(out.snapshots, reference.snapshots, "workers={workers}");
+
+            let (topo, procs) = ring(4, 3);
+            let seed = PartialSeed::fresh(&topo, procs.into_iter().enumerate().collect());
+            let run = launch_partial(&topo, seed, Some(workers), &FaultPlan::none(), |_| NoFlight);
+            let out = run.join().unwrap();
+            let expect: Vec<_> = reference.snapshots.iter().cloned().enumerate().collect();
+            assert_eq!(out.snapshots, expect, "workers={workers}");
+        }
+
+        // Every other cut: stop the simulator after each pick prefix and
+        // resume the rest on the pool.
+        for cut in 0..=reference.picks.len() {
+            let (topo, procs) = ring(4, 3);
+            let mut sim = Simulator::new(topo.clone(), procs);
+            for &p in &reference.picks[..cut] {
+                sim.step_process(p, &mut Trace::new()).unwrap();
+            }
+            let config = ThreadedConfig::default().with_workers(2);
+            let out = run_threaded_seeded(&topo, sim.into_state(), config, &FaultPlan::none())
+                .unwrap();
+            assert_eq!(out.snapshots, reference.snapshots, "cut {cut}");
+            for (got, want) in out.metrics.channels.iter().zip(&reference.metrics.channels) {
+                assert_eq!((got.messages, got.bytes), (want.messages, want.bytes), "cut {cut}");
+            }
         }
     }
 

@@ -12,6 +12,7 @@
 //! dumps it without any serialization dependency.
 
 use crate::chan::{ChannelId, Topology};
+use crate::observer::{StepEvent, StepObserver};
 use crate::proc::ProcId;
 
 /// What a single scheduled step did.
@@ -127,6 +128,22 @@ impl Trace {
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Sent { .. }))
             .count() as u64
+    }
+}
+
+/// A trace is the observer that keeps the interleaving's *actions*: a
+/// posted receive or a blocked send is not one (the delivery and the
+/// completed send that follow are), so those two events are dropped.
+impl StepObserver for Trace {
+    fn on_event(&mut self, ev: StepEvent) {
+        let kind = match ev {
+            StepEvent::Computed { units, .. } => EventKind::Computed { units },
+            StepEvent::Sent { chan, .. } => EventKind::Sent { chan },
+            StepEvent::Received { chan, .. } => EventKind::Received { chan },
+            StepEvent::Halted { .. } => EventKind::Halted,
+            StepEvent::RecvPosted { .. } | StepEvent::SendBlocked { .. } => return,
+        };
+        self.push(Event { proc: ev.proc(), kind });
     }
 }
 

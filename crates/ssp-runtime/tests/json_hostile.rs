@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 use ssp_runtime::json;
 use ssp_runtime::{
-    replay_checkpoint, Checkpoint, ChannelId, Effect, FaultPlan, Process, RoundRobin, RunError,
-    RunMetrics, SchedulePolicy, Simulator, Topology, Trace,
+    replay_checkpoint, Checkpoint, ChannelId, Effect, FaultPlan, JsonValue, Process, RoundRobin,
+    RunError, RunMetrics, SchedulePolicy, Simulator, Topology, Trace,
 };
 
 /// A deterministic two-rank ping-pong, just enough to mint real
@@ -190,4 +190,27 @@ fn deep_nesting_and_huge_scalars_are_rejected_not_fatal() {
     let huge = format!("{{\"step\":{}}}", "9".repeat(5000));
     let _ = json::parse(&huge); // numeric overflow must not panic
     assert!(replay_checkpoint(&deep, topo(), procs(), msg_bytes).is_err());
+}
+
+/// A manifest written by another format version — or carrying none — is
+/// refused, not replayed as if it were the current one.
+#[test]
+fn manifests_of_another_or_no_version_are_rejected_typed() {
+    let good = manifest_after(7);
+    assert!(replay_checkpoint(&good, topo(), procs(), msg_bytes).is_ok());
+    let JsonValue::Obj(doc) = json::parse(&good).unwrap() else {
+        panic!("a checkpoint manifest is a JSON object");
+    };
+    let mut future = doc.clone();
+    future.insert("version".to_string(), JsonValue::Num(2.0));
+    let mut missing = doc;
+    missing.remove("version");
+    for (bad, what) in [(future, "unsupported version 2"), (missing, "missing version")] {
+        let text = JsonValue::Obj(bad).to_json();
+        match replay_checkpoint(&text, topo(), procs(), msg_bytes) {
+            Err(RunError::Protocol { detail, .. }) => assert!(detail.contains(what), "{detail}"),
+            Err(other) => panic!("expected Protocol ({what}), got {other:?}"),
+            Ok(_) => panic!("manifest with {what} replayed successfully"),
+        }
+    }
 }

@@ -46,7 +46,8 @@ export SSP_WORKER_BIN="$PWD/target/release/ssp-worker"
 
 # The flight-trace series also writes the predicted-vs-measured Chrome
 # overlay (P=4 point) — one file, two process tracks, load it in
-# chrome://tracing or Perfetto.
+# chrome://tracing or Perfetto. A local artifact: written and validated
+# here, listed in .gitignore, not tracked.
 trace="$PWD/TRACE_figure2.json"
 
 # Absolute paths: cargo runs bench binaries from the package directory.
