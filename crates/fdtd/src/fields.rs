@@ -87,9 +87,17 @@ impl Fields {
 
     /// Canonical byte snapshot of all six interiors.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        for g in [&self.ex, &self.ey, &self.ez, &self.hx, &self.hy, &self.hz] {
-            buf.extend_from_slice(&meshgrid::io::grid3_to_bytes(g));
+        self.snapshot_with_tail(0)
+    }
+
+    /// [`Fields::snapshot_bytes`] in a buffer with room for `tail` more
+    /// bytes, so a caller appending its own trailer never regrows it.
+    pub fn snapshot_with_tail(&self, tail: usize) -> Vec<u8> {
+        let grids = [&self.ex, &self.ey, &self.ez, &self.hx, &self.hy, &self.hz];
+        let len: usize = grids.iter().map(|g| meshgrid::io::grid3_encoded_len(g)).sum();
+        let mut buf = Vec::with_capacity(len + tail);
+        for g in grids {
+            meshgrid::io::append_grid3(&mut buf, g);
         }
         buf
     }
@@ -114,6 +122,23 @@ mod tests {
         b.hy.set(1, 1, 1, -0.0); // bitwise different from +0.0
         assert!(!a.bitwise_eq(&b));
         assert_eq!(a.max_abs_diff(&b), 0.0, "numerically equal nonetheless");
+    }
+
+    #[test]
+    fn snapshot_is_the_six_grid_encodings_in_one_exact_buffer() {
+        let mut f = Fields::zeros(3, 2, 4);
+        f.ey.set(1, 1, 2, -2.5);
+        f.hx.set(-1, 0, 0, f64::NAN); // a ghost cell: not part of the snapshot
+        let mut expected = Vec::new();
+        for g in [&f.ex, &f.ey, &f.ez, &f.hx, &f.hy, &f.hz] {
+            expected.extend_from_slice(&meshgrid::io::grid3_to_bytes(g));
+        }
+        let snap = f.snapshot_bytes();
+        assert_eq!(snap, expected);
+        assert_eq!(snap.capacity(), snap.len());
+        let with_tail = f.snapshot_with_tail(8);
+        assert_eq!(with_tail, expected);
+        assert_eq!(with_tail.capacity(), expected.len() + 8);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod verify;
 
 pub use farfield::{FarFieldAccumulator, FarFieldSpec, FarFieldStrategy};
 pub use fields::Fields;
-pub use material::{Material, MaterialSpec};
+pub use material::{Coefficient, Material, MaterialSpec};
 pub use params::{BoundaryCondition, Params};
 pub use seq::{run_seq_version_a, run_seq_version_c, SeqOutputA, SeqOutputC};
 pub use source::Source;

@@ -10,7 +10,10 @@
 //!    its [`Env::block`];
 //! 3. *fit the archetype pattern* — each time step is local computation
 //!    (H update; E update + source + boundary condition) alternating with
-//!    boundary exchanges of the six components;
+//!    two boundary exchanges, each carrying exactly the ghost faces the
+//!    next update reads ([`HaloFaces::YEE`]): the three E components into
+//!    their transverse high-side ghosts before the H update, the three H
+//!    components into their transverse low-side ghosts before the E update;
 //! 4. *boundary-specific computation* — ranks touching the global boundary
 //!    apply the outer boundary condition (their [`BoundaryFlags`]);
 //! 5. *insert archetype communication calls* — the `exchange`, `reduce` and
@@ -21,8 +24,9 @@ use std::sync::Arc;
 use mesh_archetype::driver::MeshLocal;
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::reduce::ReduceOp;
-use mesh_archetype::{Env, Plan};
-use meshgrid::{Block3, ProcGrid3};
+use mesh_archetype::{Env, ExchangeSpec, Plan};
+use meshgrid::halo::Face3::{XHi, XLo, YHi, YLo, ZHi, ZLo};
+use meshgrid::{Block3, FaceSet3, Grid3, ProcGrid3};
 use ssp_runtime::RunError;
 
 use crate::farfield::{FarFieldAccumulator, FarFieldSpec, FarFieldStrategy};
@@ -53,11 +57,19 @@ pub struct LocalA {
     step: usize,
 }
 
-impl MeshLocal for LocalA {
-    fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut buf = self.fields.snapshot_bytes();
+impl LocalA {
+    /// The snapshot (six interiors, then the step counter) in a buffer with
+    /// room for `tail` more bytes.
+    fn snapshot_with_tail(&self, tail: usize) -> Vec<u8> {
+        let mut buf = self.fields.snapshot_with_tail(8 + tail);
         buf.extend_from_slice(&(self.step as u64).to_le_bytes());
         buf
+    }
+}
+
+impl MeshLocal for LocalA {
+    fn snapshot_bytes(&self) -> Vec<u8> {
+        self.snapshot_with_tail(0)
     }
 }
 
@@ -250,23 +262,70 @@ fn e_interior_step(
     *step += 1;
 }
 
-/// Append one time step's phases (the six exchanges and two local updates)
+/// Which ghost faces of each field component a time step's two exchanges
+/// refresh, components in `x, y, z` order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HaloFaces {
+    /// Ghost faces of `ex, ey, ez` refreshed before the H update.
+    pub e: [FaceSet3; 3],
+    /// Ghost faces of `hx, hy, hz` refreshed before the E update.
+    pub h: [FaceSet3; 3],
+}
+
+impl HaloFaces {
+    /// What the Yee kernels read, from the differencing convention of
+    /// [`crate::update`]: `update_h` differences E *forward* along the two
+    /// axes transverse to each component (`hx` reads `ez[j+1]`, `ey[k+1]`,
+    /// …), so each E component needs its two transverse high-side ghosts;
+    /// `update_e` differences H *backward*, so each H component needs its
+    /// two transverse low-side ghosts. Nothing else reads a ghost cell.
+    pub const YEE: HaloFaces = HaloFaces {
+        e: [
+            FaceSet3::of(&[YHi, ZHi]),
+            FaceSet3::of(&[XHi, ZHi]),
+            FaceSet3::of(&[XHi, YHi]),
+        ],
+        h: [
+            FaceSet3::of(&[YLo, ZLo]),
+            FaceSet3::of(&[XLo, ZLo]),
+            FaceSet3::of(&[XLo, YLo]),
+        ],
+    };
+}
+
+/// Selects one field component.
+type Component = fn(&mut Fields) -> &mut Grid3<f64>;
+const E_COMPONENTS: [Component; 3] = [|f| &mut f.ex, |f| &mut f.ey, |f| &mut f.ez];
+const H_COMPONENTS: [Component; 3] = [|f| &mut f.hx, |f| &mut f.hy, |f| &mut f.hz];
+
+/// One exchange of three field components, each refreshing its own ghost
+/// faces: one message per link (E toward the −axis neighbour, H toward the
+/// +axis one, under [`HaloFaces::YEE`]).
+fn halo<L: 'static>(
+    name: &str,
+    fields_of: impl Fn(&mut L) -> &mut Fields + Send + Sync + Copy + 'static,
+    components: [Component; 3],
+    ghosts: [FaceSet3; 3],
+) -> ExchangeSpec<L> {
+    components.into_iter().zip(ghosts).fold(ExchangeSpec::new(name), |spec, (c, g)| {
+        spec.part(move |l| c(fields_of(l)), g)
+    })
+}
+
+/// Append one time step's phases (two exchanges and two local updates)
 /// shared by Versions A and C.
 fn time_step_phases<L: 'static>(
     b: mesh_archetype::PlanBuilder<L>,
     fields_of: impl Fn(&mut L) -> &mut Fields + Send + Sync + Copy + 'static,
+    faces: &HaloFaces,
     step_e: impl Fn(&Env, &mut L) -> Result<(), RunError> + Send + Sync + 'static,
     step_h: impl Fn(&Env, &mut L) + Send + Sync + 'static,
 ) -> mesh_archetype::PlanBuilder<L> {
-    b.exchange("x:ex", move |l| &mut fields_of(l).ex)
-        .exchange("x:ey", move |l| &mut fields_of(l).ey)
-        .exchange("x:ez", move |l| &mut fields_of(l).ez)
+    b.exchange_parts(halo("x:e", fields_of, E_COMPONENTS, faces.e))
         .local_with_flops("update-h", step_h, |env, _| {
             FLOPS_PER_CELL_H * env.block.len() as u64
         })
-        .exchange("x:hx", move |l| &mut fields_of(l).hx)
-        .exchange("x:hy", move |l| &mut fields_of(l).hy)
-        .exchange("x:hz", move |l| &mut fields_of(l).hz)
+        .exchange_parts(halo("x:h", fields_of, H_COMPONENTS, faces.h))
         .local_fallible_with_flops("update-e", step_e, |env, _| {
             FLOPS_PER_CELL_E * env.block.len() as u64
         })
@@ -274,11 +333,19 @@ fn time_step_phases<L: 'static>(
 
 /// The archetype plan for Version A (near field only).
 pub fn plan_a(params: &Params) -> Plan<LocalA> {
+    plan_a_with_halo(params, &HaloFaces::YEE)
+}
+
+/// [`plan_a`] exchanging the ghost faces `faces` instead of
+/// [`HaloFaces::YEE`] — the seam the sufficiency tests use to show that
+/// dropping any face the kernels read changes the result.
+pub fn plan_a_with_halo(params: &Params, faces: &HaloFaces) -> Plan<LocalA> {
     Plan::builder()
         .loop_n(params.steps, |b| {
             time_step_phases(
                 b,
                 |l: &mut LocalA| &mut l.fields,
+                faces,
                 |env, l: &mut LocalA| {
                     // Disjoint field borrows: no per-step Arc/flags clones.
                     e_side_step(
@@ -310,10 +377,15 @@ pub fn plan_a(params: &Params) -> Plan<LocalA> {
 /// (E_SHELL = 2 covers the layers Mur reads and writes), and the soft
 /// source fires in whichever half owns its cell.
 ///
-/// Caveat: each split posts three face messages per channel before any
-/// receive, so bounded-slack channels need `slack ≥ 3`; slack 1 yields a
-/// typed [`RunError::Deadlock`].
+/// Each split posts one message per channel, and E and H travel on
+/// opposite channels of a link (E toward −axis, H toward +axis), so the
+/// plan runs at every channel slack down to 1.
 pub fn plan_a_overlap(params: &Params) -> Plan<LocalA> {
+    fn fields_of(l: &mut LocalA) -> &mut Fields {
+        &mut l.fields
+    }
+    let e_halo = halo("x:e", fields_of, E_COMPONENTS, HaloFaces::YEE.e);
+    let h_halo = halo("x:h", fields_of, H_COMPONENTS, HaloFaces::YEE.h);
     let h_boundary_flops = |env: &Env, _: &LocalA| {
         FLOPS_PER_CELL_H * boundary_cells(env.block.extent(), H_SHELL)
     };
@@ -327,29 +399,21 @@ pub fn plan_a_overlap(params: &Params) -> Plan<LocalA> {
         FLOPS_PER_CELL_E * interior_cells(env.block.extent(), E_SHELL)
     };
     Plan::builder()
-        .exchange_send("tx:ex", |l: &mut LocalA| &mut l.fields.ex)
-        .exchange_send("tx:ey", |l: &mut LocalA| &mut l.fields.ey)
-        .exchange_send("tx:ez", |l: &mut LocalA| &mut l.fields.ez)
-        .exchange_recv("rx:ex", |l: &mut LocalA| &mut l.fields.ex)
-        .exchange_recv("rx:ey", |l: &mut LocalA| &mut l.fields.ey)
-        .exchange_recv("rx:ez", |l: &mut LocalA| &mut l.fields.ez)
+        .exchange_send(e_halo.clone())
+        .exchange_recv(e_halo.clone())
         .loop_n(params.steps, |b| {
             b.local_with_flops(
                 "update-h-boundary",
                 |_, l: &mut LocalA| update_h_boundary(&mut l.fields, &l.material),
                 h_boundary_flops,
             )
-            .exchange_send("tx:hx", |l: &mut LocalA| &mut l.fields.hx)
-            .exchange_send("tx:hy", |l: &mut LocalA| &mut l.fields.hy)
-            .exchange_send("tx:hz", |l: &mut LocalA| &mut l.fields.hz)
+            .exchange_send(h_halo.clone())
             .local_with_flops(
                 "update-h-interior",
                 |_, l: &mut LocalA| update_h_interior(&mut l.fields, &l.material),
                 h_interior_flops,
             )
-            .exchange_recv("rx:hx", |l: &mut LocalA| &mut l.fields.hx)
-            .exchange_recv("rx:hy", |l: &mut LocalA| &mut l.fields.hy)
-            .exchange_recv("rx:hz", |l: &mut LocalA| &mut l.fields.hz)
+            .exchange_recv(h_halo)
             .local_fallible_with_flops(
                 "update-e-boundary",
                 |env, l: &mut LocalA| {
@@ -365,9 +429,7 @@ pub fn plan_a_overlap(params: &Params) -> Plan<LocalA> {
                 },
                 e_boundary_flops,
             )
-            .exchange_send("tx:ex", |l: &mut LocalA| &mut l.fields.ex)
-            .exchange_send("tx:ey", |l: &mut LocalA| &mut l.fields.ey)
-            .exchange_send("tx:ez", |l: &mut LocalA| &mut l.fields.ez)
+            .exchange_send(e_halo.clone())
             .local_with_flops(
                 "update-e-interior",
                 |_, l: &mut LocalA| {
@@ -381,9 +443,7 @@ pub fn plan_a_overlap(params: &Params) -> Plan<LocalA> {
                 },
                 e_interior_flops,
             )
-            .exchange_recv("rx:ex", |l: &mut LocalA| &mut l.fields.ex)
-            .exchange_recv("rx:ey", |l: &mut LocalA| &mut l.fields.ey)
-            .exchange_recv("rx:ez", |l: &mut LocalA| &mut l.fields.ez)
+            .exchange_recv(e_halo)
         })
         .build()
 }
@@ -420,7 +480,7 @@ pub struct LocalC {
 
 impl MeshLocal for LocalC {
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut buf = self.a.snapshot_bytes();
+        let mut buf = self.a.snapshot_with_tail(8 + 8 * self.potentials.len());
         buf.extend_from_slice(&(self.potentials.len() as u64).to_le_bytes());
         for v in &self.potentials {
             buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -471,6 +531,7 @@ pub fn plan_c(params: &Params, spec: &FarFieldSpec, strategy: FarFieldStrategy) 
         time_step_phases(
             b,
             |l: &mut LocalC| &mut l.a.fields,
+            &HaloFaces::YEE,
             |env, l: &mut LocalC| {
                 e_side_step(
                     &mut l.a.fields,
@@ -551,11 +612,11 @@ mod tests {
     fn overlap_plan_structure_is_the_rotated_split() {
         let params = Params::tiny();
         let plan = plan_a_overlap(&params);
-        // Six prologue half-exchanges + one loop of 12 half-exchanges and
+        // Two prologue half-exchanges + one loop of 4 half-exchanges and
         // 4 local updates.
-        assert_eq!(plan.phases.len(), 7);
-        assert_eq!(plan.phase_count(), 7 + 16);
-        assert_eq!(plan.comm_phase_count(), 18);
+        assert_eq!(plan.phases.len(), 3);
+        assert_eq!(plan.phase_count(), 3 + 8);
+        assert_eq!(plan.comm_phase_count(), 6);
     }
 
     #[test]
@@ -577,16 +638,16 @@ mod tests {
     fn plan_structure_matches_the_archetype_shape() {
         let params = Params::tiny();
         let plan = plan_a(&params);
-        // One top-level loop containing 6 exchanges + 2 local updates.
+        // One top-level loop containing 2 exchanges + 2 local updates.
         assert_eq!(plan.phases.len(), 1);
-        assert_eq!(plan.phase_count(), 1 + 8);
-        assert_eq!(plan.comm_phase_count(), 6);
+        assert_eq!(plan.phase_count(), 1 + 4);
+        assert_eq!(plan.comm_phase_count(), 2);
 
         let planc = plan_c(
             &params,
             &FarFieldSpec::standard(2),
             FarFieldStrategy::NaiveReorder(mesh_archetype::ReduceAlgo::AllToOne),
         );
-        assert_eq!(planc.comm_phase_count(), 7, "six exchanges + one reduction");
+        assert_eq!(planc.comm_phase_count(), 3, "two exchanges + one reduction");
     }
 }

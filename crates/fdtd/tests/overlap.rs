@@ -5,10 +5,9 @@
 //! post halo sends → interior-compute → receive ghosts. Theorem 1 plus
 //! per-cell independence within a pass says the reordering must not change
 //! a single bit, on any backend, under any scheduling policy, at any
-//! admissible slack bound. This file pins all of that down, together with
-//! the two typed-failure modes the overlap and the Mur bugfix introduce:
-//! `RunError::Deadlock` below the 3-message burst bound and
-//! `RunError::Protocol` for sections too thin to carry a Mur face.
+//! slack bound down to 1. This file pins all of that down, together with
+//! the typed-failure mode the Mur bugfix introduces: `RunError::Protocol`
+//! for sections too thin to carry a Mur face.
 
 use std::sync::Arc;
 
@@ -146,23 +145,37 @@ fn overlap_agrees_bitwise_across_slack_bounds() {
     assert_eq!(out.snapshots, reference, "overlap on threads at slack 3");
 }
 
-/// Each overlapped half-step posts three face messages per channel before
-/// any receive, so bounded channels need slack ≥ 3. Below that the run
-/// fails *typed* — `RunError::Deadlock`, naming the wait-for cycle — never
-/// a hang.
+/// Each overlapped half-step posts *one* coalesced message per channel, and
+/// E and H travel on opposite channels of a link, so the plan has no burst
+/// to buffer: it runs bitwise at slack 1, 2, 4 and unbounded, simulated and
+/// on real threads. (While each component had its own exchange, a half-step
+/// posted three messages per channel before any receive and slack below 3
+/// was a typed `RunError::Deadlock`; that burst no longer exists.)
 #[test]
-fn overlap_below_minimum_slack_is_a_typed_deadlock() {
+fn overlap_runs_bitwise_at_slack_1_2_4_and_unbounded() {
     let params = tiny_with(BoundaryCondition::Pec);
     let over = plan_a_overlap(&params);
-    let pg = ProcGrid3::choose(params.n, 2);
     let init = init_a(params.clone());
-    for slack in [Some(1), Some(2)] {
-        let err = run_msg_simulated_slack(&over, pg, &init, slack, &mut RoundRobin::new())
-            .unwrap_err();
-        assert!(
-            matches!(err, RunError::Deadlock { .. }),
-            "slack {slack:?} should deadlock typed, got {err:?}"
-        );
+    for p in [2usize, 4, 8] {
+        let pg = ProcGrid3::choose(params.n, p);
+        let reference =
+            run_simpar(&plan_a(&params), pg, SimParConfig::default(), |e| init(e)).snapshots;
+        for slack in [Some(1), Some(2), Some(4), None] {
+            for policy in policy_battery(77).iter_mut() {
+                let out = run_msg_simulated_slack(&over, pg, &init, slack, policy.as_mut())
+                    .unwrap_or_else(|e| {
+                        panic!("P={p} slack {slack:?} under {}: {e}", policy.name())
+                    });
+                assert_eq!(out.snapshots, reference, "P={p} slack {slack:?}");
+                if let Some(s) = slack {
+                    assert!(out.metrics.max_queue_depth() <= s, "slack bound respected");
+                }
+            }
+            let cfg =
+                ssp_runtime::ThreadedConfig::with_watchdog(std::time::Duration::from_secs(30));
+            let out = run_msg_threaded_slack(&over, pg, &init, slack, cfg).unwrap();
+            assert_eq!(out.snapshots, reference, "P={p} slack {slack:?} on threads");
+        }
     }
 }
 

@@ -5,9 +5,9 @@
 use std::sync::Arc;
 
 use fdtd::par::{init_a, plan_a};
-use fdtd::{BoundaryCondition, MaterialSpec, Params, Source};
+use fdtd::{BoundaryCondition, Material, MaterialSpec, Params, Source};
 use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
-use meshgrid::ProcGrid3;
+use meshgrid::{Block3, ProcGrid3};
 use proptest::prelude::*;
 
 fn params_strategy() -> impl Strategy<Value = Params> {
@@ -38,8 +38,72 @@ fn params_strategy() -> impl Strategy<Value = Params> {
         })
 }
 
+/// Any of the three layouts, with objects that may straddle, miss or
+/// swallow a block of a domain up to 16 cells wide.
+fn material_strategy() -> impl Strategy<Value = MaterialSpec> {
+    (
+        0usize..3,
+        (-2.0f64..18.0, -2.0f64..18.0, -2.0f64..18.0),
+        0.0f64..9.0,
+        (1.0f64..8.0, 0.0f64..0.3),
+        (0usize..16, 0usize..16, 0usize..16),
+        (0usize..10, 0usize..10, 0usize..10),
+    )
+        .prop_map(|(kind, center, radius, (eps_r, sigma), lo, size)| match kind {
+            0 => MaterialSpec::Vacuum,
+            1 => MaterialSpec::dielectric_sphere(center, radius, eps_r, sigma),
+            _ => MaterialSpec::PecBox { lo, hi: (lo.0 + size.0, lo.1 + size.1, lo.2 + size.2) },
+        })
+}
+
+/// `[Ca, Cb, Da, Db]` of one global cell, evaluated from its properties —
+/// the per-cell definition the row storage must reproduce bitwise.
+fn cell_coefficients(spec: &MaterialSpec, (i, j, k): (usize, usize, usize), dt: f64) -> [f64; 4] {
+    let (eps, sigma, mu, sigma_m) = spec.properties(i, j, k);
+    let (ca, cb) = if eps.is_infinite() {
+        (0.0, 0.0)
+    } else {
+        let loss = sigma * dt / (2.0 * eps);
+        ((1.0 - loss) / (1.0 + loss), (dt / eps) / (1.0 + loss))
+    };
+    let lm = sigma_m * dt / (2.0 * mu);
+    [ca, cb, (1.0 - lm) / (1.0 + lm), (dt / mu) / (1.0 + lm)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every coefficient row equals the per-cell evaluation bitwise, for
+    /// random layouts and blocks.
+    #[test]
+    fn material_rows_equal_the_per_cell_evaluation(
+        spec in material_strategy(),
+        lo in (0usize..8, 0usize..8, 0usize..8),
+        size in (1usize..9, 1usize..9, 1usize..9),
+        dt in 0.1f64..0.55,
+    ) {
+        let block = Block3 { lo, hi: (lo.0 + size.0, lo.1 + size.1, lo.2 + size.2) };
+        let m = Material::build(&spec, block, dt);
+        let nz = size.2 as isize;
+        for i in 0..size.0 {
+            for j in 0..size.1 {
+                let rows = [&m.ca, &m.cb, &m.da, &m.db].map(|c| c.row(i as isize, j as isize, 0, nz));
+                for k in 0..size.2 {
+                    let want = cell_coefficients(&spec, block.to_global(i, j, k), dt);
+                    for ((c, row), w) in [&m.ca, &m.cb, &m.da, &m.db].iter().zip(rows).zip(want) {
+                        prop_assert_eq!(row[k].to_bits(), w.to_bits());
+                        prop_assert_eq!(c.get(i as isize, j as isize, k as isize).to_bits(), w.to_bits());
+                    }
+                }
+            }
+        }
+        for c in [&m.ca, &m.cb, &m.da, &m.db] {
+            prop_assert!(c.distinct_rows() >= 1 && c.distinct_rows() <= size.0 * size.1);
+        }
+        if matches!(spec, MaterialSpec::Vacuum) {
+            prop_assert_eq!(m.ca.distinct_rows(), 1);
+        }
+    }
 
     /// The near-field simulated-parallel version is bitwise identical to
     /// the sequential program for random geometries and partitionings.

@@ -20,8 +20,8 @@ mod simpar;
 mod wire;
 
 pub use msg::{
-    build_msg_processes, build_msg_processes_hosted, build_msg_processes_with_slack,
-    run_msg_predicted, run_msg_predicted_slack, run_msg_recovering, run_msg_simulated,
+    build_msg_processes, build_msg_processes_for, build_msg_processes_hosted,
+    build_msg_processes_with_slack, msg_topology, run_msg_predicted, run_msg_predicted_slack, run_msg_recovering, run_msg_simulated,
     run_msg_simulated_hosted, run_msg_simulated_slack, run_msg_threaded,
     run_msg_threaded_slack, MeshMsg, MsgProcess,
 };

@@ -23,7 +23,7 @@ use ssp_runtime::{
 };
 
 use machine_model::MachineModel;
-use meshgrid::halo::{extract_face3_into, slab_len3, try_insert_ghost3, Face3};
+use meshgrid::halo::Face3;
 use meshgrid::{Grid3, ProcGrid3};
 
 use crate::driver::simpar::{ordered_sum, HostMode};
@@ -87,9 +87,11 @@ impl MeshMsg {
 enum Op<L> {
     /// Run a local-computation block (one `Compute` action).
     Local(LocalStep<L>),
-    /// Send this rank's boundary slab through `link`.
+    /// Send through `link` the boundary slabs of every part crossing it,
+    /// as one message.
     SendFace { spec: ExchangeSpec<L>, link: FaceLink },
-    /// Receive the neighbour's slab through `link` into the ghost region.
+    /// Receive the neighbour's message through `link` into the ghost slabs
+    /// of every part crossing it.
     RecvFace { spec: ExchangeSpec<L>, link: FaceLink },
     /// `scratch ← extract(local)`.
     ReduceExtract { spec: ReduceSpec<L> },
@@ -156,6 +158,24 @@ enum Op<L> {
     WhilePop,
 }
 
+/// One `SendFace` per link some part of `spec` leaves `rank` through.
+fn push_face_sends<L>(spec: &ExchangeSpec<L>, pg: &ProcGrid3, rank: usize, ops: &mut Vec<Op<L>>) {
+    for link in face_links(pg, rank) {
+        if spec.sent_through(link.face).next().is_some() {
+            ops.push(Op::SendFace { spec: spec.clone(), link });
+        }
+    }
+}
+
+/// One `RecvFace` per link some part of `spec` reaches `rank` through.
+fn push_face_recvs<L>(spec: &ExchangeSpec<L>, pg: &ProcGrid3, rank: usize, ops: &mut Vec<Op<L>>) {
+    for link in face_links(pg, rank) {
+        if spec.received_through(link.face).next().is_some() {
+            ops.push(Op::RecvFace { spec: spec.clone(), link });
+        }
+    }
+}
+
 /// Compile `plan` into the per-rank instruction list. `host` is `Some(h)`
 /// when a separate host process (rank `h = pg.nprocs()`) participates.
 fn flatten<L>(
@@ -181,14 +201,9 @@ fn flatten<L>(
                 if n == 1 || is_host {
                     continue;
                 }
-                let links = face_links(pg, rank);
                 // All sends before any receives (§3.3).
-                for link in &links {
-                    ops.push(Op::SendFace { spec: spec.clone(), link: *link });
-                }
-                for link in &links {
-                    ops.push(Op::RecvFace { spec: spec.clone(), link: *link });
-                }
+                push_face_sends(spec, pg, rank, ops);
+                push_face_recvs(spec, pg, rank, ops);
             }
             Phase::ExchangeSend(spec) => {
                 if n == 1 || is_host {
@@ -197,17 +212,13 @@ fn flatten<L>(
                 // The send half only: the matching ExchangeRecv later in
                 // the plan issues the receives, and whatever local ops sit
                 // between them run while the messages are in flight.
-                for link in &face_links(pg, rank) {
-                    ops.push(Op::SendFace { spec: spec.clone(), link: *link });
-                }
+                push_face_sends(spec, pg, rank, ops);
             }
             Phase::ExchangeRecv(spec) => {
                 if n == 1 || is_host {
                     continue;
                 }
-                for link in &face_links(pg, rank) {
-                    ops.push(Op::RecvFace { spec: spec.clone(), link: *link });
-                }
+                push_face_recvs(spec, pg, rank, ops);
             }
             Phase::Reduce(spec) => {
                 if is_host {
@@ -701,12 +712,11 @@ impl<L: MeshLocal> MsgProcess<L> {
                     };
                 }
                 Op::SendFace { spec, link } => {
-                    // Pack the face straight from grid storage into a
+                    // Pack the slabs straight from grid storage into a
                     // recycled buffer (no intermediate allocation).
-                    let field = (spec.field)(&mut self.local);
-                    let n = slab_len3(field.extent(), field.ghost(), link.face);
+                    let n = spec.packed_len(&mut self.local, link.face);
                     let mut buf = self.pool.take(n);
-                    extract_face3_into(field, link.face, &mut buf);
+                    spec.pack(&mut self.local, link.face, &mut buf);
                     return Effect::Send {
                         chan: self.chan_to_rank(link.neighbor),
                         msg: MeshMsg::Halo(buf),
@@ -918,13 +928,11 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
                         unreachable!("Face pending always points at its RecvFace op")
                     };
                     // `link.face` is *this* rank's face toward the sender:
-                    // the ghost slab to fill. (The sender extracted from the
-                    // opposite face of its own section.) A wrong-sized slab
-                    // arrived over a channel, so it surfaces as a protocol
-                    // fault, not a panic.
-                    if let Err(e) =
-                        try_insert_ghost3((spec.field)(&mut self.local), link.face, &payload)
-                    {
+                    // the ghost slabs to fill. (The sender extracted from
+                    // the opposite face of its own section.) A wrong-sized
+                    // payload arrived over a channel, so it surfaces as a
+                    // protocol fault, not a panic.
+                    if let Err(e) = spec.unpack(&mut self.local, link.face, &payload) {
                         return Effect::Fault {
                             error: RunError::Protocol {
                                 proc: self.env.rank,
@@ -1014,6 +1022,31 @@ pub fn build_msg_processes<L: MeshLocal>(
     build_msg_processes_hosted(plan, pg, init, HostMode::GridRank0)
 }
 
+/// The channel topology of a mesh program over `pg` — all the drivers and
+/// the distributed registry agree on it without building any rank's state.
+/// Under [`HostMode::Separate`] it has `pg.nprocs() + 1` processes, the
+/// last being the dedicated host.
+pub fn msg_topology(pg: &ProcGrid3, host_mode: HostMode) -> Topology {
+    Topology::fully_connected(total_procs(pg, host_mode))
+}
+
+/// Grid ranks plus the separate host, if there is one.
+fn total_procs(pg: &ProcGrid3, host_mode: HostMode) -> usize {
+    pg.nprocs() + usize::from(host_mode == HostMode::Separate)
+}
+
+/// `table[writer][reader]`: the first channel from `writer` to `reader`
+/// (what [`Topology::find`] returns), for every pair, in one pass over the
+/// channel specs.
+fn channel_table(topo: &Topology) -> Vec<Vec<Option<ChannelId>>> {
+    let n = topo.n_procs();
+    let mut table = vec![vec![None; n]; n];
+    for (id, spec) in topo.specs().iter().enumerate() {
+        table[spec.writer][spec.reader].get_or_insert(ChannelId(id));
+    }
+    table
+}
+
 /// Compile `plan` with an explicit host placement. Under
 /// [`HostMode::Separate`] the program has `pg.nprocs() + 1` processes, the
 /// last being the dedicated host.
@@ -1023,29 +1056,40 @@ pub fn build_msg_processes_hosted<L: MeshLocal>(
     init: &InitFn<L>,
     host_mode: HostMode,
 ) -> (Topology, Vec<MsgProcess<L>>) {
+    let ranks: Vec<usize> = (0..total_procs(&pg, host_mode)).collect();
+    build_msg_processes_for(plan, pg, init, host_mode, &ranks)
+}
+
+/// Compile `plan` for the listed `ranks` only (in that order) — what a
+/// worker hosting part of the program builds — next to the whole program's
+/// topology.
+pub fn build_msg_processes_for<L: MeshLocal>(
+    plan: &Plan<L>,
+    pg: ProcGrid3,
+    init: &InitFn<L>,
+    host_mode: HostMode,
+    ranks: &[usize],
+) -> (Topology, Vec<MsgProcess<L>>) {
+    let topo = msg_topology(&pg, host_mode);
     let n = pg.nprocs();
     let host = match host_mode {
         HostMode::GridRank0 => None,
         HostMode::Separate => Some(n),
     };
-    let total = n + usize::from(host.is_some());
-    let topo = Topology::fully_connected(total);
-    let procs = (0..total)
-        .map(|rank| {
+    let table = channel_table(&topo);
+    let procs = ranks
+        .iter()
+        .map(|&rank| {
             let env = if rank < n { Env::new(pg, rank) } else { Env::new_host(pg) };
             let mut ops = Vec::new();
             flatten(&plan.phases, &env, &pg, host, &mut ops);
-            let chan_to: Vec<Option<ChannelId>> =
-                (0..total).map(|d| topo.find(rank, d)).collect();
-            let chan_from: Vec<Option<ChannelId>> =
-                (0..total).map(|s| topo.find(s, rank)).collect();
             MsgProcess {
                 env,
                 local: init(&env),
                 ops: ops.into(),
                 pc: 0,
-                chan_to,
-                chan_from,
+                chan_to: table[rank].clone(),
+                chan_from: table.iter().map(|row| row[rank]).collect(),
                 scratch: Vec::new(),
                 contribs: Vec::new(),
                 global: None,
@@ -1356,6 +1400,42 @@ mod tests {
                 cap,
                 "rank {rank}: a flooded pool must saturate exactly at its cap"
             );
+        }
+    }
+
+    #[test]
+    fn channel_table_agrees_with_find_on_every_pair() {
+        let mut dup = Topology::line(4);
+        // A second 1 → 2 edge: `find` returns the first, so must the table.
+        let second = dup.connect(1, 2);
+        assert_ne!(channel_table(&dup)[1][2], Some(second), "first writer→reader match wins");
+        for topo in [Topology::fully_connected(5), Topology::star(6, 2), dup] {
+            let table = channel_table(&topo);
+            assert_eq!(table.len(), topo.n_procs());
+            for (w, row) in table.iter().enumerate() {
+                assert_eq!(row.len(), topo.n_procs());
+                for (r, &chan) in row.iter().enumerate() {
+                    assert_eq!(chan, topo.find(w, r), "{w} → {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_subset_builds_the_same_processes_as_the_whole_program() {
+        let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 2, 1));
+        let plan = Plan::builder().exchange("halo", |l: &mut One| &mut l.u).build();
+        let init = init_fn();
+        let (topo, all) = build_msg_processes(&plan, pg, &init);
+        let (sub_topo, sub) =
+            build_msg_processes_for(&plan, pg, &init, HostMode::GridRank0, &[3, 1]);
+        assert_eq!(sub_topo.specs(), topo.specs());
+        assert_eq!(msg_topology(&pg, HostMode::GridRank0).specs(), topo.specs());
+        for (p, &rank) in sub.iter().zip(&[3usize, 1]) {
+            assert_eq!(p.env.rank, rank);
+            assert_eq!(p.chan_to, all[rank].chan_to);
+            assert_eq!(p.chan_from, all[rank].chan_from);
+            assert_eq!(p.ops.len(), all[rank].ops.len());
         }
     }
 

@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use meshgrid::halo::{extract_face3, insert_ghost3, Face3};
+use meshgrid::halo::{slab_len3, Face3};
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::RunError;
 
@@ -183,7 +183,8 @@ pub fn ordered_sum(mut contribs: Vec<Contribution>, n_bins: usize, method: SumMe
     bins.into_iter().map(|b| method.sum(&b)).collect()
 }
 
-/// Extracted exchange payloads in flight: `(src, dst, src_face, data)`.
+/// Extracted exchange messages in flight: `(src, dst, src_face, data)`,
+/// `data` being the slabs of every part crossing the link, in part order.
 type Payloads = Vec<(usize, usize, Face3, Vec<f64>)>;
 
 struct SimPar<'p, L> {
@@ -378,8 +379,8 @@ impl<L: MeshLocal> SimPar<'_, L> {
     /// to the send phase).
     fn exchange_recv(&mut self, spec: &ExchangeSpec<L>) {
         let payloads = self.staged.pop_front().unwrap_or_default();
-        for (_, dst, face, payload) in payloads {
-            insert_ghost3((spec.field)(&mut self.locals[dst]), face.opposite(), &payload);
+        for (src, dst, face, payload) in payloads {
+            self.install(spec, src, dst, face, &payload);
         }
         if self.cfg.record_trace {
             self.trace.push(PhaseCost {
@@ -391,8 +392,8 @@ impl<L: MeshLocal> SimPar<'_, L> {
         }
     }
 
-    /// Extract every rank's face payloads from the pre-exchange state and
-    /// validate them against the §2.2 restrictions.
+    /// Extract every rank's outgoing messages from the pre-exchange state
+    /// and validate them against the §2.2 restrictions.
     fn extract_payloads(&mut self, spec: &ExchangeSpec<L>) -> Payloads {
         let n = self.grid_n;
         if n == 1 {
@@ -402,50 +403,71 @@ impl<L: MeshLocal> SimPar<'_, L> {
         let mut payloads: Payloads = Vec::new();
         for r in 0..n {
             for link in face_links(&self.pg, r) {
-                let payload = extract_face3((spec.field)(&mut self.locals[r]), link.face);
+                if spec.sent_through(link.face).next().is_none() {
+                    continue;
+                }
+                let mut payload = Vec::new();
+                spec.pack(&mut self.locals[r], link.face, &mut payload);
                 payloads.push((r, link.neighbor, link.face, payload));
             }
         }
-        // Validation of the §2.2 restrictions.
         if self.cfg.validation != ValidationLevel::Off {
-            let assigns: Vec<ExchangeAssign> = payloads
-                .iter()
-                .flat_map(|(src, dst, face, payload)| {
-                    let face_code = *face as u64;
-                    match self.cfg.validation {
-                        ValidationLevel::Slab => vec![ExchangeAssign {
-                            dst_rank: *dst,
-                            // Ghost slab objects live in the high-bit space
-                            // so they can never alias interior sources.
-                            dst_slot: (1 << 63) | face_code,
-                            src_rank: *src,
-                            src_slots: vec![face_code],
-                        }],
-                        ValidationLevel::Cell => (0..payload.len() as u64)
-                            .map(|c| ExchangeAssign {
-                                dst_rank: *dst,
-                                dst_slot: (1 << 63) | (face_code << 48) | c,
-                                src_rank: *src,
-                                src_slots: vec![(face_code << 48) | c],
-                            })
-                            .collect(),
-                        ValidationLevel::Off => unreachable!(),
-                    }
-                })
-                .collect();
-            self.report.exchanges_checked += 1;
-            if let Err(violations) = check_exchange(n, &assigns) {
-                for v in violations {
-                    self.report.violations.push((spec.name.clone(), v));
-                }
-            }
+            self.validate(spec, &payloads);
         }
         payloads
     }
 
-    /// Install extracted payloads into destination ghosts and record the
-    /// messages. The destination's name for the shared face is the
-    /// opposite of the sender's.
+    /// Check the assignments `payloads` stand for against the §2.2
+    /// restrictions. The abstract objects are (part, face) slabs or their
+    /// cells; ghost objects live in the high-bit space so they can never
+    /// alias interior sources.
+    fn validate(&mut self, spec: &ExchangeSpec<L>, payloads: &Payloads) {
+        const GHOST: u64 = 1 << 63;
+        let mut assigns = Vec::new();
+        for (src, dst, face, _) in payloads {
+            for (i, part) in spec.sent_through(*face) {
+                let slab = ((i as u64) << 3) | *face as u64;
+                let slots = match self.cfg.validation {
+                    ValidationLevel::Slab => slab..slab + 1,
+                    _ => {
+                        let field = (part.field)(&mut self.locals[*src]);
+                        let cells = slab_len3(field.extent(), field.ghost(), *face) as u64;
+                        (slab << 40)..(slab << 40) + cells
+                    }
+                };
+                assigns.extend(slots.map(|slot| ExchangeAssign {
+                    dst_rank: *dst,
+                    dst_slot: GHOST | slot,
+                    src_rank: *src,
+                    src_slots: vec![slot],
+                }));
+            }
+        }
+        // Receiver-side view of the same geometry: a rank must be assigned
+        // something iff some part reaches it through one of its links.
+        let must_receive: Vec<bool> = (0..self.grid_n)
+            .map(|r| {
+                face_links(&self.pg, r)
+                    .iter()
+                    .any(|link| spec.received_through(link.face).next().is_some())
+            })
+            .collect();
+        self.report.exchanges_checked += 1;
+        if let Err(violations) = check_exchange(&must_receive, &assigns) {
+            for v in violations {
+                self.report.violations.push((spec.name.clone(), v));
+            }
+        }
+    }
+
+    /// Install one message into the destination's ghosts. The destination's
+    /// name for the shared face is the opposite of the sender's.
+    fn install(&mut self, spec: &ExchangeSpec<L>, src: usize, dst: usize, face: Face3, payload: &[f64]) {
+        spec.unpack(&mut self.locals[dst], face.opposite(), payload)
+            .unwrap_or_else(|e| panic!("halo from rank {src} to rank {dst}: {e}"));
+    }
+
+    /// Install extracted messages into destination ghosts and record them.
     fn insert_payloads(&mut self, spec: &ExchangeSpec<L>, payloads: Payloads) {
         if payloads.is_empty() {
             return;
@@ -453,7 +475,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
         let mut msgs = Vec::with_capacity(payloads.len());
         for (src, dst, face, payload) in payloads {
             let bytes = 8 * payload.len() as u64;
-            insert_ghost3((spec.field)(&mut self.locals[dst]), face.opposite(), &payload);
+            self.install(spec, src, dst, face, &payload);
             msgs.push(MsgRecord { src, dst, bytes });
         }
         if self.cfg.record_trace {

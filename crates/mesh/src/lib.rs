@@ -13,7 +13,9 @@
 //! * **local computation** — every process applies the same operation to its
 //!   local section, touching only local data;
 //! * **boundary exchange** — ghost boundaries are refreshed with shadow
-//!   copies of neighbouring processes' boundary values;
+//!   copies of neighbouring processes' boundary values: all six faces of
+//!   one field, or exactly the (field, ghost faces) parts a stencil reads
+//!   ([`plan::ExchangeSpec`]), coalesced into one message per link;
 //! * **reduction** — per-process contributions are combined (all-to-one or
 //!   recursive doubling, §4.2), or combined *in deterministic global order*
 //!   ([`plan::Phase::OrderedReduce`]) — the "more sophisticated strategy"
@@ -130,7 +132,7 @@ pub use driver::{
     try_run_simpar, GatherShapeError, SimParError, SimParOutcome,
 };
 pub use env::{AxisOutOfRange, Env};
-pub use plan::{Contribution, Phase, Plan, PlanBuilder};
+pub use plan::{Contribution, ExchangeSpec, Phase, Plan, PlanBuilder};
 pub use reduce::{ReduceAlgo, ReduceOp, ReducePlan, ReduceStep};
 pub use sum::SumMethod;
 pub use trace::{CommTrace, MsgRecord, PhaseCost};

@@ -12,6 +12,7 @@
 
 use std::sync::Arc;
 
+use meshgrid::halo::{slab_len3, Face3, FaceSet3};
 use meshgrid::Grid3;
 use ssp_runtime::RunError;
 
@@ -74,17 +75,125 @@ impl<L> Clone for LocalStep<L> {
     }
 }
 
-/// A boundary-exchange operation on one grid field.
+/// One part of a boundary exchange: a grid field and the ghost faces of it
+/// the exchange refreshes.
+pub struct ExchangePart<L> {
+    /// The field whose ghost boundary is refreshed.
+    pub field: FieldFn<L>,
+    /// Which of the field's ghost faces are refreshed. A rank fills ghost
+    /// face `f` from the neighbour across `f`, which sends the interior
+    /// slab on its own face `f.opposite()`.
+    pub ghosts: FaceSet3,
+}
+
+impl<L> Clone for ExchangePart<L> {
+    fn clone(&self) -> Self {
+        ExchangePart { field: self.field.clone(), ghosts: self.ghosts }
+    }
+}
+
+/// A boundary-exchange operation: a list of [`ExchangePart`]s moved
+/// together. Every link a part crosses carries *one* message per exchange,
+/// the slabs of all parts crossing it concatenated in part order; a link no
+/// part crosses carries none.
 pub struct ExchangeSpec<L> {
     /// Name for traces.
     pub name: String,
-    /// The field whose ghost boundary is refreshed.
-    pub field: FieldFn<L>,
+    /// The parts, in wire order.
+    pub parts: Vec<ExchangePart<L>>,
 }
 
 impl<L> Clone for ExchangeSpec<L> {
     fn clone(&self) -> Self {
-        ExchangeSpec { name: self.name.clone(), field: self.field.clone() }
+        ExchangeSpec { name: self.name.clone(), parts: self.parts.clone() }
+    }
+}
+
+impl<L> ExchangeSpec<L> {
+    /// An exchange with no parts yet.
+    pub fn new(name: &str) -> Self {
+        ExchangeSpec { name: name.to_string(), parts: Vec::new() }
+    }
+
+    /// Append a part: refresh the `ghosts` faces of `field`.
+    pub fn part(
+        mut self,
+        field: impl Fn(&mut L) -> &mut Grid3<f64> + Send + Sync + 'static,
+        ghosts: FaceSet3,
+    ) -> Self {
+        self.parts.push(ExchangePart { field: Arc::new(field), ghosts });
+        self
+    }
+
+    /// The parts a rank sends through its own face `face`, with their
+    /// index: those whose refreshed ghosts include the neighbour's name for
+    /// the shared face.
+    pub fn sent_through(&self, face: Face3) -> impl Iterator<Item = (usize, &ExchangePart<L>)> {
+        self.received_through(face.opposite())
+    }
+
+    /// The parts a rank receives through its own face `face`, with their
+    /// index.
+    pub fn received_through(
+        &self,
+        face: Face3,
+    ) -> impl Iterator<Item = (usize, &ExchangePart<L>)> {
+        self.parts.iter().enumerate().filter(move |(_, p)| p.ghosts.contains(face))
+    }
+
+    /// Number of values in the message this rank sends through `face`.
+    pub fn packed_len(&self, local: &mut L, face: Face3) -> usize {
+        self.sent_through(face)
+            .map(|(_, part)| {
+                let field = (part.field)(local);
+                slab_len3(field.extent(), field.ghost(), face)
+            })
+            .sum()
+    }
+
+    /// Pack the message this rank sends through `face` — the interior slabs
+    /// of every part crossing it, in part order — appending to `out`.
+    pub fn pack(&self, local: &mut L, face: Face3, out: &mut Vec<f64>) {
+        for (_, part) in self.sent_through(face) {
+            meshgrid::halo::extract_face3_into((part.field)(local), face, out);
+        }
+    }
+
+    /// Install a message received through `face` into the ghost slabs of
+    /// every part crossing it. The whole payload is measured against the
+    /// parts before any ghost is written, so on error `local` is untouched.
+    pub fn unpack(&self, local: &mut L, face: Face3, payload: &[f64]) -> Result<(), String> {
+        let (mut end, mut last) = (0, 0);
+        for (i, part) in self.received_through(face) {
+            let field = (part.field)(local);
+            end += slab_len3(field.extent(), field.ghost(), face);
+            last = i;
+            if end > payload.len() {
+                return Err(format!(
+                    "part {i} of exchange '{}' ends at value {end}, payload holds {}",
+                    self.name,
+                    payload.len()
+                ));
+            }
+        }
+        if end != payload.len() {
+            return Err(format!(
+                "payload holds {} values, {} past the end of part {last} (the last) of \
+                 exchange '{}'",
+                payload.len(),
+                payload.len() - end,
+                self.name
+            ));
+        }
+        let mut at = 0;
+        for (i, part) in self.received_through(face) {
+            let field = (part.field)(local);
+            let n = slab_len3(field.extent(), field.ghost(), face);
+            meshgrid::halo::try_insert_ghost3(field, face, &payload[at..at + n])
+                .map_err(|e| format!("part {i} of exchange '{}': {e}", self.name))?;
+            at += n;
+        }
+        Ok(())
     }
 }
 
@@ -216,8 +325,8 @@ pub enum Phase<L> {
     Exchange(ExchangeSpec<L>),
     /// The send half of a split boundary exchange: post this rank's face
     /// slabs to every neighbour and return without waiting. Must be paired
-    /// with a later [`Phase::ExchangeRecv`] of the same field, with no
-    /// other communication on the same field in between. The split lets a
+    /// with a later [`Phase::ExchangeRecv`] of the same parts, with no
+    /// other communication on the same fields in between. The split lets a
     /// plan overlap local computation with the in-flight exchange
     /// (DESIGN.md §14).
     ExchangeSend(ExchangeSpec<L>),
@@ -404,41 +513,32 @@ impl<L> PlanBuilder<L> {
         self
     }
 
-    /// Append a boundary exchange of the field selected by `field`.
+    /// Append a boundary exchange of the field selected by `field`: one
+    /// part, all six ghost faces.
     pub fn exchange(
-        mut self,
+        self,
         name: &str,
         field: impl Fn(&mut L) -> &mut Grid3<f64> + Send + Sync + 'static,
     ) -> Self {
-        self.phases
-            .push(Phase::Exchange(ExchangeSpec { name: name.to_string(), field: Arc::new(field) }));
+        self.exchange_parts(ExchangeSpec::new(name).part(field, FaceSet3::ALL))
+    }
+
+    /// Append a boundary exchange carrying exactly the parts of `spec`.
+    pub fn exchange_parts(mut self, spec: ExchangeSpec<L>) -> Self {
+        self.phases.push(Phase::Exchange(spec));
         self
     }
 
     /// Append the send half of a split boundary exchange. Must precede a
-    /// matching [`Self::exchange_recv`] of the same field.
-    pub fn exchange_send(
-        mut self,
-        name: &str,
-        field: impl Fn(&mut L) -> &mut Grid3<f64> + Send + Sync + 'static,
-    ) -> Self {
-        self.phases.push(Phase::ExchangeSend(ExchangeSpec {
-            name: name.to_string(),
-            field: Arc::new(field),
-        }));
+    /// matching [`Self::exchange_recv`] of the same parts.
+    pub fn exchange_send(mut self, spec: ExchangeSpec<L>) -> Self {
+        self.phases.push(Phase::ExchangeSend(spec));
         self
     }
 
     /// Append the receive half of a split boundary exchange.
-    pub fn exchange_recv(
-        mut self,
-        name: &str,
-        field: impl Fn(&mut L) -> &mut Grid3<f64> + Send + Sync + 'static,
-    ) -> Self {
-        self.phases.push(Phase::ExchangeRecv(ExchangeSpec {
-            name: name.to_string(),
-            field: Arc::new(field),
-        }));
+    pub fn exchange_recv(mut self, spec: ExchangeSpec<L>) -> Self {
+        self.phases.push(Phase::ExchangeRecv(spec));
         self
     }
 
@@ -587,6 +687,52 @@ mod tests {
         assert_eq!(plan.phases[2].name(), "norm");
         assert_eq!(plan.phase_count(), 5);
         assert_eq!(plan.comm_phase_count(), 2);
+    }
+
+    struct Two {
+        u: Grid3<f64>,
+        v: Grid3<f64>,
+    }
+
+    #[test]
+    fn pack_and_unpack_move_the_crossing_parts_in_part_order() {
+        use meshgrid::halo::Face3::{XHi, XLo, YHi};
+        let spec: ExchangeSpec<Two> = ExchangeSpec::new("uv")
+            .part(|l: &mut Two| &mut l.u, FaceSet3::of(&[XHi, YHi]))
+            .part(|l: &mut Two| &mut l.v, FaceSet3::of(&[XHi]));
+        let mut src = Two {
+            u: Grid3::from_fn(2, 3, 2, 1, |i, j, k| (100 + i * 10 + j * 2 + k) as f64),
+            v: Grid3::from_fn(2, 3, 2, 1, |i, j, k| (200 + i * 10 + j * 2 + k) as f64),
+        };
+        // Toward the neighbour's XHi ghost: both parts, through our XLo.
+        assert_eq!(spec.sent_through(XLo).map(|(i, _)| i).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(spec.sent_through(XHi).count(), 0, "nobody refreshes an XLo ghost");
+        let mut msg = Vec::new();
+        spec.pack(&mut src, XLo, &mut msg);
+        assert_eq!(msg.len(), spec.packed_len(&mut src, XLo));
+        assert_eq!(msg.len(), 12);
+        assert_eq!(msg[0], 100.0);
+        assert_eq!(msg[6], 200.0);
+
+        let fresh = || Two { u: Grid3::new(2, 3, 2, 1), v: Grid3::new(2, 3, 2, 1) };
+        let mut dst = fresh();
+        spec.unpack(&mut dst, XHi, &msg).unwrap();
+        assert_eq!(dst.u.get(2, 0, 0), 100.0);
+        assert_eq!(dst.v.get(2, 2, 1), 205.0);
+
+        // Any wrong length is refused before a single ghost is written.
+        for (bad, needle) in [
+            (&msg[..11], "part 1"),
+            (&msg[..6], "part 1"),
+            (&msg[..5], "part 0"),
+            (&[msg.as_slice(), &[9.0]].concat()[..], "1 past the end of part 1"),
+        ] {
+            let mut dst = fresh();
+            let err = spec.unpack(&mut dst, XHi, bad).unwrap_err();
+            assert!(err.contains(needle) && err.contains("'uv'"), "{err}");
+            assert_eq!(dst.u, fresh().u, "failed unpack must not write");
+            assert_eq!(dst.v, fresh().v);
+        }
     }
 
     #[test]

@@ -10,6 +10,17 @@
 //! * **(iii)** for each simulated process `i`, at least one assignment must
 //!   assign a value to a variable in `i`'s local data.
 //!
+//! Restriction (iii) is checked only for the processes the operation's own
+//! geometry reaches. A boundary exchange that refreshes one side's ghosts
+//! only (a stencil differencing in one direction reads one side) gives the
+//! rank at the far corner of the process grid no inbound link, so no
+//! assignment targets it; for that rank the operation is send-only. That is
+//! sound: Theorem 1's proof uses (i) and (ii) — the assignments commute and
+//! each becomes one send/receive pair — and never (iii), which only keeps a
+//! process from being idle in the operation. What the checker still catches
+//! is the real defect (iii) guards against here: a rank that *has* an
+//! inbound link under the exchange's face sets and is assigned nothing.
+//!
 //! The simulated-parallel driver reports each exchange it performs as a set
 //! of [`ExchangeAssign`] records and runs them through this checker — the
 //! paper's precondition for the mechanical conversion to message passing,
@@ -56,7 +67,8 @@ pub enum ExchangeViolation {
         /// Offending object.
         slot: u64,
     },
-    /// Restriction (iii): a process receives no assignment.
+    /// Restriction (iii): a process with an inbound link receives no
+    /// assignment.
     ProcessReceivesNothing {
         /// The starved process.
         rank: usize,
@@ -92,9 +104,11 @@ impl std::fmt::Display for ExchangeViolation {
 /// `TargetAlsoRead`. Reordering the assignment set never changes the
 /// report, so [`ValidationReport`] counts are stable across runs.
 ///
-/// `nprocs` is the number of simulated processes participating.
+/// `must_receive[r]` says whether process `r` of the `must_receive.len()`
+/// participants has an inbound link in this operation (see the module doc
+/// on restriction (iii)); a full exchange passes all-true.
 pub fn check_exchange(
-    nprocs: usize,
+    must_receive: &[bool],
     assigns: &[ExchangeAssign],
 ) -> Result<(), Vec<ExchangeViolation>> {
     let mut violations = Vec::new();
@@ -122,10 +136,10 @@ pub fn check_exchange(
         }
     }
 
-    // (iii): every process receives at least one assignment.
+    // (iii): every process with an inbound link receives an assignment.
     let receivers: HashSet<usize> = assigns.iter().map(|a| a.dst_rank).collect();
-    for r in 0..nprocs {
-        if !receivers.contains(&r) {
+    for (r, &must) in must_receive.iter().enumerate() {
+        if must && !receivers.contains(&r) {
             violations.push(ExchangeViolation::ProcessReceivesNothing { rank: r });
         }
     }
@@ -172,13 +186,13 @@ mod tests {
         // Two processes swap boundary values into each other's ghosts:
         // ghost slots 100.., interior slots 0..
         let assigns = vec![a(0, 100, 1, &[0]), a(1, 100, 0, &[3])];
-        assert!(check_exchange(2, &assigns).is_ok());
+        assert!(check_exchange(&[true; 2], &assigns).is_ok());
     }
 
     #[test]
     fn duplicate_target_is_flagged() {
         let assigns = vec![a(0, 100, 1, &[0]), a(0, 100, 1, &[1]), a(1, 100, 0, &[0])];
-        let errs = check_exchange(2, &assigns).unwrap_err();
+        let errs = check_exchange(&[true; 2], &assigns).unwrap_err();
         assert!(errs
             .iter()
             .any(|v| matches!(v, ExchangeViolation::DuplicateTarget { rank: 0, slot: 100 })));
@@ -188,7 +202,7 @@ mod tests {
     fn target_also_read_is_flagged() {
         // Process 1's slot 100 is written, and process 0 reads 1's slot 100.
         let assigns = vec![a(1, 100, 0, &[5]), a(0, 7, 1, &[100])];
-        let errs = check_exchange(2, &assigns).unwrap_err();
+        let errs = check_exchange(&[true; 2], &assigns).unwrap_err();
         assert!(errs
             .iter()
             .any(|v| matches!(v, ExchangeViolation::TargetAlsoRead { rank: 1, slot: 100 })));
@@ -197,7 +211,18 @@ mod tests {
     #[test]
     fn starved_process_is_flagged() {
         let assigns = vec![a(0, 1, 1, &[0]), a(1, 1, 0, &[0])];
-        let errs = check_exchange(3, &assigns).unwrap_err();
+        let errs = check_exchange(&[true; 3], &assigns).unwrap_err();
+        assert_eq!(errs, vec![ExchangeViolation::ProcessReceivesNothing { rank: 2 }]);
+    }
+
+    #[test]
+    fn a_process_without_an_inbound_link_may_receive_nothing() {
+        // One-sided exchange on a line of three: data flows 2 → 1 → 0, so
+        // rank 2 has no inbound link and is send-only.
+        let assigns = vec![a(0, 1 << 63, 1, &[0]), a(1, 1 << 63, 2, &[0])];
+        assert!(check_exchange(&[true, true, false], &assigns).is_ok());
+        // The same assignments under a full exchange starve rank 2.
+        let errs = check_exchange(&[true; 3], &assigns).unwrap_err();
         assert_eq!(errs, vec![ExchangeViolation::ProcessReceivesNothing { rank: 2 }]);
     }
 
@@ -211,7 +236,7 @@ mod tests {
             a(1, 5, 0, &[100]),
             a(1, 6, 0, &[100]),
         ];
-        let errs = check_exchange(3, &assigns).unwrap_err();
+        let errs = check_exchange(&[true; 3], &assigns).unwrap_err();
         assert_eq!(
             errs,
             vec![
@@ -224,7 +249,7 @@ mod tests {
         // Any permutation of the assignment set yields the same report.
         let mut reversed = assigns.clone();
         reversed.reverse();
-        assert_eq!(check_exchange(3, &reversed).unwrap_err(), errs);
+        assert_eq!(check_exchange(&[true; 3], &reversed).unwrap_err(), errs);
     }
 
     #[test]
@@ -232,7 +257,7 @@ mod tests {
         // Both sides may be the same partition — restriction (ii) only bars
         // *mixing* partitions within one side.
         let assigns = vec![a(0, 10, 0, &[0, 1]), a(1, 10, 1, &[2])];
-        assert!(check_exchange(2, &assigns).is_ok());
+        assert!(check_exchange(&[true; 2], &assigns).is_ok());
     }
 
     #[test]

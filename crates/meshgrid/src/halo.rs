@@ -91,6 +91,52 @@ impl Face3 {
     }
 }
 
+/// A set of [`Face3`]s: which ghost faces of a field a boundary exchange
+/// refreshes. A stencil that differences in one direction only reads one
+/// ghost layer per axis, so the set an exchange carries is derived from the
+/// kernel's index expressions, not from the shape of the array.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FaceSet3(u8);
+
+impl FaceSet3 {
+    /// No face.
+    pub const EMPTY: FaceSet3 = FaceSet3(0);
+    /// All six faces.
+    pub const ALL: FaceSet3 = FaceSet3(0b11_1111);
+
+    /// The set holding exactly `faces`.
+    pub const fn of(faces: &[Face3]) -> FaceSet3 {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < faces.len() {
+            bits |= 1 << faces[i] as u8;
+            i += 1;
+        }
+        FaceSet3(bits)
+    }
+
+    /// True if `face` is in the set.
+    pub const fn contains(self, face: Face3) -> bool {
+        self.0 & (1 << face as u8) != 0
+    }
+
+    /// The set without `face`.
+    pub const fn without(self, face: Face3) -> FaceSet3 {
+        FaceSet3(self.0 & !(1 << face as u8))
+    }
+
+    /// The members, in [`Face3::ALL`] order.
+    pub fn iter(self) -> impl Iterator<Item = Face3> {
+        Face3::ALL.into_iter().filter(move |&f| self.contains(f))
+    }
+}
+
+impl std::fmt::Debug for FaceSet3 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter().map(Face3::name)).finish()
+    }
+}
+
 /// Index ranges (per axis, in signed local coordinates) of the slab of depth
 /// `width` adjacent to `face`. `interior = true` selects the interior cells
 /// to *send*; `false` selects the ghost cells to *fill*.
@@ -415,6 +461,19 @@ mod tests {
             assert_eq!(dir, -odir);
             assert_eq!(Face3::from_axis_dir(axis, dir), f);
         }
+    }
+
+    #[test]
+    fn face_sets_hold_exactly_their_members() {
+        let s = FaceSet3::of(&[Face3::YHi, Face3::XLo, Face3::YHi]);
+        assert_eq!(s.iter().collect::<Vec<_>>(), [Face3::XLo, Face3::YHi]);
+        assert!(s.contains(Face3::XLo) && !s.contains(Face3::XHi));
+        assert_eq!(s.without(Face3::XLo), FaceSet3::of(&[Face3::YHi]));
+        assert_eq!(s.without(Face3::ZLo), s);
+        assert_eq!(FaceSet3::ALL.iter().collect::<Vec<_>>(), Face3::ALL);
+        assert_eq!(FaceSet3::EMPTY.iter().count(), 0);
+        assert_eq!(FaceSet3::of(&Face3::ALL), FaceSet3::ALL);
+        assert_eq!(format!("{s:?}"), r#"{"XLo", "YHi"}"#);
     }
 
     #[test]

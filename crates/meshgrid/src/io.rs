@@ -15,15 +15,30 @@ const MAGIC: &[u8; 8] = b"MESHGRD3";
 
 /// Serialize a 3-D grid's interior to a writer (header + payload).
 pub fn write_grid3<W: Write>(w: &mut W, g: &Grid3<f64>) -> io::Result<()> {
+    w.write_all(&grid3_to_bytes(g))
+}
+
+/// Length in bytes of a grid's [`write_grid3`] encoding.
+pub fn grid3_encoded_len(g: &Grid3<f64>) -> usize {
+    MAGIC.len() + 3 * 8 + 8 * g.interior_len()
+}
+
+/// Append a grid's [`write_grid3`] encoding to `buf`, interior z-rows
+/// copied straight from grid storage.
+pub fn append_grid3(buf: &mut Vec<u8>, g: &Grid3<f64>) {
     let (nx, ny, nz) = g.extent();
-    w.write_all(MAGIC)?;
+    buf.reserve(grid3_encoded_len(g));
+    buf.extend_from_slice(MAGIC);
     for n in [nx, ny, nz] {
-        w.write_all(&(n as u64).to_le_bytes())?;
+        buf.extend_from_slice(&(n as u64).to_le_bytes());
     }
-    for v in g.interior_to_vec() {
-        w.write_all(&v.to_bits().to_le_bytes())?;
+    for i in 0..nx as isize {
+        for j in 0..ny as isize {
+            for v in g.row(i, j, 0, nz as isize) {
+                buf.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
     }
-    Ok(())
 }
 
 /// Deserialize a 3-D grid written by [`write_grid3`], giving it `ghost`
@@ -54,14 +69,50 @@ pub fn read_grid3<R: Read>(r: &mut R, ghost: usize) -> io::Result<Grid3<f64>> {
 
 /// Canonical byte encoding of a grid interior (for snapshots and digests).
 pub fn grid3_to_bytes(g: &Grid3<f64>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write_grid3(&mut buf, g).expect("writing to Vec cannot fail");
+    let mut buf = Vec::with_capacity(grid3_encoded_len(g));
+    append_grid3(&mut buf, g);
     buf
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The encoding as it was first written — interior copied out, then one
+    /// `write_all` per value — kept as the reference for the row-wise one.
+    fn write_grid3_per_value<W: Write>(w: &mut W, g: &Grid3<f64>) -> io::Result<()> {
+        let (nx, ny, nz) = g.extent();
+        w.write_all(MAGIC)?;
+        for n in [nx, ny, nz] {
+            w.write_all(&(n as u64).to_le_bytes())?;
+        }
+        for v in g.interior_to_vec() {
+            w.write_all(&v.to_bits().to_le_bytes())?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn row_wise_encoding_equals_the_per_value_encoding() {
+        for (n, ghost) in [((3, 4, 5), 1), ((1, 1, 7), 2), ((2, 3, 1), 0), ((0, 2, 2), 1)] {
+            let mut g = Grid3::from_fn(n.0, n.1, n.2, ghost, |i, j, k| {
+                (i as f64).sin() - (j as f64) * 1e-300 + (k as f64) * 7.5e200
+            });
+            // Ghost cells must not leak into the encoding.
+            if ghost > 0 && n.0 > 0 {
+                g.set(-1, 0, 0, f64::NAN);
+            }
+            let mut old = Vec::new();
+            write_grid3_per_value(&mut old, &g).unwrap();
+            let new = grid3_to_bytes(&g);
+            assert_eq!(new, old, "{n:?} ghost {ghost}");
+            assert_eq!(new.len(), grid3_encoded_len(&g));
+            assert_eq!(new.capacity(), new.len(), "buffer sized exactly");
+            let mut via_writer = Vec::new();
+            write_grid3(&mut via_writer, &g).unwrap();
+            assert_eq!(via_writer, old);
+        }
+    }
 
     #[test]
     fn grid_roundtrips_through_bytes() {

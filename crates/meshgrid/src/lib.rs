@@ -15,8 +15,8 @@
 //!   [`partition::ProcGrid1`] — Cartesian process topologies with balanced
 //!   block decomposition, global↔local index translation, and neighbor
 //!   lookup;
-//! * [`halo::Face3`] and the slab extract/insert routines used by the
-//!   boundary-exchange communication operation;
+//! * [`halo::Face3`], [`halo::FaceSet3`] and the slab extract/insert routines
+//!   used by the boundary-exchange communication operation;
 //! * [`io`] — byte serialization for the host-mediated file I/O path.
 #![warn(missing_docs)]
 
@@ -29,5 +29,5 @@ pub mod partition;
 
 pub use error::{HaloError, PartitionError};
 pub use grid::{Grid1, Grid2, Grid3};
-pub use halo::{Face1, Face2, Face3};
+pub use halo::{Face1, Face2, Face3, FaceSet3};
 pub use partition::{Block1, Block2, Block3, ProcGrid1, ProcGrid2, ProcGrid3};

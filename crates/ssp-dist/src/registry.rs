@@ -19,7 +19,8 @@ use std::thread::{self, JoinHandle};
 use fdtd::par::{init_a, plan_a, plan_a_overlap, LocalA};
 use fdtd::Params;
 use mesh_archetype::driver::{
-    build_msg_processes, decode_mesh_msg, encode_mesh_msg, MeshMsg, MsgProcess,
+    build_msg_processes_for, decode_mesh_msg, encode_mesh_msg, msg_topology, HostMode, MeshMsg,
+    MsgProcess,
 };
 use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
@@ -791,11 +792,24 @@ struct FdtdAWorkload {
 }
 
 impl FdtdAWorkload {
-    fn build(&self) -> (Topology, Vec<MsgProcess<LocalA>>) {
+    /// The whole program's topology and the processes of `ranks` alone —
+    /// a worker allocates field and material state only for what it hosts.
+    fn build_ranks(&self, ranks: &[usize]) -> (Topology, Vec<(usize, MsgProcess<LocalA>)>) {
         let plan =
             if self.overlap { plan_a_overlap(&self.params) } else { plan_a(&self.params) };
         let init = init_a(self.params.clone());
-        build_msg_processes(&plan, self.pg, &init)
+        let distinct: BTreeSet<usize> = ranks.iter().copied().collect();
+        assert_eq!(distinct.len(), ranks.len(), "rank assigned twice in {ranks:?}");
+        let (topo, procs) =
+            build_msg_processes_for(&plan, self.pg, &init, HostMode::GridRank0, ranks);
+        (topo, ranks.iter().copied().zip(procs).collect())
+    }
+
+    /// Every rank, for the reference run and the supervisor's shadow.
+    fn build(&self) -> (Topology, Vec<MsgProcess<LocalA>>) {
+        let all: Vec<usize> = (0..self.pg.nprocs()).collect();
+        let (topo, procs) = self.build_ranks(&all);
+        (topo, procs.into_iter().map(|(_, p)| p).collect())
     }
 }
 
@@ -813,7 +827,7 @@ impl Workload for FdtdAWorkload {
     }
 
     fn topology(&self) -> Topology {
-        self.build().0
+        msg_topology(&self.pg, HostMode::GridRank0)
     }
 
     fn launch_group(
@@ -823,12 +837,7 @@ impl Workload for FdtdAWorkload {
         flight: Option<usize>,
         sink: DataSink,
     ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>) {
-        let (topo, all) = self.build();
-        let mut slots: Vec<Option<MsgProcess<LocalA>>> = all.into_iter().map(Some).collect();
-        let procs: Vec<(usize, MsgProcess<LocalA>)> = ranks
-            .iter()
-            .map(|&r| (r, slots[r].take().expect("rank assigned twice")))
-            .collect();
+        let (topo, procs) = self.build_ranks(ranks);
         let seed = PartialSeed::fresh(&topo, procs);
         launch_typed(&topo, seed, workers, flight, encode_mesh, decode_mesh_msg, sink)
     }
@@ -852,12 +861,7 @@ impl Workload for FdtdAWorkload {
         flight: Option<usize>,
         sink: DataSink,
     ) -> Result<LaunchedGroup, RunError> {
-        let (topo, all) = self.build();
-        let mut slots: Vec<Option<MsgProcess<LocalA>>> = all.into_iter().map(Some).collect();
-        let templates: Vec<(usize, MsgProcess<LocalA>)> = ranks
-            .iter()
-            .map(|&r| (r, slots[r].take().expect("rank assigned twice")))
-            .collect();
+        let (topo, templates) = self.build_ranks(ranks);
         launch_typed_seeded(
             &topo,
             templates,

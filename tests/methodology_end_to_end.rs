@@ -72,13 +72,13 @@ fn library_world_the_same_shape() {
     let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
     assert_eq!(msg.snapshots, simpar.snapshots);
 
-    // The trace records the expected communication structure: 6 exchanges
-    // per step.
+    // The trace records the expected communication structure: 2 coalesced
+    // exchanges per step (E before the H update, H before the E update).
     let exchanges = simpar
         .trace
         .phases
         .iter()
         .filter(|p| p.name.starts_with("x:"))
         .count();
-    assert_eq!(exchanges, 6 * params.steps);
+    assert_eq!(exchanges, 2 * params.steps);
 }
