@@ -7,10 +7,13 @@
 //!   floating-point addition over addends spanning many orders of
 //!   magnitude);
 //! * far field, ordered reduction (this repo's extension): identical again.
+//!
+//! The verdicts are computed from the tables, and a claim that fails is a
+//! non-zero exit status.
 
 use std::sync::Arc;
 
-use bench::{print_table, run_version_c, scaled_steps};
+use bench::{print_table, run_version_c, Verdicts};
 use fdtd::par::{init_a, plan_a};
 use fdtd::verify::{count_bitwise_diffs, max_rel_err, max_ulp_diff};
 use fdtd::{
@@ -20,16 +23,20 @@ use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
 use mesh_archetype::{ReduceAlgo, SumMethod};
 use meshgrid::{Grid3, ProcGrid3};
 
-fn main() {
-    let mut params = Params::table1();
-    params.steps = scaled_steps(32); // correctness needs bits, not endurance
-    let params = Arc::new(params);
+fn main() -> Verdicts {
+    // Correctness needs bits, not endurance: 32 steps is what it takes for
+    // the pulse to reach the far-field integration surface, so the count is
+    // not scaled by REPRO_SCALE (below ~16 steps every strategy trivially
+    // agrees and the experiment shows nothing).
+    let params = Arc::new(Params { steps: 32, ..Params::table1() });
     let spec = FarFieldSpec::standard(3);
+    let mut verdicts = Verdicts::default();
 
     // --- E3: near field ------------------------------------------------
     let seq = run_seq_version_a(&params);
     let plan = plan_a(&params);
     let mut near_rows = Vec::new();
+    let mut near_identical = true;
     for p in [2usize, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
@@ -53,6 +60,7 @@ fn main() {
             }
             worst_ulp = worst_ulp.max(max_ulp_diff(&par_vec, &seq_vec));
         }
+        near_identical &= identical && clean;
         near_rows.push(vec![
             p.to_string(),
             if identical { "identical (bitwise)" } else { "DIFFERS" }.to_string(),
@@ -65,37 +73,61 @@ fn main() {
         &["P", "result", "max ulp", "§2.2 restrictions"],
         &near_rows,
     );
+    verdicts.claim(
+        "E3 (paper): near field of the simulated-parallel version is bitwise identical to \
+         the original sequential code at every P, with the §2.2 restrictions clean",
+        near_identical,
+    );
 
     // --- E4: far field ---------------------------------------------------
     let seqc = run_seq_version_c(&params, &spec);
+    let strategies = [
+        ("naive reorder (paper)", FarFieldStrategy::NaiveReorder(ReduceAlgo::AllToOne)),
+        ("ordered naive (ours)", FarFieldStrategy::Ordered(SumMethod::Naive)),
+        ("ordered kahan (ours)", FarFieldStrategy::Ordered(SumMethod::Kahan)),
+    ];
     let mut far_rows = Vec::new();
-    for p in [2usize, 4, 8] {
-        for (label, strategy) in [
-            ("naive reorder (paper)", FarFieldStrategy::NaiveReorder(ReduceAlgo::AllToOne)),
-            ("ordered naive (ours)", FarFieldStrategy::Ordered(SumMethod::Naive)),
-            ("ordered kahan (ours)", FarFieldStrategy::Ordered(SumMethod::Kahan)),
-        ] {
+    let mut naive_differs = false;
+    let mut ordered_hold = true;
+    for (label, strategy) in strategies {
+        // This strategy's bits at the first P: P-independence is every
+        // later P reproducing them.
+        let mut first: Option<Vec<f64>> = None;
+        for p in [2usize, 4, 8] {
             let (out, _, _) = run_version_c(&params, &spec, strategy, p);
             let pots = &out.locals[0].potentials;
             let diffs = count_bitwise_diffs(pots, &seqc.potentials);
-            let rel = max_rel_err(pots, &seqc.potentials);
+            let same_at_every_p =
+                count_bitwise_diffs(pots, first.get_or_insert_with(|| pots.clone())) == 0;
+            match strategy {
+                FarFieldStrategy::NaiveReorder(_) => naive_differs |= diffs > 0,
+                FarFieldStrategy::Ordered(method) => {
+                    ordered_hold &= same_at_every_p && (method != SumMethod::Naive || diffs == 0)
+                }
+            }
             far_rows.push(vec![
-                p.to_string(),
                 label.to_string(),
+                p.to_string(),
                 format!("{diffs}/{}", pots.len()),
-                format!("{rel:.2e}"),
+                format!("{:.2e}", max_rel_err(pots, &seqc.potentials)),
                 if diffs == 0 { "identical" } else { "differs" }.to_string(),
             ]);
         }
     }
     print_table(
         "E4: far-field potentials vs original sequential (version C)",
-        &["P", "strategy", "bitwise diffs", "max rel err", "verdict"],
+        &["strategy", "P", "bitwise diffs", "max rel err", "verdict"],
         &far_rows,
     );
-    println!(
-        "\npaper result: near field identical; naive-reordered far field differs \
-         (footnote 2: addends span many orders of magnitude). Extension: the \
-         ordered reduction restores bitwise identity at every P."
+    verdicts.claim(
+        "E4 (paper): the naive-reordered far field differs from the sequential code's \
+         (footnote 2: addends span many orders of magnitude)",
+        naive_differs,
     );
+    verdicts.claim(
+        "E4 (extension): both ordered reductions give the same bits at every P, and with \
+         naive arithmetic those are the sequential code's bits",
+        ordered_hold,
+    );
+    verdicts
 }

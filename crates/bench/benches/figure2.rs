@@ -7,25 +7,35 @@
 //! regenerated as data series on the `ibm-sp` machine model. Expected
 //! shape: near-ideal scaling for this larger problem on a real MPP switch,
 //! with mild divergence from ideal as P grows.
+//!
+//! Everything here comes from a model or from bits — the closed-form
+//! panels (E2), the discrete-event predicted curves (E9), the predicted
+//! baseline-vs-overlap table (E14) and the recovery-pricing table (E10) —
+//! so every result is deterministic (`host wall (s)` is a by-product of
+//! running the simulated-parallel program, not a measurement). What *this
+//! host* measures — threaded and distributed walls, recorder overhead,
+//! kernel ns/cell — is `ledger`'s job: `bash ledger/run.sh`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
-use bench::stencil::StencilReport;
-use bench::{price, print_table, run_version_a, scaled_steps, secs, spd, RunPoint};
-use fdtd::par::{init_a, plan_a, plan_a_overlap};
+use bench::{price, print_table, run_version_a, scaled_steps, secs, spd, Verdicts};
+use fdtd::par::{init_a, plan_a, plan_a_overlap, LocalA};
 use fdtd::Params;
-use machine_model::{ibm_sp, ideal_time, network_of_suns, perfect_speedup, SpeedupSeries};
-use mesh_archetype::{run_msg_predicted, run_msg_simulated_slack};
+use machine_model::{
+    ibm_sp, ideal_time, network_of_suns, perfect_speedup, MachineModel, SpeedupSeries,
+};
+use mesh_archetype::driver::build_msg_processes;
+use mesh_archetype::{run_msg_predicted, Plan};
 use meshgrid::ProcGrid3;
-use perf_sim::{price_recovery, DesOutcome, RecoveryCosts};
+use perf_sim::{predict_speedup, price_recovery, PredictedPoint, RecoveryCosts};
 use ssp_runtime::{FaultPlan, RecoveryConfig, RoundRobin};
 
-fn main() {
+fn main() -> Verdicts {
     let mut params = Params::figure2();
     params.steps = scaled_steps(params.steps);
     let params = Arc::new(params);
     let machine = ibm_sp();
+    let mut verdicts = Verdicts::default();
 
     println!(
         "Figure 2 reproduction: FDTD version A, {}x{}x{} grid, {} steps, machine = {}",
@@ -36,8 +46,6 @@ fn main() {
     price(&mut seq_point, &machine);
     let t_seq = seq_point.modeled;
 
-    let ps = [2usize, 4, 8, 16];
-    let mut measured_points: Vec<RunPoint> = vec![seq_point.clone()];
     let mut time_rows = vec![vec![
         "1".to_string(),
         secs(t_seq),
@@ -46,10 +54,9 @@ fn main() {
     ]];
     let mut speed_rows = vec![vec!["1".to_string(), spd(1.0), spd(perfect_speedup(1))]];
     let mut timings = Vec::new();
-    for &p in &ps {
+    for p in [2usize, 4, 8, 16] {
         let (_, mut point, _) = run_version_a(&params, p);
         price(&mut point, &machine);
-        measured_points.push(point.clone());
         timings.push((p, point.modeled));
         time_rows.push(vec![
             p.to_string(),
@@ -84,48 +91,36 @@ fn main() {
         series.points.last().map(|pt| pt.p).unwrap_or(0),
         eff_at_max
     );
-    println!(
-        "paper shape expected: close to ideal on the SP for the large problem \
-         (efficiency well above the Suns run) — {}",
-        if series.monotone_speedup() && series.sublinear() && eff_at_max > 0.5 {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
+    verdicts.claim(
+        "Figure 2 shape: close to ideal on the SP for the large problem \
+         (efficiency well above the Suns run)",
+        series.monotone_speedup() && series.sublinear() && eff_at_max > 0.5,
     );
 
-    let predictions = predicted_curves(&params);
-    let overlap_pred = predicted_overlap(&params);
-    let threaded =
-        measured_threaded(&params, plan_a(&params), "baseline plan (bulk-synchronous exchange)");
-    let threaded_overlap = measured_threaded(
-        &params,
-        plan_a_overlap(&params),
-        "boundary-first plan (interior compute overlaps exchange)",
-    );
-    compare_threaded(&threaded, &threaded_overlap);
-    let distributed = measured_distributed();
-    let (distributed_direct, route_log) = measured_distributed_direct();
-    let stencil = stencil_summary();
-    let (trace, recorder_overhead) = trace_series(&params, route_log.as_ref());
-    write_bench_json(
-        &params,
-        machine.name,
-        &measured_points,
-        &predictions,
-        &overlap_pred,
-        &threaded,
-        &threaded_overlap,
-        &distributed,
-        &distributed_direct,
-        &stencil,
-        &trace,
-        recorder_overhead,
-    );
+    // The baseline plan's predicted curve on each paper machine feeds two
+    // tables: the curve itself and its head-to-head with the overlap plan.
+    let baseline: Vec<(MachineModel, Vec<PredictedPoint>)> = [network_of_suns(), ibm_sp()]
+        .into_iter()
+        .map(|machine| (machine, predict(&params, &plan_a(&params), &machine)))
+        .collect();
+    predicted_curves(&baseline);
+    predicted_overlap(&params, &baseline, &mut verdicts);
+    recovery_overhead(&mut verdicts);
+    verdicts
+}
 
-    comm_profile();
-
-    recovery_overhead();
+/// `plan` as a message-passing program at P = 1..16, placed on `machine`'s
+/// virtual clock.
+fn predict(
+    params: &Arc<Params>,
+    plan: &Plan<LocalA>,
+    machine: &MachineModel,
+) -> Vec<PredictedPoint> {
+    let init = init_a(params.clone());
+    predict_speedup(machine, &[1, 2, 4, 8, 16], |p| {
+        build_msg_processes(plan, ProcGrid3::choose(params.n, p), &init)
+    })
+    .expect("infinite-slack message-passing plans cannot deadlock")
 }
 
 /// Predicted speedup curves from the discrete-event backend: the *actual*
@@ -134,30 +129,19 @@ fn main() {
 /// second goes. This is the §4 methodology run forward: the bend of the
 /// curve arrives with its cause (compute / latency / bandwidth / blocked)
 /// attached.
-fn predicted_curves(params: &Arc<Params>) -> Vec<(&'static str, Vec<(usize, DesOutcome)>)> {
-    let plan = plan_a(params);
-    let init = init_a(params.clone());
-    let pred_ps = [1usize, 2, 4, 8, 16];
-    let mut predictions = Vec::new();
-    for machine in [network_of_suns(), ibm_sp()] {
-        let mut points: Vec<(usize, DesOutcome)> = Vec::new();
-        for &p in &pred_ps {
-            let pg = ProcGrid3::choose(params.n, p);
-            let out = run_msg_predicted(&plan, pg, &init, &machine)
-                .expect("infinite-slack message-passing plans cannot deadlock");
-            points.push((p, out));
-        }
-        let t1 = points[0].1.makespan;
+fn predicted_curves(baseline: &[(MachineModel, Vec<PredictedPoint>)]) {
+    for (machine, points) in baseline {
+        let t1 = points[0].time;
         let rows: Vec<Vec<String>> = points
             .iter()
-            .map(|(p, out)| {
-                let bd = out.critical.breakdown;
+            .map(|pt| {
+                let bd = pt.breakdown;
                 vec![
-                    p.to_string(),
-                    secs(out.makespan),
-                    secs(ideal_time(t1, *p)),
-                    spd(t1 / out.makespan),
-                    spd(perfect_speedup(*p)),
+                    pt.nprocs.to_string(),
+                    secs(pt.time),
+                    secs(ideal_time(t1, pt.nprocs)),
+                    spd(pt.speedup_vs(t1)),
+                    spd(perfect_speedup(pt.nprocs)),
                     secs(bd.compute),
                     secs(bd.latency),
                     secs(bd.bandwidth),
@@ -183,9 +167,7 @@ fn predicted_curves(params: &Arc<Params>) -> Vec<(&'static str, Vec<(usize, DesO
             ],
             &rows,
         );
-        predictions.push((machine.name, points));
     }
-    predictions
 }
 
 /// Head-to-head of the baseline plan against the boundary-first overlap
@@ -199,50 +181,40 @@ fn predicted_curves(params: &Arc<Params>) -> Vec<(&'static str, Vec<(usize, DesO
 /// stall the critical path finds its message already delivered and the
 /// wire drops off the path. EXPERIMENTS.md E14 reads its headline from
 /// this table.
-#[allow(clippy::type_complexity)]
 fn predicted_overlap(
     params: &Arc<Params>,
-) -> Vec<(&'static str, Vec<(usize, DesOutcome, DesOutcome)>)> {
-    let base = plan_a(params);
+    baseline: &[(MachineModel, Vec<PredictedPoint>)],
+    verdicts: &mut Verdicts,
+) {
     let over = plan_a_overlap(params);
-    let init = init_a(params.clone());
-    let ps = [1usize, 2, 4, 8, 16];
-    let mut all = Vec::new();
-    let mut blocked_shrinks = true;
-    for machine in [network_of_suns(), ibm_sp()] {
-        let mut points: Vec<(usize, DesOutcome, DesOutcome)> = Vec::new();
-        for &p in &ps {
-            let pg = ProcGrid3::choose(params.n, p);
-            let b = run_msg_predicted(&base, pg, &init, &machine)
-                .expect("infinite-slack message-passing plans cannot deadlock");
-            let o = run_msg_predicted(&over, pg, &init, &machine)
-                .expect("the overlap plan is deadlock-free at infinite slack");
-            points.push((p, b, o));
+    let noncompute = |pt: &PredictedPoint| {
+        let bd = pt.breakdown;
+        bd.latency + bd.bandwidth + bd.blocked
+    };
+    let mut exposure_shrinks = true;
+    for (machine, base_points) in baseline {
+        let over_points = predict(params, &over, machine);
+        let mut rows = Vec::new();
+        for (b, o) in base_points.iter().zip(&over_points) {
+            let (bc, oc) = (noncompute(b), noncompute(o));
+            let cut = if bc > 0.0 {
+                format!("{:.0}%", (1.0 - oc / bc) * 100.0)
+            } else {
+                "-".to_string()
+            };
+            rows.push(vec![
+                b.nprocs.to_string(),
+                secs(b.time),
+                secs(o.time),
+                spd(b.time / o.time),
+                secs(bc),
+                secs(oc),
+                cut,
+            ]);
+            if b.nprocs >= 4 {
+                exposure_shrinks &= oc < bc && o.breakdown.blocked <= b.breakdown.blocked;
+            }
         }
-        let noncompute = |out: &DesOutcome| {
-            let bd = out.critical.breakdown;
-            bd.latency + bd.bandwidth + bd.blocked
-        };
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|(p, b, o)| {
-                let (bc, oc) = (noncompute(b), noncompute(o));
-                let cut = if bc > 0.0 {
-                    format!("{:.0}%", (1.0 - oc / bc) * 100.0)
-                } else {
-                    "-".to_string()
-                };
-                vec![
-                    p.to_string(),
-                    secs(b.makespan),
-                    secs(o.makespan),
-                    spd(b.makespan / o.makespan),
-                    secs(bc),
-                    secs(oc),
-                    cut,
-                ]
-            })
-            .collect();
         print_table(
             &format!("compute/communication overlap, predicted on {}", machine.name),
             &[
@@ -256,738 +228,12 @@ fn predicted_overlap(
             ],
             &rows,
         );
-        for (p, b, o) in &points {
-            if *p >= 4 {
-                blocked_shrinks &= noncompute(o) < noncompute(b)
-                    && o.critical.breakdown.blocked <= b.critical.breakdown.blocked;
-            }
-        }
-        all.push((machine.name, points));
     }
-    println!(
+    verdicts.claim(
         "boundary-first overlap shrinks the critical path's communication exposure \
-         (latency + bandwidth + blocked) at P>=4 on every machine: {}",
-        if blocked_shrinks { "REPRODUCED" } else { "NOT reproduced" }
+         (latency + bandwidth + blocked) at P>=4 on every machine",
+        exposure_shrinks,
     );
-    all
-}
-
-/// One measured point of the real threaded execution: rank count, wall
-/// time, and the scheduler configuration that produced it (worker-pool
-/// size and steal count), so the curve is interpretable from the JSON
-/// alone — a near-flat curve with `workers:1` is a one-core host, not a
-/// scheduling bug.
-struct ThreadedPoint {
-    p: usize,
-    wall: f64,
-    workers: usize,
-    steals: u64,
-}
-
-/// Measured wall-clock times of the *real threaded* execution — version A
-/// compiled to message passing and run as rank tasks on the M:N
-/// work-stealing pool over the lock-free SPSC rings — at each rank count.
-/// This is the series the paper measures (its Figure 2 "actual" curve),
-/// as opposed to the modeled and predicted series above. Single-machine
-/// numbers: on a multi-core host the wall time falls with P until the
-/// cores run out; on a single-core host the curve stays near the P=1
-/// wall (graceful oversubscription: rank tasks share one worker instead
-/// of paying per-rank context-switch tax; see EXPERIMENTS.md E12). The
-/// pool shape is printed and recorded so the JSON is interpretable.
-/// Runs whichever `plan` it is handed — the baseline bulk-synchronous plan
-/// or the boundary-first overlap plan — so the two series are produced by
-/// the same harness and are directly comparable.
-fn measured_threaded(
-    params: &Arc<Params>,
-    plan: mesh_archetype::Plan<fdtd::par::LocalA>,
-    title: &str,
-) -> Vec<ThreadedPoint> {
-    let init = init_a(params.clone());
-    let cfg = ssp_runtime::ThreadedConfig::with_watchdog(std::time::Duration::from_secs(60));
-    let mut points = Vec::new();
-    for &p in &[1usize, 2, 4, 8, 16] {
-        let pg = ProcGrid3::choose(params.n, p);
-        // One discarded warmup run (page-in, allocator, branch warmup),
-        // then median of three: single-shot walls on a shared host are
-        // ±20% noisy, which is larger than the effects this series is
-        // meant to show.
-        let mut walls = Vec::new();
-        let mut sched = ssp_runtime::SchedMetrics::default();
-        for rep in 0..4 {
-            let t0 = std::time::Instant::now();
-            let out = mesh_archetype::run_msg_threaded_slack(&plan, pg, &init, None, cfg)
-                .expect("infinite-slack message-passing plans cannot deadlock");
-            let wall = t0.elapsed().as_secs_f64();
-            std::hint::black_box(out.snapshots);
-            if rep > 0 {
-                walls.push(wall);
-                sched = out.metrics.sched;
-            }
-        }
-        walls.sort_by(f64::total_cmp);
-        points.push(ThreadedPoint {
-            p,
-            wall: walls[walls.len() / 2],
-            workers: sched.workers,
-            steals: sched.steals,
-        });
-    }
-    let t1 = points[0].wall;
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|pt| {
-            vec![
-                pt.p.to_string(),
-                secs(pt.wall),
-                spd(t1 / pt.wall),
-                pt.workers.to_string(),
-                pt.steals.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!("measured threaded execution, {title}"),
-        &["P", "wall (s)", "speedup", "workers", "steals"],
-        &rows,
-    );
-    println!(
-        "cores available on this machine: {} (scheduler: {})",
-        cores(),
-        ssp_runtime::sched::SCHED_MODE
-    );
-    points
-}
-
-/// Side-by-side of the two threaded series. On a multi-core host the
-/// overlap plan should pull ahead at P >= 4, where there are enough halo
-/// exchanges in flight for interior compute to hide; on a one-core host
-/// (`workers: 1`) there is no second core to run the interior while a
-/// ring blocks, so parity within noise is the honest expectation — the
-/// predicted table above is the series that isolates the overlap effect
-/// from host topology.
-fn compare_threaded(base: &[ThreadedPoint], over: &[ThreadedPoint]) {
-    let rows: Vec<Vec<String>> = base
-        .iter()
-        .zip(over)
-        .map(|(b, o)| {
-            vec![b.p.to_string(), secs(b.wall), secs(o.wall), spd(b.wall / o.wall)]
-        })
-        .collect();
-    print_table(
-        "threaded: baseline vs boundary-first overlap (this machine)",
-        &["P", "baseline (s)", "overlap (s)", "ratio"],
-        &rows,
-    );
-}
-
-/// One stencil microbench point embedded in the archive: the
-/// section-shaped grid (the regime the decomposed per-rank kernels
-/// actually run in), so `BENCH_figure2.json` carries the kernel-level
-/// speedup next to the plan-level series it feeds. The standalone
-/// `stencil` bench sweeps more shapes.
-fn stencil_summary() -> StencilReport {
-    let report = bench::stencil::run((512, 8, 8), scaled_steps(16));
-    let best = report.points.iter().skip(1).map(|p| p.speedup).fold(0.0f64, f64::max);
-    println!(
-        "\nstencil microbench (512x8x8 section, {} steps): flat/tiled best {best:.2}x over \
-         scalar get/set, bitwise identical: {}",
-        report.reps, report.bitwise_identical
-    );
-    report
-}
-
-/// One point of the flight-trace series: how far the DES prediction
-/// drifted from a *measured* (flight-recorded) threaded run at rank
-/// count `p`.
-struct TracePoint {
-    p: usize,
-    mean_drift: f64,
-    max_drift: f64,
-    makespan_ratio: f64,
-}
-
-/// The predicted-vs-measured trace series (EXPERIMENTS.md E15): at each
-/// rank count, run the DES prediction and a flight-recorded threaded
-/// execution of the same version-A program, reconstruct measured
-/// timelines from the flight log, and report the per-rank activity-share
-/// drift. The drift sweep runs on the tiny grid like the other
-/// runtime-heavy series (`comm_profile`, `recovery_overhead`) so the
-/// bench stays minutes, not hours; the recorder-overhead measurement
-/// runs on the *figure2 grid itself* (`params`, P=4, best-of-3
-/// interleaved pairs), because overhead is per-event and only the real
-/// grid's compute-per-event ratio answers the question the 5% gate
-/// asks. When `TRACE_JSON` names a path, the P=4 drift point also
-/// writes the combined Chrome trace — the DES prediction and the
-/// measured run as two process tracks in one `chrome://tracing` view,
-/// plus (when the direct-plane series captured one) a third track of the
-/// distributed run's route marks: which plane — star, direct socket, or
-/// shm ring — carried each cross-group payload.
-fn trace_series(
-    params: &Arc<Params>,
-    routes: Option<&ssp_runtime::FlightLog>,
-) -> (Vec<TracePoint>, f64) {
-    let tiny = Arc::new(Params::tiny());
-    let plan = plan_a(&tiny);
-    let init = init_a(tiny.clone());
-    let machine = ibm_sp();
-    let cfg = ssp_runtime::ThreadedConfig::with_watchdog(std::time::Duration::from_secs(60));
-    let mut points = Vec::new();
-    for &p in &[2usize, 4, 8, 16] {
-        let pg = ProcGrid3::choose(tiny.n, p);
-        let des = run_msg_predicted(&plan, pg, &init, &machine)
-            .expect("infinite-slack message-passing plans cannot deadlock");
-        let out = mesh_archetype::run_msg_threaded_slack(
-            &plan,
-            pg,
-            &init,
-            None,
-            cfg.with_flight(1 << 15),
-        )
-        .expect("recording does not change the deadlock-freedom story");
-        let log = out.flight.expect("flight-enabled runs return a log");
-        let measured = perf_sim::measured_timelines(&log, des.timelines.len());
-        let report = perf_sim::drift_report(&des.timelines, &measured);
-        if p == 4 {
-            if let Ok(path) = std::env::var("TRACE_JSON") {
-                let doc = match routes {
-                    Some(log) => perf_sim::overlay_chrome_trace_with_routes(
-                        &des.timelines,
-                        &measured,
-                        log,
-                    ),
-                    None => perf_sim::overlay_chrome_trace(&des.timelines, &measured),
-                };
-                match std::fs::write(&path, &doc) {
-                    Ok(()) => println!(
-                        "wrote predicted-vs-measured overlay to {path}{}",
-                        if routes.is_some() { " (with distributed route marks)" } else { "" }
-                    ),
-                    Err(e) => eprintln!("failed to write {path}: {e}"),
-                }
-            }
-        }
-        points.push(TracePoint {
-            p,
-            mean_drift: report.mean_drift,
-            max_drift: report.max_drift,
-            makespan_ratio: report.makespan_ratio,
-        });
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|pt| {
-            vec![
-                pt.p.to_string(),
-                format!("{:.3}", pt.mean_drift),
-                format!("{:.3}", pt.max_drift),
-                format!("{:.2}", pt.makespan_ratio),
-            ]
-        })
-        .collect();
-    print_table(
-        "flight trace: predicted-vs-measured activity-share drift (tiny grid)",
-        &["P", "mean drift", "max drift", "wall/virtual"],
-        &rows,
-    );
-    println!(
-        "drift is the largest |predicted - measured| activity share (compute/comm/blocked) \
-         per rank; wall/virtual is the single scale factor between the two clocks"
-    );
-
-    // Recorder overhead on the real grid, interleaved best-of-5 pairs so
-    // machine noise hits both sides equally. The step count is floored at
-    // 64 regardless of REPRO_SCALE: below that the run is so short that
-    // thread spawn and park/wake jitter swamp the ~25ns-per-event cost
-    // being measured, and the smoke gate turns into a coin flip.
-    let ovh = Arc::new(Params {
-        steps: params.steps.max(64),
-        ..(**params).clone()
-    });
-    let plan = plan_a(&ovh);
-    let init = init_a(ovh.clone());
-    let pg = ProcGrid3::choose(ovh.n, 4);
-    let mut wall_off = f64::INFINITY;
-    let mut wall_on = f64::INFINITY;
-    let warm = mesh_archetype::run_msg_threaded_slack(&plan, pg, &init, None, cfg)
-        .expect("infinite-slack message-passing plans cannot deadlock");
-    std::hint::black_box(warm.snapshots);
-    for _ in 0..5 {
-        let t0 = std::time::Instant::now();
-        let out = mesh_archetype::run_msg_threaded_slack(&plan, pg, &init, None, cfg)
-            .expect("infinite-slack message-passing plans cannot deadlock");
-        wall_off = wall_off.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(out.snapshots);
-
-        let t0 = std::time::Instant::now();
-        let out = mesh_archetype::run_msg_threaded_slack(
-            &plan,
-            pg,
-            &init,
-            None,
-            cfg.with_flight(1 << 15),
-        )
-        .expect("recording does not change the deadlock-freedom story");
-        wall_on = wall_on.min(t0.elapsed().as_secs_f64());
-        std::hint::black_box(out.snapshots);
-    }
-    let overhead = wall_on / wall_off - 1.0;
-    println!(
-        "recorder overhead on the figure2 grid (P=4, {} steps, best-of-5 interleaved): {:+.2}% \
-         (gate: <= 5%) — {}",
-        ovh.steps,
-        overhead * 100.0,
-        if overhead <= 0.05 { "PASS" } else { "FAIL" }
-    );
-    (points, overhead)
-}
-
-fn cores() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// One point of the distributed series: the same version-A program spread
-/// across real worker *processes* via the ssp-dist supervisor.
-struct DistPoint {
-    workers: usize,
-    wall: f64,
-    migrations: u64,
-    frames_routed: u64,
-    killed: bool,
-    overlap: bool,
-    identical: bool,
-}
-
-/// Measured wall times of the multi-process backend on the tiny grid:
-/// clean runs at 1/2/3 workers, plus one run where a worker is SIGKILLed
-/// mid-flight and its ranks migrate to a survivor. Every point's final
-/// state is checked bitwise against the deterministic simulator — the
-/// point of the series is that the `identical` column stays `true` even
-/// on the killed run. Needs `SSP_WORKER_BIN` (scripts/bench.sh sets it);
-/// skipped with a note otherwise, so `cargo bench` alone still works.
-fn measured_distributed() -> Vec<DistPoint> {
-    let Ok(bin) = std::env::var("SSP_WORKER_BIN") else {
-        println!(
-            "\ndistributed series skipped: SSP_WORKER_BIN not set \
-             (scripts/bench.sh builds ssp-worker and sets it)"
-        );
-        return Vec::new();
-    };
-    let base_args = ssp_dist::fdtd_a_args("tiny", 4);
-    let overlap_args = ssp_dist::fdtd_a_overlap_args("tiny", 4);
-    // One reference for both series: the overlap plan is bitwise identical
-    // to the unsplit plan by construction, so every row — clean, killed,
-    // or overlapped — is held to the same simulator snapshots.
-    let reference = ssp_dist::build_workload("fdtd-a", &base_args)
-        .expect("registry knows fdtd-a")
-        .run_reference()
-        .expect("reference simulation");
-    let mut points = Vec::new();
-    for (workers, kill, overlap) in [
-        (1usize, false, false),
-        (2, false, false),
-        (3, false, false),
-        (2, true, false),
-        (1, false, true),
-        (2, false, true),
-        (3, false, true),
-    ] {
-        let mut cfg = ssp_dist::DistConfig::new(workers, &bin);
-        // Pinned to the PR 7 star plane: this series is the longitudinal
-        // baseline the direct-plane series below is compared against.
-        cfg.transport = ssp_dist::TransportMode::Star;
-        if kill {
-            cfg.chaos_kill = Some(ssp_dist::ChaosKill { worker: 1, after_frames: 25 });
-        }
-        let args = if overlap { &overlap_args } else { &base_args };
-        let t0 = std::time::Instant::now();
-        let out = match ssp_dist::run_distributed("fdtd-a", args, &cfg) {
-            Ok(out) => out,
-            Err(e) => {
-                println!(
-                    "distributed point (workers={workers}, kill={kill}, overlap={overlap}) \
-                     failed: {e}"
-                );
-                continue;
-            }
-        };
-        points.push(DistPoint {
-            workers,
-            wall: t0.elapsed().as_secs_f64(),
-            migrations: out.stats.migrations,
-            frames_routed: out.stats.frames_routed,
-            killed: kill,
-            overlap,
-            identical: out.snapshots == reference,
-        });
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|pt| {
-            vec![
-                pt.workers.to_string(),
-                if pt.overlap { "boundary-first" } else { "baseline" }.to_string(),
-                if pt.killed { "SIGKILL mid-run" } else { "clean" }.to_string(),
-                secs(pt.wall),
-                pt.migrations.to_string(),
-                pt.frames_routed.to_string(),
-                pt.identical.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "measured distributed execution (supervisor + worker processes, tiny grid)",
-        &[
-            "workers",
-            "plan",
-            "fault",
-            "wall (s)",
-            "migrations",
-            "frames routed",
-            "bitwise identical",
-        ],
-        &rows,
-    );
-    points
-}
-
-/// One point of the direct-plane series: the same distributed program
-/// under a chosen transport, with the per-plane frame counts that show
-/// *where* the traffic actually went.
-struct DirectPoint {
-    workers: usize,
-    mode: &'static str,
-    wall: f64,
-    star_frames: u64,
-    direct_frames: u64,
-    shm_frames: u64,
-    log_bytes_truncated: u64,
-    replay_steps: u64,
-    killed: bool,
-    identical: bool,
-}
-
-/// The phase-2 data-plane series: the same version-A program at each
-/// transport (star / direct / direct+shm), plus a SIGKILL run resumed
-/// from a shadow checkpoint. The columns make the two claims measurable:
-/// steady-state star frames drop to zero under the direct planes, and the
-/// migration's re-execution distance stays within the checkpoint
-/// interval. The clean 2-worker direct+shm point runs flight-enabled and
-/// its merged log is returned so [`trace_series`] can add the route marks
-/// as a track of the `TRACE_JSON` overlay.
-fn measured_distributed_direct() -> (Vec<DirectPoint>, Option<ssp_runtime::FlightLog>) {
-    let Ok(bin) = std::env::var("SSP_WORKER_BIN") else {
-        println!(
-            "\ndirect-plane series skipped: SSP_WORKER_BIN not set \
-             (scripts/bench.sh builds ssp-worker and sets it)"
-        );
-        return (Vec::new(), None);
-    };
-    let args = ssp_dist::fdtd_a_args("tiny", 4);
-    let reference = ssp_dist::build_workload("fdtd-a", &args)
-        .expect("registry knows fdtd-a")
-        .run_reference()
-        .expect("reference simulation");
-    let mut points = Vec::new();
-    let mut route_log: Option<ssp_runtime::FlightLog> = None;
-    for (workers, mode, transport, kill) in [
-        (2usize, "star", ssp_dist::TransportMode::Star, false),
-        (2, "direct", ssp_dist::TransportMode::Direct { shm: false }, false),
-        (2, "direct+shm", ssp_dist::TransportMode::Direct { shm: true }, false),
-        (3, "direct+shm", ssp_dist::TransportMode::Direct { shm: true }, false),
-        (2, "direct+shm", ssp_dist::TransportMode::Direct { shm: true }, true),
-    ] {
-        let record_routes =
-            workers == 2 && matches!(transport, ssp_dist::TransportMode::Direct { shm: true }) && !kill;
-        let mut cfg = ssp_dist::DistConfig::new(workers, &bin);
-        cfg.transport = transport;
-        if record_routes {
-            cfg.flight = Some(4096);
-        }
-        if kill {
-            cfg.chaos_kill = Some(ssp_dist::ChaosKill { worker: 1, after_frames: 25 });
-            cfg.checkpoint_every = Some(8);
-        }
-        let t0 = std::time::Instant::now();
-        let mut out = match ssp_dist::run_distributed("fdtd-a", &args, &cfg) {
-            Ok(out) => out,
-            Err(e) => {
-                println!("direct-plane point (workers={workers}, {mode}, kill={kill}) failed: {e}");
-                continue;
-            }
-        };
-        if record_routes {
-            route_log = out.flight.take();
-        }
-        points.push(DirectPoint {
-            workers,
-            mode,
-            wall: t0.elapsed().as_secs_f64(),
-            star_frames: out.stats.star_frames,
-            direct_frames: out.stats.direct_frames,
-            shm_frames: out.stats.shm_frames,
-            log_bytes_truncated: out.stats.log_bytes_truncated,
-            replay_steps: out.stats.migration_replay_steps.iter().copied().max().unwrap_or(0),
-            killed: kill,
-            identical: out.snapshots == reference,
-        });
-    }
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|pt| {
-            vec![
-                pt.workers.to_string(),
-                pt.mode.to_string(),
-                if pt.killed { "SIGKILL, ckpt=8" } else { "clean" }.to_string(),
-                secs(pt.wall),
-                pt.star_frames.to_string(),
-                pt.direct_frames.to_string(),
-                pt.shm_frames.to_string(),
-                pt.replay_steps.to_string(),
-                pt.identical.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "direct data planes (steady-state frames per route, tiny grid)",
-        &[
-            "workers",
-            "transport",
-            "fault",
-            "wall (s)",
-            "star",
-            "direct",
-            "shm",
-            "replay steps",
-            "bitwise identical",
-        ],
-        &rows,
-    );
-    (points, route_log)
-}
-
-/// Write the run's measured and predicted numbers as JSON when `BENCH_JSON`
-/// names an output path (`scripts/bench.sh` sets it to
-/// `BENCH_figure2.json`). Hand-rolled writer, like the rest of the
-/// workspace's JSON.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn write_bench_json(
-    params: &Arc<Params>,
-    machine_name: &str,
-    measured: &[RunPoint],
-    predictions: &[(&'static str, Vec<(usize, DesOutcome)>)],
-    overlap_pred: &[(&'static str, Vec<(usize, DesOutcome, DesOutcome)>)],
-    threaded: &[ThreadedPoint],
-    threaded_overlap: &[ThreadedPoint],
-    distributed: &[DistPoint],
-    distributed_direct: &[DirectPoint],
-    stencil: &StencilReport,
-    trace: &[TracePoint],
-    recorder_overhead: f64,
-) {
-    let Ok(path) = std::env::var("BENCH_JSON") else {
-        return;
-    };
-    fn threaded_json(s: &mut String, points: &[ThreadedPoint]) {
-        for (i, pt) in points.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            // Scheduler config per point: without it a flat curve on a
-            // small host is indistinguishable from a broken scheduler.
-            let _ = write!(
-                s,
-                "{{\"p\":{},\"wall\":{},\"workers\":{},\"sched\":\"{}\",\"steals\":{}}}",
-                pt.p,
-                pt.wall,
-                pt.workers,
-                ssp_runtime::sched::SCHED_MODE,
-                pt.steals
-            );
-        }
-    }
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"bench\":\"figure2\",\"grid\":[{},{},{}],\"steps\":{},\"machine\":\"{machine_name}\",\
-         \"measured\":[",
-        params.n.0, params.n.1, params.n.2, params.steps
-    );
-    for (i, pt) in measured.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"p\":{},\"modeled\":{},\"wall\":{}}}",
-            pt.p, pt.modeled, pt.wall
-        );
-    }
-    let _ = write!(s, "],\"threaded_cores\":{},\"threaded\":[", cores());
-    threaded_json(&mut s, threaded);
-    s.push_str("],\"threaded_overlap\":[");
-    threaded_json(&mut s, threaded_overlap);
-    s.push_str("],\"distributed\":[");
-    for (i, pt) in distributed.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"workers\":{},\"wall\":{},\"migrations\":{},\"frames_routed\":{},\
-             \"killed\":{},\"overlap\":{},\"identical\":{}}}",
-            pt.workers,
-            pt.wall,
-            pt.migrations,
-            pt.frames_routed,
-            pt.killed,
-            pt.overlap,
-            pt.identical
-        );
-    }
-    s.push_str("],\"distributed_direct\":[");
-    for (i, pt) in distributed_direct.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"workers\":{},\"mode\":\"{}\",\"wall\":{},\"star_frames\":{},\
-             \"direct_frames\":{},\"shm_frames\":{},\"log_bytes_truncated\":{},\
-             \"replay_steps\":{},\"killed\":{},\"identical\":{}}}",
-            pt.workers,
-            pt.mode,
-            pt.wall,
-            pt.star_frames,
-            pt.direct_frames,
-            pt.shm_frames,
-            pt.log_bytes_truncated,
-            pt.replay_steps,
-            pt.killed,
-            pt.identical
-        );
-    }
-    s.push_str("],\"stencil\":{");
-    let _ = write!(
-        s,
-        "\"n\":[{},{},{}],\"reps\":{},\"bitwise_identical\":{},\"points\":[",
-        stencil.n.0, stencil.n.1, stencil.n.2, stencil.reps, stencil.bitwise_identical
-    );
-    for (i, pt) in stencil.points.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"kernel\":\"{}\",\"per_cell_ns\":{},\"speedup\":{}}}",
-            pt.kernel, pt.per_cell_ns, pt.speedup
-        );
-    }
-    let _ = write!(s, "]}},\"trace\":{{\"recorder_overhead\":{recorder_overhead},\"points\":[");
-    for (i, pt) in trace.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"p\":{},\"mean_drift\":{},\"max_drift\":{},\"makespan_ratio\":{}}}",
-            pt.p, pt.mean_drift, pt.max_drift, pt.makespan_ratio
-        );
-    }
-    s.push_str("]},\"predicted_overlap\":[");
-    for (i, (name, points)) in overlap_pred.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"machine\":\"{name}\",\"points\":[");
-        for (j, (p, b, o)) in points.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let (bb, ob) = (b.critical.breakdown, o.critical.breakdown);
-            let _ = write!(
-                s,
-                "{{\"p\":{p},\"baseline\":{},\"overlap\":{},\
-                 \"baseline_comm\":{},\"overlap_comm\":{},\
-                 \"baseline_blocked\":{},\"overlap_blocked\":{}}}",
-                b.makespan,
-                o.makespan,
-                bb.latency + bb.bandwidth + bb.blocked,
-                ob.latency + ob.bandwidth + ob.blocked,
-                bb.blocked,
-                ob.blocked
-            );
-        }
-        s.push_str("]}");
-    }
-    s.push_str("],\"predicted\":[");
-    for (i, (name, points)) in predictions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "{{\"machine\":\"{name}\",\"points\":[");
-        for (j, (p, out)) in points.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let bd = out.critical.breakdown;
-            let _ = write!(
-                s,
-                "{{\"p\":{p},\"time\":{},\"compute\":{},\"latency\":{},\"bandwidth\":{},\
-                 \"blocked\":{}}}",
-                out.makespan, bd.compute, bd.latency, bd.bandwidth, bd.blocked
-            );
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}");
-    match std::fs::write(&path, &s) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
-}
-
-/// Figure-2-style communication profile: the same version-A program run as
-/// a *real* message-passing execution on bounded-slack channels (slack = 1,
-/// the strictest admissible bound), profiled by the runtime's execution
-/// metrics instead of the machine model. Set `COMM_PROFILE_JSON=1` to dump
-/// the full per-channel profile as JSON.
-fn comm_profile() {
-    let params = Arc::new(Params::tiny());
-    let plan = plan_a(&params);
-    let init = init_a(params.clone());
-    let pg = ProcGrid3::choose(params.n, 4);
-    let out = run_msg_simulated_slack(&plan, pg, &init, Some(1), &mut RoundRobin::new())
-        .expect("plans compiled with the §3.3 discipline are deadlock-free at slack 1");
-    let m = &out.metrics;
-    let rows: Vec<Vec<String>> = m
-        .procs
-        .iter()
-        .enumerate()
-        .map(|(rank, p)| {
-            vec![
-                rank.to_string(),
-                p.steps.to_string(),
-                p.sends.to_string(),
-                p.receives.to_string(),
-                p.blocked_steps.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "communication profile: version A as message passing, slack = 1 (per rank)",
-        &["rank", "steps", "sends", "receives", "blocked"],
-        &rows,
-    );
-    println!(
-        "totals: {} messages, {} bytes; max queue depth {} (bound 1 respected: {})",
-        m.total_messages(),
-        m.total_bytes(),
-        m.max_queue_depth(),
-        m.max_queue_depth() <= 1
-    );
-    if std::env::var("COMM_PROFILE_JSON").is_ok() {
-        println!("{}", m.to_json());
-    }
 }
 
 /// Recovery-overhead table: the same tiny version-A program run under the
@@ -995,7 +241,7 @@ fn comm_profile() {
 /// intervals, priced on the IBM SP model. Demonstrates the E10 trade-off:
 /// frequent checkpoints cost checkpoint time, sparse ones cost re-executed
 /// steps — and by Theorem 1 every row ends in the uninjected final state.
-fn recovery_overhead() {
+fn recovery_overhead(verdicts: &mut Verdicts) {
     let params = Arc::new(Params::tiny());
     let plan = plan_a(&params);
     let init = init_a(params.clone());
@@ -1059,7 +305,9 @@ fn recovery_overhead() {
         ],
         &rows,
     );
-    println!(
-        "recovered final state bitwise identical to uninjected run in every row: {all_identical}"
+    verdicts.claim(
+        "recovered final state bitwise identical to the uninjected run at every \
+         checkpoint interval",
+        all_identical,
     );
 }

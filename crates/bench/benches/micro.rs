@@ -1,6 +1,6 @@
-//! Microbenchmarks of the substrate hot paths: the FDTD update kernels,
-//! boundary-exchange slab movement, reduction schedules, the ordered sum,
-//! and the simulated channel runtime.
+//! Microbenchmarks of the collective hot paths that `ledger` has no row
+//! for yet: reduction schedules and the ordered sum. (The kernel, halo,
+//! channel and simulator rows live in `ledger/src/micro.rs`.)
 //!
 //! Self-contained timing harness (median-of-samples over a calibrated
 //! batch size) — the build environment is offline, so no external
@@ -10,16 +10,10 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use bench::print_table;
-use fdtd::material::{Material, MaterialSpec};
-use fdtd::update::{update_e, update_h};
-use fdtd::Fields;
 use mesh_archetype::driver::ordered_sum;
 use mesh_archetype::plan::Contribution;
 use mesh_archetype::reduce::{ReduceAlgo, ReduceOp, ReducePlan};
 use mesh_archetype::sum::{magnitude_spread_workload, SumMethod};
-use meshgrid::halo::{extract_face3, insert_ghost3, Face3};
-use meshgrid::{Block3, Grid3};
-use ssp_runtime::{ChannelId, Effect, Process, RoundRobin, Simulator, Topology};
 
 /// Time `f` with enough iterations per sample to dwarf timer noise, and
 /// report the median per-iteration time over `samples` samples.
@@ -61,29 +55,6 @@ fn fmt(d: Duration) -> String {
     }
 }
 
-fn bench_fdtd_step(rows: &mut Vec<Vec<String>>) {
-    let n = (33, 33, 33);
-    let m = Material::build(&MaterialSpec::Vacuum, Block3 { lo: (0, 0, 0), hi: n }, 0.5);
-    let mut f = Fields::zeros(n.0, n.1, n.2);
-    f.ez.set(16, 16, 16, 1.0);
-    let t = measure(|| update_e(black_box(&mut f), black_box(&m)));
-    rows.push(vec!["fdtd_update_e_33cubed".into(), fmt(t)]);
-    let t = measure(|| update_h(black_box(&mut f), black_box(&m)));
-    rows.push(vec!["fdtd_update_h_33cubed".into(), fmt(t)]);
-}
-
-fn bench_halo(rows: &mut Vec<Vec<String>>) {
-    let g = Grid3::from_fn(33, 33, 33, 1, |i, j, k| (i + j + k) as f64);
-    let mut dst: Grid3<f64> = Grid3::new(33, 33, 33, 1);
-    let t = measure(|| {
-        black_box(extract_face3(black_box(&g), Face3::XHi));
-    });
-    rows.push(vec!["halo_extract_face_33sq".into(), fmt(t)]);
-    let payload = extract_face3(&g, Face3::XHi);
-    let t = measure(|| insert_ghost3(black_box(&mut dst), Face3::XLo, black_box(&payload)));
-    rows.push(vec!["halo_insert_face_33sq".into(), fmt(t)]);
-}
-
 fn bench_reduce(rows: &mut Vec<Vec<String>>) {
     for (name, algo) in [
         ("reduce_all_to_one_p8", ReduceAlgo::AllToOne),
@@ -114,63 +85,13 @@ fn bench_ordered_sum(rows: &mut Vec<Vec<String>>) {
     rows.push(vec!["ordered_sum_50k_contribs".into(), fmt(t)]);
 }
 
-/// A minimal ping-pong pair for channel-runtime throughput.
-struct Pong {
-    chan_in: ChannelId,
-    chan_out: ChannelId,
-    remaining: u64,
-    first: bool,
-    is_server: bool,
-}
-
-impl Process for Pong {
-    type Msg = u64;
-    fn resume(&mut self, delivery: Option<u64>) -> Effect<u64> {
-        if let Some(v) = delivery {
-            if self.remaining == 0 {
-                return Effect::Halt;
-            }
-            self.remaining -= 1;
-            return Effect::Send { chan: self.chan_out, msg: v + 1 };
-        }
-        if self.first {
-            self.first = false;
-            if self.is_server {
-                return Effect::Send { chan: self.chan_out, msg: 0 };
-            }
-        }
-        if self.remaining == 0 {
-            Effect::Halt
-        } else {
-            Effect::Recv { chan: self.chan_in }
-        }
-    }
-    fn snapshot(&self) -> Vec<u8> {
-        self.remaining.to_le_bytes().to_vec()
-    }
-}
-
-fn bench_channels(rows: &mut Vec<Vec<String>>) {
-    let t = measure(|| {
-        let mut topo = Topology::new(2);
-        let c01 = topo.connect(0, 1);
-        let c10 = topo.connect(1, 0);
-        let procs = vec![
-            Pong { chan_in: c10, chan_out: c01, remaining: 1000, first: true, is_server: true },
-            Pong { chan_in: c01, chan_out: c10, remaining: 1000, first: true, is_server: false },
-        ];
-        let sim = Simulator::new(topo, procs);
-        black_box(sim.run(&mut RoundRobin::new()).unwrap());
-    });
-    rows.push(vec!["sim_channel_pingpong_1000".into(), fmt(t)]);
-}
-
 fn main() {
     let mut rows = Vec::new();
-    bench_fdtd_step(&mut rows);
-    bench_halo(&mut rows);
     bench_reduce(&mut rows);
     bench_ordered_sum(&mut rows);
-    bench_channels(&mut rows);
-    print_table("micro: substrate hot paths (median per iteration)", &["benchmark", "time"], &rows);
+    print_table(
+        "micro: collective hot paths (median per iteration)",
+        &["benchmark", "time"],
+        &rows,
+    );
 }

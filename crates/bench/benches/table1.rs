@@ -10,12 +10,12 @@
 
 use std::sync::Arc;
 
-use bench::{price, print_table, run_version_c, scaled_steps, secs, spd};
+use bench::{price, print_table, run_version_c, scaled_steps, secs, spd, Verdicts};
 use fdtd::{FarFieldSpec, FarFieldStrategy, Params};
 use machine_model::{network_of_suns, SpeedupSeries};
 use mesh_archetype::ReduceAlgo;
 
-fn main() {
+fn main() -> Verdicts {
     let mut params = Params::table1();
     params.steps = scaled_steps(params.steps);
     let params = Arc::new(params);
@@ -65,9 +65,10 @@ fn main() {
         series.monotone_speedup(),
         series.sublinear()
     );
-    println!(
-        "paper shape expected: speedup grows with P and stays below P on a \
-         workstation network — {}",
-        if series.monotone_speedup() && series.sublinear() { "REPRODUCED" } else { "NOT reproduced" }
+    let mut verdicts = Verdicts::default();
+    verdicts.claim(
+        "Table 1 shape: speedup grows with P and stays below P on a workstation network",
+        series.monotone_speedup() && series.sublinear(),
     );
+    verdicts
 }

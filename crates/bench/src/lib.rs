@@ -3,9 +3,11 @@
 //! Each `benches/*.rs` target (plain `main`, `harness = false`) regenerates
 //! one table or figure of the paper; this library holds the pieces they
 //! share: running an FDTD workload under the simulated-parallel driver
-//! with trace recording, pricing the trace on a machine model, and
-//! rendering aligned text tables.
+//! with trace recording, pricing the trace on a machine model, rendering
+//! aligned text tables, and turning each experiment's claims into an exit
+//! status ([`Verdicts`]).
 
+use std::process::{ExitCode, Termination};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,210 +102,59 @@ pub fn scaled_steps(steps: usize) -> usize {
     }
 }
 
+/// The claims one experiment checks against the paper, each with whether
+/// the numbers it just computed bear it out. A bench's `main` returns this,
+/// so the verdict lines are printed from the recorded rows and a claim that
+/// failed becomes a non-zero exit status: `scripts/reproduce_all.sh` and CI
+/// can tell a reproduction from a regression without reading the tables.
+#[derive(Default)]
+pub struct Verdicts(Vec<(String, bool)>);
+
+impl Verdicts {
+    /// Record `claim` and whether it `holds`.
+    pub fn claim(&mut self, claim: impl Into<String>, holds: bool) {
+        self.0.push((claim.into(), holds));
+    }
+}
+
+impl Termination for Verdicts {
+    fn report(self) -> ExitCode {
+        println!();
+        for (claim, holds) in &self.0 {
+            println!("{claim} — {}", if *holds { "REPRODUCED" } else { "NOT reproduced" });
+        }
+        if self.0.iter().all(|(_, holds)| *holds) {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
 /// Format seconds with three significant decimals.
 pub fn secs(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// The Yee-stencil microbench: the scalar get/set kernels (replicated
-/// verbatim from before the flat-slice rewrite) against the flat
-/// row-slice kernels and their cache-tiled form, on the same scrambled
-/// fields. All three must agree bitwise (identical per-cell arithmetic,
-/// Theorem 1's standard); the flat/tiled forms must be faster per cell.
-pub mod stencil {
-    use std::time::Instant;
-
-    use fdtd::update::{update_e, update_e_region, update_h, update_h_region, Span};
-    use fdtd::{Fields, Material, MaterialSpec};
-    use meshgrid::Block3;
-
-    /// One measured kernel variant: ns per cell per full time step (one H
-    /// pass + one E pass over all six components), and its speedup over
-    /// the scalar baseline.
-    pub struct StencilPoint {
-        /// Kernel name: `scalar`, `flat`, or `tiled`.
-        pub kernel: &'static str,
-        /// Nanoseconds per cell per time step.
-        pub per_cell_ns: f64,
-        /// Scalar-baseline time over this kernel's time.
-        pub speedup: f64,
-    }
-
-    /// The microbench outcome: the three measured variants plus the
-    /// bitwise cross-check of their final fields.
-    pub struct StencilReport {
-        /// Grid extent.
-        pub n: (usize, usize, usize),
-        /// Timed steps per variant.
-        pub reps: usize,
-        /// Measured points, scalar first.
-        pub points: Vec<StencilPoint>,
-        /// All variants ended in bitwise-identical fields.
-        pub bitwise_identical: bool,
-    }
-
-    /// The pre-rewrite scalar `update_e`, replicated verbatim: per-cell
-    /// `get`/`set` with the identical `mul_add` arithmetic.
-    fn scalar_update_e(f: &mut Fields, m: &Material) {
-        let (nx, ny, nz) = f.extent();
-        for i in 0..nx as isize {
-            for j in 0..ny as isize {
-                for k in 0..nz as isize {
-                    let ca = m.ca.get(i, j, k);
-                    let cb = m.cb.get(i, j, k);
-                    let ex = ca.mul_add(
-                        f.ex.get(i, j, k),
-                        cb * ((f.hz.get(i, j, k) - f.hz.get(i, j - 1, k))
-                            - (f.hy.get(i, j, k) - f.hy.get(i, j, k - 1))),
-                    );
-                    let ey = ca.mul_add(
-                        f.ey.get(i, j, k),
-                        cb * ((f.hx.get(i, j, k) - f.hx.get(i, j, k - 1))
-                            - (f.hz.get(i, j, k) - f.hz.get(i - 1, j, k))),
-                    );
-                    let ez = ca.mul_add(
-                        f.ez.get(i, j, k),
-                        cb * ((f.hy.get(i, j, k) - f.hy.get(i - 1, j, k))
-                            - (f.hx.get(i, j, k) - f.hx.get(i, j - 1, k))),
-                    );
-                    f.ex.set(i, j, k, ex);
-                    f.ey.set(i, j, k, ey);
-                    f.ez.set(i, j, k, ez);
-                }
-            }
-        }
-    }
-
-    /// The pre-rewrite scalar `update_h`, replicated verbatim.
-    fn scalar_update_h(f: &mut Fields, m: &Material) {
-        let (nx, ny, nz) = f.extent();
-        for i in 0..nx as isize {
-            for j in 0..ny as isize {
-                for k in 0..nz as isize {
-                    let da = m.da.get(i, j, k);
-                    let db = m.db.get(i, j, k);
-                    let hx = da.mul_add(
-                        f.hx.get(i, j, k),
-                        -(db * ((f.ez.get(i, j + 1, k) - f.ez.get(i, j, k))
-                            - (f.ey.get(i, j, k + 1) - f.ey.get(i, j, k)))),
-                    );
-                    let hy = da.mul_add(
-                        f.hy.get(i, j, k),
-                        -(db * ((f.ex.get(i, j, k + 1) - f.ex.get(i, j, k))
-                            - (f.ez.get(i + 1, j, k) - f.ez.get(i, j, k)))),
-                    );
-                    let hz = da.mul_add(
-                        f.hz.get(i, j, k),
-                        -(db * ((f.ey.get(i + 1, j, k) - f.ey.get(i, j, k))
-                            - (f.ex.get(i, j + 1, k) - f.ex.get(i, j, k)))),
-                    );
-                    f.hx.set(i, j, k, hx);
-                    f.hy.set(i, j, k, hy);
-                    f.hz.set(i, j, k, hz);
-                }
-            }
-        }
-    }
-
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Deterministic nonzero fill so the kernels chew real data.
-    fn scramble(f: &mut Fields, seed: u64) {
-        let mut st = seed;
-        let (nx, ny, nz) = f.extent();
-        for g in [&mut f.ex, &mut f.ey, &mut f.ez, &mut f.hx, &mut f.hy, &mut f.hz] {
-            for i in 0..nx as isize {
-                for j in 0..ny as isize {
-                    for k in 0..nz as isize {
-                        let u = splitmix(&mut st);
-                        g.set(i, j, k, (u as f64 / u64::MAX as f64) - 0.5);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Run the microbench: one warmup step and `reps` timed steps per
-    /// variant, all from the same scrambled initial fields.
-    pub fn run(n: (usize, usize, usize), reps: usize) -> StencilReport {
-        let m = Material::build(
-            &MaterialSpec::dielectric_sphere(
-                (n.0 as f64 * 0.6, n.1 as f64 * 0.4, n.2 as f64 * 0.5),
-                n.0 as f64 * 0.2,
-                3.0,
-                0.05,
-            ),
-            Block3 { lo: (0, 0, 0), hi: n },
-            0.5,
-        );
-        let mut init = Fields::zeros(n.0, n.1, n.2);
-        scramble(&mut init, 0x5EED);
-
-        type StepFn = fn(&mut Fields, &Material);
-        let variants: [(&'static str, StepFn); 3] = [
-            ("scalar", |f, m| {
-                scalar_update_h(f, m);
-                scalar_update_e(f, m);
-            }),
-            ("flat", |f, m| {
-                update_h_region(f, m, Span::whole(f.extent()), usize::MAX);
-                update_e_region(f, m, Span::whole(f.extent()), usize::MAX);
-            }),
-            ("tiled", |f, m| {
-                update_h(f, m);
-                update_e(f, m);
-            }),
-        ];
-
-        let cells = (n.0 * n.1 * n.2) as f64;
-        // Interleave the variants round-robin and keep each variant's
-        // *fastest* round: on a shared host, steal time and frequency
-        // drift pollute any single timing block, and interleaving keeps
-        // one variant from absorbing a whole noise burst. The fields keep
-        // advancing across rounds, so every variant performs the same
-        // `rounds * steps_per_round` steps and the final states stay
-        // comparable bitwise.
-        let steps_per_round = 2usize;
-        let rounds = reps.div_ceil(steps_per_round).max(3);
-        let mut fields: Vec<Fields> = variants.iter().map(|_| init.clone()).collect();
-        let mut best = [f64::INFINITY; 3];
-        for f in &mut fields {
-            variants[0].1(f, &m); // touch every page once before timing
-            *f = init.clone();
-        }
-        for _ in 0..rounds {
-            for (v, (_, step)) in variants.iter().enumerate() {
-                let f = &mut fields[v];
-                let t0 = Instant::now();
-                for _ in 0..steps_per_round {
-                    step(f, &m);
-                }
-                let ns = t0.elapsed().as_nanos() as f64 / (steps_per_round as f64 * cells);
-                best[v] = best[v].min(ns);
-            }
-        }
-        let scalar_ns = best[0];
-        let points = variants
-            .iter()
-            .zip(best)
-            .map(|((kernel, _), per_cell_ns)| StencilPoint {
-                kernel,
-                per_cell_ns,
-                speedup: scalar_ns / per_cell_ns,
-            })
-            .collect();
-        let bitwise_identical = fields.iter().all(|f| f.bitwise_eq(&fields[0]));
-        StencilReport { n, reps: rounds * steps_per_round, points, bitwise_identical }
-    }
-}
-
 /// Format a speedup.
 pub fn spd(x: f64) -> String {
     format!("{x:.2}")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_claim_is_a_failing_exit_status() {
+        let mut v = Verdicts::default();
+        v.claim("holds", true);
+        assert_eq!(v.report(), ExitCode::SUCCESS);
+
+        let mut v = Verdicts::default();
+        v.claim("holds", true);
+        v.claim("does not hold", false);
+        v.claim("holds again", true);
+        assert_eq!(v.report(), ExitCode::FAILURE, "a later true claim must not mask a false one");
+    }
 }

@@ -3,9 +3,9 @@
 //! leaves the schedule-invariant communication profile untouched, and
 //! costs little enough that the recorder can stay on for whole runs.
 //!
-//! (The strict ≤5% overhead gate is measured release-mode by the
-//! figure2 bench's `trace` series; the timing assertion here is a
-//! debug-build smoke with an absolute epsilon so tier-1 stays unflaky.)
+//! (What the recorder costs at full scale is `ledger`'s
+//! `trace.overhead_ratio`; the timing assertion here is a debug-build
+//! smoke with an absolute epsilon so tier-1 stays unflaky.)
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,8 +101,8 @@ fn recording_does_not_change_the_communication_profile() {
 
 /// Debug-build overhead smoke: best-of-3 recorded vs unrecorded on a
 /// longer FDTD run, interleaved so machine noise hits both sides. The
-/// bound is the bench's 5% plus a flat 100 ms that absorbs scheduler
-/// jitter at this scale.
+/// bound is 5% plus a flat 100 ms that absorbs scheduler jitter at this
+/// scale.
 #[test]
 fn recorder_overhead_stays_small() {
     let params = Arc::new(Params { steps: 48, ..Params::tiny() });

@@ -51,6 +51,6 @@ pub use overlay::{drift_report, measured_timelines, DriftReport, ProcDrift};
 pub use predict::{predict_speedup, PredictedPoint};
 pub use recovery::{price_recovery, RecoveryCosts, RecoveryOverhead};
 pub use timeline::{
-    chrome_trace_json, overlay_chrome_trace, overlay_chrome_trace_with_routes, timelines_to_json,
-    BlockReason, Span, SpanKind, Timeline,
+    chrome_trace_json, overlay_chrome_trace, timelines_to_json, BlockReason, Span, SpanKind,
+    Timeline,
 };

@@ -234,54 +234,6 @@ pub fn overlay_chrome_trace(predicted: &[Timeline], measured: &[Timeline]) -> St
     out
 }
 
-/// The predicted-vs-measured overlay plus a third track: the **route
-/// marks** of a *distributed* run of the same program. Every
-/// `data-star` / `data-direct` / `data-shm` provenance event in `routes`
-/// (a merged cross-process [`ssp_runtime::FlightLog`], as `ssp-dist`
-/// returns it) becomes an instant event on pid 2 — one tid per receiving
-/// rank, named by the plane that carried the message — so the viewer
-/// shows, under the predicted and measured executions, *which plane
-/// delivered each cross-group payload*. Non-route events in the log are
-/// skipped. The distributed run's clock shares no epoch with the other
-/// two tracks (it is a different execution on different processes), so
-/// read this track for provenance and relative ordering, not alignment.
-pub fn overlay_chrome_trace_with_routes(
-    predicted: &[Timeline],
-    measured: &[Timeline],
-    routes: &ssp_runtime::FlightLog,
-) -> String {
-    use std::fmt::Write;
-    let mut out = overlay_chrome_trace(predicted, measured);
-    // Splice before the closing "]}" of the overlay document.
-    out.truncate(out.len() - 2);
-    out.push_str(
-        ",{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\
-         \"args\":{\"name\":\"distributed routes\"}}",
-    );
-    for e in routes.merged() {
-        if !matches!(
-            e.kind,
-            ssp_runtime::FlightKind::DataStar
-                | ssp_runtime::FlightKind::DataDirect
-                | ssp_runtime::FlightKind::DataShm
-        ) {
-            continue;
-        }
-        let _ = write!(
-            out,
-            ",{{\"name\":\"{}\",\"cat\":\"route\",\"ph\":\"i\",\"s\":\"t\",\"pid\":2,\
-             \"tid\":{},\"ts\":{},\"args\":{{\"chan\":{},\"bytes\":{}}}}}",
-            e.kind.label(),
-            e.rank,
-            e.nanos as f64 / 1e3,
-            e.chan,
-            e.bytes
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,50 +292,6 @@ mod tests {
         assert_eq!(arr[0].get("kind"), Some(&ssp_runtime::JsonValue::Str("compute".into())));
         assert_eq!(arr[2].get("on"), Some(&ssp_runtime::JsonValue::Str("arrival".into())));
         assert_eq!(arr[3].get("delayed"), Some(&ssp_runtime::JsonValue::Bool(true)));
-    }
-
-    #[test]
-    fn route_track_carries_only_data_plane_marks() {
-        use ssp_runtime::{FlightEvent, FlightKind, FlightLane, FlightLog};
-        let tls = sample();
-        let log = FlightLog {
-            lanes: vec![FlightLane {
-                label: "w0/gateway".into(),
-                dropped: 0,
-                events: vec![
-                    FlightEvent { nanos: 100, kind: FlightKind::Run, rank: 0, chan: 0, bytes: 0 },
-                    FlightEvent {
-                        nanos: 250,
-                        kind: FlightKind::DataShm,
-                        rank: 1,
-                        chan: 3,
-                        bytes: 4096,
-                    },
-                    FlightEvent {
-                        nanos: 400,
-                        kind: FlightKind::DataDirect,
-                        rank: 2,
-                        chan: 5,
-                        bytes: 64,
-                    },
-                ],
-            }],
-        };
-        let doc = overlay_chrome_trace_with_routes(&tls, &tls, &log);
-        let parsed = ssp_runtime::json::parse(&doc).unwrap();
-        let evs = parsed.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
-        let routes: Vec<_> = evs
-            .iter()
-            .filter(|e| e.get("cat") == Some(&ssp_runtime::JsonValue::Str("route".into())))
-            .collect();
-        assert_eq!(routes.len(), 2, "scheduler events must not leak into the route track");
-        assert_eq!(routes[0].get("name"), Some(&ssp_runtime::JsonValue::Str("data-shm".into())));
-        assert_eq!(
-            routes[1].get("name"),
-            Some(&ssp_runtime::JsonValue::Str("data-direct".into()))
-        );
-        assert_eq!(routes[0].get("ts").and_then(|v| v.as_f64()), Some(0.25));
-        assert!(doc.contains("distributed routes"), "the track must be named");
     }
 
     #[test]

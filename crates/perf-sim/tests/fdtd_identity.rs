@@ -11,9 +11,11 @@ use std::sync::Arc;
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
 use machine_model::{ibm_sp, network_of_suns};
-use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode};
+use mesh_archetype::driver::{build_msg_processes, build_msg_processes_with_slack, HostMode};
 use meshgrid::ProcGrid3;
-use perf_sim::{chrome_trace_json, run_des_default, timelines_to_json};
+use perf_sim::{
+    chrome_trace_json, predict_speedup, run_des_default, timelines_to_json, CostBreakdown,
+};
 use ssp_runtime::RoundRobin;
 
 #[test]
@@ -73,4 +75,36 @@ fn des_identity_holds_at_slack_one_too() {
         build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, Some(1));
     let des = run_des_default(topo, procs, &network_of_suns()).unwrap();
     assert_eq!(des.snapshots, sim.snapshots, "slack bounds change timing, never results");
+}
+
+/// `predict_speedup` on a real mesh program is the per-P prediction, bit for
+/// bit: the `figure2` bench prints its curves from these points, so they
+/// must be the numbers `run_msg_predicted` gives one P at a time.
+#[test]
+fn predict_speedup_equals_run_msg_predicted_at_each_p() {
+    let params = Arc::new(Params::tiny());
+    let plan = plan_a(&params);
+    let init = init_a(params.clone());
+    let ps = [1usize, 2, 4];
+    let bits = |b: CostBreakdown| [b.compute, b.latency, b.bandwidth, b.blocked].map(f64::to_bits);
+
+    for model in [network_of_suns(), ibm_sp()] {
+        let points = predict_speedup(&model, &ps, |p| {
+            build_msg_processes(&plan, ProcGrid3::choose(params.n, p), &init)
+        })
+        .unwrap();
+        assert_eq!(points.len(), ps.len());
+        for (point, &p) in points.iter().zip(&ps) {
+            let pg = ProcGrid3::choose(params.n, p);
+            let des = mesh_archetype::run_msg_predicted(&plan, pg, &init, &model).unwrap();
+            assert_eq!(point.nprocs, p);
+            assert_eq!(point.time.to_bits(), des.makespan.to_bits(), "{} P={p}", model.name);
+            assert_eq!(
+                bits(point.breakdown),
+                bits(des.critical.breakdown),
+                "{} P={p}: compute / latency / bandwidth / blocked",
+                model.name
+            );
+        }
+    }
 }

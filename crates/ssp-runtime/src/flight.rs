@@ -158,24 +158,6 @@ impl FlightSink for FlightRecorder {
     }
 }
 
-/// Minimal JSON string escaper for the post-mortem's error field (error
-/// Display strings can contain quotes from process details).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render a post-mortem black box: the failure plus the full flight log.
 /// The document is a superset of [`FlightLog::to_json`]'s schema (extra
 /// `error` key), so `FlightLog::from_json` reads it directly.
@@ -184,7 +166,12 @@ pub fn postmortem_json(err: &RunError, log: &FlightLog) -> String {
     let rest = body
         .strip_prefix("{\"version\":1,")
         .expect("FlightLog::to_json emits a version-1 document");
-    format!("{{\"version\":1,\"error\":\"{}\",{rest}", escape_json(&err.to_string()))
+    // Error Display strings can contain quotes from process details.
+    let mut doc = String::from("{\"version\":1,\"error\":");
+    crate::json::write_json_string(&mut doc, &err.to_string());
+    doc.push(',');
+    doc.push_str(rest);
+    doc
 }
 
 /// Write the post-mortem black box next to the run's artifacts if

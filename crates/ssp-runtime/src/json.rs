@@ -1,11 +1,11 @@
 //! A minimal JSON reader *and* writer, dependency-free.
 //!
 //! [`crate::trace::RunMetrics::to_json`] dumps execution profiles that
-//! tooling (the `figure2` bench's `COMM_PROFILE_JSON=1`, `scripts/bench.sh`)
-//! writes to disk; without a reader the schema could drift silently. This
-//! module parses general JSON into a small [`JsonValue`] tree — enough for
-//! round-trip tests and for downstream scripts' outputs to be re-read —
-//! while staying within the workspace's zero-external-dependency rule.
+//! cross a process boundary (`ssp-dist` workers ship them in `GROUP_DONE`
+//! frames); without a reader the schema could drift silently. This module
+//! parses general JSON into a small [`JsonValue`] tree — enough for
+//! round-trip tests and for those documents to be re-read — while staying
+//! within the workspace's zero-external-dependency rule.
 //!
 //! The tree can also be serialized back out ([`JsonValue::to_json`], also
 //! the `Display` impl): this is the wire format of the recovery layer's
@@ -136,7 +136,7 @@ impl fmt::Display for JsonValue {
 
 /// Write `s` as a JSON string literal, escaping quotes, backslashes, and
 /// control characters.
-fn write_json_string(out: &mut String, s: &str) {
+pub(crate) fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

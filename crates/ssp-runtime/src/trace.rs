@@ -839,9 +839,9 @@ mod tests {
 
     #[test]
     fn json_schema_is_stable() {
-        // Golden check: downstream tooling (scripts/bench.sh, the figure2
-        // bench) reads these exact key names; renaming a field must fail
-        // here first.
+        // Golden check: `ssp-dist` workers put this document on the wire in
+        // `GROUP_DONE` and the supervisor reads these exact key names;
+        // renaming a field must fail here first.
         let mut t = Topology::new(2);
         let c = t.connect(0, 1);
         let mut m = RunMetrics::for_topology(&t);

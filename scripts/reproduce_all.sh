@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Regenerate every table and figure of the paper, plus the ablations.
+# Regenerate every table and figure of the paper, plus the ablations, from
+# models and bits. Each bench computes its verdicts and exits non-zero on
+# any `NOT reproduced`, which stops this script. Numbers measured on this
+# host are not here: `bash ledger/run.sh`.
 # Full scale by default; pass a fraction to shrink step counts, e.g.
 #   ./scripts/reproduce_all.sh 0.25
 set -euo pipefail
@@ -24,6 +27,6 @@ done
 
 echo
 echo "================================================================"
-echo "== criterion microbenches"
+echo "== micro (reduction schedules, ordered sum)"
 echo "================================================================"
 cargo bench -p bench --bench micro
