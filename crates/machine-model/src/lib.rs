@@ -5,7 +5,7 @@
 //! exists here, so — per the substitution rule in DESIGN.md — this crate
 //! *models* them: a LogGP-style analytic cost model prices the
 //! communication/computation trace that the simulated-parallel driver
-//! records ([`mesh_archetype::trace::CommTrace`]), yielding modeled
+//! records ([`CommTrace`]), yielding modeled
 //! execution times whose *shape* (who wins, how speedup bends, where the
 //! communication wall sits) reproduces the paper's measurements.
 //!

@@ -68,8 +68,8 @@ impl MeshMsg {
 
     /// Wire size of the payload: 8 bytes per `f64`; a contribution wires
     /// `(bin: u32, order: u64, value: f64)` = 20 bytes, matching the
-    /// simulated-parallel driver's [`MsgRecord`] accounting so the two
-    /// drivers' byte profiles agree.
+    /// simulated-parallel driver's [`machine_model::MsgRecord`] accounting
+    /// so the two drivers' byte profiles agree.
     pub fn size_bytes(&self) -> u64 {
         match self {
             MeshMsg::Halo(v) | MeshMsg::Vec(v) | MeshMsg::Block(v) => 8 * v.len() as u64,
@@ -149,10 +149,10 @@ enum Op<L> {
     LoopEnd { body: usize },
     /// Push a while-iteration budget.
     WhileStart { max_iters: u64 },
-    /// Evaluate the predicate; jump to `target` when it equals `when`.
-    CondJump { pred: PredFn<L>, when: bool, target: usize },
-    /// Decrement the innermost while budget (abort when exhausted) and jump
-    /// back to the predicate check.
+    /// Evaluate the predicate: jump to `exit` when it is false, fault when
+    /// it is true with the innermost budget spent, else spend one iteration.
+    WhileCheck { pred: PredFn<L>, exit: usize, name: String, max_iters: u64 },
+    /// Jump back to the predicate check.
     WhileEnd { check: usize },
     /// Pop the innermost while budget.
     WhilePop,
@@ -321,16 +321,21 @@ fn flatten<L>(
                     *e = exit;
                 }
             }
-            Phase::While { pred, body, max_iters, .. } => {
+            Phase::While { name, pred, body, max_iters } => {
                 ops.push(Op::WhileStart { max_iters: *max_iters });
                 let check = ops.len();
-                ops.push(Op::CondJump { pred: pred.clone(), when: false, target: usize::MAX });
+                ops.push(Op::WhileCheck {
+                    pred: pred.clone(),
+                    exit: usize::MAX, // patched
+                    name: name.clone(),
+                    max_iters: *max_iters,
+                });
                 flatten(body, env, pg, host, ops);
                 ops.push(Op::WhileEnd { check });
                 let exit = ops.len();
                 ops.push(Op::WhilePop);
-                if let Op::CondJump { target, .. } = &mut ops[check] {
-                    *target = exit;
+                if let Op::WhileCheck { exit: e, .. } = &mut ops[check] {
+                    *e = exit;
                 }
             }
         }
@@ -665,6 +670,28 @@ impl<L: MeshLocal> MsgProcess<L> {
         Ok(())
     }
 
+    /// Overwrite the scatter's target field with this rank's block, after
+    /// checking that the block fills the field exactly.
+    fn install_block(&mut self, spec: &ScatterSpec<L>, data: &[f64]) -> Result<(), RunError> {
+        let field = (spec.field)(&mut self.local);
+        if data.len() != field.interior_len() {
+            let detail = format!(
+                "scatter {}: block carries {} values, the field interior holds {}",
+                spec.name,
+                data.len(),
+                field.interior_len()
+            );
+            return Err(RunError::Protocol { proc: self.env.rank, detail });
+        }
+        field.interior_from_slice(data);
+        Ok(())
+    }
+
+    /// A protocol fault raised by this rank.
+    fn fault(&self, detail: String) -> Effect<MeshMsg> {
+        Effect::Fault { error: RunError::Protocol { proc: self.env.rank, detail } }
+    }
+
     /// Append `dst`'s block of the in-progress global grid to `out`
     /// (lexicographic), packing straight into a recycled buffer.
     fn block_of_global_into(&self, dst: usize, out: &mut Vec<f64>) {
@@ -836,7 +863,13 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::ScatterInit { spec } => {
                     let g = (spec.source)(&self.local);
-                    assert_eq!(g.extent(), self.env.pg.n, "scatter source must be global");
+                    let (got, n) = (g.extent(), self.env.pg.n);
+                    if got != n {
+                        let name = &spec.name;
+                        return self.fault(format!(
+                            "scatter {name}: source grid extent {got:?}, expected {n:?}"
+                        ));
+                    }
                     self.global = Some(g);
                 }
                 Op::ScatterSendBlock { dst } => {
@@ -854,9 +887,11 @@ impl<L: MeshLocal> MsgProcess<L> {
                         let rank = self.env.rank;
                         let mut buf = self.pool.take(self.env.pg.block(rank).len());
                         self.block_of_global_into(rank, &mut buf);
-                        let field = (spec.field)(&mut self.local);
-                        field.interior_from_slice(&buf);
+                        let res = self.install_block(spec, &buf);
                         self.pool.put(buf);
+                        if let Err(error) = res {
+                            return Effect::Fault { error };
+                        }
                     }
                     self.global = None;
                 }
@@ -882,18 +917,18 @@ impl<L: MeshLocal> MsgProcess<L> {
                     }
                 }
                 Op::WhileStart { max_iters } => self.while_stack.push(*max_iters),
-                Op::CondJump { pred, when, target } => {
-                    if pred(&self.local) == *when {
-                        self.pc = *target;
+                Op::WhileCheck { pred, exit, name, max_iters } => {
+                    if !pred(&self.local) {
+                        self.pc = *exit;
+                        continue;
                     }
-                }
-                Op::WhileEnd { check } => {
-                    let check = *check;
                     let budget = self.while_stack.last_mut().expect("inside a while");
-                    assert!(*budget > 0, "while loop exceeded its max_iters budget");
+                    if *budget == 0 {
+                        return self.fault(format!("{name}: exceeded max_iters {max_iters}"));
+                    }
                     *budget -= 1;
-                    self.pc = check;
                 }
+                Op::WhileEnd { check } => self.pc = *check,
                 Op::WhilePop => {
                     self.while_stack.pop().expect("inside a while");
                 }
@@ -972,7 +1007,9 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
                     let Op::ScatterRecvBlock { spec, .. } = &ops[op] else {
                         unreachable!("ScatterBlock pending always points at its op")
                     };
-                    (spec.field)(&mut self.local).interior_from_slice(&data);
+                    if let Err(error) = self.install_block(spec, &data) {
+                        return Effect::Fault { error };
+                    }
                     self.pool.put(data);
                 }
                 (pending, other) => {
@@ -1308,6 +1345,26 @@ mod tests {
             Effect::Fault { error: RunError::Protocol { proc, detail } } => {
                 assert_eq!(proc, 0);
                 assert!(detail.contains("3") && detail.contains("32"), "{detail}");
+            }
+            other => panic!("expected a protocol fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wrong_length_scatter_block_is_a_protocol_fault() {
+        let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
+        let plan = Plan::builder()
+            .scatter_grid("load", |_: &One| Grid3::new(4, 4, 4, 0), |l: &mut One| &mut l.u)
+            .build();
+        let init = init_fn();
+        let (_topo, mut procs) = build_msg_processes(&plan, pg, &init);
+        // Rank 1 waits for its 32-cell block from the host; deliver 3 values.
+        let rank1 = &mut procs[1];
+        drive_to_recv(rank1);
+        match rank1.resume(Some(MeshMsg::Block(vec![0.0; 3]))) {
+            Effect::Fault { error: RunError::Protocol { proc, detail } } => {
+                assert_eq!(proc, 1);
+                assert!(detail.contains("scatter load") && detail.contains("32"), "{detail}");
             }
             other => panic!("expected a protocol fault, got {other:?}"),
         }

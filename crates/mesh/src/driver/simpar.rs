@@ -11,6 +11,7 @@
 
 use std::collections::VecDeque;
 
+use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};
 use meshgrid::halo::{slab_len3, Face3};
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::RunError;
@@ -24,7 +25,6 @@ use crate::plan::{
 };
 use crate::reduce::ReducePlan;
 use crate::sum::SumMethod;
-use crate::trace::{CommTrace, MsgRecord, PhaseCost};
 use crate::validate::{check_exchange, ExchangeAssign, ValidationReport};
 
 /// How thoroughly exchanges are checked against the §2.2 restrictions.
@@ -100,12 +100,25 @@ impl std::fmt::Display for GatherShapeError {
 impl std::error::Error for GatherShapeError {}
 
 /// A simulated-parallel run failed: either the plan itself was malformed
-/// (a mis-sized gather) or a local-computation block reported a typed
-/// error (e.g. degenerate boundary geometry).
+/// (a mis-sized gather or scatter) or a local-computation block reported a
+/// typed error (e.g. degenerate boundary geometry).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimParError {
     /// A gather found a mis-sized field.
     GatherShape(GatherShapeError),
+    /// A scatter's source is not the global grid, or a rank's target field
+    /// is not sized to its block.
+    ScatterShape {
+        /// The scatter phase's name.
+        scatter: String,
+        /// `None` for the host's source grid, `Some(rank)` for that rank's
+        /// target field.
+        rank: Option<usize>,
+        /// The grid's extent.
+        got: (usize, usize, usize),
+        /// The extent it must have.
+        expected: (usize, usize, usize),
+    },
     /// A local step failed; carries the step's own [`RunError`].
     Local(RunError),
 }
@@ -114,6 +127,10 @@ impl std::fmt::Display for SimParError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimParError::GatherShape(e) => e.fmt(f),
+            SimParError::ScatterShape { scatter, rank, got, expected } => {
+                let grid = rank.map_or("source grid".into(), |r| format!("rank {r}'s field"));
+                write!(f, "scatter {scatter}: {grid} extent {got:?}, expected {expected:?}")
+            }
             SimParError::Local(e) => write!(f, "local step failed: {e}"),
         }
     }
@@ -206,8 +223,8 @@ struct SimPar<'p, L> {
 /// Run `plan` as a sequential simulated-parallel program over the process
 /// topology `pg`, with initial local states built by `init`.
 ///
-/// Panics if a gather finds a mis-sized field (a malformed plan) or a
-/// local step fails; use [`try_run_simpar`] for the typed error instead.
+/// Panics if a gather or scatter finds a mis-sized grid (a malformed plan)
+/// or a local step fails; use [`try_run_simpar`] for the typed error instead.
 pub fn run_simpar<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
@@ -309,7 +326,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
                     }
                 }
                 Phase::GatherGrid(spec) => self.gather(spec)?,
-                Phase::ScatterGrid(spec) => self.scatter(spec),
+                Phase::ScatterGrid(spec) => self.scatter(spec)?,
                 Phase::Loop { count, body } => {
                     for _ in 0..*count {
                         self.run_phases(body)?;
@@ -600,10 +617,18 @@ impl<L: MeshLocal> SimPar<'_, L> {
         Ok(())
     }
 
-    fn scatter(&mut self, spec: &ScatterSpec<L>) {
+    fn scatter(&mut self, spec: &ScatterSpec<L>) -> Result<(), SimParError> {
+        let shape_error = |rank, got, expected| SimParError::ScatterShape {
+            scatter: spec.name.clone(),
+            rank,
+            got,
+            expected,
+        };
         let host = self.host_rank();
         let global = (spec.source)(&self.locals[host]);
-        assert_eq!(global.extent(), self.pg.n, "scatter source must be the global grid");
+        if global.extent() != self.pg.n {
+            return Err(shape_error(None, global.extent(), self.pg.n));
+        }
         let mut msgs = Vec::new();
         for r in 0..self.grid_n {
             let block = self.pg.block(r);
@@ -611,7 +636,9 @@ impl<L: MeshLocal> SimPar<'_, L> {
                 msgs.push(MsgRecord { src: host, dst: r, bytes: 8 * block.len() as u64 });
             }
             let field = (spec.field)(&mut self.locals[r]);
-            assert_eq!(field.extent(), block.extent(), "scatter target sized to block");
+            if field.extent() != block.extent() {
+                return Err(shape_error(Some(r), field.extent(), block.extent()));
+            }
             for li in 0..block.extent().0 {
                 for lj in 0..block.extent().1 {
                     for lk in 0..block.extent().2 {
@@ -634,5 +661,6 @@ impl<L: MeshLocal> SimPar<'_, L> {
                 rounds: 1,
             });
         }
+        Ok(())
     }
 }

@@ -45,7 +45,7 @@
 //! results agree exactly — the property Theorem 1 guarantees and the
 //! paper's experiments confirmed ("on the first and every execution").
 //!
-//! The simulated-parallel driver also records a [`trace::CommTrace`] of
+//! The simulated-parallel driver also records a [`CommTrace`] of
 //! every message and every local-computation flop count, which the
 //! `machine-model` crate prices to reproduce the paper's performance tables
 //! on modeled 1998 hardware.
@@ -123,7 +123,6 @@ pub mod exchange;
 pub mod plan;
 pub mod reduce;
 pub mod sum;
-pub mod trace;
 pub mod validate;
 
 pub use driver::{
@@ -135,4 +134,4 @@ pub use env::{AxisOutOfRange, Env};
 pub use plan::{Contribution, ExchangeSpec, Phase, Plan, PlanBuilder};
 pub use reduce::{ReduceAlgo, ReduceOp, ReducePlan, ReduceStep};
 pub use sum::SumMethod;
-pub use trace::{CommTrace, MsgRecord, PhaseCost};
+pub use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};

@@ -17,11 +17,12 @@ use mesh_archetype::driver::MeshLocal;
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
     run_msg_simulated_slack, try_run_simpar, Env, GatherShapeError, Plan, ReduceAlgo, ReduceOp,
+    SimParError,
 };
 use mesh_archetype::driver::SimParConfig;
 use meshgrid::{Grid3, ProcGrid3};
 use proptest::prelude::*;
-use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, SchedulePolicy};
+use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, RunError, SchedulePolicy};
 
 struct Relax {
     u: Grid3<f64>,
@@ -234,4 +235,43 @@ fn mis_sized_gather_is_a_typed_error() {
     );
     let msg = err.to_string();
     assert!(msg.contains("rank 0") && msg.contains("8"), "{msg}");
+}
+
+/// A scatter whose source is not the global grid is a typed error from the
+/// simulated-parallel driver and a protocol fault naming the scatter from
+/// the message-passing one.
+#[test]
+fn mis_sized_scatter_source_is_a_typed_error() {
+    let plan: Plan<Relax> = Plan::builder()
+        .scatter_grid("load", |_| Grid3::new(2, 2, 2, 0), |l: &mut Relax| &mut l.u)
+        .build();
+    let pg = ProcGrid3::choose((6, 6, 6), 2);
+    let init = init_relax();
+    let err = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err();
+    assert!(matches!(&err, Some(SimParError::ScatterShape { rank: None, .. })), "{err:?}");
+    let detail = "scatter load: source grid extent (2, 2, 2), expected (6, 6, 6)";
+    assert_eq!(err.unwrap().to_string(), detail);
+    let err = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    assert_eq!(err, RunError::Protocol { proc: 0, detail: detail.into() });
+}
+
+/// A while loop that outruns its `max_iters` budget: the simulated-parallel
+/// driver records it in its report, and both message-passing backends stop
+/// with a protocol fault naming the loop, not a panic.
+#[test]
+fn exhausted_while_budget_is_a_protocol_fault_naming_the_loop() {
+    let plan: Plan<Relax> = Plan::builder()
+        .while_loop("forever", |_| true, 3, |b| b.local("spin", |_, _: &mut Relax| {}))
+        .build();
+    let pg = ProcGrid3::choose((6, 6, 6), 2);
+    let init = init_relax();
+    let simpar = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).unwrap();
+    assert_eq!(simpar.report.diverged_predicates, ["forever: exceeded max_iters 3"]);
+    let budget_fault = |e: &RunError| {
+        matches!(e, RunError::Protocol { detail, .. } if detail == "forever: exceeded max_iters 3")
+    };
+    let err = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    assert!(budget_fault(&err), "simulated: {err}");
+    let err = mesh_archetype::run_msg_threaded(&plan, pg, &init).unwrap_err();
+    assert!(budget_fault(&err), "threaded: {err}");
 }

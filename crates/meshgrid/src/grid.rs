@@ -1,4 +1,5 @@
-//! Dense 1/2/3-D grids with ghost boundaries.
+//! Dense 3-D grids with ghost boundaries (1-D and 2-D problems use
+//! unit-extent axes).
 //!
 //! Each grid has an *interior* of the stated extent plus `ghost` extra
 //! layers on every side. Interior cells are addressed `0..n` per axis;
@@ -242,209 +243,6 @@ impl<T: Copy + Default> std::ops::IndexMut<[isize; 3]> for Grid3<T> {
     }
 }
 
-/// A 2-D dense grid with ghost boundary, row-major (`y` fastest).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid2<T> {
-    nx: usize,
-    ny: usize,
-    ghost: usize,
-    data: Vec<T>,
-}
-
-impl<T: Copy + Default> Grid2<T> {
-    /// A grid with interior extent `nx × ny` and `ghost` layers per side.
-    pub fn new(nx: usize, ny: usize, ghost: usize) -> Self {
-        let sx = nx + 2 * ghost;
-        let sy = ny + 2 * ghost;
-        Grid2 { nx, ny, ghost, data: vec![T::default(); sx * sy] }
-    }
-
-    /// A grid filled from a function of interior coordinates.
-    pub fn from_fn(
-        nx: usize,
-        ny: usize,
-        ghost: usize,
-        mut f: impl FnMut(usize, usize) -> T,
-    ) -> Self {
-        let mut g = Self::new(nx, ny, ghost);
-        for i in 0..nx {
-            for j in 0..ny {
-                g.set(i as isize, j as isize, f(i, j));
-            }
-        }
-        g
-    }
-
-    /// Interior extent `(nx, ny)`.
-    pub fn extent(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// Ghost width per side.
-    pub fn ghost(&self) -> usize {
-        self.ghost
-    }
-
-    /// Number of interior cells.
-    pub fn interior_len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    #[inline]
-    fn offset(&self, i: isize, j: isize) -> usize {
-        let g = self.ghost as isize;
-        debug_assert!(
-            i >= -g && i < self.nx as isize + g && j >= -g && j < self.ny as isize + g,
-            "index ({i},{j}) out of range for {}x{} grid with ghost {}",
-            self.nx,
-            self.ny,
-            self.ghost
-        );
-        let sy = self.ny + 2 * self.ghost;
-        ((i + g) as usize) * sy + (j + g) as usize
-    }
-
-    /// Read a cell (interior or ghost).
-    #[inline]
-    pub fn get(&self, i: isize, j: isize) -> T {
-        self.data[self.offset(i, j)]
-    }
-
-    /// Write a cell (interior or ghost).
-    #[inline]
-    pub fn set(&mut self, i: isize, j: isize, v: T) {
-        let o = self.offset(i, j);
-        self.data[o] = v;
-    }
-
-    /// Copy the interior cells into a flat lexicographic vector.
-    pub fn interior_to_vec(&self) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.interior_len());
-        for i in 0..self.nx as isize {
-            for j in 0..self.ny as isize {
-                out.push(self.get(i, j));
-            }
-        }
-        out
-    }
-
-    /// Overwrite the interior from a flat lexicographic vector.
-    pub fn interior_from_slice(&mut self, src: &[T]) {
-        assert_eq!(src.len(), self.interior_len(), "interior size mismatch");
-        let mut it = src.iter();
-        for i in 0..self.nx as isize {
-            for j in 0..self.ny as isize {
-                self.set(i, j, *it.next().unwrap());
-            }
-        }
-    }
-}
-
-impl Grid2<f64> {
-    /// Bitwise equality of the interior cells.
-    pub fn interior_bitwise_eq(&self, other: &Grid2<f64>) -> bool {
-        if self.extent() != other.extent() {
-            return false;
-        }
-        for i in 0..self.nx as isize {
-            for j in 0..self.ny as isize {
-                if self.get(i, j).to_bits() != other.get(i, j).to_bits() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-impl<T: Copy + Default> std::ops::Index<[isize; 2]> for Grid2<T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, idx: [isize; 2]) -> &T {
-        &self.data[self.offset(idx[0], idx[1])]
-    }
-}
-
-impl<T: Copy + Default> std::ops::IndexMut<[isize; 2]> for Grid2<T> {
-    #[inline]
-    fn index_mut(&mut self, idx: [isize; 2]) -> &mut T {
-        let o = self.offset(idx[0], idx[1]);
-        &mut self.data[o]
-    }
-}
-
-/// A 1-D dense grid with ghost boundary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Grid1<T> {
-    nx: usize,
-    ghost: usize,
-    data: Vec<T>,
-}
-
-impl<T: Copy + Default> Grid1<T> {
-    /// A grid with interior extent `nx` and `ghost` cells per side.
-    pub fn new(nx: usize, ghost: usize) -> Self {
-        Grid1 { nx, ghost, data: vec![T::default(); nx + 2 * ghost] }
-    }
-
-    /// A grid filled from a function of the interior coordinate.
-    pub fn from_fn(nx: usize, ghost: usize, mut f: impl FnMut(usize) -> T) -> Self {
-        let mut g = Self::new(nx, ghost);
-        for i in 0..nx {
-            g.set(i as isize, f(i));
-        }
-        g
-    }
-
-    /// Interior extent.
-    pub fn extent(&self) -> usize {
-        self.nx
-    }
-
-    /// Ghost width per side.
-    pub fn ghost(&self) -> usize {
-        self.ghost
-    }
-
-    #[inline]
-    fn offset(&self, i: isize) -> usize {
-        let g = self.ghost as isize;
-        debug_assert!(
-            i >= -g && i < self.nx as isize + g,
-            "index {i} out of range for {}-cell grid with ghost {}",
-            self.nx,
-            self.ghost
-        );
-        (i + g) as usize
-    }
-
-    /// Read a cell (interior or ghost).
-    #[inline]
-    pub fn get(&self, i: isize) -> T {
-        self.data[self.offset(i)]
-    }
-
-    /// Write a cell (interior or ghost).
-    #[inline]
-    pub fn set(&mut self, i: isize, v: T) {
-        let o = self.offset(i);
-        self.data[o] = v;
-    }
-
-    /// Copy the interior into a vector.
-    pub fn interior_to_vec(&self) -> Vec<T> {
-        (0..self.nx as isize).map(|i| self.get(i)).collect()
-    }
-
-    /// Overwrite the interior from a slice.
-    pub fn interior_from_slice(&mut self, src: &[T]) {
-        assert_eq!(src.len(), self.nx, "interior size mismatch");
-        for (i, &v) in src.iter().enumerate() {
-            self.set(i as isize, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,30 +351,10 @@ mod tests {
     }
 
     #[test]
-    fn grid2_roundtrip() {
-        let g = Grid2::from_fn(4, 3, 1, |i, j| (i * 10 + j) as f64);
-        assert_eq!(g.get(3, 2), 32.0);
-        let v = g.interior_to_vec();
-        let mut h: Grid2<f64> = Grid2::new(4, 3, 1);
-        h.interior_from_slice(&v);
-        assert!(g.interior_bitwise_eq(&h));
-    }
-
-    #[test]
-    fn grid1_roundtrip() {
-        let mut g: Grid1<f64> = Grid1::from_fn(5, 1, |i| i as f64);
-        g.set(-1, -1.0);
-        g.set(5, 5.0);
-        assert_eq!(g.get(-1), -1.0);
-        assert_eq!(g.get(2), 2.0);
-        assert_eq!(g.interior_to_vec(), vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn zero_ghost_grids_work() {
         let g: Grid3<f64> = Grid3::new(2, 2, 2, 0);
         assert_eq!(g.raw().len(), 8);
-        let g2: Grid2<u8> = Grid2::new(3, 3, 0);
+        let g2: Grid3<u8> = Grid3::new(3, 3, 1, 0);
         assert_eq!(g2.interior_len(), 9);
     }
 }

@@ -8,7 +8,7 @@
 //! decide who sends what to whom.
 
 use crate::error::HaloError;
-use crate::grid::{Grid1, Grid2, Grid3};
+use crate::grid::Grid3;
 
 /// A face of a 3-D local section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -233,219 +233,6 @@ pub fn try_insert_ghost3(
     Ok(())
 }
 
-/// A face of a 2-D local section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Face2 {
-    /// Low-x face.
-    XLo,
-    /// High-x face.
-    XHi,
-    /// Low-y face.
-    YLo,
-    /// High-y face.
-    YHi,
-}
-
-impl Face2 {
-    /// All four faces in canonical order.
-    pub const ALL: [Face2; 4] = [Face2::XLo, Face2::XHi, Face2::YLo, Face2::YHi];
-
-    /// `(axis, dir)` of the face.
-    pub fn axis_dir(self) -> (usize, isize) {
-        match self {
-            Face2::XLo => (0, -1),
-            Face2::XHi => (0, 1),
-            Face2::YLo => (1, -1),
-            Face2::YHi => (1, 1),
-        }
-    }
-
-    /// The neighbour's name for this shared face.
-    pub fn opposite(self) -> Face2 {
-        match self {
-            Face2::XLo => Face2::XHi,
-            Face2::XHi => Face2::XLo,
-            Face2::YLo => Face2::YHi,
-            Face2::YHi => Face2::YLo,
-        }
-    }
-
-    /// Construct from `(axis, dir)`.
-    ///
-    /// Panics on an invalid pair; [`Face2::try_from_axis_dir`] is the
-    /// fallible form.
-    pub fn from_axis_dir(axis: usize, dir: isize) -> Face2 {
-        Self::try_from_axis_dir(axis, dir).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Face2::from_axis_dir`] returning a typed error instead of
-    /// panicking.
-    pub fn try_from_axis_dir(axis: usize, dir: isize) -> Result<Face2, HaloError> {
-        match (axis, dir) {
-            (0, -1) => Ok(Face2::XLo),
-            (0, 1) => Ok(Face2::XHi),
-            (1, -1) => Ok(Face2::YLo),
-            (1, 1) => Ok(Face2::YHi),
-            _ => Err(HaloError::InvalidFace { axis, dir }),
-        }
-    }
-
-    /// The face's name, as used in diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            Face2::XLo => "XLo",
-            Face2::XHi => "XHi",
-            Face2::YLo => "YLo",
-            Face2::YHi => "YHi",
-        }
-    }
-}
-
-fn slab_ranges2(
-    extent: (usize, usize),
-    width: usize,
-    face: Face2,
-    interior: bool,
-) -> [(isize, isize); 2] {
-    let (nx, ny) = (extent.0 as isize, extent.1 as isize);
-    let w = width as isize;
-    let full = [(0, nx), (0, ny)];
-    let (axis, dir) = face.axis_dir();
-    let n_axis = full[axis].1;
-    let r = if interior {
-        if dir < 0 {
-            (0, w)
-        } else {
-            (n_axis - w, n_axis)
-        }
-    } else if dir < 0 {
-        (-w, 0)
-    } else {
-        (n_axis, n_axis + w)
-    };
-    let mut out = full;
-    out[axis] = r;
-    out
-}
-
-/// Extract the interior boundary slab adjacent to `face`.
-pub fn extract_face2(g: &Grid2<f64>, face: Face2) -> Vec<f64> {
-    let r = slab_ranges2(g.extent(), g.ghost(), face, true);
-    let mut out = Vec::new();
-    for i in r[0].0..r[0].1 {
-        for j in r[1].0..r[1].1 {
-            out.push(g.get(i, j));
-        }
-    }
-    out
-}
-
-/// Insert a neighbour's payload into the ghost slab adjacent to `face`.
-///
-/// Panics on a size mismatch; [`try_insert_ghost2`] is the fallible form.
-pub fn insert_ghost2(g: &mut Grid2<f64>, face: Face2, payload: &[f64]) {
-    try_insert_ghost2(g, face, payload).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`insert_ghost2`] returning a typed error instead of panicking. On
-/// error the grid is untouched.
-pub fn try_insert_ghost2(
-    g: &mut Grid2<f64>,
-    face: Face2,
-    payload: &[f64],
-) -> Result<(), HaloError> {
-    let r = slab_ranges2(g.extent(), g.ghost(), face, false);
-    let expect: usize = r.iter().map(|(lo, hi)| (hi - lo) as usize).product();
-    if payload.len() != expect {
-        return Err(HaloError::PayloadSizeMismatch {
-            face: face.name(),
-            got: payload.len(),
-            expected: expect,
-        });
-    }
-    let mut it = payload.iter();
-    for i in r[0].0..r[0].1 {
-        for j in r[1].0..r[1].1 {
-            g.set(i, j, *it.next().unwrap());
-        }
-    }
-    Ok(())
-}
-
-/// A face (end) of a 1-D local section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Face1 {
-    /// Low end.
-    Lo,
-    /// High end.
-    Hi,
-}
-
-impl Face1 {
-    /// Both ends in canonical order.
-    pub const ALL: [Face1; 2] = [Face1::Lo, Face1::Hi];
-
-    /// The neighbour's name for this shared end.
-    pub fn opposite(self) -> Face1 {
-        match self {
-            Face1::Lo => Face1::Hi,
-            Face1::Hi => Face1::Lo,
-        }
-    }
-}
-
-/// Extract the boundary cells adjacent to `face`.
-pub fn extract_face1(g: &Grid1<f64>, face: Face1) -> Vec<f64> {
-    let n = g.extent() as isize;
-    let w = g.ghost() as isize;
-    match face {
-        Face1::Lo => (0..w).map(|i| g.get(i)).collect(),
-        Face1::Hi => (n - w..n).map(|i| g.get(i)).collect(),
-    }
-}
-
-/// Insert a neighbour's payload into the ghost cells adjacent to `face`.
-///
-/// Panics on a size mismatch; [`try_insert_ghost1`] is the fallible form.
-pub fn insert_ghost1(g: &mut Grid1<f64>, face: Face1, payload: &[f64]) {
-    try_insert_ghost1(g, face, payload).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`insert_ghost1`] returning a typed error instead of panicking. On
-/// error the grid is untouched.
-pub fn try_insert_ghost1(
-    g: &mut Grid1<f64>,
-    face: Face1,
-    payload: &[f64],
-) -> Result<(), HaloError> {
-    let n = g.extent() as isize;
-    let w = g.ghost() as isize;
-    if payload.len() != w as usize {
-        let face = match face {
-            Face1::Lo => "Lo",
-            Face1::Hi => "Hi",
-        };
-        return Err(HaloError::PayloadSizeMismatch {
-            face,
-            got: payload.len(),
-            expected: w as usize,
-        });
-    }
-    match face {
-        Face1::Lo => {
-            for (off, &v) in payload.iter().enumerate() {
-                g.set(-w + off as isize, v);
-            }
-        }
-        Face1::Hi => {
-            for (off, &v) in payload.iter().enumerate() {
-                g.set(n + off as isize, v);
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,34 +342,10 @@ mod tests {
         // The happy path matches the panicking original.
         try_insert_ghost3(&mut g, Face3::XLo, &[1.0; 4]).unwrap();
 
-        let mut g2: Grid2<f64> = Grid2::new(3, 3, 1);
-        assert!(try_insert_ghost2(&mut g2, Face2::YHi, &[0.0; 2]).is_err());
-        let mut g1: Grid1<f64> = Grid1::new(4, 1);
-        assert!(try_insert_ghost1(&mut g1, Face1::Lo, &[0.0, 0.0]).is_err());
         assert_eq!(
             Face3::try_from_axis_dir(0, 2),
             Err(HaloError::InvalidFace { axis: 0, dir: 2 })
         );
-        assert_eq!(Face2::try_from_axis_dir(1, 1), Ok(Face2::YHi));
-    }
-
-    #[test]
-    fn face2_exchange() {
-        let a = Grid2::from_fn(3, 3, 1, |i, j| (i * 10 + j) as f64);
-        let mut b: Grid2<f64> = Grid2::new(3, 3, 1);
-        insert_ghost2(&mut b, Face2::XLo, &extract_face2(&a, Face2::XHi));
-        for j in 0..3isize {
-            assert_eq!(b.get(-1, j), (20 + j) as f64);
-        }
-    }
-
-    #[test]
-    fn face1_exchange() {
-        let a = Grid1::from_fn(4, 1, |i| i as f64);
-        let mut b: Grid1<f64> = Grid1::new(4, 1);
-        insert_ghost1(&mut b, Face1::Lo, &extract_face1(&a, Face1::Hi));
-        assert_eq!(b.get(-1), 3.0);
-        insert_ghost1(&mut b, Face1::Hi, &extract_face1(&a, Face1::Lo));
-        assert_eq!(b.get(4), 0.0);
+        assert_eq!(Face3::try_from_axis_dir(1, 1), Ok(Face3::YHi));
     }
 }

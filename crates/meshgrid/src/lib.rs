@@ -1,20 +1,20 @@
 //! # meshgrid — dense grids with ghost boundaries and block partitioning
 //!
 //! The data substrate of the mesh archetype (paper §4.2): computations over
-//! N-dimensional grids (N = 1, 2, 3) parallelized by *partitioning the data
+//! N-dimensional grids (1 ≤ N ≤ 3) parallelized by *partitioning the data
 //! grid into regular contiguous subgrids (local sections) and distributing
 //! them among processes*, each local section *surrounded by a ghost boundary
 //! containing shadow copies of boundary values from neighboring processes*.
 //!
 //! This crate provides:
 //!
-//! * [`grid::Grid1`], [`grid::Grid2`], [`grid::Grid3`] — dense row-major
-//!   grids of `Copy` elements with a configurable ghost width, indexable at
-//!   signed offsets so that stencils read naturally into the ghost region;
-//! * [`partition::ProcGrid3`] / [`partition::ProcGrid2`] /
-//!   [`partition::ProcGrid1`] — Cartesian process topologies with balanced
+//! * [`grid::Grid3`] — a dense row-major 3-D grid of `Copy` elements with
+//!   a configurable ghost width, indexable at signed offsets so that
+//!   stencils read naturally into the ghost region;
+//! * [`partition::ProcGrid3`] — a Cartesian process topology with balanced
 //!   block decomposition, global↔local index translation, and neighbor
-//!   lookup;
+//!   lookup; 1-D and 2-D problems are its unit-extent axes
+//!   ([`ProcGrid3::for_1d`], [`ProcGrid3::for_2d`]);
 //! * [`halo::Face3`], [`halo::FaceSet3`] and the slab extract/insert routines
 //!   used by the boundary-exchange communication operation;
 //! * [`io`] — byte serialization for the host-mediated file I/O path.
@@ -28,6 +28,6 @@ pub mod io;
 pub mod partition;
 
 pub use error::{HaloError, PartitionError};
-pub use grid::{Grid1, Grid2, Grid3};
-pub use halo::{Face1, Face2, Face3, FaceSet3};
-pub use partition::{Block1, Block2, Block3, ProcGrid1, ProcGrid2, ProcGrid3};
+pub use grid::Grid3;
+pub use halo::{Face3, FaceSet3};
+pub use partition::{Block3, ProcGrid3};

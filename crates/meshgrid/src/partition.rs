@@ -2,7 +2,7 @@
 //!
 //! The mesh archetype's data-distribution scheme: *partitioning the data
 //! grid into regular contiguous subgrids (local sections) and distributing
-//! them among processes* (§4.2). A `ProcGridN` is a Cartesian arrangement of
+//! them among processes* (§4.2). A [`ProcGrid3`] is a Cartesian arrangement of
 //! processes; each rank owns one contiguous block of the global index space,
 //! with blocks balanced to within one cell per axis.
 
@@ -267,216 +267,6 @@ impl ProcGrid3 {
     }
 }
 
-/// One process's block in a 2-D global grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Block2 {
-    /// Inclusive lower corner.
-    pub lo: (usize, usize),
-    /// Exclusive upper corner.
-    pub hi: (usize, usize),
-}
-
-impl Block2 {
-    /// Local extent per axis.
-    pub fn extent(&self) -> (usize, usize) {
-        (self.hi.0 - self.lo.0, self.hi.1 - self.lo.1)
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        let (a, b) = self.extent();
-        a * b
-    }
-
-    /// True for empty blocks.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True if the block owns global cell `(i, j)`.
-    pub fn contains(&self, i: usize, j: usize) -> bool {
-        (self.lo.0..self.hi.0).contains(&i) && (self.lo.1..self.hi.1).contains(&j)
-    }
-}
-
-/// A Cartesian process topology over a 2-D global grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProcGrid2 {
-    /// Global grid extent.
-    pub n: (usize, usize),
-    /// Process counts per axis.
-    pub p: (usize, usize),
-}
-
-impl ProcGrid2 {
-    /// A topology with an explicit arrangement.
-    ///
-    /// Panics on an empty arrangement; [`ProcGrid2::try_new`] is the
-    /// fallible form.
-    pub fn new(n: (usize, usize), p: (usize, usize)) -> Self {
-        Self::try_new(n, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ProcGrid2::new`] returning a typed error instead of panicking.
-    pub fn try_new(n: (usize, usize), p: (usize, usize)) -> Result<Self, PartitionError> {
-        if p.0 == 0 || p.1 == 0 {
-            return Err(PartitionError::EmptyProcessGrid);
-        }
-        Ok(ProcGrid2 { n, p })
-    }
-
-    /// Choose an arrangement minimizing exchange surface.
-    pub fn choose(n: (usize, usize), nprocs: usize) -> Self {
-        Self::try_choose(n, nprocs).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ProcGrid2::choose`] returning a typed error instead of panicking.
-    pub fn try_choose(n: (usize, usize), nprocs: usize) -> Result<Self, PartitionError> {
-        if nprocs == 0 {
-            return Err(PartitionError::EmptyProcessGrid);
-        }
-        let mut best: Option<((usize, usize), (u128, usize))> = None;
-        for px in 1..=nprocs {
-            if !nprocs.is_multiple_of(px) || px > n.0 {
-                continue;
-            }
-            let py = nprocs / px;
-            if py > n.1 {
-                continue;
-            }
-            let surface = (px as u128 - 1) * n.1 as u128 + (py as u128 - 1) * n.0 as u128;
-            // Tie-break toward cutting x: y is the contiguous storage axis.
-            let cost = (surface, py);
-            if best.is_none_or(|(_, c)| cost < c) {
-                best = Some(((px, py), cost));
-            }
-        }
-        let (p, _) = best
-            .ok_or(PartitionError::NoArrangement { nprocs, n: (n.0, n.1, 1) })?;
-        ProcGrid2::try_new(n, p)
-    }
-
-    /// Total ranks.
-    pub fn nprocs(&self) -> usize {
-        self.p.0 * self.p.1
-    }
-
-    /// Rank of process coordinates.
-    pub fn rank_of(&self, c: (usize, usize)) -> usize {
-        c.0 * self.p.1 + c.1
-    }
-
-    /// Process coordinates of a rank.
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
-        (rank / self.p.1, rank % self.p.1)
-    }
-
-    /// The block owned by `rank`.
-    pub fn block(&self, rank: usize) -> Block2 {
-        let (cx, cy) = self.coords_of(rank);
-        let (x0, x1) = block_range(self.n.0, self.p.0, cx);
-        let (y0, y1) = block_range(self.n.1, self.p.1, cy);
-        Block2 { lo: (x0, y0), hi: (x1, y1) }
-    }
-
-    /// Neighbor along `axis` in direction `dir`, if any.
-    ///
-    /// Panics on a bad axis; [`ProcGrid2::try_neighbor`] is the fallible
-    /// form.
-    pub fn neighbor(&self, rank: usize, axis: usize, dir: isize) -> Option<usize> {
-        self.try_neighbor(rank, axis, dir).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ProcGrid2::neighbor`] returning a typed error for a bad axis.
-    pub fn try_neighbor(
-        &self,
-        rank: usize,
-        axis: usize,
-        dir: isize,
-    ) -> Result<Option<usize>, PartitionError> {
-        let mut c = self.coords_of(rank);
-        let (coord, pmax) = match axis {
-            0 => (&mut c.0, self.p.0),
-            1 => (&mut c.1, self.p.1),
-            _ => return Err(PartitionError::AxisOutOfRange { axis, dims: 2 }),
-        };
-        let next = match coord.checked_add_signed(dir) {
-            Some(next) => next,
-            None => return Ok(None),
-        };
-        if next >= pmax {
-            return Ok(None);
-        }
-        *coord = next;
-        Ok(Some(self.rank_of(c)))
-    }
-}
-
-/// One process's block in a 1-D global array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Block1 {
-    /// Inclusive lower bound.
-    pub lo: usize,
-    /// Exclusive upper bound.
-    pub hi: usize,
-}
-
-impl Block1 {
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.hi - self.lo
-    }
-
-    /// True for empty blocks.
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
-}
-
-/// A 1-D block decomposition over `p` processes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProcGrid1 {
-    /// Global extent.
-    pub n: usize,
-    /// Number of processes.
-    pub p: usize,
-}
-
-impl ProcGrid1 {
-    /// A 1-D decomposition.
-    ///
-    /// Panics on zero processes; [`ProcGrid1::try_new`] is the fallible
-    /// form.
-    pub fn new(n: usize, p: usize) -> Self {
-        Self::try_new(n, p).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ProcGrid1::new`] returning a typed error instead of panicking.
-    pub fn try_new(n: usize, p: usize) -> Result<Self, PartitionError> {
-        if p == 0 {
-            return Err(PartitionError::EmptyProcessGrid);
-        }
-        Ok(ProcGrid1 { n, p })
-    }
-
-    /// The block owned by `rank`.
-    pub fn block(&self, rank: usize) -> Block1 {
-        let (lo, hi) = block_range(self.n, self.p, rank);
-        Block1 { lo, hi }
-    }
-
-    /// Rank owning cell `i`.
-    pub fn owner(&self, i: usize) -> usize {
-        owner_block(self.n, self.p, i)
-    }
-
-    /// Neighbor of `rank` in direction `dir`, if any.
-    pub fn neighbor(&self, rank: usize, dir: isize) -> Option<usize> {
-        let next = rank.checked_add_signed(dir)?;
-        (next < self.p).then_some(next)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,8 +381,8 @@ mod tests {
         assert_eq!(pg.p, (4, 2, 2));
         let pg = ProcGrid3::choose((64, 64, 64), 4);
         assert_eq!(pg.p, (2, 2, 1));
-        let pg = ProcGrid2::choose((32, 32), 2);
-        assert_eq!(pg.p, (2, 1));
+        let pg = ProcGrid3::for_2d((32, 32), 2);
+        assert_eq!(pg.p, (2, 1, 1));
     }
 
     #[test]
@@ -606,6 +396,27 @@ mod tests {
         for r in 0..8 {
             assert_eq!(pg.block(r).extent(), (8, 1, 1));
         }
+
+        let pg = ProcGrid3::for_1d(33, 4);
+        for i in 0..33 {
+            assert!(pg.block(pg.owner(i, 0, 0)).contains(i, 0, 0));
+        }
+        assert_eq!(pg.neighbor(0, 0, -1), None);
+        assert_eq!(pg.neighbor(0, 0, 1), Some(1));
+        assert_eq!(pg.neighbor(3, 0, 1), None);
+
+        let pg = ProcGrid3::for_2d((100, 4), 4);
+        assert_eq!(pg.p, (4, 1, 1));
+        let mut owned = vec![0u32; 100 * 4];
+        for r in 0..pg.nprocs() {
+            let b = pg.block(r);
+            for i in b.lo.0..b.hi.0 {
+                for j in b.lo.1..b.hi.1 {
+                    owned[i * 4 + j] += 1;
+                }
+            }
+        }
+        assert!(owned.iter().all(|&c| c == 1));
     }
 
     #[test]
@@ -623,22 +434,6 @@ mod tests {
         let l = b.to_local(5, 7, 9);
         assert_eq!(l, (1, 2, 3));
         assert_eq!(b.to_global(l.0, l.1, l.2), (5, 7, 9));
-    }
-
-    #[test]
-    fn procgrid2_tiles_and_chooses() {
-        let pg = ProcGrid2::choose((100, 4), 4);
-        assert_eq!(pg.p, (4, 1));
-        let mut owned = vec![0u32; 100 * 4];
-        for r in 0..pg.nprocs() {
-            let b = pg.block(r);
-            for i in b.lo.0..b.hi.0 {
-                for j in b.lo.1..b.hi.1 {
-                    owned[i * 4 + j] += 1;
-                }
-            }
-        }
-        assert!(owned.iter().all(|&c| c == 1));
     }
 
     #[test]
@@ -672,12 +467,6 @@ mod tests {
         );
         assert_eq!(pg.try_neighbor(0, 0, -1), Ok(None), "boundary is not an error");
         assert_eq!(pg.try_neighbor(0, 0, 1), Ok(pg.neighbor(0, 0, 1)));
-        let pg2 = ProcGrid2::new((8, 8), (2, 2));
-        assert_eq!(
-            pg2.try_neighbor(0, 2, 1),
-            Err(PartitionError::AxisOutOfRange { axis: 2, dims: 2 })
-        );
-        assert_eq!(ProcGrid1::try_new(8, 0), Err(PartitionError::EmptyProcessGrid));
     }
 
     #[test]
@@ -690,19 +479,5 @@ mod tests {
     #[should_panic(expected = "axis 3 out of range")]
     fn panicking_neighbor_keeps_its_message() {
         ProcGrid3::new((8, 8, 8), (2, 2, 2)).neighbor(0, 3, 1);
-    }
-
-    #[test]
-    fn procgrid1_owner_and_neighbors() {
-        let pg = ProcGrid1::new(33, 4);
-        for r in 0..4 {
-            let b = pg.block(r);
-            for i in b.lo..b.hi {
-                assert_eq!(pg.owner(i), r);
-            }
-        }
-        assert_eq!(pg.neighbor(0, -1), None);
-        assert_eq!(pg.neighbor(0, 1), Some(1));
-        assert_eq!(pg.neighbor(3, 1), None);
     }
 }

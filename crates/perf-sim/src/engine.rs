@@ -1,7 +1,7 @@
 //! The discrete-event engine: a third backend that *prices* an execution.
 //!
 //! [`run_des`] drives the untimed [`Simulator`] step by step through its
-//! [`StepObserver`] hook and places every observed action on a per-process
+//! [`StepObserver`](ssp_runtime::StepObserver) hook and places every observed action on a per-process
 //! virtual clock, charging costs from a [`MachineModel`]:
 //!
 //! * `Compute { units }` advances the process by `units · t_flop`;

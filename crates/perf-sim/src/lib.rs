@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod critical;
-pub mod dataplane;
 pub mod engine;
 pub mod overlay;
 pub mod predict;
@@ -45,7 +44,6 @@ pub mod recovery;
 pub mod timeline;
 
 pub use critical::{CostBreakdown, CpEdge, CriticalPath, EdgeKind};
-pub use dataplane::{plane_speedup, price_data_plane, PlaneBreakdown, PlaneCosts, PlaneTraffic};
 pub use engine::{run_des, run_des_default, DesOutcome};
 pub use overlay::{drift_report, measured_timelines, DriftReport, ProcDrift};
 pub use predict::{predict_speedup, PredictedPoint};

@@ -78,7 +78,7 @@ pub enum FrameType {
     /// shm frames, shm bytes).
     Bye = 12,
     /// Worker → worker: one message on one cross-group channel,
-    /// bypassing the supervisor. Same payload layout as [`Data`].
+    /// bypassing the supervisor. Same payload layout as [`FrameType::Data`].
     DataDirect = 13,
     /// Worker → worker: a shared-memory ring doorbell. Payload:
     /// `[chan: u32 le][seq: u64 le][ring offset: u64 le][len: u32 le]
@@ -89,7 +89,7 @@ pub enum FrameType {
     ShmAck = 15,
     /// Worker → supervisor: a DATA mirror whose direct delivery failed
     /// (peer unreachable); the supervisor must log **and** forward it.
-    /// Same payload layout as [`Data`].
+    /// Same payload layout as [`FrameType::Data`].
     DataRelay = 16,
 }
 

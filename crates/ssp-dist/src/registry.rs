@@ -116,7 +116,7 @@ pub trait Workload: Send + Sync {
 // The supervisor's whole-program shadow.
 // ---------------------------------------------------------------------------
 
-/// The supervisor's untyped handle on a [`ShadowExec`].
+/// The supervisor's untyped handle on a `ShadowExec`.
 ///
 /// In checkpointed transport modes the supervisor re-executes the *entire*
 /// program from the registry, one deterministic step at a time, gated by

@@ -32,7 +32,7 @@
 //! ## Inbound ordering
 //!
 //! All inbound deliveries — star, direct, shm — converge on one
-//! [`Router`]: a per-channel *gate* tracks the next expected sequence
+//! `Router`: a per-channel *gate* tracks the next expected sequence
 //! number, stashes out-of-order arrivals, and drops duplicates (the same
 //! message can legitimately arrive twice, e.g. once directly and once via
 //! a migration replay). Direct frames may even arrive *before* the ASSIGN

@@ -27,19 +27,19 @@
 //!
 //! 1. record the pending operation and the wait edge, and return the task
 //!    box to its slot;
-//! 2. raise the channel-side waiting flag ([`Chan::reader_waiting`] /
+//! 2. raise the channel-side waiting flag (`Chan::reader_waiting` /
 //!    `writer_waiting`), then re-check the ring non-destructively;
 //! 3. if still not ready, CAS the rank's state `RUN → PARKED` and hand the
 //!    worker back to the pool.
 //!
 //! The peer's transfer does the mirror image — push/pop, fence, consume the
-//! waiting flag, [`Shared::wake_task`] — so a wake can only be lost if both
+//! waiting flag, `Shared::wake_task` — so a wake can only be lost if both
 //! sides' re-checks miss, which the SeqCst fences forbid (Dekker pattern).
 //! A `RUN/PARKED/NOTIFIED` state machine makes wakes exactly-once: only the
 //! CAS winner enqueues the rank, and a wake that races a running task
 //! leaves a `NOTIFIED` token that forces one spurious (harmless) re-check
 //! at the task's next park attempt. As defense in depth, idle workers and
-//! the watchdog run a *rescue sweep* ([`Shared::rescue`]) that requeues any
+//! the watchdog run a *rescue sweep* (`Shared::rescue`) that requeues any
 //! parked rank whose wait condition is already satisfied — sound because it
 //! wakes only genuinely ready ranks, so it can never mask a real deadlock.
 //!

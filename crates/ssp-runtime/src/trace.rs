@@ -649,7 +649,7 @@ impl FlightLog {
 
     /// Parse a dump written by [`FlightLog::to_json`]. Network-facing (the
     /// distributed TRACE frame carries this): every failure is a typed
-    /// [`RunError::Protocol`], never a panic — the hostile-input suite
+    /// [`crate::RunError::Protocol`], never a panic — the hostile-input suite
     /// pins that.
     pub fn from_json(input: &str) -> Result<Self, crate::error::RunError> {
         use crate::json::JsonValue;

@@ -1,8 +1,9 @@
 //! # archetypes — umbrella crate
 //!
-//! Re-exports the whole workspace: the parallelization methodology of
-//! Massingill's *"Experiments with Program Parallelization Using Archetypes
-//! and Stepwise Refinement"* (IPPS 1998) and every substrate it runs on.
+//! Re-exports the parallelization methodology of Massingill's
+//! *"Experiments with Program Parallelization Using Archetypes and Stepwise
+//! Refinement"* (IPPS 1998), its one archetype — the mesh, over the 3-D
+//! grids of [`grid`] — and the substrate it runs on.
 //!
 //! Start with [`mesh`] (the mesh archetype and its three interchangeable
 //! execution contexts), then [`fdtd`] (the electromagnetics application the
@@ -16,6 +17,4 @@ pub use fdtd;
 pub use machine_model as machine;
 pub use mesh_archetype as mesh;
 pub use meshgrid as grid;
-pub use dnc_archetype as dnc;
-pub use pipeline_archetype as pipeline;
 pub use ssp_runtime as runtime;

@@ -3,6 +3,8 @@
 //! DESIGN, EXPERIMENTS, the scripts themselves or CI name must resolve to
 //! something that exists. A line that keeps a retired command as history
 //! says so with the literal marker `(retired in PR 18)` and is skipped.
+//! The root manifest's `default-members` (what the tier-1 command covers)
+//! must name every crate but `ssp-dist`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -121,4 +123,24 @@ fn every_command_the_docs_name_resolves_to_a_target_that_exists() {
         "docs name commands that no longer exist (fix the doc, or mark the line `{RETIRED}`):\n{}",
         missing.join("\n")
     );
+}
+
+#[test]
+fn default_members_are_every_crate_but_ssp_dist() {
+    let manifest = fs::read_to_string(root().join("Cargo.toml")).expect("root manifest");
+    let list = manifest
+        .split("default-members = [")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("root manifest has a default-members list");
+    let mut listed: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
+    listed.sort();
+    let mut expected: Vec<String> = package_dirs()[1..]
+        .iter()
+        .map(|d| d.strip_prefix(root()).expect("under the root").display().to_string())
+        .filter(|d| d != "crates/ssp-dist")
+        .collect();
+    expected.push(".".into());
+    expected.sort();
+    assert_eq!(listed, expected, "root Cargo.toml default-members vs crates/*");
 }
