@@ -7,8 +7,8 @@
 //! simulated-parallel programs by [`crate::transform::to_parallel`].
 
 use ssp_runtime::{
-    run_threaded, ChannelId, Effect, Process, RunError, RunOutcome, SchedulePolicy, Simulator,
-    Topology,
+    run_threaded_with, ChannelId, Effect, Process, RunError, RunOutcome, SchedulePolicy,
+    Simulator, Topology,
 };
 
 use crate::ir::{Expr, LocalAssign, Store, Var};
@@ -92,7 +92,8 @@ impl ParallelProgram {
 
     /// Run on real OS threads; returns per-process snapshots.
     pub fn run_threaded(&self, init: &Store) -> Result<Vec<Vec<u8>>, RunError> {
-        run_threaded(&self.topo, self.processes(init))
+        run_threaded_with(&self.topo, self.processes(init), Default::default())
+            .map(|o| o.snapshots)
     }
 }
 

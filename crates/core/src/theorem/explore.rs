@@ -1,6 +1,6 @@
 //! Interleaving exploration: policy batteries and exhaustive enumeration.
 
-use ssp_runtime::{policy::standard_battery, Simulator, Trace};
+use ssp_runtime::{policy::standard_battery, NoopObserver, Simulator};
 
 use crate::ir::Store;
 use crate::parallel::ParallelProgram;
@@ -82,9 +82,8 @@ pub fn enumerate_interleavings(
         }
         for p in runnable {
             let mut branch = sim.clone();
-            let mut trace = Trace::new();
             branch
-                .step_process(p, &mut trace)
+                .step_process_with(p, &mut NoopObserver)
                 .map_err(|e| format!("step failed: {e}"))?;
             stack.push(branch);
         }
@@ -160,8 +159,9 @@ pub fn explore_state_graph(
         }
         for p in runnable {
             let mut branch = sim.clone();
-            let mut trace = Trace::new();
-            branch.step_process(p, &mut trace).map_err(|e| format!("step failed: {e}"))?;
+            branch
+                .step_process_with(p, &mut NoopObserver)
+                .map_err(|e| format!("step failed: {e}"))?;
             result.transitions += 1;
             let key = branch.state_fingerprint(msg_bytes);
             if seen.insert(key) {

@@ -1255,7 +1255,7 @@ pub fn run_msg_threaded<L: MeshLocal>(
     init: &InitFn<L>,
 ) -> Result<Vec<Vec<u8>>, RunError> {
     let (topo, procs) = build_msg_processes(plan, pg, init);
-    ssp_runtime::run_threaded(&topo, procs)
+    ssp_runtime::run_threaded_with(&topo, procs, Default::default()).map(|o| o.snapshots)
 }
 
 /// Run the message-passing program on real OS threads with bounded channel

@@ -1,8 +1,8 @@
 //! The discrete-event engine: a third backend that *prices* an execution.
 //!
-//! [`run_des`] drives the untimed [`Simulator`] step by step through its
-//! [`StepObserver`](ssp_runtime::StepObserver) hook and places every observed action on a per-process
-//! virtual clock, charging costs from a [`MachineModel`]:
+//! [`run_des`] runs the untimed [`Simulator`] with a [`StepObserver`] that
+//! places every action on a per-process virtual clock, charging costs from
+//! a [`MachineModel`]:
 //!
 //! * `Compute { units }` advances the process by `units · t_flop`;
 //! * a send occupies the sender for `o_send`, then the message travels for
@@ -31,15 +31,14 @@ use std::collections::VecDeque;
 use machine_model::MachineModel;
 use ssp_runtime::sim::Simulator;
 use ssp_runtime::{
-    Process, RecordingObserver, RoundRobin, RunError, RunMetrics, SchedulePolicy, StepEvent, Tee,
-    Topology, Trace,
+    Process, RoundRobin, RunError, RunMetrics, SchedulePolicy, StepEvent, StepObserver, Topology,
 };
 
 use crate::critical::{extract, CriticalPath};
 use crate::timeline::{BlockReason, Span, SpanKind, Timeline};
 
-/// The result of a timed run: everything [`ssp_runtime::sim::RunOutcome`]
-/// gives, plus the virtual-clock view.
+/// The result of a timed run: the snapshots, metrics and step count of the
+/// untimed run, plus the virtual-clock view.
 #[derive(Debug, Clone)]
 pub struct DesOutcome {
     /// Final per-process snapshots — bitwise identical to the untimed
@@ -53,10 +52,9 @@ pub struct DesOutcome {
     /// The chain of work that determined the makespan, with per-edge cost
     /// attribution.
     pub critical: CriticalPath,
-    /// The untimed communication profile (message/byte counts per channel).
+    /// The untimed run's profile — the same metrics
+    /// [`ssp_runtime::sim::run_simulated`] reports.
     pub metrics: RunMetrics,
-    /// The interleaving the engine stepped through.
-    pub trace: Trace,
     /// Atomic steps taken.
     pub steps: u64,
 }
@@ -71,6 +69,105 @@ struct InFlight {
     sent_by: (usize, usize),
 }
 
+/// The engine proper: per-process virtual clocks and spans, advanced by the
+/// simulator's step events.
+struct Clocks<'a> {
+    model: &'a MachineModel,
+    caps: Vec<Option<usize>>,
+    clock: Vec<f64>,
+    spans: Vec<Vec<Span>>,
+    in_flight: Vec<VecDeque<InFlight>>,
+    /// Completion time of each delivered receive, per channel, in FIFO
+    /// order: entry i is when buffer slot i was freed.
+    recv_done: Vec<Vec<f64>>,
+    sends_placed: Vec<usize>,
+}
+
+impl<'a> Clocks<'a> {
+    fn new(topo: &Topology, model: &'a MachineModel) -> Self {
+        let (n_procs, n_chans) = (topo.n_procs(), topo.n_channels());
+        Clocks {
+            model,
+            caps: topo.specs().iter().map(|s| s.capacity).collect(),
+            clock: vec![0.0; n_procs],
+            spans: vec![Vec::new(); n_procs],
+            in_flight: (0..n_chans).map(|_| VecDeque::new()).collect(),
+            recv_done: vec![Vec::new(); n_chans],
+            sends_placed: vec![0; n_chans],
+        }
+    }
+}
+
+impl StepObserver for Clocks<'_> {
+    fn on_event(&mut self, ev: StepEvent) {
+        let model = self.model;
+        match ev {
+            StepEvent::Computed { proc, units } => {
+                let start = self.clock[proc];
+                let end = start + model.compute_time(units);
+                self.spans[proc].push(Span { kind: SpanKind::Compute { units }, start, end });
+                self.clock[proc] = end;
+            }
+            StepEvent::Sent { proc, chan, bytes } => {
+                // Place the send no earlier than the freeing of the buffer
+                // slot it occupies (bounded slack only).
+                let i = self.sends_placed[chan.0];
+                self.sends_placed[chan.0] += 1;
+                let space_ready = match self.caps[chan.0] {
+                    Some(k) if i >= k => self.recv_done[chan.0][i - k],
+                    _ => 0.0,
+                };
+                let start = self.clock[proc].max(space_ready);
+                let spans = &mut self.spans[proc];
+                if start > self.clock[proc] {
+                    spans.push(Span {
+                        kind: SpanKind::Blocked { why: BlockReason::Space { chan } },
+                        start: self.clock[proc],
+                        end: start,
+                    });
+                }
+                let end = start + model.o_send;
+                spans.push(Span { kind: SpanKind::Send { chan, bytes }, start, end });
+                self.clock[proc] = end;
+                self.in_flight[chan.0].push_back(InFlight {
+                    arrival: end + model.transit_time(bytes),
+                    bytes,
+                    sent_by: (proc, spans.len() - 1),
+                });
+            }
+            StepEvent::Received { proc, chan } => {
+                let m = self.in_flight[chan.0]
+                    .pop_front()
+                    .expect("simulator delivered a message the engine saw sent");
+                // clock[proc] still reads the post time: posting a receive
+                // advances no virtual time.
+                let delayed = m.arrival > self.clock[proc];
+                let ready = self.clock[proc].max(m.arrival);
+                if delayed {
+                    self.spans[proc].push(Span {
+                        kind: SpanKind::Blocked { why: BlockReason::Arrival { chan } },
+                        start: self.clock[proc],
+                        end: ready,
+                    });
+                }
+                let end = ready + model.o_recv;
+                self.spans[proc].push(Span {
+                    kind: SpanKind::Recv { chan, bytes: m.bytes, delayed, sent_by: m.sent_by },
+                    start: ready,
+                    end,
+                });
+                self.clock[proc] = end;
+                self.recv_done[chan.0].push(end);
+            }
+            // Posting a receive and hitting a full channel cost no virtual
+            // time themselves; the waits they may start are materialized
+            // when the matching Received/Sent is placed.
+            StepEvent::RecvPosted { .. } | StepEvent::SendBlocked { .. } => {}
+            StepEvent::Halted { .. } => {}
+        }
+    }
+}
+
 /// Run `procs` over `topo` under the virtual clock of `model`, breaking
 /// scheduling ties with `policy`. The policy affects only the *order* the
 /// engine happens to discover the (unique) timed execution in — see the
@@ -81,100 +178,10 @@ pub fn run_des<P: Process>(
     model: &MachineModel,
     policy: &mut dyn SchedulePolicy,
 ) -> Result<DesOutcome, RunError> {
-    let n_procs = topo.n_procs();
-    let n_chans = topo.n_channels();
-    let caps: Vec<Option<usize>> = topo.specs().iter().map(|s| s.capacity).collect();
-
-    let mut sim = Simulator::new(topo, procs);
-    let mut clock = vec![0.0f64; n_procs];
-    let mut spans: Vec<Vec<Span>> = vec![Vec::new(); n_procs];
-    let mut in_flight: Vec<VecDeque<InFlight>> = (0..n_chans).map(|_| VecDeque::new()).collect();
-    // Completion time of each delivered receive, per channel, in FIFO
-    // order: entry i is when buffer slot i was freed.
-    let mut recv_done: Vec<Vec<f64>> = vec![Vec::new(); n_chans];
-    let mut sends_placed: Vec<usize> = vec![0; n_chans];
-
-    let mut trace = Trace::new();
-    let mut steps: u64 = 0;
-    let mut rec = RecordingObserver::default();
-
-    while !sim.is_done() {
-        let runnable = sim.runnable();
-        if runnable.is_empty() {
-            return Err(sim.deadlock_error());
-        }
-        let p = policy.pick(&runnable);
-        debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
-        sim.step_process_with(p, &mut Tee(&mut trace, &mut rec))?;
-        steps += 1;
-        for ev in std::mem::take(&mut rec.events) {
-            match ev {
-                StepEvent::Computed { proc, units } => {
-                    let start = clock[proc];
-                    let end = start + model.compute_time(units);
-                    spans[proc].push(Span { kind: SpanKind::Compute { units }, start, end });
-                    clock[proc] = end;
-                }
-                StepEvent::Sent { proc, chan, bytes } => {
-                    // Place the send no earlier than the freeing of the
-                    // buffer slot it occupies (bounded slack only).
-                    let i = sends_placed[chan.0];
-                    sends_placed[chan.0] += 1;
-                    let space_ready = match caps[chan.0] {
-                        Some(k) if i >= k => recv_done[chan.0][i - k],
-                        _ => 0.0,
-                    };
-                    let start = clock[proc].max(space_ready);
-                    if start > clock[proc] {
-                        spans[proc].push(Span {
-                            kind: SpanKind::Blocked { why: BlockReason::Space { chan } },
-                            start: clock[proc],
-                            end: start,
-                        });
-                    }
-                    let end = start + model.o_send;
-                    spans[proc].push(Span { kind: SpanKind::Send { chan, bytes }, start, end });
-                    clock[proc] = end;
-                    in_flight[chan.0].push_back(InFlight {
-                        arrival: end + model.transit_time(bytes),
-                        bytes,
-                        sent_by: (proc, spans[proc].len() - 1),
-                    });
-                }
-                StepEvent::Received { proc, chan } => {
-                    let m = in_flight[chan.0]
-                        .pop_front()
-                        .expect("simulator delivered a message the engine saw sent");
-                    // clock[proc] still reads the post time: posting a
-                    // receive advances no virtual time.
-                    let delayed = m.arrival > clock[proc];
-                    let ready = clock[proc].max(m.arrival);
-                    if delayed {
-                        spans[proc].push(Span {
-                            kind: SpanKind::Blocked { why: BlockReason::Arrival { chan } },
-                            start: clock[proc],
-                            end: ready,
-                        });
-                    }
-                    let end = ready + model.o_recv;
-                    spans[proc].push(Span {
-                        kind: SpanKind::Recv { chan, bytes: m.bytes, delayed, sent_by: m.sent_by },
-                        start: ready,
-                        end,
-                    });
-                    clock[proc] = end;
-                    recv_done[chan.0].push(end);
-                }
-                // Posting a receive and hitting a full channel cost no
-                // virtual time themselves; the waits they may start are
-                // materialized when the matching Received/Sent is placed.
-                StepEvent::RecvPosted { .. } | StepEvent::SendBlocked { .. } => {}
-                StepEvent::Halted { .. } => {}
-            }
-        }
-    }
-
-    let timelines: Vec<Timeline> = spans
+    let mut clocks = Clocks::new(&topo, model);
+    let out = Simulator::new(topo, procs).run_observed(policy, &mut clocks)?;
+    let timelines: Vec<Timeline> = clocks
+        .spans
         .into_iter()
         .enumerate()
         .map(|(proc, spans)| Timeline { proc, spans })
@@ -182,13 +189,12 @@ pub fn run_des<P: Process>(
     let makespan = timelines.iter().map(Timeline::end).fold(0.0, f64::max);
     let critical = extract(&timelines, model);
     Ok(DesOutcome {
-        snapshots: sim.snapshots_now(),
+        snapshots: out.snapshots,
         makespan,
         timelines,
         critical,
-        metrics: sim.metrics().clone(),
-        trace,
-        steps,
+        metrics: out.metrics,
+        steps: out.steps,
     })
 }
 

@@ -10,9 +10,9 @@
 //! Refinement"*: predict where a speedup curve bends before owning the
 //! machine.
 //!
-//! The engine does not reimplement the runtime's semantics — it *drives*
-//! the untimed [`ssp_runtime::sim::Simulator`] through its step-observer
-//! hook and only adds time. Two consequences, both tested:
+//! The engine does not reimplement the runtime's semantics — it is a step
+//! observer on an untimed [`ssp_runtime::sim::Simulator`] run and only adds
+//! time. Two consequences, both tested:
 //!
 //! 1. **Theorem 1 transfers.** The timed run performs exactly the actions
 //!    of an untimed maximal interleaving, so its final state is bitwise

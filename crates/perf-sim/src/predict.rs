@@ -59,11 +59,12 @@ where
         .map(|&n| {
             let (topo, procs) = build(n);
             let out = run_des_default(topo, procs, model)?;
+            let units: u64 = out.metrics.procs.iter().map(|m| m.compute_units).sum();
             Ok(PredictedPoint {
                 nprocs: n,
                 time: out.makespan,
                 breakdown: out.critical.breakdown,
-                serial_compute: out.trace.total_compute_units() as f64 * model.t_flop,
+                serial_compute: units as f64 * model.t_flop,
             })
         })
         .collect()

@@ -142,7 +142,6 @@ mod tests {
             timelines: Vec::new(),
             critical: crate::critical::CriticalPath::default(),
             metrics: Default::default(),
-            trace: Default::default(),
             steps: 100,
         };
         let stats = RecoveryStats {

@@ -18,8 +18,12 @@ use mesh_archetype::{Env, Plan, ReduceAlgo, ReduceOp};
 use meshgrid::{Grid3, ProcGrid3};
 use perf_sim::run_des;
 use proptest::prelude::*;
-use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, SchedulePolicy};
+use ssp_runtime::{
+    run_recovering, run_simulated, Adversary, AdversarialPolicy, FaultPlan, RandomPolicy,
+    RecoveryConfig, RoundRobin, SchedulePolicy,
+};
 
+#[derive(Clone)]
 struct Relax {
     u: Grid3<f64>,
     next: Grid3<f64>,
@@ -87,6 +91,30 @@ fn relax_plan(steps: usize) -> Plan<Relax> {
                 )
         })
         .build()
+}
+
+/// The plain simulator, the recovery supervisor with nothing to recover
+/// from, and the DES are one pick loop, so they count alike — blocked steps
+/// included — on a slack-1 run where ranks block.
+#[test]
+fn every_simulated_path_reports_the_same_metrics() {
+    let (plan, init) = (relax_plan(2), init_relax());
+    let pg = ProcGrid3::choose((5, 4, 4), 4);
+    let build = || build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, Some(1));
+
+    let (topo, procs) = build();
+    let simulated = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
+    let (topo, procs) = build();
+    let cfg = RecoveryConfig::default();
+    let recovered =
+        run_recovering(topo, procs, FaultPlan::none(), &mut RoundRobin::new(), cfg).unwrap();
+    let (topo, procs) = build();
+    let des = run_des(topo, procs, &network_of_suns(), &mut RoundRobin::new()).unwrap();
+
+    let blocked: u64 = simulated.metrics.procs.iter().map(|m| m.blocked_steps).sum();
+    assert!(blocked > 0, "the program must block for the comparison to mean anything");
+    assert_eq!(recovered.metrics, simulated.metrics, "run_recovering");
+    assert_eq!(des.metrics, simulated.metrics, "run_des");
 }
 
 fn policy_battery(seed: u64) -> Vec<Box<dyn SchedulePolicy>> {

@@ -65,9 +65,9 @@ pub struct Stall {
 /// A deterministic set of faults to inject into a run.
 ///
 /// Build with the [`FaultPlan::crash`] / [`FaultPlan::stall`] builders,
-/// then hand the plan to [`crate::sim::Simulator::run_injected`],
-/// [`crate::threaded::run_threaded_faulted`], or the recovery supervisor
-/// [`crate::recover::run_recovering`]. The plan also carries the run-position
+/// then hand the plan to [`crate::threaded::run_threaded_faulted`] or the
+/// recovery supervisor [`crate::recover::run_recovering`] (with
+/// `max_restarts: 0` for injection alone). The plan also carries the run-position
 /// bookkeeping (global tick count, per-channel delivery counts) that stall
 /// triggers are evaluated against, which is why the stepping APIs take it
 /// `&mut`.
@@ -133,7 +133,7 @@ impl FaultPlan {
     }
 
     /// Advance the global step counter (simulated backend; called once per
-    /// atomic step by [`crate::sim::Simulator::step_process_injected`]).
+    /// atomic step by the simulator's pick loop).
     pub fn tick(&mut self) {
         self.ticks += 1;
     }

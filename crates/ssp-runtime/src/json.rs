@@ -8,10 +8,9 @@
 //! within the workspace's zero-external-dependency rule.
 //!
 //! The tree can also be serialized back out ([`JsonValue::to_json`], also
-//! the `Display` impl): this is the wire format of the recovery layer's
-//! checkpoint manifests ([`crate::recover::Checkpoint`]), which must survive
-//! a round trip bit-for-bit — `parse(v.to_json()) == v` for every tree whose
-//! numbers are finite.
+//! the `Display` impl) for tools that write their own documents, and must
+//! survive a round trip bit-for-bit — `parse(v.to_json()) == v` for every
+//! tree whose numbers are finite.
 
 use std::collections::BTreeMap;
 use std::fmt;

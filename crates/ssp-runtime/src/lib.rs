@@ -21,7 +21,7 @@
 //!   the same initial state terminate in the same final state* — is exercised:
 //!   run the same process collection under many different policies and compare
 //!   the final state snapshots.
-//! * [`threaded::run_threaded`] — a real parallel runner in which the `N`
+//! * [`threaded::run_threaded_with`] — a real parallel runner in which the `N`
 //!   ranks execute as lightweight tasks multiplexed over a core-sized pool
 //!   of worker threads with work stealing ([`sched`]), and channels are
 //!   lock-free SPSC rings ([`spsc::SpscRing`]; a rank blocking on an
@@ -44,11 +44,14 @@
 //! [`sched::PartialSeed`] — what the scheduler's one launcher starts every
 //! run from, fresh ([`sched::PartialSeed::fresh`]) or resumed, whole
 //! program or a hosted subset of ranks ([`sched::launch_partial`]).
-//! [`recover`] builds checkpoint/restart on it and gives a cut its two wire
-//! forms (a replay recipe and a sealed state). External steppers — the
-//! `perf-sim` discrete-event engine, the distributed supervisor's shadow —
+//! [`recover`] builds checkpoint/restart on it and gives a cut its one wire
+//! form, the sealed [`recover::GroupManifest`]. Every simulated run goes
+//! through one pick loop and is recorded once, as its picks; a
+//! [`observer::StepObserver`] sees every step — the `perf-sim`
+//! discrete-event engine is one, pricing the run as it goes. External
+//! steppers (exhaustive enumeration, the distributed supervisor's shadow)
 //! drive the same simulator through [`sim::Simulator::step_process_with`]
-//! and a [`observer::StepObserver`] instead of re-implementing it.
+//! instead of re-implementing it.
 //!
 //! Channels are declared up front in a [`chan::Topology`], which statically
 //! checks the single-reader single-writer restriction. Channels have infinite
@@ -96,18 +99,14 @@ pub use pool::BufPool;
 pub use proc::{Effect, ProcId, Process};
 pub use spsc::{OverwriteRing, ParkSlot, SpscRing};
 pub use recover::{
-    fnv1a_64, replay_checkpoint, run_recovering, run_recovering_observed,
-    run_threaded_recovering, Checkpoint, GroupManifest, ManifestRank, ManifestStatus,
-    RecoveryConfig, RecoveryOutcome, RecoveryStats,
+    fnv1a_64, run_recovering, run_threaded_recovering, GroupManifest, ManifestRank,
+    ManifestStatus, RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
 pub use sched::{launch_partial, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};
 pub use sim::{run_simulated, ProcState, RunOutcome, SimState, Simulator};
-pub use threaded::{
-    run_threaded, run_threaded_faulted, run_threaded_seeded, run_threaded_with, ThreadedConfig,
-    ThreadedOutcome,
-};
+pub use threaded::{run_threaded_faulted, run_threaded_with, ThreadedConfig, ThreadedOutcome};
 pub use trace::{
-    ChannelMetrics, Event, EventKind, FlightEvent, FlightKind, FlightLane, FlightLog,
-    ProcMetrics, RunMetrics, SchedMetrics, Trace,
+    ChannelMetrics, FlightEvent, FlightKind, FlightLane, FlightLog, ProcMetrics, RunMetrics,
+    SchedMetrics,
 };
 pub use waitgraph::{BlockKind, WaitFor};

@@ -3,17 +3,15 @@
 //! The simulator's stepping is the single source of truth for *what* a
 //! program does; observers let other backends attach *interpretations*
 //! without forking that logic. The `perf-sim` crate's discrete-event engine
-//! is the canonical client: it drives [`crate::sim::Simulator`] step by
-//! step and charges each observed event its virtual-clock cost from a
-//! machine model, guaranteeing (by construction) that the timed execution
-//! performs exactly the actions of the untimed one.
+//! is the canonical client: it watches a [`crate::sim::Simulator::run_observed`]
+//! run and charges each event its virtual-clock cost from a machine model,
+//! guaranteeing (by construction) that the timed execution performs exactly
+//! the actions of the untimed one.
 //!
-//! The stepper reports to exactly one observer. A [`crate::trace::Trace`]
-//! is one — the observer that keeps the interleaving's actions — and
-//! [`Tee`] feeds two. Events are strictly more detailed than trace
-//! entries: a posted receive and a blocked send produce no trace event
-//! (they are not visible actions of the interleaving) but *are* reported
-//! here, because a cost model needs to know when waiting started.
+//! The stepper reports to exactly one observer; [`Tee`] feeds two. Besides
+//! the actions of the interleaving, the stream reports a posted receive and
+//! a blocked send, because a cost model needs to know when waiting started.
+//! Together with a run's picks it is the whole record of the run.
 
 use crate::chan::ChannelId;
 use crate::proc::ProcId;

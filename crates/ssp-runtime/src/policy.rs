@@ -144,8 +144,9 @@ impl SchedulePolicy for AdversarialPolicy {
     }
 }
 
-/// Replays a prerecorded schedule (e.g. [`crate::trace::Trace::schedule`]),
-/// enabling exact re-execution of an interleaving and the swap-two-adjacent-
+/// Replays a prerecorded schedule (e.g. a run's
+/// [`crate::sim::RunOutcome::picks`]), enabling exact re-execution of an
+/// interleaving and the swap-two-adjacent-
 /// actions experiments of the permutation proof. When the script runs out or
 /// names a non-runnable process, falls back to the first runnable process
 /// (so perturbed schedules still yield *some* maximal interleaving).

@@ -9,47 +9,38 @@
 //! no idempotence audits. The tests assert the strongest form of this:
 //! recovered final states are *bitwise identical* to uninjected runs.
 //!
-//! Three pieces:
+//! Two entry points, one loop — the simulator's pick loop, with a
+//! checkpoint supervisor plugged in:
 //!
-//! * [`Checkpoint`] — a consistent snapshot of the whole system (process
-//!   states, statuses, in-flight channel contents, the executed pick
-//!   prefix, and the fault plan's bookkeeping), taken every *K* steps by
-//!   the supervisor. In memory it is a [`Simulator`] clone (fast restore);
-//!   on the wire it is a *replay recipe* ([`Checkpoint::to_json`]): the
-//!   pick prefix plus the state's fingerprint. [`replay_checkpoint`]
-//!   rebuilds the processes from source, re-runs the picks through a fresh
-//!   simulator and verifies the fingerprint. Determinism is what makes
-//!   that replay sound.
-//! * [`run_recovering`] — the supervisor: steps the simulator under a
-//!   [`FaultPlan`], checkpoints every `checkpoint_every` steps, and on an
-//!   injected crash (or a deadlock) restores the latest checkpoint and
-//!   re-runs. Fired crashes stay consumed across restores (the plan lives
-//!   outside the checkpointed state), so recovery cannot livelock on the
-//!   same fault; `max_restarts` bounds genuinely recurring failures.
+//! * [`run_recovering`] — steps the simulator under a [`FaultPlan`],
+//!   checkpoints every `checkpoint_every` steps (a [`Simulator`] clone plus
+//!   the plan's bookkeeping), and on an injected crash (or a deadlock)
+//!   restores the latest checkpoint and re-runs. Fired crashes stay
+//!   consumed across restores (the plan lives outside the checkpointed
+//!   state), so recovery cannot livelock on the same fault; `max_restarts`
+//!   bounds genuinely recurring failures. With `max_restarts: 0` it is plain
+//!   fault injection: the first crash ends the run with its typed error.
 //! * [`run_threaded_recovering`] — the threaded counterpart. OS threads
 //!   cannot be snapshotted mid-flight, so the supervisor borrows the
 //!   simulator as its checkpointing device: it re-derives the crash
 //!   frontier by simulation (process-local step ordinals are
-//!   schedule-independent), round-trips the cut through the JSON wire
-//!   format, and seeds a fresh pool from the restored state — resuming,
-//!   not restarting.
+//!   schedule-independent) and seeds a fresh pool straight from that cut —
+//!   resuming, not restarting.
 //!
-//! [`GroupManifest`] is the other wire form of a cut, a *sealed state* for
+//! [`GroupManifest`] is the one wire form of a cut, a *sealed state* for
 //! callers whose workload can decode process state (the distributed
-//! backend's migrations); DESIGN.md §9 says why there are two.
+//! backend's migrations).
 
 use crate::chan::Topology;
 use crate::error::RunError;
 use crate::fault::{Crash, FaultPlan};
-use crate::json::{parse, JsonValue};
-use crate::observer::{NoopObserver, StepObserver, Tee};
+use crate::observer::NoopObserver;
 use crate::policy::{RoundRobin, SchedulePolicy};
 use crate::proc::{ProcId, Process};
-use crate::sim::Simulator;
-use crate::threaded::{
-    run_threaded_faulted, run_threaded_seeded, ThreadedConfig, ThreadedOutcome,
-};
-use crate::trace::{FlightKind, RunMetrics, Trace};
+use crate::sched::{self, PartialSeed};
+use crate::sim::{Rollback, RunOutcome, Simulator};
+use crate::threaded::{ThreadedConfig, ThreadedOutcome};
+use crate::trace::{FlightKind, RunMetrics};
 
 /// Supervisor tuning: how often to checkpoint and how many restarts to
 /// tolerate before giving up.
@@ -85,9 +76,9 @@ pub struct RecoveryStats {
     /// Steps that were executed, lost to a crash, and executed again.
     pub steps_reexecuted: u64,
     /// Steps executed *in the simulator* to rebuild a crash frontier for
-    /// the threaded hybrid path ([`run_threaded_recovering`]); zero for
-    /// purely simulated recovery and for the pre-PR 7 restart-from-scratch
-    /// behavior this stat exists to guard against regressing to.
+    /// the threaded path ([`run_threaded_recovering`]); zero for purely
+    /// simulated recovery, and zero for a threaded run that restarted from
+    /// scratch instead of resuming.
     pub steps_replayed: u64,
     /// The errors that triggered each restart, in order.
     pub faults_fired: Vec<RunError>,
@@ -106,169 +97,88 @@ pub struct RecoveryOutcome {
     pub steps: u64,
     /// Execution metrics of the final lineage.
     pub metrics: RunMetrics,
-    /// The interleaving of the final lineage.
-    pub trace: Trace,
     /// Restart/checkpoint/re-execution accounting.
     pub stats: RecoveryStats,
 }
 
-/// A consistent snapshot of a run in progress: everything needed to resume
-/// as if the steps after it never happened.
-pub struct Checkpoint<P: Process + Clone>
-where
-    P::Msg: Clone,
-{
-    step: u64,
-    picks: Vec<ProcId>,
+/// A consistent snapshot of a run in progress, taken after `step` picks:
+/// the simulator at the cut and the fault plan's bookkeeping. The picks
+/// before a cut never change, so restoring one truncates the lineage's
+/// picks to `step` instead of keeping a copy.
+struct Checkpoint<P: Process> {
+    step: usize,
     sim: Simulator<P>,
     faults: FaultPlan,
-    trace: Trace,
 }
 
-impl<P: Process + Clone> Checkpoint<P>
+/// The checkpoint supervisor the simulator's pick loop runs with.
+struct Supervisor<'a, P: Process> {
+    cfg: RecoveryConfig,
+    latest: Checkpoint<P>,
+    /// Every crash that has fired on any lineage. Each stays consumed after
+    /// a restore, else the same proc-local trigger would re-fire on every
+    /// lineage and recovery would livelock.
+    fired: Vec<Crash>,
+    stats: &'a mut RecoveryStats,
+}
+
+impl<'a, P> Supervisor<'a, P>
 where
+    P: Process + Clone,
     P::Msg: Clone,
 {
-    /// Snapshot the current state of a run: `picks` is the pick prefix that
-    /// produced `sim` (length `step`), `faults` the plan with its
-    /// bookkeeping as of now.
-    pub fn take(
-        step: u64,
-        picks: &[ProcId],
+    /// Supervise a run starting at `sim` under `faults` (the step-0
+    /// checkpoint).
+    fn new(
+        cfg: RecoveryConfig,
         sim: &Simulator<P>,
         faults: &FaultPlan,
-        trace: &Trace,
+        stats: &'a mut RecoveryStats,
     ) -> Self {
-        Checkpoint {
-            step,
-            picks: picks.to_vec(),
-            sim: sim.clone(),
-            faults: faults.clone(),
-            trace: trace.clone(),
-        }
-    }
-
-    /// The global step count this checkpoint was taken at.
-    pub fn step(&self) -> u64 {
-        self.step
-    }
-
-    /// The pick prefix that reproduces this checkpoint's state from the
-    /// initial state (feed to [`crate::policy::FixedSchedule`] or
-    /// [`replay_checkpoint`]).
-    pub fn picks(&self) -> &[ProcId] {
-        &self.picks
-    }
-
-    /// Fast in-memory restore: a clone of the checkpointed simulator.
-    pub fn restore_sim(&self) -> Simulator<P> {
-        self.sim.clone()
-    }
-
-    /// The fault plan as of the checkpoint (bookkeeping included).
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// The trace prefix as of the checkpoint.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The wire form, a replay recipe: exactly what [`replay_checkpoint`]
-    /// reads — format version, step count, the pick prefix, and the
-    /// [`Simulator::state_fingerprint`] the replayed state must match.
-    pub fn manifest(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> JsonValue {
-        use std::collections::BTreeMap;
-        fn nums(it: impl Iterator<Item = f64>) -> JsonValue {
-            JsonValue::Arr(it.map(JsonValue::Num).collect())
-        }
-        let mut top = BTreeMap::new();
-        top.insert("version".to_string(), JsonValue::Num(MANIFEST_VERSION as f64));
-        top.insert("step".to_string(), JsonValue::Num(self.step as f64));
-        top.insert("picks".to_string(), nums(self.picks.iter().map(|&p| p as f64)));
-        let fingerprint = self.sim.state_fingerprint(msg_bytes);
-        top.insert("fingerprint".to_string(), nums(fingerprint.iter().map(|&b| b as f64)));
-        JsonValue::Obj(top)
-    }
-
-    /// [`Checkpoint::manifest`] serialized as a JSON document.
-    pub fn to_json(&self, msg_bytes: impl Fn(&P::Msg) -> Vec<u8>) -> String {
-        self.manifest(msg_bytes).to_json()
+        let latest = Checkpoint { step: 0, sim: sim.clone(), faults: faults.clone() };
+        Supervisor { cfg, latest, fired: Vec::new(), stats }
     }
 }
 
-/// The checkpoint manifest format [`Checkpoint::manifest`] writes and the
-/// only one [`replay_checkpoint`] accepts.
-const MANIFEST_VERSION: u64 = 1;
-
-fn corrupt(detail: impl Into<String>) -> RunError {
-    RunError::Protocol { proc: 0, detail: detail.into() }
-}
-
-/// Restore a checkpoint from its JSON manifest by *replay*: rebuild the
-/// initial processes from source (`procs` must be a fresh initial
-/// collection for `topo`), re-execute the manifest's pick prefix, and
-/// verify the resulting state's fingerprint bitwise against the manifest.
-///
-/// This is the fully serializable restore path: only data crosses the wire;
-/// the code plane is reconstructed and *proven* equivalent (determinism,
-/// Theorem 1) rather than trusted. Returns the positioned simulator and the
-/// replayed pick prefix. A corrupt or mismatched manifest, or one of any
-/// format version other than the current one, yields [`RunError::Protocol`].
-pub fn replay_checkpoint<P: Process>(
-    json_text: &str,
-    topo: Topology,
-    procs: Vec<P>,
-    msg_bytes: impl Fn(&P::Msg) -> Vec<u8>,
-) -> Result<(Simulator<P>, Vec<ProcId>), RunError> {
-    let manifest = parse(json_text).map_err(|e| corrupt(format!("checkpoint manifest: {e}")))?;
-    let version =
-        manifest.get("version").ok_or_else(|| corrupt("checkpoint manifest: missing version"))?;
-    if version.as_u64() != Some(MANIFEST_VERSION) {
-        return Err(corrupt(format!(
-            "checkpoint manifest: unsupported version {} (this build reads {MANIFEST_VERSION})",
-            version.to_json()
-        )));
-    }
-    let picks: Vec<ProcId> = manifest
-        .get("picks")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| corrupt("checkpoint manifest: missing picks"))?
-        .iter()
-        .map(|v| v.as_usize().ok_or_else(|| corrupt("checkpoint manifest: bad pick")))
-        .collect::<Result<_, _>>()?;
-    let want: Vec<u8> = manifest
-        .get("fingerprint")
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| corrupt("checkpoint manifest: missing fingerprint"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .filter(|&b| b < 256)
-                .map(|b| b as u8)
-                .ok_or_else(|| corrupt("checkpoint manifest: bad fingerprint byte"))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let mut sim = Simulator::new(topo, procs);
-    let mut trace = Trace::new();
-    for (i, &p) in picks.iter().enumerate() {
-        if !sim.runnable().contains(&p) {
-            return Err(corrupt(format!(
-                "checkpoint replay: pick #{i} names non-runnable process {p}"
-            )));
+impl<P> Rollback<P> for Supervisor<'_, P>
+where
+    P: Process + Clone,
+    P::Msg: Clone,
+{
+    fn after_step(&mut self, sim: &Simulator<P>, picks: &[ProcId], faults: &FaultPlan) {
+        let step = picks.len();
+        if (step as u64).is_multiple_of(self.cfg.checkpoint_every.max(1)) {
+            self.latest = Checkpoint { step, sim: sim.clone(), faults: faults.clone() };
+            self.stats.checkpoints_taken += 1;
         }
-        sim.step_process(p, &mut trace)?;
     }
-    let got = sim.state_fingerprint(&msg_bytes);
-    if got != want {
-        return Err(corrupt(
-            "checkpoint replay: state fingerprint mismatch (wrong initial processes, \
-             wrong topology, or a corrupt manifest)",
-        ));
+
+    fn restore(
+        &mut self,
+        failure: RunError,
+        sim: &mut Simulator<P>,
+        picks: &mut Vec<ProcId>,
+        faults: &mut FaultPlan,
+    ) -> Result<(), RunError> {
+        if let RunError::Injected { proc, step } = failure {
+            self.fired.push(Crash { proc, at_step: step });
+        }
+        self.stats.faults_fired.push(failure.clone());
+        self.stats.restarts += 1;
+        if self.stats.restarts as usize > self.cfg.max_restarts {
+            return Err(failure);
+        }
+        // The fault plan rolls back with the checkpoint, minus every crash
+        // that has fired.
+        *sim = self.latest.sim.clone();
+        *faults = self.latest.faults.clone();
+        for c in &self.fired {
+            faults.remove_crash(*c);
+        }
+        self.stats.steps_reexecuted += (picks.len() - self.latest.step) as u64;
+        picks.truncate(self.latest.step);
+        Ok(())
     }
-    Ok((sim, picks))
 }
 
 /// Run `procs` over `topo` under `policy` with `faults` injected,
@@ -284,26 +194,9 @@ pub fn replay_checkpoint<P: Process>(
 pub fn run_recovering<P>(
     topo: Topology,
     procs: Vec<P>,
-    faults: FaultPlan,
-    policy: &mut dyn SchedulePolicy,
-    cfg: RecoveryConfig,
-) -> Result<RecoveryOutcome, RunError>
-where
-    P: Process + Clone,
-    P::Msg: Clone,
-{
-    run_recovering_observed(topo, procs, faults, policy, cfg, &mut NoopObserver)
-}
-
-/// [`run_recovering`] with every atomic action of every lineage (including
-/// steps later lost to a crash) reported to `obs`.
-pub fn run_recovering_observed<P>(
-    topo: Topology,
-    procs: Vec<P>,
     mut faults: FaultPlan,
     policy: &mut dyn SchedulePolicy,
     cfg: RecoveryConfig,
-    obs: &mut dyn StepObserver,
 ) -> Result<RecoveryOutcome, RunError>
 where
     P: Process + Clone,
@@ -311,91 +204,11 @@ where
 {
     let mut stats = RecoveryStats::default();
     let sim = Simulator::new(topo, procs);
-    let end = run_checkpointed(sim, &mut faults, policy, cfg, &mut stats, obs, |_| false)?;
-    Ok(RecoveryOutcome {
-        snapshots: end.sim.snapshots_now(),
-        picks: end.picks,
-        steps: end.step,
-        metrics: end.sim.into_state().metrics,
-        trace: end.trace,
-        stats,
-    })
-}
-
-/// The one checkpoint/restore loop: step `sim` under `policy` and `faults`
-/// until it is done or `stop` says so, checkpointing every
-/// [`RecoveryConfig::checkpoint_every`] steps. An injected crash or a
-/// deadlock restores the latest checkpoint and re-runs, at most
-/// [`RecoveryConfig::max_restarts`] times; errors that would recur on every
-/// lineage (protocol violations, the step limit) abort at once. Returns the
-/// cut it stopped at, `faults` holding the plan's bookkeeping as of that cut.
-fn run_checkpointed<P>(
-    mut sim: Simulator<P>,
-    faults: &mut FaultPlan,
-    policy: &mut dyn SchedulePolicy,
-    cfg: RecoveryConfig,
-    stats: &mut RecoveryStats,
-    obs: &mut dyn StepObserver,
-    stop: impl Fn(&Simulator<P>) -> bool,
-) -> Result<Checkpoint<P>, RunError>
-where
-    P: Process + Clone,
-    P::Msg: Clone,
-{
-    let every = cfg.checkpoint_every.max(1);
-    let mut trace = Trace::new();
-    let mut picks: Vec<ProcId> = Vec::new();
-    let mut steps: u64 = 0;
-    let mut fired: Vec<Crash> = Vec::new();
-    let mut latest = Checkpoint::take(0, &picks, &sim, faults, &trace);
-
-    while !sim.is_done() && !stop(&sim) {
-        let runnable = sim.runnable_under(faults);
-        let failure = if runnable.is_empty() {
-            sim.deadlock_error()
-        } else if steps >= sim.step_limit {
-            return Err(RunError::StepLimit { limit: sim.step_limit });
-        } else {
-            let p = policy.pick(&runnable);
-            match sim.step_process_injected(p, faults, &mut Tee(&mut trace, obs)) {
-                Ok(()) => {
-                    picks.push(p);
-                    steps += 1;
-                    if steps.is_multiple_of(every) {
-                        latest = Checkpoint::take(steps, &picks, &sim, faults, &trace);
-                        stats.checkpoints_taken += 1;
-                    }
-                    continue;
-                }
-                Err(RunError::Injected { proc, step }) => {
-                    fired.push(Crash { proc, at_step: step });
-                    RunError::Injected { proc, step }
-                }
-                // Protocol violations etc. are deterministic program
-                // bugs: re-running reproduces them, so don't.
-                Err(e) => return Err(e),
-            }
-        };
-        stats.faults_fired.push(failure.clone());
-        stats.restarts += 1;
-        if stats.restarts as usize > cfg.max_restarts {
-            return Err(failure);
-        }
-        // Restore the latest checkpoint. The fault plan rolls back with
-        // it — except that every crash that has *ever* fired stays
-        // consumed, else the same proc-local trigger would re-fire on
-        // every lineage and recovery would livelock.
-        sim = latest.restore_sim();
-        *faults = latest.faults().clone();
-        for c in &fired {
-            faults.remove_crash(*c);
-        }
-        trace = latest.trace().clone();
-        picks = latest.picks().to_vec();
-        stats.steps_reexecuted += steps - latest.step();
-        steps = latest.step();
-    }
-    Ok(Checkpoint { step: steps, picks, sim, faults: faults.clone(), trace })
+    let mut sup = Supervisor::new(cfg, &sim, &faults, &mut stats);
+    let (sim, picks) =
+        sim.drive(policy, &mut faults, Some(&mut sup), &mut NoopObserver, |_| false)?;
+    let RunOutcome { snapshots, picks, steps, metrics, .. } = sim.outcome(picks);
+    Ok(RecoveryOutcome { snapshots, picks, steps, metrics, stats })
 }
 
 /// Crash recovery for the threaded backend — *resuming*, not restarting.
@@ -409,18 +222,13 @@ where
 ///    (sound by Theorem 1: process-local step ordinals are
 ///    schedule-independent, so the simulated prefix passes through the
 ///    state the threaded lineage crashed out of);
-/// 2. serializes that cut through the [`Checkpoint::to_json`] wire format
-///    and restores it with [`replay_checkpoint`], fingerprint-verified;
-/// 3. seeds a fresh pool with the restored state via
-///    [`crate::threaded::run_threaded_seeded`] and runs to completion.
+/// 2. seeds a fresh pool straight from that cut (`SimState` →
+///    [`PartialSeed`]) and runs to completion.
 ///
-/// Only the pre-crash prefix re-executes, in the cheap simulator — closing
-/// the PR 3 gap where this function restarted the whole threaded run from
-/// scratch. Crashes that fire during the frontier replay itself are
-/// consumed and recovered with mini-checkpoints exactly like
-/// [`run_recovering`]; watchdog-declared deadlocks retry from the latest
-/// cut. `msg_bytes` is the per-message serializer the wire format needs
-/// (same contract as [`Checkpoint::to_json`]).
+/// Only the pre-crash prefix re-executes, in the cheap simulator. Crashes
+/// that fire during the frontier rebuild itself are consumed and recovered
+/// with checkpoints exactly like [`run_recovering`]; watchdog-declared
+/// deadlocks retry from the latest cut.
 ///
 /// Step-ordinal caveat: for paper-model (unbounded) channels the two
 /// backends count local steps identically. A *bounded* channel counts a
@@ -430,35 +238,26 @@ where
 pub fn run_threaded_recovering<P, F>(
     topo: &Topology,
     make_procs: F,
-    faults: FaultPlan,
+    mut faults: FaultPlan,
     config: ThreadedConfig,
     cfg: RecoveryConfig,
-    msg_bytes: impl Fn(&P::Msg) -> Vec<u8>,
 ) -> Result<(ThreadedOutcome, RecoveryStats), RunError>
 where
     P: Process + Clone + 'static,
     P::Msg: Clone,
     F: Fn() -> Vec<P>,
 {
-    let mut faults = faults;
     let mut stats = RecoveryStats::default();
-    // JSON manifest of the cut to resume from; none until the first crash.
-    let mut resume_json: Option<String> = None;
+    // The cut each attempt starts from: the initial state until a crash.
+    let mut cut = Simulator::new(topo.clone(), make_procs());
     // Cross-leg lifecycle marks `(kind, rank, bytes)`; each leg's flight
     // recorder (if any) starts a fresh epoch, so these are appended to the
     // *final* leg's log as a `lifecycle` lane ordered by ordinal, not by
     // wall clock.
     let mut lifecycle: Vec<(FlightKind, ProcId, u64)> = Vec::new();
     loop {
-        let attempt = match &resume_json {
-            None => run_threaded_faulted(topo, make_procs(), config, &faults),
-            Some(json) => {
-                let (sim, _) =
-                    replay_checkpoint(json, topo.clone(), make_procs(), &msg_bytes)?;
-                run_threaded_seeded(topo, sim.into_state(), config, &faults)
-            }
-        };
-        match attempt {
+        let seed: PartialSeed<P> = cut.clone().into_state().into();
+        match sched::run_full(topo, seed, config, &faults) {
             Ok(mut out) => {
                 if let Some(log) = out.flight.as_mut() {
                     for (i, &(kind, rank, bytes)) in lifecycle.iter().enumerate() {
@@ -482,22 +281,23 @@ where
                     // (the plan's bookkeeping advances exactly as a live
                     // run's would) and are recovered like any other.
                     let reexecuted = stats.steps_reexecuted;
-                    let ck = run_checkpointed(
-                        Simulator::new(topo.clone(), make_procs()),
-                        &mut faults,
+                    let sim = Simulator::new(topo.clone(), make_procs());
+                    let mut sup = Supervisor::new(cfg, &sim, &faults, &mut stats);
+                    let (frontier, picks) = sim.drive(
                         &mut RoundRobin::new(),
-                        cfg,
-                        &mut stats,
+                        &mut faults,
+                        Some(&mut sup),
                         &mut NoopObserver,
                         |sim| sim.metrics().procs[proc].steps >= step.saturating_sub(1),
                     )?;
-                    stats.steps_replayed += ck.step() + stats.steps_reexecuted - reexecuted;
+                    let at = picks.len() as u64;
+                    stats.steps_replayed += at + stats.steps_reexecuted - reexecuted;
                     stats.checkpoints_taken += 1;
-                    lifecycle.push((FlightKind::Checkpoint, proc, ck.step()));
-                    lifecycle.push((FlightKind::Restore, proc, ck.step()));
-                    resume_json = Some(ck.to_json(&msg_bytes));
+                    lifecycle.push((FlightKind::Checkpoint, proc, at));
+                    lifecycle.push((FlightKind::Restore, proc, at));
+                    cut = frontier;
                 }
-                // A deadlock retries from the latest cut (or from scratch).
+                // A deadlock retries from the latest cut.
             }
             Err(e) => return Err(e),
         }
@@ -555,7 +355,8 @@ pub enum ManifestStatus {
 /// workload registry), resuming the merged group from the supervisor's
 /// last checkpoint instead of step zero.
 ///
-/// Theorem 1 licenses this exactly as it licenses [`Checkpoint`]: the cut
+/// Theorem 1 licenses this exactly as it licenses [`run_recovering`]'s
+/// checkpoints: the cut
 /// plus the resumed execution is just another maximal interleaving of the
 /// same deterministic processes, so the final state is unchanged — which
 /// the distributed suites assert bitwise.

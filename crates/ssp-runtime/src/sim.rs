@@ -13,16 +13,23 @@
 //! then *maximal* and the final state is the vector of process snapshots.
 //! Running the same collection under different policies and comparing
 //! outcomes is the empirical form of Theorem 1.
+//!
+//! One pick loop (`Simulator::drive`) runs every simulated execution:
+//! [`Simulator::run`], [`Simulator::run_observed`] (which `perf-sim`'s
+//! discrete-event engine drives with its clocks as the observer) and
+//! [`crate::recover::run_recovering`] (which plugs a checkpoint supervisor
+//! into it). A run is recorded once, as its `picks`; anything finer is the
+//! [`StepEvent`] stream an observer sees.
 
 use std::collections::VecDeque;
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::observer::{StepEvent, StepObserver, Tee};
+use crate::observer::{NoopObserver, StepEvent, StepObserver};
 use crate::policy::SchedulePolicy;
 use crate::proc::{Effect, ProcId, Process};
-use crate::trace::{RunMetrics, Trace};
+use crate::trace::RunMetrics;
 use crate::waitgraph::{self, BlockKind};
 
 /// Result of a terminated simulated run.
@@ -30,15 +37,11 @@ use crate::waitgraph::{self, BlockKind};
 pub struct RunOutcome {
     /// Byte snapshot of each process's final state, indexed by process id.
     pub snapshots: Vec<Vec<u8>>,
-    /// The maximal interleaving that was executed.
-    pub trace: Trace,
-    /// The exact pick sequence the policy produced. This is a superset of
-    /// [`Trace::schedule`]: a pick that merely *declares* a blocking
-    /// receive performs no visible action and records no trace event, but
-    /// still consumed a scheduling slot. Feeding `picks` to
+    /// The exact pick sequence the policy produced, one entry per atomic
+    /// step — including picks that only post a receive. Feeding `picks` to
     /// [`crate::policy::FixedSchedule`] replays the run exactly.
     pub picks: Vec<ProcId>,
-    /// Number of atomic actions taken (equals `trace.len()`).
+    /// Number of atomic steps taken (equals `picks.len()`).
     pub steps: u64,
     /// High-water mark of total queued messages across all channels — the
     /// "slack" the run actually used. Infinite-slack channels make this
@@ -113,8 +116,31 @@ pub struct Simulator<P: Process> {
     /// Per channel: `Some(open)` marks a port (see [`Simulator::set_port`]).
     ports: Vec<Option<bool>>,
     metrics: RunMetrics,
+    /// Messages in flight across all channels, and its high-water mark.
+    queued: usize,
+    max_queued: usize,
     /// Maximum atomic actions before aborting with [`RunError::StepLimit`].
     pub step_limit: u64,
+}
+
+/// A recovery supervisor plugged into [`Simulator::drive`]: it sees every
+/// completed step (to checkpoint) and every failure that ends a lineage (to
+/// rewind). [`crate::recover`] implements it; a plain run has none and
+/// clones nothing.
+pub(crate) trait Rollback<P: Process> {
+    /// Step `picks.len()` of the lineage completed.
+    fn after_step(&mut self, sim: &Simulator<P>, picks: &[ProcId], faults: &FaultPlan);
+
+    /// An injected crash or a deadlock ended the lineage. Either rewind
+    /// `sim`, `picks` and `faults` to a checkpoint and return `Ok`, or give
+    /// up with `failure`.
+    fn restore(
+        &mut self,
+        failure: RunError,
+        sim: &mut Simulator<P>,
+        picks: &mut Vec<ProcId>,
+        faults: &mut FaultPlan,
+    ) -> Result<(), RunError>;
 }
 
 impl<P: Process> Simulator<P> {
@@ -136,6 +162,8 @@ impl<P: Process> Simulator<P> {
             queues: (0..n_chans).map(|_| VecDeque::new()).collect(),
             ports: vec![None; n_chans],
             metrics,
+            queued: 0,
+            max_queued: 0,
             step_limit: u64::MAX,
         }
     }
@@ -256,6 +284,8 @@ impl<P: Process> Simulator<P> {
     ) {
         let bytes = P::msg_size_bytes(&msg);
         self.queues[chan.0].push_back(msg);
+        self.queued += 1;
+        self.max_queued = self.max_queued.max(self.queued);
         self.metrics.on_send(chan, bytes, self.queues[chan.0].len());
         self.status[p] = ProcState::Ready;
         obs.on_event(StepEvent::Sent { proc: p, chan, bytes });
@@ -275,6 +305,7 @@ impl<P: Process> Simulator<P> {
                 let msg = self.queues[chan.0]
                     .pop_front()
                     .expect("scheduled a recv-blocked process with empty queue");
+                self.queued -= 1;
                 self.metrics.on_recv(chan);
                 obs.on_event(StepEvent::Received { proc: p, chan });
                 let eff = self.procs[p].resume(Some(msg));
@@ -297,31 +328,32 @@ impl<P: Process> Simulator<P> {
         (0..self.procs.len()).filter(|&p| self.is_runnable(p)).collect()
     }
 
-    /// [`Simulator::runnable`] under a fault plan: processes whose pending
-    /// delivery is withheld by an active channel stall are excluded.
+    /// Fill `out` with the processes a policy may pick for this scheduling
+    /// slot, and charge every blocked process that cannot move one blocked
+    /// step: it loses the slot.
     ///
-    /// A stall may delay deliveries but must never fabricate a deadlock
-    /// (Theorem 1: stalls cannot change outcomes, so they cannot *create*
-    /// a stuck state): if filtering would empty a non-empty runnable set,
-    /// the stalls are released for this step and the unfiltered set is
-    /// returned.
-    pub fn runnable_under(&self, faults: &FaultPlan) -> Vec<ProcId> {
-        let base = self.runnable();
-        if faults.stalls().is_empty() {
-            return base;
+    /// Under `faults`, a process whose pending delivery an active channel
+    /// stall withholds is left out — unless that would leave no one. A stall
+    /// may delay deliveries but must never fabricate a deadlock (Theorem 1:
+    /// stalls cannot change outcomes, so they cannot *create* a stuck
+    /// state), so an all-withheld slot releases the stalls for this step.
+    fn schedulable(&mut self, faults: &FaultPlan, out: &mut Vec<ProcId>) {
+        out.clear();
+        for p in 0..self.status.len() {
+            if self.is_runnable(p) {
+                out.push(p);
+            } else if !matches!(self.status[p], ProcState::Halted) {
+                self.metrics.procs[p].blocked_steps += 1;
+            }
         }
-        let filtered: Vec<ProcId> = base
-            .iter()
-            .copied()
-            .filter(|&p| {
-                !matches!(&self.status[p],
-                          ProcState::BlockedRecv(c) if faults.delivery_withheld(*c))
-            })
-            .collect();
-        if filtered.is_empty() {
-            base
-        } else {
-            filtered
+        if !faults.stalls().is_empty() {
+            let withheld = |p: &ProcId| {
+                matches!(&self.status[*p],
+                         ProcState::BlockedRecv(c) if faults.delivery_withheld(*c))
+            };
+            if !out.iter().all(withheld) {
+                out.retain(|p| !withheld(p));
+            }
         }
     }
 
@@ -330,44 +362,38 @@ impl<P: Process> Simulator<P> {
         self.all_halted()
     }
 
-    /// Take one atomic step for runnable process `p`, appending its event to
-    /// `trace`. Public counterpart of the internal stepper, for interactive
-    /// exploration.
-    pub fn step_process(&mut self, p: ProcId, trace: &mut Trace) -> Result<(), RunError> {
-        self.step_process_with(p, trace)
-    }
-
     /// Take one atomic step for runnable process `p`, telling `obs` exactly
-    /// what the step did (including the non-actions a [`Trace`] omits:
-    /// posted receives and blocked sends). A [`Trace`] is itself an
-    /// observer; pass a [`crate::observer::Tee`] to feed two. External
-    /// steppers — the `perf-sim` discrete-event engine, the distributed
-    /// supervisor's shadow — use this to reuse the simulator's semantics
-    /// instead of reimplementing them.
+    /// what the step did, posted receives and blocked sends included.
+    /// External steppers — exhaustive interleaving enumeration, the
+    /// distributed supervisor's shadow — use this to reuse the simulator's
+    /// semantics instead of reimplementing them.
     pub fn step_process_with(
         &mut self,
         p: ProcId,
         obs: &mut dyn StepObserver,
     ) -> Result<(), RunError> {
-        assert!(self.is_runnable(p), "step_process requires a runnable process");
+        assert!(self.is_runnable(p), "step_process_with requires a runnable process");
         self.step(p, obs)
     }
 
-    /// [`Simulator::step_process_with`] under a fault plan.
+    /// Take one atomic step for runnable `p` under a fault plan.
     ///
     /// If the plan holds a crash for `p` at the step it is about to take
     /// (its own, process-local step count — schedule-independent by the
     /// paper's model), the process is marked halted, the crash is consumed
     /// from the plan, and [`RunError::Injected`] is returned. Otherwise the
     /// step proceeds normally and the plan's stall bookkeeping (global tick
-    /// count, per-channel delivery counts) is advanced.
-    pub fn step_process_injected(
+    /// count, per-channel delivery counts) is advanced. An empty plan
+    /// injects nothing and needs no bookkeeping.
+    fn step_injected(
         &mut self,
         p: ProcId,
         faults: &mut FaultPlan,
         obs: &mut dyn StepObserver,
     ) -> Result<(), RunError> {
-        assert!(self.is_runnable(p), "step_process requires a runnable process");
+        if faults.is_empty() {
+            return self.step(p, obs);
+        }
         let local_step = self.metrics.procs[p].steps + 1;
         if let Some(crash) = faults.take_crash(p, local_step) {
             self.status[p] = ProcState::Halted;
@@ -386,11 +412,8 @@ impl<P: Process> Simulator<P> {
     }
 
     /// The typed deadlock error describing the *current* blocked
-    /// configuration (every process blocked, none runnable). External
-    /// steppers call this when [`Simulator::runnable`] comes back empty
-    /// before [`Simulator::is_done`], so they report the same wait-for
-    /// cycles [`Simulator::run`] would.
-    pub fn deadlock_error(&self) -> RunError {
+    /// configuration (every process blocked, none runnable).
+    fn deadlock_error(&self) -> RunError {
         waitgraph::deadlock_error(&self.topo, &self.blocked_list())
     }
 
@@ -459,24 +482,10 @@ impl<P: Process> Simulator<P> {
         }
     }
 
-    /// Run to termination under `policy`, producing the maximal interleaving
-    /// taken and the final state.
+    /// Run to termination under `policy`, producing the picks taken and the
+    /// final state.
     pub fn run(self, policy: &mut dyn SchedulePolicy) -> Result<RunOutcome, RunError> {
-        self.drive(policy, &mut FaultPlan::none(), None)
-    }
-
-    /// [`Simulator::run`] under a fault plan: channel stalls delay
-    /// deliveries (without changing the final state — Theorem 1), and the
-    /// first crash that fires aborts the run with [`RunError::Injected`].
-    /// For crash *recovery* rather than mere injection, use
-    /// [`crate::recover::run_recovering`], which wraps this stepping with
-    /// checkpoints and a restart supervisor.
-    pub fn run_injected(
-        self,
-        policy: &mut dyn SchedulePolicy,
-        faults: &mut FaultPlan,
-    ) -> Result<RunOutcome, RunError> {
-        self.drive(policy, faults, None)
+        self.run_observed(policy, &mut NoopObserver)
     }
 
     /// [`Simulator::run`] with every atomic action reported to `obs`.
@@ -485,53 +494,65 @@ impl<P: Process> Simulator<P> {
         policy: &mut dyn SchedulePolicy,
         obs: &mut dyn StepObserver,
     ) -> Result<RunOutcome, RunError> {
-        self.drive(policy, &mut FaultPlan::none(), Some(obs))
+        let (sim, picks) = self.drive(policy, &mut FaultPlan::none(), None, obs, |_| false)?;
+        Ok(sim.outcome(picks))
     }
 
-    /// The driver loop behind every `run*`: pick, account, step, until all
-    /// processes halt. An empty `faults` plan injects nothing.
-    fn drive(
+    /// The outcome of a lineage that ended here after `picks`.
+    pub(crate) fn outcome(self, picks: Vec<ProcId>) -> RunOutcome {
+        RunOutcome {
+            snapshots: self.snapshots_now(),
+            steps: picks.len() as u64,
+            picks,
+            max_queued: self.max_queued,
+            metrics: self.metrics,
+        }
+    }
+
+    /// The one pick loop behind every simulated run: pick, step, until every
+    /// process halts or `stop` holds; returns the simulator at that cut and
+    /// the lineage's picks. `faults` is injected as it goes (an empty plan
+    /// injects nothing). Without `rollback`, an injected crash or a
+    /// deadlock ends the run; with it, they rewind to a checkpoint. Errors
+    /// that would recur on every lineage — protocol violations, the step
+    /// limit — always end it.
+    pub(crate) fn drive(
         mut self,
         policy: &mut dyn SchedulePolicy,
         faults: &mut FaultPlan,
-        mut obs: Option<&mut dyn StepObserver>,
-    ) -> Result<RunOutcome, RunError> {
-        let mut trace = Trace::new();
+        mut rollback: Option<&mut dyn Rollback<P>>,
+        obs: &mut dyn StepObserver,
+        stop: impl Fn(&Simulator<P>) -> bool,
+    ) -> Result<(Self, Vec<ProcId>), RunError> {
         let mut picks = Vec::new();
-        let mut steps: u64 = 0;
-        let mut max_queued = 0usize;
-        while !self.all_halted() {
-            let runnable = self.runnable_under(faults);
-            if runnable.is_empty() {
-                return Err(self.deadlock_error());
-            }
-            if steps >= self.step_limit {
+        let mut runnable = Vec::new();
+        while !self.all_halted() && !stop(&self) {
+            self.schedulable(faults, &mut runnable);
+            let failure = if runnable.is_empty() {
+                self.deadlock_error()
+            } else if picks.len() as u64 >= self.step_limit {
                 return Err(RunError::StepLimit { limit: self.step_limit });
-            }
-            let p = policy.pick(&runnable);
-            debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
-            picks.push(p);
-            // Every blocked, non-runnable process loses this scheduling slot:
-            // one blocked step of virtual time.
-            for q in 0..self.status.len() {
-                let blocked = matches!(
-                    self.status[q],
-                    ProcState::BlockedRecv(_) | ProcState::BlockedSend(..)
-                );
-                if blocked && !self.is_runnable(q) {
-                    self.metrics.procs[q].blocked_steps += 1;
+            } else {
+                let p = policy.pick(&runnable);
+                debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
+                match self.step_injected(p, faults, obs) {
+                    Ok(()) => {
+                        picks.push(p);
+                        if let Some(r) = rollback.as_deref_mut() {
+                            r.after_step(&self, &picks, faults);
+                        }
+                        continue;
+                    }
+                    Err(e @ RunError::Injected { .. }) => e,
+                    Err(e) => return Err(e),
                 }
+            };
+            match rollback.as_deref_mut() {
+                Some(r) => r.restore(failure, &mut self, &mut picks, faults)?,
+                None => return Err(failure),
             }
-            match obs.as_deref_mut() {
-                Some(o) => self.step_process_injected(p, faults, &mut Tee(&mut trace, o))?,
-                None => self.step_process_injected(p, faults, &mut trace)?,
-            }
-            steps += 1;
-            let queued: usize = self.queues.iter().map(|q| q.len()).sum();
-            max_queued = max_queued.max(queued);
         }
-        let snapshots = self.snapshots_now();
-        Ok(RunOutcome { snapshots, trace, steps, max_queued, picks, metrics: self.metrics })
+        Ok((self, picks))
     }
 }
 
@@ -550,9 +571,11 @@ mod tests {
     use crate::chan::ChannelSpec;
     use crate::policy::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin};
     use crate::proc::{push_f64, push_u64};
+    use crate::recover::{run_recovering, RecoveryConfig, RecoveryOutcome};
 
     /// A process that sends `count` increasing integers then halts, or
     /// receives `count` integers, sums them, then halts.
+    #[derive(Clone)]
     enum PingPong {
         Sender { chan: ChannelId, next: u64, count: u64 },
         Receiver { chan: ChannelId, got: u64, sum: u64, count: u64 },
@@ -604,6 +627,14 @@ mod tests {
             PingPong::Receiver { chan: c, got: 0, sum: 0, count },
         ];
         (topo, procs)
+    }
+
+    /// Fault injection without recovery: [`run_recovering`] with no restart
+    /// budget, so the first crash ends the run with its typed error.
+    fn injected(count: u64, faults: FaultPlan) -> Result<RecoveryOutcome, RunError> {
+        let (topo, procs) = pair(count);
+        let cfg = RecoveryConfig { checkpoint_every: u64::MAX, max_restarts: 0 };
+        run_recovering(topo, procs, faults, &mut RoundRobin::new(), cfg)
     }
 
     #[test]
@@ -903,9 +934,9 @@ mod tests {
         assert_eq!(received as u64, out.metrics.procs[1].receives);
         assert_eq!(posted, received, "every delivery was awaited first");
         assert_eq!(halted, 2);
-        // Observation is strictly richer than the trace: posted receives are
-        // not interleaving actions, so they appear only here.
-        assert_eq!(rec.events.len(), out.trace.len() + posted);
+        // A delivery step reports the delivery and the resumed process's
+        // next effect; every other step reports one event.
+        assert_eq!(rec.events.len() as u64, out.steps + received as u64);
     }
 
     #[test]
@@ -953,39 +984,30 @@ mod tests {
 
     #[test]
     fn injected_crash_aborts_with_typed_error_and_is_consumed() {
-        use crate::fault::FaultPlan;
-        let (topo, procs) = pair(10);
-        let mut faults = FaultPlan::none().crash(0, 3);
-        let err = Simulator::new(topo, procs)
-            .run_injected(&mut RoundRobin::new(), &mut faults)
-            .unwrap_err();
+        let err = injected(10, FaultPlan::none().crash(0, 3)).unwrap_err();
         assert_eq!(err, RunError::Injected { proc: 0, step: 3 });
-        assert!(faults.crashes().is_empty(), "a fired crash is one-shot");
 
-        // With the crash consumed, a fresh run under the same plan completes
-        // and matches an entirely uninjected run.
+        // A fired crash is one-shot: with a budget of one restart the rerun
+        // does not meet it again, and matches an entirely uninjected run.
         let (topo, procs) = pair(10);
-        let redo = Simulator::new(topo, procs)
-            .run_injected(&mut RoundRobin::new(), &mut faults)
-            .unwrap();
+        let cfg = RecoveryConfig { checkpoint_every: u64::MAX, max_restarts: 1 };
+        let faults = FaultPlan::none().crash(0, 3);
+        let redo = run_recovering(topo, procs, faults, &mut RoundRobin::new(), cfg).unwrap();
+        assert_eq!(redo.stats.restarts, 1);
         let (topo, procs) = pair(10);
         let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-        assert!(redo.same_final_state(&clean));
+        assert_eq!(redo.snapshots, clean.snapshots);
     }
 
     #[test]
     fn channel_stalls_delay_delivery_but_never_change_the_final_state() {
-        use crate::fault::FaultPlan;
-        let (topo, procs) = pair(10);
         let c = ChannelId(0);
         // Stall the first and the fifth delivery, generously.
-        let mut faults = FaultPlan::none().stall(c, 0, 7).stall(c, 4, 9);
-        let stalled = Simulator::new(topo, procs)
-            .run_injected(&mut RoundRobin::new(), &mut faults)
-            .expect("stalls must not deadlock or abort");
+        let faults = FaultPlan::none().stall(c, 0, 7).stall(c, 4, 9);
+        let stalled = injected(10, faults).expect("stalls must not deadlock or abort");
         let (topo, procs) = pair(10);
         let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-        assert!(stalled.same_final_state(&clean), "Theorem 1: stalls are harmless");
+        assert_eq!(stalled.snapshots, clean.snapshots, "Theorem 1: stalls are harmless");
         // The stalled run is a different interleaving (delivery was pushed
         // later), but still maximal.
         assert!(stalled.steps >= clean.steps);
@@ -993,18 +1015,14 @@ mod tests {
 
     #[test]
     fn stalls_never_fabricate_a_deadlock_when_only_the_reader_can_move() {
-        use crate::fault::FaultPlan;
         // Sender finishes everything, then only the receiver remains — and
         // its one pending delivery is stalled "forever". The auto-release
         // rule must let the run complete.
-        let (topo, procs) = pair(1);
-        let mut faults = FaultPlan::none().stall(ChannelId(0), 0, u64::MAX / 2);
-        let out = Simulator::new(topo, procs)
-            .run_injected(&mut RoundRobin::new(), &mut faults)
-            .expect("stall on the only runnable process must auto-release");
+        let faults = FaultPlan::none().stall(ChannelId(0), 0, u64::MAX / 2);
+        let out = injected(1, faults).expect("a stall on the only runnable process auto-releases");
         let (topo, procs) = pair(1);
         let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-        assert!(out.same_final_state(&clean));
+        assert_eq!(out.snapshots, clean.snapshots);
     }
 
     #[test]
@@ -1013,8 +1031,7 @@ mod tests {
         let mut sim = Simulator::new(topo, procs);
         let f0 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         // Fingerprints differ once any process steps.
-        let mut trace = Trace::new();
-        sim.step_process(0, &mut trace).unwrap();
+        sim.step_process_with(0, &mut NoopObserver).unwrap();
         let f1 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         assert_ne!(f0, f1);
     }

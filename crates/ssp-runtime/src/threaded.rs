@@ -37,7 +37,6 @@ use crate::error::RunError;
 use crate::fault::FaultPlan;
 use crate::proc::Process;
 use crate::sched::{self, PartialSeed};
-use crate::sim::SimState;
 use crate::trace::RunMetrics;
 
 /// Options for [`run_threaded_with`].
@@ -110,17 +109,6 @@ pub struct ThreadedOutcome {
     pub flight: Option<crate::trace::FlightLog>,
 }
 
-/// Run a process collection on the worker pool to termination and return
-/// each process's final snapshot, indexed by process id (legacy entry
-/// point, equivalent to [`run_threaded_with`] with a default config: no
-/// watchdog, pool sized to the host).
-pub fn run_threaded<P>(topo: &Topology, procs: Vec<P>) -> Result<Vec<Vec<u8>>, RunError>
-where
-    P: Process + 'static,
-{
-    run_threaded_with(topo, procs, ThreadedConfig::default()).map(|o| o.snapshots)
-}
-
 /// Run a process collection on the worker pool to termination.
 ///
 /// Channel endpoint violations, [`crate::proc::Effect::Fault`]s, process
@@ -160,27 +148,6 @@ where
 {
     let seed = PartialSeed::fresh(topo, procs.into_iter().enumerate().collect());
     sched::run_full(topo, seed, config, faults)
-}
-
-/// Resume a run on the worker pool from a simulator cut ([`SimState`],
-/// typically the product of replaying a fingerprint-verified checkpoint
-/// with [`crate::recover::replay_checkpoint`]). The prefix's metrics ride
-/// along: process-local step ordinals keep counting from where the prefix
-/// left them (so [`FaultPlan`] crashes keyed past the cut still fire at the
-/// right action), and channel traffic counters continue instead of
-/// restarting. By Theorem 1 the final snapshots equal those of any
-/// uninterrupted run. Used by [`crate::recover::run_threaded_recovering`]
-/// to resume after a crash rather than restart from scratch.
-pub fn run_threaded_seeded<P>(
-    topo: &Topology,
-    state: SimState<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-{
-    sched::run_full(topo, state.into(), config, faults)
 }
 
 #[cfg(test)]
@@ -270,8 +237,8 @@ mod tests {
         let sim = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
 
         let (topo2, procs2) = ring(4, 3);
-        let thr = run_threaded(&topo2, procs2).unwrap();
-        assert_eq!(sim.snapshots, thr);
+        let thr = run_threaded_with(&topo2, procs2, ThreadedConfig::default()).unwrap();
+        assert_eq!(sim.snapshots, thr.snapshots);
     }
 
     #[test]
@@ -351,13 +318,13 @@ mod tests {
     fn threaded_repeated_runs_are_identical() {
         // "…identical to those of the corresponding sequential
         // simulated-parallel versions, on the first and every execution."
-        let reference = {
+        let run = || {
             let (topo, procs) = ring(5, 2);
-            run_threaded(&topo, procs).unwrap()
+            run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap().snapshots
         };
+        let reference = run();
         for _ in 0..10 {
-            let (topo, procs) = ring(5, 2);
-            assert_eq!(run_threaded(&topo, procs).unwrap(), reference);
+            assert_eq!(run(), reference);
         }
     }
 
@@ -389,40 +356,36 @@ mod tests {
     fn every_cut_of_the_ring_launches_to_the_simulators_final_state() {
         use crate::sched::launch_partial;
         use crate::sim::Simulator;
-        use crate::{NoFlight, Trace};
+        use crate::{NoFlight, NoopObserver};
         let (topo, procs) = ring(4, 3);
         let reference = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
+        let expect: Vec<_> = reference.snapshots.iter().cloned().enumerate().collect();
 
-        // The trivial cut: a fresh seed over all ranks, through both doors
-        // of the one launcher.
         for workers in [1, 2, 4] {
+            // The trivial cut, through the whole-program door.
             let (topo, procs) = ring(4, 3);
             let config = ThreadedConfig::default().with_workers(workers);
             let out = run_threaded_with(&topo, procs, config).unwrap();
             assert_eq!(out.snapshots, reference.snapshots, "workers={workers}");
 
-            let (topo, procs) = ring(4, 3);
-            let seed = PartialSeed::fresh(&topo, procs.into_iter().enumerate().collect());
-            let run = launch_partial(&topo, seed, Some(workers), &FaultPlan::none(), |_| NoFlight);
-            let out = run.join().unwrap();
-            let expect: Vec<_> = reference.snapshots.iter().cloned().enumerate().collect();
-            assert_eq!(out.snapshots, expect, "workers={workers}");
-        }
-
-        // Every other cut: stop the simulator after each pick prefix and
-        // resume the rest on the pool.
-        for cut in 0..=reference.picks.len() {
-            let (topo, procs) = ring(4, 3);
-            let mut sim = Simulator::new(topo.clone(), procs);
-            for &p in &reference.picks[..cut] {
-                sim.step_process(p, &mut Trace::new()).unwrap();
-            }
-            let config = ThreadedConfig::default().with_workers(2);
-            let out = run_threaded_seeded(&topo, sim.into_state(), config, &FaultPlan::none())
-                .unwrap();
-            assert_eq!(out.snapshots, reference.snapshots, "cut {cut}");
-            for (got, want) in out.metrics.channels.iter().zip(&reference.metrics.channels) {
-                assert_eq!((got.messages, got.bytes), (want.messages, want.bytes), "cut {cut}");
+            // Every cut: stop the simulator after each pick prefix (the
+            // empty one included) and resume the rest on the pool.
+            for cut in 0..=reference.picks.len() {
+                let (topo, procs) = ring(4, 3);
+                let mut sim = Simulator::new(topo.clone(), procs);
+                for &p in &reference.picks[..cut] {
+                    sim.step_process_with(p, &mut NoopObserver).unwrap();
+                }
+                let seed = sim.into_state().into();
+                let none = FaultPlan::none();
+                let out = launch_partial(&topo, seed, Some(workers), &none, |_| NoFlight)
+                    .join()
+                    .unwrap();
+                assert_eq!(out.snapshots, expect, "workers={workers}, cut {cut}");
+                for (got, want) in out.metrics.channels.iter().zip(&reference.metrics.channels) {
+                    let (got, want) = ((got.messages, got.bytes), (want.messages, want.bytes));
+                    assert_eq!(got, want, "workers={workers}, cut {cut}");
+                }
             }
         }
     }
@@ -525,9 +488,9 @@ mod tests {
     #[test]
     fn threaded_recovery_resumes_to_the_uninjected_final_state() {
         use crate::recover::{run_threaded_recovering, RecoveryConfig};
-        let reference = {
+        let clean = {
             let (topo, procs) = ring(4, 3);
-            run_threaded(&topo, procs).unwrap()
+            run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap()
         };
         let (topo, _) = ring(4, 3);
         // One crash plus a (harmless) delivery stall on channel 0.
@@ -538,10 +501,9 @@ mod tests {
             faults,
             ThreadedConfig::default(),
             RecoveryConfig::every(2),
-            |m: &u64| m.to_le_bytes().to_vec(),
         )
         .unwrap();
-        assert_eq!(out.snapshots, reference, "Theorem 1: recovery reaches the same state");
+        assert_eq!(out.snapshots, clean.snapshots, "Theorem 1: recovery reaches the same state");
         assert_eq!(stats.restarts, 1);
         assert!(matches!(stats.faults_fired[0], RunError::Injected { proc: 1, step: 3 }));
         // Regression guard for the PR 3 gap: the crash fired at proc 1's
@@ -554,10 +516,6 @@ mod tests {
         );
         // The resumed lineage continues the crashed one's metrics: proc 1's
         // final step count matches a clean run's, not a truncated restart.
-        let clean = {
-            let (topo, procs) = ring(4, 3);
-            run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap()
-        };
         assert_eq!(out.metrics.procs[1].steps, clean.metrics.procs[1].steps);
     }
 

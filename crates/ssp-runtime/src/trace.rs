@@ -1,151 +1,19 @@
-//! Execution traces and metrics: what an interleaving did, and how much.
+//! Run metrics and flight-recorder events: how much a run did, and when.
 //!
-//! Traces serve three purposes: they *are* the interleaving (Theorem 1
-//! quantifies over them), they can be replayed exactly with
-//! [`crate::policy::FixedSchedule`], and they feed the permutation argument
-//! in `archetypes-core::theorem` that mirrors the paper's proof technique.
+//! A simulated run's *schedule* is its `picks`
+//! ([`crate::sim::RunOutcome::picks`]), which
+//! [`crate::policy::FixedSchedule`] replays exactly; anything finer is the
+//! [`crate::observer::StepEvent`] stream an observer sees. This module holds
+//! the counts and the wall-clock events.
 //!
-//! [`RunMetrics`] is the quantitative companion: per-channel message
+//! [`RunMetrics`] is the quantitative record: per-channel message
 //! counts, payload volume, and queue-depth high-water marks, plus
 //! per-process step/block accounting — the data behind a Figure-2-style
-//! communication profile. Both runners populate it; [`RunMetrics::to_json`]
+//! communication profile. Every runner populates it; [`RunMetrics::to_json`]
 //! dumps it without any serialization dependency.
 
 use crate::chan::{ChannelId, Topology};
-use crate::observer::{StepEvent, StepObserver};
 use crate::proc::ProcId;
-
-/// What a single scheduled step did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// A local-computation action of the given abstract cost.
-    Computed {
-        /// Abstract work units reported by the process.
-        units: u64,
-    },
-    /// A send on `chan` (never blocks on infinite-slack channels).
-    Sent {
-        /// The channel sent on.
-        chan: ChannelId,
-    },
-    /// A receive from `chan` completed (the message was delivered).
-    Received {
-        /// The channel received from.
-        chan: ChannelId,
-    },
-    /// The process halted.
-    Halted,
-}
-
-/// One atomic action in an interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Which process acted.
-    pub proc: ProcId,
-    /// What it did.
-    pub kind: EventKind,
-}
-
-/// A complete interleaving: the ordered list of atomic actions of a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    events: Vec<Event>,
-}
-
-impl Trace {
-    /// Empty trace.
-    pub fn new() -> Self {
-        Trace { events: Vec::new() }
-    }
-
-    /// Append an event.
-    pub fn push(&mut self, e: Event) {
-        self.events.push(e);
-    }
-
-    /// The events in execution order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of atomic actions taken.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no actions were taken.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The *schedule* of this trace: the sequence of process ids in the
-    /// order they acted. Feeding this to
-    /// [`crate::policy::FixedSchedule`] replays the identical interleaving
-    /// (processes are deterministic, so the schedule determines the trace).
-    pub fn schedule(&self) -> Vec<ProcId> {
-        self.events.iter().map(|e| e.proc).collect()
-    }
-
-    /// Per-process counts of (computes, sends, receives) — useful for
-    /// verifying that two interleavings are permutations of the same
-    /// multiset of actions, the first step of the paper's proof argument.
-    pub fn action_counts(&self, n_procs: usize) -> Vec<(u64, u64, u64)> {
-        let mut counts = vec![(0u64, 0u64, 0u64); n_procs];
-        for e in &self.events {
-            let c = &mut counts[e.proc];
-            match e.kind {
-                EventKind::Computed { .. } => c.0 += 1,
-                EventKind::Sent { .. } => c.1 += 1,
-                EventKind::Received { .. } => c.2 += 1,
-                EventKind::Halted => {}
-            }
-        }
-        counts
-    }
-
-    /// The projection of the trace onto one process: its subsequence of
-    /// events. Theorem 1's proof relies on every interleaving having the
-    /// *same* per-process projection (determinism), differing only in how
-    /// projections are merged.
-    pub fn projection(&self, proc: ProcId) -> Vec<Event> {
-        self.events.iter().copied().filter(|e| e.proc == proc).collect()
-    }
-
-    /// Total abstract compute units across all processes.
-    pub fn total_compute_units(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Computed { units } => units,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total number of messages sent.
-    pub fn total_sends(&self) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Sent { .. }))
-            .count() as u64
-    }
-}
-
-/// A trace is the observer that keeps the interleaving's *actions*: a
-/// posted receive or a blocked send is not one (the delivery and the
-/// completed send that follow are), so those two events are dropped.
-impl StepObserver for Trace {
-    fn on_event(&mut self, ev: StepEvent) {
-        let kind = match ev {
-            StepEvent::Computed { units, .. } => EventKind::Computed { units },
-            StepEvent::Sent { chan, .. } => EventKind::Sent { chan },
-            StepEvent::Received { chan, .. } => EventKind::Received { chan },
-            StepEvent::Halted { .. } => EventKind::Halted,
-            StepEvent::RecvPosted { .. } | StepEvent::SendBlocked { .. } => return,
-        };
-        self.push(Event { proc: ev.proc(), kind });
-    }
-}
 
 /// Communication metrics for one channel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -407,9 +275,10 @@ impl RunMetrics {
 // Flight-recorder events: wall-clock execution tracing (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
-/// What one flight-recorder event records. Where [`EventKind`] is the
-/// *model-level* action vocabulary (untimed, backend-independent),
-/// `FlightKind` is the *execution-level* one: scheduler transitions
+/// What one flight-recorder event records. Where
+/// [`crate::observer::StepEvent`] is the *model-level* action vocabulary
+/// (untimed, backend-independent), `FlightKind` is the *execution-level*
+/// one: scheduler transitions
 /// (run/park/wake/steal/yield), channel transfers with real byte counts,
 /// and lifecycle marks (checkpoint/restore/fault/migration) — each stamped
 /// with wall-clock nanoseconds by [`crate::flight::FlightRecorder`].
@@ -717,33 +586,6 @@ impl FlightLog {
 mod tests {
     use super::*;
 
-    fn ev(proc: ProcId, kind: EventKind) -> Event {
-        Event { proc, kind }
-    }
-
-    #[test]
-    fn schedule_extracts_actor_order() {
-        let mut t = Trace::new();
-        t.push(ev(0, EventKind::Computed { units: 1 }));
-        t.push(ev(1, EventKind::Sent { chan: ChannelId(0) }));
-        t.push(ev(0, EventKind::Halted));
-        assert_eq!(t.schedule(), vec![0, 1, 0]);
-    }
-
-    #[test]
-    fn projections_partition_the_trace() {
-        let mut t = Trace::new();
-        t.push(ev(0, EventKind::Computed { units: 1 }));
-        t.push(ev(1, EventKind::Sent { chan: ChannelId(0) }));
-        t.push(ev(0, EventKind::Received { chan: ChannelId(1) }));
-        t.push(ev(1, EventKind::Halted));
-        let p0 = t.projection(0);
-        let p1 = t.projection(1);
-        assert_eq!(p0.len() + p1.len(), t.len());
-        assert!(p0.iter().all(|e| e.proc == 0));
-        assert!(p1.iter().all(|e| e.proc == 1));
-    }
-
     #[test]
     fn metrics_accumulate_and_dump_as_json() {
         let mut t = Topology::new(2);
@@ -947,19 +789,5 @@ mod tests {
                 other => panic!("expected Protocol error for {c:?}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn action_counts_tally_by_kind() {
-        let mut t = Trace::new();
-        t.push(ev(0, EventKind::Computed { units: 5 }));
-        t.push(ev(0, EventKind::Sent { chan: ChannelId(0) }));
-        t.push(ev(0, EventKind::Sent { chan: ChannelId(0) }));
-        t.push(ev(1, EventKind::Received { chan: ChannelId(0) }));
-        let counts = t.action_counts(2);
-        assert_eq!(counts[0], (1, 2, 0));
-        assert_eq!(counts[1], (0, 0, 1));
-        assert_eq!(t.total_compute_units(), 5);
-        assert_eq!(t.total_sends(), 2);
     }
 }

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use ssp_runtime::{
-    ChannelId, Effect, FixedSchedule, Process, RandomPolicy, RoundRobin, Simulator, Topology,
+    ChannelId, Effect, FixedSchedule, Process, RandomPolicy, RecordingObserver, RoundRobin,
+    SchedulePolicy, Simulator, StepEvent, Topology,
 };
 
 /// A deterministic scripted process: a list of primitive actions.
@@ -90,7 +91,7 @@ proptest! {
         prop_assert!(reference.same_final_state(&out));
     }
 
-    /// Replaying a trace's schedule reproduces the identical trace and
+    /// Replaying a run's picks reproduces the identical picks, metrics and
     /// final state (determinism of the simulated runner).
     #[test]
     fn schedule_replay_is_exact(k in 1usize..8, m in 1usize..8, seed in 0u64..500) {
@@ -102,7 +103,8 @@ proptest! {
         let mut replay = FixedSchedule::new(first.picks.clone());
         let second = Simulator::new(topo, procs).run(&mut replay).unwrap();
         prop_assert_eq!(replay.deviations, 0, "a recorded schedule replays verbatim");
-        prop_assert_eq!(first.trace, second.trace);
+        prop_assert_eq!(first.picks, second.picks);
+        prop_assert_eq!(first.metrics, second.metrics);
         prop_assert_eq!(first.snapshots, second.snapshots);
     }
 
@@ -119,16 +121,23 @@ proptest! {
         prop_assert_eq!(rr.snapshots[1].clone(), rnd.snapshots[1].clone());
     }
 
-    /// Per-process action projections are identical across interleavings
-    /// (the determinism premise of the theorem's proof).
+    /// Per-process projections of the step events are identical across
+    /// interleavings (the determinism premise of the theorem's proof).
     #[test]
     fn projections_are_schedule_invariant(k in 1usize..8, m in 1usize..8, seed in 0u64..300) {
-        let (topo, procs) = matched_pair(k, m, 5);
-        let a = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
-        let (topo, procs) = matched_pair(k, m, 5);
-        let b = Simulator::new(topo, procs).run(&mut RandomPolicy::seeded(seed)).unwrap();
+        let events = |policy: &mut dyn SchedulePolicy| {
+            let (topo, procs) = matched_pair(k, m, 5);
+            let mut rec = RecordingObserver::default();
+            Simulator::new(topo, procs).run_observed(policy, &mut rec).unwrap();
+            rec.events
+        };
+        let a = events(&mut RoundRobin::new());
+        let b = events(&mut RandomPolicy::seeded(seed));
         for p in 0..2 {
-            prop_assert_eq!(a.trace.projection(p), b.trace.projection(p));
+            let projection = |evs: &[StepEvent]| -> Vec<StepEvent> {
+                evs.iter().copied().filter(|e| e.proc() == p).collect()
+            };
+            prop_assert_eq!(projection(&a), projection(&b));
         }
     }
 }
