@@ -105,11 +105,7 @@ fn main() -> Verdicts {
         ("separate host process", HostMode::Separate),
     ] {
         let init = init_c(params.clone(), spec.clone(), strategy);
-        let cfg = SimParConfig {
-            validation: ValidationLevel::Off,
-            record_trace: true,
-            host_mode: mode,
-        };
+        let cfg = SimParConfig { validation: ValidationLevel::Off, host_mode: mode };
         let out = run_simpar(&plan, pg, cfg, |e| init(e));
         let t = suns.price_trace(&out.trace);
         modeled.push(t);

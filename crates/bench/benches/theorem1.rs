@@ -40,7 +40,7 @@ fn main() -> Verdicts {
     for p in [2usize, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Off, record_trace: false, ..Default::default() };
+        let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
         let simpar = run_simpar(&plan, pg, cfg, |e| init(e));
         let mut agree = 0usize;
         let mut total = 0usize;

@@ -38,7 +38,7 @@ pub fn run_version_a(params: &Arc<Params>, p: usize) -> (SimParOutcome<LocalA>, 
     let pg = ProcGrid3::choose(params.n, p);
     let plan = plan_a(params);
     let init = init_a(params.clone());
-    let cfg = SimParConfig { validation: ValidationLevel::Off, record_trace: true, ..Default::default() };
+    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
     let t0 = Instant::now();
     let out = run_simpar(&plan, pg, cfg, |e| init(e));
     let wall = t0.elapsed().as_secs_f64();
@@ -56,7 +56,7 @@ pub fn run_version_c(
     let pg = ProcGrid3::choose(params.n, p);
     let plan = plan_c(params, spec, strategy);
     let init = init_c(params.clone(), spec.clone(), strategy);
-    let cfg = SimParConfig { validation: ValidationLevel::Off, record_trace: true, ..Default::default() };
+    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
     let t0 = Instant::now();
     let out = run_simpar(&plan, pg, cfg, |e| init(e));
     let wall = t0.elapsed().as_secs_f64();

@@ -27,6 +27,7 @@ use mesh_archetype::reduce::ReduceOp;
 use mesh_archetype::{Env, ExchangeSpec, Plan};
 use meshgrid::halo::Face3::{XHi, XLo, YHi, YLo, ZHi, ZLo};
 use meshgrid::{Block3, FaceSet3, Grid3, ProcGrid3};
+use ssp_runtime::proc::{push_f64s, push_u32, push_u64, Reader};
 use ssp_runtime::RunError;
 
 use crate::farfield::{FarFieldAccumulator, FarFieldSpec, FarFieldStrategy};
@@ -86,49 +87,27 @@ impl mesh_archetype::driver::MeshLocalCodec for LocalA {
             [&self.fields.ex, &self.fields.ey, &self.fields.ez, &self.fields.hx, &self.fields.hy, &self.fields.hz];
         let cells: usize = grids.iter().map(|g| g.raw().len()).sum();
         let mut out = Vec::with_capacity(8 + 4 + cells * 8);
-        out.extend_from_slice(&(self.step as u64).to_le_bytes());
-        out.extend_from_slice(&(cells as u32).to_le_bytes());
+        push_u64(&mut out, self.step as u64);
+        push_u32(&mut out, cells as u32);
         for g in grids {
-            for v in g.raw() {
-                out.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            push_f64s(&mut out, g.raw());
         }
         out
     }
 
-    fn decode_local(template: &Self, buf: &[u8]) -> Result<Self, ssp_runtime::RunError> {
-        let err = |detail: String| ssp_runtime::RunError::Protocol { proc: 0, detail };
-        let mut local = template.clone();
-        let grids = [
-            &mut local.fields.ex,
-            &mut local.fields.ey,
-            &mut local.fields.ez,
-            &mut local.fields.hx,
-            &mut local.fields.hy,
-            &mut local.fields.hz,
-        ];
+    fn decode_local(template: &Self, r: &mut Reader<'_>) -> Result<Self, RunError> {
+        let mut local = LocalA { step: r.u64("fdtd step")? as usize, ..template.clone() };
+        let cells = r.u32("fdtd cell count")? as usize;
+        let f = &mut local.fields;
+        let grids = [&mut f.ex, &mut f.ey, &mut f.ez, &mut f.hx, &mut f.hy, &mut f.hz];
         let expected: usize = grids.iter().map(|g| g.raw().len()).sum();
-        if buf.len() != 12 + expected * 8 {
-            return Err(err(format!(
-                "fdtd local state is {} bytes, this rank's section needs {}",
-                buf.len(),
-                12 + expected * 8
-            )));
-        }
-        let step = u64::from_le_bytes(buf[..8].try_into().unwrap());
-        let cells = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
         if cells != expected {
-            return Err(err(format!(
+            return Err(r.error(format_args!(
                 "fdtd local state carries {cells} cells, this rank's section holds {expected}"
             )));
         }
-        local.step = step as usize;
-        let mut at = 12;
         for g in grids {
-            for v in g.raw_mut() {
-                *v = f64::from_bits(u64::from_le_bytes(buf[at..at + 8].try_into().unwrap()));
-                at += 8;
-            }
+            r.f64s_into(g.raw_mut(), "fdtd field cell")?;
         }
         Ok(local)
     }

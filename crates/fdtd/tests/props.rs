@@ -114,7 +114,7 @@ proptest! {
         let plan = plan_a(&params);
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Slab, record_trace: false, ..Default::default() };
+        let cfg = SimParConfig { validation: ValidationLevel::Slab, ..Default::default() };
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
         prop_assert!(out.report.is_clean());
         let ez = out.assemble_global(&pg, |l| &mut l.fields.ez);

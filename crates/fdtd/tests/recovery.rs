@@ -1,21 +1,23 @@
-//! The PR's acceptance check: FDTD Version A with an injected crash
-//! recovers **bitwise identical** to the uninjected run, under all six
-//! scheduling policies × slack 1 / 4 / unbounded.
+//! FDTD Version A with an injected crash recovers **bitwise identical** to
+//! the uninjected run, under all six scheduling policies × slack 1 / 4 /
+//! unbounded; and a mid-run cut survives the migration codec.
 //!
 //! Theorem 1 (§3.2) is what makes this possible: a crashed-and-restarted
-//! execution is just another maximal interleaving of the same process
-//! collection, so the recovered run must land on exactly the snapshots of
-//! the clean run — not approximately, byte for byte.
+//! (or migrated) execution is just another maximal interleaving of the same
+//! process collection, so the recovered run must land on exactly the
+//! snapshots of the clean run — not approximately, byte for byte.
 
 use std::sync::Arc;
 
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
-use mesh_archetype::{run_msg_recovering, run_msg_simulated_slack};
+use mesh_archetype::driver::{build_msg_processes, MsgProcess};
+use mesh_archetype::{run_msg_recovering, run_msg_simulated, run_msg_simulated_slack};
 use meshgrid::ProcGrid3;
+use ssp_runtime::proc::{push_bytes, push_u64, Reader};
 use ssp_runtime::{
-    Adversary, AdversarialPolicy, ChannelId, FaultPlan, RandomPolicy, RecoveryConfig,
-    RoundRobin, RunError, SchedulePolicy,
+    launch_partial, Adversary, AdversarialPolicy, ChannelId, FaultPlan, NoFlight, NoopObserver,
+    PartialSeed, RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy, Simulator,
 };
 
 /// The six-policy battery of the slack tests, freshly constructed per call
@@ -79,4 +81,55 @@ fn injected_crash_recovers_bitwise_under_six_policies_and_three_slacks() {
             );
         }
     }
+}
+
+/// The migration payload in tier 1: a real mid-exchange cut of Version A at
+/// P = 2, each rank's state through its byte codec. Every truncation, and a
+/// state whose local section is one byte short, is a typed error naming the
+/// rank; the intact bytes resume, on the threaded scheduler seeded from the
+/// cut, to the simulator's snapshots.
+#[test]
+fn mid_exchange_cut_survives_the_state_codec() {
+    let params = Arc::new(Params::tiny());
+    let plan = plan_a(&params);
+    let init = init_a(params.clone());
+    let pg = ProcGrid3::choose(params.n, 2);
+    let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+
+    // Rank 0 runs until it waits for its first halo; rank 1 then sends it.
+    let (topo, procs) = build_msg_processes(&plan, pg, &init);
+    let mut sim = Simulator::new(topo.clone(), procs);
+    while sim.is_runnable(0) {
+        sim.step_process_with(0, &mut NoopObserver).unwrap();
+    }
+    sim.step_process_with(1, &mut NoopObserver).unwrap();
+    let mut seed: PartialSeed<_> = sim.into_state().into();
+    assert!(seed.queues.iter().any(|(_, q)| !q.is_empty()), "a halo is in flight at the cut");
+
+    let (_, templates) = build_msg_processes(&plan, pg, &init);
+    let named = |rank: usize, bytes: &[u8], what: &str| {
+        match MsgProcess::decode_state(&templates[rank], bytes) {
+            Err(RunError::Protocol { proc, .. }) => assert_eq!(proc, rank, "{what}"),
+            other => panic!("rank {rank}, {what}: {:?}", other.err()),
+        }
+    };
+    for (rank, proc, _, _) in &mut seed.procs {
+        let bytes = proc.encode_state();
+        for cut in 0..bytes.len() {
+            named(*rank, &bytes[..cut], &format!("cut at {cut}"));
+        }
+        // `[pc][local state][rest]`, the local state re-framed one byte short.
+        let mut r = Reader::new("test", &bytes);
+        let pc = r.u64("pc").unwrap();
+        let local = r.bytes("local").unwrap();
+        let mut short = Vec::new();
+        push_u64(&mut short, pc);
+        push_bytes(&mut short, &local[..local.len() - 1]);
+        short.extend_from_slice(r.rest());
+        named(*rank, &short, "short local state");
+        *proc = MsgProcess::decode_state(&templates[*rank], &bytes).unwrap();
+    }
+    let out = launch_partial(&topo, seed, Some(2), &FaultPlan::none(), |_| NoFlight);
+    let snapshots: Vec<Vec<u8>> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
+    assert_eq!(snapshots, reference.snapshots);
 }

@@ -57,7 +57,7 @@ fn near_field_simpar_identical_to_sequential() {
     for p in [2usize, 3, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Slab, record_trace: false, ..Default::default() };
+        let cfg = SimParConfig { validation: ValidationLevel::Slab, ..Default::default() };
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
         assert!(out.report.is_clean(), "P={p}");
         let par_grids = assemble_fields_a(&mut out, &pg);

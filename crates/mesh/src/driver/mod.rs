@@ -55,7 +55,13 @@ pub trait MeshLocalCodec: MeshLocal + Sized {
     /// Encode the evolving state (template fields may be skipped).
     fn encode_local(&self) -> Vec<u8>;
     /// Rebuild from `template` (a freshly initialized rank-local state for
-    /// the same spec and rank) plus encoded bytes. Must fail typed on any
-    /// malformed input — this path reads network bytes.
-    fn decode_local(template: &Self, buf: &[u8]) -> Result<Self, ssp_runtime::RunError>;
+    /// the same spec and rank) plus the encoded bytes, read through `r`: a
+    /// reader over exactly what [`MeshLocalCodec::encode_local`] wrote,
+    /// whose errors already name the rank. Must fail typed on any malformed
+    /// input — this path reads network bytes; the caller rejects trailing
+    /// bytes.
+    fn decode_local(
+        template: &Self,
+        r: &mut ssp_runtime::proc::Reader<'_>,
+    ) -> Result<Self, ssp_runtime::RunError>;
 }

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use ssp_runtime::proc::{push_bytes, push_f64s, push_u32, push_u64, Reader};
 use ssp_runtime::{
     BufPool, ChannelId, Effect, FaultPlan, Process, RecoveryConfig, RecoveryOutcome, RunError,
     RunOutcome, SchedulePolicy, Simulator, Topology,
@@ -27,7 +28,7 @@ use meshgrid::halo::Face3;
 use meshgrid::{Grid3, ProcGrid3};
 
 use crate::driver::simpar::{ordered_sum, HostMode};
-use crate::driver::wire::Reader;
+use crate::driver::wire::{push_contribs, read_contribs};
 use crate::driver::{MeshLocal, MeshLocalCodec};
 use crate::env::Env;
 use crate::exchange::{face_links, FaceLink};
@@ -407,34 +408,8 @@ impl PendingRecv {
 // Process-state codec: what a checkpoint-resumed migration moves.
 // ---------------------------------------------------------------------------
 
-fn state_err(rank: usize, detail: impl Into<String>) -> RunError {
-    RunError::Protocol { proc: rank, detail: format!("mesh state: {}", detail.into()) }
-}
-
-fn push_u32s(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64s(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn encode_reduce_op(op: ReduceOp) -> u8 {
-    match op {
-        ReduceOp::Sum => 0,
-        ReduceOp::Max => 1,
-        ReduceOp::Min => 2,
-    }
-}
-
-fn decode_reduce_op(rank: usize, t: u8) -> Result<ReduceOp, RunError> {
-    Ok(match t {
-        0 => ReduceOp::Sum,
-        1 => ReduceOp::Max,
-        2 => ReduceOp::Min,
-        t => return Err(state_err(rank, format!("unknown reduce op tag {t}"))),
-    })
-}
+/// The reduce operators in wire-tag order.
+const REDUCE_OPS: [ReduceOp; 3] = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min];
 
 impl<L: MeshLocalCodec> MsgProcess<L> {
     /// Encode this process's complete dynamic state: program counter, local
@@ -445,58 +420,44 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
     /// encoded; [`MsgProcess::decode_state`] takes it from a template.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        push_u64s(&mut out, self.pc as u64);
-        let local = self.local.encode_local();
-        push_u32s(&mut out, local.len() as u32);
-        out.extend_from_slice(&local);
-        push_u32s(&mut out, self.scratch.len() as u32);
-        for v in &self.scratch {
-            push_u64s(&mut out, v.to_bits());
-        }
-        push_u32s(&mut out, self.contribs.len() as u32);
-        for c in &self.contribs {
-            push_u32s(&mut out, c.bin);
-            push_u64s(&mut out, c.order);
-            push_u64s(&mut out, c.value.to_bits());
-        }
+        push_u64(&mut out, self.pc as u64);
+        push_bytes(&mut out, &self.local.encode_local());
+        push_u32(&mut out, self.scratch.len() as u32);
+        push_f64s(&mut out, &self.scratch);
+        push_u32(&mut out, self.contribs.len() as u32);
+        push_contribs(&mut out, &self.contribs);
         match &self.global {
             None => out.push(0),
             Some(g) => {
                 out.push(1);
                 let (nx, ny, nz) = g.extent();
-                for d in [nx, ny, nz, g.ghost()] {
-                    push_u32s(&mut out, d as u32);
+                for d in [nx, ny, nz, g.ghost(), g.raw().len()] {
+                    push_u32(&mut out, d as u32);
                 }
-                let raw = g.raw();
-                push_u32s(&mut out, raw.len() as u32);
-                for v in raw {
-                    push_u64s(&mut out, v.to_bits());
-                }
+                push_f64s(&mut out, g.raw());
             }
         }
-        push_u32s(&mut out, self.loop_stack.len() as u32);
+        push_u32(&mut out, self.loop_stack.len() as u32);
         for &v in &self.loop_stack {
-            push_u64s(&mut out, v as u64);
+            push_u64(&mut out, v as u64);
         }
-        push_u32s(&mut out, self.while_stack.len() as u32);
+        push_u32(&mut out, self.while_stack.len() as u32);
         for &v in &self.while_stack {
-            push_u64s(&mut out, v);
+            push_u64(&mut out, v);
         }
         match &self.pending {
             None => out.push(0),
             Some(PendingRecv::Face { op, link }) => {
                 out.push(1);
-                push_u64s(&mut out, *op as u64);
-                let face = Face3::ALL
-                    .iter()
-                    .position(|f| *f == link.face)
-                    .expect("Face3::ALL is exhaustive") as u8;
-                out.push(face);
-                push_u32s(&mut out, link.neighbor as u32);
+                push_u64(&mut out, *op as u64);
+                let face = Face3::ALL.iter().position(|f| *f == link.face);
+                out.push(face.expect("Face3::ALL is exhaustive") as u8);
+                push_u32(&mut out, link.neighbor as u32);
             }
             Some(PendingRecv::Combine { op }) => {
                 out.push(2);
-                out.push(encode_reduce_op(*op));
+                let tag = REDUCE_OPS.iter().position(|o| o == op);
+                out.push(tag.expect("REDUCE_OPS is exhaustive") as u8);
             }
             Some(PendingRecv::Replace) => out.push(3),
             Some(PendingRecv::Contribs) => out.push(4),
@@ -504,11 +465,11 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             Some(PendingRecv::Bcast) => out.push(6),
             Some(PendingRecv::GatherBlock { src }) => {
                 out.push(7);
-                push_u32s(&mut out, *src as u32);
+                push_u32(&mut out, *src as u32);
             }
             Some(PendingRecv::ScatterBlock { op }) => {
                 out.push(8);
-                push_u64s(&mut out, *op as u64);
+                push_u64(&mut out, *op as u64);
             }
         }
         out
@@ -517,94 +478,91 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
     /// Rebuild a process from `template` (a freshly built process for the
     /// same rank, spec, and topology) plus [`MsgProcess::encode_state`]
     /// bytes. Total over arbitrary bytes: malformed or forged input fails
-    /// with a typed [`RunError::Protocol`] — bounds and op indices are
-    /// validated against the template's program, so a hostile manifest can
-    /// neither panic the interpreter nor make it index out of range.
-    pub fn decode_state(template: MsgProcess<L>, buf: &[u8]) -> Result<MsgProcess<L>, RunError> {
+    /// with a typed [`RunError::Protocol`] attributed to the template's
+    /// rank. A pending receive must name a receive op of the template's
+    /// program (of its kind, and for a halo, over its link), and an
+    /// in-progress grid must be the program's global grid; control state
+    /// the interpreter cannot check here (an empty loop or while stack, a
+    /// missing grid) faults typed when it is reached. So a hostile manifest
+    /// can neither panic the interpreter nor make it index out of range.
+    pub fn decode_state(template: &MsgProcess<L>, buf: &[u8]) -> Result<MsgProcess<L>, RunError> {
         let rank = template.env.rank;
-        let n_ops = template.ops.len();
-        let mut r = Reader::new(buf);
+        let ops = &template.ops;
+        let mut r = Reader::new("mesh state", buf).for_proc(rank);
         let pc = r.u64("pc")? as usize;
-        if pc > n_ops {
-            return Err(state_err(rank, format!("pc {pc} outside program of {n_ops} ops")));
+        if pc > ops.len() {
+            return Err(r.error(format_args!("pc {pc} outside program of {} ops", ops.len())));
         }
-        let local_len = r.count(1, "local state")?;
-        let local = L::decode_local(&template.local, r.take(local_len, "local state")?)?;
-        let n_scratch = r.count(8, "scratch")?;
-        let mut scratch = Vec::with_capacity(n_scratch);
-        for _ in 0..n_scratch {
-            scratch.push(r.f64("scratch element")?);
-        }
-        let n_contribs = r.count(20, "contribs")?;
-        let mut contribs = Vec::with_capacity(n_contribs);
-        for _ in 0..n_contribs {
-            let bin = r.u32("contrib bin")?;
-            let order = r.u64("contrib order")?;
-            let value = r.f64("contrib value")?;
-            contribs.push(Contribution { bin, order, value });
-        }
+        let mut local_r = Reader::new("mesh state", r.bytes("local state")?).for_proc(rank);
+        let local = L::decode_local(&template.local, &mut local_r)?;
+        let local = local_r.finish(local)?;
+        let n = r.count(8, "scratch")?;
+        let scratch = r.f64s(n, "scratch")?;
+        let n = r.count(20, "contribs")?;
+        let contribs = read_contribs(&mut r, n)?;
         let global = match r.u8("global flag")? {
             0 => None,
             1 => {
-                let nx = r.u32("global nx")? as usize;
-                let ny = r.u32("global ny")? as usize;
-                let nz = r.u32("global nz")? as usize;
-                let ghost = r.u32("global ghost")? as usize;
+                let mut dim = |what| r.u32(what).map(|d| d as usize);
+                let (nx, ny, nz) = (dim("global nx")?, dim("global ny")?, dim("global nz")?);
+                let ghost = dim("global ghost")?;
+                if (nx, ny, nz) != template.env.pg.n {
+                    return Err(r.error(format_args!(
+                        "global grid extent {:?}, the program's grid is {:?}",
+                        (nx, ny, nz),
+                        template.env.pg.n
+                    )));
+                }
                 let expected = [nx, ny, nz]
                     .iter()
                     .try_fold(1usize, |acc, &d| {
                         acc.checked_mul(d.checked_add(2usize.checked_mul(ghost)?)?)
                     })
-                    .ok_or_else(|| state_err(rank, "global grid dims overflow"))?;
+                    .ok_or_else(|| r.error("global grid dims overflow"))?;
                 let count = r.count(8, "global grid")?;
                 if count != expected {
-                    return Err(state_err(
-                        rank,
-                        format!("global grid carries {count} cells, dims need {expected}"),
-                    ));
+                    return Err(r.error(format_args!(
+                        "global grid carries {count} cells, dims need {expected}"
+                    )));
                 }
                 let mut g = Grid3::new(nx, ny, nz, ghost);
-                for cell in g.raw_mut() {
-                    *cell = r.f64("global cell")?;
-                }
+                r.f64s_into(g.raw_mut(), "global cell")?;
                 Some(g)
             }
-            t => return Err(state_err(rank, format!("unknown global flag {t}"))),
+            t => return Err(r.error(format_args!("unknown global flag {t}"))),
         };
-        let n_loop = r.count(8, "loop stack")?;
-        let mut loop_stack = Vec::with_capacity(n_loop);
-        for _ in 0..n_loop {
-            loop_stack.push(r.u64("loop counter")? as usize);
-        }
-        let n_while = r.count(8, "while stack")?;
-        let mut while_stack = Vec::with_capacity(n_while);
-        for _ in 0..n_while {
-            while_stack.push(r.u64("while budget")?);
-        }
-        let op_index = |what: &str, op: u64| -> Result<usize, RunError> {
-            let op = op as usize;
-            if op >= n_ops {
-                return Err(state_err(rank, format!("{what} op {op} outside program")));
-            }
-            Ok(op)
-        };
+        let n = r.count(8, "loop stack")?;
+        let loop_stack = (0..n)
+            .map(|_| Ok(r.u64("loop counter")? as usize))
+            .collect::<Result<_, RunError>>()?;
+        let n = r.count(8, "while stack")?;
+        let while_stack = (0..n).map(|_| r.u64("while budget")).collect::<Result<_, _>>()?;
         let pending = match r.u8("pending tag")? {
             0 => None,
             1 => {
-                let op = op_index("pending face", r.u64("pending face op")?)?;
+                let op = r.u64("pending face op")? as usize;
                 let face = r.u8("pending face index")?;
-                let face = *Face3::ALL
-                    .get(face as usize)
-                    .ok_or_else(|| state_err(rank, format!("unknown face index {face}")))?;
                 let neighbor = r.u32("pending face neighbor")? as usize;
-                if template.chan_from.get(neighbor).is_none_or(|c| c.is_none()) {
-                    return Err(state_err(rank, format!("no channel from rank {neighbor}")));
+                let link = Face3::ALL.get(face as usize).map(|&face| FaceLink { face, neighbor });
+                match (ops.get(op), link) {
+                    (Some(Op::RecvFace { link: issued, .. }), Some(link)) if *issued == link => {
+                        Some(PendingRecv::Face { op, link })
+                    }
+                    _ => {
+                        return Err(r.error(format_args!(
+                            "pending halo (op {op}, face {face}, from rank {neighbor}) is not \
+                             a receive of this program"
+                        )))
+                    }
                 }
-                Some(PendingRecv::Face { op, link: FaceLink { face, neighbor } })
             }
-            2 => Some(PendingRecv::Combine {
-                op: decode_reduce_op(rank, r.u8("pending reduce op")?)?,
-            }),
+            2 => {
+                let tag = r.u8("pending reduce op")?;
+                let op = *REDUCE_OPS
+                    .get(tag as usize)
+                    .ok_or_else(|| r.error(format_args!("unknown reduce op tag {tag}")))?;
+                Some(PendingRecv::Combine { op })
+            }
             3 => Some(PendingRecv::Replace),
             4 => Some(PendingRecv::Contribs),
             5 => Some(PendingRecv::Result),
@@ -612,51 +570,70 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             7 => {
                 let src = r.u32("pending gather src")? as usize;
                 if src >= template.env.pg.nprocs() {
-                    return Err(state_err(rank, format!("gather src {src} outside grid")));
+                    return Err(r.error(format_args!("gather src {src} outside grid")));
                 }
                 Some(PendingRecv::GatherBlock { src })
             }
-            8 => Some(PendingRecv::ScatterBlock {
-                op: op_index("pending scatter", r.u64("pending scatter op")?)?,
-            }),
-            t => return Err(state_err(rank, format!("unknown pending tag {t}"))),
+            8 => {
+                let op = r.u64("pending scatter op")? as usize;
+                if !matches!(ops.get(op), Some(Op::ScatterRecvBlock { .. })) {
+                    return Err(r.error(format_args!(
+                        "pending scatter op {op} is not a scatter receive of this program"
+                    )));
+                }
+                Some(PendingRecv::ScatterBlock { op })
+            }
+            t => return Err(r.error(format_args!("unknown pending tag {t}"))),
         };
-        if r.remaining() != 0 {
-            return Err(state_err(rank, format!("{} trailing bytes", r.remaining())));
-        }
-        let MsgProcess { env, ops, chan_to, chan_from, pool, .. } = template;
-        Ok(MsgProcess {
-            env,
+        r.finish(MsgProcess {
+            env: template.env,
             local,
-            ops,
+            ops: Arc::clone(ops),
             pc,
-            chan_to,
-            chan_from,
+            chan_to: template.chan_to.clone(),
+            chan_from: template.chan_from.clone(),
             scratch,
             contribs,
             global,
             loop_stack,
             while_stack,
-            pool,
+            pool: BufPool::new(),
             pending,
         })
     }
 }
 
 impl<L: MeshLocal> MsgProcess<L> {
+    /// A protocol error raised by this rank.
+    fn protocol(&self, detail: String) -> RunError {
+        RunError::Protocol { proc: self.env.rank, detail }
+    }
+
+    /// A protocol fault raised by this rank.
+    fn fault(&self, detail: String) -> Effect<MeshMsg> {
+        Effect::Fault { error: self.protocol(detail) }
+    }
+
+    /// The grid of the gather or scatter in progress. Only a forged cut
+    /// reaches a collective op without one.
+    fn collective_grid(&mut self, op: &str) -> Result<&mut Grid3<f64>, RunError> {
+        let proc = self.env.rank;
+        self.global.as_mut().ok_or_else(|| RunError::Protocol {
+            proc,
+            detail: format!("{op} with no gather or scatter in progress"),
+        })
+    }
+
     fn insert_block(&mut self, src: usize, data: &[f64]) -> Result<(), RunError> {
         let block = self.env.pg.block(src);
         if data.len() != block.len() {
-            return Err(RunError::Protocol {
-                proc: self.env.rank,
-                detail: format!(
-                    "gather block from rank {src} carries {} values, its block holds {}",
-                    data.len(),
-                    block.len()
-                ),
-            });
+            return Err(self.protocol(format!(
+                "gather block from rank {src} carries {} values, its block holds {}",
+                data.len(),
+                block.len()
+            )));
         }
-        let global = self.global.as_mut().expect("gather in progress");
+        let global = self.collective_grid("gather block")?;
         let mut it = data.iter();
         for li in 0..block.extent().0 {
             for lj in 0..block.extent().1 {
@@ -687,16 +664,11 @@ impl<L: MeshLocal> MsgProcess<L> {
         Ok(())
     }
 
-    /// A protocol fault raised by this rank.
-    fn fault(&self, detail: String) -> Effect<MeshMsg> {
-        Effect::Fault { error: RunError::Protocol { proc: self.env.rank, detail } }
-    }
-
     /// Append `dst`'s block of the in-progress global grid to `out`
     /// (lexicographic), packing straight into a recycled buffer.
-    fn block_of_global_into(&self, dst: usize, out: &mut Vec<f64>) {
+    fn block_of_global_into(&mut self, dst: usize, out: &mut Vec<f64>) -> Result<(), RunError> {
         let block = self.env.pg.block(dst);
-        let global = self.global.as_ref().expect("scatter in progress");
+        let global = self.collective_grid("scatter block")?;
         out.reserve(block.len());
         for li in 0..block.extent().0 {
             for lj in 0..block.extent().1 {
@@ -706,6 +678,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
             }
         }
+        Ok(())
     }
 
     fn chan_to_rank(&self, dst: usize) -> ChannelId {
@@ -858,7 +831,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                     return Effect::Recv { chan: self.chan_from_rank(*src) };
                 }
                 Op::GatherFinish { spec } => {
-                    let global = self.global.take().expect("gather in progress");
+                    let Some(global) = self.global.take() else {
+                        return self.fault("gather finish with no gather in progress".into());
+                    };
                     (spec.sink)(&mut self.local, &global);
                 }
                 Op::ScatterInit { spec } => {
@@ -875,7 +850,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                 Op::ScatterSendBlock { dst } => {
                     let dst = *dst;
                     let mut buf = self.pool.take(self.env.pg.block(dst).len());
-                    self.block_of_global_into(dst, &mut buf);
+                    if let Err(error) = self.block_of_global_into(dst, &mut buf) {
+                        return Effect::Fault { error };
+                    }
                     return Effect::Send {
                         chan: self.chan_to_rank(dst),
                         msg: MeshMsg::Block(buf),
@@ -886,8 +863,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                     if !self.env.is_host() {
                         let rank = self.env.rank;
                         let mut buf = self.pool.take(self.env.pg.block(rank).len());
-                        self.block_of_global_into(rank, &mut buf);
-                        let res = self.install_block(spec, &buf);
+                        let res = self
+                            .block_of_global_into(rank, &mut buf)
+                            .and_then(|()| self.install_block(spec, &buf));
                         self.pool.put(buf);
                         if let Err(error) = res {
                             return Effect::Fault { error };
@@ -908,7 +886,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::LoopEnd { body } => {
                     let body = *body;
-                    let top = self.loop_stack.last_mut().expect("inside a loop");
+                    let Some(top) = self.loop_stack.last_mut() else {
+                        return self.fault("loop end with no loop counter".into());
+                    };
                     *top -= 1;
                     if *top > 0 {
                         self.pc = body;
@@ -922,7 +902,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                         self.pc = *exit;
                         continue;
                     }
-                    let budget = self.while_stack.last_mut().expect("inside a while");
+                    let Some(budget) = self.while_stack.last_mut() else {
+                        return self.fault(format!("{name}: check with no while budget"));
+                    };
                     if *budget == 0 {
                         return self.fault(format!("{name}: exceeded max_iters {max_iters}"));
                     }
@@ -930,7 +912,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::WhileEnd { check } => self.pc = *check,
                 Op::WhilePop => {
-                    self.while_stack.pop().expect("inside a while");
+                    if self.while_stack.pop().is_none() {
+                        return self.fault("while exit with no while budget".into());
+                    }
                 }
             }
         }
@@ -942,25 +926,16 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
 
     fn resume(&mut self, delivery: Option<MeshMsg>) -> Effect<MeshMsg> {
         if let Some(msg) = delivery {
-            let pending = match self.pending.take() {
-                Some(p) => p,
-                None => {
-                    return Effect::Fault {
-                        error: RunError::Protocol {
-                            proc: self.env.rank,
-                            detail: format!(
-                                "a {} message was delivered with no receive pending",
-                                msg.kind()
-                            ),
-                        },
-                    }
-                }
+            let Some(pending) = self.pending.take() else {
+                let kind = msg.kind();
+                let detail = format!("a {kind} message was delivered with no receive pending");
+                return self.fault(detail);
             };
             match (pending, msg) {
                 (PendingRecv::Face { op, link }, MeshMsg::Halo(payload)) => {
                     let ops = Arc::clone(&self.ops);
                     let Op::RecvFace { spec, .. } = &ops[op] else {
-                        unreachable!("Face pending always points at its RecvFace op")
+                        unreachable!("a pending face names its RecvFace op (decode_state checks)")
                     };
                     // `link.face` is *this* rank's face toward the sender:
                     // the ghost slabs to fill. (The sender extracted from
@@ -968,19 +943,18 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
                     // payload arrived over a channel, so it surfaces as a
                     // protocol fault, not a panic.
                     if let Err(e) = spec.unpack(&mut self.local, link.face, &payload) {
-                        return Effect::Fault {
-                            error: RunError::Protocol {
-                                proc: self.env.rank,
-                                detail: format!(
-                                    "halo from rank {}: {e}",
-                                    link.neighbor
-                                ),
-                            },
-                        };
+                        return self.fault(format!("halo from rank {}: {e}", link.neighbor));
                     }
                     self.pool.put(payload);
                 }
                 (PendingRecv::Combine { op }, MeshMsg::Vec(partial)) => {
+                    if partial.len() != self.scratch.len() {
+                        return self.fault(format!(
+                            "reduction partial carries {} values, this rank's holds {}",
+                            partial.len(),
+                            self.scratch.len()
+                        ));
+                    }
                     op.combine_vec(&mut self.scratch, &partial);
                     self.pool.put(partial);
                 }
@@ -1005,7 +979,7 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
                 (PendingRecv::ScatterBlock { op }, MeshMsg::Block(data)) => {
                     let ops = Arc::clone(&self.ops);
                     let Op::ScatterRecvBlock { spec, .. } = &ops[op] else {
-                        unreachable!("ScatterBlock pending always points at its op")
+                        unreachable!("a pending scatter names its op (decode_state checks)")
                     };
                     if let Err(error) = self.install_block(spec, &data) {
                         return Effect::Fault { error };
@@ -1013,16 +987,8 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
                     self.pool.put(data);
                 }
                 (pending, other) => {
-                    return Effect::Fault {
-                        error: RunError::Protocol {
-                            proc: self.env.rank,
-                            detail: format!(
-                                "expected a {} message, received {}",
-                                pending.expected_kind(),
-                                other.kind()
-                            ),
-                        },
-                    }
+                    let (want, got) = (pending.expected_kind(), other.kind());
+                    return self.fault(format!("expected a {want} message, received {got}"));
                 }
             }
         }
@@ -1303,6 +1269,20 @@ mod tests {
         })
     }
 
+    impl MeshLocalCodec for One {
+        fn encode_local(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            push_f64s(&mut out, self.u.raw());
+            out
+        }
+
+        fn decode_local(template: &Self, r: &mut Reader<'_>) -> Result<Self, RunError> {
+            let mut u = template.u.clone();
+            r.f64s_into(u.raw_mut(), "u")?;
+            Ok(One { u })
+        }
+    }
+
     /// Drive a process by hand until it asks to receive.
     fn drive_to_recv(p: &mut MsgProcess<One>) {
         loop {
@@ -1313,6 +1293,93 @@ mod tests {
                 _ => continue,
             }
         }
+    }
+
+    /// Rank `rank` of `plan` over a 2×1×1 grid with its state edited by
+    /// `forge`, encoded and decoded onto a fresh template: what a resuming
+    /// worker builds from a hostile manifest.
+    fn forged(
+        plan: &Plan<One>,
+        rank: usize,
+        forge: impl FnOnce(&mut MsgProcess<One>),
+    ) -> Result<MsgProcess<One>, RunError> {
+        let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
+        let init = init_fn();
+        let (_, templates) = build_msg_processes(plan, pg, &init);
+        let (_, mut procs) = build_msg_processes(plan, pg, &init);
+        forge(&mut procs[rank]);
+        MsgProcess::decode_state(&templates[rank], &procs[rank].encode_state())
+    }
+
+    /// The index of the first op of `p`'s program that `is` picks.
+    fn op_at(p: &MsgProcess<One>, is: fn(&Op<One>) -> bool) -> usize {
+        p.ops.iter().position(is).expect("the plan compiles such an op")
+    }
+
+    fn assert_fault(effect: Effect<MeshMsg>, rank: usize) {
+        let by_rank = |e: &RunError| matches!(e, RunError::Protocol { proc, .. } if *proc == rank);
+        let faulted = matches!(&effect, Effect::Fault { error } if by_rank(error));
+        assert!(faulted, "expected a protocol fault raised by rank {rank}, got {effect:?}");
+    }
+
+    #[test]
+    fn forged_pending_receives_are_refused_at_decode() {
+        let plan = Plan::builder()
+            .exchange("halo", |l: &mut One| &mut l.u)
+            .scatter_grid("load", |_: &One| Grid3::new(4, 4, 4, 0), |l: &mut One| &mut l.u)
+            .build();
+        // Rank 1 compiles [SendFace, RecvFace, ScatterRecvBlock]; its halo
+        // arrives from rank 0 through its low x face.
+        let halo = |op, face| PendingRecv::Face { op, link: FaceLink { face, neighbor: 0 } };
+        let valid = forged(&plan, 1, |p| p.pending = Some(halo(1, Face3::XLo)));
+        assert!(valid.is_ok(), "{:?}", valid.err());
+        // A halo pending on the send op or over another face, and a scatter
+        // block pending on the halo receive.
+        let scatter = PendingRecv::ScatterBlock { op: 1 };
+        for pending in [halo(0, Face3::XLo), halo(1, Face3::XHi), scatter] {
+            let r = forged(&plan, 1, |p| p.pending = Some(pending));
+            assert!(matches!(r, Err(RunError::Protocol { proc: 1, .. })), "{:?}", r.err());
+        }
+    }
+
+    #[test]
+    fn forged_control_stacks_fault_instead_of_panicking() {
+        let plan = Plan::builder()
+            .loop_n(2, |b| b.local("l", |_, _| {}))
+            .while_loop("w", |_: &One| true, 3, |b| b.local("m", |_, _| {}))
+            .build();
+        // The program counter at a loop end, a while check and a while exit
+        // with both control stacks empty.
+        let ats: [fn(&Op<One>) -> bool; 3] = [
+            |op| matches!(op, Op::LoopEnd { .. }),
+            |op| matches!(op, Op::WhileCheck { .. }),
+            |op| matches!(op, Op::WhilePop),
+        ];
+        for at in ats {
+            let mut p = forged(&plan, 1, |p| p.pc = op_at(p, at)).unwrap();
+            assert_fault(p.resume(None), 1);
+        }
+    }
+
+    #[test]
+    fn forged_collective_state_faults_instead_of_panicking() {
+        // The host mid-gather with its grid gone: at a block's delivery and
+        // at the finish; then mid-scatter.
+        let finish = |op: &Op<One>| matches!(op, Op::GatherFinish { .. });
+        let mut host = forged(&tiny_plan(), 0, |p| {
+            p.pc = op_at(p, finish);
+            p.pending = Some(PendingRecv::GatherBlock { src: 1 });
+        })
+        .unwrap();
+        assert_fault(host.resume(Some(MeshMsg::Block(vec![0.0; 32]))), 0);
+        let mut host = forged(&tiny_plan(), 0, |p| p.pc = op_at(p, finish)).unwrap();
+        assert_fault(host.resume(None), 0);
+        let scatter = Plan::builder()
+            .scatter_grid("load", |_: &One| Grid3::new(4, 4, 4, 0), |l: &mut One| &mut l.u)
+            .build();
+        let send = |op: &Op<One>| matches!(op, Op::ScatterSendBlock { .. });
+        let mut host = forged(&scatter, 0, |p| p.pc = op_at(p, send)).unwrap();
+        assert_fault(host.resume(None), 0);
     }
 
     #[test]

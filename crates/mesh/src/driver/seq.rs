@@ -18,7 +18,7 @@ pub fn run_seq<L: MeshLocal>(
     init: impl Fn(&Env) -> L,
 ) -> L {
     let pg = ProcGrid3::new(n, (1, 1, 1));
-    let cfg = SimParConfig { validation: ValidationLevel::Off, record_trace: false, ..Default::default() };
+    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
     run_simpar(plan, pg, cfg, init)
         .locals
         .pop()

@@ -58,8 +58,6 @@ pub enum HostMode {
 pub struct SimParConfig {
     /// Restriction-checking granularity.
     pub validation: ValidationLevel,
-    /// Whether to record the communication/computation trace.
-    pub record_trace: bool,
     /// Host placement.
     pub host_mode: HostMode,
 }
@@ -68,7 +66,6 @@ impl Default for SimParConfig {
     fn default() -> Self {
         SimParConfig {
             validation: ValidationLevel::Slab,
-            record_trace: true,
             host_mode: HostMode::GridRank0,
         }
     }
@@ -276,6 +273,12 @@ impl<L: MeshLocal> SimPar<'_, L> {
         self.locals.len()
     }
 
+    /// Record a communication phase: no flops, `msgs` in `rounds` rounds.
+    fn record(&mut self, name: &str, msgs: Vec<MsgRecord>, rounds: u32) {
+        let flops = vec![0; self.n()];
+        self.trace.push(PhaseCost { name: name.to_string(), flops, msgs, rounds });
+    }
+
     /// The rank playing host.
     fn host_rank(&self) -> usize {
         match self.cfg.host_mode {
@@ -294,9 +297,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
                         (step.f)(&self.envs[i], &mut self.locals[i])
                             .map_err(SimParError::Local)?;
                     }
-                    if self.cfg.record_trace {
-                        self.trace.push(PhaseCost::compute(&step.name, flops));
-                    }
+                    self.trace.push(PhaseCost::compute(&step.name, flops));
                 }
                 Phase::Exchange(spec) => self.exchange(spec),
                 Phase::ExchangeSend(spec) => self.exchange_send(spec),
@@ -316,14 +317,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
                             });
                         }
                     }
-                    if self.cfg.record_trace {
-                        self.trace.push(PhaseCost {
-                            name: spec.name.clone(),
-                            flops: vec![0; self.n()],
-                            msgs,
-                            rounds: 1,
-                        });
-                    }
+                    self.record(&spec.name, msgs, 1);
                 }
                 Phase::GatherGrid(spec) => self.gather(spec)?,
                 Phase::ScatterGrid(spec) => self.scatter(spec)?,
@@ -372,22 +366,11 @@ impl<L: MeshLocal> SimPar<'_, L> {
     /// `ExchangeRecv`, and charge the messages to this phase.
     fn exchange_send(&mut self, spec: &ExchangeSpec<L>) {
         let payloads = self.extract_payloads(spec);
-        if self.cfg.record_trace {
-            let msgs = payloads
-                .iter()
-                .map(|(src, dst, _, payload)| MsgRecord {
-                    src: *src,
-                    dst: *dst,
-                    bytes: 8 * payload.len() as u64,
-                })
-                .collect();
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs,
-                rounds: 1,
-            });
-        }
+        let msgs = payloads
+            .iter()
+            .map(|(src, dst, _, p)| MsgRecord { src: *src, dst: *dst, bytes: 8 * p.len() as u64 })
+            .collect();
+        self.record(&spec.name, msgs, 1);
         self.staged.push_back(payloads);
     }
 
@@ -399,14 +382,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
         for (src, dst, face, payload) in payloads {
             self.install(spec, src, dst, face, &payload);
         }
-        if self.cfg.record_trace {
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs: Vec::new(),
-                rounds: 1,
-            });
-        }
+        self.record(&spec.name, Vec::new(), 1);
     }
 
     /// Extract every rank's outgoing messages from the pre-exchange state
@@ -495,14 +471,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
             self.install(spec, src, dst, face, &payload);
             msgs.push(MsgRecord { src, dst, bytes });
         }
-        if self.cfg.record_trace {
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs,
-                rounds: 1,
-            });
-        }
+        self.record(&spec.name, msgs, 1);
     }
 
     fn reduce(&mut self, spec: &ReduceSpec<L>) {
@@ -514,18 +483,12 @@ impl<L: MeshLocal> SimPar<'_, L> {
         let rplan = ReducePlan::build(spec.algo, n);
         debug_assert!(rplan.validate().is_ok());
         rplan.execute(spec.op, &mut partials);
-        let mut msgs = Vec::new();
-        if self.cfg.record_trace {
-            for stage in &rplan.stages {
-                for step in stage {
-                    msgs.push(MsgRecord {
-                        src: step.src(),
-                        dst: step.dst(),
-                        bytes: 8 * len as u64,
-                    });
-                }
-            }
-        }
+        let mut msgs: Vec<MsgRecord> = rplan
+            .stages
+            .iter()
+            .flatten()
+            .map(|step| MsgRecord { src: step.src(), dst: step.dst(), bytes: 8 * len as u64 })
+            .collect();
         for (r, partial) in partials.iter().enumerate().take(n) {
             (spec.inject)(&self.envs[r], &mut self.locals[r], partial);
         }
@@ -535,18 +498,9 @@ impl<L: MeshLocal> SimPar<'_, L> {
             let h = self.host_rank();
             let result = partials[0].clone();
             (spec.inject)(&self.envs[h], &mut self.locals[h], &result);
-            if self.cfg.record_trace {
-                msgs.push(MsgRecord { src: 0, dst: h, bytes: 8 * len as u64 });
-            }
+            msgs.push(MsgRecord { src: 0, dst: h, bytes: 8 * len as u64 });
         }
-        if self.cfg.record_trace {
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs,
-                rounds: rplan.depth() as u32,
-            });
-        }
+        self.record(&spec.name, msgs, rplan.depth() as u32);
     }
 
     fn ordered_reduce(&mut self, spec: &OrderedReduceSpec<L>) {
@@ -556,7 +510,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
         let mut msgs = Vec::new();
         for r in 0..self.grid_n {
             let contribs = (spec.extract)(&self.envs[r], &self.locals[r]);
-            if r != host && self.cfg.record_trace {
+            if r != host {
                 // A contribution wires (bin: u32, order: u64, value: f64).
                 msgs.push(MsgRecord { src: r, dst: host, bytes: 20 * contribs.len() as u64 });
             }
@@ -565,18 +519,11 @@ impl<L: MeshLocal> SimPar<'_, L> {
         let result = ordered_sum(all, spec.n_bins, spec.method);
         for r in 0..self.n() {
             (spec.inject)(&self.envs[r], &mut self.locals[r], &result);
-            if r != host && self.cfg.record_trace {
+            if r != host {
                 msgs.push(MsgRecord { src: host, dst: r, bytes: 8 * result.len() as u64 });
             }
         }
-        if self.cfg.record_trace {
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs,
-                rounds: 2,
-            });
-        }
+        self.record(&spec.name, msgs, 2);
     }
 
     fn gather(&mut self, spec: &GatherSpec<L>) -> Result<(), GatherShapeError> {
@@ -590,7 +537,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
             if data.len() != block.len() {
                 return Err(GatherShapeError { rank: r, got: data.len(), expected: block.len() });
             }
-            if r != host && self.cfg.record_trace {
+            if r != host {
                 msgs.push(MsgRecord { src: r, dst: host, bytes: 8 * data.len() as u64 });
             }
             let mut it = data.into_iter();
@@ -606,14 +553,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
         }
         let host = self.host_rank();
         (spec.sink)(&mut self.locals[host], &global);
-        if self.cfg.record_trace {
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs,
-                rounds: 1,
-            });
-        }
+        self.record(&spec.name, msgs, 1);
         Ok(())
     }
 
@@ -632,7 +572,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
         let mut msgs = Vec::new();
         for r in 0..self.grid_n {
             let block = self.pg.block(r);
-            if r != host && self.cfg.record_trace {
+            if r != host {
                 msgs.push(MsgRecord { src: host, dst: r, bytes: 8 * block.len() as u64 });
             }
             let field = (spec.field)(&mut self.locals[r]);
@@ -653,14 +593,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
                 }
             }
         }
-        if self.cfg.record_trace {
-            self.trace.push(PhaseCost {
-                name: spec.name.clone(),
-                flops: vec![0; self.n()],
-                msgs,
-                rounds: 1,
-            });
-        }
+        self.record(&spec.name, msgs, 1);
         Ok(())
     }
 }

@@ -14,7 +14,9 @@
 //!   malformed input — short buffer, unknown tag, truncated payload,
 //!   trailing garbage — yields a typed [`RunError::Protocol`], never a
 //!   panic. Allocation is bounded by the input length (element counts are
-//!   validated against the remaining bytes *before* any allocation).
+//!   validated against the remaining bytes *before* any allocation). Both
+//!   come from `ssp_runtime::proc::Reader`, the workspace's one reader of
+//!   untrusted bytes.
 //!
 //! Layout: `[tag: u8][count: u32 le][elements…]` where tag 0=Halo, 1=Vec,
 //! 2=Contribs, 3=Block. Float variants carry `count` × 8-byte bit
@@ -23,6 +25,7 @@
 //! element size [`MeshMsg::size_bytes`] already accounts, so traffic
 //! metrics and wire bytes agree up to the fixed 5-byte header.
 
+use ssp_runtime::proc::{push_f64, push_f64s, push_u32, push_u64, Reader};
 use ssp_runtime::RunError;
 
 use crate::plan::Contribution;
@@ -35,14 +38,25 @@ const TAG_VEC: u8 = 1;
 const TAG_CONTRIBS: u8 = 2;
 const TAG_BLOCK: u8 = 3;
 
-fn corrupt(detail: String) -> RunError {
-    RunError::Protocol { proc: 0, detail }
+/// Append contributions as 20-byte records `(bin: u32, order: u64, value)`;
+/// shared with the process-state codec in `msg.rs`.
+pub(super) fn push_contribs(out: &mut Vec<u8>, cs: &[Contribution]) {
+    for c in cs {
+        push_u32(out, c.bin);
+        push_u64(out, c.order);
+        push_f64(out, c.value);
+    }
 }
 
-fn push_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    for v in vs {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+/// Read `n` contribution records written by [`push_contribs`].
+pub(super) fn read_contribs(r: &mut Reader<'_>, n: usize) -> Result<Vec<Contribution>, RunError> {
+    (0..n)
+        .map(|_| {
+            let bin = r.u32("contrib bin")?;
+            let order = r.u64("contrib order")?;
+            Ok(Contribution { bin, order, value: r.f64("contrib value")? })
+        })
+        .collect()
 }
 
 /// Encode a mesh message for a DATA frame. Infallible; the inverse of
@@ -54,87 +68,14 @@ pub fn encode_mesh_msg(msg: &MeshMsg) -> Vec<u8> {
         MeshMsg::Contribs(c) => (TAG_CONTRIBS, c.len()),
         MeshMsg::Block(v) => (TAG_BLOCK, v.len()),
     };
-    let elem = if tag == TAG_CONTRIBS { 20 } else { 8 };
-    let mut out = Vec::with_capacity(5 + elem * count);
+    let mut out = Vec::with_capacity(5 + msg.size_bytes() as usize);
     out.push(tag);
-    out.extend_from_slice(&(count as u32).to_le_bytes());
+    push_u32(&mut out, count as u32);
     match msg {
         MeshMsg::Halo(v) | MeshMsg::Vec(v) | MeshMsg::Block(v) => push_f64s(&mut out, v),
-        MeshMsg::Contribs(cs) => {
-            for c in cs {
-                out.extend_from_slice(&c.bin.to_le_bytes());
-                out.extend_from_slice(&c.order.to_le_bytes());
-                out.extend_from_slice(&c.value.to_bits().to_le_bytes());
-            }
-        }
+        MeshMsg::Contribs(cs) => push_contribs(&mut out, cs),
     }
     out
-}
-
-/// Fixed-width field reader over a byte slice; every read is bounds-checked
-/// and a failure reports how the buffer fell short. Shared with the
-/// process-state codec in `msg.rs` (same hostility contract).
-pub(super) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(super) fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub(super) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(super) fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], RunError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len()).ok_or_else(|| {
-            corrupt(format!(
-                "mesh msg truncated reading {what}: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len().saturating_sub(self.pos)
-            ))
-        })?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(super) fn u8(&mut self, what: &str) -> Result<u8, RunError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    pub(super) fn u32(&mut self, what: &str) -> Result<u32, RunError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(super) fn u64(&mut self, what: &str) -> Result<u64, RunError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    pub(super) fn f64(&mut self, what: &str) -> Result<f64, RunError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    /// An element count that `min_each` bytes per element must follow:
-    /// rejected before any allocation if the buffer cannot hold it.
-    pub(super) fn count(&mut self, min_each: usize, what: &str) -> Result<usize, RunError> {
-        let n = self.u32(what)? as usize;
-        let need = n
-            .checked_mul(min_each)
-            .ok_or_else(|| corrupt(format!("{what} count {n} overflows")))?;
-        if need > self.remaining() {
-            return Err(corrupt(format!(
-                "{what} count {n} needs {need} bytes, have {}",
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
 }
 
 /// Decode a DATA-frame payload back into a [`MeshMsg`].
@@ -144,43 +85,21 @@ impl<'a> Reader<'a> {
 /// validated against the remaining buffer before anything is allocated,
 /// so a hostile count cannot force an oversized allocation.
 pub fn decode_mesh_msg(buf: &[u8]) -> Result<MeshMsg, RunError> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new("mesh msg", buf);
     let tag = r.u8("tag")?;
-    let count = r.u32("count")? as usize;
     let elem = match tag {
         TAG_CONTRIBS => 20,
         TAG_HALO | TAG_VEC | TAG_BLOCK => 8,
-        t => return Err(corrupt(format!("mesh msg has unknown tag {t}"))),
+        t => return Err(r.error(format_args!("unknown tag {t}"))),
     };
-    let need = count
-        .checked_mul(elem)
-        .ok_or_else(|| corrupt(format!("mesh msg count {count} overflows")))?;
-    let have = buf.len() - r.pos;
-    if have != need {
-        return Err(corrupt(format!(
-            "mesh msg payload length mismatch: tag {tag} count {count} needs {need} bytes, \
-             have {have}"
-        )));
-    }
-    if tag == TAG_CONTRIBS {
-        let mut cs = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bin = r.u32("contrib bin")?;
-            let order = r.u64("contrib order")?;
-            let value = r.f64("contrib value")?;
-            cs.push(Contribution { bin, order, value });
-        }
-        return Ok(MeshMsg::Contribs(cs));
-    }
-    let mut vs = Vec::with_capacity(count);
-    for _ in 0..count {
-        vs.push(r.f64("float element")?);
-    }
-    Ok(match tag {
-        TAG_HALO => MeshMsg::Halo(vs),
-        TAG_VEC => MeshMsg::Vec(vs),
-        _ => MeshMsg::Block(vs),
-    })
+    let count = r.count(elem, "element")?;
+    let msg = match tag {
+        TAG_CONTRIBS => MeshMsg::Contribs(read_contribs(&mut r, count)?),
+        TAG_HALO => MeshMsg::Halo(r.f64s(count, "float element")?),
+        TAG_VEC => MeshMsg::Vec(r.f64s(count, "float element")?),
+        _ => MeshMsg::Block(r.f64s(count, "float element")?),
+    };
+    r.finish(msg)
 }
 
 #[cfg(test)]
@@ -205,6 +124,29 @@ mod tests {
             let back = decode_mesh_msg(&bytes).unwrap();
             // PartialEq is false for NaN; compare bit patterns instead.
             assert_eq!(encode_mesh_msg(&back), bytes, "round trip changed {m:?}");
+        }
+    }
+
+    /// Pinned bytes: a codec change may not move this layout (the frame
+    /// sizes that traffic counts measure) without failing here.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        let cases = [
+            (
+                MeshMsg::Halo(vec![1.5, -0.0, nan]),
+                "0003000000000000000000f83f00000000000000800100efbeaddef87f",
+            ),
+            (MeshMsg::Vec(vec![]), "0100000000"),
+            (
+                MeshMsg::Contribs(vec![Contribution { bin: 7, order: u64::MAX - 1, value: -3.25 }]),
+                "020100000007000000feffffffffffffff0000000000000ac0",
+            ),
+            (MeshMsg::Block(vec![f64::from_bits(1)]), "03010000000100000000000000"),
+        ];
+        for (msg, golden) in cases {
+            let hex: String = encode_mesh_msg(&msg).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, golden, "{msg:?}");
         }
     }
 

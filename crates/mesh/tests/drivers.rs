@@ -160,7 +160,7 @@ fn heat_plan(steps: usize) -> Plan<Heat> {
 }
 
 fn cfg_cells() -> SimParConfig {
-    SimParConfig { validation: ValidationLevel::Cell, record_trace: true, ..Default::default() }
+    SimParConfig { validation: ValidationLevel::Cell, ..Default::default() }
 }
 
 const N: (usize, usize, usize) = (10, 9, 8);

@@ -24,6 +24,7 @@
 
 use std::io::{self, Read, Write};
 
+use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::RunError;
 
 /// Upper bound on the `length` field (type byte + payload): 64 MiB.
@@ -54,8 +55,7 @@ pub enum FrameType {
     Shutdown = 5,
     /// Supervisor → worker liveness probe. Empty payload.
     Ping = 6,
-    /// Worker → supervisor liveness reply. Payload: either empty
-    /// (legacy liveness-only) or a fixed-size
+    /// Worker → supervisor liveness reply. Payload: a fixed-size
     /// [`crate::proto::WorkerTelemetry`] snapshot.
     Pong = 7,
     /// Worker → supervisor: a finished group's drained flight log,
@@ -232,23 +232,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 /// `[chan: u32 le][seq: u64 le][message bytes]`.
 pub fn encode_data(chan: usize, seq: u64, msg: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + msg.len());
-    out.extend_from_slice(&(chan as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
+    push_u32(&mut out, chan as u32);
+    push_u64(&mut out, seq);
     out.extend_from_slice(msg);
     out
 }
 
 /// Decode a DATA-family payload into `(chan, seq, message bytes)`.
 pub fn decode_data(payload: &[u8]) -> Result<(usize, u64, &[u8]), RunError> {
-    if payload.len() < 12 {
-        return Err(RunError::Protocol {
-            proc: 0,
-            detail: format!("DATA payload too short: {} bytes", payload.len()),
-        });
-    }
-    let chan = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-    let seq = u64::from_le_bytes(payload[4..12].try_into().unwrap());
-    Ok((chan, seq, &payload[12..]))
+    let mut r = Reader::new("DATA", payload);
+    Ok((r.u32("channel")? as usize, r.u64("seq")?, r.rest()))
 }
 
 /// Encode a DATA_SHM doorbell payload:
@@ -256,11 +249,11 @@ pub fn decode_data(payload: &[u8]) -> Result<(usize, u64, &[u8]), RunError> {
 /// [checksum: u64 le]`.
 pub fn encode_shm_doorbell(chan: usize, seq: u64, off: u64, len: u32, checksum: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&(chan as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&off.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
+    push_u32(&mut out, chan as u32);
+    push_u64(&mut out, seq);
+    push_u64(&mut out, off);
+    push_u32(&mut out, len);
+    push_u64(&mut out, checksum);
     out
 }
 
@@ -268,18 +261,15 @@ pub fn encode_shm_doorbell(chan: usize, seq: u64, off: u64, len: u32, checksum: 
 /// Total over arbitrary bytes; exact length is enforced (a doorbell is
 /// fixed-size, so trailing garbage means corruption).
 pub fn decode_shm_doorbell(payload: &[u8]) -> Result<(usize, u64, u64, u32, u64), RunError> {
-    if payload.len() != 32 {
-        return Err(RunError::Protocol {
-            proc: 0,
-            detail: format!("DATA_SHM doorbell is {} bytes, want 32", payload.len()),
-        });
-    }
-    let chan = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-    let seq = u64::from_le_bytes(payload[4..12].try_into().unwrap());
-    let off = u64::from_le_bytes(payload[12..20].try_into().unwrap());
-    let len = u32::from_le_bytes(payload[20..24].try_into().unwrap());
-    let checksum = u64::from_le_bytes(payload[24..32].try_into().unwrap());
-    Ok((chan, seq, off, len, checksum))
+    let mut r = Reader::new("DATA_SHM doorbell", payload);
+    let bell = (
+        r.u32("channel")? as usize,
+        r.u64("seq")?,
+        r.u64("ring offset")?,
+        r.u32("length")?,
+        r.u64("checksum")?,
+    );
+    r.finish(bell)
 }
 
 #[cfg(test)]
@@ -338,6 +328,15 @@ mod tests {
         wire.push(99);
         let r = read_frame(&mut Cursor::new(wire));
         assert!(matches!(r, Err(FrameError::Malformed(_))), "{r:?}");
+    }
+
+    /// Pinned bytes: a codec change may not move this layout (the frame
+    /// sizes that traffic counts measure) without failing here.
+    #[test]
+    fn data_payload_bytes_are_pinned() {
+        let hex = |b: Vec<u8>| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        assert_eq!(hex(encode_data(42, 9, b"payload")), "2a00000009000000000000007061796c6f6164");
+        assert_eq!(hex(encode_data(70_000, u64::MAX, b"")), "70110100ffffffffffffffff");
     }
 
     #[test]

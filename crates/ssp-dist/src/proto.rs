@@ -1,13 +1,13 @@
-//! Payload codecs for the control frames (HELLO / ASSIGN / GROUP_DONE).
+//! Payload codecs for the control frames (HELLO / ASSIGN / GROUP_DONE …).
 //!
-//! ASSIGN rides as JSON through [`ssp_runtime::json`] — deliberately: the
-//! runtime's JSON reader is the same code that parses checkpoint manifests
-//! and metrics dumps, and making it network-facing here is what motivates
-//! hardening it against hostile input (the parser is a total function with
-//! a depth cap; everything malformed surfaces as a typed error).
-//! GROUP_DONE is framed binary (snapshots are raw bytes) with the run's
-//! [`RunMetrics`] embedded as its own JSON document, parsed back with
-//! [`RunMetrics::from_json`].
+//! ASSIGN and PEERS ride as JSON through [`ssp_runtime::json`], because
+//! ASSIGN's args are a [`JsonValue`] handed to the registry verbatim; TRACE
+//! carries a [`FlightLog`] as the same JSON document the post-mortem dump
+//! writes. The JSON parser is a total function with a depth cap. Every
+//! other payload is binary and read through `ssp_runtime::proc::Reader`,
+//! the workspace's one reader of untrusted bytes; GROUP_DONE carries the
+//! group's [`RunMetrics`] in their binary wire form, the encoding a sealed
+//! checkpoint manifest uses for the same counters.
 //!
 //! All decoders are total over arbitrary bytes: malformed input yields
 //! [`RunError::Protocol`], never a panic, and element counts are validated
@@ -16,6 +16,8 @@
 use std::collections::BTreeMap;
 
 use ssp_runtime::json::{parse, JsonValue};
+use ssp_runtime::proc::{push_bytes, push_u32, push_u64, Reader};
+use ssp_runtime::trace::push_run_metrics;
 use ssp_runtime::{FlightLog, RunError, RunMetrics};
 
 fn corrupt(detail: String) -> RunError {
@@ -27,31 +29,24 @@ fn corrupt(detail: String) -> RunError {
 /// running star-only opens no peer listener).
 pub fn encode_hello(worker: usize, addr: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + addr.len());
-    out.extend_from_slice(&(worker as u32).to_le_bytes());
+    push_u32(&mut out, worker as u32);
     out.extend_from_slice(addr.as_bytes());
     out
 }
 
 /// Decode a HELLO payload into `(worker index, peer address or "")`.
 pub fn decode_hello(payload: &[u8]) -> Result<(usize, String), RunError> {
-    if payload.len() < 4 {
-        return Err(corrupt(format!(
-            "HELLO payload must be at least 4 bytes, got {}",
-            payload.len()
-        )));
-    }
-    let worker = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-    let addr = std::str::from_utf8(&payload[4..])
-        .map_err(|e| corrupt(format!("HELLO peer address is not UTF-8: {e}")))?;
-    Ok((worker, addr.to_string()))
+    let mut r = Reader::new("HELLO", payload);
+    let worker = r.u32("worker index")? as usize;
+    Ok((worker, r.rest_str("peer address")?.to_string()))
 }
 
 /// PEER_HELLO payload, the first frame on a direct worker↔worker
 /// connection: `[from worker: u32 le][generation: u64 le]`.
 pub fn encode_peer_hello(from_worker: usize, generation: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(12);
-    out.extend_from_slice(&(from_worker as u32).to_le_bytes());
-    out.extend_from_slice(&generation.to_le_bytes());
+    push_u32(&mut out, from_worker as u32);
+    push_u64(&mut out, generation);
     out
 }
 
@@ -59,15 +54,9 @@ pub fn encode_peer_hello(from_worker: usize, generation: u64) -> Vec<u8> {
 /// anything else is a typed error (this is the introduction gate that
 /// keeps stale or hostile peers from cross-wiring data).
 pub fn decode_peer_hello(payload: &[u8]) -> Result<(usize, u64), RunError> {
-    if payload.len() != 12 {
-        return Err(corrupt(format!(
-            "PEER_HELLO payload must be 12 bytes, got {}",
-            payload.len()
-        )));
-    }
-    let from = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-    let generation = u64::from_le_bytes(payload[4..12].try_into().unwrap());
-    Ok((from, generation))
+    let mut r = Reader::new("PEER_HELLO", payload);
+    let hello = (r.u32("from worker")? as usize, r.u64("generation")?);
+    r.finish(hello)
 }
 
 /// BYE payload: final worker-side data-plane counters, 4 × u64 le
@@ -75,18 +64,21 @@ pub fn decode_peer_hello(payload: &[u8]) -> Result<(usize, u64), RunError> {
 pub fn encode_bye(direct_frames: u64, direct_bytes: u64, shm_frames: u64, shm_bytes: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     for v in [direct_frames, direct_bytes, shm_frames, shm_bytes] {
-        out.extend_from_slice(&v.to_le_bytes());
+        push_u64(&mut out, v);
     }
     out
 }
 
 /// Decode a BYE payload into its four counters.
 pub fn decode_bye(payload: &[u8]) -> Result<(u64, u64, u64, u64), RunError> {
-    if payload.len() != 32 {
-        return Err(corrupt(format!("BYE payload must be 32 bytes, got {}", payload.len())));
-    }
-    let at = |i: usize| u64::from_le_bytes(payload[i * 8..i * 8 + 8].try_into().unwrap());
-    Ok((at(0), at(1), at(2), at(3)))
+    let mut r = Reader::new("BYE", payload);
+    let bye = (
+        r.u64("direct frames")?,
+        r.u64("direct bytes")?,
+        r.u64("shm frames")?,
+        r.u64("shm bytes")?,
+    );
+    r.finish(bye)
 }
 
 /// RESUME payload: `[group: u64 le][GroupManifest bytes]`. The manifest
@@ -94,21 +86,15 @@ pub fn decode_bye(payload: &[u8]) -> Result<(u64, u64, u64, u64), RunError> {
 /// only pairs them with the group id of the ASSIGN that follows.
 pub fn encode_resume(group: u64, manifest: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + manifest.len());
-    out.extend_from_slice(&group.to_le_bytes());
+    push_u64(&mut out, group);
     out.extend_from_slice(manifest);
     out
 }
 
 /// Decode a RESUME payload into `(group, manifest bytes)`.
 pub fn decode_resume(payload: &[u8]) -> Result<(u64, &[u8]), RunError> {
-    if payload.len() < 8 {
-        return Err(corrupt(format!(
-            "RESUME payload truncated: {} bytes, need at least 8",
-            payload.len()
-        )));
-    }
-    let group = u64::from_le_bytes(payload[..8].try_into().unwrap());
-    Ok((group, &payload[8..]))
+    let mut r = Reader::new("RESUME", payload);
+    Ok((r.u64("group")?, r.rest()))
 }
 
 /// The supervisor-brokered peer introduction table: which worker hosts
@@ -299,44 +285,29 @@ pub struct WorkerTelemetry {
 }
 
 impl WorkerTelemetry {
-    const WIRE_LEN: usize = 40;
-
     /// Serialize: `[u64 ranks_live][u64 steps][u64 steals]
     /// [u64 ring_occupancy][u64 bytes_routed]`, all little-endian.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::WIRE_LEN);
+        let mut out = Vec::with_capacity(40);
         for v in [self.ranks_live, self.steps, self.steals, self.ring_occupancy, self.bytes_routed]
         {
-            out.extend_from_slice(&v.to_le_bytes());
+            push_u64(&mut out, v);
         }
         out
     }
 
-    /// Parse a PONG payload. An *empty* payload is a legacy liveness-only
-    /// PONG and decodes as `None`; anything else must be exactly the
-    /// fixed wire size or it is a typed error, never a panic.
-    pub fn decode(payload: &[u8]) -> Result<Option<WorkerTelemetry>, RunError> {
-        if payload.is_empty() {
-            return Ok(None);
-        }
-        if payload.len() != Self::WIRE_LEN {
-            return Err(corrupt(format!(
-                "PONG telemetry must be {} bytes, got {}",
-                Self::WIRE_LEN,
-                payload.len()
-            )));
-        }
-        let u64_at = |i: usize| {
-            let b: [u8; 8] = payload[i * 8..i * 8 + 8].try_into().expect("sliced 8 bytes");
-            u64::from_le_bytes(b)
+    /// Parse a PONG payload: exactly the fixed wire size, or a typed
+    /// error, never a panic.
+    pub fn decode(payload: &[u8]) -> Result<WorkerTelemetry, RunError> {
+        let mut r = Reader::new("PONG telemetry", payload);
+        let t = WorkerTelemetry {
+            ranks_live: r.u64("ranks live")?,
+            steps: r.u64("steps")?,
+            steals: r.u64("steals")?,
+            ring_occupancy: r.u64("ring occupancy")?,
+            bytes_routed: r.u64("bytes routed")?,
         };
-        Ok(Some(WorkerTelemetry {
-            ranks_live: u64_at(0),
-            steps: u64_at(1),
-            steals: u64_at(2),
-            ring_occupancy: u64_at(3),
-            bytes_routed: u64_at(4),
-        }))
+        r.finish(t)
     }
 }
 
@@ -345,7 +316,7 @@ impl WorkerTelemetry {
 pub fn encode_trace(group: u64, log: &FlightLog) -> Vec<u8> {
     let json = log.to_json();
     let mut out = Vec::with_capacity(8 + json.len());
-    out.extend_from_slice(&group.to_le_bytes());
+    push_u64(&mut out, group);
     out.extend_from_slice(json.as_bytes());
     out
 }
@@ -353,17 +324,10 @@ pub fn encode_trace(group: u64, log: &FlightLog) -> Vec<u8> {
 /// Parse a TRACE payload; total over arbitrary bytes (truncation, bad
 /// UTF-8, and malformed or schema-violating JSON are all typed errors).
 pub fn decode_trace(payload: &[u8]) -> Result<(u64, FlightLog), RunError> {
-    if payload.len() < 8 {
-        return Err(corrupt(format!(
-            "TRACE payload truncated: {} bytes, need at least 8",
-            payload.len()
-        )));
-    }
-    let g: [u8; 8] = payload[..8].try_into().expect("sliced 8 bytes");
-    let group = u64::from_le_bytes(g);
-    let text = std::str::from_utf8(&payload[8..])
-        .map_err(|e| corrupt(format!("TRACE log is not UTF-8: {e}")))?;
-    let log = FlightLog::from_json(text).map_err(|e| corrupt(format!("TRACE log: {e}")))?;
+    let mut r = Reader::new("TRACE", payload);
+    let group = r.u64("group")?;
+    let log = FlightLog::from_json(r.rest_str("flight log")?)
+        .map_err(|e| r.error(format_args!("flight log: {e}")))?;
     Ok((group, log))
 }
 
@@ -380,65 +344,32 @@ pub struct GroupDone {
 
 impl GroupDone {
     /// Serialize: `[u64 group][u32 n] n×([u32 rank][u32 len][bytes])
-    /// [u32 mlen][metrics JSON]`.
+    /// [metrics]`, the metrics in their binary wire form
+    /// ([`push_run_metrics`]).
     pub fn encode(&self) -> Vec<u8> {
-        let metrics_json = self.metrics.to_json();
         let mut out = Vec::new();
-        out.extend_from_slice(&self.group.to_le_bytes());
-        out.extend_from_slice(&(self.snapshots.len() as u32).to_le_bytes());
+        push_u64(&mut out, self.group);
+        push_u32(&mut out, self.snapshots.len() as u32);
         for (rank, bytes) in &self.snapshots {
-            out.extend_from_slice(&(*rank as u32).to_le_bytes());
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
+            push_u32(&mut out, *rank as u32);
+            push_bytes(&mut out, bytes);
         }
-        out.extend_from_slice(&(metrics_json.len() as u32).to_le_bytes());
-        out.extend_from_slice(metrics_json.as_bytes());
+        push_run_metrics(&mut out, &self.metrics);
         out
     }
 
-    /// Parse a GROUP_DONE payload; total over arbitrary bytes.
+    /// Parse a GROUP_DONE payload; total over arbitrary bytes. The decoded
+    /// metrics carry counters only (no channel endpoints or capacities);
+    /// the supervisor checks their shape against its topology.
     pub fn decode(payload: &[u8]) -> Result<GroupDone, RunError> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize, what: &str| -> Result<&[u8], RunError> {
-            let end = pos.checked_add(n).filter(|&e| e <= payload.len()).ok_or_else(|| {
-                corrupt(format!("GROUP_DONE truncated reading {what} at offset {pos}"))
-            })?;
-            let s = &payload[*pos..end];
-            *pos = end;
-            Ok(s)
-        };
-        let u32f = |pos: &mut usize, what: &str| -> Result<u32, RunError> {
-            let b = take(pos, 4, what)?;
-            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        };
-        let g = take(&mut pos, 8, "group id")?;
-        let group = u64::from_le_bytes([g[0], g[1], g[2], g[3], g[4], g[5], g[6], g[7]]);
-        let n = u32f(&mut pos, "snapshot count")? as usize;
-        // Each snapshot record is at least 8 bytes; reject counts the
-        // buffer cannot possibly hold before allocating for them.
-        if n.checked_mul(8).map(|need| need > payload.len() - pos).unwrap_or(true) {
-            return Err(corrupt(format!("GROUP_DONE claims {n} snapshots in too few bytes")));
-        }
-        let mut snapshots = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rank = u32f(&mut pos, "snapshot rank")? as usize;
-            let len = u32f(&mut pos, "snapshot length")? as usize;
-            let bytes = take(&mut pos, len, "snapshot bytes")?.to_vec();
-            snapshots.push((rank, bytes));
-        }
-        let mlen = u32f(&mut pos, "metrics length")? as usize;
-        let mbytes = take(&mut pos, mlen, "metrics JSON")?;
-        if pos != payload.len() {
-            return Err(corrupt(format!(
-                "GROUP_DONE has {} trailing bytes",
-                payload.len() - pos
-            )));
-        }
-        let mtext = std::str::from_utf8(mbytes)
-            .map_err(|e| corrupt(format!("GROUP_DONE metrics not UTF-8: {e}")))?;
-        let metrics = RunMetrics::from_json(mtext)
-            .map_err(|e| corrupt(format!("GROUP_DONE metrics: {e}")))?;
-        Ok(GroupDone { group, snapshots, metrics })
+        let mut r = Reader::new("GROUP_DONE", payload);
+        let group = r.u64("group id")?;
+        let n = r.count(8, "snapshots")?;
+        let snapshots = (0..n)
+            .map(|_| Ok((r.u32("snapshot rank")? as usize, r.bytes("snapshot")?.to_vec())))
+            .collect::<Result<_, RunError>>()?;
+        let metrics = r.run_metrics()?;
+        r.finish(GroupDone { group, snapshots, metrics })
     }
 }
 
@@ -571,7 +502,9 @@ mod tests {
         let back = GroupDone::decode(&bytes).unwrap();
         assert_eq!(back.group, 7);
         assert_eq!(back.snapshots, gd.snapshots);
-        assert_eq!(back.metrics.channels.len(), 3);
+        assert_eq!(back.metrics.counters(), gd.metrics.counters());
+        assert_eq!(back.metrics.procs, gd.metrics.procs);
+        assert_eq!(back.metrics.sched, gd.metrics.sched);
         for cut in 0..bytes.len() {
             let r = GroupDone::decode(&bytes[..cut]);
             assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
@@ -593,11 +526,9 @@ mod tests {
         };
         let bytes = t.encode();
         assert_eq!(bytes.len(), 40);
-        assert_eq!(WorkerTelemetry::decode(&bytes).unwrap(), Some(t));
-        // Empty is the legacy liveness-only PONG.
-        assert_eq!(WorkerTelemetry::decode(&[]).unwrap(), None);
+        assert_eq!(WorkerTelemetry::decode(&bytes).unwrap(), t);
         // Every truncation and any over-length payload is a typed error.
-        for cut in 1..bytes.len() {
+        for cut in 0..bytes.len() {
             let r = WorkerTelemetry::decode(&bytes[..cut]);
             assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
         }

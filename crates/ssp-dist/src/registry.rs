@@ -19,11 +19,11 @@ use std::thread::{self, JoinHandle};
 use fdtd::par::{init_a, plan_a, plan_a_overlap, LocalA};
 use fdtd::Params;
 use mesh_archetype::driver::{
-    build_msg_processes_for, decode_mesh_msg, encode_mesh_msg, msg_topology, HostMode, MeshMsg,
-    MsgProcess,
+    build_msg_processes_for, decode_mesh_msg, encode_mesh_msg, msg_topology, HostMode, MsgProcess,
 };
 use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
+use ssp_runtime::proc::{push_u64, Reader};
 use ssp_runtime::{
     launch_partial, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder,
     FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, ManifestStatus, NoFlight,
@@ -349,10 +349,7 @@ where
             ranks: mranks,
             queues,
             consumed: (0..chans.len()).map(|c| cut.consumed(c)).collect(),
-            counters: chans
-                .iter()
-                .map(|c| (c.messages, c.bytes, c.max_queue_depth as u64))
-                .collect(),
+            counters: cut.metrics.counters(),
         }
         .encode()
     }
@@ -653,14 +650,14 @@ impl RingWorkload {
 /// come from the receiving worker's template.
 fn ring_state_encode(p: &RingNode) -> Vec<u8> {
     let mut b = Vec::with_capacity(25);
-    b.extend_from_slice(&p.lap.to_le_bytes());
-    b.extend_from_slice(&p.acc.to_le_bytes());
+    push_u64(&mut b, p.lap);
+    push_u64(&mut b, p.acc);
     match p.st {
         RingSt::Start => b.push(0),
         RingSt::Waiting => b.push(1),
         RingSt::Forward(tok) => {
             b.push(2);
-            b.extend_from_slice(&tok.to_le_bytes());
+            push_u64(&mut b, tok);
         }
         RingSt::Done => b.push(3),
     }
@@ -668,38 +665,17 @@ fn ring_state_encode(p: &RingNode) -> Vec<u8> {
 }
 
 fn ring_state_decode(template: &RingNode, buf: &[u8]) -> Result<RingNode, RunError> {
-    let bad = |detail: String| RunError::Protocol { proc: template.rank, detail };
-    let need = |n: usize| -> Result<(), RunError> {
-        if buf.len() != n {
-            return Err(bad(format!("ring state must be {n} bytes for this tag, got {}", buf.len())));
-        }
-        Ok(())
+    let mut r = Reader::new("ring state", buf).for_proc(template.rank);
+    let lap = r.u64("lap")?;
+    let acc = r.u64("acc")?;
+    let st = match r.u8("tag")? {
+        0 => RingSt::Start,
+        1 => RingSt::Waiting,
+        2 => RingSt::Forward(r.u64("token")?),
+        3 => RingSt::Done,
+        t => return Err(r.error(format_args!("unknown tag {t}"))),
     };
-    if buf.len() < 17 {
-        return Err(bad(format!("ring state truncated: {} bytes", buf.len())));
-    }
-    let lap = u64::from_le_bytes(buf[..8].try_into().unwrap());
-    let acc = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let st = match buf[16] {
-        0 => {
-            need(17)?;
-            RingSt::Start
-        }
-        1 => {
-            need(17)?;
-            RingSt::Waiting
-        }
-        2 => {
-            need(25)?;
-            RingSt::Forward(u64::from_le_bytes(buf[17..25].try_into().unwrap()))
-        }
-        3 => {
-            need(17)?;
-            RingSt::Done
-        }
-        t => return Err(bad(format!("ring state has unknown tag {t}"))),
-    };
-    Ok(RingNode { lap, acc, st, ..*template })
+    r.finish(RingNode { lap, acc, st, ..*template })
 }
 
 fn encode_u64(m: &u64) -> Vec<u8> {
@@ -707,11 +683,9 @@ fn encode_u64(m: &u64) -> Vec<u8> {
 }
 
 fn decode_u64(b: &[u8]) -> Result<u64, RunError> {
-    let arr: [u8; 8] = b.try_into().map_err(|_| RunError::Protocol {
-        proc: 0,
-        detail: format!("ring token must be 8 bytes, got {}", b.len()),
-    })?;
-    Ok(u64::from_le_bytes(arr))
+    let mut r = Reader::new("ring token", b);
+    let token = r.u64("token")?;
+    r.finish(token)
 }
 
 impl Workload for RingWorkload {
@@ -813,14 +787,6 @@ impl FdtdAWorkload {
     }
 }
 
-fn encode_mesh(m: &MeshMsg) -> Vec<u8> {
-    encode_mesh_msg(m)
-}
-
-fn mesh_state_encode(p: &MsgProcess<LocalA>) -> Vec<u8> {
-    p.encode_state()
-}
-
 impl Workload for FdtdAWorkload {
     fn n_ranks(&self) -> usize {
         self.pg.nprocs()
@@ -839,7 +805,7 @@ impl Workload for FdtdAWorkload {
     ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>) {
         let (topo, procs) = self.build_ranks(ranks);
         let seed = PartialSeed::fresh(&topo, procs);
-        launch_typed(&topo, seed, workers, flight, encode_mesh, decode_mesh_msg, sink)
+        launch_typed(&topo, seed, workers, flight, encode_mesh_msg, decode_mesh_msg, sink)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -850,7 +816,7 @@ impl Workload for FdtdAWorkload {
 
     fn shadow(&self, every: u64) -> Box<dyn ProgramShadow> {
         let (topo, procs) = self.build();
-        Box::new(ShadowExec::new(topo, procs, encode_mesh, mesh_state_encode, every))
+        Box::new(ShadowExec::new(topo, procs, encode_mesh_msg, MsgProcess::encode_state, every))
     }
 
     fn launch_group_seeded(
@@ -868,9 +834,9 @@ impl Workload for FdtdAWorkload {
             manifest,
             workers,
             flight,
-            encode_mesh,
+            encode_mesh_msg,
             decode_mesh_msg,
-            |t, b| MsgProcess::decode_state(t.clone(), b),
+            MsgProcess::decode_state,
             sink,
         )
     }
@@ -964,7 +930,7 @@ mod tests {
         assert_eq!(a, b);
         // Every rank accumulated something.
         for s in &a {
-            let acc = u64::from_le_bytes(s[8..16].try_into().unwrap());
+            let acc = Reader::new("ring snapshot", &s[8..]).u64("acc").unwrap();
             assert_ne!(acc, 0);
         }
     }
@@ -1031,8 +997,8 @@ mod tests {
         let fdtd = FdtdAWorkload { params: Arc::new(params), pg, overlap: false };
         ungated_shadow_is_the_simulator(
             || fdtd.build(),
-            encode_mesh,
-            mesh_state_encode,
+            encode_mesh_msg,
+            MsgProcess::encode_state,
             fdtd.run_reference().unwrap(),
         );
     }

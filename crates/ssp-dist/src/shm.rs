@@ -34,6 +34,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use ssp_runtime::proc::Reader;
 use ssp_runtime::{fnv1a_64, RunError};
 
 /// Ring header magic.
@@ -77,27 +78,24 @@ pub fn encode_shm_header(h: &ShmHeader) -> [u8; SHM_HEADER_LEN as usize] {
 /// input, bad magic, unknown version, nonzero reserved flags and
 /// out-of-range capacities all fail typed.
 pub fn decode_shm_header(buf: &[u8]) -> Result<ShmHeader, RunError> {
-    if buf.len() < SHM_HEADER_LEN as usize {
-        return Err(proto_err(format!(
-            "shm ring header truncated: {} bytes, need {SHM_HEADER_LEN}",
-            buf.len()
-        )));
+    let mut r = Reader::new("shm ring header", buf);
+    let magic = r.take(SHM_MAGIC.len(), "magic")?;
+    if magic != SHM_MAGIC {
+        return Err(r.error(format_args!("bad magic {magic:02x?}")));
     }
-    if &buf[..8] != SHM_MAGIC {
-        return Err(proto_err(format!("shm ring header has bad magic {:02x?}", &buf[..8])));
-    }
-    let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+    let version = r.u32("version")?;
     if version != SHM_VERSION {
-        return Err(proto_err(format!("shm ring header has unsupported version {version}")));
+        return Err(r.error(format_args!("unsupported version {version}")));
     }
-    let flags = u32::from_le_bytes(buf[12..16].try_into().unwrap());
+    let flags = r.u32("flags")?;
     if flags != 0 {
-        return Err(proto_err(format!("shm ring header has reserved flags {flags:#x} set")));
+        return Err(r.error(format_args!("reserved flags {flags:#x} set")));
     }
-    let capacity = u64::from_le_bytes(buf[16..24].try_into().unwrap());
+    let capacity = r.u64("capacity")?;
     if capacity == 0 || capacity > SHM_MAX_CAPACITY {
-        return Err(proto_err(format!("shm ring header has capacity {capacity} out of range")));
+        return Err(r.error(format_args!("capacity {capacity} out of range")));
     }
+    r.take(SHM_HEADER_LEN as usize - 24, "reserved header bytes")?;
     Ok(ShmHeader { version, flags, capacity })
 }
 

@@ -1005,7 +1005,7 @@ impl Supervisor<'_> {
     /// its step counter has not moved since the previous reply — the
     /// heartbeat-visible signature of a stuck group.
     fn handle_pong(&mut self, w: usize, payload: &[u8]) -> Result<(), RunError> {
-        let telemetry = WorkerTelemetry::decode(payload)?;
+        let t = WorkerTelemetry::decode(payload)?;
         let rtt = self.slots[w].ping_sent.take().map(|t0| t0.elapsed().as_nanos() as u64);
         if self.stats.per_worker.len() <= w {
             self.stats.per_worker.resize_with(w + 1, WorkerRow::default);
@@ -1014,17 +1014,15 @@ impl Supervisor<'_> {
         if let Some(rtt) = rtt {
             row.rtt_nanos = rtt;
         }
-        if let Some(t) = telemetry {
-            if row.pongs > 0 && t.ranks_live > 0 && t.steps == row.last.steps {
-                row.flatlines += 1;
-                eprintln!(
-                    "supervisor: worker {w} step rate flatlined at {} with {} ranks live \
-                     (heartbeat {})",
-                    t.steps, t.ranks_live, row.pongs
-                );
-            }
-            row.last = t;
+        if row.pongs > 0 && t.ranks_live > 0 && t.steps == row.last.steps {
+            row.flatlines += 1;
+            eprintln!(
+                "supervisor: worker {w} step rate flatlined at {} with {} ranks live \
+                 (heartbeat {})",
+                t.steps, t.ranks_live, row.pongs
+            );
         }
+        row.last = t;
         row.pongs += 1;
         Ok(())
     }
@@ -1175,7 +1173,10 @@ impl Supervisor<'_> {
         // from the manifest's counters for the same effect.
         for c in 0..self.topo.n_channels() {
             if hosted[self.topo.specs()[c].writer] {
-                self.metrics.channels[c] = gd.metrics.channels[c].clone();
+                let (ours, theirs) = (&mut self.metrics.channels[c], &gd.metrics.channels[c]);
+                ours.messages = theirs.messages;
+                ours.bytes = theirs.bytes;
+                ours.max_queue_depth = theirs.max_queue_depth;
             }
         }
         self.metrics.sched.workers += gd.metrics.sched.workers;

@@ -62,6 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
+use ssp_runtime::proc::Reader;
 use ssp_runtime::{fnv1a_64, FlightKind, GroupManifest, RunError};
 
 use crate::frame::{
@@ -93,8 +94,10 @@ fn encode_shm_ack(consumed: u64) -> Vec<u8> {
     consumed.to_le_bytes().to_vec()
 }
 
-fn decode_shm_ack(payload: &[u8]) -> Option<u64> {
-    <[u8; 8]>::try_from(payload).ok().map(u64::from_le_bytes)
+fn decode_shm_ack(payload: &[u8]) -> Result<u64, RunError> {
+    let mut r = Reader::new("SHM_ACK", payload);
+    let consumed = r.u64("consumed bytes")?;
+    r.finish(consumed)
 }
 
 /// One channel's inbound sequence gate: the next ordinal the reader group
@@ -542,10 +545,10 @@ fn dial_peer(shared: &Shared, book: &PeerBook, dest: usize) -> Result<PeerConn, 
                     match read_frame(&mut rd) {
                         Ok(f) if f.ty == FrameType::ShmAck => {
                             match decode_shm_ack(&f.payload) {
-                                Some(v) => {
+                                Ok(v) => {
                                     acked.fetch_max(v, Ordering::AcqRel);
                                 }
-                                None => return rd.close(),
+                                Err(_) => return rd.close(),
                             }
                         }
                         _ => return rd.close(),

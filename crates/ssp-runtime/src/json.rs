@@ -74,11 +74,6 @@ impl JsonValue {
         self.as_u64().map(|x| x as usize)
     }
 
-    /// True if this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// Serialize as a compact JSON document. Numbers use Rust's
     /// shortest-round-trip formatting (integral values print without a
     /// fraction); non-finite numbers, which JSON cannot represent, are
@@ -406,7 +401,7 @@ mod tests {
         assert_eq!(v.get("c"), Some(&JsonValue::Str("d".into())));
         let arr = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert!(arr[2].get("b").unwrap().is_null());
+        assert_eq!(arr[2].get("b"), Some(&JsonValue::Null));
     }
 
     #[test]

@@ -67,7 +67,6 @@
 //! JSON.
 #![warn(missing_docs)]
 
-
 pub mod chan;
 pub mod error;
 pub mod fault;

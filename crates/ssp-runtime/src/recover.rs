@@ -36,11 +36,11 @@ use crate::error::RunError;
 use crate::fault::{Crash, FaultPlan};
 use crate::observer::NoopObserver;
 use crate::policy::{RoundRobin, SchedulePolicy};
-use crate::proc::{ProcId, Process};
+use crate::proc::{push_bytes, push_u32, push_u64, ProcId, Process, Reader};
 use crate::sched::{self, PartialSeed};
 use crate::sim::{Rollback, RunOutcome, Simulator};
 use crate::threaded::{ThreadedConfig, ThreadedOutcome};
-use crate::trace::{FlightKind, RunMetrics};
+use crate::trace::{push_counters, push_proc_metrics, FlightKind, RunMetrics};
 
 /// Supervisor tuning: how often to checkpoint and how many restarts to
 /// tolerate before giving up.
@@ -378,99 +378,26 @@ pub struct GroupManifest {
 }
 
 const GMAN_MAGIC: &[u8; 8] = b"SSPGMAN1";
-
-fn gman_err(detail: impl Into<String>) -> RunError {
-    RunError::Protocol { proc: 0, detail: format!("group manifest: {}", detail.into()) }
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], RunError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| gman_err("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(gman_err("truncated"));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8f(&mut self) -> Result<u8, RunError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32f(&mut self) -> Result<u32, RunError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64f(&mut self) -> Result<u64, RunError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// A count that will be followed by at least `min_each` bytes per item:
-    /// rejects allocation bombs before reserving anything.
-    fn count(&mut self, min_each: usize, what: &str) -> Result<usize, RunError> {
-        let n = self.u32f()? as usize;
-        let need = n.checked_mul(min_each).ok_or_else(|| gman_err("length overflow"))?;
-        if need > self.buf.len() - self.pos {
-            return Err(gman_err(format!("{what} count {n} exceeds payload")));
-        }
-        Ok(n)
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>, RunError> {
-        let n = self.count(1, what)?;
-        Ok(self.take(n)?.to_vec())
-    }
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64v(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    push_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
+const GMAN_CODEC: &str = "group manifest";
 
 impl GroupManifest {
     /// Binary wire form, fingerprint-sealed: the last 8 bytes are the
-    /// FNV-1a-64 of everything before them.
+    /// FNV-1a-64 of everything before them. Channel counters and per-rank
+    /// metrics use the metrics wire form ([`push_counters`],
+    /// [`push_proc_metrics`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(GMAN_MAGIC);
-        push_u64v(&mut out, self.steps);
+        push_u64(&mut out, self.steps);
         push_u32(&mut out, self.consumed.len() as u32);
         for &c in &self.consumed {
-            push_u64v(&mut out, c);
+            push_u64(&mut out, c);
         }
-        push_u32(&mut out, self.counters.len() as u32);
-        for &(m, b, d) in &self.counters {
-            push_u64v(&mut out, m);
-            push_u64v(&mut out, b);
-            push_u64v(&mut out, d);
-        }
+        push_counters(&mut out, &self.counters);
         push_u32(&mut out, self.ranks.len() as u32);
         for r in &self.ranks {
             push_u32(&mut out, r.rank);
-            for v in [
-                r.metrics.steps,
-                r.metrics.compute_units,
-                r.metrics.sends,
-                r.metrics.receives,
-                r.metrics.blocked_steps,
-                r.metrics.blocked_nanos,
-            ] {
-                push_u64v(&mut out, v);
-            }
+            push_proc_metrics(&mut out, &r.metrics);
             match &r.status {
                 ManifestStatus::Ready => out.push(0),
                 ManifestStatus::BlockedRecv(c) => {
@@ -495,7 +422,7 @@ impl GroupManifest {
             }
         }
         let fp = fnv1a_64(&out);
-        push_u64v(&mut out, fp);
+        push_u64(&mut out, fp);
         out
     }
 
@@ -504,76 +431,51 @@ impl GroupManifest {
     /// must never panic and never allocate proportionally to a forged
     /// count.
     pub fn decode(buf: &[u8]) -> Result<GroupManifest, RunError> {
-        if buf.len() < GMAN_MAGIC.len() + 8 {
-            return Err(gman_err("truncated"));
-        }
-        let (body, fp_bytes) = buf.split_at(buf.len() - 8);
-        let want = u64::from_le_bytes(fp_bytes.try_into().unwrap());
+        let (body, seal) = buf.split_at(buf.len().saturating_sub(8));
+        let want = Reader::new(GMAN_CODEC, seal).u64("fingerprint")?;
+        let mut r = Reader::new(GMAN_CODEC, body);
         let got = fnv1a_64(body);
         if want != got {
-            return Err(gman_err(format!(
+            return Err(r.error(format_args!(
                 "fingerprint mismatch (manifest says {want:#018x}, bytes hash to {got:#018x})"
             )));
         }
-        let mut c = Cursor { buf: body, pos: 0 };
-        if c.take(GMAN_MAGIC.len())? != GMAN_MAGIC {
-            return Err(gman_err("bad magic"));
+        if r.take(GMAN_MAGIC.len(), "magic")? != GMAN_MAGIC {
+            return Err(r.error("bad magic"));
         }
-        let steps = c.u64f()?;
-        let n_consumed = c.count(8, "consumed")?;
-        let mut consumed = Vec::with_capacity(n_consumed);
-        for _ in 0..n_consumed {
-            consumed.push(c.u64f()?);
-        }
-        let n_counters = c.count(24, "counters")?;
-        let mut counters = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            counters.push((c.u64f()?, c.u64f()?, c.u64f()?));
-        }
-        let n_ranks = c.count(4 + 48 + 1 + 4, "ranks")?;
+        let steps = r.u64("steps")?;
+        let n_consumed = r.count(8, "consumed")?;
+        let consumed = (0..n_consumed).map(|_| r.u64("consumed")).collect::<Result<_, _>>()?;
+        let counters = r.counters()?;
+        let n_ranks = r.count(4 + 48 + 1 + 4, "ranks")?;
         let mut ranks = Vec::with_capacity(n_ranks);
         for _ in 0..n_ranks {
-            let rank = c.u32f()?;
-            let mut m = [0u64; 6];
-            for v in &mut m {
-                *v = c.u64f()?;
-            }
-            let metrics = crate::trace::ProcMetrics {
-                steps: m[0],
-                compute_units: m[1],
-                sends: m[2],
-                receives: m[3],
-                blocked_steps: m[4],
-                blocked_nanos: m[5],
-            };
-            let status = match c.u8f()? {
+            let rank = r.u32("rank")?;
+            let metrics = r.proc_metrics()?;
+            let status = match r.u8("status tag")? {
                 0 => ManifestStatus::Ready,
-                1 => ManifestStatus::BlockedRecv(c.u32f()?),
+                1 => ManifestStatus::BlockedRecv(r.u32("blocked-recv channel")?),
                 2 => {
-                    let chan = c.u32f()?;
-                    ManifestStatus::BlockedSend(chan, c.bytes("blocked send message")?)
+                    let chan = r.u32("blocked-send channel")?;
+                    ManifestStatus::BlockedSend(chan, r.bytes("blocked send message")?.to_vec())
                 }
                 3 => ManifestStatus::Halted,
-                t => return Err(gman_err(format!("unknown status tag {t}"))),
+                t => return Err(r.error(format_args!("unknown status tag {t}"))),
             };
-            let state = c.bytes("rank state")?;
+            let state = r.bytes("rank state")?.to_vec();
             ranks.push(ManifestRank { rank, status, state, metrics });
         }
-        let n_queues = c.count(8, "queues")?;
+        let n_queues = r.count(8, "queues")?;
         let mut queues = Vec::with_capacity(n_queues);
         for _ in 0..n_queues {
-            let chan = c.u32f()?;
-            let n_msgs = c.count(4, "queued messages")?;
-            let mut msgs = Vec::with_capacity(n_msgs);
-            for _ in 0..n_msgs {
-                msgs.push(c.bytes("queued message")?);
-            }
+            let chan = r.u32("queue channel")?;
+            let n_msgs = r.count(4, "queued messages")?;
+            let msgs = (0..n_msgs)
+                .map(|_| Ok(r.bytes("queued message")?.to_vec()))
+                .collect::<Result<_, RunError>>()?;
             queues.push((chan, msgs));
         }
-        if c.pos != body.len() {
-            return Err(gman_err(format!("{} trailing bytes", body.len() - c.pos)));
-        }
-        Ok(GroupManifest { steps, ranks, queues, consumed, counters })
+        r.finish(GroupManifest { steps, ranks, queues, consumed, counters })
     }
 }
 
@@ -618,9 +520,29 @@ mod manifest_tests {
         assert_eq!(GroupManifest::decode(&wire).unwrap(), m);
         // Tail fingerprint really covers the body.
         assert_eq!(
-            u64::from_le_bytes(wire[wire.len() - 8..].try_into().unwrap()),
+            Reader::new("seal", &wire[wire.len() - 8..]).u64("fingerprint").unwrap(),
             fnv1a_64(&wire[..wire.len() - 8])
         );
+    }
+
+    /// Pinned bytes: a codec change may not move the layout of a cut
+    /// without failing here.
+    #[test]
+    fn manifest_bytes_are_pinned() {
+        const GOLDEN: &str = concat!(
+            "535350474d414e31910300000000000003000000000000000000000004000000",
+            "0000000009000000000000000300000005000000000000005802000000000000",
+            "0200000000000000000000000000000000000000000000000000000000000000",
+            "0900000000000000850300000000000003000000000000000200000002000000",
+            "290000000000000005000000000000000b000000000000000c00000000000000",
+            "03000000000000004d0000000000000002070000000300000001020321000000",
+            "0909090909090909090909090909090909090909090909090909090909090909",
+            "0905000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000300000000020000000300",
+            "00000200000001000000aa000000000400000000000000bac3fb671a4bf3aa",
+        );
+        let hex: String = sample().encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
     }
 
     #[test]
@@ -652,12 +574,12 @@ mod manifest_tests {
         // *well-formed* hostile sender).
         let mut body = Vec::new();
         body.extend_from_slice(GMAN_MAGIC);
-        push_u64v(&mut body, 0);
+        push_u64(&mut body, 0);
         push_u32(&mut body, 0); // consumed
         push_u32(&mut body, 0); // counters
         push_u32(&mut body, u32::MAX); // ranks: 4B entries, ~230 B payload
         let fp = fnv1a_64(&body);
-        push_u64v(&mut body, fp);
+        push_u64(&mut body, fp);
         let err = GroupManifest::decode(&body).expect_err("forged count must fail");
         let detail = err.to_string();
         assert!(detail.contains("exceeds payload"), "{detail}");

@@ -671,11 +671,7 @@ impl<P: Process> From<SimState<P>> for PartialSeed<P> {
                 .map(|(rank, (proc, st))| (rank, proc, st, metrics.procs[rank]))
                 .collect(),
             consumed,
-            counters: metrics
-                .channels
-                .iter()
-                .map(|c| (c.messages, c.bytes, c.max_queue_depth as u64))
-                .collect(),
+            counters: metrics.counters(),
             queues: queues.into_iter().map(Vec::from).enumerate().collect(),
         }
     }

@@ -9,11 +9,16 @@
 //! [`RunMetrics`] is the quantitative record: per-channel message
 //! counts, payload volume, and queue-depth high-water marks, plus
 //! per-process step/block accounting — the data behind a Figure-2-style
-//! communication profile. Every runner populates it; [`RunMetrics::to_json`]
-//! dumps it without any serialization dependency.
+//! communication profile. Every runner populates it. It has one wire form,
+//! binary ([`push_run_metrics`], read back by [`Reader::run_metrics`]):
+//! its per-channel counters and per-process rows are the same encodings a
+//! sealed [`crate::recover::GroupManifest`] carries, and the distributed
+//! backend's `GROUP_DONE` ships the whole. [`RunMetrics::to_json`] is the
+//! human-readable dump and is never parsed back.
 
 use crate::chan::{ChannelId, Topology};
-use crate::proc::ProcId;
+use crate::error::RunError;
+use crate::proc::{push_u32, push_u64, ProcId, Reader};
 
 /// Communication metrics for one channel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -184,90 +189,96 @@ impl RunMetrics {
         s
     }
 
-    /// Parse a profile previously dumped by [`RunMetrics::to_json`].
-    ///
-    /// Inverse of the writer: `from_json(&m.to_json()) == Ok(m)`. Entries
-    /// must appear in id order (the writer emits them that way); the
-    /// redundant totals are cross-checked against the per-channel sums so a
-    /// hand-edited or truncated file is rejected rather than misread.
-    pub fn from_json(input: &str) -> Result<Self, crate::json::JsonError> {
-        use crate::json::{parse, JsonError, JsonValue};
-        fn field(v: &JsonValue, key: &str) -> Result<u64, JsonError> {
-            v.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError { msg: format!("missing or non-integer '{key}'"), at: 0 })
-        }
-        let doc = parse(input)?;
-        let bad = |msg: &str| JsonError { msg: msg.to_string(), at: 0 };
+    /// Per-channel writer-side counters `(messages, bytes, max_depth)`:
+    /// what a cut carries of each channel's profile (endpoints and capacity
+    /// are the topology's).
+    pub fn counters(&self) -> Vec<(u64, u64, u64)> {
+        self.channels.iter().map(|c| (c.messages, c.bytes, c.max_queue_depth as u64)).collect()
+    }
 
-        let mut channels = Vec::new();
-        for (i, c) in doc
-            .get("channels")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| bad("missing 'channels' array"))?
-            .iter()
-            .enumerate()
-        {
-            if c.get("id").and_then(JsonValue::as_usize) != Some(i) {
-                return Err(bad("channel ids must be dense and in order"));
-            }
-            let cap = c.get("capacity").ok_or_else(|| bad("missing 'capacity'"))?;
-            let capacity = if cap.is_null() {
-                None
-            } else {
-                Some(cap.as_usize().ok_or_else(|| bad("non-integer 'capacity'"))?)
-            };
-            channels.push(ChannelMetrics {
-                writer: field(c, "writer")? as ProcId,
-                reader: field(c, "reader")? as ProcId,
-                capacity,
-                messages: field(c, "messages")?,
-                bytes: field(c, "bytes")?,
-                max_queue_depth: field(c, "max_queue_depth")? as usize,
-            });
-        }
+}
 
-        let mut procs = Vec::new();
-        for (i, p) in doc
-            .get("procs")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| bad("missing 'procs' array"))?
-            .iter()
-            .enumerate()
-        {
-            if p.get("id").and_then(JsonValue::as_usize) != Some(i) {
-                return Err(bad("proc ids must be dense and in order"));
-            }
-            procs.push(ProcMetrics {
-                steps: field(p, "steps")?,
-                compute_units: field(p, "compute_units")?,
-                sends: field(p, "sends")?,
-                receives: field(p, "receives")?,
-                blocked_steps: field(p, "blocked_steps")?,
-                blocked_nanos: field(p, "blocked_nanos")?,
-            });
-        }
+/// Append a run's metrics in their binary wire form, the one they cross a
+/// process in: [`push_counters`], then `[n: u32]` and [`push_proc_metrics`]
+/// per process, then the scheduler's four counters. The inverse is
+/// [`Reader::run_metrics`].
+pub fn push_run_metrics(buf: &mut Vec<u8>, m: &RunMetrics) {
+    push_counters(buf, &m.counters());
+    push_u32(buf, m.procs.len() as u32);
+    for p in &m.procs {
+        push_proc_metrics(buf, p);
+    }
+    let s = &m.sched;
+    for v in [s.workers as u64, s.steals, s.yields, s.task_parks] {
+        push_u64(buf, v);
+    }
+}
 
-        // Profiles dumped before the M:N scheduler have no "sched" object;
-        // read them as a zeroed pool rather than rejecting the file.
-        let sched = match doc.get("sched") {
-            Some(s) => SchedMetrics {
-                workers: field(s, "workers")? as usize,
-                steals: field(s, "steals")?,
-                yields: field(s, "yields")?,
-                task_parks: field(s, "task_parks")?,
-            },
-            None => SchedMetrics::default(),
+/// Append per-channel counters `(messages, bytes, max_depth)`: `[n: u32]`
+/// then `3 × u64` each. The inverse is [`Reader::counters`].
+pub fn push_counters(buf: &mut Vec<u8>, counters: &[(u64, u64, u64)]) {
+    push_u32(buf, counters.len() as u32);
+    for &(m, b, d) in counters {
+        for v in [m, b, d] {
+            push_u64(buf, v);
+        }
+    }
+}
+
+/// Append one process's metrics as `6 × u64` in field order. The inverse is
+/// [`Reader::proc_metrics`].
+pub fn push_proc_metrics(buf: &mut Vec<u8>, p: &ProcMetrics) {
+    let ProcMetrics { steps, compute_units, sends, receives, blocked_steps, blocked_nanos } = *p;
+    for v in [steps, compute_units, sends, receives, blocked_steps, blocked_nanos] {
+        push_u64(buf, v);
+    }
+}
+
+impl Reader<'_> {
+    /// Per-channel counters written by [`push_counters`].
+    pub fn counters(&mut self) -> Result<Vec<(u64, u64, u64)>, RunError> {
+        let n = self.count(24, "channel counters")?;
+        (0..n)
+            .map(|_| Ok((self.u64("messages")?, self.u64("bytes")?, self.u64("max depth")?)))
+            .collect()
+    }
+
+    /// One process's metrics written by [`push_proc_metrics`].
+    pub fn proc_metrics(&mut self) -> Result<ProcMetrics, RunError> {
+        Ok(ProcMetrics {
+            steps: self.u64("steps")?,
+            compute_units: self.u64("compute units")?,
+            sends: self.u64("sends")?,
+            receives: self.u64("receives")?,
+            blocked_steps: self.u64("blocked steps")?,
+            blocked_nanos: self.u64("blocked nanos")?,
+        })
+    }
+
+    /// A run's metrics written by [`push_run_metrics`]. Channel endpoints
+    /// and capacities do not travel: each decoded channel carries its
+    /// counters only, and the receiver, which knows the topology, checks
+    /// the shape.
+    pub fn run_metrics(&mut self) -> Result<RunMetrics, RunError> {
+        let channels = self
+            .counters()?
+            .into_iter()
+            .map(|(messages, bytes, d)| ChannelMetrics {
+                messages,
+                bytes,
+                max_queue_depth: d as usize,
+                ..ChannelMetrics::default()
+            })
+            .collect();
+        let n = self.count(48, "process metrics")?;
+        let procs = (0..n).map(|_| self.proc_metrics()).collect::<Result<_, _>>()?;
+        let sched = SchedMetrics {
+            workers: self.u64("workers")? as usize,
+            steals: self.u64("steals")?,
+            yields: self.u64("yields")?,
+            task_parks: self.u64("task parks")?,
         };
-
-        let m = RunMetrics { channels, procs, sched };
-        if field(&doc, "total_messages")? != m.total_messages()
-            || field(&doc, "total_bytes")? != m.total_bytes()
-            || field(&doc, "max_queue_depth")? as usize != m.max_queue_depth()
-        {
-            return Err(bad("totals disagree with per-channel entries"));
-        }
-        Ok(m)
+        Ok(RunMetrics { channels, procs, sched })
     }
 }
 
@@ -626,64 +637,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_round_trip_through_json() {
-        let mut t = Topology::new(3);
-        let c0 = t.connect(0, 1);
-        t.add(crate::chan::ChannelSpec::bounded(1, 2, 4));
-        let mut m = RunMetrics::for_topology(&t);
-        m.on_send(c0, 16, 1);
-        m.on_send(c0, 24, 2);
-        m.on_recv(c0);
-        m.on_send(ChannelId(1), 8, 1);
-        m.on_recv(ChannelId(1));
-        m.procs[0].steps = 5;
-        m.procs[0].compute_units = 123;
-        m.procs[1].blocked_steps = 2;
-        m.procs[2].blocked_nanos = 987;
-        m.sched = SchedMetrics { workers: 4, steals: 9, yields: 3, task_parks: 17 };
-
-        assert_eq!(RunMetrics::from_json(&m.to_json()), Ok(m));
-    }
-
-    #[test]
-    fn from_json_accepts_pre_scheduler_profiles() {
-        // A profile dumped before the M:N scheduler existed has no "sched"
-        // object; it must parse with a zeroed pool, not be rejected.
-        let mut t = Topology::new(2);
-        let c = t.connect(0, 1);
-        let mut m = RunMetrics::for_topology(&t);
-        m.on_send(c, 8, 1);
-        let with_sched = m.to_json();
-        let legacy = with_sched.replace(
-            ",\"sched\":{\"workers\":0,\"steals\":0,\"yields\":0,\"task_parks\":0}",
-            "",
-        );
-        assert_ne!(legacy, with_sched, "the sched object was present to strip");
-        assert_eq!(RunMetrics::from_json(&legacy), Ok(m));
-    }
-
-    #[test]
-    fn from_json_rejects_inconsistent_profiles() {
-        let mut t = Topology::new(2);
-        let c = t.connect(0, 1);
-        let mut m = RunMetrics::for_topology(&t);
-        m.on_send(c, 16, 1);
-        let good = m.to_json();
-
-        // A tampered total must be caught, not silently accepted.
-        let bad = good.replace("\"total_bytes\":16", "\"total_bytes\":17");
-        assert_ne!(bad, good);
-        assert!(RunMetrics::from_json(&bad).is_err());
-        // Structural damage is caught too.
-        assert!(RunMetrics::from_json("{\"channels\":[]}").is_err());
-        assert!(RunMetrics::from_json("not json").is_err());
-    }
-
-    #[test]
     fn json_schema_is_stable() {
-        // Golden check: `ssp-dist` workers put this document on the wire in
-        // `GROUP_DONE` and the supervisor reads these exact key names;
-        // renaming a field must fail here first.
+        // Golden check: the human-readable dump's key names are what people
+        // and scripts grep for; renaming a field must fail here first.
         let mut t = Topology::new(2);
         let c = t.connect(0, 1);
         let mut m = RunMetrics::for_topology(&t);

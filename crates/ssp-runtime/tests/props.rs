@@ -1,10 +1,13 @@
 //! Property-based tests of the runtime: Theorem 1 on randomly generated
-//! process systems, FIFO channel discipline, and schedule replay.
+//! process systems, FIFO channel discipline, schedule replay, and the
+//! binary metrics reader.
 
 use proptest::prelude::*;
+use ssp_runtime::proc::Reader;
+use ssp_runtime::trace::push_run_metrics;
 use ssp_runtime::{
     ChannelId, Effect, FixedSchedule, Process, RandomPolicy, RecordingObserver, RoundRobin,
-    SchedulePolicy, Simulator, StepEvent, Topology,
+    RunError, SchedMetrics, SchedulePolicy, Simulator, StepEvent, Topology,
 };
 
 /// A deterministic scripted process: a list of primitive actions.
@@ -119,6 +122,37 @@ proptest! {
             .run(&mut RandomPolicy::seeded(seed))
             .unwrap();
         prop_assert_eq!(rr.snapshots[1].clone(), rnd.snapshots[1].clone());
+    }
+
+    /// The binary metrics reader (`GROUP_DONE` carries this encoding) reads
+    /// a real run's metrics back exactly, refuses every truncation with a
+    /// typed error, and is total over single-byte mutations.
+    #[test]
+    fn metrics_reader_is_total(
+        k in 0usize..8,
+        m in 0usize..8,
+        workers in 0usize..64,
+        pos_frac in 0.0f64..1.0,
+        byte in 0u16..256,
+    ) {
+        let (topo, procs) = matched_pair(k, m, 11);
+        let run = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
+        let mut metrics = run.metrics;
+        metrics.sched = SchedMetrics { workers, steals: k as u64, yields: m as u64, task_parks: 3 };
+        let mut full = Vec::new();
+        push_run_metrics(&mut full, &metrics);
+        let back = Reader::new("metrics", &full).run_metrics().unwrap();
+        prop_assert_eq!(back.counters(), metrics.counters());
+        prop_assert_eq!(&back.procs, &metrics.procs);
+        prop_assert_eq!(back.sched, metrics.sched);
+        for cut in 0..full.len() {
+            let r = Reader::new("metrics", &full[..cut]).run_metrics();
+            prop_assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {}: {:?}", cut, r);
+        }
+        let mut bytes = full.clone();
+        let pos = (bytes.len() as f64 * pos_frac) as usize % bytes.len();
+        bytes[pos] = byte as u8;
+        let _ = Reader::new("metrics", &bytes).run_metrics();
     }
 
     /// Per-process projections of the step events are identical across

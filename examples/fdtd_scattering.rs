@@ -36,7 +36,7 @@ fn main() {
     for p in [1usize, 2, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Off, record_trace: true, ..Default::default() };
+        let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
         let modeled = machine.price_trace(&out.trace);
         let t_seq = *t_seq.get_or_insert(modeled);

@@ -13,7 +13,7 @@ use archetypes::mesh::driver::{run_simpar, SimParConfig, ValidationLevel};
 use archetypes::mesh::SumMethod;
 
 fn cfg() -> SimParConfig {
-    SimParConfig { validation: ValidationLevel::Slab, record_trace: false, ..Default::default() }
+    SimParConfig { validation: ValidationLevel::Slab, ..Default::default() }
 }
 
 #[test]

@@ -26,7 +26,7 @@ fn fdtd_message_passing_equals_simpar_under_adversaries_and_threads() {
     let plan = plan_a(&params);
     let pg = ProcGrid3::choose(params.n, 6);
     let init = init_a(params.clone());
-    let cfg = SimParConfig { validation: ValidationLevel::Off, record_trace: false, ..Default::default() };
+    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
     let simpar = run_simpar(&plan, pg, cfg, |e| init(e));
 
     for strategy in [
