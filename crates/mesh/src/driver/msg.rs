@@ -500,36 +500,34 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
         let scratch = r.f64s(n, "scratch")?;
         let n = r.count(20, "contribs")?;
         let contribs = read_contribs(&mut r, n)?;
-        let global = match r.u8("global flag")? {
-            0 => None,
-            1 => {
-                let mut dim = |what| r.u32(what).map(|d| d as usize);
-                let (nx, ny, nz) = (dim("global nx")?, dim("global ny")?, dim("global nz")?);
-                let ghost = dim("global ghost")?;
-                if (nx, ny, nz) != template.env.pg.n {
-                    return Err(r.error(format_args!(
-                        "global grid extent {:?}, the program's grid is {:?}",
-                        (nx, ny, nz),
-                        template.env.pg.n
-                    )));
-                }
-                let expected = [nx, ny, nz]
-                    .iter()
-                    .try_fold(1usize, |acc, &d| {
-                        acc.checked_mul(d.checked_add(2usize.checked_mul(ghost)?)?)
-                    })
-                    .ok_or_else(|| r.error("global grid dims overflow"))?;
-                let count = r.count(8, "global grid")?;
-                if count != expected {
-                    return Err(r.error(format_args!(
-                        "global grid carries {count} cells, dims need {expected}"
-                    )));
-                }
-                let mut g = Grid3::new(nx, ny, nz, ghost);
-                r.f64s_into(g.raw_mut(), "global cell")?;
-                Some(g)
+        let global = if r.flag("global grid")? {
+            let mut dim = |what| r.u32(what).map(|d| d as usize);
+            let (nx, ny, nz) = (dim("global nx")?, dim("global ny")?, dim("global nz")?);
+            let ghost = dim("global ghost")?;
+            if (nx, ny, nz) != template.env.pg.n {
+                return Err(r.error(format_args!(
+                    "global grid extent {:?}, the program's grid is {:?}",
+                    (nx, ny, nz),
+                    template.env.pg.n
+                )));
             }
-            t => return Err(r.error(format_args!("unknown global flag {t}"))),
+            let expected = [nx, ny, nz]
+                .iter()
+                .try_fold(1usize, |acc, &d| {
+                    acc.checked_mul(d.checked_add(2usize.checked_mul(ghost)?)?)
+                })
+                .ok_or_else(|| r.error("global grid dims overflow"))?;
+            let count = r.count(8, "global grid")?;
+            if count != expected {
+                return Err(r.error(format_args!(
+                    "global grid carries {count} cells, dims need {expected}"
+                )));
+            }
+            let mut g = Grid3::new(nx, ny, nz, ghost);
+            r.f64s_into(g.raw_mut(), "global cell")?;
+            Some(g)
+        } else {
+            None
         };
         let n = r.count(8, "loop stack")?;
         let loop_stack = (0..n)

@@ -32,13 +32,16 @@ use ssp_runtime::RunError;
 /// header could use to exhaust memory.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// The kind of a frame, carried as the byte after the length prefix.
+/// The kind of a frame, carried as the byte after the length prefix. Every
+/// payload is binary (see [`crate::proto`] for the control payloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FrameType {
     /// Worker → supervisor, first frame: identifies the worker index.
     Hello = 0,
-    /// Supervisor → worker: host a group of ranks (JSON payload).
+    /// Supervisor → worker: host a group of ranks — its workload spec,
+    /// ranks, data plane, peer table and, on a checkpointed migration, the
+    /// manifest it resumes from ([`crate::proto::Assign`]).
     Assign = 1,
     /// Either direction: one message on one cross-group channel.
     /// Payload: `[chan: u32 le][seq: u64 le][encoded message bytes]`
@@ -47,7 +50,8 @@ pub enum FrameType {
     /// of a message already delivered on the direct plane: the
     /// supervisor logs it for migration but does not forward it.
     Data = 2,
-    /// Worker → supervisor: a group finished; snapshots + metrics.
+    /// Worker → supervisor: a group finished; snapshots, metrics and, when
+    /// recording, its flight log ([`crate::proto::GroupDone`]).
     GroupDone = 3,
     /// Worker → supervisor: fatal worker-side error (UTF-8 detail).
     Error = 4,
@@ -58,64 +62,52 @@ pub enum FrameType {
     /// Worker → supervisor liveness reply. Payload: a fixed-size
     /// [`crate::proto::WorkerTelemetry`] snapshot.
     Pong = 7,
-    /// Worker → supervisor: a finished group's drained flight log,
-    /// sent immediately after that group's GROUP_DONE. Payload:
-    /// `[group: u64 le][FlightLog JSON]`.
-    Trace = 8,
     /// Worker → worker, first frame on a direct peer connection:
     /// identifies the dialer. Payload:
     /// `[from worker: u32 le][generation: u64 le]`.
-    PeerHello = 9,
+    PeerHello = 8,
     /// Supervisor → worker: refreshed rank placement + peer address
-    /// table after a membership change (JSON payload).
-    Peers = 10,
-    /// Supervisor → worker, immediately before a migration ASSIGN: the
-    /// checkpoint manifest the assigned group resumes from. Payload:
-    /// `[group: u64 le][GroupManifest bytes]`.
-    Resume = 11,
+    /// table after a membership change ([`crate::proto::PeerTable`]).
+    Peers = 9,
     /// Worker → supervisor, in response to SHUTDOWN: final data-plane
     /// counters. Payload: 4 × u64 le (direct frames, direct bytes,
     /// shm frames, shm bytes).
-    Bye = 12,
+    Bye = 10,
     /// Worker → worker: one message on one cross-group channel,
     /// bypassing the supervisor. Same payload layout as [`FrameType::Data`].
-    DataDirect = 13,
+    DataDirect = 11,
     /// Worker → worker: a shared-memory ring doorbell. Payload:
     /// `[chan: u32 le][seq: u64 le][ring offset: u64 le][len: u32 le]
     /// [fnv1a-64 checksum: u64 le]`.
-    DataShm = 14,
+    DataShm = 12,
     /// Worker → worker: cumulative shm-ring consumption ack. Payload:
     /// `[consumed bytes: u64 le]`.
-    ShmAck = 15,
+    ShmAck = 13,
     /// Worker → supervisor: a DATA mirror whose direct delivery failed
     /// (peer unreachable); the supervisor must log **and** forward it.
     /// Same payload layout as [`FrameType::Data`].
-    DataRelay = 16,
+    DataRelay = 14,
 }
 
 impl FrameType {
-    fn from_u8(b: u8) -> Option<FrameType> {
-        Some(match b {
-            0 => FrameType::Hello,
-            1 => FrameType::Assign,
-            2 => FrameType::Data,
-            3 => FrameType::GroupDone,
-            4 => FrameType::Error,
-            5 => FrameType::Shutdown,
-            6 => FrameType::Ping,
-            7 => FrameType::Pong,
-            8 => FrameType::Trace,
-            9 => FrameType::PeerHello,
-            10 => FrameType::Peers,
-            11 => FrameType::Resume,
-            12 => FrameType::Bye,
-            13 => FrameType::DataDirect,
-            14 => FrameType::DataShm,
-            15 => FrameType::ShmAck,
-            16 => FrameType::DataRelay,
-            _ => return None,
-        })
-    }
+    /// Every frame type, indexed by its wire byte.
+    const ALL: [FrameType; 15] = [
+        FrameType::Hello,
+        FrameType::Assign,
+        FrameType::Data,
+        FrameType::GroupDone,
+        FrameType::Error,
+        FrameType::Shutdown,
+        FrameType::Ping,
+        FrameType::Pong,
+        FrameType::PeerHello,
+        FrameType::Peers,
+        FrameType::Bye,
+        FrameType::DataDirect,
+        FrameType::DataShm,
+        FrameType::ShmAck,
+        FrameType::DataRelay,
+    ];
 }
 
 /// One decoded frame: its type and raw payload.
@@ -223,7 +215,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
         }
         Err(e) => return Err(FrameError::Io(e)),
     }
-    let ty = FrameType::from_u8(body[0])
+    let ty = FrameType::ALL
+        .get(body[0] as usize)
+        .copied()
         .ok_or_else(|| FrameError::Malformed(format!("unknown frame type {}", body[0])))?;
     Ok(Frame { ty, payload: body.split_off(1) })
 }
@@ -323,11 +317,14 @@ mod tests {
         // Length far over the cap: rejected before any buffer is reserved.
         let r = read_frame(&mut Cursor::new(u32::MAX.to_le_bytes().to_vec()));
         assert!(matches!(r, Err(FrameError::Malformed(_))), "{r:?}");
-        // Unknown frame type.
+        // Unknown frame type: the first byte past the last one.
         let mut wire = 1u32.to_le_bytes().to_vec();
-        wire.push(99);
+        wire.push(FrameType::ALL.len() as u8);
         let r = read_frame(&mut Cursor::new(wire));
         assert!(matches!(r, Err(FrameError::Malformed(_))), "{r:?}");
+        for (byte, ty) in FrameType::ALL.iter().enumerate() {
+            assert_eq!(*ty as usize, byte, "ALL must be in wire-byte order");
+        }
     }
 
     /// Pinned bytes: a codec change may not move this layout (the frame

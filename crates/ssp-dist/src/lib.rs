@@ -6,10 +6,12 @@
 //! Unix-domain sockets speaking a length-prefixed frame protocol.
 //!
 //! * [`frame`] — the wire format: `[u32 le length][u8 type][payload]`.
-//! * [`proto`] — control payloads (ASSIGN as JSON through the runtime's
-//!   hardened parser, GROUP_DONE as framed binary + metrics JSON).
-//! * [`registry`] — named workloads both sides rebuild from `(name, args)`;
-//!   code never crosses the wire.
+//! * [`proto`] — control payloads, all binary and read through the
+//!   runtime's one bounds-checked reader. A group's life is two frames:
+//!   ASSIGN (workload spec, ranks, plane, peer table, resume manifest) and
+//!   GROUP_DONE (snapshots, metrics, flight log).
+//! * [`registry`] — named workloads both sides rebuild from a
+//!   [`registry::WorkloadSpec`]; code never crosses the wire.
 //! * [`worker`] — hosts *groups* (one [`ssp_runtime::launch_partial`]
 //!   scheduler instance each) and bridges their cross-group channels to
 //!   DATA frames.

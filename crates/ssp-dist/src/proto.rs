@@ -1,44 +1,41 @@
 //! Payload codecs for the control frames (HELLO / ASSIGN / GROUP_DONE …).
 //!
-//! ASSIGN and PEERS ride as JSON through [`ssp_runtime::json`], because
-//! ASSIGN's args are a [`JsonValue`] handed to the registry verbatim; TRACE
-//! carries a [`FlightLog`] as the same JSON document the post-mortem dump
-//! writes. The JSON parser is a total function with a depth cap. Every
-//! other payload is binary and read through `ssp_runtime::proc::Reader`,
-//! the workspace's one reader of untrusted bytes; GROUP_DONE carries the
-//! group's [`RunMetrics`] in their binary wire form, the encoding a sealed
-//! checkpoint manifest uses for the same counters.
+//! Every payload is binary and read through `ssp_runtime::proc::Reader`,
+//! the workspace's one reader of untrusted bytes. A group's life is two
+//! frames: ASSIGN starts it, from its registry [`WorkloadSpec`] or, on a
+//! checkpointed migration, from the [`GroupManifest`] it carries; GROUP_DONE
+//! ends it with the group's snapshots, its [`RunMetrics`] (in the binary
+//! counters a sealed manifest uses for the same numbers) and, when the
+//! recorder is on, its [`FlightLog`]. An optional field is a presence byte
+//! ([`Reader::flag`]) followed by the value when present.
 //!
 //! All decoders are total over arbitrary bytes: malformed input yields
 //! [`RunError::Protocol`], never a panic, and element counts are validated
 //! against the remaining buffer before any allocation.
 
-use std::collections::BTreeMap;
-
-use ssp_runtime::json::{parse, JsonValue};
 use ssp_runtime::proc::{push_bytes, push_u32, push_u64, Reader};
-use ssp_runtime::trace::push_run_metrics;
-use ssp_runtime::{FlightLog, RunError, RunMetrics};
+use ssp_runtime::trace::{push_flight_log, push_run_metrics};
+use ssp_runtime::{FlightLog, GroupManifest, RunError, RunMetrics};
 
-fn corrupt(detail: String) -> RunError {
-    RunError::Protocol { proc: 0, detail }
-}
+use crate::registry::WorkloadSpec;
+use crate::supervisor::TransportMode;
 
 /// HELLO payload: the worker's index plus its direct-plane listening
-/// address, `[u32 le][addr utf-8]`. The address may be empty (a worker
-/// running star-only opens no peer listener).
+/// address, `[worker: u32][address]`, the address as length-prefixed
+/// UTF-8. The address may be empty (a worker running star-only opens no
+/// peer listener).
 pub fn encode_hello(worker: usize, addr: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + addr.len());
+    let mut out = Vec::with_capacity(8 + addr.len());
     push_u32(&mut out, worker as u32);
-    out.extend_from_slice(addr.as_bytes());
+    push_bytes(&mut out, addr.as_bytes());
     out
 }
 
 /// Decode a HELLO payload into `(worker index, peer address or "")`.
 pub fn decode_hello(payload: &[u8]) -> Result<(usize, String), RunError> {
     let mut r = Reader::new("HELLO", payload);
-    let worker = r.u32("worker index")? as usize;
-    Ok((worker, r.rest_str("peer address")?.to_string()))
+    let hello = (r.u32("worker index")? as usize, r.str("peer address")?.to_string());
+    r.finish(hello)
 }
 
 /// PEER_HELLO payload, the first frame on a direct worker↔worker
@@ -81,22 +78,6 @@ pub fn decode_bye(payload: &[u8]) -> Result<(u64, u64, u64, u64), RunError> {
     r.finish(bye)
 }
 
-/// RESUME payload: `[group: u64 le][GroupManifest bytes]`. The manifest
-/// bytes are fingerprint-sealed by `recover.rs`'s own codec; this frame
-/// only pairs them with the group id of the ASSIGN that follows.
-pub fn encode_resume(group: u64, manifest: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + manifest.len());
-    push_u64(&mut out, group);
-    out.extend_from_slice(manifest);
-    out
-}
-
-/// Decode a RESUME payload into `(group, manifest bytes)`.
-pub fn decode_resume(payload: &[u8]) -> Result<(u64, &[u8]), RunError> {
-    let mut r = Reader::new("RESUME", payload);
-    Ok((r.u64("group")?, r.rest()))
-}
-
 /// The supervisor-brokered peer introduction table: which worker hosts
 /// each rank, and how to dial each live worker directly. Carried inside
 /// ASSIGN (so a group can open its data plane immediately) and re-broadcast
@@ -114,155 +95,124 @@ pub struct PeerTable {
 }
 
 impl PeerTable {
-    fn to_json_value(&self) -> JsonValue {
-        let mut obj = BTreeMap::new();
-        obj.insert("gen".to_string(), JsonValue::Num(self.gen as f64));
-        obj.insert(
-            "placement".to_string(),
-            JsonValue::Arr(self.placement.iter().map(|&w| JsonValue::Num(w as f64)).collect()),
-        );
-        let mut peers = BTreeMap::new();
-        for (w, a) in &self.peers {
-            peers.insert(w.to_string(), JsonValue::Str(a.clone()));
+    /// Append the table's wire form: `[gen: u64][placement: u32 n]
+    /// [n × worker: u32][peers: u32 m][m × ([worker: u32][address])]`, each
+    /// address as length-prefixed UTF-8.
+    fn push(&self, buf: &mut Vec<u8>) {
+        push_u64(buf, self.gen);
+        push_u32(buf, self.placement.len() as u32);
+        for &w in &self.placement {
+            push_u32(buf, w as u32);
         }
-        obj.insert("peers".to_string(), JsonValue::Obj(peers));
-        JsonValue::Obj(obj)
+        push_u32(buf, self.peers.len() as u32);
+        for (w, addr) in &self.peers {
+            push_u32(buf, *w as u32);
+            push_bytes(buf, addr.as_bytes());
+        }
     }
 
-    fn from_json_value(doc: &JsonValue) -> Result<PeerTable, RunError> {
-        let gen = doc
-            .get("gen")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| corrupt("peer table missing integer 'gen'".to_string()))?;
-        let placement = doc
-            .get("placement")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| corrupt("peer table missing array 'placement'".to_string()))?
-            .iter()
-            .map(|v| {
-                v.as_usize()
-                    .ok_or_else(|| corrupt("peer table placement entry not an integer".to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let peers_obj = match doc.get("peers") {
-            Some(JsonValue::Obj(m)) => m,
-            _ => return Err(corrupt("peer table missing object 'peers'".to_string())),
-        };
-        let mut peers = Vec::with_capacity(peers_obj.len());
-        for (k, v) in peers_obj {
-            let w: usize = k
-                .parse()
-                .map_err(|_| corrupt(format!("peer table worker key {k:?} not an integer")))?;
-            let addr = match v {
-                JsonValue::Str(s) => s.clone(),
-                _ => return Err(corrupt("peer table address is not a string".to_string())),
-            };
-            peers.push((w, addr));
-        }
-        peers.sort_unstable();
+    fn read(r: &mut Reader) -> Result<PeerTable, RunError> {
+        let gen = r.u64("generation")?;
+        let n = r.count(4, "placement")?;
+        let placement =
+            (0..n).map(|_| Ok(r.u32("placement")? as usize)).collect::<Result<_, RunError>>()?;
+        let m = r.count(8, "peers")?;
+        let peers = (0..m)
+            .map(|_| Ok((r.u32("peer worker")? as usize, r.str("peer address")?.to_string())))
+            .collect::<Result<_, RunError>>()?;
         Ok(PeerTable { gen, placement, peers })
     }
 
-    /// Serialize a standalone PEERS frame payload (JSON).
+    /// Serialize a standalone PEERS frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        self.to_json_value().to_json().into_bytes()
+        let mut out = Vec::new();
+        self.push(&mut out);
+        out
     }
 
     /// Parse a PEERS payload; anything malformed is a typed error.
     pub fn decode(payload: &[u8]) -> Result<PeerTable, RunError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| corrupt(format!("PEERS payload is not UTF-8: {e}")))?;
-        let doc = parse(text).map_err(|e| corrupt(format!("PEERS payload: {e}")))?;
-        PeerTable::from_json_value(&doc)
+        let mut r = Reader::new("PEERS", payload);
+        let table = PeerTable::read(&mut r)?;
+        r.finish(table)
     }
 }
 
-/// An ASSIGN order: host `ranks` as one group of `workload`.
+/// An ASSIGN order: host `ranks` as one group of the workload `spec` names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assign {
     /// Supervisor-issued group id, echoed back in GROUP_DONE.
     pub group: u64,
-    /// Registry name of the workload (e.g. `"ring"`, `"fdtd-a"`).
-    pub workload: String,
-    /// Workload-specific parameters, passed to the registry verbatim.
-    pub args: JsonValue,
+    /// The registry workload every process builds the same program from.
+    pub spec: WorkloadSpec,
     /// The global rank ids this group hosts.
     pub ranks: Vec<usize>,
     /// Flight-recorder window (events per lane) to enable on the group's
-    /// scheduler, or `None` for the zero-cost disabled build. Optional on
-    /// the wire: an ASSIGN without the key decodes as `None`.
+    /// scheduler, or `None` for the zero-cost disabled build.
     pub flight: Option<usize>,
-    /// Transport mode for the group's cross-group traffic: `"star"`,
-    /// `"direct"` or `"direct+shm"`. Optional on the wire; absent means
-    /// star (the PR 7 behavior).
-    pub mode: Option<String>,
-    /// Peer introduction table for the direct plane. Optional; required
-    /// by workers whenever `mode` is a direct flavor.
+    /// The data plane of the group's cross-group traffic.
+    pub plane: TransportMode,
+    /// Peer introduction table for the direct plane; `None` on the star.
     pub table: Option<PeerTable>,
+    /// On a checkpointed migration, the cut the group resumes from; `None`
+    /// starts the ranks from their initial states.
+    pub resume: Option<GroupManifest>,
 }
 
 impl Assign {
-    /// Serialize as a JSON document.
+    /// Serialize: `[group: u64][spec][ranks: u32 n][n × u32][flight?: u64]
+    /// [plane: u8][table?][resume?: sealed manifest behind its u32 length]`,
+    /// `?` marking an optional field. The plane tag is 0 star, 1 direct,
+    /// 2 direct+shm.
     pub fn encode(&self) -> Vec<u8> {
-        let mut obj = BTreeMap::new();
-        obj.insert("group".to_string(), JsonValue::Num(self.group as f64));
-        obj.insert("workload".to_string(), JsonValue::Str(self.workload.clone()));
-        obj.insert("args".to_string(), self.args.clone());
-        obj.insert(
-            "ranks".to_string(),
-            JsonValue::Arr(self.ranks.iter().map(|&r| JsonValue::Num(r as f64)).collect()),
-        );
+        let mut out = Vec::new();
+        push_u64(&mut out, self.group);
+        self.spec.push(&mut out);
+        push_u32(&mut out, self.ranks.len() as u32);
+        for &r in &self.ranks {
+            push_u32(&mut out, r as u32);
+        }
+        out.push(u8::from(self.flight.is_some()));
         if let Some(cap) = self.flight {
-            obj.insert("flight".to_string(), JsonValue::Num(cap as f64));
+            push_u64(&mut out, cap as u64);
         }
-        if let Some(mode) = &self.mode {
-            obj.insert("mode".to_string(), JsonValue::Str(mode.clone()));
-        }
+        out.push(match self.plane {
+            TransportMode::Star => 0,
+            TransportMode::Direct { shm } => 1 + u8::from(shm),
+        });
+        out.push(u8::from(self.table.is_some()));
         if let Some(table) = &self.table {
-            obj.insert("table".to_string(), table.to_json_value());
+            table.push(&mut out);
         }
-        JsonValue::Obj(obj).to_json().into_bytes()
+        out.push(u8::from(self.resume.is_some()));
+        if let Some(m) = &self.resume {
+            push_bytes(&mut out, &m.encode());
+        }
+        out
     }
 
-    /// Parse an ASSIGN payload; anything malformed is a typed error.
+    /// Parse an ASSIGN payload; anything malformed — including an
+    /// out-of-range workload spec or a manifest that fails its seal — is a
+    /// typed error.
     pub fn decode(payload: &[u8]) -> Result<Assign, RunError> {
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| corrupt(format!("ASSIGN payload is not UTF-8: {e}")))?;
-        let doc = parse(text).map_err(|e| corrupt(format!("ASSIGN payload: {e}")))?;
-        let group = doc
-            .get("group")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| corrupt("ASSIGN missing integer 'group'".to_string()))?;
-        let workload = match doc.get("workload") {
-            Some(JsonValue::Str(s)) => s.clone(),
-            _ => return Err(corrupt("ASSIGN missing string 'workload'".to_string())),
+        let mut r = Reader::new("ASSIGN", payload);
+        let group = r.u64("group")?;
+        let spec = WorkloadSpec::read(&mut r)?;
+        let n = r.count(4, "ranks")?;
+        let ranks = (0..n).map(|_| Ok(r.u32("rank")? as usize)).collect::<Result<_, RunError>>()?;
+        let flight =
+            r.flag("flight")?.then(|| r.u64("flight window").map(|cap| cap as usize)).transpose()?;
+        let plane = match r.u8("plane")? {
+            0 => TransportMode::Star,
+            t @ (1 | 2) => TransportMode::Direct { shm: t == 2 },
+            t => return Err(r.error(format_args!("unknown plane tag {t}"))),
         };
-        let args = doc.get("args").cloned().unwrap_or(JsonValue::Null);
-        let ranks = doc
-            .get("ranks")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| corrupt("ASSIGN missing array 'ranks'".to_string()))?
-            .iter()
-            .map(|v| {
-                v.as_usize().ok_or_else(|| corrupt("ASSIGN rank is not an integer".to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let flight = match doc.get("flight") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(v.as_usize().ok_or_else(|| {
-                corrupt("ASSIGN 'flight' must be an integer window".to_string())
-            })?),
-        };
-        let mode = match doc.get("mode") {
-            None | Some(JsonValue::Null) => None,
-            Some(JsonValue::Str(s)) => Some(s.clone()),
-            Some(_) => return Err(corrupt("ASSIGN 'mode' must be a string".to_string())),
-        };
-        let table = match doc.get("table") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(PeerTable::from_json_value(v)?),
-        };
-        Ok(Assign { group, workload, args, ranks, flight, mode, table })
+        let table = r.flag("table")?.then(|| PeerTable::read(&mut r)).transpose()?;
+        let resume = r
+            .flag("resume")?
+            .then(|| GroupManifest::decode(r.bytes("resume manifest")?))
+            .transpose()?;
+        r.finish(Assign { group, spec, ranks, flight, plane, table, resume })
     }
 }
 
@@ -311,28 +261,8 @@ impl WorkerTelemetry {
     }
 }
 
-/// TRACE payload: `[u64 group le][FlightLog JSON]` — a finished group's
-/// drained flight log, sent by the worker right after its GROUP_DONE.
-pub fn encode_trace(group: u64, log: &FlightLog) -> Vec<u8> {
-    let json = log.to_json();
-    let mut out = Vec::with_capacity(8 + json.len());
-    push_u64(&mut out, group);
-    out.extend_from_slice(json.as_bytes());
-    out
-}
-
-/// Parse a TRACE payload; total over arbitrary bytes (truncation, bad
-/// UTF-8, and malformed or schema-violating JSON are all typed errors).
-pub fn decode_trace(payload: &[u8]) -> Result<(u64, FlightLog), RunError> {
-    let mut r = Reader::new("TRACE", payload);
-    let group = r.u64("group")?;
-    let log = FlightLog::from_json(r.rest_str("flight log")?)
-        .map_err(|e| r.error(format_args!("flight log: {e}")))?;
-    Ok((group, log))
-}
-
-/// A GROUP_DONE report: the group's final snapshots and metrics.
-#[derive(Debug, Clone)]
+/// A GROUP_DONE report: the group's final snapshots, metrics and flight log.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupDone {
     /// The group id from the ASSIGN this answers.
     pub group: u64,
@@ -340,12 +270,14 @@ pub struct GroupDone {
     pub snapshots: Vec<(usize, Vec<u8>)>,
     /// The group's full run metrics (global rank/channel ids).
     pub metrics: RunMetrics,
+    /// The group's drained flight log, when the recorder was on.
+    pub flight: Option<FlightLog>,
 }
 
 impl GroupDone {
     /// Serialize: `[u64 group][u32 n] n×([u32 rank][u32 len][bytes])
-    /// [metrics]`, the metrics in their binary wire form
-    /// ([`push_run_metrics`]).
+    /// [metrics][flight?]`, the metrics and the optional flight log in
+    /// their binary wire forms ([`push_run_metrics`], [`push_flight_log`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         push_u64(&mut out, self.group);
@@ -355,6 +287,10 @@ impl GroupDone {
             push_bytes(&mut out, bytes);
         }
         push_run_metrics(&mut out, &self.metrics);
+        out.push(u8::from(self.flight.is_some()));
+        if let Some(log) = &self.flight {
+            push_flight_log(&mut out, log);
+        }
         out
     }
 
@@ -369,150 +305,234 @@ impl GroupDone {
             .map(|_| Ok((r.u32("snapshot rank")? as usize, r.bytes("snapshot")?.to_vec())))
             .collect::<Result<_, RunError>>()?;
         let metrics = r.run_metrics()?;
-        r.finish(GroupDone { group, snapshots, metrics })
+        let flight = r.flag("flight")?.then(|| r.flight_log()).transpose()?;
+        r.finish(GroupDone { group, snapshots, metrics, flight })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssp_runtime::Topology;
+    use crate::registry::FdtdPreset;
+    use ssp_runtime::{ChannelMetrics, FlightKind};
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Every truncation of `bytes` fails typed, and a byte flipped every 7
+    /// bytes either fails typed or decodes to something other than `orig`.
+    fn assert_hostile_bytes_fail<T: PartialEq + std::fmt::Debug>(
+        bytes: &[u8],
+        orig: &T,
+        decode: impl Fn(&[u8]) -> Result<T, RunError>,
+    ) {
+        for cut in 0..bytes.len() {
+            let r = decode(&bytes[..cut]);
+            assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
+        }
+        for i in (0..bytes.len()).step_by(7) {
+            let mut bad = bytes.to_vec();
+            bad[i] ^= 0x40;
+            match decode(&bad) {
+                Ok(v) => assert_ne!(&v, orig, "flip at {i} decoded to the original"),
+                Err(e) => assert!(matches!(e, RunError::Protocol { .. }), "flip at {i}: {e:?}"),
+            }
+        }
+    }
+
+    fn table() -> PeerTable {
+        PeerTable {
+            gen: 3,
+            placement: vec![0, 0, 1],
+            peers: vec![(0, "unix:/p0".to_string()), (1, "tcp:[::1]:9".to_string())],
+        }
+    }
+
+    fn fresh_assign() -> Assign {
+        Assign {
+            group: 9,
+            spec: WorkloadSpec::Ring { n: 4, laps: 3 },
+            ranks: vec![2, 3],
+            flight: None,
+            plane: TransportMode::Star,
+            table: None,
+            resume: None,
+        }
+    }
+
+    fn resumed_assign() -> Assign {
+        Assign {
+            group: 10,
+            spec: WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 4, overlap: false },
+            ranks: vec![1],
+            flight: Some(4096),
+            plane: TransportMode::Direct { shm: true },
+            table: Some(table()),
+            resume: Some(GroupManifest {
+                steps: 5,
+                ranks: vec![],
+                queues: vec![],
+                consumed: vec![2],
+                counters: vec![(1, 8, 1)],
+            }),
+        }
+    }
+
+    fn group_done() -> GroupDone {
+        let mut flight = FlightLog::default();
+        flight.push_lifecycle(40, FlightKind::Migrate, 2, 1, 0);
+        GroupDone {
+            group: 7,
+            snapshots: vec![(0, vec![1, 2, 3]), (2, vec![])],
+            // Counters only: endpoints and capacities do not travel.
+            metrics: RunMetrics {
+                channels: vec![ChannelMetrics {
+                    messages: 5,
+                    bytes: 40,
+                    max_queue_depth: 2,
+                    ..Default::default()
+                }],
+                procs: vec![Default::default()],
+                sched: ssp_runtime::SchedMetrics { workers: 2, ..Default::default() },
+            },
+            flight: Some(flight),
+        }
+    }
 
     #[test]
-    fn hello_and_assign_round_trip() {
+    fn hello_round_trips() {
         assert_eq!(decode_hello(&encode_hello(5, "")).unwrap(), (5, String::new()));
         let addr = "unix:/tmp/run/peer-5.sock";
         assert_eq!(decode_hello(&encode_hello(5, addr)).unwrap(), (5, addr.to_string()));
         assert!(decode_hello(b"abc").is_err());
-        assert!(decode_hello(&[0, 0, 0, 0, 0xff, 0xfe]).is_err()); // non-UTF-8 addr
-
-        let mut args = BTreeMap::new();
-        args.insert("n".to_string(), JsonValue::Num(4.0));
-        let a = Assign {
-            group: 9,
-            workload: "ring".to_string(),
-            args: JsonValue::Obj(args),
-            ranks: vec![2, 3],
-            flight: None,
-            mode: None,
-            table: None,
-        };
-        assert_eq!(Assign::decode(&a.encode()).unwrap(), a);
-
-        // The optional flight window survives the trip, stays absent when
-        // None, and rejects non-integer values.
-        let with = Assign { flight: Some(4096), ..a.clone() };
-        assert_eq!(Assign::decode(&with.encode()).unwrap(), with);
-        assert!(!String::from_utf8(a.encode()).unwrap().contains("flight"));
-        assert!(Assign::decode(
-            b"{\"group\":1,\"workload\":\"r\",\"ranks\":[],\"flight\":\"big\"}"
-        )
-        .is_err());
-
-        // Transport fields: absent when None, round-trip when set.
-        let wire = String::from_utf8(a.encode()).unwrap();
-        assert!(!wire.contains("mode") && !wire.contains("table"));
-        let table = PeerTable {
-            gen: 3,
-            placement: vec![0, 0, 1, 1],
-            peers: vec![(0, "unix:/tmp/p0".to_string()), (1, "tcp:127.0.0.1:9000".to_string())],
-        };
-        let with = Assign {
-            mode: Some("direct+shm".to_string()),
-            table: Some(table),
-            ..a.clone()
-        };
-        assert_eq!(Assign::decode(&with.encode()).unwrap(), with);
-        assert!(Assign::decode(
-            b"{\"group\":1,\"workload\":\"r\",\"ranks\":[],\"mode\":7}"
-        )
-        .is_err());
+        assert!(decode_hello(&[0, 0, 0, 0, 2, 0, 0, 0, 0xff, 0xfe]).is_err()); // non-UTF-8 addr
     }
 
     #[test]
-    fn peer_hello_bye_resume_codecs_round_trip_and_reject_hostile_sizes() {
+    fn peer_hello_and_bye_codecs_round_trip_and_reject_hostile_sizes() {
         let p = encode_peer_hello(3, 17);
         assert_eq!(decode_peer_hello(&p).unwrap(), (3, 17));
-        for cut in 0..p.len() {
-            assert!(decode_peer_hello(&p[..cut]).is_err(), "cut {cut}");
-        }
+        assert_hostile_bytes_fail(&p, &(3, 17), decode_peer_hello);
         let mut long = p.clone();
         long.push(0);
         assert!(decode_peer_hello(&long).is_err());
 
         let b = encode_bye(10, 2048, 7, 896);
         assert_eq!(decode_bye(&b).unwrap(), (10, 2048, 7, 896));
-        for cut in 0..b.len() {
-            assert!(decode_bye(&b[..cut]).is_err(), "cut {cut}");
-        }
-
-        let r = encode_resume(42, b"manifest-bytes");
-        assert_eq!(decode_resume(&r).unwrap(), (42, &b"manifest-bytes"[..]));
-        assert!(decode_resume(&r[..7]).is_err());
-        // An empty manifest body is structurally valid here; the sealed
-        // manifest codec downstream is what rejects it.
-        assert_eq!(decode_resume(&encode_resume(1, b"")).unwrap(), (1, &b""[..]));
+        assert_hostile_bytes_fail(&b, &(10, 2048, 7, 896), decode_bye);
     }
 
     #[test]
-    fn peer_table_round_trips_and_rejects_malformed_documents() {
-        let t = PeerTable {
-            gen: 9,
-            placement: vec![1, 0, 2],
-            peers: vec![(0, "unix:/a".to_string()), (2, "tcp:[::1]:4".to_string())],
-        };
-        assert_eq!(PeerTable::decode(&t.encode()).unwrap(), t);
-        for bad in [
-            &b"\xff"[..],                                       // not UTF-8
-            b"[",                                               // not JSON
-            b"{\"gen\":1}",                                     // missing fields
-            b"{\"gen\":\"x\",\"placement\":[],\"peers\":{}}",   // non-integer gen
-            b"{\"gen\":1,\"placement\":[\"a\"],\"peers\":{}}",  // bad placement entry
-            b"{\"gen\":1,\"placement\":[],\"peers\":{\"x\":\"u\"}}", // bad worker key
-            b"{\"gen\":1,\"placement\":[],\"peers\":{\"0\":7}}", // non-string addr
-        ] {
-            let r = PeerTable::decode(bad);
-            assert!(matches!(r, Err(RunError::Protocol { .. })), "{bad:?} -> {r:?}");
-        }
-    }
-
-    #[test]
-    fn assign_rejects_malformed_documents() {
-        for bad in [
-            &b"\xff\xfe"[..],                       // not UTF-8
-            b"{",                                   // not JSON
-            b"{\"group\":1}",                       // missing fields
-            b"{\"group\":\"x\",\"workload\":\"r\",\"ranks\":[]}", // non-integer group
-            b"{\"group\":1,\"workload\":\"r\",\"ranks\":[\"a\"]}", // non-integer rank
-        ] {
-            let r = Assign::decode(bad);
-            assert!(matches!(r, Err(RunError::Protocol { .. })), "{bad:?} -> {r:?}");
-        }
-    }
-
-    #[test]
-    fn group_done_round_trips_and_rejects_truncation() {
-        let topo = Topology::ring(3);
-        let gd = GroupDone {
-            group: 7,
-            snapshots: vec![(0, vec![1, 2, 3]), (2, vec![])],
-            metrics: RunMetrics::for_topology(&topo),
-        };
-        let bytes = gd.encode();
-        let back = GroupDone::decode(&bytes).unwrap();
-        assert_eq!(back.group, 7);
-        assert_eq!(back.snapshots, gd.snapshots);
-        assert_eq!(back.metrics.counters(), gd.metrics.counters());
-        assert_eq!(back.metrics.procs, gd.metrics.procs);
-        assert_eq!(back.metrics.sched, gd.metrics.sched);
-        for cut in 0..bytes.len() {
-            let r = GroupDone::decode(&bytes[..cut]);
-            assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
-        }
-        // A hostile snapshot count cannot force a huge allocation.
+    fn peer_table_round_trips_and_rejects_malformed_payloads() {
+        let t = table();
+        let bytes = t.encode();
+        assert_eq!(PeerTable::decode(&bytes).unwrap(), t);
+        assert_hostile_bytes_fail(&bytes, &t, PeerTable::decode);
+        // A hostile placement count cannot force a huge allocation.
         let mut bomb = 0u64.to_le_bytes().to_vec();
         bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(GroupDone::decode(&bomb).is_err());
+        let detail = PeerTable::decode(&bomb).unwrap_err().to_string();
+        assert!(detail.contains("exceeds payload"), "{detail}");
+    }
+
+    #[test]
+    fn assign_rejects_malformed_payloads() {
+        for a in [fresh_assign(), resumed_assign()] {
+            let bytes = a.encode();
+            assert_eq!(Assign::decode(&bytes).unwrap(), a);
+            assert_hostile_bytes_fail(&bytes, &a, Assign::decode);
+        }
+        // Unknown plane tag; a flag byte other than 0 or 1.
+        let mut bytes = fresh_assign().encode();
+        let plane_at = bytes.len() - 3;
+        bytes[plane_at] = 3;
+        let detail = Assign::decode(&bytes).unwrap_err().to_string();
+        assert!(detail.contains("unknown plane tag 3"), "{detail}");
+        bytes[plane_at] = 0;
+        *bytes.last_mut().unwrap() = 2;
+        assert!(matches!(Assign::decode(&bytes), Err(RunError::Protocol { .. })));
+    }
+
+    /// Pinned bytes: a codec change may not move a control layout without
+    /// failing here.
+    #[test]
+    fn assign_bytes_are_pinned() {
+        const FRESH: &str = concat!(
+            "0900000000000000000400000003000000000000000200000002000000030000",
+            "0000000000",
+        );
+        const RESUMED: &str = concat!(
+            "0a00000000000000010004000000000100000001000000010010000000000000",
+            "0201030000000000000003000000000000000000000001000000020000000000",
+            "000008000000756e69783a2f7030010000000b0000007463703a5b3a3a315d3a",
+            "390148000000535350474d414e31050000000000000001000000020000000000",
+            "0000010000000100000000000000080000000000000001000000000000000000",
+            "000000000000ea078c641a87a648",
+        );
+        assert_eq!(hex(&fresh_assign().encode()), FRESH);
+        assert_eq!(hex(&resumed_assign().encode()), RESUMED);
+    }
+
+    #[test]
+    fn peers_bytes_are_pinned() {
+        const GOLDEN: &str = concat!(
+            "0300000000000000030000000000000000000000010000000200000000000000",
+            "08000000756e69783a2f7030010000000b0000007463703a5b3a3a315d3a39",
+        );
+        assert_eq!(hex(&table().encode()), GOLDEN);
+    }
+
+    #[test]
+    fn group_done_bytes_are_pinned() {
+        const GOLDEN: &str = concat!(
+            "0700000000000000020000000000000003000000010203020000000000000001",
+            "0000000500000000000000280000000000000002000000000000000100000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000200000000000000000000000000000000",
+            "0000000000000000000000000000000101000000090000006c6966656379636c",
+            "6500000000000000000100000028000000000000000c02000000010000000000",
+            "000000000000",
+        );
+        assert_eq!(hex(&group_done().encode()), GOLDEN);
+    }
+
+    #[test]
+    fn group_done_round_trips_with_its_flight_log_and_rejects_hostile_bytes() {
+        let gd = group_done();
+        let bytes = gd.encode();
+        assert_eq!(GroupDone::decode(&bytes).unwrap(), gd);
+        let quiet = GroupDone { flight: None, ..gd.clone() };
+        assert_eq!(GroupDone::decode(&quiet.encode()).unwrap(), quiet);
+        assert_hostile_bytes_fail(&bytes, &gd, GroupDone::decode);
+
+        // Snapshot, lane and event count bombs fail at the count, before
+        // any allocation. `quiet` ends in its flight flag (0).
+        let mut snapshot_bomb = 0u64.to_le_bytes().to_vec();
+        snapshot_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut lane_bomb = quiet.encode();
+        *lane_bomb.last_mut().unwrap() = 1;
+        push_u32(&mut lane_bomb, u32::MAX);
+        let mut event_bomb = quiet.encode();
+        *event_bomb.last_mut().unwrap() = 1;
+        push_u32(&mut event_bomb, 1);
+        push_bytes(&mut event_bomb, b"lane");
+        push_u64(&mut event_bomb, 0);
+        push_u32(&mut event_bomb, u32::MAX);
+        for bomb in [snapshot_bomb, lane_bomb, event_bomb] {
+            let detail = GroupDone::decode(&bomb).unwrap_err().to_string();
+            assert!(detail.contains("exceeds payload"), "{detail}");
+        }
+
+        // An unknown event-kind tag fails typed. The one event's tag follows
+        // the flag, `[lanes]`, the `lifecycle` label, `[dropped]`,
+        // `[events]` and `[nanos]`.
+        let kind_at = quiet.encode().len() + 4 + (4 + 9) + 8 + 4 + 8;
+        assert_eq!(bytes[kind_at], FlightKind::Migrate as u8);
+        let mut unknown = bytes;
+        unknown[kind_at] = 0xee;
+        let detail = GroupDone::decode(&unknown).unwrap_err().to_string();
+        assert!(detail.contains("unknown event kind tag 238"), "{detail}");
     }
 
     #[test]
@@ -528,35 +548,9 @@ mod tests {
         assert_eq!(bytes.len(), 40);
         assert_eq!(WorkerTelemetry::decode(&bytes).unwrap(), t);
         // Every truncation and any over-length payload is a typed error.
-        for cut in 0..bytes.len() {
-            let r = WorkerTelemetry::decode(&bytes[..cut]);
-            assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
-        }
+        assert_hostile_bytes_fail(&bytes, &t, WorkerTelemetry::decode);
         let mut long = bytes.clone();
         long.push(0);
         assert!(WorkerTelemetry::decode(&long).is_err());
-    }
-
-    #[test]
-    fn trace_payload_round_trips_and_survives_hostile_bytes() {
-        let mut log = FlightLog::default();
-        log.push_lifecycle(0, ssp_runtime::FlightKind::Migrate, 2, 1, 9);
-        let bytes = encode_trace(42, &log);
-        let (group, back) = decode_trace(&bytes).unwrap();
-        assert_eq!(group, 42);
-        assert_eq!(back, log);
-        // Truncations inside the header and inside the JSON body, a
-        // non-UTF-8 body, and structurally valid but schema-violating
-        // JSON all come back as typed errors.
-        for cut in [0, 4, 7, 9, bytes.len() - 1] {
-            let r = decode_trace(&bytes[..cut.min(bytes.len())]);
-            assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
-        }
-        let mut garbled = bytes.clone();
-        garbled[10] ^= 0x80;
-        assert!(decode_trace(&garbled).is_err());
-        let mut wrong_shape = 7u64.to_le_bytes().to_vec();
-        wrong_shape.extend_from_slice(b"{\"version\":1,\"lanes\":7}");
-        assert!(decode_trace(&wrong_shape).is_err());
     }
 }

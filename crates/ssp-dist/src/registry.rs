@@ -1,8 +1,10 @@
 //! The workload registry: named program families both sides can rebuild.
 //!
-//! The supervisor never ships code — an ASSIGN carries only a *name* plus
-//! JSON args, and both processes construct the identical program from the
-//! registry ([`build_workload`]). This works because processes are
+//! The supervisor never ships code — an ASSIGN carries only a typed
+//! [`WorkloadSpec`] (a registry name and its parameters), and both processes
+//! construct the identical program from it ([`WorkloadSpec::build`]). The
+//! spec is read once from the caller's args ([`build_workload`]) and crosses
+//! a socket in binary ([`WorkloadSpec::push`]). This works because processes are
 //! deterministic functions of their initial state (the paper's model):
 //! rebuilding rank `r` fresh in another process and replaying its inbound
 //! channel logs reproduces exactly the state the dead copy would have
@@ -23,7 +25,7 @@ use mesh_archetype::driver::{
 };
 use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
-use ssp_runtime::proc::{push_u64, Reader};
+use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
     launch_partial, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder,
     FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, ManifestStatus, NoFlight,
@@ -76,20 +78,24 @@ pub type LaunchedGroup = (Arc<dyn GroupIngress>, Box<dyn GroupJoin>);
 
 /// A named program family the registry can instantiate.
 pub trait Workload: Send + Sync {
-    /// Total number of ranks in the program.
-    fn n_ranks(&self) -> usize;
     /// The full channel topology (global ids — identical on every host).
     fn topology(&self) -> Topology;
-    /// Launch a group hosting `ranks` on a local scheduler instance.
+    /// Launch a group hosting `ranks` on a local scheduler instance, from
+    /// their initial states or, with `resume`, from a checkpoint manifest.
     /// Outbound cross-group messages go to `sink`; inbound ones arrive
-    /// through the returned [`GroupIngress`].
+    /// through the returned [`GroupIngress`]. A manifest is validated in
+    /// full (it arrives over a socket): a rank set other than `ranks`,
+    /// channel vectors not shaped for the topology, channel ids out of
+    /// range, queues on non-internal channels and undecodable states or
+    /// messages all fail typed.
     fn launch_group(
         &self,
         ranks: &[usize],
+        resume: Option<&GroupManifest>,
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
-    ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>);
+    ) -> Result<LaunchedGroup, RunError>;
     /// The single-process reference run: final snapshots under the
     /// deterministic simulator. The distributed result must match this
     /// bitwise (Theorem 1's standard).
@@ -97,19 +103,6 @@ pub trait Workload: Send + Sync {
     /// Build the supervisor's whole-program shadow executor with a cut
     /// every `every` shadow steps (see [`ProgramShadow`]).
     fn shadow(&self, every: u64) -> Box<dyn ProgramShadow>;
-    /// [`Workload::launch_group`], but resuming `ranks` from a checkpoint
-    /// manifest instead of their initial states. Every manifest field is
-    /// validated (this path reads network bytes): unknown ranks, channel
-    /// ids out of range, queues on non-internal channels and undecodable
-    /// states or messages all fail typed.
-    fn launch_group_seeded(
-        &self,
-        ranks: &[usize],
-        manifest: &GroupManifest,
-        workers: Option<usize>,
-        flight: Option<usize>,
-        sink: DataSink,
-    ) -> Result<LaunchedGroup, RunError>;
 }
 
 // ---------------------------------------------------------------------------
@@ -148,9 +141,9 @@ pub trait ProgramShadow: Send {
     /// Deliveries consumed on `chan` at the latest cut — the supervisor's
     /// channel-log truncation frontier.
     fn cut_consumed(&self, chan: usize) -> u64;
-    /// Encode the latest cut's state for `ranks` as a sealed
-    /// [`GroupManifest`].
-    fn manifest(&self, ranks: &[usize]) -> Vec<u8>;
+    /// The latest cut's state for `ranks`, as the [`GroupManifest`] a
+    /// migration ASSIGN carries.
+    fn manifest(&self, ranks: &[usize]) -> GroupManifest;
 }
 
 /// The typed whole-program shadow executor behind [`ProgramShadow`].
@@ -310,7 +303,7 @@ where
         self.cut.consumed(chan)
     }
 
-    fn manifest(&self, ranks: &[usize]) -> Vec<u8> {
+    fn manifest(&self, ranks: &[usize]) -> GroupManifest {
         let rset: BTreeSet<usize> = ranks.iter().copied().collect();
         let cut = &self.cut;
         let mranks = ranks
@@ -351,29 +344,29 @@ where
             consumed: (0..chans.len()).map(|c| cut.consumed(c)).collect(),
             counters: cut.metrics.counters(),
         }
-        .encode()
     }
 }
 
-/// Build a [`PartialSeed`] for `ranks` from a decoded manifest and launch
-/// it. Validation is exhaustive (network-facing): rank set mismatches,
-/// channel ids out of range, seeded queues on non-internal channels and
-/// undecodable payloads are typed errors, never panics.
-#[allow(clippy::too_many_arguments)] // one codec hook per manifest field
-fn launch_typed_seeded<P>(
+/// A workload's typed codecs: its messages both ways, and a rank's evolving
+/// state read back against the rank's template.
+struct Codecs<P: Process> {
+    encode: fn(&P::Msg) -> Vec<u8>,
+    decode: fn(&[u8]) -> Result<P::Msg, RunError>,
+    decode_state: fn(&P, &[u8]) -> Result<P, RunError>,
+}
+
+/// Build a [`PartialSeed`] for `templates`' ranks from a decoded manifest.
+/// Validation is exhaustive (network-facing): rank set mismatches, channel
+/// vectors not shaped for `topo`, channel ids out of range, seeded queues
+/// on non-internal channels and undecodable payloads are typed errors,
+/// never panics.
+fn seed_from_manifest<P: Process>(
     topo: &Topology,
     templates: Vec<(usize, P)>,
     manifest: &GroupManifest,
-    workers: Option<usize>,
-    flight: Option<usize>,
-    encode: fn(&P::Msg) -> Vec<u8>,
-    decode: fn(&[u8]) -> Result<P::Msg, RunError>,
-    decode_state: impl Fn(&P, &[u8]) -> Result<P, RunError>,
-    sink: DataSink,
-) -> Result<LaunchedGroup, RunError>
-where
-    P: Process + 'static,
-{
+    codecs: &Codecs<P>,
+) -> Result<PartialSeed<P>, RunError> {
+    let decode = codecs.decode;
     let bad = |detail: String| RunError::Protocol { proc: 0, detail };
     let n_chans = topo.n_channels();
     if manifest.consumed.len() != n_chans || manifest.counters.len() != n_chans {
@@ -403,7 +396,7 @@ where
     let mut procs = Vec::with_capacity(templates.len());
     for (rank, template) in templates {
         let mr = by_rank[&rank];
-        let proc = decode_state(&template, &mr.state)?;
+        let proc = (codecs.decode_state)(&template, &mr.state)?;
         let status = match &mr.status {
             ManifestStatus::Ready => ProcState::Ready,
             ManifestStatus::BlockedRecv(c) => {
@@ -428,13 +421,12 @@ where
         let decoded = msgs.iter().map(|m| decode(m)).collect::<Result<Vec<_>, _>>()?;
         queues.push((c, decoded));
     }
-    let seed = PartialSeed {
+    Ok(PartialSeed {
         procs,
         queues,
         consumed: manifest.consumed.clone(),
         counters: manifest.counters.clone(),
-    };
-    Ok(launch_typed(topo, seed, workers, flight, encode, decode, sink))
+    })
 }
 
 /// Typed ingress: decodes bytes and hands them to the scheduler gateway.
@@ -504,24 +496,31 @@ where
     (Arc::new(TypedIngress { gateway, decode }), Box::new(TypedJoin { run, pump }))
 }
 
-/// Launch a typed group from `seed` and erase it behind the two group
-/// traits. The flight choice picks the scheduler monomorphization: `None`
-/// runs the zero-cost [`NoFlight`] build, `Some(cap)` the recording one —
-/// type-erased here so the distributed layer stays untyped.
+/// The one launch behind [`Workload::launch_group`]: seed `templates`
+/// fresh, or from `resume` ([`seed_from_manifest`]), start a typed group
+/// and erase it behind the two group traits. The flight choice picks the
+/// scheduler monomorphization: `None` runs the zero-cost [`NoFlight`]
+/// build, `Some(cap)` the recording one — type-erased here so the
+/// distributed layer stays untyped.
 fn launch_typed<P>(
     topo: &Topology,
-    seed: PartialSeed<P>,
+    templates: Vec<(usize, P)>,
+    resume: Option<&GroupManifest>,
     workers: Option<usize>,
     flight: Option<usize>,
-    encode: fn(&P::Msg) -> Vec<u8>,
-    decode: fn(&[u8]) -> Result<P::Msg, RunError>,
+    codecs: &Codecs<P>,
     sink: DataSink,
-) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>)
+) -> Result<LaunchedGroup, RunError>
 where
     P: Process + 'static,
 {
+    let seed = match resume {
+        None => PartialSeed::fresh(topo, templates),
+        Some(m) => seed_from_manifest(topo, templates, m, codecs)?,
+    };
+    let (encode, decode) = (codecs.encode, codecs.decode);
     let faults = FaultPlan::none();
-    match flight {
+    Ok(match flight {
         None => {
             let run = launch_partial(topo, seed, workers, &faults, |_| NoFlight);
             erase_run(run, encode, decode, sink)
@@ -530,7 +529,7 @@ where
             let run = launch_partial(topo, seed, workers, &faults, |w| FlightRecorder::new(w, cap));
             erase_run(run, encode, decode, sink)
         }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -688,11 +687,10 @@ fn decode_u64(b: &[u8]) -> Result<u64, RunError> {
     r.finish(token)
 }
 
-impl Workload for RingWorkload {
-    fn n_ranks(&self) -> usize {
-        self.n
-    }
+const RING_CODECS: Codecs<RingNode> =
+    Codecs { encode: encode_u64, decode: decode_u64, decode_state: ring_state_decode };
 
+impl Workload for RingWorkload {
     fn topology(&self) -> Topology {
         Topology::ring(self.n)
     }
@@ -700,16 +698,14 @@ impl Workload for RingWorkload {
     fn launch_group(
         &self,
         ranks: &[usize],
+        resume: Option<&GroupManifest>,
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
-    ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>) {
+    ) -> Result<LaunchedGroup, RunError> {
         let all = self.procs();
-        let procs: Vec<(usize, RingNode)> =
-            ranks.iter().map(|&r| (r, all[r].clone())).collect();
-        let topo = self.topology();
-        let seed = PartialSeed::fresh(&topo, procs);
-        launch_typed(&topo, seed, workers, flight, encode_u64, decode_u64, sink)
+        let templates = ranks.iter().map(|&r| (r, all[r].clone())).collect();
+        launch_typed(&self.topology(), templates, resume, workers, flight, &RING_CODECS, sink)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -725,30 +721,6 @@ impl Workload for RingWorkload {
             ring_state_encode,
             every,
         ))
-    }
-
-    fn launch_group_seeded(
-        &self,
-        ranks: &[usize],
-        manifest: &GroupManifest,
-        workers: Option<usize>,
-        flight: Option<usize>,
-        sink: DataSink,
-    ) -> Result<LaunchedGroup, RunError> {
-        let all = self.procs();
-        let templates: Vec<(usize, RingNode)> =
-            ranks.iter().map(|&r| (r, all[r].clone())).collect();
-        launch_typed_seeded(
-            &self.topology(),
-            templates,
-            manifest,
-            workers,
-            flight,
-            encode_u64,
-            decode_u64,
-            ring_state_decode,
-            sink,
-        )
     }
 }
 
@@ -787,11 +759,13 @@ impl FdtdAWorkload {
     }
 }
 
-impl Workload for FdtdAWorkload {
-    fn n_ranks(&self) -> usize {
-        self.pg.nprocs()
-    }
+const FDTD_A_CODECS: Codecs<MsgProcess<LocalA>> = Codecs {
+    encode: encode_mesh_msg,
+    decode: decode_mesh_msg,
+    decode_state: MsgProcess::decode_state,
+};
 
+impl Workload for FdtdAWorkload {
     fn topology(&self) -> Topology {
         msg_topology(&self.pg, HostMode::GridRank0)
     }
@@ -799,13 +773,13 @@ impl Workload for FdtdAWorkload {
     fn launch_group(
         &self,
         ranks: &[usize],
+        resume: Option<&GroupManifest>,
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
-    ) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>) {
-        let (topo, procs) = self.build_ranks(ranks);
-        let seed = PartialSeed::fresh(&topo, procs);
-        launch_typed(&topo, seed, workers, flight, encode_mesh_msg, decode_mesh_msg, sink)
+    ) -> Result<LaunchedGroup, RunError> {
+        let (topo, templates) = self.build_ranks(ranks);
+        launch_typed(&topo, templates, resume, workers, flight, &FDTD_A_CODECS, sink)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
@@ -818,76 +792,151 @@ impl Workload for FdtdAWorkload {
         let (topo, procs) = self.build();
         Box::new(ShadowExec::new(topo, procs, encode_mesh_msg, MsgProcess::encode_state, every))
     }
-
-    fn launch_group_seeded(
-        &self,
-        ranks: &[usize],
-        manifest: &GroupManifest,
-        workers: Option<usize>,
-        flight: Option<usize>,
-        sink: DataSink,
-    ) -> Result<LaunchedGroup, RunError> {
-        let (topo, templates) = self.build_ranks(ranks);
-        launch_typed_seeded(
-            &topo,
-            templates,
-            manifest,
-            workers,
-            flight,
-            encode_mesh_msg,
-            decode_mesh_msg,
-            MsgProcess::decode_state,
-            sink,
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Registry front door.
 // ---------------------------------------------------------------------------
 
-/// Instantiate a workload by registry name. Both the supervisor and every
-/// worker call this with the same `(name, args)` from the ASSIGN, so all
-/// processes agree on the topology and initial states by construction.
-pub fn build_workload(name: &str, args: &JsonValue) -> Result<Box<dyn Workload>, RunError> {
-    match name {
-        "ring" => {
-            let n = args
-                .get("n")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| bad_args("ring args need integer 'n'".to_string()))?;
-            let laps = args
-                .get("laps")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| bad_args("ring args need integer 'laps'".to_string()))?;
-            if !(2..=4096).contains(&n) {
-                return Err(bad_args(format!("ring size {n} outside 2..=4096")));
-            }
-            Ok(Box::new(RingWorkload { n, laps }))
-        }
-        "fdtd-a" => {
-            let preset = match args.get("preset") {
-                Some(JsonValue::Str(s)) => s.as_str(),
-                _ => return Err(bad_args("fdtd-a args need string 'preset'".to_string())),
-            };
-            let params = match preset {
-                "tiny" => Params::tiny(),
-                "figure2" => Params::figure2(),
-                other => return Err(bad_args(format!("unknown fdtd preset '{other}'"))),
-            };
-            let p = args
-                .get("p")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| bad_args("fdtd-a args need integer 'p' (rank count)".to_string()))?;
-            if p == 0 || p > 512 {
-                return Err(bad_args(format!("fdtd-a rank count {p} outside 1..=512")));
-            }
-            let overlap = matches!(args.get("overlap"), Some(JsonValue::Bool(true)));
-            let pg = ProcGrid3::choose(params.n, p);
-            Ok(Box::new(FdtdAWorkload { params: Arc::new(params), pg, overlap }))
-        }
-        other => Err(bad_args(format!("unknown workload '{other}'"))),
+/// The `fdtd-a` problem presets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FdtdPreset {
+    /// [`Params::tiny`].
+    Tiny,
+    /// [`Params::figure2`], the paper's Figure 2 problem.
+    Figure2,
+}
+
+/// A registry workload with its parameters: what an ASSIGN names instead of
+/// shipping code. The same range checks hold whether a spec comes from a
+/// caller's args ([`WorkloadSpec::from_args`]) or off a socket
+/// ([`WorkloadSpec::read`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkloadSpec {
+    /// `ring {n, laps}`: a token ring.
+    Ring {
+        /// Ranks, `2..=4096`.
+        n: usize,
+        /// Circuits the token makes.
+        laps: u64,
+    },
+    /// `fdtd-a {preset, p, overlap}`: the paper's FDTD Version A.
+    FdtdA {
+        /// The problem.
+        preset: FdtdPreset,
+        /// Ranks, `1..=512`.
+        p: usize,
+        /// Run the boundary-first overlapped plan ([`plan_a_overlap`]).
+        overlap: bool,
+    },
+}
+
+impl WorkloadSpec {
+    /// Read a spec from a registry name and its args object (see
+    /// [`ring_args`], [`fdtd_a_args`]).
+    pub fn from_args(name: &str, args: &JsonValue) -> Result<WorkloadSpec, RunError> {
+        let missing = |key: &str, what: &str| bad_args(format!("{name} args need {what} '{key}'"));
+        let size = |key: &str| {
+            args.get(key).and_then(JsonValue::as_usize).ok_or_else(|| missing(key, "integer"))
+        };
+        let spec = match name {
+            "ring" => WorkloadSpec::Ring {
+                n: size("n")?,
+                laps: args
+                    .get("laps")
+                    .and_then(JsonValue::as_u64)
+                    .ok_or_else(|| missing("laps", "integer"))?,
+            },
+            "fdtd-a" => WorkloadSpec::FdtdA {
+                preset: match args.get("preset") {
+                    Some(JsonValue::Str(s)) if s == "tiny" => FdtdPreset::Tiny,
+                    Some(JsonValue::Str(s)) if s == "figure2" => FdtdPreset::Figure2,
+                    Some(JsonValue::Str(s)) => {
+                        return Err(bad_args(format!("unknown fdtd preset '{s}'")))
+                    }
+                    _ => return Err(missing("preset", "string")),
+                },
+                p: size("p")?,
+                overlap: matches!(args.get("overlap"), Some(JsonValue::Bool(true))),
+            },
+            other => return Err(bad_args(format!("unknown workload '{other}'"))),
+        };
+        spec.checked()
     }
+
+    /// The spec, if its parameters are in range.
+    fn checked(self) -> Result<WorkloadSpec, RunError> {
+        match self {
+            WorkloadSpec::Ring { n, .. } if !(2..=4096).contains(&n) => {
+                Err(bad_args(format!("ring size {n} outside 2..=4096")))
+            }
+            WorkloadSpec::FdtdA { p, .. } if !(1..=512).contains(&p) => {
+                Err(bad_args(format!("fdtd-a rank count {p} outside 1..=512")))
+            }
+            spec => Ok(spec),
+        }
+    }
+
+    /// Append the spec's wire form: `[tag: u8]`, then `ring`'s `[n: u32]
+    /// [laps: u64]` (tag 0) or `fdtd-a`'s `[preset: u8][p: u32]
+    /// [overlap: u8]` (tag 1). The inverse is [`WorkloadSpec::read`].
+    pub fn push(&self, buf: &mut Vec<u8>) {
+        match *self {
+            WorkloadSpec::Ring { n, laps } => {
+                buf.push(0);
+                push_u32(buf, n as u32);
+                push_u64(buf, laps);
+            }
+            WorkloadSpec::FdtdA { preset, p, overlap } => {
+                buf.push(1);
+                buf.push(preset as u8);
+                push_u32(buf, p as u32);
+                buf.push(u8::from(overlap));
+            }
+        }
+    }
+
+    /// Read a spec written by [`WorkloadSpec::push`], range-checked like
+    /// [`WorkloadSpec::from_args`].
+    pub fn read(r: &mut Reader) -> Result<WorkloadSpec, RunError> {
+        let spec = match r.u8("workload tag")? {
+            0 => WorkloadSpec::Ring { n: r.u32("ring size")? as usize, laps: r.u64("ring laps")? },
+            1 => WorkloadSpec::FdtdA {
+                preset: match r.u8("fdtd preset")? {
+                    0 => FdtdPreset::Tiny,
+                    1 => FdtdPreset::Figure2,
+                    t => return Err(r.error(format_args!("unknown fdtd preset tag {t}"))),
+                },
+                p: r.u32("fdtd rank count")? as usize,
+                overlap: r.flag("fdtd overlap")?,
+            },
+            t => return Err(r.error(format_args!("unknown workload tag {t}"))),
+        };
+        spec.checked()
+    }
+
+    /// Instantiate the workload. Both the supervisor and every worker build
+    /// from the same spec, so all processes agree on the topology and
+    /// initial states by construction.
+    pub fn build(&self) -> Box<dyn Workload> {
+        match *self {
+            WorkloadSpec::Ring { n, laps } => Box::new(RingWorkload { n, laps }),
+            WorkloadSpec::FdtdA { preset, p, overlap } => {
+                let params = match preset {
+                    FdtdPreset::Tiny => Params::tiny(),
+                    FdtdPreset::Figure2 => Params::figure2(),
+                };
+                let pg = ProcGrid3::choose(params.n, p);
+                Box::new(FdtdAWorkload { params: Arc::new(params), pg, overlap })
+            }
+        }
+    }
+}
+
+/// Instantiate a workload by registry name and args
+/// ([`WorkloadSpec::from_args`], then [`WorkloadSpec::build`]).
+pub fn build_workload(name: &str, args: &JsonValue) -> Result<Box<dyn Workload>, RunError> {
+    Ok(WorkloadSpec::from_args(name, args)?.build())
 }
 
 /// Build the JSON args object for the `ring` workload.
@@ -909,22 +958,23 @@ pub fn fdtd_a_args(preset: &str, p: usize) -> JsonValue {
 /// [`fdtd_a_args`] selecting the overlapped plan (boundary-first halves
 /// with halos in flight during the interior updates).
 pub fn fdtd_a_overlap_args(preset: &str, p: usize) -> JsonValue {
-    let mut m = match fdtd_a_args(preset, p) {
-        JsonValue::Obj(m) => m,
-        _ => unreachable!("fdtd_a_args builds an object"),
-    };
-    m.insert("overlap".to_string(), JsonValue::Bool(true));
-    JsonValue::Obj(m)
+    let mut args = fdtd_a_args(preset, p);
+    if let JsonValue::Obj(m) = &mut args {
+        m.insert("overlap".to_string(), JsonValue::Bool(true));
+    }
+    args
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Assign;
+    use crate::supervisor::TransportMode;
 
     #[test]
     fn ring_reference_is_deterministic_and_nontrivial() {
         let w = build_workload("ring", &ring_args(4, 3)).unwrap();
-        assert_eq!(w.n_ranks(), 4);
+        assert_eq!(w.topology().n_procs(), 4);
         let a = w.run_reference().unwrap();
         let b = w.run_reference().unwrap();
         assert_eq!(a, b);
@@ -939,7 +989,6 @@ mod tests {
     fn fdtd_overlap_reference_matches_the_unsplit_plan_bitwise() {
         let base = build_workload("fdtd-a", &fdtd_a_args("tiny", 4)).unwrap();
         let over = build_workload("fdtd-a", &fdtd_a_overlap_args("tiny", 4)).unwrap();
-        assert_eq!(base.n_ranks(), over.n_ranks());
         assert_eq!(
             base.run_reference().unwrap(),
             over.run_reference().unwrap(),
@@ -1003,24 +1052,39 @@ mod tests {
         );
     }
 
+    /// `manifest` as a worker receives it: inside an ASSIGN, through its
+    /// encoder and decoder.
+    fn resumed_assign(spec: WorkloadSpec, ranks: &[usize], manifest: GroupManifest) -> Assign {
+        let assign = Assign {
+            group: 1,
+            spec,
+            ranks: ranks.to_vec(),
+            flight: None,
+            plane: TransportMode::Star,
+            table: None,
+            resume: Some(manifest),
+        };
+        Assign::decode(&assign.encode()).unwrap()
+    }
+
     #[test]
     fn ungated_shadow_cut_resumes_to_the_reference_result() {
         // Run the shadow to a mid-run cut (cut every step so the final
         // advance leaves a fresh one), manifest ALL ranks, seed a single
         // threaded group from it, and demand the reference snapshots.
-        let w = build_workload("ring", &ring_args(3, 4)).unwrap();
+        let spec = WorkloadSpec::Ring { n: 3, laps: 4 };
+        let w = spec.build();
         let mut sh = w.shadow(1);
         sh.advance().unwrap();
         assert!(sh.steps() > 0);
         assert_eq!(sh.cut_steps(), sh.steps());
         assert!(sh.cuts_taken() > 1);
-        let ranks = vec![0, 1, 2];
-        let m = GroupManifest::decode(&sh.manifest(&ranks)).unwrap();
+        let a = resumed_assign(spec, &[0, 1, 2], sh.manifest(&[0, 1, 2]));
         // Whole program halted in the shadow; resume should agree.
         let (_, join) = w
-            .launch_group_seeded(
-                &ranks,
-                &m,
+            .launch_group(
+                &a.ranks,
+                a.resume.as_ref(),
                 Some(2),
                 None,
                 Box::new(|c, _| panic!("no cross-group sends expected on ch{c}")),
@@ -1060,34 +1124,70 @@ mod tests {
 
     #[test]
     fn seeded_launch_rejects_malformed_manifests_typed() {
-        let w = build_workload("ring", &ring_args(3, 2)).unwrap();
+        let spec = WorkloadSpec::Ring { n: 3, laps: 2 };
+        let w = spec.build();
         let mut sh = w.shadow(1);
         sh.advance().unwrap();
-        let good = GroupManifest::decode(&sh.manifest(&[0, 1])).unwrap();
-        let sink = || Box::new(|_, _| Ok(())) as DataSink;
+        let good = sh.manifest(&[0, 1]);
+        let rejects = |ranks: &[usize], m: GroupManifest| {
+            let a = resumed_assign(spec, ranks, m);
+            let sink = Box::new(|_, _| Ok(())) as DataSink;
+            let r = w.launch_group(&a.ranks, a.resume.as_ref(), None, None, sink);
+            matches!(r, Err(RunError::Protocol { .. }))
+        };
         // Rank set mismatch.
-        let r = w.launch_group_seeded(&[0, 2], &good, None, None, sink());
-        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        assert!(rejects(&[0, 2], good.clone()));
         // Channel vectors of the wrong length.
         let mut bad = good.clone();
         bad.consumed.pop();
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
-        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        assert!(rejects(&[0, 1], bad));
+        let mut bad = good.clone();
+        bad.counters.push((0, 0, 0));
+        assert!(rejects(&[0, 1], bad));
         // A seeded queue on a channel that is not internal to the ranks.
         let mut bad = good.clone();
         bad.queues = vec![(2, vec![7u64.to_le_bytes().to_vec()])];
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
-        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        assert!(rejects(&[0, 1], bad));
         // An undecodable blocked-send message.
         let mut bad = good.clone();
         bad.ranks[0].status = ManifestStatus::BlockedSend(0, vec![1, 2, 3]);
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
-        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        assert!(rejects(&[0, 1], bad));
         // A truncated rank state.
         let mut bad = good;
         bad.ranks[1].state.truncate(3);
-        let r = w.launch_group_seeded(&[0, 1], &bad, None, None, sink());
-        assert!(matches!(r, Err(RunError::Protocol { .. })));
+        assert!(rejects(&[0, 1], bad));
+    }
+
+    #[test]
+    fn workload_specs_round_trip_and_are_range_checked_on_both_ends() {
+        let read = |spec: WorkloadSpec| {
+            let mut bytes = Vec::new();
+            spec.push(&mut bytes);
+            let mut r = Reader::new("spec", &bytes);
+            WorkloadSpec::read(&mut r).and_then(|s| r.finish(s))
+        };
+        let ring = WorkloadSpec::Ring { n: 6, laps: 1 << 40 };
+        let fdtd = WorkloadSpec::FdtdA { preset: FdtdPreset::Figure2, p: 512, overlap: true };
+        assert_eq!(read(ring).unwrap(), ring);
+        assert_eq!(read(fdtd).unwrap(), fdtd);
+        let tiny = WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 4, overlap: true };
+        assert_eq!(WorkloadSpec::from_args("fdtd-a", &fdtd_a_overlap_args("tiny", 4)).unwrap(), tiny);
+        // Out-of-range parameters fail typed off the wire as from args.
+        for spec in [
+            WorkloadSpec::Ring { n: 1, laps: 1 },
+            WorkloadSpec::Ring { n: 4097, laps: 1 },
+            WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 0, overlap: false },
+            WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 513, overlap: false },
+        ] {
+            assert!(matches!(read(spec), Err(RunError::Protocol { .. })), "{spec:?}");
+        }
+        assert!(WorkloadSpec::from_args("ring", &ring_args(1, 3)).is_err());
+        assert!(WorkloadSpec::from_args("fdtd-a", &fdtd_a_args("tiny", 0)).is_err());
+        // Unknown workload and preset tags, and an overlap flag of 2.
+        for bytes in [&[2u8][..], &[1, 2, 4, 0, 0, 0, 0], &[1, 0, 4, 0, 0, 0, 2]] {
+            let r = WorkloadSpec::read(&mut Reader::new("spec", bytes));
+            assert!(matches!(r, Err(RunError::Protocol { .. })), "{bytes:?}: {r:?}");
+        }
     }
 
     #[test]

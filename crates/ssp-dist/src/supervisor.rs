@@ -41,9 +41,9 @@
 //! and any state it reaches is a consistent global cut (the paper's
 //! Theorem 1 argument). Every `checkpoint_every` shadow steps it clones a
 //! cut. On a worker death the dead ranks resume *from the latest cut*: the
-//! supervisor sends a RESUME frame (a sealed [`ssp_runtime::GroupManifest`]
-//! of the cut state) before the ASSIGN, replays only the logged in-flight
-//! window `[cut consumed .. head)` per inbound channel, and truncates every
+//! supervisor's ASSIGN carries a sealed [`ssp_runtime::GroupManifest`] of
+//! the cut state, it replays only the logged in-flight window
+//! `[cut consumed .. head)` per inbound channel, and it truncates every
 //! channel log at the cut's consumed frontier — making both replay cost
 //! and log retention O(checkpoint interval) instead of O(history).
 //!
@@ -67,11 +67,8 @@ use ssp_runtime::{FlightKind, FlightLog, RunError, RunMetrics, Topology};
 use crate::frame::{
     decode_data, encode_data, read_frame, write_frame, Frame, FrameError, FrameType,
 };
-use crate::proto::{
-    decode_bye, decode_hello, decode_trace, encode_resume, Assign, GroupDone, PeerTable,
-    WorkerTelemetry,
-};
-use crate::registry::{build_workload, ProgramShadow};
+use crate::proto::{decode_bye, decode_hello, Assign, GroupDone, PeerTable, WorkerTelemetry};
+use crate::registry::{ProgramShadow, WorkloadSpec};
 
 fn proto_err(detail: String) -> RunError {
     RunError::Protocol { proc: 0, detail }
@@ -115,15 +112,6 @@ impl TransportMode {
             _ => TransportMode::Direct { shm: true },
         }
     }
-
-    /// The ASSIGN `mode` string, `None` for star (absent = PR 7 wire).
-    fn wire(&self) -> Option<String> {
-        match self {
-            TransportMode::Star => None,
-            TransportMode::Direct { shm: false } => Some("direct".to_string()),
-            TransportMode::Direct { shm: true } => Some("direct+shm".to_string()),
-        }
-    }
 }
 
 /// Fault-injection knob: SIGKILL a worker after the supervisor has seen
@@ -154,8 +142,8 @@ pub struct DistConfig {
     /// Optional mid-run SIGKILL (for recovery tests).
     pub chaos_kill: Option<ChaosKill>,
     /// Flight-recorder window (events per lane) to enable on every
-    /// group's scheduler; workers send their drained logs back as TRACE
-    /// frames and the supervisor merges them into
+    /// group's scheduler; workers send their drained logs back inside
+    /// GROUP_DONE and the supervisor merges them into
     /// [`DistOutcome::flight`]. `None` = recording off everywhere.
     pub flight: Option<usize>,
     /// Steady-state data plane. [`DistConfig::new`] seeds it from
@@ -341,8 +329,7 @@ impl ChanLog {
 
 struct Supervisor<'a> {
     cfg: &'a DistConfig,
-    workload_name: String,
-    workload_args: JsonValue,
+    spec: WorkloadSpec,
     topo: Topology,
     listener: UnixListener,
     sock_path: PathBuf,
@@ -366,9 +353,6 @@ struct Supervisor<'a> {
     chaos_pending: Option<ChaosKill>,
     /// Merged cross-process flight lanes (empty when recording is off).
     flight_log: FlightLog,
-    /// TRACE frames still owed by live workers: one per recorder-enabled
-    /// GROUP_DONE already seen (the worker sends them in that order).
-    traces_pending: usize,
 }
 
 impl Drop for Supervisor<'_> {
@@ -390,8 +374,9 @@ impl Drop for Supervisor<'_> {
 /// Disambiguates concurrent runs in one process (tests run in parallel).
 static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Run `workload` (a registry name + its JSON args) across worker
-/// processes, surviving worker deaths by live rank migration.
+/// Run `workload` (a registry name and its args, as for
+/// [`crate::build_workload`]) across worker processes, surviving worker
+/// deaths by live rank migration.
 pub fn run_distributed(
     workload: &str,
     args: &JsonValue,
@@ -401,10 +386,11 @@ pub fn run_distributed(
         return Err(proto_err("distributed run needs at least one worker".to_string()));
     }
     // Validate the workload and capture the topology before spawning
-    // anything; the same (name, args) goes to every worker verbatim.
-    let w = build_workload(workload, args)?;
+    // anything; the same spec goes to every worker in its ASSIGN.
+    let spec = WorkloadSpec::from_args(workload, args)?;
+    let w = spec.build();
     let topo = w.topology();
-    let n = w.n_ranks();
+    let n = topo.n_procs();
     let shadow = cfg.checkpoint_every.map(|k| w.shadow(k.max(1)));
     drop(w);
 
@@ -423,8 +409,7 @@ pub fn run_distributed(
     let n_chans = topo.n_channels();
     let mut sup = Supervisor {
         cfg,
-        workload_name: workload.to_string(),
-        workload_args: args.clone(),
+        spec,
         metrics: RunMetrics::for_topology(&topo),
         topo,
         listener,
@@ -443,7 +428,6 @@ pub fn run_distributed(
         stats: DistStats::default(),
         chaos_pending: cfg.chaos_kill,
         flight_log: FlightLog::default(),
-        traces_pending: 0,
     };
     sup.metrics.sched.workers = 0;
     sup.run(n)
@@ -520,7 +504,6 @@ impl Supervisor<'_> {
             }
         }
 
-        self.drain_traces();
         self.shutdown_workers();
         if let Some(sh) = &self.shadow {
             self.stats.checkpoints_taken = sh.cuts_taken().saturating_sub(1);
@@ -540,31 +523,6 @@ impl Supervisor<'_> {
                 None
             },
         })
-    }
-
-    /// Collect the TRACE frames still in flight after the last
-    /// GROUP_DONE — each worker sends a group's trace immediately after
-    /// its GROUP_DONE on the same FIFO socket, so they are already on the
-    /// wire; the grace window only bounds a worker that dies in between.
-    fn drain_traces(&mut self) {
-        if self.cfg.flight.is_none() {
-            return;
-        }
-        let grace = Instant::now() + Duration::from_secs(5);
-        while self.traces_pending > 0 && Instant::now() < grace {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Frame(w, f)) if f.ty == FrameType::Trace && self.slots[w].alive => {
-                    if self.handle_trace(w, &f.payload).is_err() {
-                        // A malformed trailing trace costs observability,
-                        // not the run's verdict.
-                        self.traces_pending = self.traces_pending.saturating_sub(1);
-                    }
-                }
-                Ok(Event::Dead(_)) | Ok(Event::Frame(..)) | Ok(Event::Bad(..)) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
     }
 
     // -- worker lifecycle ---------------------------------------------------
@@ -778,12 +736,11 @@ impl Supervisor<'_> {
     // -- group assignment and migration -------------------------------------
 
     /// Create a group of `ranks` on worker `target`. For a migration with
-    /// checkpointing on, a RESUME frame (the latest cut's manifest for
-    /// these ranks) precedes the ASSIGN on the same FIFO socket, and only
-    /// the logged in-flight window above the cut's consumed frontier is
-    /// replayed; otherwise the group starts from scratch and the full
-    /// logs replay. Channels that become internal to the merged group are
-    /// un-gated in the shadow and their logs dropped.
+    /// checkpointing on, the ASSIGN carries the latest cut's manifest for
+    /// these ranks, and only the logged in-flight window above the cut's
+    /// consumed frontier is replayed; otherwise the group starts from
+    /// scratch and the full logs replay. Channels that become internal to
+    /// the merged group are un-gated in the shadow and their logs dropped.
     fn assign_group(
         &mut self,
         target: usize,
@@ -804,33 +761,26 @@ impl Supervisor<'_> {
         // resuming from a checkpoint, zero (full history) otherwise.
         let n_chans = self.topo.n_channels();
         let mut replay_from = vec![0u64; n_chans];
+        let mut resume = None;
         if migration {
             if let Some(sh) = &mut self.shadow {
                 let replay_steps = sh.steps().saturating_sub(sh.cut_steps());
                 self.stats.migration_replay_steps.push(replay_steps);
-                let manifest = sh.manifest(&self.groups[gid].ranks);
+                resume = Some(sh.manifest(&self.groups[gid].ranks));
                 for (c, slot) in replay_from.iter_mut().enumerate() {
                     *slot = sh.cut_consumed(c);
-                }
-                let payload = encode_resume(gid as u64, &manifest);
-                if self.send_to(target, &Frame::new(FrameType::Resume, payload)).is_err() {
-                    return self.worker_dead(target, deadline);
                 }
             }
         }
 
         let assign = Assign {
             group: gid as u64,
-            workload: self.workload_name.clone(),
-            args: self.workload_args.clone(),
+            spec: self.spec,
             ranks: self.groups[gid].ranks.clone(),
             flight: self.cfg.flight,
-            mode: self.cfg.transport.wire(),
-            table: if self.cfg.transport == TransportMode::Star {
-                None
-            } else {
-                Some(self.peer_table())
-            },
+            plane: self.cfg.transport,
+            table: (self.cfg.transport != TransportMode::Star).then(|| self.peer_table()),
+            resume,
         };
         if self.send_to(target, &Frame::new(FrameType::Assign, assign.encode())).is_err() {
             // The target died under us; its own death handling re-migrates
@@ -989,7 +939,6 @@ impl Supervisor<'_> {
             FrameType::Data => self.route_data(w, &f.payload, false, deadline),
             FrameType::DataRelay => self.route_data(w, &f.payload, true, deadline),
             FrameType::GroupDone => self.handle_group_done(w, &f.payload),
-            FrameType::Trace => self.handle_trace(w, &f.payload),
             FrameType::Pong => self.handle_pong(w, &f.payload),
             FrameType::Bye => self.fold_bye(&f.payload),
             FrameType::Error => Err(proto_err(format!(
@@ -1024,18 +973,6 @@ impl Supervisor<'_> {
         }
         row.last = t;
         row.pongs += 1;
-        Ok(())
-    }
-
-    /// Merge one finished group's flight log into the cross-process log,
-    /// prefixing lane labels with the worker and group that produced them.
-    fn handle_trace(&mut self, w: usize, payload: &[u8]) -> Result<(), RunError> {
-        let (group, log) = decode_trace(payload)?;
-        for mut lane in log.lanes {
-            lane.label = format!("w{w}/g{group}/{}", lane.label);
-            self.flight_log.lanes.push(lane);
-        }
-        self.traces_pending = self.traces_pending.saturating_sub(1);
         Ok(())
     }
 
@@ -1130,6 +1067,9 @@ impl Supervisor<'_> {
         Ok(())
     }
 
+    /// Fold one finished group in: its snapshots, metrics and flight log,
+    /// after checking that `from` hosts the group, that it has not
+    /// reported before, and that its snapshots cover exactly its ranks.
     fn handle_group_done(&mut self, from: usize, payload: &[u8]) -> Result<(), RunError> {
         let gd = GroupDone::decode(payload)?;
         let gid = gd.group as usize;
@@ -1184,13 +1124,14 @@ impl Supervisor<'_> {
         self.metrics.sched.yields += gd.metrics.sched.yields;
         self.metrics.sched.task_parks += gd.metrics.sched.task_parks;
 
+        // Lanes are relabeled with the worker and group that produced them.
+        for mut lane in gd.flight.into_iter().flat_map(|log| log.lanes) {
+            lane.label = format!("w{from}/g{gid}/{}", lane.label);
+            self.flight_log.lanes.push(lane);
+        }
+
         self.groups[gid].done = true;
         self.done_ranks += self.groups[gid].ranks.len();
-        if self.cfg.flight.is_some() {
-            // The worker sends the group's TRACE right behind this frame;
-            // drain_traces waits for it if the run ends first.
-            self.traces_pending += 1;
-        }
         Ok(())
     }
 }

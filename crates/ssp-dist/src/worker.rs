@@ -41,13 +41,13 @@
 //!
 //! ## Checkpoint-resumed migration
 //!
-//! A RESUME frame (checkpoint manifest) may precede an ASSIGN for the
-//! same group id on the supervisor socket. The worker stashes it; the
-//! matching ASSIGN then launches the group *seeded* from the manifest
-//! ([`crate::registry::Workload::launch_group_seeded`]), seeds its
-//! outbound sequence counters from the manifest's channel counters, and
-//! sets its inbound gates to the manifest's consumed frontiers — so
-//! replay starts where the checkpoint ends, not at step zero.
+//! An ASSIGN may carry a checkpoint manifest. The group then launches
+//! *seeded* from it ([`crate::registry::Workload::launch_group`] with the
+//! manifest), seeds its outbound sequence counters from the manifest's
+//! channel counters, and sets its inbound gates to the manifest's consumed
+//! frontiers — so replay starts where the checkpoint ends, not at step
+//! zero. A group's life is that one ASSIGN and one GROUP_DONE, which
+//! carries its snapshots, metrics and flight log.
 //!
 //! A worker never exits on its own initiative: it leaves on SHUTDOWN
 //! (answering with a BYE carrying its per-plane counters), on supervisor
@@ -63,18 +63,19 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 
 use ssp_runtime::proc::Reader;
-use ssp_runtime::{fnv1a_64, FlightKind, GroupManifest, RunError};
+use ssp_runtime::{fnv1a_64, FlightKind, RunError};
 
 use crate::frame::{
     decode_data, decode_shm_doorbell, encode_data, encode_shm_doorbell, read_frame, write_frame,
     Frame, FrameError, FrameType,
 };
 use crate::proto::{
-    decode_peer_hello, decode_resume, encode_bye, encode_hello, encode_peer_hello, encode_trace,
-    Assign, GroupDone, PeerTable, WorkerTelemetry,
+    decode_peer_hello, encode_bye, encode_hello, encode_peer_hello, Assign, GroupDone, PeerTable,
+    WorkerTelemetry,
 };
-use crate::registry::{build_workload, DataSink, GroupIngress};
+use crate::registry::{DataSink, GroupIngress};
 use crate::shm::{ShmReceiver, ShmSender, SHM_CAPACITY};
+use crate::supervisor::TransportMode;
 use crate::transport::{PeerAddr, PeerListener, PeerStream};
 
 /// Lock that shrugs off poisoning: a panicked peer thread must not stop
@@ -285,8 +286,6 @@ pub fn worker_main(
     // Every group ever assigned here, for heartbeat telemetry (finished
     // groups report zero live ranks and simply stop moving the counters).
     let mut groups: Vec<Arc<dyn GroupIngress>> = Vec::new();
-    // Checkpoint manifests awaiting their ASSIGN, keyed by group id.
-    let mut pending_resume: HashMap<u64, Vec<u8>> = HashMap::new();
 
     loop {
         let frame = match read_frame(&mut read_half) {
@@ -302,13 +301,7 @@ pub fn worker_main(
         };
         match frame.ty {
             FrameType::Assign => {
-                if let Err(e) = handle_assign(
-                    &shared,
-                    &frame.payload,
-                    group_workers,
-                    &mut groups,
-                    &mut pending_resume,
-                ) {
+                if let Err(e) = handle_assign(&shared, &frame.payload, group_workers, &mut groups) {
                     report(&write_half, &e);
                 }
             }
@@ -320,12 +313,6 @@ pub fn worker_main(
                     report(&write_half, &e);
                 }
             }
-            FrameType::Resume => match decode_resume(&frame.payload) {
-                Ok((group, manifest)) => {
-                    pending_resume.insert(group, manifest.to_vec());
-                }
-                Err(e) => report(&write_half, &e),
-            },
             FrameType::Peers => match PeerTable::decode(&frame.payload) {
                 Ok(table) => apply_table(&shared, &table),
                 Err(e) => report(&write_half, &e),
@@ -602,18 +589,16 @@ fn snapshot_telemetry(
     t
 }
 
-/// Launch the group an ASSIGN describes — seeded from a stashed RESUME
-/// manifest if one arrived for this group id — and register its ingress
-/// ends.
+/// Launch the group an ASSIGN describes — seeded from its manifest if it
+/// carries one — and register its ingress ends.
 fn handle_assign(
     shared: &Arc<Shared>,
     payload: &[u8],
     group_workers: Option<usize>,
     groups: &mut Vec<Arc<dyn GroupIngress>>,
-    pending_resume: &mut HashMap<u64, Vec<u8>>,
 ) -> Result<(), RunError> {
     let assign = Assign::decode(payload)?;
-    let workload = build_workload(&assign.workload, &assign.args)?;
+    let workload = assign.spec.build();
     let topo = workload.topology();
     let n = topo.n_procs();
     let n_chans = topo.n_channels();
@@ -627,33 +612,20 @@ fn handle_assign(
         }
         hosted[r] = true;
     }
-    let direct = matches!(assign.mode.as_deref(), Some("direct") | Some("direct+shm"));
-    if assign.mode.as_deref() == Some("direct+shm") {
+    let direct = assign.plane != TransportMode::Star;
+    if assign.plane == (TransportMode::Direct { shm: true }) {
         shared.shm_on.store(true, Ordering::Release);
     }
     if let Some(table) = &assign.table {
         apply_table(shared, table);
     }
-    let manifest = match pending_resume.remove(&assign.group) {
-        Some(bytes) => Some(GroupManifest::decode(&bytes)?),
-        None => None,
-    };
-    if let Some(m) = &manifest {
-        if m.consumed.len() != n_chans || m.counters.len() != n_chans {
-            return Err(RunError::Protocol {
-                proc: 0,
-                detail: format!(
-                    "RESUME manifest shaped for {} channels, topology has {n_chans}",
-                    m.consumed.len()
-                ),
-            });
-        }
-    }
+    let manifest = assign.resume.as_ref();
 
     // Outbound sequence counters: a resumed writer continues from the
     // number of messages the checkpoint already accounts for, so the
-    // supervisor and the reader's gate can dedup its re-sends.
-    let mut seqs: Vec<u64> = match &manifest {
+    // supervisor and the reader's gate can dedup its re-sends. (The launch
+    // below checks the manifest's shape before the sink can run.)
+    let mut seqs: Vec<u64> = match manifest {
         Some(m) => m.counters.iter().map(|&(messages, _, _)| messages).collect(),
         None => vec![0; n_chans],
     };
@@ -711,16 +683,8 @@ fn handle_assign(
         )
     });
 
-    let (group_ingress, join) = match &manifest {
-        Some(m) => workload.launch_group_seeded(
-            &assign.ranks,
-            m,
-            group_workers,
-            assign.flight,
-            sink,
-        )?,
-        None => workload.launch_group(&assign.ranks, group_workers, assign.flight, sink),
-    };
+    let (group_ingress, join) =
+        workload.launch_group(&assign.ranks, manifest, group_workers, assign.flight, sink)?;
     *wlock(&out_marks) = Some(Arc::clone(&group_ingress));
     groups.push(Arc::clone(&group_ingress));
 
@@ -733,7 +697,7 @@ fn handle_assign(
         let mut router = wlock(&shared.router);
         for (c, spec) in topo.specs().iter().enumerate() {
             if hosted[spec.reader] && !hosted[spec.writer] {
-                let expected = manifest.as_ref().map_or(0, |m| m.consumed[c]);
+                let expected = manifest.map_or(0, |m| m.consumed[c]);
                 router.register(c, &group_ingress, expected)?;
             }
         }
@@ -744,17 +708,8 @@ fn handle_assign(
     thread::spawn(move || {
         match join.join() {
             Ok((snapshots, metrics, flight)) => {
-                let gd = GroupDone { group: group_id, snapshots, metrics };
+                let gd = GroupDone { group: group_id, snapshots, metrics, flight };
                 let _ = send(&done_stream, &Frame::new(FrameType::GroupDone, gd.encode()));
-                // The trace follows its GROUP_DONE on the same socket
-                // (FIFO), so the supervisor knows one is coming for
-                // every recorder-enabled group it saw finish.
-                if let Some(log) = flight {
-                    let _ = send(
-                        &done_stream,
-                        &Frame::new(FrameType::Trace, encode_trace(group_id, &log)),
-                    );
-                }
             }
             Err(e) => report(&done_stream, &e),
         }

@@ -147,12 +147,17 @@ fn flight_enabled_distributed_run_merges_worker_traces_and_telemetry() {
     let origins: std::collections::HashSet<&str> =
         log.lanes.iter().filter_map(|l| l.label.split('/').next()).collect();
     assert!(origins.len() >= 2, "both workers must contribute lanes: {origins:?}");
-    assert!(!log.merged().is_empty(), "merged log has events");
-    assert_eq!(
-        ssp_runtime::FlightLog::from_json(&log.to_json()).unwrap(),
-        log,
-        "merged cross-process log survives its own JSON"
-    );
+    // Each rank's final Halt crossed a process inside its GROUP_DONE, and
+    // every lane kept its recorder's time order.
+    let halts = log.merged().iter().filter(|e| e.kind == ssp_runtime::FlightKind::Halt).count();
+    assert_eq!(halts, 4, "one Halt per rank in the merged log");
+    for lane in &log.lanes {
+        assert!(
+            lane.events.windows(2).all(|w| w[0].nanos <= w[1].nanos),
+            "lane {} out of order",
+            lane.label
+        );
+    }
 
     // Telemetry rows exist only for workers that answered a PING within
     // the run; a fast run may finish before the first heartbeat, so the

@@ -158,9 +158,9 @@ impl FlightSink for FlightRecorder {
     }
 }
 
-/// Render a post-mortem black box: the failure plus the full flight log.
-/// The document is a superset of [`FlightLog::to_json`]'s schema (extra
-/// `error` key), so `FlightLog::from_json` reads it directly.
+/// Render a post-mortem black box for people to read: the failure plus the
+/// full flight log. The document is [`FlightLog::to_json`]'s with an extra
+/// `error` key.
 pub fn postmortem_json(err: &RunError, log: &FlightLog) -> String {
     let body = log.to_json();
     let rest = body
@@ -244,13 +244,19 @@ mod tests {
         let log = rec.drain().unwrap();
         let err = RunError::Protocol { proc: 2, detail: "say \"cheese\"\n".to_string() };
         let doc = postmortem_json(&err, &log);
-        // The error string survives escaping, and the embedded log parses.
+        // The error string survives escaping, and the rank's final event is
+        // its Park: `[nanos, "park", rank 2, chan 9, 0]`.
+        use crate::json::JsonValue;
         let parsed = crate::json::parse(&doc).unwrap();
         match parsed.get("error") {
-            Some(crate::json::JsonValue::Str(s)) => assert!(s.contains("cheese")),
+            Some(JsonValue::Str(s)) => assert!(s.contains("cheese")),
             other => panic!("expected error string, got {other:?}"),
         }
-        let back = FlightLog::from_json(&doc).unwrap();
-        assert_eq!(back, log);
+        let lanes = parsed.get("lanes").and_then(JsonValue::as_arr).unwrap();
+        let events = lanes[0].get("events").and_then(JsonValue::as_arr).unwrap();
+        let park = events.last().and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(park[1], JsonValue::Str(FlightKind::Park.label().to_string()));
+        let fields: Vec<_> = park[2..].iter().map(JsonValue::as_u64).collect();
+        assert_eq!(fields, [Some(2), Some(9), Some(0)]);
     }
 }

@@ -1,11 +1,13 @@
 //! A minimal JSON reader *and* writer, dependency-free.
 //!
-//! [`crate::trace::RunMetrics::to_json`] dumps execution profiles that
-//! cross a process boundary (`ssp-dist` workers ship them in `GROUP_DONE`
-//! frames); without a reader the schema could drift silently. This module
-//! parses general JSON into a small [`JsonValue`] tree — enough for
-//! round-trip tests and for those documents to be re-read — while staying
-//! within the workspace's zero-external-dependency rule.
+//! JSON here is for documents people read and callers write, never for
+//! bytes from another process (those are binary and go through
+//! [`crate::proc::Reader`]). The parser reads a caller's in-process input
+//! (`ssp-dist`'s workload args), the benchmark's own files, and, in tests,
+//! the dumps ([`crate::trace::RunMetrics::to_json`], the flight
+//! post-mortem) so their schemas cannot drift silently. It parses general
+//! JSON into a small [`JsonValue`] tree while staying within the
+//! workspace's zero-external-dependency rule.
 //!
 //! The tree can also be serialized back out ([`JsonValue::to_json`], also
 //! the `Display` impl) for tools that write their own documents, and must

@@ -267,6 +267,22 @@ impl<'a> Reader<'a> {
         self.take(n, what)
     }
 
+    /// UTF-8 text behind its `u32` length ([`push_bytes`] of its bytes).
+    pub fn str(&mut self, what: &str) -> Result<&'a str, RunError> {
+        let bytes = self.bytes(what)?;
+        std::str::from_utf8(bytes).map_err(|e| self.error(format_args!("{what} is not UTF-8: {e}")))
+    }
+
+    /// A presence byte: `0` or `1`, anything else is an error. An optional
+    /// field is written as its presence byte, then the value if present.
+    pub fn flag(&mut self, what: &str) -> Result<bool, RunError> {
+        match self.u8(what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(self.error(format_args!("{what} flag is {b}, not 0 or 1"))),
+        }
+    }
+
     /// `n` floats ([`push_f64s`]), read in one bounds check.
     pub fn f64s(&mut self, n: usize, what: &str) -> Result<Vec<f64>, RunError> {
         Ok(self.take(n.saturating_mul(8), what)?.chunks_exact(8).map(bits_to_f64).collect())
@@ -286,12 +302,6 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
         s
-    }
-
-    /// Everything not yet consumed, as UTF-8 text.
-    pub fn rest_str(&mut self, what: &str) -> Result<&'a str, RunError> {
-        let rest = self.rest();
-        std::str::from_utf8(rest).map_err(|e| self.error(format_args!("{what} is not UTF-8: {e}")))
     }
 
     /// End of input: `value`, decoded from a layout read in full, if no

@@ -13,12 +13,14 @@
 //! binary ([`push_run_metrics`], read back by [`Reader::run_metrics`]):
 //! its per-channel counters and per-process rows are the same encodings a
 //! sealed [`crate::recover::GroupManifest`] carries, and the distributed
-//! backend's `GROUP_DONE` ships the whole. [`RunMetrics::to_json`] is the
-//! human-readable dump and is never parsed back.
+//! backend's `GROUP_DONE` ships the whole. A [`FlightLog`] likewise crosses
+//! a process in binary ([`push_flight_log`], read back by
+//! [`Reader::flight_log`]), in the same `GROUP_DONE`. The `to_json` methods
+//! are the human-readable dumps and are never parsed back.
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
-use crate::proc::{push_u32, push_u64, ProcId, Reader};
+use crate::proc::{push_bytes, push_u32, push_u64, ProcId, Reader};
 
 /// Communication metrics for one channel.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -361,28 +363,25 @@ impl FlightKind {
         }
     }
 
-    /// Inverse of [`FlightKind::label`]; `None` for unknown labels.
-    pub fn from_label(s: &str) -> Option<FlightKind> {
-        Some(match s {
-            "run" => FlightKind::Run,
-            "park" => FlightKind::Park,
-            "wake" => FlightKind::Wake,
-            "steal" => FlightKind::Steal,
-            "yield" => FlightKind::Yield,
-            "send" => FlightKind::Send,
-            "recv" => FlightKind::Recv,
-            "compute" => FlightKind::Compute,
-            "halt" => FlightKind::Halt,
-            "checkpoint" => FlightKind::Checkpoint,
-            "restore" => FlightKind::Restore,
-            "fault" => FlightKind::Fault,
-            "migrate" => FlightKind::Migrate,
-            "data-star" => FlightKind::DataStar,
-            "data-direct" => FlightKind::DataDirect,
-            "data-shm" => FlightKind::DataShm,
-            _ => return None,
-        })
-    }
+    /// Every kind, indexed by its wire tag (`kind as u8`).
+    const ALL: [FlightKind; 16] = [
+        FlightKind::Run,
+        FlightKind::Park,
+        FlightKind::Wake,
+        FlightKind::Steal,
+        FlightKind::Yield,
+        FlightKind::Send,
+        FlightKind::Recv,
+        FlightKind::Compute,
+        FlightKind::Halt,
+        FlightKind::Checkpoint,
+        FlightKind::Restore,
+        FlightKind::Fault,
+        FlightKind::Migrate,
+        FlightKind::DataStar,
+        FlightKind::DataDirect,
+        FlightKind::DataShm,
+    ];
 }
 
 /// One timestamped flight-recorder event. `Copy` and fixed-size by design:
@@ -493,9 +492,10 @@ impl FlightLog {
         });
     }
 
-    /// Dump as JSON (hand-rolled like every other writer in the
-    /// workspace). Events are compact arrays `[nanos, "kind", rank, chan,
-    /// bytes]` so a 64-rank post-mortem stays small.
+    /// Dump as JSON for people to read (hand-rolled like every other writer
+    /// in the workspace; never parsed back). Events are compact arrays
+    /// `[nanos, "kind", rank, chan, bytes]` so a 64-rank post-mortem stays
+    /// small.
     pub fn to_json(&self) -> String {
         use std::fmt::Write;
         let mut s = String::from("{\"version\":1,\"lanes\":[");
@@ -526,70 +526,65 @@ impl FlightLog {
         s.push_str("]}");
         s
     }
+}
 
-    /// Parse a dump written by [`FlightLog::to_json`]. Network-facing (the
-    /// distributed TRACE frame carries this): every failure is a typed
-    /// [`crate::RunError::Protocol`], never a panic — the hostile-input suite
-    /// pins that.
-    pub fn from_json(input: &str) -> Result<Self, crate::error::RunError> {
-        use crate::json::JsonValue;
-        let bad = |detail: String| crate::error::RunError::Protocol { proc: 0, detail };
-        let doc = crate::json::parse(input)
-            .map_err(|e| bad(format!("flight dump is not JSON: {}", e.msg)))?;
-        match doc.get("version").and_then(JsonValue::as_u64) {
-            Some(1) => {}
-            other => return Err(bad(format!("unsupported flight-dump version {other:?}"))),
+/// Bytes one flight event occupies on the wire.
+const FLIGHT_EVENT_LEN: usize = 8 + 1 + 4 + 4 + 8;
+
+/// Append a flight log in its binary wire form, the one it crosses a
+/// process in: `[lanes: u32]`, then per lane its label ([`push_bytes`]),
+/// `[dropped: u64]`, `[events: u32]` and each event as `[nanos: u64]
+/// [kind tag: u8][rank: u32][chan: u32][bytes: u64]`. The inverse is
+/// [`Reader::flight_log`].
+pub fn push_flight_log(buf: &mut Vec<u8>, log: &FlightLog) {
+    push_u32(buf, log.lanes.len() as u32);
+    for lane in &log.lanes {
+        push_bytes(buf, lane.label.as_bytes());
+        push_u64(buf, lane.dropped);
+        push_u32(buf, lane.events.len() as u32);
+        buf.reserve(FLIGHT_EVENT_LEN * lane.events.len());
+        for e in &lane.events {
+            push_u64(buf, e.nanos);
+            buf.push(e.kind as u8);
+            push_u32(buf, e.rank);
+            push_u32(buf, e.chan);
+            push_u64(buf, e.bytes);
         }
-        let mut lanes = Vec::new();
-        for lane in doc
-            .get("lanes")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| bad("flight dump missing 'lanes' array".to_string()))?
-        {
-            let label = match lane.get("label") {
-                Some(JsonValue::Str(s)) => s.clone(),
-                _ => return Err(bad("lane missing string 'label'".to_string())),
-            };
-            let dropped = lane
-                .get("dropped")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| bad(format!("lane '{label}' missing integer 'dropped'")))?;
-            let mut events = Vec::new();
-            for e in lane
-                .get("events")
-                .and_then(JsonValue::as_arr)
-                .ok_or_else(|| bad(format!("lane '{label}' missing 'events' array")))?
-            {
-                let arr = e
-                    .as_arr()
-                    .filter(|a| a.len() == 5)
-                    .ok_or_else(|| bad("event must be a 5-element array".to_string()))?;
-                let num = |i: usize, what: &str| {
-                    arr[i]
-                        .as_u64()
-                        .ok_or_else(|| bad(format!("event {what} must be an integer")))
-                };
-                let kind = match &arr[1] {
-                    JsonValue::Str(s) => FlightKind::from_label(s)
-                        .ok_or_else(|| bad(format!("unknown event kind '{s}'")))?,
-                    _ => return Err(bad("event kind must be a string".to_string())),
-                };
-                let rank = num(2, "rank")?;
-                let chan = num(3, "chan")?;
-                if rank > u32::MAX as u64 || chan > u32::MAX as u64 {
-                    return Err(bad("event rank/chan out of range".to_string()));
-                }
-                events.push(FlightEvent {
-                    nanos: num(0, "timestamp")?,
-                    kind,
-                    rank: rank as u32,
-                    chan: chan as u32,
-                    bytes: num(4, "bytes")?,
-                });
-            }
-            lanes.push(FlightLane { label, dropped, events });
-        }
+    }
+}
+
+impl Reader<'_> {
+    /// A flight log written by [`push_flight_log`]. Lane and event counts
+    /// are checked against the remaining bytes before anything is
+    /// allocated, and an unknown event-kind tag is an error.
+    pub fn flight_log(&mut self) -> Result<FlightLog, RunError> {
+        let n = self.count(4 + 8 + 4, "flight lanes")?;
+        let lanes = (0..n)
+            .map(|_| {
+                let label = self.str("lane label")?.to_string();
+                let dropped = self.u64("dropped events")?;
+                let m = self.count(FLIGHT_EVENT_LEN, "flight events")?;
+                let events = (0..m).map(|_| self.flight_event()).collect::<Result<_, _>>()?;
+                Ok(FlightLane { label, dropped, events })
+            })
+            .collect::<Result<_, RunError>>()?;
         Ok(FlightLog { lanes })
+    }
+
+    fn flight_event(&mut self) -> Result<FlightEvent, RunError> {
+        let nanos = self.u64("event nanos")?;
+        let tag = self.u8("event kind")?;
+        let kind = FlightKind::ALL
+            .get(tag as usize)
+            .copied()
+            .ok_or_else(|| self.error(format_args!("unknown event kind tag {tag}")))?;
+        Ok(FlightEvent {
+            nanos,
+            kind,
+            rank: self.u32("event rank")?,
+            chan: self.u32("event chan")?,
+            bytes: self.u64("event bytes")?,
+        })
     }
 }
 
@@ -678,11 +673,18 @@ mod tests {
         }
     }
 
+    fn decode_flight_log(bytes: &[u8]) -> Result<FlightLog, RunError> {
+        let mut r = Reader::new("flight log", bytes);
+        let log = r.flight_log()?;
+        r.finish(log)
+    }
+
     #[test]
-    fn flight_log_round_trips_through_json() {
+    fn flight_log_round_trips_through_its_wire_form() {
         let log = sample_flight_log();
-        let json = log.to_json();
-        assert_eq!(FlightLog::from_json(&json).unwrap(), log);
+        let mut bytes = Vec::new();
+        push_flight_log(&mut bytes, &log);
+        assert_eq!(decode_flight_log(&bytes).unwrap(), log);
         // Merged view is time-sorted across lanes.
         let merged = log.merged();
         let stamps: Vec<u64> = merged.iter().map(|e| e.nanos).collect();
@@ -692,27 +694,34 @@ mod tests {
 
     #[test]
     fn flight_kind_labels_round_trip() {
-        for kind in [
-            FlightKind::Run,
-            FlightKind::Park,
-            FlightKind::Wake,
-            FlightKind::Steal,
-            FlightKind::Yield,
-            FlightKind::Send,
-            FlightKind::Recv,
-            FlightKind::Compute,
-            FlightKind::Halt,
-            FlightKind::Checkpoint,
-            FlightKind::Restore,
-            FlightKind::Fault,
-            FlightKind::Migrate,
-            FlightKind::DataStar,
-            FlightKind::DataDirect,
-            FlightKind::DataShm,
-        ] {
-            assert_eq!(FlightKind::from_label(kind.label()), Some(kind));
+        // Labels are distinct, so a reader of the JSON dump can map each
+        // back to its kind; wire tags index `ALL`.
+        for (tag, kind) in FlightKind::ALL.iter().enumerate() {
+            assert_eq!(*kind as usize, tag, "ALL must be in tag order");
+            let named: Vec<_> = FlightKind::ALL.iter().filter(|k| k.label() == kind.label()).collect();
+            assert_eq!(named, vec![kind]);
         }
-        assert_eq!(FlightKind::from_label("nonsense"), None);
+    }
+
+    #[test]
+    fn flight_log_rejects_hostile_bytes_with_typed_errors() {
+        let mut bytes = Vec::new();
+        push_flight_log(&mut bytes, &sample_flight_log());
+        for cut in 0..bytes.len() {
+            let r = decode_flight_log(&bytes[..cut]);
+            assert!(matches!(r, Err(RunError::Protocol { .. })), "cut {cut}: {r:?}");
+        }
+        // The first event's kind tag sits after the lane header: `[lanes]`,
+        // label `worker-0`, `[dropped]`, `[events]`, `[nanos]`.
+        let kind_at = 4 + (4 + 8) + 8 + 4 + 8;
+        assert_eq!(bytes[kind_at], FlightKind::Run as u8);
+        let mut unknown = bytes.clone();
+        unknown[kind_at] = FlightKind::ALL.len() as u8;
+        let detail = decode_flight_log(&unknown).unwrap_err().to_string();
+        assert!(detail.contains("unknown event kind tag 16"), "{detail}");
+        let mut bad_label = bytes;
+        bad_label[8] = 0xff;
+        assert!(matches!(decode_flight_log(&bad_label), Err(RunError::Protocol { .. })));
     }
 
     #[test]
@@ -722,28 +731,5 @@ mod tests {
         assert_eq!(last.len(), 2);
         assert!(last.iter().all(|e| e.rank == 0));
         assert_eq!(last[1].kind, FlightKind::Park);
-    }
-
-    #[test]
-    fn flight_log_rejects_malformed_dumps_with_typed_errors() {
-        use crate::error::RunError;
-        let cases = [
-            "not json".to_string(),
-            "{}".to_string(),
-            "{\"version\":2,\"lanes\":[]}".to_string(),
-            "{\"version\":1}".to_string(),
-            "{\"version\":1,\"lanes\":[{\"label\":7,\"dropped\":0,\"events\":[]}]}".to_string(),
-            "{\"version\":1,\"lanes\":[{\"label\":\"w\",\"dropped\":0,\"events\":[[1,2]]}]}"
-                .to_string(),
-            "{\"version\":1,\"lanes\":[{\"label\":\"w\",\"dropped\":0,\
-             \"events\":[[1,\"nope\",0,0,0]]}]}"
-                .to_string(),
-        ];
-        for c in &cases {
-            match FlightLog::from_json(c) {
-                Err(RunError::Protocol { .. }) => {}
-                other => panic!("expected Protocol error for {c:?}, got {other:?}"),
-            }
-        }
     }
 }

@@ -1,6 +1,7 @@
 //! Flight recorder end-to-end: the disabled build changes nothing, the
-//! enabled build changes no *result*, and an abnormal end leaves a
-//! parseable black box naming what the blocked ranks were last doing.
+//! enabled build changes no *result*, a log survives its wire form, and an
+//! abnormal end leaves a readable black box naming what the blocked ranks
+//! were last doing.
 //!
 //! The bitwise standard is Theorem 1's: recording must not perturb any
 //! scheduling-visible behavior, so recorder-on and recorder-off runs of
@@ -12,9 +13,10 @@
 
 use std::time::Duration;
 
-use ssp_runtime::proc::push_u64;
+use ssp_runtime::proc::{push_u64, Reader};
+use ssp_runtime::trace::push_flight_log;
 use ssp_runtime::{
-    run_threaded_with, ChannelId, Effect, FlightKind, FlightLog, Process, RunError,
+    run_threaded_with, ChannelId, Effect, FlightKind, FlightLog, JsonValue, Process, RunError,
     ThreadedConfig, Topology, FLIGHT_DUMP_ENV,
 };
 
@@ -130,12 +132,17 @@ fn enabling_the_recorder_changes_no_result() {
     }
 }
 
-/// The log's JSON round-trips exactly, and hostile inputs — truncations
-/// at every byte, flipped bytes, wrong-shape documents — come back as
-/// typed errors, never a panic (`json_hostile.rs`'s standard applied to
-/// the trace-dump reader).
+fn decode_flight_log(bytes: &[u8]) -> Result<FlightLog, RunError> {
+    let mut r = Reader::new("flight log", bytes);
+    let log = r.flight_log()?;
+    r.finish(log)
+}
+
+/// A real run's log round-trips its wire form exactly, and hostile bytes —
+/// truncations at every byte, a flipped byte every 7 — come back as typed
+/// errors or as a log that differs, never a panic and never the original.
 #[test]
-fn flight_log_json_round_trips_and_survives_hostile_bytes() {
+fn flight_log_wire_form_round_trips_and_survives_hostile_bytes() {
     let (topo, procs) = ring(8, 1);
     let out = run_threaded_with(
         &topo,
@@ -144,38 +151,21 @@ fn flight_log_json_round_trips_and_survives_hostile_bytes() {
     )
     .unwrap();
     let log = out.flight.unwrap();
-    let doc = log.to_json();
-    assert_eq!(FlightLog::from_json(&doc).unwrap(), log);
+    let mut bytes = Vec::new();
+    push_flight_log(&mut bytes, &log);
+    assert_eq!(decode_flight_log(&bytes).unwrap(), log);
 
-    for cut in 0..doc.len() {
-        if !doc.is_char_boundary(cut) {
-            continue;
-        }
-        let r = FlightLog::from_json(&doc[..cut]);
-        assert!(r.is_err(), "truncation at {cut} must not parse");
+    for cut in 0..bytes.len() {
+        let r = decode_flight_log(&bytes[..cut]);
+        assert!(matches!(r, Err(RunError::Protocol { .. })), "truncation at {cut}: {r:?}");
     }
-    let mut bytes = doc.clone().into_bytes();
     for i in (0..bytes.len()).step_by(7) {
-        let orig = bytes[i];
-        bytes[i] = orig.wrapping_add(13);
-        if let Ok(mutated) = std::str::from_utf8(&bytes) {
-            // Either a typed error or a still-valid document; never a panic.
-            let _ = FlightLog::from_json(mutated);
+        let mut bad = bytes.clone();
+        bad[i] ^= 0x40;
+        match decode_flight_log(&bad) {
+            Ok(other) => assert_ne!(other, log, "flip at {i} decoded to the original"),
+            Err(e) => assert!(matches!(e, RunError::Protocol { .. }), "flip at {i}: {e:?}"),
         }
-        bytes[i] = orig;
-    }
-    for wrong in [
-        "null",
-        "[]",
-        "{\"version\":2,\"lanes\":[]}",
-        "{\"version\":1,\"lanes\":7}",
-        "{\"version\":1,\"lanes\":[{\"label\":0,\"dropped\":0,\"events\":[]}]}",
-        "{\"version\":1,\"lanes\":[{\"label\":\"w\",\"dropped\":0,\"events\":[[0,\"nope\",0,0,0]]}]}",
-    ] {
-        assert!(
-            matches!(FlightLog::from_json(wrong), Err(RunError::Protocol { .. })),
-            "wrong-shape doc accepted: {wrong}"
-        );
     }
 }
 
@@ -229,19 +219,28 @@ fn forced_deadlock_dumps_a_parseable_postmortem() {
         .unwrap_or_else(|e| panic!("post-mortem missing at {}: {e}", path.display()));
     let parsed = ssp_runtime::json::parse(&doc).expect("post-mortem must be valid JSON");
     match parsed.get("error") {
-        Some(ssp_runtime::JsonValue::Str(s)) => {
+        Some(JsonValue::Str(s)) => {
             assert!(s.contains("deadlock"), "error field should describe the failure: {s}")
         }
         other => panic!("post-mortem must embed the error, got {other:?}"),
     }
-    // The same document is a readable flight log, and the blocked
-    // cycle's ranks each end on the Park for their inbound channel.
-    let log = FlightLog::from_json(&doc).expect("post-mortem embeds a flight log");
+    // Each blocked cycle rank's last events (in time order, across lanes)
+    // include the Park on its inbound channel. Events are `[nanos, "kind",
+    // rank, chan, bytes]`.
+    let mut events: Vec<(u64, String, u64, u64)> = Vec::new();
+    for lane in parsed.get("lanes").and_then(JsonValue::as_arr).expect("lanes array") {
+        for e in lane.get("events").and_then(JsonValue::as_arr).expect("events array") {
+            let e = e.as_arr().expect("event array");
+            let num = |i: usize| e[i].as_u64().expect("integer event field");
+            let JsonValue::Str(kind) = &e[1] else { panic!("event kind is not a string: {e:?}") };
+            events.push((num(0), kind.clone(), num(2), num(3)));
+        }
+    }
+    events.sort_by_key(|e| e.0);
     for w in cycle.iter().take(8) {
-        let last = log.last_events_for(w.proc, 4);
+        let last: Vec<_> = events.iter().filter(|e| e.2 == w.proc as u64).rev().take(4).collect();
         assert!(
-            last.iter()
-                .any(|e| e.kind == FlightKind::Park && e.chan as usize == w.chan.0),
+            last.iter().any(|e| e.1 == FlightKind::Park.label() && e.3 == w.chan.0 as u64),
             "rank {}'s final events must include its Park on chan {}: {last:?}",
             w.proc,
             w.chan.0
