@@ -6,6 +6,10 @@
 //! (What the recorder costs at full scale is `ledger`'s
 //! `trace.overhead_ratio`; the timing assertion here is a debug-build
 //! smoke with an absolute epsilon so tier-1 stays unflaky.)
+//!
+//! Every threaded run here pins a pool of [`WORKERS`] = 2, below the rank
+//! count, so the tiny grid runs grouped: W = 2 processes of contiguous
+//! ranks, whose halos cross one channel pair.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,8 +34,11 @@ fn policy_battery(seed: u64) -> Vec<Box<dyn SchedulePolicy>> {
     ]
 }
 
+/// The pool (and so the group count W) of every threaded run here.
+const WORKERS: usize = 2;
+
 fn watchdog() -> ThreadedConfig {
-    ThreadedConfig::with_watchdog(Duration::from_secs(30))
+    ThreadedConfig::with_watchdog(Duration::from_secs(30)).with_workers(WORKERS)
 }
 
 /// Theorem 1 with the recorder on: six policies × slack pin down the one
@@ -72,7 +79,7 @@ fn recording_fdtd_is_bitwise_invariant_across_policies_and_slack() {
 }
 
 /// The recorder leaves the schedule-invariant half of the communication
-/// profile untouched: per-rank action counts and per-channel traffic are
+/// profile untouched: per-process action counts and per-channel traffic are
 /// equal between a recorded and an unrecorded threaded run. (Stealing,
 /// parking and queue-depth stats are wall-clock-dependent and excluded.)
 #[test]
@@ -88,10 +95,11 @@ fn recording_does_not_change_the_communication_profile() {
         .unwrap();
 
     assert_eq!(on.snapshots, off.snapshots);
-    for (r, (a, b)) in off.metrics.procs.iter().zip(&on.metrics.procs).enumerate() {
-        assert_eq!(a.sends, b.sends, "rank {r} sends");
-        assert_eq!(a.receives, b.receives, "rank {r} receives");
-        assert_eq!(a.compute_units, b.compute_units, "rank {r} compute units");
+    assert_eq!(off.metrics.procs.len(), WORKERS, "three ranks in two groups");
+    for (p, (a, b)) in off.metrics.procs.iter().zip(&on.metrics.procs).enumerate() {
+        assert_eq!(a.sends, b.sends, "process {p} sends");
+        assert_eq!(a.receives, b.receives, "process {p} receives");
+        assert_eq!(a.compute_units, b.compute_units, "process {p} compute units");
     }
     for (c, (a, b)) in off.metrics.channels.iter().zip(&on.metrics.channels).enumerate() {
         assert_eq!(a.messages, b.messages, "channel {c} messages");

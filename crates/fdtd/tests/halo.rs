@@ -10,7 +10,9 @@
 //!   power to see a missing face, and no face of [`HaloFaces::YEE`] is
 //!   spare.
 //! * **Exact traffic.** Per time step one E and one H message per adjacent
-//!   rank pair, of a closed-form size, on every driver.
+//!   rank pair, of a closed-form size, on every driver; on the threaded
+//!   runner's grouped placement, one per adjacent *group* pair, carrying
+//!   the faces between groups.
 
 use std::sync::Arc;
 
@@ -23,6 +25,7 @@ use fdtd::{
 };
 use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
 use mesh_archetype::plan::InitFn;
+use mesh_archetype::exchange::face_links;
 use mesh_archetype::{
     run_msg_simulated, run_msg_threaded_slack, Env, Plan, SimParOutcome, SumMethod,
 };
@@ -201,7 +204,8 @@ fn adjacent_pairs(pg: &ProcGrid3) -> u64 {
 /// (E toward −axis, H toward +axis) carrying the two components transverse
 /// to the pair's axis, so a step is `2 · pairs` messages and
 /// `2 · 2 · 8 · cut_area` bytes — and the simulated-parallel trace, the
-/// simulated scheduler and the threaded runner all count the same.
+/// simulated scheduler and the threaded runner with a worker per rank all
+/// count the same.
 #[test]
 fn traffic_per_step_is_two_messages_per_adjacent_pair_of_closed_form_size() {
     let params = tiny_with(BoundaryCondition::Mur1);
@@ -218,7 +222,8 @@ fn traffic_per_step_is_two_messages_per_adjacent_pair_of_closed_form_size() {
             assert_eq!(sim.metrics.total_messages(), msgs, "P={p} simulated messages");
             assert_eq!(sim.metrics.total_bytes(), bytes, "P={p} simulated bytes");
             let cfg = ThreadedConfig::with_watchdog(std::time::Duration::from_secs(30));
-            let thr = run_msg_threaded_slack(&plan, pg, &init, None, cfg).unwrap();
+            let thr = run_msg_threaded_slack(&plan, pg, &init, None, cfg.with_workers(p)).unwrap();
+            assert_eq!(thr.metrics.procs.len(), p, "P={p}: a worker per rank runs per rank");
             assert_eq!(thr.metrics.total_messages(), msgs, "P={p} threaded messages");
             assert_eq!(thr.metrics.total_bytes(), bytes, "P={p} threaded bytes");
             let simpar = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
@@ -235,6 +240,57 @@ fn traffic_per_step_is_two_messages_per_adjacent_pair_of_closed_form_size() {
                     .filter(|m| m.src == c.writer && m.dst == c.reader);
                 let (n, b) = of_pair.fold((0, 0), |(n, b), m| (n + 1, b + m.bytes));
                 assert_eq!((c.messages, c.bytes), (n, b), "P={p} channel {}→{}", c.writer, c.reader);
+            }
+        }
+    }
+}
+
+/// Adjacent group pairs, and the area in cells of the faces between
+/// different groups, when `w` groups of contiguous ranks (sizes differing
+/// by at most one) share `pg`.
+fn group_cut(pg: &ProcGrid3, w: usize) -> (u64, u64) {
+    let n = pg.nprocs();
+    let group = |r: usize| (0..w).find(|&g| r < (g + 1) * n / w).unwrap();
+    let mut pairs = std::collections::BTreeSet::new();
+    let mut area = 0;
+    for r in 0..n {
+        let (bx, by, bz) = pg.block(r).extent();
+        // Each rank pair once: through the low rank's high faces.
+        for link in face_links(pg, r).into_iter().filter(|l| l.neighbor > r) {
+            let (g, h) = (group(r), group(link.neighbor));
+            if g != h {
+                pairs.insert((g, h));
+                area += [by * bz, bx * bz, bx * by][link.face.axis_dir().0] as u64;
+            }
+        }
+    }
+    (pairs.len() as u64, area)
+}
+
+/// The grouped closed form: with W < P pool workers each half-step moves
+/// one message per adjacent *group* pair, carrying the two transverse
+/// components of every face between the two groups — `2 · steps · group
+/// pairs` messages and `2 · steps · 16 · inter-group cut area` bytes for
+/// `plan_a` — and the result is unchanged.
+#[test]
+fn grouped_traffic_is_two_messages_per_adjacent_group_pair_of_closed_form_size() {
+    let params = tiny_with(BoundaryCondition::Mur1);
+    let steps = params.steps as u64;
+    let init = init_a(params.clone());
+    for p in PROCESS_COUNTS {
+        let pg = ProcGrid3::choose(params.n, p);
+        for w in (1..=3).filter(|&w| w < p) {
+            let (pairs, area) = group_cut(&pg, w);
+            let plans = [(plan_a(&params), 2 * steps), (plan_a_overlap(&params), 2 * steps + 1)];
+            for (plan, halves) in plans {
+                let sim = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+                let cfg = ThreadedConfig::with_watchdog(std::time::Duration::from_secs(30))
+                    .with_workers(w);
+                let thr = run_msg_threaded_slack(&plan, pg, &init, None, cfg).unwrap();
+                assert_eq!(thr.snapshots, sim.snapshots, "P={p} W={w}");
+                assert_eq!(thr.metrics.procs.len(), w, "P={p} W={w}: one process per group");
+                assert_eq!(thr.metrics.total_messages(), halves * pairs, "P={p} W={w} messages");
+                assert_eq!(thr.metrics.total_bytes(), halves * 16 * area, "P={p} W={w} bytes");
             }
         }
     }

@@ -228,3 +228,49 @@ fn naive_reduce_algorithms_can_disagree_with_each_other() {
     // (bitwise disagreement is likely but not guaranteed; don't assert it)
     let _ = count_bitwise_diffs(&a, &b);
 }
+
+/// The grouped placement on the paper's programs: `plan_a`,
+/// `plan_a_overlap` and `plan_c` under every far-field strategy, threaded
+/// at W ∈ {1, 2, 3, P} processes × slack {1, ∞}, equal the per-rank program
+/// on the simulator bitwise. (W < P pool workers group the ranks of this
+/// small grid; W = P keeps one process per rank.)
+#[test]
+fn grouped_placements_are_bitwise_on_versions_a_and_c() {
+    use fdtd::par::plan_a_overlap;
+    use mesh_archetype::driver::MeshLocal;
+    use mesh_archetype::plan::InitFn;
+    use mesh_archetype::{run_msg_threaded_slack, Plan};
+    use ssp_runtime::ThreadedConfig;
+
+    fn check<L: MeshLocal>(what: &str, plan: &Plan<L>, init: &InitFn<L>, pg: ProcGrid3) {
+        let p = pg.nprocs();
+        let reference = run_msg_simulated(plan, pg, init, &mut RoundRobin::new()).unwrap();
+        for w in [1, 2, 3, p] {
+            for slack in [Some(1), None] {
+                let cfg = ThreadedConfig::with_watchdog(std::time::Duration::from_secs(30))
+                    .with_workers(w);
+                let out = run_msg_threaded_slack(plan, pg, init, slack, cfg).unwrap();
+                assert_eq!(out.metrics.procs.len(), w, "{what} P={p} W={w}");
+                let at = format!("{what} P={p} W={w} slack {slack:?}");
+                assert_eq!(out.snapshots, reference.snapshots, "{at}");
+            }
+        }
+    }
+
+    let params = Arc::new(Params::tiny());
+    let spec = FarFieldSpec::standard(2);
+    for p in [4, 8] {
+        let pg = ProcGrid3::choose(params.n, p);
+        let init = init_a(params.clone());
+        check("plan_a", &plan_a(&params), &init, pg);
+        check("plan_a_overlap", &plan_a_overlap(&params), &init, pg);
+        for strategy in [
+            FarFieldStrategy::NaiveReorder(ReduceAlgo::AllToOne),
+            FarFieldStrategy::NaiveReorder(ReduceAlgo::RecursiveDoubling),
+            FarFieldStrategy::Ordered(SumMethod::Naive),
+        ] {
+            let init = init_c(params.clone(), spec.clone(), strategy);
+            check(&format!("plan_c {strategy:?}"), &plan_c(&params, &spec, strategy), &init, pg);
+        }
+    }
+}

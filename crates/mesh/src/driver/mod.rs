@@ -1,18 +1,23 @@
-//! The three executions of a mesh-archetype plan.
+//! The executions of a mesh-archetype plan, one per rung of the paper's
+//! refinement chain: sequential → simulated-parallel (P) → grouped (W) →
+//! message-passing (P).
 //!
 //! | driver | paper artifact | address spaces | communication |
 //! |---|---|---|---|
 //! | [`run_seq`] | degenerate P = 1 | one | none |
 //! | [`run_simpar`] | sequential simulated-parallel version (§2.2) | N simulated | assignments, validated |
+//! | [`run_msg_threaded_slack`], grouped ([`group_count`]) | simulated-parallel groups of contiguous ranks, message passing between groups | W ≤ pool workers | assignments inside a group; one message per group pair and phase |
 //! | [`run_msg_simulated`] | message-passing program under a simulated scheduler (§3.1) | N | sends/receives on SRSW channels |
 //! | [`run_msg_threaded`] | message-passing program on real threads | N | sends/blocking receives |
 //!
-//! All four execute floating-point operations in identical order, so their
-//! results are bitwise identical — the experimental observation of §4.5
-//! ("the message-passing programs produced results identical to those of
-//! the corresponding sequential simulated-parallel versions, on the first
-//! and every execution"), here guaranteed by construction and verified by
-//! the integration tests.
+//! All five execute every rank's floating-point operations in identical
+//! order, so their results are bitwise identical — the experimental
+//! observation of §4.5 ("the message-passing programs produced results
+//! identical to those of the corresponding sequential simulated-parallel
+//! versions, on the first and every execution"), here guaranteed by
+//! construction and verified by the integration tests. The threaded runner
+//! takes the grouped rung by itself when the ranks outnumber its pool and
+//! the grid is small; otherwise it runs one process per rank.
 
 mod msg;
 mod seq;
@@ -21,9 +26,10 @@ mod wire;
 
 pub use msg::{
     build_msg_processes, build_msg_processes_for, build_msg_processes_hosted,
-    build_msg_processes_with_slack, msg_topology, run_msg_predicted, run_msg_predicted_slack, run_msg_recovering, run_msg_simulated,
-    run_msg_simulated_hosted, run_msg_simulated_slack, run_msg_threaded,
-    run_msg_threaded_slack, MeshMsg, MsgProcess,
+    build_msg_processes_with_slack, group_count, msg_topology, run_msg_predicted,
+    run_msg_predicted_slack, run_msg_recovering, run_msg_simulated, run_msg_simulated_hosted,
+    run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack, MeshMsg, MsgProcess,
+    GROUPING_CELLS_PER_WORKER,
 };
 pub use seq::run_seq;
 pub use wire::{decode_mesh_msg, encode_mesh_msg};

@@ -6,21 +6,33 @@
 //! send/receive pair on a single-reader single-writer channel, with **all
 //! sends of an exchange performed before any receives** (§3.3) so no
 //! process ever reads an empty channel that will never be written. The plan
-//! is compiled per rank into a flat list of [`Op`]s with explicit control
+//! is compiled per process into a flat list of [`Op`]s with explicit control
 //! flow; the resulting processes run unchanged on the simulated scheduler
 //! (any interleaving policy) or on real OS threads.
 //!
+//! A process hosts one rank or a *group* of contiguous ranks. A group is the
+//! simulated-parallel program in miniature: it runs its members' local
+//! blocks one after another and performs the assignments between its own
+//! members directly. Only assignments that cross to another process become
+//! messages, one per process pair and phase, carrying every crossing slab
+//! (or partial, contributions, block) in rank order. A process hosting one
+//! rank is exactly the per-rank program, so one interpreter serves both
+//! placements; [`run_msg_threaded_slack`] picks the grouped one when the
+//! ranks outnumber the pool and the grid is small ([`group_count`]).
+//!
 //! Floating-point operations are performed in exactly the order the
 //! simulated-parallel driver performs them — same reduction schedules, same
-//! stable ordered-sum, same slab encodings — so the two drivers' snapshots
+//! stable ordered-sum, same slab encodings — so every placement's snapshots
 //! are bitwise identical: Theorem 1 made concrete.
 
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ssp_runtime::proc::{push_bytes, push_f64s, push_u32, push_u64, Reader};
 use ssp_runtime::{
     BufPool, ChannelId, Effect, FaultPlan, Process, RecoveryConfig, RecoveryOutcome, RunError,
-    RunOutcome, SchedulePolicy, Simulator, Topology,
+    RunOutcome, SchedulePolicy, Simulator, ThreadedConfig, ThreadedOutcome, Topology,
 };
 
 use machine_model::MachineModel;
@@ -37,22 +49,43 @@ use crate::plan::{
     ReduceSpec, ScatterSpec,
 };
 use crate::plan::{BroadcastSpec, InitFn};
-use crate::reduce::{ReduceOp, ReducePlan};
+use crate::reduce::{ReduceOp, ReducePlan, ReduceStep};
 
 /// The default host rank under [`HostMode::GridRank0`]; under
 /// [`HostMode::Separate`] the host is the extra rank `pg.nprocs()`.
 pub const HOST: usize = 0;
 
+/// Grid cells per pool worker below which a threaded run groups its ranks.
+/// Below it a rank's section is so small that parking its task at every
+/// exchange costs more than the kernels it runs; above it one task per
+/// worker idles that worker at every synchronisation (DESIGN.md §12).
+pub const GROUPING_CELLS_PER_WORKER: usize = 32 * 32 * 32;
+
+/// How many processes a threaded run of a program over `pg` uses on a pool
+/// of `pool` workers: `pool` groups of ranks when the ranks outnumber the
+/// workers and the grid holds fewer than [`GROUPING_CELLS_PER_WORKER`]
+/// cells per worker, otherwise one process per rank.
+pub fn group_count(pg: &ProcGrid3, pool: usize) -> usize {
+    let (p, (nx, ny, nz)) = (pg.nprocs(), pg.n);
+    let pool = pool.max(1);
+    if pool < p && nx * ny * nz < GROUPING_CELLS_PER_WORKER * pool {
+        pool
+    } else {
+        p
+    }
+}
+
 /// Messages carried on the mesh program's channels.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MeshMsg {
-    /// A halo face slab.
+    /// Halo face slabs: one rank's, or a group's in rank order.
     Halo(Vec<f64>),
-    /// A reduction partial / broadcast payload / result vector.
+    /// Reduction partials / a broadcast payload / a result vector.
     Vec(Vec<f64>),
     /// Ordered-reduction contributions.
     Contribs(Vec<Contribution>),
-    /// A gathered/scattered block of a global grid (interior, lexicographic).
+    /// Gathered/scattered blocks of a global grid (interior, lexicographic;
+    /// a group's in rank order).
     Block(Vec<f64>),
 }
 
@@ -79,70 +112,99 @@ impl MeshMsg {
     }
 }
 
-/// One instruction of the compiled per-rank program.
+/// One rank's share of a halo transfer: member `m`'s boundary slabs through
+/// its face `face` (sending side) or its ghost slabs behind it (receiving
+/// side); `peer` is the rank across the face.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Leg {
+    m: usize,
+    face: Face3,
+    peer: usize,
+}
+
+/// One reduction step landing on member `m`: partial `part` of a message,
+/// combined into `m`'s partial or, for a distribution step, copied over it.
+#[derive(Debug, Clone, Copy)]
+struct Apply {
+    part: usize,
+    m: usize,
+    combine: bool,
+}
+
+/// One instruction of the compiled per-process program. `m`, `from` and
+/// `srcs` name members of the process (its ranks, by position); `dst` and
+/// `src` name processes.
 ///
-/// Specs are cloned into ops once, at compile ([`flatten`]) time; the
-/// finished program is frozen behind an `Arc` that every execution step —
-/// and every checkpoint clone — merely shares. Steady-state interpretation
-/// never clones a spec.
+/// Specs are cloned into ops once, at compile ([`Lowering::flatten`]) time;
+/// the finished program is frozen behind an `Arc` that every execution
+/// step — and every checkpoint clone — merely shares. Steady-state
+/// interpretation never clones a spec.
 enum Op<L> {
-    /// Run a local-computation block (one `Compute` action).
-    Local(LocalStep<L>),
-    /// Send through `link` the boundary slabs of every part crossing it,
-    /// as one message.
-    SendFace { spec: ExchangeSpec<L>, link: FaceLink },
-    /// Receive the neighbour's message through `link` into the ghost slabs
-    /// of every part crossing it.
-    RecvFace { spec: ExchangeSpec<L>, link: FaceLink },
-    /// `scratch ← extract(local)`.
-    ReduceExtract { spec: ReduceSpec<L> },
-    /// Send the current scratch to `dst`.
-    ReduceSend { dst: usize },
-    /// Receive a partial from `src` and combine it into scratch.
-    ReduceRecvCombine { src: usize, op: ReduceOp },
-    /// Receive a finished result from `src`, replacing scratch.
-    ReduceRecvReplace { src: usize },
-    /// `inject(local, scratch)`.
-    ReduceInject { spec: ReduceSpec<L> },
-    /// `contribs ← extract(local)` (appending to the gather buffer).
-    OrdExtract { spec: OrderedReduceSpec<L> },
-    /// Send this rank's contributions to the host.
+    /// Run a local-computation block on member `m` (one `Compute` action).
+    Local { step: Arc<LocalStep<L>>, m: usize },
+    /// Send `dst` one message: each leg's boundary slabs of every part
+    /// crossing its face, legs in order.
+    SendFace { spec: Arc<ExchangeSpec<L>>, dst: usize, legs: Vec<Leg> },
+    /// Receive `src`'s message into the ghost slabs of each leg.
+    RecvFace { spec: Arc<ExchangeSpec<L>>, src: usize, legs: Vec<Leg> },
+    /// The exchange between members as assignments: each `(from, leg)`
+    /// fills the leg's ghosts from member `from`'s boundary slabs.
+    CopyFaces { spec: Arc<ExchangeSpec<L>>, copies: Vec<(usize, Leg)> },
+    /// Send half of a split exchange between members: pack the legs'
+    /// boundary slabs now, for the matching [`Op::UnstageFaces`].
+    StageFaces { spec: Arc<ExchangeSpec<L>>, legs: Vec<Leg> },
+    /// Receive half: install the oldest staged slabs into the legs' ghosts.
+    UnstageFaces { spec: Arc<ExchangeSpec<L>>, legs: Vec<Leg> },
+    /// `scratch[m] ← extract(local[m])`.
+    ReduceExtract { spec: Arc<ReduceSpec<L>>, m: usize },
+    /// Send `dst` the current partials of members `srcs`.
+    ReduceSend { dst: usize, srcs: Vec<usize> },
+    /// A stage's steps between members: the pre-stage partials of `srcs`,
+    /// applied as a received message would be.
+    ReduceLocal { op: ReduceOp, srcs: Vec<usize>, applies: Vec<Apply> },
+    /// Receive `parts` partials from `src` and apply them.
+    ReduceRecv { src: usize, op: ReduceOp, parts: usize, applies: Vec<Apply> },
+    /// `inject(local[m], scratch[m])`.
+    ReduceInject { spec: Arc<ReduceSpec<L>>, m: usize },
+    /// Append member `m`'s contributions to the gather buffer.
+    OrdExtract { spec: Arc<OrderedReduceSpec<L>>, m: usize },
+    /// Send the gathered contributions to the host.
     OrdSendContribs { dst: usize },
     /// Host: receive and append `src`'s contributions.
     OrdRecvContribs { src: usize },
-    /// Host: sort, sum per bin, leave the result in scratch.
-    OrdFinish { spec: OrderedReduceSpec<L> },
-    /// Host: send the result vector to `dst`.
-    OrdSendResult { dst: usize },
-    /// Non-host: receive the result vector from the host.
+    /// Host: sort, sum per bin, leave the result in `scratch[m]`.
+    OrdFinish { spec: Arc<OrderedReduceSpec<L>>, m: usize },
+    /// Host: send `scratch[from]` to `dst`.
+    OrdSendResult { dst: usize, from: usize },
+    /// Receive the result vector from the host into `scratch[0]`.
     OrdRecvResult { src: usize },
-    /// `inject(local, scratch)`.
-    OrdInject { spec: OrderedReduceSpec<L> },
-    /// Root: `scratch ← get(local)`.
-    BcastGet { spec: BroadcastSpec<L> },
-    /// Root: send scratch to `dst`.
-    BcastSend { dst: usize },
-    /// Non-root: receive the payload into scratch.
-    BcastRecv { root: usize },
-    /// `set(local, scratch)` (runs on every rank).
-    BcastSet { spec: BroadcastSpec<L> },
-    /// Non-host: send this rank's field interior to the host.
-    GatherSend { spec: GatherSpec<L>, dst: usize },
-    /// Host: start assembling — allocate the global grid and insert own
-    /// block.
-    GatherInit { spec: GatherSpec<L> },
-    /// Host: receive and insert `src`'s block.
-    GatherRecvBlock { src: usize },
-    /// Host: deliver the assembled grid to the sink.
-    GatherFinish { spec: GatherSpec<L> },
-    /// Host: build the global source grid.
-    ScatterInit { spec: ScatterSpec<L> },
-    /// Host: send `dst`'s block of the source grid.
-    ScatterSendBlock { dst: usize },
-    /// Host: copy own block into the field.
-    ScatterSelf { spec: ScatterSpec<L> },
-    /// Non-host: receive this rank's block into the field.
-    ScatterRecvBlock { spec: ScatterSpec<L>, src: usize },
+    /// `inject(local[m], scratch[from])`.
+    OrdInject { spec: Arc<OrderedReduceSpec<L>>, m: usize, from: usize },
+    /// Root: `scratch[m] ← get(local[m])`.
+    BcastGet { spec: Arc<BroadcastSpec<L>>, m: usize },
+    /// Root: send `scratch[from]` to `dst`.
+    BcastSend { dst: usize, from: usize },
+    /// Receive the payload from the root's process into `scratch[0]`.
+    BcastRecv { src: usize },
+    /// `set(local[m], scratch[from])` (runs on every rank).
+    BcastSet { spec: Arc<BroadcastSpec<L>>, m: usize, from: usize },
+    /// Send the host every member's field interior, in rank order.
+    GatherSend { spec: Arc<GatherSpec<L>>, dst: usize },
+    /// Host: start assembling — allocate the global grid and insert the
+    /// blocks of its own grid ranks.
+    GatherInit { spec: Arc<GatherSpec<L>> },
+    /// Host: receive and insert the blocks of `src`'s `ranks`.
+    GatherRecvBlock { src: usize, ranks: Vec<usize> },
+    /// Host: deliver the assembled grid to member `m`'s sink.
+    GatherFinish { spec: Arc<GatherSpec<L>>, m: usize },
+    /// Host: build the global source grid from member `m`.
+    ScatterInit { spec: Arc<ScatterSpec<L>>, m: usize },
+    /// Host: send `dst` the blocks of its `ranks`.
+    ScatterSendBlock { dst: usize, ranks: Vec<usize> },
+    /// Host: copy its own grid ranks' blocks into their fields.
+    ScatterSelf { spec: Arc<ScatterSpec<L>> },
+    /// Receive every member's block from the host into its field.
+    ScatterRecvBlock { spec: Arc<ScatterSpec<L>>, src: usize },
     /// Push a loop counter; if `count == 0` jump straight to `exit`.
     LoopStart { count: usize, exit: usize },
     /// Decrement the innermost loop counter; jump to `body` if non-zero,
@@ -159,208 +221,369 @@ enum Op<L> {
     WhilePop,
 }
 
-/// One `SendFace` per link some part of `spec` leaves `rank` through.
-fn push_face_sends<L>(spec: &ExchangeSpec<L>, pg: &ProcGrid3, rank: usize, ops: &mut Vec<Op<L>>) {
-    for link in face_links(pg, rank) {
-        if spec.sent_through(link.face).next().is_some() {
-            ops.push(Op::SendFace { spec: spec.clone(), link });
+impl<L> Op<L> {
+    /// The [`MeshMsg`] variant a receive op consumes.
+    fn expects(&self) -> &'static str {
+        match self {
+            Op::RecvFace { .. } => "Halo",
+            Op::ReduceRecv { .. } | Op::OrdRecvResult { .. } | Op::BcastRecv { .. } => "Vec",
+            Op::OrdRecvContribs { .. } => "Contribs",
+            Op::GatherRecvBlock { .. } | Op::ScatterRecvBlock { .. } => "Block",
+            _ => "no",
         }
     }
 }
 
-/// One `RecvFace` per link some part of `spec` reaches `rank` through.
-fn push_face_recvs<L>(spec: &ExchangeSpec<L>, pg: &ProcGrid3, rank: usize, ops: &mut Vec<Op<L>>) {
-    for link in face_links(pg, rank) {
-        if spec.received_through(link.face).next().is_some() {
-            ops.push(Op::RecvFace { spec: spec.clone(), link });
-        }
+/// Which process hosts which ranks: `n` ranks in `w` groups of contiguous
+/// ranks whose sizes differ by at most one; `w == n` is one process per
+/// rank.
+struct Layout {
+    /// `starts[p]..starts[p + 1]`: the ranks process `p` hosts.
+    starts: Vec<usize>,
+    /// `proc_of[rank]`: the process hosting `rank`.
+    proc_of: Vec<usize>,
+}
+
+impl Layout {
+    fn grouped(n: usize, w: usize) -> Layout {
+        let starts: Vec<usize> = (0..=w).map(|p| p * n / w).collect();
+        let proc_of = (0..w).flat_map(|p| (starts[p]..starts[p + 1]).map(move |_| p)).collect();
+        Layout { starts, proc_of }
+    }
+
+    /// The number of processes.
+    fn width(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The ranks process `p` hosts.
+    fn ranks(&self, p: usize) -> Range<usize> {
+        self.starts[p]..self.starts[p + 1]
+    }
+
+    /// `rank`'s position among its process's members.
+    fn member(&self, rank: usize) -> usize {
+        rank - self.starts[self.proc_of[rank]]
     }
 }
 
-/// Compile `plan` into the per-rank instruction list. `host` is `Some(h)`
-/// when a separate host process (rank `h = pg.nprocs()`) participates.
-fn flatten<L>(
-    phases: &[Phase<L>],
-    env: &Env,
-    pg: &ProcGrid3,
+/// Compiles the plan for process `me` of `layout`.
+struct Lowering<'a> {
+    pg: ProcGrid3,
+    layout: &'a Layout,
+    /// `links[rank]`: each grid rank's [`face_links`], computed once per
+    /// build.
+    links: &'a [Vec<FaceLink>],
+    me: usize,
+    /// The separate host's rank, if there is one.
     host: Option<usize>,
-    ops: &mut Vec<Op<L>>,
-) {
-    let rank = env.rank;
-    let n = pg.nprocs();
-    let total = n + usize::from(host.is_some());
-    let h = host.unwrap_or(HOST);
-    let is_host = env.is_host();
-    for phase in phases {
-        match phase {
-            Phase::Local(step) => {
-                if !is_host {
-                    ops.push(Op::Local(step.clone()));
-                }
+}
+
+impl Lowering<'_> {
+    fn proc_of(&self, rank: usize) -> usize {
+        self.layout.proc_of[rank]
+    }
+
+    fn member(&self, rank: usize) -> usize {
+        self.layout.member(rank)
+    }
+
+    /// The grid ranks of process `p` with their member positions.
+    fn grid_members(&self, p: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.pg.nprocs();
+        self.layout.ranks(p).enumerate().filter(move |&(_, r)| r < n)
+    }
+
+    /// The processes other than this one hosting `ranks`, in order of first
+    /// appearance.
+    fn others(&self, ranks: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let mut out = Vec::new();
+        for p in ranks.into_iter().map(|r| self.proc_of(r)) {
+            if p != self.me && !out.contains(&p) {
+                out.push(p);
             }
-            Phase::Exchange(spec) => {
-                if n == 1 || is_host {
-                    continue;
-                }
-                // All sends before any receives (§3.3).
-                push_face_sends(spec, pg, rank, ops);
-                push_face_recvs(spec, pg, rank, ops);
+        }
+        out
+    }
+
+    /// The processes across the faces of this process's ranks where
+    /// `crosses` holds, in rank then face order of first appearance.
+    fn across(&self, crosses: impl Fn(Face3) -> bool) -> Vec<usize> {
+        let links = self.grid_members(self.me).flat_map(|(_, r)| &self.links[r]);
+        self.others(links.filter(|l| crosses(l.face)).map(|l| l.neighbor))
+    }
+
+    /// The slabs of `spec` that ranks of process `from` send to ranks of
+    /// process `to`, as (sender's leg, receiver's leg) pairs in the sender's
+    /// rank then face order — the order of the coalesced message.
+    fn crossing<'s, L>(
+        &'s self,
+        spec: &'s ExchangeSpec<L>,
+        from: usize,
+        to: usize,
+    ) -> impl Iterator<Item = (Leg, Leg)> + 's {
+        self.grid_members(from).flat_map(move |(m, rank)| {
+            let sent = move |l: &&FaceLink| {
+                self.proc_of(l.neighbor) == to && spec.sent_through(l.face).next().is_some()
+            };
+            self.links[rank].iter().filter(sent).map(move |l| {
+                let peer = l.neighbor;
+                let got = Leg { m: self.member(peer), face: l.face.opposite(), peer: rank };
+                (Leg { m, face: l.face, peer }, got)
+            })
+        })
+    }
+
+    /// An exchange's sends (`send`), its assignments between members, and
+    /// its receives (`recv`), in that order (§3.3).
+    fn exchange<L>(&self, spec: &ExchangeSpec<L>, send: bool, recv: bool, ops: &mut Vec<Op<L>>) {
+        let me = self.me;
+        let shared = Arc::new(spec.clone());
+        if send {
+            for dst in self.across(|f| spec.sent_through(f).next().is_some()) {
+                let legs = self.crossing(spec, me, dst).map(|(s, _)| s).collect();
+                ops.push(Op::SendFace { spec: Arc::clone(&shared), dst, legs });
             }
-            Phase::ExchangeSend(spec) => {
-                if n == 1 || is_host {
-                    continue;
+        }
+        let inner: Vec<(Leg, Leg)> = self.crossing(spec, me, me).collect();
+        if !inner.is_empty() {
+            let spec = Arc::clone(&shared);
+            let (sent, got): (Vec<Leg>, Vec<Leg>) = inner.into_iter().unzip();
+            ops.push(match (send, recv) {
+                (true, true) => {
+                    let from = sent.iter().map(|s| s.m);
+                    Op::CopyFaces { spec, copies: from.zip(got).collect() }
                 }
-                // The send half only: the matching ExchangeRecv later in
-                // the plan issues the receives, and whatever local ops sit
+                (true, false) => Op::StageFaces { spec, legs: sent },
+                _ => Op::UnstageFaces { spec, legs: got },
+            });
+        }
+        if recv {
+            for src in self.across(|f| spec.received_through(f).next().is_some()) {
+                let legs = self.crossing(spec, src, me).map(|(_, r)| r).collect();
+                ops.push(Op::RecvFace { spec: Arc::clone(&shared), src, legs });
+            }
+        }
+    }
+
+    /// One stage of a reduction schedule: one message per destination
+    /// process carrying the pre-stage partials of its senders in rank order,
+    /// the steps between members, then one receive per source process. A
+    /// rank's incoming steps are applied in schedule order because groups
+    /// are contiguous: all-to-one combines into rank 0 in rank order, and
+    /// every other stage lands at most one step on a rank.
+    fn reduce_stage<L>(&self, stage: &[ReduceStep], op: ReduceOp, ops: &mut Vec<Op<L>>) {
+        let me = self.me;
+        let between = |from: usize, to: usize| {
+            let ends = move |s: &&ReduceStep| (self.proc_of(s.src()), self.proc_of(s.dst()));
+            stage.iter().filter(move |s| ends(s) == (from, to))
+        };
+        // The distinct sender ranks of the steps from process `from` to
+        // process `to`, ascending: whose partials their message carries.
+        let senders = |from: usize, to: usize| {
+            let mut ranks: Vec<usize> = between(from, to).map(|s| s.src()).collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            ranks
+        };
+        let members = |ranks: &[usize]| ranks.iter().map(|&r| self.member(r)).collect();
+        // The steps from process `src` landing here, each naming its
+        // partial's place among `from`, the senders.
+        let applies = |src: usize, from: &[usize]| -> Vec<Apply> {
+            let apply = |s: &ReduceStep| Apply {
+                part: from.binary_search(&s.src()).expect("a step's sender is listed"),
+                m: self.member(s.dst()),
+                combine: matches!(s, ReduceStep::Combine { .. }),
+            };
+            between(src, me).map(apply).collect()
+        };
+        let mine = |r: usize| self.proc_of(r) == me;
+        for dst in self.others(stage.iter().filter(|s| mine(s.src())).map(|s| s.dst())) {
+            ops.push(Op::ReduceSend { dst, srcs: members(&senders(me, dst)) });
+        }
+        let inner = senders(me, me);
+        if !inner.is_empty() {
+            ops.push(Op::ReduceLocal { op, srcs: members(&inner), applies: applies(me, &inner) });
+        }
+        for src in self.others(stage.iter().filter(|s| mine(s.dst())).map(|s| s.src())) {
+            let from = senders(src, me);
+            ops.push(Op::ReduceRecv { src, op, parts: from.len(), applies: applies(src, &from) });
+        }
+    }
+
+    /// Compile `phases` for this process, appending to `ops`.
+    fn flatten<L>(&self, phases: &[Phase<L>], ops: &mut Vec<Op<L>>) {
+        let n = self.pg.nprocs();
+        let me = self.me;
+        let h = self.host.unwrap_or(HOST);
+        let hp = self.proc_of(h);
+        let all = 0..self.layout.ranks(me).len();
+        for phase in phases {
+            match phase {
+                Phase::Local(step) => {
+                    let step = Arc::new(step.clone());
+                    for (m, _) in self.grid_members(me) {
+                        ops.push(Op::Local { step: step.clone(), m });
+                    }
+                }
+                Phase::Exchange(spec) => self.exchange(spec, true, true, ops),
+                // The halves of a split exchange: whatever local ops sit
                 // between them run while the messages are in flight.
-                push_face_sends(spec, pg, rank, ops);
-            }
-            Phase::ExchangeRecv(spec) => {
-                if n == 1 || is_host {
-                    continue;
+                Phase::ExchangeSend(spec) => self.exchange(spec, true, false, ops),
+                Phase::ExchangeRecv(spec) => self.exchange(spec, false, true, ops),
+                Phase::Reduce(spec) => {
+                    let spec = Arc::new(spec.clone());
+                    for (m, _) in self.grid_members(me) {
+                        ops.push(Op::ReduceExtract { spec: spec.clone(), m });
+                    }
+                    let mut stages = ReducePlan::build(spec.algo, n).stages;
+                    // A separate host only receives the finished result (from
+                    // grid rank 0) to keep its replicated globals consistent.
+                    if let Some(h) = self.host {
+                        stages.push(vec![ReduceStep::Copy { src: 0, dst: h }]);
+                    }
+                    for stage in &stages {
+                        self.reduce_stage(stage, spec.op, ops);
+                    }
+                    for m in all.clone() {
+                        ops.push(Op::ReduceInject { spec: spec.clone(), m });
+                    }
                 }
-                push_face_recvs(spec, pg, rank, ops);
-            }
-            Phase::Reduce(spec) => {
-                if is_host {
-                    // A separate host only receives the finished result
-                    // (from grid rank 0) to keep its replicated globals
-                    // consistent.
-                    ops.push(Op::ReduceRecvReplace { src: 0 });
-                    ops.push(Op::ReduceInject { spec: spec.clone() });
-                    continue;
-                }
-                ops.push(Op::ReduceExtract { spec: spec.clone() });
-                let rplan = ReducePlan::build(spec.algo, n);
-                for stage in &rplan.stages {
-                    // Per stage: this rank's sends first (they carry the
-                    // pre-stage partial), then its receives in step order.
-                    for step in stage {
-                        if step.src() == rank {
-                            ops.push(Op::ReduceSend { dst: step.dst() });
+                Phase::OrderedReduce(spec) => {
+                    let spec = Arc::new(spec.clone());
+                    // Contributions in grid-rank order: the host's own first
+                    // (a grid rank doubling as host is rank 0), then each
+                    // process's in process order.
+                    for (m, _) in self.grid_members(me) {
+                        ops.push(Op::OrdExtract { spec: spec.clone(), m });
+                    }
+                    if me == hp {
+                        let from = self.member(h);
+                        for src in self.others(0..n) {
+                            ops.push(Op::OrdRecvContribs { src });
+                        }
+                        ops.push(Op::OrdFinish { spec: spec.clone(), m: from });
+                        for dst in self.others(0..n) {
+                            ops.push(Op::OrdSendResult { dst, from });
+                        }
+                        for m in all.clone() {
+                            ops.push(Op::OrdInject { spec: spec.clone(), m, from });
+                        }
+                    } else {
+                        ops.push(Op::OrdSendContribs { dst: hp });
+                        ops.push(Op::OrdRecvResult { src: hp });
+                        for m in all.clone() {
+                            ops.push(Op::OrdInject { spec: spec.clone(), m, from: 0 });
                         }
                     }
-                    for step in stage {
-                        if step.dst() == rank {
-                            match step {
-                                crate::reduce::ReduceStep::Combine { src, .. } => ops
-                                    .push(Op::ReduceRecvCombine { src: *src, op: spec.op }),
-                                crate::reduce::ReduceStep::Copy { src, .. } => {
-                                    ops.push(Op::ReduceRecvReplace { src: *src })
-                                }
-                            }
+                }
+                Phase::Broadcast(spec) => {
+                    let spec = Arc::new(spec.clone());
+                    let rp = self.proc_of(spec.root);
+                    let from = if me == rp {
+                        let root = self.member(spec.root);
+                        ops.push(Op::BcastGet { spec: spec.clone(), m: root });
+                        for dst in self.others(0..self.layout.proc_of.len()) {
+                            ops.push(Op::BcastSend { dst, from: root });
                         }
+                        root
+                    } else {
+                        ops.push(Op::BcastRecv { src: rp });
+                        0
+                    };
+                    for m in all.clone() {
+                        ops.push(Op::BcastSet { spec: spec.clone(), m, from });
                     }
                 }
-                if host.is_some() && rank == 0 {
-                    ops.push(Op::ReduceSend { dst: h });
-                }
-                ops.push(Op::ReduceInject { spec: spec.clone() });
-            }
-            Phase::OrderedReduce(spec) => {
-                if rank == h {
-                    if !is_host {
-                        // Grid rank 0 doubling as host contributes its own
-                        // surface points first (grid-rank order).
-                        ops.push(Op::OrdExtract { spec: spec.clone() });
+                Phase::GatherGrid(spec) => {
+                    let spec = Arc::new(spec.clone());
+                    if me == hp {
+                        ops.push(Op::GatherInit { spec: spec.clone() });
+                        for src in self.others(0..n) {
+                            let ranks = self.grid_members(src).map(|(_, r)| r).collect();
+                            ops.push(Op::GatherRecvBlock { src, ranks });
+                        }
+                        ops.push(Op::GatherFinish { spec: spec.clone(), m: self.member(h) });
+                    } else {
+                        ops.push(Op::GatherSend { spec: spec.clone(), dst: hp });
                     }
-                    for src in (0..n).filter(|&s| s != h) {
-                        ops.push(Op::OrdRecvContribs { src });
-                    }
-                    ops.push(Op::OrdFinish { spec: spec.clone() });
-                    for dst in (0..n).filter(|&d| d != h) {
-                        ops.push(Op::OrdSendResult { dst });
-                    }
-                } else {
-                    ops.push(Op::OrdExtract { spec: spec.clone() });
-                    ops.push(Op::OrdSendContribs { dst: h });
-                    ops.push(Op::OrdRecvResult { src: h });
                 }
-                ops.push(Op::OrdInject { spec: spec.clone() });
-            }
-            Phase::Broadcast(spec) => {
-                if rank == spec.root {
-                    ops.push(Op::BcastGet { spec: spec.clone() });
-                    for dst in (0..total).filter(|&d| d != spec.root) {
-                        ops.push(Op::BcastSend { dst });
+                Phase::ScatterGrid(spec) => {
+                    let spec = Arc::new(spec.clone());
+                    if me == hp {
+                        ops.push(Op::ScatterInit { spec: spec.clone(), m: self.member(h) });
+                        for dst in self.others(0..n) {
+                            let ranks = self.grid_members(dst).map(|(_, r)| r).collect();
+                            ops.push(Op::ScatterSendBlock { dst, ranks });
+                        }
+                        ops.push(Op::ScatterSelf { spec: spec.clone() });
+                    } else {
+                        ops.push(Op::ScatterRecvBlock { spec: spec.clone(), src: hp });
                     }
-                } else {
-                    ops.push(Op::BcastRecv { root: spec.root });
                 }
-                ops.push(Op::BcastSet { spec: spec.clone() });
-            }
-            Phase::GatherGrid(spec) => {
-                if rank == h {
-                    ops.push(Op::GatherInit { spec: spec.clone() });
-                    for src in (0..n).filter(|&s| s != h) {
-                        ops.push(Op::GatherRecvBlock { src });
+                Phase::Loop { count, body } => {
+                    let start_idx = ops.len();
+                    ops.push(Op::LoopStart { count: *count, exit: usize::MAX }); // patched
+                    let body_idx = ops.len();
+                    self.flatten(body, ops);
+                    ops.push(Op::LoopEnd { body: body_idx });
+                    let exit = ops.len();
+                    if let Op::LoopStart { exit: e, .. } = &mut ops[start_idx] {
+                        *e = exit;
                     }
-                    ops.push(Op::GatherFinish { spec: spec.clone() });
-                } else {
-                    ops.push(Op::GatherSend { spec: spec.clone(), dst: h });
                 }
-            }
-            Phase::ScatterGrid(spec) => {
-                if rank == h {
-                    ops.push(Op::ScatterInit { spec: spec.clone() });
-                    for dst in (0..n).filter(|&d| d != h) {
-                        ops.push(Op::ScatterSendBlock { dst });
+                Phase::While { name, pred, body, max_iters } => {
+                    ops.push(Op::WhileStart { max_iters: *max_iters });
+                    let check = ops.len();
+                    ops.push(Op::WhileCheck {
+                        pred: pred.clone(),
+                        exit: usize::MAX, // patched
+                        name: name.clone(),
+                        max_iters: *max_iters,
+                    });
+                    self.flatten(body, ops);
+                    ops.push(Op::WhileEnd { check });
+                    let exit = ops.len();
+                    ops.push(Op::WhilePop);
+                    if let Op::WhileCheck { exit: e, .. } = &mut ops[check] {
+                        *e = exit;
                     }
-                    ops.push(Op::ScatterSelf { spec: spec.clone() });
-                } else {
-                    ops.push(Op::ScatterRecvBlock { spec: spec.clone(), src: h });
-                }
-            }
-            Phase::Loop { count, body } => {
-                let start_idx = ops.len();
-                ops.push(Op::LoopStart { count: *count, exit: usize::MAX }); // patched
-                let body_idx = ops.len();
-                flatten(body, env, pg, host, ops);
-                ops.push(Op::LoopEnd { body: body_idx });
-                let exit = ops.len();
-                if let Op::LoopStart { exit: e, .. } = &mut ops[start_idx] {
-                    *e = exit;
-                }
-            }
-            Phase::While { name, pred, body, max_iters } => {
-                ops.push(Op::WhileStart { max_iters: *max_iters });
-                let check = ops.len();
-                ops.push(Op::WhileCheck {
-                    pred: pred.clone(),
-                    exit: usize::MAX, // patched
-                    name: name.clone(),
-                    max_iters: *max_iters,
-                });
-                flatten(body, env, pg, host, ops);
-                ops.push(Op::WhileEnd { check });
-                let exit = ops.len();
-                ops.push(Op::WhilePop);
-                if let Op::WhileCheck { exit: e, .. } = &mut ops[check] {
-                    *e = exit;
                 }
             }
         }
     }
 }
 
-/// A mesh process: one rank of the compiled message-passing program.
-///
-/// `Clone` (for `L: Clone`) is what makes mesh programs checkpointable: the
-/// recovery supervisor snapshots every rank by cloning it.
+/// One rank of a process: its environment, local state and reduction
+/// scratch.
 #[derive(Clone)]
-pub struct MsgProcess<L> {
+struct Member<L> {
     env: Env,
     local: L,
+    scratch: Vec<f64>,
+}
+
+/// A mesh process: one rank, or a group of ranks, of the compiled
+/// message-passing program.
+///
+/// `Clone` (for `L: Clone`) is what makes mesh programs checkpointable: the
+/// recovery supervisor snapshots every process by cloning it.
+#[derive(Clone)]
+pub struct MsgProcess<L> {
+    /// Process id: the rank, when the process hosts one.
+    id: usize,
+    pg: ProcGrid3,
+    /// The ranks hosted, ascending.
+    members: Vec<Member<L>>,
     /// The compiled program, frozen and shared: checkpoint clones bump the
     /// refcount instead of copying the instruction list, and the
     /// interpreter borrows ops independently of the mutable state.
     ops: Arc<[Op<L>]>,
     pc: usize,
-    /// Channel to send to `dst`: `chan_to[dst]`.
+    /// Channel to send to process `dst`: `chan_to[dst]`.
     chan_to: Vec<Option<ChannelId>>,
-    /// Channel to receive from `src`: `chan_from[src]`.
+    /// Channel to receive from process `src`: `chan_from[src]`.
     chan_from: Vec<Option<ChannelId>>,
-    scratch: Vec<f64>,
     contribs: Vec<Contribution>,
     global: Option<Grid3<f64>>,
     loop_stack: Vec<usize>,
@@ -368,40 +591,13 @@ pub struct MsgProcess<L> {
     /// Recycled `f64` payload buffers (take-on-send / put-on-receive; see
     /// [`BufPool`]). Clones start cold — a pool is a cache, not state.
     pool: BufPool<f64>,
-    /// Describes how to consume the next delivery (set when a Recv effect
-    /// is emitted; the op pointer has already advanced).
-    pending: Option<PendingRecv>,
-}
-
-/// How to consume the next delivery. Spec-carrying receives reference the
-/// op that issued them by program index instead of cloning the spec: the
-/// program is immutable, so the index stays valid for the process's (and
-/// any checkpoint clone's) entire life.
-#[derive(Clone)]
-enum PendingRecv {
-    Face { op: usize, link: FaceLink },
-    Combine { op: ReduceOp },
-    Replace,
-    Contribs,
-    Result,
-    Bcast,
-    GatherBlock { src: usize },
-    ScatterBlock { op: usize },
-}
-
-impl PendingRecv {
-    /// The [`MeshMsg`] variant this pending receive is allowed to consume.
-    fn expected_kind(&self) -> &'static str {
-        match self {
-            PendingRecv::Face { .. } => "Halo",
-            PendingRecv::Combine { .. }
-            | PendingRecv::Replace
-            | PendingRecv::Result
-            | PendingRecv::Bcast => "Vec",
-            PendingRecv::Contribs => "Contribs",
-            PendingRecv::GatherBlock { .. } | PendingRecv::ScatterBlock { .. } => "Block",
-        }
-    }
+    /// The receive op awaiting its delivery. Set when the Recv effect is
+    /// emitted; the program is immutable, so the index stays valid for the
+    /// process's (and any checkpoint clone's) entire life.
+    pending: Option<usize>,
+    /// Slabs a split exchange between members has packed and not yet
+    /// installed, oldest first. Always empty in a one-rank process.
+    staged: VecDeque<Vec<f64>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -412,18 +608,21 @@ impl PendingRecv {
 const REDUCE_OPS: [ReduceOp; 3] = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min];
 
 impl<L: MeshLocalCodec> MsgProcess<L> {
-    /// Encode this process's complete dynamic state: program counter, local
-    /// state (via [`MeshLocalCodec`]), scratch/contrib buffers, an
-    /// in-progress gather/scatter grid (ghosts included — a cut can land
-    /// mid-collective), control stacks, and the pending-receive descriptor.
-    /// Static structure (the compiled program, channels, geometry) is *not*
-    /// encoded; [`MsgProcess::decode_state`] takes it from a template.
+    /// Encode this process's complete dynamic state: program counter, each
+    /// member's local state (via [`MeshLocalCodec`]) and scratch, the
+    /// contrib buffer, an in-progress gather/scatter grid (ghosts included
+    /// — a cut can land mid-collective), control stacks, the pending
+    /// receive and, for a group, its staged slabs. Static structure (the
+    /// compiled program, channels, geometry) is *not* encoded;
+    /// [`MsgProcess::decode_state`] takes it from a template.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         push_u64(&mut out, self.pc as u64);
-        push_bytes(&mut out, &self.local.encode_local());
-        push_u32(&mut out, self.scratch.len() as u32);
-        push_f64s(&mut out, &self.scratch);
+        for mem in &self.members {
+            push_bytes(&mut out, &mem.local.encode_local());
+            push_u32(&mut out, mem.scratch.len() as u32);
+            push_f64s(&mut out, &mem.scratch);
+        }
         push_u32(&mut out, self.contribs.len() as u32);
         push_contribs(&mut out, &self.contribs);
         match &self.global {
@@ -445,70 +644,83 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
         for &v in &self.while_stack {
             push_u64(&mut out, v);
         }
-        match &self.pending {
+        match self.pending.map(|op| (op, &self.ops[op])) {
             None => out.push(0),
-            Some(PendingRecv::Face { op, link }) => {
+            Some((op, Op::RecvFace { src, legs, .. })) => {
                 out.push(1);
-                push_u64(&mut out, *op as u64);
-                let face = Face3::ALL.iter().position(|f| *f == link.face);
+                push_u64(&mut out, op as u64);
+                let face = Face3::ALL.iter().position(|f| *f == legs[0].face);
                 out.push(face.expect("Face3::ALL is exhaustive") as u8);
-                push_u32(&mut out, link.neighbor as u32);
+                push_u32(&mut out, *src as u32);
             }
-            Some(PendingRecv::Combine { op }) => {
+            Some((_, Op::ReduceRecv { op, applies, .. })) if applies[0].combine => {
                 out.push(2);
                 let tag = REDUCE_OPS.iter().position(|o| o == op);
                 out.push(tag.expect("REDUCE_OPS is exhaustive") as u8);
             }
-            Some(PendingRecv::Replace) => out.push(3),
-            Some(PendingRecv::Contribs) => out.push(4),
-            Some(PendingRecv::Result) => out.push(5),
-            Some(PendingRecv::Bcast) => out.push(6),
-            Some(PendingRecv::GatherBlock { src }) => {
+            Some((_, Op::ReduceRecv { .. })) => out.push(3),
+            Some((_, Op::OrdRecvContribs { .. })) => out.push(4),
+            Some((_, Op::OrdRecvResult { .. })) => out.push(5),
+            Some((_, Op::BcastRecv { .. })) => out.push(6),
+            Some((_, Op::GatherRecvBlock { src, .. })) => {
                 out.push(7);
                 push_u32(&mut out, *src as u32);
             }
-            Some(PendingRecv::ScatterBlock { op }) => {
+            Some((op, Op::ScatterRecvBlock { .. })) => {
                 out.push(8);
-                push_u64(&mut out, *op as u64);
+                push_u64(&mut out, op as u64);
+            }
+            Some((op, _)) => unreachable!("pending op {op} is a receive (set only by one)"),
+        }
+        if self.members.len() > 1 {
+            push_u32(&mut out, self.staged.len() as u32);
+            for slabs in &self.staged {
+                push_u32(&mut out, slabs.len() as u32);
+                push_f64s(&mut out, slabs);
             }
         }
         out
     }
 
     /// Rebuild a process from `template` (a freshly built process for the
-    /// same rank, spec, and topology) plus [`MsgProcess::encode_state`]
+    /// same ranks, spec, and topology) plus [`MsgProcess::encode_state`]
     /// bytes. Total over arbitrary bytes: malformed or forged input fails
     /// with a typed [`RunError::Protocol`] attributed to the template's
-    /// rank. A pending receive must name a receive op of the template's
-    /// program (of its kind, and for a halo, over its link), and an
-    /// in-progress grid must be the program's global grid; control state
-    /// the interpreter cannot check here (an empty loop or while stack, a
-    /// missing grid) faults typed when it is reached. So a hostile manifest
-    /// can neither panic the interpreter nor make it index out of range.
+    /// process. A pending receive must name a receive op of the template's
+    /// program (of its kind, and for a halo, from its sender through its
+    /// face; one whose wire form carries no op index must be the op just
+    /// before the program counter), and an in-progress grid must be the
+    /// program's global grid; control state the interpreter cannot check
+    /// here (an empty loop or while stack, a missing grid) faults typed when
+    /// it is reached. So a hostile manifest can neither panic the
+    /// interpreter nor make it index out of range.
     pub fn decode_state(template: &MsgProcess<L>, buf: &[u8]) -> Result<MsgProcess<L>, RunError> {
-        let rank = template.env.rank;
+        let id = template.id;
         let ops = &template.ops;
-        let mut r = Reader::new("mesh state", buf).for_proc(rank);
+        let mut r = Reader::new("mesh state", buf).for_proc(id);
         let pc = r.u64("pc")? as usize;
         if pc > ops.len() {
             return Err(r.error(format_args!("pc {pc} outside program of {} ops", ops.len())));
         }
-        let mut local_r = Reader::new("mesh state", r.bytes("local state")?).for_proc(rank);
-        let local = L::decode_local(&template.local, &mut local_r)?;
-        let local = local_r.finish(local)?;
-        let n = r.count(8, "scratch")?;
-        let scratch = r.f64s(n, "scratch")?;
+        let mut members = Vec::with_capacity(template.members.len());
+        for t in &template.members {
+            let mut local_r = Reader::new("mesh state", r.bytes("local state")?).for_proc(id);
+            let local = L::decode_local(&t.local, &mut local_r)?;
+            let local = local_r.finish(local)?;
+            let n = r.count(8, "scratch")?;
+            members.push(Member { env: t.env, local, scratch: r.f64s(n, "scratch")? });
+        }
         let n = r.count(20, "contribs")?;
         let contribs = read_contribs(&mut r, n)?;
         let global = if r.flag("global grid")? {
             let mut dim = |what| r.u32(what).map(|d| d as usize);
             let (nx, ny, nz) = (dim("global nx")?, dim("global ny")?, dim("global nz")?);
             let ghost = dim("global ghost")?;
-            if (nx, ny, nz) != template.env.pg.n {
+            if (nx, ny, nz) != template.pg.n {
                 return Err(r.error(format_args!(
                     "global grid extent {:?}, the program's grid is {:?}",
                     (nx, ny, nz),
-                    template.env.pg.n
+                    template.pg.n
                 )));
             }
             let expected = [nx, ny, nz]
@@ -535,16 +747,26 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             .collect::<Result<_, RunError>>()?;
         let n = r.count(8, "while stack")?;
         let while_stack = (0..n).map(|_| r.u64("while budget")).collect::<Result<_, _>>()?;
-        let pending = match r.u8("pending tag")? {
+        let tag = r.u8("pending tag")?;
+        // A pending receive whose wire form carries no op index must be the
+        // op issued just before `pc`, of the kind `is` accepts.
+        let before = |r: &Reader<'_>, what: &str, is: &dyn Fn(&Op<L>) -> bool| {
+            pc.checked_sub(1).filter(|&i| is(&ops[i])).ok_or_else(|| {
+                r.error(format_args!("pending {what} is not the receive before pc {pc}"))
+            })
+        };
+        let pending = match tag {
             0 => None,
             1 => {
                 let op = r.u64("pending face op")? as usize;
                 let face = r.u8("pending face index")?;
                 let neighbor = r.u32("pending face neighbor")? as usize;
-                let link = Face3::ALL.get(face as usize).map(|&face| FaceLink { face, neighbor });
-                match (ops.get(op), link) {
-                    (Some(Op::RecvFace { link: issued, .. }), Some(link)) if *issued == link => {
-                        Some(PendingRecv::Face { op, link })
+                let face_is = Face3::ALL.get(face as usize);
+                match ops.get(op) {
+                    Some(Op::RecvFace { src, legs, .. })
+                        if *src == neighbor && face_is == Some(&legs[0].face) =>
+                    {
+                        Some(op)
                     }
                     _ => {
                         return Err(r.error(format_args!(
@@ -556,21 +778,26 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             }
             2 => {
                 let tag = r.u8("pending reduce op")?;
-                let op = *REDUCE_OPS
+                let want = *REDUCE_OPS
                     .get(tag as usize)
                     .ok_or_else(|| r.error(format_args!("unknown reduce op tag {tag}")))?;
-                Some(PendingRecv::Combine { op })
+                let what = format!("{} combine", want.name());
+                Some(before(&r, &what, &|o| {
+                    matches!(o, Op::ReduceRecv { op, applies, .. } if *op == want && applies[0].combine)
+                })?)
             }
-            3 => Some(PendingRecv::Replace),
-            4 => Some(PendingRecv::Contribs),
-            5 => Some(PendingRecv::Result),
-            6 => Some(PendingRecv::Bcast),
+            3 => Some(before(&r, "reduce copy", &|o| {
+                matches!(o, Op::ReduceRecv { applies, .. } if !applies[0].combine)
+            })?),
+            4 => Some(before(&r, "contributions", &|o| matches!(o, Op::OrdRecvContribs { .. }))?),
+            5 => Some(before(&r, "ordered result", &|o| matches!(o, Op::OrdRecvResult { .. }))?),
+            6 => Some(before(&r, "broadcast", &|o| matches!(o, Op::BcastRecv { .. }))?),
             7 => {
                 let src = r.u32("pending gather src")? as usize;
-                if src >= template.env.pg.nprocs() {
-                    return Err(r.error(format_args!("gather src {src} outside grid")));
-                }
-                Some(PendingRecv::GatherBlock { src })
+                let what = format!("gather from {src}");
+                Some(before(&r, &what, &|o| {
+                    matches!(o, Op::GatherRecvBlock { src: s, .. } if *s == src)
+                })?)
             }
             8 => {
                 let op = r.u64("pending scatter op")? as usize;
@@ -579,35 +806,43 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
                         "pending scatter op {op} is not a scatter receive of this program"
                     )));
                 }
-                Some(PendingRecv::ScatterBlock { op })
+                Some(op)
             }
             t => return Err(r.error(format_args!("unknown pending tag {t}"))),
         };
+        let mut staged = VecDeque::new();
+        if members.len() > 1 {
+            for _ in 0..r.count(4, "staged slabs")? {
+                let n = r.count(8, "staged slab values")?;
+                staged.push_back(r.f64s(n, "staged slab values")?);
+            }
+        }
         r.finish(MsgProcess {
-            env: template.env,
-            local,
+            id,
+            pg: template.pg,
+            members,
             ops: Arc::clone(ops),
             pc,
             chan_to: template.chan_to.clone(),
             chan_from: template.chan_from.clone(),
-            scratch,
             contribs,
             global,
             loop_stack,
             while_stack,
             pool: BufPool::new(),
             pending,
+            staged,
         })
     }
 }
 
 impl<L: MeshLocal> MsgProcess<L> {
-    /// A protocol error raised by this rank.
+    /// A protocol error raised by this process.
     fn protocol(&self, detail: String) -> RunError {
-        RunError::Protocol { proc: self.env.rank, detail }
+        RunError::Protocol { proc: self.id, detail }
     }
 
-    /// A protocol fault raised by this rank.
+    /// A protocol fault raised by this process.
     fn fault(&self, detail: String) -> Effect<MeshMsg> {
         Effect::Fault { error: self.protocol(detail) }
     }
@@ -615,7 +850,7 @@ impl<L: MeshLocal> MsgProcess<L> {
     /// The grid of the gather or scatter in progress. Only a forged cut
     /// reaches a collective op without one.
     fn collective_grid(&mut self, op: &str) -> Result<&mut Grid3<f64>, RunError> {
-        let proc = self.env.rank;
+        let proc = self.id;
         self.global.as_mut().ok_or_else(|| RunError::Protocol {
             proc,
             detail: format!("{op} with no gather or scatter in progress"),
@@ -623,7 +858,7 @@ impl<L: MeshLocal> MsgProcess<L> {
     }
 
     fn insert_block(&mut self, src: usize, data: &[f64]) -> Result<(), RunError> {
-        let block = self.env.pg.block(src);
+        let block = self.pg.block(src);
         if data.len() != block.len() {
             return Err(self.protocol(format!(
                 "gather block from rank {src} carries {} values, its block holds {}",
@@ -645,10 +880,15 @@ impl<L: MeshLocal> MsgProcess<L> {
         Ok(())
     }
 
-    /// Overwrite the scatter's target field with this rank's block, after
-    /// checking that the block fills the field exactly.
-    fn install_block(&mut self, spec: &ScatterSpec<L>, data: &[f64]) -> Result<(), RunError> {
-        let field = (spec.field)(&mut self.local);
+    /// Overwrite the scatter's target field of member `m` with its block,
+    /// after checking that the block fills the field exactly.
+    fn install_block(
+        &mut self,
+        spec: &ScatterSpec<L>,
+        m: usize,
+        data: &[f64],
+    ) -> Result<(), RunError> {
+        let field = (spec.field)(&mut self.members[m].local);
         if data.len() != field.interior_len() {
             let detail = format!(
                 "scatter {}: block carries {} values, the field interior holds {}",
@@ -656,7 +896,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                 data.len(),
                 field.interior_len()
             );
-            return Err(RunError::Protocol { proc: self.env.rank, detail });
+            return Err(self.protocol(detail));
         }
         field.interior_from_slice(data);
         Ok(())
@@ -665,7 +905,7 @@ impl<L: MeshLocal> MsgProcess<L> {
     /// Append `dst`'s block of the in-progress global grid to `out`
     /// (lexicographic), packing straight into a recycled buffer.
     fn block_of_global_into(&mut self, dst: usize, out: &mut Vec<f64>) -> Result<(), RunError> {
-        let block = self.env.pg.block(dst);
+        let block = self.pg.block(dst);
         let global = self.collective_grid("scatter block")?;
         out.reserve(block.len());
         for li in 0..block.extent().0 {
@@ -679,12 +919,169 @@ impl<L: MeshLocal> MsgProcess<L> {
         Ok(())
     }
 
-    fn chan_to_rank(&self, dst: usize) -> ChannelId {
+    fn chan_to_proc(&self, dst: usize) -> ChannelId {
         self.chan_to[dst].expect("channel to dst exists")
     }
 
-    fn chan_from_rank(&self, src: usize) -> ChannelId {
+    fn chan_from_proc(&self, src: usize) -> ChannelId {
         self.chan_from[src].expect("channel from src exists")
+    }
+
+    /// Emit a receive from `src` for op `op`.
+    fn recv(&mut self, op: usize, src: usize) -> Effect<MeshMsg> {
+        self.pending = Some(op);
+        Effect::Recv { chan: self.chan_from_proc(src) }
+    }
+
+    /// A copy of `scratch[from]` in a recycled buffer, as a message.
+    fn scratch_msg(&mut self, from: usize) -> MeshMsg {
+        let mut buf = self.pool.take(self.members[from].scratch.len());
+        buf.extend_from_slice(&self.members[from].scratch);
+        MeshMsg::Vec(buf)
+    }
+
+    /// Pack the boundary slabs of `legs`, in order, into a recycled buffer.
+    fn pack_legs(&mut self, spec: &ExchangeSpec<L>, legs: &[Leg]) -> Vec<f64> {
+        let n = legs.iter().map(|l| spec.packed_len(&mut self.members[l.m].local, l.face)).sum();
+        let mut buf = self.pool.take(n);
+        for leg in legs {
+            spec.pack(&mut self.members[leg.m].local, leg.face, &mut buf);
+        }
+        buf
+    }
+
+    /// Install `payload` into the ghost slabs of `legs`, in order. The last
+    /// leg takes whatever remains, so a wrong-sized message is reported by
+    /// [`ExchangeSpec::unpack`] naming the sending rank, for one leg as for
+    /// many.
+    fn unpack_legs(
+        &mut self,
+        spec: &ExchangeSpec<L>,
+        legs: &[Leg],
+        payload: &[f64],
+    ) -> Result<(), RunError> {
+        let mut at = 0;
+        for (i, leg) in legs.iter().enumerate() {
+            let local = &mut self.members[leg.m].local;
+            let end = if i + 1 == legs.len() {
+                payload.len()
+            } else {
+                at + spec.received_len(local, leg.face)
+            };
+            let res = match payload.get(at..end) {
+                Some(slabs) => spec.unpack(local, leg.face, slabs),
+                None => Err(format!("message of {} values ends inside its slabs", payload.len())),
+            };
+            res.map_err(|e| self.protocol(format!("halo from rank {}: {e}", leg.peer)))?;
+            at = end;
+        }
+        Ok(())
+    }
+
+    /// The current partials of members `srcs`, concatenated.
+    fn pack_partials(&mut self, srcs: &[usize]) -> Vec<f64> {
+        let n = srcs.iter().map(|&m| self.members[m].scratch.len()).sum();
+        let mut buf = self.pool.take(n);
+        for &m in srcs {
+            buf.extend_from_slice(&self.members[m].scratch);
+        }
+        buf
+    }
+
+    /// Apply `parts` equal partials laid end to end in `payload`.
+    fn apply_partials(
+        &mut self,
+        op: ReduceOp,
+        parts: usize,
+        applies: &[Apply],
+        payload: &[f64],
+    ) -> Result<(), RunError> {
+        if !payload.len().is_multiple_of(parts) {
+            return Err(self.protocol(format!(
+                "reduction message carries {} values, not {parts} equal partials",
+                payload.len()
+            )));
+        }
+        let len = payload.len() / parts;
+        for a in applies {
+            let partial = &payload[a.part * len..(a.part + 1) * len];
+            let scratch = &mut self.members[a.m].scratch;
+            if !a.combine {
+                scratch.clear();
+                scratch.extend_from_slice(partial);
+            } else if partial.len() == scratch.len() {
+                op.combine_vec(scratch, partial);
+            } else {
+                let held = scratch.len();
+                return Err(self.protocol(format!(
+                    "reduction partial carries {len} values, this rank's holds {held}"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// `f(local[m], scratch[from])`.
+    fn inject_from(&mut self, m: usize, from: usize, f: &crate::plan::InjectFn<L>) {
+        let held = std::mem::take(&mut self.members[from].scratch);
+        let mem = &mut self.members[m];
+        f(&mem.env, &mut mem.local, &held);
+        self.members[from].scratch = held;
+    }
+
+    /// Consume `msg`, the delivery for the receive op `op`.
+    fn deliver(&mut self, op: usize, msg: MeshMsg) -> Result<(), RunError> {
+        let ops = Arc::clone(&self.ops);
+        match (&ops[op], msg) {
+            (Op::RecvFace { spec, legs, .. }, MeshMsg::Halo(payload)) => {
+                self.unpack_legs(spec, legs, &payload)?;
+                self.pool.put(payload);
+            }
+            (Op::ReduceRecv { op, parts, applies, .. }, MeshMsg::Vec(payload)) => {
+                self.apply_partials(*op, *parts, applies, &payload)?;
+                self.pool.put(payload);
+            }
+            (Op::OrdRecvContribs { .. }, MeshMsg::Contribs(mut c)) => self.contribs.append(&mut c),
+            (Op::OrdRecvResult { .. } | Op::BcastRecv { .. }, MeshMsg::Vec(v)) => {
+                self.pool.put(std::mem::replace(&mut self.members[0].scratch, v));
+            }
+            (Op::GatherRecvBlock { ranks, .. }, MeshMsg::Block(data)) => {
+                let lens: Vec<usize> = ranks.iter().map(|&r| self.pg.block(r).len()).collect();
+                for (&rank, block) in ranks.iter().zip(self.blocks(&lens, &data)?) {
+                    self.insert_block(rank, block)?;
+                }
+                self.pool.put(data);
+            }
+            (Op::ScatterRecvBlock { spec, .. }, MeshMsg::Block(data)) => {
+                let lens: Vec<usize> = self.members.iter().map(|m| m.env.block.len()).collect();
+                for (m, block) in self.blocks(&lens, &data)?.into_iter().enumerate() {
+                    self.install_block(spec, m, block)?;
+                }
+                self.pool.put(data);
+            }
+            (issued, other) => {
+                let (want, got) = (issued.expects(), other.kind());
+                return Err(self.protocol(format!("expected a {want} message, received {got}")));
+            }
+        }
+        Ok(())
+    }
+
+    /// Cut `data` into consecutive blocks of `lens`, the last taking
+    /// whatever remains (so its consumer reports a wrong size, for one block
+    /// as for many).
+    fn blocks<'d>(&self, lens: &[usize], data: &'d [f64]) -> Result<Vec<&'d [f64]>, RunError> {
+        let mut out = Vec::with_capacity(lens.len());
+        let mut at = 0;
+        let total = data.len();
+        for (i, &len) in lens.iter().enumerate() {
+            let end = if i + 1 == lens.len() { total } else { at + len };
+            out.push(data.get(at..end).ok_or_else(|| {
+                self.protocol(format!("block message of {total} values ends inside block {i}"))
+            })?);
+            at = end;
+        }
+        Ok(out)
     }
 
     /// Execute ops until one produces a runtime effect.
@@ -702,141 +1099,132 @@ impl<L: MeshLocal> MsgProcess<L> {
             let pc = self.pc;
             self.pc += 1;
             match &ops[pc] {
-                Op::Local(step) => {
-                    let units = (step.flops)(&self.env, &self.local);
-                    return match (step.f)(&self.env, &mut self.local) {
+                Op::Local { step, m } => {
+                    let mem = &mut self.members[*m];
+                    let units = (step.flops)(&mem.env, &mem.local);
+                    return match (step.f)(&mem.env, &mut mem.local) {
                         Ok(()) => Effect::Compute { units },
                         Err(error) => Effect::Fault { error },
                     };
                 }
-                Op::SendFace { spec, link } => {
+                Op::SendFace { spec, dst, legs } => {
                     // Pack the slabs straight from grid storage into a
                     // recycled buffer (no intermediate allocation).
-                    let n = spec.packed_len(&mut self.local, link.face);
-                    let mut buf = self.pool.take(n);
-                    spec.pack(&mut self.local, link.face, &mut buf);
-                    return Effect::Send {
-                        chan: self.chan_to_rank(link.neighbor),
-                        msg: MeshMsg::Halo(buf),
+                    let msg = MeshMsg::Halo(self.pack_legs(spec, legs));
+                    return Effect::Send { chan: self.chan_to_proc(*dst), msg };
+                }
+                Op::RecvFace { src, .. } => return self.recv(pc, *src),
+                Op::CopyFaces { spec, copies } => {
+                    for (from, leg) in copies {
+                        let peer = self.members[leg.m].env.rank;
+                        let sent = Leg { m: *from, face: leg.face.opposite(), peer };
+                        let slabs = self.pack_legs(spec, &[sent]);
+                        let res = self.unpack_legs(spec, std::slice::from_ref(leg), &slabs);
+                        self.pool.put(slabs);
+                        if let Err(error) = res {
+                            return Effect::Fault { error };
+                        }
+                    }
+                }
+                Op::StageFaces { spec, legs } => {
+                    let slabs = self.pack_legs(spec, legs);
+                    self.staged.push_back(slabs);
+                }
+                Op::UnstageFaces { spec, legs } => {
+                    let Some(slabs) = self.staged.pop_front() else {
+                        return self.fault(format!("{}: no staged slabs to install", spec.name));
                     };
+                    let res = self.unpack_legs(spec, legs, &slabs);
+                    self.pool.put(slabs);
+                    if let Err(error) = res {
+                        return Effect::Fault { error };
+                    }
                 }
-                Op::RecvFace { link, .. } => {
-                    let chan = self.chan_from_rank(link.neighbor);
-                    self.pending = Some(PendingRecv::Face { op: pc, link: *link });
-                    return Effect::Recv { chan };
+                Op::ReduceExtract { spec, m } => {
+                    let mem = &mut self.members[*m];
+                    let v = (spec.extract)(&mem.env, &mem.local);
+                    self.pool.put(std::mem::replace(&mut mem.scratch, v));
                 }
-                Op::ReduceExtract { spec } => {
-                    let v = (spec.extract)(&self.env, &self.local);
-                    self.pool.put(std::mem::replace(&mut self.scratch, v));
+                Op::ReduceSend { dst, srcs } => {
+                    let msg = MeshMsg::Vec(self.pack_partials(srcs));
+                    return Effect::Send { chan: self.chan_to_proc(*dst), msg };
                 }
-                Op::ReduceSend { dst } => {
-                    let mut buf = self.pool.take(self.scratch.len());
-                    buf.extend_from_slice(&self.scratch);
-                    return Effect::Send {
-                        chan: self.chan_to_rank(*dst),
-                        msg: MeshMsg::Vec(buf),
-                    };
+                Op::ReduceLocal { op, srcs, applies } => {
+                    let partials = self.pack_partials(srcs);
+                    let res = self.apply_partials(*op, srcs.len(), applies, &partials);
+                    self.pool.put(partials);
+                    if let Err(error) = res {
+                        return Effect::Fault { error };
+                    }
                 }
-                Op::ReduceRecvCombine { src, op } => {
-                    self.pending = Some(PendingRecv::Combine { op: *op });
-                    return Effect::Recv { chan: self.chan_from_rank(*src) };
+                Op::ReduceRecv { src, .. } => return self.recv(pc, *src),
+                Op::ReduceInject { spec, m } => {
+                    let mem = &mut self.members[*m];
+                    (spec.inject)(&mem.env, &mut mem.local, &mem.scratch);
                 }
-                Op::ReduceRecvReplace { src } => {
-                    self.pending = Some(PendingRecv::Replace);
-                    return Effect::Recv { chan: self.chan_from_rank(*src) };
-                }
-                Op::ReduceInject { spec } => {
-                    (spec.inject)(&self.env, &mut self.local, &self.scratch);
-                }
-                Op::OrdExtract { spec } => {
-                    self.contribs = (spec.extract)(&self.env, &self.local);
+                Op::OrdExtract { spec, m } => {
+                    let mem = &self.members[*m];
+                    let c = (spec.extract)(&mem.env, &mem.local);
+                    self.contribs.extend(c);
                 }
                 Op::OrdSendContribs { dst } => {
                     let msg = MeshMsg::Contribs(std::mem::take(&mut self.contribs));
-                    return Effect::Send { chan: self.chan_to_rank(*dst), msg };
+                    return Effect::Send { chan: self.chan_to_proc(*dst), msg };
                 }
-                Op::OrdRecvContribs { src } => {
-                    self.pending = Some(PendingRecv::Contribs);
-                    return Effect::Recv { chan: self.chan_from_rank(*src) };
-                }
-                Op::OrdFinish { spec } => {
+                Op::OrdRecvContribs { src } => return self.recv(pc, *src),
+                Op::OrdFinish { spec, m } => {
                     let contribs = std::mem::take(&mut self.contribs);
                     let v = ordered_sum(contribs, spec.n_bins, spec.method);
-                    self.pool.put(std::mem::replace(&mut self.scratch, v));
+                    self.pool.put(std::mem::replace(&mut self.members[*m].scratch, v));
                 }
-                Op::OrdSendResult { dst } => {
-                    let mut buf = self.pool.take(self.scratch.len());
-                    buf.extend_from_slice(&self.scratch);
-                    return Effect::Send {
-                        chan: self.chan_to_rank(*dst),
-                        msg: MeshMsg::Vec(buf),
-                    };
+                Op::OrdSendResult { dst, from } | Op::BcastSend { dst, from } => {
+                    let msg = self.scratch_msg(*from);
+                    return Effect::Send { chan: self.chan_to_proc(*dst), msg };
                 }
-                Op::OrdRecvResult { src } => {
-                    self.pending = Some(PendingRecv::Result);
-                    return Effect::Recv { chan: self.chan_from_rank(*src) };
+                Op::OrdRecvResult { src } | Op::BcastRecv { src } => return self.recv(pc, *src),
+                Op::OrdInject { spec, m, from } => self.inject_from(*m, *from, &spec.inject),
+                Op::BcastGet { spec, m } => {
+                    let mem = &mut self.members[*m];
+                    let v = (spec.get)(&mem.env, &mem.local);
+                    self.pool.put(std::mem::replace(&mut mem.scratch, v));
                 }
-                Op::OrdInject { spec } => {
-                    (spec.inject)(&self.env, &mut self.local, &self.scratch);
-                }
-                Op::BcastGet { spec } => {
-                    let v = (spec.get)(&self.env, &self.local);
-                    self.pool.put(std::mem::replace(&mut self.scratch, v));
-                }
-                Op::BcastSend { dst } => {
-                    let mut buf = self.pool.take(self.scratch.len());
-                    buf.extend_from_slice(&self.scratch);
-                    return Effect::Send {
-                        chan: self.chan_to_rank(*dst),
-                        msg: MeshMsg::Vec(buf),
-                    };
-                }
-                Op::BcastRecv { root } => {
-                    self.pending = Some(PendingRecv::Bcast);
-                    return Effect::Recv { chan: self.chan_from_rank(*root) };
-                }
-                Op::BcastSet { spec } => {
-                    (spec.set)(&self.env, &mut self.local, &self.scratch);
-                }
+                Op::BcastSet { spec, m, from } => self.inject_from(*m, *from, &spec.set),
                 Op::GatherSend { spec, dst } => {
-                    let field = (spec.field)(&mut self.local);
-                    let n = field.interior_len();
+                    let n = self.members.iter().map(|m| m.env.block.len()).sum();
                     let mut buf = self.pool.take(n);
-                    field.interior_append_to(&mut buf);
-                    return Effect::Send {
-                        chan: self.chan_to_rank(*dst),
-                        msg: MeshMsg::Block(buf),
-                    };
+                    for mem in &mut self.members {
+                        (spec.field)(&mut mem.local).interior_append_to(&mut buf);
+                    }
+                    return Effect::Send { chan: self.chan_to_proc(*dst), msg: MeshMsg::Block(buf) };
                 }
                 Op::GatherInit { spec } => {
-                    let n = self.env.pg.n;
+                    let n = self.pg.n;
                     self.global = Some(Grid3::new(n.0, n.1, n.2, 0));
-                    // A separate host owns no block; a grid rank doubling
-                    // as host inserts its own section first.
-                    if !self.env.is_host() {
+                    // A separate host owns no block; grid ranks hosting the
+                    // gather insert their own sections first.
+                    for m in 0..self.members.len() {
+                        if self.members[m].env.is_host() {
+                            continue;
+                        }
                         let mut own = self.pool.take(0);
-                        (spec.field)(&mut self.local).interior_append_to(&mut own);
-                        let rank = self.env.rank;
-                        let res = self.insert_block(rank, &own);
+                        (spec.field)(&mut self.members[m].local).interior_append_to(&mut own);
+                        let res = self.insert_block(self.members[m].env.rank, &own);
                         self.pool.put(own);
                         if let Err(error) = res {
                             return Effect::Fault { error };
                         }
                     }
                 }
-                Op::GatherRecvBlock { src } => {
-                    self.pending = Some(PendingRecv::GatherBlock { src: *src });
-                    return Effect::Recv { chan: self.chan_from_rank(*src) };
-                }
-                Op::GatherFinish { spec } => {
+                Op::GatherRecvBlock { src, .. } => return self.recv(pc, *src),
+                Op::GatherFinish { spec, m } => {
                     let Some(global) = self.global.take() else {
                         return self.fault("gather finish with no gather in progress".into());
                     };
-                    (spec.sink)(&mut self.local, &global);
+                    (spec.sink)(&mut self.members[*m].local, &global);
                 }
-                Op::ScatterInit { spec } => {
-                    let g = (spec.source)(&self.local);
-                    let (got, n) = (g.extent(), self.env.pg.n);
+                Op::ScatterInit { spec, m } => {
+                    let g = (spec.source)(&self.members[*m].local);
+                    let (got, n) = (g.extent(), self.pg.n);
                     if got != n {
                         let name = &spec.name;
                         return self.fault(format!(
@@ -845,25 +1233,27 @@ impl<L: MeshLocal> MsgProcess<L> {
                     }
                     self.global = Some(g);
                 }
-                Op::ScatterSendBlock { dst } => {
-                    let dst = *dst;
-                    let mut buf = self.pool.take(self.env.pg.block(dst).len());
-                    if let Err(error) = self.block_of_global_into(dst, &mut buf) {
-                        return Effect::Fault { error };
+                Op::ScatterSendBlock { dst, ranks } => {
+                    let n = ranks.iter().map(|&r| self.pg.block(r).len()).sum();
+                    let mut buf = self.pool.take(n);
+                    for &rank in ranks {
+                        if let Err(error) = self.block_of_global_into(rank, &mut buf) {
+                            return Effect::Fault { error };
+                        }
                     }
-                    return Effect::Send {
-                        chan: self.chan_to_rank(dst),
-                        msg: MeshMsg::Block(buf),
-                    };
+                    return Effect::Send { chan: self.chan_to_proc(*dst), msg: MeshMsg::Block(buf) };
                 }
                 Op::ScatterSelf { spec } => {
                     // A separate host keeps nothing for itself.
-                    if !self.env.is_host() {
-                        let rank = self.env.rank;
-                        let mut buf = self.pool.take(self.env.pg.block(rank).len());
+                    for m in 0..self.members.len() {
+                        let env = self.members[m].env;
+                        if env.is_host() {
+                            continue;
+                        }
+                        let mut buf = self.pool.take(env.block.len());
                         let res = self
-                            .block_of_global_into(rank, &mut buf)
-                            .and_then(|()| self.install_block(spec, &buf));
+                            .block_of_global_into(env.rank, &mut buf)
+                            .and_then(|()| self.install_block(spec, m, &buf));
                         self.pool.put(buf);
                         if let Err(error) = res {
                             return Effect::Fault { error };
@@ -871,10 +1261,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                     }
                     self.global = None;
                 }
-                Op::ScatterRecvBlock { src, .. } => {
-                    self.pending = Some(PendingRecv::ScatterBlock { op: pc });
-                    return Effect::Recv { chan: self.chan_from_rank(*src) };
-                }
+                Op::ScatterRecvBlock { src, .. } => return self.recv(pc, *src),
                 Op::LoopStart { count, exit } => {
                     if *count == 0 {
                         self.pc = *exit;
@@ -896,7 +1283,12 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::WhileStart { max_iters } => self.while_stack.push(*max_iters),
                 Op::WhileCheck { pred, exit, name, max_iters } => {
-                    if !pred(&self.local) {
+                    // The predicate is replicated: every member must agree.
+                    let go = pred(&self.members[0].local);
+                    if self.members[1..].iter().any(|m| pred(&m.local) != go) {
+                        return self.fault(format!("{name}: the ranks disagree on the predicate"));
+                    }
+                    if !go {
                         self.pc = *exit;
                         continue;
                     }
@@ -924,70 +1316,13 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
 
     fn resume(&mut self, delivery: Option<MeshMsg>) -> Effect<MeshMsg> {
         if let Some(msg) = delivery {
-            let Some(pending) = self.pending.take() else {
+            let Some(op) = self.pending.take() else {
                 let kind = msg.kind();
                 let detail = format!("a {kind} message was delivered with no receive pending");
                 return self.fault(detail);
             };
-            match (pending, msg) {
-                (PendingRecv::Face { op, link }, MeshMsg::Halo(payload)) => {
-                    let ops = Arc::clone(&self.ops);
-                    let Op::RecvFace { spec, .. } = &ops[op] else {
-                        unreachable!("a pending face names its RecvFace op (decode_state checks)")
-                    };
-                    // `link.face` is *this* rank's face toward the sender:
-                    // the ghost slabs to fill. (The sender extracted from
-                    // the opposite face of its own section.) A wrong-sized
-                    // payload arrived over a channel, so it surfaces as a
-                    // protocol fault, not a panic.
-                    if let Err(e) = spec.unpack(&mut self.local, link.face, &payload) {
-                        return self.fault(format!("halo from rank {}: {e}", link.neighbor));
-                    }
-                    self.pool.put(payload);
-                }
-                (PendingRecv::Combine { op }, MeshMsg::Vec(partial)) => {
-                    if partial.len() != self.scratch.len() {
-                        return self.fault(format!(
-                            "reduction partial carries {} values, this rank's holds {}",
-                            partial.len(),
-                            self.scratch.len()
-                        ));
-                    }
-                    op.combine_vec(&mut self.scratch, &partial);
-                    self.pool.put(partial);
-                }
-                (PendingRecv::Replace, MeshMsg::Vec(result)) => {
-                    self.pool.put(std::mem::replace(&mut self.scratch, result));
-                }
-                (PendingRecv::Contribs, MeshMsg::Contribs(mut c)) => {
-                    self.contribs.append(&mut c);
-                }
-                (PendingRecv::Result, MeshMsg::Vec(result)) => {
-                    self.pool.put(std::mem::replace(&mut self.scratch, result));
-                }
-                (PendingRecv::Bcast, MeshMsg::Vec(payload)) => {
-                    self.pool.put(std::mem::replace(&mut self.scratch, payload));
-                }
-                (PendingRecv::GatherBlock { src }, MeshMsg::Block(data)) => {
-                    if let Err(error) = self.insert_block(src, &data) {
-                        return Effect::Fault { error };
-                    }
-                    self.pool.put(data);
-                }
-                (PendingRecv::ScatterBlock { op }, MeshMsg::Block(data)) => {
-                    let ops = Arc::clone(&self.ops);
-                    let Op::ScatterRecvBlock { spec, .. } = &ops[op] else {
-                        unreachable!("a pending scatter names its op (decode_state checks)")
-                    };
-                    if let Err(error) = self.install_block(spec, &data) {
-                        return Effect::Fault { error };
-                    }
-                    self.pool.put(data);
-                }
-                (pending, other) => {
-                    let (want, got) = (pending.expected_kind(), other.kind());
-                    return self.fault(format!("expected a {want} message, received {got}"));
-                }
+            if let Err(error) = self.deliver(op, msg) {
+                return Effect::Fault { error };
             }
         }
         self.advance()
@@ -997,8 +1332,29 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
         msg.size_bytes()
     }
 
+    /// The rank's snapshot; a group's is its members' snapshots, each
+    /// length-prefixed, in rank order.
     fn snapshot(&self) -> Vec<u8> {
-        self.local.snapshot_bytes()
+        match &self.members[..] {
+            [one] => one.local.snapshot_bytes(),
+            many => {
+                let mut out = Vec::new();
+                for m in many {
+                    push_bytes(&mut out, &m.local.snapshot_bytes());
+                }
+                out
+            }
+        }
+    }
+
+    /// The frames of [`MsgProcess::snapshot`]: one definition of a group's
+    /// final state serves the simulator and the pool alike.
+    fn rank_snapshots(&self) -> Vec<Vec<u8>> {
+        let snapshot = self.snapshot();
+        match self.members.len() {
+            1 => vec![snapshot],
+            k => unframe(&snapshot, k),
+        }
     }
 
     fn progress(&self) -> u64 {
@@ -1011,6 +1367,12 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
         }
         h
     }
+}
+
+/// The `k` member snapshots a group's [`MsgProcess::snapshot`] frames.
+fn unframe(snapshot: &[u8], k: usize) -> Vec<Vec<u8>> {
+    let mut r = Reader::new("group snapshot", snapshot);
+    (0..k).map(|_| r.bytes("member snapshot").expect("framed by snapshot()").to_vec()).collect()
 }
 
 /// Compile `plan` into the channel topology and the per-rank processes of
@@ -1071,33 +1433,55 @@ pub fn build_msg_processes_for<L: MeshLocal>(
     host_mode: HostMode,
     ranks: &[usize],
 ) -> (Topology, Vec<MsgProcess<L>>) {
-    let topo = msg_topology(&pg, host_mode);
+    let total = total_procs(&pg, host_mode);
+    build_processes(plan, pg, init, host_mode, &Layout::grouped(total, total), ranks)
+}
+
+/// Compile `plan` for the processes `procs` of `layout`, next to the
+/// topology connecting every pair of its processes.
+fn build_processes<L: MeshLocal>(
+    plan: &Plan<L>,
+    pg: ProcGrid3,
+    init: &InitFn<L>,
+    host_mode: HostMode,
+    layout: &Layout,
+    procs: &[usize],
+) -> (Topology, Vec<MsgProcess<L>>) {
+    let topo = Topology::fully_connected(layout.width());
     let n = pg.nprocs();
     let host = match host_mode {
         HostMode::GridRank0 => None,
         HostMode::Separate => Some(n),
     };
     let table = channel_table(&topo);
-    let procs = ranks
+    let links: Vec<Vec<FaceLink>> = (0..n).map(|r| face_links(&pg, r)).collect();
+    let procs = procs
         .iter()
-        .map(|&rank| {
-            let env = if rank < n { Env::new(pg, rank) } else { Env::new_host(pg) };
+        .map(|&me| {
             let mut ops = Vec::new();
-            flatten(&plan.phases, &env, &pg, host, &mut ops);
+            Lowering { pg, layout, links: &links, me, host }.flatten(&plan.phases, &mut ops);
+            let members = layout
+                .ranks(me)
+                .map(|rank| {
+                    let env = if rank < n { Env::new(pg, rank) } else { Env::new_host(pg) };
+                    Member { env, local: init(&env), scratch: Vec::new() }
+                })
+                .collect();
             MsgProcess {
-                env,
-                local: init(&env),
+                id: me,
+                pg,
+                members,
                 ops: ops.into(),
                 pc: 0,
-                chan_to: table[rank].clone(),
-                chan_from: table.iter().map(|row| row[rank]).collect(),
-                scratch: Vec::new(),
+                chan_to: table[me].clone(),
+                chan_from: table.iter().map(|row| row[me]).collect(),
                 contribs: Vec::new(),
                 global: None,
                 loop_stack: Vec::new(),
                 while_stack: Vec::new(),
                 pool: BufPool::new(),
                 pending: None,
+                staged: VecDeque::new(),
             }
         })
         .collect();
@@ -1212,36 +1596,47 @@ pub fn run_msg_predicted_slack<L: MeshLocal>(
 }
 
 /// Run the message-passing program on real OS threads. Returns per-rank
-/// snapshots.
+/// snapshots. The placement is [`run_msg_threaded_slack`]'s.
 pub fn run_msg_threaded<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
     init: &InitFn<L>,
 ) -> Result<Vec<Vec<u8>>, RunError> {
-    let (topo, procs) = build_msg_processes(plan, pg, init);
-    ssp_runtime::run_threaded_with(&topo, procs, Default::default()).map(|o| o.snapshots)
+    run_msg_threaded_slack(plan, pg, init, None, ThreadedConfig::default()).map(|o| o.snapshots)
 }
 
 /// Run the message-passing program on real OS threads with bounded channel
 /// slack and an optional deadlock watchdog ([`ssp_runtime::ThreadedConfig`]).
-/// Returns the full [`ssp_runtime::ThreadedOutcome`] with snapshots and the
-/// communication profile.
+///
+/// The program runs as [`group_count`] processes for the pool the
+/// configuration resolves ([`ThreadedConfig::pool_size`]): one per rank, or
+/// one per pool worker, each hosting a group of contiguous ranks. The
+/// outcome's snapshots are per rank, in rank order, either way; its metrics
+/// and flight log describe the processes that ran.
 pub fn run_msg_threaded_slack<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
     init: &InitFn<L>,
     slack: Option<usize>,
-    cfg: ssp_runtime::ThreadedConfig,
-) -> Result<ssp_runtime::ThreadedOutcome, RunError> {
-    let (topo, procs) =
-        build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, slack);
-    ssp_runtime::run_threaded_with(&topo, procs, cfg)
+    cfg: ThreadedConfig,
+) -> Result<ThreadedOutcome, RunError> {
+    let p = pg.nprocs();
+    let w = group_count(&pg, cfg.pool_size(p));
+    let all: Vec<usize> = (0..w).collect();
+    let layout = Layout::grouped(p, w);
+    let (topo, procs) = build_processes(plan, pg, init, HostMode::GridRank0, &layout, &all);
+    ssp_runtime::run_threaded_with(&topo.with_uniform_capacity(slack), procs, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::MeshLocal;
+    use crate::reduce::ReduceAlgo;
+    use ssp_runtime::{
+        launch_partial, Adversary, AdversarialPolicy, NoFlight, NoopObserver, PartialSeed,
+        RandomPolicy, RoundRobin,
+    };
     use std::sync::Arc;
 
     struct One {
@@ -1294,19 +1689,30 @@ mod tests {
     }
 
     /// Rank `rank` of `plan` over a 2×1×1 grid with its state edited by
-    /// `forge`, encoded and decoded onto a fresh template: what a resuming
-    /// worker builds from a hostile manifest.
-    fn forged(
+    /// `forge`, encoded, reshaped by `patch` and decoded onto a fresh
+    /// template: what a resuming worker builds from a hostile manifest.
+    fn forged_bytes(
         plan: &Plan<One>,
         rank: usize,
         forge: impl FnOnce(&mut MsgProcess<One>),
+        patch: impl FnOnce(&mut Vec<u8>),
     ) -> Result<MsgProcess<One>, RunError> {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
         let init = init_fn();
         let (_, templates) = build_msg_processes(plan, pg, &init);
         let (_, mut procs) = build_msg_processes(plan, pg, &init);
         forge(&mut procs[rank]);
-        MsgProcess::decode_state(&templates[rank], &procs[rank].encode_state())
+        let mut bytes = procs[rank].encode_state();
+        patch(&mut bytes);
+        MsgProcess::decode_state(&templates[rank], &bytes)
+    }
+
+    fn forged(
+        plan: &Plan<One>,
+        rank: usize,
+        forge: impl FnOnce(&mut MsgProcess<One>),
+    ) -> Result<MsgProcess<One>, RunError> {
+        forged_bytes(plan, rank, forge, |_| {})
     }
 
     /// The index of the first op of `p`'s program that `is` picks.
@@ -1327,15 +1733,32 @@ mod tests {
             .scatter_grid("load", |_: &One| Grid3::new(4, 4, 4, 0), |l: &mut One| &mut l.u)
             .build();
         // Rank 1 compiles [SendFace, RecvFace, ScatterRecvBlock]; its halo
-        // arrives from rank 0 through its low x face.
-        let halo = |op, face| PendingRecv::Face { op, link: FaceLink { face, neighbor: 0 } };
-        let valid = forged(&plan, 1, |p| p.pending = Some(halo(1, Face3::XLo)));
+        // arrives from rank 0 through its low x face. A pending halo closes
+        // the encoding: tag 1, op (u64), face index (u8), sender (u32).
+        let valid = forged(&plan, 1, |p| p.pending = Some(1));
         assert!(valid.is_ok(), "{:?}", valid.err());
+        let face = |f: Face3| Face3::ALL.iter().position(|&g| g == f).unwrap() as u8;
+        let halo = |op: u64, f: Face3| {
+            let mut tail = vec![1];
+            push_u64(&mut tail, op);
+            tail.push(face(f));
+            push_u32(&mut tail, 0);
+            tail
+        };
+        let mut scatter = vec![8];
+        push_u64(&mut scatter, 1);
         // A halo pending on the send op or over another face, and a scatter
         // block pending on the halo receive.
-        let scatter = PendingRecv::ScatterBlock { op: 1 };
-        for pending in [halo(0, Face3::XLo), halo(1, Face3::XHi), scatter] {
-            let r = forged(&plan, 1, |p| p.pending = Some(pending));
+        for tail in [halo(0, Face3::XLo), halo(1, Face3::XHi), scatter] {
+            let r = forged_bytes(
+                &plan,
+                1,
+                |p| p.pending = Some(1),
+                |bytes| {
+                    bytes.truncate(bytes.len() - 14);
+                    bytes.extend_from_slice(&tail);
+                },
+            );
             assert!(matches!(r, Err(RunError::Protocol { proc: 1, .. })), "{:?}", r.err());
         }
     }
@@ -1364,9 +1787,10 @@ mod tests {
         // The host mid-gather with its grid gone: at a block's delivery and
         // at the finish; then mid-scatter.
         let finish = |op: &Op<One>| matches!(op, Op::GatherFinish { .. });
+        let block = |op: &Op<One>| matches!(op, Op::GatherRecvBlock { .. });
         let mut host = forged(&tiny_plan(), 0, |p| {
             p.pc = op_at(p, finish);
-            p.pending = Some(PendingRecv::GatherBlock { src: 1 });
+            p.pending = Some(op_at(p, block));
         })
         .unwrap();
         assert_fault(host.resume(Some(MeshMsg::Block(vec![0.0; 32]))), 0);
@@ -1379,7 +1803,6 @@ mod tests {
         let mut host = forged(&scatter, 0, |p| p.pc = op_at(p, send)).unwrap();
         assert_fault(host.resume(None), 0);
     }
-
     #[test]
     fn unexpected_message_kind_is_a_protocol_fault_not_a_panic() {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
@@ -1554,7 +1977,7 @@ mod tests {
         assert_eq!(sub_topo.specs(), topo.specs());
         assert_eq!(msg_topology(&pg, HostMode::GridRank0).specs(), topo.specs());
         for (p, &rank) in sub.iter().zip(&[3usize, 1]) {
-            assert_eq!(p.env.rank, rank);
+            assert_eq!((p.id, p.members[0].env.rank), (rank, rank));
             assert_eq!(p.chan_to, all[rank].chan_to);
             assert_eq!(p.chan_from, all[rank].chan_from);
             assert_eq!(p.ops.len(), all[rank].ops.len());
@@ -1568,5 +1991,247 @@ mod tests {
         assert_eq!(MeshMsg::Block(vec![0.0; 5]).size_bytes(), 40);
         let c = Contribution { bin: 0, order: 0, value: 1.0 };
         assert_eq!(MeshMsg::Contribs(vec![c; 3]).size_bytes(), 60);
+    }
+
+    #[test]
+    fn group_count_groups_small_grids_on_fewer_workers_than_ranks() {
+        let table1 = meshgrid::ProcGrid3::choose((33, 33, 33), 27);
+        assert_eq!(group_count(&table1, 2), 2, "18 k cells per worker: grouped");
+        assert_eq!(group_count(&table1, 3), 3);
+        assert_eq!(group_count(&table1, 1), 27, "36 k cells on one worker: per rank");
+        assert_eq!(group_count(&table1, 27), 27, "a worker per rank: per rank");
+        let figure2 = meshgrid::ProcGrid3::choose((66, 66, 66), 4);
+        assert_eq!(group_count(&figure2, 2), 4, "144 k cells per worker: per rank");
+        // Either side of the constant, at 2 workers.
+        let edge = |nz| group_count(&meshgrid::ProcGrid3::choose((32, 32, nz), 4), 2);
+        assert_eq!(edge(64), 4, "exactly the constant per worker is not below it");
+        assert_eq!(edge(63), 2);
+        // The pool rule the scheduler applies: an explicit pool of P keeps
+        // one rank per process, a larger one is clamped to P.
+        for workers in [27, 64] {
+            let pool = ThreadedConfig::default().with_workers(workers).pool_size(27);
+            assert_eq!((pool, group_count(&table1, pool)), (27, 27));
+        }
+    }
+
+    #[test]
+    fn groups_are_contiguous_and_differ_in_size_by_at_most_one() {
+        for n in 1..=30 {
+            for w in 1..=n {
+                let layout = Layout::grouped(n, w);
+                let ranks: Vec<Vec<usize>> = (0..w).map(|p| layout.ranks(p).collect()).collect();
+                assert_eq!(ranks.concat(), (0..n).collect::<Vec<_>>(), "n={n} w={w}");
+                let sizes: Vec<usize> = ranks.iter().map(Vec::len).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(*lo >= 1 && hi - lo <= 1, "n={n} w={w}: {sizes:?}");
+                for (p, ranks) in ranks.iter().enumerate() {
+                    for (m, &r) in ranks.iter().enumerate() {
+                        assert_eq!((layout.proc_of[r], layout.member(r)), (p, m), "n={n} w={w}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A field relaxed through its ghosts, and the results of two
+    /// order-sensitive sums fed back into it.
+    #[derive(Clone)]
+    struct Cell {
+        u: Grid3<f64>,
+        s: Vec<f64>,
+    }
+
+    impl MeshLocal for Cell {
+        fn snapshot_bytes(&self) -> Vec<u8> {
+            let mut out = meshgrid::io::grid3_to_bytes(&self.u);
+            push_f64s(&mut out, &self.s);
+            out
+        }
+    }
+
+    impl MeshLocalCodec for Cell {
+        fn encode_local(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            push_f64s(&mut out, self.u.raw());
+            push_u32(&mut out, self.s.len() as u32);
+            push_f64s(&mut out, &self.s);
+            out
+        }
+
+        fn decode_local(template: &Self, r: &mut Reader<'_>) -> Result<Self, RunError> {
+            let mut u = template.u.clone();
+            r.f64s_into(u.raw_mut(), "u")?;
+            let n = r.count(8, "s")?;
+            Ok(Cell { u, s: r.f64s(n, "s")? })
+        }
+    }
+
+    fn init_cell() -> InitFn<Cell> {
+        Arc::new(|env: &Env| {
+            let (nx, ny, nz) = env.block.extent();
+            let u = Grid3::from_fn(nx, ny, nz, 1, |i, j, k| {
+                let (gi, gj, gk) = env.block.to_global(i, j, k);
+                1.0 + (gi * 7 + gj * 3 + gk) as f64 * 0.37
+            });
+            Cell { u, s: Vec::new() }
+        })
+    }
+
+    fn relax(_: &Env, l: &mut Cell) {
+        let (nx, ny, nz) = l.u.extent();
+        let old = l.u.clone();
+        for i in 0..nx as isize {
+            for j in 0..ny as isize {
+                for k in 0..nz as isize {
+                    let around = old.get(i - 1, j, k) + old.get(i + 1, j, k) + old.get(i, j - 1, k)
+                        + old.get(i, j + 1, k) + old.get(i, j, k - 1) + old.get(i, j, k + 1);
+                    l.u.set(i, j, k, 0.5 * old.get(i, j, k) + around / 12.0);
+                }
+            }
+        }
+    }
+
+    /// Partials of wide magnitude, so any change of combine order shows.
+    fn partials(env: &Env, l: &Cell) -> Vec<f64> {
+        let sum: f64 = l.u.interior_to_vec().iter().sum();
+        let scale = 10f64.powi((env.rank % 5) as i32 * 4);
+        vec![sum * scale, sum / scale, 1.0 / (env.rank as f64 + 3.0)]
+    }
+
+    fn feed_back(_: &Env, l: &mut Cell, v: &[f64]) {
+        l.s = v.to_vec();
+        let corner = l.u.get(0, 0, 0);
+        l.u.set(0, 0, 0, corner + v.iter().sum::<f64>() * 1e-12);
+    }
+
+    fn cell_plan() -> Plan<Cell> {
+        let all = meshgrid::halo::FaceSet3::ALL;
+        let halo = || ExchangeSpec::new("halo").part(|l: &mut Cell| &mut l.u, all);
+        Plan::builder()
+            .loop_n(2, |b| {
+                b.exchange_parts(halo())
+                    .local("relax", relax)
+                    .reduce("a2o", ReduceOp::Sum, ReduceAlgo::AllToOne, partials, feed_back)
+                    .exchange_send(halo())
+                    .local("scale", |_, l: &mut Cell| {
+                        // Writes the slabs in flight: the split must have
+                        // taken them at its send half.
+                        let (nx, ny, nz) = l.u.extent();
+                        for i in 0..nx as isize {
+                            for j in 0..ny as isize {
+                                for k in 0..nz as isize {
+                                    l.u.set(i, j, k, l.u.get(i, j, k) * 0.75);
+                                }
+                            }
+                        }
+                    })
+                    .exchange_recv(halo())
+                    .local("relax", relax)
+                    .reduce("rd", ReduceOp::Sum, ReduceAlgo::RecursiveDoubling, partials, feed_back)
+            })
+            .build()
+    }
+
+    /// `plan` as `w` groups on the simulator: per-rank snapshots.
+    fn run_grouped<L: MeshLocal>(
+        plan: &Plan<L>,
+        pg: ProcGrid3,
+        init: &InitFn<L>,
+        w: usize,
+        slack: Option<usize>,
+        policy: &mut dyn SchedulePolicy,
+    ) -> Result<Vec<Vec<u8>>, RunError> {
+        let layout = Layout::grouped(pg.nprocs(), w);
+        let all: Vec<usize> = (0..w).collect();
+        let (topo, procs) = build_processes(plan, pg, init, HostMode::GridRank0, &layout, &all);
+        let out = Simulator::new(topo.with_uniform_capacity(slack), procs).run(policy)?;
+        Ok(rank_snapshots(&layout, &out.snapshots))
+    }
+
+    /// Per-rank snapshots from the simulator's per-process ones.
+    fn rank_snapshots(layout: &Layout, procs: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let frames = procs.iter().enumerate().map(|(p, snap)| match layout.ranks(p).len() {
+            1 => vec![snap.clone()],
+            k => unframe(snap, k),
+        });
+        frames.flatten().collect()
+    }
+
+    /// Every grouping of P ≤ 9 ranks, slack 1 and unbounded, under three
+    /// policies: bitwise the per-rank program. Both reduction schedules
+    /// combine wide-magnitude partials, so a rank combining its partials in
+    /// any other order would show.
+    #[test]
+    fn every_grouping_matches_the_per_rank_program_bitwise() {
+        let (plan, init) = (cell_plan(), init_cell());
+        for p in 1..=9 {
+            let pg = ProcGrid3::choose((8, 6, 5), p);
+            let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+            for w in 1..=p {
+                for slack in [Some(1), None] {
+                    let policies: [Box<dyn SchedulePolicy>; 3] = [
+                        Box::new(RoundRobin::new()),
+                        Box::new(RandomPolicy::seeded(7 * p as u64 + w as u64)),
+                        Box::new(AdversarialPolicy::new(Adversary::HighestFirst)),
+                    ];
+                    for mut policy in policies {
+                        let got = run_grouped(&plan, pg, &init, w, slack, policy.as_mut())
+                            .unwrap_or_else(|e| panic!("P={p} W={w} slack {slack:?}: {e}"));
+                        assert_eq!(got, reference.snapshots, "P={p} W={w} slack {slack:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Negative control: a lowering that skips one assignment between
+    /// members leaves a ghost slab stale, and the comparison sees it.
+    #[test]
+    fn a_lowering_that_skips_one_intra_group_copy_is_caught() {
+        let (plan, init) = (cell_plan(), init_cell());
+        let pg = ProcGrid3::choose((6, 5, 4), 8);
+        let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+        let layout = Layout::grouped(8, 2);
+        let (topo, mut procs) =
+            build_processes(&plan, pg, &init, HostMode::GridRank0, &layout, &[0, 1]);
+        let ops = Arc::get_mut(&mut procs[0].ops).expect("each process owns its program");
+        let copies = ops.iter_mut().find_map(|op| match op {
+            Op::CopyFaces { copies, .. } => Some(copies),
+            _ => None,
+        });
+        copies.expect("a group of four ranks copies faces").pop();
+        let out = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
+        assert_ne!(rank_snapshots(&layout, &out.snapshots), reference.snapshots);
+    }
+
+    /// A grouped program cut after every prefix of a round-robin run — mid
+    /// split exchange, with slabs staged, among them — survives the state
+    /// codec and finishes on the pool bitwise equal to the per-rank run.
+    #[test]
+    fn every_cut_of_a_grouped_run_survives_the_state_codec() {
+        let (plan, init) = (cell_plan(), init_cell());
+        let pg = ProcGrid3::choose((6, 5, 4), 4);
+        let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+        let layout = Layout::grouped(4, 2);
+        let build = || build_processes(&plan, pg, &init, HostMode::GridRank0, &layout, &[0, 1]);
+        let (topo, templates) = build();
+        let reference_run = Simulator::new(topo.clone(), build().1).run(&mut RoundRobin::new());
+        let picks = reference_run.unwrap().picks;
+        let mut staged_seen = false;
+        for cut in 0..=picks.len() {
+            let mut sim = Simulator::new(topo.clone(), build().1);
+            for &p in &picks[..cut] {
+                sim.step_process_with(p, &mut NoopObserver).unwrap();
+            }
+            let mut seed: PartialSeed<_> = sim.into_state().into();
+            for (id, proc, _, _) in &mut seed.procs {
+                staged_seen |= !proc.staged.is_empty();
+                *proc = MsgProcess::decode_state(&templates[*id], &proc.encode_state()).unwrap();
+            }
+            let out = launch_partial(&topo, seed, Some(2), &FaultPlan::none(), |_| NoFlight);
+            let snaps: Vec<_> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
+            assert_eq!(snaps, reference.snapshots, "cut {cut}");
+        }
+        assert!(staged_seen, "some cut lands between a split exchange's halves");
     }
 }

@@ -26,7 +26,10 @@
 //! * **gather/scatter** — whole grids move between the host process and the
 //!   grid processes for file input/output.
 //!
-//! ## Three interchangeable executions of the same plan
+//! ## Interchangeable executions of the same plan
+//!
+//! One per rung of the refinement chain sequential → simulated-parallel →
+//! grouped → message-passing:
 //!
 //! * [`driver::run_seq`] — the degenerate one-process execution;
 //! * [`driver::run_simpar`] — the **sequential simulated-parallel version**
@@ -34,16 +37,21 @@
 //!   blocks run for `i = 0..N` in sequence, data-exchange operations
 //!   performed as assignments and *validated* against the Definition's
 //!   restrictions (i)–(iii) ([`validate`]);
+//! * the **grouped** program: W processes, each a simulated-parallel
+//!   program over a group of contiguous ranks, exchanging by assignment
+//!   inside a group and by one coalesced message per group pair between
+//!   groups. [`driver::run_msg_threaded`] runs it when the ranks outnumber
+//!   its worker pool and the grid is small ([`driver::group_count`]);
 //! * [`driver::run_msg_simulated`] / [`driver::run_msg_threaded`] — the
 //!   message-passing program obtained by the paper's final transformation:
 //!   each data-exchange assignment becomes a send/receive pair with all
 //!   sends performed before any receives (§3.3), running on
 //!   [`ssp_runtime`]'s simulated scheduler or on real threads.
 //!
-//! By construction the simulated-parallel and message-passing executions
-//! perform floating-point operations in *bitwise-identical order*, so their
-//! results agree exactly — the property Theorem 1 guarantees and the
-//! paper's experiments confirmed ("on the first and every execution").
+//! By construction every execution performs each rank's floating-point
+//! operations in *bitwise-identical order*, so their results agree exactly
+//! — the property Theorem 1 guarantees and the paper's experiments
+//! confirmed ("on the first and every execution").
 //!
 //! The simulated-parallel driver also records a [`CommTrace`] of
 //! every message and every local-computation flop count, which the

@@ -5,7 +5,7 @@
 //! operations are drawn from the archetype's fixed menu (§4.2): boundary
 //! exchange, reduction, broadcast, and host↔grid redistribution for file
 //! I/O. A [`Plan`] is that sequence, written once and executed by any of the
-//! three drivers ([`crate::driver`]). Control structure is limited to what
+//! drivers ([`crate::driver`]). Control structure is limited to what
 //! the archetype admits: fixed-count loops and loops governed by a
 //! *replicated* global predicate (e.g. "iterate until the residual reduction
 //! falls below ε").
@@ -149,6 +149,11 @@ impl<L> ExchangeSpec<L> {
                 slab_len3(field.extent(), field.ghost(), face)
             })
             .sum()
+    }
+
+    /// Number of values in the message this rank receives through `face`.
+    pub(crate) fn received_len(&self, local: &mut L, face: Face3) -> usize {
+        self.packed_len(local, face.opposite())
     }
 
     /// Pack the message this rank sends through `face` — the interior slabs

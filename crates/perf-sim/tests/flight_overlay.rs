@@ -2,6 +2,9 @@
 //! overlaying the DES *prediction* against a *measured* threaded run of
 //! the same FDTD-A program, plus the drift report that quantifies how
 //! far the model was off — all from real executions, end to end.
+//!
+//! The threaded run pins a pool of one worker per rank (W = P = 4), so its
+//! flight lanes are the per-rank processes the DES predicts.
 
 use std::sync::Arc;
 
@@ -22,6 +25,7 @@ fn overlay_trace_and_drift_report_from_a_real_run() {
 
     let des = run_msg_predicted(&plan, pg, &init, &network_of_suns()).unwrap();
     let cfg = ThreadedConfig::with_watchdog(std::time::Duration::from_secs(30))
+        .with_workers(pg.nprocs())
         .with_flight(1 << 15);
     let out = run_msg_threaded_slack(&plan, pg, &init, None, cfg).unwrap();
     assert_eq!(out.snapshots, des.snapshots, "predicted and measured runs agree bitwise");

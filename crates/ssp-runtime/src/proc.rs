@@ -92,6 +92,15 @@ pub trait Process: Send {
     /// process's snapshot is byte-identical.
     fn snapshot(&self) -> Vec<u8>;
 
+    /// One snapshot per rank of the program this process runs, in rank
+    /// order: its [`Process::snapshot`] when it is one rank (the default).
+    /// A process running a group of ranks returns its members'. The
+    /// threaded runner takes these where the process halts, so it reports
+    /// a final state per rank whatever the placement.
+    fn rank_snapshots(&self) -> Vec<Vec<u8>> {
+        vec![self.snapshot()]
+    }
+
     /// A control-position fingerprint (e.g. a program counter). Two
     /// mid-execution process states are identical only if both their
     /// [`Process::snapshot`] *and* their `progress` agree — the snapshot

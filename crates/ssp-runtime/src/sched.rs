@@ -103,7 +103,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Pick the worker-pool size: explicit config, then the `SSP_WORKERS`
 /// environment variable, then the host's available parallelism; always at
 /// least 1 and never more than the number of ranks.
-fn resolve_workers(configured: Option<usize>, n_ranks: usize) -> usize {
+pub(crate) fn resolve_workers(configured: Option<usize>, n_ranks: usize) -> usize {
     let w = configured
         .or_else(|| std::env::var(WORKERS_ENV).ok().and_then(|v| v.parse().ok()))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
@@ -129,8 +129,9 @@ struct Task<P: Process> {
     recvs_done: Vec<u64>,
     /// Set when the task parks; drained into `blocked_nanos` on resume.
     parked_since: Option<Instant>,
-    /// Final snapshot, filled at [`Effect::Halt`].
-    result: Option<Vec<u8>>,
+    /// Final snapshots ([`Process::rank_snapshots`]), filled at
+    /// [`Effect::Halt`].
+    result: Option<Vec<Vec<u8>>>,
 }
 
 /// How one channel is realized by this scheduler instance. A full-program
@@ -499,7 +500,7 @@ fn harvest<P: Process, F: FlightSink>(
     handles: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
     n_workers: usize,
-) -> Result<ThreadedOutcome, RunError> {
+) -> Result<Harvest, RunError> {
     for h in handles {
         let _ = h.join();
     }
@@ -520,7 +521,7 @@ fn harvest<P: Process, F: FlightSink>(
     metrics.sched.steals = shared.steals.load(Ordering::Relaxed);
     metrics.sched.yields = shared.yields.load(Ordering::Relaxed);
     metrics.sched.task_parks = shared.task_parks.load(Ordering::Relaxed);
-    let mut snapshots = vec![Vec::new(); n];
+    let mut snapshots = vec![vec![Vec::new()]; n];
     for (rank, snap_slot) in snapshots.iter_mut().enumerate() {
         if let Some(mut task) = lock(&shared.slots[rank]).take() {
             if let Some(t0) = task.parked_since.take() {
@@ -537,7 +538,24 @@ fn harvest<P: Process, F: FlightSink>(
         metrics.channels[i].bytes = c.bytes.load(Ordering::Relaxed);
         metrics.channels[i].max_queue_depth = c.max_depth.load(Ordering::Relaxed);
     }
-    Ok(ThreadedOutcome { snapshots, metrics, flight: shared.flight.drain() })
+    Ok(Harvest { snapshots, metrics, flight: shared.flight.drain() })
+}
+
+/// A joined pool's results: per process, the snapshots of the ranks it
+/// runs ([`Process::rank_snapshots`]; one empty snapshot for a process that
+/// did not halt here), then the metrics and flight log.
+struct Harvest {
+    snapshots: Vec<Vec<Vec<u8>>>,
+    metrics: RunMetrics,
+    flight: Option<FlightLog>,
+}
+
+impl Harvest {
+    /// The whole-run outcome: one snapshot per rank, processes in order.
+    fn into_outcome(self) -> ThreadedOutcome {
+        let snapshots = self.snapshots.into_iter().flatten().collect();
+        ThreadedOutcome { snapshots, metrics: self.metrics, flight: self.flight }
+    }
 }
 
 /// Run a whole program — `seed` hosts every rank of `topo` — over a worker
@@ -565,6 +583,7 @@ where
             launch(topo, seed, n_workers, config.watchdog, faults, flight).harvest()
         }
     }
+    .map(Harvest::into_outcome)
 }
 
 /// A running scheduler instance. One hosting a *subset* of a topology's
@@ -585,7 +604,9 @@ pub struct PartialRun<P: Process, F: FlightSink = NoFlight> {
 /// traffic counters for every channel whose writer it hosts). The
 /// supervisor sums slices across workers to reconstruct full-run metrics.
 pub struct PartialOutcome {
-    /// `(rank, snapshot)` for each hosted rank, in assignment order.
+    /// `(rank, snapshot)` for each hosted rank, in assignment order (a
+    /// process running several ranks contributes one per rank, in rank
+    /// order, each under the process's id: [`Process::rank_snapshots`]).
     pub snapshots: Vec<(ProcId, Vec<u8>)>,
     /// This instance's metrics slice.
     pub metrics: RunMetrics,
@@ -601,7 +622,7 @@ impl<P: Process, F: FlightSink> PartialRun<P, F> {
 
     /// Block until the run is over and harvest it, snapshots indexed by
     /// global rank.
-    fn harvest(self) -> Result<ThreadedOutcome, RunError> {
+    fn harvest(self) -> Result<Harvest, RunError> {
         harvest(&self.shared, self.handles, self.watchdog, self.n_workers)
     }
 
@@ -609,8 +630,11 @@ impl<P: Process, F: FlightSink> PartialRun<P, F> {
     /// harvest snapshots and the local metrics slice.
     pub fn join(self) -> Result<PartialOutcome, RunError> {
         let hosted = self.hosted.clone();
-        let ThreadedOutcome { mut snapshots, metrics, flight } = self.harvest()?;
-        let snapshots = hosted.iter().map(|&r| (r, std::mem::take(&mut snapshots[r]))).collect();
+        let Harvest { mut snapshots, metrics, flight } = self.harvest()?;
+        let snapshots = hosted
+            .iter()
+            .flat_map(|&r| std::mem::take(&mut snapshots[r]).into_iter().map(move |s| (r, s)))
+            .collect();
         Ok(PartialOutcome { snapshots, metrics, flight })
     }
 }
@@ -806,7 +830,7 @@ where
                 runnable.push(rank);
             }
             ProcState::Halted => {
-                task.result = Some(task.proc.snapshot());
+                task.result = Some(task.proc.rank_snapshots());
                 finished += 1;
             }
         }
@@ -1141,7 +1165,7 @@ fn step_task<P: Process, F: FlightSink>(
             attempt_recv(shared, me, rank, task, chan, true)
         }
         Effect::Halt => {
-            match catch_unwind(AssertUnwindSafe(|| task.proc.snapshot())) {
+            match catch_unwind(AssertUnwindSafe(|| task.proc.rank_snapshots())) {
                 Ok(snap) => task.result = Some(snap),
                 Err(_) => {
                     *lock(&shared.slots[rank]) = Some(task);

@@ -78,6 +78,13 @@ impl ThreadedConfig {
         self
     }
 
+    /// The worker-pool size a run of `n_ranks` processes gets under this
+    /// config: [`ThreadedConfig::workers`], else `SSP_WORKERS`, else the
+    /// host's available parallelism, clamped to `1..=n_ranks`.
+    pub fn pool_size(&self, n_ranks: usize) -> usize {
+        sched::resolve_workers(self.workers, n_ranks)
+    }
+
     /// Same config with the flight recorder enabled at a per-lane window
     /// of `cap` events (clamped to at least 1).
     pub fn with_flight(mut self, cap: usize) -> Self {
@@ -95,7 +102,9 @@ impl ThreadedConfig {
 /// Result of a successful threaded run.
 #[derive(Debug)]
 pub struct ThreadedOutcome {
-    /// Byte snapshot of each process's final state, indexed by process id.
+    /// Byte snapshot of each rank's final state: every process's
+    /// [`crate::proc::Process::rank_snapshots`], processes in id order — so
+    /// indexed by process id when every process is one rank.
     pub snapshots: Vec<Vec<u8>>,
     /// Per-channel, per-process, and scheduler execution metrics.
     /// `blocked_nanos` is real wall-clock time a rank spent parked;
