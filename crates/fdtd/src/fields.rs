@@ -1,6 +1,6 @@
 //! The six Yee field components over one (local or global) section.
 
-use meshgrid::Grid3;
+use meshgrid::{Block3, Grid3};
 
 /// The electromagnetic state of a section: six co-located component grids
 /// with a one-cell ghost boundary (the stencils read one neighbour in each
@@ -59,6 +59,21 @@ impl Fields {
             }
         }
         e
+    }
+
+    /// The six components of the section `at` of these fields' interior,
+    /// each with one ghost shell taken from the cells around it
+    /// ([`Grid3::sub_grid`]).
+    pub fn sub_fields(&self, at: &Block3) -> Fields {
+        let cut = |g: &Grid3<f64>| g.sub_grid(at);
+        Fields {
+            ex: cut(&self.ex),
+            ey: cut(&self.ey),
+            ez: cut(&self.ez),
+            hx: cut(&self.hx),
+            hy: cut(&self.hy),
+            hz: cut(&self.hz),
+        }
     }
 
     /// Bitwise equality of all six interiors.

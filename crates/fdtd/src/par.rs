@@ -56,9 +56,28 @@ pub struct LocalA {
     source_local: Option<(isize, isize, isize)>,
     /// Duplicated step counter (advanced identically on every rank).
     step: usize,
+    /// In a fused box: the first of its ranks' sections too thin for the
+    /// Mur boundary it touches, which the per-rank program faults on.
+    thin: Option<MurGeometryError>,
 }
 
 impl LocalA {
+    /// The state at step 0 of the section `env.block`: a rank's, or a
+    /// fused box's (which reads nothing of `env` but the block and the
+    /// process grid).
+    fn new(params: &Arc<Params>, env: &Env) -> LocalA {
+        let (nx, ny, nz) = env.block.extent();
+        LocalA {
+            fields: Fields::zeros(nx, ny, nz),
+            material: Material::build(&params.material, env.block, params.dt),
+            flags: boundary_flags(env),
+            source_local: source_local(env, params),
+            params: params.clone(),
+            step: 0,
+            thin: thin_section(params, env),
+        }
+    }
+
     /// The snapshot (six interiors, then the step counter) in a buffer with
     /// room for `tail` more bytes.
     fn snapshot_with_tail(&self, tail: usize) -> Vec<u8> {
@@ -71,6 +90,13 @@ impl LocalA {
 impl MeshLocal for LocalA {
     fn snapshot_bytes(&self) -> Vec<u8> {
         self.snapshot_with_tail(0)
+    }
+
+    /// Six sub-grids and the replicated step counter; the rest is what the
+    /// rank's own section is built with.
+    fn cut(&self, whole: &Env, member: &Env) -> Option<Self> {
+        let fields = self.fields.sub_fields(&member.block.within(&whole.block));
+        Some(LocalA { fields, step: self.step, ..LocalA::new(&self.params, member) })
     }
 }
 
@@ -145,17 +171,34 @@ fn source_local(env: &Env, p: &Params) -> Option<(isize, isize, isize)> {
 
 /// Initializer for Version A local state.
 pub fn init_a(params: Arc<Params>) -> InitFn<LocalA> {
-    Arc::new(move |env: &Env| {
-        let (nx, ny, nz) = env.block.extent();
-        LocalA {
-            fields: Fields::zeros(nx, ny, nz),
-            material: Material::build(&params.material, env.block, params.dt),
-            flags: boundary_flags(env),
-            source_local: source_local(env, &params),
-            params: params.clone(),
-            step: 0,
+    Arc::new(move |env: &Env| LocalA::new(&params, env))
+}
+
+/// The first of the ranks' sections inside a fused box `env.block` that is
+/// too thin for a Mur face it touches. A rank's own section needs no such
+/// look-ahead: [`save_mur_layers`] checks it.
+fn thin_section(params: &Params, env: &Env) -> Option<MurGeometryError> {
+    let pg = env.pg;
+    if params.bc != BoundaryCondition::Mur1 || env.is_host() || env.block == pg.block(env.rank) {
+        return None;
+    }
+    // The box is a union of whole sections: those starting inside it.
+    let inside = |e: &Env| env.block.contains(e.block.lo.0, e.block.lo.1, e.block.lo.2);
+    let mut ranks = (0..pg.nprocs()).map(|r| Env::new(pg, r)).filter(inside);
+    ranks.find_map(|e| mur_section(&e).err())
+}
+
+/// A section touching a global boundary on an axis must span two cells
+/// there to carry a Mur condition.
+fn mur_section(env: &Env) -> Result<(), MurGeometryError> {
+    let flags = boundary_flags(env);
+    let (nx, ny, nz) = env.block.extent();
+    for (axis, extent) in [(0, nx), (1, ny), (2, nz)] {
+        if (flags.at_lo[axis] || flags.at_hi[axis]) && extent < 2 {
+            return Err(MurGeometryError { axis, extent });
         }
-    })
+    }
+    Ok(())
 }
 
 /// Surface a geometry error as the runtime's typed fault for this rank.
@@ -291,8 +334,23 @@ fn halo<L: 'static>(
     })
 }
 
+impl HaloFaces {
+    /// True if every face the Yee kernels read ([`HaloFaces::YEE`]) is
+    /// refreshed: then the updates read only cells the exchanges keep
+    /// current, and they are cellwise.
+    fn covers_yee(&self) -> bool {
+        let need = HaloFaces::YEE.e.iter().chain(&HaloFaces::YEE.h);
+        let got = self.e.iter().chain(&self.h);
+        need.zip(got).all(|(need, got)| need.iter().all(|f| got.contains(f)))
+    }
+}
+
 /// Append one time step's phases (two exchanges and two local updates)
-/// shared by Versions A and C.
+/// shared by Versions A and C. Each update writes a cell from the other
+/// field's values at that cell and its neighbours, and the boundary
+/// condition acts per global face, so both are cellwise
+/// ([`mesh_archetype::PlanBuilder::cellwise`]) whenever the exchanges carry
+/// every face the kernels read.
 fn time_step_phases<L: 'static>(
     b: mesh_archetype::PlanBuilder<L>,
     fields_of: impl Fn(&mut L) -> &mut Fields + Send + Sync + Copy + 'static,
@@ -300,14 +358,17 @@ fn time_step_phases<L: 'static>(
     step_e: impl Fn(&Env, &mut L) -> Result<(), RunError> + Send + Sync + 'static,
     step_h: impl Fn(&Env, &mut L) + Send + Sync + 'static,
 ) -> mesh_archetype::PlanBuilder<L> {
-    b.exchange_parts(halo("x:e", fields_of, E_COMPONENTS, faces.e))
-        .local_with_flops("update-h", step_h, |env, _| {
-            FLOPS_PER_CELL_H * env.block.len() as u64
-        })
+    let cellwise =
+        |b: mesh_archetype::PlanBuilder<L>| if faces.covers_yee() { b.cellwise() } else { b };
+    let b = b
+        .exchange_parts(halo("x:e", fields_of, E_COMPONENTS, faces.e))
+        .local_with_flops("update-h", step_h, |env, _| FLOPS_PER_CELL_H * env.block.len() as u64);
+    let b = cellwise(b)
         .exchange_parts(halo("x:h", fields_of, H_COMPONENTS, faces.h))
         .local_fallible_with_flops("update-e", step_e, |env, _| {
             FLOPS_PER_CELL_E * env.block.len() as u64
-        })
+        });
+    cellwise(b)
 }
 
 /// The archetype plan for Version A (near field only).
@@ -326,6 +387,9 @@ pub fn plan_a_with_halo(params: &Params, faces: &HaloFaces) -> Plan<LocalA> {
                 |l: &mut LocalA| &mut l.fields,
                 faces,
                 |env, l: &mut LocalA| {
+                    if let Some(e) = l.thin {
+                        return Err(geometry_fault(env, e));
+                    }
                     // Disjoint field borrows: no per-step Arc/flags clones.
                     e_side_step(
                         &mut l.fields,
@@ -434,17 +498,7 @@ pub fn validate_partition(params: &Params, pg: &ProcGrid3) -> Result<(), MurGeom
     if !matches!(params.bc, BoundaryCondition::Mur1) {
         return Ok(());
     }
-    for r in 0..pg.nprocs() {
-        let env = Env::new(*pg, r);
-        let flags = boundary_flags(&env);
-        let (nx, ny, nz) = env.block.extent();
-        for (axis, extent) in [(0, nx), (1, ny), (2, nz)] {
-            if (flags.at_lo[axis] || flags.at_hi[axis]) && extent < 2 {
-                return Err(MurGeometryError { axis, extent });
-            }
-        }
-    }
-    Ok(())
+    (0..pg.nprocs()).try_for_each(|r| mur_section(&Env::new(*pg, r)))
 }
 
 /// Per-rank state of the archetype Version C.

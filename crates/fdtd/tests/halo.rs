@@ -43,11 +43,13 @@ fn tiny_with(bc: BoundaryCondition) -> Arc<Params> {
 
 /// Fill with NaN every ghost slab of all six components that faces a
 /// neighbouring rank. Ghosts on the physical boundary stay zero, as in the
-/// sequential program.
+/// sequential program. Reads only the block, so a fused box's state is
+/// poisoned as its ranks' are.
 fn poison(fields: &mut Fields, env: &Env) {
     for face in Face3::ALL {
         let (axis, dir) = face.axis_dir();
-        if env.pg.neighbor(env.rank, axis, dir).is_none() {
+        let outer = if dir < 0 { env.at_global_lo(axis) } else { env.at_global_hi(axis) };
+        if outer.unwrap() {
             continue;
         }
         let nan = vec![f64::NAN; slab_len3(fields.extent(), 1, face)];

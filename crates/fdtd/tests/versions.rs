@@ -15,7 +15,8 @@ use std::sync::Arc;
 use fdtd::par::{init_a, init_c, plan_a, plan_c};
 use fdtd::verify::{count_bitwise_diffs, max_rel_err, series_bitwise_eq};
 use fdtd::{
-    run_seq_version_a, run_seq_version_c, FarFieldSpec, FarFieldStrategy, Params,
+    run_seq_version_a, run_seq_version_c, BoundaryCondition, FarFieldSpec, FarFieldStrategy,
+    Params,
 };
 use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
 use mesh_archetype::{run_msg_simulated, run_msg_threaded, ReduceAlgo, SumMethod};
@@ -70,7 +71,7 @@ fn near_field_simpar_identical_to_sequential() {
 #[test]
 fn near_field_with_mur_is_also_identical() {
     let mut params = Params::tiny();
-    params.bc = fdtd::BoundaryCondition::Mur1;
+    params.bc = BoundaryCondition::Mur1;
     let params = Arc::new(params);
     let seq = run_seq_version_a(&params);
     let seq_grids = grids_of(&seq.fields);
@@ -257,20 +258,25 @@ fn grouped_placements_are_bitwise_on_versions_a_and_c() {
         }
     }
 
-    let params = Arc::new(Params::tiny());
+    // Mur as well as PEC: a fused box's face can lie on a global Mur face,
+    // where the boundary condition reads the box's inner layer.
     let spec = FarFieldSpec::standard(2);
-    for p in [4, 8] {
-        let pg = ProcGrid3::choose(params.n, p);
-        let init = init_a(params.clone());
-        check("plan_a", &plan_a(&params), &init, pg);
-        check("plan_a_overlap", &plan_a_overlap(&params), &init, pg);
-        for strategy in [
-            FarFieldStrategy::NaiveReorder(ReduceAlgo::AllToOne),
-            FarFieldStrategy::NaiveReorder(ReduceAlgo::RecursiveDoubling),
-            FarFieldStrategy::Ordered(SumMethod::Naive),
-        ] {
-            let init = init_c(params.clone(), spec.clone(), strategy);
-            check(&format!("plan_c {strategy:?}"), &plan_c(&params, &spec, strategy), &init, pg);
+    for bc in [BoundaryCondition::Pec, BoundaryCondition::Mur1] {
+        let params = Arc::new(Params { bc, ..Params::tiny() });
+        for p in [4, 8] {
+            let pg = ProcGrid3::choose(params.n, p);
+            let init = init_a(params.clone());
+            check(&format!("plan_a {bc:?}"), &plan_a(&params), &init, pg);
+            check(&format!("plan_a_overlap {bc:?}"), &plan_a_overlap(&params), &init, pg);
+            for strategy in [
+                FarFieldStrategy::NaiveReorder(ReduceAlgo::AllToOne),
+                FarFieldStrategy::NaiveReorder(ReduceAlgo::RecursiveDoubling),
+                FarFieldStrategy::Ordered(SumMethod::Naive),
+            ] {
+                let init = init_c(params.clone(), spec.clone(), strategy);
+                let what = format!("plan_c {strategy:?} {bc:?}");
+                check(&what, &plan_c(&params, &spec, strategy), &init, pg);
+            }
         }
     }
 }

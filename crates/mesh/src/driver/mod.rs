@@ -24,6 +24,8 @@ mod seq;
 mod simpar;
 mod wire;
 
+use crate::env::Env;
+
 pub use msg::{
     build_msg_processes, build_msg_processes_for, build_msg_processes_hosted,
     build_msg_processes_with_slack, group_count, msg_topology, run_msg_predicted,
@@ -42,9 +44,29 @@ pub use simpar::{
 /// snapshot. Snapshots are how final states are compared across drivers and
 /// across interleavings (bitwise, per the paper's standard of "identical
 /// results").
+///
+/// A grouped threaded run may *fuse* contiguous ranks whose blocks tile a
+/// box into one section: it builds the box's state with the plan's init on
+/// an [`Env`] whose `block` is the box (and whose `rank` is the box's first
+/// rank), runs the plan's cellwise blocks on it once, and cuts each rank's
+/// state out with [`MeshLocal::cut`] for its snapshot (DESIGN.md §12). For
+/// a fusable local, init must therefore depend only on `env.block` and
+/// `env.pg`, never on `env.rank`.
 pub trait MeshLocal: Send + 'static {
     /// Canonical byte encoding of the observable final state.
     fn snapshot_bytes(&self) -> Vec<u8>;
+
+    /// The state the rank of `member` would hold, cut out of this state of
+    /// the box `whole` (which holds `member.block`): what makes the box's
+    /// per-rank snapshots those of the per-rank program. `None`, the
+    /// default, means this local never fuses.
+    fn cut(&self, whole: &Env, member: &Env) -> Option<Self>
+    where
+        Self: Sized,
+    {
+        let _ = (whole, member);
+        None
+    }
 }
 
 /// A [`MeshLocal`] whose *complete* dynamic state round-trips through

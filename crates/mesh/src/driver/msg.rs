@@ -20,6 +20,16 @@
 //! placements; [`run_msg_threaded_slack`] picks the grouped one when the
 //! ranks outnumber the pool and the grid is small ([`group_count`]).
 //!
+//! A group's member is one rank, or — *fused* — a run of contiguous ranks
+//! whose blocks tile a box, held as one section. A group fuses when every
+//! phase of the plan is a cellwise local block, an exchange or a loop, and
+//! its local can cut a rank's state out of a box's ([`MeshLocal::cut`]).
+//! Then each cellwise block runs once per box; an exchange between ranks of
+//! one box compiles to nothing, because their ghost cells are the box's
+//! interior cells; between boxes of a group it is an assignment at the
+//! ranks' offsets; between groups the coalesced message is byte for byte
+//! the unfused one. A plan with anything else keeps one-rank members.
+//!
 //! Floating-point operations are performed in exactly the order the
 //! simulated-parallel driver performs them — same reduction schedules, same
 //! stable ordered-sum, same slab encodings — so every placement's snapshots
@@ -37,7 +47,7 @@ use ssp_runtime::{
 
 use machine_model::MachineModel;
 use meshgrid::halo::Face3;
-use meshgrid::{Grid3, ProcGrid3};
+use meshgrid::{Block3, Grid3, ProcGrid3};
 
 use crate::driver::simpar::{ordered_sum, HostMode};
 use crate::driver::wire::{push_contribs, read_contribs};
@@ -112,14 +122,17 @@ impl MeshMsg {
     }
 }
 
-/// One rank's share of a halo transfer: member `m`'s boundary slabs through
-/// its face `face` (sending side) or its ghost slabs behind it (receiving
-/// side); `peer` is the rank across the face.
+/// One rank's share of a halo transfer: the boundary slabs through face
+/// `face` of the rank's block (sending side) or the ghost slabs behind it
+/// (receiving side), in member `m`'s fields; `peer` is the rank across the
+/// face. `at` is the rank's block inside a fused member's box (`None`: the
+/// member is the rank, its fields the whole block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Leg {
     m: usize,
     face: Face3,
     peer: usize,
+    at: Option<Block3>,
 }
 
 /// One reduction step landing on member `m`: partial `part` of a message,
@@ -147,9 +160,9 @@ enum Op<L> {
     SendFace { spec: Arc<ExchangeSpec<L>>, dst: usize, legs: Vec<Leg> },
     /// Receive `src`'s message into the ghost slabs of each leg.
     RecvFace { spec: Arc<ExchangeSpec<L>>, src: usize, legs: Vec<Leg> },
-    /// The exchange between members as assignments: each `(from, leg)`
-    /// fills the leg's ghosts from member `from`'s boundary slabs.
-    CopyFaces { spec: Arc<ExchangeSpec<L>>, copies: Vec<(usize, Leg)> },
+    /// The exchange between members as assignments: each `(sent, got)`
+    /// fills `got`'s ghosts from `sent`'s boundary slabs.
+    CopyFaces { spec: Arc<ExchangeSpec<L>>, copies: Vec<(Leg, Leg)> },
     /// Send half of a split exchange between members: pack the legs'
     /// boundary slabs now, for the matching [`Op::UnstageFaces`].
     StageFaces { spec: Arc<ExchangeSpec<L>>, legs: Vec<Leg> },
@@ -236,19 +249,42 @@ impl<L> Op<L> {
 
 /// Which process hosts which ranks: `n` ranks in `w` groups of contiguous
 /// ranks whose sizes differ by at most one; `w == n` is one process per
-/// rank.
+/// rank. A process's members are runs of its ranks: one rank each, or,
+/// fused, the maximal runs whose blocks tile a box.
 struct Layout {
     /// `starts[p]..starts[p + 1]`: the ranks process `p` hosts.
     starts: Vec<usize>,
     /// `proc_of[rank]`: the process hosting `rank`.
     proc_of: Vec<usize>,
+    /// `members[p]`: the rank runs of process `p`'s members, in rank order.
+    members: Vec<Vec<Range<usize>>>,
+    /// `member_of[rank]`: the position of `rank`'s member in its process.
+    member_of: Vec<usize>,
 }
 
 impl Layout {
+    /// `w` groups of one-rank members.
     fn grouped(n: usize, w: usize) -> Layout {
+        Layout::cut(n, w, |ranks| ranks.map(|r| r..r + 1).collect())
+    }
+
+    /// `w` groups of `pg`'s ranks, each cut into its [`boxes`].
+    fn fused(pg: &ProcGrid3, w: usize) -> Layout {
+        Layout::cut(pg.nprocs(), w, |ranks| boxes(pg, ranks))
+    }
+
+    /// `w` groups, each cut into members by `members`.
+    fn cut(n: usize, w: usize, members: impl Fn(Range<usize>) -> Vec<Range<usize>>) -> Layout {
         let starts: Vec<usize> = (0..=w).map(|p| p * n / w).collect();
         let proc_of = (0..w).flat_map(|p| (starts[p]..starts[p + 1]).map(move |_| p)).collect();
-        Layout { starts, proc_of }
+        let members: Vec<Vec<Range<usize>>> =
+            (0..w).map(|p| members(starts[p]..starts[p + 1])).collect();
+        let positions = |runs: &Vec<Range<usize>>| {
+            let runs = runs.iter().enumerate();
+            runs.flat_map(|(m, run)| run.clone().map(move |_| m)).collect::<Vec<_>>()
+        };
+        let member_of = members.iter().flat_map(positions).collect();
+        Layout { starts, proc_of, members, member_of }
     }
 
     /// The number of processes.
@@ -261,9 +297,74 @@ impl Layout {
         self.starts[p]..self.starts[p + 1]
     }
 
-    /// `rank`'s position among its process's members.
+    /// The position among its process's members of the member hosting
+    /// `rank`.
     fn member(&self, rank: usize) -> usize {
-        rank - self.starts[self.proc_of[rank]]
+        self.member_of[rank]
+    }
+
+    /// The ranks of the member hosting `rank`.
+    fn run(&self, rank: usize) -> &Range<usize> {
+        &self.members[self.proc_of[rank]][self.member_of[rank]]
+    }
+}
+
+/// `ranks` cut into maximal contiguous runs whose blocks tile a box, in
+/// rank order: each run is the longest from the first rank left that does.
+/// Ranks are numbered z-fastest, so the runs are z-columns, xy-slabs and
+/// whole x-slabs.
+fn boxes(pg: &ProcGrid3, ranks: Range<usize>) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut a = ranks.start;
+    while a < ranks.end {
+        let b = (a + 2..=ranks.end).rev().find(|&b| tiles_box(pg, a..b)).unwrap_or(a + 1);
+        out.push(a..b);
+        a = b;
+    }
+    out
+}
+
+/// True if the blocks of `ranks` tile a box: their process coordinates fill
+/// the box the first and last rank's coordinates span.
+fn tiles_box(pg: &ProcGrid3, ranks: Range<usize>) -> bool {
+    let (lo, hi) = (pg.coords_of(ranks.start), pg.coords_of(ranks.end - 1));
+    let side = |a: usize, b: usize| (b + 1).saturating_sub(a);
+    let inside = |c: (usize, usize, usize)| {
+        (lo.0..=hi.0).contains(&c.0) && (lo.1..=hi.1).contains(&c.1) && (lo.2..=hi.2).contains(&c.2)
+    };
+    side(lo.0, hi.0) * side(lo.1, hi.1) * side(lo.2, hi.2) == ranks.len()
+        && ranks.into_iter().all(|r| inside(pg.coords_of(r)))
+}
+
+/// The box the blocks of `run` tile.
+fn box_block(pg: &ProcGrid3, run: &Range<usize>) -> Block3 {
+    Block3 { lo: pg.block(run.start).lo, hi: pg.block(run.end - 1).hi }
+}
+
+/// True if every phase of `phases` is a cellwise local block, an exchange,
+/// or a loop of such phases: what lets a group fuse its members.
+fn fuses<L>(phases: &[Phase<L>]) -> bool {
+    phases.iter().all(|phase| match phase {
+        Phase::Local(step) => step.cellwise,
+        Phase::Exchange(_) => true,
+        Phase::Loop { body, .. } | Phase::While { body, .. } => fuses(body),
+        _ => false,
+    })
+}
+
+/// How the threaded runner places `pg`'s ranks on `w` processes: fused
+/// boxes when `w` groups several ranks each, the plan [`fuses`], and its
+/// local can cut a rank's state out of a box's (probed on rank 0's own
+/// block); one-rank members otherwise.
+fn placement<L: MeshLocal>(plan: &Plan<L>, pg: &ProcGrid3, init: &InitFn<L>, w: usize) -> Layout {
+    let probe = || {
+        let env = Env::new(*pg, 0);
+        init(&env).cut(&env, &env).is_some()
+    };
+    if w < pg.nprocs() && fuses(&plan.phases) && probe() {
+        Layout::fused(pg, w)
+    } else {
+        Layout::grouped(pg.nprocs(), w)
     }
 }
 
@@ -288,10 +389,10 @@ impl Lowering<'_> {
         self.layout.member(rank)
     }
 
-    /// The grid ranks of process `p` with their member positions.
+    /// The grid ranks of process `p` with the positions of their members.
     fn grid_members(&self, p: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let n = self.pg.nprocs();
-        self.layout.ranks(p).enumerate().filter(move |&(_, r)| r < n)
+        self.layout.ranks(p).filter(move |&r| r < n).map(|r| (self.member(r), r))
     }
 
     /// The processes other than this one hosting `ranks`, in order of first
@@ -306,6 +407,20 @@ impl Lowering<'_> {
         out
     }
 
+    /// Process `p`'s members holding grid ranks.
+    fn grid_boxes(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let n = self.pg.nprocs();
+        let runs = self.layout.members[p].iter().enumerate();
+        runs.filter(move |(_, run)| run.start < n).map(|(m, _)| m)
+    }
+
+    /// `rank`'s leg through `face`, to or from `peer`.
+    fn leg(&self, rank: usize, face: Face3, peer: usize) -> Leg {
+        let run = self.layout.run(rank);
+        let at = (run.len() > 1).then(|| self.pg.block(rank).within(&box_block(&self.pg, run)));
+        Leg { m: self.member(rank), face, peer, at }
+    }
+
     /// The processes across the faces of this process's ranks where
     /// `crosses` holds, in rank then face order of first appearance.
     fn across(&self, crosses: impl Fn(Face3) -> bool) -> Vec<usize> {
@@ -315,7 +430,9 @@ impl Lowering<'_> {
 
     /// The slabs of `spec` that ranks of process `from` send to ranks of
     /// process `to`, as (sender's leg, receiver's leg) pairs in the sender's
-    /// rank then face order — the order of the coalesced message.
+    /// rank then face order — the order of the coalesced message. Two ranks
+    /// of one fused member exchange nothing: each one's ghost cells are the
+    /// other's interior cells.
     fn crossing<'s, L>(
         &'s self,
         spec: &'s ExchangeSpec<L>,
@@ -324,12 +441,13 @@ impl Lowering<'_> {
     ) -> impl Iterator<Item = (Leg, Leg)> + 's {
         self.grid_members(from).flat_map(move |(m, rank)| {
             let sent = move |l: &&FaceLink| {
-                self.proc_of(l.neighbor) == to && spec.sent_through(l.face).next().is_some()
+                let peer = l.neighbor;
+                let apart = self.proc_of(peer) != from || self.member(peer) != m;
+                self.proc_of(peer) == to && apart && spec.sent_through(l.face).next().is_some()
             };
             self.links[rank].iter().filter(sent).map(move |l| {
                 let peer = l.neighbor;
-                let got = Leg { m: self.member(peer), face: l.face.opposite(), peer: rank };
-                (Leg { m, face: l.face, peer }, got)
+                (self.leg(rank, l.face, peer), self.leg(peer, l.face.opposite(), rank))
             })
         })
     }
@@ -350,10 +468,7 @@ impl Lowering<'_> {
             let spec = Arc::clone(&shared);
             let (sent, got): (Vec<Leg>, Vec<Leg>) = inner.into_iter().unzip();
             ops.push(match (send, recv) {
-                (true, true) => {
-                    let from = sent.iter().map(|s| s.m);
-                    Op::CopyFaces { spec, copies: from.zip(got).collect() }
-                }
+                (true, true) => Op::CopyFaces { spec, copies: sent.into_iter().zip(got).collect() },
                 (true, false) => Op::StageFaces { spec, legs: sent },
                 _ => Op::UnstageFaces { spec, legs: got },
             });
@@ -417,12 +532,12 @@ impl Lowering<'_> {
         let me = self.me;
         let h = self.host.unwrap_or(HOST);
         let hp = self.proc_of(h);
-        let all = 0..self.layout.ranks(me).len();
+        let all = 0..self.layout.members[me].len();
         for phase in phases {
             match phase {
                 Phase::Local(step) => {
                     let step = Arc::new(step.clone());
-                    for (m, _) in self.grid_members(me) {
+                    for m in self.grid_boxes(me) {
                         ops.push(Op::Local { step: step.clone(), m });
                     }
                 }
@@ -554,13 +669,29 @@ impl Lowering<'_> {
     }
 }
 
-/// One rank of a process: its environment, local state and reduction
-/// scratch.
+/// One member of a process — a rank, or a fused box of ranks — with its
+/// environment (a box's: its first rank, the box as its block), local state
+/// and reduction scratch.
 #[derive(Clone)]
 struct Member<L> {
     env: Env,
+    /// The ranks the member hosts.
+    ranks: Range<usize>,
     local: L,
     scratch: Vec<f64>,
+}
+
+impl<L: MeshLocal> Member<L> {
+    /// The snapshot of each rank the member hosts, in rank order: a box's
+    /// ranks' states are cut out of it.
+    fn snapshots(&self, pg: ProcGrid3) -> Vec<Vec<u8>> {
+        if self.ranks.len() == 1 {
+            return vec![self.local.snapshot_bytes()];
+        }
+        let cut = |rank| self.local.cut(&self.env, &Env::new(pg, rank));
+        let expect = "a fused local cuts (probed when the program was built)";
+        self.ranks.clone().map(|rank| cut(rank).expect(expect).snapshot_bytes()).collect()
+    }
 }
 
 /// A mesh process: one rank, or a group of ranks, of the compiled
@@ -708,7 +839,8 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             let local = L::decode_local(&t.local, &mut local_r)?;
             let local = local_r.finish(local)?;
             let n = r.count(8, "scratch")?;
-            members.push(Member { env: t.env, local, scratch: r.f64s(n, "scratch")? });
+            let scratch = r.f64s(n, "scratch")?;
+            members.push(Member { env: t.env, ranks: t.ranks.clone(), local, scratch });
         }
         let n = r.count(20, "contribs")?;
         let contribs = read_contribs(&mut r, n)?;
@@ -942,10 +1074,11 @@ impl<L: MeshLocal> MsgProcess<L> {
 
     /// Pack the boundary slabs of `legs`, in order, into a recycled buffer.
     fn pack_legs(&mut self, spec: &ExchangeSpec<L>, legs: &[Leg]) -> Vec<f64> {
-        let n = legs.iter().map(|l| spec.packed_len(&mut self.members[l.m].local, l.face)).sum();
+        let members = &mut self.members;
+        let n = legs.iter().map(|l| spec.packed_len(&mut members[l.m].local, l.at, l.face)).sum();
         let mut buf = self.pool.take(n);
         for leg in legs {
-            spec.pack(&mut self.members[leg.m].local, leg.face, &mut buf);
+            spec.pack(&mut self.members[leg.m].local, leg.at, leg.face, &mut buf);
         }
         buf
     }
@@ -966,10 +1099,10 @@ impl<L: MeshLocal> MsgProcess<L> {
             let end = if i + 1 == legs.len() {
                 payload.len()
             } else {
-                at + spec.received_len(local, leg.face)
+                at + spec.received_len(local, leg.at, leg.face)
             };
             let res = match payload.get(at..end) {
-                Some(slabs) => spec.unpack(local, leg.face, slabs),
+                Some(slabs) => spec.unpack(local, leg.at, leg.face, slabs),
                 None => Err(format!("message of {} values ends inside its slabs", payload.len())),
             };
             res.map_err(|e| self.protocol(format!("halo from rank {}: {e}", leg.peer)))?;
@@ -1115,11 +1248,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::RecvFace { src, .. } => return self.recv(pc, *src),
                 Op::CopyFaces { spec, copies } => {
-                    for (from, leg) in copies {
-                        let peer = self.members[leg.m].env.rank;
-                        let sent = Leg { m: *from, face: leg.face.opposite(), peer };
-                        let slabs = self.pack_legs(spec, &[sent]);
-                        let res = self.unpack_legs(spec, std::slice::from_ref(leg), &slabs);
+                    for (sent, got) in copies {
+                        let slabs = self.pack_legs(spec, std::slice::from_ref(sent));
+                        let res = self.unpack_legs(spec, std::slice::from_ref(got), &slabs);
                         self.pool.put(slabs);
                         if let Err(error) = res {
                             return Effect::Fault { error };
@@ -1332,26 +1463,27 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
         msg.size_bytes()
     }
 
-    /// The rank's snapshot; a group's is its members' snapshots, each
-    /// length-prefixed, in rank order.
+    /// The rank's snapshot; a group's is its ranks' snapshots, each
+    /// length-prefixed, in rank order (a fused member's ranks cut out of
+    /// its box).
     fn snapshot(&self) -> Vec<u8> {
-        match &self.members[..] {
-            [one] => one.local.snapshot_bytes(),
-            many => {
-                let mut out = Vec::new();
-                for m in many {
-                    push_bytes(&mut out, &m.local.snapshot_bytes());
-                }
-                out
+        if let [one] = &self.members[..] {
+            if one.ranks.len() == 1 {
+                return one.local.snapshot_bytes();
             }
         }
+        let mut out = Vec::new();
+        for snap in self.members.iter().flat_map(|m| m.snapshots(self.pg)) {
+            push_bytes(&mut out, &snap);
+        }
+        out
     }
 
     /// The frames of [`MsgProcess::snapshot`]: one definition of a group's
     /// final state serves the simulator and the pool alike.
     fn rank_snapshots(&self) -> Vec<Vec<u8>> {
         let snapshot = self.snapshot();
-        match self.members.len() {
+        match self.members.iter().map(|m| m.ranks.len()).sum() {
             1 => vec![snapshot],
             k => unframe(&snapshot, k),
         }
@@ -1369,10 +1501,10 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
     }
 }
 
-/// The `k` member snapshots a group's [`MsgProcess::snapshot`] frames.
+/// The `k` rank snapshots a group's [`MsgProcess::snapshot`] frames.
 fn unframe(snapshot: &[u8], k: usize) -> Vec<Vec<u8>> {
     let mut r = Reader::new("group snapshot", snapshot);
-    (0..k).map(|_| r.bytes("member snapshot").expect("framed by snapshot()").to_vec()).collect()
+    (0..k).map(|_| r.bytes("rank snapshot").expect("framed by snapshot()").to_vec()).collect()
 }
 
 /// Compile `plan` into the channel topology and the per-rank processes of
@@ -1460,11 +1592,16 @@ fn build_processes<L: MeshLocal>(
         .map(|&me| {
             let mut ops = Vec::new();
             Lowering { pg, layout, links: &links, me, host }.flatten(&plan.phases, &mut ops);
-            let members = layout
-                .ranks(me)
-                .map(|rank| {
-                    let env = if rank < n { Env::new(pg, rank) } else { Env::new_host(pg) };
-                    Member { env, local: init(&env), scratch: Vec::new() }
+            let members = layout.members[me]
+                .iter()
+                .map(|run| {
+                    let rank = run.start;
+                    let env = match run.len() {
+                        _ if rank >= n => Env::new_host(pg),
+                        1 => Env::new(pg, rank),
+                        _ => Env { rank, pg, block: box_block(&pg, run) },
+                    };
+                    Member { env, ranks: run.clone(), local: init(&env), scratch: Vec::new() }
                 })
                 .collect();
             MsgProcess {
@@ -1610,9 +1747,10 @@ pub fn run_msg_threaded<L: MeshLocal>(
 ///
 /// The program runs as [`group_count`] processes for the pool the
 /// configuration resolves ([`ThreadedConfig::pool_size`]): one per rank, or
-/// one per pool worker, each hosting a group of contiguous ranks. The
-/// outcome's snapshots are per rank, in rank order, either way; its metrics
-/// and flight log describe the processes that ran.
+/// one per pool worker, each hosting a group of contiguous ranks — fused
+/// into boxes when the plan's phases allow it (module docs). The outcome's
+/// snapshots are per rank, in rank order, either way; its metrics and
+/// flight log describe the processes that ran.
 pub fn run_msg_threaded_slack<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
@@ -1623,7 +1761,7 @@ pub fn run_msg_threaded_slack<L: MeshLocal>(
     let p = pg.nprocs();
     let w = group_count(&pg, cfg.pool_size(p));
     let all: Vec<usize> = (0..w).collect();
-    let layout = Layout::grouped(p, w);
+    let layout = placement(plan, &pg, init, w);
     let (topo, procs) = build_processes(plan, pg, init, HostMode::GridRank0, &layout, &all);
     ssp_runtime::run_threaded_with(&topo.with_uniform_capacity(slack), procs, cfg)
 }
@@ -2047,6 +2185,11 @@ mod tests {
             push_f64s(&mut out, &self.s);
             out
         }
+
+        fn cut(&self, whole: &Env, member: &Env) -> Option<Self> {
+            let at = member.block.within(&whole.block);
+            Some(Cell { u: self.u.sub_grid(&at), s: self.s.clone() })
+        }
     }
 
     impl MeshLocalCodec for Cell {
@@ -2132,7 +2275,8 @@ mod tests {
             .build()
     }
 
-    /// `plan` as `w` groups on the simulator: per-rank snapshots.
+    /// `plan` as `w` groups on the simulator, placed as the threaded runner
+    /// places them (fused where the plan allows): per-rank snapshots.
     fn run_grouped<L: MeshLocal>(
         plan: &Plan<L>,
         pg: ProcGrid3,
@@ -2141,7 +2285,7 @@ mod tests {
         slack: Option<usize>,
         policy: &mut dyn SchedulePolicy,
     ) -> Result<Vec<Vec<u8>>, RunError> {
-        let layout = Layout::grouped(pg.nprocs(), w);
+        let layout = placement(plan, &pg, init, w);
         let all: Vec<usize> = (0..w).collect();
         let (topo, procs) = build_processes(plan, pg, init, HostMode::GridRank0, &layout, &all);
         let out = Simulator::new(topo.with_uniform_capacity(slack), procs).run(policy)?;
@@ -2160,28 +2304,36 @@ mod tests {
     /// Every grouping of P ≤ 9 ranks, slack 1 and unbounded, under three
     /// policies: bitwise the per-rank program. Both reduction schedules
     /// combine wide-magnitude partials, so a rank combining its partials in
-    /// any other order would show.
+    /// any other order would show. The cellwise stencil runs every grouping
+    /// fused.
     #[test]
     fn every_grouping_matches_the_per_rank_program_bitwise() {
-        let (plan, init) = (cell_plan(), init_cell());
-        for p in 1..=9 {
-            let pg = ProcGrid3::choose((8, 6, 5), p);
-            let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
-            for w in 1..=p {
-                for slack in [Some(1), None] {
-                    let policies: [Box<dyn SchedulePolicy>; 3] = [
-                        Box::new(RoundRobin::new()),
-                        Box::new(RandomPolicy::seeded(7 * p as u64 + w as u64)),
-                        Box::new(AdversarialPolicy::new(Adversary::HighestFirst)),
-                    ];
-                    for mut policy in policies {
-                        let got = run_grouped(&plan, pg, &init, w, slack, policy.as_mut())
-                            .unwrap_or_else(|e| panic!("P={p} W={w} slack {slack:?}: {e}"));
-                        assert_eq!(got, reference.snapshots, "P={p} W={w} slack {slack:?}");
+        let init = init_cell();
+        let mut fused = 0;
+        for plan in [cell_plan(), stencil_plan()] {
+            for p in 1..=9 {
+                let pg = ProcGrid3::choose((8, 6, 5), p);
+                let reference =
+                    run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+                for w in 1..=p {
+                    let layout = placement(&plan, &pg, &init, w);
+                    fused += layout.members.iter().flatten().filter(|run| run.len() > 1).count();
+                    for slack in [Some(1), None] {
+                        let policies: [Box<dyn SchedulePolicy>; 3] = [
+                            Box::new(RoundRobin::new()),
+                            Box::new(RandomPolicy::seeded(7 * p as u64 + w as u64)),
+                            Box::new(AdversarialPolicy::new(Adversary::HighestFirst)),
+                        ];
+                        for mut policy in policies {
+                            let got = run_grouped(&plan, pg, &init, w, slack, policy.as_mut())
+                                .unwrap_or_else(|e| panic!("P={p} W={w} slack {slack:?}: {e}"));
+                            assert_eq!(got, reference.snapshots, "P={p} W={w} slack {slack:?}");
+                        }
                     }
                 }
             }
         }
+        assert!(fused > 30, "only {fused} multi-rank boxes: the sweep hardly fused");
     }
 
     /// Negative control: a lowering that skips one assignment between
@@ -2206,14 +2358,29 @@ mod tests {
 
     /// A grouped program cut after every prefix of a round-robin run — mid
     /// split exchange, with slabs staged, among them — survives the state
-    /// codec and finishes on the pool bitwise equal to the per-rank run.
+    /// codec and finishes on the pool bitwise equal to the per-rank run. So
+    /// does a fused one: each box encodes as one member, and a template
+    /// built the same way resumes it.
     #[test]
     fn every_cut_of_a_grouped_run_survives_the_state_codec() {
-        let (plan, init) = (cell_plan(), init_cell());
+        let staged_seen = every_cut_survives(&cell_plan(), Layout::grouped(4, 2));
+        assert!(staged_seen, "some cut lands between a split exchange's halves");
         let pg = ProcGrid3::choose((6, 5, 4), 4);
-        let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
-        let layout = Layout::grouped(4, 2);
-        let build = || build_processes(&plan, pg, &init, HostMode::GridRank0, &layout, &[0, 1]);
+        let fused = placement(&stencil_plan(), &pg, &init_cell(), 2);
+        assert_eq!(fused.members.concat(), [0..2, 2..4], "two boxes of two ranks");
+        assert_eq!(fused.members[0].len(), 1);
+        every_cut_survives(&stencil_plan(), fused);
+    }
+
+    /// Cut `plan` on the 4-rank grid placed by `layout` (two processes)
+    /// after every prefix of a round-robin run, pass every process through
+    /// the state codec and finish on the pool: bitwise the per-rank run.
+    /// Returns whether some cut held staged slabs.
+    fn every_cut_survives(plan: &Plan<Cell>, layout: Layout) -> bool {
+        let init = init_cell();
+        let pg = ProcGrid3::choose((6, 5, 4), 4);
+        let reference = run_msg_simulated(plan, pg, &init, &mut RoundRobin::new()).unwrap();
+        let build = || build_processes(plan, pg, &init, HostMode::GridRank0, &layout, &[0, 1]);
         let (topo, templates) = build();
         let reference_run = Simulator::new(topo.clone(), build().1).run(&mut RoundRobin::new());
         let picks = reference_run.unwrap().picks;
@@ -2232,6 +2399,93 @@ mod tests {
             let snaps: Vec<_> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
             assert_eq!(snaps, reference.snapshots, "cut {cut}");
         }
-        assert!(staged_seen, "some cut lands between a split exchange's halves");
+        staged_seen
+    }
+
+    /// A relaxation sweep declared cellwise, after an exchange of every
+    /// face: a plan every group may fuse.
+    fn stencil_plan() -> Plan<Cell> {
+        Plan::builder()
+            .loop_n(3, |b| {
+                b.exchange("halo", |l: &mut Cell| &mut l.u).local("relax", relax).cellwise()
+            })
+            .build()
+    }
+
+    #[test]
+    fn twenty_seven_ranks_on_two_workers_fuse_into_six_boxes() {
+        let pg = ProcGrid3::choose((33, 33, 33), 27);
+        let layout = Layout::fused(&pg, 2);
+        assert_eq!(layout.members, [vec![0..9, 9..12, 12..13], vec![13..15, 15..18, 18..27]]);
+        let extents: Vec<_> =
+            layout.members.iter().flatten().map(|run| box_block(&pg, run).extent()).collect();
+        assert_eq!(
+            extents,
+            [(11, 33, 33), (11, 11, 33), (11, 11, 11), (11, 11, 22), (11, 11, 33), (11, 33, 33)]
+        );
+        for rank in 0..27 {
+            let m = layout.member(rank);
+            assert!(layout.members[layout.proc_of[rank]][m].contains(&rank), "rank {rank}");
+        }
+        let plan = stencil_plan();
+        assert!(fuses(&plan.phases) && !fuses(&cell_plan().phases));
+        assert_eq!(placement(&plan, &pg, &init_cell(), 2).members, layout.members);
+        let unfused = placement(&cell_plan(), &pg, &init_cell(), 2);
+        assert_eq!(unfused.members, Layout::grouped(27, 2).members);
+        let (_, procs) =
+            build_processes(&plan, pg, &init_cell(), HostMode::GridRank0, &layout, &[0, 1]);
+        // One relaxation per box and half-step: three boxes per group.
+        for p in &procs {
+            assert_eq!(p.ops.iter().filter(|op| matches!(op, Op::Local { .. })).count(), 3);
+        }
+    }
+
+    /// An exchange between the ranks of one box compiles to nothing: on one
+    /// worker the whole grid is one box, and its program is the loop and
+    /// the relaxation alone.
+    #[test]
+    fn an_exchange_inside_a_box_compiles_to_no_op() {
+        let pg = ProcGrid3::choose((6, 5, 4), 8);
+        let plan = stencil_plan();
+        let layout = placement(&plan, &pg, &init_cell(), 1);
+        assert_eq!((layout.width(), layout.members[0].len()), (1, 1));
+        assert_eq!(layout.members[0].first(), Some(&(0..8)), "one box of every rank");
+        let (_, procs) =
+            build_processes(&plan, pg, &init_cell(), HostMode::GridRank0, &layout, &[0]);
+        let kinds: Vec<&str> = procs[0]
+            .ops
+            .iter()
+            .map(|op| match op {
+                Op::LoopStart { .. } => "start",
+                Op::Local { .. } => "local",
+                Op::LoopEnd { .. } => "end",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(kinds, ["start", "local", "end"]);
+        assert_eq!(procs[0].members[0].env.block, Block3 { lo: (0, 0, 0), hi: (6, 5, 4) });
+    }
+
+    /// Negative control: a block that writes a per-block value — its cell
+    /// count — declared cellwise all the same, fuses and is caught.
+    #[test]
+    fn a_block_wrongly_declared_cellwise_is_caught() {
+        let plan = Plan::builder()
+            .loop_n(2, |b| {
+                b.exchange("halo", |l: &mut Cell| &mut l.u)
+                    .local("relax", relax)
+                    .cellwise()
+                    .local("count", |env: &Env, l: &mut Cell| {
+                        let cells = env.block.len() as f64;
+                        l.u.set(0, 0, 0, l.u.get(0, 0, 0) + cells);
+                    })
+                    .cellwise()
+            })
+            .build();
+        let init = init_cell();
+        let pg = ProcGrid3::choose((6, 5, 4), 8);
+        let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+        let got = run_grouped(&plan, pg, &init, 2, None, &mut RoundRobin::new()).unwrap();
+        assert_ne!(got, reference.snapshots);
     }
 }

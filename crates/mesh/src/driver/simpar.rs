@@ -400,7 +400,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
                     continue;
                 }
                 let mut payload = Vec::new();
-                spec.pack(&mut self.locals[r], link.face, &mut payload);
+                spec.pack(&mut self.locals[r], None, link.face, &mut payload);
                 payloads.push((r, link.neighbor, link.face, payload));
             }
         }
@@ -456,7 +456,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
     /// Install one message into the destination's ghosts. The destination's
     /// name for the shared face is the opposite of the sender's.
     fn install(&mut self, spec: &ExchangeSpec<L>, src: usize, dst: usize, face: Face3, payload: &[f64]) {
-        spec.unpack(&mut self.locals[dst], face.opposite(), payload)
+        spec.unpack(&mut self.locals[dst], None, face.opposite(), payload)
             .unwrap_or_else(|e| panic!("halo from rank {src} to rank {dst}: {e}"));
     }
 

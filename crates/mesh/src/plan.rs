@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use meshgrid::halo::{slab_len3, Face3, FaceSet3};
-use meshgrid::Grid3;
+use meshgrid::{Block3, Grid3};
 use ssp_runtime::RunError;
 
 use crate::env::Env;
@@ -67,11 +67,20 @@ pub struct LocalStep<L> {
     pub f: LocalFn<L>,
     /// Cost estimate for the machine model.
     pub flops: FlopsFn<L>,
+    /// Declared *cellwise* ([`PlanBuilder::cellwise`]): running the block
+    /// once on a box tiled by several ranks' blocks equals running it on
+    /// each of those blocks in turn, so a grouped run may fuse them.
+    pub cellwise: bool,
 }
 
 impl<L> Clone for LocalStep<L> {
     fn clone(&self) -> Self {
-        LocalStep { name: self.name.clone(), f: self.f.clone(), flops: self.flops.clone() }
+        LocalStep {
+            name: self.name.clone(),
+            f: self.f.clone(),
+            flops: self.flops.clone(),
+            cellwise: self.cellwise,
+        }
     }
 }
 
@@ -142,36 +151,47 @@ impl<L> ExchangeSpec<L> {
     }
 
     /// Number of values in the message this rank sends through `face`.
-    pub fn packed_len(&self, local: &mut L, face: Face3) -> usize {
+    /// `at` is the rank's block inside `local`'s fields when they hold
+    /// several ranks' blocks; `None` is each field's whole interior.
+    pub fn packed_len(&self, local: &mut L, at: Option<Block3>, face: Face3) -> usize {
         self.sent_through(face)
             .map(|(_, part)| {
                 let field = (part.field)(local);
-                slab_len3(field.extent(), field.ghost(), face)
+                slab_len3(block_of(field, at).extent(), field.ghost(), face)
             })
             .sum()
     }
 
     /// Number of values in the message this rank receives through `face`.
-    pub(crate) fn received_len(&self, local: &mut L, face: Face3) -> usize {
-        self.packed_len(local, face.opposite())
+    pub(crate) fn received_len(&self, local: &mut L, at: Option<Block3>, face: Face3) -> usize {
+        self.packed_len(local, at, face.opposite())
     }
 
     /// Pack the message this rank sends through `face` — the interior slabs
-    /// of every part crossing it, in part order — appending to `out`.
-    pub fn pack(&self, local: &mut L, face: Face3, out: &mut Vec<f64>) {
+    /// of every part crossing it, in part order — appending to `out`. `at`
+    /// is as in [`ExchangeSpec::packed_len`].
+    pub fn pack(&self, local: &mut L, at: Option<Block3>, face: Face3, out: &mut Vec<f64>) {
         for (_, part) in self.sent_through(face) {
-            meshgrid::halo::extract_face3_into((part.field)(local), face, out);
+            let field = (part.field)(local);
+            meshgrid::halo::extract_block_face3_into(field, &block_of(field, at), face, out);
         }
     }
 
     /// Install a message received through `face` into the ghost slabs of
-    /// every part crossing it. The whole payload is measured against the
-    /// parts before any ghost is written, so on error `local` is untouched.
-    pub fn unpack(&self, local: &mut L, face: Face3, payload: &[f64]) -> Result<(), String> {
+    /// every part crossing it (`at` as in [`ExchangeSpec::packed_len`]).
+    /// The whole payload is measured against the parts before any ghost is
+    /// written, so on error `local` is untouched.
+    pub fn unpack(
+        &self,
+        local: &mut L,
+        at: Option<Block3>,
+        face: Face3,
+        payload: &[f64],
+    ) -> Result<(), String> {
         let (mut end, mut last) = (0, 0);
         for (i, part) in self.received_through(face) {
             let field = (part.field)(local);
-            end += slab_len3(field.extent(), field.ghost(), face);
+            end += slab_len3(block_of(field, at).extent(), field.ghost(), face);
             last = i;
             if end > payload.len() {
                 return Err(format!(
@@ -190,16 +210,22 @@ impl<L> ExchangeSpec<L> {
                 self.name
             ));
         }
-        let mut at = 0;
+        let mut from = 0;
         for (i, part) in self.received_through(face) {
             let field = (part.field)(local);
-            let n = slab_len3(field.extent(), field.ghost(), face);
-            meshgrid::halo::try_insert_ghost3(field, face, &payload[at..at + n])
+            let block = block_of(field, at);
+            let n = slab_len3(block.extent(), field.ghost(), face);
+            meshgrid::halo::try_insert_block_ghost3(field, &block, face, &payload[from..from + n])
                 .map_err(|e| format!("part {i} of exchange '{}': {e}", self.name))?;
-            at += n;
+            from += n;
         }
         Ok(())
     }
+}
+
+/// The block of `field` an exchange leg moves: `at`, or the whole interior.
+fn block_of(field: &Grid3<f64>, at: Option<Block3>) -> Block3 {
+    at.unwrap_or_else(|| Block3::at_origin(field.extent()))
 }
 
 /// An elementwise reduction over per-rank contribution vectors.
@@ -514,7 +540,25 @@ impl<L> PlanBuilder<L> {
             name: name.to_string(),
             f: Arc::new(f),
             flops: Arc::new(flops),
+            cellwise: false,
         }));
+        self
+    }
+
+    /// Declare the local block just appended *cellwise*: each cell's new
+    /// values are computed from cells the preceding exchanges keep current,
+    /// with no per-block quantity (a rank, a cell count, a partial sum)
+    /// entering them. Then running the block once on a box that several
+    /// ranks' blocks tile equals running it on each block in turn, and a
+    /// grouped run may fuse those ranks into one section (DESIGN.md §12).
+    ///
+    /// Panics if the last phase is not a local block: a plan-construction
+    /// bug, like a misplaced builder call.
+    pub fn cellwise(mut self) -> Self {
+        match self.phases.last_mut() {
+            Some(Phase::Local(step)) => step.cellwise = true,
+            _ => panic!("cellwise() must directly follow a local block"),
+        }
         self
     }
 
@@ -713,15 +757,15 @@ mod tests {
         assert_eq!(spec.sent_through(XLo).map(|(i, _)| i).collect::<Vec<_>>(), [0, 1]);
         assert_eq!(spec.sent_through(XHi).count(), 0, "nobody refreshes an XLo ghost");
         let mut msg = Vec::new();
-        spec.pack(&mut src, XLo, &mut msg);
-        assert_eq!(msg.len(), spec.packed_len(&mut src, XLo));
+        spec.pack(&mut src, None, XLo, &mut msg);
+        assert_eq!(msg.len(), spec.packed_len(&mut src, None, XLo));
         assert_eq!(msg.len(), 12);
         assert_eq!(msg[0], 100.0);
         assert_eq!(msg[6], 200.0);
 
         let fresh = || Two { u: Grid3::new(2, 3, 2, 1), v: Grid3::new(2, 3, 2, 1) };
         let mut dst = fresh();
-        spec.unpack(&mut dst, XHi, &msg).unwrap();
+        spec.unpack(&mut dst, None, XHi, &msg).unwrap();
         assert_eq!(dst.u.get(2, 0, 0), 100.0);
         assert_eq!(dst.v.get(2, 2, 1), 205.0);
 
@@ -733,7 +777,7 @@ mod tests {
             (&[msg.as_slice(), &[9.0]].concat()[..], "1 past the end of part 1"),
         ] {
             let mut dst = fresh();
-            let err = spec.unpack(&mut dst, XHi, bad).unwrap_err();
+            let err = spec.unpack(&mut dst, None, XHi, bad).unwrap_err();
             assert!(err.contains(needle) && err.contains("'uv'"), "{err}");
             assert_eq!(dst.u, fresh().u, "failed unpack must not write");
             assert_eq!(dst.v, fresh().v);

@@ -8,6 +8,8 @@
 //! W = P keeps one process per rank. Each plan below moves data with one
 //! phase kind and feeds the result back into the field, so a group that
 //! performed any assignment in another order — or skipped one — would show.
+//! The plan whose sweeps are declared cellwise runs fused: each group's
+//! ranks that tile a box are one section.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -49,6 +51,18 @@ impl MeshLocal for G {
             out.extend(meshgrid::io::grid3_to_bytes(g));
         }
         out
+    }
+
+    fn cut(&self, whole: &Env, member: &Env) -> Option<Self> {
+        let at = member.block.within(&whole.block);
+        Some(G {
+            u: self.u.sub_grid(&at),
+            v: self.v.sub_grid(&at),
+            results: self.results.clone(),
+            gathered: self.gathered.clone(),
+            resid: self.resid,
+            sweeps: self.sweeps,
+        })
     }
 }
 
@@ -141,6 +155,28 @@ fn stepped(body: impl Fn(PlanBuilder<G>) -> PlanBuilder<G>) -> Plan<G> {
 /// One plan per phase kind.
 fn plans(p: usize) -> Vec<(String, Plan<G>)> {
     let mut out = vec![("exchange".to_string(), stepped(|b| b))];
+    // The same sweep declared cellwise: a group of several ranks fuses
+    // them into boxes, and the exchanges inside a box vanish.
+    out.push((
+        "cellwise exchange".into(),
+        Plan::builder()
+            .loop_n(2, |b| {
+                b.exchange_parts(halo())
+                    .local("mix", |e, l| {
+                        mix(e, l);
+                    })
+                    .cellwise()
+            })
+            .while_loop("count", |l: &G| l.sweeps < 3, 8, |b| {
+                b.exchange_parts(halo())
+                    .local("mix", |e, l| {
+                        mix(e, l);
+                        l.sweeps += 1;
+                    })
+                    .cellwise()
+            })
+            .build(),
+    ));
     out.push((
         "split exchange".into(),
         stepped(|b| {

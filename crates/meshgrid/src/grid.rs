@@ -8,6 +8,8 @@
 //! the subgrid boundary — the boundary-exchange operation keeps those ghost
 //! cells equal to the neighbouring process's boundary values.
 
+use crate::partition::Block3;
+
 /// A 3-D dense grid with ghost boundary, row-major (`z` fastest).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Grid3<T> {
@@ -176,6 +178,25 @@ impl<T: Copy + Default> Grid3<T> {
                     .copy_from_slice(&src[off..off + nz]);
             }
         }
+    }
+
+    /// The section `at` of this grid's interior (in interior coordinates)
+    /// as a grid of its own with the same ghost width. Its ghost cells are
+    /// the cells around it here: this grid's interior where the section is
+    /// inside, its ghost layer where the section reaches the boundary.
+    pub fn sub_grid(&self, at: &Block3) -> Self {
+        let (nx, ny, nz) = at.extent();
+        let mut out = Self::new(nx, ny, nz, self.ghost);
+        let g = self.ghost as isize;
+        let (i0, j0, k0) = (at.lo.0 as isize, at.lo.1 as isize, at.lo.2 as isize);
+        let (nx, ny, nz) = (nx as isize, ny as isize, nz as isize);
+        for i in -g..nx + g {
+            for j in -g..ny + g {
+                let src = self.row(i0 + i, j0 + j, k0 - g, k0 + nz + g);
+                out.row_mut(i, j, -g, nz + g).copy_from_slice(src);
+            }
+        }
+        out
     }
 
     /// Raw storage (including ghost cells), mainly for bitwise comparisons.
@@ -348,6 +369,19 @@ mod tests {
         g.row_mut(0, 0, 0, 5).fill(7.0);
         assert_eq!(g.get(0, 0, 3), 7.0);
         assert_eq!(g.get(0, 0, -1), 0.0, "ghost untouched by interior row");
+    }
+
+    #[test]
+    fn a_sub_grid_takes_its_ghosts_from_the_cells_around_it() {
+        let mut g = Grid3::from_fn(4, 3, 5, 1, |i, j, k| (i * 100 + j * 10 + k) as f64);
+        g.set(-1, 1, 2, -7.0);
+        let s = g.sub_grid(&Block3 { lo: (0, 1, 2), hi: (2, 3, 5) });
+        assert_eq!(s.extent(), (2, 2, 3));
+        assert_eq!(s.get(0, 0, 0), 12.0);
+        assert_eq!(s.get(1, 1, 2), 124.0);
+        assert_eq!(s.get(2, 0, 0), 212.0, "interior cell of the grid as a ghost");
+        assert_eq!(s.get(-1, 0, 0), -7.0, "ghost cell of the grid as a ghost");
+        assert_eq!(g.sub_grid(&Block3::at_origin((4, 3, 5))), g);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::error::HaloError;
 use crate::grid::Grid3;
+use crate::partition::Block3;
 
 /// A face of a 3-D local section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,29 +139,21 @@ impl std::fmt::Debug for FaceSet3 {
 }
 
 /// Index ranges (per axis, in signed local coordinates) of the slab of depth
-/// `width` adjacent to `face`. `interior = true` selects the interior cells
-/// to *send*; `false` selects the ghost cells to *fill*.
-fn slab_ranges3(
-    extent: (usize, usize, usize),
-    width: usize,
-    face: Face3,
-    interior: bool,
-) -> [(isize, isize); 3] {
-    let (nx, ny, nz) = (extent.0 as isize, extent.1 as isize, extent.2 as isize);
+/// `width` adjacent to `face` of the sub-block `at` of a grid's interior.
+/// `interior = true` selects the sub-block's cells to *send*; `false`
+/// selects the cells just outside it to *fill* (ghost cells when `at` is
+/// the whole interior).
+fn slab_ranges3(at: &Block3, width: usize, face: Face3, interior: bool) -> [(isize, isize); 3] {
+    let (lo, hi) = (at.lo, at.hi);
+    let full = [(lo.0, hi.0), (lo.1, hi.1), (lo.2, hi.2)].map(|(a, b)| (a as isize, b as isize));
     let w = width as isize;
-    let full = [(0, nx), (0, ny), (0, nz)];
     let (axis, dir) = face.axis_dir();
-    let n_axis = full[axis].1;
-    let r = if interior {
-        if dir < 0 {
-            (0, w)
-        } else {
-            (n_axis - w, n_axis)
-        }
-    } else if dir < 0 {
-        (-w, 0)
-    } else {
-        (n_axis, n_axis + w)
+    let (a0, a1) = full[axis];
+    let r = match (interior, dir < 0) {
+        (true, true) => (a0, a0 + w),
+        (true, false) => (a1 - w, a1),
+        (false, true) => (a0 - w, a0),
+        (false, false) => (a1, a1 + w),
     };
     let mut out = full;
     out[axis] = r;
@@ -169,7 +162,7 @@ fn slab_ranges3(
 
 /// Number of cells in the slab for `face` at depth `width`.
 pub fn slab_len3(extent: (usize, usize, usize), width: usize, face: Face3) -> usize {
-    let r = slab_ranges3(extent, width, face, true);
+    let r = slab_ranges3(&Block3::at_origin(extent), width, face, true);
     r.iter().map(|(lo, hi)| (hi - lo) as usize).product()
 }
 
@@ -185,8 +178,16 @@ pub fn extract_face3(g: &Grid3<f64>, face: Face3) -> Vec<f64> {
 /// lexicographic order), so a recycled buffer can carry the slab without a
 /// fresh allocation per exchange.
 pub fn extract_face3_into(g: &Grid3<f64>, face: Face3, out: &mut Vec<f64>) {
-    let r = slab_ranges3(g.extent(), g.ghost(), face, true);
-    out.reserve(slab_len3(g.extent(), g.ghost(), face));
+    extract_block_face3_into(g, &Block3::at_origin(g.extent()), face, out);
+}
+
+/// The boundary slab adjacent to `face` of the sub-block `at` of `g`'s
+/// interior (depth = the grid's ghost width), appended to `out` in
+/// lexicographic order: what one rank's section sends when several
+/// sections share one grid. [`extract_face3_into`] is the whole interior.
+pub fn extract_block_face3_into(g: &Grid3<f64>, at: &Block3, face: Face3, out: &mut Vec<f64>) {
+    let r = slab_ranges3(at, g.ghost(), face, true);
+    out.reserve(slab_len3(at.extent(), g.ghost(), face));
     // z is the storage-contiguous axis, so each (i, j) row of the slab is
     // one slice copy; for x/y faces that is the whole cross-section row.
     for i in r[0].0..r[0].1 {
@@ -212,7 +213,21 @@ pub fn try_insert_ghost3(
     face: Face3,
     payload: &[f64],
 ) -> Result<(), HaloError> {
-    let r = slab_ranges3(g.extent(), g.ghost(), face, false);
+    try_insert_block_ghost3(g, &Block3::at_origin(g.extent()), face, payload)
+}
+
+/// Insert a payload into the cells just outside `face` of the sub-block
+/// `at` of `g`'s interior — the sub-block's ghost slab, which lies in `g`'s
+/// ghost layer where the face is on the grid's boundary. The fallible form
+/// of [`insert_ghost3`] for one section of several sharing one grid; on
+/// error the grid is untouched.
+pub fn try_insert_block_ghost3(
+    g: &mut Grid3<f64>,
+    at: &Block3,
+    face: Face3,
+    payload: &[f64],
+) -> Result<(), HaloError> {
+    let r = slab_ranges3(at, g.ghost(), face, false);
     let expect: usize = r.iter().map(|(lo, hi)| (hi - lo) as usize).product();
     if payload.len() != expect {
         return Err(HaloError::PayloadSizeMismatch {
@@ -236,7 +251,7 @@ pub fn try_insert_ghost3(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::Grid3;
+    use crate::error::HaloError;
 
     #[test]
     fn opposite_faces_pair_up() {
@@ -319,6 +334,32 @@ mod tests {
                 assert_eq!(h.get(i, -1, k), (i * 100 + 30 + k) as f64);
             }
         }
+    }
+
+    #[test]
+    fn a_sub_block_packs_and_unpacks_as_its_own_section_would() {
+        // A 6×5×4 grid holding two 3×5×4 sections along x.
+        let g = Grid3::from_fn(6, 5, 4, 1, |i, j, k| (i * 100 + j * 10 + k) as f64);
+        let right = Block3 { lo: (3, 0, 0), hi: (6, 5, 4) };
+        let own = g.sub_grid(&right);
+        for f in Face3::ALL {
+            let mut sub = Vec::new();
+            extract_block_face3_into(&g, &right, f, &mut sub);
+            assert_eq!(sub, extract_face3(&own, f), "{f:?}");
+        }
+        // The section's XLo ghost slab is the left section's last layer.
+        let mut h = g.clone();
+        let slab = vec![-1.0; slab_len3(right.extent(), 1, Face3::XLo)];
+        try_insert_block_ghost3(&mut h, &right, Face3::XLo, &slab).unwrap();
+        assert_eq!(h.get(2, 4, 3), -1.0);
+        assert_eq!(h.get(1, 4, 3), g.get(1, 4, 3));
+        let err = try_insert_block_ghost3(&mut h, &right, Face3::XLo, &slab[1..]).unwrap_err();
+        assert_eq!(err, HaloError::PayloadSizeMismatch { face: "XLo", got: 19, expected: 20 });
+        // The whole interior is the whole-grid call.
+        let whole = Block3::at_origin(g.extent());
+        let mut sub = Vec::new();
+        extract_block_face3_into(&g, &whole, Face3::ZHi, &mut sub);
+        assert_eq!(sub, extract_face3(&g, Face3::ZHi));
     }
 
     #[test]

@@ -62,6 +62,22 @@ pub struct Block3 {
 }
 
 impl Block3 {
+    /// The block of extent `extent` at the origin: a whole section in its
+    /// own local coordinates.
+    pub fn at_origin(extent: (usize, usize, usize)) -> Block3 {
+        Block3 { lo: (0, 0, 0), hi: extent }
+    }
+
+    /// `self` in the local coordinates of `outer`, which must hold it.
+    pub fn within(&self, outer: &Block3) -> Block3 {
+        let (o, s) = (outer.lo, self);
+        debug_assert!(s.lo.0 >= o.0 && s.lo.1 >= o.1 && s.lo.2 >= o.2);
+        Block3 {
+            lo: (s.lo.0 - o.0, s.lo.1 - o.1, s.lo.2 - o.2),
+            hi: (s.hi.0 - o.0, s.hi.1 - o.1, s.hi.2 - o.2),
+        }
+    }
+
     /// Local (per-axis) extent of the block.
     pub fn extent(&self) -> (usize, usize, usize) {
         (self.hi.0 - self.lo.0, self.hi.1 - self.lo.1, self.hi.2 - self.lo.2)
