@@ -94,7 +94,7 @@ fn main() -> Verdicts {
 
     // --- E8d: host placement (§4.2's two options) -----------------------
     use fdtd::par::{init_c, plan_c};
-    use mesh_archetype::driver::{run_simpar, HostMode, SimParConfig, ValidationLevel};
+    use mesh_archetype::driver::{run_simpar, HostMode, SimParConfig};
     use meshgrid::ProcGrid3;
     let plan = plan_c(&params, &spec, strategy);
     let pg = ProcGrid3::choose(params.n, 8);
@@ -105,7 +105,7 @@ fn main() -> Verdicts {
         ("separate host process", HostMode::Separate),
     ] {
         let init = init_c(params.clone(), spec.clone(), strategy);
-        let cfg = SimParConfig { validation: ValidationLevel::Off, host_mode: mode };
+        let cfg = SimParConfig { host_mode: mode };
         let out = run_simpar(&plan, pg, cfg, |e| init(e));
         let t = suns.price_trace(&out.trace);
         modeled.push(t);

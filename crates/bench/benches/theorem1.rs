@@ -22,7 +22,7 @@ use archetypes_core::to_parallel;
 use bench::{print_table, Verdicts};
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
-use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
+use mesh_archetype::driver::{run_simpar, SimParConfig};
 use mesh_archetype::{run_msg_simulated, run_msg_threaded};
 use meshgrid::ProcGrid3;
 use ssp_runtime::policy::standard_battery;
@@ -40,7 +40,7 @@ fn main() -> Verdicts {
     for p in [2usize, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
+        let cfg = SimParConfig::default();
         let simpar = run_simpar(&plan, pg, cfg, |e| init(e));
         let mut agree = 0usize;
         let mut total = 0usize;

@@ -14,7 +14,7 @@ use std::time::Instant;
 use fdtd::par::{init_a, init_c, plan_a, plan_c, LocalA, LocalC};
 use fdtd::{FarFieldSpec, FarFieldStrategy, Params};
 use machine_model::MachineModel;
-use mesh_archetype::driver::{run_simpar, SimParConfig, SimParOutcome, ValidationLevel};
+use mesh_archetype::driver::{run_simpar, SimParConfig, SimParOutcome};
 use mesh_archetype::CommTrace;
 use meshgrid::ProcGrid3;
 
@@ -38,7 +38,7 @@ pub fn run_version_a(params: &Arc<Params>, p: usize) -> (SimParOutcome<LocalA>, 
     let pg = ProcGrid3::choose(params.n, p);
     let plan = plan_a(params);
     let init = init_a(params.clone());
-    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
+    let cfg = SimParConfig::default();
     let t0 = Instant::now();
     let out = run_simpar(&plan, pg, cfg, |e| init(e));
     let wall = t0.elapsed().as_secs_f64();
@@ -56,7 +56,7 @@ pub fn run_version_c(
     let pg = ProcGrid3::choose(params.n, p);
     let plan = plan_c(params, spec, strategy);
     let init = init_c(params.clone(), spec.clone(), strategy);
-    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
+    let cfg = SimParConfig::default();
     let t0 = Instant::now();
     let out = run_simpar(&plan, pg, cfg, |e| init(e));
     let wall = t0.elapsed().as_secs_f64();

@@ -37,7 +37,6 @@
 
 pub mod ir;
 pub mod parallel;
-pub mod peephole;
 pub mod refine;
 pub mod stencil;
 pub mod theorem;
@@ -45,6 +44,5 @@ pub mod transform;
 
 pub use ir::{check_program, Block, Expr, Program, Store, Var};
 pub use parallel::{ParallelProgram, ScriptProcess};
-pub use peephole::{peephole, PeepholeStats};
 pub use refine::{refines, Pipeline, StageMetrics};
 pub use transform::to_parallel;

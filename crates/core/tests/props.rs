@@ -2,8 +2,7 @@
 //! random initial data, checked through every refinement stage and the
 //! final transformation, plus Theorem 1 under random schedules.
 
-use archetypes_core::ir::{Block, Expr, LocalAssign, Program as IrProgram, Store, Var};
-use archetypes_core::peephole::peephole;
+use archetypes_core::ir::Store;
 use archetypes_core::refine::{refines, InitFn, ObserveFn};
 use archetypes_core::stencil::{
     duplicate, observe_partitioned, observe_replicated, partition, seed_initial, sequential,
@@ -73,52 +72,6 @@ proptest! {
         prop_assert_eq!(&rr.snapshots, &expect);
         let rnd = pp.run_simulated(&store, &mut RandomPolicy::seeded(seed)).unwrap();
         prop_assert_eq!(&rnd.snapshots, &expect);
-    }
-
-    /// The peephole pass preserves evaluation bitwise on random expression
-    /// trees and random inputs.
-    #[test]
-    fn peephole_is_bitwise_preserving(
-        shape in prop::collection::vec(0u8..8, 1..40),
-        x in -1e10f64..1e10,
-        y in -1e10f64..1e10,
-    ) {
-        // Build a deterministic expression tree from a shape string: fold
-        // operators over the two variables and peephole-relevant constants.
-        let mut expr = Expr::Var(Var::new(0, "x"));
-        for (i, op) in shape.iter().enumerate() {
-            let leaf = match i % 4 {
-                0 => Expr::Var(Var::new(0, "y")),
-                1 => Expr::Const(2.0),
-                2 => Expr::Const(1.0),
-                _ => Expr::Var(Var::new(0, "x")),
-            };
-            expr = match op % 8 {
-                0 => Expr::Add(Box::new(expr), Box::new(leaf)),
-                1 => Expr::Sub(Box::new(expr), Box::new(leaf)),
-                2 => Expr::Mul(Box::new(expr), Box::new(leaf)),
-                3 => Expr::Mul(Box::new(leaf), Box::new(expr)),
-                4 => Expr::Div(Box::new(expr), Box::new(leaf)),
-                5 => Expr::Neg(Box::new(expr)),
-                6 => Expr::Neg(Box::new(Expr::Neg(Box::new(expr)))),
-                _ => Expr::Mul(Box::new(Expr::Const(2.0)), Box::new(expr)),
-            };
-        }
-        let program = IrProgram {
-            n_procs: 1,
-            blocks: vec![Block::Local {
-                parts: vec![vec![LocalAssign { target: Var::new(0, "out"), expr }]],
-            }],
-        };
-        let (optimized, _) = peephole(&program);
-        let run = |p: &IrProgram| {
-            p.run_from(|s| {
-                s.set(&Var::new(0, "x"), x);
-                s.set(&Var::new(0, "y"), y);
-            })
-            .get(&Var::new(0, "out"))
-        };
-        prop_assert_eq!(run(&program).to_bits(), run(&optimized).to_bits());
     }
 
     /// Theorem 1's permutation argument holds under random swaps on random

@@ -620,7 +620,6 @@ mod tests {
         let pg = ProcGrid3::choose(params.n, 4);
         let init = init_a(params.clone());
         let out = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
-        assert!(out.report.is_clean());
         for l in &out.locals {
             assert_eq!(l.step, params.steps);
             assert!(l.fields.energy().is_finite());
@@ -634,7 +633,6 @@ mod tests {
         let init = init_a(params.clone());
         let base = run_simpar(&plan_a(&params), pg, SimParConfig::default(), |e| init(e));
         let over = run_simpar(&plan_a_overlap(&params), pg, SimParConfig::default(), |e| init(e));
-        assert!(base.report.is_clean() && over.report.is_clean());
         for (a, b) in base.locals.iter().zip(&over.locals) {
             assert_eq!(a.step, b.step);
             assert!(a.fields.bitwise_eq(&b.fields), "overlap reordering changed a bit");

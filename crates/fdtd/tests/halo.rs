@@ -23,7 +23,7 @@ use fdtd::{
     run_seq_version_a, run_seq_version_c, BoundaryCondition, FarFieldSpec, FarFieldStrategy,
     Fields, Params,
 };
-use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
+use mesh_archetype::driver::{run_simpar, SimParConfig};
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::exchange::face_links;
 use mesh_archetype::{
@@ -96,9 +96,6 @@ fn interiors_match<L>(
     parts.iter().all(|(par, seq)| par.interior_bitwise_eq(seq))
 }
 
-fn simpar_cfg() -> SimParConfig {
-    SimParConfig { validation: ValidationLevel::Cell, ..Default::default() }
-}
 
 /// Run `plan` from a poisoned start on all three drivers; the simulated-
 /// parallel interiors must equal `seq`, the message-passing snapshots the
@@ -107,8 +104,7 @@ fn check_poisoned_a(plan: &Plan<LocalA>, params: &Arc<Params>, seq: &Fields, wha
     let init = poisoned_a(params);
     for p in PROCESS_COUNTS {
         let pg = ProcGrid3::choose(params.n, p);
-        let mut out = run_simpar(plan, pg, simpar_cfg(), |e| init(e));
-        assert!(out.report.is_clean(), "{what} P={p}: {:?}", out.report.violations);
+        let mut out = run_simpar(plan, pg, SimParConfig::default(), |e| init(e));
         assert!(
             interiors_match(&mut out, &pg, |l| &mut l.fields, seq),
             "{what} P={p}: a kernel read a ghost cell no exchange refreshed"
@@ -142,8 +138,7 @@ fn poisoned_ghosts_never_reach_an_interior_under_plan_c() {
         let init = poisoned_c(&params, &spec, strategy);
         for p in PROCESS_COUNTS {
             let pg = ProcGrid3::choose(params.n, p);
-            let mut out = run_simpar(&plan, pg, simpar_cfg(), |e| init(e));
-            assert!(out.report.is_clean(), "plan_c {bc:?} P={p}");
+            let mut out = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
             assert!(
                 interiors_match(&mut out, &pg, |l| &mut l.a.fields, &seq.fields),
                 "plan_c {bc:?} P={p}: a kernel read a ghost cell no exchange refreshed"
@@ -170,7 +165,7 @@ fn dropping_any_one_face_of_any_part_lets_the_poison_through() {
     let init = poisoned_a(&params);
     let run = |faces: &HaloFaces| {
         let plan = plan_a_with_halo(&params, faces);
-        let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
+        let cfg = SimParConfig::default();
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
         interiors_match(&mut out, &pg, |l| &mut l.fields, &seq)
     };

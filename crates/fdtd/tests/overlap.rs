@@ -17,7 +17,7 @@ use fdtd::{run_seq_version_a, BoundaryCondition, Params};
 use mesh_archetype::driver::{run_simpar, SimParConfig};
 use mesh_archetype::{
     run_msg_simulated, run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack,
-    try_run_simpar, SimParError, SimParOutcome,
+    try_run_simpar, SimParOutcome,
 };
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{
@@ -77,7 +77,6 @@ fn overlap_is_bitwise_identical_to_sequential_for_every_p() {
             let pg = ProcGrid3::choose(params.n, p);
             let init = init_a(params.clone());
             let mut out = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
-            assert!(out.report.is_clean(), "bc={bc:?} P={p}");
             let par_grids = assemble_fields_a(&mut out, &pg);
             for (s, g) in seq_grids.iter().zip(&par_grids) {
                 assert!(s.interior_bitwise_eq(g), "overlap diverged at bc={bc:?} P={p}");
@@ -206,10 +205,7 @@ fn thin_mur_sections_fault_typed_on_every_backend() {
         let err = try_run_simpar(&plan, thin, SimParConfig::default(), |e| init(e))
             .err()
             .expect("thin Mur section must not run clean");
-        match &err {
-            SimParError::Local(e) => assert!(is_mur_protocol(e), "{err}"),
-            other => panic!("expected a local Mur fault, got {other}"),
-        }
+        assert!(is_mur_protocol(&err), "{err}");
 
         // Simulated message passing: the same fault through the scheduler.
         let err = run_msg_simulated(&plan, thin, &init, &mut RoundRobin::new()).unwrap_err();

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use fdtd::par::{init_a, plan_a};
 use fdtd::{BoundaryCondition, Material, MaterialSpec, Params, Source};
-use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
+use mesh_archetype::driver::{run_simpar, SimParConfig};
 use meshgrid::{Block3, ProcGrid3};
 use proptest::prelude::*;
 
@@ -114,9 +114,8 @@ proptest! {
         let plan = plan_a(&params);
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Slab, ..Default::default() };
+        let cfg = SimParConfig::default();
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
-        prop_assert!(out.report.is_clean());
         let ez = out.assemble_global(&pg, |l| &mut l.fields.ez);
         let hx = out.assemble_global(&pg, |l| &mut l.fields.hx);
         let seq_ez = seq.fields.ez.interior_to_vec();

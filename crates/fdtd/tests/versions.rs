@@ -18,7 +18,7 @@ use fdtd::{
     run_seq_version_a, run_seq_version_c, BoundaryCondition, FarFieldSpec, FarFieldStrategy,
     Params,
 };
-use mesh_archetype::driver::{run_simpar, SimParConfig, ValidationLevel};
+use mesh_archetype::driver::{run_simpar, SimParConfig};
 use mesh_archetype::{run_msg_simulated, run_msg_threaded, ReduceAlgo, SumMethod};
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin};
@@ -58,9 +58,8 @@ fn near_field_simpar_identical_to_sequential() {
     for p in [2usize, 3, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Slab, ..Default::default() };
+        let cfg = SimParConfig::default();
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
-        assert!(out.report.is_clean(), "P={p}");
         let par_grids = assemble_fields_a(&mut out, &pg);
         for (s, g) in seq_grids.iter().zip(&par_grids) {
             assert!(s.interior_bitwise_eq(g), "near field diverged at P={p}");

@@ -130,7 +130,6 @@ mod tests {
                 MsgRecord { src: 0, dst: 1, bytes: 8_000 },
                 MsgRecord { src: 1, dst: 0, bytes: 8_000 },
             ],
-            rounds: 1,
         });
         t
     }

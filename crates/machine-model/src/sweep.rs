@@ -63,7 +63,6 @@ mod tests {
             name: "x".into(),
             flops: vec![0, 0],
             msgs: vec![MsgRecord { src: 0, dst: 1, bytes: 800 }],
-            rounds: 1,
         });
         t
     }

@@ -33,17 +33,12 @@ pub struct PhaseCost {
     pub flops: Vec<u64>,
     /// Messages sent during this phase.
     pub msgs: Vec<MsgRecord>,
-    /// Number of communication *rounds* (stages) in the phase: messages in
-    /// different rounds cannot overlap in time. A boundary exchange is one
-    /// round; an all-to-one reduction is two; recursive doubling is
-    /// `⌈log₂P⌉ (+2)`.
-    pub rounds: u32,
 }
 
 impl PhaseCost {
     /// A pure-computation record.
     pub fn compute(name: &str, flops: Vec<u64>) -> Self {
-        PhaseCost { name: name.to_string(), flops, msgs: Vec::new(), rounds: 0 }
+        PhaseCost { name: name.to_string(), flops, msgs: Vec::new() }
     }
 
     /// Total bytes moved in this phase.
@@ -115,7 +110,6 @@ mod tests {
                 MsgRecord { src: 0, dst: 1, bytes: 64 },
                 MsgRecord { src: 1, dst: 0, bytes: 32 },
             ],
-            rounds: 1,
         });
         assert_eq!(t.total_messages(), 2);
         assert_eq!(t.total_bytes(), 96);

@@ -21,13 +21,11 @@ fn hand_trace() -> CommTrace {
             MsgRecord { src: 0, dst: 1, bytes: 8_000 },
             MsgRecord { src: 1, dst: 0, bytes: 8_000 },
         ],
-        rounds: 1,
     });
     t.push(PhaseCost {
         name: "reduce".into(),
         flops: vec![0, 0],
         msgs: vec![MsgRecord { src: 1, dst: 0, bytes: 8 }],
-        rounds: 1,
     });
     t
 }

@@ -20,7 +20,7 @@ fn arb_trace() -> impl Strategy<Value = CommTrace> {
                         bytes: b,
                     })
                     .collect();
-                PhaseCost { name: "p".into(), flops, msgs, rounds: 1 }
+                PhaseCost { name: "p".into(), flops, msgs }
             });
         prop::collection::vec(phase, nphases).prop_map(move |phases| CommTrace {
             nprocs,

@@ -5,7 +5,7 @@
 //! | driver | paper artifact | address spaces | communication |
 //! |---|---|---|---|
 //! | [`run_seq`] | degenerate P = 1 | one | none |
-//! | [`run_simpar`] | sequential simulated-parallel version (§2.2) | N simulated | assignments, validated |
+//! | [`run_simpar`] | sequential simulated-parallel version (§2.2) | N simulated | assignments |
 //! | [`run_msg_threaded_slack`], grouped ([`group_count`]) | simulated-parallel groups of contiguous ranks, message passing between groups | W ≤ pool workers | assignments inside a group; one message per group pair and phase |
 //! | [`run_msg_simulated`] | message-passing program under a simulated scheduler (§3.1) | N | sends/receives on SRSW channels |
 //! | [`run_msg_threaded`] | message-passing program on real threads | N | sends/blocking receives |
@@ -36,8 +36,7 @@ pub use msg::{
 pub use seq::run_seq;
 pub use wire::{decode_mesh_msg, encode_mesh_msg};
 pub use simpar::{
-    ordered_sum, run_simpar, try_run_simpar, GatherShapeError, HostMode, SimParConfig,
-    SimParError, SimParOutcome, ValidationLevel,
+    ordered_sum, run_simpar, try_run_simpar, HostMode, SimParConfig, SimParOutcome,
 };
 
 /// Local state of a mesh process: anything sendable with a canonical byte

@@ -735,15 +735,12 @@ pub struct MsgProcess<L> {
 // Process-state codec: what a checkpoint-resumed migration moves.
 // ---------------------------------------------------------------------------
 
-/// The reduce operators in wire-tag order.
-const REDUCE_OPS: [ReduceOp; 3] = [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min];
-
 impl<L: MeshLocalCodec> MsgProcess<L> {
     /// Encode this process's complete dynamic state: program counter, each
     /// member's local state (via [`MeshLocalCodec`]) and scratch, the
     /// contrib buffer, an in-progress gather/scatter grid (ghosts included
-    /// — a cut can land mid-collective), control stacks, the pending
-    /// receive and, for a group, its staged slabs. Static structure (the
+    /// — a cut can land mid-collective), control stacks, whether a receive
+    /// is pending and, for a group, its staged slabs. Static structure (the
     /// compiled program, channels, geometry) is *not* encoded;
     /// [`MsgProcess::decode_state`] takes it from a template.
     pub fn encode_state(&self) -> Vec<u8> {
@@ -775,34 +772,10 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
         for &v in &self.while_stack {
             push_u64(&mut out, v);
         }
-        match self.pending.map(|op| (op, &self.ops[op])) {
-            None => out.push(0),
-            Some((op, Op::RecvFace { src, legs, .. })) => {
-                out.push(1);
-                push_u64(&mut out, op as u64);
-                let face = Face3::ALL.iter().position(|f| *f == legs[0].face);
-                out.push(face.expect("Face3::ALL is exhaustive") as u8);
-                push_u32(&mut out, *src as u32);
-            }
-            Some((_, Op::ReduceRecv { op, applies, .. })) if applies[0].combine => {
-                out.push(2);
-                let tag = REDUCE_OPS.iter().position(|o| o == op);
-                out.push(tag.expect("REDUCE_OPS is exhaustive") as u8);
-            }
-            Some((_, Op::ReduceRecv { .. })) => out.push(3),
-            Some((_, Op::OrdRecvContribs { .. })) => out.push(4),
-            Some((_, Op::OrdRecvResult { .. })) => out.push(5),
-            Some((_, Op::BcastRecv { .. })) => out.push(6),
-            Some((_, Op::GatherRecvBlock { src, .. })) => {
-                out.push(7);
-                push_u32(&mut out, *src as u32);
-            }
-            Some((op, Op::ScatterRecvBlock { .. })) => {
-                out.push(8);
-                push_u64(&mut out, op as u64);
-            }
-            Some((op, _)) => unreachable!("pending op {op} is a receive (set only by one)"),
-        }
+        // A receive is issued right after the program counter moves past
+        // it, so a pending receive is always the op before `pc`.
+        debug_assert!(self.pending.is_none_or(|op| op + 1 == self.pc));
+        out.push(u8::from(self.pending.is_some()));
         if self.members.len() > 1 {
             push_u32(&mut out, self.staged.len() as u32);
             for slabs in &self.staged {
@@ -817,11 +790,9 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
     /// same ranks, spec, and topology) plus [`MsgProcess::encode_state`]
     /// bytes. Total over arbitrary bytes: malformed or forged input fails
     /// with a typed [`RunError::Protocol`] attributed to the template's
-    /// process. A pending receive must name a receive op of the template's
-    /// program (of its kind, and for a halo, from its sender through its
-    /// face; one whose wire form carries no op index must be the op just
-    /// before the program counter), and an in-progress grid must be the
-    /// program's global grid; control state the interpreter cannot check
+    /// process. A pending receive is the op just before the program
+    /// counter, which must be a receive op, and an in-progress grid must be
+    /// the program's global grid; control state the interpreter cannot check
     /// here (an empty loop or while stack, a missing grid) faults typed when
     /// it is reached. So a hostile manifest can neither panic the
     /// interpreter nor make it index out of range.
@@ -879,68 +850,13 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             .collect::<Result<_, RunError>>()?;
         let n = r.count(8, "while stack")?;
         let while_stack = (0..n).map(|_| r.u64("while budget")).collect::<Result<_, _>>()?;
-        let tag = r.u8("pending tag")?;
-        // A pending receive whose wire form carries no op index must be the
-        // op issued just before `pc`, of the kind `is` accepts.
-        let before = |r: &Reader<'_>, what: &str, is: &dyn Fn(&Op<L>) -> bool| {
-            pc.checked_sub(1).filter(|&i| is(&ops[i])).ok_or_else(|| {
-                r.error(format_args!("pending {what} is not the receive before pc {pc}"))
-            })
-        };
-        let pending = match tag {
-            0 => None,
-            1 => {
-                let op = r.u64("pending face op")? as usize;
-                let face = r.u8("pending face index")?;
-                let neighbor = r.u32("pending face neighbor")? as usize;
-                let face_is = Face3::ALL.get(face as usize);
-                match ops.get(op) {
-                    Some(Op::RecvFace { src, legs, .. })
-                        if *src == neighbor && face_is == Some(&legs[0].face) =>
-                    {
-                        Some(op)
-                    }
-                    _ => {
-                        return Err(r.error(format_args!(
-                            "pending halo (op {op}, face {face}, from rank {neighbor}) is not \
-                             a receive of this program"
-                        )))
-                    }
-                }
-            }
-            2 => {
-                let tag = r.u8("pending reduce op")?;
-                let want = *REDUCE_OPS
-                    .get(tag as usize)
-                    .ok_or_else(|| r.error(format_args!("unknown reduce op tag {tag}")))?;
-                let what = format!("{} combine", want.name());
-                Some(before(&r, &what, &|o| {
-                    matches!(o, Op::ReduceRecv { op, applies, .. } if *op == want && applies[0].combine)
-                })?)
-            }
-            3 => Some(before(&r, "reduce copy", &|o| {
-                matches!(o, Op::ReduceRecv { applies, .. } if !applies[0].combine)
-            })?),
-            4 => Some(before(&r, "contributions", &|o| matches!(o, Op::OrdRecvContribs { .. }))?),
-            5 => Some(before(&r, "ordered result", &|o| matches!(o, Op::OrdRecvResult { .. }))?),
-            6 => Some(before(&r, "broadcast", &|o| matches!(o, Op::BcastRecv { .. }))?),
-            7 => {
-                let src = r.u32("pending gather src")? as usize;
-                let what = format!("gather from {src}");
-                Some(before(&r, &what, &|o| {
-                    matches!(o, Op::GatherRecvBlock { src: s, .. } if *s == src)
-                })?)
-            }
-            8 => {
-                let op = r.u64("pending scatter op")? as usize;
-                if !matches!(ops.get(op), Some(Op::ScatterRecvBlock { .. })) {
-                    return Err(r.error(format_args!(
-                        "pending scatter op {op} is not a scatter receive of this program"
-                    )));
-                }
-                Some(op)
-            }
-            t => return Err(r.error(format_args!("unknown pending tag {t}"))),
+        let pending = if r.flag("pending receive")? {
+            let op = pc.checked_sub(1).filter(|&op| ops[op].expects() != "no");
+            Some(op.ok_or_else(|| {
+                r.error(format_args!("pending receive: the op before pc {pc} is not a receive"))
+            })?)
+        } else {
+            None
         };
         let mut staged = VecDeque::new();
         if members.len() > 1 {
@@ -1870,33 +1786,18 @@ mod tests {
             .exchange("halo", |l: &mut One| &mut l.u)
             .scatter_grid("load", |_: &One| Grid3::new(4, 4, 4, 0), |l: &mut One| &mut l.u)
             .build();
-        // Rank 1 compiles [SendFace, RecvFace, ScatterRecvBlock]; its halo
-        // arrives from rank 0 through its low x face. A pending halo closes
-        // the encoding: tag 1, op (u64), face index (u8), sender (u32).
-        let valid = forged(&plan, 1, |p| p.pending = Some(1));
-        assert!(valid.is_ok(), "{:?}", valid.err());
-        let face = |f: Face3| Face3::ALL.iter().position(|&g| g == f).unwrap() as u8;
-        let halo = |op: u64, f: Face3| {
-            let mut tail = vec![1];
-            push_u64(&mut tail, op);
-            tail.push(face(f));
-            push_u32(&mut tail, 0);
-            tail
-        };
-        let mut scatter = vec![8];
-        push_u64(&mut scatter, 1);
-        // A halo pending on the send op or over another face, and a scatter
-        // block pending on the halo receive.
-        for tail in [halo(0, Face3::XLo), halo(1, Face3::XHi), scatter] {
-            let r = forged_bytes(
-                &plan,
-                1,
-                |p| p.pending = Some(1),
-                |bytes| {
-                    bytes.truncate(bytes.len() - 14);
-                    bytes.extend_from_slice(&tail);
-                },
-            );
+        // Rank 1 compiles [SendFace, RecvFace, ScatterRecvBlock]. A pending
+        // receive is one flag, the last byte of a one-rank state, and is the
+        // op before the program counter.
+        for pc in [2, 3] {
+            let pending = |p: &mut MsgProcess<One>| (p.pc, p.pending) = (pc, Some(pc - 1));
+            let decoded = forged(&plan, 1, pending).map(|p| p.pending);
+            assert_eq!(decoded.ok(), Some(Some(pc - 1)), "pc {pc}");
+        }
+        // A flag with no op before the program counter or with the send
+        // there, and a flag that is neither 0 nor 1.
+        for (pc, flag) in [(0, 1), (1, 1), (2, 2)] {
+            let r = forged_bytes(&plan, 1, |p| p.pc = pc, |b| *b.last_mut().unwrap() = flag);
             assert!(matches!(r, Err(RunError::Protocol { proc: 1, .. })), "{:?}", r.err());
         }
     }

@@ -2,7 +2,7 @@
 
 use meshgrid::ProcGrid3;
 
-use crate::driver::simpar::{run_simpar, SimParConfig, ValidationLevel};
+use crate::driver::simpar::{run_simpar, SimParConfig};
 use crate::driver::MeshLocal;
 use crate::env::Env;
 use crate::plan::Plan;
@@ -18,8 +18,7 @@ pub fn run_seq<L: MeshLocal>(
     init: impl Fn(&Env) -> L,
 ) -> L {
     let pg = ProcGrid3::new(n, (1, 1, 1));
-    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
-    run_simpar(plan, pg, cfg, init)
+    run_simpar(plan, pg, SimParConfig::default(), init)
         .locals
         .pop()
         .expect("one local state for one process")

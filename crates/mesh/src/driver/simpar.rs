@@ -1,18 +1,24 @@
-//! The sequential simulated-parallel driver (§2.2).
+//! The sequential simulated-parallel driver (§2.2), the reference every
+//! other execution of a plan is compared against.
 //!
 //! One address space per simulated process (`Vec<L>`); local-computation
 //! blocks run for `i = 0..N` in index order; data-exchange operations are
 //! performed as assignments between the simulated address spaces — with all
 //! "sends" (payload extractions) performed before any "receives" (ghost
-//! insertions), the ordering §3.3 prescribes — and validated against the
-//! Definition's restrictions. Every message that the corresponding
-//! message-passing program would send is recorded in a [`CommTrace`] for
-//! the machine model.
+//! insertions), the ordering §3.3 prescribes. Every message that the
+//! corresponding message-passing program would send is recorded in a
+//! [`CommTrace`] for the machine model.
+//!
+//! The §2.2 restrictions hold for every exchange by construction (DESIGN.md
+//! §17), so nothing here checks them. A broken program — a mis-sized
+//! gather, scatter or halo, a while loop past its budget, ranks that
+//! disagree on a replicated predicate — fails with the
+//! [`RunError::Protocol`] the message-passing driver raises for it.
 
 use std::collections::VecDeque;
 
 use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};
-use meshgrid::halo::{slab_len3, Face3};
+use meshgrid::halo::Face3;
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::RunError;
 
@@ -25,19 +31,6 @@ use crate::plan::{
 };
 use crate::reduce::ReducePlan;
 use crate::sum::SumMethod;
-use crate::validate::{check_exchange, ExchangeAssign, ValidationReport};
-
-/// How thoroughly exchanges are checked against the §2.2 restrictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidationLevel {
-    /// No restriction checking (fastest; for production-size runs).
-    Off,
-    /// One abstract object per exchanged face slab (cheap, catches
-    /// duplicate-slab writes and starved processes).
-    Slab,
-    /// One abstract object per ghost cell (exhaustive; for tests).
-    Cell,
-}
 
 /// Who plays host for file I/O, ordered reductions and result collection
 /// (§4.2 offers both options).
@@ -54,91 +47,15 @@ pub enum HostMode {
 }
 
 /// Configuration of a simulated-parallel run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SimParConfig {
-    /// Restriction-checking granularity.
-    pub validation: ValidationLevel,
     /// Host placement.
     pub host_mode: HostMode,
 }
 
-impl Default for SimParConfig {
-    fn default() -> Self {
-        SimParConfig {
-            validation: ValidationLevel::Slab,
-            host_mode: HostMode::GridRank0,
-        }
-    }
-}
-
-/// A gather found a rank's field interior sized differently from the block
-/// that rank owns — the assembled global grid would be missing or
-/// double-writing cells.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GatherShapeError {
-    /// The rank whose field was mis-sized.
-    pub rank: usize,
-    /// Number of values the field interior actually holds.
-    pub got: usize,
-    /// Number of cells the rank's block owns.
-    pub expected: usize,
-}
-
-impl std::fmt::Display for GatherShapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "gather from rank {}: field interior holds {} values, its block holds {}",
-            self.rank, self.got, self.expected
-        )
-    }
-}
-
-impl std::error::Error for GatherShapeError {}
-
-/// A simulated-parallel run failed: either the plan itself was malformed
-/// (a mis-sized gather or scatter) or a local-computation block reported a
-/// typed error (e.g. degenerate boundary geometry).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimParError {
-    /// A gather found a mis-sized field.
-    GatherShape(GatherShapeError),
-    /// A scatter's source is not the global grid, or a rank's target field
-    /// is not sized to its block.
-    ScatterShape {
-        /// The scatter phase's name.
-        scatter: String,
-        /// `None` for the host's source grid, `Some(rank)` for that rank's
-        /// target field.
-        rank: Option<usize>,
-        /// The grid's extent.
-        got: (usize, usize, usize),
-        /// The extent it must have.
-        expected: (usize, usize, usize),
-    },
-    /// A local step failed; carries the step's own [`RunError`].
-    Local(RunError),
-}
-
-impl std::fmt::Display for SimParError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimParError::GatherShape(e) => e.fmt(f),
-            SimParError::ScatterShape { scatter, rank, got, expected } => {
-                let grid = rank.map_or("source grid".into(), |r| format!("rank {r}'s field"));
-                write!(f, "scatter {scatter}: {grid} extent {got:?}, expected {expected:?}")
-            }
-            SimParError::Local(e) => write!(f, "local step failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for SimParError {}
-
-impl From<GatherShapeError> for SimParError {
-    fn from(e: GatherShapeError) -> Self {
-        SimParError::GatherShape(e)
-    }
+/// A protocol error raised by simulated process `proc`.
+fn protocol(proc: usize, detail: String) -> RunError {
+    RunError::Protocol { proc, detail }
 }
 
 /// Result of a simulated-parallel run.
@@ -149,8 +66,6 @@ pub struct SimParOutcome<L> {
     pub snapshots: Vec<Vec<u8>>,
     /// Recorded communication/computation costs.
     pub trace: CommTrace,
-    /// Restriction-checking results.
-    pub report: ValidationReport,
 }
 
 impl<L> SimParOutcome<L> {
@@ -208,7 +123,6 @@ struct SimPar<'p, L> {
     locals: Vec<L>,
     cfg: SimParConfig,
     trace: CommTrace,
-    report: ValidationReport,
     /// Payload batches posted by `ExchangeSend` phases awaiting their
     /// matching `ExchangeRecv` (FIFO — splits of the same plan pair up in
     /// program order, exactly as the per-channel FIFO of the
@@ -220,8 +134,8 @@ struct SimPar<'p, L> {
 /// Run `plan` as a sequential simulated-parallel program over the process
 /// topology `pg`, with initial local states built by `init`.
 ///
-/// Panics if a gather or scatter finds a mis-sized grid (a malformed plan)
-/// or a local step fails; use [`try_run_simpar`] for the typed error instead.
+/// Panics if the program is broken or a local step fails; use
+/// [`try_run_simpar`] for the typed error instead.
 pub fn run_simpar<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
@@ -231,14 +145,15 @@ pub fn run_simpar<L: MeshLocal>(
     try_run_simpar(plan, pg, cfg, init).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Like [`run_simpar`], but a malformed plan or failed local step surfaces
-/// as a typed [`SimParError`] instead of a panic.
+/// Like [`run_simpar`], but a broken program fails with the
+/// [`RunError::Protocol`] the message-passing driver raises for it, and a
+/// failed local step with its own [`RunError`].
 pub fn try_run_simpar<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
     cfg: SimParConfig,
     init: impl Fn(&Env) -> L,
-) -> Result<SimParOutcome<L>, SimParError> {
+) -> Result<SimParOutcome<L>, RunError> {
     let grid_n = pg.nprocs();
     let mut envs: Vec<Env> = (0..grid_n).map(|r| Env::new(pg, r)).collect();
     if cfg.host_mode == HostMode::Separate {
@@ -253,18 +168,12 @@ pub fn try_run_simpar<L: MeshLocal>(
         locals,
         cfg,
         trace: CommTrace::new(total),
-        report: ValidationReport::default(),
         staged: VecDeque::new(),
         _plan: std::marker::PhantomData,
     };
     driver.run_phases(&plan.phases)?;
     let snapshots = driver.locals.iter().map(|l| l.snapshot_bytes()).collect();
-    Ok(SimParOutcome {
-        locals: driver.locals,
-        snapshots,
-        trace: driver.trace,
-        report: driver.report,
-    })
+    Ok(SimParOutcome { locals: driver.locals, snapshots, trace: driver.trace })
 }
 
 impl<L: MeshLocal> SimPar<'_, L> {
@@ -273,10 +182,10 @@ impl<L: MeshLocal> SimPar<'_, L> {
         self.locals.len()
     }
 
-    /// Record a communication phase: no flops, `msgs` in `rounds` rounds.
-    fn record(&mut self, name: &str, msgs: Vec<MsgRecord>, rounds: u32) {
+    /// Record a communication phase: no flops, `msgs`.
+    fn record(&mut self, name: &str, msgs: Vec<MsgRecord>) {
         let flops = vec![0; self.n()];
-        self.trace.push(PhaseCost { name: name.to_string(), flops, msgs, rounds });
+        self.trace.push(PhaseCost { name: name.to_string(), flops, msgs });
     }
 
     /// The rank playing host.
@@ -287,21 +196,23 @@ impl<L: MeshLocal> SimPar<'_, L> {
         }
     }
 
-    fn run_phases(&mut self, phases: &[Phase<L>]) -> Result<(), SimParError> {
+    fn run_phases(&mut self, phases: &[Phase<L>]) -> Result<(), RunError> {
         for phase in phases {
             match phase {
                 Phase::Local(step) => {
                     let mut flops = vec![0u64; self.n()];
                     for (i, f) in flops.iter_mut().enumerate().take(self.grid_n) {
                         *f = (step.flops)(&self.envs[i], &self.locals[i]);
-                        (step.f)(&self.envs[i], &mut self.locals[i])
-                            .map_err(SimParError::Local)?;
+                        (step.f)(&self.envs[i], &mut self.locals[i])?;
                     }
                     self.trace.push(PhaseCost::compute(&step.name, flops));
                 }
-                Phase::Exchange(spec) => self.exchange(spec),
+                Phase::Exchange(spec) => {
+                    let payloads = self.extract_payloads(spec);
+                    self.insert_payloads(spec, payloads)?;
+                }
                 Phase::ExchangeSend(spec) => self.exchange_send(spec),
-                Phase::ExchangeRecv(spec) => self.exchange_recv(spec),
+                Phase::ExchangeRecv(spec) => self.exchange_recv(spec)?,
                 Phase::Reduce(spec) => self.reduce(spec),
                 Phase::OrderedReduce(spec) => self.ordered_reduce(spec),
                 Phase::Broadcast(spec) => {
@@ -317,7 +228,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
                             });
                         }
                     }
-                    self.record(&spec.name, msgs, 1);
+                    self.record(&spec.name, msgs);
                 }
                 Phase::GatherGrid(spec) => self.gather(spec)?,
                 Phase::ScatterGrid(spec) => self.scatter(spec)?,
@@ -327,25 +238,22 @@ impl<L: MeshLocal> SimPar<'_, L> {
                     }
                 }
                 Phase::While { name, pred, body, max_iters } => {
-                    let mut iters = 0u64;
+                    let mut budget = *max_iters;
                     loop {
-                        // Replicated predicate: every rank must agree.
-                        let votes: Vec<bool> = self.locals.iter().map(|l| pred(l)).collect();
-                        self.report.predicates_checked += 1;
-                        let head = votes[0];
-                        if votes.iter().any(|&v| v != head) {
-                            self.report.diverged_predicates.push(name.clone());
+                        // The predicate is replicated: every rank must agree.
+                        let go = pred(&self.locals[0]);
+                        if self.locals[1..].iter().any(|l| pred(l) != go) {
+                            let detail = format!("{name}: the ranks disagree on the predicate");
+                            return Err(protocol(0, detail));
                         }
-                        if !head {
+                        if !go {
                             break;
                         }
-                        if iters >= *max_iters {
-                            self.report.diverged_predicates.push(format!(
-                                "{name}: exceeded max_iters {max_iters}"
-                            ));
-                            break;
+                        if budget == 0 {
+                            let detail = format!("{name}: exceeded max_iters {max_iters}");
+                            return Err(protocol(0, detail));
                         }
-                        iters += 1;
+                        budget -= 1;
                         self.run_phases(body)?;
                     }
                 }
@@ -354,47 +262,35 @@ impl<L: MeshLocal> SimPar<'_, L> {
         Ok(())
     }
 
-    /// Boundary exchange as a data-exchange operation: all payload
-    /// extractions ("sends"), then all ghost insertions ("receives").
-    fn exchange(&mut self, spec: &ExchangeSpec<L>) {
-        let payloads = self.extract_payloads(spec);
-        self.insert_payloads(spec, payloads);
-    }
-
-    /// The send half of a split exchange: extract (and validate) the
-    /// payloads from the pre-send state, stage them for the matching
-    /// `ExchangeRecv`, and charge the messages to this phase.
+    /// The send half of a split exchange: extract the payloads from the
+    /// pre-send state, stage them for the matching `ExchangeRecv`, and
+    /// charge the messages to this phase.
     fn exchange_send(&mut self, spec: &ExchangeSpec<L>) {
         let payloads = self.extract_payloads(spec);
         let msgs = payloads
             .iter()
             .map(|(src, dst, _, p)| MsgRecord { src: *src, dst: *dst, bytes: 8 * p.len() as u64 })
             .collect();
-        self.record(&spec.name, msgs, 1);
+        self.record(&spec.name, msgs);
         self.staged.push_back(payloads);
     }
 
     /// The receive half of a split exchange: install the oldest staged
     /// payload batch into destination ghosts (messages were already charged
     /// to the send phase).
-    fn exchange_recv(&mut self, spec: &ExchangeSpec<L>) {
+    fn exchange_recv(&mut self, spec: &ExchangeSpec<L>) -> Result<(), RunError> {
         let payloads = self.staged.pop_front().unwrap_or_default();
         for (src, dst, face, payload) in payloads {
-            self.install(spec, src, dst, face, &payload);
+            self.install(spec, src, dst, face, &payload)?;
         }
-        self.record(&spec.name, Vec::new(), 1);
+        self.record(&spec.name, Vec::new());
+        Ok(())
     }
 
-    /// Extract every rank's outgoing messages from the pre-exchange state
-    /// and validate them against the §2.2 restrictions.
+    /// Extract every rank's outgoing messages from the pre-exchange state.
     fn extract_payloads(&mut self, spec: &ExchangeSpec<L>) -> Payloads {
-        let n = self.grid_n;
-        if n == 1 {
-            // Degenerate: no neighbours, no exchange.
-            return Vec::new();
-        }
         let mut payloads: Payloads = Vec::new();
-        for r in 0..n {
+        for r in 0..self.grid_n {
             for link in face_links(&self.pg, r) {
                 if spec.sent_through(link.face).next().is_none() {
                     continue;
@@ -404,74 +300,40 @@ impl<L: MeshLocal> SimPar<'_, L> {
                 payloads.push((r, link.neighbor, link.face, payload));
             }
         }
-        if self.cfg.validation != ValidationLevel::Off {
-            self.validate(spec, &payloads);
-        }
         payloads
-    }
-
-    /// Check the assignments `payloads` stand for against the §2.2
-    /// restrictions. The abstract objects are (part, face) slabs or their
-    /// cells; ghost objects live in the high-bit space so they can never
-    /// alias interior sources.
-    fn validate(&mut self, spec: &ExchangeSpec<L>, payloads: &Payloads) {
-        const GHOST: u64 = 1 << 63;
-        let mut assigns = Vec::new();
-        for (src, dst, face, _) in payloads {
-            for (i, part) in spec.sent_through(*face) {
-                let slab = ((i as u64) << 3) | *face as u64;
-                let slots = match self.cfg.validation {
-                    ValidationLevel::Slab => slab..slab + 1,
-                    _ => {
-                        let field = (part.field)(&mut self.locals[*src]);
-                        let cells = slab_len3(field.extent(), field.ghost(), *face) as u64;
-                        (slab << 40)..(slab << 40) + cells
-                    }
-                };
-                assigns.extend(slots.map(|slot| ExchangeAssign {
-                    dst_rank: *dst,
-                    dst_slot: GHOST | slot,
-                    src_rank: *src,
-                    src_slots: vec![slot],
-                }));
-            }
-        }
-        // Receiver-side view of the same geometry: a rank must be assigned
-        // something iff some part reaches it through one of its links.
-        let must_receive: Vec<bool> = (0..self.grid_n)
-            .map(|r| {
-                face_links(&self.pg, r)
-                    .iter()
-                    .any(|link| spec.received_through(link.face).next().is_some())
-            })
-            .collect();
-        self.report.exchanges_checked += 1;
-        if let Err(violations) = check_exchange(&must_receive, &assigns) {
-            for v in violations {
-                self.report.violations.push((spec.name.clone(), v));
-            }
-        }
     }
 
     /// Install one message into the destination's ghosts. The destination's
     /// name for the shared face is the opposite of the sender's.
-    fn install(&mut self, spec: &ExchangeSpec<L>, src: usize, dst: usize, face: Face3, payload: &[f64]) {
+    fn install(
+        &mut self,
+        spec: &ExchangeSpec<L>,
+        src: usize,
+        dst: usize,
+        face: Face3,
+        payload: &[f64],
+    ) -> Result<(), RunError> {
         spec.unpack(&mut self.locals[dst], None, face.opposite(), payload)
-            .unwrap_or_else(|e| panic!("halo from rank {src} to rank {dst}: {e}"));
+            .map_err(|e| protocol(dst, format!("halo from rank {src}: {e}")))
     }
 
     /// Install extracted messages into destination ghosts and record them.
-    fn insert_payloads(&mut self, spec: &ExchangeSpec<L>, payloads: Payloads) {
+    fn insert_payloads(
+        &mut self,
+        spec: &ExchangeSpec<L>,
+        payloads: Payloads,
+    ) -> Result<(), RunError> {
         if payloads.is_empty() {
-            return;
+            return Ok(());
         }
         let mut msgs = Vec::with_capacity(payloads.len());
         for (src, dst, face, payload) in payloads {
             let bytes = 8 * payload.len() as u64;
-            self.install(spec, src, dst, face, &payload);
+            self.install(spec, src, dst, face, &payload)?;
             msgs.push(MsgRecord { src, dst, bytes });
         }
-        self.record(&spec.name, msgs, 1);
+        self.record(&spec.name, msgs);
+        Ok(())
     }
 
     fn reduce(&mut self, spec: &ReduceSpec<L>) {
@@ -500,7 +362,7 @@ impl<L: MeshLocal> SimPar<'_, L> {
             (spec.inject)(&self.envs[h], &mut self.locals[h], &result);
             msgs.push(MsgRecord { src: 0, dst: h, bytes: 8 * len as u64 });
         }
-        self.record(&spec.name, msgs, rplan.depth() as u32);
+        self.record(&spec.name, msgs);
     }
 
     fn ordered_reduce(&mut self, spec: &OrderedReduceSpec<L>) {
@@ -523,10 +385,10 @@ impl<L: MeshLocal> SimPar<'_, L> {
                 msgs.push(MsgRecord { src: host, dst: r, bytes: 8 * result.len() as u64 });
             }
         }
-        self.record(&spec.name, msgs, 2);
+        self.record(&spec.name, msgs);
     }
 
-    fn gather(&mut self, spec: &GatherSpec<L>) -> Result<(), GatherShapeError> {
+    fn gather(&mut self, spec: &GatherSpec<L>) -> Result<(), RunError> {
         let host = self.host_rank();
         let global_n = self.pg.n;
         let mut global: Grid3<f64> = Grid3::new(global_n.0, global_n.1, global_n.2, 0);
@@ -534,8 +396,12 @@ impl<L: MeshLocal> SimPar<'_, L> {
         for r in 0..self.grid_n {
             let block = self.pg.block(r);
             let data = (spec.field)(&mut self.locals[r]).interior_to_vec();
-            if data.len() != block.len() {
-                return Err(GatherShapeError { rank: r, got: data.len(), expected: block.len() });
+            let (got, holds) = (data.len(), block.len());
+            if got != holds {
+                let detail = format!(
+                    "gather block from rank {r} carries {got} values, its block holds {holds}"
+                );
+                return Err(protocol(host, detail));
             }
             if r != host {
                 msgs.push(MsgRecord { src: r, dst: host, bytes: 8 * data.len() as u64 });
@@ -551,49 +417,48 @@ impl<L: MeshLocal> SimPar<'_, L> {
                 }
             }
         }
-        let host = self.host_rank();
         (spec.sink)(&mut self.locals[host], &global);
-        self.record(&spec.name, msgs, 1);
+        self.record(&spec.name, msgs);
         Ok(())
     }
 
-    fn scatter(&mut self, spec: &ScatterSpec<L>) -> Result<(), SimParError> {
-        let shape_error = |rank, got, expected| SimParError::ScatterShape {
-            scatter: spec.name.clone(),
-            rank,
-            got,
-            expected,
-        };
+    fn scatter(&mut self, spec: &ScatterSpec<L>) -> Result<(), RunError> {
+        let name = &spec.name;
         let host = self.host_rank();
         let global = (spec.source)(&self.locals[host]);
-        if global.extent() != self.pg.n {
-            return Err(shape_error(None, global.extent(), self.pg.n));
+        let (got, n) = (global.extent(), self.pg.n);
+        if got != n {
+            let detail = format!("scatter {name}: source grid extent {got:?}, expected {n:?}");
+            return Err(protocol(host, detail));
         }
         let mut msgs = Vec::new();
+        let mut data = Vec::new();
         for r in 0..self.grid_n {
             let block = self.pg.block(r);
             if r != host {
                 msgs.push(MsgRecord { src: host, dst: r, bytes: 8 * block.len() as u64 });
             }
-            let field = (spec.field)(&mut self.locals[r]);
-            if field.extent() != block.extent() {
-                return Err(shape_error(Some(r), field.extent(), block.extent()));
-            }
+            data.clear();
             for li in 0..block.extent().0 {
                 for lj in 0..block.extent().1 {
                     for lk in 0..block.extent().2 {
                         let (gi, gj, gk) = block.to_global(li, lj, lk);
-                        field.set(
-                            li as isize,
-                            lj as isize,
-                            lk as isize,
-                            global.get(gi as isize, gj as isize, gk as isize),
-                        );
+                        data.push(global.get(gi as isize, gj as isize, gk as isize));
                     }
                 }
             }
+            let field = (spec.field)(&mut self.locals[r]);
+            let holds = field.interior_len();
+            if data.len() != holds {
+                let detail = format!(
+                    "scatter {name}: block carries {} values, the field interior holds {holds}",
+                    data.len()
+                );
+                return Err(protocol(r, detail));
+            }
+            field.interior_from_slice(&data);
         }
-        self.record(&spec.name, msgs, 1);
+        self.record(&spec.name, msgs);
         Ok(())
     }
 }

@@ -35,8 +35,11 @@
 //! * [`driver::run_simpar`] — the **sequential simulated-parallel version**
 //!   (§2.2): one address space per simulated process, local-computation
 //!   blocks run for `i = 0..N` in sequence, data-exchange operations
-//!   performed as assignments and *validated* against the Definition's
-//!   restrictions (i)–(iii) ([`validate`]);
+//!   performed as assignments. Every assignment an exchange induces copies
+//!   a sender's boundary slab into the ghost slab of its unique neighbour
+//!   across that face, so the Definition's restrictions hold by
+//!   construction; `archetypes_core::check_program` checks them on the IR,
+//!   where a violation can be written;
 //! * the **grouped** program: W processes, each a simulated-parallel
 //!   program over a group of contiguous ranks, exchanging by assignment
 //!   inside a group and by one coalesced message per group pair between
@@ -109,7 +112,6 @@
 //! let seq = run_seq(&plan, n, init);
 //! let pg = ProcGrid3::choose(n, 4);
 //! let mut simpar = run_simpar(&plan, pg, SimParConfig::default(), init);
-//! assert!(simpar.report.is_clean());
 //! let global = simpar.assemble_global(&pg, |l| &mut l.u);
 //! assert!(seq
 //!     .u
@@ -131,12 +133,11 @@ pub mod exchange;
 pub mod plan;
 pub mod reduce;
 pub mod sum;
-pub mod validate;
 
 pub use driver::{
     run_msg_predicted, run_msg_predicted_slack, run_msg_recovering, run_msg_simulated,
     run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack, run_seq, run_simpar,
-    try_run_simpar, GatherShapeError, SimParError, SimParOutcome,
+    try_run_simpar, SimParOutcome,
 };
 pub use env::{AxisOutOfRange, Env};
 pub use plan::{Contribution, ExchangeSpec, Phase, Plan, PlanBuilder};

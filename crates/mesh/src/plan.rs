@@ -37,7 +37,7 @@ pub type InjectFn<L> = Arc<dyn Fn(&Env, &mut L, &[f64]) + Send + Sync>;
 /// Extracts globally-indexed contributions for an ordered reduction.
 pub type ContribFn<L> = Arc<dyn Fn(&Env, &L) -> Vec<Contribution> + Send + Sync>;
 /// A loop predicate over replicated local state; must evaluate identically
-/// on every rank (validated by the simulated-parallel driver).
+/// on every rank (ranks that disagree are a protocol fault).
 pub type PredFn<L> = Arc<dyn Fn(&L) -> bool + Send + Sync>;
 /// Produces the global grid to scatter (called on the host rank only).
 pub type GridSourceFn<L> = Arc<dyn Fn(&L) -> Grid3<f64> + Send + Sync>;

@@ -147,7 +147,7 @@ fn checkpoint_restart_through_a_real_file_matches_uninterrupted_run() {
 #[test]
 fn checkpoint_restart_works_with_a_separate_host_and_msg_driver() {
     let pg = ProcGrid3::for_2d((10, 8), 4);
-    let cfg = SimParConfig { host_mode: HostMode::Separate, ..Default::default() };
+    let cfg = SimParConfig { host_mode: HostMode::Separate };
     let plan = plan_phase1(2);
     let simpar = run_simpar(&plan, pg, cfg, init_fresh);
     // The checkpoint bytes live on the dedicated host (last rank).

@@ -10,12 +10,12 @@ use std::sync::Arc;
 
 use mesh_archetype::driver::MeshLocal;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_threaded, run_seq, run_simpar, Contribution, Env, Plan,
-    ReduceAlgo, ReduceOp, SumMethod,
+    run_msg_simulated, run_msg_threaded, run_seq, run_simpar, try_run_simpar, Contribution, Env,
+    Plan, ReduceAlgo, ReduceOp, SumMethod,
 };
-use mesh_archetype::driver::{SimParConfig, ValidationLevel};
+use mesh_archetype::driver::SimParConfig;
 use meshgrid::{Grid3, ProcGrid3};
-use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin};
+use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, RunError, ThreadedConfig};
 
 /// Local state of the heat program.
 struct Heat {
@@ -159,10 +159,6 @@ fn heat_plan(steps: usize) -> Plan<Heat> {
         .build()
 }
 
-fn cfg_cells() -> SimParConfig {
-    SimParConfig { validation: ValidationLevel::Cell, ..Default::default() }
-}
-
 const N: (usize, usize, usize) = (10, 9, 8);
 
 #[test]
@@ -171,8 +167,7 @@ fn simpar_matches_sequential_bitwise_on_fields() {
     let seq = run_seq(&plan, N, init_heat);
     for p in [2usize, 3, 4, 6, 8] {
         let pg = ProcGrid3::choose(N, p);
-        let mut out = run_simpar(&plan, pg, cfg_cells(), init_heat);
-        assert!(out.report.is_clean(), "P={p}: {:?}", out.report.violations);
+        let mut out = run_simpar(&plan, pg, SimParConfig::default(), init_heat);
         let global = out.assemble_global(&pg, |h| &mut h.u);
         // Stencil results are bitwise P-independent: every cell is computed
         // from the same values by the same expression.
@@ -257,8 +252,6 @@ fn while_loop_agrees_across_drivers() {
         .build();
     let pg = ProcGrid3::choose(N, 4);
     let simpar = run_simpar(&plan, pg, SimParConfig::default(), init_heat);
-    assert!(simpar.report.is_clean());
-    assert_eq!(simpar.report.predicates_checked, 6, "5 true evaluations + 1 false");
     for l in &simpar.locals {
         assert_eq!(l.sweeps, 5);
     }
@@ -313,7 +306,6 @@ fn reduce_driven_while_loop_agrees_across_drivers() {
         .build();
     let pg = ProcGrid3::choose(N, 6);
     let simpar = run_simpar(&plan, pg, SimParConfig::default(), init_heat);
-    assert!(simpar.report.is_clean());
     let sweeps = simpar.locals[0].sweeps;
     assert!(sweeps > 0, "loop must run at least once");
     for l in &simpar.locals {
@@ -342,11 +334,17 @@ fn diverged_predicate_is_reported_by_simpar() {
         )
         .build();
     let pg = ProcGrid3::choose(N, 4);
-    let out = run_simpar(&plan, pg, SimParConfig::default(), init_heat);
+    let err = try_run_simpar(&plan, pg, SimParConfig::default(), init_heat).err();
+    let detail = "broken: the ranks disagree on the predicate";
+    assert_eq!(err, Some(RunError::Protocol { proc: 0, detail: detail.into() }));
+    // The grouped program with every rank in one process sees the same
+    // disagreement and names it the same way.
+    let init: mesh_archetype::plan::InitFn<Heat> = Arc::new(init_heat);
+    let cfg = ThreadedConfig::default().with_workers(1);
+    let err = mesh_archetype::run_msg_threaded_slack(&plan, pg, &init, None, cfg).err();
     assert!(
-        out.report.diverged_predicates.iter().any(|n| n.contains("broken")),
-        "divergence must be detected: {:?}",
-        out.report.diverged_predicates
+        matches!(&err, Some(RunError::Protocol { detail: d, .. }) if d == detail),
+        "{err:?}"
     );
 }
 

@@ -274,7 +274,6 @@ fn every_phase_kind_is_bitwise_at_every_group_count_and_slack() {
                 .unwrap_or_else(|e| panic!("{name} P={p}: {e}"))
                 .snapshots;
             let simpar = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
-            assert!(simpar.report.is_clean(), "{name} P={p}: {:?}", simpar.report);
             assert_eq!(simpar.snapshots, reference, "{name} P={p}: simulated-parallel");
             for w in [1, 2, 3, p] {
                 assert_eq!(group_count(&pg, w), w, "{name} P={p}: W={w} groups");

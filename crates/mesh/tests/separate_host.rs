@@ -12,6 +12,7 @@ use std::sync::Arc;
 use mesh_archetype::driver::{
     run_msg_simulated_hosted, HostMode, MeshLocal, SimParConfig,
 };
+use mesh_archetype::exchange::face_links;
 use mesh_archetype::{run_simpar, Contribution, Env, Plan, ReduceAlgo, ReduceOp, SumMethod};
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{RandomPolicy, RoundRobin};
@@ -121,7 +122,7 @@ fn full_plan() -> Plan<Node> {
 }
 
 fn cfg(mode: HostMode) -> SimParConfig {
-    SimParConfig { host_mode: mode, ..Default::default() }
+    SimParConfig { host_mode: mode }
 }
 
 #[test]
@@ -130,7 +131,6 @@ fn grid_results_identical_under_both_host_placements() {
     let pg = ProcGrid3::choose(N, 4);
     let a = run_simpar(&plan, pg, cfg(HostMode::GridRank0), init);
     let b = run_simpar(&plan, pg, cfg(HostMode::Separate), init);
-    assert!(a.report.is_clean() && b.report.is_clean());
     assert_eq!(a.locals.len(), 4);
     assert_eq!(b.locals.len(), 5, "separate mode adds the host process");
 
@@ -201,11 +201,15 @@ fn separate_host_costs_the_expected_extra_messages() {
 
 #[test]
 fn exchange_restrictions_still_hold_with_separate_host() {
-    // Restriction (iii) is checked over the *grid* processes: the host is
-    // not a party to boundary exchanges.
+    // The host is not a party to boundary exchanges: every halo message
+    // runs between two grid processes, over a face they share.
     let plan = full_plan();
     let pg = ProcGrid3::choose(N, 6);
     let out = run_simpar(&plan, pg, cfg(HostMode::Separate), init);
-    assert!(out.report.is_clean(), "{:?}", out.report.violations);
-    assert!(out.report.exchanges_checked > 0);
+    let halos: Vec<_> = out.trace.phases.iter().filter(|p| p.name == "halo").collect();
+    assert_eq!(halos.len(), 3);
+    for m in halos.iter().flat_map(|p| &p.msgs) {
+        let linked = face_links(&pg, m.src).iter().any(|l| l.neighbor == m.dst);
+        assert!(m.src < 6 && m.dst < 6 && linked, "{m:?}");
+    }
 }

@@ -16,8 +16,7 @@ use std::sync::Arc;
 use mesh_archetype::driver::MeshLocal;
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
-    run_msg_simulated_slack, try_run_simpar, Env, GatherShapeError, Plan, ReduceAlgo, ReduceOp,
-    SimParError,
+    run_msg_simulated_slack, try_run_simpar, Env, Plan, ReduceAlgo, ReduceOp,
 };
 use mesh_archetype::driver::SimParConfig;
 use meshgrid::{Grid3, ProcGrid3};
@@ -203,8 +202,9 @@ fn threaded_run_at_slack_one_matches_the_simulated_run() {
     assert!(out.metrics.max_queue_depth() <= 1);
 }
 
-/// A mis-sized gather surfaces as a typed error from the simulated-parallel
-/// driver, naming the offending rank and both lengths.
+/// A mis-sized gather is the same typed error from the simulated-parallel
+/// driver as from the message-passing one: the host names the offending
+/// rank and both lengths.
 #[test]
 fn mis_sized_gather_is_a_typed_error() {
     struct Bad {
@@ -220,26 +220,18 @@ fn mis_sized_gather_is_a_typed_error() {
         .build();
     let pg = ProcGrid3::choose((6, 6, 6), 4);
     // Every rank allocates a 2x2x2 field regardless of its block.
-    let err = try_run_simpar(&plan, pg, SimParConfig::default(), |_| Bad {
-        u: Grid3::new(2, 2, 2, 0),
-    })
-    .err()
-    .expect("mis-sized gather must not succeed");
-    assert_eq!(
-        err,
-        mesh_archetype::SimParError::GatherShape(GatherShapeError {
-            rank: 0,
-            got: 8,
-            expected: pg.block(0).len(),
-        })
-    );
-    let msg = err.to_string();
-    assert!(msg.contains("rank 0") && msg.contains("8"), "{msg}");
+    let init: InitFn<Bad> = Arc::new(|_| Bad { u: Grid3::new(2, 2, 2, 0) });
+    let err = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err();
+    let holds = pg.block(0).len();
+    let detail = format!("gather block from rank 0 carries 8 values, its block holds {holds}");
+    assert_eq!(err, Some(RunError::Protocol { proc: 0, detail }));
+    let msg = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).err();
+    assert_eq!(msg, err);
 }
 
-/// A scatter whose source is not the global grid is a typed error from the
-/// simulated-parallel driver and a protocol fault naming the scatter from
-/// the message-passing one.
+/// A scatter whose source is not the global grid is the same protocol fault
+/// naming the scatter from the simulated-parallel and the message-passing
+/// driver.
 #[test]
 fn mis_sized_scatter_source_is_a_typed_error() {
     let plan: Plan<Relax> = Plan::builder()
@@ -247,17 +239,44 @@ fn mis_sized_scatter_source_is_a_typed_error() {
         .build();
     let pg = ProcGrid3::choose((6, 6, 6), 2);
     let init = init_relax();
-    let err = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err();
-    assert!(matches!(&err, Some(SimParError::ScatterShape { rank: None, .. })), "{err:?}");
+    let err = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err().unwrap();
     let detail = "scatter load: source grid extent (2, 2, 2), expected (6, 6, 6)";
-    assert_eq!(err.unwrap().to_string(), detail);
-    let err = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
     assert_eq!(err, RunError::Protocol { proc: 0, detail: detail.into() });
+    let msg = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    assert_eq!(msg, err);
 }
 
-/// A while loop that outruns its `max_iters` budget: the simulated-parallel
-/// driver records it in its report, and both message-passing backends stop
-/// with a protocol fault naming the loop, not a panic.
+/// A rank whose scatter target is not sized to its block: the rank names
+/// the scatter and both lengths, on either driver.
+#[test]
+fn mis_sized_scatter_target_is_a_typed_error() {
+    let plan: Plan<Relax> = Plan::builder()
+        .scatter_grid("load", |_| Grid3::new(6, 6, 6, 0), |l: &mut Relax| &mut l.next)
+        .build();
+    let pg = ProcGrid3::choose((6, 6, 6), 2);
+    let relax = init_relax();
+    // Rank 1's target is one cell short along z.
+    let init: InitFn<Relax> = Arc::new(move |e: &Env| {
+        let mut l = relax(e);
+        if e.rank == 1 {
+            let (nx, ny, nz) = e.block.extent();
+            l.next = Grid3::new(nx, ny, nz - 1, 1);
+        }
+        l
+    });
+    let err = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err().unwrap();
+    let n = pg.block(1).len();
+    let holds = n - n / pg.block(1).extent().2;
+    let detail =
+        format!("scatter load: block carries {n} values, the field interior holds {holds}");
+    assert_eq!(err, RunError::Protocol { proc: 1, detail });
+    let msg = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    assert_eq!(msg, err);
+}
+
+/// A while loop that outruns its `max_iters` budget: every driver stops
+/// with a protocol fault naming the loop, not a panic, and the
+/// simulated-parallel driver's is the simulated message-passing run's.
 #[test]
 fn exhausted_while_budget_is_a_protocol_fault_naming_the_loop() {
     let plan: Plan<Relax> = Plan::builder()
@@ -265,13 +284,13 @@ fn exhausted_while_budget_is_a_protocol_fault_naming_the_loop() {
         .build();
     let pg = ProcGrid3::choose((6, 6, 6), 2);
     let init = init_relax();
-    let simpar = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).unwrap();
-    assert_eq!(simpar.report.diverged_predicates, ["forever: exceeded max_iters 3"]);
     let budget_fault = |e: &RunError| {
         matches!(e, RunError::Protocol { detail, .. } if detail == "forever: exceeded max_iters 3")
     };
+    let simpar = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err().unwrap();
+    assert!(budget_fault(&simpar), "simulated-parallel: {simpar}");
     let err = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
-    assert!(budget_fault(&err), "simulated: {err}");
+    assert_eq!(err, simpar);
     let err = mesh_archetype::run_msg_threaded(&plan, pg, &init).unwrap_err();
     assert!(budget_fault(&err), "threaded: {err}");
 }

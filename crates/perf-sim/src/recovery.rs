@@ -148,7 +148,6 @@ mod tests {
             restarts: 2,
             checkpoints_taken: 5,
             steps_reexecuted: 30,
-            steps_replayed: 0,
             faults_fired: Vec::new(),
         };
         let costs = RecoveryCosts { t_checkpoint: 0.1, t_restore: 1.0 };

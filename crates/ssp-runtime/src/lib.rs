@@ -98,7 +98,7 @@ pub use pool::BufPool;
 pub use proc::{Effect, ProcId, Process};
 pub use spsc::{OverwriteRing, ParkSlot, SpscRing};
 pub use recover::{
-    fnv1a_64, run_recovering, run_threaded_recovering, GroupManifest, ManifestRank,
+    fnv1a_64, run_recovering, GroupManifest, ManifestRank,
     ManifestStatus, RecoveryConfig, RecoveryOutcome, RecoveryStats,
 };
 pub use sched::{launch_partial, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};

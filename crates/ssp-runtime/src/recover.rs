@@ -9,23 +9,15 @@
 //! no idempotence audits. The tests assert the strongest form of this:
 //! recovered final states are *bitwise identical* to uninjected runs.
 //!
-//! Two entry points, one loop — the simulator's pick loop, with a
-//! checkpoint supervisor plugged in:
-//!
-//! * [`run_recovering`] — steps the simulator under a [`FaultPlan`],
-//!   checkpoints every `checkpoint_every` steps (a [`Simulator`] clone plus
-//!   the plan's bookkeeping), and on an injected crash (or a deadlock)
-//!   restores the latest checkpoint and re-runs. Fired crashes stay
-//!   consumed across restores (the plan lives outside the checkpointed
-//!   state), so recovery cannot livelock on the same fault; `max_restarts`
-//!   bounds genuinely recurring failures. With `max_restarts: 0` it is plain
-//!   fault injection: the first crash ends the run with its typed error.
-//! * [`run_threaded_recovering`] — the threaded counterpart. OS threads
-//!   cannot be snapshotted mid-flight, so the supervisor borrows the
-//!   simulator as its checkpointing device: it re-derives the crash
-//!   frontier by simulation (process-local step ordinals are
-//!   schedule-independent) and seeds a fresh pool straight from that cut —
-//!   resuming, not restarting.
+//! [`run_recovering`] is the simulator's pick loop with a checkpoint
+//! supervisor plugged in: it steps the simulator under a [`FaultPlan`],
+//! checkpoints every `checkpoint_every` steps (a [`Simulator`] clone plus
+//! the plan's bookkeeping), and on an injected crash (or a deadlock)
+//! restores the latest checkpoint and re-runs. Fired crashes stay consumed
+//! across restores (the plan lives outside the checkpointed state), so
+//! recovery cannot livelock on the same fault; `max_restarts` bounds
+//! genuinely recurring failures. With `max_restarts: 0` it is plain fault
+//! injection: the first crash ends the run with its typed error.
 //!
 //! [`GroupManifest`] is the one wire form of a cut, a *sealed state* for
 //! callers whose workload can decode process state (the distributed
@@ -35,12 +27,10 @@ use crate::chan::Topology;
 use crate::error::RunError;
 use crate::fault::{Crash, FaultPlan};
 use crate::observer::NoopObserver;
-use crate::policy::{RoundRobin, SchedulePolicy};
+use crate::policy::SchedulePolicy;
 use crate::proc::{push_bytes, push_u32, push_u64, ProcId, Process, Reader};
-use crate::sched::{self, PartialSeed};
 use crate::sim::{Rollback, RunOutcome, Simulator};
-use crate::threaded::{ThreadedConfig, ThreadedOutcome};
-use crate::trace::{push_counters, push_proc_metrics, FlightKind, RunMetrics};
+use crate::trace::{push_counters, push_proc_metrics, RunMetrics};
 
 /// Supervisor tuning: how often to checkpoint and how many restarts to
 /// tolerate before giving up.
@@ -75,11 +65,6 @@ pub struct RecoveryStats {
     pub checkpoints_taken: u64,
     /// Steps that were executed, lost to a crash, and executed again.
     pub steps_reexecuted: u64,
-    /// Steps executed *in the simulator* to rebuild a crash frontier for
-    /// the threaded path ([`run_threaded_recovering`]); zero for purely
-    /// simulated recovery, and zero for a threaded run that restarted from
-    /// scratch instead of resuming.
-    pub steps_replayed: u64,
     /// The errors that triggered each restart, in order.
     pub faults_fired: Vec<RunError>,
 }
@@ -206,102 +191,9 @@ where
     let sim = Simulator::new(topo, procs);
     let mut sup = Supervisor::new(cfg, &sim, &faults, &mut stats);
     let (sim, picks) =
-        sim.drive(policy, &mut faults, Some(&mut sup), &mut NoopObserver, |_| false)?;
+        sim.drive(policy, &mut faults, Some(&mut sup), &mut NoopObserver)?;
     let RunOutcome { snapshots, picks, steps, metrics, .. } = sim.outcome(picks);
     Ok(RecoveryOutcome { snapshots, picks, steps, metrics, stats })
-}
-
-/// Crash recovery for the threaded backend — *resuming*, not restarting.
-///
-/// OS threads cannot be snapshotted mid-flight, so this path borrows the
-/// simulator as its checkpointing device. On an injected crash at
-/// `(proc, step)` the supervisor:
-///
-/// 1. re-derives the crash frontier by simulating the same deterministic
-///    program to the cut where `proc` has completed `step − 1` actions
-///    (sound by Theorem 1: process-local step ordinals are
-///    schedule-independent, so the simulated prefix passes through the
-///    state the threaded lineage crashed out of);
-/// 2. seeds a fresh pool straight from that cut (`SimState` →
-///    [`PartialSeed`]) and runs to completion.
-///
-/// Only the pre-crash prefix re-executes, in the cheap simulator. Crashes
-/// that fire during the frontier rebuild itself are consumed and recovered
-/// with checkpoints exactly like [`run_recovering`]; watchdog-declared
-/// deadlocks retry from the latest cut.
-///
-/// Step-ordinal caveat: for paper-model (unbounded) channels the two
-/// backends count local steps identically. A *bounded* channel counts a
-/// completed blocked send as a simulator step but not a threaded one, so
-/// frontiers for such programs land near, not exactly on, the crash point
-/// — the final state is bitwise exact either way (Theorem 1).
-pub fn run_threaded_recovering<P, F>(
-    topo: &Topology,
-    make_procs: F,
-    mut faults: FaultPlan,
-    config: ThreadedConfig,
-    cfg: RecoveryConfig,
-) -> Result<(ThreadedOutcome, RecoveryStats), RunError>
-where
-    P: Process + Clone + 'static,
-    P::Msg: Clone,
-    F: Fn() -> Vec<P>,
-{
-    let mut stats = RecoveryStats::default();
-    // The cut each attempt starts from: the initial state until a crash.
-    let mut cut = Simulator::new(topo.clone(), make_procs());
-    // Cross-leg lifecycle marks `(kind, rank, bytes)`; each leg's flight
-    // recorder (if any) starts a fresh epoch, so these are appended to the
-    // *final* leg's log as a `lifecycle` lane ordered by ordinal, not by
-    // wall clock.
-    let mut lifecycle: Vec<(FlightKind, ProcId, u64)> = Vec::new();
-    loop {
-        let seed: PartialSeed<P> = cut.clone().into_state().into();
-        match sched::run_full(topo, seed, config, &faults) {
-            Ok(mut out) => {
-                if let Some(log) = out.flight.as_mut() {
-                    for (i, &(kind, rank, bytes)) in lifecycle.iter().enumerate() {
-                        log.push_lifecycle(i as u64, kind, rank, 0, bytes);
-                    }
-                }
-                return Ok((out, stats));
-            }
-            Err(e @ (RunError::Injected { .. } | RunError::Deadlock { .. })) => {
-                stats.faults_fired.push(e.clone());
-                stats.restarts += 1;
-                if stats.restarts as usize > cfg.max_restarts {
-                    return Err(e);
-                }
-                if let RunError::Injected { proc, step } = e {
-                    faults.remove_crash(Crash { proc, at_step: step });
-                    lifecycle.push((FlightKind::Fault, proc, step));
-                    // Rebuild the crash frontier: simulate from the initial
-                    // state until `proc` has completed `step − 1` local
-                    // steps. Crashes planned before the frontier fire here
-                    // (the plan's bookkeeping advances exactly as a live
-                    // run's would) and are recovered like any other.
-                    let reexecuted = stats.steps_reexecuted;
-                    let sim = Simulator::new(topo.clone(), make_procs());
-                    let mut sup = Supervisor::new(cfg, &sim, &faults, &mut stats);
-                    let (frontier, picks) = sim.drive(
-                        &mut RoundRobin::new(),
-                        &mut faults,
-                        Some(&mut sup),
-                        &mut NoopObserver,
-                        |sim| sim.metrics().procs[proc].steps >= step.saturating_sub(1),
-                    )?;
-                    let at = picks.len() as u64;
-                    stats.steps_replayed += at + stats.steps_reexecuted - reexecuted;
-                    stats.checkpoints_taken += 1;
-                    lifecycle.push((FlightKind::Checkpoint, proc, at));
-                    lifecycle.push((FlightKind::Restore, proc, at));
-                    cut = frontier;
-                }
-                // A deadlock retries from the latest cut.
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -494,7 +494,7 @@ impl<P: Process> Simulator<P> {
         policy: &mut dyn SchedulePolicy,
         obs: &mut dyn StepObserver,
     ) -> Result<RunOutcome, RunError> {
-        let (sim, picks) = self.drive(policy, &mut FaultPlan::none(), None, obs, |_| false)?;
+        let (sim, picks) = self.drive(policy, &mut FaultPlan::none(), None, obs)?;
         Ok(sim.outcome(picks))
     }
 
@@ -510,23 +510,21 @@ impl<P: Process> Simulator<P> {
     }
 
     /// The one pick loop behind every simulated run: pick, step, until every
-    /// process halts or `stop` holds; returns the simulator at that cut and
-    /// the lineage's picks. `faults` is injected as it goes (an empty plan
-    /// injects nothing). Without `rollback`, an injected crash or a
-    /// deadlock ends the run; with it, they rewind to a checkpoint. Errors
-    /// that would recur on every lineage — protocol violations, the step
-    /// limit — always end it.
+    /// process halts; returns the final simulator and the lineage's picks.
+    /// `faults` is injected as it goes (an empty plan injects nothing).
+    /// Without `rollback`, an injected crash or a deadlock ends the run;
+    /// with it, they rewind to a checkpoint. Errors that would recur on
+    /// every lineage — protocol violations, the step limit — always end it.
     pub(crate) fn drive(
         mut self,
         policy: &mut dyn SchedulePolicy,
         faults: &mut FaultPlan,
         mut rollback: Option<&mut dyn Rollback<P>>,
         obs: &mut dyn StepObserver,
-        stop: impl Fn(&Simulator<P>) -> bool,
     ) -> Result<(Self, Vec<ProcId>), RunError> {
         let mut picks = Vec::new();
         let mut runnable = Vec::new();
-        while !self.all_halted() && !stop(&self) {
+        while !self.all_halted() {
             self.schedulable(faults, &mut runnable);
             let failure = if runnable.is_empty() {
                 self.deadlock_error()

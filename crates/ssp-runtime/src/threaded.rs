@@ -143,9 +143,7 @@ where
 /// process, so local step counts are schedule-independent exactly as in
 /// the paper's model. The crashed run aborts with [`RunError::Injected`]
 /// and releases the pool. A channel stall makes the reader sleep before
-/// the matching delivery — delaying, never changing, the result. For
-/// automatic restart after an injected crash, see
-/// [`crate::recover::run_threaded_recovering`].
+/// the matching delivery — delaying, never changing, the result.
 pub fn run_threaded_faulted<P>(
     topo: &Topology,
     procs: Vec<P>,
@@ -492,40 +490,6 @@ mod tests {
             .unwrap_err();
             assert_eq!(err, RunError::Injected { proc: 2, step: 2 }, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn threaded_recovery_resumes_to_the_uninjected_final_state() {
-        use crate::recover::{run_threaded_recovering, RecoveryConfig};
-        let clean = {
-            let (topo, procs) = ring(4, 3);
-            run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap()
-        };
-        let (topo, _) = ring(4, 3);
-        // One crash plus a (harmless) delivery stall on channel 0.
-        let faults = FaultPlan::none().crash(1, 3).stall(ChannelId(0), 0, 10);
-        let (out, stats) = run_threaded_recovering(
-            &topo,
-            || ring(4, 3).1,
-            faults,
-            ThreadedConfig::default(),
-            RecoveryConfig::every(2),
-        )
-        .unwrap();
-        assert_eq!(out.snapshots, clean.snapshots, "Theorem 1: recovery reaches the same state");
-        assert_eq!(stats.restarts, 1);
-        assert!(matches!(stats.faults_fired[0], RunError::Injected { proc: 1, step: 3 }));
-        // Regression guard for the PR 3 gap: the crash fired at proc 1's
-        // step 3, so the supervisor must have *resumed* from a simulated
-        // frontier (proc 1 at 2 completed steps) rather than restarted
-        // from scratch — restart-from-scratch replays nothing.
-        assert!(
-            stats.steps_replayed > 0,
-            "recovery must rebuild the crash frontier by simulation, not restart"
-        );
-        // The resumed lineage continues the crashed one's metrics: proc 1's
-        // final step count matches a clean run's, not a truncated restart.
-        assert_eq!(out.metrics.procs[1].steps, clean.metrics.procs[1].steps);
     }
 
     #[test]

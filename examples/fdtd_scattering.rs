@@ -10,7 +10,7 @@ use std::sync::Arc;
 use archetypes::fdtd::par::{init_a, plan_a};
 use archetypes::fdtd::{run_seq_version_a, Params};
 use archetypes::machine::{ibm_sp, ideal_time};
-use archetypes::mesh::driver::{run_simpar, SimParConfig, ValidationLevel};
+use archetypes::mesh::driver::{run_simpar, SimParConfig};
 use archetypes::grid::ProcGrid3;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
     for p in [1usize, 2, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
         let init = init_a(params.clone());
-        let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
+        let cfg = SimParConfig::default();
         let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
         let modeled = machine.price_trace(&out.trace);
         let t_seq = *t_seq.get_or_insert(modeled);

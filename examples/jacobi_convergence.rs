@@ -126,13 +126,7 @@ fn main() {
 
     let pg = ProcGrid3::choose(N, 8);
     let simpar = run_simpar(&plan, pg, SimParConfig::default(), init);
-    assert!(simpar.report.is_clean());
-    println!(
-        "simulated-parallel (P=8): {} sweeps, replicated-predicate checks: {} (all agreed: {})",
-        simpar.locals[0].sweeps,
-        simpar.report.predicates_checked,
-        simpar.report.diverged_predicates.is_empty()
-    );
+    println!("simulated-parallel (P=8): {} sweeps", simpar.locals[0].sweeps);
     assert_eq!(simpar.locals[0].sweeps, seq.sweeps, "same data-dependent trip count");
 
     let init_fn: archetypes::mesh::plan::InitFn<Jacobi> = Arc::new(init);

@@ -67,8 +67,6 @@ fn library_world_the_same_shape() {
     let pg = ProcGrid3::choose(params.n, 4);
     let init = init_a(params.clone());
     let simpar = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
-    assert!(simpar.report.is_clean());
-    assert!(simpar.report.exchanges_checked > 0, "exchanges actually validated");
     let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
     assert_eq!(msg.snapshots, simpar.snapshots);
 

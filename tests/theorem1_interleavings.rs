@@ -11,7 +11,7 @@ use archetypes::core::{to_parallel, Store};
 use archetypes::fdtd::par::{init_a, plan_a};
 use archetypes::fdtd::Params;
 use archetypes::grid::ProcGrid3;
-use archetypes::mesh::driver::{run_simpar, SimParConfig, ValidationLevel};
+use archetypes::mesh::driver::{run_simpar, SimParConfig};
 use archetypes::mesh::{run_msg_simulated, run_msg_threaded};
 use archetypes::runtime::{
     Adversary, AdversarialPolicy, ChannelId, ChannelSpec, Effect, Process, RoundRobin,
@@ -26,7 +26,7 @@ fn fdtd_message_passing_equals_simpar_under_adversaries_and_threads() {
     let plan = plan_a(&params);
     let pg = ProcGrid3::choose(params.n, 6);
     let init = init_a(params.clone());
-    let cfg = SimParConfig { validation: ValidationLevel::Off, ..Default::default() };
+    let cfg = SimParConfig::default();
     let simpar = run_simpar(&plan, pg, cfg, |e| init(e));
 
     for strategy in [
