@@ -157,4 +157,30 @@ mod tests {
         v.claim("holds again", true);
         assert_eq!(v.report(), ExitCode::FAILURE, "a later true claim must not mask a false one");
     }
+
+    /// What E1 (Table 1: Version C on its grid) and E2/E8 (Figure 2:
+    /// Version A on its grid) price, at 4 steps: each trace's total
+    /// messages, bytes and flops per P.
+    #[test]
+    fn the_modeled_inputs_are_pinned() {
+        let with_steps = |mut params: Params| {
+            params.steps = 4;
+            Arc::new(params)
+        };
+        let (c, a) = (with_steps(Params::table1()), with_steps(Params::figure2()));
+        let spec = FarFieldSpec::standard(3);
+        let strategy = FarFieldStrategy::NaiveReorder(mesh_archetype::ReduceAlgo::AllToOne);
+        let totals = |t: &CommTrace| (t.total_messages(), t.total_bytes(), t.total_flops());
+        for (p, version_c, version_a) in [
+            (1, (0, 0, 5_434_640), (0, 0, 41_399_424)),
+            (2, (10, 145_472, 5_434_640), (8, 557_568, 41_399_424)),
+            (4, (38, 297_024, 5_434_640), (32, 1_115_136, 41_399_424)),
+            (8, (110, 460_736, 5_434_640), (96, 1_672_704, 41_399_424)),
+        ] {
+            let (_, point, _) = run_version_c(&c, &spec, strategy, p);
+            assert_eq!(totals(&point.trace), version_c, "Version C, P = {p}");
+            let (_, point, _) = run_version_a(&a, p);
+            assert_eq!(totals(&point.trace), version_a, "Version A, P = {p}");
+        }
+    }
 }

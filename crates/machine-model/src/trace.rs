@@ -1,8 +1,10 @@
 //! Communication/computation traces for the machine model.
 //!
-//! The mesh archetype's simulated-parallel driver records, for every
-//! executed phase, the per-rank computation cost and every message (sender,
-//! receiver, bytes). This crate prices such a trace for a particular machine
+//! The mesh archetype's simulated-parallel program — its one lowering run
+//! as a single process hosting every rank — records, for every executed
+//! phase, the per-rank computation cost and every message (sender,
+//! receiver, bytes) the per-rank program would send. This crate prices such
+//! a trace for a particular machine
 //! (network-of-Suns, IBM SP), which is how this repo regenerates the
 //! paper's Table 1 and Figure 2 without 1998 hardware.
 //!

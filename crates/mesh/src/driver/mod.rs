@@ -1,11 +1,12 @@
 //! The executions of a mesh-archetype plan, one per rung of the paper's
-//! refinement chain: sequential → simulated-parallel (P) → grouped (W) →
-//! message-passing (P).
+//! refinement chain: sequential → simulated-parallel → grouped →
+//! message-passing. Past the first rung they are one program: the one
+//! lowering (`msg.rs`) placing the P ranks on W processes, W = 1 to P.
 //!
 //! | driver | paper artifact | address spaces | communication |
 //! |---|---|---|---|
 //! | [`run_seq`] | degenerate P = 1 | one | none |
-//! | [`run_simpar`] | sequential simulated-parallel version (§2.2) | N simulated | assignments |
+//! | [`run_simpar`] | sequential simulated-parallel version (§2.2): the grouped program at W = 1 | one process holding N partitions | assignments |
 //! | [`run_msg_threaded_slack`], grouped ([`group_count`]) | simulated-parallel groups of contiguous ranks, message passing between groups | W ≤ pool workers | assignments inside a group; one message per group pair and phase |
 //! | [`run_msg_simulated`] | message-passing program under a simulated scheduler (§3.1) | N | sends/receives on SRSW channels |
 //! | [`run_msg_threaded`] | message-passing program on real threads | N | sends/blocking receives |
@@ -28,16 +29,14 @@ use crate::env::Env;
 
 pub use msg::{
     build_msg_processes, build_msg_processes_for, build_msg_processes_hosted,
-    build_msg_processes_with_slack, group_count, msg_topology, run_msg_predicted,
+    build_msg_processes_with_slack, group_count, msg_topology, ordered_sum, run_msg_predicted,
     run_msg_predicted_slack, run_msg_recovering, run_msg_simulated, run_msg_simulated_hosted,
     run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack, MeshMsg, MsgProcess,
     GROUPING_CELLS_PER_WORKER,
 };
 pub use seq::run_seq;
+pub use simpar::{run_simpar, try_run_simpar, HostMode, SimParConfig, SimParOutcome};
 pub use wire::{decode_mesh_msg, encode_mesh_msg};
-pub use simpar::{
-    ordered_sum, run_simpar, try_run_simpar, HostMode, SimParConfig, SimParOutcome,
-};
 
 /// Local state of a mesh process: anything sendable with a canonical byte
 /// snapshot. Snapshots are how final states are compared across drivers and

@@ -30,10 +30,15 @@
 //! ranks' offsets; between groups the coalesced message is byte for byte
 //! the unfused one. A plan with anything else keeps one-rank members.
 //!
-//! Floating-point operations are performed in exactly the order the
-//! simulated-parallel driver performs them — same reduction schedules, same
-//! stable ordered-sum, same slab encodings — so every placement's snapshots
-//! are bitwise identical: Theorem 1 made concrete.
+//! One process hosting every rank is §2.2's simulated-parallel program
+//! ([`simulated_parallel`], behind [`crate::driver::run_simpar`]): every
+//! exchange an assignment, no channel. It alone keeps a traffic log of
+//! what the per-rank program would send, for the machine model.
+//!
+//! Every placement performs each rank's floating-point operations in the
+//! same order — same reduction schedules, same stable ordered-sum, same
+//! slab encodings — so every placement's snapshots, W = 1 to W = P, are
+//! bitwise identical: Theorem 1 made concrete.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -45,11 +50,12 @@ use ssp_runtime::{
     RunOutcome, SchedulePolicy, Simulator, ThreadedConfig, ThreadedOutcome, Topology,
 };
 
+use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};
 use machine_model::MachineModel;
 use meshgrid::halo::Face3;
 use meshgrid::{Block3, Grid3, ProcGrid3};
 
-use crate::driver::simpar::{ordered_sum, HostMode};
+use crate::driver::simpar::HostMode;
 use crate::driver::wire::{push_contribs, read_contribs};
 use crate::driver::{MeshLocal, MeshLocalCodec};
 use crate::env::Env;
@@ -60,6 +66,7 @@ use crate::plan::{
 };
 use crate::plan::{BroadcastSpec, InitFn};
 use crate::reduce::{ReduceOp, ReducePlan, ReduceStep};
+use crate::sum::SumMethod;
 
 /// The default host rank under [`HostMode::GridRank0`]; under
 /// [`HostMode::Separate`] the host is the extra rank `pg.nprocs()`.
@@ -83,6 +90,18 @@ pub fn group_count(pg: &ProcGrid3, pool: usize) -> usize {
     } else {
         p
     }
+}
+
+/// The deterministic global-order summation every placement performs, so
+/// all agree bitwise: contributions are concatenated in rank order, stably
+/// sorted by `(bin, order)`, and each bin summed with `method`.
+pub fn ordered_sum(mut contribs: Vec<Contribution>, n_bins: usize, method: SumMethod) -> Vec<f64> {
+    contribs.sort_by_key(|a| (a.bin, a.order));
+    let mut bins: Vec<Vec<f64>> = vec![Vec::new(); n_bins];
+    for c in contribs {
+        bins[c.bin as usize].push(c.value);
+    }
+    bins.into_iter().map(|b| method.sum(&b)).collect()
 }
 
 /// Messages carried on the mesh program's channels.
@@ -111,9 +130,10 @@ impl MeshMsg {
     }
 
     /// Wire size of the payload: 8 bytes per `f64`; a contribution wires
-    /// `(bin: u32, order: u64, value: f64)` = 20 bytes, matching the
-    /// simulated-parallel driver's [`machine_model::MsgRecord`] accounting
-    /// so the two drivers' byte profiles agree.
+    /// `(bin: u32, order: u64, value: f64)` = 20 bytes. The
+    /// simulated-parallel program's traffic log prices its
+    /// [`machine_model::MsgRecord`]s the same way, so the log's byte
+    /// profile and the channels' agree.
     pub fn size_bytes(&self) -> u64 {
         match self {
             MeshMsg::Halo(v) | MeshMsg::Vec(v) | MeshMsg::Block(v) => 8 * v.len() as u64,
@@ -153,6 +173,9 @@ struct Apply {
 /// step — and every checkpoint clone — merely shares. Steady-state
 /// interpretation never clones a spec.
 enum Op<L> {
+    /// Open the next phase of the traffic log. Compiled only for the
+    /// simulated-parallel program ([`simulated_parallel`]).
+    Phase { name: String },
     /// Run a local-computation block on member `m` (one `Compute` action).
     Local { step: Arc<LocalStep<L>>, m: usize },
     /// Send `dst` one message: each leg's boundary slabs of every part
@@ -378,6 +401,8 @@ struct Lowering<'a> {
     me: usize,
     /// The separate host's rank, if there is one.
     host: Option<usize>,
+    /// Open every leaf phase with an [`Op::Phase`] for the traffic log.
+    traced: bool,
 }
 
 impl Lowering<'_> {
@@ -534,6 +559,9 @@ impl Lowering<'_> {
         let hp = self.proc_of(h);
         let all = 0..self.layout.members[me].len();
         for phase in phases {
+            if self.traced && !matches!(phase, Phase::Loop { .. } | Phase::While { .. }) {
+                ops.push(Op::Phase { name: phase.name().to_string() });
+            }
             match phase {
                 Phase::Local(step) => {
                     let step = Arc::new(step.clone());
@@ -729,6 +757,9 @@ pub struct MsgProcess<L> {
     /// Slabs a split exchange between members has packed and not yet
     /// installed, oldest first. Always empty in a one-rank process.
     staged: VecDeque<Vec<f64>>,
+    /// The traffic the per-rank program would send, phase by phase: kept
+    /// by the simulated-parallel program only, `None` everywhere else.
+    log: Option<Box<CommTrace>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -880,6 +911,7 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             pool: BufPool::new(),
             pending,
             staged,
+            log: None,
         })
     }
 }
@@ -895,6 +927,51 @@ impl<L: MeshLocal> MsgProcess<L> {
         Effect::Fault { error: self.protocol(detail) }
     }
 
+    /// A protocol error raised by member `m`'s rank: this process, when it
+    /// hosts one rank.
+    fn rank_protocol(&self, m: usize, detail: String) -> RunError {
+        RunError::Protocol { proc: self.members[m].env.rank, detail }
+    }
+
+    /// The rank playing host, in the process that hosts it: the separate
+    /// host if this process holds one, else grid rank 0.
+    fn host_rank(&self) -> usize {
+        let last = &self.members[self.members.len() - 1].env;
+        if last.is_host() {
+            last.rank
+        } else {
+            HOST
+        }
+    }
+
+    /// Log a message of `bytes` from rank `src` to rank `dst` that the
+    /// per-rank program sends in the phase in progress, if this process
+    /// keeps the traffic log.
+    fn log_msg(&mut self, src: usize, dst: usize, bytes: u64) {
+        if let Some(phase) = self.log.as_mut().and_then(|log| log.phases.last_mut()) {
+            phase.msgs.push(MsgRecord { src, dst, bytes });
+        }
+    }
+
+    /// Log a message of `bytes` between `rank` and the host, towards the
+    /// host if `to_host`, unless `rank` is the host.
+    fn log_host(&mut self, rank: usize, to_host: bool, bytes: u64) {
+        if self.log.is_some() {
+            let host = self.host_rank();
+            if rank != host {
+                let (src, dst) = if to_host { (rank, host) } else { (host, rank) };
+                self.log_msg(src, dst, bytes);
+            }
+        }
+    }
+
+    /// Move the members' local states out, in member order, with the
+    /// traffic log (empty unless this process kept one).
+    pub(crate) fn into_locals(self) -> (Vec<L>, CommTrace) {
+        let log = self.log.map_or_else(CommTrace::default, |log| *log);
+        (self.members.into_iter().map(|m| m.local).collect(), log)
+    }
+
     /// The grid of the gather or scatter in progress. Only a forged cut
     /// reaches a collective op without one.
     fn collective_grid(&mut self, op: &str) -> Result<&mut Grid3<f64>, RunError> {
@@ -908,11 +985,11 @@ impl<L: MeshLocal> MsgProcess<L> {
     fn insert_block(&mut self, src: usize, data: &[f64]) -> Result<(), RunError> {
         let block = self.pg.block(src);
         if data.len() != block.len() {
-            return Err(self.protocol(format!(
-                "gather block from rank {src} carries {} values, its block holds {}",
-                data.len(),
-                block.len()
-            )));
+            let (got, holds) = (data.len(), block.len());
+            let detail = format!(
+                "gather block from rank {src} carries {got} values, its block holds {holds}"
+            );
+            return Err(RunError::Protocol { proc: self.host_rank(), detail });
         }
         let global = self.collective_grid("gather block")?;
         let mut it = data.iter();
@@ -944,7 +1021,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                 data.len(),
                 field.interior_len()
             );
-            return Err(self.protocol(detail));
+            return Err(self.rank_protocol(m, detail));
         }
         field.interior_from_slice(data);
         Ok(())
@@ -1021,7 +1098,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                 Some(slabs) => spec.unpack(local, leg.at, leg.face, slabs),
                 None => Err(format!("message of {} values ends inside its slabs", payload.len())),
             };
-            res.map_err(|e| self.protocol(format!("halo from rank {}: {e}", leg.peer)))?;
+            res.map_err(|e| {
+                self.rank_protocol(leg.m, format!("halo from rank {}: {e}", leg.peer))
+            })?;
             at = end;
         }
         Ok(())
@@ -1070,9 +1149,14 @@ impl<L: MeshLocal> MsgProcess<L> {
         Ok(())
     }
 
-    /// `f(local[m], scratch[from])`.
+    /// `f(local[m], scratch[from])`: a message from `from`'s rank to `m`'s
+    /// in the per-rank program when they differ.
     fn inject_from(&mut self, m: usize, from: usize, f: &crate::plan::InjectFn<L>) {
         let held = std::mem::take(&mut self.members[from].scratch);
+        if m != from {
+            let (src, dst) = (self.members[from].env.rank, self.members[m].env.rank);
+            self.log_msg(src, dst, 8 * held.len() as u64);
+        }
         let mem = &mut self.members[m];
         f(&mem.env, &mut mem.local, &held);
         self.members[from].scratch = held;
@@ -1148,9 +1232,18 @@ impl<L: MeshLocal> MsgProcess<L> {
             let pc = self.pc;
             self.pc += 1;
             match &ops[pc] {
+                Op::Phase { name } => {
+                    if let Some(log) = &mut self.log {
+                        let flops = vec![0; log.nprocs];
+                        log.push(PhaseCost { name: name.clone(), flops, msgs: Vec::new() });
+                    }
+                }
                 Op::Local { step, m } => {
                     let mem = &mut self.members[*m];
                     let units = (step.flops)(&mem.env, &mem.local);
+                    if let Some(phase) = self.log.as_mut().and_then(|log| log.phases.last_mut()) {
+                        phase.flops[mem.env.rank] += units;
+                    }
                     return match (step.f)(&mem.env, &mut mem.local) {
                         Ok(()) => Effect::Compute { units },
                         Err(error) => Effect::Fault { error },
@@ -1166,6 +1259,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                 Op::CopyFaces { spec, copies } => {
                     for (sent, got) in copies {
                         let slabs = self.pack_legs(spec, std::slice::from_ref(sent));
+                        self.log_msg(got.peer, sent.peer, 8 * slabs.len() as u64);
                         let res = self.unpack_legs(spec, std::slice::from_ref(got), &slabs);
                         self.pool.put(slabs);
                         if let Err(error) = res {
@@ -1174,6 +1268,14 @@ impl<L: MeshLocal> MsgProcess<L> {
                     }
                 }
                 Op::StageFaces { spec, legs } => {
+                    if self.log.is_some() {
+                        for leg in legs {
+                            let mem = &mut self.members[leg.m];
+                            let len = spec.packed_len(&mut mem.local, leg.at, leg.face);
+                            let rank = mem.env.rank;
+                            self.log_msg(rank, leg.peer, 8 * len as u64);
+                        }
+                    }
                     let slabs = self.pack_legs(spec, legs);
                     self.staged.push_back(slabs);
                 }
@@ -1198,6 +1300,13 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::ReduceLocal { op, srcs, applies } => {
                     let partials = self.pack_partials(srcs);
+                    if self.log.is_some() {
+                        let bytes = 8 * (partials.len() / srcs.len()) as u64;
+                        for a in applies {
+                            let src = self.members[srcs[a.part]].env.rank;
+                            self.log_msg(src, self.members[a.m].env.rank, bytes);
+                        }
+                    }
                     let res = self.apply_partials(*op, srcs.len(), applies, &partials);
                     self.pool.put(partials);
                     if let Err(error) = res {
@@ -1211,7 +1320,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::OrdExtract { spec, m } => {
                     let mem = &self.members[*m];
-                    let c = (spec.extract)(&mem.env, &mem.local);
+                    let (rank, c) = (mem.env.rank, (spec.extract)(&mem.env, &mem.local));
+                    // A contribution wires 20 bytes (`MeshMsg::size_bytes`).
+                    self.log_host(rank, true, 20 * c.len() as u64);
                     self.contribs.extend(c);
                 }
                 Op::OrdSendContribs { dst } => {
@@ -1255,7 +1366,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                         }
                         let mut own = self.pool.take(0);
                         (spec.field)(&mut self.members[m].local).interior_append_to(&mut own);
-                        let res = self.insert_block(self.members[m].env.rank, &own);
+                        let rank = self.members[m].env.rank;
+                        self.log_host(rank, true, 8 * own.len() as u64);
+                        let res = self.insert_block(rank, &own);
                         self.pool.put(own);
                         if let Err(error) = res {
                             return Effect::Fault { error };
@@ -1274,9 +1387,9 @@ impl<L: MeshLocal> MsgProcess<L> {
                     let (got, n) = (g.extent(), self.pg.n);
                     if got != n {
                         let name = &spec.name;
-                        return self.fault(format!(
-                            "scatter {name}: source grid extent {got:?}, expected {n:?}"
-                        ));
+                        let detail =
+                            format!("scatter {name}: source grid extent {got:?}, expected {n:?}");
+                        return Effect::Fault { error: self.rank_protocol(*m, detail) };
                     }
                     self.global = Some(g);
                 }
@@ -1297,6 +1410,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                         if env.is_host() {
                             continue;
                         }
+                        self.log_host(env.rank, false, 8 * env.block.len() as u64);
                         let mut buf = self.pool.take(env.block.len());
                         let res = self
                             .block_of_global_into(env.rank, &mut buf)
@@ -1482,18 +1596,38 @@ pub fn build_msg_processes_for<L: MeshLocal>(
     ranks: &[usize],
 ) -> (Topology, Vec<MsgProcess<L>>) {
     let total = total_procs(&pg, host_mode);
-    build_processes(plan, pg, init, host_mode, &Layout::grouped(total, total), ranks)
+    let layout = Layout::grouped(total, total);
+    build_processes(plan, pg, &**init, host_mode, &layout, ranks, false)
+}
+
+/// The simulated-parallel program (§2.2) as the grouped program at W = 1:
+/// one process hosting every rank of `pg`, and the separate host last under
+/// [`HostMode::Separate`], as one-rank members (never fused, so its locals
+/// are the ranks'). Its exchanges are assignments between members, and it
+/// logs the traffic the per-rank program would send
+/// ([`MsgProcess::into_locals`]).
+pub(crate) fn simulated_parallel<L: MeshLocal>(
+    plan: &Plan<L>,
+    pg: ProcGrid3,
+    init: &dyn Fn(&Env) -> L,
+    host_mode: HostMode,
+) -> MsgProcess<L> {
+    let layout = Layout::grouped(total_procs(&pg, host_mode), 1);
+    let (_, mut procs) = build_processes(plan, pg, init, host_mode, &layout, &[0], true);
+    procs.pop().expect("one process")
 }
 
 /// Compile `plan` for the processes `procs` of `layout`, next to the
-/// topology connecting every pair of its processes.
+/// topology connecting every pair of its processes. A `traced` program
+/// keeps the traffic log.
 fn build_processes<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
-    init: &InitFn<L>,
+    init: &dyn Fn(&Env) -> L,
     host_mode: HostMode,
     layout: &Layout,
     procs: &[usize],
+    traced: bool,
 ) -> (Topology, Vec<MsgProcess<L>>) {
     let topo = Topology::fully_connected(layout.width());
     let n = pg.nprocs();
@@ -1507,7 +1641,8 @@ fn build_processes<L: MeshLocal>(
         .iter()
         .map(|&me| {
             let mut ops = Vec::new();
-            Lowering { pg, layout, links: &links, me, host }.flatten(&plan.phases, &mut ops);
+            Lowering { pg, layout, links: &links, me, host, traced }
+                .flatten(&plan.phases, &mut ops);
             let members = layout.members[me]
                 .iter()
                 .map(|run| {
@@ -1535,6 +1670,7 @@ fn build_processes<L: MeshLocal>(
                 pool: BufPool::new(),
                 pending: None,
                 staged: VecDeque::new(),
+                log: traced.then(|| Box::new(CommTrace::new(layout.proc_of.len()))),
             }
         })
         .collect();
@@ -1678,7 +1814,8 @@ pub fn run_msg_threaded_slack<L: MeshLocal>(
     let w = group_count(&pg, cfg.pool_size(p));
     let all: Vec<usize> = (0..w).collect();
     let layout = placement(plan, &pg, init, w);
-    let (topo, procs) = build_processes(plan, pg, init, HostMode::GridRank0, &layout, &all);
+    let (topo, procs) =
+        build_processes(plan, pg, &**init, HostMode::GridRank0, &layout, &all, false);
     ssp_runtime::run_threaded_with(&topo.with_uniform_capacity(slack), procs, cfg)
 }
 
@@ -2188,7 +2325,8 @@ mod tests {
     ) -> Result<Vec<Vec<u8>>, RunError> {
         let layout = placement(plan, &pg, init, w);
         let all: Vec<usize> = (0..w).collect();
-        let (topo, procs) = build_processes(plan, pg, init, HostMode::GridRank0, &layout, &all);
+        let (topo, procs) =
+            build_processes(plan, pg, &**init, HostMode::GridRank0, &layout, &all, false);
         let out = Simulator::new(topo.with_uniform_capacity(slack), procs).run(policy)?;
         Ok(rank_snapshots(&layout, &out.snapshots))
     }
@@ -2246,7 +2384,7 @@ mod tests {
         let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
         let layout = Layout::grouped(8, 2);
         let (topo, mut procs) =
-            build_processes(&plan, pg, &init, HostMode::GridRank0, &layout, &[0, 1]);
+            build_processes(&plan, pg, &*init, HostMode::GridRank0, &layout, &[0, 1], false);
         let ops = Arc::get_mut(&mut procs[0].ops).expect("each process owns its program");
         let copies = ops.iter_mut().find_map(|op| match op {
             Op::CopyFaces { copies, .. } => Some(copies),
@@ -2281,7 +2419,8 @@ mod tests {
         let init = init_cell();
         let pg = ProcGrid3::choose((6, 5, 4), 4);
         let reference = run_msg_simulated(plan, pg, &init, &mut RoundRobin::new()).unwrap();
-        let build = || build_processes(plan, pg, &init, HostMode::GridRank0, &layout, &[0, 1]);
+        let build =
+            || build_processes(plan, pg, &*init, HostMode::GridRank0, &layout, &[0, 1], false);
         let (topo, templates) = build();
         let reference_run = Simulator::new(topo.clone(), build().1).run(&mut RoundRobin::new());
         let picks = reference_run.unwrap().picks;
@@ -2334,7 +2473,7 @@ mod tests {
         let unfused = placement(&cell_plan(), &pg, &init_cell(), 2);
         assert_eq!(unfused.members, Layout::grouped(27, 2).members);
         let (_, procs) =
-            build_processes(&plan, pg, &init_cell(), HostMode::GridRank0, &layout, &[0, 1]);
+            build_processes(&plan, pg, &*init_cell(), HostMode::GridRank0, &layout, &[0, 1], false);
         // One relaxation per box and half-step: three boxes per group.
         for p in &procs {
             assert_eq!(p.ops.iter().filter(|op| matches!(op, Op::Local { .. })).count(), 3);
@@ -2352,7 +2491,7 @@ mod tests {
         assert_eq!((layout.width(), layout.members[0].len()), (1, 1));
         assert_eq!(layout.members[0].first(), Some(&(0..8)), "one box of every rank");
         let (_, procs) =
-            build_processes(&plan, pg, &init_cell(), HostMode::GridRank0, &layout, &[0]);
+            build_processes(&plan, pg, &*init_cell(), HostMode::GridRank0, &layout, &[0], false);
         let kinds: Vec<&str> = procs[0]
             .ops
             .iter()

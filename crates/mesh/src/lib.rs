@@ -29,26 +29,28 @@
 //! ## Interchangeable executions of the same plan
 //!
 //! One per rung of the refinement chain sequential → simulated-parallel →
-//! grouped → message-passing:
+//! grouped → message-passing. Past the first, the rungs are one lowering
+//! placing the P ranks on W processes, W walked from 1 to P:
 //!
 //! * [`driver::run_seq`] — the degenerate one-process execution;
 //! * [`driver::run_simpar`] — the **sequential simulated-parallel version**
-//!   (§2.2): one address space per simulated process, local-computation
-//!   blocks run for `i = 0..N` in sequence, data-exchange operations
-//!   performed as assignments. Every assignment an exchange induces copies
-//!   a sender's boundary slab into the ghost slab of its unique neighbour
-//!   across that face, so the Definition's restrictions hold by
-//!   construction; `archetypes_core::check_program` checks them on the IR,
-//!   where a violation can be written;
-//! * the **grouped** program: W processes, each a simulated-parallel
-//!   program over a group of contiguous ranks, exchanging by assignment
-//!   inside a group and by one coalesced message per group pair between
-//!   groups. [`driver::run_msg_threaded`] runs it when the ranks outnumber
-//!   its worker pool and the grid is small ([`driver::group_count`]);
-//! * [`driver::run_msg_simulated`] / [`driver::run_msg_threaded`] — the
-//!   message-passing program obtained by the paper's final transformation:
-//!   each data-exchange assignment becomes a send/receive pair with all
-//!   sends performed before any receives (§3.3), running on
+//!   (§2.2), the grouped program at W = 1: one process holding every
+//!   partition, local-computation blocks run for `i = 0..N` in sequence,
+//!   data-exchange operations performed as assignments. Every assignment
+//!   an exchange induces copies a sender's boundary slab into the ghost
+//!   slab of its unique neighbour across that face, so the Definition's
+//!   restrictions hold by construction; `archetypes_core::check_program`
+//!   checks them on the IR, where a violation can be written;
+//! * the **grouped** program at 1 < W < P: each process a
+//!   simulated-parallel program over a group of contiguous ranks,
+//!   exchanging by assignment inside a group and by one coalesced message
+//!   per group pair between groups. [`driver::run_msg_threaded`] runs it
+//!   when the ranks outnumber its worker pool and the grid is small
+//!   ([`driver::group_count`]);
+//! * [`driver::run_msg_simulated`] / [`driver::run_msg_threaded`] — W = P,
+//!   the message-passing program obtained by the paper's final
+//!   transformation: each data-exchange assignment becomes a send/receive
+//!   pair with all sends performed before any receives (§3.3), running on
 //!   [`ssp_runtime`]'s simulated scheduler or on real threads.
 //!
 //! By construction every execution performs each rank's floating-point
@@ -56,10 +58,10 @@
 //! — the property Theorem 1 guarantees and the paper's experiments
 //! confirmed ("on the first and every execution").
 //!
-//! The simulated-parallel driver also records a [`CommTrace`] of
-//! every message and every local-computation flop count, which the
-//! `machine-model` crate prices to reproduce the paper's performance tables
-//! on modeled 1998 hardware.
+//! The simulated-parallel program also records a [`CommTrace`]: every
+//! message the per-rank program would send and every local-computation
+//! flop count, which the `machine-model` crate prices to reproduce the
+//! paper's performance tables on modeled 1998 hardware.
 //!
 //! # Example
 //!

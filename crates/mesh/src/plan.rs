@@ -383,8 +383,9 @@ pub enum Phase<L> {
     },
     /// A loop governed by a replicated-global predicate: body repeats while
     /// `pred` holds. The predicate must evaluate identically on every rank;
-    /// the simulated-parallel driver checks this (§4.2's "simple control
-    /// structures based on these global variables").
+    /// a process hosting several ranks, the simulated-parallel program
+    /// among them, checks this (§4.2's "simple control structures based on
+    /// these global variables").
     While {
         /// Name for traces and error messages.
         name: String,
@@ -519,17 +520,9 @@ impl<L> PlanBuilder<L> {
         )
     }
 
-    /// Append a local-computation block that may fail with a typed
-    /// [`RunError`] (surfaced by the drivers as a fault, not a panic).
-    pub fn local_fallible(
-        self,
-        name: &str,
-        f: impl Fn(&Env, &mut L) -> Result<(), RunError> + Send + Sync + 'static,
-    ) -> Self {
-        self.local_fallible_with_flops(name, f, |_, _| 0)
-    }
-
-    /// Append a fallible local-computation block with a cost estimate.
+    /// Append a local-computation block with a cost estimate that may fail
+    /// with a typed [`RunError`] (surfaced by the drivers as a fault, not a
+    /// panic).
     pub fn local_fallible_with_flops(
         mut self,
         name: &str,

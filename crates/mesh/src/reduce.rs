@@ -4,17 +4,16 @@
 //! patterns depending on their implementation — for example, all-to-one/
 //! one-to-all or recursive doubling."* Both are implemented here, as
 //! **schedules**: pure data listing, stage by stage, which process combines
-//! whose partial into whose. The simulated-parallel driver and the
-//! message-passing driver execute the *same schedule*, which is what makes
-//! their floating-point results bitwise identical — the combine order is a
-//! property of the schedule, not of the execution.
+//! whose partial into whose. Every placement of a plan, from the
+//! simulated-parallel program to the message-passing one, executes the
+//! *same schedule*, which is what makes their floating-point results
+//! bitwise identical — the combine order is a property of the schedule,
+//! not of the execution.
 //!
 //! Within a stage, every combine reads its source's *pre-stage* partial
 //! (message-passing semantics: everyone sends before anyone combines). The
 //! result of executing a full plan is that **every** rank holds the reduced
 //! value — copy consistency for the replicated global it feeds.
-
-use crate::sum::KahanAcc;
 
 /// The elementwise combining operator of a reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,22 +270,6 @@ pub fn rank_order_reduce(op: ReduceOp, partials: &[Vec<f64>]) -> Vec<f64> {
     acc
 }
 
-/// Kahan-compensated elementwise sum of per-rank partials in rank order —
-/// an accuracy upgrade usable wherever [`rank_order_reduce`] with
-/// [`ReduceOp::Sum`] is: same communication, compensated arithmetic.
-pub fn rank_order_sum_kahan(partials: &[Vec<f64>]) -> Vec<f64> {
-    let len = partials[0].len();
-    (0..len)
-        .map(|i| {
-            let mut acc = KahanAcc::new();
-            for p in partials {
-                acc.add(p[i]);
-            }
-            acc.value()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,18 +394,5 @@ mod tests {
             plan.execute(ReduceOp::Sum, &mut parts);
             assert_eq!(parts[0], vec![1.0, 2.0]);
         }
-    }
-
-    #[test]
-    fn kahan_rank_order_improves_on_naive() {
-        let mut parts = vec![vec![1.0]];
-        for _ in 0..1000 {
-            parts.push(vec![1e-16]);
-        }
-        let naive = rank_order_reduce(ReduceOp::Sum, &parts)[0];
-        let kahan = rank_order_sum_kahan(&parts)[0];
-        let exact = 1.0 + 1e-13;
-        assert!((kahan - exact).abs() <= (naive - exact).abs());
-        assert_eq!(kahan, exact);
     }
 }

@@ -7,13 +7,17 @@
 //! simulated-parallel execution bitwise in separate-host mode too, and
 //! (d) the separate host costs the expected extra messages.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mesh_archetype::driver::{
     run_msg_simulated_hosted, HostMode, MeshLocal, SimParConfig,
 };
 use mesh_archetype::exchange::face_links;
-use mesh_archetype::{run_simpar, Contribution, Env, Plan, ReduceAlgo, ReduceOp, SumMethod};
+use mesh_archetype::{
+    run_simpar, Contribution, Env, ExchangeSpec, Plan, ReduceAlgo, ReduceOp, SumMethod,
+};
+use meshgrid::halo::FaceSet3;
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{RandomPolicy, RoundRobin};
 
@@ -55,63 +59,58 @@ fn init(env: &Env) -> Node {
     }
 }
 
+fn smooth(_: &Env, n: &mut Node) {
+    let (nx, ny, nz) = n.u.extent();
+    let mut next = n.u.clone();
+    for i in 0..nx as isize {
+        for j in 0..ny as isize {
+            for k in 0..nz as isize {
+                let v = 0.5 * n.u.get(i, j, k)
+                    + 0.25 * n.u.get(i - 1, j, k)
+                    + 0.25 * n.u.get(i + 1, j, k);
+                next.set(i, j, k, v);
+            }
+        }
+    }
+    n.u = next;
+}
+
+fn sum(_: &Env, n: &Node) -> Vec<f64> {
+    vec![n.u.interior_to_vec().iter().sum::<f64>()]
+}
+
+/// One contribution per owned cell, two bins by parity.
+fn contributions(env: &Env, n: &Node) -> Vec<Contribution> {
+    let block = env.block;
+    let gn = env.pg.n;
+    let (nx, ny, nz) = n.u.extent();
+    let mut out = Vec::new();
+    for i in 0..nx {
+        for j in 0..ny {
+            for k in 0..nz {
+                let (gi, gj, gk) = block.to_global(i, j, k);
+                let order = ((gi * gn.1 + gj) * gn.2 + gk) as u64;
+                out.push(Contribution {
+                    bin: (order % 2) as u32,
+                    order,
+                    value: n.u.get(i as isize, j as isize, k as isize),
+                });
+            }
+        }
+    }
+    out
+}
+
 /// A plan touching every collective the host participates in: sweep +
 /// exchange in a loop, a Sum reduction, an ordered reduction, a broadcast,
 /// and a final gather.
 fn full_plan() -> Plan<Node> {
     Plan::builder()
-        .loop_n(3, |b| {
-            b.exchange("halo", |n: &mut Node| &mut n.u).local("smooth", |env, n| {
-                let (nx, ny, nz) = n.u.extent();
-                let mut next = n.u.clone();
-                for i in 0..nx as isize {
-                    for j in 0..ny as isize {
-                        for k in 0..nz as isize {
-                            let v = 0.5 * n.u.get(i, j, k)
-                                + 0.25 * n.u.get(i - 1, j, k)
-                                + 0.25 * n.u.get(i + 1, j, k);
-                            next.set(i, j, k, v);
-                        }
-                    }
-                }
-                n.u = next;
-                let _ = env;
-            })
+        .loop_n(3, |b| b.exchange("halo", |n: &mut Node| &mut n.u).local("smooth", smooth))
+        .reduce("sum", ReduceOp::Sum, ReduceAlgo::AllToOne, sum, |_, n, v| n.total = v[0])
+        .ordered_reduce("series", 2, SumMethod::Naive, contributions, |_, n, v| {
+            n.series = v.to_vec()
         })
-        .reduce(
-            "sum",
-            ReduceOp::Sum,
-            ReduceAlgo::AllToOne,
-            |_, n: &Node| vec![n.u.interior_to_vec().iter().sum::<f64>()],
-            |_, n, v| n.total = v[0],
-        )
-        .ordered_reduce(
-            "series",
-            2,
-            SumMethod::Naive,
-            |env, n: &Node| {
-                // One contribution per owned cell, two bins by parity.
-                let block = env.block;
-                let gn = env.pg.n;
-                let (nx, ny, nz) = n.u.extent();
-                let mut out = Vec::new();
-                for i in 0..nx {
-                    for j in 0..ny {
-                        for k in 0..nz {
-                            let (gi, gj, gk) = block.to_global(i, j, k);
-                            let order = ((gi * gn.1 + gj) * gn.2 + gk) as u64;
-                            out.push(Contribution {
-                                bin: (order % 2) as u32,
-                                order,
-                                value: n.u.get(i as isize, j as isize, k as isize),
-                            });
-                        }
-                    }
-                }
-                out
-            },
-            |_, n, v| n.series = v.to_vec(),
-        )
         .broadcast("sync", 0, |_, n: &Node| vec![n.total * 2.0], |_, n, v| n.total = v[0])
         .gather_grid(
             "collect",
@@ -211,5 +210,61 @@ fn exchange_restrictions_still_hold_with_separate_host() {
     for m in halos.iter().flat_map(|p| &p.msgs) {
         let linked = face_links(&pg, m.src).iter().any(|l| l.neighbor == m.dst);
         assert!(m.src < 6 && m.dst < 6 && linked, "{m:?}");
+    }
+}
+
+/// Every phase kind that communicates: a scatter, an exchange, a split
+/// exchange, a reduction under each algorithm, an ordered reduction, a
+/// broadcast from the first and from the last rank, and a gather.
+fn every_phase_kind(p: usize) -> Plan<Node> {
+    let split = || ExchangeSpec::new("split").part(|n: &mut Node| &mut n.u, FaceSet3::ALL);
+    let ramp = |_: &Node| Grid3::from_fn(N.0, N.1, N.2, 0, |i, j, k| (i * 100 + j * 10 + k) as f64);
+    Plan::builder()
+        .scatter_grid("load", ramp, |n: &mut Node| &mut n.u)
+        .exchange("halo", |n: &mut Node| &mut n.u)
+        .local("smooth", smooth)
+        .exchange_send(split())
+        .local("bump", |env, n: &mut Node| n.total += env.rank as f64)
+        .exchange_recv(split())
+        .local("smooth", smooth)
+        .reduce("a2o", ReduceOp::Sum, ReduceAlgo::AllToOne, sum, |_, n, v| n.total = v[0])
+        .reduce("rd", ReduceOp::Sum, ReduceAlgo::RecursiveDoubling, sum, |_, n, v| {
+            n.total += v[0]
+        })
+        .ordered_reduce("series", 2, SumMethod::Naive, contributions, |_, n, v| {
+            n.series = v.to_vec()
+        })
+        .broadcast("first", 0, |_, n: &Node| vec![n.total * 2.0], |_, n, v| n.total = v[0])
+        .broadcast("last", p - 1, |env, _: &Node| vec![env.rank as f64], |_, n, v| {
+            n.total += v[0]
+        })
+        .gather_grid("collect", |n: &mut Node| &mut n.u, |n, g| n.gathered = Some(g.clone()))
+        .build()
+}
+
+/// The simulated-parallel program logs exactly the messages the per-rank
+/// program sends, for every phase kind, both host placements and P = 1..7:
+/// the trace's `(src, dst)` tallies are the message-passing run's channel
+/// counters, and the two runs end in the same state.
+#[test]
+fn logged_traffic_is_the_per_rank_programs_for_every_phase_kind() {
+    let init_fn: mesh_archetype::plan::InitFn<Node> = Arc::new(init);
+    for mode in [HostMode::GridRank0, HostMode::Separate] {
+        for p in 1..=7 {
+            let (plan, pg) = (every_phase_kind(p), ProcGrid3::choose(N, p));
+            let simpar = run_simpar(&plan, pg, cfg(mode), init);
+            let mut policy = RoundRobin::new();
+            let msg = run_msg_simulated_hosted(&plan, pg, &init_fn, mode, &mut policy).unwrap();
+            assert_eq!(msg.snapshots, simpar.snapshots, "{mode:?} P={p}");
+            let mut logged = BTreeMap::new();
+            for m in simpar.trace.phases.iter().flat_map(|ph| &ph.msgs) {
+                let (count, bytes) = logged.entry((m.src, m.dst)).or_insert((0, 0));
+                (*count, *bytes) = (*count + 1, *bytes + m.bytes);
+            }
+            let channels = msg.metrics.channels.iter().filter(|c| c.messages > 0);
+            let sent: BTreeMap<_, _> =
+                channels.map(|c| ((c.writer, c.reader), (c.messages, c.bytes))).collect();
+            assert_eq!(logged, sent, "{mode:?} P={p}");
+        }
     }
 }

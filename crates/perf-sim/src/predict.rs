@@ -33,11 +33,6 @@ impl PredictedPoint {
     pub fn speedup_vs(&self, t1: f64) -> f64 {
         t1 / self.time
     }
-
-    /// Parallel efficiency against `t1` (speedup / nprocs).
-    pub fn efficiency_vs(&self, t1: f64) -> f64 {
-        self.speedup_vs(t1) / self.nprocs as f64
-    }
 }
 
 /// Predict the scaling curve of a program family under `model`.
@@ -111,7 +106,6 @@ mod tests {
         assert!((t1 - 1.0).abs() < 1e-9);
         assert!((points[1].speedup_vs(t1) - 2.0).abs() < 1e-9);
         assert!((points[2].speedup_vs(t1) - 4.0).abs() < 1e-9);
-        assert!((points[2].efficiency_vs(t1) - 1.0).abs() < 1e-9);
         for p in &points {
             assert!((p.serial_compute - 1.0).abs() < 1e-9, "same total work at every n");
             assert_eq!(p.breakdown.latency, 0.0);

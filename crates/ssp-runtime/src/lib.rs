@@ -90,7 +90,7 @@ pub use error::RunError;
 pub use fault::{Crash, FaultPlan, Stall};
 pub use flight::{FlightRecorder, FlightSink, NoFlight, DEFAULT_FLIGHT_CAP, FLIGHT_DUMP_ENV};
 pub use json::JsonValue;
-pub use observer::{NoopObserver, RecordingObserver, StepEvent, StepObserver, Tee};
+pub use observer::{NoopObserver, RecordingObserver, StepEvent, StepObserver};
 pub use policy::{
     Adversary, AdversarialPolicy, FixedSchedule, RandomPolicy, RoundRobin, SchedulePolicy,
 };

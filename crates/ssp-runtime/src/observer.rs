@@ -8,9 +8,9 @@
 //! guaranteeing (by construction) that the timed execution performs exactly
 //! the actions of the untimed one.
 //!
-//! The stepper reports to exactly one observer; [`Tee`] feeds two. Besides
-//! the actions of the interleaving, the stream reports a posted receive and
-//! a blocked send, because a cost model needs to know when waiting started.
+//! The stepper reports to exactly one observer. Besides the actions of the
+//! interleaving, the stream reports a posted receive and a blocked send,
+//! because a cost model needs to know when waiting started.
 //! Together with a run's picks it is the whole record of the run.
 
 use crate::chan::ChannelId;
@@ -112,35 +112,5 @@ pub struct RecordingObserver {
 impl StepObserver for RecordingObserver {
     fn on_event(&mut self, ev: StepEvent) {
         self.events.push(ev);
-    }
-}
-
-/// Fan one event stream out to two observers, first then second. Lets a
-/// caller keep its own observer while a wrapper (e.g. the recovery
-/// supervisor's overhead accounting, or a pricing engine) attaches another.
-pub struct Tee<'a>(pub &'a mut dyn StepObserver, pub &'a mut dyn StepObserver);
-
-impl StepObserver for Tee<'_> {
-    fn on_event(&mut self, ev: StepEvent) {
-        self.0.on_event(ev);
-        self.1.on_event(ev);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tee_delivers_to_both_in_order() {
-        let mut a = RecordingObserver::default();
-        let mut b = RecordingObserver::default();
-        {
-            let mut tee = Tee(&mut a, &mut b);
-            tee.on_event(StepEvent::Halted { proc: 0 });
-            tee.on_event(StepEvent::RecvPosted { proc: 1, chan: ChannelId(2) });
-        }
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.events.len(), 2);
     }
 }

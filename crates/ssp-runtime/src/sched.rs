@@ -71,10 +71,6 @@ use crate::threaded::{ThreadedConfig, ThreadedOutcome};
 use crate::trace::{FlightKind, FlightLog, ProcMetrics, RunMetrics};
 use crate::waitgraph::{self, BlockKind};
 
-/// Scheduler-mode tag recorded in benchmark JSON so a scaling curve is
-/// interpretable from the file alone.
-pub const SCHED_MODE: &str = "mn-steal";
-
 /// Environment variable overriding the worker-pool size (useful for CI on
 /// single-core runners, where stealing would otherwise never be exercised).
 pub const WORKERS_ENV: &str = "SSP_WORKERS";

@@ -452,22 +452,6 @@ impl FlightLog {
         self.len() == 0
     }
 
-    /// The last `n` events of each lane that mention `rank`, merged and
-    /// time-sorted — the post-mortem's "final events of the blocked cycle".
-    pub fn last_events_for(&self, rank: usize, n: usize) -> Vec<FlightEvent> {
-        let mut hits: Vec<FlightEvent> = self
-            .lanes
-            .iter()
-            .flat_map(|l| l.events.iter().copied())
-            .filter(|e| e.rank as usize == rank)
-            .collect();
-        hits.sort_by_key(|e| e.nanos);
-        if hits.len() > n {
-            hits.drain(..hits.len() - n);
-        }
-        hits
-    }
-
     /// Append a lifecycle mark (checkpoint/restore/migration) recorded
     /// outside any running scheduler, into a dedicated `lifecycle` lane.
     /// `nanos` is relative to whatever epoch the caller is narrating.
@@ -722,14 +706,5 @@ mod tests {
         let mut bad_label = bytes;
         bad_label[8] = 0xff;
         assert!(matches!(decode_flight_log(&bad_label), Err(RunError::Protocol { .. })));
-    }
-
-    #[test]
-    fn flight_log_last_events_filter_by_rank() {
-        let log = sample_flight_log();
-        let last = log.last_events_for(0, 2);
-        assert_eq!(last.len(), 2);
-        assert!(last.iter().all(|e| e.rank == 0));
-        assert_eq!(last[1].kind, FlightKind::Park);
     }
 }
