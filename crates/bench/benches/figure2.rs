@@ -24,11 +24,11 @@ use fdtd::Params;
 use machine_model::{
     ibm_sp, ideal_time, network_of_suns, perfect_speedup, MachineModel, SpeedupSeries,
 };
-use mesh_archetype::driver::build_msg_processes;
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode};
 use mesh_archetype::{run_msg_predicted, Plan};
 use meshgrid::ProcGrid3;
 use perf_sim::{predict_speedup, price_recovery, PredictedPoint, RecoveryCosts};
-use ssp_runtime::{FaultPlan, RecoveryConfig, RoundRobin};
+use ssp_runtime::{run_recovering, FaultPlan, RecoveryConfig, RoundRobin};
 
 fn main() -> Verdicts {
     let mut params = Params::figure2();
@@ -118,7 +118,8 @@ fn predict(
 ) -> Vec<PredictedPoint> {
     let init = init_a(params.clone());
     predict_speedup(machine, &[1, 2, 4, 8, 16], |p| {
-        build_msg_processes(plan, ProcGrid3::choose(params.n, p), &init)
+        let pg = ProcGrid3::choose(params.n, p);
+        build_msg_processes_with_slack(plan, pg, &init, HostMode::GridRank0, None)
     })
     .expect("infinite-slack message-passing plans cannot deadlock")
 }
@@ -261,16 +262,11 @@ fn recovery_overhead(verdicts: &mut Verdicts) {
     let mut all_identical = true;
     for every in [8u64, 32, 128, 512] {
         let faults = FaultPlan::none().crash(1, 40);
-        let out = mesh_archetype::run_msg_recovering(
-            &plan,
-            pg,
-            &init,
-            None,
-            faults,
-            &mut RoundRobin::new(),
-            RecoveryConfig::every(every),
-        )
-        .expect("one injected crash always recovers");
+        let (topo, procs) =
+            build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, None);
+        let cfg = RecoveryConfig::every(every);
+        let out = run_recovering(topo, procs, faults, &mut RoundRobin::new(), cfg)
+            .expect("one injected crash always recovers");
         all_identical &= out.snapshots == reference.snapshots;
         let o = price_recovery(&clean, &out.stats, &costs);
         rows.push(vec![

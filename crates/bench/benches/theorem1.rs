@@ -23,9 +23,10 @@ use bench::{print_table, Verdicts};
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
 use mesh_archetype::driver::{run_simpar, SimParConfig};
-use mesh_archetype::{run_msg_simulated, run_msg_threaded};
+use mesh_archetype::{run_msg_simulated, run_msg_threaded_slack};
 use meshgrid::ProcGrid3;
 use ssp_runtime::policy::standard_battery;
+use ssp_runtime::ThreadedConfig;
 
 fn main() -> Verdicts {
     let mut verdicts = Verdicts::default();
@@ -55,7 +56,8 @@ fn main() -> Verdicts {
         // Plus three real-thread executions.
         let mut thr_agree = 0usize;
         for _ in 0..3 {
-            if run_msg_threaded(&plan, pg, &init).expect("threads run") == simpar.snapshots {
+            let out = run_msg_threaded_slack(&plan, pg, &init, None, ThreadedConfig::default());
+            if out.expect("threads run").snapshots == simpar.snapshots {
                 thr_agree += 1;
             }
         }

@@ -286,22 +286,6 @@ impl FarFieldAccumulator {
         self.step += 1;
     }
 
-    /// Radar-cross-section proxy per direction and retarded-time bin,
-    /// computed from flattened potentials in the canonical layout:
-    /// `rcs[d][t] = A_d(t)² + F_d(t)²` — the far-field power time series
-    /// the paper's application derives ("e.g., for radar cross section
-    /// computations", §4.1).
-    pub fn rcs_from_flat(flat: &[f64], n_dirs: usize, n_bins: usize) -> Vec<Vec<f64>> {
-        assert_eq!(flat.len(), 2 * n_dirs * n_bins, "flat layout mismatch");
-        (0..n_dirs)
-            .map(|d| {
-                let a = &flat[2 * d * n_bins..(2 * d + 1) * n_bins];
-                let f = &flat[(2 * d + 1) * n_bins..(2 * d + 2) * n_bins];
-                a.iter().zip(f).map(|(x, y)| x * x + y * y).collect()
-            })
-            .collect()
-    }
-
     /// The flattened per-bin partial vector in the canonical layout
     /// `[dir0·A | dir0·F | dir1·A | dir1·F | …]`, for elementwise reduction.
     pub fn flat_bins(&self) -> Vec<f64> {
@@ -374,21 +358,6 @@ mod tests {
         }
         assert!(acc.n_bins() >= 5);
         assert!(!acc.log.is_empty());
-    }
-
-    #[test]
-    fn rcs_layout_and_values() {
-        // 2 dirs, 3 bins: A0=[1,2,3] F0=[0,1,0] A1=[0,0,0] F1=[2,0,1].
-        let flat = vec![1.0, 2.0, 3.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 1.0];
-        let rcs = FarFieldAccumulator::rcs_from_flat(&flat, 2, 3);
-        assert_eq!(rcs[0], vec![1.0, 5.0, 9.0]);
-        assert_eq!(rcs[1], vec![4.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "layout mismatch")]
-    fn rcs_rejects_bad_layout() {
-        FarFieldAccumulator::rcs_from_flat(&[1.0; 10], 2, 3);
     }
 
     #[test]

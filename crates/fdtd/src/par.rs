@@ -44,7 +44,7 @@ use crate::update::{
 /// Per-rank state of the archetype Version A.
 ///
 /// `Clone` makes the compiled message-passing program checkpointable by
-/// the crash-recovery supervisor ([`mesh_archetype::run_msg_recovering`]).
+/// the crash-recovery supervisor ([`ssp_runtime::run_recovering`]).
 #[derive(Clone)]
 pub struct LocalA {
     /// The rank's local field section.

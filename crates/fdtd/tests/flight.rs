@@ -16,10 +16,11 @@ use std::time::{Duration, Instant};
 
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
-use mesh_archetype::{run_msg_simulated_slack, run_msg_threaded_slack};
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode};
+use mesh_archetype::{run_msg_simulated, run_msg_threaded_slack};
 use meshgrid::ProcGrid3;
 use ssp_runtime::{
-    Adversary, AdversarialPolicy, FlightKind, RandomPolicy, RoundRobin, SchedulePolicy,
+    Adversary, AdversarialPolicy, FlightKind, RandomPolicy, RoundRobin, SchedulePolicy, Simulator,
     ThreadedConfig,
 };
 
@@ -51,13 +52,14 @@ fn recording_fdtd_is_bitwise_invariant_across_policies_and_slack() {
     let pg = ProcGrid3::choose(params.n, 4);
     let init = init_a(params.clone());
 
-    let reference = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new())
-        .unwrap()
-        .snapshots;
+    let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap().snapshots;
 
     for slack in [Some(2), None] {
         for policy in policy_battery(900).iter_mut() {
-            let out = run_msg_simulated_slack(&plan, pg, &init, slack, policy.as_mut())
+            let (topo, procs) =
+                build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, slack);
+            let out = Simulator::new(topo, procs)
+                .run(policy.as_mut())
                 .unwrap_or_else(|e| panic!("slack {slack:?}, {}: {e}", policy.name()));
             assert_eq!(out.snapshots, reference, "slack {slack:?} under {}", policy.name());
         }

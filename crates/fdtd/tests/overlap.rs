@@ -14,15 +14,29 @@ use std::sync::Arc;
 use fdtd::par::{init_a, plan_a, plan_a_overlap, validate_partition, LocalA};
 use fdtd::update::MurGeometryError;
 use fdtd::{run_seq_version_a, BoundaryCondition, Params};
-use mesh_archetype::driver::{run_simpar, SimParConfig};
+use mesh_archetype::driver::{build_msg_processes_with_slack, run_simpar, HostMode, SimParConfig};
+use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack,
-    try_run_simpar, SimParOutcome,
+    run_msg_simulated, run_msg_threaded_slack, try_run_simpar, Plan, SimParOutcome,
 };
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{
-    Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, RunError, SchedulePolicy,
+    Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, RunError, RunOutcome, SchedulePolicy,
+    Simulator, ThreadedConfig,
 };
+
+/// The per-rank program on the simulator, every channel's slack bounded to
+/// `slack`.
+fn simulate(
+    plan: &Plan<LocalA>,
+    pg: ProcGrid3,
+    init: &InitFn<LocalA>,
+    slack: Option<usize>,
+    policy: &mut dyn SchedulePolicy,
+) -> Result<RunOutcome, RunError> {
+    let (topo, procs) = build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, slack);
+    Simulator::new(topo, procs).run(policy)
+}
 
 fn assemble_fields_a(out: &mut SimParOutcome<LocalA>, pg: &ProcGrid3) -> [Grid3<f64>; 6] {
     [
@@ -105,8 +119,8 @@ fn overlap_message_passing_matches_baseline_under_every_policy() {
         assert_eq!(o.snapshots, reference, "overlap under {}", policy.name());
     }
     for _ in 0..2 {
-        let snaps = run_msg_threaded(&over, pg, &init).unwrap();
-        assert_eq!(snaps, reference, "overlap on real threads");
+        let out = run_msg_threaded_slack(&over, pg, &init, None, ThreadedConfig::default());
+        assert_eq!(out.unwrap().snapshots, reference, "overlap on real threads");
     }
 }
 
@@ -121,17 +135,15 @@ fn overlap_agrees_bitwise_across_slack_bounds() {
     let over = plan_a_overlap(&params);
     let pg = ProcGrid3::choose(params.n, 4);
     let init = init_a(params.clone());
-    let reference = run_msg_simulated_slack(&base, pg, &init, None, &mut RoundRobin::new())
-        .unwrap()
-        .snapshots;
+    let reference = run_msg_simulated(&base, pg, &init, &mut RoundRobin::new()).unwrap().snapshots;
 
     for slack in [Some(1), Some(4)] {
-        let out = run_msg_simulated_slack(&base, pg, &init, slack, &mut RoundRobin::new())
+        let out = simulate(&base, pg, &init, slack, &mut RoundRobin::new())
             .unwrap_or_else(|e| panic!("baseline at slack {slack:?}: {e}"));
         assert_eq!(out.snapshots, reference, "baseline at slack {slack:?}");
     }
     for slack in [Some(3), Some(4), None] {
-        let out = run_msg_simulated_slack(&over, pg, &init, slack, &mut RoundRobin::new())
+        let out = simulate(&over, pg, &init, slack, &mut RoundRobin::new())
             .unwrap_or_else(|e| panic!("overlap at slack {slack:?}: {e}"));
         assert_eq!(out.snapshots, reference, "overlap at slack {slack:?}");
         if let Some(s) = slack {
@@ -161,7 +173,7 @@ fn overlap_runs_bitwise_at_slack_1_2_4_and_unbounded() {
             run_simpar(&plan_a(&params), pg, SimParConfig::default(), |e| init(e)).snapshots;
         for slack in [Some(1), Some(2), Some(4), None] {
             for policy in policy_battery(77).iter_mut() {
-                let out = run_msg_simulated_slack(&over, pg, &init, slack, policy.as_mut())
+                let out = simulate(&over, pg, &init, slack, policy.as_mut())
                     .unwrap_or_else(|e| {
                         panic!("P={p} slack {slack:?} under {}: {e}", policy.name())
                     });
@@ -212,7 +224,8 @@ fn thin_mur_sections_fault_typed_on_every_backend() {
         assert!(is_mur_protocol(&err), "msg backend: {err}");
 
         // Real threads: an error return, never a poisoned panic.
-        let err = run_msg_threaded(&plan, thin, &init).unwrap_err();
+        let cfg = ThreadedConfig::default();
+        let err = run_msg_threaded_slack(&plan, thin, &init, None, cfg).unwrap_err();
         assert!(is_mur_protocol(&err), "threaded backend: {err}");
     }
 

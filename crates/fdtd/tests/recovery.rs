@@ -11,13 +11,14 @@ use std::sync::Arc;
 
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
-use mesh_archetype::driver::{build_msg_processes, MsgProcess};
-use mesh_archetype::{run_msg_recovering, run_msg_simulated, run_msg_simulated_slack};
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode, MsgProcess};
+use mesh_archetype::run_msg_simulated;
 use meshgrid::ProcGrid3;
 use ssp_runtime::proc::{push_bytes, push_u64, Reader};
 use ssp_runtime::{
-    launch_partial, Adversary, AdversarialPolicy, ChannelId, FaultPlan, NoFlight, NoopObserver,
-    PartialSeed, RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy, Simulator,
+    launch_partial, run_recovering, Adversary, AdversarialPolicy, ChannelId, FaultPlan, NoFlight,
+    NoopObserver, PartialSeed, RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy,
+    Simulator,
 };
 
 /// The six-policy battery of the slack tests, freshly constructed per call
@@ -39,6 +40,8 @@ fn injected_crash_recovers_bitwise_under_six_policies_and_three_slacks() {
     let plan = plan_a(&params);
     let init = init_a(params.clone());
     let pg = ProcGrid3::choose(params.n, 4);
+    let build =
+        |slack| build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, slack);
 
     // One arbitrary crash point per policy, spread across the run; the
     // stall additionally delays an early delivery on channel 0 so every
@@ -49,22 +52,16 @@ fn injected_crash_recovers_bitwise_under_six_policies_and_three_slacks() {
         for (i, ((name, mut clean), (_, mut injected))) in
             battery().into_iter().zip(battery()).enumerate()
         {
-            let reference =
-                run_msg_simulated_slack(&plan, pg, &init, slack, clean.as_mut()).unwrap();
+            let (topo, procs) = build(slack);
+            let reference = Simulator::new(topo, procs).run(clean.as_mut()).unwrap();
 
             let at_step = crash_steps[i];
             let faults =
                 FaultPlan::none().crash(1, at_step).stall(ChannelId(0), 0, 5);
-            let out = run_msg_recovering(
-                &plan,
-                pg,
-                &init,
-                slack,
-                faults,
-                injected.as_mut(),
-                RecoveryConfig::every(16),
-            )
-            .unwrap_or_else(|e| panic!("{name}, slack {slack:?}: {e}"));
+            let (topo, procs) = build(slack);
+            let every = RecoveryConfig::every(16);
+            let out = run_recovering(topo, procs, faults, injected.as_mut(), every)
+                .unwrap_or_else(|e| panic!("{name}, slack {slack:?}: {e}"));
 
             assert_eq!(
                 out.snapshots, reference.snapshots,
@@ -95,9 +92,10 @@ fn mid_exchange_cut_survives_the_state_codec() {
     let init = init_a(params.clone());
     let pg = ProcGrid3::choose(params.n, 2);
     let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+    let build = || build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, None);
 
     // Rank 0 runs until it waits for its first halo; rank 1 then sends it.
-    let (topo, procs) = build_msg_processes(&plan, pg, &init);
+    let (topo, procs) = build();
     let mut sim = Simulator::new(topo.clone(), procs);
     while sim.is_runnable(0) {
         sim.step_process_with(0, &mut NoopObserver).unwrap();
@@ -106,7 +104,7 @@ fn mid_exchange_cut_survives_the_state_codec() {
     let mut seed: PartialSeed<_> = sim.into_state().into();
     assert!(seed.queues.iter().any(|(_, q)| !q.is_empty()), "a halo is in flight at the cut");
 
-    let (_, templates) = build_msg_processes(&plan, pg, &init);
+    let (_, templates) = build();
     let named = |rank: usize, bytes: &[u8], what: &str| {
         match MsgProcess::decode_state(&templates[rank], bytes) {
             Err(RunError::Protocol { proc, .. }) => assert_eq!(proc, rank, "{what}"),

@@ -19,9 +19,9 @@ use fdtd::{
     Params,
 };
 use mesh_archetype::driver::{run_simpar, SimParConfig};
-use mesh_archetype::{run_msg_simulated, run_msg_threaded, ReduceAlgo, SumMethod};
+use mesh_archetype::{run_msg_simulated, run_msg_threaded_slack, ReduceAlgo, SumMethod};
 use meshgrid::{Grid3, ProcGrid3};
-use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin};
+use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, ThreadedConfig};
 
 fn assemble_fields_a(
     out: &mut mesh_archetype::SimParOutcome<fdtd::par::LocalA>,
@@ -181,8 +181,8 @@ fn message_passing_identical_to_simpar_for_version_a() {
     }
     // And on real threads, repeatedly: "on the first and every execution".
     for _ in 0..2 {
-        let snaps = run_msg_threaded(&plan, pg, &init).unwrap();
-        assert_eq!(snaps, simpar.snapshots);
+        let out = run_msg_threaded_slack(&plan, pg, &init, None, ThreadedConfig::default());
+        assert_eq!(out.unwrap().snapshots, simpar.snapshots);
     }
 }
 
@@ -239,8 +239,7 @@ fn grouped_placements_are_bitwise_on_versions_a_and_c() {
     use fdtd::par::plan_a_overlap;
     use mesh_archetype::driver::MeshLocal;
     use mesh_archetype::plan::InitFn;
-    use mesh_archetype::{run_msg_threaded_slack, Plan};
-    use ssp_runtime::ThreadedConfig;
+    use mesh_archetype::Plan;
 
     fn check<L: MeshLocal>(what: &str, plan: &Plan<L>, init: &InitFn<L>, pg: ProcGrid3) {
         let p = pg.nprocs();

@@ -3,22 +3,21 @@
 //! message-passing. Past the first rung they are one program: the one
 //! lowering (`msg.rs`) placing the P ranks on W processes, W = 1 to P.
 //!
-//! | driver | paper artifact | address spaces | communication |
+//! | placement | paper artifact | address spaces | communication |
 //! |---|---|---|---|
 //! | [`run_seq`] | degenerate P = 1 | one | none |
-//! | [`run_simpar`] | sequential simulated-parallel version (§2.2): the grouped program at W = 1 | one process holding N partitions | assignments |
-//! | [`run_msg_threaded_slack`], grouped ([`group_count`]) | simulated-parallel groups of contiguous ranks, message passing between groups | W ≤ pool workers | assignments inside a group; one message per group pair and phase |
-//! | [`run_msg_simulated`] | message-passing program under a simulated scheduler (§3.1) | N | sends/receives on SRSW channels |
-//! | [`run_msg_threaded`] | message-passing program on real threads | N | sends/blocking receives |
+//! | W = 1 ([`run_simpar`]) | sequential simulated-parallel version (§2.2) | one process holding N partitions | assignments |
+//! | 1 < W < P ([`Placement::groups`]) | simulated-parallel groups of contiguous ranks, message passing between groups | W | assignments inside a group; one message per group pair and phase |
+//! | W = P ([`Placement::per_rank`]) | message-passing program (§3.1) | N | sends/receives on SRSW channels |
 //!
-//! All five execute every rank's floating-point operations in identical
-//! order, so their results are bitwise identical — the experimental
-//! observation of §4.5 ("the message-passing programs produced results
-//! identical to those of the corresponding sequential simulated-parallel
-//! versions, on the first and every execution"), here guaranteed by
-//! construction and verified by the integration tests. The threaded runner
-//! takes the grouped rung by itself when the ranks outnumber its pool and
-//! the grid is small; otherwise it runs one process per rank.
+//! [`compile`] builds the processes of any [`Placement`], and the simulator,
+//! the discrete-event engine, the pool and the distributed workers run what
+//! it returns. Every placement executes every rank's floating-point
+//! operations in identical order, so their results are bitwise identical —
+//! the experimental observation of §4.5 ("the message-passing programs
+//! produced results identical to those of the corresponding sequential
+//! simulated-parallel versions, on the first and every execution"), here
+//! guaranteed by construction and verified by the integration tests.
 
 mod msg;
 mod seq;
@@ -28,10 +27,8 @@ mod wire;
 use crate::env::Env;
 
 pub use msg::{
-    build_msg_processes, build_msg_processes_for, build_msg_processes_hosted,
-    build_msg_processes_with_slack, group_count, msg_topology, ordered_sum, run_msg_predicted,
-    run_msg_predicted_slack, run_msg_recovering, run_msg_simulated, run_msg_simulated_hosted,
-    run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack, MeshMsg, MsgProcess,
+    build_msg_processes_with_slack, compile, group_count, ordered_sum, run_msg_predicted,
+    run_msg_simulated, run_msg_threaded_slack, MeshMsg, MsgProcess, Placement,
     GROUPING_CELLS_PER_WORKER,
 };
 pub use seq::run_seq;
@@ -43,13 +40,13 @@ pub use wire::{decode_mesh_msg, encode_mesh_msg};
 /// across interleavings (bitwise, per the paper's standard of "identical
 /// results").
 ///
-/// A grouped threaded run may *fuse* contiguous ranks whose blocks tile a
-/// box into one section: it builds the box's state with the plan's init on
-/// an [`Env`] whose `block` is the box (and whose `rank` is the box's first
-/// rank), runs the plan's cellwise blocks on it once, and cuts each rank's
-/// state out with [`MeshLocal::cut`] for its snapshot (DESIGN.md §12). For
-/// a fusable local, init must therefore depend only on `env.block` and
-/// `env.pg`, never on `env.rank`.
+/// A grouped placement ([`Placement::groups`]) may *fuse* contiguous
+/// ranks whose blocks tile a box into one section: it builds the box's
+/// state with the plan's init on an [`Env`] whose `block` is the box (and
+/// whose `rank` is the box's first rank), runs the plan's cellwise blocks on
+/// it once, and cuts each rank's state out with [`MeshLocal::cut`] for its
+/// snapshot (DESIGN.md §12). For a fusable local, init must therefore
+/// depend only on `env.block` and `env.pg`, never on `env.rank`.
 pub trait MeshLocal: Send + 'static {
     /// Canonical byte encoding of the observable final state.
     fn snapshot_bytes(&self) -> Vec<u8>;

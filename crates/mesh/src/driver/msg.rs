@@ -16,9 +16,10 @@
 //! members directly. Only assignments that cross to another process become
 //! messages, one per process pair and phase, carrying every crossing slab
 //! (or partial, contributions, block) in rank order. A process hosting one
-//! rank is exactly the per-rank program, so one interpreter serves both
-//! placements; [`run_msg_threaded_slack`] picks the grouped one when the
-//! ranks outnumber the pool and the grid is small ([`group_count`]).
+//! rank is exactly the per-rank program, so one interpreter, behind one
+//! [`compile`], serves every [`Placement`]; [`run_msg_threaded_slack`] picks
+//! the grouped one when the ranks outnumber the pool and the grid is small
+//! ([`group_count`]).
 //!
 //! A group's member is one rank, or — *fused* — a run of contiguous ranks
 //! whose blocks tile a box, held as one section. A group fuses when every
@@ -30,10 +31,10 @@
 //! ranks' offsets; between groups the coalesced message is byte for byte
 //! the unfused one. A plan with anything else keeps one-rank members.
 //!
-//! One process hosting every rank is §2.2's simulated-parallel program
-//! ([`simulated_parallel`], behind [`crate::driver::run_simpar`]): every
-//! exchange an assignment, no channel. It alone keeps a traffic log of
-//! what the per-rank program would send, for the machine model.
+//! One process hosting every rank is §2.2's simulated-parallel program:
+//! every exchange an assignment, no channel. Compiled by
+//! [`crate::driver::run_simpar`], it alone keeps a traffic log of what the
+//! per-rank program would send, for the machine model.
 //!
 //! Every placement performs each rank's floating-point operations in the
 //! same order — same reduction schedules, same stable ordered-sum, same
@@ -46,8 +47,8 @@ use std::sync::Arc;
 
 use ssp_runtime::proc::{push_bytes, push_f64s, push_u32, push_u64, Reader};
 use ssp_runtime::{
-    BufPool, ChannelId, Effect, FaultPlan, Process, RecoveryConfig, RecoveryOutcome, RunError,
-    RunOutcome, SchedulePolicy, Simulator, ThreadedConfig, ThreadedOutcome, Topology,
+    BufPool, ChannelId, Effect, Process, RoundRobin, RunError, RunOutcome, SchedulePolicy,
+    Simulator, ThreadedConfig, ThreadedOutcome, Topology,
 };
 
 use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};
@@ -174,7 +175,7 @@ struct Apply {
 /// interpretation never clones a spec.
 enum Op<L> {
     /// Open the next phase of the traffic log. Compiled only for the
-    /// simulated-parallel program ([`simulated_parallel`]).
+    /// simulated-parallel program.
     Phase { name: String },
     /// Run a local-computation block on member `m` (one `Compute` action).
     Local { step: Arc<LocalStep<L>>, m: usize },
@@ -270,11 +271,17 @@ impl<L> Op<L> {
     }
 }
 
-/// Which process hosts which ranks: `n` ranks in `w` groups of contiguous
-/// ranks whose sizes differ by at most one; `w == n` is one process per
-/// rank. A process's members are runs of its ranks: one rank each, or,
-/// fused, the maximal runs whose blocks tile a box.
-struct Layout {
+/// Where a compiled program runs: which of its W processes hosts which
+/// ranks. The ranks are `pg`'s grid ranks and, under
+/// [`HostMode::Separate`], the dedicated host last. They fall into W groups
+/// of contiguous ranks whose sizes differ by at most one; W is clamped to
+/// `1..=` the number of ranks. A process's members are runs of its ranks:
+/// one rank each, or, fused, the maximal runs of grid ranks whose blocks
+/// tile a box. [`compile`] builds the processes of any placement.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Placement {
+    pg: ProcGrid3,
+    host_mode: HostMode,
     /// `starts[p]..starts[p + 1]`: the ranks process `p` hosts.
     starts: Vec<usize>,
     /// `proc_of[rank]`: the process hosting `rank`.
@@ -283,21 +290,77 @@ struct Layout {
     members: Vec<Vec<Range<usize>>>,
     /// `member_of[rank]`: the position of `rank`'s member in its process.
     member_of: Vec<usize>,
+    /// Keep the traffic log of the per-rank program: set for the
+    /// simulated-parallel program ([`crate::driver::try_run_simpar`]) only.
+    traced: bool,
 }
 
-impl Layout {
-    /// `w` groups of one-rank members.
-    fn grouped(n: usize, w: usize) -> Layout {
-        Layout::cut(n, w, |ranks| ranks.map(|r| r..r + 1).collect())
+impl Placement {
+    /// One process per rank: the message-passing program. Probes nothing
+    /// and builds no rank's state.
+    pub fn per_rank(pg: &ProcGrid3, host_mode: HostMode) -> Placement {
+        Placement::unfused(pg, host_mode, rank_count(pg, host_mode))
     }
 
-    /// `w` groups of `pg`'s ranks, each cut into its [`boxes`].
-    fn fused(pg: &ProcGrid3, w: usize) -> Layout {
-        Layout::cut(pg.nprocs(), w, |ranks| boxes(pg, ranks))
+    /// `w` groups of contiguous ranks. A group of several ranks fuses its
+    /// runs that tile a box when every phase of `plan` is a cellwise local
+    /// block, an exchange or a loop, and its local can cut a rank's state
+    /// out of a box's (probed on rank 0's own block); otherwise its members
+    /// are one rank each. At `w` ≥ the number of ranks this is
+    /// [`Placement::per_rank`], and probes nothing.
+    pub fn groups<L: MeshLocal>(
+        plan: &Plan<L>,
+        pg: &ProcGrid3,
+        init: &dyn Fn(&Env) -> L,
+        host_mode: HostMode,
+        w: usize,
+    ) -> Placement {
+        let probe = || {
+            let env = Env::new(*pg, 0);
+            init(&env).cut(&env, &env).is_some()
+        };
+        if w < rank_count(pg, host_mode) && fuses(&plan.phases) && probe() {
+            Placement::cut(pg, host_mode, w, |ranks| boxes(pg, ranks))
+        } else {
+            Placement::unfused(pg, host_mode, w)
+        }
+    }
+
+    /// The threaded runner's placement on a pool of `workers`:
+    /// [`group_count`] groups when it groups, else one process per rank.
+    pub fn pool<L: MeshLocal>(
+        plan: &Plan<L>,
+        pg: &ProcGrid3,
+        init: &dyn Fn(&Env) -> L,
+        host_mode: HostMode,
+        workers: usize,
+    ) -> Placement {
+        match group_count(pg, workers) {
+            w if w < pg.nprocs() => Placement::groups(plan, pg, init, host_mode, w),
+            _ => Placement::per_rank(pg, host_mode),
+        }
+    }
+
+    /// Every rank in one process, as one-rank members, keeping the traffic
+    /// log: the simulated-parallel program (§2.2).
+    pub(crate) fn simpar(pg: &ProcGrid3, host_mode: HostMode) -> Placement {
+        Placement { traced: true, ..Placement::unfused(pg, host_mode, 1) }
+    }
+
+    /// `w` groups of one-rank members.
+    fn unfused(pg: &ProcGrid3, host_mode: HostMode, w: usize) -> Placement {
+        Placement::cut(pg, host_mode, w, |ranks| ranks.map(|r| r..r + 1).collect())
     }
 
     /// `w` groups, each cut into members by `members`.
-    fn cut(n: usize, w: usize, members: impl Fn(Range<usize>) -> Vec<Range<usize>>) -> Layout {
+    fn cut(
+        pg: &ProcGrid3,
+        host_mode: HostMode,
+        w: usize,
+        members: impl Fn(Range<usize>) -> Vec<Range<usize>>,
+    ) -> Placement {
+        let n = rank_count(pg, host_mode);
+        let w = w.clamp(1, n);
         let starts: Vec<usize> = (0..=w).map(|p| p * n / w).collect();
         let proc_of = (0..w).flat_map(|p| (starts[p]..starts[p + 1]).map(move |_| p)).collect();
         let members: Vec<Vec<Range<usize>>> =
@@ -307,11 +370,11 @@ impl Layout {
             runs.flat_map(|(m, run)| run.clone().map(move |_| m)).collect::<Vec<_>>()
         };
         let member_of = members.iter().flat_map(positions).collect();
-        Layout { starts, proc_of, members, member_of }
+        Placement { pg: *pg, host_mode, starts, proc_of, members, member_of, traced: false }
     }
 
-    /// The number of processes.
-    fn width(&self) -> usize {
+    /// The number of processes, W.
+    pub fn width(&self) -> usize {
         self.starts.len() - 1
     }
 
@@ -320,27 +383,34 @@ impl Layout {
         self.starts[p]..self.starts[p + 1]
     }
 
-    /// The position among its process's members of the member hosting
-    /// `rank`.
-    fn member(&self, rank: usize) -> usize {
-        self.member_of[rank]
+    /// The channel topology of the placed program: every pair of its
+    /// processes connected. What [`compile`] returns, without building any
+    /// rank's state.
+    pub fn topology(&self) -> Topology {
+        Topology::fully_connected(self.width())
     }
 
-    /// The ranks of the member hosting `rank`.
-    fn run(&self, rank: usize) -> &Range<usize> {
-        &self.members[self.proc_of[rank]][self.member_of[rank]]
+    /// The separate host's rank, if there is one.
+    fn host(&self) -> Option<usize> {
+        (self.host_mode == HostMode::Separate).then(|| self.pg.nprocs())
     }
+}
+
+/// Grid ranks plus the separate host, if there is one.
+fn rank_count(pg: &ProcGrid3, host_mode: HostMode) -> usize {
+    pg.nprocs() + usize::from(host_mode == HostMode::Separate)
 }
 
 /// `ranks` cut into maximal contiguous runs whose blocks tile a box, in
 /// rank order: each run is the longest from the first rank left that does.
 /// Ranks are numbered z-fastest, so the runs are z-columns, xy-slabs and
-/// whole x-slabs.
+/// whole x-slabs. A separate host is a run of its own.
 fn boxes(pg: &ProcGrid3, ranks: Range<usize>) -> Vec<Range<usize>> {
+    let grid_end = ranks.end.min(pg.nprocs());
     let mut out = Vec::new();
     let mut a = ranks.start;
     while a < ranks.end {
-        let b = (a + 2..=ranks.end).rev().find(|&b| tiles_box(pg, a..b)).unwrap_or(a + 1);
+        let b = (a + 2..=grid_end).rev().find(|&b| tiles_box(pg, a..b)).unwrap_or(a + 1);
         out.push(a..b);
         a = b;
     }
@@ -375,49 +445,30 @@ fn fuses<L>(phases: &[Phase<L>]) -> bool {
     })
 }
 
-/// How the threaded runner places `pg`'s ranks on `w` processes: fused
-/// boxes when `w` groups several ranks each, the plan [`fuses`], and its
-/// local can cut a rank's state out of a box's (probed on rank 0's own
-/// block); one-rank members otherwise.
-fn placement<L: MeshLocal>(plan: &Plan<L>, pg: &ProcGrid3, init: &InitFn<L>, w: usize) -> Layout {
-    let probe = || {
-        let env = Env::new(*pg, 0);
-        init(&env).cut(&env, &env).is_some()
-    };
-    if w < pg.nprocs() && fuses(&plan.phases) && probe() {
-        Layout::fused(pg, w)
-    } else {
-        Layout::grouped(pg.nprocs(), w)
-    }
-}
-
-/// Compiles the plan for process `me` of `layout`.
+/// Compiles the plan for process `me` of `placement`.
 struct Lowering<'a> {
-    pg: ProcGrid3,
-    layout: &'a Layout,
+    placement: &'a Placement,
     /// `links[rank]`: each grid rank's [`face_links`], computed once per
-    /// build.
+    /// compile.
     links: &'a [Vec<FaceLink>],
     me: usize,
-    /// The separate host's rank, if there is one.
-    host: Option<usize>,
-    /// Open every leaf phase with an [`Op::Phase`] for the traffic log.
-    traced: bool,
 }
 
 impl Lowering<'_> {
     fn proc_of(&self, rank: usize) -> usize {
-        self.layout.proc_of[rank]
+        self.placement.proc_of[rank]
     }
 
+    /// The position among its process's members of the member hosting
+    /// `rank`.
     fn member(&self, rank: usize) -> usize {
-        self.layout.member(rank)
+        self.placement.member_of[rank]
     }
 
     /// The grid ranks of process `p` with the positions of their members.
     fn grid_members(&self, p: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let n = self.pg.nprocs();
-        self.layout.ranks(p).filter(move |&r| r < n).map(|r| (self.member(r), r))
+        let n = self.placement.pg.nprocs();
+        self.placement.ranks(p).filter(move |&r| r < n).map(|r| (self.member(r), r))
     }
 
     /// The processes other than this one hosting `ranks`, in order of first
@@ -434,15 +485,16 @@ impl Lowering<'_> {
 
     /// Process `p`'s members holding grid ranks.
     fn grid_boxes(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
-        let n = self.pg.nprocs();
-        let runs = self.layout.members[p].iter().enumerate();
+        let n = self.placement.pg.nprocs();
+        let runs = self.placement.members[p].iter().enumerate();
         runs.filter(move |(_, run)| run.start < n).map(|(m, _)| m)
     }
 
     /// `rank`'s leg through `face`, to or from `peer`.
     fn leg(&self, rank: usize, face: Face3, peer: usize) -> Leg {
-        let run = self.layout.run(rank);
-        let at = (run.len() > 1).then(|| self.pg.block(rank).within(&box_block(&self.pg, run)));
+        let pg = &self.placement.pg;
+        let run = &self.placement.members[self.proc_of(rank)][self.member(rank)];
+        let at = (run.len() > 1).then(|| pg.block(rank).within(&box_block(pg, run)));
         Leg { m: self.member(rank), face, peer, at }
     }
 
@@ -553,13 +605,13 @@ impl Lowering<'_> {
 
     /// Compile `phases` for this process, appending to `ops`.
     fn flatten<L>(&self, phases: &[Phase<L>], ops: &mut Vec<Op<L>>) {
-        let n = self.pg.nprocs();
+        let n = self.placement.pg.nprocs();
         let me = self.me;
-        let h = self.host.unwrap_or(HOST);
+        let h = self.placement.host().unwrap_or(HOST);
         let hp = self.proc_of(h);
-        let all = 0..self.layout.members[me].len();
+        let all = 0..self.placement.members[me].len();
         for phase in phases {
-            if self.traced && !matches!(phase, Phase::Loop { .. } | Phase::While { .. }) {
+            if self.placement.traced && !matches!(phase, Phase::Loop { .. } | Phase::While { .. }) {
                 ops.push(Op::Phase { name: phase.name().to_string() });
             }
             match phase {
@@ -582,7 +634,7 @@ impl Lowering<'_> {
                     let mut stages = ReducePlan::build(spec.algo, n).stages;
                     // A separate host only receives the finished result (from
                     // grid rank 0) to keep its replicated globals consistent.
-                    if let Some(h) = self.host {
+                    if let Some(h) = self.placement.host() {
                         stages.push(vec![ReduceStep::Copy { src: 0, dst: h }]);
                     }
                     for stage in &stages {
@@ -626,7 +678,7 @@ impl Lowering<'_> {
                     let from = if me == rp {
                         let root = self.member(spec.root);
                         ops.push(Op::BcastGet { spec: spec.clone(), m: root });
-                        for dst in self.others(0..self.layout.proc_of.len()) {
+                        for dst in self.others(0..self.placement.proc_of.len()) {
                             ops.push(Op::BcastSend { dst, from: root });
                         }
                         root
@@ -1510,7 +1562,7 @@ impl<L: MeshLocal> Process for MsgProcess<L> {
     }
 
     /// The frames of [`MsgProcess::snapshot`]: one definition of a group's
-    /// final state serves the simulator and the pool alike.
+    /// final state serves every backend.
     fn rank_snapshots(&self) -> Vec<Vec<u8>> {
         let snapshot = self.snapshot();
         match self.members.iter().map(|m| m.ranks.len()).sum() {
@@ -1537,113 +1589,27 @@ fn unframe(snapshot: &[u8], k: usize) -> Vec<Vec<u8>> {
     (0..k).map(|_| r.bytes("rank snapshot").expect("framed by snapshot()").to_vec()).collect()
 }
 
-/// Compile `plan` into the channel topology and the per-rank processes of
-/// the message-passing program (grid rank 0 doubling as host).
-pub fn build_msg_processes<L: MeshLocal>(
+/// Compile `plan` into the processes `procs` of `placement`, in that order,
+/// next to the topology connecting every pair of the placement's processes
+/// ([`Placement::topology`]). A backend running the whole program lists
+/// `0..placement.width()`; a worker hosting part of it lists its own.
+pub fn compile<L: MeshLocal>(
     plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-) -> (Topology, Vec<MsgProcess<L>>) {
-    build_msg_processes_hosted(plan, pg, init, HostMode::GridRank0)
-}
-
-/// The channel topology of a mesh program over `pg` — all the drivers and
-/// the distributed registry agree on it without building any rank's state.
-/// Under [`HostMode::Separate`] it has `pg.nprocs() + 1` processes, the
-/// last being the dedicated host.
-pub fn msg_topology(pg: &ProcGrid3, host_mode: HostMode) -> Topology {
-    Topology::fully_connected(total_procs(pg, host_mode))
-}
-
-/// Grid ranks plus the separate host, if there is one.
-fn total_procs(pg: &ProcGrid3, host_mode: HostMode) -> usize {
-    pg.nprocs() + usize::from(host_mode == HostMode::Separate)
-}
-
-/// `table[writer][reader]`: the first channel from `writer` to `reader`
-/// (what [`Topology::find`] returns), for every pair, in one pass over the
-/// channel specs.
-fn channel_table(topo: &Topology) -> Vec<Vec<Option<ChannelId>>> {
-    let n = topo.n_procs();
-    let mut table = vec![vec![None; n]; n];
-    for (id, spec) in topo.specs().iter().enumerate() {
-        table[spec.writer][spec.reader].get_or_insert(ChannelId(id));
-    }
-    table
-}
-
-/// Compile `plan` with an explicit host placement. Under
-/// [`HostMode::Separate`] the program has `pg.nprocs() + 1` processes, the
-/// last being the dedicated host.
-pub fn build_msg_processes_hosted<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-    host_mode: HostMode,
-) -> (Topology, Vec<MsgProcess<L>>) {
-    let ranks: Vec<usize> = (0..total_procs(&pg, host_mode)).collect();
-    build_msg_processes_for(plan, pg, init, host_mode, &ranks)
-}
-
-/// Compile `plan` for the listed `ranks` only (in that order) — what a
-/// worker hosting part of the program builds — next to the whole program's
-/// topology.
-pub fn build_msg_processes_for<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-    host_mode: HostMode,
-    ranks: &[usize],
-) -> (Topology, Vec<MsgProcess<L>>) {
-    let total = total_procs(&pg, host_mode);
-    let layout = Layout::grouped(total, total);
-    build_processes(plan, pg, &**init, host_mode, &layout, ranks, false)
-}
-
-/// The simulated-parallel program (§2.2) as the grouped program at W = 1:
-/// one process hosting every rank of `pg`, and the separate host last under
-/// [`HostMode::Separate`], as one-rank members (never fused, so its locals
-/// are the ranks'). Its exchanges are assignments between members, and it
-/// logs the traffic the per-rank program would send
-/// ([`MsgProcess::into_locals`]).
-pub(crate) fn simulated_parallel<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
     init: &dyn Fn(&Env) -> L,
-    host_mode: HostMode,
-) -> MsgProcess<L> {
-    let layout = Layout::grouped(total_procs(&pg, host_mode), 1);
-    let (_, mut procs) = build_processes(plan, pg, init, host_mode, &layout, &[0], true);
-    procs.pop().expect("one process")
-}
-
-/// Compile `plan` for the processes `procs` of `layout`, next to the
-/// topology connecting every pair of its processes. A `traced` program
-/// keeps the traffic log.
-fn build_processes<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &dyn Fn(&Env) -> L,
-    host_mode: HostMode,
-    layout: &Layout,
-    procs: &[usize],
-    traced: bool,
+    placement: &Placement,
+    procs: impl IntoIterator<Item = usize>,
 ) -> (Topology, Vec<MsgProcess<L>>) {
-    let topo = Topology::fully_connected(layout.width());
+    let topo = placement.topology();
+    let pg = placement.pg;
     let n = pg.nprocs();
-    let host = match host_mode {
-        HostMode::GridRank0 => None,
-        HostMode::Separate => Some(n),
-    };
     let table = channel_table(&topo);
     let links: Vec<Vec<FaceLink>> = (0..n).map(|r| face_links(&pg, r)).collect();
     let procs = procs
-        .iter()
-        .map(|&me| {
+        .into_iter()
+        .map(|me| {
             let mut ops = Vec::new();
-            Lowering { pg, layout, links: &links, me, host, traced }
-                .flatten(&plan.phases, &mut ops);
-            let members = layout.members[me]
+            Lowering { placement, links: &links, me }.flatten(&plan.phases, &mut ops);
+            let members = placement.members[me]
                 .iter()
                 .map(|run| {
                     let rank = run.start;
@@ -1670,17 +1636,30 @@ fn build_processes<L: MeshLocal>(
                 pool: BufPool::new(),
                 pending: None,
                 staged: VecDeque::new(),
-                log: traced.then(|| Box::new(CommTrace::new(layout.proc_of.len()))),
+                log: placement.traced.then(|| Box::new(CommTrace::new(placement.proc_of.len()))),
             }
         })
         .collect();
     (topo, procs)
 }
 
-/// Compile `plan` with every channel's slack bounded to `slack` pending
-/// messages (`None` restores the paper's infinite-slack model). Because the
-/// compiled program performs all sends of an exchange before any receives
-/// (§3.3), it stays deadlock-free down to `slack = 1`.
+/// `table[writer][reader]`: the first channel from `writer` to `reader`
+/// (what [`Topology::find`] returns), for every pair, in one pass over the
+/// channel specs.
+fn channel_table(topo: &Topology) -> Vec<Vec<Option<ChannelId>>> {
+    let n = topo.n_procs();
+    let mut table = vec![vec![None; n]; n];
+    for (id, spec) in topo.specs().iter().enumerate() {
+        table[spec.writer][spec.reader].get_or_insert(ChannelId(id));
+    }
+    table
+}
+
+/// The per-rank program ([`Placement::per_rank`]) with every channel's
+/// slack bounded to `slack` pending messages (`None` restores the paper's
+/// infinite-slack model). Because the compiled program performs all sends
+/// of an exchange before any receives (§3.3), it stays deadlock-free down
+/// to `slack = 1`.
 pub fn build_msg_processes_with_slack<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
@@ -1688,73 +1667,24 @@ pub fn build_msg_processes_with_slack<L: MeshLocal>(
     host_mode: HostMode,
     slack: Option<usize>,
 ) -> (Topology, Vec<MsgProcess<L>>) {
-    let (topo, procs) = build_msg_processes_hosted(plan, pg, init, host_mode);
+    let placement = Placement::per_rank(&pg, host_mode);
+    let (topo, procs) = compile(plan, &**init, &placement, 0..placement.width());
     (topo.with_uniform_capacity(slack), procs)
 }
 
-/// Run the message-passing program under the simulated scheduler with the
-/// given interleaving policy.
+/// Run the per-rank program under the simulated scheduler with the given
+/// interleaving policy.
 pub fn run_msg_simulated<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
     init: &InitFn<L>,
     policy: &mut dyn SchedulePolicy,
 ) -> Result<RunOutcome, RunError> {
-    let (topo, procs) = build_msg_processes(plan, pg, init);
+    let (topo, procs) = build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, None);
     Simulator::new(topo, procs).run(policy)
 }
 
-/// Run the message-passing program under the simulated scheduler with
-/// bounded channel slack. The returned [`RunOutcome`]'s `metrics` carry the
-/// per-channel/per-process communication profile (dumpable as JSON).
-pub fn run_msg_simulated_slack<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-    slack: Option<usize>,
-    policy: &mut dyn SchedulePolicy,
-) -> Result<RunOutcome, RunError> {
-    let (topo, procs) =
-        build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, slack);
-    Simulator::new(topo, procs).run(policy)
-}
-
-/// Run the message-passing program with an explicit host placement.
-pub fn run_msg_simulated_hosted<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-    host_mode: HostMode,
-    policy: &mut dyn SchedulePolicy,
-) -> Result<RunOutcome, RunError> {
-    let (topo, procs) = build_msg_processes_hosted(plan, pg, init, host_mode);
-    Simulator::new(topo, procs).run(policy)
-}
-
-/// Run the message-passing program under the crash-recovery supervisor:
-/// the run suffers the (deterministic) faults of `faults`, checkpoints
-/// every `cfg.checkpoint_every` steps, and restarts from the latest
-/// checkpoint on every injected crash — converging, by Theorem 1, to a
-/// final state bitwise identical to the uninjected
-/// [`run_msg_simulated_slack`]. The returned
-/// [`ssp_runtime::RecoveryOutcome`] carries the recovery accounting
-/// (restarts, checkpoints taken, steps re-executed) next to the usual
-/// snapshots and metrics.
-pub fn run_msg_recovering<L: MeshLocal + Clone>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-    slack: Option<usize>,
-    faults: FaultPlan,
-    policy: &mut dyn SchedulePolicy,
-    cfg: RecoveryConfig,
-) -> Result<RecoveryOutcome, RunError> {
-    let (topo, procs) =
-        build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, slack);
-    ssp_runtime::run_recovering(topo, procs, faults, policy, cfg)
-}
-
-/// Run the message-passing program under the discrete-event performance
+/// Run the per-rank program under the discrete-event performance
 /// simulator: the same execution as [`run_msg_simulated`], placed on the
 /// virtual clock of `model`. The outcome carries the predicted makespan,
 /// per-rank timed [`perf_sim::Timeline`]s, and the critical path with its
@@ -1766,43 +1696,19 @@ pub fn run_msg_predicted<L: MeshLocal>(
     init: &InitFn<L>,
     model: &MachineModel,
 ) -> Result<perf_sim::DesOutcome, RunError> {
-    run_msg_predicted_slack(plan, pg, init, model, None)
+    let (topo, procs) = build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, None);
+    perf_sim::run_des(topo, procs, model, &mut RoundRobin::new())
 }
 
-/// [`run_msg_predicted`] with every channel's slack bounded to `slack`:
-/// shows what buffer back-pressure costs on `model` (the critical path's
-/// `blocked` component) without changing any result byte.
-pub fn run_msg_predicted_slack<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-    model: &MachineModel,
-    slack: Option<usize>,
-) -> Result<perf_sim::DesOutcome, RunError> {
-    let (topo, procs) =
-        build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, slack);
-    perf_sim::run_des_default(topo, procs, model)
-}
-
-/// Run the message-passing program on real OS threads. Returns per-rank
-/// snapshots. The placement is [`run_msg_threaded_slack`]'s.
-pub fn run_msg_threaded<L: MeshLocal>(
-    plan: &Plan<L>,
-    pg: ProcGrid3,
-    init: &InitFn<L>,
-) -> Result<Vec<Vec<u8>>, RunError> {
-    run_msg_threaded_slack(plan, pg, init, None, ThreadedConfig::default()).map(|o| o.snapshots)
-}
-
-/// Run the message-passing program on real OS threads with bounded channel
-/// slack and an optional deadlock watchdog ([`ssp_runtime::ThreadedConfig`]).
+/// Run the program on the M:N scheduler's pool with bounded channel slack
+/// and an optional deadlock watchdog ([`ssp_runtime::ThreadedConfig`]).
 ///
-/// The program runs as [`group_count`] processes for the pool the
-/// configuration resolves ([`ThreadedConfig::pool_size`]): one per rank, or
-/// one per pool worker, each hosting a group of contiguous ranks — fused
-/// into boxes when the plan's phases allow it (module docs). The outcome's
-/// snapshots are per rank, in rank order, either way; its metrics and
-/// flight log describe the processes that ran.
+/// The program runs as [`Placement::pool`] places it for the pool the
+/// configuration resolves ([`ThreadedConfig::pool_size`]): one process per
+/// rank, or one per pool worker, each hosting a group of contiguous ranks —
+/// fused into boxes when the plan's phases allow it (module docs). The
+/// outcome's snapshots are per rank, in rank order, either way; its metrics
+/// and flight log describe the processes that ran.
 pub fn run_msg_threaded_slack<L: MeshLocal>(
     plan: &Plan<L>,
     pg: ProcGrid3,
@@ -1810,12 +1716,9 @@ pub fn run_msg_threaded_slack<L: MeshLocal>(
     slack: Option<usize>,
     cfg: ThreadedConfig,
 ) -> Result<ThreadedOutcome, RunError> {
-    let p = pg.nprocs();
-    let w = group_count(&pg, cfg.pool_size(p));
-    let all: Vec<usize> = (0..w).collect();
-    let layout = placement(plan, &pg, init, w);
-    let (topo, procs) =
-        build_processes(plan, pg, &**init, HostMode::GridRank0, &layout, &all, false);
+    let workers = cfg.pool_size(pg.nprocs());
+    let placement = Placement::pool(plan, &pg, &**init, HostMode::GridRank0, workers);
+    let (topo, procs) = compile(plan, &**init, &placement, 0..placement.width());
     ssp_runtime::run_threaded_with(&topo.with_uniform_capacity(slack), procs, cfg)
 }
 
@@ -1824,9 +1727,10 @@ mod tests {
     use super::*;
     use crate::driver::MeshLocal;
     use crate::reduce::ReduceAlgo;
+    use HostMode::GridRank0;
     use ssp_runtime::{
-        launch_partial, Adversary, AdversarialPolicy, NoFlight, NoopObserver, PartialSeed,
-        RandomPolicy, RoundRobin,
+        launch_partial, Adversary, AdversarialPolicy, FaultPlan, NoFlight, NoopObserver,
+        PartialSeed, RandomPolicy,
     };
     use std::sync::Arc;
 
@@ -1851,6 +1755,15 @@ mod tests {
             let (nx, ny, nz) = env.block.extent();
             One { u: Grid3::new(nx, ny, nz, 1) }
         })
+    }
+
+    /// The per-rank program, grid rank 0 doubling as host.
+    fn per_rank<L: MeshLocal>(
+        plan: &Plan<L>,
+        pg: ProcGrid3,
+        init: &InitFn<L>,
+    ) -> (Topology, Vec<MsgProcess<L>>) {
+        build_msg_processes_with_slack(plan, pg, init, GridRank0, None)
     }
 
     impl MeshLocalCodec for One {
@@ -1890,8 +1803,8 @@ mod tests {
     ) -> Result<MsgProcess<One>, RunError> {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
         let init = init_fn();
-        let (_, templates) = build_msg_processes(plan, pg, &init);
-        let (_, mut procs) = build_msg_processes(plan, pg, &init);
+        let (_, templates) = per_rank(plan, pg, &init);
+        let (_, mut procs) = per_rank(plan, pg, &init);
         forge(&mut procs[rank]);
         let mut bytes = procs[rank].encode_state();
         patch(&mut bytes);
@@ -1983,7 +1896,7 @@ mod tests {
     fn unexpected_message_kind_is_a_protocol_fault_not_a_panic() {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
         let init = init_fn();
-        let (_topo, mut procs) = build_msg_processes(&tiny_plan(), pg, &init);
+        let (_topo, mut procs) = per_rank(&tiny_plan(), pg, &init);
         // Rank 0 (the host) first waits for rank 1's gathered block; hand it
         // a reduction vector instead.
         let host = &mut procs[0];
@@ -2001,7 +1914,7 @@ mod tests {
     fn wrong_length_gather_block_is_a_protocol_fault() {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
         let init = init_fn();
-        let (_topo, mut procs) = build_msg_processes(&tiny_plan(), pg, &init);
+        let (_topo, mut procs) = per_rank(&tiny_plan(), pg, &init);
         let host = &mut procs[0];
         drive_to_recv(host);
         // Rank 1's block holds 32 cells; deliver 3 values.
@@ -2021,7 +1934,7 @@ mod tests {
             .scatter_grid("load", |_: &One| Grid3::new(4, 4, 4, 0), |l: &mut One| &mut l.u)
             .build();
         let init = init_fn();
-        let (_topo, mut procs) = build_msg_processes(&plan, pg, &init);
+        let (_topo, mut procs) = per_rank(&plan, pg, &init);
         // Rank 1 waits for its 32-cell block from the host; deliver 3 values.
         let rank1 = &mut procs[1];
         drive_to_recv(rank1);
@@ -2038,7 +1951,7 @@ mod tests {
     fn delivery_without_pending_recv_is_a_protocol_fault() {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 1, 1));
         let init = init_fn();
-        let (_topo, mut procs) = build_msg_processes(&tiny_plan(), pg, &init);
+        let (_topo, mut procs) = per_rank(&tiny_plan(), pg, &init);
         // Rank 0 has not asked for anything yet.
         match procs[0].resume(Some(MeshMsg::Halo(vec![0.0]))) {
             Effect::Fault { error: RunError::Protocol { proc, detail } } => {
@@ -2059,7 +1972,7 @@ mod tests {
             .loop_n(3, |b| b.exchange("halo", |l: &mut One| &mut l.u))
             .build();
         let init = init_fn();
-        let (topo, mut procs) = build_msg_processes(&plan, pg, &init);
+        let (topo, mut procs) = per_rank(&plan, pg, &init);
 
         // A minimal hand-rolled fair scheduler, so the processes stay in
         // our hands and their pools are inspectable after the run.
@@ -2147,11 +2060,11 @@ mod tests {
         let pg = meshgrid::ProcGrid3::new((4, 4, 4), (2, 2, 1));
         let plan = Plan::builder().exchange("halo", |l: &mut One| &mut l.u).build();
         let init = init_fn();
-        let (topo, all) = build_msg_processes(&plan, pg, &init);
-        let (sub_topo, sub) =
-            build_msg_processes_for(&plan, pg, &init, HostMode::GridRank0, &[3, 1]);
+        let (topo, all) = per_rank(&plan, pg, &init);
+        let placement = Placement::per_rank(&pg, GridRank0);
+        let (sub_topo, sub) = compile(&plan, &*init, &placement, [3, 1]);
         assert_eq!(sub_topo.specs(), topo.specs());
-        assert_eq!(msg_topology(&pg, HostMode::GridRank0).specs(), topo.specs());
+        assert_eq!(placement.topology().specs(), topo.specs());
         for (p, &rank) in sub.iter().zip(&[3usize, 1]) {
             assert_eq!((p.id, p.members[0].env.rank), (rank, rank));
             assert_eq!(p.chan_to, all[rank].chan_to);
@@ -2193,8 +2106,9 @@ mod tests {
     #[test]
     fn groups_are_contiguous_and_differ_in_size_by_at_most_one() {
         for n in 1..=30 {
+            let pg = ProcGrid3::new((30, 4, 4), (n, 1, 1));
             for w in 1..=n {
-                let layout = Layout::grouped(n, w);
+                let layout = Placement::unfused(&pg, GridRank0, w);
                 let ranks: Vec<Vec<usize>> = (0..w).map(|p| layout.ranks(p).collect()).collect();
                 assert_eq!(ranks.concat(), (0..n).collect::<Vec<_>>(), "n={n} w={w}");
                 let sizes: Vec<usize> = ranks.iter().map(Vec::len).collect();
@@ -2202,7 +2116,7 @@ mod tests {
                 assert!(*lo >= 1 && hi - lo <= 1, "n={n} w={w}: {sizes:?}");
                 for (p, ranks) in ranks.iter().enumerate() {
                     for (m, &r) in ranks.iter().enumerate() {
-                        assert_eq!((layout.proc_of[r], layout.member(r)), (p, m), "n={n} w={w}");
+                        assert_eq!((layout.proc_of[r], layout.member_of[r]), (p, m), "n={n} w={w}");
                     }
                 }
             }
@@ -2313,33 +2227,6 @@ mod tests {
             .build()
     }
 
-    /// `plan` as `w` groups on the simulator, placed as the threaded runner
-    /// places them (fused where the plan allows): per-rank snapshots.
-    fn run_grouped<L: MeshLocal>(
-        plan: &Plan<L>,
-        pg: ProcGrid3,
-        init: &InitFn<L>,
-        w: usize,
-        slack: Option<usize>,
-        policy: &mut dyn SchedulePolicy,
-    ) -> Result<Vec<Vec<u8>>, RunError> {
-        let layout = placement(plan, &pg, init, w);
-        let all: Vec<usize> = (0..w).collect();
-        let (topo, procs) =
-            build_processes(plan, pg, &**init, HostMode::GridRank0, &layout, &all, false);
-        let out = Simulator::new(topo.with_uniform_capacity(slack), procs).run(policy)?;
-        Ok(rank_snapshots(&layout, &out.snapshots))
-    }
-
-    /// Per-rank snapshots from the simulator's per-process ones.
-    fn rank_snapshots(layout: &Layout, procs: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let frames = procs.iter().enumerate().map(|(p, snap)| match layout.ranks(p).len() {
-            1 => vec![snap.clone()],
-            k => unframe(snap, k),
-        });
-        frames.flatten().collect()
-    }
-
     /// Every grouping of P ≤ 9 ranks, slack 1 and unbounded, under three
     /// policies: bitwise the per-rank program. Both reduction schedules
     /// combine wide-magnitude partials, so a rank combining its partials in
@@ -2355,18 +2242,21 @@ mod tests {
                 let reference =
                     run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
                 for w in 1..=p {
-                    let layout = placement(&plan, &pg, &init, w);
-                    fused += layout.members.iter().flatten().filter(|run| run.len() > 1).count();
+                    let placement = Placement::groups(&plan, &pg, &*init, GridRank0, w);
+                    fused += placement.members.concat().iter().filter(|r| r.len() > 1).count();
                     for slack in [Some(1), None] {
+                        let label = format!("P={p} W={w} slack {slack:?}");
                         let policies: [Box<dyn SchedulePolicy>; 3] = [
                             Box::new(RoundRobin::new()),
                             Box::new(RandomPolicy::seeded(7 * p as u64 + w as u64)),
                             Box::new(AdversarialPolicy::new(Adversary::HighestFirst)),
                         ];
                         for mut policy in policies {
-                            let got = run_grouped(&plan, pg, &init, w, slack, policy.as_mut())
-                                .unwrap_or_else(|e| panic!("P={p} W={w} slack {slack:?}: {e}"));
-                            assert_eq!(got, reference.snapshots, "P={p} W={w} slack {slack:?}");
+                            let (topo, procs) = compile(&plan, &*init, &placement, 0..w);
+                            let sim = Simulator::new(topo.with_uniform_capacity(slack), procs);
+                            let got = sim.run(policy.as_mut());
+                            let got = got.unwrap_or_else(|e| panic!("{label}: {e}"));
+                            assert_eq!(got.snapshots, reference.snapshots, "{label}");
                         }
                     }
                 }
@@ -2382,9 +2272,8 @@ mod tests {
         let (plan, init) = (cell_plan(), init_cell());
         let pg = ProcGrid3::choose((6, 5, 4), 8);
         let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
-        let layout = Layout::grouped(8, 2);
-        let (topo, mut procs) =
-            build_processes(&plan, pg, &*init, HostMode::GridRank0, &layout, &[0, 1], false);
+        let placement = Placement::unfused(&pg, GridRank0, 2);
+        let (topo, mut procs) = compile(&plan, &*init, &placement, 0..2);
         let ops = Arc::get_mut(&mut procs[0].ops).expect("each process owns its program");
         let copies = ops.iter_mut().find_map(|op| match op {
             Op::CopyFaces { copies, .. } => Some(copies),
@@ -2392,7 +2281,7 @@ mod tests {
         });
         copies.expect("a group of four ranks copies faces").pop();
         let out = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
-        assert_ne!(rank_snapshots(&layout, &out.snapshots), reference.snapshots);
+        assert_ne!(out.snapshots, reference.snapshots);
     }
 
     /// A grouped program cut after every prefix of a round-robin run — mid
@@ -2402,25 +2291,25 @@ mod tests {
     /// built the same way resumes it.
     #[test]
     fn every_cut_of_a_grouped_run_survives_the_state_codec() {
-        let staged_seen = every_cut_survives(&cell_plan(), Layout::grouped(4, 2));
-        assert!(staged_seen, "some cut lands between a split exchange's halves");
         let pg = ProcGrid3::choose((6, 5, 4), 4);
-        let fused = placement(&stencil_plan(), &pg, &init_cell(), 2);
+        let unfused = Placement::unfused(&pg, GridRank0, 2);
+        let staged_seen = every_cut_survives(&cell_plan(), unfused);
+        assert!(staged_seen, "some cut lands between a split exchange's halves");
+        let fused = Placement::groups(&stencil_plan(), &pg, &*init_cell(), GridRank0, 2);
         assert_eq!(fused.members.concat(), [0..2, 2..4], "two boxes of two ranks");
         assert_eq!(fused.members[0].len(), 1);
         every_cut_survives(&stencil_plan(), fused);
     }
 
-    /// Cut `plan` on the 4-rank grid placed by `layout` (two processes)
+    /// Cut `plan` on the 4-rank grid placed by `placement` (two processes)
     /// after every prefix of a round-robin run, pass every process through
     /// the state codec and finish on the pool: bitwise the per-rank run.
     /// Returns whether some cut held staged slabs.
-    fn every_cut_survives(plan: &Plan<Cell>, layout: Layout) -> bool {
+    fn every_cut_survives(plan: &Plan<Cell>, placement: Placement) -> bool {
         let init = init_cell();
         let pg = ProcGrid3::choose((6, 5, 4), 4);
         let reference = run_msg_simulated(plan, pg, &init, &mut RoundRobin::new()).unwrap();
-        let build =
-            || build_processes(plan, pg, &*init, HostMode::GridRank0, &layout, &[0, 1], false);
+        let build = || compile(plan, &*init, &placement, 0..2);
         let (topo, templates) = build();
         let reference_run = Simulator::new(topo.clone(), build().1).run(&mut RoundRobin::new());
         let picks = reference_run.unwrap().picks;
@@ -2455,7 +2344,8 @@ mod tests {
     #[test]
     fn twenty_seven_ranks_on_two_workers_fuse_into_six_boxes() {
         let pg = ProcGrid3::choose((33, 33, 33), 27);
-        let layout = Layout::fused(&pg, 2);
+        let plan = stencil_plan();
+        let layout = Placement::groups(&plan, &pg, &*init_cell(), GridRank0, 2);
         assert_eq!(layout.members, [vec![0..9, 9..12, 12..13], vec![13..15, 15..18, 18..27]]);
         let extents: Vec<_> =
             layout.members.iter().flatten().map(|run| box_block(&pg, run).extent()).collect();
@@ -2464,16 +2354,13 @@ mod tests {
             [(11, 33, 33), (11, 11, 33), (11, 11, 11), (11, 11, 22), (11, 11, 33), (11, 33, 33)]
         );
         for rank in 0..27 {
-            let m = layout.member(rank);
+            let m = layout.member_of[rank];
             assert!(layout.members[layout.proc_of[rank]][m].contains(&rank), "rank {rank}");
         }
-        let plan = stencil_plan();
         assert!(fuses(&plan.phases) && !fuses(&cell_plan().phases));
-        assert_eq!(placement(&plan, &pg, &init_cell(), 2).members, layout.members);
-        let unfused = placement(&cell_plan(), &pg, &init_cell(), 2);
-        assert_eq!(unfused.members, Layout::grouped(27, 2).members);
-        let (_, procs) =
-            build_processes(&plan, pg, &*init_cell(), HostMode::GridRank0, &layout, &[0, 1], false);
+        let unfused = Placement::groups(&cell_plan(), &pg, &*init_cell(), GridRank0, 2);
+        assert_eq!(unfused, Placement::unfused(&pg, GridRank0, 2));
+        let (_, procs) = compile(&plan, &*init_cell(), &layout, 0..2);
         // One relaxation per box and half-step: three boxes per group.
         for p in &procs {
             assert_eq!(p.ops.iter().filter(|op| matches!(op, Op::Local { .. })).count(), 3);
@@ -2487,11 +2374,10 @@ mod tests {
     fn an_exchange_inside_a_box_compiles_to_no_op() {
         let pg = ProcGrid3::choose((6, 5, 4), 8);
         let plan = stencil_plan();
-        let layout = placement(&plan, &pg, &init_cell(), 1);
+        let layout = Placement::groups(&plan, &pg, &*init_cell(), GridRank0, 1);
         assert_eq!((layout.width(), layout.members[0].len()), (1, 1));
         assert_eq!(layout.members[0].first(), Some(&(0..8)), "one box of every rank");
-        let (_, procs) =
-            build_processes(&plan, pg, &*init_cell(), HostMode::GridRank0, &layout, &[0], false);
+        let (_, procs) = compile(&plan, &*init_cell(), &layout, [0]);
         let kinds: Vec<&str> = procs[0]
             .ops
             .iter()
@@ -2525,7 +2411,9 @@ mod tests {
         let init = init_cell();
         let pg = ProcGrid3::choose((6, 5, 4), 8);
         let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
-        let got = run_grouped(&plan, pg, &init, 2, None, &mut RoundRobin::new()).unwrap();
-        assert_ne!(got, reference.snapshots);
+        let placement = Placement::groups(&plan, &pg, &*init, GridRank0, 2);
+        let (topo, procs) = compile(&plan, &*init, &placement, 0..2);
+        let got = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
+        assert_ne!(got.snapshots, reference.snapshots);
     }
 }

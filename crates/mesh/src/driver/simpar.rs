@@ -19,7 +19,7 @@ use machine_model::trace::CommTrace;
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{Effect, Process, RunError};
 
-use crate::driver::msg::simulated_parallel;
+use crate::driver::msg::{compile, Placement};
 use crate::driver::MeshLocal;
 use crate::env::Env;
 use crate::plan::Plan;
@@ -109,7 +109,9 @@ pub fn try_run_simpar<L: MeshLocal>(
     cfg: SimParConfig,
     init: impl Fn(&Env) -> L,
 ) -> Result<SimParOutcome<L>, RunError> {
-    let mut process = simulated_parallel(plan, pg, &init, cfg.host_mode);
+    let placement = Placement::simpar(&pg, cfg.host_mode);
+    let (_, mut procs) = compile(plan, &init, &placement, [0]);
+    let mut process = procs.pop().expect("one process");
     loop {
         match process.resume(None) {
             Effect::Halt => break,

@@ -29,8 +29,10 @@
 //! ## Interchangeable executions of the same plan
 //!
 //! One per rung of the refinement chain sequential → simulated-parallel →
-//! grouped → message-passing. Past the first, the rungs are one lowering
-//! placing the P ranks on W processes, W walked from 1 to P:
+//! grouped → message-passing. Past the first, the rungs are one program
+//! whose placement varies: a [`driver::Placement`] of the P ranks on W
+//! processes, W walked from 1 to P, which [`driver::compile`] turns into
+//! processes that every backend runs:
 //!
 //! * [`driver::run_seq`] — the degenerate one-process execution;
 //! * [`driver::run_simpar`] — the **sequential simulated-parallel version**
@@ -44,14 +46,14 @@
 //! * the **grouped** program at 1 < W < P: each process a
 //!   simulated-parallel program over a group of contiguous ranks,
 //!   exchanging by assignment inside a group and by one coalesced message
-//!   per group pair between groups. [`driver::run_msg_threaded`] runs it
-//!   when the ranks outnumber its worker pool and the grid is small
-//!   ([`driver::group_count`]);
-//! * [`driver::run_msg_simulated`] / [`driver::run_msg_threaded`] — W = P,
-//!   the message-passing program obtained by the paper's final
-//!   transformation: each data-exchange assignment becomes a send/receive
-//!   pair with all sends performed before any receives (§3.3), running on
-//!   [`ssp_runtime`]'s simulated scheduler or on real threads.
+//!   per group pair between groups ([`driver::Placement::groups`]).
+//!   [`driver::run_msg_threaded_slack`] runs it when the ranks outnumber
+//!   its worker pool and the grid is small ([`driver::group_count`]);
+//! * W = P ([`driver::Placement::per_rank`]), the message-passing program
+//!   obtained by the paper's final transformation: each data-exchange
+//!   assignment becomes a send/receive pair with all sends performed before
+//!   any receives (§3.3). [`driver::run_msg_simulated`] runs it on
+//!   [`ssp_runtime`]'s simulated scheduler.
 //!
 //! By construction every execution performs each rank's floating-point
 //! operations in *bitwise-identical order*, so their results agree exactly
@@ -65,13 +67,13 @@
 //!
 //! # Example
 //!
-//! A one-field relaxation written once and executed three ways:
+//! A one-field relaxation written once and executed at three placements:
 //!
 //! ```
-//! use mesh_archetype::driver::{MeshLocal, SimParConfig};
+//! use mesh_archetype::driver::{compile, HostMode, MeshLocal, Placement, SimParConfig};
 //! use mesh_archetype::{run_msg_simulated, run_seq, run_simpar, Env, Plan};
 //! use meshgrid::{Grid3, ProcGrid3};
-//! use ssp_runtime::RoundRobin;
+//! use ssp_runtime::{RoundRobin, Simulator};
 //! use std::sync::Arc;
 //!
 //! struct L { u: Grid3<f64>, next: Grid3<f64> }
@@ -125,6 +127,13 @@
 //! let init_fn: mesh_archetype::plan::InitFn<L> = Arc::new(init);
 //! let msg = run_msg_simulated(&plan, pg, &init_fn, &mut RoundRobin::new()).unwrap();
 //! assert_eq!(msg.snapshots, simpar.snapshots);
+//!
+//! // Two groups of two ranks, on the same simulator: still one snapshot
+//! // per rank, bitwise the same.
+//! let two = Placement::groups(&plan, &pg, &init, HostMode::GridRank0, 2);
+//! let (topo, procs) = compile(&plan, &init, &two, 0..two.width());
+//! let grouped = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
+//! assert_eq!(grouped.snapshots, simpar.snapshots);
 //! ```
 #![warn(missing_docs)]
 
@@ -137,9 +146,8 @@ pub mod reduce;
 pub mod sum;
 
 pub use driver::{
-    run_msg_predicted, run_msg_predicted_slack, run_msg_recovering, run_msg_simulated,
-    run_msg_simulated_slack, run_msg_threaded, run_msg_threaded_slack, run_seq, run_simpar,
-    try_run_simpar, SimParOutcome,
+    compile, run_msg_predicted, run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar,
+    try_run_simpar, Placement, SimParOutcome,
 };
 pub use env::{AxisOutOfRange, Env};
 pub use plan::{Contribution, ExchangeSpec, Phase, Plan, PlanBuilder};

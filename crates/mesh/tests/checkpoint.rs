@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 
-use mesh_archetype::driver::{HostMode, MeshLocal, SimParConfig};
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode, MeshLocal, SimParConfig};
 use mesh_archetype::{run_simpar, Env, Plan};
 use meshgrid::{Grid3, ProcGrid3};
-use ssp_runtime::RoundRobin;
+use ssp_runtime::{RoundRobin, Simulator};
 
 struct Ckpt {
     u: Grid3<f64>,
@@ -161,13 +161,8 @@ fn checkpoint_restart_works_with_a_separate_host_and_msg_driver() {
 
     // And the message-passing execution of the same hosted plan agrees.
     let init_fn: mesh_archetype::plan::InitFn<Ckpt> = Arc::new(init_fresh);
-    let msg = mesh_archetype::driver::run_msg_simulated_hosted(
-        &plan,
-        pg,
-        &init_fn,
-        HostMode::Separate,
-        &mut RoundRobin::new(),
-    )
-    .unwrap();
+    let (topo, procs) =
+        build_msg_processes_with_slack(&plan, pg, &init_fn, HostMode::Separate, None);
+    let msg = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
     assert_eq!(msg.snapshots, simpar.snapshots);
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use mesh_archetype::driver::MeshLocal;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_threaded, run_seq, run_simpar, try_run_simpar, Contribution, Env,
-    Plan, ReduceAlgo, ReduceOp, SumMethod,
+    run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar, try_run_simpar, Contribution,
+    Env, Plan, ReduceAlgo, ReduceOp, SumMethod,
 };
 use mesh_archetype::driver::SimParConfig;
 use meshgrid::{Grid3, ProcGrid3};
@@ -227,8 +227,8 @@ fn msg_threaded_matches_simpar_bitwise() {
     let init: mesh_archetype::plan::InitFn<Heat> = Arc::new(init_heat);
     // "On the first and every execution."
     for _ in 0..3 {
-        let snaps = run_msg_threaded(&plan, pg, &init).unwrap();
-        assert_eq!(snaps, simpar.snapshots);
+        let out = run_msg_threaded_slack(&plan, pg, &init, None, ThreadedConfig::default());
+        assert_eq!(out.unwrap().snapshots, simpar.snapshots);
     }
 }
 

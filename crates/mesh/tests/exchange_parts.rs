@@ -8,19 +8,17 @@
 
 use std::sync::Arc;
 
-use mesh_archetype::driver::{
-    build_msg_processes, MeshLocal, MeshMsg, SimParConfig,
-};
+use mesh_archetype::driver::{compile, HostMode, MeshLocal, MeshMsg, Placement, SimParConfig};
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_threaded, run_seq, run_simpar, Env, ExchangeSpec, Plan,
+    run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar, Env, ExchangeSpec, Plan,
 };
 use meshgrid::halo::Face3::{self, XLo, YHi, ZLo};
 use meshgrid::{FaceSet3, Grid3, ProcGrid3};
 use ssp_runtime::rng::SplitMix64;
 use ssp_runtime::{
     Adversary, AdversarialPolicy, Effect, Process, RandomPolicy, RoundRobin, RunError,
-    SchedulePolicy,
+    SchedulePolicy, ThreadedConfig,
 };
 
 struct Wind {
@@ -113,7 +111,8 @@ fn one_sided_parts_reproduce_the_sequential_program_on_every_driver() {
             let out = run_msg_simulated(&plan, pg, &init, policy.as_mut()).unwrap();
             assert_eq!(out.snapshots, simpar.snapshots, "P={p} under {}", policy.name());
         }
-        assert_eq!(run_msg_threaded(&plan, pg, &init).unwrap(), simpar.snapshots, "P={p}");
+        let threaded = run_msg_threaded_slack(&plan, pg, &init, None, ThreadedConfig::default());
+        assert_eq!(threaded.unwrap().snapshots, simpar.snapshots, "P={p}");
     }
 }
 
@@ -195,6 +194,7 @@ fn hostile_coalesced_payloads_fault_typed_naming_sender_and_part() {
     let plan: Plan<Wind> = Plan::builder().exchange_parts(spec()).build();
     let pg = ProcGrid3::new(N, (1, 1, 2));
     let init: InitFn<Wind> = Arc::new(init_wind);
+    let per_rank = Placement::per_rank(&pg, HostMode::GridRank0);
     let slab = N.0 * N.1;
     for (len, needle) in [
         (2 * slab - 1, "part 1"),                         // short by one value
@@ -202,7 +202,7 @@ fn hostile_coalesced_payloads_fault_typed_naming_sender_and_part() {
         (2 * slab + 1, "1 past the end of part 1"),       // one value long
         (0, "part 0"),
     ] {
-        let (_, mut procs) = build_msg_processes(&plan, pg, &init);
+        let (_, mut procs) = compile(&plan, &*init, &per_rank, 0..2);
         let receiver = &mut procs[1];
         drive_to_recv(receiver);
         match receiver.resume(Some(MeshMsg::Halo(vec![0.5; len]))) {
@@ -215,7 +215,7 @@ fn hostile_coalesced_payloads_fault_typed_naming_sender_and_part() {
         }
     }
     // The right length is accepted and the program runs on to its end.
-    let (_, mut procs) = build_msg_processes(&plan, pg, &init);
+    let (_, mut procs) = compile(&plan, &*init, &per_rank, 0..2);
     drive_to_recv(&mut procs[1]);
     assert!(matches!(procs[1].resume(Some(MeshMsg::Halo(vec![0.5; 2 * slab]))), Effect::Halt));
 }

@@ -1,28 +1,32 @@
 //! The grouped placement is one more maximal interleaving of the same
-//! program: for every phase kind, a threaded run at W ∈ {1, 2, 3, P}
-//! processes × slack {1, ∞} equals the per-rank program on the simulator
-//! bitwise.
+//! program: for every phase kind and both host modes, the program placed on
+//! W ∈ {1, 2, 3, P} processes equals the per-rank program on the simulator
+//! bitwise — on the simulator under six policies, on the discrete-event
+//! engine and on the pool, at slack {1, ∞}.
 //!
-//! A pool of W < P workers on these small grids makes `run_msg_threaded_slack`
-//! group the ranks into W processes of contiguous ranks (`group_count`);
-//! W = P keeps one process per rank. Each plan below moves data with one
-//! phase kind and feeds the result back into the field, so a group that
-//! performed any assignment in another order — or skipped one — would show.
-//! The plan whose sweeps are declared cellwise runs fused: each group's
-//! ranks that tile a box are one section.
+//! `Placement::groups` cuts the ranks into W processes of contiguous ranks,
+//! W clamped to `1..=` the rank count; on these small grids it is also the
+//! placement a pool of W < P workers gives `run_msg_threaded_slack`
+//! (`Placement::pool`). Each plan below moves data with one phase kind and
+//! feeds the result back into the field, so a group that performed any
+//! assignment in another order — or skipped one — would show. The plan
+//! whose sweeps are declared cellwise runs fused: each group's ranks that
+//! tile a box are one section.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mesh_archetype::driver::{group_count, MeshLocal, SimParConfig};
+use machine_model::network_of_suns;
+use mesh_archetype::driver::{compile, HostMode, MeshLocal, Placement, SimParConfig};
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_threaded_slack, run_simpar, Contribution, Env, ExchangeSpec, Plan,
-    PlanBuilder, ReduceAlgo, ReduceOp, SumMethod,
+    run_simpar, Contribution, Env, ExchangeSpec, Plan, PlanBuilder, ReduceAlgo, ReduceOp,
+    SumMethod,
 };
 use meshgrid::halo::{Face3, FaceSet3};
 use meshgrid::{Grid3, ProcGrid3};
-use ssp_runtime::{RoundRobin, ThreadedConfig};
+use ssp_runtime::policy::standard_battery;
+use ssp_runtime::{run_threaded_with, RoundRobin, Simulator, ThreadedConfig};
 
 const N: (usize, usize, usize) = (8, 6, 5);
 
@@ -152,31 +156,27 @@ fn stepped(body: impl Fn(PlanBuilder<G>) -> PlanBuilder<G>) -> Plan<G> {
         .build()
 }
 
-/// One plan per phase kind.
-fn plans(p: usize) -> Vec<(String, Plan<G>)> {
+/// One plan per phase kind, for a program whose host is `host_mode`.
+fn plans(p: usize, host_mode: HostMode) -> Vec<(String, Plan<G>)> {
     let mut out = vec![("exchange".to_string(), stepped(|b| b))];
     // The same sweep declared cellwise: a group of several ranks fuses
     // them into boxes, and the exchanges inside a box vanish.
-    out.push((
-        "cellwise exchange".into(),
-        Plan::builder()
-            .loop_n(2, |b| {
-                b.exchange_parts(halo())
-                    .local("mix", |e, l| {
-                        mix(e, l);
-                    })
-                    .cellwise()
+    let sweep = |b: PlanBuilder<G>| {
+        b.exchange_parts(halo())
+            .local("mix", |e, l| {
+                mix(e, l);
+                l.sweeps += 1;
             })
-            .while_loop("count", |l: &G| l.sweeps < 3, 8, |b| {
-                b.exchange_parts(halo())
-                    .local("mix", |e, l| {
-                        mix(e, l);
-                        l.sweeps += 1;
-                    })
-                    .cellwise()
-            })
-            .build(),
-    ));
+            .cellwise()
+    };
+    let cellwise = Plan::builder().loop_n(2, sweep);
+    // A separate host runs no local block, so a while loop there must test
+    // state a collective replicates; a fusable plan has none, and counts.
+    let cellwise = match host_mode {
+        HostMode::GridRank0 => cellwise.while_loop("count", |l: &G| l.sweeps < 5, 8, sweep),
+        HostMode::Separate => cellwise.loop_n(3, sweep),
+    };
+    out.push(("cellwise exchange".into(), cellwise.build()));
     out.push((
         "split exchange".into(),
         stepped(|b| {
@@ -264,26 +264,69 @@ fn plans(p: usize) -> Vec<(String, Plan<G>)> {
     out
 }
 
+const HOSTS: [HostMode; 2] = [HostMode::GridRank0, HostMode::Separate];
+
+/// `plan` placed by `placement` on the simulator under round-robin: one
+/// snapshot per rank.
+fn simulate(plan: &Plan<G>, init: &InitFn<G>, placement: &Placement) -> Vec<Vec<u8>> {
+    let (topo, procs) = compile(plan, &**init, placement, 0..placement.width());
+    Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap().snapshots
+}
+
 #[test]
 fn every_phase_kind_is_bitwise_at_every_group_count_and_slack() {
+    let suns = network_of_suns();
     for p in [5, 8] {
         let pg = ProcGrid3::choose(N, p);
         let init = init();
-        for (name, plan) in plans(p) {
-            let reference = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new())
-                .unwrap_or_else(|e| panic!("{name} P={p}: {e}"))
-                .snapshots;
-            let simpar = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
-            assert_eq!(simpar.snapshots, reference, "{name} P={p}: simulated-parallel");
-            for w in [1, 2, 3, p] {
-                assert_eq!(group_count(&pg, w), w, "{name} P={p}: W={w} groups");
-                for slack in [Some(1), None] {
-                    let cfg =
-                        ThreadedConfig::with_watchdog(Duration::from_secs(30)).with_workers(w);
-                    let out = run_msg_threaded_slack(&plan, pg, &init, slack, cfg)
-                        .unwrap_or_else(|e| panic!("{name} P={p} W={w} slack {slack:?}: {e}"));
-                    assert_eq!(out.metrics.procs.len(), w, "{name} P={p} W={w}");
-                    assert_eq!(out.snapshots, reference, "{name} P={p} W={w} slack {slack:?}");
+        for host_mode in HOSTS {
+            for (name, plan) in plans(p, host_mode) {
+                let reference = simulate(&plan, &init, &Placement::per_rank(&pg, host_mode));
+                let simpar = run_simpar(&plan, pg, SimParConfig { host_mode }, |e| init(e));
+                let at = format!("{name} P={p} {host_mode:?}");
+                assert_eq!(simpar.snapshots, reference, "{at}: simulated-parallel");
+                // A group count out of range is clamped: W = 0 is W = 1, and
+                // W past the rank count is one process per rank.
+                let ranks = p + usize::from(host_mode == HostMode::Separate);
+                let groups = |w| Placement::groups(&plan, &pg, &*init, host_mode, w);
+                assert_eq!(groups(0), groups(1), "{at}: W = 0");
+                assert_eq!(groups(ranks + 3), Placement::per_rank(&pg, host_mode), "{at}");
+                for w in [0, ranks + 3] {
+                    assert_eq!(simulate(&plan, &init, &groups(w)), reference, "{at}: W = {w}");
+                }
+                for w in [1, 2, 3, p] {
+                    let placement = groups(w);
+                    assert_eq!(placement.width(), w, "{at} W={w}");
+                    if w < p {
+                        let pool = Placement::pool(&plan, &pg, &*init, host_mode, w);
+                        assert_eq!(pool, placement, "{at} W={w}: the pool's placement");
+                    }
+                    let build = |slack| {
+                        let (topo, procs) = compile(&plan, &*init, &placement, 0..w);
+                        (topo.with_uniform_capacity(slack), procs)
+                    };
+                    for slack in [Some(1), None] {
+                        let at = format!("{at} W={w} slack {slack:?}");
+                        // Six policies: round-robin, both extremes,
+                        // ping-pong, starving rank 0, one seeded random.
+                        for mut policy in standard_battery(1, 1) {
+                            let (topo, procs) = build(slack);
+                            let out = Simulator::new(topo, procs).run(policy.as_mut());
+                            let out = out.unwrap_or_else(|e| panic!("{at} {}: {e}", policy.name()));
+                            assert_eq!(out.snapshots, reference, "{at} {}", policy.name());
+                        }
+                        let (topo, procs) = build(slack);
+                        let des = perf_sim::run_des(topo, procs, &suns, &mut RoundRobin::new())
+                            .unwrap_or_else(|e| panic!("{at} DES: {e}"));
+                        assert_eq!(des.snapshots, reference, "{at} DES");
+                        let (topo, procs) = build(slack);
+                        let cfg =
+                            ThreadedConfig::with_watchdog(Duration::from_secs(30)).with_workers(w);
+                        let out = run_threaded_with(&topo, procs, cfg)
+                            .unwrap_or_else(|e| panic!("{at} pool: {e}"));
+                        assert_eq!(out.metrics.procs.len(), w, "{at} pool");
+                        assert_eq!(out.snapshots, reference, "{at} pool");
+                    }
                 }
             }
         }
@@ -294,7 +337,7 @@ fn every_phase_kind_is_bitwise_at_every_group_count_and_slack() {
 #[test]
 fn the_while_plan_runs_several_sweeps() {
     let pg = ProcGrid3::choose(N, 5);
-    let (name, plan) = plans(5).pop().unwrap();
+    let (name, plan) = plans(5, HostMode::GridRank0).pop().unwrap();
     assert_eq!(name, "reduce-driven while");
     let out = run_simpar(&plan, pg, SimParConfig::default(), |e| init()(e));
     let sweeps = out.locals[0].sweeps;

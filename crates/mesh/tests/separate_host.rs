@@ -10,16 +10,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use mesh_archetype::driver::{
-    run_msg_simulated_hosted, HostMode, MeshLocal, SimParConfig,
-};
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode, MeshLocal, SimParConfig};
 use mesh_archetype::exchange::face_links;
 use mesh_archetype::{
     run_simpar, Contribution, Env, ExchangeSpec, Plan, ReduceAlgo, ReduceOp, SumMethod,
 };
 use meshgrid::halo::FaceSet3;
 use meshgrid::{Grid3, ProcGrid3};
-use ssp_runtime::{RandomPolicy, RoundRobin};
+use ssp_runtime::{RandomPolicy, RoundRobin, RunOutcome, SchedulePolicy, Simulator};
 
 struct Node {
     u: Grid3<f64>,
@@ -124,6 +122,18 @@ fn cfg(mode: HostMode) -> SimParConfig {
     SimParConfig { host_mode: mode }
 }
 
+/// The per-rank program under `mode` on the simulator.
+fn hosted(
+    plan: &Plan<Node>,
+    pg: ProcGrid3,
+    init: &mesh_archetype::plan::InitFn<Node>,
+    mode: HostMode,
+    policy: &mut dyn SchedulePolicy,
+) -> RunOutcome {
+    let (topo, procs) = build_msg_processes_with_slack(plan, pg, init, mode, None);
+    Simulator::new(topo, procs).run(policy).unwrap()
+}
+
 #[test]
 fn grid_results_identical_under_both_host_placements() {
     let plan = full_plan();
@@ -163,24 +173,11 @@ fn msg_matches_simpar_in_separate_host_mode() {
     let simpar = run_simpar(&plan, pg, cfg(HostMode::Separate), init);
     let init_fn: mesh_archetype::plan::InitFn<Node> = Arc::new(init);
     for policy in [0u64, 1, 2] {
-        let out = run_msg_simulated_hosted(
-            &plan,
-            pg,
-            &init_fn,
-            HostMode::Separate,
-            &mut RandomPolicy::seeded(policy),
-        )
-        .unwrap();
+        let mut random = RandomPolicy::seeded(policy);
+        let out = hosted(&plan, pg, &init_fn, HostMode::Separate, &mut random);
         assert_eq!(out.snapshots, simpar.snapshots, "seed {policy}");
     }
-    let out = run_msg_simulated_hosted(
-        &plan,
-        pg,
-        &init_fn,
-        HostMode::Separate,
-        &mut RoundRobin::new(),
-    )
-    .unwrap();
+    let out = hosted(&plan, pg, &init_fn, HostMode::Separate, &mut RoundRobin::new());
     assert_eq!(out.snapshots, simpar.snapshots);
 }
 
@@ -254,7 +251,7 @@ fn logged_traffic_is_the_per_rank_programs_for_every_phase_kind() {
             let (plan, pg) = (every_phase_kind(p), ProcGrid3::choose(N, p));
             let simpar = run_simpar(&plan, pg, cfg(mode), init);
             let mut policy = RoundRobin::new();
-            let msg = run_msg_simulated_hosted(&plan, pg, &init_fn, mode, &mut policy).unwrap();
+            let msg = hosted(&plan, pg, &init_fn, mode, &mut policy);
             assert_eq!(msg.snapshots, simpar.snapshots, "{mode:?} P={p}");
             let mut logged = BTreeMap::new();
             for m in simpar.trace.phases.iter().flat_map(|ph| &ph.msgs) {

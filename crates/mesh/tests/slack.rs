@@ -13,15 +13,30 @@
 
 use std::sync::Arc;
 
-use mesh_archetype::driver::MeshLocal;
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode, MeshLocal, SimParConfig};
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
-    run_msg_simulated_slack, try_run_simpar, Env, Plan, ReduceAlgo, ReduceOp,
+    run_msg_simulated, run_msg_threaded_slack, try_run_simpar, Env, Plan, ReduceAlgo, ReduceOp,
 };
-use mesh_archetype::driver::SimParConfig;
 use meshgrid::{Grid3, ProcGrid3};
 use proptest::prelude::*;
-use ssp_runtime::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, RunError, SchedulePolicy};
+use ssp_runtime::{
+    Adversary, AdversarialPolicy, RandomPolicy, RoundRobin, RunError, RunOutcome, SchedulePolicy,
+    Simulator, ThreadedConfig,
+};
+
+/// The per-rank program on the simulator, every channel's slack bounded to
+/// `slack`.
+fn simulate(
+    plan: &Plan<Relax>,
+    pg: ProcGrid3,
+    init: &InitFn<Relax>,
+    slack: Option<usize>,
+    policy: &mut dyn SchedulePolicy,
+) -> Result<RunOutcome, RunError> {
+    let (topo, procs) = build_msg_processes_with_slack(plan, pg, init, HostMode::GridRank0, slack);
+    Simulator::new(topo, procs).run(policy)
+}
 
 struct Relax {
     u: Grid3<f64>,
@@ -126,7 +141,7 @@ proptest! {
         let outs: Vec<_> = slacks
             .iter()
             .map(|&s| {
-                run_msg_simulated_slack(&plan, pg, &init, s, &mut RoundRobin::new())
+                simulate(&plan, pg, &init, s, &mut RoundRobin::new())
                     .unwrap_or_else(|e| panic!("slack {s:?} failed: {e}"))
             })
             .collect();
@@ -157,7 +172,7 @@ proptest! {
         ];
         let mut reference: Option<Vec<Vec<u8>>> = None;
         for policy in policies.iter_mut() {
-            let out = run_msg_simulated_slack(&plan, pg, &init, Some(1), policy.as_mut())
+            let out = simulate(&plan, pg, &init, Some(1), policy.as_mut())
                 .unwrap_or_else(|e| panic!("policy {} failed: {e}", policy.name()));
             match &reference {
                 None => reference = Some(out.snapshots),
@@ -174,8 +189,7 @@ fn bounded_run_exposes_a_communication_profile() {
     let plan = relax_plan(3, ReduceAlgo::AllToOne);
     let pg = ProcGrid3::choose((6, 6, 5), 4);
     let init = init_relax();
-    let out =
-        run_msg_simulated_slack(&plan, pg, &init, Some(2), &mut RoundRobin::new()).unwrap();
+    let out = simulate(&plan, pg, &init, Some(2), &mut RoundRobin::new()).unwrap();
     let m = &out.metrics;
     assert!(m.total_messages() > 0, "exchanges and reductions moved messages");
     assert!(m.total_bytes() > 0, "halo slabs are priced (8 bytes per f64)");
@@ -194,10 +208,9 @@ fn threaded_run_at_slack_one_matches_the_simulated_run() {
     let plan = relax_plan(2, ReduceAlgo::AllToOne);
     let pg = ProcGrid3::choose((5, 5, 4), 4);
     let init = init_relax();
-    let sim =
-        run_msg_simulated_slack(&plan, pg, &init, Some(1), &mut RoundRobin::new()).unwrap();
-    let cfg = ssp_runtime::ThreadedConfig::with_watchdog(std::time::Duration::from_secs(10));
-    let out = mesh_archetype::run_msg_threaded_slack(&plan, pg, &init, Some(1), cfg).unwrap();
+    let sim = simulate(&plan, pg, &init, Some(1), &mut RoundRobin::new()).unwrap();
+    let cfg = ThreadedConfig::with_watchdog(std::time::Duration::from_secs(10));
+    let out = run_msg_threaded_slack(&plan, pg, &init, Some(1), cfg).unwrap();
     assert_eq!(out.snapshots, sim.snapshots, "Theorem 1 across executions and slack");
     assert!(out.metrics.max_queue_depth() <= 1);
 }
@@ -225,7 +238,7 @@ fn mis_sized_gather_is_a_typed_error() {
     let holds = pg.block(0).len();
     let detail = format!("gather block from rank 0 carries 8 values, its block holds {holds}");
     assert_eq!(err, Some(RunError::Protocol { proc: 0, detail }));
-    let msg = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).err();
+    let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).err();
     assert_eq!(msg, err);
 }
 
@@ -242,7 +255,7 @@ fn mis_sized_scatter_source_is_a_typed_error() {
     let err = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err().unwrap();
     let detail = "scatter load: source grid extent (2, 2, 2), expected (6, 6, 6)";
     assert_eq!(err, RunError::Protocol { proc: 0, detail: detail.into() });
-    let msg = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap_err();
     assert_eq!(msg, err);
 }
 
@@ -270,7 +283,7 @@ fn mis_sized_scatter_target_is_a_typed_error() {
     let detail =
         format!("scatter load: block carries {n} values, the field interior holds {holds}");
     assert_eq!(err, RunError::Protocol { proc: 1, detail });
-    let msg = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap_err();
     assert_eq!(msg, err);
 }
 
@@ -289,8 +302,9 @@ fn exhausted_while_budget_is_a_protocol_fault_naming_the_loop() {
     };
     let simpar = try_run_simpar(&plan, pg, SimParConfig::default(), |e| init(e)).err().unwrap();
     assert!(budget_fault(&simpar), "simulated-parallel: {simpar}");
-    let err = run_msg_simulated_slack(&plan, pg, &init, None, &mut RoundRobin::new()).unwrap_err();
+    let err = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap_err();
     assert_eq!(err, simpar);
-    let err = mesh_archetype::run_msg_threaded(&plan, pg, &init).unwrap_err();
+    let cfg = ThreadedConfig::default();
+    let err = run_msg_threaded_slack(&plan, pg, &init, None, cfg).unwrap_err();
     assert!(budget_fault(&err), "threaded: {err}");
 }

@@ -30,9 +30,7 @@ use std::collections::VecDeque;
 
 use machine_model::MachineModel;
 use ssp_runtime::sim::Simulator;
-use ssp_runtime::{
-    Process, RoundRobin, RunError, RunMetrics, SchedulePolicy, StepEvent, StepObserver, Topology,
-};
+use ssp_runtime::{Process, RunError, RunMetrics, SchedulePolicy, StepEvent, StepObserver, Topology};
 
 use crate::critical::{extract, CriticalPath};
 use crate::timeline::{BlockReason, Span, SpanKind, Timeline};
@@ -41,8 +39,8 @@ use crate::timeline::{BlockReason, Span, SpanKind, Timeline};
 /// untimed run, plus the virtual-clock view.
 #[derive(Debug, Clone)]
 pub struct DesOutcome {
-    /// Final per-process snapshots — bitwise identical to the untimed
-    /// simulator's (Theorem 1).
+    /// Final per-rank snapshots ([`ssp_runtime::RunOutcome::snapshots`]) —
+    /// bitwise identical to the untimed simulator's (Theorem 1).
     pub snapshots: Vec<Vec<u8>>,
     /// Predicted wall time: the latest halt across processes, in virtual
     /// seconds of the machine model.
@@ -171,7 +169,7 @@ impl StepObserver for Clocks<'_> {
 /// Run `procs` over `topo` under the virtual clock of `model`, breaking
 /// scheduling ties with `policy`. The policy affects only the *order* the
 /// engine happens to discover the (unique) timed execution in — see the
-/// module docs — so [`run_des_default`] is almost always what you want.
+/// module docs — so any policy, `RoundRobin` say, gives the same outcome.
 pub fn run_des<P: Process>(
     topo: Topology,
     procs: Vec<P>,
@@ -198,21 +196,12 @@ pub fn run_des<P: Process>(
     })
 }
 
-/// [`run_des`] with the default (round-robin) tie-break policy.
-pub fn run_des_default<P: Process>(
-    topo: Topology,
-    procs: Vec<P>,
-    model: &MachineModel,
-) -> Result<DesOutcome, RunError> {
-    run_des(topo, procs, model, &mut RoundRobin::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ssp_runtime::chan::ChannelSpec;
     use ssp_runtime::proc::push_u64;
-    use ssp_runtime::Effect;
+    use ssp_runtime::{Effect, RoundRobin};
 
     /// Sender: one compute of `units`, then `count` messages of 100 bytes
     /// each. Receiver: receives `count`, then one final compute of `units`.
@@ -282,7 +271,7 @@ mod tests {
             Pipe::Tx { chan: c, sent: 0, count: 1, units: 1000 },
             Pipe::Rx { chan: c, got: 0, count: 1, units: 0, sum: 0 },
         ];
-        let out = run_des_default(topo, procs, &model()).unwrap();
+        let out = run_des(topo, procs, &model(), &mut RoundRobin::new()).unwrap();
         assert!((out.makespan - 3.0).abs() < 1e-12, "makespan {}", out.makespan);
         // The receiver waited for the wire.
         let waited = out.timelines[1]
@@ -337,7 +326,7 @@ mod tests {
             Pipe::Tx { chan: c, sent: 0, count: 3, units: 500 },
             Pipe::Rx { chan: c, got: 0, count: 3, units: 200, sum: 0 },
         ];
-        let out = run_des_default(topo, procs, &model()).unwrap();
+        let out = run_des(topo, procs, &model(), &mut RoundRobin::new()).unwrap();
         for tl in &out.timelines {
             let mut t = 0.0;
             for s in &tl.spans {
@@ -357,7 +346,7 @@ mod tests {
             Pipe::Rx { chan: c, got: 0, count: 2, units: 0, sum: 0 },
         ];
         let free = MachineModel::custom("free", 0.0, 0.0, 0.0);
-        let out = run_des_default(topo, procs, &free).unwrap();
+        let out = run_des(topo, procs, &free, &mut RoundRobin::new()).unwrap();
         assert_eq!(out.makespan, 0.0);
         assert_eq!(out.critical.breakdown.total(), 0.0);
     }

@@ -44,7 +44,7 @@ pub mod recovery;
 pub mod timeline;
 
 pub use critical::{CostBreakdown, CpEdge, CriticalPath, EdgeKind};
-pub use engine::{run_des, run_des_default, DesOutcome};
+pub use engine::{run_des, DesOutcome};
 pub use overlay::{drift_report, measured_timelines, DriftReport, ProcDrift};
 pub use predict::{predict_speedup, PredictedPoint};
 pub use recovery::{price_recovery, RecoveryCosts, RecoveryOverhead};

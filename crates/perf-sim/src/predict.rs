@@ -9,10 +9,10 @@
 //! bandwidth-bound, or back-pressured).
 
 use machine_model::MachineModel;
-use ssp_runtime::{Process, RunError, Topology};
+use ssp_runtime::{Process, RoundRobin, RunError, Topology};
 
 use crate::critical::CostBreakdown;
-use crate::engine::run_des_default;
+use crate::engine::run_des;
 
 /// One point of a predicted scaling curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +53,7 @@ where
         .iter()
         .map(|&n| {
             let (topo, procs) = build(n);
-            let out = run_des_default(topo, procs, model)?;
+            let out = run_des(topo, procs, model, &mut RoundRobin::new())?;
             let units: u64 = out.metrics.procs.iter().map(|m| m.compute_units).sum();
             Ok(PredictedPoint {
                 nprocs: n,

@@ -165,7 +165,7 @@ mod tests {
     fn end_to_end_pricing_of_a_recovered_run() {
         let model = MachineModel::custom("test", 0.001, 0.5, 0.01).with_overheads(0.25, 0.25);
         let (topo, procs) = pulse_pair(6);
-        let clean = crate::engine::run_des_default(topo, procs, &model).unwrap();
+        let clean = crate::engine::run_des(topo, procs, &model, &mut RoundRobin::new()).unwrap();
 
         let (topo, procs) = pulse_pair(6);
         let out = run_recovering(

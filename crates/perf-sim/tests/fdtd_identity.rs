@@ -11,12 +11,10 @@ use std::sync::Arc;
 use fdtd::par::{init_a, plan_a};
 use fdtd::Params;
 use machine_model::{ibm_sp, network_of_suns};
-use mesh_archetype::driver::{build_msg_processes, build_msg_processes_with_slack, HostMode};
+use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode};
 use meshgrid::ProcGrid3;
-use perf_sim::{
-    chrome_trace_json, predict_speedup, run_des_default, timelines_to_json, CostBreakdown,
-};
-use ssp_runtime::RoundRobin;
+use perf_sim::{chrome_trace_json, predict_speedup, run_des, timelines_to_json, CostBreakdown};
+use ssp_runtime::{RoundRobin, Simulator};
 
 #[test]
 fn des_final_state_matches_run_simulated_on_both_machines() {
@@ -31,7 +29,7 @@ fn des_final_state_matches_run_simulated_on_both_machines() {
     for model in [network_of_suns(), ibm_sp()] {
         let (topo, procs) =
             build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, None);
-        let des = run_des_default(topo, procs, &model).unwrap();
+        let des = run_des(topo, procs, &model, &mut RoundRobin::new()).unwrap();
         assert_eq!(des.snapshots, sim.snapshots, "bitwise identity on {}", model.name);
 
         // The prediction itself is sane: positive, explained by a critical
@@ -68,12 +66,11 @@ fn des_identity_holds_at_slack_one_too() {
     let init = init_a(params.clone());
     let pg = ProcGrid3::choose(params.n, 3);
 
-    let sim =
-        mesh_archetype::run_msg_simulated_slack(&plan, pg, &init, Some(1), &mut RoundRobin::new())
-            .unwrap();
-    let (topo, procs) =
-        build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, Some(1));
-    let des = run_des_default(topo, procs, &network_of_suns()).unwrap();
+    let build = || build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, Some(1));
+    let (topo, procs) = build();
+    let sim = Simulator::new(topo, procs).run(&mut RoundRobin::new()).unwrap();
+    let (topo, procs) = build();
+    let des = run_des(topo, procs, &network_of_suns(), &mut RoundRobin::new()).unwrap();
     assert_eq!(des.snapshots, sim.snapshots, "slack bounds change timing, never results");
 }
 
@@ -90,7 +87,8 @@ fn predict_speedup_equals_run_msg_predicted_at_each_p() {
 
     for model in [network_of_suns(), ibm_sp()] {
         let points = predict_speedup(&model, &ps, |p| {
-            build_msg_processes(&plan, ProcGrid3::choose(params.n, p), &init)
+            let pg = ProcGrid3::choose(params.n, p);
+            build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, None)
         })
         .unwrap();
         assert_eq!(points.len(), ps.len());

@@ -21,7 +21,7 @@ use std::thread::{self, JoinHandle};
 use fdtd::par::{init_a, plan_a, plan_a_overlap, LocalA};
 use fdtd::Params;
 use mesh_archetype::driver::{
-    build_msg_processes_for, decode_mesh_msg, encode_mesh_msg, msg_topology, HostMode, MsgProcess,
+    compile, decode_mesh_msg, encode_mesh_msg, HostMode, MsgProcess, Placement,
 };
 use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
@@ -746,8 +746,8 @@ impl FdtdAWorkload {
         let init = init_a(self.params.clone());
         let distinct: BTreeSet<usize> = ranks.iter().copied().collect();
         assert_eq!(distinct.len(), ranks.len(), "rank assigned twice in {ranks:?}");
-        let (topo, procs) =
-            build_msg_processes_for(&plan, self.pg, &init, HostMode::GridRank0, ranks);
+        let placement = Placement::per_rank(&self.pg, HostMode::GridRank0);
+        let (topo, procs) = compile(&plan, &*init, &placement, ranks.iter().copied());
         (topo, ranks.iter().copied().zip(procs).collect())
     }
 
@@ -767,7 +767,7 @@ const FDTD_A_CODECS: Codecs<MsgProcess<LocalA>> = Codecs {
 
 impl Workload for FdtdAWorkload {
     fn topology(&self) -> Topology {
-        msg_topology(&self.pg, HostMode::GridRank0)
+        Placement::per_rank(&self.pg, HostMode::GridRank0).topology()
     }
 
     fn launch_group(

@@ -58,13 +58,6 @@ pub enum Effect<M> {
     },
 }
 
-impl<M> Effect<M> {
-    /// True if this effect ends the process.
-    pub fn is_halt(&self) -> bool {
-        matches!(self, Effect::Halt)
-    }
-}
-
 /// A sequential, deterministic process with a private address space.
 ///
 /// The contract with the runner:
@@ -160,12 +153,6 @@ pub fn push_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
     for &x in xs {
         push_f64(buf, x);
     }
-}
-
-/// Extend a snapshot buffer with every element of an `f64` slice.
-pub fn push_f64_slice(buf: &mut Vec<u8>, xs: &[f64]) {
-    push_u64(buf, xs.len() as u64);
-    push_f64s(buf, xs);
 }
 
 /// The one reader of untrusted bytes: wire frames, migrated process state
@@ -345,24 +332,5 @@ mod tests {
         push_f64(&mut c, 1.5);
         push_f64(&mut d, 1.5);
         assert_eq!(c, d);
-    }
-
-    #[test]
-    fn slice_encoding_includes_length() {
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        // [0.0] and [] followed by a raw 0.0 must not collide.
-        push_f64_slice(&mut a, &[0.0]);
-        push_f64_slice(&mut b, &[]);
-        push_f64(&mut b, 0.0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn halt_is_halt() {
-        let e: Effect<()> = Effect::Halt;
-        assert!(e.is_halt());
-        let e: Effect<()> = Effect::Compute { units: 3 };
-        assert!(!e.is_halt());
     }
 }

@@ -73,7 +73,8 @@ pub struct RecoveryStats {
 /// reaches (Theorem 1), plus the recovery cost accounting.
 #[derive(Debug)]
 pub struct RecoveryOutcome {
-    /// Byte snapshot of each process's final state, indexed by process id.
+    /// Byte snapshot of each rank's final state, as
+    /// [`crate::sim::RunOutcome::snapshots`].
     pub snapshots: Vec<Vec<u8>>,
     /// The pick sequence of the final (successful) lineage: the latest
     /// checkpoint's prefix plus everything executed after it.

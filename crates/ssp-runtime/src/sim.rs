@@ -35,7 +35,9 @@ use crate::waitgraph::{self, BlockKind};
 /// Result of a terminated simulated run.
 #[derive(Debug)]
 pub struct RunOutcome {
-    /// Byte snapshot of each process's final state, indexed by process id.
+    /// Byte snapshot of each rank's final state: every process's
+    /// [`Process::rank_snapshots`], processes in id order — one snapshot per
+    /// process when each hosts one rank, as the threaded runner reports.
     pub snapshots: Vec<Vec<u8>>,
     /// The exact pick sequence the policy produced, one entry per atomic
     /// step — including picks that only post a receive. Feeding `picks` to
@@ -55,7 +57,7 @@ pub struct RunOutcome {
 
 impl RunOutcome {
     /// True if `self` and `other` ended in the same final state
-    /// (bitwise-identical snapshots for every process) — the equivalence
+    /// (bitwise-identical snapshots for every rank) — the equivalence
     /// Theorem 1 guarantees.
     pub fn same_final_state(&self, other: &RunOutcome) -> bool {
         self.snapshots == other.snapshots
@@ -501,7 +503,7 @@ impl<P: Process> Simulator<P> {
     /// The outcome of a lineage that ended here after `picks`.
     pub(crate) fn outcome(self, picks: Vec<ProcId>) -> RunOutcome {
         RunOutcome {
-            snapshots: self.snapshots_now(),
+            snapshots: self.procs.iter().flat_map(|p| p.rank_snapshots()).collect(),
             steps: picks.len() as u64,
             picks,
             max_queued: self.max_queued,

@@ -20,8 +20,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use archetypes::grid::{Grid3, ProcGrid3};
-use archetypes::mesh::driver::MeshLocal;
-use archetypes::mesh::{run_msg_simulated_slack, Env, Plan};
+use archetypes::mesh::driver::{build_msg_processes_with_slack, HostMode, MeshLocal};
+use archetypes::mesh::{Env, Plan};
 use archetypes::runtime::{
     run_threaded_with, ChannelId, Effect, Process, RoundRobin, RunError, Simulator,
     ThreadedConfig, Topology,
@@ -132,11 +132,13 @@ fn main() {
     let plan = heat_plan(4);
     let pg = ProcGrid3::choose((12, 12, 12), 4);
     let init_fn: archetypes::mesh::plan::InitFn<Heat> = Arc::new(init);
-    let bounded =
-        run_msg_simulated_slack(&plan, pg, &init_fn, Some(1), &mut RoundRobin::new())
-            .expect("§3.3-disciplined plans are deadlock-free at slack 1");
-    let unbounded = run_msg_simulated_slack(&plan, pg, &init_fn, None, &mut RoundRobin::new())
-        .expect("infinite slack is the paper's model");
+    let run = |slack| {
+        let (topo, procs) =
+            build_msg_processes_with_slack(&plan, pg, &init_fn, HostMode::GridRank0, slack);
+        Simulator::new(topo, procs).run(&mut RoundRobin::new())
+    };
+    let bounded = run(Some(1)).expect("§3.3-disciplined plans are deadlock-free at slack 1");
+    let unbounded = run(None).expect("infinite slack is the paper's model");
     assert_eq!(bounded.snapshots, unbounded.snapshots);
     println!(
         "slack 1 == unbounded (bitwise): true; profile: {} messages, {} bytes, \

@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use archetypes::grid::{Grid3, ProcGrid3};
 use archetypes::mesh::driver::{MeshLocal, SimParConfig};
-use archetypes::mesh::{run_msg_threaded, run_seq, run_simpar, Env, Plan};
+use archetypes::mesh::{run_msg_threaded_slack, run_seq, run_simpar, Env, Plan};
+use archetypes::runtime::ThreadedConfig;
 
 const N: (usize, usize) = (48, 48);
 const STEPS: usize = 200;
@@ -132,7 +133,9 @@ fn main() {
     );
 
     let init_fn: archetypes::mesh::plan::InitFn<GrayScott> = Arc::new(init);
-    let threaded = run_msg_threaded(&plan, pg, &init_fn).expect("threads run");
+    let threaded = run_msg_threaded_slack(&plan, pg, &init_fn, None, ThreadedConfig::default())
+        .expect("threads run")
+        .snapshots;
     println!(
         "message-passing (4 threads) identical to simulated-parallel = {}",
         threaded == simpar.snapshots

@@ -17,8 +17,9 @@ use std::sync::Arc;
 use archetypes::grid::{Grid3, ProcGrid3};
 use archetypes::mesh::driver::{MeshLocal, SimParConfig};
 use archetypes::mesh::{
-    run_msg_threaded, run_seq, run_simpar, Env, Plan, ReduceAlgo, ReduceOp,
+    run_msg_threaded_slack, run_seq, run_simpar, Env, Plan, ReduceAlgo, ReduceOp,
 };
+use archetypes::runtime::ThreadedConfig;
 
 const N: (usize, usize, usize) = (20, 20, 20);
 const TOL: f64 = 1e-4;
@@ -130,7 +131,9 @@ fn main() {
     assert_eq!(simpar.locals[0].sweeps, seq.sweeps, "same data-dependent trip count");
 
     let init_fn: archetypes::mesh::plan::InitFn<Jacobi> = Arc::new(init);
-    let threaded = run_msg_threaded(&plan, pg, &init_fn).expect("threads run");
+    let threaded = run_msg_threaded_slack(&plan, pg, &init_fn, None, ThreadedConfig::default())
+        .expect("threads run")
+        .snapshots;
     println!(
         "message-passing (8 threads): bitwise identical to simulated-parallel = {}",
         threaded == simpar.snapshots

@@ -12,7 +12,8 @@
 use std::sync::Arc;
 
 use archetypes::mesh::driver::MeshLocal;
-use archetypes::mesh::{run_msg_threaded, run_seq, run_simpar, Env, Plan};
+use archetypes::mesh::{run_msg_threaded_slack, run_seq, run_simpar, Env, Plan};
+use archetypes::runtime::ThreadedConfig;
 use archetypes::mesh::driver::SimParConfig;
 use archetypes::grid::{Grid3, ProcGrid3};
 
@@ -94,7 +95,9 @@ fn main() {
 
     // 3. The real message-passing program on 8 OS threads.
     let init_fn: archetypes::mesh::plan::InitFn<Heat> = Arc::new(init);
-    let snaps = run_msg_threaded(&plan, pg, &init_fn).expect("threads run");
+    let snaps = run_msg_threaded_slack(&plan, pg, &init_fn, None, ThreadedConfig::default())
+        .expect("threads run")
+        .snapshots;
     println!(
         "message-passing (8 threads) vs simulated-parallel: bitwise identical = {}",
         snaps == simpar.snapshots

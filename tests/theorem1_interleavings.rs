@@ -12,10 +12,10 @@ use archetypes::fdtd::par::{init_a, plan_a};
 use archetypes::fdtd::Params;
 use archetypes::grid::ProcGrid3;
 use archetypes::mesh::driver::{run_simpar, SimParConfig};
-use archetypes::mesh::{run_msg_simulated, run_msg_threaded};
+use archetypes::mesh::{run_msg_simulated, run_msg_threaded_slack};
 use archetypes::runtime::{
     Adversary, AdversarialPolicy, ChannelId, ChannelSpec, Effect, Process, RoundRobin,
-    RunError, Simulator, Topology,
+    RunError, Simulator, ThreadedConfig, Topology,
 };
 
 #[test]
@@ -42,7 +42,8 @@ fn fdtd_message_passing_equals_simpar_under_adversaries_and_threads() {
         assert_eq!(out.snapshots, simpar.snapshots, "{strategy:?}");
     }
     for _ in 0..5 {
-        assert_eq!(run_msg_threaded(&plan, pg, &init).unwrap(), simpar.snapshots);
+        let out = run_msg_threaded_slack(&plan, pg, &init, None, ThreadedConfig::default());
+        assert_eq!(out.unwrap().snapshots, simpar.snapshots);
     }
 }
 
