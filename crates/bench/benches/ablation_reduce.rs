@@ -114,7 +114,7 @@ fn main() -> Verdicts {
         ("ordered + kahan", FarFieldStrategy::Ordered(SumMethod::Kahan)),
         ("ordered + pairwise", FarFieldStrategy::Ordered(SumMethod::Pairwise)),
     ] {
-        let (out, point, _) = run_version_c(&params, &spec, strategy, 8);
+        let (out, wall) = run_version_c(&params, &spec, strategy, 8);
         let pots = &out.locals[0].potentials;
         let diffs = count_bitwise_diffs(pots, &seq.potentials);
         match strategy {
@@ -126,7 +126,7 @@ fn main() -> Verdicts {
             label.to_string(),
             diffs.to_string(),
             format!("{:.2e}", max_rel_err(pots, &seq.potentials)),
-            format!("{:.2}", point.wall),
+            format!("{wall:.2}"),
         ]);
     }
     print_table(

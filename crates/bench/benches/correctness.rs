@@ -91,7 +91,7 @@ fn main() -> Verdicts {
         // later P reproducing them.
         let mut first: Option<Vec<f64>> = None;
         for p in [2usize, 4, 8] {
-            let (out, _, _) = run_version_c(&params, &spec, strategy, p);
+            let (out, _) = run_version_c(&params, &spec, strategy, p);
             let pots = &out.locals[0].potentials;
             let diffs = count_bitwise_diffs(pots, &seqc.potentials);
             let same_at_every_p =

@@ -2,71 +2,53 @@
 //!
 //! Each `benches/*.rs` target (plain `main`, `harness = false`) regenerates
 //! one table or figure of the paper; this library holds the pieces they
-//! share: running an FDTD workload under the simulated-parallel driver
-//! with trace recording, pricing the trace on a machine model, rendering
-//! aligned text tables, and turning each experiment's claims into an exit
-//! status ([`Verdicts`]).
+//! share: running Version C under the simulated-parallel driver (for its
+//! bits) and under the discrete-event simulator on a machine model (for
+//! its modeled time), rendering aligned text tables, and turning each
+//! experiment's claims into an exit status ([`Verdicts`]).
 
 use std::process::{ExitCode, Termination};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fdtd::par::{init_a, init_c, plan_a, plan_c, LocalA, LocalC};
+use fdtd::par::{init_c, plan_c, LocalC};
 use fdtd::{FarFieldSpec, FarFieldStrategy, Params};
 use machine_model::MachineModel;
 use mesh_archetype::driver::{run_simpar, SimParConfig, SimParOutcome};
-use mesh_archetype::CommTrace;
+use mesh_archetype::run_msg_predicted;
 use meshgrid::ProcGrid3;
+use perf_sim::DesOutcome;
 
-/// A measured/modeled run at one process count.
-#[derive(Debug, Clone)]
-pub struct RunPoint {
-    /// Process count.
-    pub p: usize,
-    /// Modeled execution time on the bench's machine model (seconds).
-    pub modeled: f64,
-    /// Wall-clock seconds this container spent executing the
-    /// simulated-parallel version (a correctness-side measurement, not a
-    /// parallel-machine time).
-    pub wall: f64,
-    /// The recorded trace.
-    pub trace: CommTrace,
-}
-
-/// Run Version A at process count `p`, recording the communication trace.
-pub fn run_version_a(params: &Arc<Params>, p: usize) -> (SimParOutcome<LocalA>, RunPoint, ProcGrid3) {
-    let pg = ProcGrid3::choose(params.n, p);
-    let plan = plan_a(params);
-    let init = init_a(params.clone());
-    let cfg = SimParConfig::default();
-    let t0 = Instant::now();
-    let out = run_simpar(&plan, pg, cfg, |e| init(e));
-    let wall = t0.elapsed().as_secs_f64();
-    let trace = out.trace.clone();
-    (out, RunPoint { p, modeled: 0.0, wall, trace }, pg)
-}
-
-/// Run Version C at process count `p` with the given far-field strategy.
+/// Run Version C as the simulated-parallel program at process count `p`
+/// with the given far-field strategy, with the host wall seconds it took.
 pub fn run_version_c(
     params: &Arc<Params>,
     spec: &FarFieldSpec,
     strategy: FarFieldStrategy,
     p: usize,
-) -> (SimParOutcome<LocalC>, RunPoint, ProcGrid3) {
+) -> (SimParOutcome<LocalC>, f64) {
     let pg = ProcGrid3::choose(params.n, p);
     let plan = plan_c(params, spec, strategy);
     let init = init_c(params.clone(), spec.clone(), strategy);
-    let cfg = SimParConfig::default();
     let t0 = Instant::now();
-    let out = run_simpar(&plan, pg, cfg, |e| init(e));
-    let wall = t0.elapsed().as_secs_f64();
-    let trace = out.trace.clone();
-    (out, RunPoint { p, modeled: 0.0, wall, trace }, pg)
+    let out = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
+    (out, t0.elapsed().as_secs_f64())
 }
 
-/// Price a run point on `machine`, filling `modeled`.
-pub fn price(point: &mut RunPoint, machine: &MachineModel) {
-    point.modeled = machine.price_trace(&point.trace);
+/// Version C's per-rank program at process count `p` on `machine`'s
+/// virtual clock: its makespan is the modeled execution time.
+pub fn predict_version_c(
+    params: &Arc<Params>,
+    spec: &FarFieldSpec,
+    strategy: FarFieldStrategy,
+    p: usize,
+    machine: &MachineModel,
+) -> DesOutcome {
+    let pg = ProcGrid3::choose(params.n, p);
+    let plan = plan_c(params, spec, strategy);
+    let init = init_c(params.clone(), spec.clone(), strategy);
+    run_msg_predicted(&plan, pg, &init, machine)
+        .expect("infinite-slack message-passing plans cannot deadlock")
 }
 
 /// Render an aligned text table.
@@ -94,11 +76,26 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 
 /// Environment-scalable workload: honor `REPRO_SCALE` (e.g. `0.25`) to
 /// shrink step counts for smoke runs while defaulting to the paper's full
-/// parameters.
+/// parameters. A value that is not a number in (0, 1] stops the bench
+/// with a message naming it, rather than running at full scale.
 pub fn scaled_steps(steps: usize) -> usize {
-    match std::env::var("REPRO_SCALE").ok().and_then(|s| s.parse::<f64>().ok()) {
-        Some(f) if f > 0.0 && f < 1.0 => ((steps as f64 * f) as usize).max(4),
-        _ => steps,
+    match repro_scale(std::env::var("REPRO_SCALE").ok().as_deref()) {
+        Ok(f) if f < 1.0 => ((steps as f64 * f) as usize).max(4),
+        Ok(_) => steps,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2)
+        }
+    }
+}
+
+/// The scale a `REPRO_SCALE` value asks for: 1 when unset, else a number in
+/// (0, 1].
+fn repro_scale(value: Option<&str>) -> Result<f64, String> {
+    let Some(v) = value else { return Ok(1.0) };
+    match v.trim().parse::<f64>() {
+        Ok(f) if f > 0.0 && f <= 1.0 => Ok(f),
+        _ => Err(format!("REPRO_SCALE={v:?} is not a number in (0, 1]")),
     }
 }
 
@@ -158,9 +155,21 @@ mod tests {
         assert_eq!(v.report(), ExitCode::FAILURE, "a later true claim must not mask a false one");
     }
 
+    #[test]
+    fn repro_scale_accepts_only_a_number_in_the_unit_interval() {
+        assert_eq!(repro_scale(None), Ok(1.0));
+        assert_eq!(repro_scale(Some("0.02")), Ok(0.02));
+        assert_eq!(repro_scale(Some("1")), Ok(1.0));
+        for bad in ["0,02", "2", "-1", "0", "", "NaN", "inf", "full"] {
+            let err = repro_scale(Some(bad)).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
     /// What E1 (Table 1: Version C on its grid) and E2/E8 (Figure 2:
-    /// Version A on its grid) price, at 4 steps: each trace's total
-    /// messages, bytes and flops per P.
+    /// Version A on its grid) price, at 4 steps: the per-rank program's
+    /// total messages, bytes and work units per P, as the discrete-event
+    /// run counts them.
     #[test]
     fn the_modeled_inputs_are_pinned() {
         let with_steps = |mut params: Params| {
@@ -170,17 +179,24 @@ mod tests {
         let (c, a) = (with_steps(Params::table1()), with_steps(Params::figure2()));
         let spec = FarFieldSpec::standard(3);
         let strategy = FarFieldStrategy::NaiveReorder(mesh_archetype::ReduceAlgo::AllToOne);
-        let totals = |t: &CommTrace| (t.total_messages(), t.total_bytes(), t.total_flops());
+        let machine = machine_model::ibm_sp();
+        let totals = |out: DesOutcome| {
+            let m = out.metrics;
+            let units = m.procs.iter().map(|p| p.compute_units).sum::<u64>();
+            (m.total_messages(), m.total_bytes(), units)
+        };
         for (p, version_c, version_a) in [
             (1, (0, 0, 5_434_640), (0, 0, 41_399_424)),
             (2, (10, 145_472, 5_434_640), (8, 557_568, 41_399_424)),
             (4, (38, 297_024, 5_434_640), (32, 1_115_136, 41_399_424)),
             (8, (110, 460_736, 5_434_640), (96, 1_672_704, 41_399_424)),
         ] {
-            let (_, point, _) = run_version_c(&c, &spec, strategy, p);
-            assert_eq!(totals(&point.trace), version_c, "Version C, P = {p}");
-            let (_, point, _) = run_version_a(&a, p);
-            assert_eq!(totals(&point.trace), version_a, "Version A, P = {p}");
+            let out = predict_version_c(&c, &spec, strategy, p, &machine);
+            assert_eq!(totals(out), version_c, "Version C, P = {p}");
+            let pg = ProcGrid3::choose(a.n, p);
+            let init = fdtd::par::init_a(a.clone());
+            let out = run_msg_predicted(&fdtd::par::plan_a(&a), pg, &init, &machine).unwrap();
+            assert_eq!(totals(out), version_a, "Version A, P = {p}");
         }
     }
 }

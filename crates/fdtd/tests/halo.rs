@@ -200,9 +200,9 @@ fn adjacent_pairs(pg: &ProcGrid3) -> u64 {
 /// Exact traffic: each half-step moves one message per adjacent rank pair
 /// (E toward −axis, H toward +axis) carrying the two components transverse
 /// to the pair's axis, so a step is `2 · pairs` messages and
-/// `2 · 2 · 8 · cut_area` bytes — and the simulated-parallel trace, the
-/// simulated scheduler and the threaded runner with a worker per rank all
-/// count the same.
+/// `2 · 2 · 8 · cut_area` bytes — and the simulated scheduler and the
+/// threaded runner with a worker per rank count the same, channel by
+/// channel.
 #[test]
 fn traffic_per_step_is_two_messages_per_adjacent_pair_of_closed_form_size() {
     let params = tiny_with(BoundaryCondition::Mur1);
@@ -223,21 +223,13 @@ fn traffic_per_step_is_two_messages_per_adjacent_pair_of_closed_form_size() {
             assert_eq!(thr.metrics.procs.len(), p, "P={p}: a worker per rank runs per rank");
             assert_eq!(thr.metrics.total_messages(), msgs, "P={p} threaded messages");
             assert_eq!(thr.metrics.total_bytes(), bytes, "P={p} threaded bytes");
-            let simpar = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
-            assert_eq!(simpar.trace.total_messages(), msgs, "P={p} simulated-parallel messages");
-            assert_eq!(simpar.trace.total_bytes(), bytes, "P={p} simulated-parallel bytes");
-            // Per channel too: the trace's (src, dst) tallies are the
-            // message-passing driver's channel counters.
-            for c in &sim.metrics.channels {
-                let of_pair = simpar
-                    .trace
-                    .phases
-                    .iter()
-                    .flat_map(|ph| &ph.msgs)
-                    .filter(|m| m.src == c.writer && m.dst == c.reader);
-                let (n, b) = of_pair.fold((0, 0), |(n, b), m| (n + 1, b + m.bytes));
-                assert_eq!((c.messages, c.bytes), (n, b), "P={p} channel {}→{}", c.writer, c.reader);
-            }
+            // Per channel too: the threaded run's channel counters are the
+            // simulated run's.
+            let counters = |m: &ssp_runtime::RunMetrics| {
+                let channels = m.channels.iter();
+                channels.map(|c| (c.writer, c.reader, c.messages, c.bytes)).collect::<Vec<_>>()
+            };
+            assert_eq!(counters(&thr.metrics), counters(&sim.metrics), "P={p}");
         }
     }
 }

@@ -1,35 +1,26 @@
-//! # machine-model — analytic machine models for trace pricing
+//! # machine-model — the paper's two machines as cost parameters
 //!
 //! The paper's performance results ran on a **network of Sun workstations**
 //! (Table 1) and an **IBM SP** (Figure 2) under Fortran M. Neither machine
 //! exists here, so — per the substitution rule in DESIGN.md — this crate
-//! *models* them: a LogGP-style analytic cost model prices the
-//! communication/computation trace that the simulated-parallel driver
-//! records ([`CommTrace`]), yielding modeled
-//! execution times whose *shape* (who wins, how speedup bends, where the
-//! communication wall sits) reproduces the paper's measurements.
+//! *models* them: a [`MachineModel`] is a LogGP-style set of costs (seconds
+//! per flop `t_flop`, per-message latency α, per-byte time β, and the
+//! send/receive software occupancies `o_send`/`o_recv`), and
+//! [`network_of_suns`] and [`ibm_sp`] are the two calibrated presets.
 //!
-//! The model is deliberately simple and inspectable:
-//!
-//! ```text
-//! T(phase)  =  max_r flops_r · t_flop                      (computation)
-//!            + max_r ( msgs_r · α  +  bytes_r · β )        (communication)
-//! T(run)    =  Σ_phases T(phase)
-//! ```
-//!
-//! where `msgs_r` / `bytes_r` count messages touching rank `r` (sends and
-//! receives both occupy an endpoint) — which is what makes the all-to-one
-//! reduction's root a bottleneck and a high-latency LAN flatten speedup
-//! curves long before an SP switch does.
+//! The prices are applied by `perf-sim`'s discrete-event simulator, which
+//! runs the per-rank message-passing program itself on a virtual clock: a
+//! local block of `u` work units costs [`MachineModel::compute_time`], a
+//! message of `b` bytes occupies its sender for `o_send`, the wire for
+//! [`MachineModel::transit_time`] and its receiver for `o_recv`. The
+//! modeled times, whose *shape* (who wins, how speedup bends, where the
+//! communication wall sits) reproduces the paper's measurements, are that
+//! simulator's makespans. This crate also holds the paper's speedup
+//! definitions ([`SpeedupSeries`]).
 #![warn(missing_docs)]
-
 
 pub mod model;
 pub mod speedup;
-pub mod sweep;
-pub mod trace;
 
 pub use model::{ibm_sp, network_of_suns, MachineModel};
 pub use speedup::{ideal_time, perfect_speedup, SpeedupPoint, SpeedupSeries};
-pub use sweep::{sweep_alpha, sweep_beta, SweepPoint};
-pub use trace::{CommTrace, MsgRecord, PhaseCost};

@@ -1,6 +1,5 @@
 //! The cost model and the two calibrated machine presets.
 
-use crate::trace::{CommTrace, PhaseCost};
 /// An analytic distributed-memory machine: uniform nodes on a uniform
 /// interconnect, LogGP-flavoured.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -9,28 +8,26 @@ pub struct MachineModel {
     pub name: &'static str,
     /// Seconds per floating-point operation (sustained, not peak).
     pub t_flop: f64,
-    /// Per-message latency/overhead α in seconds (software + wire).
+    /// Per-message wire latency α in seconds.
     pub alpha: f64,
     /// Per-byte transfer time β in seconds (inverse sustained bandwidth).
     pub beta: f64,
-    /// Sender-side CPU occupancy of one send, in seconds. Used only by the
-    /// discrete-event backend (`perf-sim`): the closed-form
-    /// [`MachineModel::price_phase`] folds all software overhead into α.
+    /// Sender-side CPU occupancy of one send, in seconds: the sender is
+    /// busy for it before the message enters the wire.
     pub o_send: f64,
     /// Receiver-side CPU occupancy of one completed receive, in seconds.
-    /// Discrete-event backend only, like [`MachineModel::o_send`].
     pub o_recv: f64,
 }
 
 impl MachineModel {
-    /// A machine with the given α/β/t_flop and zero send/recv occupancy —
-    /// the pure latency/bandwidth model the closed-form pricer uses.
+    /// A machine with the given α/β/t_flop and zero send/recv occupancy: a
+    /// message costs only its wire time.
     pub fn custom(name: &'static str, t_flop: f64, alpha: f64, beta: f64) -> Self {
         MachineModel { name, t_flop, alpha, beta, o_send: 0.0, o_recv: 0.0 }
     }
 
     /// The same machine with explicit per-send/per-recv CPU occupancies
-    /// (builder style), for the discrete-event backend.
+    /// (builder style).
     pub fn with_overheads(mut self, o_send: f64, o_recv: f64) -> Self {
         self.o_send = o_send;
         self.o_recv = o_recv;
@@ -46,54 +43,6 @@ impl MachineModel {
     /// wire latency plus serialization, excluding endpoint occupancies.
     pub fn transit_time(&self, bytes: u64) -> f64 {
         self.alpha + bytes as f64 * self.beta
-    }
-    /// Modeled time of one phase: critical-path computation plus
-    /// critical-endpoint communication.
-    pub fn price_phase(&self, phase: &PhaseCost, nprocs: usize) -> f64 {
-        let t_comp = phase.flops.iter().copied().max().unwrap_or(0) as f64 * self.t_flop;
-        let mut msgs = vec![0u64; nprocs];
-        let mut bytes = vec![0u64; nprocs];
-        for m in &phase.msgs {
-            msgs[m.src] += 1;
-            bytes[m.src] += m.bytes;
-            msgs[m.dst] += 1;
-            bytes[m.dst] += m.bytes;
-        }
-        let t_comm = (0..nprocs)
-            .map(|r| msgs[r] as f64 * self.alpha + bytes[r] as f64 * self.beta)
-            .fold(0.0f64, f64::max);
-        t_comp + t_comm
-    }
-
-    /// Modeled execution time of a whole run.
-    pub fn price_trace(&self, trace: &CommTrace) -> f64 {
-        trace.phases.iter().map(|p| self.price_phase(p, trace.nprocs)).sum()
-    }
-
-    /// Modeled communication-only time of a run (for comm/comp breakdowns).
-    pub fn price_comm_only(&self, trace: &CommTrace) -> f64 {
-        trace
-            .phases
-            .iter()
-            .map(|p| {
-                let stripped =
-                    PhaseCost { name: p.name.clone(), flops: vec![0; trace.nprocs], ..p.clone() };
-                self.price_phase(&stripped, trace.nprocs)
-            })
-            .sum()
-    }
-
-    /// Modeled computation-only time: per-phase critical rank, summed —
-    /// the same barrier-per-phase discipline [`MachineModel::price_trace`]
-    /// uses, so `price_trace = price_comp_only + price_comm_only` exactly.
-    /// (A looser bound with cross-phase pipelining would be
-    /// `CommTrace::critical_flops × t_flop`.)
-    pub fn price_comp_only(&self, trace: &CommTrace) -> f64 {
-        trace
-            .phases
-            .iter()
-            .map(|p| p.flops.iter().copied().max().unwrap_or(0) as f64 * self.t_flop)
-            .sum()
     }
 }
 
@@ -118,61 +67,17 @@ pub fn ibm_sp() -> MachineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MsgRecord;
-
-    fn trace2() -> CommTrace {
-        let mut t = CommTrace::new(2);
-        t.push(PhaseCost::compute("work", vec![1_000_000, 2_000_000]));
-        t.push(PhaseCost {
-            name: "halo".into(),
-            flops: vec![0, 0],
-            msgs: vec![
-                MsgRecord { src: 0, dst: 1, bytes: 8_000 },
-                MsgRecord { src: 1, dst: 0, bytes: 8_000 },
-            ],
-        });
-        t
-    }
-
-    #[test]
-    fn phase_pricing_takes_critical_rank() {
-        let m = MachineModel::custom("unit", 1.0, 0.0, 0.0);
-        let t = trace2();
-        assert_eq!(m.price_phase(&t.phases[0], 2), 2_000_000.0);
-    }
-
-    #[test]
-    fn comm_pricing_counts_both_endpoints() {
-        let m = MachineModel::custom("unit", 0.0, 1.0, 0.0);
-        let t = trace2();
-        // Each rank touches 2 messages (1 send + 1 recv).
-        assert_eq!(m.price_phase(&t.phases[1], 2), 2.0);
-        let m = MachineModel::custom("unit", 0.0, 0.0, 1.0);
-        assert_eq!(m.price_phase(&t.phases[1], 2), 16_000.0);
-    }
-
-    #[test]
-    fn totals_decompose() {
-        let m = network_of_suns();
-        let t = trace2();
-        let total = m.price_trace(&t);
-        let comm = m.price_comm_only(&t);
-        let comp = m.price_comp_only(&t);
-        assert!(total > comm && total > comp);
-        assert!((total - (comm + comp)).abs() < 1e-12);
-    }
 
     #[test]
     fn suns_are_slower_than_the_sp() {
-        let suns = network_of_suns();
-        let sp = ibm_sp();
-        let t = trace2();
-        assert!(suns.price_trace(&t) > sp.price_trace(&t));
+        let (suns, sp) = (network_of_suns(), ibm_sp());
+        let halo = 8_000;
+        assert!(suns.compute_time(1_000_000) > sp.compute_time(1_000_000));
+        assert!(suns.transit_time(halo) > sp.transit_time(halo));
         // Worse at communication relative to compute, and much worse at
         // communication in absolute terms.
-        let suns_ratio = suns.price_comm_only(&t) / suns.price_comp_only(&t);
-        let sp_ratio = sp.price_comm_only(&t) / sp.price_comp_only(&t);
-        assert!(suns_ratio > sp_ratio);
-        assert!(suns.price_comm_only(&t) > 10.0 * sp.price_comm_only(&t));
+        let ratio = |m: &MachineModel| m.transit_time(halo) / m.compute_time(1_000_000);
+        assert!(ratio(&suns) > ratio(&sp));
+        assert!(suns.transit_time(halo) > 10.0 * sp.transit_time(halo));
     }
 }

@@ -32,9 +32,7 @@
 //! the unfused one. A plan with anything else keeps one-rank members.
 //!
 //! One process hosting every rank is §2.2's simulated-parallel program:
-//! every exchange an assignment, no channel. Compiled by
-//! [`crate::driver::run_simpar`], it alone keeps a traffic log of what the
-//! per-rank program would send, for the machine model.
+//! every exchange an assignment, no channel ([`crate::driver::run_simpar`]).
 //!
 //! Every placement performs each rank's floating-point operations in the
 //! same order — same reduction schedules, same stable ordered-sum, same
@@ -51,7 +49,6 @@ use ssp_runtime::{
     Simulator, ThreadedConfig, ThreadedOutcome, Topology,
 };
 
-use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};
 use machine_model::MachineModel;
 use meshgrid::halo::Face3;
 use meshgrid::{Block3, Grid3, ProcGrid3};
@@ -131,10 +128,7 @@ impl MeshMsg {
     }
 
     /// Wire size of the payload: 8 bytes per `f64`; a contribution wires
-    /// `(bin: u32, order: u64, value: f64)` = 20 bytes. The
-    /// simulated-parallel program's traffic log prices its
-    /// [`machine_model::MsgRecord`]s the same way, so the log's byte
-    /// profile and the channels' agree.
+    /// `(bin: u32, order: u64, value: f64)` = 20 bytes.
     pub fn size_bytes(&self) -> u64 {
         match self {
             MeshMsg::Halo(v) | MeshMsg::Vec(v) | MeshMsg::Block(v) => 8 * v.len() as u64,
@@ -174,9 +168,6 @@ struct Apply {
 /// step — and every checkpoint clone — merely shares. Steady-state
 /// interpretation never clones a spec.
 enum Op<L> {
-    /// Open the next phase of the traffic log. Compiled only for the
-    /// simulated-parallel program.
-    Phase { name: String },
     /// Run a local-computation block on member `m` (one `Compute` action).
     Local { step: Arc<LocalStep<L>>, m: usize },
     /// Send `dst` one message: each leg's boundary slabs of every part
@@ -290,9 +281,6 @@ pub struct Placement {
     members: Vec<Vec<Range<usize>>>,
     /// `member_of[rank]`: the position of `rank`'s member in its process.
     member_of: Vec<usize>,
-    /// Keep the traffic log of the per-rank program: set for the
-    /// simulated-parallel program ([`crate::driver::try_run_simpar`]) only.
-    traced: bool,
 }
 
 impl Placement {
@@ -341,10 +329,10 @@ impl Placement {
         }
     }
 
-    /// Every rank in one process, as one-rank members, keeping the traffic
-    /// log: the simulated-parallel program (§2.2).
+    /// Every rank in one process, as one-rank members: the
+    /// simulated-parallel program (§2.2).
     pub(crate) fn simpar(pg: &ProcGrid3, host_mode: HostMode) -> Placement {
-        Placement { traced: true, ..Placement::unfused(pg, host_mode, 1) }
+        Placement::unfused(pg, host_mode, 1)
     }
 
     /// `w` groups of one-rank members.
@@ -370,7 +358,7 @@ impl Placement {
             runs.flat_map(|(m, run)| run.clone().map(move |_| m)).collect::<Vec<_>>()
         };
         let member_of = members.iter().flat_map(positions).collect();
-        Placement { pg: *pg, host_mode, starts, proc_of, members, member_of, traced: false }
+        Placement { pg: *pg, host_mode, starts, proc_of, members, member_of }
     }
 
     /// The number of processes, W.
@@ -611,9 +599,6 @@ impl Lowering<'_> {
         let hp = self.proc_of(h);
         let all = 0..self.placement.members[me].len();
         for phase in phases {
-            if self.placement.traced && !matches!(phase, Phase::Loop { .. } | Phase::While { .. }) {
-                ops.push(Op::Phase { name: phase.name().to_string() });
-            }
             match phase {
                 Phase::Local(step) => {
                     let step = Arc::new(step.clone());
@@ -809,9 +794,6 @@ pub struct MsgProcess<L> {
     /// Slabs a split exchange between members has packed and not yet
     /// installed, oldest first. Always empty in a one-rank process.
     staged: VecDeque<Vec<f64>>,
-    /// The traffic the per-rank program would send, phase by phase: kept
-    /// by the simulated-parallel program only, `None` everywhere else.
-    log: Option<Box<CommTrace>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -963,7 +945,6 @@ impl<L: MeshLocalCodec> MsgProcess<L> {
             pool: BufPool::new(),
             pending,
             staged,
-            log: None,
         })
     }
 }
@@ -996,32 +977,9 @@ impl<L: MeshLocal> MsgProcess<L> {
         }
     }
 
-    /// Log a message of `bytes` from rank `src` to rank `dst` that the
-    /// per-rank program sends in the phase in progress, if this process
-    /// keeps the traffic log.
-    fn log_msg(&mut self, src: usize, dst: usize, bytes: u64) {
-        if let Some(phase) = self.log.as_mut().and_then(|log| log.phases.last_mut()) {
-            phase.msgs.push(MsgRecord { src, dst, bytes });
-        }
-    }
-
-    /// Log a message of `bytes` between `rank` and the host, towards the
-    /// host if `to_host`, unless `rank` is the host.
-    fn log_host(&mut self, rank: usize, to_host: bool, bytes: u64) {
-        if self.log.is_some() {
-            let host = self.host_rank();
-            if rank != host {
-                let (src, dst) = if to_host { (rank, host) } else { (host, rank) };
-                self.log_msg(src, dst, bytes);
-            }
-        }
-    }
-
-    /// Move the members' local states out, in member order, with the
-    /// traffic log (empty unless this process kept one).
-    pub(crate) fn into_locals(self) -> (Vec<L>, CommTrace) {
-        let log = self.log.map_or_else(CommTrace::default, |log| *log);
-        (self.members.into_iter().map(|m| m.local).collect(), log)
+    /// Move the members' local states out, in member order.
+    pub(crate) fn into_locals(self) -> Vec<L> {
+        self.members.into_iter().map(|m| m.local).collect()
     }
 
     /// The grid of the gather or scatter in progress. Only a forged cut
@@ -1205,10 +1163,6 @@ impl<L: MeshLocal> MsgProcess<L> {
     /// in the per-rank program when they differ.
     fn inject_from(&mut self, m: usize, from: usize, f: &crate::plan::InjectFn<L>) {
         let held = std::mem::take(&mut self.members[from].scratch);
-        if m != from {
-            let (src, dst) = (self.members[from].env.rank, self.members[m].env.rank);
-            self.log_msg(src, dst, 8 * held.len() as u64);
-        }
         let mem = &mut self.members[m];
         f(&mem.env, &mut mem.local, &held);
         self.members[from].scratch = held;
@@ -1284,18 +1238,9 @@ impl<L: MeshLocal> MsgProcess<L> {
             let pc = self.pc;
             self.pc += 1;
             match &ops[pc] {
-                Op::Phase { name } => {
-                    if let Some(log) = &mut self.log {
-                        let flops = vec![0; log.nprocs];
-                        log.push(PhaseCost { name: name.clone(), flops, msgs: Vec::new() });
-                    }
-                }
                 Op::Local { step, m } => {
                     let mem = &mut self.members[*m];
                     let units = (step.flops)(&mem.env, &mem.local);
-                    if let Some(phase) = self.log.as_mut().and_then(|log| log.phases.last_mut()) {
-                        phase.flops[mem.env.rank] += units;
-                    }
                     return match (step.f)(&mem.env, &mut mem.local) {
                         Ok(()) => Effect::Compute { units },
                         Err(error) => Effect::Fault { error },
@@ -1311,7 +1256,6 @@ impl<L: MeshLocal> MsgProcess<L> {
                 Op::CopyFaces { spec, copies } => {
                     for (sent, got) in copies {
                         let slabs = self.pack_legs(spec, std::slice::from_ref(sent));
-                        self.log_msg(got.peer, sent.peer, 8 * slabs.len() as u64);
                         let res = self.unpack_legs(spec, std::slice::from_ref(got), &slabs);
                         self.pool.put(slabs);
                         if let Err(error) = res {
@@ -1320,14 +1264,6 @@ impl<L: MeshLocal> MsgProcess<L> {
                     }
                 }
                 Op::StageFaces { spec, legs } => {
-                    if self.log.is_some() {
-                        for leg in legs {
-                            let mem = &mut self.members[leg.m];
-                            let len = spec.packed_len(&mut mem.local, leg.at, leg.face);
-                            let rank = mem.env.rank;
-                            self.log_msg(rank, leg.peer, 8 * len as u64);
-                        }
-                    }
                     let slabs = self.pack_legs(spec, legs);
                     self.staged.push_back(slabs);
                 }
@@ -1352,13 +1288,6 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::ReduceLocal { op, srcs, applies } => {
                     let partials = self.pack_partials(srcs);
-                    if self.log.is_some() {
-                        let bytes = 8 * (partials.len() / srcs.len()) as u64;
-                        for a in applies {
-                            let src = self.members[srcs[a.part]].env.rank;
-                            self.log_msg(src, self.members[a.m].env.rank, bytes);
-                        }
-                    }
                     let res = self.apply_partials(*op, srcs.len(), applies, &partials);
                     self.pool.put(partials);
                     if let Err(error) = res {
@@ -1372,10 +1301,7 @@ impl<L: MeshLocal> MsgProcess<L> {
                 }
                 Op::OrdExtract { spec, m } => {
                     let mem = &self.members[*m];
-                    let (rank, c) = (mem.env.rank, (spec.extract)(&mem.env, &mem.local));
-                    // A contribution wires 20 bytes (`MeshMsg::size_bytes`).
-                    self.log_host(rank, true, 20 * c.len() as u64);
-                    self.contribs.extend(c);
+                    self.contribs.extend((spec.extract)(&mem.env, &mem.local));
                 }
                 Op::OrdSendContribs { dst } => {
                     let msg = MeshMsg::Contribs(std::mem::take(&mut self.contribs));
@@ -1419,7 +1345,6 @@ impl<L: MeshLocal> MsgProcess<L> {
                         let mut own = self.pool.take(0);
                         (spec.field)(&mut self.members[m].local).interior_append_to(&mut own);
                         let rank = self.members[m].env.rank;
-                        self.log_host(rank, true, 8 * own.len() as u64);
                         let res = self.insert_block(rank, &own);
                         self.pool.put(own);
                         if let Err(error) = res {
@@ -1462,7 +1387,6 @@ impl<L: MeshLocal> MsgProcess<L> {
                         if env.is_host() {
                             continue;
                         }
-                        self.log_host(env.rank, false, 8 * env.block.len() as u64);
                         let mut buf = self.pool.take(env.block.len());
                         let res = self
                             .block_of_global_into(env.rank, &mut buf)
@@ -1636,7 +1560,6 @@ pub fn compile<L: MeshLocal>(
                 pool: BufPool::new(),
                 pending: None,
                 staged: VecDeque::new(),
-                log: placement.traced.then(|| Box::new(CommTrace::new(placement.proc_of.len()))),
             }
         })
         .collect();

@@ -7,15 +7,12 @@
 //! for `i = 0..N` in index order and performs every data exchange as
 //! assignments between its members, all "sends" before any "receives"
 //! (§3.3). A one-process program has no channel, so it runs to its end in
-//! a plain loop. It records, phase by phase, the messages the per-rank
-//! program would send and the flops of every local block: the
-//! [`CommTrace`] the machine model prices.
+//! a plain loop.
 //!
 //! The §2.2 restrictions hold for every exchange by construction (DESIGN.md
 //! §17), so nothing here checks them. A broken program fails with the
 //! [`RunError::Protocol`] the message-passing driver raises for it.
 
-use machine_model::trace::CommTrace;
 use meshgrid::{Grid3, ProcGrid3};
 use ssp_runtime::{Effect, Process, RunError};
 
@@ -51,8 +48,6 @@ pub struct SimParOutcome<L> {
     pub locals: Vec<L>,
     /// Per-process byte snapshots (comparable with message-passing runs).
     pub snapshots: Vec<Vec<u8>>,
-    /// Recorded communication/computation costs.
-    pub trace: CommTrace,
 }
 
 impl<L> SimParOutcome<L> {
@@ -123,7 +118,7 @@ pub fn try_run_simpar<L: MeshLocal>(
             }
         }
     }
-    let (locals, trace) = process.into_locals();
+    let locals = process.into_locals();
     let snapshots = locals.iter().map(MeshLocal::snapshot_bytes).collect();
-    Ok(SimParOutcome { locals, snapshots, trace })
+    Ok(SimParOutcome { locals, snapshots })
 }

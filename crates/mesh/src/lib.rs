@@ -60,10 +60,10 @@
 //! — the property Theorem 1 guarantees and the paper's experiments
 //! confirmed ("on the first and every execution").
 //!
-//! The simulated-parallel program also records a [`CommTrace`]: every
-//! message the per-rank program would send and every local-computation
-//! flop count, which the `machine-model` crate prices to reproduce the
-//! paper's performance tables on modeled 1998 hardware.
+//! [`run_msg_predicted`] runs the per-rank program on `perf-sim`'s
+//! discrete-event simulator, whose virtual clock charges every flop and
+//! message at a `machine-model` preset's prices: that is how the paper's
+//! performance tables are reproduced on modeled 1998 hardware.
 //!
 //! # Example
 //!
@@ -153,4 +153,3 @@ pub use env::{AxisOutOfRange, Env};
 pub use plan::{Contribution, ExchangeSpec, Phase, Plan, PlanBuilder};
 pub use reduce::{ReduceAlgo, ReduceOp, ReducePlan, ReduceStep};
 pub use sum::SumMethod;
-pub use machine_model::trace::{CommTrace, MsgRecord, PhaseCost};

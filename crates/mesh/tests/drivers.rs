@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use mesh_archetype::driver::MeshLocal;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar, try_run_simpar, Contribution,
+    run_msg_predicted, run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar, try_run_simpar, Contribution,
     Env, Plan, ReduceAlgo, ReduceOp, SumMethod,
 };
 use mesh_archetype::driver::SimParConfig;
@@ -369,26 +369,31 @@ fn scatter_distributes_host_grid() {
     assert_eq!(msg.snapshots, out.snapshots);
 }
 
+/// The per-rank program's counters on the discrete-event run (what the
+/// machine model prices) account for every message and flop of a 2-rank
+/// split.
 #[test]
 fn trace_accounts_messages_and_flops() {
     let plan = heat_plan(2);
     let pg = ProcGrid3::new(N, (2, 1, 1));
-    let out = run_simpar(&plan, pg, SimParConfig::default(), init_heat);
-    let t = &out.trace;
-    assert_eq!(t.nprocs, 2);
-    // 2 iterations × (1 exchange + 1 sweep) + reduce + ordered + bcast + gather.
-    assert_eq!(t.phases.len(), 2 * 2 + 4);
-    // Each exchange on a 2-rank split: 2 messages of one 9x8 face each.
-    let ex: Vec<_> = t.phases.iter().filter(|p| p.name == "halo-u").collect();
-    assert_eq!(ex.len(), 2);
-    for e in ex {
-        assert_eq!(e.msgs.len(), 2);
-        assert!(e.msgs.iter().all(|m| m.bytes == 8 * 9 * 8));
+    let init: mesh_archetype::plan::InitFn<Heat> = Arc::new(init_heat);
+    let model = machine_model::ibm_sp();
+    let out = run_msg_predicted(&plan, pg, &init, &model).unwrap();
+    let m = &out.metrics;
+    let (face, block) = (8 * 9 * 8, 8 * pg.block(1).len() as u64);
+    let channel = |w: usize, r: usize| {
+        let c = m.channels.iter().find(|c| (c.writer, c.reader) == (w, r)).unwrap();
+        (c.messages, c.bytes)
+    };
+    // Each way: 2 halo faces and a doubling partial. Down from the host:
+    // the ordered sum's result and the broadcast. Up: the 20-byte
+    // contributions of every cell and the gathered block.
+    assert_eq!(channel(0, 1), (5, 2 * face + 3 * 8));
+    assert_eq!(channel(1, 0), (5, 2 * face + 8 + 20 * block / 8 + block));
+    // Sweep flops: 9 flops/cell × cells per rank, twice.
+    for r in 0..2 {
+        assert_eq!(m.procs[r].compute_units, 2 * 9 * pg.block(r).len() as u64);
     }
-    // Sweep flops: 9 flops/cell × cells per rank.
-    let sw = t.phases.iter().find(|p| p.name == "sweep").unwrap();
-    assert_eq!(sw.flops[0] + sw.flops[1], 9 * (N.0 * N.1 * N.2) as u64);
-    assert!(t.total_flops() > 0);
 }
 
 #[test]

@@ -158,10 +158,11 @@ fn empty_plan_is_a_no_op() {
     let plan: Plan<Cell> = Plan::builder().build();
     let pg = ProcGrid3::choose(N, 2);
     let simpar = run_simpar(&plan, pg, SimParConfig::default(), init);
-    assert_eq!(simpar.trace.phases.len(), 0);
     let init_fn: mesh_archetype::plan::InitFn<Cell> = Arc::new(init);
     let msg = run_msg_simulated(&plan, pg, &init_fn, &mut RoundRobin::new()).unwrap();
     assert_eq!(msg.snapshots, simpar.snapshots);
+    assert_eq!(msg.metrics.total_messages(), 0);
+    assert!(msg.metrics.procs.iter().all(|p| p.compute_units == 0));
 }
 
 #[test]

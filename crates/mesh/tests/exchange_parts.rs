@@ -11,10 +11,11 @@ use std::sync::Arc;
 use mesh_archetype::driver::{compile, HostMode, MeshLocal, MeshMsg, Placement, SimParConfig};
 use mesh_archetype::plan::InitFn;
 use mesh_archetype::{
-    run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar, Env, ExchangeSpec, Plan,
+    run_msg_predicted, run_msg_simulated, run_msg_threaded_slack, run_seq, run_simpar, Env, ExchangeSpec, Plan,
 };
 use meshgrid::halo::Face3::{self, XLo, YHi, ZLo};
 use meshgrid::{FaceSet3, Grid3, ProcGrid3};
+use perf_sim::SpanKind;
 use ssp_runtime::rng::SplitMix64;
 use ssp_runtime::{
     Adversary, AdversarialPolicy, Effect, Process, RandomPolicy, RoundRobin, RunError,
@@ -117,29 +118,29 @@ fn one_sided_parts_reproduce_the_sequential_program_on_every_driver() {
 }
 
 /// One message per link and direction some part crosses, sized as the sum
-/// of the crossing slabs — and the simulated-parallel trace records, pair
-/// by pair, what the message-passing program's channels count.
+/// of the crossing slabs — and the discrete-event run's send spans, the
+/// traffic the machine model prices, are pair by pair what the untimed
+/// run's channels count.
 #[test]
 fn coalesced_traffic_is_the_same_in_the_trace_and_on_the_channels() {
     let steps = 3;
     let plan = wind_plan(steps);
     let init: InitFn<Wind> = Arc::new(init_wind);
     let pg = ProcGrid3::new(N, (2, 2, 2));
-    let simpar = run_simpar(&plan, pg, SimParConfig::default(), init_wind);
     let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+    let des = run_msg_predicted(&plan, pg, &init, &machine_model::ibm_sp()).unwrap();
 
     // 2×2×2: four adjacent pairs per axis, each crossed one way only.
     assert_eq!(msg.metrics.total_messages(), (steps * 12) as u64);
-    assert_eq!(simpar.trace.total_messages(), msg.metrics.total_messages());
-    assert_eq!(simpar.trace.total_bytes(), msg.metrics.total_bytes());
-    for c in &msg.metrics.channels {
-        let of_pair = simpar
-            .trace
-            .phases
-            .iter()
-            .flat_map(|ph| &ph.msgs)
-            .filter(|m| m.src == c.writer && m.dst == c.reader);
-        let (n, b) = of_pair.fold((0, 0), |(n, b), m| (n + 1, b + m.bytes));
+    assert_eq!(des.snapshots, msg.snapshots);
+    let mut timed = vec![(0, 0); msg.metrics.channels.len()];
+    for span in des.timelines.iter().flat_map(|t| &t.spans) {
+        if let SpanKind::Send { chan, bytes } = span.kind {
+            let (n, b) = &mut timed[chan.0];
+            (*n, *b) = (*n + 1, *b + bytes);
+        }
+    }
+    for (c, (n, b)) in msg.metrics.channels.iter().zip(timed) {
         assert_eq!((c.messages, c.bytes), (n, b), "channel {}→{}", c.writer, c.reader);
     }
     // u travels toward +x and +z, v toward −y: rank 0 (the low corner)
@@ -163,9 +164,9 @@ fn a_rank_without_an_inbound_link_is_not_a_violation() {
         .build();
     let pg = ProcGrid3::new(N, (3, 1, 1));
     let out = run_simpar(&plan, pg, SimParConfig::default(), init_wind);
-    assert_eq!(out.trace.total_messages(), 4, "0→1 and 1→2, twice");
     let init: InitFn<Wind> = Arc::new(init_wind);
     let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
+    assert_eq!(msg.metrics.total_messages(), 4, "0→1 and 1→2, twice");
     assert_eq!(msg.snapshots, out.snapshots);
 }
 

@@ -17,6 +17,7 @@ use mesh_archetype::{
 };
 use meshgrid::halo::FaceSet3;
 use meshgrid::{Grid3, ProcGrid3};
+use perf_sim::{run_des, SpanKind};
 use ssp_runtime::{RandomPolicy, RoundRobin, RunOutcome, SchedulePolicy, Simulator};
 
 struct Node {
@@ -185,10 +186,12 @@ fn msg_matches_simpar_in_separate_host_mode() {
 fn separate_host_costs_the_expected_extra_messages() {
     let plan = full_plan();
     let pg = ProcGrid3::choose(N, 4);
-    let a = run_simpar(&plan, pg, cfg(HostMode::GridRank0), init);
-    let b = run_simpar(&plan, pg, cfg(HostMode::Separate), init);
-    let ma = a.trace.total_messages();
-    let mb = b.trace.total_messages();
+    let init_fn: mesh_archetype::plan::InitFn<Node> = Arc::new(init);
+    let messages = |mode| {
+        let out = hosted(&plan, pg, &init_fn, mode, &mut RoundRobin::new());
+        out.metrics.total_messages()
+    };
+    let (ma, mb) = (messages(HostMode::GridRank0), messages(HostMode::Separate));
     // Per collective, the separate host adds: reduce result forward (1),
     // ordered-reduce contributions from rank 0 + result to rank 0 (2),
     // broadcast to host (1), gather from rank 0 (1) = 5 extra here.
@@ -198,15 +201,19 @@ fn separate_host_costs_the_expected_extra_messages() {
 #[test]
 fn exchange_restrictions_still_hold_with_separate_host() {
     // The host is not a party to boundary exchanges: every halo message
-    // runs between two grid processes, over a face they share.
-    let plan = full_plan();
+    // runs between two grid processes, over a face they share: one per
+    // link and exchange.
+    let plan = Plan::builder()
+        .loop_n(3, |b| b.exchange("halo", |n: &mut Node| &mut n.u).local("smooth", smooth))
+        .build();
     let pg = ProcGrid3::choose(N, 6);
-    let out = run_simpar(&plan, pg, cfg(HostMode::Separate), init);
-    let halos: Vec<_> = out.trace.phases.iter().filter(|p| p.name == "halo").collect();
-    assert_eq!(halos.len(), 3);
-    for m in halos.iter().flat_map(|p| &p.msgs) {
-        let linked = face_links(&pg, m.src).iter().any(|l| l.neighbor == m.dst);
-        assert!(m.src < 6 && m.dst < 6 && linked, "{m:?}");
+    let init_fn: mesh_archetype::plan::InitFn<Node> = Arc::new(init);
+    let out = hosted(&plan, pg, &init_fn, HostMode::Separate, &mut RoundRobin::new());
+    let links: usize = (0..6).map(|r| face_links(&pg, r).len()).sum();
+    assert_eq!(out.metrics.total_messages(), 3 * links as u64);
+    for c in out.metrics.channels.iter().filter(|c| c.messages > 0) {
+        let linked = face_links(&pg, c.writer).iter().any(|l| l.neighbor == c.reader);
+        assert!(c.writer < 6 && c.reader < 6 && linked, "{c:?}");
     }
 }
 
@@ -239,13 +246,14 @@ fn every_phase_kind(p: usize) -> Plan<Node> {
         .build()
 }
 
-/// The simulated-parallel program logs exactly the messages the per-rank
-/// program sends, for every phase kind, both host placements and P = 1..7:
-/// the trace's `(src, dst)` tallies are the message-passing run's channel
-/// counters, and the two runs end in the same state.
+/// The discrete-event run logs, as send spans, exactly the messages the
+/// per-rank program sends, for every phase kind, both host placements and
+/// P = 1..7: its `(src, dst)` tallies are the untimed run's channel
+/// counters, and both runs end in the simulated-parallel program's state.
 #[test]
 fn logged_traffic_is_the_per_rank_programs_for_every_phase_kind() {
     let init_fn: mesh_archetype::plan::InitFn<Node> = Arc::new(init);
+    let model = machine_model::network_of_suns();
     for mode in [HostMode::GridRank0, HostMode::Separate] {
         for p in 1..=7 {
             let (plan, pg) = (every_phase_kind(p), ProcGrid3::choose(N, p));
@@ -253,10 +261,16 @@ fn logged_traffic_is_the_per_rank_programs_for_every_phase_kind() {
             let mut policy = RoundRobin::new();
             let msg = hosted(&plan, pg, &init_fn, mode, &mut policy);
             assert_eq!(msg.snapshots, simpar.snapshots, "{mode:?} P={p}");
+            let (topo, procs) = build_msg_processes_with_slack(&plan, pg, &init_fn, mode, None);
+            let des = run_des(topo.clone(), procs, &model, &mut RoundRobin::new()).unwrap();
+            assert_eq!(des.snapshots, simpar.snapshots, "{mode:?} P={p}");
             let mut logged = BTreeMap::new();
-            for m in simpar.trace.phases.iter().flat_map(|ph| &ph.msgs) {
-                let (count, bytes) = logged.entry((m.src, m.dst)).or_insert((0, 0));
-                (*count, *bytes) = (*count + 1, *bytes + m.bytes);
+            for span in des.timelines.iter().flat_map(|t| &t.spans) {
+                if let SpanKind::Send { chan, bytes } = span.kind {
+                    let spec = &topo.specs()[chan.0];
+                    let (count, total) = logged.entry((spec.writer, spec.reader)).or_insert((0, 0));
+                    (*count, *total) = (*count + 1, *total + bytes);
+                }
             }
             let channels = msg.metrics.channels.iter().filter(|c| c.messages > 0);
             let sent: BTreeMap<_, _> =

@@ -23,9 +23,6 @@ pub struct PredictedPoint {
     pub time: f64,
     /// Critical-path attribution of that time.
     pub breakdown: CostBreakdown,
-    /// All compute performed anywhere, priced serially (`Σ units · t_flop`):
-    /// the one-processor baseline an ideal machine would need.
-    pub serial_compute: f64,
 }
 
 impl PredictedPoint {
@@ -54,13 +51,7 @@ where
         .map(|&n| {
             let (topo, procs) = build(n);
             let out = run_des(topo, procs, model, &mut RoundRobin::new())?;
-            let units: u64 = out.metrics.procs.iter().map(|m| m.compute_units).sum();
-            Ok(PredictedPoint {
-                nprocs: n,
-                time: out.makespan,
-                breakdown: out.critical.breakdown,
-                serial_compute: units as f64 * model.t_flop,
-            })
+            Ok(PredictedPoint { nprocs: n, time: out.makespan, breakdown: out.critical.breakdown })
         })
         .collect()
 }
@@ -107,7 +98,6 @@ mod tests {
         assert!((points[1].speedup_vs(t1) - 2.0).abs() < 1e-9);
         assert!((points[2].speedup_vs(t1) - 4.0).abs() < 1e-9);
         for p in &points {
-            assert!((p.serial_compute - 1.0).abs() < 1e-9, "same total work at every n");
             assert_eq!(p.breakdown.latency, 0.0);
         }
     }

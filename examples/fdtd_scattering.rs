@@ -11,6 +11,7 @@ use archetypes::fdtd::par::{init_a, plan_a};
 use archetypes::fdtd::{run_seq_version_a, Params};
 use archetypes::machine::{ibm_sp, ideal_time};
 use archetypes::mesh::driver::{run_simpar, SimParConfig};
+use archetypes::mesh::run_msg_predicted;
 use archetypes::grid::ProcGrid3;
 
 fn main() {
@@ -29,16 +30,17 @@ fn main() {
     let seq = run_seq_version_a(&params);
     println!("sequential: final field energy = {:.6e}", seq.fields.energy());
 
-    // Archetype-parallelized at several process counts, with modeled times.
+    // Archetype-parallelized at several process counts, with modeled times:
+    // the message-passing program on the SP's virtual clock.
     let machine = ibm_sp();
     let plan = plan_a(&params);
+    let init = init_a(params.clone());
     let mut t_seq = None;
     for p in [1usize, 2, 4, 8] {
         let pg = ProcGrid3::choose(params.n, p);
-        let init = init_a(params.clone());
-        let cfg = SimParConfig::default();
-        let mut out = run_simpar(&plan, pg, cfg, |e| init(e));
-        let modeled = machine.price_trace(&out.trace);
+        let mut out = run_simpar(&plan, pg, SimParConfig::default(), |e| init(e));
+        let predicted = run_msg_predicted(&plan, pg, &init, &machine).expect("no deadlock");
+        let modeled = predicted.makespan;
         let t_seq = *t_seq.get_or_insert(modeled);
 
         // Verify against the sequential run, bitwise.

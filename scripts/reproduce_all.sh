@@ -16,17 +16,25 @@ fi
 
 echo "== building (release) =="
 cargo build --workspace --release
+cargo bench -p bench --no-run
 
-for bench in table1 figure2 correctness theorem1 effort ablation_reduce ablation_machine; do
+# Each bench's wall time, build excluded, so a smoke log shows what the
+# discrete-event sweeps cost.
+total=0
+for bench in table1 figure2 correctness theorem1 effort ablation_reduce ablation_machine micro; do
   echo
   echo "================================================================"
-  echo "== $bench"
+  if [ "$bench" = micro ]; then
+    echo "== micro (reduction schedules, ordered sum)"
+  else
+    echo "== $bench"
+  fi
   echo "================================================================"
+  SECONDS=0
   cargo bench -p bench --bench "$bench"
+  echo "== $bench took ${SECONDS} s"
+  total=$((total + SECONDS))
 done
 
 echo
-echo "================================================================"
-echo "== micro (reduction schedules, ordered sum)"
-echo "================================================================"
-cargo bench -p bench --bench micro
+echo "== all benches took ${total} s (build excluded)"

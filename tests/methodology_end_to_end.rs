@@ -70,13 +70,10 @@ fn library_world_the_same_shape() {
     let msg = run_msg_simulated(&plan, pg, &init, &mut RoundRobin::new()).unwrap();
     assert_eq!(msg.snapshots, simpar.snapshots);
 
-    // The trace records the expected communication structure: 2 coalesced
-    // exchanges per step (E before the H update, H before the E update).
-    let exchanges = simpar
-        .trace
-        .phases
-        .iter()
-        .filter(|p| p.name.starts_with("x:"))
-        .count();
-    assert_eq!(exchanges, 2 * params.steps);
+    // The per-rank program's channels carry the expected communication
+    // structure: 2 coalesced exchanges per step (E before the H update, H
+    // before the E update), each one message per adjacent rank pair.
+    let (px, py, pz) = pg.p;
+    let pairs = (px - 1) * py * pz + px * (py - 1) * pz + px * py * (pz - 1);
+    assert_eq!(msg.metrics.total_messages(), (2 * params.steps * pairs) as u64);
 }
