@@ -22,7 +22,7 @@
 //! (the worker's pump + completion threads) serialize whole frames under
 //! their own mutex so frames never interleave.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::RunError;
@@ -152,37 +152,63 @@ impl FrameError {
     }
 }
 
-/// Write one frame. The caller serializes concurrent writers; this
-/// performs a single buffered write so a frame hits the socket whole.
+/// Write one frame; [`write_frame_parts`] on the frame's own payload.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let len = frame
-        .payload
+    write_frame_parts(w, frame.ty, &frame.payload)
+}
+
+/// Write one frame from a borrowed payload: the 5-byte header and the
+/// payload go out in one vectored write, continued after a short write,
+/// with no staging copy. The caller serializes concurrent writers, so a
+/// frame hits the socket whole. A payload too long for [`MAX_FRAME_LEN`]
+/// is `InvalidInput`, and nothing is written.
+pub fn write_frame_parts(w: &mut impl Write, ty: FrameType, payload: &[u8]) -> io::Result<()> {
+    let len = payload
         .len()
         .checked_add(1)
         .filter(|&l| l <= MAX_FRAME_LEN as usize)
-        .expect("frame payload exceeds MAX_FRAME_LEN");
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.push(frame.ty as u8);
-    buf.extend_from_slice(&frame.payload);
-    w.write_all(&buf)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame payload of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
+            )
+        })?;
+    let mut header = [0u8; 5];
+    header[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    header[4] = ty as u8;
+    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
-/// Read exactly `buf.len()` bytes. Distinguishes a clean close before the
-/// first byte (`Ok(false)`) from a short read after it (`Err`).
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, io::Error> {
+/// Fill `bufs` exactly, in as few vectored reads as the stream allows.
+/// Distinguishes a clean close before the first byte (`Ok(false)`) from a
+/// short read after it (`Err`).
+fn read_full(r: &mut impl Read, mut bufs: &mut [IoSliceMut<'_>]) -> io::Result<bool> {
+    let total: usize = bufs.iter().map(|b| b.len()).sum();
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while !bufs.is_empty() {
+        match r.read_vectored(bufs) {
             Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    format!("stream closed after {filled} of {} bytes", buf.len()),
+                    format!("stream closed after {filled} of {total} bytes"),
                 ))
             }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Ok(n) => {
+                filled += n;
+                IoSliceMut::advance_slices(&mut bufs, n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
@@ -191,9 +217,14 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, io::Erro
 
 /// Read one frame. A clean close at a frame boundary is [`FrameError::Eof`];
 /// a close anywhere inside a frame is a torn frame ([`FrameError::Io`]).
+///
+/// The 4-byte length is read and checked on its own, so a bad one is
+/// [`FrameError::Malformed`] without waiting for a byte more. The type
+/// byte and the payload then arrive in one vectored read, straight into
+/// the payload's own buffer.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     let mut header = [0u8; 4];
-    match read_exact_or_eof(r, &mut header) {
+    match read_full(r, &mut [IoSliceMut::new(&mut header)]) {
         Ok(true) => {}
         Ok(false) => return Err(FrameError::Eof),
         Err(e) => return Err(FrameError::Io(e)),
@@ -204,8 +235,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
             "frame length {len} outside 1..={MAX_FRAME_LEN}"
         )));
     }
-    let mut body = vec![0u8; len as usize];
-    match read_exact_or_eof(r, &mut body) {
+    let mut ty = [0u8; 1];
+    let mut payload = vec![0u8; len as usize - 1];
+    match read_full(r, &mut [IoSliceMut::new(&mut ty), IoSliceMut::new(&mut payload)]) {
         Ok(true) => {}
         Ok(false) => {
             return Err(FrameError::Io(io::Error::new(
@@ -216,16 +248,19 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
         Err(e) => return Err(FrameError::Io(e)),
     }
     let ty = FrameType::ALL
-        .get(body[0] as usize)
+        .get(ty[0] as usize)
         .copied()
-        .ok_or_else(|| FrameError::Malformed(format!("unknown frame type {}", body[0])))?;
-    Ok(Frame { ty, payload: body.split_off(1) })
+        .ok_or_else(|| FrameError::Malformed(format!("unknown frame type {}", ty[0])))?;
+    Ok(Frame { ty, payload })
 }
+
+/// Bytes before the message in a DATA-family payload: channel and seq.
+pub(crate) const DATA_HEADER_LEN: usize = 12;
 
 /// Encode a DATA / DATA_DIRECT / DATA_RELAY payload:
 /// `[chan: u32 le][seq: u64 le][message bytes]`.
 pub fn encode_data(chan: usize, seq: u64, msg: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + msg.len());
+    let mut out = Vec::with_capacity(DATA_HEADER_LEN + msg.len());
     push_u32(&mut out, chan as u32);
     push_u64(&mut out, seq);
     out.extend_from_slice(msg);
@@ -324,6 +359,106 @@ mod tests {
         assert!(matches!(r, Err(FrameError::Malformed(_))), "{r:?}");
         for (byte, ty) in FrameType::ALL.iter().enumerate() {
             assert_eq!(*ty as usize, byte, "ALL must be in wire-byte order");
+        }
+    }
+
+    #[test]
+    fn oversized_payload_is_invalid_input_and_writes_nothing() {
+        // One byte over the cap once the type byte is counted. `vec![0; n]`
+        // is a zeroed allocation, never touched here, so it costs no memory.
+        let huge = vec![0u8; MAX_FRAME_LEN as usize];
+        let mut wire = Vec::new();
+        let e = write_frame_parts(&mut wire, FrameType::Data, &huge).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+        assert!(wire.is_empty(), "a rejected frame must not leave a partial header");
+        // The largest legal payload still passes the check.
+        write_frame_parts(&mut io::sink(), FrameType::Data, &huge[1..]).unwrap();
+    }
+
+    /// Passes at most `k` bytes per `read`/`write` call, vectored or not,
+    /// the way a socket under load may.
+    struct Trickle<T> {
+        inner: T,
+        k: usize,
+    }
+
+    impl<W: Write> Write for Trickle<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write(&buf[..buf.len().min(self.k)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut chunk = Vec::new();
+            for b in bufs {
+                let take = b.len().min(self.k - chunk.len());
+                chunk.extend_from_slice(&b[..take]);
+            }
+            self.inner.write(&chunk)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl<R: Read> Read for Trickle<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.k);
+            self.inner.read(&mut buf[..n])
+        }
+        fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+            let mut total = 0;
+            for b in bufs.iter_mut() {
+                let want = b.len().min(self.k - total);
+                let n = self.inner.read(&mut b[..want])?;
+                total += n;
+                if n < want {
+                    break;
+                }
+            }
+            Ok(total)
+        }
+    }
+
+    #[test]
+    fn every_frame_type_round_trips_under_partial_io() {
+        let payloads: [&[u8]; 4] = [b"", b"x", b"0123456789ab", &[0xa5; 300]];
+        for k in [1, 2, 3, 4, 5, 7, 64] {
+            for ty in FrameType::ALL {
+                for payload in payloads {
+                    let frame = Frame::new(ty, payload.to_vec());
+                    let mut whole = Vec::new();
+                    write_frame(&mut whole, &frame).unwrap();
+                    let mut trickled = Trickle { inner: Vec::new(), k };
+                    write_frame_parts(&mut trickled, ty, payload).unwrap();
+                    assert_eq!(trickled.inner, whole, "k={k} {ty:?}: short writes changed bytes");
+
+                    let mut r = Trickle { inner: Cursor::new(&whole), k };
+                    assert_eq!(read_frame(&mut r).unwrap(), frame, "k={k} {ty:?}");
+                    assert!(matches!(read_frame(&mut r), Err(FrameError::Eof)));
+                    for cut in 0..whole.len() {
+                        let r = read_frame(&mut Trickle { inner: Cursor::new(&whole[..cut]), k });
+                        match r {
+                            Err(FrameError::Eof) if cut == 0 => {}
+                            Err(FrameError::Io(_)) if cut > 0 => {}
+                            other => panic!("k={k} {ty:?} cut at {cut}: {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_length_is_malformed_without_waiting_for_more_bytes() {
+        // The writer stays open and sends nothing past the length, so a
+        // reader that wanted a fifth byte before judging would block; the
+        // timeout turns such a hang into an `Io` error the match rejects.
+        for len in [0, MAX_FRAME_LEN + 1, u32::MAX] {
+            let (mut tx, mut rx) = std::os::unix::net::UnixStream::pair().unwrap();
+            rx.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+            tx.write_all(&len.to_le_bytes()).unwrap();
+            let r = read_frame(&mut rx);
+            assert!(matches!(r, Err(FrameError::Malformed(_))), "length {len}: {r:?}");
+            drop(tx);
         }
     }
 

@@ -17,10 +17,10 @@
 //!   DATA frames.
 //! * [`transport`] — direct worker↔worker sockets (Unix-domain or TCP)
 //!   the supervisor brokers after ASSIGN, so steady-state DATA frames skip
-//!   the star's double hop.
-//! * [`shm`] — a file-backed SPSC byte ring for co-located workers; halo
-//!   payloads move through shared memory, only a 32-byte doorbell rides
-//!   the peer socket.
+//!   the star's double hop; the default plane.
+//! * [`shm`] — a file-backed SPSC byte ring for co-located workers (the
+//!   opt-in `direct+shm` plane); halo payloads move through shared
+//!   memory, only a 32-byte doorbell rides the peer socket.
 //! * [`supervisor`] — owns the topology, logs every cross-group message
 //!   (and, in star mode, forwards it), brokers peer introductions, takes
 //!   periodic shadow checkpoints, and on a worker death migrates the dead

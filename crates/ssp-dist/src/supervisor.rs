@@ -11,11 +11,13 @@
 //! topology, two hops per message. Phase 2 keeps the star's *logging* role
 //! but moves steady-state payload traffic off it:
 //!
-//! * In [`TransportMode::Direct`] the supervisor brokers a peer table
+//! * In [`TransportMode::Direct`] (the default, without shm) the
+//!   supervisor brokers a peer table
 //!   (worker addresses from their HELLOs, rank placement from its own
 //!   group map) inside every ASSIGN and re-broadcasts it as PEERS after a
 //!   membership change. Workers then deliver to each other directly —
-//!   worker↔worker sockets, or shared-memory rings with socket doorbells —
+//!   worker↔worker sockets, or, with `shm`, shared-memory rings with
+//!   socket doorbells —
 //!   and send the supervisor a `DATA` **mirror** of every message, which
 //!   is logged but *not forwarded*. Only `DATA_RELAY` frames (a worker's
 //!   direct delivery failed) are logged *and* forwarded; the
@@ -65,7 +67,7 @@ use ssp_runtime::json::JsonValue;
 use ssp_runtime::{FlightKind, FlightLog, RunError, RunMetrics, Topology};
 
 use crate::frame::{
-    decode_data, encode_data, read_frame, write_frame, Frame, FrameError, FrameType,
+    decode_data, read_frame, write_frame_parts, Frame, FrameError, FrameType, DATA_HEADER_LEN,
 };
 use crate::proto::{decode_bye, decode_hello, Assign, GroupDone, PeerTable, WorkerTelemetry};
 use crate::registry::{ProgramShadow, WorkloadSpec};
@@ -88,7 +90,9 @@ pub enum MigrationPolicy {
     Spawn,
 }
 
-/// How cross-group payload traffic travels in steady state.
+/// How cross-group payload traffic travels in steady state. The default
+/// is `Direct { shm: false }`, the plane that measures fastest (EXPERIMENTS
+/// E16, E20); `Star` and `Direct { shm: true }` are selected by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportMode {
     /// Every DATA frame is routed through the supervisor (PR 7).
@@ -102,15 +106,43 @@ pub enum TransportMode {
     },
 }
 
+/// The environment variable that names the data plane.
+const TRANSPORT_ENV: &str = "SSP_DIST_TRANSPORT";
+
 impl TransportMode {
-    /// Read `SSP_DIST_TRANSPORT` (`star` | `direct` | `direct+shm`);
-    /// unset or unrecognized means the full direct+shm plane.
-    pub fn from_env() -> TransportMode {
-        match std::env::var("SSP_DIST_TRANSPORT").as_deref() {
-            Ok("star") => TransportMode::Star,
-            Ok("direct") => TransportMode::Direct { shm: false },
-            _ => TransportMode::Direct { shm: true },
+    /// The plane a run uses when `SSP_DIST_TRANSPORT` is unset.
+    const DEFAULT: TransportMode = TransportMode::Direct { shm: false };
+
+    /// A plane by its `SSP_DIST_TRANSPORT` spelling: `star`, `direct` or
+    /// `direct+shm`. Anything else is `None`.
+    pub fn parse(name: &str) -> Option<TransportMode> {
+        match name {
+            "star" => Some(TransportMode::Star),
+            "direct" => Some(TransportMode::Direct { shm: false }),
+            "direct+shm" => Some(TransportMode::Direct { shm: true }),
+            _ => None,
         }
+    }
+
+    /// Read `SSP_DIST_TRANSPORT` ([`TransportMode::parse`]); unset means
+    /// the default, `direct`. A value that names no plane also runs the
+    /// default, after one warning on stderr per process.
+    pub fn from_env() -> TransportMode {
+        let value = match std::env::var(TRANSPORT_ENV) {
+            Err(std::env::VarError::NotPresent) => return TransportMode::DEFAULT,
+            Err(std::env::VarError::NotUnicode(v)) => v.to_string_lossy().into_owned(),
+            Ok(v) => v,
+        };
+        TransportMode::parse(&value).unwrap_or_else(|| {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "ssp-dist: {TRANSPORT_ENV}={value:?} names no data plane \
+                     (accepted: star, direct, direct+shm); running direct"
+                )
+            });
+            TransportMode::DEFAULT
+        })
     }
 }
 
@@ -131,7 +163,11 @@ pub struct DistConfig {
     pub workers: usize,
     /// Path to the `ssp-worker` binary.
     pub worker_bin: PathBuf,
-    /// OS threads per group scheduler inside each worker (`None` = auto).
+    /// OS threads per group scheduler inside each worker. `None` means
+    /// `SSP_WORKERS` if set, else the worker's share of the host:
+    /// ⌊available cores ÷ [`DistConfig::workers`]⌋, at least 1
+    /// ([`ssp_runtime::sched::pool_share`]). The workers run on the
+    /// supervisor's host, so the share is the supervisor's to compute.
     pub group_workers: Option<usize>,
     /// Where orphaned ranks migrate.
     pub policy: MigrationPolicy,
@@ -161,8 +197,9 @@ pub struct DistConfig {
 
 impl DistConfig {
     /// A config with the given worker count and worker binary, Survivor
-    /// migration, a 2-minute timeout, and the transport selected by
-    /// `SSP_DIST_TRANSPORT` (default: direct+shm).
+    /// migration, a 2-minute timeout, pools sized to each worker's share of
+    /// the host, and the transport selected by `SSP_DIST_TRANSPORT`
+    /// (default: `direct`, [`TransportMode::from_env`]).
     pub fn new(workers: usize, worker_bin: impl Into<PathBuf>) -> DistConfig {
         DistConfig {
             workers,
@@ -278,13 +315,21 @@ struct GroupRec {
     done: bool,
 }
 
-/// One channel's message log, indexed by absolute sequence number.
-/// Truncation advances `base` — the supervisor only ever retains the
-/// in-flight window above the latest checkpoint's consumed frontier.
+/// One channel's message log, indexed by absolute sequence number. An
+/// entry is the DATA payload as it arrived (`[chan][seq][message]`, see
+/// [`crate::frame::encode_data`]): logged without a copy, replayed and
+/// forwarded as is. Truncation advances `base` — the supervisor only ever
+/// retains the in-flight window above the latest checkpoint's consumed
+/// frontier.
 #[derive(Default)]
 struct ChanLog {
     base: u64,
     entries: VecDeque<Vec<u8>>,
+}
+
+/// The message bytes of a logged DATA payload.
+fn message(entry: &[u8]) -> &[u8] {
+    &entry[DATA_HEADER_LEN..]
 }
 
 impl ChanLog {
@@ -308,7 +353,7 @@ impl ChanLog {
         while self.base < frontier {
             match self.entries.pop_front() {
                 Some(e) => {
-                    freed += e.len() as u64;
+                    freed += message(&e).len() as u64;
                     self.base += 1;
                 }
                 None => break,
@@ -320,7 +365,7 @@ impl ChanLog {
     /// Drop everything (the channel became group-internal); returns
     /// payload bytes freed.
     fn clear_all(&mut self) -> u64 {
-        let freed: u64 = self.entries.iter().map(|e| e.len() as u64).sum();
+        let freed: u64 = self.entries.iter().map(|e| message(e).len() as u64).sum();
         self.base = self.next();
         self.entries.clear();
         freed
@@ -530,7 +575,7 @@ impl Supervisor<'_> {
     /// Spawn one worker process and complete its HELLO handshake.
     fn spawn_worker(&mut self, deadline: Instant) -> Result<usize, RunError> {
         let idx = self.slots.len();
-        let gw = self.cfg.group_workers.unwrap_or(0);
+        let gw = ssp_runtime::sched::pool_share(self.cfg.group_workers, self.cfg.workers);
         let flavor = if self.cfg.peer_tcp { "tcp" } else { "unix" };
         let child = Command::new(&self.cfg.worker_bin)
             .arg(&self.sock_path)
@@ -637,11 +682,11 @@ impl Supervisor<'_> {
     }
 
     /// Write a frame to worker `w`; `Err` means the worker is unreachable.
-    fn send_to(&self, w: usize, frame: &Frame) -> std::io::Result<()> {
+    fn send_to(&self, w: usize, ty: FrameType, payload: &[u8]) -> std::io::Result<()> {
         let slot = &self.slots[w];
         let mtx = slot.write.as_ref().expect("worker has no socket");
         let mut s = wlock(mtx);
-        write_frame(&mut *s, frame)?;
+        write_frame_parts(&mut *s, ty, payload)?;
         s.flush()
     }
 
@@ -651,7 +696,7 @@ impl Supervisor<'_> {
         let mut awaiting = 0usize;
         for w in 0..self.slots.len() {
             if self.slots[w].alive
-                && self.send_to(w, &Frame::new(FrameType::Shutdown, vec![])).is_ok()
+                && self.send_to(w, FrameType::Shutdown, &[]).is_ok()
             {
                 awaiting += 1;
             }
@@ -724,9 +769,9 @@ impl Supervisor<'_> {
         if self.cfg.transport == TransportMode::Star {
             return Ok(());
         }
-        let frame = Frame::new(FrameType::Peers, self.peer_table().encode());
+        let table = self.peer_table().encode();
         for w in 0..self.slots.len() {
-            if self.slots[w].alive && self.send_to(w, &frame).is_err() {
+            if self.slots[w].alive && self.send_to(w, FrameType::Peers, &table).is_err() {
                 self.worker_dead(w, deadline)?;
             }
         }
@@ -782,7 +827,7 @@ impl Supervisor<'_> {
             table: (self.cfg.transport != TransportMode::Star).then(|| self.peer_table()),
             resume,
         };
-        if self.send_to(target, &Frame::new(FrameType::Assign, assign.encode())).is_err() {
+        if self.send_to(target, FrameType::Assign, &assign.encode()).is_err() {
             // The target died under us; its own death handling re-migrates
             // everything it hosted, including the group just recorded.
             return self.worker_dead(target, deadline);
@@ -798,11 +843,8 @@ impl Supervisor<'_> {
                 let start = replay_base.max(self.log[c].base);
                 let end = self.log[c].next();
                 for seq in start..end {
-                    let payload = {
-                        let entry = self.log[c].get(seq).expect("seq in [base, next)");
-                        encode_data(c, seq, entry)
-                    };
-                    if self.send_to(target, &Frame::new(FrameType::Data, payload)).is_err() {
+                    let entry = self.log[c].get(seq).expect("seq in [base, next)");
+                    if self.send_to(target, FrameType::Data, entry).is_err() {
                         return self.worker_dead(target, deadline);
                     }
                     self.stats.frames_replayed += 1;
@@ -917,7 +959,7 @@ impl Supervisor<'_> {
                 None => false,
             };
             let now = Instant::now();
-            if exited || self.send_to(w, &Frame::new(FrameType::Ping, vec![])).is_err() {
+            if exited || self.send_to(w, FrameType::Ping, &[]).is_err() {
                 self.worker_dead(w, deadline)?;
             } else if self.slots[w].ping_sent.is_none() {
                 // Only arm the RTT clock when no PING is outstanding, so a
@@ -936,8 +978,8 @@ impl Supervisor<'_> {
             return Ok(());
         }
         match f.ty {
-            FrameType::Data => self.route_data(w, &f.payload, false, deadline),
-            FrameType::DataRelay => self.route_data(w, &f.payload, true, deadline),
+            FrameType::Data => self.route_data(w, f.payload, false, deadline),
+            FrameType::DataRelay => self.route_data(w, f.payload, true, deadline),
             FrameType::GroupDone => self.handle_group_done(w, &f.payload),
             FrameType::Pong => self.handle_pong(w, &f.payload),
             FrameType::Bye => self.fold_bye(&f.payload),
@@ -989,14 +1031,15 @@ impl Supervisor<'_> {
     ///   cannot skip).
     ///
     /// Forwarding: every frame in star mode; only relays in direct mode.
+    /// The log keeps `payload` itself, and a forward borrows it from there.
     fn route_data(
         &mut self,
         from: usize,
-        payload: &[u8],
+        payload: Vec<u8>,
         relay: bool,
         deadline: Instant,
     ) -> Result<(), RunError> {
-        let (chan, seq, bytes) = decode_data(payload)?;
+        let (chan, seq, _) = decode_data(&payload)?;
         if chan >= self.topo.n_channels() {
             return Err(proto_err(format!("worker {from} sent DATA for channel {chan}")));
         }
@@ -1023,8 +1066,10 @@ impl Supervisor<'_> {
             return Ok(());
         }
         if seq < log.next() {
+            // Same channel and ordinal, so comparing whole payloads
+            // compares the messages.
             let expect = log.get(seq).expect("seq in [base, next)");
-            if bytes != &expect[..] {
+            if payload != *expect {
                 return Err(proto_err(format!(
                     "determinism violation: channel {chan} message {seq} differs between \
                      original and re-executed sender"
@@ -1042,27 +1087,33 @@ impl Supervisor<'_> {
         // Log before forwarding: a message that reaches the log survives
         // any downstream loss (a dead reader's replacement gets it from
         // the replay), so forwarding failures are never message loss.
-        log.push(bytes.to_vec());
+        log.push(payload);
         self.stats.frames_logged += 1;
+
+        // Forward before the shadow can truncate the entry away; a failed
+        // forward is handled after the shadow has its credit.
+        let mut lost_reader = None;
+        if self.cfg.transport == TransportMode::Star || relay {
+            self.stats.star_frames += 1;
+            let reader = self.topo.specs()[chan].reader;
+            let dest = self.groups[self.rank_group[reader]].worker;
+            let entry = self.log[chan].get(seq).expect("just logged");
+            if self.send_to(dest, FrameType::Data, entry).is_err() {
+                lost_reader = Some(dest);
+            }
+        }
         if let Some(sh) = &mut self.shadow {
-            sh.on_mirror(chan, bytes);
+            sh.on_mirror(chan, message(self.log[chan].get(seq).expect("just logged")));
             sh.advance()?;
             for c in 0..self.topo.n_channels() {
                 let frontier = sh.cut_consumed(c);
                 self.stats.log_bytes_truncated += self.log[c].truncate_to(frontier);
             }
         }
-
-        if self.cfg.transport == TransportMode::Star || relay {
-            self.stats.star_frames += 1;
-            let reader = self.topo.specs()[chan].reader;
-            let dest = self.groups[self.rank_group[reader]].worker;
-            if self.send_to(dest, &Frame::new(FrameType::Data, payload.to_vec())).is_err() {
-                // The frame just logged is part of the history
-                // assign_group replays, so migration both reroutes and
-                // redelivers it.
-                self.worker_dead(dest, deadline)?;
-            }
+        if let Some(dest) = lost_reader {
+            // The frame just logged is part of the history assign_group
+            // replays, so migration both reroutes and redelivers it.
+            self.worker_dead(dest, deadline)?;
         }
         Ok(())
     }
@@ -1133,5 +1184,33 @@ impl Supervisor<'_> {
         self.groups[gid].done = true;
         self.done_ranks += self.groups[gid].ranks.len();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transport_names_parse_exactly_and_nothing_else_does() {
+        let table = [
+            ("star", Some(TransportMode::Star)),
+            ("direct", Some(TransportMode::Direct { shm: false })),
+            ("direct+shm", Some(TransportMode::Direct { shm: true })),
+            ("shm", None),
+            ("tcp", None),
+            ("", None),
+            ("Direct", None),
+            ("STAR", None),
+            (" direct", None),
+            ("direct ", None),
+            ("direct+", None),
+            ("direct+shm+", None),
+            ("direct-shm", None),
+        ];
+        for (name, want) in table {
+            assert_eq!(TransportMode::parse(name), want, "{name:?}");
+        }
+        assert_eq!(TransportMode::DEFAULT, TransportMode::Direct { shm: false });
     }
 }

@@ -25,7 +25,7 @@
 //! holds a writer against a never-reading peer and asserts it errors out
 //! instead of hanging.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -178,6 +178,13 @@ impl Read for PeerStream {
             PeerStream::Tcp(s) => s.read(buf),
         }
     }
+
+    fn read_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> io::Result<usize> {
+        match self {
+            PeerStream::Unix(s) => s.read_vectored(bufs),
+            PeerStream::Tcp(s) => s.read_vectored(bufs),
+        }
+    }
 }
 
 impl Write for PeerStream {
@@ -185,6 +192,13 @@ impl Write for PeerStream {
         match self {
             PeerStream::Unix(s) => s.write(buf),
             PeerStream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            PeerStream::Unix(s) => s.write_vectored(bufs),
+            PeerStream::Tcp(s) => s.write_vectored(bufs),
         }
     }
 

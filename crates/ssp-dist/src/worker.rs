@@ -9,17 +9,24 @@
 //! ## Data planes (phase 2)
 //!
 //! Every cross-group message now carries an absolute per-channel sequence
-//! number, and a worker reaches the channel's reader over the cheapest
-//! plane available:
+//! number, and a worker reaches the channel's reader over the plane its
+//! ASSIGN names:
 //!
-//! * **shm** — the reader's worker is a live direct peer and the shared
-//!   ring ([`crate::shm`]) has space: payload bytes go through the ring,
-//!   a 32-byte doorbell rides the peer socket.
-//! * **direct** — a `DATA_DIRECT` frame on the worker↔worker socket
-//!   ([`crate::transport`]), brokered by the supervisor's peer table.
+//! * **direct** (the default) — a `DATA_DIRECT` frame on the
+//!   worker↔worker socket ([`crate::transport`]), brokered by the
+//!   supervisor's peer table.
+//! * **shm** (opt-in, `direct+shm`) — when the reader's worker is a live
+//!   direct peer and the shared ring ([`crate::shm`]) has space, payload
+//!   bytes go through the ring and a 32-byte doorbell rides the peer
+//!   socket; a full ring falls back to a `DATA_DIRECT` frame.
 //! * **star** — the PR 7 path: the supervisor forwards. Used when the
 //!   mode is star, before a peer table arrives, and as the *relay*
 //!   fallback when a peer connection breaks (`DATA_RELAY`).
+//!
+//! The sink encodes a message's DATA payload once and writes that one
+//! buffer as the direct frame and as the supervisor mirror; frames are
+//! written from borrowed payloads with no staging copy
+//! ([`crate::frame::write_frame_parts`]).
 //!
 //! Whatever the plane, the worker **always mirrors the message to the
 //! supervisor** (as `DATA` after a successful direct delivery — logged,
@@ -33,7 +40,9 @@
 //!
 //! All inbound deliveries — star, direct, shm — converge on one
 //! `Router`: a per-channel *gate* tracks the next expected sequence
-//! number, stashes out-of-order arrivals, and drops duplicates (the same
+//! number, hands the expected one to its reader group straight from the
+//! frame's buffer, copies out-of-order arrivals into a stash, and drops
+//! duplicates (the same
 //! message can legitimately arrive twice, e.g. once directly and once via
 //! a migration replay). Direct frames may even arrive *before* the ASSIGN
 //! that creates their reader group; they wait in the gate's stash and
@@ -66,8 +75,8 @@ use ssp_runtime::proc::Reader;
 use ssp_runtime::{fnv1a_64, FlightKind, RunError};
 
 use crate::frame::{
-    decode_data, decode_shm_doorbell, encode_data, encode_shm_doorbell, read_frame, write_frame,
-    Frame, FrameError, FrameType,
+    decode_data, decode_shm_doorbell, encode_data, encode_shm_doorbell, read_frame,
+    write_frame_parts, FrameError, FrameType,
 };
 use crate::proto::{
     decode_peer_hello, encode_bye, encode_hello, encode_peer_hello, Assign, GroupDone, PeerTable,
@@ -85,9 +94,9 @@ fn wlock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Send one frame on the shared write half, serializing whole frames.
-fn send(stream: &Arc<Mutex<UnixStream>>, frame: &Frame) -> std::io::Result<()> {
+fn send(stream: &Arc<Mutex<UnixStream>>, ty: FrameType, payload: &[u8]) -> std::io::Result<()> {
     let mut s = wlock(stream);
-    write_frame(&mut *s, frame)?;
+    write_frame_parts(&mut *s, ty, payload)?;
     s.flush()
 }
 
@@ -120,13 +129,15 @@ struct Router {
 
 impl Router {
     /// Deliver one message: drop it if the gate already passed its
-    /// ordinal (duplicate from a slower plane or a replay), otherwise
-    /// stash it and drain everything now in order.
+    /// ordinal (duplicate from a slower plane or a replay). The next
+    /// expected ordinal for a registered reader goes straight in from the
+    /// borrowed bytes; anything else is copied into the stash. Then drain
+    /// everything now in order.
     fn deliver(
         &mut self,
         chan: usize,
         seq: u64,
-        bytes: Vec<u8>,
+        bytes: &[u8],
         kind: FlightKind,
     ) -> Result<(), RunError> {
         let gate = self
@@ -136,7 +147,16 @@ impl Router {
         if seq < gate.expected {
             return Ok(());
         }
-        gate.stash.insert(seq, (bytes, kind));
+        match self.ingress.get(&chan) {
+            Some(g) if seq == gate.expected => {
+                g.record_route_in(kind, chan, bytes.len() as u64);
+                g.push_inbound(chan, bytes)?;
+                gate.expected += 1;
+            }
+            _ => {
+                gate.stash.entry(seq).or_insert_with(|| (bytes.to_vec(), kind));
+            }
+        }
         Self::drain(&self.ingress, chan, gate)
     }
 
@@ -226,7 +246,8 @@ struct Shared {
 }
 
 /// Run a worker against the supervisor socket at `path`, identifying as
-/// `worker_id`. `group_workers` caps OS threads per group scheduler;
+/// `worker_id`. `group_workers` caps OS threads per group scheduler (the
+/// supervisor passes each worker its share of the host);
 /// `peer_tcp` selects TCP (loopback) instead of Unix-domain sockets for
 /// the direct peer plane. Returns when the supervisor says SHUTDOWN or
 /// hangs up.
@@ -252,7 +273,7 @@ pub fn worker_main(
     }
     .map_err(|e| format!("worker {worker_id}: bind peer listener: {e}"))?;
 
-    send(&write_half, &Frame::new(FrameType::Hello, encode_hello(worker_id, &addr.to_wire())))
+    send(&write_half, FrameType::Hello, &encode_hello(worker_id, &addr.to_wire()))
         .map_err(|e| format!("worker {worker_id}: hello: {e}"))?;
 
     let shared = Arc::new(Shared {
@@ -307,7 +328,7 @@ pub fn worker_main(
             }
             FrameType::Data => {
                 let r = decode_data(&frame.payload).and_then(|(chan, seq, bytes)| {
-                    wlock(&shared.router).deliver(chan, seq, bytes.to_vec(), FlightKind::DataStar)
+                    wlock(&shared.router).deliver(chan, seq, bytes, FlightKind::DataStar)
                 });
                 if let Err(e) = r {
                     report(&write_half, &e);
@@ -319,7 +340,7 @@ pub fn worker_main(
             },
             FrameType::Ping => {
                 let t = snapshot_telemetry(&groups, &shared.bytes_routed);
-                let _ = send(&write_half, &Frame::new(FrameType::Pong, t.encode()));
+                let _ = send(&write_half, FrameType::Pong, &t.encode());
             }
             FrameType::Shutdown => {
                 let bye = encode_bye(
@@ -328,7 +349,7 @@ pub fn worker_main(
                     shared.shm_frames.load(Ordering::Relaxed),
                     shared.shm_bytes.load(Ordering::Relaxed),
                 );
-                let _ = send(&write_half, &Frame::new(FrameType::Bye, bye));
+                let _ = send(&write_half, FrameType::Bye, &bye);
                 return Ok(());
             }
             other => {
@@ -347,7 +368,7 @@ pub fn worker_main(
 /// Tell the supervisor something went wrong. Best effort — if the socket
 /// is gone the supervisor has already noticed via EOF.
 fn report(stream: &Arc<Mutex<UnixStream>>, err: &RunError) {
-    let _ = send(stream, &Frame::new(FrameType::Error, err.to_string().into_bytes()));
+    let _ = send(stream, FrameType::Error, err.to_string().as_bytes());
 }
 
 /// Fold a brokered peer table in. Stale generations are ignored; workers
@@ -414,12 +435,7 @@ fn serve_peer_conn(shared: &Arc<Shared>, mut stream: PeerStream) {
                 let Ok((chan, seq, bytes)) = decode_data(&frame.payload) else {
                     return stream.close();
                 };
-                let r = wlock(&shared.router).deliver(
-                    chan,
-                    seq,
-                    bytes.to_vec(),
-                    FlightKind::DataDirect,
-                );
+                let r = wlock(&shared.router).deliver(chan, seq, bytes, FlightKind::DataDirect);
                 if let Err(e) = r {
                     report(&shared.sup, &e);
                     return stream.close();
@@ -445,13 +461,16 @@ fn serve_peer_conn(shared: &Arc<Shared>, mut stream: PeerStream) {
                     Err(_) => return stream.close(),
                 };
                 let r =
-                    wlock(&shared.router).deliver(chan, seq, bytes, FlightKind::DataShm);
+                    wlock(&shared.router).deliver(chan, seq, &bytes, FlightKind::DataShm);
                 if let Err(e) = r {
                     report(&shared.sup, &e);
                     return stream.close();
                 }
-                let ack = Frame::new(FrameType::ShmAck, encode_shm_ack(ack));
-                if write_frame(&mut stream, &ack).and_then(|()| stream.flush()).is_err() {
+                let ack = encode_shm_ack(ack);
+                if write_frame_parts(&mut stream, FrameType::ShmAck, &ack)
+                    .and_then(|()| stream.flush())
+                    .is_err()
+                {
                     return stream.close();
                 }
             }
@@ -468,14 +487,17 @@ enum DirectAttempt {
 }
 
 /// Try to deliver `(chan, seq, bytes)` straight to worker `dest` — shm
-/// ring first, `DATA_DIRECT` frame second. `None` means the direct plane
-/// is unavailable (no address, broken peer) and the caller must relay.
+/// ring first, `DATA_DIRECT` frame second. `payload` is the message's
+/// DATA-family payload ([`encode_data`]), already encoded once for both
+/// this send and the supervisor mirror. `None` means the direct plane is
+/// unavailable (no address, broken peer) and the caller must relay.
 fn send_direct(
     shared: &Shared,
     dest: usize,
     chan: usize,
     seq: u64,
     bytes: &[u8],
+    payload: &[u8],
 ) -> Option<FlightKind> {
     let mut p = wlock(&shared.peers);
     if p.broken.contains(&dest) {
@@ -492,7 +514,7 @@ fn send_direct(
         p.conns.insert(dest, conn);
     }
     let conn = p.conns.get_mut(&dest).expect("just ensured");
-    let attempt = try_conn(conn, chan, seq, bytes);
+    let attempt = try_conn(conn, chan, seq, bytes, payload);
     match attempt {
         DirectAttempt::Sent(kind) => {
             let (frames, bytes_ctr) = match kind {
@@ -518,8 +540,11 @@ fn send_direct(
 fn dial_peer(shared: &Shared, book: &PeerBook, dest: usize) -> Result<PeerConn, ()> {
     let addr = book.addrs.get(&dest).ok_or(())?;
     let mut stream = PeerAddr::parse(addr).map_err(|_| ())?.connect().map_err(|_| ())?;
-    let hello = Frame::new(FrameType::PeerHello, encode_peer_hello(shared.id, book.gen));
-    if write_frame(&mut stream, &hello).and_then(|()| stream.flush()).is_err() {
+    let hello = encode_peer_hello(shared.id, book.gen);
+    if write_frame_parts(&mut stream, FrameType::PeerHello, &hello)
+        .and_then(|()| stream.flush())
+        .is_err()
+    {
         stream.close();
         return Err(());
     }
@@ -552,22 +577,31 @@ fn dial_peer(shared: &Shared, book: &PeerBook, dest: usize) -> Result<PeerConn, 
     Ok(PeerConn { stream, shm })
 }
 
-fn try_conn(conn: &mut PeerConn, chan: usize, seq: u64, bytes: &[u8]) -> DirectAttempt {
+fn try_conn(
+    conn: &mut PeerConn,
+    chan: usize,
+    seq: u64,
+    bytes: &[u8],
+    payload: &[u8],
+) -> DirectAttempt {
     if let Some(tx) = &mut conn.shm {
         if let Ok(Some(off)) = tx.push(bytes) {
             let bell = encode_shm_doorbell(chan, seq, off, bytes.len() as u32, fnv1a_64(bytes));
-            let frame = Frame::new(FrameType::DataShm, bell);
-            return match write_frame(&mut conn.stream, &frame).and_then(|()| conn.stream.flush())
-            {
-                Ok(()) => DirectAttempt::Sent(FlightKind::DataShm),
-                Err(_) => DirectAttempt::Broke,
-            };
+            return peer_write(&mut conn.stream, FrameType::DataShm, &bell, FlightKind::DataShm);
         }
         // Ring full (receiver lagging): degrade to the socket frame.
     }
-    let frame = Frame::new(FrameType::DataDirect, encode_data(chan, seq, bytes));
-    match write_frame(&mut conn.stream, &frame).and_then(|()| conn.stream.flush()) {
-        Ok(()) => DirectAttempt::Sent(FlightKind::DataDirect),
+    peer_write(&mut conn.stream, FrameType::DataDirect, payload, FlightKind::DataDirect)
+}
+
+fn peer_write(
+    stream: &mut PeerStream,
+    ty: FrameType,
+    payload: &[u8],
+    kind: FlightKind,
+) -> DirectAttempt {
+    match write_frame_parts(stream, ty, payload).and_then(|()| stream.flush()) {
+        Ok(()) => DirectAttempt::Sent(kind),
         Err(_) => DirectAttempt::Broke,
     }
 }
@@ -638,6 +672,8 @@ fn handle_assign(
     let sink_marks = Arc::clone(&out_marks);
     let sink: DataSink = Box::new(move |chan, bytes| {
         let seq = sink_shared.bump_seq(&mut seqs, chan)?;
+        // Encoded once: the direct frame and the supervisor mirror share it.
+        let payload = encode_data(chan, seq, &bytes);
         let kind = if !direct {
             FlightKind::DataStar
         } else {
@@ -648,17 +684,12 @@ fn handle_assign(
             match dest {
                 Some(d) if d == sink_shared.id => {
                     // Loopback: the reader group lives on this worker.
-                    wlock(&sink_shared.router).deliver(
-                        chan,
-                        seq,
-                        bytes.clone(),
-                        FlightKind::DataDirect,
-                    )?;
+                    wlock(&sink_shared.router).deliver(chan, seq, &bytes, FlightKind::DataDirect)?;
                     sink_shared.direct_frames.fetch_add(1, Ordering::Relaxed);
                     sink_shared.direct_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
                     FlightKind::DataDirect
                 }
-                Some(d) => match send_direct(&sink_shared, d, chan, seq, &bytes) {
+                Some(d) => match send_direct(&sink_shared, d, chan, seq, &bytes, &payload) {
                     Some(kind) => kind,
                     None => FlightKind::DataStar,
                 },
@@ -678,9 +709,10 @@ fn handle_assign(
             FrameType::DataRelay
         };
         sink_shared.bytes_routed.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        send(&sink_shared.sup, &Frame::new(mirror, encode_data(chan, seq, &bytes))).map_err(
-            |e| RunError::Protocol { proc: 0, detail: format!("DATA write failed: {e}") },
-        )
+        send(&sink_shared.sup, mirror, &payload).map_err(|e| RunError::Protocol {
+            proc: 0,
+            detail: format!("DATA write failed: {e}"),
+        })
     });
 
     let (group_ingress, join) =
@@ -709,7 +741,7 @@ fn handle_assign(
         match join.join() {
             Ok((snapshots, metrics, flight)) => {
                 let gd = GroupDone { group: group_id, snapshots, metrics, flight };
-                let _ = send(&done_stream, &Frame::new(FrameType::GroupDone, gd.encode()));
+                let _ = send(&done_stream, FrameType::GroupDone, &gd.encode());
             }
             Err(e) => report(&done_stream, &e),
         }
@@ -814,7 +846,7 @@ mod tests {
 
     fn frame_bytes(ty: FrameType, payload: Vec<u8>) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, &Frame::new(ty, payload)).unwrap();
+        write_frame_parts(&mut out, ty, &payload).unwrap();
         out
     }
 
@@ -930,8 +962,8 @@ mod tests {
         let (shared, _spy) = test_shared(0, 0);
         let mut router = wlock(&shared.router);
         // Frames arrive before any group is assigned: they wait.
-        router.deliver(0, 1, vec![1], FlightKind::DataDirect).unwrap();
-        router.deliver(0, 0, vec![0], FlightKind::DataShm).unwrap();
+        router.deliver(0, 1, &[1], FlightKind::DataDirect).unwrap();
+        router.deliver(0, 0, &[0], FlightKind::DataShm).unwrap();
         assert_eq!(router.gates[&0].stash.len(), 2);
         assert_eq!(router.gates[&0].expected, 0, "nothing drains without an ingress");
         // A resumed group registers at frontier 2: the stale stash drops.
@@ -954,13 +986,71 @@ mod tests {
         assert!(router.gates[&0].stash.is_empty(), "pre-frontier stash must drop");
         assert_eq!(sink.0.load(Ordering::Relaxed), 0);
         // Late duplicate of an already-consumed ordinal: dropped.
-        router.deliver(0, 1, vec![1], FlightKind::DataStar).unwrap();
+        router.deliver(0, 1, &[1], FlightKind::DataStar).unwrap();
         assert_eq!(sink.0.load(Ordering::Relaxed), 0);
         // The real next ordinal flows through, plus a stashed successor.
-        router.deliver(0, 3, vec![3], FlightKind::DataDirect).unwrap();
+        router.deliver(0, 3, &[3], FlightKind::DataDirect).unwrap();
         assert_eq!(sink.0.load(Ordering::Relaxed), 0, "seq 3 waits for seq 2");
-        router.deliver(0, 2, vec![2], FlightKind::DataStar).unwrap();
+        router.deliver(0, 2, &[2], FlightKind::DataStar).unwrap();
         assert_eq!(sink.0.load(Ordering::Relaxed), 2, "2 then 3 drain in order");
         assert_eq!(router.gates[&0].expected, 4);
+        drop(router);
+
+        // Seeded arrival orders with duplicates on two channels, the reader
+        // registering before, between or after the arrivals: in-order
+        // arrivals take the borrowed path, the rest go through the stash,
+        // and every ordinal still reaches the ingress once, in order, with
+        // its own bytes.
+        struct Tape(Mutex<Vec<(usize, Vec<u8>)>>);
+        impl GroupIngress for Tape {
+            fn push_inbound(&self, chan: usize, bytes: &[u8]) -> Result<(), RunError> {
+                wlock(&self.0).push((chan, bytes.to_vec()));
+                Ok(())
+            }
+            fn poison(&self, _err: RunError) {}
+            fn telemetry(&self) -> ssp_runtime::LiveTelemetry {
+                ssp_runtime::LiveTelemetry::default()
+            }
+        }
+        let msg = |chan: usize, seq: u64| format!("{chan}:{seq}").into_bytes();
+        let kinds = [FlightKind::DataStar, FlightKind::DataDirect, FlightKind::DataShm];
+        for seed in 0..200 {
+            let mut rng = ssp_runtime::rng::SplitMix64::seed_from_u64(seed);
+            let n = 1 + rng.gen_range(16) as u64;
+            let mut arrivals: Vec<(usize, u64)> =
+                (0..2).flat_map(|c| (0..n).map(move |s| (c, s))).collect();
+            for i in 0..arrivals.len() {
+                for _ in 0..rng.gen_range(3) {
+                    arrivals.push(arrivals[i]);
+                }
+            }
+            for i in (1..arrivals.len()).rev() {
+                arrivals.swap(i, rng.gen_range(i + 1));
+            }
+            let register_at = [rng.gen_range(arrivals.len() + 1), rng.gen_range(arrivals.len() + 1)];
+            let tape = Arc::new(Tape(Mutex::new(Vec::new())));
+            let ingress: Arc<dyn GroupIngress> = tape.clone();
+            let mut router = Router::default();
+            for i in 0..=arrivals.len() {
+                for (chan, &at) in register_at.iter().enumerate() {
+                    if at == i {
+                        router.register(chan, &ingress, 0).unwrap();
+                    }
+                }
+                if let Some(&(chan, seq)) = arrivals.get(i) {
+                    let kind = kinds[rng.gen_range(kinds.len())];
+                    router.deliver(chan, seq, &msg(chan, seq), kind).unwrap();
+                }
+            }
+            let tape = wlock(&tape.0);
+            for chan in 0..2 {
+                let got: Vec<&[u8]> =
+                    tape.iter().filter(|(c, _)| *c == chan).map(|(_, b)| &b[..]).collect();
+                let want: Vec<Vec<u8>> = (0..n).map(|s| msg(chan, s)).collect();
+                assert_eq!(got, want, "seed {seed} channel {chan}: arrivals {arrivals:?}");
+                assert_eq!(router.gates[&chan].expected, n, "seed {seed}");
+                assert!(router.gates[&chan].stash.is_empty(), "seed {seed}: stash left over");
+            }
+        }
     }
 }

@@ -29,6 +29,15 @@ fn ring_across_two_workers_matches_the_simulator_bitwise() {
     assert_eq!(out.metrics.procs.len(), 6);
     let sends: u64 = out.metrics.procs.iter().map(|p| p.sends).sum();
     assert_eq!(sends, 6 * 4, "every rank sends once per lap");
+    // Each group of three ranks gets its worker's share of the host (or
+    // `SSP_WORKERS`); an explicit `group_workers` wins over both.
+    let share = ssp_runtime::sched::pool_share(None, 2);
+    assert_eq!(out.metrics.sched.workers, 2 * share.min(3), "share {share}");
+    let mut cfg = DistConfig::new(2, worker_bin());
+    cfg.group_workers = Some(2);
+    let out = run_distributed("ring", &args, &cfg).expect("distributed ring");
+    assert_eq!(out.snapshots, reference);
+    assert_eq!(out.metrics.sched.workers, 4);
 }
 
 #[test]

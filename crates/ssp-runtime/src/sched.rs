@@ -96,14 +96,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Pick the worker-pool size: explicit config, then the `SSP_WORKERS`
-/// environment variable, then the host's available parallelism; always at
-/// least 1 and never more than the number of ranks.
+/// Pick the worker-pool size: [`pool_share`] of the whole host, never more
+/// than the number of ranks.
 pub(crate) fn resolve_workers(configured: Option<usize>, n_ranks: usize) -> usize {
-    let w = configured
+    pool_share(configured, 1).min(n_ranks.max(1))
+}
+
+/// The worker-pool size of one of `processes` processes sharing this host:
+/// explicit config, then the `SSP_WORKERS` environment variable, then
+/// ⌊available parallelism ÷ `processes`⌋; always at least 1.
+pub fn pool_share(configured: Option<usize>, processes: usize) -> usize {
+    configured
         .or_else(|| std::env::var(WORKERS_ENV).ok().and_then(|v| v.parse().ok()))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    w.clamp(1, n_ranks.max(1))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism().map_or(1, |p| p.get()) / processes.max(1)
+        })
+        .max(1)
 }
 
 /// A channel operation a parked rank retries when rescheduled.
@@ -1424,6 +1432,19 @@ mod tests {
         assert_eq!(resolve_workers(Some(8), 3), 3);
         assert_eq!(resolve_workers(Some(0), 3), 1);
         assert_eq!(resolve_workers(Some(2), 64), 2);
+    }
+
+    #[test]
+    fn pool_share_divides_the_host_between_processes() {
+        assert_eq!(pool_share(Some(3), 8), 3, "explicit config wins over the share");
+        assert_eq!(pool_share(Some(0), 1), 1);
+        if std::env::var(WORKERS_ENV).is_err() {
+            let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+            assert_eq!(pool_share(None, 1), cores);
+            assert_eq!(pool_share(None, 0), cores);
+            assert_eq!(pool_share(None, 2), (cores / 2).max(1));
+            assert_eq!(pool_share(None, cores + 1), 1, "never below one thread");
+        }
     }
 
     #[test]
