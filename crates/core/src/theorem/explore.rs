@@ -1,6 +1,6 @@
 //! Interleaving exploration: policy batteries and exhaustive enumeration.
 
-use ssp_runtime::{policy::standard_battery, NoopObserver, Simulator};
+use ssp_runtime::{policy::standard_battery, Simulator};
 
 use crate::ir::Store;
 use crate::parallel::ParallelProgram;
@@ -82,9 +82,7 @@ pub fn enumerate_interleavings(
         }
         for p in runnable {
             let mut branch = sim.clone();
-            branch
-                .step_process_with(p, &mut NoopObserver)
-                .map_err(|e| format!("step failed: {e}"))?;
+            branch.step_process_with(p, &mut |_| {}).map_err(|e| format!("step failed: {e}"))?;
             stack.push(branch);
         }
     }
@@ -159,9 +157,7 @@ pub fn explore_state_graph(
         }
         for p in runnable {
             let mut branch = sim.clone();
-            branch
-                .step_process_with(p, &mut NoopObserver)
-                .map_err(|e| format!("step failed: {e}"))?;
+            branch.step_process_with(p, &mut |_| {}).map_err(|e| format!("step failed: {e}"))?;
             result.transitions += 1;
             let key = branch.state_fingerprint(msg_bytes);
             if seen.insert(key) {

@@ -17,8 +17,7 @@ use meshgrid::ProcGrid3;
 use ssp_runtime::proc::{push_bytes, push_u64, Reader};
 use ssp_runtime::{
     launch_partial, run_recovering, Adversary, AdversarialPolicy, ChannelId, FaultPlan, NoFlight,
-    NoopObserver, PartialSeed, RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy,
-    Simulator,
+    RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy, Simulator,
 };
 
 /// The six-policy battery of the slack tests, freshly constructed per call
@@ -98,10 +97,10 @@ fn mid_exchange_cut_survives_the_state_codec() {
     let (topo, procs) = build();
     let mut sim = Simulator::new(topo.clone(), procs);
     while sim.is_runnable(0) {
-        sim.step_process_with(0, &mut NoopObserver).unwrap();
+        sim.step_process_with(0, &mut |_| {}).unwrap();
     }
-    sim.step_process_with(1, &mut NoopObserver).unwrap();
-    let mut seed: PartialSeed<_> = sim.into_state().into();
+    sim.step_process_with(1, &mut |_| {}).unwrap();
+    let mut seed = sim.into_seed();
     assert!(seed.queues.iter().any(|(_, q)| !q.is_empty()), "a halo is in flight at the cut");
 
     let (_, templates) = build();

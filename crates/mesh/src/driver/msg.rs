@@ -1652,8 +1652,7 @@ mod tests {
     use crate::reduce::ReduceAlgo;
     use HostMode::GridRank0;
     use ssp_runtime::{
-        launch_partial, Adversary, AdversarialPolicy, FaultPlan, NoFlight, NoopObserver,
-        PartialSeed, RandomPolicy,
+        launch_partial, Adversary, AdversarialPolicy, FaultPlan, NoFlight, RandomPolicy,
     };
     use std::sync::Arc;
 
@@ -2240,9 +2239,9 @@ mod tests {
         for cut in 0..=picks.len() {
             let mut sim = Simulator::new(topo.clone(), build().1);
             for &p in &picks[..cut] {
-                sim.step_process_with(p, &mut NoopObserver).unwrap();
+                sim.step_process_with(p, &mut |_| {}).unwrap();
             }
-            let mut seed: PartialSeed<_> = sim.into_state().into();
+            let mut seed = sim.into_seed();
             for (id, proc, _, _) in &mut seed.procs {
                 staged_seen |= !proc.staged.is_empty();
                 *proc = MsgProcess::decode_state(&templates[*id], &proc.encode_state()).unwrap();

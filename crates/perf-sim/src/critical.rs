@@ -176,8 +176,7 @@ pub fn extract(timelines: &[Timeline], model: &MachineModel) -> CriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timeline::BlockReason;
-    use ssp_runtime::ChannelId;
+    use ssp_runtime::{BlockKind, ChannelId};
 
     /// Hand-built two-process scenario: p0 computes then sends; p1 posts
     /// its receive immediately, waits for the wire, receives, computes.
@@ -199,7 +198,7 @@ mod tests {
             proc: 1,
             spans: vec![
                 Span {
-                    kind: SpanKind::Blocked { why: BlockReason::Arrival { chan: c } },
+                    kind: SpanKind::Blocked { chan: c, on: BlockKind::Recv },
                     start: 0.0,
                     end: 2.75,
                 },

@@ -1,8 +1,8 @@
 //! The discrete-event engine: a third backend that *prices* an execution.
 //!
-//! [`run_des`] runs the untimed [`Simulator`] with a [`StepObserver`] that
-//! places every action on a per-process virtual clock, charging costs from
-//! a [`MachineModel`]:
+//! [`run_des`] runs the untimed [`Simulator`] and places every
+//! [`FlightEvent`] it reports — the pool's flight-recorder vocabulary — on
+//! a per-process virtual clock, charging costs from a [`MachineModel`]:
 //!
 //! * `Compute { units }` advances the process by `units · t_flop`;
 //! * a send occupies the sender for `o_send`, then the message travels for
@@ -30,10 +30,13 @@ use std::collections::VecDeque;
 
 use machine_model::MachineModel;
 use ssp_runtime::sim::Simulator;
-use ssp_runtime::{Process, RunError, RunMetrics, SchedulePolicy, StepEvent, StepObserver, Topology};
+use ssp_runtime::{
+    BlockKind, ChannelId, FlightEvent, FlightKind, Process, RunError, RunMetrics, SchedulePolicy,
+    Topology,
+};
 
 use crate::critical::{extract, CriticalPath};
-use crate::timeline::{BlockReason, Span, SpanKind, Timeline};
+use crate::timeline::{Span, SpanKind, Timeline};
 
 /// The result of a timed run: the snapshots, metrics and step count of the
 /// untimed run, plus the virtual-clock view.
@@ -68,7 +71,7 @@ struct InFlight {
 }
 
 /// The engine proper: per-process virtual clocks and spans, advanced by the
-/// simulator's step events.
+/// simulator's events.
 struct Clocks<'a> {
     model: &'a MachineModel,
     caps: Vec<Option<usize>>,
@@ -96,17 +99,20 @@ impl<'a> Clocks<'a> {
     }
 }
 
-impl StepObserver for Clocks<'_> {
-    fn on_event(&mut self, ev: StepEvent) {
+impl Clocks<'_> {
+    fn on_event(&mut self, ev: FlightEvent) {
         let model = self.model;
-        match ev {
-            StepEvent::Computed { proc, units } => {
+        let (proc, chan) = (ev.rank as usize, ChannelId(ev.chan as usize));
+        match ev.kind {
+            FlightKind::Compute => {
+                let units = ev.bytes;
                 let start = self.clock[proc];
                 let end = start + model.compute_time(units);
                 self.spans[proc].push(Span { kind: SpanKind::Compute { units }, start, end });
                 self.clock[proc] = end;
             }
-            StepEvent::Sent { proc, chan, bytes } => {
+            FlightKind::Send => {
+                let bytes = ev.bytes;
                 // Place the send no earlier than the freeing of the buffer
                 // slot it occupies (bounded slack only).
                 let i = self.sends_placed[chan.0];
@@ -119,7 +125,7 @@ impl StepObserver for Clocks<'_> {
                 let spans = &mut self.spans[proc];
                 if start > self.clock[proc] {
                     spans.push(Span {
-                        kind: SpanKind::Blocked { why: BlockReason::Space { chan } },
+                        kind: SpanKind::Blocked { chan, on: BlockKind::Send },
                         start: self.clock[proc],
                         end: start,
                     });
@@ -133,7 +139,7 @@ impl StepObserver for Clocks<'_> {
                     sent_by: (proc, spans.len() - 1),
                 });
             }
-            StepEvent::Received { proc, chan } => {
+            FlightKind::Recv => {
                 let m = self.in_flight[chan.0]
                     .pop_front()
                     .expect("simulator delivered a message the engine saw sent");
@@ -143,7 +149,7 @@ impl StepObserver for Clocks<'_> {
                 let ready = self.clock[proc].max(m.arrival);
                 if delayed {
                     self.spans[proc].push(Span {
-                        kind: SpanKind::Blocked { why: BlockReason::Arrival { chan } },
+                        kind: SpanKind::Blocked { chan, on: BlockKind::Recv },
                         start: self.clock[proc],
                         end: ready,
                     });
@@ -157,11 +163,11 @@ impl StepObserver for Clocks<'_> {
                 self.clock[proc] = end;
                 self.recv_done[chan.0].push(end);
             }
-            // Posting a receive and hitting a full channel cost no virtual
-            // time themselves; the waits they may start are materialized
-            // when the matching Received/Sent is placed.
-            StepEvent::RecvPosted { .. } | StepEvent::SendBlocked { .. } => {}
-            StepEvent::Halted { .. } => {}
+            // Posting a receive and hitting a full channel (`Park`) cost no
+            // virtual time themselves; the waits they may start are
+            // materialized when the matching Recv/Send is placed. A halt
+            // ends the timeline; a fault ends the run.
+            _ => {}
         }
     }
 }
@@ -177,7 +183,7 @@ pub fn run_des<P: Process>(
     policy: &mut dyn SchedulePolicy,
 ) -> Result<DesOutcome, RunError> {
     let mut clocks = Clocks::new(&topo, model);
-    let out = Simulator::new(topo, procs).run_observed(policy, &mut clocks)?;
+    let out = Simulator::new(topo, procs).run_observed(policy, &mut |ev| clocks.on_event(ev))?;
     let timelines: Vec<Timeline> = clocks
         .spans
         .into_iter()
@@ -275,7 +281,7 @@ mod tests {
         assert!((out.makespan - 3.0).abs() < 1e-12, "makespan {}", out.makespan);
         // The receiver waited for the wire.
         let waited = out.timelines[1]
-            .time_in(|k| matches!(k, SpanKind::Blocked { why: BlockReason::Arrival { .. } }));
+            .time_in(|k| matches!(k, SpanKind::Blocked { on: BlockKind::Recv, .. }));
         assert!((waited - 2.75).abs() < 1e-12);
         // Critical path: compute 1.0, latency o_send+α+o_recv = 1.0,
         // bandwidth 1.0; no back-pressure.
@@ -299,7 +305,7 @@ mod tests {
         ];
         let out = run_des(topo, procs, &model(), &mut RoundRobin::new()).unwrap();
         let pressured = out.timelines[0]
-            .time_in(|k| matches!(k, SpanKind::Blocked { why: BlockReason::Space { .. } }));
+            .time_in(|k| matches!(k, SpanKind::Blocked { on: BlockKind::Send, .. }));
         assert!(pressured > 0.0, "capacity-1 channel must stall the sender");
 
         // The same program at infinite slack is never back-pressured and
@@ -312,7 +318,7 @@ mod tests {
         ];
         let unbounded = run_des(topo, procs, &model(), &mut RoundRobin::new()).unwrap();
         let free = unbounded.timelines[0]
-            .time_in(|k| matches!(k, SpanKind::Blocked { why: BlockReason::Space { .. } }));
+            .time_in(|k| matches!(k, SpanKind::Blocked { on: BlockKind::Send, .. }));
         assert_eq!(free, 0.0);
         assert!(unbounded.makespan <= out.makespan + 1e-12);
         assert_eq!(unbounded.snapshots, out.snapshots, "slack never changes results");

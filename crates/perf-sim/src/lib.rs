@@ -10,9 +10,10 @@
 //! Refinement"*: predict where a speedup curve bends before owning the
 //! machine.
 //!
-//! The engine does not reimplement the runtime's semantics — it is a step
-//! observer on an untimed [`ssp_runtime::sim::Simulator`] run and only adds
-//! time. Two consequences, both tested:
+//! The engine does not reimplement the runtime's semantics — it consumes
+//! the [`ssp_runtime::FlightEvent`]s of an untimed
+//! [`ssp_runtime::sim::Simulator`] run, the vocabulary the pool's flight
+//! recorder writes, and only adds time. Two consequences, both tested:
 //!
 //! 1. **Theorem 1 transfers.** The timed run performs exactly the actions
 //!    of an untimed maximal interleaving, so its final state is bitwise
@@ -26,8 +27,10 @@
 //! What you get from a run ([`DesOutcome`]):
 //!
 //! * a per-process [`Timeline`] of timed spans (compute / send / recv /
-//!   blocked), exportable as plain JSON or Chrome `trace_event` format
-//!   ([`chrome_trace_json`] — load it in `chrome://tracing`);
+//!   blocked) — the interval view of those events, built the same way from
+//!   a measured flight log ([`measured_timelines`]) — exportable as plain
+//!   JSON or Chrome `trace_event` format ([`chrome_trace_json`] — load it
+//!   in `chrome://tracing`);
 //! * the [`CriticalPath`]: the chain of spans that determined the
 //!   makespan, each edge attributed to compute, latency, bandwidth, or
 //!   bounded-slack back-pressure, summing to the makespan;
@@ -49,6 +52,5 @@ pub use overlay::{drift_report, measured_timelines, DriftReport, ProcDrift};
 pub use predict::{predict_speedup, PredictedPoint};
 pub use recovery::{price_recovery, RecoveryCosts, RecoveryOverhead};
 pub use timeline::{
-    chrome_trace_json, overlay_chrome_trace, timelines_to_json, BlockReason, Span, SpanKind,
-    Timeline,
+    chrome_trace_json, overlay_chrome_trace, timelines_to_json, Span, SpanKind, Timeline,
 };

@@ -24,9 +24,9 @@
 //! communicating / blocked, predicted vs measured", plus the makespan
 //! ratio as the single scale factor between the two clocks.
 
-use ssp_runtime::{ChannelId, FlightKind, FlightLog};
+use ssp_runtime::{BlockKind, ChannelId, FlightKind, FlightLog};
 
-use crate::timeline::{BlockReason, Span, SpanKind, Timeline};
+use crate::timeline::{Span, SpanKind, Timeline};
 
 /// Reconstruct per-rank measured timelines from a flight log, aligned so
 /// the log's earliest event is time 0 and converted to seconds. Lanes
@@ -88,13 +88,8 @@ pub fn measured_timelines(log: &FlightLog, n_procs: usize) -> Vec<Timeline> {
                     // A Run after a Park closes the blocked interval; the
                     // park's bytes tag says which edge it waited on.
                     FlightKind::Run if matches!(k_prev, FlightKind::Park) => {
-                        let chan = ChannelId(c_prev);
-                        let why = if b_prev == 1 {
-                            BlockReason::Space { chan }
-                        } else {
-                            BlockReason::Arrival { chan }
-                        };
-                        Some(SpanKind::Blocked { why })
+                        let on = if b_prev == 1 { BlockKind::Send } else { BlockKind::Recv };
+                        Some(SpanKind::Blocked { chan: ChannelId(c_prev), on })
                     }
                     _ => None,
                 };
@@ -294,7 +289,7 @@ mod tests {
         assert!((tls[0].spans[2].start - 2e-6).abs() < 1e-12);
         assert!((tls[0].spans[2].end - 3e-6).abs() < 1e-12);
         match tls[0].spans[2].kind {
-            SpanKind::Blocked { why: BlockReason::Arrival { chan } } => {
+            SpanKind::Blocked { chan, on: BlockKind::Recv } => {
                 assert_eq!(chan, ChannelId(5));
             }
             other => panic!("expected arrival-blocked span, got {other:?}"),
@@ -332,7 +327,7 @@ mod tests {
         let meas = vec![Timeline {
             proc: 0,
             spans: vec![Span {
-                kind: SpanKind::Blocked { why: BlockReason::Arrival { chan: ChannelId(0) } },
+                kind: SpanKind::Blocked { chan: ChannelId(0), on: BlockKind::Recv },
                 start: 0.0,
                 end: 2.0,
             }],

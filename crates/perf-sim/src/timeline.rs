@@ -13,23 +13,7 @@
 //! track, each span a complete (`"ph":"X"`) event with microsecond
 //! timestamps.
 
-use ssp_runtime::{ChannelId, ProcId};
-
-/// Why a process was stalled during a [`SpanKind::Blocked`] span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockReason {
-    /// Waiting for the head message of `chan` to arrive off the wire.
-    Arrival {
-        /// The channel being received from.
-        chan: ChannelId,
-    },
-    /// Waiting for buffer space on bounded `chan` (back-pressure: the
-    /// reader has not yet drained the slot this send needs).
-    Space {
-        /// The full channel.
-        chan: ChannelId,
-    },
-}
+use ssp_runtime::{BlockKind, ChannelId, ProcId};
 
 /// What a process was doing during one span of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,18 +37,23 @@ pub enum SpanKind {
         /// Payload bytes of the delivered message.
         bytes: u64,
         /// True if the wire arrival gated this receive (the process sat in
-        /// a [`BlockReason::Arrival`] span first); false if the message was
-        /// already waiting when the receive was posted.
+        /// a blocked span on the receive side first); false if the message
+        /// was already waiting when the receive was posted.
         delayed: bool,
         /// The matching [`SpanKind::Send`] span, as `(proc, span index)` in
         /// that process's timeline — the causal edge the critical-path walk
         /// follows when `delayed`.
         sent_by: (ProcId, usize),
     },
-    /// Stalled for the given reason.
+    /// Stalled on one side of a channel: [`BlockKind::Recv`] waits for the
+    /// head message to arrive off the wire, [`BlockKind::Send`] for buffer
+    /// space on a bounded channel (back-pressure: the reader has not yet
+    /// drained the slot this send needs).
     Blocked {
-        /// What the process was waiting on.
-        why: BlockReason,
+        /// The channel waited on.
+        chan: ChannelId,
+        /// Which side of it.
+        on: BlockKind,
     },
 }
 
@@ -141,10 +130,10 @@ fn push_span_json(out: &mut String, p: ProcId, s: &Span) {
         SpanKind::Recv { chan, bytes, delayed, .. } => {
             let _ = write!(out, ",\"chan\":{},\"bytes\":{bytes},\"delayed\":{delayed}", chan.0);
         }
-        SpanKind::Blocked { why } => {
-            let (on, chan) = match why {
-                BlockReason::Arrival { chan } => ("arrival", chan),
-                BlockReason::Space { chan } => ("space", chan),
+        SpanKind::Blocked { chan, on } => {
+            let on = match on {
+                BlockKind::Recv => "arrival",
+                BlockKind::Send => "space",
             };
             let _ = write!(out, ",\"on\":\"{on}\",\"chan\":{}", chan.0);
         }
@@ -255,7 +244,7 @@ mod tests {
                 proc: 1,
                 spans: vec![
                     Span {
-                        kind: SpanKind::Blocked { why: BlockReason::Arrival { chan: ChannelId(0) } },
+                        kind: SpanKind::Blocked { chan: ChannelId(0), on: BlockKind::Recv },
                         start: 0.0,
                         end: 2.0,
                     },

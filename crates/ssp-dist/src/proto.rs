@@ -15,7 +15,7 @@
 
 use ssp_runtime::proc::{push_bytes, push_u32, push_u64, Reader};
 use ssp_runtime::trace::{push_flight_log, push_run_metrics};
-use ssp_runtime::{FlightLog, GroupManifest, RunError, RunMetrics};
+use ssp_runtime::{FlightLog, GroupManifest, LiveTelemetry, RunError, RunMetrics};
 
 use crate::registry::WorkloadSpec;
 use crate::supervisor::TransportMode;
@@ -217,30 +217,25 @@ impl Assign {
 }
 
 /// One worker's live counters, snapshotted into each PONG heartbeat
-/// reply. Fixed-size little-endian binary: five `u64`s, 40 bytes.
+/// reply: the sum of its groups' [`LiveTelemetry`] plus what the worker
+/// itself routed. Fixed-size little-endian binary: five `u64`s, 40 bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerTelemetry {
-    /// Ranks hosted by the worker's groups that have not yet halted.
-    pub ranks_live: u64,
-    /// Sum of rank progress counters (monotone; a flat value between two
-    /// heartbeats with ranks still live means the worker is stuck).
-    pub steps: u64,
-    /// Tasks stolen across the worker's scheduler pools.
-    pub steals: u64,
-    /// Flight-recorder events currently retained across lanes (0 when
-    /// recording is disabled).
-    pub ring_occupancy: u64,
+    /// The worker's groups' live counters, summed. A `progress` flat
+    /// between two heartbeats with ranks still live means the worker is
+    /// stuck.
+    pub live: LiveTelemetry,
     /// DATA payload bytes the worker has routed to the supervisor.
     pub bytes_routed: u64,
 }
 
 impl WorkerTelemetry {
-    /// Serialize: `[u64 ranks_live][u64 steps][u64 steals]
-    /// [u64 ring_occupancy][u64 bytes_routed]`, all little-endian.
+    /// Serialize: `[u64 ranks_live][u64 progress][u64 steals]
+    /// [u64 flight_occupancy][u64 bytes_routed]`, all little-endian.
     pub fn encode(&self) -> Vec<u8> {
+        let LiveTelemetry { ranks_live, progress, steals, flight_occupancy } = self.live;
         let mut out = Vec::with_capacity(40);
-        for v in [self.ranks_live, self.steps, self.steals, self.ring_occupancy, self.bytes_routed]
-        {
+        for v in [ranks_live, progress, steals, flight_occupancy, self.bytes_routed] {
             push_u64(&mut out, v);
         }
         out
@@ -250,13 +245,13 @@ impl WorkerTelemetry {
     /// error, never a panic.
     pub fn decode(payload: &[u8]) -> Result<WorkerTelemetry, RunError> {
         let mut r = Reader::new("PONG telemetry", payload);
-        let t = WorkerTelemetry {
+        let live = LiveTelemetry {
             ranks_live: r.u64("ranks live")?,
-            steps: r.u64("steps")?,
+            progress: r.u64("progress")?,
             steals: r.u64("steals")?,
-            ring_occupancy: r.u64("ring occupancy")?,
-            bytes_routed: r.u64("bytes routed")?,
+            flight_occupancy: r.u64("flight occupancy")?,
         };
+        let t = WorkerTelemetry { live, bytes_routed: r.u64("bytes routed")? };
         r.finish(t)
     }
 }
@@ -535,15 +530,25 @@ mod tests {
         assert!(detail.contains("unknown event kind tag 238"), "{detail}");
     }
 
+    fn telemetry() -> WorkerTelemetry {
+        let live =
+            LiveTelemetry { ranks_live: 3, progress: 123_456, steals: 7, flight_occupancy: 4096 };
+        WorkerTelemetry { live, bytes_routed: 1 << 32 }
+    }
+
+    #[test]
+    fn pong_bytes_are_pinned() {
+        let t = telemetry();
+        const GOLDEN: &str = concat!(
+            "030000000000000040e201000000000007000000000000000010000000000000",
+            "0000000001000000",
+        );
+        assert_eq!(hex(&t.encode()), GOLDEN);
+    }
+
     #[test]
     fn telemetry_round_trips_and_rejects_odd_sizes() {
-        let t = WorkerTelemetry {
-            ranks_live: 3,
-            steps: 123_456,
-            steals: 7,
-            ring_occupancy: 4096,
-            bytes_routed: 1 << 32,
-        };
+        let t = telemetry();
         let bytes = t.encode();
         assert_eq!(bytes.len(), 40);
         assert_eq!(WorkerTelemetry::decode(&bytes).unwrap(), t);

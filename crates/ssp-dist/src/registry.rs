@@ -28,9 +28,8 @@ use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
     launch_partial, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder,
-    FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, ManifestStatus, NoFlight,
-    PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, SimState,
-    Simulator, StepEvent, StepObserver, Topology,
+    FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, NoFlight, PartialRun,
+    PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -172,22 +171,10 @@ where
     every: u64,
     /// The latest consistent cut (a clone of the simulator, exported) and
     /// the shadow step it was taken at.
-    cut: SimState<P>,
+    cut: PartialSeed<P>,
     cut_steps: u64,
     encode: fn(&P::Msg) -> Vec<u8>,
     state: fn(&P) -> Vec<u8>,
-}
-
-/// Observer that keeps the channel of the step's completed send, if any (a
-/// step completes at most one).
-struct SentOn(Option<ChannelId>);
-
-impl StepObserver for SentOn {
-    fn on_event(&mut self, ev: StepEvent) {
-        if let StepEvent::Sent { chan, .. } = ev {
-            self.0 = Some(chan);
-        }
-    }
 }
 
 impl<P: Process + Clone> ShadowExec<P>
@@ -204,7 +191,7 @@ where
         let n = topo.n_channels();
         let sim = Simulator::new(topo, procs);
         ShadowExec {
-            cut: sim.clone().into_state(),
+            cut: sim.clone().into_seed(),
             sim,
             gated: vec![false; n],
             credits: vec![VecDeque::new(); n],
@@ -220,11 +207,16 @@ where
     /// One simulator step of rank `p`; a send it completes on a gated
     /// channel consumes and byte-verifies the head credit.
     fn step(&mut self, p: usize) -> Result<(), RunError> {
-        let mut sent = SentOn(None);
-        self.sim.step_process_with(p, &mut sent)?;
+        // A step completes at most one send.
+        let mut sent_on = None;
+        self.sim.step_process_with(p, &mut |ev| {
+            if ev.kind == FlightKind::Send {
+                sent_on = Some(ev.chan as usize);
+            }
+        })?;
         self.steps += 1;
-        if let Some(chan) = sent.0.filter(|c| self.gated[c.0]) {
-            let c = chan.0;
+        if let Some(c) = sent_on.filter(|&c| self.gated[c]) {
+            let chan = ChannelId(c);
             let credit = self.credits[c].pop_front().expect("send gated without credit");
             let msg = self.sim.queue(chan).back().expect("a completed send is queued");
             let enc = (self.encode)(msg);
@@ -243,7 +235,7 @@ where
             self.sim.set_port(chan, Some(!self.credits[c].is_empty()));
         }
         if self.steps - self.cut_steps >= self.every {
-            self.cut = self.sim.clone().into_state();
+            self.cut = self.sim.clone().into_seed();
             self.cut_steps = self.steps;
             self.cuts += 1;
         }
@@ -300,49 +292,46 @@ where
     }
 
     fn cut_consumed(&self, chan: usize) -> u64 {
-        self.cut.consumed(chan)
+        self.cut.consumed[chan]
     }
 
     fn manifest(&self, ranks: &[usize]) -> GroupManifest {
         let rset: BTreeSet<usize> = ranks.iter().copied().collect();
         let cut = &self.cut;
+        // A whole-program cut lists every rank and every channel in id order.
         let mranks = ranks
             .iter()
             .map(|&r| {
-                let status = match &cut.status[r] {
-                    ProcState::Ready => ManifestStatus::Ready,
-                    ProcState::BlockedRecv(c) => ManifestStatus::BlockedRecv(c.0 as u32),
-                    ProcState::BlockedSend(c, m) => {
-                        ManifestStatus::BlockedSend(c.0 as u32, (self.encode)(m))
-                    }
-                    ProcState::Halted => ManifestStatus::Halted,
+                let (_, proc, status, metrics) = &cut.procs[r];
+                let status = match status {
+                    ProcState::Ready => ProcState::Ready,
+                    ProcState::BlockedRecv(c) => ProcState::BlockedRecv(*c),
+                    ProcState::BlockedSend(c, m) => ProcState::BlockedSend(*c, (self.encode)(m)),
+                    ProcState::Halted => ProcState::Halted,
                 };
-                ManifestRank {
-                    rank: r as u32,
-                    status,
-                    state: (self.state)(&cut.procs[r]),
-                    metrics: cut.metrics.procs[r],
-                }
+                let state = (self.state)(proc);
+                ManifestRank { rank: r as u32, status, state, metrics: *metrics }
             })
             .collect();
         // Only channels *internal* to the resumed set travel as seeded
         // queues; in-flight messages on inbound channels are replayed
         // from the supervisor's logs (gating guarantees they are there).
-        let chans = &cut.metrics.channels;
-        let queues = chans
+        let chans = &self.sim.metrics().channels;
+        let queues = cut
+            .queues
             .iter()
-            .enumerate()
-            .filter(|(i, c)| {
-                rset.contains(&c.writer) && rset.contains(&c.reader) && !cut.queues[*i].is_empty()
+            .filter(|(i, q)| {
+                let c = &chans[*i];
+                rset.contains(&c.writer) && rset.contains(&c.reader) && !q.is_empty()
             })
-            .map(|(i, _)| (i as u32, cut.queues[i].iter().map(|m| (self.encode)(m)).collect()))
+            .map(|(i, q)| (*i as u32, q.iter().map(|m| (self.encode)(m)).collect()))
             .collect();
         GroupManifest {
             steps: self.cut_steps,
             ranks: mranks,
             queues,
-            consumed: (0..chans.len()).map(|c| cut.consumed(c)).collect(),
-            counters: cut.metrics.counters(),
+            consumed: cut.consumed.clone(),
+            counters: cut.counters.clone(),
         }
     }
 }
@@ -386,8 +375,7 @@ fn seed_from_manifest<P: Process>(
             rset
         )));
     }
-    let chan_of = |c: u32, what: &str| -> Result<usize, RunError> {
-        let c = c as usize;
+    let chan_of = |c: usize, what: &str| -> Result<usize, RunError> {
         if c >= n_chans {
             return Err(bad(format!("manifest {what} channel {c} out of range 0..{n_chans}")));
         }
@@ -398,20 +386,20 @@ fn seed_from_manifest<P: Process>(
         let mr = by_rank[&rank];
         let proc = (codecs.decode_state)(&template, &mr.state)?;
         let status = match &mr.status {
-            ManifestStatus::Ready => ProcState::Ready,
-            ManifestStatus::BlockedRecv(c) => {
-                ProcState::BlockedRecv(ChannelId(chan_of(*c, "blocked-recv")?))
+            ProcState::Ready => ProcState::Ready,
+            ProcState::BlockedRecv(c) => {
+                ProcState::BlockedRecv(ChannelId(chan_of(c.0, "blocked-recv")?))
             }
-            ManifestStatus::BlockedSend(c, bytes) => {
-                ProcState::BlockedSend(ChannelId(chan_of(*c, "blocked-send")?), decode(bytes)?)
+            ProcState::BlockedSend(c, bytes) => {
+                ProcState::BlockedSend(ChannelId(chan_of(c.0, "blocked-send")?), decode(bytes)?)
             }
-            ManifestStatus::Halted => ProcState::Halted,
+            ProcState::Halted => ProcState::Halted,
         };
         procs.push((rank, proc, status, mr.metrics));
     }
     let mut queues = Vec::with_capacity(manifest.queues.len());
     for (chan, msgs) in &manifest.queues {
-        let c = chan_of(*chan, "queue")?;
+        let c = chan_of(*chan as usize, "queue")?;
         let spec = topo.spec(ChannelId(c));
         if !(rset.contains(&spec.writer) && rset.contains(&spec.reader)) {
             return Err(bad(format!(
@@ -1015,7 +1003,7 @@ mod tests {
         while !sim.is_done() {
             for p in 0..n {
                 while sim.is_runnable(p) {
-                    sim.step_process_with(p, &mut ssp_runtime::NoopObserver).unwrap();
+                    sim.step_process_with(p, &mut |_| {}).unwrap();
                     steps += 1;
                 }
             }
@@ -1150,7 +1138,7 @@ mod tests {
         assert!(rejects(&[0, 1], bad));
         // An undecodable blocked-send message.
         let mut bad = good.clone();
-        bad.ranks[0].status = ManifestStatus::BlockedSend(0, vec![1, 2, 3]);
+        bad.ranks[0].status = ProcState::BlockedSend(ChannelId(0), vec![1, 2, 3]);
         assert!(rejects(&[0, 1], bad));
         // A truncated rank state.
         let mut bad = good;

@@ -228,7 +228,7 @@ pub struct WorkerRow {
     /// PING→PONG round trip of the most recent reply, in nanoseconds.
     pub rtt_nanos: u64,
     /// Heartbeat intervals in which the worker reported live ranks but
-    /// its step counter did not move (logged as a stall warning).
+    /// its progress counter did not move (logged as a stall warning).
     pub flatlines: u64,
 }
 
@@ -993,7 +993,7 @@ impl Supervisor<'_> {
 
     /// Fold one PONG's telemetry into the worker's row: record the RTT of
     /// the probe it answers, and warn when a worker claims live ranks but
-    /// its step counter has not moved since the previous reply — the
+    /// its progress counter has not moved since the previous reply — the
     /// heartbeat-visible signature of a stuck group.
     fn handle_pong(&mut self, w: usize, payload: &[u8]) -> Result<(), RunError> {
         let t = WorkerTelemetry::decode(payload)?;
@@ -1005,12 +1005,12 @@ impl Supervisor<'_> {
         if let Some(rtt) = rtt {
             row.rtt_nanos = rtt;
         }
-        if row.pongs > 0 && t.ranks_live > 0 && t.steps == row.last.steps {
+        if row.pongs > 0 && t.live.ranks_live > 0 && t.live.progress == row.last.live.progress {
             row.flatlines += 1;
             eprintln!(
-                "supervisor: worker {w} step rate flatlined at {} with {} ranks live \
+                "supervisor: worker {w} progress flatlined at {} with {} ranks live \
                  (heartbeat {})",
-                t.steps, t.ranks_live, row.pongs
+                t.live.progress, t.live.ranks_live, row.pongs
             );
         }
         row.last = t;

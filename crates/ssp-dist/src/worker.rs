@@ -612,15 +612,10 @@ fn snapshot_telemetry(
     groups: &[Arc<dyn GroupIngress>],
     bytes_routed: &AtomicU64,
 ) -> WorkerTelemetry {
-    let mut t = WorkerTelemetry { bytes_routed: bytes_routed.load(Ordering::Relaxed), ..Default::default() };
-    for g in groups {
-        let live = g.telemetry();
-        t.ranks_live += live.ranks_live;
-        t.steps += live.progress;
-        t.steals += live.steals;
-        t.ring_occupancy += live.flight_occupancy;
+    WorkerTelemetry {
+        live: groups.iter().map(|g| g.telemetry()).sum(),
+        bytes_routed: bytes_routed.load(Ordering::Relaxed),
     }
-    t
 }
 
 /// Launch the group an ASSIGN describes — seeded from its manifest if it

@@ -40,18 +40,23 @@
 //! processes plus the steps after it just another maximal interleaving, so
 //! a run may stop on one runner and finish on the other. There is one path
 //! for that: a [`sim::Simulator`] (clone it to keep a cut) exports its state
-//! by move as a [`sim::SimState`], which converts into a
-//! [`sched::PartialSeed`] — what the scheduler's one launcher starts every
-//! run from, fresh ([`sched::PartialSeed::fresh`]) or resumed, whole
-//! program or a hosted subset of ranks ([`sched::launch_partial`]).
+//! by move as a [`sched::PartialSeed`] ([`sim::Simulator::into_seed`]) —
+//! the one typed form of a cut, and what the scheduler's one launcher
+//! starts every run from, fresh ([`sched::PartialSeed::fresh`]) or resumed,
+//! whole program or a hosted subset of ranks ([`sched::launch_partial`]).
 //! [`recover`] builds checkpoint/restart on it and gives a cut its one wire
-//! form, the sealed [`recover::GroupManifest`]. Every simulated run goes
-//! through one pick loop and is recorded once, as its picks; a
-//! [`observer::StepObserver`] sees every step — the `perf-sim`
-//! discrete-event engine is one, pricing the run as it goes. External
-//! steppers (exhaustive enumeration, the distributed supervisor's shadow)
-//! drive the same simulator through [`sim::Simulator::step_process_with`]
-//! instead of re-implementing it.
+//! form, the sealed [`recover::GroupManifest`]; both carry a rank's status
+//! as a [`sim::ProcState`].
+//!
+//! A run's actions have one vocabulary on every backend:
+//! [`trace::FlightEvent`]. The pool's flight recorder stamps them with wall
+//! time; the simulator reports the same kinds, with the same `chan` and
+//! `bytes`, to a closure at every step, untimed. Every simulated run goes
+//! through one pick loop and is recorded once, as its picks; the `perf-sim`
+//! discrete-event engine consumes its events, pricing the run as it goes.
+//! External steppers (exhaustive enumeration, the distributed supervisor's
+//! shadow) drive the same simulator through
+//! [`sim::Simulator::step_process_with`] instead of re-implementing it.
 //!
 //! Channels are declared up front in a [`chan::Topology`], which statically
 //! checks the single-reader single-writer restriction. Channels have infinite
@@ -60,7 +65,7 @@
 //! why the paper's infinite-slack assumption matters — bounded channels admit
 //! deadlocks that unbounded ones do not. Deadlocks are never silent: the
 //! simulator reports the wait-for cycle as a typed
-//! [`error::RunError::Deadlock`], and the threaded runner can do the same via
+//! [`error::RunError::Deadlock`], and the threaded runner does the same via
 //! a watchdog ([`threaded::ThreadedConfig::watchdog`]). Both runners also
 //! produce a [`trace::RunMetrics`] communication profile (message counts,
 //! payload bytes, queue-depth high-water marks, block time), dumpable as
@@ -72,7 +77,6 @@ pub mod error;
 pub mod fault;
 pub mod flight;
 pub mod json;
-pub mod observer;
 pub mod policy;
 pub mod pool;
 pub mod proc;
@@ -90,7 +94,6 @@ pub use error::RunError;
 pub use fault::{Crash, FaultPlan, Stall};
 pub use flight::{FlightRecorder, FlightSink, NoFlight, DEFAULT_FLIGHT_CAP, FLIGHT_DUMP_ENV};
 pub use json::JsonValue;
-pub use observer::{NoopObserver, RecordingObserver, StepEvent, StepObserver};
 pub use policy::{
     Adversary, AdversarialPolicy, FixedSchedule, RandomPolicy, RoundRobin, SchedulePolicy,
 };
@@ -98,11 +101,11 @@ pub use pool::BufPool;
 pub use proc::{Effect, ProcId, Process};
 pub use spsc::{OverwriteRing, ParkSlot, SpscRing};
 pub use recover::{
-    fnv1a_64, run_recovering, GroupManifest, ManifestRank,
-    ManifestStatus, RecoveryConfig, RecoveryOutcome, RecoveryStats,
+    fnv1a_64, run_recovering, GroupManifest, ManifestRank, RecoveryConfig, RecoveryOutcome,
+    RecoveryStats,
 };
 pub use sched::{launch_partial, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};
-pub use sim::{run_simulated, ProcState, RunOutcome, SimState, Simulator};
+pub use sim::{run_simulated, ProcState, RunOutcome, Simulator};
 pub use threaded::{run_threaded_faulted, run_threaded_with, ThreadedConfig, ThreadedOutcome};
 pub use trace::{
     ChannelMetrics, FlightEvent, FlightKind, FlightLane, FlightLog, ProcMetrics, RunMetrics,

@@ -21,15 +21,15 @@
 //!
 //! [`GroupManifest`] is the one wire form of a cut, a *sealed state* for
 //! callers whose workload can decode process state (the distributed
-//! backend's migrations).
+//! backend's migrations); its typed form is a [`crate::sched::PartialSeed`],
+//! and both carry a rank's status as a [`ProcState`].
 
-use crate::chan::Topology;
+use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::{Crash, FaultPlan};
-use crate::observer::NoopObserver;
 use crate::policy::SchedulePolicy;
 use crate::proc::{push_bytes, push_u32, push_u64, ProcId, Process, Reader};
-use crate::sim::{Rollback, RunOutcome, Simulator};
+use crate::sim::{ProcState, Rollback, RunOutcome, Simulator};
 use crate::trace::{push_counters, push_proc_metrics, RunMetrics};
 
 /// Supervisor tuning: how often to checkpoint and how many restarts to
@@ -192,7 +192,7 @@ where
     let sim = Simulator::new(topo, procs);
     let mut sup = Supervisor::new(cfg, &sim, &faults, &mut stats);
     let (sim, picks) =
-        sim.drive(policy, &mut faults, Some(&mut sup), &mut NoopObserver)?;
+        sim.drive(policy, &mut faults, Some(&mut sup), &mut |_| {})?;
     let RunOutcome { snapshots, picks, steps, metrics, .. } = sim.outcome(picks);
     Ok(RecoveryOutcome { snapshots, picks, steps, metrics, stats })
 }
@@ -214,32 +214,21 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// A hosted rank's entry in a [`GroupManifest`]: scheduler status plus the
-/// process state, both as opaque bytes — the typed side (the workload
-/// registry) owns the codecs, so this container stays workload-agnostic.
+/// process state, with the process state and a blocked send's message as
+/// opaque bytes — the typed side (the workload registry) owns the codecs,
+/// so this container stays workload-agnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestRank {
     /// Global rank id.
     pub rank: u32,
-    /// Scheduler status at the cut.
-    pub status: ManifestStatus,
-    /// Encoded process state ([`crate::sim::ProcState`]'s payload).
+    /// Scheduler status at the cut; a blocked send holds its encoded
+    /// message.
+    pub status: ProcState<Vec<u8>>,
+    /// Encoded process state.
     pub state: Vec<u8>,
     /// Metrics accumulated by the prefix (step ordinals key fault
     /// injection, so they must survive the move).
     pub metrics: crate::trace::ProcMetrics,
-}
-
-/// Untyped [`crate::sim::ProcState`]: blocked-send messages travel encoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ManifestStatus {
-    /// The rank can take a step.
-    Ready,
-    /// Blocked receiving on the channel.
-    BlockedRecv(u32),
-    /// Blocked sending the encoded message on the channel.
-    BlockedSend(u32, Vec<u8>),
-    /// The rank halted.
-    Halted,
 }
 
 /// A fingerprint-verified consistent cut of a rank subset — what migrates
@@ -292,17 +281,17 @@ impl GroupManifest {
             push_u32(&mut out, r.rank);
             push_proc_metrics(&mut out, &r.metrics);
             match &r.status {
-                ManifestStatus::Ready => out.push(0),
-                ManifestStatus::BlockedRecv(c) => {
+                ProcState::Ready => out.push(0),
+                ProcState::BlockedRecv(c) => {
                     out.push(1);
-                    push_u32(&mut out, *c);
+                    push_u32(&mut out, c.0 as u32);
                 }
-                ManifestStatus::BlockedSend(c, msg) => {
+                ProcState::BlockedSend(c, msg) => {
                     out.push(2);
-                    push_u32(&mut out, *c);
+                    push_u32(&mut out, c.0 as u32);
                     push_bytes(&mut out, msg);
                 }
-                ManifestStatus::Halted => out.push(3),
+                ProcState::Halted => out.push(3),
             }
             push_bytes(&mut out, &r.state);
         }
@@ -346,13 +335,13 @@ impl GroupManifest {
             let rank = r.u32("rank")?;
             let metrics = r.proc_metrics()?;
             let status = match r.u8("status tag")? {
-                0 => ManifestStatus::Ready,
-                1 => ManifestStatus::BlockedRecv(r.u32("blocked-recv channel")?),
+                0 => ProcState::Ready,
+                1 => ProcState::BlockedRecv(ChannelId(r.u32("blocked-recv channel")? as usize)),
                 2 => {
-                    let chan = r.u32("blocked-send channel")?;
-                    ManifestStatus::BlockedSend(chan, r.bytes("blocked send message")?.to_vec())
+                    let chan = ChannelId(r.u32("blocked-send channel")? as usize);
+                    ProcState::BlockedSend(chan, r.bytes("blocked send message")?.to_vec())
                 }
-                3 => ManifestStatus::Halted,
+                3 => ProcState::Halted,
                 t => return Err(r.error(format_args!("unknown status tag {t}"))),
             };
             let state = r.bytes("rank state")?.to_vec();
@@ -382,7 +371,7 @@ mod manifest_tests {
             ranks: vec![
                 ManifestRank {
                     rank: 2,
-                    status: ManifestStatus::BlockedSend(7, vec![1, 2, 3]),
+                    status: ProcState::BlockedSend(ChannelId(7), vec![1, 2, 3]),
                     state: vec![9; 33],
                     metrics: crate::trace::ProcMetrics {
                         steps: 41,
@@ -395,7 +384,7 @@ mod manifest_tests {
                 },
                 ManifestRank {
                     rank: 5,
-                    status: ManifestStatus::Halted,
+                    status: ProcState::Halted,
                     state: Vec::new(),
                     metrics: Default::default(),
                 },

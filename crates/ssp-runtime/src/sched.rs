@@ -65,7 +65,7 @@ use crate::error::RunError;
 use crate::fault::FaultPlan;
 use crate::flight::{FlightRecorder, FlightSink, NoFlight};
 use crate::proc::{Effect, ProcId, Process};
-use crate::sim::{ProcState, SimState};
+use crate::sim::ProcState;
 use crate::spsc::{ParkSlot, SpscRing};
 use crate::threaded::{ThreadedConfig, ThreadedOutcome};
 use crate::trace::{FlightKind, FlightLog, ProcMetrics, RunMetrics};
@@ -565,10 +565,10 @@ impl Harvest {
 /// Run a whole program — `seed` hosts every rank of `topo` — over a worker
 /// pool and harvest it. The entry point behind every
 /// [`crate::threaded`] `run_threaded_*`: a fresh start passes
-/// [`PartialSeed::fresh`], a resumed run a [`SimState`] converted with
-/// `into()`. Chooses between the two monomorphizations: [`NoFlight`] (the
-/// default — the compile-time no-op path) and [`FlightRecorder`] when
-/// [`ThreadedConfig::flight`] is set.
+/// [`PartialSeed::fresh`], a resumed run a simulator's
+/// [`crate::sim::Simulator::into_seed`]. Chooses between the two
+/// monomorphizations: [`NoFlight`] (the default — the compile-time no-op
+/// path) and [`FlightRecorder`] when [`ThreadedConfig::flight`] is set.
 pub(crate) fn run_full<P>(
     topo: &Topology,
     seed: PartialSeed<P>,
@@ -581,10 +581,10 @@ where
     assert_eq!(seed.procs.len(), topo.n_procs(), "process count must match topology");
     let n_workers = resolve_workers(config.workers, seed.procs.len());
     match config.flight {
-        None => launch(topo, seed, n_workers, config.watchdog, faults, NoFlight).harvest(),
+        None => launch(topo, seed, n_workers, Some(config.watchdog), faults, NoFlight).harvest(),
         Some(cap) => {
             let flight = FlightRecorder::new(n_workers, cap);
-            launch(topo, seed, n_workers, config.watchdog, faults, flight).harvest()
+            launch(topo, seed, n_workers, Some(config.watchdog), faults, flight).harvest()
         }
     }
     .map(Harvest::into_outcome)
@@ -644,10 +644,12 @@ impl<P: Process, F: FlightSink> PartialRun<P, F> {
 }
 
 /// A consistent cut of a rank subset, ready to seed a scheduler instance —
-/// what every launch starts from. A fresh start is the trivial cut
-/// ([`PartialSeed::fresh`]); a [`SimState`] converts into the cut of a
-/// whole program; the distributed backend decodes its checkpoint-resumed
-/// migration payload into one. Theorem 1 licenses resuming per subset:
+/// the one typed form of a cut, and what every launch starts from. A fresh
+/// start is the trivial cut ([`PartialSeed::fresh`]);
+/// [`crate::sim::Simulator::into_seed`] exports the cut of a whole
+/// program; the distributed backend decodes its checkpoint-resumed
+/// migration payload (a sealed [`crate::recover::GroupManifest`]) into
+/// one. Theorem 1 licenses resuming per subset:
 /// given every hosted rank's state, the contents of internal queues, and
 /// the delivery ordinals of cross channels, the cut plus the steps after it
 /// is just another maximal interleaving.
@@ -686,25 +688,6 @@ impl<P: Process> PartialSeed<P> {
     }
 }
 
-/// A simulator cut of the whole program, as a seed hosting every rank.
-impl<P: Process> From<SimState<P>> for PartialSeed<P> {
-    fn from(state: SimState<P>) -> Self {
-        let consumed = (0..state.queues.len()).map(|c| state.consumed(c)).collect();
-        let SimState { procs, status, queues, metrics } = state;
-        PartialSeed {
-            procs: procs
-                .into_iter()
-                .zip(status)
-                .enumerate()
-                .map(|(rank, (proc, st))| (rank, proc, st, metrics.procs[rank]))
-                .collect(),
-            consumed,
-            counters: metrics.counters(),
-            queues: queues.into_iter().map(Vec::from).enumerate().collect(),
-        }
-    }
-}
-
 /// Launch a scheduler instance that hosts only `seed`'s ranks out of
 /// `topo`'s, starting each from the seed's cut ([`PartialSeed::fresh`] for
 /// a start from the initial states; a decoded migration payload to resume
@@ -726,8 +709,10 @@ impl<P: Process> From<SimState<P>> for PartialSeed<P> {
 /// distributed worker does.
 ///
 /// No watchdog runs: a partial instance blocked on a remote peer is locally
-/// indistinguishable from deadlock, so liveness belongs to the supervisor
-/// (socket EOF / heartbeat).
+/// indistinguishable from deadlock — every hosted rank parked, nothing
+/// queued, no progress is exactly what waiting on a slow peer looks like,
+/// and the peer's next frame undoes it — so liveness belongs to the
+/// supervisor (socket EOF / heartbeat).
 pub fn launch_partial<P, F>(
     topo: &Topology,
     seed: PartialSeed<P>,
@@ -889,6 +874,19 @@ pub struct LiveTelemetry {
     /// Flight-recorder events currently retained across lanes (0 when
     /// recording is disabled).
     pub flight_occupancy: u64,
+}
+
+/// Field-wise totals: the live counters of several instances (a
+/// distributed worker's groups) as one row.
+impl std::iter::Sum for LiveTelemetry {
+    fn sum<I: Iterator<Item = LiveTelemetry>>(iter: I) -> LiveTelemetry {
+        iter.fold(LiveTelemetry::default(), |a, b| LiveTelemetry {
+            ranks_live: a.ranks_live + b.ranks_live,
+            progress: a.progress + b.progress,
+            steals: a.steals + b.steals,
+            flight_occupancy: a.flight_occupancy + b.flight_occupancy,
+        })
+    }
 }
 
 impl<P: Process, F: FlightSink> Gateway<P, F> {

@@ -16,20 +16,22 @@
 //!
 //! One pick loop (`Simulator::drive`) runs every simulated execution:
 //! [`Simulator::run`], [`Simulator::run_observed`] (which `perf-sim`'s
-//! discrete-event engine drives with its clocks as the observer) and
+//! discrete-event engine drives, its clocks consuming the events) and
 //! [`crate::recover::run_recovering`] (which plugs a checkpoint supervisor
-//! into it). A run is recorded once, as its `picks`; anything finer is the
-//! [`StepEvent`] stream an observer sees.
+//! into it). A run is recorded once, as its `picks`; anything finer is its
+//! [`FlightEvent`]s, in the vocabulary the pool's flight recorder writes
+//! (see [`Simulator::step_process_with`]), with `nanos` 0 because the
+//! simulator has no clock.
 
 use std::collections::VecDeque;
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::observer::{NoopObserver, StepEvent, StepObserver};
 use crate::policy::SchedulePolicy;
 use crate::proc::{Effect, ProcId, Process};
-use crate::trace::RunMetrics;
+use crate::sched::PartialSeed;
+use crate::trace::{FlightEvent, FlightKind, RunMetrics};
 use crate::waitgraph::{self, BlockKind};
 
 /// Result of a terminated simulated run.
@@ -65,9 +67,11 @@ impl RunOutcome {
 }
 
 /// A process's scheduling status: what the simulator stores per process,
-/// what an exported cut ([`Simulator::into_state`]) carries to seed another
-/// backend, and what the threaded scheduler resumes from.
-#[derive(Debug, Clone)]
+/// what a cut ([`Simulator::into_seed`]) carries to seed another backend,
+/// what the threaded scheduler resumes from, and — with the message
+/// encoded, `ProcState<Vec<u8>>` — what a sealed
+/// [`crate::recover::GroupManifest`] carries per rank.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProcState<M> {
     /// Can be resumed with no delivery.
     Ready,
@@ -79,33 +83,6 @@ pub enum ProcState<M> {
     BlockedSend(ChannelId, M),
     /// The process has halted.
     Halted,
-}
-
-/// The full data plane of a simulator at some consistent cut: processes
-/// (mid-state), their statuses, the in-flight queue contents, and the
-/// metrics accumulated so far. Any backend that starts from this state and
-/// runs to completion reaches the same final state as continuing the
-/// simulation would (Theorem 1: the steps before the cut plus the steps
-/// after form one maximal interleaving).
-pub struct SimState<P: Process> {
-    /// The processes, each at its post-prefix state.
-    pub procs: Vec<P>,
-    /// Per-process scheduling status at the cut.
-    pub status: Vec<ProcState<P::Msg>>,
-    /// Per-channel in-flight messages, FIFO order.
-    pub queues: Vec<VecDeque<P::Msg>>,
-    /// Metrics accumulated by the prefix (steps, sends, channel counters);
-    /// a resuming backend continues these counts, keeping proc-local step
-    /// ordinals (which key fault injection) consistent across the cut.
-    pub metrics: RunMetrics,
-}
-
-impl<P: Process> SimState<P> {
-    /// Deliveries completed on channel `chan` before the cut: sends counted
-    /// by the prefix minus messages still in flight.
-    pub fn consumed(&self, chan: usize) -> u64 {
-        self.metrics.channels[chan].messages.saturating_sub(self.queues[chan].len() as u64)
-    }
 }
 
 /// Simulated executor for one process collection over one topology.
@@ -234,13 +211,13 @@ impl<P: Process> Simulator<P> {
         &mut self,
         p: ProcId,
         eff: Effect<P::Msg>,
-        obs: &mut dyn StepObserver,
+        obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<(), RunError> {
         match eff {
             Effect::Compute { units } => {
                 self.metrics.procs[p].compute_units += units;
                 self.status[p] = ProcState::Ready;
-                obs.on_event(StepEvent::Computed { proc: p, units });
+                obs(event(FlightKind::Compute, p, 0, units));
             }
             Effect::Send { chan, msg } => {
                 self.topo.check_writer(chan, p)?;
@@ -249,9 +226,8 @@ impl<P: Process> Simulator<P> {
                 } else {
                     // Full bounded channel (non-paper model) or closed
                     // port: hold the message until the send is admitted.
-                    let bytes = P::msg_size_bytes(&msg);
                     self.status[p] = ProcState::BlockedSend(chan, msg);
-                    obs.on_event(StepEvent::SendBlocked { proc: p, chan, bytes });
+                    obs(event(FlightKind::Park, p, chan.0, 1));
                 }
             }
             Effect::Recv { chan } => {
@@ -260,16 +236,17 @@ impl<P: Process> Simulator<P> {
                 // taken when this process is next scheduled and the queue is
                 // non-empty.
                 self.status[p] = ProcState::BlockedRecv(chan);
-                obs.on_event(StepEvent::RecvPosted { proc: p, chan });
+                obs(event(FlightKind::Park, p, chan.0, 0));
             }
             Effect::Halt => {
                 self.status[p] = ProcState::Halted;
-                obs.on_event(StepEvent::Halted { proc: p });
+                obs(event(FlightKind::Halt, p, 0, 0));
             }
             Effect::Fault { error } => {
                 // The process detected an unrecoverable condition; mark it
                 // halted so it is never resumed again and abort the run.
                 self.status[p] = ProcState::Halted;
+                obs(event(FlightKind::Fault, p, 0, 0));
                 return Err(error);
             }
         }
@@ -282,7 +259,7 @@ impl<P: Process> Simulator<P> {
         p: ProcId,
         chan: ChannelId,
         msg: P::Msg,
-        obs: &mut dyn StepObserver,
+        obs: &mut dyn FnMut(FlightEvent),
     ) {
         let bytes = P::msg_size_bytes(&msg);
         self.queues[chan.0].push_back(msg);
@@ -290,11 +267,11 @@ impl<P: Process> Simulator<P> {
         self.max_queued = self.max_queued.max(self.queued);
         self.metrics.on_send(chan, bytes, self.queues[chan.0].len());
         self.status[p] = ProcState::Ready;
-        obs.on_event(StepEvent::Sent { proc: p, chan, bytes });
+        obs(event(FlightKind::Send, p, chan.0, bytes));
     }
 
     /// Take one atomic step for process `p` (which must be runnable).
-    fn step(&mut self, p: ProcId, obs: &mut dyn StepObserver) -> Result<(), RunError> {
+    fn step(&mut self, p: ProcId, obs: &mut dyn FnMut(FlightEvent)) -> Result<(), RunError> {
         // Temporarily replace the status to take ownership of any held message.
         let status = std::mem::replace(&mut self.status[p], ProcState::Ready);
         self.metrics.procs[p].steps += 1;
@@ -309,7 +286,7 @@ impl<P: Process> Simulator<P> {
                     .expect("scheduled a recv-blocked process with empty queue");
                 self.queued -= 1;
                 self.metrics.on_recv(chan);
-                obs.on_event(StepEvent::Received { proc: p, chan });
+                obs(event(FlightKind::Recv, p, chan.0, P::msg_size_bytes(&msg)));
                 let eff = self.procs[p].resume(Some(msg));
                 self.apply_effect(p, eff, obs)
             }
@@ -365,14 +342,18 @@ impl<P: Process> Simulator<P> {
     }
 
     /// Take one atomic step for runnable process `p`, telling `obs` exactly
-    /// what the step did, posted receives and blocked sends included.
-    /// External steppers — exhaustive interleaving enumeration, the
-    /// distributed supervisor's shadow — use this to reuse the simulator's
-    /// semantics instead of reimplementing them.
+    /// what the step did, in the pool's flight-recorder vocabulary with
+    /// `nanos` 0: `Compute` (units in `bytes`), `Send`, `Recv` (the message
+    /// size in `bytes`), `Park` (`bytes` 0 for a posted receive, 1 for a
+    /// blocked send), `Halt`, and `Fault` (`bytes` 0 for a process fault).
+    /// A delivery step reports the `Recv` and then the resumed process's
+    /// next action. External steppers — exhaustive interleaving
+    /// enumeration, the distributed supervisor's shadow — use this to
+    /// reuse the simulator's semantics instead of reimplementing them.
     pub fn step_process_with(
         &mut self,
         p: ProcId,
-        obs: &mut dyn StepObserver,
+        obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<(), RunError> {
         assert!(self.is_runnable(p), "step_process_with requires a runnable process");
         self.step(p, obs)
@@ -386,12 +367,13 @@ impl<P: Process> Simulator<P> {
     /// from the plan, and [`RunError::Injected`] is returned. Otherwise the
     /// step proceeds normally and the plan's stall bookkeeping (global tick
     /// count, per-channel delivery counts) is advanced. An empty plan
-    /// injects nothing and needs no bookkeeping.
+    /// injects nothing and needs no bookkeeping. A crash is reported as a
+    /// `Fault` event carrying the step.
     fn step_injected(
         &mut self,
         p: ProcId,
         faults: &mut FaultPlan,
-        obs: &mut dyn StepObserver,
+        obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<(), RunError> {
         if faults.is_empty() {
             return self.step(p, obs);
@@ -399,6 +381,7 @@ impl<P: Process> Simulator<P> {
         let local_step = self.metrics.procs[p].steps + 1;
         if let Some(crash) = faults.take_crash(p, local_step) {
             self.status[p] = ProcState::Halted;
+            obs(event(FlightKind::Fault, p, 0, crash.at_step));
             return Err(RunError::Injected { proc: p, step: crash.at_step });
         }
         let delivering = match &self.status[p] {
@@ -472,29 +455,45 @@ impl<P: Process> Simulator<P> {
         buf
     }
 
-    /// Export the simulator's entire data plane for another backend to
-    /// resume from (see [`SimState`]). Consumes the simulator: the state is
-    /// moved, not copied.
-    pub fn into_state(self) -> SimState<P> {
-        SimState {
-            procs: self.procs,
-            status: self.status,
-            queues: self.queues,
-            metrics: self.metrics,
+    /// Export the simulator's cut — processes mid-state, their statuses,
+    /// the in-flight queues and the prefix's counters — as the seed of a
+    /// whole program, for another backend to resume from. Consumes the
+    /// simulator: the state is moved, not copied. Any backend that runs the
+    /// seed to completion reaches the same final state as continuing the
+    /// simulation would (Theorem 1: the steps before the cut plus the steps
+    /// after form one maximal interleaving).
+    pub fn into_seed(self) -> PartialSeed<P> {
+        let Simulator { procs, status, queues, metrics, .. } = self;
+        let consumed = metrics
+            .channels
+            .iter()
+            .zip(&queues)
+            .map(|(c, q)| c.messages.saturating_sub(q.len() as u64))
+            .collect();
+        PartialSeed {
+            procs: procs
+                .into_iter()
+                .zip(status)
+                .enumerate()
+                .map(|(rank, (proc, st))| (rank, proc, st, metrics.procs[rank]))
+                .collect(),
+            queues: queues.into_iter().map(Vec::from).enumerate().collect(),
+            consumed,
+            counters: metrics.counters(),
         }
     }
 
     /// Run to termination under `policy`, producing the picks taken and the
     /// final state.
     pub fn run(self, policy: &mut dyn SchedulePolicy) -> Result<RunOutcome, RunError> {
-        self.run_observed(policy, &mut NoopObserver)
+        self.run_observed(policy, &mut |_| {})
     }
 
     /// [`Simulator::run`] with every atomic action reported to `obs`.
     pub fn run_observed(
         self,
         policy: &mut dyn SchedulePolicy,
-        obs: &mut dyn StepObserver,
+        obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<RunOutcome, RunError> {
         let (sim, picks) = self.drive(policy, &mut FaultPlan::none(), None, obs)?;
         Ok(sim.outcome(picks))
@@ -522,7 +521,7 @@ impl<P: Process> Simulator<P> {
         policy: &mut dyn SchedulePolicy,
         faults: &mut FaultPlan,
         mut rollback: Option<&mut dyn Rollback<P>>,
-        obs: &mut dyn StepObserver,
+        obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<(Self, Vec<ProcId>), RunError> {
         let mut picks = Vec::new();
         let mut runnable = Vec::new();
@@ -554,6 +553,11 @@ impl<P: Process> Simulator<P> {
         }
         Ok((self, picks))
     }
+}
+
+/// The event of `kind` that process `p` takes on channel `chan`.
+fn event(kind: FlightKind, p: ProcId, chan: usize, bytes: u64) -> FlightEvent {
+    FlightEvent { nanos: 0, kind, rank: p as u32, chan: chan as u32, bytes }
 }
 
 /// Convenience: build and run in one call.
@@ -918,47 +922,46 @@ mod tests {
 
     #[test]
     fn observer_sees_every_action_with_matching_counts() {
-        use crate::observer::{RecordingObserver, StepEvent};
         let (topo, procs) = pair(5);
-        let mut rec = RecordingObserver::default();
+        let mut events = Vec::new();
         let out = Simulator::new(topo, procs)
-            .run_observed(&mut RoundRobin::new(), &mut rec)
+            .run_observed(&mut RoundRobin::new(), &mut |e| events.push(e))
             .unwrap();
 
-        let count = |f: &dyn Fn(&StepEvent) -> bool| rec.events.iter().filter(|e| f(e)).count();
-        let sent = count(&|e| matches!(e, StepEvent::Sent { .. }));
-        let received = count(&|e| matches!(e, StepEvent::Received { .. }));
-        let posted = count(&|e| matches!(e, StepEvent::RecvPosted { .. }));
-        let halted = count(&|e| matches!(e, StepEvent::Halted { .. }));
+        let count = |f: &dyn Fn(&FlightEvent) -> bool| events.iter().filter(|e| f(e)).count();
+        let sent = count(&|e| e.kind == FlightKind::Send);
+        let received = count(&|e| e.kind == FlightKind::Recv);
+        let posted = count(&|e| e.kind == FlightKind::Park && e.bytes == 0);
+        let halted = count(&|e| e.kind == FlightKind::Halt);
         assert_eq!(sent as u64, out.metrics.total_messages());
         assert_eq!(received as u64, out.metrics.procs[1].receives);
         assert_eq!(posted, received, "every delivery was awaited first");
         assert_eq!(halted, 2);
         // A delivery step reports the delivery and the resumed process's
         // next effect; every other step reports one event.
-        assert_eq!(rec.events.len() as u64, out.steps + received as u64);
+        assert_eq!(events.len() as u64, out.steps + received as u64);
     }
 
     #[test]
     fn observer_reports_blocked_sends_on_bounded_channels() {
-        use crate::observer::{RecordingObserver, StepEvent};
         let mut topo = Topology::new(2);
         let c = topo.add(ChannelSpec::bounded(0, 1, 1));
         let procs = vec![
             PingPong::Sender { chan: c, next: 0, count: 3 },
             PingPong::Receiver { chan: c, got: 0, sum: 0, count: 3 },
         ];
-        let mut rec = RecordingObserver::default();
+        let mut events = Vec::new();
         // LowestFirst drives the sender into the full channel immediately.
         Simulator::new(topo, procs)
-            .run_observed(&mut AdversarialPolicy::new(Adversary::LowestFirst), &mut rec)
+            .run_observed(&mut AdversarialPolicy::new(Adversary::LowestFirst), &mut |e| {
+                events.push(e)
+            })
             .unwrap();
-        let blocked = rec
-            .events
+        let blocked = events
             .iter()
-            .filter(|e| matches!(e, StepEvent::SendBlocked { proc: 0, .. }))
+            .filter(|e| e.kind == FlightKind::Park && e.rank == 0 && e.bytes == 1)
             .count();
-        let sent = rec.events.iter().filter(|e| matches!(e, StepEvent::Sent { .. })).count();
+        let sent = events.iter().filter(|e| e.kind == FlightKind::Send).count();
         assert!(blocked >= 1, "capacity-1 channel must block the eager sender");
         assert_eq!(sent, 3, "every blocked send eventually completes as Sent");
     }
@@ -1031,14 +1034,13 @@ mod tests {
         let mut sim = Simulator::new(topo, procs);
         let f0 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         // Fingerprints differ once any process steps.
-        sim.step_process_with(0, &mut NoopObserver).unwrap();
+        sim.step_process_with(0, &mut |_| {}).unwrap();
         let f1 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         assert_ne!(f0, f1);
     }
 
     #[test]
     fn a_port_admits_sends_by_its_gate_not_by_capacity() {
-        use crate::observer::{RecordingObserver, StepEvent};
         // Capacity 1, eager sender: as an ordinary channel the second send
         // would block on the full queue.
         let mut topo = Topology::new(2);
@@ -1048,12 +1050,12 @@ mod tests {
             PingPong::Receiver { chan: c, got: 0, sum: 0, count: 3 },
         ];
         let mut sim = Simulator::new(topo, procs);
-        let mut rec = RecordingObserver::default();
+        let mut events = Vec::new();
 
         // A closed port blocks its sender, empty queue or not.
         sim.set_port(c, Some(false));
-        sim.step_process_with(0, &mut rec).unwrap();
-        assert_eq!(rec.events, [StepEvent::SendBlocked { proc: 0, chan: c, bytes: 0 }]);
+        sim.step_process_with(0, &mut |e| events.push(e)).unwrap();
+        assert_eq!(events, [event(FlightKind::Park, 0, c.0, 1)]);
         assert!(sim.queue(c).is_empty());
         assert!(!sim.is_runnable(0));
         assert_eq!(sim.runnable(), [1], "the receiver may still post its receive");
@@ -1062,14 +1064,14 @@ mod tests {
         // message 0 lands, message 1 has not been produced yet.
         sim.set_port(c, Some(true));
         assert!(sim.is_runnable(0));
-        rec.events.clear();
-        sim.step_process_with(0, &mut rec).unwrap();
-        assert_eq!(rec.events, [StepEvent::Sent { proc: 0, chan: c, bytes: 0 }]);
+        events.clear();
+        sim.step_process_with(0, &mut |e| events.push(e)).unwrap();
+        assert_eq!(events, [event(FlightKind::Send, 0, c.0, 0)]);
         assert_eq!(sim.queue(c).iter().copied().collect::<Vec<_>>(), [0]);
 
         // Capacity is ignored while the channel is a port...
-        sim.step_process_with(0, &mut rec).unwrap();
-        sim.step_process_with(0, &mut rec).unwrap();
+        sim.step_process_with(0, &mut |_| {}).unwrap();
+        sim.step_process_with(0, &mut |_| {}).unwrap();
         assert_eq!(sim.queue(c).len(), 3, "an open port outruns capacity 1");
         assert_eq!(sim.metrics().channels[c.0].max_queue_depth, 3);
 

@@ -20,15 +20,13 @@
 //! back to the pool; the peer's next transfer requeues it (DESIGN.md §12).
 //!
 //! Real threads cannot inspect each other's state to prove a deadlock, so
-//! detection here is a *watchdog*: when [`ThreadedConfig::watchdog`] is
-//! set, a monitor thread samples the run and, if every unfinished rank has
-//! been parked on a channel edge with no traffic and empty run queues for
-//! the configured window, poisons the run and reports the same typed
-//! [`RunError::Deadlock`] (with its wait-for cycle) the simulator would
-//! have produced — instead of hanging forever. Without a watchdog,
-//! deadlocked programs block forever, as before; validate programs under
-//! [`crate::sim::Simulator`] first. Still `std::sync` only: no external
-//! lock or executor crates.
+//! detection here is a *watchdog*: a monitor thread samples the run and, if
+//! every unfinished rank has been parked on a channel edge with no traffic
+//! and empty run queues for [`ThreadedConfig::watchdog`], poisons the run
+//! and reports the same typed [`RunError::Deadlock`] (with its wait-for
+//! cycle) the simulator would have produced. Every whole-program run has
+//! one, so a deadlocked program returns an error instead of hanging. Still
+//! `std::sync` only: no external lock or executor crates.
 
 use std::time::Duration;
 
@@ -39,18 +37,28 @@ use crate::proc::Process;
 use crate::sched::{self, PartialSeed};
 use crate::trace::RunMetrics;
 
+/// The default [`ThreadedConfig::watchdog`] window.
+///
+/// The watchdog fires only when every unfinished rank is parked on a
+/// channel edge, nothing is queued and no transfer has completed. A
+/// computing rank is running, not parked, so no compute step can hold that
+/// state. In a whole-program run nothing outside the pool can undo it
+/// either: only a rank's transfer wakes a parked rank, and none can run.
+/// So the window only has to outlast a race in the watchdog's sampling (a
+/// wake landing between two of its reads), which a rescue sweep and a
+/// re-check also guard against. One second is that with a wide margin.
+const DEFAULT_WATCHDOG: Duration = Duration::from_secs(1);
+
 /// Options for [`run_threaded_with`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThreadedConfig {
-    /// If set, a watchdog thread declares a deadlock after the whole system
-    /// has been parked with zero progress and empty run queues for this
-    /// long, aborting the run with a typed [`RunError::Deadlock`] instead
-    /// of hanging. Choose a window comfortably longer than any legitimate
-    /// compute step (the watchdog only fires when *every* unfinished rank
-    /// is parked on a channel edge and nothing is queued, so compute-heavy
-    /// phases and oversubscribed-but-runnable ranks cannot trigger it
-    /// spuriously).
-    pub watchdog: Option<Duration>,
+    /// The deadlock watchdog's window: the watchdog declares a deadlock
+    /// after the whole system has been parked with zero progress and empty
+    /// run queues for this long, aborting the run with a typed
+    /// [`RunError::Deadlock`] instead of hanging. One second by default
+    /// (why that suffices: the firing condition cannot arise in a live
+    /// whole-program run, so the window need not outlast any compute step).
+    pub watchdog: Duration,
     /// Worker-pool size. `None` (the default) falls back to the
     /// `SSP_WORKERS` environment variable, then to the host's available
     /// parallelism. Always clamped to `1..=n_ranks`.
@@ -65,10 +73,16 @@ pub struct ThreadedConfig {
     pub flight: Option<usize>,
 }
 
+impl Default for ThreadedConfig {
+    fn default() -> Self {
+        ThreadedConfig { watchdog: DEFAULT_WATCHDOG, workers: None, flight: None }
+    }
+}
+
 impl ThreadedConfig {
     /// Config with a deadlock watchdog of the given window.
     pub fn with_watchdog(window: Duration) -> Self {
-        ThreadedConfig { watchdog: Some(window), ..ThreadedConfig::default() }
+        ThreadedConfig { watchdog: window, ..ThreadedConfig::default() }
     }
 
     /// Same config with an explicit worker-pool size (clamped to at least
@@ -121,7 +135,7 @@ pub struct ThreadedOutcome {
 /// Run a process collection on the worker pool to termination.
 ///
 /// Channel endpoint violations, [`crate::proc::Effect::Fault`]s, process
-/// panics, and (with [`ThreadedConfig::watchdog`]) deadlocks all abort the
+/// panics, and deadlocks (after [`ThreadedConfig::watchdog`]) all abort the
 /// run with a typed error and release the pool, so an erroneous run
 /// returns instead of hanging.
 pub fn run_threaded_with<P>(
@@ -363,7 +377,7 @@ mod tests {
     fn every_cut_of_the_ring_launches_to_the_simulators_final_state() {
         use crate::sched::launch_partial;
         use crate::sim::Simulator;
-        use crate::{NoFlight, NoopObserver};
+        use crate::NoFlight;
         let (topo, procs) = ring(4, 3);
         let reference = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
         let expect: Vec<_> = reference.snapshots.iter().cloned().enumerate().collect();
@@ -381,9 +395,9 @@ mod tests {
                 let (topo, procs) = ring(4, 3);
                 let mut sim = Simulator::new(topo.clone(), procs);
                 for &p in &reference.picks[..cut] {
-                    sim.step_process_with(p, &mut NoopObserver).unwrap();
+                    sim.step_process_with(p, &mut |_| {}).unwrap();
                 }
-                let seed = sim.into_state().into();
+                let seed = sim.into_seed();
                 let none = FaultPlan::none();
                 let out = launch_partial(&topo, seed, Some(workers), &none, |_| NoFlight)
                     .join()
@@ -446,6 +460,26 @@ mod tests {
         assert_eq!(blocked.len(), 2);
         assert_eq!(cycle.len(), 2, "the 0↔1 receive cycle is named");
         assert!(cycle.iter().all(|w| w.kind == BlockKind::Recv));
+    }
+
+    #[test]
+    fn a_default_run_reports_a_deadlock_instead_of_hanging() {
+        let mut topo = Topology::new(2);
+        let c01 = topo.connect(0, 1);
+        let c10 = topo.connect(1, 0);
+        let procs = vec![
+            RecvFirst { out: c01, inp: c10, received: None, sent: false },
+            RecvFirst { out: c10, inp: c01, received: None, sent: false },
+        ];
+        let t0 = std::time::Instant::now();
+        let err = run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap_err();
+        assert!(t0.elapsed() < Duration::from_secs(10), "took {:?}", t0.elapsed());
+        let RunError::Deadlock { cycle, .. } = err else {
+            panic!("expected a typed deadlock, got {err}");
+        };
+        let mut names: Vec<_> = cycle.iter().map(|w| (w.proc, w.chan, w.kind)).collect();
+        names.sort_by_key(|n| n.0);
+        assert_eq!(names, [(0, c10, BlockKind::Recv), (1, c01, BlockKind::Recv)]);
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //!
 //! A simulated run's *schedule* is its `picks`
 //! ([`crate::sim::RunOutcome::picks`]), which
-//! [`crate::policy::FixedSchedule`] replays exactly; anything finer is the
-//! [`crate::observer::StepEvent`] stream an observer sees. This module holds
-//! the counts and the wall-clock events.
+//! [`crate::policy::FixedSchedule`] replays exactly. This module holds the
+//! counts, and the one event vocabulary every backend reports its actions
+//! in: [`FlightEvent`]. The pool's recorder stamps events with wall-clock
+//! nanoseconds; the simulator reports the same kinds with the same `chan`
+//! and `bytes`, untimed ([`crate::sim::Simulator::step_process_with`]), so
+//! one program's per-rank action sequences compare directly across
+//! backends.
 //!
 //! [`RunMetrics`] is the quantitative record: per-channel message
 //! counts, payload volume, and queue-depth high-water marks, plus
@@ -288,19 +292,21 @@ impl Reader<'_> {
 // Flight-recorder events: wall-clock execution tracing (DESIGN.md §15).
 // ---------------------------------------------------------------------------
 
-/// What one flight-recorder event records. Where
-/// [`crate::observer::StepEvent`] is the *model-level* action vocabulary
-/// (untimed, backend-independent), `FlightKind` is the *execution-level*
-/// one: scheduler transitions
-/// (run/park/wake/steal/yield), channel transfers with real byte counts,
-/// and lifecycle marks (checkpoint/restore/fault/migration) — each stamped
-/// with wall-clock nanoseconds by [`crate::flight::FlightRecorder`].
+/// What one event records: a process's actions (compute, send, receive,
+/// park, halt, fault), which every backend reports; the pool's scheduler
+/// transitions (run/wake/steal/yield); and lifecycle and route marks
+/// (checkpoint/restore/migration, the distributed data planes). The pool
+/// stamps each with wall-clock nanoseconds by
+/// [`crate::flight::FlightRecorder`]; the simulator reports its actions
+/// with `nanos` 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightKind {
     /// A rank task started running on a worker (dequeue → resume).
     Run,
-    /// A rank task parked on a channel edge. `chan` is the edge;
-    /// `bytes` is 0 for a recv-empty wait, 1 for a send-full wait.
+    /// A rank waits on a channel edge. `chan` is the edge; `bytes` is 0
+    /// for a receive, 1 for a send. The pool records it when a task parks
+    /// (an empty or full ring); the simulator at every posted receive and
+    /// every blocked send.
     Park,
     /// A parked rank was made runnable (recorded in the waker's lane).
     Wake,
@@ -323,7 +329,8 @@ pub enum FlightKind {
     /// Lifecycle: the run (re)started from a checkpoint cut. `bytes`
     /// holds the restored step ordinal.
     Restore,
-    /// Lifecycle: an injected fault fired. `bytes` holds the step.
+    /// A process failed: `bytes` holds the step of an injected crash, and
+    /// is 0 when the process itself returned a fault.
     Fault,
     /// Lifecycle: a rank group migrated between workers (distributed
     /// backend). `chan` holds the source worker, `bytes` the destination.
@@ -384,12 +391,13 @@ impl FlightKind {
     ];
 }
 
-/// One timestamped flight-recorder event. `Copy` and fixed-size by design:
+/// One event of a run, on any backend. `Copy` and fixed-size by design:
 /// recording is one slot write into an overwrite-oldest ring
 /// ([`crate::spsc::OverwriteRing`]), never an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Nanoseconds since the recorder's epoch (the run's start).
+    /// Nanoseconds since the recorder's epoch (the run's start); 0 from
+    /// the simulator, which has no clock.
     pub nanos: u64,
     /// What happened.
     pub kind: FlightKind,

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use ssp_runtime::proc::Reader;
 use ssp_runtime::trace::push_run_metrics;
 use ssp_runtime::{
-    ChannelId, Effect, FixedSchedule, Process, RandomPolicy, RecordingObserver, RoundRobin,
-    RunError, SchedMetrics, SchedulePolicy, Simulator, StepEvent, Topology,
+    ChannelId, Effect, FixedSchedule, FlightEvent, Process, RandomPolicy, RoundRobin, RunError,
+    SchedMetrics, SchedulePolicy, Simulator, Topology,
 };
 
 /// A deterministic scripted process: a list of primitive actions.
@@ -155,21 +155,22 @@ proptest! {
         let _ = Reader::new("metrics", &bytes).run_metrics();
     }
 
-    /// Per-process projections of the step events are identical across
-    /// interleavings (the determinism premise of the theorem's proof).
+    /// Per-process projections of the simulator's events (every kind,
+    /// `Park` included) are identical across interleavings (the
+    /// determinism premise of the theorem's proof).
     #[test]
     fn projections_are_schedule_invariant(k in 1usize..8, m in 1usize..8, seed in 0u64..300) {
         let events = |policy: &mut dyn SchedulePolicy| {
             let (topo, procs) = matched_pair(k, m, 5);
-            let mut rec = RecordingObserver::default();
-            Simulator::new(topo, procs).run_observed(policy, &mut rec).unwrap();
-            rec.events
+            let mut events = Vec::new();
+            Simulator::new(topo, procs).run_observed(policy, &mut |e| events.push(e)).unwrap();
+            events
         };
         let a = events(&mut RoundRobin::new());
         let b = events(&mut RandomPolicy::seeded(seed));
         for p in 0..2 {
-            let projection = |evs: &[StepEvent]| -> Vec<StepEvent> {
-                evs.iter().copied().filter(|e| e.proc() == p).collect()
+            let projection = |evs: &[FlightEvent]| -> Vec<FlightEvent> {
+                evs.iter().copied().filter(|e| e.rank == p).collect()
             };
             prop_assert_eq!(projection(&a), projection(&b));
         }
