@@ -19,8 +19,9 @@
 //! corrupt peer cannot force an allocation bomb.
 //!
 //! Writes lock nothing here — callers that share a socket between threads
-//! (the worker's pump + completion threads) serialize whole frames under
-//! their own mutex so frames never interleave.
+//! (the worker's scheduler threads, which send DATA, and its completion
+//! threads) serialize whole frames under their own mutex so frames never
+//! interleave.
 
 use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 

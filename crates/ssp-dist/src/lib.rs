@@ -14,7 +14,8 @@
 //!   [`registry::WorkloadSpec`]; code never crosses the wire.
 //! * [`worker`] — hosts *groups* (one [`ssp_runtime::launch_partial`]
 //!   scheduler instance each) and bridges their cross-group channels to
-//!   DATA frames.
+//!   DATA frames: a cross-group send is written by the scheduler worker
+//!   that performs it, and arrivals go in through one router.
 //! * [`transport`] — direct worker↔worker sockets (Unix-domain or TCP)
 //!   the supervisor brokers after ASSIGN, so steady-state DATA frames skip
 //!   the star's double hop; the default plane.

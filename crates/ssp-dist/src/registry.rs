@@ -16,7 +16,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 
 use fdtd::par::{init_a, plan_a, plan_a_overlap, LocalA};
 use fdtd::Params;
@@ -27,36 +26,31 @@ use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
-    launch_partial, ChannelId, Effect, FaultPlan, FlightKind, FlightLog, FlightRecorder,
-    FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, NoFlight, PartialRun,
-    PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator, Topology,
+    launch_partial, ChannelId, EgressSink, Effect, FaultPlan, FlightKind, FlightLog,
+    FlightRecorder, FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, NoFlight,
+    PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator,
+    Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
     RunError::Protocol { proc: 0, detail }
 }
 
-/// Sink for outbound DATA payloads: `(channel id, encoded message)`.
-pub type DataSink = Box<dyn FnMut(usize, Vec<u8>) -> Result<(), RunError> + Send>;
+/// Sink for outbound DATA payloads: `(channel id, encoded message)` in,
+/// the route that carried it ([`FlightKind::DataStar`], `DataDirect` or
+/// `DataShm`) out. Called by the sending rank's scheduler worker.
+pub type DataSink = Box<dyn FnMut(usize, Vec<u8>) -> Result<FlightKind, RunError> + Send>;
 
 /// Ingress half of a running group: feeds decoded remote messages in.
 /// Shared with the worker's socket-read loop.
 pub trait GroupIngress: Send + Sync {
-    /// Deliver one DATA payload for `chan` into the group.
-    fn push_inbound(&self, chan: usize, bytes: &[u8]) -> Result<(), RunError>;
-    /// Abort the group with `err`.
-    fn poison(&self, err: RunError);
+    /// Deliver one DATA payload for `chan` into the group, marked in its
+    /// flight log as carried by `route`. Call under the worker's router
+    /// lock (the gateway lane takes one writer at a time).
+    fn push_inbound(&self, chan: usize, bytes: &[u8], route: FlightKind) -> Result<(), RunError>;
     /// Cheap live counters for heartbeat telemetry (atomic loads only;
     /// safe to call from the worker's socket loop while the group runs).
     fn telemetry(&self) -> LiveTelemetry;
-    /// Record an *inbound* route-provenance mark (`FlightKind::DataStar` /
-    /// `DataDirect` / `DataShm`) in the group's flight log. Gateway-lane
-    /// single-writer contract: call only from the worker's (mutually
-    /// excluded) inbound router path. No-op when recording is disabled.
-    fn record_route_in(&self, _kind: FlightKind, _chan: usize, _bytes: u64) {}
-    /// Record an *outbound* route-provenance mark in the control lane.
-    /// Call only from the group's (single) outbound pump thread.
-    fn record_route_out(&self, _kind: FlightKind, _chan: usize, _bytes: u64) {}
 }
 
 /// What a finished group reports: `(rank, snapshot)` pairs for every
@@ -64,16 +58,13 @@ pub trait GroupIngress: Send + Sync {
 /// enabled for the run — the group's drained [`FlightLog`].
 pub type GroupOutcome = (Vec<(usize, Vec<u8>)>, RunMetrics, Option<FlightLog>);
 
-/// Completion half of a running group: blocks until done.
-pub trait GroupJoin: Send {
-    /// Wait for the group to finish. All outbound DATA has been handed
-    /// to the sink before this returns.
-    fn join(self: Box<Self>) -> Result<GroupOutcome, RunError>;
-}
-
-/// What launching a group yields: its inbound ingress plus the join
-/// handle that waits for completion.
-pub type LaunchedGroup = (Arc<dyn GroupIngress>, Box<dyn GroupJoin>);
+/// What launching a group yields: its inbound ingress plus a join that
+/// blocks until the group is done. Every outbound DATA has been handed to
+/// the sink before the join returns: each send is its rank's own sink call.
+pub type LaunchedGroup = (
+    Arc<dyn GroupIngress>,
+    Box<dyn FnOnce() -> Result<GroupOutcome, RunError> + Send>,
+);
 
 /// A named program family the registry can instantiate.
 pub trait Workload: Send + Sync {
@@ -424,69 +415,34 @@ struct TypedIngress<P: Process, F: FlightSink> {
 }
 
 impl<P: Process, F: FlightSink> GroupIngress for TypedIngress<P, F> {
-    fn push_inbound(&self, chan: usize, bytes: &[u8]) -> Result<(), RunError> {
+    fn push_inbound(&self, chan: usize, bytes: &[u8], route: FlightKind) -> Result<(), RunError> {
         let msg = (self.decode)(bytes)?;
-        self.gateway.push_inbound(ChannelId(chan), msg)
-    }
-
-    fn poison(&self, err: RunError) {
-        self.gateway.poison(err);
+        self.gateway.push_inbound(ChannelId(chan), msg, route)
     }
 
     fn telemetry(&self) -> LiveTelemetry {
         self.gateway.telemetry()
     }
 
-    fn record_route_in(&self, kind: FlightKind, chan: usize, bytes: u64) {
-        self.gateway.record_gateway(kind, 0, chan, bytes);
-    }
-
-    fn record_route_out(&self, kind: FlightKind, chan: usize, bytes: u64) {
-        self.gateway.record_control(kind, 0, chan, bytes);
-    }
 }
 
-/// Typed join handle: outbound pump first (so every DATA precedes the
-/// GROUP_DONE the worker sends after us), then the scheduler itself.
-struct TypedJoin<P: Process, F: FlightSink> {
-    run: PartialRun<P, F>,
-    pump: JoinHandle<Result<(), RunError>>,
-}
-
-impl<P: Process + 'static, F: FlightSink> GroupJoin for TypedJoin<P, F> {
-    fn join(self: Box<Self>) -> Result<GroupOutcome, RunError> {
-        let pump_res = self
-            .pump
-            .join()
-            .map_err(|_| RunError::ThreadPanic { proc: 0 })?;
-        let out = self.run.join()?;
-        pump_res?;
-        Ok((out.snapshots, out.metrics, out.flight))
-    }
-}
-
-/// Erase a launched run behind the two group traits, spawning its
-/// outbound pump.
+/// Erase a launched run behind the group ingress and a boxed join.
 fn erase_run<P, F>(
     run: PartialRun<P, F>,
-    encode: fn(&P::Msg) -> Vec<u8>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
-    mut sink: DataSink,
-) -> (Arc<dyn GroupIngress>, Box<dyn GroupJoin>)
+) -> LaunchedGroup
 where
     P: Process + 'static,
     F: FlightSink,
 {
-    let gateway = run.gateway();
-    let pump_gw = gateway.clone();
-    let pump =
-        thread::spawn(move || pump_gw.pump_outbound(|chan, msg| sink(chan.0, encode(&msg))));
-    (Arc::new(TypedIngress { gateway, decode }), Box::new(TypedJoin { run, pump }))
+    let ingress = Arc::new(TypedIngress { gateway: run.gateway(), decode });
+    (ingress, Box::new(move || run.join().map(|o| (o.snapshots, o.metrics, o.flight))))
 }
 
 /// The one launch behind [`Workload::launch_group`]: seed `templates`
 /// fresh, or from `resume` ([`seed_from_manifest`]), start a typed group
-/// and erase it behind the two group traits. The flight choice picks the
+/// whose cross-group sends call `sink` with the codec's encoding, and
+/// erase it ([`erase_run`]). The flight choice picks the
 /// scheduler monomorphization: `None` runs the zero-cost [`NoFlight`]
 /// build, `Some(cap)` the recording one — type-erased here so the
 /// distributed layer stays untyped.
@@ -497,7 +453,7 @@ fn launch_typed<P>(
     workers: Option<usize>,
     flight: Option<usize>,
     codecs: &Codecs<P>,
-    sink: DataSink,
+    mut sink: DataSink,
 ) -> Result<LaunchedGroup, RunError>
 where
     P: Process + 'static,
@@ -507,15 +463,19 @@ where
         Some(m) => seed_from_manifest(topo, templates, m, codecs)?,
     };
     let (encode, decode) = (codecs.encode, codecs.decode);
+    let egress: Option<EgressSink<P::Msg>> =
+        Some(Box::new(move |chan, msg| sink(chan.0, encode(&msg))));
     let faults = FaultPlan::none();
     Ok(match flight {
         None => {
-            let run = launch_partial(topo, seed, workers, &faults, |_| NoFlight);
-            erase_run(run, encode, decode, sink)
+            let run = launch_partial(topo, seed, workers, &faults, egress, |_| NoFlight);
+            erase_run(run, decode)
         }
         Some(cap) => {
-            let run = launch_partial(topo, seed, workers, &faults, |w| FlightRecorder::new(w, cap));
-            erase_run(run, encode, decode, sink)
+            let run = launch_partial(topo, seed, workers, &faults, egress, |w| {
+                FlightRecorder::new(w, cap)
+            });
+            erase_run(run, decode)
         }
     })
 }
@@ -1078,7 +1038,7 @@ mod tests {
                 Box::new(|c, _| panic!("no cross-group sends expected on ch{c}")),
             )
             .unwrap();
-        let (mut snaps, _, _) = join.join().unwrap();
+        let (mut snaps, _, _) = join().unwrap();
         snaps.sort_by_key(|&(r, _)| r);
         let reference = w.run_reference().unwrap();
         for (r, bytes) in snaps {
@@ -1119,7 +1079,7 @@ mod tests {
         let good = sh.manifest(&[0, 1]);
         let rejects = |ranks: &[usize], m: GroupManifest| {
             let a = resumed_assign(spec, ranks, m);
-            let sink = Box::new(|_, _| Ok(())) as DataSink;
+            let sink = Box::new(|_, _| Ok(FlightKind::DataStar)) as DataSink;
             let r = w.launch_group(&a.ranks, a.resume.as_ref(), None, None, sink);
             matches!(r, Err(RunError::Protocol { .. }))
         };

@@ -100,7 +100,8 @@ pub fn decode_shm_header(buf: &[u8]) -> Result<ShmHeader, RunError> {
 }
 
 /// Producer side of one ring file. Single producer by construction: the
-/// owning worker's outbound pump is the only writer.
+/// owning worker keeps it in its peer book and writes only under that
+/// book's lock.
 pub struct ShmSender {
     file: File,
     cap: u64,

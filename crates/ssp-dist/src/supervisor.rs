@@ -190,8 +190,7 @@ pub struct DistConfig {
     /// its consumed frontiers. `None` = PR 7 from-zero resume, full logs.
     pub checkpoint_every: Option<u64>,
     /// Use loopback TCP instead of Unix-domain sockets for the direct
-    /// worker↔worker plane. [`DistConfig::new`] seeds it from
-    /// `SSP_DIST_PEER_TCP=1`.
+    /// worker↔worker plane. [`DistConfig::new`] sets `false`.
     pub peer_tcp: bool,
 }
 
@@ -212,7 +211,7 @@ impl DistConfig {
             flight: None,
             transport: TransportMode::from_env(),
             checkpoint_every: None,
-            peer_tcp: std::env::var("SSP_DIST_PEER_TCP").as_deref() == Ok("1"),
+            peer_tcp: false,
         }
     }
 }
@@ -313,6 +312,8 @@ struct GroupRec {
     ranks: Vec<usize>,
     worker: usize,
     done: bool,
+    /// Made by a migration: its ranks replace ones on a dead worker.
+    migrated: bool,
 }
 
 /// One channel's message log, indexed by absolute sequence number. An
@@ -799,7 +800,7 @@ impl Supervisor<'_> {
             self.rank_group[r] = gid;
             self.placement[r] = target;
         }
-        self.groups.push(GroupRec { ranks, worker: target, done: false });
+        self.groups.push(GroupRec { ranks, worker: target, done: false, migrated: migration });
         let deadline = Instant::now() + self.cfg.timeout;
 
         // Replay baseline per channel: the cut's consumed frontier when
@@ -1092,11 +1093,17 @@ impl Supervisor<'_> {
 
         // Forward before the shadow can truncate the entry away; a failed
         // forward is handled after the shadow has its credit.
+        //
+        // A plain DATA mirror vouches for a direct delivery, which may have
+        // gone to a worker that died before reading it. If the mirror is
+        // logged after the migration's replay, only a forward reaches the
+        // replacement, so a migrated reader gets every frame (its gate
+        // drops the duplicates).
         let mut lost_reader = None;
-        if self.cfg.transport == TransportMode::Star || relay {
+        let reader = &self.groups[self.rank_group[self.topo.specs()[chan].reader]];
+        if self.cfg.transport == TransportMode::Star || relay || reader.migrated {
             self.stats.star_frames += 1;
-            let reader = self.topo.specs()[chan].reader;
-            let dest = self.groups[self.rank_group[reader]].worker;
+            let dest = reader.worker;
             let entry = self.log[chan].get(seq).expect("just logged");
             if self.send_to(dest, FrameType::Data, entry).is_err() {
                 lost_reader = Some(dest);

@@ -9,17 +9,17 @@
 //!   listener socket lives next to the supervisor's in the run's temp
 //!   directory.
 //! * **TCP** (`tcp:<host:port>`) — for workers that do not share a
-//!   filesystem; selected with `SSP_DIST_PEER_TCP=1` (loopback bind).
+//!   filesystem; selected with `DistConfig::peer_tcp` (loopback bind).
 //!
 //! Addresses travel as strings inside HELLO/ASSIGN payloads, so the
 //! parser here is network-facing: malformed flavors fail typed, never
 //! panic.
 //!
-//! **Half-open-socket discipline** (the teardown bugfix this PR carries):
-//! every peer stream is created with a bounded *write* timeout. When the
-//! remote end was SIGKILLed mid-run, a plain `write` on a full socket
-//! buffer would block forever and wedge the sending group's outbound
-//! pump; with the timeout it fails typed, the sender drops the
+//! **Half-open-socket discipline**: every peer stream is created with a
+//! bounded *write* timeout. When the remote end was SIGKILLed mid-run, a
+//! plain `write` on a full socket buffer would block forever and wedge
+//! the sending rank's scheduler worker, which makes the write itself
+//! inside the send; with the timeout it fails typed, the sender drops the
 //! connection (idempotently — see [`PeerStream::close`]) and falls back
 //! to supervisor relay. The regression test at the bottom of this module
 //! holds a writer against a never-reading peer and asserts it errors out

@@ -23,9 +23,11 @@
 //!   mode is star, before a peer table arrives, and as the *relay*
 //!   fallback when a peer connection breaks (`DATA_RELAY`).
 //!
-//! The sink encodes a message's DATA payload once and writes that one
-//! buffer as the direct frame and as the supervisor mirror; frames are
-//! written from borrowed payloads with no staging copy
+//! A cross-group send is the sending rank's own write, made before it
+//! halts: the group's sink runs on the scheduler worker doing the send. It
+//! encodes a message's DATA payload once and writes that one buffer as
+//! the direct frame and as the supervisor mirror; frames are written from
+//! borrowed payloads with no staging copy
 //! ([`crate::frame::write_frame_parts`]).
 //!
 //! Whatever the plane, the worker **always mirrors the message to the
@@ -149,8 +151,7 @@ impl Router {
         }
         match self.ingress.get(&chan) {
             Some(g) if seq == gate.expected => {
-                g.record_route_in(kind, chan, bytes.len() as u64);
-                g.push_inbound(chan, bytes)?;
+                g.push_inbound(chan, bytes, kind)?;
                 gate.expected += 1;
             }
             _ => {
@@ -170,8 +171,7 @@ impl Router {
             return Ok(());
         };
         while let Some((bytes, kind)) = gate.stash.remove(&gate.expected) {
-            g.record_route_in(kind, chan, bytes.len() as u64);
-            g.push_inbound(chan, &bytes)?;
+            g.push_inbound(chan, &bytes, kind)?;
             gate.expected += 1;
         }
         Ok(())
@@ -659,12 +659,10 @@ fn handle_assign(
         None => vec![0; n_chans],
     };
     let readers: Vec<usize> = topo.specs().iter().map(|s| s.reader).collect();
-    // Filled in right after launch; lets the sink (which runs on the
-    // group's single outbound pump thread) stamp route-provenance marks.
-    let out_marks: Arc<Mutex<Option<Arc<dyn GroupIngress>>>> = Arc::new(Mutex::new(None));
 
+    // Runs on the sending rank's scheduler worker, one call at a time per
+    // group, and returns the route it took.
     let sink_shared = Arc::clone(shared);
-    let sink_marks = Arc::clone(&out_marks);
     let sink: DataSink = Box::new(move |chan, bytes| {
         let seq = sink_shared.bump_seq(&mut seqs, chan)?;
         // Encoded once: the direct frame and the supervisor mirror share it.
@@ -692,9 +690,6 @@ fn handle_assign(
                 None => FlightKind::DataStar,
             }
         };
-        if let Some(g) = wlock(&sink_marks).as_ref() {
-            g.record_route_out(kind, chan, bytes.len() as u64);
-        }
         // Mirror to the supervisor ALWAYS: DATA (log only) after a direct
         // delivery, DATA_RELAY (log and forward) when the direct plane
         // did not carry it. This is what keeps the channel logs complete.
@@ -707,12 +702,12 @@ fn handle_assign(
         send(&sink_shared.sup, mirror, &payload).map_err(|e| RunError::Protocol {
             proc: 0,
             detail: format!("DATA write failed: {e}"),
-        })
+        })?;
+        Ok(kind)
     });
 
     let (group_ingress, join) =
         workload.launch_group(&assign.ranks, manifest, group_workers, assign.flight, sink)?;
-    *wlock(&out_marks) = Some(Arc::clone(&group_ingress));
     groups.push(Arc::clone(&group_ingress));
 
     // Register ingress channels (reader hosted here, writer elsewhere)
@@ -733,7 +728,7 @@ fn handle_assign(
     let done_stream = Arc::clone(&shared.sup);
     let group_id = assign.group;
     thread::spawn(move || {
-        match join.join() {
+        match join() {
             Ok((snapshots, metrics, flight)) => {
                 let gd = GroupDone { group: group_id, snapshots, metrics, flight };
                 let _ = send(&done_stream, FrameType::GroupDone, &gd.encode());
@@ -965,11 +960,10 @@ mod tests {
         // (Registering with a dummy ingress is enough to observe gates.)
         struct Sink(AtomicU64);
         impl GroupIngress for Sink {
-            fn push_inbound(&self, _chan: usize, _bytes: &[u8]) -> Result<(), RunError> {
+            fn push_inbound(&self, _c: usize, _b: &[u8], _: FlightKind) -> Result<(), RunError> {
                 self.0.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            fn poison(&self, _err: RunError) {}
             fn telemetry(&self) -> ssp_runtime::LiveTelemetry {
                 ssp_runtime::LiveTelemetry::default()
             }
@@ -998,11 +992,10 @@ mod tests {
         // its own bytes.
         struct Tape(Mutex<Vec<(usize, Vec<u8>)>>);
         impl GroupIngress for Tape {
-            fn push_inbound(&self, chan: usize, bytes: &[u8]) -> Result<(), RunError> {
-                wlock(&self.0).push((chan, bytes.to_vec()));
+            fn push_inbound(&self, c: usize, b: &[u8], _: FlightKind) -> Result<(), RunError> {
+                wlock(&self.0).push((c, b.to_vec()));
                 Ok(())
             }
-            fn poison(&self, _err: RunError) {}
             fn telemetry(&self) -> ssp_runtime::LiveTelemetry {
                 ssp_runtime::LiveTelemetry::default()
             }

@@ -359,6 +359,42 @@ fn flight_marks_record_which_plane_carried_each_message() {
 }
 
 #[test]
+fn route_marks_name_a_rank_the_recording_process_hosts() {
+    use ssp_runtime::FlightKind::{DataDirect, DataShm, DataStar, Send};
+    let args = fdtd_a_args("tiny", 4);
+    let topo = build_workload("fdtd-a", &args).unwrap().topology();
+    for transport in [TransportMode::Star, TransportMode::Direct { shm: false }] {
+        let mut cfg = DistConfig::new(2, worker_bin());
+        cfg.transport = transport;
+        cfg.flight = Some(4096);
+        let out = run_distributed("fdtd-a", &args, &cfg).expect("flight run");
+        // A sender marks its route in its own worker lane; an arrival is
+        // marked in the gateway lane of the reader's group.
+        let mut routes = 0;
+        for lane in &out.flight.expect("log").lanes {
+            let gateway = lane.label.ends_with("/gateway");
+            for e in &lane.events {
+                assert!(!(gateway && e.kind == Send), "{transport:?}: {} holds {e:?}", lane.label);
+                if ![DataStar, DataDirect, DataShm].contains(&e.kind) {
+                    continue;
+                }
+                let spec = topo.spec(ssp_runtime::ChannelId(e.chan as usize));
+                let want = if gateway {
+                    spec.reader
+                } else {
+                    let worker = lane.label.contains("/worker-");
+                    assert!(worker, "{transport:?}: {} holds {e:?}", lane.label);
+                    spec.writer
+                };
+                assert_eq!(e.rank as usize, want, "{transport:?}: {} holds {e:?}", lane.label);
+                routes += 1;
+            }
+        }
+        assert!(routes > 0, "{transport:?}: no route marks");
+    }
+}
+
+#[test]
 fn flight_enabled_migration_marks_the_move_in_the_lifecycle_lane() {
     let args = fdtd_a_args("tiny", 4);
     let reference = build_workload("fdtd-a", &args).unwrap().run_reference().unwrap();

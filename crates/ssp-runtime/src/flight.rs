@@ -2,7 +2,7 @@
 //! distributed backends (DESIGN.md §15).
 //!
 //! `RunMetrics` says *how much* a run did; the flight recorder says *when*.
-//! Each writer thread of a scheduler instance (every pool worker, the
+//! Each writer of a scheduler instance (every pool worker, the
 //! watchdog/control side, and the transport gateway) owns one
 //! [`OverwriteRing`] lane of fixed-size [`FlightEvent`]s. Recording is one
 //! slot write plus a `Release` store — no locks, no allocation, and no
@@ -99,7 +99,7 @@ impl FlightRecorder {
     /// retained per lane. Lane layout (the scheduler's writer threads):
     /// lanes `0..n_workers` belong to the workers, lane `n_workers` is
     /// `control` (watchdog sweeps, pre-spawn lifecycle marks), and lane
-    /// `n_workers + 1` is `gateway` (the transport's inbound thread).
+    /// `n_workers + 1` is `gateway` (arrivals from other processes).
     pub fn new(n_workers: usize, cap: usize) -> Self {
         let cap = cap.max(1);
         let mut labels: Vec<String> = (0..n_workers).map(|w| format!("worker-{w}")).collect();

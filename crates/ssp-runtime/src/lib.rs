@@ -104,7 +104,9 @@ pub use recover::{
     fnv1a_64, run_recovering, GroupManifest, ManifestRank, RecoveryConfig, RecoveryOutcome,
     RecoveryStats,
 };
-pub use sched::{launch_partial, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed};
+pub use sched::{
+    launch_partial, EgressSink, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed,
+};
 pub use sim::{run_simulated, ProcState, RunOutcome, Simulator};
 pub use threaded::{run_threaded_faulted, run_threaded_with, ThreadedConfig, ThreadedOutcome};
 pub use trace::{

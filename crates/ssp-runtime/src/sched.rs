@@ -138,19 +138,24 @@ struct Task<P: Process> {
     result: Option<Vec<Vec<u8>>>,
 }
 
+/// Carries a message whose reader lives in another process: called by the
+/// sending worker inside the send; returns the route that carried it
+/// (`DataStar`, `DataDirect` or `DataShm`). An error aborts the run.
+pub type EgressSink<M> = Box<dyn FnMut(ChannelId, M) -> Result<FlightKind, RunError> + Send>;
+
 /// How one channel is realized by this scheduler instance. A full-program
 /// run hosts both endpoints of every channel (`Direct`); a *partial* run
 /// ([`launch_partial`], the distributed backend's worker side) hosts a
 /// subset of the ranks, and a channel whose peer rank lives in another
-/// process becomes a port: `Egress` (local writer, remote reader — the ring
-/// is drained by the transport pump instead of a local task) or `Ingress`
-/// (remote writer, local reader — the ring is fed by the transport's
-/// inbound thread via [`Gateway::push_inbound`]).
+/// process becomes a port: `Egress` (local writer, remote reader — a send
+/// is the sending worker's own call of the run's [`EgressSink`]; the ring
+/// stays empty) or `Ingress` (remote writer, local reader — the ring is fed
+/// by the transport's inbound thread via [`Gateway::push_inbound`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ChanKind {
     /// Both endpoints hosted here: the normal task-to-task ring.
     Direct,
-    /// Writer hosted here; messages leave the process via the egress pump.
+    /// Writer hosted here; a send calls the run's [`EgressSink`].
     Egress,
     /// Reader hosted here; messages arrive via [`Gateway::push_inbound`].
     Ingress,
@@ -217,11 +222,8 @@ struct Shared<P: Process, F: FlightSink> {
     /// Ranks hosted by this instance; a full run hosts all of them. The
     /// run is over when `finished` reaches this.
     target: usize,
-    /// Channel indices with [`ChanKind::Egress`], in id order — the set
-    /// the egress pump drains.
-    egress: Vec<usize>,
-    /// Where the egress pump sleeps; sends on egress channels wake it.
-    egress_park: ParkSlot,
+    /// The sink of sends on [`ChanKind::Egress`] channels, one at a time.
+    egress: Mutex<Option<EgressSink<P::Msg>>>,
     faults: FaultPlan,
     /// Set when the run is aborted; workers drop their task and exit.
     poisoned: AtomicBool,
@@ -246,7 +248,8 @@ struct Shared<P: Process, F: FlightSink> {
     /// Flight-recorder sink. [`NoFlight`] (zero-sized, all methods empty)
     /// when recording is disabled; [`FlightRecorder`] lanes are indexed
     /// `0..n_workers` for workers, then `control` (watchdog + pre-spawn
-    /// lifecycle), then `gateway` (the transport's inbound thread).
+    /// lifecycle), then `gateway` (arrivals through
+    /// [`Gateway::push_inbound`]).
     flight: F,
 }
 
@@ -279,7 +282,6 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
             w.park.force_wake();
         }
         self.watchdog_park.force_wake();
-        self.egress_park.force_wake();
     }
 
     /// Put a runnable rank on a queue: the waking worker's own deque when
@@ -390,24 +392,17 @@ enum After<P: Process> {
 /// [`ChanKind::Direct`] (spec capacity honored) — every channel, when all
 /// ranks are hosted; one with a remote endpoint becomes `Egress`/`Ingress`
 /// — forced *unbounded*, because flow control across the process boundary
-/// belongs to the transport and a bounded port ring could wedge the pump —
-/// or `Absent`. Returns the channels plus the egress index list in id order.
-fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> (Vec<Chan<M>>, Vec<usize>) {
-    let mut egress = Vec::new();
-    let chans = topo
-        .specs()
+/// belongs to the transport — or `Absent`.
+fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> Vec<Chan<M>> {
+    topo.specs()
         .iter()
-        .enumerate()
-        .map(|(i, s)| {
+        .map(|s| {
             let kind = match (hosted[s.writer], hosted[s.reader]) {
                 (true, true) => ChanKind::Direct,
                 (true, false) => ChanKind::Egress,
                 (false, true) => ChanKind::Ingress,
                 (false, false) => ChanKind::Absent,
             };
-            if kind == ChanKind::Egress {
-                egress.push(i);
-            }
             let capacity = if kind == ChanKind::Direct { s.capacity } else { None };
             Chan {
                 ring: SpscRing::new(capacity),
@@ -421,8 +416,7 @@ fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> (Vec<Chan<M>>, Vec<usize>
                 max_depth: AtomicUsize::new(0),
             }
         })
-        .collect();
-    (chans, egress)
+        .collect()
 }
 
 /// Assemble the shared state for a pool of `n_workers` over `slots` (one
@@ -432,7 +426,7 @@ fn build_shared<P: Process, F: FlightSink>(
     topo: &Topology,
     slots: Vec<Option<Task<P>>>,
     chans: Vec<Chan<P::Msg>>,
-    egress: Vec<usize>,
+    egress: Option<EgressSink<P::Msg>>,
     target: usize,
     finished: usize,
     n_workers: usize,
@@ -451,8 +445,7 @@ fn build_shared<P: Process, F: FlightSink>(
             .collect(),
         injector: Mutex::new(VecDeque::new()),
         target,
-        egress,
-        egress_park: ParkSlot::new(),
+        egress: Mutex::new(egress),
         faults: faults.clone(),
         poisoned: AtomicBool::new(false),
         done: AtomicBool::new(false),
@@ -580,11 +573,12 @@ where
 {
     assert_eq!(seed.procs.len(), topo.n_procs(), "process count must match topology");
     let n_workers = resolve_workers(config.workers, seed.procs.len());
+    let watchdog = Some(config.watchdog);
     match config.flight {
-        None => launch(topo, seed, n_workers, Some(config.watchdog), faults, NoFlight).harvest(),
+        None => launch(topo, seed, n_workers, watchdog, faults, None, NoFlight).harvest(),
         Some(cap) => {
             let flight = FlightRecorder::new(n_workers, cap);
-            launch(topo, seed, n_workers, Some(config.watchdog), faults, flight).harvest()
+            launch(topo, seed, n_workers, watchdog, faults, None, flight).harvest()
         }
     }
     .map(Harvest::into_outcome)
@@ -592,7 +586,7 @@ where
 
 /// A running scheduler instance. One hosting a *subset* of a topology's
 /// ranks is the distributed backend's worker side: obtain it from
-/// [`launch_partial`], bridge its port channels through
+/// [`launch_partial`], feed its ingress channels through
 /// [`PartialRun::gateway`], then collect the hosted ranks' results with
 /// [`PartialRun::join`].
 pub struct PartialRun<P: Process, F: FlightSink = NoFlight> {
@@ -691,10 +685,12 @@ impl<P: Process> PartialSeed<P> {
 /// Launch a scheduler instance that hosts only `seed`'s ranks out of
 /// `topo`'s, starting each from the seed's cut ([`PartialSeed::fresh`] for
 /// a start from the initial states; a decoded migration payload to resume
-/// a group). Channels whose peer rank is not hosted become ports: sends
-/// queue on an unbounded egress ring drained by [`Gateway::pump_outbound`],
-/// and receives block until the transport feeds the ring via
-/// [`Gateway::push_inbound`].
+/// a group). Channels whose peer rank is not hosted become ports: a send
+/// is the sending worker's own call of `egress` (under one per-run lock and
+/// no other, so it may take transport locks), made before its rank halts;
+/// a receive blocks until the transport feeds the ring via
+/// [`Gateway::push_inbound`]. `egress` is `None` only if no channel leaves
+/// the hosted set.
 ///
 /// Global ids are used throughout — rank ids and channel ids mean the same
 /// here as in the full topology, so checkpoints and wire frames never
@@ -703,10 +699,11 @@ impl<P: Process> PartialSeed<P> {
 /// `flight` builds the recorder sink from the resolved pool size: `|_|
 /// NoFlight` for the no-op build, `|w| FlightRecorder::new(w, cap)` to
 /// record — the instance's scheduler events then land in per-worker lanes
-/// and drain into [`PartialOutcome::flight`] at join. The `gateway` lane is
-/// written by [`Gateway::push_inbound`]; the transport must call that from
-/// a *single* inbound thread (the ring is single-writer), which the
-/// distributed worker does.
+/// and drain into [`PartialOutcome::flight`] at join. A cross-process send
+/// is marked `Send`, then the route `egress` returned, in the sender's own
+/// lane. The `gateway` lane is written by [`Gateway::push_inbound`]; the
+/// transport must call that from one thread at a time (the ring is
+/// single-writer), which the distributed worker's router lock ensures.
 ///
 /// No watchdog runs: a partial instance blocked on a remote peer is locally
 /// indistinguishable from deadlock — every hosted rank parked, nothing
@@ -718,6 +715,7 @@ pub fn launch_partial<P, F>(
     seed: PartialSeed<P>,
     workers: Option<usize>,
     faults: &FaultPlan,
+    egress: Option<EgressSink<P::Msg>>,
     flight: impl FnOnce(usize) -> F,
 ) -> PartialRun<P, F>
 where
@@ -725,7 +723,7 @@ where
     F: FlightSink,
 {
     let n_workers = resolve_workers(workers, seed.procs.len());
-    launch(topo, seed, n_workers, None, faults, flight(n_workers))
+    launch(topo, seed, n_workers, None, faults, egress, flight(n_workers))
 }
 
 /// The one launcher: seed tasks, rings and counters from `seed`'s cut, then
@@ -740,6 +738,7 @@ fn launch<P, F>(
     n_workers: usize,
     watchdog: Option<Duration>,
     faults: &FaultPlan,
+    egress: Option<EgressSink<P::Msg>>,
     flight: F,
 ) -> PartialRun<P, F>
 where
@@ -756,7 +755,11 @@ where
         hosted_mask[r] = true;
     }
     let target = hosted.len();
-    let (chans, egress) = build_chans(topo, &hosted_mask);
+    let chans = build_chans::<P::Msg>(topo, &hosted_mask);
+    assert!(
+        egress.is_some() || chans.iter().all(|c| c.kind != ChanKind::Egress),
+        "a launch whose channels leave the hosted ranks needs an egress sink"
+    );
     let n_chans = chans.len();
     assert_eq!(consumed.len(), n_chans, "seed consumed vector must cover the topology");
     assert_eq!(counters.len(), n_chans, "seed counter vector must cover the topology");
@@ -844,9 +847,9 @@ where
     PartialRun { shared, hosted, n_workers, handles, watchdog }
 }
 
-/// Transport-side handle to a partial run: the bridge between this
-/// instance's port channels and whatever carries the bytes (the distributed
-/// backend's socket threads). All clones address the same run.
+/// Transport-side handle to a partial run: where the messages that arrive
+/// for its ingress channels go in (the distributed backend's socket
+/// threads), plus live telemetry. All clones address the same run.
 pub struct Gateway<P: Process, F: FlightSink = NoFlight> {
     shared: Arc<Shared<P, F>>,
 }
@@ -908,11 +911,18 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
     /// discipline, so the Dekker argument for lost-wake freedom carries
     /// over unchanged. Local traffic counters are *not* bumped: the remote
     /// writer's instance counts the send, and the supervisor sums slices.
+    /// The arrival is marked `route` in the gateway lane, under the
+    /// channel's reader (a rank this instance hosts).
     ///
     /// Errors with [`RunError::Protocol`] if `chan` is not an ingress
     /// channel of this instance (a routing bug or a corrupted frame) —
     /// never panics, since this path is network-facing.
-    pub fn push_inbound(&self, chan: ChannelId, msg: P::Msg) -> Result<(), RunError> {
+    pub fn push_inbound(
+        &self,
+        chan: ChannelId,
+        msg: P::Msg,
+        route: FlightKind,
+    ) -> Result<(), RunError> {
         let Some(c) = self.shared.chans.get(chan.0) else {
             return Err(RunError::Protocol {
                 proc: 0,
@@ -934,88 +944,15 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
                 detail: format!("ingress ring for {chan} rejected a push"),
             });
         }
-        // The inbound delivery is a remote writer's send landing here;
-        // record it in the gateway lane (single inbound thread by
-        // contract — see `launch_partial`).
+        // One caller at a time by contract — see `launch_partial`.
         let lane = self.shared.gateway_lane();
-        self.shared.flight.record(lane, FlightKind::Send, c.writer, chan.0, bytes);
+        self.shared.flight.record(lane, route, c.reader, chan.0, bytes);
         fence(Ordering::SeqCst);
         if c.reader_waiting.swap(false, Ordering::SeqCst) {
             self.shared.wake_task(c.reader, None, lane);
         }
         self.shared.progress.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Drain egress rings into `sink` until the run completes, parking on
-    /// the egress [`ParkSlot`] between bursts (every egress send wakes it;
-    /// so does run teardown). Call from the transport's outbound thread.
-    /// Returns after a final post-completion sweep — a rank's sends
-    /// happen-before its halt is published, so every message is handed to
-    /// `sink` before this returns. A sink error poisons the run and is
-    /// returned.
-    pub fn pump_outbound(
-        &self,
-        mut sink: impl FnMut(ChannelId, P::Msg) -> Result<(), RunError>,
-    ) -> Result<(), RunError> {
-        let shared = &self.shared;
-        shared.egress_park.register();
-        loop {
-            shared.egress_park.prepare_park();
-            let mut drained = 0usize;
-            for &i in &shared.egress {
-                while let Some(m) = shared.chans[i].ring.try_pop() {
-                    drained += 1;
-                    if let Err(e) = sink(ChannelId(i), m) {
-                        shared.egress_park.cancel_park();
-                        shared.fail(e.clone());
-                        return Err(e);
-                    }
-                }
-            }
-            if drained > 0 {
-                shared.egress_park.cancel_park();
-                continue;
-            }
-            if shared.done.load(Ordering::SeqCst) {
-                shared.egress_park.cancel_park();
-                break;
-            }
-            shared.egress_park.park(WAIT_SLICE);
-        }
-        // Final sweep: sends that raced the `done` observation are visible
-        // now (they happen-before the finishing rank's counter increment).
-        for &i in &shared.egress {
-            while let Some(m) = shared.chans[i].ring.try_pop() {
-                sink(ChannelId(i), m)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Record a provenance/lifecycle mark in the *gateway* lane. Same
-    /// single-writer contract as [`Gateway::push_inbound`]: call only from
-    /// the transport's (mutually excluded) inbound path.
-    pub fn record_gateway(&self, kind: FlightKind, rank: usize, chan: usize, bytes: u64) {
-        self.shared.flight.record(self.shared.gateway_lane(), kind, rank, chan, bytes);
-    }
-
-    /// Record a provenance/lifecycle mark in the *control* lane. Partial
-    /// instances run no watchdog, so the transport's (single) outbound
-    /// thread owns this lane.
-    pub fn record_control(&self, kind: FlightKind, rank: usize, chan: usize, bytes: u64) {
-        self.shared.flight.record(self.shared.control_lane(), kind, rank, chan, bytes);
-    }
-
-    /// True once the run is over (all hosted ranks halted, or poisoned).
-    pub fn is_done(&self) -> bool {
-        self.shared.done.load(Ordering::SeqCst)
-    }
-
-    /// Abort the run with `err` (first error wins) and wake everything —
-    /// the transport's lever when the socket to the supervisor dies.
-    pub fn poison(&self, err: RunError) {
-        self.shared.fail(err);
     }
 }
 
@@ -1260,7 +1197,8 @@ fn attempt_recv<P: Process, F: FlightSink>(
     }
 }
 
-/// Try to push onto `chan`; park the task on the full edge.
+/// Try to push onto `chan`; park the task on the full edge. A send on an
+/// egress channel never parks: it is one call of the run's sink.
 #[allow(clippy::too_many_arguments)]
 fn attempt_send<P: Process, F: FlightSink>(
     shared: &Shared<P, F>,
@@ -1273,6 +1211,29 @@ fn attempt_send<P: Process, F: FlightSink>(
     fresh: bool,
 ) -> After<P> {
     let c = &shared.chans[chan.0];
+    if c.kind == ChanKind::Egress {
+        let route = {
+            let mut sink = lock(&shared.egress);
+            sink.as_mut().expect("launch checks that egress channels have a sink")(chan, msg)
+        };
+        return match route {
+            Ok(route) => {
+                c.messages.fetch_add(1, Ordering::Relaxed);
+                c.bytes.fetch_add(bytes, Ordering::Relaxed);
+                c.max_depth.fetch_max(1, Ordering::Relaxed);
+                task.pm.sends += 1;
+                shared.flight.record(me, FlightKind::Send, rank, chan.0, bytes);
+                shared.flight.record(me, route, rank, chan.0, bytes);
+                shared.progress.fetch_add(1, Ordering::Relaxed);
+                After::Run(task)
+            }
+            Err(e) => {
+                *lock(&shared.slots[rank]) = Some(task);
+                shared.fail(e);
+                After::Release
+            }
+        };
+    }
     let mut count_block = fresh;
     loop {
         match c.ring.try_push(msg) {
@@ -1287,11 +1248,7 @@ fn attempt_send<P: Process, F: FlightSink>(
                 task.pm.sends += 1;
                 shared.flight.record(me, FlightKind::Send, rank, chan.0, bytes);
                 fence(Ordering::SeqCst);
-                // An egress ring's consumer is the transport pump, not a
-                // local task; wake it instead of a rank.
-                if c.kind == ChanKind::Egress {
-                    shared.egress_park.wake();
-                } else if c.reader_waiting.swap(false, Ordering::SeqCst) {
+                if c.reader_waiting.swap(false, Ordering::SeqCst) {
                     shared.wake_task(c.reader, Some(me), me);
                 }
                 shared.progress.fetch_add(1, Ordering::Relaxed);
@@ -1425,6 +1382,142 @@ mod tests {
         }
     }
 
+    /// One side of a 2-rank exchange: `rounds` times, send the round's
+    /// number on `out`, then receive on `inp`; the snapshot is the sum of
+    /// what arrived.
+    struct Exchange {
+        out: ChannelId,
+        inp: ChannelId,
+        rounds: u64,
+        sent: u64,
+        received: u64,
+        acc: u64,
+    }
+
+    impl Process for Exchange {
+        type Msg = u64;
+        fn resume(&mut self, d: Option<u64>) -> Effect<u64> {
+            if let Some(m) = d {
+                self.acc += m;
+                self.received += 1;
+            }
+            if self.received < self.sent {
+                Effect::Recv { chan: self.inp }
+            } else if self.sent == self.rounds {
+                Effect::Halt
+            } else {
+                self.sent += 1;
+                Effect::Send { chan: self.out, msg: self.sent }
+            }
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            self.acc.to_le_bytes().to_vec()
+        }
+        fn msg_size_bytes(_: &u64) -> u64 {
+            8
+        }
+    }
+
+    /// A 2-rank exchange with only rank 0 hosted: its send channel is an
+    /// egress port, its receive channel an ingress port.
+    fn exchange(rounds: u64) -> (Topology, PartialSeed<Exchange>, ChannelId, ChannelId) {
+        let mut topo = Topology::new(2);
+        let out = topo.connect(0, 1);
+        let inp = topo.connect(1, 0);
+        let rank0 = Exchange { out, inp, rounds, sent: 0, received: 0, acc: 0 };
+        let seed = PartialSeed::fresh(&topo, vec![(0, rank0)]);
+        (topo, seed, out, inp)
+    }
+
+    #[test]
+    fn every_egress_send_reaches_the_sink_once_in_order_before_join() {
+        const ROUNDS: u64 = 16;
+        let (topo, seed, out, inp) = exchange(ROUNDS);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink: EgressSink<u64> = Box::new(move |chan, msg| {
+            tx.send((chan, msg)).unwrap();
+            Ok(FlightKind::DataDirect)
+        });
+        let recorder = |w| FlightRecorder::new(w, 1024);
+        let run = launch_partial(&topo, seed, Some(2), &FaultPlan::none(), Some(sink), recorder);
+        // The test is rank 1: it answers each message the sink carried, so
+        // rank 0 only gets on once its send has reached the sink.
+        let gateway = run.gateway();
+        let mut carried = Vec::new();
+        for _ in 0..ROUNDS {
+            let (chan, msg) =
+                rx.recv_timeout(Duration::from_secs(5)).expect("a send never reached the sink");
+            carried.push((chan, msg));
+            gateway.push_inbound(inp, 100 * msg, FlightKind::DataStar).unwrap();
+        }
+        let outcome = run.join().unwrap();
+        assert_eq!(carried, (1..=ROUNDS).map(|m| (out, m)).collect::<Vec<_>>());
+        assert!(rx.try_recv().is_err(), "the sink was called after the last send");
+        let acc: u64 = (1..=ROUNDS).map(|m| 100 * m).sum();
+        assert_eq!(outcome.snapshots, vec![(0, acc.to_le_bytes().to_vec())]);
+        assert_eq!(outcome.metrics.channels[out.0].messages, ROUNDS);
+        assert_eq!(outcome.metrics.channels[out.0].bytes, ROUNDS * 8);
+        assert_eq!(outcome.metrics.procs[0].sends, ROUNDS);
+
+        // The sender's lane marks each send, then its route, under the
+        // sender; the gateway lane marks each arrival under its reader and
+        // holds no send.
+        let log = outcome.flight.expect("recorded run");
+        let marks = |label: &str, kinds: &[FlightKind]| -> Vec<(FlightKind, u32, u32)> {
+            let lanes = log.lanes.iter().filter(|l| l.label.starts_with(label));
+            lanes
+                .flat_map(|l| &l.events)
+                .filter(|e| kinds.contains(&e.kind))
+                .map(|e| (e.kind, e.rank, e.chan))
+                .collect()
+        };
+        let sent = [FlightKind::Send, FlightKind::DataDirect];
+        let want: Vec<_> =
+            sent.iter().map(|&k| (k, 0, out.0 as u32)).cycle().take(2 * ROUNDS as usize).collect();
+        assert_eq!(marks("worker-", &sent), want);
+        let arrived = [FlightKind::Send, FlightKind::DataStar];
+        let want = vec![(FlightKind::DataStar, 0, inp.0 as u32); ROUNDS as usize];
+        assert_eq!(marks("gateway", &arrived), want);
+    }
+
+    #[test]
+    fn a_failing_sink_aborts_the_run_with_its_error() {
+        for k in 1..=3u64 {
+            let (topo, seed, _, inp) = exchange(8);
+            let mut calls = 0;
+            let sink: EgressSink<u64> = Box::new(move |_, _| {
+                calls += 1;
+                if calls == k {
+                    Err(RunError::Protocol { proc: 0, detail: format!("sink call {k} failed") })
+                } else {
+                    Ok(FlightKind::DataStar)
+                }
+            });
+            let faults = FaultPlan::none();
+            let run = launch_partial(&topo, seed, Some(2), &faults, Some(sink), |_| NoFlight);
+            // Answers for the k - 1 sends that succeed and no more: unless
+            // the k-th send aborts the run, rank 0 waits forever.
+            let gateway = run.gateway();
+            for m in 1..k {
+                gateway.push_inbound(inp, m, FlightKind::DataStar).unwrap();
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            let joiner = std::thread::spawn(move || tx.send(run.join().err()).unwrap());
+            let err =
+                rx.recv_timeout(Duration::from_secs(5)).expect("join hung after a sink error");
+            joiner.join().unwrap();
+            let want = RunError::Protocol { proc: 0, detail: format!("sink call {k} failed") };
+            assert_eq!(err, Some(want), "k = {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an egress sink")]
+    fn a_launch_with_egress_channels_and_no_sink_is_refused() {
+        let (topo, seed, _, _) = exchange(1);
+        launch_partial(&topo, seed, None, &FaultPlan::none(), None, |_| NoFlight);
+    }
+
     #[test]
     fn resolve_workers_clamps_to_rank_count() {
         assert_eq!(resolve_workers(Some(8), 3), 3);
@@ -1463,7 +1556,7 @@ mod tests {
         // reclaimed box; a reclaim that cleared it would lose the message.
         let mut topo = Topology::new(2);
         let chan = topo.connect(0, 1);
-        let (chans, egress) = build_chans::<u64>(&topo, &[true, true]);
+        let chans = build_chans::<u64>(&topo, &[true, true]);
         let task = Task {
             proc: Nop,
             delivery: None,
@@ -1474,7 +1567,7 @@ mod tests {
             result: None,
         };
         let slots = vec![Some(task), None];
-        let shared = build_shared(&topo, slots, chans, egress, 1, 0, 1, &FaultPlan::none(), NoFlight);
+        let shared = build_shared(&topo, slots, chans, None, 1, 0, 1, &FaultPlan::none(), NoFlight);
         let task = shared.reclaim(0);
         assert!(matches!(task.pending, Some(Pending::Send { msg: 7, .. })));
         assert!(task.parked_since.is_none());
@@ -1496,8 +1589,7 @@ mod tests {
             }],
             injector: Mutex::new(VecDeque::new()),
             target: 1,
-            egress: Vec::new(),
-            egress_park: ParkSlot::new(),
+            egress: Mutex::new(None),
             faults: FaultPlan::none(),
             poisoned: AtomicBool::new(false),
             done: AtomicBool::new(false),

@@ -157,7 +157,8 @@ impl<P: Process> Simulator<P> {
     /// simulator — or back as an ordinary channel. `None` is the spec's
     /// capacity rule; `Some(open)` lets a send complete iff `open` and
     /// ignores capacity, because flow control across a process boundary
-    /// belongs to the transport (the rule `sched` applies to egress rings).
+    /// belongs to the transport (the rule `sched` applies to egress
+    /// channels).
     /// This is API for external steppers that admit sends themselves (the
     /// distributed supervisor's shadow), not a user setting.
     pub fn set_port(&mut self, chan: ChannelId, port: Option<bool>) {

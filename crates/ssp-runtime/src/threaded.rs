@@ -399,7 +399,7 @@ mod tests {
                 }
                 let seed = sim.into_seed();
                 let none = FaultPlan::none();
-                let out = launch_partial(&topo, seed, Some(workers), &none, |_| NoFlight)
+                let out = launch_partial(&topo, seed, Some(workers), &none, None, |_| NoFlight)
                     .join()
                     .unwrap();
                 assert_eq!(out.snapshots, expect, "workers={workers}, cut {cut}");
