@@ -6,6 +6,7 @@
 //! bits) and under the discrete-event simulator on a machine model (for
 //! its modeled time), rendering aligned text tables, and turning each
 //! experiment's claims into an exit status ([`Verdicts`]).
+#![forbid(unsafe_code)]
 
 use std::process::{ExitCode, Termination};
 use std::sync::Arc;

@@ -33,6 +33,7 @@
 //!   ghost cells, and exchange insertion to a running message-passing
 //!   program, with a refinement check at every stage.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 
 pub mod ir;

@@ -33,6 +33,7 @@
 //! reproduces the paper's negative result (naive reordering changes the
 //! answer) and this repo's extension fixes it (ordered reduction).
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 
 pub mod farfield;

@@ -124,10 +124,11 @@ fn overlap_message_passing_matches_baseline_under_every_policy() {
     }
 }
 
-/// Slack changes scheduling freedom, never results: the overlapped plan is
-/// bitwise stable at slack 3, slack 4 and unbounded (its admissible range),
-/// the unsplit plan all the way down to slack 1, and the real-thread
-/// execution at slack 3 agrees too.
+/// Slack changes scheduling freedom, never results: the overlapped plan, like
+/// the unsplit one, is bitwise stable at every slack down to 1 (each
+/// half-step posts one coalesced message per channel, DESIGN.md §17), and
+/// the real-thread execution at slack 3 agrees too. (This file's threaded
+/// runs with `None` use the plan's own bound, slack 1.)
 #[test]
 fn overlap_agrees_bitwise_across_slack_bounds() {
     let params = tiny_with(BoundaryCondition::Mur1);
@@ -142,7 +143,7 @@ fn overlap_agrees_bitwise_across_slack_bounds() {
             .unwrap_or_else(|e| panic!("baseline at slack {slack:?}: {e}"));
         assert_eq!(out.snapshots, reference, "baseline at slack {slack:?}");
     }
-    for slack in [Some(3), Some(4), None] {
+    for slack in [Some(1), Some(3), Some(4), None] {
         let out = simulate(&over, pg, &init, slack, &mut RoundRobin::new())
             .unwrap_or_else(|e| panic!("overlap at slack {slack:?}: {e}"));
         assert_eq!(out.snapshots, reference, "overlap at slack {slack:?}");
@@ -159,9 +160,10 @@ fn overlap_agrees_bitwise_across_slack_bounds() {
 /// Each overlapped half-step posts *one* coalesced message per channel, and
 /// E and H travel on opposite channels of a link, so the plan has no burst
 /// to buffer: it runs bitwise at slack 1, 2, 4 and unbounded, simulated and
-/// on real threads. (While each component had its own exchange, a half-step
-/// posted three messages per channel before any receive and slack below 3
-/// was a typed `RunError::Deadlock`; that burst no longer exists.)
+/// on real threads (where `None` is the plan's own bound, slack 1). (While
+/// each component had its own exchange, a half-step posted three messages
+/// per channel before any receive and slack below 3 was a typed
+/// `RunError::Deadlock`; that burst no longer exists.)
 #[test]
 fn overlap_runs_bitwise_at_slack_1_2_4_and_unbounded() {
     let params = tiny_with(BoundaryCondition::Pec);

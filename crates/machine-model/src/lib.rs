@@ -18,6 +18,7 @@
 //! simulator's makespans. This crate also holds the paper's speedup
 //! definitions ([`SpeedupSeries`]).
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod model;
 pub mod speedup;

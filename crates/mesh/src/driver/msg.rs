@@ -1626,6 +1626,16 @@ pub fn run_msg_predicted<L: MeshLocal>(
 /// Run the program on the M:N scheduler's pool with bounded channel slack
 /// and an optional deadlock watchdog ([`ssp_runtime::ThreadedConfig`]).
 ///
+/// `slack: None` means the plan's own bound, uniform slack 1, so every
+/// channel is a one-slot lock-free ring. For this program that equals the
+/// paper's infinite slack: the compiled program sends every message of an
+/// exchange before it receives any (§3.3) and puts at most one message per
+/// exchange on a channel, so slack 1 cannot deadlock it (DESIGN.md §7), and
+/// by Theorem 1 every interleaving it admits ends in the infinite-slack
+/// final state. `Some(k)` runs at slack `k`. The simulator, the
+/// discrete-event backend and [`build_msg_processes_with_slack`] keep
+/// `None` = infinite.
+///
 /// The program runs as [`Placement::pool`] places it for the pool the
 /// configuration resolves ([`ThreadedConfig::pool_size`]): one process per
 /// rank, or one per pool worker, each hosting a group of contiguous ranks —
@@ -1642,6 +1652,7 @@ pub fn run_msg_threaded_slack<L: MeshLocal>(
     let workers = cfg.pool_size(pg.nprocs());
     let placement = Placement::pool(plan, &pg, &**init, HostMode::GridRank0, workers);
     let (topo, procs) = compile(plan, &**init, &placement, 0..placement.width());
+    let slack = Some(slack.unwrap_or(1));
     ssp_runtime::run_threaded_with(&topo.with_uniform_capacity(slack), procs, cfg)
 }
 

@@ -136,6 +136,7 @@
 //! assert_eq!(grouped.snapshots, simpar.snapshots);
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 
 pub mod driver;

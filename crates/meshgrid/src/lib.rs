@@ -19,6 +19,7 @@
 //!   used by the boundary-exchange communication operation;
 //! * [`io`] — byte serialization for the host-mediated file I/O path.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 
 pub mod error;

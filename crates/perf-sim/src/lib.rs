@@ -38,6 +38,7 @@
 //!   at several rank counts and read off the predicted curve with its
 //!   bottleneck explanation.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod critical;
 pub mod engine;

@@ -15,6 +15,7 @@
 //! report the deterministic per-case seed instead, which reproduces the
 //! case exactly), and a default of 64 cases per property (upstream: 256)
 //! to keep the tier-1 test suite fast.
+#![forbid(unsafe_code)]
 
 /// Deterministic pseudo-random generation for test cases.
 pub mod test_runner {

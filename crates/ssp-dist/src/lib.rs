@@ -36,6 +36,7 @@
 //! migrations and all. The integration tests assert exactly that, including
 //! under a mid-run SIGKILL.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod frame;
 pub mod proto;

@@ -24,8 +24,9 @@
 //! * [`threaded::run_threaded_with`] — a real parallel runner in which the `N`
 //!   ranks execute as lightweight tasks multiplexed over a core-sized pool
 //!   of worker threads with work stealing ([`sched`]), and channels are
-//!   lock-free SPSC rings ([`spsc::SpscRing`]; a rank blocking on an
-//!   empty/full edge parks its *task*, returning the worker to the pool).
+//!   SPSC queues ([`spsc::SpscRing`]: a lock-free ring when bounded, a
+//!   locked queue at infinite slack; a rank blocking on an empty/full edge
+//!   parks its *task*, returning the worker to the pool).
 //!   This corresponds to the parallel program the paper ultimately
 //!   produces, with rank count a program-structure choice rather than a
 //!   hardware one.
@@ -63,14 +64,22 @@
 //! slack by default; a bounded capacity can be requested per channel (or
 //! uniformly via [`chan::Topology::with_uniform_capacity`]) to demonstrate
 //! why the paper's infinite-slack assumption matters — bounded channels admit
-//! deadlocks that unbounded ones do not. Deadlocks are never silent: the
+//! deadlocks that unbounded ones do not. A program that sends every message
+//! of an exchange before receiving any (§3.3) is the exception: it cannot
+//! deadlock at slack 1, so the mesh driver's compiled plans run on one-slot
+//! rings on the pool. Deadlocks are never silent: the
 //! simulator reports the wait-for cycle as a typed
 //! [`error::RunError::Deadlock`], and the threaded runner does the same via
 //! a watchdog ([`threaded::ThreadedConfig::watchdog`]). Both runners also
 //! produce a [`trace::RunMetrics`] communication profile (message counts,
 //! payload bytes, queue-depth high-water marks, block time), dumpable as
 //! JSON.
+//!
+//! Every `unsafe` site of the workspace is in [`spsc`] (the bounded ring and
+//! the flight recorder's lane); each states its invariant in a `SAFETY:`
+//! comment, which clippy enforces.
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod chan;
 pub mod error;

@@ -92,7 +92,7 @@ const NOTIFIED: u8 = 2;
 
 /// Lock that tolerates poisoning: a panicking worker must not wedge
 /// harvest or peer workers (the run is aborting via the verdict anyway).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -163,7 +163,7 @@ enum ChanKind {
     Absent,
 }
 
-/// A single-reader single-writer channel: lock-free ring, the two endpoint
+/// A single-reader single-writer channel: its queue, the two endpoint
 /// ranks, their task-level waiting flags, and relaxed traffic counters
 /// (only the writer bumps them, so relaxed ordering is exact).
 struct Chan<M> {
@@ -389,10 +389,13 @@ enum After<P: Process> {
 
 /// Build the channel fabric for one scheduler instance. `hosted` marks the
 /// ranks this instance runs. A channel with both endpoints hosted is
-/// [`ChanKind::Direct`] (spec capacity honored) — every channel, when all
-/// ranks are hosted; one with a remote endpoint becomes `Egress`/`Ingress`
-/// — forced *unbounded*, because flow control across the process boundary
-/// belongs to the transport — or `Absent`.
+/// [`ChanKind::Direct`] (spec capacity honored: a lock-free ring when
+/// bounded) — every channel, when all ranks are hosted; one with a remote
+/// endpoint becomes `Egress`/`Ingress`, or `Absent`. Those three are forced
+/// onto the *unbounded* locked queue: flow control across the process
+/// boundary belongs to the transport, and an `Ingress` queue is fed by the
+/// transport's inbound thread, which must never wait on one reader
+/// ([`Gateway::push_inbound`]).
 fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> Vec<Chan<M>> {
     topo.specs()
         .iter()
@@ -937,8 +940,9 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
         }
         let bytes = if F::ENABLED { P::msg_size_bytes(&msg) } else { 0 };
         if c.ring.try_push(msg).is_err() {
-            // Ingress rings are unbounded, so this is unreachable — but a
-            // typed error beats a panic on a network-facing path.
+            // Ingress queues are unbounded (`build_chans`) so that this
+            // thread never waits on the reader; a push cannot fail. A typed
+            // error still beats a panic on a network-facing path.
             return Err(RunError::Protocol {
                 proc: c.reader,
                 detail: format!("ingress ring for {chan} rejected a push"),
@@ -1239,11 +1243,17 @@ fn attempt_send<P: Process, F: FlightSink>(
         match c.ring.try_push(msg) {
             Ok(depth) => {
                 // Writer-side counters: exact under relaxed ordering
-                // (single writer); `depth` is the producer-observed bound.
+                // (single writer). `depth` is an upper bound on a bounded
+                // ring, so re-read the queue before it raises the mark; the
+                // pushed message counts even if it is already popped.
                 c.messages.fetch_add(1, Ordering::Relaxed);
                 c.bytes.fetch_add(bytes, Ordering::Relaxed);
-                if depth > c.max_depth.load(Ordering::Relaxed) {
-                    c.max_depth.store(depth, Ordering::Relaxed);
+                let high = c.max_depth.load(Ordering::Relaxed);
+                if depth > high {
+                    let exact = c.ring.len().max(1);
+                    if exact > high {
+                        c.max_depth.store(exact, Ordering::Relaxed);
+                    }
                 }
                 task.pm.sends += 1;
                 shared.flight.record(me, FlightKind::Send, rank, chan.0, bytes);

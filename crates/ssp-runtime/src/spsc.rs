@@ -1,35 +1,39 @@
-//! Lock-free single-producer single-consumer channels: the threaded
-//! runner's fast path.
+//! Single-producer single-consumer channels: the threaded runner's fast
+//! path.
 //!
 //! Theorem 1's premise is exactly *single-reader single-writer* channels
 //! (§3.2): every channel in a [`crate::chan::Topology`] has one declared
 //! writer and one declared reader, statically checked before every send and
 //! receive. That restriction is what lets the threaded backend drop the
-//! `Mutex`/`Condvar` pair per channel entirely: a SPSC FIFO needs no lock,
-//! only one release/acquire pair per transfer.
+//! `Mutex`/`Condvar` pair per channel entirely: a bounded SPSC FIFO needs
+//! no lock, only one release/acquire pair per transfer.
 //!
 //! Two queue shapes live here, unified behind [`SpscRing`]:
 //!
 //! - **bounded** (`capacity = Some(k)`, the bounded-slack model): a
-//!   fixed-size ring buffer. Head and tail are monotonically increasing
-//!   counters; `index = count % capacity`. The producer caches the head and
-//!   refreshes it only when the ring looks full, the consumer caches the
-//!   tail and refreshes it only when the ring looks empty, so in steady
-//!   state each side touches only its own cache line plus the slot.
+//!   lock-free fixed-size ring buffer. Head and tail are monotonically
+//!   increasing counters; `index = count % capacity`. The producer caches
+//!   the head and refreshes it only when the ring looks full, the consumer
+//!   caches the tail and refreshes it only when the ring looks empty, so in
+//!   steady state each side touches only its own cache line plus the slot.
+//!   Compiled mesh plans run here: their §3.3 discipline makes slack 1 as
+//!   good as infinite slack (DESIGN.md §7).
 //! - **unbounded** (`capacity = None`, the paper's infinite-slack model): a
-//!   linked list of fixed-size segments. The producer appends segments as
-//!   it outruns the consumer; the consumer frees them as it drains. Pushes
-//!   never fail, preserving the "sends never block" semantics the paper's
-//!   model (and [`crate::sim::Simulator`]) gives unbounded channels.
+//!   `Mutex<VecDeque>` whose pushes never fail ("sends never block", as in
+//!   [`crate::sim::Simulator`]). It serves generic programs that declare
+//!   infinite slack and a partial run's ports to other processes, whose
+//!   inbound thread must never wait on one reader
+//!   ([`crate::sched::Gateway::push_inbound`]); neither is a measured hot
+//!   path, so this queue holds no `unsafe`.
 //!
-//! The memory-ordering argument (DESIGN.md §10): the producer writes the
-//! slot, *then* stores the new tail with `Release`; the consumer loads the
-//! tail with `Acquire`, so the slot write happens-before the consumer's
-//! read. Symmetrically the consumer's `Release` store of head after reading
-//! a slot happens-before the producer's `Acquire` reload when it re-checks
-//! fullness, so a slot is never overwritten while still being read. No
-//! other synchronization is required *because* there is exactly one
-//! producer and one consumer — the SRSW restriction is doing real work.
+//! The memory-ordering argument for the bounded ring (DESIGN.md §10): the
+//! producer writes the slot, *then* stores the new tail with `Release`; the
+//! consumer loads the tail with `Acquire`, so the slot write happens-before
+//! the consumer's read. Symmetrically the consumer's `Release` store of head
+//! after reading a slot happens-before the producer's `Acquire` reload when
+//! it re-checks fullness, so a slot is never overwritten while still being
+//! read. No other synchronization is required *because* there is exactly
+//! one producer and one consumer — the SRSW restriction is doing real work.
 //!
 //! OS-level blocking is park/unpark via [`ParkSlot`], not a condvar: a
 //! thread registers its [`std::thread::Thread`] handle once, advertises
@@ -54,28 +58,24 @@
 //! `check_reader` before every operation, and its scheduler hands a rank's
 //! task to one worker at a time (a mutex-guarded slot per rank separates
 //! successive owners): the declared endpoints are the only tasks that
-//! touch a ring, and each runs on one worker at a time.
+//! touch a ring, and each runs on one worker at a time. Every `unsafe` site
+//! of the workspace is in this module, and each states the part of this
+//! contract it relies on.
 
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 use std::thread::Thread;
 use std::time::Duration;
+
+use crate::sched::lock;
 
 /// Pads and aligns a value to 128 bytes so producer- and consumer-owned
 /// state never share a cache line (two lines: some CPUs prefetch pairs).
 #[repr(align(128))]
 struct CachePadded<T>(T);
-
-/// Segment length of the unbounded queue: long enough to amortize the
-/// per-segment allocation over many pushes, short enough that a mostly
-/// drained channel does not pin much memory.
-const SEG_SLOTS: usize = 64;
-
-fn slot_array<T>(n: usize) -> Box<[UnsafeCell<MaybeUninit<T>>]> {
-    (0..n).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect()
-}
 
 /// Fixed-capacity ring. Counters grow monotonically; `count % cap` indexes.
 struct Bounded<T> {
@@ -95,7 +95,7 @@ impl<T> Bounded<T> {
     fn new(cap: usize) -> Self {
         assert!(cap >= 1, "bounded SPSC ring needs capacity >= 1");
         Bounded {
-            slots: slot_array(cap),
+            slots: (0..cap).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect(),
             cap,
             head: CachePadded(AtomicUsize::new(0)),
             tail: CachePadded(AtomicUsize::new(0)),
@@ -156,139 +156,29 @@ impl<T> Drop for Bounded<T> {
     }
 }
 
-/// One segment of the unbounded queue.
-struct Seg<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    next: AtomicPtr<Seg<T>>,
-}
-
-impl<T> Seg<T> {
-    fn alloc() -> *mut Seg<T> {
-        Box::into_raw(Box::new(Seg {
-            slots: slot_array(SEG_SLOTS),
-            next: AtomicPtr::new(std::ptr::null_mut()),
-        }))
-    }
-}
-
-/// A side's position in the segment list (owned by exactly one thread).
-struct Cursor<T> {
-    seg: *mut Seg<T>,
-    idx: usize,
-    /// Consumer: stale copy of `tail`. Producer: unused.
-    cache: usize,
-}
-
-/// Growable segmented queue: pushes always succeed.
-struct Unbounded<T> {
-    /// Total popped (consumer-advanced).
-    head: CachePadded<AtomicUsize>,
-    /// Total pushed (producer-advanced).
-    tail: CachePadded<AtomicUsize>,
-    /// Producer-only cursor.
-    prod: CachePadded<UnsafeCell<Cursor<T>>>,
-    /// Consumer-only cursor.
-    cons: CachePadded<UnsafeCell<Cursor<T>>>,
-}
-
-impl<T> Unbounded<T> {
-    fn new() -> Self {
-        let first = Seg::alloc();
-        Unbounded {
-            head: CachePadded(AtomicUsize::new(0)),
-            tail: CachePadded(AtomicUsize::new(0)),
-            prod: CachePadded(UnsafeCell::new(Cursor { seg: first, idx: 0, cache: 0 })),
-            cons: CachePadded(UnsafeCell::new(Cursor { seg: first, idx: 0, cache: 0 })),
-        }
-    }
-
-    /// Producer-only. Returns the approximate depth after the push.
-    fn push(&self, v: T) -> usize {
-        // SAFETY: single producer — only this thread touches prod.
-        let p = unsafe { &mut *self.prod.0.get() };
-        if p.idx == SEG_SLOTS {
-            let fresh = Seg::alloc();
-            // Publish the new segment *before* the tail count that makes
-            // its first slot visible (both Release; see try_pop).
-            // SAFETY: p.seg is the live tail segment, owned by the producer.
-            unsafe { (*p.seg).next.store(fresh, Ordering::Release) };
-            p.seg = fresh;
-            p.idx = 0;
-        }
-        // SAFETY: slots at idx >= the published tail within this segment
-        // have never been visible to the consumer.
-        unsafe { (*(*p.seg).slots[p.idx].get()).write(v) };
-        p.idx += 1;
-        let tail = self.tail.0.load(Ordering::Relaxed) + 1;
-        self.tail.0.store(tail, Ordering::Release);
-        tail.saturating_sub(self.head.0.load(Ordering::Relaxed))
-    }
-
-    /// Consumer-only.
-    fn try_pop(&self) -> Option<T> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        // SAFETY: single consumer — only this thread touches cons.
-        let c = unsafe { &mut *self.cons.0.get() };
-        if head == c.cache {
-            c.cache = self.tail.0.load(Ordering::Acquire);
-            if head == c.cache {
-                return None;
-            }
-        }
-        if c.idx == SEG_SLOTS {
-            // head < tail and the current segment is exhausted, so the
-            // producer has linked a successor: its `next` store is
-            // sequenced before the tail store our Acquire load observed.
-            // SAFETY: c.seg is the live head segment, owned by the consumer.
-            let next = unsafe { (*c.seg).next.load(Ordering::Acquire) };
-            debug_assert!(!next.is_null(), "tail count covers the next segment");
-            // SAFETY: every slot of the old segment has been consumed and
-            // the producer moved on long ago; no other reference remains.
-            unsafe { drop(Box::from_raw(c.seg)) };
-            c.seg = next;
-            c.idx = 0;
-        }
-        // SAFETY: the Acquire load of tail ordered the slot write (and any
-        // segment link) before this read.
-        let v = unsafe { (*(*c.seg).slots[c.idx].get()).assume_init_read() };
-        c.idx += 1;
-        self.head.0.store(head + 1, Ordering::Release);
-        Some(v)
-    }
-}
-
-impl<T> Drop for Unbounded<T> {
-    fn drop(&mut self) {
-        // &mut self: drain queued values, then free the segment chain.
-        while self.try_pop().is_some() {}
-        let c = unsafe { &mut *self.cons.0.get() };
-        let mut seg = c.seg;
-        while !seg.is_null() {
-            // SAFETY: segments from the consumer cursor onward are only
-            // reachable here; their remaining slots are uninitialized
-            // (everything initialized was drained above).
-            let boxed = unsafe { Box::from_raw(seg) };
-            seg = boxed.next.load(Ordering::Relaxed);
-        }
-    }
-}
-
+// The bounded ring (large only by its cache-line padding) is the hot path,
+// kept inline so that a transfer follows no extra pointer.
+#[allow(clippy::large_enum_variant)]
 enum Inner<T> {
     Bounded(Bounded<T>),
-    Unbounded(Unbounded<T>),
+    Locked(Mutex<VecDeque<T>>),
 }
 
-/// A lock-free SPSC queue with (optionally bounded) slack — the threaded
-/// runner's channel representation. See the module docs for the safety
-/// contract (one pushing thread, one popping thread).
+/// A SPSC queue with (optionally bounded) slack — the threaded runner's
+/// channel representation: a lock-free ring when bounded, a locked
+/// `VecDeque` when not. See the module docs for the safety contract (one
+/// pushing thread, one popping thread).
 pub struct SpscRing<T> {
     inner: Inner<T>,
 }
 
 // SAFETY: values of T cross from the producer thread to the consumer
-// thread (so T: Send); all shared mutable state is either atomic or
-// confined to exactly one side per the SPSC contract.
+// thread, so T: Send is required and sufficient; the ring owns its queued
+// values and hands each to exactly one thread.
 unsafe impl<T: Send> Send for SpscRing<T> {}
+// SAFETY: shared mutable state is atomic, behind the unbounded queue's
+// mutex, or a bounded ring's `UnsafeCell`, which the SPSC contract confines
+// to one side at a time (slots change hands by the Release/Acquire counters).
 unsafe impl<T: Send> Sync for SpscRing<T> {}
 
 impl<T> SpscRing<T> {
@@ -298,19 +188,22 @@ impl<T> SpscRing<T> {
         SpscRing {
             inner: match capacity {
                 Some(cap) => Inner::Bounded(Bounded::new(cap)),
-                None => Inner::Unbounded(Unbounded::new()),
+                None => Inner::Locked(Mutex::new(VecDeque::new())),
             },
         }
     }
 
     /// Producer-only. `Err(v)` returns the value when a bounded ring is
-    /// full; `Ok(depth)` reports the producer-observed depth after the push
-    /// (an upper bound on the instantaneous depth, and never above the
-    /// capacity of a bounded ring) for high-water accounting.
+    /// full; `Ok(depth)` is the depth after the push: exact when unbounded,
+    /// an upper bound within the capacity when bounded ([`Self::len`] is).
     pub fn try_push(&self, v: T) -> Result<usize, T> {
         match &self.inner {
             Inner::Bounded(b) => b.try_push(v),
-            Inner::Unbounded(u) => Ok(u.push(v)),
+            Inner::Locked(q) => {
+                let mut q = lock(q);
+                q.push_back(v);
+                Ok(q.len())
+            }
         }
     }
 
@@ -318,7 +211,7 @@ impl<T> SpscRing<T> {
     pub fn try_pop(&self) -> Option<T> {
         match &self.inner {
             Inner::Bounded(b) => b.try_pop(),
-            Inner::Unbounded(u) => u.try_pop(),
+            Inner::Locked(q) => lock(q).pop_front(),
         }
     }
 
@@ -326,18 +219,19 @@ impl<T> SpscRing<T> {
     pub fn capacity(&self) -> Option<usize> {
         match &self.inner {
             Inner::Bounded(b) => Some(b.cap),
-            Inner::Unbounded(_) => None,
+            Inner::Locked(_) => None,
         }
     }
 
     /// Number of queued messages (racy snapshot; exact when either side is
     /// quiescent).
     pub fn len(&self) -> usize {
-        let (head, tail) = match &self.inner {
-            Inner::Bounded(b) => (&b.head.0, &b.tail.0),
-            Inner::Unbounded(u) => (&u.head.0, &u.tail.0),
-        };
-        tail.load(Ordering::Acquire).saturating_sub(head.load(Ordering::Acquire))
+        match &self.inner {
+            Inner::Bounded(b) => {
+                b.tail.0.load(Ordering::Acquire).saturating_sub(b.head.0.load(Ordering::Acquire))
+            }
+            Inner::Locked(q) => lock(q).len(),
+        }
     }
 
     /// True when no message is queued (racy snapshot, like [`Self::len`]).
@@ -367,10 +261,12 @@ pub struct OverwriteRing<T> {
     head: CachePadded<AtomicU64>,
 }
 
-// SAFETY: values of T cross from the writer thread to the draining thread
-// (so T: Send); the counter is atomic and the slots are written by exactly
-// one thread per the single-writer contract above.
+// SAFETY: values of T cross from the writer thread to the draining thread,
+// so T: Send is required and sufficient.
 unsafe impl<T: Send> Send for OverwriteRing<T> {}
+// SAFETY: the counter is atomic, the slots are written by exactly one
+// thread per the single-writer contract above, and they are read only after
+// a happens-before edge from the writer's last push (`snapshot`).
 unsafe impl<T: Send> Sync for OverwriteRing<T> {}
 
 impl<T: Copy + Default> OverwriteRing<T> {
@@ -537,23 +433,27 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_grows_across_segments_in_order() {
+    fn unbounded_queue_is_fifo_and_never_full() {
         let ring = SpscRing::new(None);
         assert_eq!(ring.capacity(), None);
-        let n = SEG_SLOTS * 5 + 17; // several segment boundaries
+        let n = 1000;
         for i in 0..n {
+            // Pushes never fail, and the depth reported is exact.
             assert_eq!(ring.try_push(i), Ok(i + 1));
         }
         assert_eq!(ring.len(), n);
-        for i in 0..n {
+        for i in 0..n / 2 {
+            assert_eq!(ring.try_pop(), Some(i));
+        }
+        // Interleaved pushes and pops keep one FIFO order.
+        for i in n..n + 100 {
+            assert_eq!(ring.try_push(i), Ok(n / 2 + 1));
+            assert_eq!(ring.try_pop(), Some(i - n / 2));
+        }
+        for i in n / 2 + 100..n + 100 {
             assert_eq!(ring.try_pop(), Some(i));
         }
         assert_eq!(ring.try_pop(), None);
-        // Interleaved push/pop across a boundary.
-        for i in 0..(3 * SEG_SLOTS) {
-            ring.try_push(i).unwrap();
-            assert_eq!(ring.try_pop(), Some(i));
-        }
         assert!(ring.is_empty());
     }
 
@@ -579,6 +479,23 @@ mod tests {
             drop(ring); // ...two freed with the ring
             assert_eq!(drops.load(Ordering::SeqCst), 3, "cap {cap:?}");
         }
+        // A bounded ring whose counters have wrapped its slots many times,
+        // with the live window straddling the end of the slot array: `Drop`
+        // must free exactly the queued positions [head, tail), each once.
+        drops.store(0, Ordering::SeqCst);
+        let ring = SpscRing::new(Some(3));
+        for _ in 0..10 {
+            ring.try_push(DropTick(Arc::clone(&drops))).ok().unwrap();
+            drop(ring.try_pop());
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 10);
+        for _ in 0..3 {
+            ring.try_push(DropTick(Arc::clone(&drops))).ok().unwrap();
+        }
+        assert!(ring.try_push(DropTick(Arc::clone(&drops))).is_err(), "full at capacity");
+        assert_eq!(drops.load(Ordering::SeqCst), 11, "the rejected value is dropped by us");
+        drop(ring);
+        assert_eq!(drops.load(Ordering::SeqCst), 14);
     }
 
     #[test]

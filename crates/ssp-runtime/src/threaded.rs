@@ -12,10 +12,11 @@
 //! simulated runs' final state, which the `spsc_invariance` suite pins
 //! bitwise.
 //!
-//! Channels are lock-free SPSC rings ([`crate::spsc::SpscRing`]) — the
+//! Channels are SPSC queues ([`crate::spsc::SpscRing`]) — the
 //! single-reader single-writer restriction Theorem 1 already demands means
-//! no channel ever has contending senders or receivers, so the hot path is
-//! one release/acquire pair per transfer. A rank that blocks (recv on an
+//! no channel ever has contending senders or receivers, so a bounded
+//! channel is a lock-free ring whose hot path is one release/acquire pair
+//! per transfer (a channel of infinite slack is a locked queue). A rank that blocks (recv on an
 //! empty ring, send on a full one) parks *its task*, yielding the worker
 //! back to the pool; the peer's next transfer requeues it (DESIGN.md §12).
 //!
@@ -266,26 +267,36 @@ mod tests {
     fn threaded_bounded_channels_block_and_wake() {
         // A bounded channel on the pool: the sender's task must park when
         // the queue is full and be requeued as the receiver drains — the
-        // run completes and the receiver sees FIFO order.
+        // run completes and the receiver sees FIFO order. An unbounded
+        // channel carries the program no bounded slack can run: the
+        // receiver waits for a `go` token the sender posts after its whole
+        // burst, so every message is queued at once.
         use crate::chan::ChannelSpec;
         enum Role {
-            Burst { out: ChannelId, n: u64, sent: u64 },
-            Drain { inp: ChannelId, n: u64, got: u64, sum: u64 },
+            Burst { out: ChannelId, n: u64, sent: u64, go: Option<ChannelId> },
+            Drain { inp: ChannelId, n: u64, got: u64, sum: u64, go: Option<ChannelId> },
         }
         impl Process for Role {
             type Msg = u64;
             fn resume(&mut self, d: Option<u64>) -> Effect<u64> {
                 match self {
-                    Role::Burst { out, n, sent } => {
+                    Role::Burst { out, n, sent, go } => {
                         if *sent < *n {
                             *sent += 1;
                             Effect::Send { chan: *out, msg: *sent }
+                        } else if let Some(g) = go.take() {
+                            Effect::Send { chan: g, msg: 0 }
                         } else {
                             Effect::Halt
                         }
                     }
-                    Role::Drain { inp, n, got, sum } => {
-                        if let Some(v) = d {
+                    Role::Drain { inp, n, got, sum, go } => {
+                        if let Some(g) = *go {
+                            if d.is_none() {
+                                return Effect::Recv { chan: g };
+                            }
+                            *go = None; // the token: every later delivery is data
+                        } else if let Some(v) = d {
                             *got += 1;
                             // Order-sensitive fold proves FIFO.
                             *sum = sum.wrapping_mul(31).wrapping_add(v);
@@ -309,30 +320,56 @@ mod tests {
             }
         }
         let n = 200u64;
-        let mut topo = Topology::new(2);
-        let c = topo.add(ChannelSpec::bounded(0, 1, 2)); // tiny capacity
-        let out = run_threaded_with(
-            &topo,
-            vec![
-                Role::Burst { out: c, n, sent: 0 },
-                Role::Drain { inp: c, n, got: 0, sum: 0 },
-            ],
-            ThreadedConfig::default(),
-        )
-        .unwrap();
         let mut expect: u64 = 0;
         for v in 1..=n {
             expect = expect.wrapping_mul(31).wrapping_add(v);
         }
-        assert_eq!(out.snapshots[1], expect.to_le_bytes().to_vec());
-        // Metrics: 200 messages of 8 bytes, queue never above capacity.
-        assert_eq!(out.metrics.channels[0].messages, 200);
-        assert_eq!(out.metrics.channels[0].bytes, 1600);
-        assert!(out.metrics.channels[0].max_queue_depth <= 2);
-        assert_eq!(out.metrics.procs[0].sends, 200);
-        assert_eq!(out.metrics.procs[1].receives, 200);
-        // The pool reports its shape in the metrics.
-        assert!(out.metrics.sched.workers >= 1);
+        let cases = [
+            (ChannelSpec::bounded(0, 1, 2), ThreadedConfig::default(), false), // tiny capacity
+            (ChannelSpec::unbounded(0, 1), ThreadedConfig::default().with_workers(1), true),
+        ];
+        for (spec, cfg, burst_first) in cases {
+            let label = format!("capacity {:?}", spec.capacity);
+            let mut topo = Topology::new(2);
+            let c = topo.add(spec);
+            let go = burst_first.then(|| topo.connect(0, 1));
+            let out = run_threaded_with(
+                &topo,
+                vec![
+                    Role::Burst { out: c, n, sent: 0, go },
+                    Role::Drain { inp: c, n, got: 0, sum: 0, go },
+                ],
+                cfg,
+            )
+            .unwrap();
+            assert_eq!(out.snapshots[1], expect.to_le_bytes().to_vec(), "FIFO, {label}");
+            // Metrics: 200 messages of 8 bytes, queue never above capacity.
+            assert_eq!(out.metrics.channels[0].messages, 200, "{label}");
+            assert_eq!(out.metrics.channels[0].bytes, 1600, "{label}");
+            let depth = out.metrics.channels[0].max_queue_depth;
+            if burst_first {
+                assert_eq!(depth, n as usize, "the whole burst queued at once");
+            } else {
+                assert!((1..=2).contains(&depth), "{label}: depth {depth}");
+            }
+            assert_eq!(out.metrics.procs[0].sends, n + u64::from(burst_first), "{label}");
+            assert_eq!(out.metrics.procs[1].receives, n + u64::from(burst_first), "{label}");
+            // The pool reports its shape in the metrics.
+            assert!(out.metrics.sched.workers >= 1);
+        }
+    }
+
+    #[test]
+    fn single_token_ring_reports_exact_queue_depth_on_bounded_rings() {
+        // One token circulates, so no queue ever holds a second message:
+        // the high-water mark must read 1, not the ring's capacity.
+        let (topo, procs) = ring(4, 8);
+        let topo = topo.with_uniform_capacity(Some(4));
+        let out = run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap();
+        for (i, c) in out.metrics.channels.iter().enumerate() {
+            assert_eq!(c.messages, 8, "channel {i}");
+            assert_eq!(c.max_queue_depth, 1, "channel {i}");
+        }
     }
 
     #[test]

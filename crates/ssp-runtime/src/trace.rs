@@ -41,7 +41,11 @@ pub struct ChannelMetrics {
     /// Total payload bytes sent, as reported by
     /// [`crate::proc::Process::msg_size_bytes`] (0 unless overridden).
     pub bytes: u64,
-    /// High-water mark of the channel's queue depth.
+    /// High-water mark of the channel's queue depth: the most messages
+    /// the queue held at once, as its writer saw it right after each send.
+    /// Exact: the simulator counts its queue, and the pool's writer re-reads
+    /// a bounded ring's head before raising the mark, so a channel that
+    /// never holds more than one message reports 1 whatever its capacity.
     pub max_queue_depth: usize,
 }
 

@@ -10,6 +10,7 @@
 //! paper parallelizes), then [`core`] (the simulated-parallel program model,
 //! the stepwise-refinement pipeline, and the Theorem 1 machinery).
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 
 pub use archetypes_core as core;

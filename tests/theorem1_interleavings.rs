@@ -135,7 +135,7 @@ impl Process for Flooder {
 
 #[test]
 fn infinite_slack_is_a_load_bearing_hypothesis() {
-    // Unbounded: fine.
+    // Infinite slack: fine.
     let build = |capacity: Option<usize>| {
         let mut topo = Topology::new(2);
         let spec = |w, r| match capacity {
