@@ -46,10 +46,11 @@ pub enum FrameType {
     Assign = 1,
     /// Either direction: one message on one cross-group channel.
     /// Payload: `[chan: u32 le][seq: u64 le][encoded message bytes]`
-    /// where `seq` is the message's absolute per-channel ordinal. In
-    /// direct transport modes a worker→supervisor DATA is a *mirror*
-    /// of a message already delivered on the direct plane: the
-    /// supervisor logs it for migration but does not forward it.
+    /// where `seq` is the message's absolute per-channel ordinal. On the
+    /// star plane the supervisor forwards it to the reader's worker. On
+    /// the direct planes a worker sends one only with checkpointing on:
+    /// a *shadow credit* for a message already delivered, which the
+    /// supervisor's shadow consumes and does not forward.
     Data = 2,
     /// Worker → supervisor: a group finished; snapshots, metrics and, when
     /// recording, its flight log ([`crate::proto::GroupDone`]).
@@ -68,11 +69,11 @@ pub enum FrameType {
     /// `[from worker: u32 le][generation: u64 le]`.
     PeerHello = 8,
     /// Supervisor → worker: refreshed rank placement + peer address
-    /// table after a membership change ([`crate::proto::PeerTable`]).
+    /// table after a membership change, with the channels to replay from
+    /// the send logs after a migration ([`crate::proto::Membership`]).
     Peers = 9,
     /// Worker → supervisor, in response to SHUTDOWN: final data-plane
-    /// counters. Payload: 4 × u64 le (direct frames, direct bytes,
-    /// shm frames, shm bytes).
+    /// and send-log counters ([`crate::proto::Bye`]).
     Bye = 10,
     /// Worker → worker: one message on one cross-group channel,
     /// bypassing the supervisor. Same payload layout as [`FrameType::Data`].
@@ -84,15 +85,22 @@ pub enum FrameType {
     /// Worker → worker: cumulative shm-ring consumption ack. Payload:
     /// `[consumed bytes: u64 le]`.
     ShmAck = 13,
-    /// Worker → supervisor: a DATA mirror whose direct delivery failed
-    /// (peer unreachable); the supervisor must log **and** forward it.
-    /// Same payload layout as [`FrameType::Data`].
+    /// Worker → supervisor: a message whose direct delivery failed (peer
+    /// unreachable); the supervisor forwards it. Same payload layout as
+    /// [`FrameType::Data`].
     DataRelay = 14,
+    /// Supervisor → worker: the latest shadow cut's consumed frontiers
+    /// ([`crate::proto::encode_cut`]); sent only with checkpointing on.
+    Cut = 15,
+    /// Supervisor → worker: stop at the given cross-group send
+    /// ([`crate::proto::encode_chaos`]). Worker → supervisor, empty: the
+    /// stop was reached; the supervisor kills the worker.
+    Chaos = 16,
 }
 
 impl FrameType {
     /// Every frame type, indexed by its wire byte.
-    const ALL: [FrameType; 15] = [
+    const ALL: [FrameType; 17] = [
         FrameType::Hello,
         FrameType::Assign,
         FrameType::Data,
@@ -108,6 +116,8 @@ impl FrameType {
         FrameType::DataShm,
         FrameType::ShmAck,
         FrameType::DataRelay,
+        FrameType::Cut,
+        FrameType::Chaos,
     ];
 }
 

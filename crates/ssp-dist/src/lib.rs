@@ -15,18 +15,20 @@
 //! * [`worker`] — hosts *groups* (one [`ssp_runtime::launch_partial`]
 //!   scheduler instance each) and bridges their cross-group channels to
 //!   DATA frames: a cross-group send is written by the scheduler worker
-//!   that performs it, and arrivals go in through one router.
+//!   that performs it, after it is appended to the worker's own send log
+//!   for that channel, and arrivals go in through one router.
 //! * [`transport`] — direct worker↔worker sockets (Unix-domain or TCP)
 //!   the supervisor brokers after ASSIGN, so steady-state DATA frames skip
 //!   the star's double hop; the default plane.
 //! * [`shm`] — a file-backed SPSC byte ring for co-located workers (the
 //!   opt-in `direct+shm` plane); halo payloads move through shared
 //!   memory, only a 32-byte doorbell rides the peer socket.
-//! * [`supervisor`] — owns the topology, logs every cross-group message
-//!   (and, in star mode, forwards it), brokers peer introductions, takes
-//!   periodic shadow checkpoints, and on a worker death migrates the dead
-//!   ranks onto a survivor or a fresh process, resuming from the last
-//!   checkpoint and replaying only the bounded in-flight window.
+//! * [`supervisor`] — owns the topology, forwards star and relayed
+//!   messages, brokers peer introductions, takes periodic shadow
+//!   checkpoints, and on a worker death migrates the dead ranks onto a
+//!   survivor or a fresh process, resuming from the last checkpoint and
+//!   naming the channels the survivors replay from their send logs. It
+//!   keeps no message log of its own.
 //!
 //! The correctness claim, inherited from the paper's Theorem 1: processes
 //! are deterministic and interact only via SRSW channels, so a rank rebuilt

@@ -56,32 +56,104 @@ pub fn decode_peer_hello(payload: &[u8]) -> Result<(usize, u64), RunError> {
     r.finish(hello)
 }
 
-/// BYE payload: final worker-side data-plane counters, 4 × u64 le
-/// (direct frames, direct bytes, shm frames, shm bytes).
-pub fn encode_bye(direct_frames: u64, direct_bytes: u64, shm_frames: u64, shm_bytes: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    for v in [direct_frames, direct_bytes, shm_frames, shm_bytes] {
-        push_u64(&mut out, v);
+/// BYE payload: a worker's final counters, answering SHUTDOWN. A worker
+/// that is killed sends none, so its counts are lost.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bye {
+    /// Frames delivered on the direct plane (peer sockets and loopback).
+    pub direct_frames: u64,
+    /// Message bytes of those frames.
+    pub direct_bytes: u64,
+    /// Payloads delivered through shm rings.
+    pub shm_frames: u64,
+    /// Message bytes of those payloads.
+    pub shm_bytes: u64,
+    /// Cross-process sends appended to the worker's send logs.
+    pub frames_logged: u64,
+    /// Log entries re-sent after a migration named their channel.
+    pub frames_replayed: u64,
+    /// Arrivals the worker's reader gates dropped as duplicates.
+    pub duplicates_dropped: u64,
+    /// Send-log message bytes freed at the supervisor's cut frontiers.
+    pub log_bytes_truncated: u64,
+}
+
+impl Bye {
+    /// Serialize: the eight counters in field order, each a `u64` le.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        for v in [
+            self.direct_frames,
+            self.direct_bytes,
+            self.shm_frames,
+            self.shm_bytes,
+            self.frames_logged,
+            self.frames_replayed,
+            self.duplicates_dropped,
+            self.log_bytes_truncated,
+        ] {
+            push_u64(&mut out, v);
+        }
+        out
+    }
+
+    /// Parse a BYE payload: exactly eight counters, or a typed error.
+    pub fn decode(payload: &[u8]) -> Result<Bye, RunError> {
+        let mut r = Reader::new("BYE", payload);
+        let bye = Bye {
+            direct_frames: r.u64("direct frames")?,
+            direct_bytes: r.u64("direct bytes")?,
+            shm_frames: r.u64("shm frames")?,
+            shm_bytes: r.u64("shm bytes")?,
+            frames_logged: r.u64("frames logged")?,
+            frames_replayed: r.u64("frames replayed")?,
+            duplicates_dropped: r.u64("duplicates dropped")?,
+            log_bytes_truncated: r.u64("log bytes truncated")?,
+        };
+        r.finish(bye)
+    }
+}
+
+/// CUT payload, supervisor → worker: the latest shadow cut's consumed
+/// frontier of every channel, `[n: u32][n × u64]`. A worker truncates its
+/// send logs and its gates' digests below them, and from its first CUT on
+/// it also writes each cross-process send to the supervisor as a shadow
+/// credit.
+pub fn encode_cut(frontiers: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 * frontiers.len());
+    push_u32(&mut out, frontiers.len() as u32);
+    for &f in frontiers {
+        push_u64(&mut out, f);
     }
     out
 }
 
-/// Decode a BYE payload into its four counters.
-pub fn decode_bye(payload: &[u8]) -> Result<(u64, u64, u64, u64), RunError> {
-    let mut r = Reader::new("BYE", payload);
-    let bye = (
-        r.u64("direct frames")?,
-        r.u64("direct bytes")?,
-        r.u64("shm frames")?,
-        r.u64("shm bytes")?,
-    );
-    r.finish(bye)
+/// Decode a CUT payload into its per-channel frontiers.
+pub fn decode_cut(payload: &[u8]) -> Result<Vec<u64>, RunError> {
+    let mut r = Reader::new("CUT", payload);
+    let n = r.count(8, "frontiers")?;
+    let frontiers = (0..n).map(|_| r.u64("frontier")).collect::<Result<_, RunError>>()?;
+    r.finish(frontiers)
+}
+
+/// CHAOS payload, supervisor → victim: `[after sends: u64]`, the ordinal
+/// of the cross-group send at which the victim stops, reports CHAOS
+/// (empty payload) and waits to be killed.
+pub fn encode_chaos(after_sends: u64) -> Vec<u8> {
+    after_sends.to_le_bytes().to_vec()
+}
+
+/// Decode a CHAOS payload into its send ordinal.
+pub fn decode_chaos(payload: &[u8]) -> Result<u64, RunError> {
+    let mut r = Reader::new("CHAOS", payload);
+    let after = r.u64("after sends")?;
+    r.finish(after)
 }
 
 /// The supervisor-brokered peer introduction table: which worker hosts
 /// each rank, and how to dial each live worker directly. Carried inside
 /// ASSIGN (so a group can open its data plane immediately) and re-broadcast
-/// as a standalone PEERS frame after membership changes.
+/// in a PEERS frame's [`Membership`] after membership changes.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PeerTable {
     /// Membership generation; bumped by the supervisor on every worker
@@ -122,19 +194,42 @@ impl PeerTable {
             .collect::<Result<_, RunError>>()?;
         Ok(PeerTable { gen, placement, peers })
     }
+}
 
-    /// Serialize a standalone PEERS frame payload.
+/// A PEERS payload, the membership broadcast after a worker death: the
+/// new peer table plus, after a migration, each channel into the merged
+/// group and the sequence number its writer replays its send log from
+/// (0, or the resumed cut's consumed frontier).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Membership {
+    /// Placement and live peers under the new generation.
+    pub table: PeerTable,
+    /// `(channel, first sequence number to replay)`.
+    pub replay: Vec<(usize, u64)>,
+}
+
+impl Membership {
+    /// Serialize: `[table][replay: u32 m][m × ([chan: u32][from: u64])]`.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.push(&mut out);
+        self.table.push(&mut out);
+        push_u32(&mut out, self.replay.len() as u32);
+        for &(chan, from) in &self.replay {
+            push_u32(&mut out, chan as u32);
+            push_u64(&mut out, from);
+        }
         out
     }
 
     /// Parse a PEERS payload; anything malformed is a typed error.
-    pub fn decode(payload: &[u8]) -> Result<PeerTable, RunError> {
+    pub fn decode(payload: &[u8]) -> Result<Membership, RunError> {
         let mut r = Reader::new("PEERS", payload);
         let table = PeerTable::read(&mut r)?;
-        r.finish(table)
+        let m = r.count(12, "replay")?;
+        let replay = (0..m)
+            .map(|_| Ok((r.u32("replay channel")? as usize, r.u64("replay from")?)))
+            .collect::<Result<_, RunError>>()?;
+        r.finish(Membership { table, replay })
     }
 }
 
@@ -344,6 +439,23 @@ mod tests {
         }
     }
 
+    fn membership() -> Membership {
+        Membership { table: table(), replay: vec![(5, 0), (7, 12)] }
+    }
+
+    fn bye() -> Bye {
+        Bye {
+            direct_frames: 10,
+            direct_bytes: 2048,
+            shm_frames: 7,
+            shm_bytes: 896,
+            frames_logged: 17,
+            frames_replayed: 3,
+            duplicates_dropped: 2,
+            log_bytes_truncated: 1 << 40,
+        }
+    }
+
     fn fresh_assign() -> Assign {
         Assign {
             group: 9,
@@ -413,22 +525,46 @@ mod tests {
         long.push(0);
         assert!(decode_peer_hello(&long).is_err());
 
-        let b = encode_bye(10, 2048, 7, 896);
-        assert_eq!(decode_bye(&b).unwrap(), (10, 2048, 7, 896));
-        assert_hostile_bytes_fail(&b, &(10, 2048, 7, 896), decode_bye);
+        let b = bye();
+        let bytes = b.encode();
+        assert_eq!(bytes.len(), 64);
+        assert_eq!(Bye::decode(&bytes).unwrap(), b);
+        assert_hostile_bytes_fail(&bytes, &b, Bye::decode);
     }
 
     #[test]
-    fn peer_table_round_trips_and_rejects_malformed_payloads() {
-        let t = table();
-        let bytes = t.encode();
-        assert_eq!(PeerTable::decode(&bytes).unwrap(), t);
-        assert_hostile_bytes_fail(&bytes, &t, PeerTable::decode);
-        // A hostile placement count cannot force a huge allocation.
+    fn cut_and_chaos_codecs_round_trip_and_reject_hostile_bytes() {
+        let frontiers = vec![0, 7, u64::MAX];
+        let bytes = encode_cut(&frontiers);
+        assert_eq!(decode_cut(&bytes).unwrap(), frontiers);
+        assert_eq!(decode_cut(&encode_cut(&[])).unwrap(), Vec::<u64>::new());
+        assert_hostile_bytes_fail(&bytes, &frontiers, decode_cut);
+        let detail = decode_cut(&u32::MAX.to_le_bytes()).unwrap_err().to_string();
+        assert!(detail.contains("exceeds payload"), "{detail}");
+
+        let bytes = encode_chaos(25);
+        assert_eq!(decode_chaos(&bytes).unwrap(), 25);
+        assert_hostile_bytes_fail(&bytes, &25, decode_chaos);
+    }
+
+    #[test]
+    fn membership_round_trips_and_rejects_malformed_payloads() {
+        let m = membership();
+        let bytes = m.encode();
+        assert_eq!(Membership::decode(&bytes).unwrap(), m);
+        assert_hostile_bytes_fail(&bytes, &m, Membership::decode);
+        let quiet = Membership { replay: vec![], ..m };
+        assert_eq!(Membership::decode(&quiet.encode()).unwrap(), quiet);
+        // Hostile placement and replay counts cannot force a huge allocation.
         let mut bomb = 0u64.to_le_bytes().to_vec();
         bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-        let detail = PeerTable::decode(&bomb).unwrap_err().to_string();
-        assert!(detail.contains("exceeds payload"), "{detail}");
+        let mut replay_bomb = quiet.encode();
+        replay_bomb.truncate(replay_bomb.len() - 4);
+        replay_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        for bomb in [bomb, replay_bomb] {
+            let detail = Membership::decode(&bomb).unwrap_err().to_string();
+            assert!(detail.contains("exceeds payload"), "{detail}");
+        }
     }
 
     #[test]
@@ -474,8 +610,18 @@ mod tests {
         const GOLDEN: &str = concat!(
             "0300000000000000030000000000000000000000010000000200000000000000",
             "08000000756e69783a2f7030010000000b0000007463703a5b3a3a315d3a39",
+            "02000000050000000000000000000000070000000c00000000000000",
         );
-        assert_eq!(hex(&table().encode()), GOLDEN);
+        assert_eq!(hex(&membership().encode()), GOLDEN);
+    }
+
+    #[test]
+    fn bye_bytes_are_pinned() {
+        const GOLDEN: &str = concat!(
+            "0a00000000000000000800000000000007000000000000008003000000000000",
+            "1100000000000000030000000000000002000000000000000000000000010000",
+        );
+        assert_eq!(hex(&bye().encode()), GOLDEN);
     }
 
     #[test]

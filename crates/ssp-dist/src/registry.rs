@@ -103,21 +103,23 @@ pub trait Workload: Send + Sync {
 ///
 /// In checkpointed transport modes the supervisor re-executes the *entire*
 /// program from the registry, one deterministic step at a time, gated by
-/// the DATA mirrors workers send it. Theorem 1 is what makes this a shadow
+/// the shadow credits workers send it: a copy of each cross-group message.
+/// Theorem 1 is what makes this a shadow
 /// rather than a guess: deterministic processes on SRSW channels produce
 /// the same per-channel message *sequences* under every maximal
 /// interleaving, so the shadow's trajectory is the real system's
 /// trajectory — and any periodic cut of the shadow is a consistent global
 /// state the supervisor can hand to a merged group as a resume manifest.
-/// Mismatched mirror bytes therefore prove a determinism violation, which
+/// Mismatched credit bytes therefore prove a determinism violation, which
 /// surfaces as a typed error instead of a silently-wrong resume.
 pub trait ProgramShadow: Send {
     /// Mark `chan` as gated (cross-group: shadow sends must wait for and
-    /// byte-match a mirror) or free-running (group-internal). Un-gating
+    /// byte-match a credit) or free-running (group-internal). Un-gating
     /// drops any queued credits.
     fn set_gated(&mut self, chan: usize, gated: bool);
-    /// Feed one logged DATA mirror (in per-channel seq order).
-    fn on_mirror(&mut self, chan: usize, bytes: &[u8]);
+    /// Feed one shadow credit, a cross-group message's bytes (in
+    /// per-channel seq order).
+    fn on_credit(&mut self, chan: usize, bytes: &[u8]);
     /// Run every rank until the next gated send without a credit (or
     /// completion), taking a cut each `every` steps. Errors are
     /// determinism violations or process faults.
@@ -129,7 +131,7 @@ pub trait ProgramShadow: Send {
     /// Cuts taken so far (≥ 1: the initial state counts).
     fn cuts_taken(&self) -> u64;
     /// Deliveries consumed on `chan` at the latest cut — the supervisor's
-    /// channel-log truncation frontier.
+    /// send-log truncation frontier.
     fn cut_consumed(&self, chan: usize) -> u64;
     /// The latest cut's state for `ranks`, as the [`GroupManifest`] a
     /// migration ASSIGN carries.
@@ -142,20 +144,19 @@ pub trait ProgramShadow: Send {
 /// distributed run is compared against, stepped through the same
 /// `step_process_with` every other backend replays — plus the one thing
 /// that is the supervisor's own: gated channels are simulator *ports*,
-/// open while a mirror credit is queued, and the message a gated send
-/// queues must byte-match that credit. Gating keeps the shadow
-/// at-or-behind the real execution on every cross-group channel, which is
-/// what makes the cut's in-flight window `[consumed, sent)` provably
-/// present in the supervisor's channel logs (every gated send the shadow
-/// completed was first logged as a mirror).
+/// open while a credit is queued, and the message a gated send queues must
+/// byte-match that credit. Gating keeps the shadow at-or-behind the real
+/// execution on every cross-group channel, which is what makes the cut's
+/// in-flight window `[consumed, sent)` provably present in the writers'
+/// send logs (a worker logs a send before it credits it).
 struct ShadowExec<P: Process + Clone>
 where
     P::Msg: Clone,
 {
     sim: Simulator<P>,
     gated: Vec<bool>,
-    /// Mirror credits per gated channel: the logged wire bytes, in seq
-    /// order, not yet consumed by a shadow send.
+    /// Credits per gated channel: the messages' wire bytes, in seq order,
+    /// not yet consumed by a shadow send.
     credits: Vec<VecDeque<Vec<u8>>>,
     steps: u64,
     cuts: u64,
@@ -216,7 +217,7 @@ where
                     proc: p,
                     detail: format!(
                         "determinism violation on ch{c}: shadow send #{} encodes to {} bytes \
-                         that differ from the mirrored frame ({} bytes)",
+                         that differ from the credited message ({} bytes)",
                         self.sim.metrics().channels[c].messages - 1,
                         enc.len(),
                         credit.len()
@@ -247,7 +248,7 @@ where
         self.sim.set_port(ChannelId(chan), port);
     }
 
-    fn on_mirror(&mut self, chan: usize, bytes: &[u8]) {
+    fn on_credit(&mut self, chan: usize, bytes: &[u8]) {
         if self.gated[chan] {
             self.credits[chan].push_back(bytes.to_vec());
             self.sim.set_port(ChannelId(chan), Some(true));
@@ -306,7 +307,7 @@ where
             .collect();
         // Only channels *internal* to the resumed set travel as seeded
         // queues; in-flight messages on inbound channels are replayed
-        // from the supervisor's logs (gating guarantees they are there).
+        // from the writers' send logs (gating guarantees they are there).
         let chans = &self.sim.metrics().channels;
         let queues = cut
             .queues
@@ -1050,19 +1051,19 @@ mod tests {
     fn gated_shadow_waits_for_credits_and_detects_mirror_mismatch() {
         let w = build_workload("ring", &ring_args(2, 2)).unwrap();
         // Gate channel 0 (rank 0 → rank 1): the shadow may not complete
-        // a send on it until the matching mirror arrives.
+        // a send on it until the matching credit arrives.
         let mut sh = w.shadow(8);
         sh.set_gated(0, true);
         sh.advance().unwrap();
         let stalled = sh.steps();
         sh.advance().unwrap();
         assert_eq!(sh.steps(), stalled, "shadow advanced past a gated send without credit");
-        // Correct mirrors (lap tokens 1000 then 2000) unblock it...
-        sh.on_mirror(0, &1000u64.to_le_bytes());
+        // Correct credits (lap tokens 1000 then 2000) unblock it...
+        sh.on_credit(0, &1000u64.to_le_bytes());
         sh.advance().unwrap();
         assert!(sh.steps() > stalled);
-        // ...and a corrupted mirror is a determinism violation, typed.
-        sh.on_mirror(0, &9999u64.to_le_bytes());
+        // ...and a corrupted credit is a determinism violation, typed.
+        sh.on_credit(0, &9999u64.to_le_bytes());
         let r = sh.advance();
         assert!(
             matches!(r, Err(RunError::Protocol { ref detail, .. }) if detail.contains("determinism")),

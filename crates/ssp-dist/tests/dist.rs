@@ -23,8 +23,17 @@ fn ring_across_two_workers_matches_the_simulator_bitwise() {
     let out = run_distributed("ring", &args, &cfg).expect("distributed ring");
     assert_eq!(out.snapshots, reference);
     assert_eq!(out.stats.migrations, 0);
-    // The ring has cross-worker edges, so the supervisor routed traffic.
-    assert!(out.stats.frames_routed > 0, "stats: {:?}", out.stats);
+    // The ring has cross-worker edges. Each send is logged once, by its
+    // sender's worker; the supervisor reads DATA only on the star.
+    let st = &out.stats;
+    assert!(st.frames_logged > 0, "stats: {st:?}");
+    match cfg.transport {
+        TransportMode::Star => assert_eq!(st.frames_routed, st.frames_logged, "stats: {st:?}"),
+        TransportMode::Direct { .. } => {
+            assert_eq!(st.frames_routed, 0, "stats: {st:?}");
+            assert_eq!(st.frames_logged, st.direct_frames + st.shm_frames, "stats: {st:?}");
+        }
+    }
     // Aggregated metrics cover the whole program.
     assert_eq!(out.metrics.procs.len(), 6);
     let sends: u64 = out.metrics.procs.iter().map(|p| p.sends).sum();
@@ -53,7 +62,7 @@ fn fdtd_version_a_across_workers_matches_the_simulator_bitwise() {
             "distributed FDTD at {workers} workers diverged from the simulator"
         );
         assert_eq!(out.stats.migrations, 0);
-        assert!(out.stats.frames_routed > 0);
+        assert!(out.stats.frames_logged > 0);
     }
 }
 
@@ -87,7 +96,7 @@ fn sigkilled_worker_mid_run_migrates_to_survivor_with_identical_results() {
     let mut cfg = DistConfig::new(2, worker_bin());
     // SIGKILL worker 1 once real traffic is flowing: a non-graceful,
     // mid-computation death with messages in flight.
-    cfg.chaos_kill = Some(ChaosKill { worker: 1, after_frames: 25 });
+    cfg.chaos_kill = Some(ChaosKill { worker: 1, after_sends: 12 });
     cfg.policy = MigrationPolicy::Survivor;
     let out = run_distributed("fdtd-a", &args, &cfg).expect("run must survive the kill");
     assert_eq!(
@@ -96,8 +105,8 @@ fn sigkilled_worker_mid_run_migrates_to_survivor_with_identical_results() {
     );
     assert_eq!(out.stats.migrations, 1, "stats: {:?}", out.stats);
     assert_eq!(out.stats.workers_spawned, 0, "Survivor policy must not spawn");
-    // The migrated group's inbound history was replayed and its regenerated
-    // sends were byte-verified against the log.
+    // The survivor replayed its send log into the migrated group, and its
+    // gates checked the regenerated sends against the originals' digests.
     assert!(out.stats.frames_replayed > 0, "stats: {:?}", out.stats);
     assert!(out.stats.duplicates_dropped > 0, "stats: {:?}", out.stats);
 }
@@ -107,7 +116,7 @@ fn spawn_policy_replaces_the_dead_worker_with_a_fresh_process() {
     let args = ring_args(6, 8);
     let reference = build_workload("ring", &args).unwrap().run_reference().unwrap();
     let mut cfg = DistConfig::new(2, worker_bin());
-    cfg.chaos_kill = Some(ChaosKill { worker: 0, after_frames: 10 });
+    cfg.chaos_kill = Some(ChaosKill { worker: 0, after_sends: 5 });
     cfg.policy = MigrationPolicy::Spawn;
     let out = run_distributed("ring", &args, &cfg).expect("run must survive the kill");
     assert_eq!(out.snapshots, reference);
@@ -119,10 +128,27 @@ fn spawn_policy_replaces_the_dead_worker_with_a_fresh_process() {
 fn migration_budget_zero_surfaces_worker_lost() {
     let args = ring_args(6, 8);
     let mut cfg = DistConfig::new(2, worker_bin());
-    cfg.chaos_kill = Some(ChaosKill { worker: 0, after_frames: 5 });
+    cfg.chaos_kill = Some(ChaosKill { worker: 0, after_sends: 3 });
     cfg.max_migrations = 0;
     let err = run_distributed("ring", &args, &cfg).expect_err("budget 0 cannot recover");
     assert!(matches!(err, RunError::WorkerLost { .. }), "got {err:?}");
+}
+
+#[test]
+fn heartbeats_run_on_a_schedule_under_steady_star_traffic() {
+    // The star keeps the supervisor busy with one frame per message, so a
+    // heartbeat that waited for a quiet spell would never fire here.
+    let args = ring_args(6, 12_000);
+    let mut cfg = DistConfig::new(2, worker_bin());
+    cfg.transport = TransportMode::Star;
+    let t0 = std::time::Instant::now();
+    let out = run_distributed("ring", &args, &cfg).expect("star ring");
+    let ran = t0.elapsed();
+    assert!(ran > std::time::Duration::from_millis(300), "ring too short to test: {ran:?}");
+    assert_eq!(out.stats.per_worker.len(), 2, "stats: {:?}", out.stats);
+    for (w, row) in out.stats.per_worker.iter().enumerate() {
+        assert!(row.pongs > 0, "worker {w} never answered a heartbeat in {ran:?}: {row:?}");
+    }
 }
 
 #[test]
@@ -195,7 +221,7 @@ fn direct_mode_keeps_steady_state_traffic_off_the_star() {
     let reference = build_workload("fdtd-a", &args).unwrap().run_reference().unwrap();
 
     // Full direct+shm plane: payloads ride rings and peer sockets, the
-    // supervisor only logs mirrors — it forwards nothing.
+    // senders log them, and the supervisor reads and forwards nothing.
     let mut cfg = DistConfig::new(2, worker_bin());
     cfg.transport = TransportMode::Direct { shm: true };
     let out = run_distributed("fdtd-a", &args, &cfg).expect("direct+shm run");
@@ -210,9 +236,11 @@ fn direct_mode_keeps_steady_state_traffic_off_the_star() {
         "co-located workers should use the shared ring: {:?}",
         out.stats
     );
+    assert_eq!(out.stats.frames_routed, 0, "stats: {:?}", out.stats);
     assert_eq!(
-        out.stats.frames_logged, out.stats.frames_routed,
-        "every mirror is logged exactly once in a healthy run"
+        out.stats.frames_logged,
+        out.stats.shm_frames + out.stats.direct_frames,
+        "every send is logged exactly once in a healthy run"
     );
 
     // Sockets-only direct plane: same invariants, no shm traffic.
@@ -279,7 +307,7 @@ fn checkpoint_resumed_migration_is_bitwise_identical_across_intervals() {
     let reference = build_workload("fdtd-a", &args).unwrap().run_reference().unwrap();
     for k in [1u64, 8, 64] {
         let mut cfg = DistConfig::new(2, worker_bin());
-        cfg.chaos_kill = Some(ChaosKill { worker: 1, after_frames: 25 });
+        cfg.chaos_kill = Some(ChaosKill { worker: 1, after_sends: 12 });
         cfg.policy = MigrationPolicy::Survivor;
         cfg.checkpoint_every = Some(k);
         let out = run_distributed("fdtd-a", &args, &cfg)
@@ -309,7 +337,7 @@ fn checkpointed_ring_survives_sigkill_at_every_interval() {
     let reference = build_workload("ring", &args).unwrap().run_reference().unwrap();
     for k in [1u64, 8, 64] {
         let mut cfg = DistConfig::new(2, worker_bin());
-        cfg.chaos_kill = Some(ChaosKill { worker: 0, after_frames: 10 });
+        cfg.chaos_kill = Some(ChaosKill { worker: 0, after_sends: 5 });
         cfg.policy = MigrationPolicy::Survivor;
         cfg.checkpoint_every = Some(k);
         let out = run_distributed("ring", &args, &cfg)
@@ -400,7 +428,7 @@ fn flight_enabled_migration_marks_the_move_in_the_lifecycle_lane() {
     let reference = build_workload("fdtd-a", &args).unwrap().run_reference().unwrap();
     let mut cfg = DistConfig::new(2, worker_bin());
     cfg.flight = Some(4096);
-    cfg.chaos_kill = Some(ChaosKill { worker: 1, after_frames: 25 });
+    cfg.chaos_kill = Some(ChaosKill { worker: 1, after_sends: 12 });
     cfg.policy = MigrationPolicy::Survivor;
     let out = run_distributed("fdtd-a", &args, &cfg).expect("run must survive the kill");
     assert_eq!(out.snapshots, reference);
