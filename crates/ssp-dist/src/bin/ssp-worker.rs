@@ -1,17 +1,20 @@
-//! The worker executable: `ssp-worker <socket path> <worker index>
-//! [threads per group] [peer transport]`. Spawned by the supervisor;
+//! The worker executable: `ssp-worker <run dir> <worker index>
+//! [threads per group] [peer transport]`. The supervisor spawns it with
+//! its end of a Unix-domain socket pair as stdin and the run directory,
+//! which holds the peer sockets and shm rings, as the first argument;
 //! never run by hand.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let (path, idx) = match (args.get(1), args.get(2).and_then(|s| s.parse().ok())) {
-        (Some(p), Some(i)) => (p.as_str(), i),
+    let (dir, idx) = match (args.get(1), args.get(2).and_then(|s| s.parse().ok())) {
+        (Some(d), Some(i)) => (Path::new(d), i),
         _ => {
             eprintln!(
-                "usage: ssp-worker <socket path> <worker index> [threads per group] \
-                 [peer transport: unix|tcp]"
+                "usage: ssp-worker <run dir> <worker index> [threads per group] \
+                 [peer transport: unix|tcp] (stdin: the supervisor's socket)"
             );
             return ExitCode::FAILURE;
         }
@@ -33,7 +36,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match ssp_dist::worker_main(path, idx, group_workers, peer_tcp) {
+    match ssp_dist::worker_main(dir, idx, group_workers, peer_tcp) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");

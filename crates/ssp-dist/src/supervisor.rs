@@ -1,9 +1,20 @@
 //! The supervisor: topology owner, peer broker, checkpointer, and
 //! migration driver.
 //!
-//! One supervisor process spawns N worker processes, connects to each over
-//! a Unix-domain socket, and partitions the program's ranks into *groups*
-//! (one scheduler instance per group, initially one group per worker).
+//! One supervisor process spawns N worker processes, each with its end of
+//! a Unix-domain socket pair as its stdin, and partitions the program's
+//! ranks into *groups* (one scheduler instance per group, initially one
+//! group per worker).
+//!
+//! ## Worker lifecycle
+//!
+//! Every wait is on an event, never on a sleep. All W workers start
+//! before the first HELLO is read, so their start-ups overlap. The
+//! supervisor keeps only its own end of each pair, so a worker's exit is
+//! the last close of the other end and reaches its reader thread as EOF:
+//! before HELLO that is a typed [`RunError::WorkerLost`] naming the worker
+//! and its exit status, after it a death to migrate, and at shutdown the
+//! sign that the worker is gone and can be reaped.
 //!
 //! ## Data planes
 //!
@@ -57,8 +68,9 @@
 //! death does.
 
 use std::collections::HashMap;
-use std::io::Write;
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{ErrorKind, Write};
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,6 +126,13 @@ pub enum TransportMode {
 
 /// How often the supervisor PINGs every live worker.
 const HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// How long a started worker has to say HELLO.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a worker has, after SHUTDOWN, to say BYE and exit before it
+/// is killed.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// The environment variable that names the data plane.
 const TRANSPORT_ENV: &str = "SSP_DIST_TRANSPORT";
@@ -320,6 +339,9 @@ enum Event {
 
 struct Slot {
     child: Option<Child>,
+    /// The supervisor's end of the worker's socket, from spawn until its
+    /// HELLO is read.
+    hello: Option<UnixStream>,
     write: Option<Arc<Mutex<UnixStream>>>,
     alive: bool,
     /// The worker's direct-plane listening address from its HELLO.
@@ -338,8 +360,8 @@ struct Supervisor<'a> {
     cfg: &'a DistConfig,
     spec: WorkloadSpec,
     topo: Topology,
-    listener: UnixListener,
-    sock_path: PathBuf,
+    /// The run directory: the workers' peer sockets and shm ring files.
+    dir: PathBuf,
     tx: Sender<Event>,
     rx: Receiver<Event>,
     slots: Vec<Slot>,
@@ -364,17 +386,10 @@ struct Supervisor<'a> {
 
 impl Drop for Supervisor<'_> {
     fn drop(&mut self) {
-        for s in &mut self.slots {
-            if let Some(child) = &mut s.child {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+        for w in 0..self.slots.len() {
+            self.reap(w);
         }
-        // The run directory also holds peer listener sockets and shm
-        // ring files — sweep it whole.
-        if let Some(dir) = self.sock_path.parent() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
@@ -404,13 +419,7 @@ pub fn run_distributed(
     let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("ssp-dist-{}-{seq}", std::process::id()));
     std::fs::create_dir_all(&dir)
-        .map_err(|e| proto_err(format!("create socket dir {}: {e}", dir.display())))?;
-    let sock_path = dir.join("sup.sock");
-    let listener = UnixListener::bind(&sock_path)
-        .map_err(|e| proto_err(format!("bind {}: {e}", sock_path.display())))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| proto_err(format!("listener nonblocking: {e}")))?;
+        .map_err(|e| proto_err(format!("create run dir {}: {e}", dir.display())))?;
 
     let (tx, rx) = channel();
     let n_chans = topo.n_channels();
@@ -419,8 +428,7 @@ pub fn run_distributed(
         spec,
         metrics: RunMetrics::for_topology(&topo),
         topo,
-        listener,
-        sock_path,
+        dir,
         tx,
         rx,
         slots: Vec::new(),
@@ -458,7 +466,10 @@ impl Supervisor<'_> {
         let deadline = Instant::now() + self.cfg.timeout;
 
         for _ in 0..self.cfg.workers {
-            self.spawn_worker(deadline)?;
+            self.start_worker()?;
+        }
+        for w in 0..self.cfg.workers {
+            self.await_hello(w, deadline)?;
         }
         if let Some(ck) = self.cfg.chaos_kill {
             // Armed before the victim's ASSIGN, on the same socket.
@@ -551,30 +562,75 @@ impl Supervisor<'_> {
 
     // -- worker lifecycle ---------------------------------------------------
 
-    /// Spawn one worker process and complete its HELLO handshake.
-    fn spawn_worker(&mut self, deadline: Instant) -> Result<usize, RunError> {
+    /// Start one worker process with its end of a fresh socket pair as
+    /// its stdin. Its HELLO is read by [`Supervisor::await_hello`], so
+    /// several workers can start at once.
+    fn start_worker(&mut self) -> Result<usize, RunError> {
         let idx = self.slots.len();
         let gw = ssp_runtime::sched::pool_share(self.cfg.group_workers, self.cfg.workers);
         let flavor = if self.cfg.peer_tcp { "tcp" } else { "unix" };
-        let child = Command::new(&self.cfg.worker_bin)
-            .arg(&self.sock_path)
+        let (ours, theirs) =
+            UnixStream::pair().map_err(|e| proto_err(format!("socket pair: {e}")))?;
+        let mut cmd = Command::new(&self.cfg.worker_bin);
+        cmd.arg(&self.dir)
             .arg(idx.to_string())
             .arg(gw.to_string())
             .arg(flavor)
-            .stdin(Stdio::null())
-            .spawn()
-            .map_err(|e| {
-                proto_err(format!("spawn {}: {e}", self.cfg.worker_bin.display()))
-            })?;
+            .stdin(Stdio::from(OwnedFd::from(theirs)));
+        let spawned = cmd.spawn();
+        // The command holds the supervisor's copy of the worker's end:
+        // drop it now, so the worker's exit closes that end for good and
+        // shows as EOF on ours.
+        drop(cmd);
+        let child = spawned.map_err(|e| {
+            proto_err(format!("spawn {}: {e}", self.cfg.worker_bin.display()))
+        })?;
         self.slots.push(Slot {
             child: Some(child),
+            hello: Some(ours),
             write: None,
             alive: false,
             addr: String::new(),
             ping_sent: None,
         });
+        Ok(idx)
+    }
 
-        let (hello_idx, addr, stream) = self.accept_hello(deadline)?;
+    /// Read started worker `idx`'s HELLO, then hand its socket to a reader
+    /// thread that turns frames into events and EOF into [`Event::Dead`].
+    fn await_hello(&mut self, idx: usize, deadline: Instant) -> Result<(), RunError> {
+        let stream = self.slots[idx].hello.take().expect("a started worker's HELLO is read once");
+        let wait = deadline.saturating_duration_since(Instant::now()).min(HELLO_TIMEOUT);
+        let set_timeout = |t| {
+            stream.set_read_timeout(t).map_err(|e| proto_err(format!("read timeout: {e}")))
+        };
+        set_timeout(Some(wait.max(Duration::from_millis(1))))?;
+        let frame = match read_frame(&mut (&stream)) {
+            Ok(f) => f,
+            Err(FrameError::Eof) => {
+                return Err(RunError::WorkerLost {
+                    worker: idx,
+                    detail: format!("exited before HELLO: {}", self.reap(idx)),
+                })
+            }
+            Err(FrameError::Io(e))
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+            {
+                return Err(RunError::WorkerLost {
+                    worker: idx,
+                    detail: format!("no HELLO within {wait:?}"),
+                })
+            }
+            Err(e) => return Err(e.into_run_error(0)),
+        };
+        set_timeout(None)?;
+        if frame.ty != FrameType::Hello {
+            return Err(proto_err(format!(
+                "worker {idx}'s first frame was {:?}, expected HELLO",
+                frame.ty
+            )));
+        }
+        let (hello_idx, addr) = decode_hello(&frame.payload)?;
         if hello_idx != idx {
             return Err(proto_err(format!(
                 "expected HELLO from worker {idx}, got {hello_idx}"
@@ -613,56 +669,21 @@ impl Supervisor<'_> {
                 }
             }
         });
-        Ok(idx)
+        Ok(())
     }
 
-    /// Accept one connection and read its HELLO, polling the nonblocking
-    /// listener until `deadline`.
-    fn accept_hello(
-        &mut self,
-        deadline: Instant,
-    ) -> Result<(usize, String, UnixStream), RunError> {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    stream
-                        .set_nonblocking(false)
-                        .map_err(|e| proto_err(format!("stream blocking: {e}")))?;
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(10)))
-                        .map_err(|e| proto_err(format!("read timeout: {e}")))?;
-                    let frame = read_frame(&mut (&stream))
-                        .map_err(|e| e.into_run_error(0))?;
-                    stream
-                        .set_read_timeout(None)
-                        .map_err(|e| proto_err(format!("read timeout: {e}")))?;
-                    if frame.ty != FrameType::Hello {
-                        return Err(proto_err(format!(
-                            "first frame was {:?}, expected HELLO",
-                            frame.ty
-                        )));
-                    }
-                    let (idx, addr) = decode_hello(&frame.payload)?;
-                    return Ok((idx, addr, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(proto_err("timed out waiting for worker HELLO".to_string()));
-                    }
-                    // A worker that died before connecting will never come.
-                    for (i, s) in self.slots.iter_mut().enumerate() {
-                        if let (false, Some(child)) = (s.alive, &mut s.child) {
-                            if let Ok(Some(status)) = child.try_wait() {
-                                return Err(proto_err(format!(
-                                    "worker {i} exited before HELLO: {status}"
-                                )));
-                            }
-                        }
-                    }
-                    thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(proto_err(format!("accept: {e}"))),
-            }
+    /// Kill worker `w`'s process if it still runs, reap it, and describe
+    /// its exit status. After its socket's EOF the process has exited or
+    /// is exiting, and a SIGKILL changes neither its status; it only ends
+    /// one that closed its stdin and lives on.
+    fn reap(&mut self, w: usize) -> String {
+        let Some(mut child) = self.slots[w].child.take() else {
+            return "already reaped".to_string();
+        };
+        let _ = child.kill();
+        match child.wait() {
+            Ok(status) => status.to_string(),
+            Err(e) => format!("status unknown: {e}"),
         }
     }
 
@@ -675,49 +696,39 @@ impl Supervisor<'_> {
         s.flush()
     }
 
-    /// Gracefully stop all live workers, folding their BYE counter
-    /// reports into the stats, then reap every child.
+    /// Gracefully stop all live workers: SHUTDOWN to each, then fold in
+    /// its BYE counter report and wait for its EOF, within
+    /// [`SHUTDOWN_GRACE`]. Then reap every child; one still open after the
+    /// grace is killed first.
     fn shutdown_workers(&mut self) {
-        let mut awaiting = 0usize;
-        for w in 0..self.slots.len() {
-            if self.slots[w].alive
-                && self.send_to(w, FrameType::Shutdown, &[]).is_ok()
-            {
-                awaiting += 1;
-            }
-        }
-        let grace = Instant::now() + Duration::from_secs(5);
-        while awaiting > 0 && Instant::now() < grace {
-            match self.rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(Event::Frame(w, f))
-                    if f.ty == FrameType::Bye && self.slots[w].alive =>
-                {
-                    if self.fold_bye(&f.payload).is_ok() {
-                        awaiting -= 1;
-                    }
+        let mut open: Vec<bool> = (0..self.slots.len())
+            .map(|w| self.slots[w].alive && self.send_to(w, FrameType::Shutdown, &[]).is_ok())
+            .collect();
+        let mut awaiting = open.iter().filter(|&&o| o).count();
+        let grace = Instant::now() + SHUTDOWN_GRACE;
+        while awaiting > 0 {
+            let left = grace.saturating_duration_since(Instant::now());
+            match self.rx.recv_timeout(left) {
+                Ok(Event::Frame(w, f)) if f.ty == FrameType::Bye && open[w] => {
+                    let _ = self.fold_bye(&f.payload);
                 }
+                Ok(Event::Dead(w)) if open[w] => {
+                    open[w] = false;
+                    awaiting -= 1;
+                }
+                // Its reader gave up on garbage, so no EOF will be seen.
+                Ok(Event::Bad(w, _)) if open[w] => awaiting -= 1,
                 Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
+                Err(_) => break,
             }
         }
-        let grace = Instant::now() + Duration::from_secs(5);
-        for s in &mut self.slots {
-            if let Some(child) = &mut s.child {
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() > grace => {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                        Ok(None) => thread::sleep(Duration::from_millis(10)),
-                        Err(_) => break,
-                    }
+        for (s, open) in self.slots.iter_mut().zip(open) {
+            if let Some(mut child) = s.child.take() {
+                if open {
+                    let _ = child.kill();
                 }
+                let _ = child.wait();
             }
-            s.child = None;
         }
     }
 
@@ -864,11 +875,7 @@ impl Supervisor<'_> {
         }
         self.slots[w].alive = false;
         self.generation += 1;
-        if let Some(child) = &mut self.slots[w].child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        self.slots[w].child = None;
+        self.reap(w);
 
         let mut merged: Vec<usize> = Vec::new();
         for g in &self.groups {
@@ -902,7 +909,9 @@ impl Supervisor<'_> {
             Some(t) => t,
             None => {
                 self.stats.workers_spawned += 1;
-                self.spawn_worker(deadline)?
+                let fresh = self.start_worker()?;
+                self.await_hello(fresh, deadline)?;
+                fresh
             }
         };
         if self.cfg.flight.is_some() {
@@ -940,19 +949,15 @@ impl Supervisor<'_> {
         load.into_iter().min_by_key(|&(i, l)| (l, i)).map(|(i, _)| i)
     }
 
-    /// Probe live workers; a failed write is how we notice a peer whose
-    /// EOF got lost. Also reaps children that exited without closing.
+    /// Probe live workers for telemetry; a failed write is a death notice
+    /// that may beat the worker's EOF.
     fn heartbeat(&mut self, deadline: Instant) -> Result<(), RunError> {
         for w in 0..self.slots.len() {
             if !self.slots[w].alive {
                 continue;
             }
-            let exited = match &mut self.slots[w].child {
-                Some(child) => matches!(child.try_wait(), Ok(Some(_))),
-                None => false,
-            };
             let now = Instant::now();
-            if exited || self.send_to(w, FrameType::Ping, &[]).is_err() {
+            if self.send_to(w, FrameType::Ping, &[]).is_err() {
                 self.worker_dead(w, deadline)?;
             } else if self.slots[w].ping_sent.is_none() {
                 // Only arm the RTT clock when no PING is outstanding, so a

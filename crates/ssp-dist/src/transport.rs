@@ -6,8 +6,8 @@
 //! is the socket flavor behind that plane:
 //!
 //! * **Unix-domain** (`unix:<path>`) — the default on one host; the
-//!   listener socket lives next to the supervisor's in the run's temp
-//!   directory.
+//!   listener socket lives in the run directory the supervisor names on
+//!   the worker's command line.
 //! * **TCP** (`tcp:<host:port>`) — for workers that do not share a
 //!   filesystem; selected with `DistConfig::peer_tcp` (loopback bind).
 //!

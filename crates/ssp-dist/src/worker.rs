@@ -1,10 +1,11 @@
 //! The worker process: hosts groups of ranks on behalf of the supervisor.
 //!
 //! A worker is a thin shell around the runtime's partial scheduler
-//! ([`ssp_runtime::launch_partial`]): it connects to the supervisor's
-//! socket, says HELLO, and then serves a frame loop. Each ASSIGN spins up
-//! one *group* — an independent scheduler instance hosting some ranks —
-//! whose cross-group channel ends are bridged to the data plane.
+//! ([`ssp_runtime::launch_partial`]): its stdin is its end of the socket
+//! pair the supervisor made for it at spawn; it says HELLO there and then
+//! serves a frame loop. Each ASSIGN spins up one *group* — an independent
+//! scheduler instance hosting some ranks — whose cross-group channel ends
+//! are bridged to the data plane.
 //!
 //! ## Data planes (phase 2)
 //!
@@ -56,9 +57,10 @@
 //! frame's buffer, copies out-of-order arrivals into a stash, and drops
 //! duplicates (the same message can legitimately arrive twice, e.g. once
 //! directly and once from a migration replay, or once from a dead writer
-//! and again from its re-execution). The gate keeps an FNV-1a digest of
-//! every message it has passed on, above the latest cut's frontier; a
-//! duplicate whose digest differs is a typed determinism violation.
+//! and again from its re-execution). The gate keeps a word-wise FNV-1a
+//! digest of every message it has passed on, above the latest cut's
+//! frontier; a duplicate whose digest differs is a typed determinism
+//! violation.
 //! Direct frames may even arrive *before* the ASSIGN that creates their
 //! reader group; they wait in the gate's stash and drain the moment the
 //! group registers.
@@ -80,6 +82,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::Write;
+use std::os::fd::AsFd;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -125,6 +128,25 @@ fn decode_shm_ack(payload: &[u8]) -> Result<u64, RunError> {
     r.finish(consumed)
 }
 
+/// The gates' digest of a message: FNV-1a over 8-byte little-endian words,
+/// then the tail bytes one at a time, then the length. Every step
+/// `h = (h ^ x) * prime` is a bijection of `h` for a fixed `x` and of `x`
+/// for a fixed `h` (the prime is odd), so two messages of equal length
+/// that differ in one word or tail byte always digest differently. It
+/// reads eight bytes per multiply where [`fnv1a_64`] reads one; that one
+/// stays where its bytes are pinned (the manifest seal, the shm doorbell).
+fn digest(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(PRIME);
+    let words = bytes.chunks_exact(8);
+    let tail = words.remainder();
+    let h = words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")))
+    });
+    let h = tail.iter().fold(h, |h, &b| step(h, u64::from(b)));
+    step(h, bytes.len() as u64)
+}
+
 /// One channel's inbound sequence gate: the next ordinal the reader group
 /// has not yet seen, a stash of early arrivals keyed by ordinal, and the
 /// digest of every message passed on from `digest_base` to `expected`.
@@ -132,7 +154,7 @@ fn decode_shm_ack(payload: &[u8]) -> Result<u64, RunError> {
 struct Gate {
     expected: u64,
     stash: BTreeMap<u64, (Vec<u8>, FlightKind)>,
-    /// `digests[i]` is the `fnv1a_64` of message `digest_base + i`.
+    /// `digests[i]` is the [`digest`] of message `digest_base + i`.
     digests: VecDeque<u64>,
     digest_base: u64,
 }
@@ -140,7 +162,7 @@ struct Gate {
 impl Gate {
     /// Pass message `expected` on: record its digest and move the gate.
     fn passed(&mut self, bytes: &[u8]) {
-        self.digests.push_back(fnv1a_64(bytes));
+        self.digests.push_back(digest(bytes));
         self.expected += 1;
     }
 
@@ -150,7 +172,7 @@ impl Gate {
     fn check_duplicate(&self, chan: usize, seq: u64, bytes: &[u8]) -> Result<(), RunError> {
         let same = if seq < self.expected {
             seq.checked_sub(self.digest_base)
-                .is_none_or(|i| self.digests[i as usize] == fnv1a_64(bytes))
+                .is_none_or(|i| self.digests[i as usize] == digest(bytes))
         } else {
             self.stash.get(&seq).is_none_or(|(b, _)| b == bytes)
         };
@@ -378,25 +400,32 @@ struct Shared {
     chaos_at: AtomicU64,
 }
 
-/// Run a worker against the supervisor socket at `path`, identifying as
-/// `worker_id`. `group_workers` caps OS threads per group scheduler (the
-/// supervisor passes each worker its share of the host);
+/// Run a worker on the supervisor socket that is this process's stdin,
+/// identifying as `worker_id`. `dir` is the run directory, where its peer
+/// socket and shm rings live. `group_workers` caps OS threads per group
+/// scheduler (the supervisor passes each worker its share of the host);
 /// `peer_tcp` selects TCP (loopback) instead of Unix-domain sockets for
 /// the direct peer plane. Returns when the supervisor says SHUTDOWN or
 /// hangs up.
 pub fn worker_main(
-    path: &str,
+    dir: &Path,
     worker_id: usize,
     group_workers: Option<usize>,
     peer_tcp: bool,
 ) -> Result<(), String> {
-    let stream = UnixStream::connect(path)
-        .map_err(|e| format!("worker {worker_id}: connect {path}: {e}"))?;
+    let stream = std::io::stdin()
+        .as_fd()
+        .try_clone_to_owned()
+        .map(UnixStream::from)
+        .map_err(|e| format!("worker {worker_id}: take stdin: {e}"))?;
+    stream
+        .local_addr()
+        .map_err(|e| format!("worker {worker_id}: stdin is not the supervisor's socket: {e}"))?;
     let mut read_half =
         stream.try_clone().map_err(|e| format!("worker {worker_id}: clone socket: {e}"))?;
     let write_half = Arc::new(Mutex::new(stream));
 
-    let dir = Path::new(path).parent().unwrap_or_else(|| Path::new(".")).to_path_buf();
+    let dir = dir.to_path_buf();
     // The peer listener must exist before HELLO carries its address:
     // a peer may dial the moment the supervisor brokers the table.
     let (listener, addr) = if peer_tcp {
@@ -1304,6 +1333,25 @@ mod tests {
         assert!(router.deliver(0, 2, b"not two", FlightKind::DataStar).is_err());
         assert_eq!(router.duplicates, 2, "a violation is an error, not a drop");
         assert_eq!(taped(&tape, 0).len(), 3, "no duplicate reaches the group");
+    }
+
+    #[test]
+    fn a_one_byte_change_anywhere_in_a_halo_sized_payload_changes_its_digest() {
+        // 35 KB, the size of an fdtd_dist face payload, and not a whole
+        // number of words, so the tail bytes are covered too.
+        let mut rng = ssp_runtime::rng::SplitMix64::seed_from_u64(0x5eed);
+        let mut payload: Vec<u8> = (0..35_003).map(|_| rng.next_u64() as u8).collect();
+        let base = digest(&payload);
+        for i in 0..payload.len() {
+            let b = payload[i];
+            payload[i] = b ^ (1 << (i % 8));
+            assert_ne!(digest(&payload), base, "a flip at byte {i} kept the digest");
+            payload[i] = b;
+        }
+        assert_eq!(digest(&payload), base);
+        // The length is folded in: a zero tail byte is not nothing.
+        assert_ne!(digest(&[]), digest(&[0]));
+        assert_ne!(digest(&[0; 8]), digest(&[0; 9]));
     }
 
     #[test]

@@ -160,6 +160,24 @@ fn unknown_workload_fails_before_spawning_anything() {
 }
 
 #[test]
+fn a_worker_that_dies_before_hello_is_a_typed_loss_not_a_timeout() {
+    // `true` exits at once without a word: its socket's EOF, not the
+    // 10 s HELLO timeout, must end the run, naming the worker and its
+    // exit status.
+    let cfg = DistConfig::new(2, "/bin/true");
+    let t0 = std::time::Instant::now();
+    let err = run_distributed("ring", &ring_args(4, 1), &cfg).expect_err("no worker can start");
+    let took = t0.elapsed();
+    match &err {
+        RunError::WorkerLost { worker: 0, detail } => {
+            assert!(detail.contains("before HELLO") && detail.contains("exit status"), "{err}")
+        }
+        other => panic!("got {other:?}"),
+    }
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+}
+
+#[test]
 fn flight_enabled_distributed_run_merges_worker_traces_and_telemetry() {
     let args = fdtd_a_args("tiny", 4);
     let reference = build_workload("fdtd-a", &args).unwrap().run_reference().unwrap();

@@ -4,7 +4,7 @@
 //! something that exists. A line that keeps a retired command as history
 //! says so with the literal marker `(retired in PR 18)` and is skipped.
 //! The root manifest's `default-members` (what the tier-1 command covers)
-//! must name every crate but `ssp-dist`.
+//! must name every crate.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -126,7 +126,7 @@ fn every_command_the_docs_name_resolves_to_a_target_that_exists() {
 }
 
 #[test]
-fn default_members_are_every_crate_but_ssp_dist() {
+fn default_members_are_every_crate() {
     let manifest = fs::read_to_string(root().join("Cargo.toml")).expect("root manifest");
     let list = manifest
         .split("default-members = [")
@@ -138,7 +138,6 @@ fn default_members_are_every_crate_but_ssp_dist() {
     let mut expected: Vec<String> = package_dirs()[1..]
         .iter()
         .map(|d| d.strip_prefix(root()).expect("under the root").display().to_string())
-        .filter(|d| d != "crates/ssp-dist")
         .collect();
     expected.push(".".into());
     expected.sort();
