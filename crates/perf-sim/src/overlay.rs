@@ -302,6 +302,25 @@ mod tests {
     }
 
     #[test]
+    fn a_rank_run_partly_by_the_helper_keeps_one_timeline() {
+        // The sample's events, the ones from its park on split off into
+        // the `helper` lane: the thread that read the waking message ran
+        // the rank from there. The spans are the same.
+        let whole = sample_log();
+        let (worker, helper) = whole.lanes[0].events.split_at(3);
+        let lane = |label: &str, events: &[FlightEvent]| FlightLane {
+            label: format!("w1/g0/{label}"),
+            dropped: 0,
+            events: events.to_vec(),
+        };
+        let split = FlightLog { lanes: vec![lane("worker-0", worker), lane("helper", helper)] };
+        let tls = measured_timelines(&split, 1);
+        assert_eq!(tls, measured_timelines(&whole, 1));
+        let kinds: Vec<&str> = tls[0].spans.iter().map(|s| s.kind.label()).collect();
+        assert_eq!(kinds, vec!["compute", "send", "blocked", "recv"]);
+    }
+
+    #[test]
     fn lifecycle_lanes_do_not_pollute_the_clock() {
         let mut log = sample_log();
         log.push_lifecycle(0, FlightKind::Migrate, 0, 1, 2);

@@ -76,12 +76,16 @@ pub struct Bye {
     pub duplicates_dropped: u64,
     /// Send-log message bytes freed at the supervisor's cut frontiers.
     pub log_bytes_truncated: u64,
+    /// The most bytes the worker's send logs held at once.
+    pub log_bytes_peak: u64,
+    /// Outbound peer writes that found no room for a whole write slice.
+    pub write_stalls: u64,
 }
 
 impl Bye {
-    /// Serialize: the eight counters in field order, each a `u64` le.
+    /// Serialize: the ten counters in field order, each a `u64` le.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut out = Vec::with_capacity(80);
         for v in [
             self.direct_frames,
             self.direct_bytes,
@@ -91,13 +95,15 @@ impl Bye {
             self.frames_replayed,
             self.duplicates_dropped,
             self.log_bytes_truncated,
+            self.log_bytes_peak,
+            self.write_stalls,
         ] {
             push_u64(&mut out, v);
         }
         out
     }
 
-    /// Parse a BYE payload: exactly eight counters, or a typed error.
+    /// Parse a BYE payload: exactly ten counters, or a typed error.
     pub fn decode(payload: &[u8]) -> Result<Bye, RunError> {
         let mut r = Reader::new("BYE", payload);
         let bye = Bye {
@@ -109,6 +115,8 @@ impl Bye {
             frames_replayed: r.u64("frames replayed")?,
             duplicates_dropped: r.u64("duplicates dropped")?,
             log_bytes_truncated: r.u64("log bytes truncated")?,
+            log_bytes_peak: r.u64("log bytes peak")?,
+            write_stalls: r.u64("write stalls")?,
         };
         r.finish(bye)
     }
@@ -453,6 +461,8 @@ mod tests {
             frames_replayed: 3,
             duplicates_dropped: 2,
             log_bytes_truncated: 1 << 40,
+            log_bytes_peak: 35_000,
+            write_stalls: 1,
         }
     }
 
@@ -527,7 +537,7 @@ mod tests {
 
         let b = bye();
         let bytes = b.encode();
-        assert_eq!(bytes.len(), 64);
+        assert_eq!(bytes.len(), 80);
         assert_eq!(Bye::decode(&bytes).unwrap(), b);
         assert_hostile_bytes_fail(&bytes, &b, Bye::decode);
     }
@@ -620,6 +630,7 @@ mod tests {
         const GOLDEN: &str = concat!(
             "0a00000000000000000800000000000007000000000000008003000000000000",
             "1100000000000000030000000000000002000000000000000000000000010000",
+            "b8880000000000000100000000000000",
         );
         assert_eq!(hex(&bye().encode()), GOLDEN);
     }

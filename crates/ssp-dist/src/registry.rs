@@ -27,9 +27,9 @@ use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
     launch_partial, ChannelId, EgressSink, Effect, FaultPlan, FlightKind, FlightLog,
-    FlightRecorder, FlightSink, Gateway, GroupManifest, LiveTelemetry, ManifestRank, NoFlight,
-    PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Simulator,
-    Topology,
+    FlightRecorder, FlightSink, Gateway, GroupManifest, Handoff, LiveTelemetry, ManifestRank,
+    NoFlight, PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics,
+    Simulator, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -46,8 +46,14 @@ pub type DataSink = Box<dyn FnMut(usize, Vec<u8>) -> Result<FlightKind, RunError
 pub trait GroupIngress: Send + Sync {
     /// Deliver one DATA payload for `chan` into the group, marked in its
     /// flight log as carried by `route`. Call under the worker's router
-    /// lock (the gateway lane takes one writer at a time).
-    fn push_inbound(&self, chan: usize, bytes: &[u8], route: FlightKind) -> Result<(), RunError>;
+    /// lock (the gateway lane takes one writer at a time); run the
+    /// [`Handoff`] it may return only after releasing that lock.
+    fn push_inbound(
+        &self,
+        chan: usize,
+        bytes: &[u8],
+        route: FlightKind,
+    ) -> Result<Option<Handoff>, RunError>;
     /// Cheap live counters for heartbeat telemetry (atomic loads only;
     /// safe to call from the worker's socket loop while the group runs).
     fn telemetry(&self) -> LiveTelemetry;
@@ -415,8 +421,13 @@ struct TypedIngress<P: Process, F: FlightSink> {
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
 }
 
-impl<P: Process, F: FlightSink> GroupIngress for TypedIngress<P, F> {
-    fn push_inbound(&self, chan: usize, bytes: &[u8], route: FlightKind) -> Result<(), RunError> {
+impl<P: Process + 'static, F: FlightSink> GroupIngress for TypedIngress<P, F> {
+    fn push_inbound(
+        &self,
+        chan: usize,
+        bytes: &[u8],
+        route: FlightKind,
+    ) -> Result<Option<Handoff>, RunError> {
         let msg = (self.decode)(bytes)?;
         self.gateway.push_inbound(ChannelId(chan), msg, route)
     }

@@ -18,12 +18,13 @@
 //! **Half-open-socket discipline**: every peer stream is created with a
 //! bounded *write* timeout. When the remote end was SIGKILLed mid-run, a
 //! plain `write` on a full socket buffer would block forever and wedge
-//! the sending rank's scheduler worker, which makes the write itself
+//! the thread running the sending rank, which makes the write itself
 //! inside the send; with the timeout it fails typed, the sender drops the
 //! connection (idempotently — see [`PeerStream::close`]) and falls back
-//! to supervisor relay. The regression test at the bottom of this module
-//! holds a writer against a never-reading peer and asserts it errors out
-//! instead of hanging.
+//! to supervisor relay. A dialed stream's writes wait [`WRITE_SLICE`] at a
+//! time, retried up to the timeout by the worker. The regression test at
+//! the bottom of this module holds a writer against a never-reading peer
+//! and asserts it errors out instead of hanging.
 
 use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -36,6 +37,10 @@ use ssp_runtime::RunError;
 /// How long a peer-socket write may block before the sender declares the
 /// peer half-open and falls back to the supervisor relay path.
 pub const PEER_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long one write on a dialed peer stream waits for room (rounded up
+/// to a clock tick), so its writer can hand on a read duty and retry.
+pub const WRITE_SLICE: Duration = Duration::from_millis(1);
 
 fn proto_err(detail: String) -> RunError {
     RunError::Protocol { proc: 0, detail }
@@ -79,14 +84,14 @@ impl PeerAddr {
         }
     }
 
-    /// Dial the peer, returning a stream with the bounded write timeout
-    /// already applied.
+    /// Dial the peer, returning a stream whose writes wait at most
+    /// [`WRITE_SLICE`].
     pub fn connect(&self) -> io::Result<PeerStream> {
         let s = match self {
             PeerAddr::Unix(p) => PeerStream::Unix(UnixStream::connect(p)?),
             PeerAddr::Tcp(a) => PeerStream::Tcp(TcpStream::connect(a.as_str())?),
         };
-        s.set_write_timeout(Some(PEER_WRITE_TIMEOUT))?;
+        s.set_write_timeout(Some(WRITE_SLICE))?;
         Ok(s)
     }
 }
@@ -113,8 +118,8 @@ impl PeerListener {
         Ok((PeerListener::Tcp(l), PeerAddr::Tcp(addr)))
     }
 
-    /// Accept one inbound peer connection (blocking), write timeout
-    /// pre-applied like [`PeerAddr::connect`].
+    /// Accept one inbound peer connection (blocking), its write timeout
+    /// [`PEER_WRITE_TIMEOUT`].
     pub fn accept(&self) -> io::Result<PeerStream> {
         let s = match self {
             PeerListener::Unix(l) => PeerStream::Unix(l.accept()?.0),

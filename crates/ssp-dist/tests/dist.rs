@@ -414,8 +414,10 @@ fn route_marks_name_a_rank_the_recording_process_hosts() {
         cfg.transport = transport;
         cfg.flight = Some(4096);
         let out = run_distributed("fdtd-a", &args, &cfg).expect("flight run");
-        // A sender marks its route in its own worker lane; an arrival is
-        // marked in the gateway lane of the reader's group.
+        // A sender marks its route in the lane of the thread that ran it —
+        // a pool worker's, or the helper's when the thread that read a
+        // frame ran the rank it woke; an arrival is marked in the gateway
+        // lane of the reader's group.
         let mut routes = 0;
         for lane in &out.flight.expect("log").lanes {
             let gateway = lane.label.ends_with("/gateway");
@@ -428,8 +430,8 @@ fn route_marks_name_a_rank_the_recording_process_hosts() {
                 let want = if gateway {
                     spec.reader
                 } else {
-                    let worker = lane.label.contains("/worker-");
-                    assert!(worker, "{transport:?}: {} holds {e:?}", lane.label);
+                    let sender = lane.label.contains("/worker-") || lane.label.ends_with("/helper");
+                    assert!(sender, "{transport:?}: {} holds {e:?}", lane.label);
                     spec.writer
                 };
                 assert_eq!(e.rank as usize, want, "{transport:?}: {} holds {e:?}", lane.label);

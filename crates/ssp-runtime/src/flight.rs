@@ -2,7 +2,7 @@
 //! distributed backends (DESIGN.md §15).
 //!
 //! `RunMetrics` says *how much* a run did; the flight recorder says *when*.
-//! Each writer of a scheduler instance (every pool worker, the
+//! Each writer of a scheduler instance (every pool worker, the helper, the
 //! watchdog/control side, and the transport gateway) owns one
 //! [`OverwriteRing`] lane of fixed-size [`FlightEvent`]s. Recording is one
 //! slot write plus a `Release` store — no locks, no allocation, and no
@@ -98,13 +98,13 @@ impl FlightRecorder {
     /// A recorder for a pool of `n_workers` workers, with `cap` events
     /// retained per lane. Lane layout (the scheduler's writer threads):
     /// lanes `0..n_workers` belong to the workers, lane `n_workers` is
-    /// `control` (watchdog sweeps, pre-spawn lifecycle marks), and lane
-    /// `n_workers + 1` is `gateway` (arrivals from other processes).
+    /// `helper` (a thread running a [`crate::Handoff`]), then `control`
+    /// (watchdog sweeps, pre-spawn lifecycle marks) and `gateway`
+    /// (arrivals from other processes).
     pub fn new(n_workers: usize, cap: usize) -> Self {
         let cap = cap.max(1);
         let mut labels: Vec<String> = (0..n_workers).map(|w| format!("worker-{w}")).collect();
-        labels.push("control".to_string());
-        labels.push("gateway".to_string());
+        labels.extend(["helper", "control", "gateway"].map(String::from));
         FlightRecorder {
             epoch: Instant::now(),
             lanes: labels.iter().map(|_| OverwriteRing::new(cap)).collect(),
@@ -114,12 +114,12 @@ impl FlightRecorder {
 
     /// The `control` lane's index for a recorder built over `n_workers`.
     pub fn control_lane(n_workers: usize) -> usize {
-        n_workers
+        n_workers + 1
     }
 
     /// The `gateway` lane's index for a recorder built over `n_workers`.
     pub fn gateway_lane(n_workers: usize) -> usize {
-        n_workers + 1
+        n_workers + 2
     }
 }
 
@@ -212,14 +212,16 @@ mod tests {
         let rec = FlightRecorder::new(2, 8);
         rec.record(0, FlightKind::Run, 3, 0, 0);
         rec.record(1, FlightKind::Send, 4, 7, 128);
+        rec.record(2, FlightKind::Run, 6, 0, 0); // the helper
         rec.record(FlightRecorder::control_lane(2), FlightKind::Restore, 0, 0, 42);
         rec.record(FlightRecorder::gateway_lane(2), FlightKind::Wake, 5, 0, 0);
-        assert_eq!(rec.occupancy(), 4);
+        assert_eq!(rec.occupancy(), 5);
         let log = rec.drain().unwrap();
         let labels: Vec<&str> = log.lanes.iter().map(|l| l.label.as_str()).collect();
-        assert_eq!(labels, vec!["worker-0", "worker-1", "control", "gateway"]);
+        assert_eq!(labels, vec!["worker-0", "worker-1", "helper", "control", "gateway"]);
         assert_eq!(log.lanes[1].events[0].bytes, 128);
-        assert_eq!(log.lanes[2].events[0].kind, FlightKind::Restore);
+        assert_eq!(log.lanes[2].events[0].rank, 6);
+        assert_eq!(log.lanes[3].events[0].kind, FlightKind::Restore);
         // Timestamps are monotone against the shared epoch.
         let merged = log.merged();
         assert!(merged.windows(2).all(|w| w[0].nanos <= w[1].nanos));

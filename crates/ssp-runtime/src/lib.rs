@@ -114,7 +114,8 @@ pub use recover::{
     RecoveryStats,
 };
 pub use sched::{
-    launch_partial, EgressSink, Gateway, LiveTelemetry, PartialOutcome, PartialRun, PartialSeed,
+    launch_partial, EgressSink, Gateway, Handoff, LiveTelemetry, PartialOutcome, PartialRun,
+    PartialSeed,
 };
 pub use sim::{run_simulated, ProcState, RunOutcome, Simulator};
 pub use threaded::{run_threaded_faulted, run_threaded_with, ThreadedConfig, ThreadedOutcome};

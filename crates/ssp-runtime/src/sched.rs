@@ -52,6 +52,15 @@
 //! `PARKED` on a channel edge **and** the run queues are empty — i.e. no
 //! rank can run and none ever will. A rescue sweep runs first; if it
 //! requeues anything the stall clock resets instead of firing.
+//!
+//! ## Who runs a rank
+//!
+//! Whoever holds its id; by Theorem 1 that cannot change the final state.
+//! A partial run ([`launch_partial`]) has a *seat* beside its `k` workers:
+//! a [`Gateway::push_inbound`] that wakes a rank while all `k` idle returns
+//! it as a [`Handoff`], whose runner takes the seat and runs it and the
+//! ranks it wakes from the seat's deque (which the pool may steal from). It
+//! stands in for an idle worker, so its wakes rouse at most `k − 1` more.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -216,7 +225,11 @@ struct Shared<P: Process, F: FlightSink> {
     /// What each rank is blocked on; meaningful only while the rank's
     /// state is `PARKED` (written before the parking CAS publishes it).
     waits: Mutex<Vec<Option<(ChannelId, BlockKind)>>>,
+    /// The `pool` workers, then a partial run's seat (deque and lane `pool`).
     workers: Vec<WorkerState>,
+    pool: usize,
+    /// Held from a handoff's creation until it is run or dropped.
+    seat_taken: AtomicBool,
     /// Overflow queue for wakes issued by non-worker threads.
     injector: Mutex<VecDeque<ProcId>>,
     /// Ranks hosted by this instance; a full run hosts all of them. The
@@ -247,8 +260,8 @@ struct Shared<P: Process, F: FlightSink> {
     watchdog_park: ParkSlot,
     /// Flight-recorder sink. [`NoFlight`] (zero-sized, all methods empty)
     /// when recording is disabled; [`FlightRecorder`] lanes are indexed
-    /// `0..n_workers` for workers, then `control` (watchdog + pre-spawn
-    /// lifecycle), then `gateway` (arrivals through
+    /// `0..pool` for workers, then `helper` (the seat), `control` (the
+    /// watchdog and pre-spawn lifecycle) and `gateway` (arrivals through
     /// [`Gateway::push_inbound`]).
     flight: F,
 }
@@ -256,12 +269,12 @@ struct Shared<P: Process, F: FlightSink> {
 impl<P: Process, F: FlightSink> Shared<P, F> {
     /// The flight lane owned by the watchdog/control side.
     fn control_lane(&self) -> usize {
-        self.workers.len()
+        self.pool + 1
     }
 
     /// The flight lane owned by the transport's inbound thread.
     fn gateway_lane(&self) -> usize {
-        self.workers.len() + 1
+        self.pool + 2
     }
 
     fn is_poisoned(&self) -> bool {
@@ -285,26 +298,34 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
     }
 
     /// Put a runnable rank on a queue: the waking worker's own deque when
-    /// known (locality), the injector otherwise. Wakes sleeping workers.
+    /// known (locality), the injector otherwise. Wakes the other sleeping
+    /// workers (the seat counts as one).
     fn enqueue(&self, rank: ProcId, home: Option<usize>) {
         match home {
             Some(w) => lock(&self.workers[w].deque).push_back(rank),
             None => lock(&self.injector).push_back(rank),
         }
         if self.idle_workers.load(Ordering::SeqCst) > 0 {
-            for w in &self.workers {
+            let rouse = if home == Some(self.pool) { self.pool - 1 } else { self.pool };
+            for w in &self.workers[..rouse] {
                 w.park.wake();
             }
         }
     }
 
-    /// Make a parked rank runnable, exactly once. Returns `true` if this
-    /// call won the `PARKED → RUN` transition (and enqueued the rank);
-    /// a wake racing a running task leaves a `NOTIFIED` token instead,
-    /// which the task consumes at its next park attempt. `lane` is the
-    /// *caller's* flight lane — a wake is recorded against the thread
-    /// that issued it.
+    /// Make a parked rank runnable, exactly once: claim it, enqueue it.
     fn wake_task(&self, rank: ProcId, home: Option<usize>, lane: usize) -> bool {
+        let won = self.claim(rank, lane);
+        if won {
+            self.enqueue(rank, home);
+        }
+        won
+    }
+
+    /// Win a parked rank's `PARKED → RUN` transition, which the caller must
+    /// follow by enqueueing or running it; a wake racing a running task leaves
+    /// a `NOTIFIED` token instead. `lane` is the *caller's* flight lane.
+    fn claim(&self, rank: ProcId, lane: usize) -> bool {
         loop {
             match self.states[rank].compare_exchange(
                 PARKED,
@@ -314,7 +335,6 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
             ) {
                 Ok(_) => {
                     self.flight.record(lane, FlightKind::Wake, rank, 0, 0);
-                    self.enqueue(rank, home);
                     return true;
                 }
                 Err(NOTIFIED) => return false,
@@ -423,7 +443,7 @@ fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> Vec<Chan<M>> {
 }
 
 /// Assemble the shared state for a pool of `n_workers` over `slots` (one
-/// box per rank; `None` for ranks this instance does not host).
+/// box per rank; `None` for ranks this instance does not host), plus a seat.
 #[allow(clippy::too_many_arguments)]
 fn build_shared<P: Process, F: FlightSink>(
     topo: &Topology,
@@ -433,6 +453,7 @@ fn build_shared<P: Process, F: FlightSink>(
     target: usize,
     finished: usize,
     n_workers: usize,
+    seat: bool,
     faults: &FaultPlan,
     flight: F,
 ) -> Arc<Shared<P, F>> {
@@ -443,9 +464,11 @@ fn build_shared<P: Process, F: FlightSink>(
         slots: slots.into_iter().map(Mutex::new).collect(),
         states: (0..n).map(|_| AtomicU8::new(RUN)).collect(),
         waits: Mutex::new(vec![None; n]),
-        workers: (0..n_workers)
+        workers: (0..n_workers + usize::from(seat))
             .map(|_| WorkerState { deque: Mutex::new(VecDeque::new()), park: ParkSlot::new() })
             .collect(),
+        pool: n_workers,
+        seat_taken: AtomicBool::new(false),
         injector: Mutex::new(VecDeque::new()),
         target,
         egress: Mutex::new(egress),
@@ -506,6 +529,10 @@ fn harvest<P: Process, F: FlightSink>(
     }
     if let Some(h) = watchdog {
         let _ = h.join();
+    }
+    // Done: no new handoff is made; a running one leaves the seat quiet.
+    while shared.seat_taken.load(Ordering::SeqCst) {
+        std::thread::yield_now();
     }
     if let Some(v) = lock(&shared.verdict).take() {
         if F::ENABLED {
@@ -578,10 +605,10 @@ where
     let n_workers = resolve_workers(config.workers, seed.procs.len());
     let watchdog = Some(config.watchdog);
     match config.flight {
-        None => launch(topo, seed, n_workers, watchdog, faults, None, NoFlight).harvest(),
+        None => launch(topo, seed, n_workers, watchdog, false, faults, None, NoFlight).harvest(),
         Some(cap) => {
             let flight = FlightRecorder::new(n_workers, cap);
-            launch(topo, seed, n_workers, watchdog, faults, None, flight).harvest()
+            launch(topo, seed, n_workers, watchdog, false, faults, None, flight).harvest()
         }
     }
     .map(Harvest::into_outcome)
@@ -706,7 +733,9 @@ impl<P: Process> PartialSeed<P> {
 /// is marked `Send`, then the route `egress` returned, in the sender's own
 /// lane. The `gateway` lane is written by [`Gateway::push_inbound`]; the
 /// transport must call that from one thread at a time (the ring is
-/// single-writer), which the distributed worker's router lock ensures.
+/// single-writer), which the distributed worker's router lock ensures. A
+/// [`Handoff`]'s runner (lane `helper`) calls `egress` too: its sends must
+/// not wait on a peer that waits to be read.
 ///
 /// No watchdog runs: a partial instance blocked on a remote peer is locally
 /// indistinguishable from deadlock — every hosted rank parked, nothing
@@ -726,20 +755,22 @@ where
     F: FlightSink,
 {
     let n_workers = resolve_workers(workers, seed.procs.len());
-    launch(topo, seed, n_workers, None, faults, egress, flight(n_workers))
+    launch(topo, seed, n_workers, None, true, faults, egress, flight(n_workers))
 }
 
 /// The one launcher: seed tasks, rings and counters from `seed`'s cut, then
 /// start `n_workers` workers (and the watchdog, if a window is given) on
-/// the remainder. The prefix's metrics are carried forward, so
-/// process-local step ordinals (which key fault injection) and traffic
+/// the remainder, with a seat if `seat`. The prefix's metrics are carried
+/// forward, so process-local step ordinals (which key fault injection) and traffic
 /// counters continue rather than restart — and by Theorem 1 the final
 /// snapshots are the same as if the whole run had happened on one backend.
+#[allow(clippy::too_many_arguments)]
 fn launch<P, F>(
     topo: &Topology,
     seed: PartialSeed<P>,
     n_workers: usize,
     watchdog: Option<Duration>,
+    seat: bool,
     faults: &FaultPlan,
     egress: Option<EgressSink<P::Msg>>,
     flight: F,
@@ -832,7 +863,8 @@ where
         slots[rank] = Some(task);
     }
 
-    let shared = build_shared(topo, slots, chans, egress, target, finished, n_workers, faults, flight);
+    let shared =
+        build_shared(topo, slots, chans, egress, target, finished, n_workers, seat, faults, flight);
     if prefix_steps > 0 {
         // A resumed cut. No worker thread exists yet, so the control lane
         // is safely ours for this single lifecycle mark (spawn establishes
@@ -917,15 +949,21 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
     /// The arrival is marked `route` in the gateway lane, under the
     /// channel's reader (a rank this instance hosts).
     ///
+    /// A reader woken while the pool idles comes back as a [`Handoff`].
+    ///
     /// Errors with [`RunError::Protocol`] if `chan` is not an ingress
     /// channel of this instance (a routing bug or a corrupted frame) —
     /// never panics, since this path is network-facing.
+    #[must_use = "a handoff must be run or dropped"]
     pub fn push_inbound(
         &self,
         chan: ChannelId,
         msg: P::Msg,
         route: FlightKind,
-    ) -> Result<(), RunError> {
+    ) -> Result<Option<Handoff>, RunError>
+    where
+        P: 'static,
+    {
         let Some(c) = self.shared.chans.get(chan.0) else {
             return Err(RunError::Protocol {
                 proc: 0,
@@ -949,14 +987,72 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
             });
         }
         // One caller at a time by contract — see `launch_partial`.
-        let lane = self.shared.gateway_lane();
-        self.shared.flight.record(lane, route, c.reader, chan.0, bytes);
+        let shared = &self.shared;
+        let lane = shared.gateway_lane();
+        shared.flight.record(lane, route, c.reader, chan.0, bytes);
         fence(Ordering::SeqCst);
-        if c.reader_waiting.swap(false, Ordering::SeqCst) {
-            self.shared.wake_task(c.reader, None, lane);
+        let woke = c.reader_waiting.swap(false, Ordering::SeqCst) && shared.claim(c.reader, lane);
+        shared.progress.fetch_add(1, Ordering::Relaxed);
+        if !woke {
+            return Ok(None);
         }
-        self.shared.progress.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        if shared.workers.len() > shared.pool
+            && shared.idle_workers.load(Ordering::SeqCst) == shared.pool
+            && !shared.seat_taken.swap(true, Ordering::SeqCst)
+        {
+            return Ok(Some(Handoff { seat: Some(Arc::clone(shared) as _), rank: c.reader }));
+        }
+        shared.enqueue(c.reader, None);
+        Ok(None)
+    }
+}
+
+/// A rank [`Gateway::push_inbound`] woke while its pool was idle, held by
+/// the pushing thread: [`Handoff::run`] runs it there; dropping it enqueues
+/// the rank and wakes the pool, as a push without a handoff does.
+#[must_use = "a dropped handoff wakes the pool to run its rank"]
+pub struct Handoff {
+    seat: Option<Arc<dyn Seat>>,
+    rank: ProcId,
+}
+
+impl Handoff {
+    /// Take the run's seat: run the rank, then the ranks it woke that the
+    /// pool has not stolen, until the seat's deque is empty.
+    pub fn run(mut self) {
+        if let Some(seat) = self.seat.take() {
+            seat.leave(self.rank, true);
+        }
+    }
+}
+
+impl Drop for Handoff {
+    fn drop(&mut self) {
+        if let Some(seat) = self.seat.take() {
+            seat.leave(self.rank, false);
+        }
+    }
+}
+
+/// A [`Handoff`]'s run, with the process type erased.
+trait Seat: Send + Sync {
+    /// Leave the seat after running `rank` (and the seat's deque) if `run`,
+    /// or at once, enqueueing `rank`.
+    fn leave(&self, rank: ProcId, run: bool);
+}
+
+impl<P: Process, F: FlightSink> Seat for Shared<P, F> {
+    fn leave(&self, rank: ProcId, run: bool) {
+        let mut next = Some(rank).filter(|_| run);
+        // Nothing runs once the run is done: `harvest` drains the lanes.
+        while let Some(r) = next.filter(|_| !self.done.load(Ordering::SeqCst)) {
+            run_task(self, self.pool, r);
+            next = lock(&self.workers[self.pool].deque).pop_front();
+        }
+        self.seat_taken.store(false, Ordering::SeqCst);
+        if !run {
+            self.enqueue(rank, None);
+        }
     }
 }
 
@@ -1490,6 +1586,213 @@ mod tests {
         assert_eq!(marks("gateway", &arrived), want);
     }
 
+    /// One rank of a four-rank all-to-all: each round it sends a digest of
+    /// its history to every other rank, then receives one message from
+    /// each. Its snapshot is that digest, which a lost, repeated or
+    /// reordered message changes.
+    #[derive(Clone)]
+    struct Mix {
+        outs: Vec<ChannelId>,
+        ins: Vec<ChannelId>,
+        rounds: u64,
+        round: u64,
+        /// Actions taken this round: the sends, then the receives.
+        at: usize,
+        acc: u64,
+    }
+
+    impl Process for Mix {
+        type Msg = u64;
+        fn resume(&mut self, d: Option<u64>) -> Effect<u64> {
+            if let Some(m) = d {
+                self.acc = (self.acc ^ m).wrapping_mul(0x100_0000_01b3);
+            }
+            if self.at == self.outs.len() + self.ins.len() {
+                self.at = 0;
+                self.round += 1;
+            }
+            if self.round == self.rounds {
+                return Effect::Halt;
+            }
+            self.at += 1;
+            match self.outs.get(self.at - 1) {
+                Some(&chan) => Effect::Send { chan, msg: self.acc.wrapping_add(self.round) },
+                None => Effect::Recv { chan: self.ins[self.at - 1 - self.outs.len()] },
+            }
+        }
+        fn snapshot(&self) -> Vec<u8> {
+            self.acc.to_le_bytes().to_vec()
+        }
+        fn msg_size_bytes(_: &u64) -> u64 {
+            8
+        }
+    }
+
+    /// Ranks 0 and 1 form one group, 2 and 3 the other. Channels inside a
+    /// group hold one message, so sends park and wake too.
+    fn mix4(rounds: u64) -> (Topology, Vec<Mix>) {
+        let mut topo = Topology::new(4);
+        for w in 0..4 {
+            for r in (0..4).filter(|&r| r != w) {
+                let cap = (w / 2 == r / 2).then_some(1);
+                topo.add(crate::chan::ChannelSpec { writer: w, reader: r, capacity: cap });
+            }
+        }
+        let ends = |rank: ProcId, writer: bool| -> Vec<ChannelId> {
+            let specs = topo.specs().iter().enumerate();
+            let mine = specs.filter(|(_, s)| if writer { s.writer } else { s.reader } == rank);
+            mine.map(|(c, _)| ChannelId(c)).collect()
+        };
+        let procs = (0..4)
+            .map(|r| Mix {
+                outs: ends(r, true),
+                ins: ends(r, false),
+                rounds,
+                round: 0,
+                at: 0,
+                acc: r as u64 + 1,
+            })
+            .collect();
+        (topo, procs)
+    }
+
+    /// How a group's gateway threads fared: handoffs run, handoffs
+    /// dropped, and pushes made while the other thread held the seat.
+    #[derive(Default, Clone, Copy)]
+    struct Fared {
+        ran: u64,
+        dropped: u64,
+        seat_taken: u64,
+    }
+
+    /// Both groups of `mix4` as partial runs, each fed by two gateway
+    /// threads (one per remote writer, so each channel keeps its order)
+    /// that share a lock around `push_inbound`, as a transport's router
+    /// does, then run or drop what they are handed as `seed` says.
+    /// Returns the snapshots by rank and the gateway threads' tallies.
+    fn race<F: FlightSink>(
+        seed: u64,
+        workers: usize,
+        rounds: u64,
+        flight: fn(usize) -> F,
+    ) -> (Vec<Vec<u8>>, Fared, Vec<Option<FlightLog>>) {
+        let (topo, procs) = mix4(rounds);
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
+        let feeds: Vec<_> =
+            (0..4).map(|_| std::sync::mpsc::channel::<(ChannelId, u64)>()).collect();
+        let mut runs = Vec::new();
+        for g in 0..2 {
+            let txs: Vec<_> = feeds.iter().map(|(tx, _)| tx.clone()).collect();
+            let spec_topo = topo.clone();
+            let mut jitter = crate::rng::SplitMix64::seed_from_u64(rng.next_u64());
+            let sink: EgressSink<u64> = Box::new(move |chan, msg| {
+                if jitter.gen_range(4) == 0 {
+                    std::thread::yield_now();
+                }
+                txs[spec_topo.spec(chan).writer].send((chan, msg)).unwrap();
+                Ok(FlightKind::DataDirect)
+            });
+            let hosted = procs.iter().cloned().enumerate().skip(2 * g).take(2).collect();
+            let seed = PartialSeed::fresh(&topo, hosted);
+            let faults = FaultPlan::none();
+            runs.push(launch_partial(&topo, seed, Some(workers), &faults, Some(sink), flight));
+        }
+        let routers = [Arc::new(Mutex::new(())), Arc::new(Mutex::new(()))];
+        let gates: Vec<_> = feeds
+            .into_iter()
+            .enumerate()
+            .map(|(w, (_, rx))| {
+                let target = 1 - w / 2;
+                let (gateway, router) = (runs[target].gateway(), Arc::clone(&routers[target]));
+                let mut rng = crate::rng::SplitMix64::seed_from_u64(rng.next_u64());
+                std::thread::spawn(move || {
+                    let mut fared = Fared::default();
+                    for _ in 0..2 * rounds {
+                        let (chan, msg) = rx
+                            .recv_timeout(Duration::from_secs(10))
+                            .expect("a message never left its sender");
+                        if rng.gen_range(4) == 0 {
+                            std::thread::yield_now();
+                        }
+                        let handoff = {
+                            let _router = lock(&router);
+                            gateway.push_inbound(chan, msg, FlightKind::DataDirect).unwrap()
+                        };
+                        match handoff {
+                            Some(h) if rng.gen_range(3) > 0 => {
+                                h.run();
+                                fared.ran += 1;
+                            }
+                            Some(h) => {
+                                drop(h);
+                                fared.dropped += 1;
+                            }
+                            None if gateway.shared.seat_taken.load(Ordering::SeqCst) => {
+                                fared.seat_taken += 1;
+                            }
+                            None => {}
+                        }
+                    }
+                    fared
+                })
+            })
+            .collect();
+        let mut snapshots = vec![Vec::new(); 4];
+        let mut logs = Vec::new();
+        for run in runs {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || tx.send(run.join()).unwrap());
+            let outcome = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a wake was lost: the group never finished")
+                .unwrap();
+            for (rank, snap) in outcome.snapshots {
+                snapshots[rank] = snap;
+            }
+            logs.push(outcome.flight);
+        }
+        let fared = gates.into_iter().map(|g| g.join().unwrap()).fold(Fared::default(), |a, b| {
+            Fared {
+                ran: a.ran + b.ran,
+                dropped: a.dropped + b.dropped,
+                seat_taken: a.seat_taken + b.seat_taken,
+            }
+        });
+        (snapshots, fared, logs)
+    }
+
+    #[test]
+    fn handoffs_racing_the_pool_deliver_every_message_once() {
+        const ROUNDS: u64 = 12;
+        let (topo, procs) = mix4(ROUNDS);
+        let mut policy = crate::policy::RoundRobin::new();
+        let reference = crate::sim::run_simulated(topo, procs, &mut policy).unwrap().snapshots;
+        let mut total = Fared::default();
+        for seed in 0..200 {
+            for workers in [1, 2] {
+                let (snapshots, fared, logs) = if seed % 2 == 0 {
+                    race(seed, workers, ROUNDS, |_| NoFlight)
+                } else {
+                    race(seed, workers, ROUNDS, |w| FlightRecorder::new(w, 4096))
+                };
+                assert_eq!(snapshots, reference, "seed {seed}, {workers} pool workers");
+                // The seat's lane holds events of its own group's ranks only.
+                for (g, log) in logs.into_iter().enumerate().filter_map(|(g, l)| Some((g, l?))) {
+                    let helper = &log.lanes[workers];
+                    assert_eq!(helper.label, "helper");
+                    assert!(helper.events.iter().all(|e| e.rank as usize / 2 == g), "seed {seed}");
+                }
+                total.ran += fared.ran;
+                total.dropped += fared.dropped;
+                total.seat_taken += fared.seat_taken;
+            }
+        }
+        // Every path was taken somewhere in the sweep.
+        assert!(total.ran > 0, "no handoff ran");
+        assert!(total.dropped > 0, "no handoff was dropped");
+        assert!(total.seat_taken > 0, "no push found the seat taken");
+    }
+
     #[test]
     fn a_failing_sink_aborts_the_run_with_its_error() {
         for k in 1..=3u64 {
@@ -1577,7 +1880,8 @@ mod tests {
             result: None,
         };
         let slots = vec![Some(task), None];
-        let shared = build_shared(&topo, slots, chans, None, 1, 0, 1, &FaultPlan::none(), NoFlight);
+        let shared =
+            build_shared(&topo, slots, chans, None, 1, 0, 1, false, &FaultPlan::none(), NoFlight);
         let task = shared.reclaim(0);
         assert!(matches!(task.pending, Some(Pending::Send { msg: 7, .. })));
         assert!(task.parked_since.is_none());
@@ -1597,6 +1901,8 @@ mod tests {
                 deque: Mutex::new(VecDeque::new()),
                 park: ParkSlot::new(),
             }],
+            pool: 1,
+            seat_taken: AtomicBool::new(false),
             injector: Mutex::new(VecDeque::new()),
             target: 1,
             egress: Mutex::new(None),
