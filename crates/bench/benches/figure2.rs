@@ -28,7 +28,7 @@ use mesh_archetype::driver::{build_msg_processes_with_slack, HostMode};
 use mesh_archetype::{run_msg_predicted, Plan};
 use meshgrid::ProcGrid3;
 use perf_sim::{predict_speedup, price_recovery, PredictedPoint, RecoveryCosts};
-use ssp_runtime::{run_recovering, FaultPlan, RecoveryConfig, RoundRobin};
+use ssp_runtime::{crashing, run_recovering, Crash, RecoveryConfig, RoundRobin};
 
 fn main() -> Verdicts {
     let mut params = Params::figure2();
@@ -234,11 +234,11 @@ fn recovery_overhead(verdicts: &mut Verdicts) {
     let mut rows = Vec::new();
     let mut all_identical = true;
     for every in [8u64, 32, 128, 512] {
-        let faults = FaultPlan::none().crash(1, 40);
         let (topo, procs) =
             build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, None);
+        let procs = crashing(procs, &[Crash { proc: 1, at_step: 40 }]);
         let cfg = RecoveryConfig::every(every);
-        let out = run_recovering(topo, procs, faults, &mut RoundRobin::new(), cfg)
+        let out = run_recovering(topo, procs, &mut RoundRobin::new(), cfg)
             .expect("one injected crash always recovers");
         all_identical &= out.snapshots == reference.snapshots;
         let o = price_recovery(&clean, &out.stats, &costs);

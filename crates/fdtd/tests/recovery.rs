@@ -16,7 +16,7 @@ use mesh_archetype::run_msg_simulated;
 use meshgrid::ProcGrid3;
 use ssp_runtime::proc::{push_bytes, push_u64, Reader};
 use ssp_runtime::{
-    launch_partial, run_recovering, Adversary, AdversarialPolicy, ChannelId, FaultPlan, NoFlight,
+    crashing, launch_partial, run_recovering, Adversary, AdversarialPolicy, Crash, NoFlight,
     RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy, Simulator,
 };
 
@@ -42,9 +42,9 @@ fn injected_crash_recovers_bitwise_under_six_policies_and_three_slacks() {
     let build =
         |slack| build_msg_processes_with_slack(&plan, pg, &init, HostMode::GridRank0, slack);
 
-    // One arbitrary crash point per policy, spread across the run; the
-    // stall additionally delays an early delivery on channel 0 so every
-    // recovered lineage also absorbs a "harmless" fault.
+    // One arbitrary crash point per policy, spread across the run. At
+    // slack 1 a crash point may follow a blocked send; it is keyed to the
+    // process's own resumes, so it names the same action there too.
     let crash_steps = [3u64, 7, 11, 17, 23, 31];
 
     for slack in [Some(1), Some(4), None] {
@@ -55,11 +55,10 @@ fn injected_crash_recovers_bitwise_under_six_policies_and_three_slacks() {
             let reference = Simulator::new(topo, procs).run(clean.as_mut()).unwrap();
 
             let at_step = crash_steps[i];
-            let faults =
-                FaultPlan::none().crash(1, at_step).stall(ChannelId(0), 0, 5);
             let (topo, procs) = build(slack);
+            let procs = crashing(procs, &[Crash { proc: 1, at_step }]);
             let every = RecoveryConfig::every(16);
-            let out = run_recovering(topo, procs, faults, injected.as_mut(), every)
+            let out = run_recovering(topo, procs, injected.as_mut(), every)
                 .unwrap_or_else(|e| panic!("{name}, slack {slack:?}: {e}"));
 
             assert_eq!(
@@ -126,7 +125,7 @@ fn mid_exchange_cut_survives_the_state_codec() {
         named(*rank, &short, "short local state");
         *proc = MsgProcess::decode_state(&templates[*rank], &bytes).unwrap();
     }
-    let out = launch_partial(&topo, seed, Some(2), &FaultPlan::none(), None, |_| NoFlight);
+    let out = launch_partial(&topo, seed, Some(2), None, |_| NoFlight);
     let snapshots: Vec<Vec<u8>> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
     assert_eq!(snapshots, reference.snapshots);
 }

@@ -90,7 +90,7 @@ pub fn price_recovery(
 mod tests {
     use super::*;
     use machine_model::MachineModel;
-    use ssp_runtime::{run_recovering, FaultPlan, RecoveryConfig, RoundRobin};
+    use ssp_runtime::{crashing, run_recovering, Crash, RecoveryConfig, RoundRobin};
     use ssp_runtime::{ChannelId, Effect, Process, Topology};
 
     #[derive(Clone)]
@@ -168,14 +168,9 @@ mod tests {
         let clean = crate::engine::run_des(topo, procs, &model, &mut RoundRobin::new()).unwrap();
 
         let (topo, procs) = pulse_pair(6);
-        let out = run_recovering(
-            topo,
-            procs,
-            FaultPlan::none().crash(0, 5),
-            &mut RoundRobin::new(),
-            RecoveryConfig::every(4),
-        )
-        .unwrap();
+        let procs = crashing(procs, &[Crash { proc: 0, at_step: 5 }]);
+        let out =
+            run_recovering(topo, procs, &mut RoundRobin::new(), RecoveryConfig::every(4)).unwrap();
         assert_eq!(out.snapshots, clean.snapshots, "Theorem 1 across backends");
 
         let o = price_recovery(&clean, &out.stats, &RecoveryCosts::default());

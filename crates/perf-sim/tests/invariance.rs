@@ -19,7 +19,7 @@ use meshgrid::{Grid3, ProcGrid3};
 use perf_sim::run_des;
 use proptest::prelude::*;
 use ssp_runtime::{
-    run_recovering, run_simulated, Adversary, AdversarialPolicy, FaultPlan, RandomPolicy,
+    run_recovering, run_simulated, Adversary, AdversarialPolicy, RandomPolicy,
     RecoveryConfig, RoundRobin, SchedulePolicy,
 };
 
@@ -106,8 +106,7 @@ fn every_simulated_path_reports_the_same_metrics() {
     let simulated = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
     let (topo, procs) = build();
     let cfg = RecoveryConfig::default();
-    let recovered =
-        run_recovering(topo, procs, FaultPlan::none(), &mut RoundRobin::new(), cfg).unwrap();
+    let recovered = run_recovering(topo, procs, &mut RoundRobin::new(), cfg).unwrap();
     let (topo, procs) = build();
     let des = run_des(topo, procs, &network_of_suns(), &mut RoundRobin::new()).unwrap();
 

@@ -49,9 +49,7 @@ pub mod transport;
 pub mod worker;
 
 pub use proto::{PeerTable, WorkerTelemetry};
-pub use registry::{
-    build_workload, fdtd_a_args, fdtd_a_overlap_args, ring_args, ProgramShadow, Workload,
-};
+pub use registry::{build_workload, fdtd_a_args, ring_args, ProgramShadow, Workload};
 pub use supervisor::{
     run_distributed, ChaosKill, DistConfig, DistOutcome, DistStats, MigrationPolicy, TransportMode,
     WorkerRow,

@@ -481,7 +481,7 @@ mod tests {
     fn resumed_assign() -> Assign {
         Assign {
             group: 10,
-            spec: WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 4, overlap: false },
+            spec: WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 4 },
             ranks: vec![1],
             flight: Some(4096),
             plane: TransportMode::Direct { shm: true },
@@ -604,12 +604,12 @@ mod tests {
             "0000000000",
         );
         const RESUMED: &str = concat!(
-            "0a00000000000000010004000000000100000001000000010010000000000000",
-            "0201030000000000000003000000000000000000000001000000020000000000",
-            "000008000000756e69783a2f7030010000000b0000007463703a5b3a3a315d3a",
-            "390148000000535350474d414e31050000000000000001000000020000000000",
-            "0000010000000100000000000000080000000000000001000000000000000000",
-            "000000000000ea078c641a87a648",
+            "0a00000000000000010004000000010000000100000001001000000000000002",
+            "0103000000000000000300000000000000000000000100000002000000000000",
+            "0008000000756e69783a2f7030010000000b0000007463703a5b3a3a315d3a39",
+            "0148000000535350474d414e3105000000000000000100000002000000000000",
+            "0001000000010000000000000008000000000000000100000000000000000000",
+            "0000000000ea078c641a87a648",
         );
         assert_eq!(hex(&fresh_assign().encode()), FRESH);
         assert_eq!(hex(&resumed_assign().encode()), RESUMED);

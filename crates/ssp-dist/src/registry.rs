@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
-use fdtd::par::{init_a, plan_a, plan_a_overlap, LocalA};
+use fdtd::par::{init_a, plan_a, LocalA};
 use fdtd::Params;
 use mesh_archetype::driver::{
     compile, decode_mesh_msg, encode_mesh_msg, HostMode, MsgProcess, Placement,
@@ -26,7 +26,7 @@ use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
-    launch_partial, ChannelId, EgressSink, Effect, FaultPlan, FlightKind, FlightLog,
+    launch_partial, ChannelId, EgressSink, Effect, FlightKind, FlightLog,
     FlightRecorder, FlightSink, Gateway, GroupManifest, Handoff, LiveTelemetry, ManifestRank,
     NoFlight, PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics,
     Simulator, Topology,
@@ -477,16 +477,10 @@ where
     let (encode, decode) = (codecs.encode, codecs.decode);
     let egress: Option<EgressSink<P::Msg>> =
         Some(Box::new(move |chan, msg| sink(chan.0, encode(&msg))));
-    let faults = FaultPlan::none();
     Ok(match flight {
-        None => {
-            let run = launch_partial(topo, seed, workers, &faults, egress, |_| NoFlight);
-            erase_run(run, decode)
-        }
+        None => erase_run(launch_partial(topo, seed, workers, egress, |_| NoFlight), decode),
         Some(cap) => {
-            let run = launch_partial(topo, seed, workers, &faults, egress, |w| {
-                FlightRecorder::new(w, cap)
-            });
+            let run = launch_partial(topo, seed, workers, egress, |w| FlightRecorder::new(w, cap));
             erase_run(run, decode)
         }
     })
@@ -691,18 +685,13 @@ impl Workload for RingWorkload {
 struct FdtdAWorkload {
     params: Arc<Params>,
     pg: ProcGrid3,
-    /// Use the boundary-first overlapped plan ([`plan_a_overlap`]) instead
-    /// of the unsplit one — bitwise the same results (Theorem 1), halos in
-    /// flight during the interior updates.
-    overlap: bool,
 }
 
 impl FdtdAWorkload {
     /// The whole program's topology and the processes of `ranks` alone —
     /// a worker allocates field and material state only for what it hosts.
     fn build_ranks(&self, ranks: &[usize]) -> (Topology, Vec<(usize, MsgProcess<LocalA>)>) {
-        let plan =
-            if self.overlap { plan_a_overlap(&self.params) } else { plan_a(&self.params) };
+        let plan = plan_a(&self.params);
         let init = init_a(self.params.clone());
         let distinct: BTreeSet<usize> = ranks.iter().copied().collect();
         assert_eq!(distinct.len(), ranks.len(), "rank assigned twice in {ranks:?}");
@@ -780,14 +769,12 @@ pub enum WorkloadSpec {
         /// Circuits the token makes.
         laps: u64,
     },
-    /// `fdtd-a {preset, p, overlap}`: the paper's FDTD Version A.
+    /// `fdtd-a {preset, p}`: the paper's FDTD Version A.
     FdtdA {
         /// The problem.
         preset: FdtdPreset,
         /// Ranks, `1..=512`.
         p: usize,
-        /// Run the boundary-first overlapped plan ([`plan_a_overlap`]).
-        overlap: bool,
     },
 }
 
@@ -817,7 +804,6 @@ impl WorkloadSpec {
                     _ => return Err(missing("preset", "string")),
                 },
                 p: size("p")?,
-                overlap: matches!(args.get("overlap"), Some(JsonValue::Bool(true))),
             },
             other => return Err(bad_args(format!("unknown workload '{other}'"))),
         };
@@ -838,8 +824,8 @@ impl WorkloadSpec {
     }
 
     /// Append the spec's wire form: `[tag: u8]`, then `ring`'s `[n: u32]
-    /// [laps: u64]` (tag 0) or `fdtd-a`'s `[preset: u8][p: u32]
-    /// [overlap: u8]` (tag 1). The inverse is [`WorkloadSpec::read`].
+    /// [laps: u64]` (tag 0) or `fdtd-a`'s `[preset: u8][p: u32]` (tag 1).
+    /// The inverse is [`WorkloadSpec::read`].
     pub fn push(&self, buf: &mut Vec<u8>) {
         match *self {
             WorkloadSpec::Ring { n, laps } => {
@@ -847,11 +833,10 @@ impl WorkloadSpec {
                 push_u32(buf, n as u32);
                 push_u64(buf, laps);
             }
-            WorkloadSpec::FdtdA { preset, p, overlap } => {
+            WorkloadSpec::FdtdA { preset, p } => {
                 buf.push(1);
                 buf.push(preset as u8);
                 push_u32(buf, p as u32);
-                buf.push(u8::from(overlap));
             }
         }
     }
@@ -868,7 +853,6 @@ impl WorkloadSpec {
                     t => return Err(r.error(format_args!("unknown fdtd preset tag {t}"))),
                 },
                 p: r.u32("fdtd rank count")? as usize,
-                overlap: r.flag("fdtd overlap")?,
             },
             t => return Err(r.error(format_args!("unknown workload tag {t}"))),
         };
@@ -881,13 +865,13 @@ impl WorkloadSpec {
     pub fn build(&self) -> Box<dyn Workload> {
         match *self {
             WorkloadSpec::Ring { n, laps } => Box::new(RingWorkload { n, laps }),
-            WorkloadSpec::FdtdA { preset, p, overlap } => {
+            WorkloadSpec::FdtdA { preset, p } => {
                 let params = match preset {
                     FdtdPreset::Tiny => Params::tiny(),
                     FdtdPreset::Figure2 => Params::figure2(),
                 };
                 let pg = ProcGrid3::choose(params.n, p);
-                Box::new(FdtdAWorkload { params: Arc::new(params), pg, overlap })
+                Box::new(FdtdAWorkload { params: Arc::new(params), pg })
             }
         }
     }
@@ -915,16 +899,6 @@ pub fn fdtd_a_args(preset: &str, p: usize) -> JsonValue {
     JsonValue::Obj(m)
 }
 
-/// [`fdtd_a_args`] selecting the overlapped plan (boundary-first halves
-/// with halos in flight during the interior updates).
-pub fn fdtd_a_overlap_args(preset: &str, p: usize) -> JsonValue {
-    let mut args = fdtd_a_args(preset, p);
-    if let JsonValue::Obj(m) = &mut args {
-        m.insert("overlap".to_string(), JsonValue::Bool(true));
-    }
-    args
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,17 +917,6 @@ mod tests {
             let acc = Reader::new("ring snapshot", &s[8..]).u64("acc").unwrap();
             assert_ne!(acc, 0);
         }
-    }
-
-    #[test]
-    fn fdtd_overlap_reference_matches_the_unsplit_plan_bitwise() {
-        let base = build_workload("fdtd-a", &fdtd_a_args("tiny", 4)).unwrap();
-        let over = build_workload("fdtd-a", &fdtd_a_overlap_args("tiny", 4)).unwrap();
-        assert_eq!(
-            base.run_reference().unwrap(),
-            over.run_reference().unwrap(),
-            "overlap reordering changed a distributed reference bit"
-        );
     }
 
     /// With every channel ungated the shadow is the simulator and nothing
@@ -1003,7 +966,7 @@ mod tests {
         );
         let params = Params::tiny();
         let pg = ProcGrid3::choose(params.n, 4);
-        let fdtd = FdtdAWorkload { params: Arc::new(params), pg, overlap: false };
+        let fdtd = FdtdAWorkload { params: Arc::new(params), pg };
         ungated_shadow_is_the_simulator(
             || fdtd.build(),
             encode_mesh_msg,
@@ -1127,24 +1090,22 @@ mod tests {
             WorkloadSpec::read(&mut r).and_then(|s| r.finish(s))
         };
         let ring = WorkloadSpec::Ring { n: 6, laps: 1 << 40 };
-        let fdtd = WorkloadSpec::FdtdA { preset: FdtdPreset::Figure2, p: 512, overlap: true };
+        let fdtd = WorkloadSpec::FdtdA { preset: FdtdPreset::Figure2, p: 512 };
         assert_eq!(read(ring).unwrap(), ring);
         assert_eq!(read(fdtd).unwrap(), fdtd);
-        let tiny = WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 4, overlap: true };
-        assert_eq!(WorkloadSpec::from_args("fdtd-a", &fdtd_a_overlap_args("tiny", 4)).unwrap(), tiny);
         // Out-of-range parameters fail typed off the wire as from args.
         for spec in [
             WorkloadSpec::Ring { n: 1, laps: 1 },
             WorkloadSpec::Ring { n: 4097, laps: 1 },
-            WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 0, overlap: false },
-            WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 513, overlap: false },
+            WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 0 },
+            WorkloadSpec::FdtdA { preset: FdtdPreset::Tiny, p: 513 },
         ] {
             assert!(matches!(read(spec), Err(RunError::Protocol { .. })), "{spec:?}");
         }
         assert!(WorkloadSpec::from_args("ring", &ring_args(1, 3)).is_err());
         assert!(WorkloadSpec::from_args("fdtd-a", &fdtd_a_args("tiny", 0)).is_err());
-        // Unknown workload and preset tags, and an overlap flag of 2.
-        for bytes in [&[2u8][..], &[1, 2, 4, 0, 0, 0, 0], &[1, 0, 4, 0, 0, 0, 2]] {
+        // Unknown workload and preset tags.
+        for bytes in [&[2u8][..], &[1, 2, 4, 0, 0, 0]] {
             let r = WorkloadSpec::read(&mut Reader::new("spec", bytes));
             assert!(matches!(r, Err(RunError::Protocol { .. })), "{bytes:?}: {r:?}");
         }

@@ -65,15 +65,15 @@ pub enum RunError {
         /// The process whose thread panicked.
         proc: ProcId,
     },
-    /// A deterministic fault-injection plan ([`crate::fault::FaultPlan`])
-    /// killed the process: the crash fired when the process was about to
-    /// take its `step`-th own atomic step. This is the *expected* error of a
-    /// chaos run; the recovery supervisor ([`crate::recover`]) catches it,
-    /// restores the latest checkpoint, and re-runs.
+    /// An injected crash ([`crate::fault::Crashing`]) killed the process at
+    /// its `step`-th own `resume`, the same one on every backend. This is
+    /// the *expected* error of a chaos run; the recovery supervisor
+    /// ([`crate::recover`]) catches it, restores the latest checkpoint, and
+    /// re-runs.
     Injected {
         /// The process that was killed.
         proc: ProcId,
-        /// The process-local step count (1-based) the crash fired at.
+        /// The process-local resume count (1-based) the crash fired at.
         step: u64,
     },
     /// A distributed worker process died (socket EOF or heartbeat loss)

@@ -35,7 +35,11 @@
 //! run unchanged on either runner. A process is a resumable state machine:
 //! each call to [`proc::Process::resume`] performs one atomic action and
 //! returns an [`proc::Effect`] telling the runner what happened (a local
-//! computation, a send, a receive request, or termination).
+//! computation, a send, a receive request, or termination). A fault
+//! injected for a chaos run is a process too: [`fault::crashing`] wraps a
+//! collection so one process returns [`error::RunError::Injected`] at its
+//! `k`-th resume, the same action on every runner and at every slack,
+//! and [`recover::run_recovering`] restores a checkpoint past it.
 //!
 //! The two runners meet at a *consistent cut*. Theorem 1 makes a cut of the
 //! processes plus the steps after it just another maximal interleaving, so
@@ -100,7 +104,7 @@ pub mod waitgraph;
 
 pub use chan::{ChannelId, ChannelSpec, Topology};
 pub use error::RunError;
-pub use fault::{Crash, FaultPlan, Stall};
+pub use fault::{crashing, Crash, Crashing};
 pub use flight::{FlightRecorder, FlightSink, NoFlight, DEFAULT_FLIGHT_CAP, FLIGHT_DUMP_ENV};
 pub use json::JsonValue;
 pub use policy::{
@@ -118,7 +122,7 @@ pub use sched::{
     PartialSeed,
 };
 pub use sim::{run_simulated, ProcState, RunOutcome, Simulator};
-pub use threaded::{run_threaded_faulted, run_threaded_with, ThreadedConfig, ThreadedOutcome};
+pub use threaded::{run_threaded_with, ThreadedConfig, ThreadedOutcome};
 pub use trace::{
     ChannelMetrics, FlightEvent, FlightKind, FlightLane, FlightLog, ProcMetrics, RunMetrics,
     SchedMetrics,

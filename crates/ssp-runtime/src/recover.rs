@@ -10,14 +10,13 @@
 //! recovered final states are *bitwise identical* to uninjected runs.
 //!
 //! [`run_recovering`] is the simulator's pick loop with a checkpoint
-//! supervisor plugged in: it steps the simulator under a [`FaultPlan`],
-//! checkpoints every `checkpoint_every` steps (a [`Simulator`] clone plus
-//! the plan's bookkeeping), and on an injected crash (or a deadlock)
-//! restores the latest checkpoint and re-runs. Fired crashes stay consumed
-//! across restores (the plan lives outside the checkpointed state), so
-//! recovery cannot livelock on the same fault; `max_restarts` bounds
-//! genuinely recurring failures. With `max_restarts: 0` it is plain fault
-//! injection: the first crash ends the run with its typed error.
+//! supervisor plugged in: it checkpoints every `checkpoint_every` steps (a
+//! [`Simulator`] clone), and on an injected crash (or a deadlock) restores
+//! the latest checkpoint and re-runs. Crashes are injected by wrapping the
+//! processes ([`crate::fault::crashing`]); a fired crash stays fired across
+//! restores (the wrapper's fired flag is shared with the checkpoint's
+//! clone), so recovery cannot livelock on the same fault, and
+//! `max_restarts` bounds genuinely recurring failures.
 //!
 //! [`GroupManifest`] is the one wire form of a cut, a *sealed state* for
 //! callers whose workload can decode process state (the distributed
@@ -26,7 +25,6 @@
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
-use crate::fault::{Crash, FaultPlan};
 use crate::policy::SchedulePolicy;
 use crate::proc::{push_bytes, push_u32, push_u64, ProcId, Process, Reader};
 use crate::sim::{ProcState, Rollback, RunOutcome, Simulator};
@@ -88,23 +86,18 @@ pub struct RecoveryOutcome {
 }
 
 /// A consistent snapshot of a run in progress, taken after `step` picks:
-/// the simulator at the cut and the fault plan's bookkeeping. The picks
-/// before a cut never change, so restoring one truncates the lineage's
-/// picks to `step` instead of keeping a copy.
+/// the simulator at the cut. The picks before a cut never change, so
+/// restoring one truncates the lineage's picks to `step` instead of keeping
+/// a copy.
 struct Checkpoint<P: Process> {
     step: usize,
     sim: Simulator<P>,
-    faults: FaultPlan,
 }
 
 /// The checkpoint supervisor the simulator's pick loop runs with.
 struct Supervisor<'a, P: Process> {
     cfg: RecoveryConfig,
     latest: Checkpoint<P>,
-    /// Every crash that has fired on any lineage. Each stays consumed after
-    /// a restore, else the same proc-local trigger would re-fire on every
-    /// lineage and recovery would livelock.
-    fired: Vec<Crash>,
     stats: &'a mut RecoveryStats,
 }
 
@@ -113,16 +106,9 @@ where
     P: Process + Clone,
     P::Msg: Clone,
 {
-    /// Supervise a run starting at `sim` under `faults` (the step-0
-    /// checkpoint).
-    fn new(
-        cfg: RecoveryConfig,
-        sim: &Simulator<P>,
-        faults: &FaultPlan,
-        stats: &'a mut RecoveryStats,
-    ) -> Self {
-        let latest = Checkpoint { step: 0, sim: sim.clone(), faults: faults.clone() };
-        Supervisor { cfg, latest, fired: Vec::new(), stats }
+    /// Supervise a run starting at `sim` (the step-0 checkpoint).
+    fn new(cfg: RecoveryConfig, sim: &Simulator<P>, stats: &'a mut RecoveryStats) -> Self {
+        Supervisor { cfg, latest: Checkpoint { step: 0, sim: sim.clone() }, stats }
     }
 }
 
@@ -131,10 +117,10 @@ where
     P: Process + Clone,
     P::Msg: Clone,
 {
-    fn after_step(&mut self, sim: &Simulator<P>, picks: &[ProcId], faults: &FaultPlan) {
+    fn after_step(&mut self, sim: &Simulator<P>, picks: &[ProcId]) {
         let step = picks.len();
         if (step as u64).is_multiple_of(self.cfg.checkpoint_every.max(1)) {
-            self.latest = Checkpoint { step, sim: sim.clone(), faults: faults.clone() };
+            self.latest = Checkpoint { step, sim: sim.clone() };
             self.stats.checkpoints_taken += 1;
         }
     }
@@ -144,43 +130,32 @@ where
         failure: RunError,
         sim: &mut Simulator<P>,
         picks: &mut Vec<ProcId>,
-        faults: &mut FaultPlan,
     ) -> Result<(), RunError> {
-        if let RunError::Injected { proc, step } = failure {
-            self.fired.push(Crash { proc, at_step: step });
-        }
         self.stats.faults_fired.push(failure.clone());
         self.stats.restarts += 1;
         if self.stats.restarts as usize > self.cfg.max_restarts {
             return Err(failure);
         }
-        // The fault plan rolls back with the checkpoint, minus every crash
-        // that has fired.
         *sim = self.latest.sim.clone();
-        *faults = self.latest.faults.clone();
-        for c in &self.fired {
-            faults.remove_crash(*c);
-        }
         self.stats.steps_reexecuted += (picks.len() - self.latest.step) as u64;
         picks.truncate(self.latest.step);
         Ok(())
     }
 }
 
-/// Run `procs` over `topo` under `policy` with `faults` injected,
-/// checkpointing every [`RecoveryConfig::checkpoint_every`] steps and
-/// recovering from crashes (and deadlocks) by restoring the latest
-/// checkpoint and re-running — to completion, or until
-/// [`RecoveryConfig::max_restarts`] is exhausted.
+/// Run `procs` over `topo` under `policy`, checkpointing every
+/// [`RecoveryConfig::checkpoint_every`] steps and recovering from crashes
+/// (and deadlocks) by restoring the latest checkpoint and re-running — to
+/// completion, or until [`RecoveryConfig::max_restarts`] is exhausted.
 ///
-/// By Theorem 1 the recovered final state is bitwise identical to any
-/// uninjected run's. Unrecoverable errors (protocol violations, step-limit
-/// exhaustion — both of which would deterministically recur) abort
-/// immediately.
+/// Crashes come from the processes themselves: wrap them with
+/// [`crate::fault::crashing`]. By Theorem 1 the recovered final state is
+/// bitwise identical to any uninjected run's. Unrecoverable errors
+/// (protocol violations, step-limit exhaustion — both of which would
+/// deterministically recur) abort immediately.
 pub fn run_recovering<P>(
     topo: Topology,
     procs: Vec<P>,
-    mut faults: FaultPlan,
     policy: &mut dyn SchedulePolicy,
     cfg: RecoveryConfig,
 ) -> Result<RecoveryOutcome, RunError>
@@ -190,9 +165,8 @@ where
 {
     let mut stats = RecoveryStats::default();
     let sim = Simulator::new(topo, procs);
-    let mut sup = Supervisor::new(cfg, &sim, &faults, &mut stats);
-    let (sim, picks) =
-        sim.drive(policy, &mut faults, Some(&mut sup), &mut |_| {})?;
+    let mut sup = Supervisor::new(cfg, &sim, &mut stats);
+    let (sim, picks) = sim.drive(policy, Some(&mut sup), &mut |_| {})?;
     let RunOutcome { snapshots, picks, steps, metrics, .. } = sim.outcome(picks);
     Ok(RecoveryOutcome { snapshots, picks, steps, metrics, stats })
 }
@@ -226,8 +200,8 @@ pub struct ManifestRank {
     pub status: ProcState<Vec<u8>>,
     /// Encoded process state.
     pub state: Vec<u8>,
-    /// Metrics accumulated by the prefix (step ordinals key fault
-    /// injection, so they must survive the move).
+    /// Metrics accumulated by the prefix (the run's totals continue from
+    /// them, so they must survive the move).
     pub metrics: crate::trace::ProcMetrics,
 }
 

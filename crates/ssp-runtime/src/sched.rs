@@ -71,7 +71,6 @@ use std::time::{Duration, Instant};
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
-use crate::fault::FaultPlan;
 use crate::flight::{FlightRecorder, FlightSink, NoFlight};
 use crate::proc::{Effect, ProcId, Process};
 use crate::sim::ProcState;
@@ -138,8 +137,6 @@ struct Task<P: Process> {
     delivery: Option<P::Msg>,
     pending: Option<Pending<P::Msg>>,
     pm: ProcMetrics,
-    /// Per-channel deliveries completed, for stall-fault ordinals.
-    recvs_done: Vec<u64>,
     /// Set when the task parks; drained into `blocked_nanos` on resume.
     parked_since: Option<Instant>,
     /// Final snapshots ([`Process::rank_snapshots`]), filled at
@@ -237,7 +234,6 @@ struct Shared<P: Process, F: FlightSink> {
     target: usize,
     /// The sink of sends on [`ChanKind::Egress`] channels, one at a time.
     egress: Mutex<Option<EgressSink<P::Msg>>>,
-    faults: FaultPlan,
     /// Set when the run is aborted; workers drop their task and exit.
     poisoned: AtomicBool,
     /// Set when the run is over (all ranks halted, or aborted).
@@ -454,7 +450,6 @@ fn build_shared<P: Process, F: FlightSink>(
     finished: usize,
     n_workers: usize,
     seat: bool,
-    faults: &FaultPlan,
     flight: F,
 ) -> Arc<Shared<P, F>> {
     let n = slots.len();
@@ -472,7 +467,6 @@ fn build_shared<P: Process, F: FlightSink>(
         injector: Mutex::new(VecDeque::new()),
         target,
         egress: Mutex::new(egress),
-        faults: faults.clone(),
         poisoned: AtomicBool::new(false),
         done: AtomicBool::new(false),
         progress: AtomicU64::new(0),
@@ -596,7 +590,6 @@ pub(crate) fn run_full<P>(
     topo: &Topology,
     seed: PartialSeed<P>,
     config: ThreadedConfig,
-    faults: &FaultPlan,
 ) -> Result<ThreadedOutcome, RunError>
 where
     P: Process + 'static,
@@ -605,10 +598,10 @@ where
     let n_workers = resolve_workers(config.workers, seed.procs.len());
     let watchdog = Some(config.watchdog);
     match config.flight {
-        None => launch(topo, seed, n_workers, watchdog, false, faults, None, NoFlight).harvest(),
+        None => launch(topo, seed, n_workers, watchdog, false, None, NoFlight).harvest(),
         Some(cap) => {
             let flight = FlightRecorder::new(n_workers, cap);
-            launch(topo, seed, n_workers, watchdog, false, faults, None, flight).harvest()
+            launch(topo, seed, n_workers, watchdog, false, None, flight).harvest()
         }
     }
     .map(Harvest::into_outcome)
@@ -685,8 +678,8 @@ pub struct PartialSeed<P: Process> {
     /// set: `(chan, messages front-to-back)`.
     pub queues: Vec<(usize, Vec<P::Msg>)>,
     /// Deliveries completed before the cut, per channel (full topology
-    /// length) — seeds hosted readers' receive ordinals so stall-fault
-    /// keys and dedup gates stay aligned across the cut.
+    /// length) — where a transport's dedup gates resume, so they stay
+    /// aligned across the cut.
     pub consumed: Vec<u64>,
     /// Writer-side traffic counters at the cut, per channel:
     /// `(messages, bytes, max_depth)`. Applied to channels whose writer
@@ -746,7 +739,6 @@ pub fn launch_partial<P, F>(
     topo: &Topology,
     seed: PartialSeed<P>,
     workers: Option<usize>,
-    faults: &FaultPlan,
     egress: Option<EgressSink<P::Msg>>,
     flight: impl FnOnce(usize) -> F,
 ) -> PartialRun<P, F>
@@ -755,23 +747,21 @@ where
     F: FlightSink,
 {
     let n_workers = resolve_workers(workers, seed.procs.len());
-    launch(topo, seed, n_workers, None, true, faults, egress, flight(n_workers))
+    launch(topo, seed, n_workers, None, true, egress, flight(n_workers))
 }
 
 /// The one launcher: seed tasks, rings and counters from `seed`'s cut, then
 /// start `n_workers` workers (and the watchdog, if a window is given) on
 /// the remainder, with a seat if `seat`. The prefix's metrics are carried
-/// forward, so process-local step ordinals (which key fault injection) and traffic
-/// counters continue rather than restart — and by Theorem 1 the final
-/// snapshots are the same as if the whole run had happened on one backend.
-#[allow(clippy::too_many_arguments)]
+/// forward, so process-local step ordinals and traffic counters continue
+/// rather than restart — and by Theorem 1 the final snapshots are the same
+/// as if the whole run had happened on one backend.
 fn launch<P, F>(
     topo: &Topology,
     seed: PartialSeed<P>,
     n_workers: usize,
     watchdog: Option<Duration>,
     seat: bool,
-    faults: &FaultPlan,
     egress: Option<EgressSink<P::Msg>>,
     flight: F,
 ) -> PartialRun<P, F>
@@ -828,20 +818,8 @@ where
     let mut slots: Vec<Option<Task<P>>> = (0..n).map(|_| None).collect();
     for (rank, proc, st, pm) in procs {
         prefix_steps += pm.steps;
-        let mut task = Task {
-            proc,
-            delivery: None,
-            pending: None,
-            pm,
-            recvs_done: vec![0; n_chans],
-            parked_since: None,
-            result: None,
-        };
-        for (i, c) in chans.iter().enumerate() {
-            if c.reader == rank {
-                task.recvs_done[i] = consumed[i];
-            }
-        }
+        let mut task =
+            Task { proc, delivery: None, pending: None, pm, parked_since: None, result: None };
         match st {
             ProcState::Ready => runnable.push(rank),
             ProcState::BlockedRecv(chan) => {
@@ -864,7 +842,7 @@ where
     }
 
     let shared =
-        build_shared(topo, slots, chans, egress, target, finished, n_workers, seat, faults, flight);
+        build_shared(topo, slots, chans, egress, target, finished, n_workers, seat, flight);
     if prefix_steps > 0 {
         // A resumed cut. No worker thread exists yet, so the control lane
         // is safely ours for this single lifecycle mark (spawn establishes
@@ -1123,8 +1101,8 @@ fn run_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize, rank: P
             return;
         }
         // A pending operation is retried without re-stepping the process:
-        // the rank's action sequence (and so its step count, which keys
-        // fault injection) is identical to the thread-per-rank runner's.
+        // the rank's action sequence (and so its step count) is identical
+        // to the thread-per-rank runner's.
         let after = match task.pending.take() {
             Some(Pending::Recv { chan }) => attempt_recv(shared, me, rank, task, chan, false),
             Some(Pending::Send { chan, msg, bytes }) => {
@@ -1157,13 +1135,6 @@ fn step_task<P: Process, F: FlightSink>(
     mut task: Task<P>,
 ) -> After<P> {
     task.pm.steps += 1;
-    if shared.faults.crash_at(rank, task.pm.steps) {
-        let step = task.pm.steps;
-        *lock(&shared.slots[rank]) = Some(task);
-        shared.flight.record(me, FlightKind::Fault, rank, 0, step);
-        shared.fail(RunError::Injected { proc: rank, step });
-        return After::Release;
-    }
     let delivery = task.delivery.take();
     let effect = match catch_unwind(AssertUnwindSafe(|| task.proc.resume(delivery))) {
         Ok(e) => e,
@@ -1193,13 +1164,6 @@ fn step_task<P: Process, F: FlightSink>(
                 *lock(&shared.slots[rank]) = Some(task);
                 shared.fail(e);
                 return After::Release;
-            }
-            // An injected stall delays this delivery; the message still
-            // arrives, so the result cannot change (Theorem 1). The sleep
-            // briefly occupies the worker, which is exactly the latency
-            // the stealing pool is there to hide.
-            if let Some(d) = shared.faults.stall_sleep(chan, task.recvs_done[chan.0]) {
-                std::thread::sleep(d);
             }
             attempt_recv(shared, me, rank, task, chan, true)
         }
@@ -1244,7 +1208,6 @@ fn attempt_recv<P: Process, F: FlightSink>(
     loop {
         if let Some(m) = c.ring.try_pop() {
             task.pm.receives += 1;
-            task.recvs_done[chan.0] += 1;
             // `F::ENABLED` gates the byte sizing out of the no-op build.
             let bytes = if F::ENABLED { P::msg_size_bytes(&m) } else { 0 };
             shared.flight.record(me, FlightKind::Recv, rank, chan.0, bytes);
@@ -1545,7 +1508,7 @@ mod tests {
             Ok(FlightKind::DataDirect)
         });
         let recorder = |w| FlightRecorder::new(w, 1024);
-        let run = launch_partial(&topo, seed, Some(2), &FaultPlan::none(), Some(sink), recorder);
+        let run = launch_partial(&topo, seed, Some(2), Some(sink), recorder);
         // The test is rank 1: it answers each message the sink carried, so
         // rank 0 only gets on once its send has reached the sink.
         let gateway = run.gateway();
@@ -1694,8 +1657,7 @@ mod tests {
             });
             let hosted = procs.iter().cloned().enumerate().skip(2 * g).take(2).collect();
             let seed = PartialSeed::fresh(&topo, hosted);
-            let faults = FaultPlan::none();
-            runs.push(launch_partial(&topo, seed, Some(workers), &faults, Some(sink), flight));
+            runs.push(launch_partial(&topo, seed, Some(workers), Some(sink), flight));
         }
         let routers = [Arc::new(Mutex::new(())), Arc::new(Mutex::new(()))];
         let gates: Vec<_> = feeds
@@ -1806,8 +1768,7 @@ mod tests {
                     Ok(FlightKind::DataStar)
                 }
             });
-            let faults = FaultPlan::none();
-            let run = launch_partial(&topo, seed, Some(2), &faults, Some(sink), |_| NoFlight);
+            let run = launch_partial(&topo, seed, Some(2), Some(sink), |_| NoFlight);
             // Answers for the k - 1 sends that succeed and no more: unless
             // the k-th send aborts the run, rank 0 waits forever.
             let gateway = run.gateway();
@@ -1828,7 +1789,7 @@ mod tests {
     #[should_panic(expected = "needs an egress sink")]
     fn a_launch_with_egress_channels_and_no_sink_is_refused() {
         let (topo, seed, _, _) = exchange(1);
-        launch_partial(&topo, seed, None, &FaultPlan::none(), None, |_| NoFlight);
+        launch_partial(&topo, seed, None, None, |_| NoFlight);
     }
 
     #[test]
@@ -1857,7 +1818,7 @@ mod tests {
         let watched = ThreadedConfig::with_watchdog(Duration::from_secs(5));
         for config in [ThreadedConfig::default(), watched.with_flight(8)] {
             let seed = PartialSeed::<Nop>::fresh(&topo, Vec::new());
-            let out = run_full(&topo, seed, config, &FaultPlan::none()).unwrap();
+            let out = run_full(&topo, seed, config).unwrap();
             assert!(out.snapshots.is_empty());
             assert_eq!(out.flight.is_some(), config.flight.is_some());
         }
@@ -1875,13 +1836,12 @@ mod tests {
             delivery: None,
             pending: Some(Pending::Send { chan, msg: 7, bytes: 8 }),
             pm: ProcMetrics::default(),
-            recvs_done: vec![0],
             parked_since: Some(Instant::now()),
             result: None,
         };
         let slots = vec![Some(task), None];
         let shared =
-            build_shared(&topo, slots, chans, None, 1, 0, 1, false, &FaultPlan::none(), NoFlight);
+            build_shared(&topo, slots, chans, None, 1, 0, 1, false, NoFlight);
         let task = shared.reclaim(0);
         assert!(matches!(task.pending, Some(Pending::Send { msg: 7, .. })));
         assert!(task.parked_since.is_none());
@@ -1906,7 +1866,6 @@ mod tests {
             injector: Mutex::new(VecDeque::new()),
             target: 1,
             egress: Mutex::new(None),
-            faults: FaultPlan::none(),
             poisoned: AtomicBool::new(false),
             done: AtomicBool::new(false),
             progress: AtomicU64::new(0),

@@ -27,7 +27,6 @@ use std::collections::VecDeque;
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
-use crate::fault::FaultPlan;
 use crate::policy::SchedulePolicy;
 use crate::proc::{Effect, ProcId, Process};
 use crate::sched::PartialSeed;
@@ -108,17 +107,16 @@ pub struct Simulator<P: Process> {
 /// clones nothing.
 pub(crate) trait Rollback<P: Process> {
     /// Step `picks.len()` of the lineage completed.
-    fn after_step(&mut self, sim: &Simulator<P>, picks: &[ProcId], faults: &FaultPlan);
+    fn after_step(&mut self, sim: &Simulator<P>, picks: &[ProcId]);
 
     /// An injected crash or a deadlock ended the lineage. Either rewind
-    /// `sim`, `picks` and `faults` to a checkpoint and return `Ok`, or give
-    /// up with `failure`.
+    /// `sim` and `picks` to a checkpoint and return `Ok`, or give up with
+    /// `failure`.
     fn restore(
         &mut self,
         failure: RunError,
         sim: &mut Simulator<P>,
         picks: &mut Vec<ProcId>,
-        faults: &mut FaultPlan,
     ) -> Result<(), RunError>;
 }
 
@@ -311,28 +309,13 @@ impl<P: Process> Simulator<P> {
     /// Fill `out` with the processes a policy may pick for this scheduling
     /// slot, and charge every blocked process that cannot move one blocked
     /// step: it loses the slot.
-    ///
-    /// Under `faults`, a process whose pending delivery an active channel
-    /// stall withholds is left out — unless that would leave no one. A stall
-    /// may delay deliveries but must never fabricate a deadlock (Theorem 1:
-    /// stalls cannot change outcomes, so they cannot *create* a stuck
-    /// state), so an all-withheld slot releases the stalls for this step.
-    fn schedulable(&mut self, faults: &FaultPlan, out: &mut Vec<ProcId>) {
+    fn schedulable(&mut self, out: &mut Vec<ProcId>) {
         out.clear();
         for p in 0..self.status.len() {
             if self.is_runnable(p) {
                 out.push(p);
             } else if !matches!(self.status[p], ProcState::Halted) {
                 self.metrics.procs[p].blocked_steps += 1;
-            }
-        }
-        if !faults.stalls().is_empty() {
-            let withheld = |p: &ProcId| {
-                matches!(&self.status[*p],
-                         ProcState::BlockedRecv(c) if faults.delivery_withheld(*c))
-            };
-            if !out.iter().all(withheld) {
-                out.retain(|p| !withheld(p));
             }
         }
     }
@@ -346,7 +329,7 @@ impl<P: Process> Simulator<P> {
     /// what the step did, in the pool's flight-recorder vocabulary with
     /// `nanos` 0: `Compute` (units in `bytes`), `Send`, `Recv` (the message
     /// size in `bytes`), `Park` (`bytes` 0 for a posted receive, 1 for a
-    /// blocked send), `Halt`, and `Fault` (`bytes` 0 for a process fault).
+    /// blocked send), `Halt`, and `Fault` (`bytes` 0).
     /// A delivery step reports the `Recv` and then the resumed process's
     /// next action. External steppers — exhaustive interleaving
     /// enumeration, the distributed supervisor's shadow — use this to
@@ -358,43 +341,6 @@ impl<P: Process> Simulator<P> {
     ) -> Result<(), RunError> {
         assert!(self.is_runnable(p), "step_process_with requires a runnable process");
         self.step(p, obs)
-    }
-
-    /// Take one atomic step for runnable `p` under a fault plan.
-    ///
-    /// If the plan holds a crash for `p` at the step it is about to take
-    /// (its own, process-local step count — schedule-independent by the
-    /// paper's model), the process is marked halted, the crash is consumed
-    /// from the plan, and [`RunError::Injected`] is returned. Otherwise the
-    /// step proceeds normally and the plan's stall bookkeeping (global tick
-    /// count, per-channel delivery counts) is advanced. An empty plan
-    /// injects nothing and needs no bookkeeping. A crash is reported as a
-    /// `Fault` event carrying the step.
-    fn step_injected(
-        &mut self,
-        p: ProcId,
-        faults: &mut FaultPlan,
-        obs: &mut dyn FnMut(FlightEvent),
-    ) -> Result<(), RunError> {
-        if faults.is_empty() {
-            return self.step(p, obs);
-        }
-        let local_step = self.metrics.procs[p].steps + 1;
-        if let Some(crash) = faults.take_crash(p, local_step) {
-            self.status[p] = ProcState::Halted;
-            obs(event(FlightKind::Fault, p, 0, crash.at_step));
-            return Err(RunError::Injected { proc: p, step: crash.at_step });
-        }
-        let delivering = match &self.status[p] {
-            ProcState::BlockedRecv(c) if !self.queues[c.0].is_empty() => Some(*c),
-            _ => None,
-        };
-        let r = self.step(p, obs);
-        faults.tick();
-        if let Some(c) = delivering {
-            faults.note_recv(c);
-        }
-        r
     }
 
     /// The typed deadlock error describing the *current* blocked
@@ -496,7 +442,7 @@ impl<P: Process> Simulator<P> {
         policy: &mut dyn SchedulePolicy,
         obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<RunOutcome, RunError> {
-        let (sim, picks) = self.drive(policy, &mut FaultPlan::none(), None, obs)?;
+        let (sim, picks) = self.drive(policy, None, obs)?;
         Ok(sim.outcome(picks))
     }
 
@@ -513,21 +459,19 @@ impl<P: Process> Simulator<P> {
 
     /// The one pick loop behind every simulated run: pick, step, until every
     /// process halts; returns the final simulator and the lineage's picks.
-    /// `faults` is injected as it goes (an empty plan injects nothing).
     /// Without `rollback`, an injected crash or a deadlock ends the run;
     /// with it, they rewind to a checkpoint. Errors that would recur on
     /// every lineage — protocol violations, the step limit — always end it.
     pub(crate) fn drive(
         mut self,
         policy: &mut dyn SchedulePolicy,
-        faults: &mut FaultPlan,
         mut rollback: Option<&mut dyn Rollback<P>>,
         obs: &mut dyn FnMut(FlightEvent),
     ) -> Result<(Self, Vec<ProcId>), RunError> {
         let mut picks = Vec::new();
         let mut runnable = Vec::new();
         while !self.all_halted() {
-            self.schedulable(faults, &mut runnable);
+            self.schedulable(&mut runnable);
             let failure = if runnable.is_empty() {
                 self.deadlock_error()
             } else if picks.len() as u64 >= self.step_limit {
@@ -535,11 +479,11 @@ impl<P: Process> Simulator<P> {
             } else {
                 let p = policy.pick(&runnable);
                 debug_assert!(runnable.contains(&p), "policy must pick a runnable process");
-                match self.step_injected(p, faults, obs) {
+                match self.step(p, obs) {
                     Ok(()) => {
                         picks.push(p);
                         if let Some(r) = rollback.as_deref_mut() {
-                            r.after_step(&self, &picks, faults);
+                            r.after_step(&self, &picks);
                         }
                         continue;
                     }
@@ -548,7 +492,7 @@ impl<P: Process> Simulator<P> {
                 }
             };
             match rollback.as_deref_mut() {
-                Some(r) => r.restore(failure, &mut self, &mut picks, faults)?,
+                Some(r) => r.restore(failure, &mut self, &mut picks)?,
                 None => return Err(failure),
             }
         }
@@ -576,7 +520,8 @@ mod tests {
     use crate::chan::ChannelSpec;
     use crate::policy::{Adversary, AdversarialPolicy, RandomPolicy, RoundRobin};
     use crate::proc::{push_f64, push_u64};
-    use crate::recover::{run_recovering, RecoveryConfig, RecoveryOutcome};
+    use crate::fault::{crashing, Crash};
+    use crate::recover::{run_recovering, RecoveryConfig};
 
     /// A process that sends `count` increasing integers then halts, or
     /// receives `count` integers, sums them, then halts.
@@ -632,14 +577,6 @@ mod tests {
             PingPong::Receiver { chan: c, got: 0, sum: 0, count },
         ];
         (topo, procs)
-    }
-
-    /// Fault injection without recovery: [`run_recovering`] with no restart
-    /// budget, so the first crash ends the run with its typed error.
-    fn injected(count: u64, faults: FaultPlan) -> Result<RecoveryOutcome, RunError> {
-        let (topo, procs) = pair(count);
-        let cfg = RecoveryConfig { checkpoint_every: u64::MAX, max_restarts: 0 };
-        run_recovering(topo, procs, faults, &mut RoundRobin::new(), cfg)
     }
 
     #[test]
@@ -988,45 +925,21 @@ mod tests {
 
     #[test]
     fn injected_crash_aborts_with_typed_error_and_is_consumed() {
-        let err = injected(10, FaultPlan::none().crash(0, 3)).unwrap_err();
+        let crash = [Crash { proc: 0, at_step: 3 }];
+        let (topo, procs) = pair(10);
+        let err = run_simulated(topo, crashing(procs, &crash), &mut RoundRobin::new()).unwrap_err();
         assert_eq!(err, RunError::Injected { proc: 0, step: 3 });
 
         // A fired crash is one-shot: with a budget of one restart the rerun
         // does not meet it again, and matches an entirely uninjected run.
         let (topo, procs) = pair(10);
         let cfg = RecoveryConfig { checkpoint_every: u64::MAX, max_restarts: 1 };
-        let faults = FaultPlan::none().crash(0, 3);
-        let redo = run_recovering(topo, procs, faults, &mut RoundRobin::new(), cfg).unwrap();
+        let redo =
+            run_recovering(topo, crashing(procs, &crash), &mut RoundRobin::new(), cfg).unwrap();
         assert_eq!(redo.stats.restarts, 1);
         let (topo, procs) = pair(10);
         let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
         assert_eq!(redo.snapshots, clean.snapshots);
-    }
-
-    #[test]
-    fn channel_stalls_delay_delivery_but_never_change_the_final_state() {
-        let c = ChannelId(0);
-        // Stall the first and the fifth delivery, generously.
-        let faults = FaultPlan::none().stall(c, 0, 7).stall(c, 4, 9);
-        let stalled = injected(10, faults).expect("stalls must not deadlock or abort");
-        let (topo, procs) = pair(10);
-        let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-        assert_eq!(stalled.snapshots, clean.snapshots, "Theorem 1: stalls are harmless");
-        // The stalled run is a different interleaving (delivery was pushed
-        // later), but still maximal.
-        assert!(stalled.steps >= clean.steps);
-    }
-
-    #[test]
-    fn stalls_never_fabricate_a_deadlock_when_only_the_reader_can_move() {
-        // Sender finishes everything, then only the receiver remains — and
-        // its one pending delivery is stalled "forever". The auto-release
-        // rule must let the run complete.
-        let faults = FaultPlan::none().stall(ChannelId(0), 0, u64::MAX / 2);
-        let out = injected(1, faults).expect("a stall on the only runnable process auto-releases");
-        let (topo, procs) = pair(1);
-        let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-        assert_eq!(out.snapshots, clean.snapshots);
     }
 
     #[test]

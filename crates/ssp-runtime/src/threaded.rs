@@ -33,7 +33,6 @@ use std::time::Duration;
 
 use crate::chan::Topology;
 use crate::error::RunError;
-use crate::fault::FaultPlan;
 use crate::proc::Process;
 use crate::sched::{self, PartialSeed};
 use crate::trace::RunMetrics;
@@ -138,7 +137,11 @@ pub struct ThreadedOutcome {
 /// Channel endpoint violations, [`crate::proc::Effect::Fault`]s, process
 /// panics, and deadlocks (after [`ThreadedConfig::watchdog`]) all abort the
 /// run with a typed error and release the pool, so an erroneous run
-/// returns instead of hanging.
+/// returns instead of hanging. An injected crash is a fault of a wrapped
+/// process ([`crate::fault::crashing`]): the scheduler retries a blocked
+/// channel operation without resuming the process again, so the crash
+/// fires at the same resume, and leaves the same prefix, as on the
+/// simulator.
 pub fn run_threaded_with<P>(
     topo: &Topology,
     procs: Vec<P>,
@@ -147,35 +150,15 @@ pub fn run_threaded_with<P>(
 where
     P: Process + 'static,
 {
-    run_threaded_faulted(topo, procs, config, &FaultPlan::none())
-}
-
-/// [`run_threaded_with`] under a deterministic [`FaultPlan`].
-///
-/// A crash keyed to a process's own step count fires at the same point of
-/// that process's action sequence as on the simulated backend — the M:N
-/// scheduler retries a blocked channel operation without re-stepping the
-/// process, so local step counts are schedule-independent exactly as in
-/// the paper's model. The crashed run aborts with [`RunError::Injected`]
-/// and releases the pool. A channel stall makes the reader sleep before
-/// the matching delivery — delaying, never changing, the result.
-pub fn run_threaded_faulted<P>(
-    topo: &Topology,
-    procs: Vec<P>,
-    config: ThreadedConfig,
-    faults: &FaultPlan,
-) -> Result<ThreadedOutcome, RunError>
-where
-    P: Process + 'static,
-{
     let seed = PartialSeed::fresh(topo, procs.into_iter().enumerate().collect());
-    sched::run_full(topo, seed, config, faults)
+    sched::run_full(topo, seed, config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chan::ChannelId;
+    use crate::fault::{crashing, Crash};
     use crate::policy::RoundRobin;
     use crate::proc::{push_u64, Effect};
     use crate::sim::run_simulated;
@@ -435,8 +418,7 @@ mod tests {
                     sim.step_process_with(p, &mut |_| {}).unwrap();
                 }
                 let seed = sim.into_seed();
-                let none = FaultPlan::none();
-                let out = launch_partial(&topo, seed, Some(workers), &none, None, |_| NoFlight)
+                let out = launch_partial(&topo, seed, Some(workers), None, |_| NoFlight)
                     .join()
                     .unwrap();
                 assert_eq!(out.snapshots, expect, "workers={workers}, cut {cut}");
@@ -538,27 +520,21 @@ mod tests {
         let (topo, procs) = ring(4, 3);
         // Node 2's second resume is a blocking receive; kill it there. The
         // other nodes block on the broken ring and must be released.
-        let faults = FaultPlan::none().crash(2, 2);
-        let err = run_threaded_faulted(&topo, procs, ThreadedConfig::default(), &faults)
-            .unwrap_err();
+        let procs = crashing(procs, &[Crash { proc: 2, at_step: 2 }]);
+        let err = run_threaded_with(&topo, procs, ThreadedConfig::default()).unwrap_err();
         assert_eq!(err, RunError::Injected { proc: 2, step: 2 });
     }
 
     #[test]
     fn injected_crash_step_is_pool_size_independent() {
-        // Local step counts key fault injection; they must not depend on
-        // how many workers the pool has (blocked-op retries don't
-        // re-step the process).
+        // A crash is keyed to the process's own resumes; they must not
+        // depend on how many workers the pool has (blocked-op retries
+        // don't resume the process).
         for workers in [1, 2, 4] {
             let (topo, procs) = ring(4, 3);
-            let faults = FaultPlan::none().crash(2, 2);
-            let err = run_threaded_faulted(
-                &topo,
-                procs,
-                ThreadedConfig::default().with_workers(workers),
-                &faults,
-            )
-            .unwrap_err();
+            let procs = crashing(procs, &[Crash { proc: 2, at_step: 2 }]);
+            let config = ThreadedConfig::default().with_workers(workers);
+            let err = run_threaded_with(&topo, procs, config).unwrap_err();
             assert_eq!(err, RunError::Injected { proc: 2, step: 2 }, "workers={workers}");
         }
     }

@@ -333,8 +333,8 @@ pub enum FlightKind {
     /// Lifecycle: the run (re)started from a checkpoint cut. `bytes`
     /// holds the restored step ordinal.
     Restore,
-    /// A process failed: `bytes` holds the step of an injected crash, and
-    /// is 0 when the process itself returned a fault.
+    /// A process returned [`crate::proc::Effect::Fault`] (an injected crash
+    /// is one; its step is in the run's error). `bytes` is 0.
     Fault,
     /// Lifecycle: a rank group migrated between workers (distributed
     /// backend). `chan` holds the source worker, `bytes` the destination.

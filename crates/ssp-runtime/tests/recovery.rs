@@ -7,7 +7,7 @@
 //! execution is just another maximal interleaving.
 
 use ssp_runtime::{
-    run_recovering, run_simulated, ChannelId, Effect, FaultPlan, Process, RecoveryConfig,
+    crashing, run_recovering, run_simulated, ChannelId, Crash, Effect, Process, RecoveryConfig,
     RoundRobin, RunError, Topology,
 };
 
@@ -78,20 +78,15 @@ fn crash_at_every_step_recovers_to_the_uninjected_state() {
     for every in [1u64, 3, 8] {
         for k in 0..reference.steps as usize {
             // Global step k was taken by proc p; expressed proc-locally it
-            // is p's n-th step, the schedule-independent coordinate crashes
-            // are keyed by.
+            // is p's n-th step (at infinite slack every step is a resume),
+            // the schedule-independent coordinate crashes are keyed by.
             let p = reference.picks[k];
             let local = reference.picks[..=k].iter().filter(|&&q| q == p).count() as u64;
-            let faults = FaultPlan::none().crash(p, local);
             let (topo, procs) = exchange_ring(3, 4);
-            let out = run_recovering(
-                topo,
-                procs,
-                faults,
-                &mut RoundRobin::new(),
-                RecoveryConfig::every(every),
-            )
-            .unwrap_or_else(|e| panic!("crash at step {k} (every {every}): {e}"));
+            let procs = crashing(procs, &[Crash { proc: p, at_step: local }]);
+            let cfg = RecoveryConfig::every(every);
+            let out = run_recovering(topo, procs, &mut RoundRobin::new(), cfg)
+                .unwrap_or_else(|e| panic!("crash at step {k} (every {every}): {e}"));
             assert_eq!(
                 out.snapshots, reference.snapshots,
                 "recovered state diverged (crash at step {k}, checkpoint every {every})"
@@ -103,23 +98,22 @@ fn crash_at_every_step_recovers_to_the_uninjected_state() {
     }
 }
 
-/// Several crashes and stalls in one plan: each crash fires once, each
-/// restart resumes from the latest checkpoint, and the result is still
-/// bitwise clean.
+/// Several crashes in one run: each crash fires once, each restart resumes
+/// from the latest checkpoint, and the result is still bitwise clean.
 #[test]
-fn multiple_crashes_and_stalls_recover_with_one_restart_each() {
+fn multiple_crashes_recover_with_one_restart_each() {
     let (topo, procs) = exchange_ring(4, 5);
     let reference = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
 
-    let faults = FaultPlan::none()
-        .crash(0, 2)
-        .crash(2, 7)
-        .crash(3, 11)
-        .stall(ChannelId(1), 0, 6)
-        .stall(ChannelId(2), 3, 9);
+    let crashes = [
+        Crash { proc: 0, at_step: 2 },
+        Crash { proc: 2, at_step: 7 },
+        Crash { proc: 3, at_step: 11 },
+    ];
     let (topo, procs) = exchange_ring(4, 5);
-    let out = run_recovering(topo, procs, faults, &mut RoundRobin::new(), RecoveryConfig::every(4))
-        .unwrap();
+    let procs = crashing(procs, &crashes);
+    let cfg = RecoveryConfig::every(4);
+    let out = run_recovering(topo, procs, &mut RoundRobin::new(), cfg).unwrap();
     assert_eq!(out.snapshots, reference.snapshots);
     assert_eq!(out.stats.restarts, 3, "each crash fires exactly once");
     assert!(out.stats.checkpoints_taken > 0);
@@ -171,7 +165,6 @@ fn recurring_deadlock_exhausts_the_restart_budget() {
         RecvFirst { out: c10, inp: c01, received: None, sent: false },
     ];
     let cfg = RecoveryConfig { checkpoint_every: 2, max_restarts: 3 };
-    let err = run_recovering(topo, procs, FaultPlan::none(), &mut RoundRobin::new(), cfg)
-        .unwrap_err();
+    let err = run_recovering(topo, procs, &mut RoundRobin::new(), cfg).unwrap_err();
     assert!(matches!(err, RunError::Deadlock { .. }), "got {err}");
 }

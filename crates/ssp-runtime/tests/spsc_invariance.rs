@@ -10,16 +10,17 @@
 //! final snapshots must be bitwise identical to the simulated reference,
 //! and the SPSC path must still produce functional metrics, honor bounded
 //! capacity in its queue-depth high-water marks, and surface injected
-//! faults as typed errors.
+//! faults as typed errors — one crash key leaving one prefix on every
+//! backend.
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
 use ssp_runtime::proc::push_u64;
 use ssp_runtime::{
-    run_simulated, run_threaded_faulted, run_threaded_with, Adversary, AdversarialPolicy,
-    ChannelId, Effect, FaultPlan, Process, RandomPolicy, RoundRobin, RunError, SchedulePolicy,
-    ThreadedConfig, Topology,
+    crashing, run_simulated, run_threaded_with, Adversary, AdversarialPolicy, ChannelId, Crash,
+    Effect, Process, RandomPolicy, RoundRobin, RunError, SchedulePolicy, ThreadedConfig, Topology,
 };
 
 /// Where an [`Exchanger`] is within its current round.
@@ -218,23 +219,116 @@ proptest! {
 }
 
 /// Fault injection still works on the SPSC path: a crash keyed to a
-/// process's local step count aborts the run with the typed error and
+/// process's own resume count aborts the run with the typed error and
 /// wakes every blocked peer instead of hanging.
 #[test]
 fn injected_crash_surfaces_as_a_typed_error_on_the_spsc_path() {
     let topo = Topology::line(3).with_uniform_capacity(Some(1));
-    let procs = exchangers(&topo, 3, 50);
-    let faults = FaultPlan::none().crash(1, 7);
-    match run_threaded_faulted(
-        &topo,
-        procs,
-        ThreadedConfig::with_watchdog(WATCHDOG),
-        &faults,
-    ) {
+    let procs = crashing(exchangers(&topo, 3, 50), &[Crash { proc: 1, at_step: 7 }]);
+    match run_threaded_with(&topo, procs, ThreadedConfig::with_watchdog(WATCHDOG)) {
         Err(RunError::Injected { proc, step }) => {
             assert_eq!(proc, 1);
             assert_eq!(step, 7);
         }
         other => panic!("expected the injected crash, got {other:?}"),
+    }
+}
+
+/// Every action a [`Recorder`] took, in order: one entry per `resume`.
+type Log = Arc<Mutex<Vec<String>>>;
+
+/// Process 0 sends twice, computes, then halts; process 1 computes twice
+/// before it first receives, then receives twice and halts. At slack 1 the
+/// second send cannot complete before the first receive, so the simulator
+/// counts its later completion as a step of process 0 that is no resume.
+/// Each resume appends the effect it returns to the process's log.
+struct Recorder {
+    script: Vec<Effect<u64>>,
+    pc: usize,
+    sum: u64,
+    log: Log,
+}
+
+impl Process for Recorder {
+    type Msg = u64;
+
+    fn resume(&mut self, delivery: Option<u64>) -> Effect<u64> {
+        self.sum = self.sum.wrapping_mul(31).wrapping_add(delivery.unwrap_or(0));
+        let effect = self.script[self.pc].clone();
+        self.pc += 1;
+        self.log.lock().unwrap().push(format!("{effect:?}"));
+        effect
+    }
+
+    fn snapshot(&self) -> Vec<u8> {
+        self.sum.to_le_bytes().to_vec()
+    }
+}
+
+/// The writer–reader pair at `slack`, and the writer's log.
+fn recorded_pair(slack: Option<usize>) -> (Topology, Vec<Recorder>, Log) {
+    let mut topo = Topology::new(2);
+    let chan = topo.connect(0, 1);
+    let topo = topo.with_uniform_capacity(slack);
+    let compute = Effect::Compute { units: 1 };
+    let writer = vec![
+        Effect::Send { chan, msg: 7 },
+        Effect::Send { chan, msg: 9 },
+        compute.clone(),
+        Effect::Halt,
+    ];
+    let reader =
+        vec![compute.clone(), compute, Effect::Recv { chan }, Effect::Recv { chan }, Effect::Halt];
+    let log = Log::default();
+    let procs = [writer, reader]
+        .into_iter()
+        .enumerate()
+        .map(|(id, script)| Recorder {
+            script,
+            pc: 0,
+            sum: 0,
+            log: if id == 0 { log.clone() } else { Log::default() },
+        })
+        .collect();
+    (topo, procs, log)
+}
+
+/// One crash key on every backend: the same [`Crash`] leaves the same
+/// recorded prefix of the crashed process and returns the same typed error
+/// on the simulator at slack 1 and unbounded and on the pool at 1, 2 and 4
+/// workers, although at slack 1 a blocked send sits before the crash point.
+#[test]
+fn one_crash_key_leaves_one_prefix_on_every_backend() {
+    let crash = Crash { proc: 0, at_step: 4 };
+    let injected = RunError::Injected { proc: 0, step: 4 };
+    let prefix = [
+        "Send { chan: ChannelId(0), msg: 7 }",
+        "Send { chan: ChannelId(0), msg: 9 }",
+        "Compute { units: 1 }",
+    ];
+
+    for slack in [Some(1), None] {
+        // The program really blocks at slack 1: the simulator takes one
+        // step of the writer that is not a resume.
+        let (topo, procs, _) = recorded_pair(slack);
+        let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
+        let writer_steps = if slack.is_some() { 5 } else { 4 };
+        assert_eq!(clean.metrics.procs[0].steps, writer_steps, "slack {slack:?}");
+
+        for policy in policy_battery(7).iter_mut() {
+            let (topo, procs, log) = recorded_pair(slack);
+            let err = run_simulated(topo, crashing(procs, &[crash]), policy.as_mut()).unwrap_err();
+            let at = format!("simulator, slack {slack:?}, {}", policy.name());
+            assert_eq!(err, injected, "{at}");
+            assert_eq!(*log.lock().unwrap(), prefix, "{at}");
+        }
+        for workers in [1, 2, 4] {
+            let (topo, procs, log) = recorded_pair(slack);
+            let config = ThreadedConfig::with_watchdog(WATCHDOG).with_workers(workers);
+            let err = run_threaded_with(&topo, crashing(procs, &[crash]), config).unwrap_err();
+            let at = format!("pool, slack {slack:?}, {workers} workers");
+            assert_eq!(err, injected, "{at}");
+            assert_eq!(*log.lock().unwrap(), prefix, "{at}");
+        }
     }
 }
