@@ -125,7 +125,7 @@ fn mid_exchange_cut_survives_the_state_codec() {
         named(*rank, &short, "short local state");
         *proc = MsgProcess::decode_state(&templates[*rank], &bytes).unwrap();
     }
-    let out = launch_partial(&topo, seed, Some(2), None, |_| NoFlight);
+    let out = launch_partial(&topo, seed, Some(2), None, None, |_| NoFlight);
     let snapshots: Vec<Vec<u8>> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
     assert_eq!(snapshots, reference.snapshots);
 }

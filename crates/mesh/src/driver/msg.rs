@@ -2255,7 +2255,7 @@ mod tests {
                 staged_seen |= !proc.staged.is_empty();
                 *proc = MsgProcess::decode_state(&templates[*id], &proc.encode_state()).unwrap();
             }
-            let out = launch_partial(&topo, seed, Some(2), None, |_| NoFlight);
+            let out = launch_partial(&topo, seed, Some(2), None, None, |_| NoFlight);
             let snaps: Vec<_> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
             assert_eq!(snaps, reference.snapshots, "cut {cut}");
         }

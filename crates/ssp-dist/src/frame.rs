@@ -41,16 +41,14 @@ pub enum FrameType {
     /// Worker → supervisor, first frame: identifies the worker index.
     Hello = 0,
     /// Supervisor → worker: host a group of ranks — its workload spec,
-    /// ranks, data plane, peer table and, on a checkpointed migration, the
-    /// manifest it resumes from ([`crate::proto::Assign`]).
+    /// ranks, data plane, peer table, checkpoint cadence and, on a restart,
+    /// the checkpoint it resumes from ([`crate::proto::Assign`]).
     Assign = 1,
     /// Either direction: one message on one cross-group channel.
     /// Payload: `[chan: u32 le][seq: u64 le][encoded message bytes]`
-    /// where `seq` is the message's absolute per-channel ordinal. On the
-    /// star plane the supervisor forwards it to the reader's worker. On
-    /// the direct planes a worker sends one only with checkpointing on:
-    /// a *shadow credit* for a message already delivered, which the
-    /// supervisor's shadow consumes and does not forward.
+    /// where `seq` is the message's absolute per-channel ordinal. The
+    /// star plane's frame: the supervisor forwards it to the reader's
+    /// worker.
     Data = 2,
     /// Worker → supervisor: a group finished; snapshots, metrics and, when
     /// recording, its flight log ([`crate::proto::GroupDone`]).
@@ -89,18 +87,26 @@ pub enum FrameType {
     /// unreachable); the supervisor forwards it. Same payload layout as
     /// [`FrameType::Data`].
     DataRelay = 14,
-    /// Supervisor → worker: the latest shadow cut's consumed frontiers
-    /// ([`crate::proto::encode_cut`]); sent only with checkpointing on.
+    /// Supervisor → worker: the readers' consumed frontiers, from their
+    /// groups' latest checkpoints
+    /// ([`crate::proto::encode_channel_counts`]); sent only with
+    /// checkpointing on.
     Cut = 15,
-    /// Supervisor → worker: stop at the given cross-group send
-    /// ([`crate::proto::encode_chaos`]). Worker → supervisor, empty: the
-    /// stop was reached; the supervisor kills the worker.
+    /// Supervisor → worker: stop after the given number of cross-group
+    /// sends ([`crate::proto::encode_chaos`]). Worker → supervisor: the
+    /// stop was reached, with the sends made per channel
+    /// ([`crate::proto::encode_channel_counts`]); the supervisor kills the
+    /// worker.
     Chaos = 16,
+    /// Worker → supervisor: a group's new checkpoint
+    /// ([`crate::proto::encode_manifest`]); sent only with checkpointing
+    /// on.
+    Manifest = 17,
 }
 
 impl FrameType {
     /// Every frame type, indexed by its wire byte.
-    const ALL: [FrameType; 17] = [
+    const ALL: [FrameType; 18] = [
         FrameType::Hello,
         FrameType::Assign,
         FrameType::Data,
@@ -118,6 +124,7 @@ impl FrameType {
         FrameType::DataRelay,
         FrameType::Cut,
         FrameType::Chaos,
+        FrameType::Manifest,
     ];
 }
 

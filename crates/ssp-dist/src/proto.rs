@@ -3,11 +3,13 @@
 //! Every payload is binary and read through `ssp_runtime::proc::Reader`,
 //! the workspace's one reader of untrusted bytes. A group's life is two
 //! frames: ASSIGN starts it, from its registry [`WorkloadSpec`] or, on a
-//! checkpointed migration, from the [`GroupManifest`] it carries; GROUP_DONE
-//! ends it with the group's snapshots, its [`RunMetrics`] (in the binary
-//! counters a sealed manifest uses for the same numbers) and, when the
-//! recorder is on, its [`FlightLog`]. An optional field is a presence byte
-//! ([`Reader::flag`]) followed by the value when present.
+//! restart, from the group's latest [`Checkpoint`]; GROUP_DONE ends it with
+//! the group's snapshots, its [`RunMetrics`] (in the binary counters a
+//! sealed manifest uses for the same numbers) and, when the recorder is on,
+//! its [`FlightLog`]. In between, with checkpointing on, the group sends
+//! its checkpoints up in MANIFEST frames and its worker receives the
+//! readers' consumed frontiers in CUT frames. An optional field is a
+//! presence byte ([`Reader::flag`]) followed by the value when present.
 //!
 //! All decoders are total over arbitrary bytes: malformed input yields
 //! [`RunError::Protocol`], never a panic, and element counts are validated
@@ -74,7 +76,7 @@ pub struct Bye {
     pub frames_replayed: u64,
     /// Arrivals the worker's reader gates dropped as duplicates.
     pub duplicates_dropped: u64,
-    /// Send-log message bytes freed at the supervisor's cut frontiers.
+    /// Send-log message bytes freed at the readers' consumed frontiers.
     pub log_bytes_truncated: u64,
     /// The most bytes the worker's send logs held at once.
     pub log_bytes_peak: u64,
@@ -122,40 +124,108 @@ impl Bye {
     }
 }
 
-/// CUT payload, supervisor → worker: the latest shadow cut's consumed
-/// frontier of every channel, `[n: u32][n × u64]`. A worker truncates its
-/// send logs and its gates' digests below them, and from its first CUT on
-/// it also writes each cross-process send to the supervisor as a shadow
-/// credit.
-pub fn encode_cut(frontiers: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 8 * frontiers.len());
-    push_u32(&mut out, frontiers.len() as u32);
-    for &f in frontiers {
+/// One `u64` per channel, `[n: u32][n × u64]`: a CUT payload, supervisor
+/// → worker, of each channel's frontier, its reader group's latest
+/// checkpointed consumed count, below which a worker truncates its send
+/// logs and its gates' digests; and a CHAOS report, stopped victim →
+/// supervisor, of the sends the victim's worker made on each channel.
+pub fn encode_channel_counts(counts: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 8 * counts.len());
+    push_u32(&mut out, counts.len() as u32);
+    for &f in counts {
         push_u64(&mut out, f);
     }
     out
 }
 
-/// Decode a CUT payload into its per-channel frontiers.
-pub fn decode_cut(payload: &[u8]) -> Result<Vec<u64>, RunError> {
-    let mut r = Reader::new("CUT", payload);
-    let n = r.count(8, "frontiers")?;
-    let frontiers = (0..n).map(|_| r.u64("frontier")).collect::<Result<_, RunError>>()?;
-    r.finish(frontiers)
+/// Decode a payload of [`encode_channel_counts`].
+pub fn decode_channel_counts(payload: &[u8]) -> Result<Vec<u64>, RunError> {
+    let mut r = Reader::new("channel counts", payload);
+    let n = r.count(8, "channels")?;
+    let counts = (0..n).map(|_| r.u64("count")).collect::<Result<_, RunError>>()?;
+    r.finish(counts)
 }
 
-/// CHAOS payload, supervisor → victim: `[after sends: u64]`, the ordinal
-/// of the cross-group send at which the victim stops, reports CHAOS
-/// (empty payload) and waits to be killed.
+/// CHAOS payload, supervisor → victim: `[after sends: u64]`, how many
+/// more cross-group sends the victim makes before it stops (0: it stops at
+/// once), reports CHAOS and waits to be killed.
 pub fn encode_chaos(after_sends: u64) -> Vec<u8> {
     after_sends.to_le_bytes().to_vec()
 }
 
-/// Decode a CHAOS payload into its send ordinal.
+/// Decode a CHAOS payload into its send count.
 pub fn decode_chaos(payload: &[u8]) -> Result<u64, RunError> {
     let mut r = Reader::new("CHAOS", payload);
     let after = r.u64("after sends")?;
     r.finish(after)
+}
+
+/// A group's checkpoint, taken alone every `checkpoint_every` of its own
+/// cross-process sends: its sealed cut and the send-log entries of the
+/// channels it writes. A restarted group resumes from the manifest and its
+/// worker replays the entries, so a message its reader had not consumed
+/// at the reader's own checkpoint survives a death of both hosts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// The sealed cut: member states, internal queues, per-channel
+    /// consumed and sent counters.
+    pub manifest: GroupManifest,
+    /// `(chan, base, messages)` per channel the group writes out: its send
+    /// log's messages `base..`, from the reader's last forwarded frontier
+    /// to the cut.
+    pub logs: Vec<(usize, u64, Vec<Vec<u8>>)>,
+}
+
+impl Checkpoint {
+    /// Append the wire form: `[manifest: sealed bytes behind a u32 length]
+    /// [tails: u32 m] m × ([chan: u32][base: u64][n: u32] n × [message
+    /// behind a u32 length])`.
+    fn push(&self, buf: &mut Vec<u8>) {
+        push_bytes(buf, &self.manifest.encode());
+        push_u32(buf, self.logs.len() as u32);
+        for (chan, base, entries) in &self.logs {
+            push_u32(buf, *chan as u32);
+            push_u64(buf, *base);
+            push_u32(buf, entries.len() as u32);
+            entries.iter().for_each(|e| push_bytes(buf, e));
+        }
+    }
+
+    /// Read the wire form; the manifest must pass its seal.
+    fn read(r: &mut Reader) -> Result<Checkpoint, RunError> {
+        let manifest = GroupManifest::decode(r.bytes("manifest")?)?;
+        let m = r.count(16, "log tails")?;
+        let logs = (0..m)
+            .map(|_| {
+                let (chan, base) = (r.u32("log channel")? as usize, r.u64("log base")?);
+                let n = r.count(4, "log entries")?;
+                let entries =
+                    (0..n)
+                        .map(|_| Ok(r.bytes("log entry")?.to_vec()))
+                        .collect::<Result<_, RunError>>()?;
+                Ok((chan, base, entries))
+            })
+            .collect::<Result<_, RunError>>()?;
+        Ok(Checkpoint { manifest, logs })
+    }
+}
+
+/// MANIFEST payload, worker → supervisor: a group's new checkpoint,
+/// `[group: u64][checkpoint]`.
+pub fn encode_manifest(group: u64, checkpoint: &Checkpoint) -> Vec<u8> {
+    let mut out = Vec::new();
+    push_u64(&mut out, group);
+    checkpoint.push(&mut out);
+    out
+}
+
+/// Decode a MANIFEST payload into `(group, checkpoint)`; a manifest that
+/// fails its seal is a typed error.
+pub fn decode_manifest(payload: &[u8]) -> Result<(u64, Checkpoint), RunError> {
+    let mut r = Reader::new("MANIFEST", payload);
+    let group = r.u64("group")?;
+    let checkpoint = Checkpoint::read(&mut r)?;
+    r.finish((group, checkpoint))
 }
 
 /// The supervisor-brokered peer introduction table: which worker hosts
@@ -205,9 +275,9 @@ impl PeerTable {
 }
 
 /// A PEERS payload, the membership broadcast after a worker death: the
-/// new peer table plus, after a migration, each channel into the merged
+/// new peer table plus, after a migration, each channel into a restarted
 /// group and the sequence number its writer replays its send log from
-/// (0, or the resumed cut's consumed frontier).
+/// (0, or the restarted group's checkpointed consumed frontier).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Membership {
     /// Placement and live peers under the new generation.
@@ -257,16 +327,19 @@ pub struct Assign {
     pub plane: TransportMode,
     /// Peer introduction table for the direct plane; `None` on the star.
     pub table: Option<PeerTable>,
-    /// On a checkpointed migration, the cut the group resumes from; `None`
-    /// starts the ranks from their initial states.
-    pub resume: Option<GroupManifest>,
+    /// With checkpointing on, the group's seal cadence: a checkpoint every
+    /// this many of its cross-process sends.
+    pub checkpoint: Option<u64>,
+    /// On a restart, the group's latest checkpoint; `None` starts the ranks
+    /// from their initial states.
+    pub resume: Option<Checkpoint>,
 }
 
 impl Assign {
     /// Serialize: `[group: u64][spec][ranks: u32 n][n × u32][flight?: u64]
-    /// [plane: u8][table?][resume?: sealed manifest behind its u32 length]`,
-    /// `?` marking an optional field. The plane tag is 0 star, 1 direct,
-    /// 2 direct+shm.
+    /// [plane: u8][table?][checkpoint?: u64][resume?: checkpoint]`, `?`
+    /// marking an optional field. The plane tag is 0 star, 1 direct, 2
+    /// direct+shm.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         push_u64(&mut out, self.group);
@@ -287,9 +360,13 @@ impl Assign {
         if let Some(table) = &self.table {
             table.push(&mut out);
         }
+        out.push(u8::from(self.checkpoint.is_some()));
+        if let Some(k) = self.checkpoint {
+            push_u64(&mut out, k);
+        }
         out.push(u8::from(self.resume.is_some()));
-        if let Some(m) = &self.resume {
-            push_bytes(&mut out, &m.encode());
+        if let Some(c) = &self.resume {
+            c.push(&mut out);
         }
         out
     }
@@ -311,11 +388,9 @@ impl Assign {
             t => return Err(r.error(format_args!("unknown plane tag {t}"))),
         };
         let table = r.flag("table")?.then(|| PeerTable::read(&mut r)).transpose()?;
-        let resume = r
-            .flag("resume")?
-            .then(|| GroupManifest::decode(r.bytes("resume manifest")?))
-            .transpose()?;
-        r.finish(Assign { group, spec, ranks, flight, plane, table, resume })
+        let checkpoint = r.flag("checkpoint")?.then(|| r.u64("checkpoint every")).transpose()?;
+        let resume = r.flag("resume")?.then(|| Checkpoint::read(&mut r)).transpose()?;
+        r.finish(Assign { group, spec, ranks, flight, plane, table, checkpoint, resume })
     }
 }
 
@@ -474,6 +549,7 @@ mod tests {
             flight: None,
             plane: TransportMode::Star,
             table: None,
+            checkpoint: None,
             resume: None,
         }
     }
@@ -486,13 +562,21 @@ mod tests {
             flight: Some(4096),
             plane: TransportMode::Direct { shm: true },
             table: Some(table()),
-            resume: Some(GroupManifest {
+            checkpoint: Some(64),
+            resume: Some(checkpoint()),
+        }
+    }
+
+    fn checkpoint() -> Checkpoint {
+        Checkpoint {
+            manifest: GroupManifest {
                 steps: 5,
                 ranks: vec![],
                 queues: vec![],
                 consumed: vec![2],
                 counters: vec![(1, 8, 1)],
-            }),
+            },
+            logs: vec![(0, 1, vec![vec![9, 8, 7], vec![]])],
         }
     }
 
@@ -543,13 +627,43 @@ mod tests {
     }
 
     #[test]
+    fn manifest_frames_round_trip_and_reject_hostile_bytes() {
+        let ck = checkpoint();
+        let bytes = encode_manifest(7, &ck);
+        assert_eq!(decode_manifest(&bytes).unwrap(), (7, ck.clone()));
+        assert_hostile_bytes_fail(&bytes, &(7, ck.clone()), decode_manifest);
+        let quiet = Checkpoint { logs: vec![], ..ck };
+        assert_eq!(decode_manifest(&encode_manifest(0, &quiet)).unwrap(), (0, quiet.clone()));
+        // A flipped manifest byte fails its seal, typed.
+        let mut flipped = encode_manifest(0, &quiet);
+        flipped[8 + 4 + 9] ^= 1;
+        let detail = decode_manifest(&flipped).unwrap_err().to_string();
+        assert!(detail.contains("fingerprint mismatch"), "{detail}");
+        // Tail and entry count bombs fail at the count.
+        let mut tail_bomb = encode_manifest(0, &quiet);
+        tail_bomb.truncate(tail_bomb.len() - 4);
+        push_u32(&mut tail_bomb, u32::MAX);
+        let mut entry_bomb = encode_manifest(0, &quiet);
+        entry_bomb.truncate(entry_bomb.len() - 4);
+        push_u32(&mut entry_bomb, 1);
+        push_u32(&mut entry_bomb, 0);
+        push_u64(&mut entry_bomb, 0);
+        push_u32(&mut entry_bomb, u32::MAX);
+        for bomb in [tail_bomb, entry_bomb] {
+            let detail = decode_manifest(&bomb).unwrap_err().to_string();
+            assert!(detail.contains("exceeds payload"), "{detail}");
+        }
+    }
+
+    #[test]
     fn cut_and_chaos_codecs_round_trip_and_reject_hostile_bytes() {
         let frontiers = vec![0, 7, u64::MAX];
-        let bytes = encode_cut(&frontiers);
-        assert_eq!(decode_cut(&bytes).unwrap(), frontiers);
-        assert_eq!(decode_cut(&encode_cut(&[])).unwrap(), Vec::<u64>::new());
-        assert_hostile_bytes_fail(&bytes, &frontiers, decode_cut);
-        let detail = decode_cut(&u32::MAX.to_le_bytes()).unwrap_err().to_string();
+        let bytes = encode_channel_counts(&frontiers);
+        assert_eq!(decode_channel_counts(&bytes).unwrap(), frontiers);
+        let none = encode_channel_counts(&[]);
+        assert_eq!(decode_channel_counts(&none).unwrap(), Vec::<u64>::new());
+        assert_hostile_bytes_fail(&bytes, &frontiers, decode_channel_counts);
+        let detail = decode_channel_counts(&u32::MAX.to_le_bytes()).unwrap_err().to_string();
         assert!(detail.contains("exceeds payload"), "{detail}");
 
         let bytes = encode_chaos(25);
@@ -586,7 +700,7 @@ mod tests {
         }
         // Unknown plane tag; a flag byte other than 0 or 1.
         let mut bytes = fresh_assign().encode();
-        let plane_at = bytes.len() - 3;
+        let plane_at = bytes.len() - 4;
         bytes[plane_at] = 3;
         let detail = Assign::decode(&bytes).unwrap_err().to_string();
         assert!(detail.contains("unknown plane tag 3"), "{detail}");
@@ -601,15 +715,16 @@ mod tests {
     fn assign_bytes_are_pinned() {
         const FRESH: &str = concat!(
             "0900000000000000000400000003000000000000000200000002000000030000",
-            "0000000000",
+            "000000000000",
         );
         const RESUMED: &str = concat!(
             "0a00000000000000010004000000010000000100000001001000000000000002",
             "0103000000000000000300000000000000000000000100000002000000000000",
             "0008000000756e69783a2f7030010000000b0000007463703a5b3a3a315d3a39",
-            "0148000000535350474d414e3105000000000000000100000002000000000000",
-            "0001000000010000000000000008000000000000000100000000000000000000",
-            "0000000000ea078c641a87a648",
+            "0140000000000000000148000000535350474d414e3205000000000000000100",
+            "0000020000000000000001000000010000000000000008000000000000000100",
+            "0000000000000000000000000000fc761d0431aaf6f901000000000000000100",
+            "000000000000020000000300000009080700000000",
         );
         assert_eq!(hex(&fresh_assign().encode()), FRESH);
         assert_eq!(hex(&resumed_assign().encode()), RESUMED);

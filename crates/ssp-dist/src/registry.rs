@@ -14,7 +14,7 @@
 //! layer below routes opaque `Vec<u8>` payloads, while each workload pins
 //! a concrete [`Process`] type and a bitwise-faithful encode/decode pair.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use fdtd::par::{init_a, plan_a, LocalA};
@@ -26,10 +26,9 @@ use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
-    launch_partial, ChannelId, EgressSink, Effect, FlightKind, FlightLog,
-    FlightRecorder, FlightSink, Gateway, GroupManifest, Handoff, LiveTelemetry, ManifestRank,
-    NoFlight, PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics,
-    Simulator, Topology,
+    launch_partial, ChannelId, Effect, EgressSink, FlightKind, FlightLog, FlightRecorder,
+    FlightSink, Gateway, GroupManifest, Handoff, LiveTelemetry, ManifestRank, NoFlight, PartialRun,
+    PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Seal, Simulator, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -40,6 +39,11 @@ fn bad_args(detail: String) -> RunError {
 /// the route that carried it ([`FlightKind::DataStar`], `DataDirect` or
 /// `DataShm`) out. Called by the sending rank's scheduler worker.
 pub type DataSink = Box<dyn FnMut(usize, Vec<u8>) -> Result<FlightKind, RunError> + Send>;
+
+/// Receives a running group's sealed cut as a [`GroupManifest`], every
+/// `checkpoint_every` of the group's cross-process sends
+/// ([`ssp_runtime::Seal`]).
+pub type SealHook = Box<dyn FnMut(GroupManifest) + Send>;
 
 /// Ingress half of a running group: feeds decoded remote messages in.
 /// Shared with the worker's socket-read loop.
@@ -79,11 +83,13 @@ pub trait Workload: Send + Sync {
     /// Launch a group hosting `ranks` on a local scheduler instance, from
     /// their initial states or, with `resume`, from a checkpoint manifest.
     /// Outbound cross-group messages go to `sink`; inbound ones arrive
-    /// through the returned [`GroupIngress`]. A manifest is validated in
-    /// full (it arrives over a socket): a rank set other than `ranks`,
-    /// channel vectors not shaped for the topology, channel ids out of
-    /// range, queues on non-internal channels and undecodable states or
-    /// messages all fail typed.
+    /// through the returned [`GroupIngress`]. With `seal = Some((k, hook))`
+    /// the group seals its cut into a manifest for `hook` every `k` of its
+    /// cross-process sends. A manifest is validated in full (it arrives
+    /// over a socket): a rank set other than `ranks`, channel vectors not
+    /// shaped for the topology, channel ids out of range, queues on
+    /// non-internal channels and undecodable states or messages all fail
+    /// typed.
     fn launch_group(
         &self,
         ranks: &[usize],
@@ -91,255 +97,56 @@ pub trait Workload: Send + Sync {
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
+        seal: Option<(u64, SealHook)>,
     ) -> Result<LaunchedGroup, RunError>;
     /// The single-process reference run: final snapshots under the
     /// deterministic simulator. The distributed result must match this
     /// bitwise (Theorem 1's standard).
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError>;
-    /// Build the supervisor's whole-program shadow executor with a cut
-    /// every `every` shadow steps (see [`ProgramShadow`]).
-    fn shadow(&self, every: u64) -> Box<dyn ProgramShadow>;
-}
-
-// ---------------------------------------------------------------------------
-// The supervisor's whole-program shadow.
-// ---------------------------------------------------------------------------
-
-/// The supervisor's untyped handle on a `ShadowExec`.
-///
-/// In checkpointed transport modes the supervisor re-executes the *entire*
-/// program from the registry, one deterministic step at a time, gated by
-/// the shadow credits workers send it: a copy of each cross-group message.
-/// Theorem 1 is what makes this a shadow
-/// rather than a guess: deterministic processes on SRSW channels produce
-/// the same per-channel message *sequences* under every maximal
-/// interleaving, so the shadow's trajectory is the real system's
-/// trajectory — and any periodic cut of the shadow is a consistent global
-/// state the supervisor can hand to a merged group as a resume manifest.
-/// Mismatched credit bytes therefore prove a determinism violation, which
-/// surfaces as a typed error instead of a silently-wrong resume.
-pub trait ProgramShadow: Send {
-    /// Mark `chan` as gated (cross-group: shadow sends must wait for and
-    /// byte-match a credit) or free-running (group-internal). Un-gating
-    /// drops any queued credits.
-    fn set_gated(&mut self, chan: usize, gated: bool);
-    /// Feed one shadow credit, a cross-group message's bytes (in
-    /// per-channel seq order).
-    fn on_credit(&mut self, chan: usize, bytes: &[u8]);
-    /// Run every rank until the next gated send without a credit (or
-    /// completion), taking a cut each `every` steps. Errors are
-    /// determinism violations or process faults.
-    fn advance(&mut self) -> Result<(), RunError>;
-    /// Shadow steps executed so far.
-    fn steps(&self) -> u64;
-    /// Step ordinal of the latest cut.
-    fn cut_steps(&self) -> u64;
-    /// Cuts taken so far (≥ 1: the initial state counts).
-    fn cuts_taken(&self) -> u64;
-    /// Deliveries consumed on `chan` at the latest cut — the supervisor's
-    /// send-log truncation frontier.
-    fn cut_consumed(&self, chan: usize) -> u64;
-    /// The latest cut's state for `ranks`, as the [`GroupManifest`] a
-    /// migration ASSIGN carries.
-    fn manifest(&self, ranks: &[usize]) -> GroupManifest;
-}
-
-/// The typed whole-program shadow executor behind [`ProgramShadow`].
-///
-/// The shadow *is* the [`Simulator`] — the deterministic ancestor the
-/// distributed run is compared against, stepped through the same
-/// `step_process_with` every other backend replays — plus the one thing
-/// that is the supervisor's own: gated channels are simulator *ports*,
-/// open while a credit is queued, and the message a gated send queues must
-/// byte-match that credit. Gating keeps the shadow at-or-behind the real
-/// execution on every cross-group channel, which is what makes the cut's
-/// in-flight window `[consumed, sent)` provably present in the writers'
-/// send logs (a worker logs a send before it credits it).
-struct ShadowExec<P: Process + Clone>
-where
-    P::Msg: Clone,
-{
-    sim: Simulator<P>,
-    gated: Vec<bool>,
-    /// Credits per gated channel: the messages' wire bytes, in seq order,
-    /// not yet consumed by a shadow send.
-    credits: Vec<VecDeque<Vec<u8>>>,
-    steps: u64,
-    cuts: u64,
-    every: u64,
-    /// The latest consistent cut (a clone of the simulator, exported) and
-    /// the shadow step it was taken at.
-    cut: PartialSeed<P>,
-    cut_steps: u64,
-    encode: fn(&P::Msg) -> Vec<u8>,
-    state: fn(&P) -> Vec<u8>,
-}
-
-impl<P: Process + Clone> ShadowExec<P>
-where
-    P::Msg: Clone,
-{
-    fn new(
-        topo: Topology,
-        procs: Vec<P>,
-        encode: fn(&P::Msg) -> Vec<u8>,
-        state: fn(&P) -> Vec<u8>,
-        every: u64,
-    ) -> ShadowExec<P> {
-        let n = topo.n_channels();
-        let sim = Simulator::new(topo, procs);
-        ShadowExec {
-            cut: sim.clone().into_seed(),
-            sim,
-            gated: vec![false; n],
-            credits: vec![VecDeque::new(); n],
-            steps: 0,
-            cuts: 1,
-            every: every.max(1),
-            cut_steps: 0,
-            encode,
-            state,
-        }
-    }
-
-    /// One simulator step of rank `p`; a send it completes on a gated
-    /// channel consumes and byte-verifies the head credit.
-    fn step(&mut self, p: usize) -> Result<(), RunError> {
-        // A step completes at most one send.
-        let mut sent_on = None;
-        self.sim.step_process_with(p, &mut |ev| {
-            if ev.kind == FlightKind::Send {
-                sent_on = Some(ev.chan as usize);
-            }
-        })?;
-        self.steps += 1;
-        if let Some(c) = sent_on.filter(|&c| self.gated[c]) {
-            let chan = ChannelId(c);
-            let credit = self.credits[c].pop_front().expect("send gated without credit");
-            let msg = self.sim.queue(chan).back().expect("a completed send is queued");
-            let enc = (self.encode)(msg);
-            if enc != credit {
-                return Err(RunError::Protocol {
-                    proc: p,
-                    detail: format!(
-                        "determinism violation on ch{c}: shadow send #{} encodes to {} bytes \
-                         that differ from the credited message ({} bytes)",
-                        self.sim.metrics().channels[c].messages - 1,
-                        enc.len(),
-                        credit.len()
-                    ),
-                });
-            }
-            self.sim.set_port(chan, Some(!self.credits[c].is_empty()));
-        }
-        if self.steps - self.cut_steps >= self.every {
-            self.cut = self.sim.clone().into_seed();
-            self.cut_steps = self.steps;
-            self.cuts += 1;
-        }
-        Ok(())
-    }
-}
-
-impl<P: Process + Clone + 'static> ProgramShadow for ShadowExec<P>
-where
-    P::Msg: Clone,
-{
-    fn set_gated(&mut self, chan: usize, gated: bool) {
-        self.gated[chan] = gated;
-        if !gated {
-            self.credits[chan].clear();
-        }
-        let port = gated.then(|| !self.credits[chan].is_empty());
-        self.sim.set_port(ChannelId(chan), port);
-    }
-
-    fn on_credit(&mut self, chan: usize, bytes: &[u8]) {
-        if self.gated[chan] {
-            self.credits[chan].push_back(bytes.to_vec());
-            self.sim.set_port(ChannelId(chan), Some(true));
-        }
-    }
-
-    fn advance(&mut self) -> Result<(), RunError> {
-        let n_ranks = self.cut.procs.len();
-        loop {
-            let mut progressed = false;
-            for p in 0..n_ranks {
-                while self.sim.is_runnable(p) {
-                    self.step(p)?;
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                return Ok(());
-            }
-        }
-    }
-
-    fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    fn cut_steps(&self) -> u64 {
-        self.cut_steps
-    }
-
-    fn cuts_taken(&self) -> u64 {
-        self.cuts
-    }
-
-    fn cut_consumed(&self, chan: usize) -> u64 {
-        self.cut.consumed[chan]
-    }
-
-    fn manifest(&self, ranks: &[usize]) -> GroupManifest {
-        let rset: BTreeSet<usize> = ranks.iter().copied().collect();
-        let cut = &self.cut;
-        // A whole-program cut lists every rank and every channel in id order.
-        let mranks = ranks
-            .iter()
-            .map(|&r| {
-                let (_, proc, status, metrics) = &cut.procs[r];
-                let status = match status {
-                    ProcState::Ready => ProcState::Ready,
-                    ProcState::BlockedRecv(c) => ProcState::BlockedRecv(*c),
-                    ProcState::BlockedSend(c, m) => ProcState::BlockedSend(*c, (self.encode)(m)),
-                    ProcState::Halted => ProcState::Halted,
-                };
-                let state = (self.state)(proc);
-                ManifestRank { rank: r as u32, status, state, metrics: *metrics }
-            })
-            .collect();
-        // Only channels *internal* to the resumed set travel as seeded
-        // queues; in-flight messages on inbound channels are replayed
-        // from the writers' send logs (gating guarantees they are there).
-        let chans = &self.sim.metrics().channels;
-        let queues = cut
-            .queues
-            .iter()
-            .filter(|(i, q)| {
-                let c = &chans[*i];
-                rset.contains(&c.writer) && rset.contains(&c.reader) && !q.is_empty()
-            })
-            .map(|(i, q)| (*i as u32, q.iter().map(|m| (self.encode)(m)).collect()))
-            .collect();
-        GroupManifest {
-            steps: self.cut_steps,
-            ranks: mranks,
-            queues,
-            consumed: cut.consumed.clone(),
-            counters: cut.counters.clone(),
-        }
-    }
 }
 
 /// A workload's typed codecs: its messages both ways, and a rank's evolving
-/// state read back against the rank's template.
+/// state both ways, read back against the rank's template.
 struct Codecs<P: Process> {
     encode: fn(&P::Msg) -> Vec<u8>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
+    encode_state: fn(&P) -> Vec<u8>,
     decode_state: fn(&P, &[u8]) -> Result<P, RunError>,
+}
+
+/// Seal a group's cut: each rank's encoded state and status (a blocked
+/// send's message encoded), its internal queues encoded, and the cut's
+/// channel counters. `steps` is the ranks' total.
+fn manifest_of<P: Process>(
+    seed: PartialSeed<P>,
+    encode: fn(&P::Msg) -> Vec<u8>,
+    encode_state: fn(&P) -> Vec<u8>,
+) -> GroupManifest {
+    let ranks: Vec<ManifestRank> = seed
+        .procs
+        .iter()
+        .map(|(rank, proc, status, metrics)| {
+            let status = match status {
+                ProcState::Ready => ProcState::Ready,
+                ProcState::BlockedRecv(c) => ProcState::BlockedRecv(*c),
+                ProcState::BlockedSend(c, m) => ProcState::BlockedSend(*c, encode(m)),
+                ProcState::Halted => ProcState::Halted,
+            };
+            let state = encode_state(proc);
+            ManifestRank { rank: *rank as u32, status, state, metrics: *metrics }
+        })
+        .collect();
+    GroupManifest {
+        steps: ranks.iter().map(|r| r.metrics.steps).sum(),
+        ranks,
+        queues: seed
+            .queues
+            .iter()
+            .map(|(c, q)| (*c as u32, q.iter().map(encode).collect()))
+            .collect(),
+        consumed: seed.consumed,
+        counters: seed.counters,
+    }
 }
 
 /// Build a [`PartialSeed`] for `templates`' ranks from a decoded manifest.
@@ -453,11 +260,13 @@ where
 
 /// The one launch behind [`Workload::launch_group`]: seed `templates`
 /// fresh, or from `resume` ([`seed_from_manifest`]), start a typed group
-/// whose cross-group sends call `sink` with the codec's encoding, and
-/// erase it ([`erase_run`]). The flight choice picks the
-/// scheduler monomorphization: `None` runs the zero-cost [`NoFlight`]
-/// build, `Some(cap)` the recording one — type-erased here so the
-/// distributed layer stays untyped.
+/// whose cross-group sends call `sink` with the codec's encoding and whose
+/// seals reach the hook as manifests ([`manifest_of`]), and erase it
+/// ([`erase_run`]). The flight choice picks the scheduler
+/// monomorphization: `None` runs the zero-cost [`NoFlight`] build,
+/// `Some(cap)` the recording one — type-erased here so the distributed
+/// layer stays untyped.
+#[allow(clippy::too_many_arguments)]
 fn launch_typed<P>(
     topo: &Topology,
     templates: Vec<(usize, P)>,
@@ -466,22 +275,27 @@ fn launch_typed<P>(
     flight: Option<usize>,
     codecs: &Codecs<P>,
     mut sink: DataSink,
+    seal: Option<(u64, SealHook)>,
 ) -> Result<LaunchedGroup, RunError>
 where
-    P: Process + 'static,
+    P: Process + Clone + 'static,
+    P::Msg: Clone,
 {
     let seed = match resume {
         None => PartialSeed::fresh(topo, templates),
         Some(m) => seed_from_manifest(topo, templates, m, codecs)?,
     };
-    let (encode, decode) = (codecs.encode, codecs.decode);
+    let (encode, decode, encode_state) = (codecs.encode, codecs.decode, codecs.encode_state);
     let egress: Option<EgressSink<P::Msg>> =
         Some(Box::new(move |chan, msg| sink(chan.0, encode(&msg))));
+    let seal = seal.map(|(every, mut hook)| -> Seal<P> {
+        (every, Box::new(move |seed| hook(manifest_of(seed, encode, encode_state))))
+    });
     Ok(match flight {
-        None => erase_run(launch_partial(topo, seed, workers, egress, |_| NoFlight), decode),
+        None => erase_run(launch_partial(topo, seed, workers, egress, seal, |_| NoFlight), decode),
         Some(cap) => {
-            let run = launch_partial(topo, seed, workers, egress, |w| FlightRecorder::new(w, cap));
-            erase_run(run, decode)
+            let recorder = |w| FlightRecorder::new(w, cap);
+            erase_run(launch_partial(topo, seed, workers, egress, seal, recorder), decode)
         }
     })
 }
@@ -641,8 +455,12 @@ fn decode_u64(b: &[u8]) -> Result<u64, RunError> {
     r.finish(token)
 }
 
-const RING_CODECS: Codecs<RingNode> =
-    Codecs { encode: encode_u64, decode: decode_u64, decode_state: ring_state_decode };
+const RING_CODECS: Codecs<RingNode> = Codecs {
+    encode: encode_u64,
+    decode: decode_u64,
+    encode_state: ring_state_encode,
+    decode_state: ring_state_decode,
+};
 
 impl Workload for RingWorkload {
     fn topology(&self) -> Topology {
@@ -656,25 +474,17 @@ impl Workload for RingWorkload {
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
+        seal: Option<(u64, SealHook)>,
     ) -> Result<LaunchedGroup, RunError> {
         let all = self.procs();
         let templates = ranks.iter().map(|&r| (r, all[r].clone())).collect();
-        launch_typed(&self.topology(), templates, resume, workers, flight, &RING_CODECS, sink)
+        let topo = self.topology();
+        launch_typed(&topo, templates, resume, workers, flight, &RING_CODECS, sink, seal)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
         let out = Simulator::new(self.topology(), self.procs()).run(&mut RoundRobin::new())?;
         Ok(out.snapshots)
-    }
-
-    fn shadow(&self, every: u64) -> Box<dyn ProgramShadow> {
-        Box::new(ShadowExec::new(
-            self.topology(),
-            self.procs(),
-            encode_u64,
-            ring_state_encode,
-            every,
-        ))
     }
 }
 
@@ -700,7 +510,7 @@ impl FdtdAWorkload {
         (topo, ranks.iter().copied().zip(procs).collect())
     }
 
-    /// Every rank, for the reference run and the supervisor's shadow.
+    /// Every rank, for the reference run.
     fn build(&self) -> (Topology, Vec<MsgProcess<LocalA>>) {
         let all: Vec<usize> = (0..self.pg.nprocs()).collect();
         let (topo, procs) = self.build_ranks(&all);
@@ -711,6 +521,7 @@ impl FdtdAWorkload {
 const FDTD_A_CODECS: Codecs<MsgProcess<LocalA>> = Codecs {
     encode: encode_mesh_msg,
     decode: decode_mesh_msg,
+    encode_state: MsgProcess::encode_state,
     decode_state: MsgProcess::decode_state,
 };
 
@@ -726,20 +537,16 @@ impl Workload for FdtdAWorkload {
         workers: Option<usize>,
         flight: Option<usize>,
         sink: DataSink,
+        seal: Option<(u64, SealHook)>,
     ) -> Result<LaunchedGroup, RunError> {
         let (topo, templates) = self.build_ranks(ranks);
-        launch_typed(&topo, templates, resume, workers, flight, &FDTD_A_CODECS, sink)
+        launch_typed(&topo, templates, resume, workers, flight, &FDTD_A_CODECS, sink, seal)
     }
 
     fn run_reference(&self) -> Result<Vec<Vec<u8>>, RunError> {
         let (topo, procs) = self.build();
         let out = Simulator::new(topo, procs).run(&mut RoundRobin::new())?;
         Ok(out.snapshots)
-    }
-
-    fn shadow(&self, every: u64) -> Box<dyn ProgramShadow> {
-        let (topo, procs) = self.build();
-        Box::new(ShadowExec::new(topo, procs, encode_mesh_msg, MsgProcess::encode_state, every))
     }
 }
 
@@ -902,7 +709,7 @@ pub fn fdtd_a_args(preset: &str, p: usize) -> JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::Assign;
+    use crate::proto::{Assign, Checkpoint};
     use crate::supervisor::TransportMode;
 
     #[test]
@@ -919,62 +726,6 @@ mod tests {
         }
     }
 
-    /// With every channel ungated the shadow is the simulator and nothing
-    /// else: same final snapshots, same step count under the same
-    /// rank-major order, a cut every `every` steps.
-    fn ungated_shadow_is_the_simulator<P>(
-        build: impl Fn() -> (Topology, Vec<P>),
-        encode: fn(&P::Msg) -> Vec<u8>,
-        state: fn(&P) -> Vec<u8>,
-        reference: Vec<Vec<u8>>,
-    ) where
-        P: Process + Clone + 'static,
-        P::Msg: Clone,
-    {
-        let (topo, procs) = build();
-        let n = procs.len();
-        let mut sim = Simulator::new(topo, procs);
-        let mut steps = 0u64;
-        while !sim.is_done() {
-            for p in 0..n {
-                while sim.is_runnable(p) {
-                    sim.step_process_with(p, &mut |_| {}).unwrap();
-                    steps += 1;
-                }
-            }
-        }
-        for every in [1, 7, 64] {
-            let (topo, procs) = build();
-            let mut sh = ShadowExec::new(topo, procs, encode, state, every);
-            sh.advance().unwrap();
-            assert!(sh.sim.is_done());
-            assert_eq!(sh.sim.snapshots_now(), reference, "every={every}");
-            assert_eq!(sh.steps(), steps, "every={every}");
-            assert_eq!(sh.cuts_taken(), 1 + steps / every, "every={every}");
-            assert_eq!(sh.cut_steps(), steps - steps % every, "every={every}");
-        }
-    }
-
-    #[test]
-    fn ungated_shadows_match_their_references_bitwise() {
-        let ring = RingWorkload { n: 5, laps: 6 };
-        ungated_shadow_is_the_simulator(
-            || (ring.topology(), ring.procs()),
-            encode_u64,
-            ring_state_encode,
-            ring.run_reference().unwrap(),
-        );
-        let params = Params::tiny();
-        let pg = ProcGrid3::choose(params.n, 4);
-        let fdtd = FdtdAWorkload { params: Arc::new(params), pg };
-        ungated_shadow_is_the_simulator(
-            || fdtd.build(),
-            encode_mesh_msg,
-            MsgProcess::encode_state,
-            fdtd.run_reference().unwrap(),
-        );
-    }
-
     /// `manifest` as a worker receives it: inside an ASSIGN, through its
     /// encoder and decoder.
     fn resumed_assign(spec: WorkloadSpec, ranks: &[usize], manifest: GroupManifest) -> Assign {
@@ -985,77 +736,28 @@ mod tests {
             flight: None,
             plane: TransportMode::Star,
             table: None,
-            resume: Some(manifest),
+            checkpoint: Some(4),
+            resume: Some(Checkpoint { manifest, logs: Vec::new() }),
         };
         Assign::decode(&assign.encode()).unwrap()
-    }
-
-    #[test]
-    fn ungated_shadow_cut_resumes_to_the_reference_result() {
-        // Run the shadow to a mid-run cut (cut every step so the final
-        // advance leaves a fresh one), manifest ALL ranks, seed a single
-        // threaded group from it, and demand the reference snapshots.
-        let spec = WorkloadSpec::Ring { n: 3, laps: 4 };
-        let w = spec.build();
-        let mut sh = w.shadow(1);
-        sh.advance().unwrap();
-        assert!(sh.steps() > 0);
-        assert_eq!(sh.cut_steps(), sh.steps());
-        assert!(sh.cuts_taken() > 1);
-        let a = resumed_assign(spec, &[0, 1, 2], sh.manifest(&[0, 1, 2]));
-        // Whole program halted in the shadow; resume should agree.
-        let (_, join) = w
-            .launch_group(
-                &a.ranks,
-                a.resume.as_ref(),
-                Some(2),
-                None,
-                Box::new(|c, _| panic!("no cross-group sends expected on ch{c}")),
-            )
-            .unwrap();
-        let (mut snaps, _, _) = join().unwrap();
-        snaps.sort_by_key(|&(r, _)| r);
-        let reference = w.run_reference().unwrap();
-        for (r, bytes) in snaps {
-            assert_eq!(bytes, reference[r], "rank {r} diverged after resume");
-        }
-    }
-
-    #[test]
-    fn gated_shadow_waits_for_credits_and_detects_mirror_mismatch() {
-        let w = build_workload("ring", &ring_args(2, 2)).unwrap();
-        // Gate channel 0 (rank 0 → rank 1): the shadow may not complete
-        // a send on it until the matching credit arrives.
-        let mut sh = w.shadow(8);
-        sh.set_gated(0, true);
-        sh.advance().unwrap();
-        let stalled = sh.steps();
-        sh.advance().unwrap();
-        assert_eq!(sh.steps(), stalled, "shadow advanced past a gated send without credit");
-        // Correct credits (lap tokens 1000 then 2000) unblock it...
-        sh.on_credit(0, &1000u64.to_le_bytes());
-        sh.advance().unwrap();
-        assert!(sh.steps() > stalled);
-        // ...and a corrupted credit is a determinism violation, typed.
-        sh.on_credit(0, &9999u64.to_le_bytes());
-        let r = sh.advance();
-        assert!(
-            matches!(r, Err(RunError::Protocol { ref detail, .. }) if detail.contains("determinism")),
-            "got {r:?}"
-        );
     }
 
     #[test]
     fn seeded_launch_rejects_malformed_manifests_typed() {
         let spec = WorkloadSpec::Ring { n: 3, laps: 2 };
         let w = spec.build();
-        let mut sh = w.shadow(1);
-        sh.advance().unwrap();
-        let good = sh.manifest(&[0, 1]);
+        let ring = RingWorkload { n: 3, laps: 2 };
+        let ranks01 = ring.procs().into_iter().take(2).enumerate().collect();
+        let good = manifest_of(
+            PartialSeed::fresh(&ring.topology(), ranks01),
+            encode_u64,
+            ring_state_encode,
+        );
         let rejects = |ranks: &[usize], m: GroupManifest| {
             let a = resumed_assign(spec, ranks, m);
             let sink = Box::new(|_, _| Ok(FlightKind::DataStar)) as DataSink;
-            let r = w.launch_group(&a.ranks, a.resume.as_ref(), None, None, sink);
+            let resume = a.resume.as_ref().map(|c| &c.manifest);
+            let r = w.launch_group(&a.ranks, resume, None, None, sink, None);
             matches!(r, Err(RunError::Protocol { .. }))
         };
         // Rank set mismatch.

@@ -59,8 +59,7 @@
 //! `bytes`, to a closure at every step, untimed. Every simulated run goes
 //! through one pick loop and is recorded once, as its picks; the `perf-sim`
 //! discrete-event engine consumes its events, pricing the run as it goes.
-//! External steppers (exhaustive enumeration, the distributed supervisor's
-//! shadow) drive the same simulator through
+//! Exhaustive enumeration drives the same simulator through
 //! [`sim::Simulator::step_process_with`] instead of re-implementing it.
 //!
 //! Channels are declared up front in a [`chan::Topology`], which statically
@@ -114,12 +113,12 @@ pub use pool::BufPool;
 pub use proc::{Effect, ProcId, Process};
 pub use spsc::{OverwriteRing, ParkSlot, SpscRing};
 pub use recover::{
-    fnv1a_64, run_recovering, GroupManifest, ManifestRank, RecoveryConfig, RecoveryOutcome,
-    RecoveryStats,
+    fnv1a_64, fnv1a_64_words, run_recovering, GroupManifest, ManifestRank, RecoveryConfig,
+    RecoveryOutcome, RecoveryStats,
 };
 pub use sched::{
     launch_partial, EgressSink, Gateway, Handoff, LiveTelemetry, PartialOutcome, PartialRun,
-    PartialSeed,
+    PartialSeed, Seal,
 };
 pub use sim::{run_simulated, ProcState, RunOutcome, Simulator};
 pub use threaded::{run_threaded_with, ThreadedConfig, ThreadedOutcome};

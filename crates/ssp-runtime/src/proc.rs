@@ -149,9 +149,10 @@ pub fn push_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
 /// Extend a buffer with every element of an `f64` slice and no length (the
 /// caller writes the count); the inverse of [`Reader::f64s`].
 pub fn push_f64s(buf: &mut Vec<u8>, xs: &[f64]) {
-    buf.reserve(8 * xs.len());
-    for &x in xs {
-        push_f64(buf, x);
+    let start = buf.len();
+    buf.resize(start + 8 * xs.len(), 0);
+    for (bytes, x) in buf[start..].chunks_exact_mut(8).zip(xs) {
+        bytes.copy_from_slice(&x.to_le_bytes());
     }
 }
 

@@ -61,11 +61,19 @@
 //! it as a [`Handoff`], whose runner takes the seat and runs it and the
 //! ranks it wakes from the seat's deque (which the pool may steal from). It
 //! stands in for an idle worker, so its wakes rouse at most `k − 1` more.
+//!
+//! A partial run launched with a [`Seal`] copies its own cut while it runs:
+//! the send that completes each `every`-th cross-process send pauses the
+//! pool, every worker and the seat stop at their next step boundary
+//! (finishing at most the action they are in), and the sealer thread
+//! copies the slots, queues and counters into a [`PartialSeed`]. A rank
+//! whose input is always ready never idles, so the pause is taken, not
+//! waited for.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -185,6 +193,9 @@ struct Chan<M> {
     messages: AtomicU64,
     bytes: AtomicU64,
     max_depth: AtomicUsize,
+    /// Deliveries taken on an `Ingress` channel, the seed's included (its
+    /// writer's counters live in another process).
+    consumed: AtomicU64,
 }
 
 impl<M> Chan<M> {
@@ -254,6 +265,8 @@ struct Shared<P: Process, F: FlightSink> {
     /// Where the watchdog sleeps between polls; `finish` force-wakes it so
     /// run teardown never waits out a poll interval.
     watchdog_park: ParkSlot,
+    /// A partial run's seal ([`Seal`]): its cadence and its pause.
+    seal: Option<Pause>,
     /// Flight-recorder sink. [`NoFlight`] (zero-sized, all methods empty)
     /// when recording is disabled; [`FlightRecorder`] lanes are indexed
     /// `0..pool` for workers, then `helper` (the seat), `control` (the
@@ -262,7 +275,59 @@ struct Shared<P: Process, F: FlightSink> {
     flight: F,
 }
 
+/// A seal's pause: requested at every `every`-th of `sends`, pool workers
+/// wait at the barrier (counted in `waiting`) while it lasts, and `cv` is
+/// signalled on a request, an arrival, the seat's release and either end.
+struct Pause {
+    every: u64,
+    sends: AtomicU64,
+    requested: AtomicBool,
+    waiting: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl Pause {
+    fn notify(&self) {
+        drop(lock(&self.waiting));
+        self.cv.notify_all();
+    }
+}
+
+/// A partial run's checkpoint cadence and hook ([`launch_partial`]): every
+/// `.0` of the run's cross-process sends, its pool pauses while the run's
+/// sealer thread copies the cut, then the hook gets the copy there as the
+/// run goes on. The last call returns before the run's join does.
+pub type Seal<P> = (u64, Box<dyn FnMut(PartialSeed<P>) + Send>);
+
 impl<P: Process, F: FlightSink> Shared<P, F> {
+    /// Whether a seal's pause is requested: workers stop at their next step
+    /// boundary.
+    fn pausing(&self) -> bool {
+        self.seal.as_ref().is_some_and(|p| p.requested.load(Ordering::SeqCst))
+    }
+
+    /// Count one cross-process send; at every `every`-th, request the pause
+    /// and rouse the sealer and any parked worker.
+    fn count_egress(&self) {
+        let Some(p) = &self.seal else { return };
+        let n = p.sends.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(p.every) && !p.requested.swap(true, Ordering::SeqCst) {
+            p.notify();
+            self.workers[..self.pool].iter().for_each(|w| w.park.force_wake());
+        }
+    }
+
+    /// A pool worker's wait at the barrier, until the pause or the run ends.
+    fn wait_out_pause(&self, p: &Pause) {
+        let mut waiting = lock(&p.waiting);
+        *waiting += 1;
+        p.cv.notify_all();
+        while p.requested.load(Ordering::SeqCst) && !self.done.load(Ordering::SeqCst) {
+            waiting = p.cv.wait(waiting).unwrap_or_else(|e| e.into_inner());
+        }
+        *waiting -= 1;
+    }
+
     /// The flight lane owned by the watchdog/control side.
     fn control_lane(&self) -> usize {
         self.pool + 1
@@ -291,6 +356,7 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
             w.park.force_wake();
         }
         self.watchdog_park.force_wake();
+        self.seal.iter().for_each(Pause::notify);
     }
 
     /// Put a runnable rank on a queue: the waking worker's own deque when
@@ -433,6 +499,7 @@ fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> Vec<Chan<M>> {
                 messages: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
                 max_depth: AtomicUsize::new(0),
+                consumed: AtomicU64::new(0),
             }
         })
         .collect()
@@ -450,6 +517,7 @@ fn build_shared<P: Process, F: FlightSink>(
     finished: usize,
     n_workers: usize,
     seat: bool,
+    seal_every: Option<u64>,
     flight: F,
 ) -> Arc<Shared<P, F>> {
     let n = slots.len();
@@ -477,6 +545,13 @@ fn build_shared<P: Process, F: FlightSink>(
         task_parks: AtomicU64::new(0),
         verdict: Mutex::new(None),
         watchdog_park: ParkSlot::new(),
+        seal: seal_every.map(|every| Pause {
+            every,
+            sends: AtomicU64::new(0),
+            requested: AtomicBool::new(false),
+            waiting: Mutex::new(0),
+            cv: Condvar::new(),
+        }),
         flight,
     })
 }
@@ -598,10 +673,10 @@ where
     let n_workers = resolve_workers(config.workers, seed.procs.len());
     let watchdog = Some(config.watchdog);
     match config.flight {
-        None => launch(topo, seed, n_workers, watchdog, false, None, NoFlight).harvest(),
+        None => launch(topo, seed, n_workers, watchdog, false, None, None, NoFlight).harvest(),
         Some(cap) => {
             let flight = FlightRecorder::new(n_workers, cap);
-            launch(topo, seed, n_workers, watchdog, false, None, flight).harvest()
+            launch(topo, seed, n_workers, watchdog, false, None, None, flight).harvest()
         }
     }
     .map(Harvest::into_outcome)
@@ -730,6 +805,9 @@ impl<P: Process> PartialSeed<P> {
 /// [`Handoff`]'s runner (lane `helper`) calls `egress` too: its sends must
 /// not wait on a peer that waits to be read.
 ///
+/// With a [`Seal`], the run exports its own cut every so many cross-process
+/// sends, pausing only its own pool (module docs).
+///
 /// No watchdog runs: a partial instance blocked on a remote peer is locally
 /// indistinguishable from deadlock — every hosted rank parked, nothing
 /// queued, no progress is exactly what waiting on a slow peer looks like,
@@ -740,22 +818,32 @@ pub fn launch_partial<P, F>(
     seed: PartialSeed<P>,
     workers: Option<usize>,
     egress: Option<EgressSink<P::Msg>>,
+    seal: Option<Seal<P>>,
     flight: impl FnOnce(usize) -> F,
 ) -> PartialRun<P, F>
 where
-    P: Process + 'static,
+    P: Process + Clone + 'static,
+    P::Msg: Clone,
     F: FlightSink,
 {
     let n_workers = resolve_workers(workers, seed.procs.len());
-    launch(topo, seed, n_workers, None, true, egress, flight(n_workers))
+    let every = seal.as_ref().map(|s| s.0.max(1));
+    let mut run = launch(topo, seed, n_workers, None, true, egress, every, flight(n_workers));
+    if let Some((_, hook)) = seal {
+        let shared = Arc::clone(&run.shared);
+        run.handles.push(std::thread::spawn(move || seal_loop(&shared, hook)));
+    }
+    run
 }
 
 /// The one launcher: seed tasks, rings and counters from `seed`'s cut, then
 /// start `n_workers` workers (and the watchdog, if a window is given) on
-/// the remainder, with a seat if `seat`. The prefix's metrics are carried
-/// forward, so process-local step ordinals and traffic counters continue
-/// rather than restart — and by Theorem 1 the final snapshots are the same
-/// as if the whole run had happened on one backend.
+/// the remainder, with a seat if `seat` and a pause at every `seal_every`-th
+/// cross-process send if given. The prefix's metrics are carried forward,
+/// so process-local step ordinals and traffic counters continue rather than
+/// restart — and by Theorem 1 the final snapshots are the same as if the
+/// whole run had happened on one backend.
+#[allow(clippy::too_many_arguments)]
 fn launch<P, F>(
     topo: &Topology,
     seed: PartialSeed<P>,
@@ -763,6 +851,7 @@ fn launch<P, F>(
     watchdog: Option<Duration>,
     seat: bool,
     egress: Option<EgressSink<P::Msg>>,
+    seal_every: Option<u64>,
     flight: F,
 ) -> PartialRun<P, F>
 where
@@ -798,6 +887,7 @@ where
             c.bytes.store(b, Ordering::Relaxed);
             c.max_depth.store(d as usize, Ordering::Relaxed);
         }
+        c.consumed.store(consumed[i], Ordering::Relaxed);
     }
     for (i, q) in queues {
         assert!(
@@ -841,8 +931,9 @@ where
         slots[rank] = Some(task);
     }
 
-    let shared =
-        build_shared(topo, slots, chans, egress, target, finished, n_workers, seat, flight);
+    let shared = build_shared(
+        topo, slots, chans, egress, target, finished, n_workers, seat, seal_every, flight,
+    );
     if prefix_steps > 0 {
         // A resumed cut. No worker thread exists yet, so the control lane
         // is safely ours for this single lifecycle mark (spawn establishes
@@ -858,6 +949,81 @@ where
     }
     let (handles, watchdog) = spawn_pool(&shared, n_workers, watchdog);
     PartialRun { shared, hosted, n_workers, handles, watchdog }
+}
+
+/// The sealer thread of a run launched with a [`Seal`]: once a pause is
+/// requested and every pool worker waits at the barrier with the seat free
+/// (no handoff is made meanwhile: that needs the pool idle), copy the cut,
+/// lift the pause and run the hook; until the run is over. A pause
+/// requested while the hook runs waits for it.
+fn seal_loop<P, F>(shared: &Shared<P, F>, mut hook: Box<dyn FnMut(PartialSeed<P>) + Send>)
+where
+    P: Process + Clone,
+    P::Msg: Clone,
+    F: FlightSink,
+{
+    let p = shared.seal.as_ref().expect("a sealed run has a pause");
+    loop {
+        let mut waiting = lock(&p.waiting);
+        while !(p.requested.load(Ordering::SeqCst)
+            && *waiting == shared.pool
+            && !shared.seat_taken.load(Ordering::SeqCst))
+        {
+            if shared.done.load(Ordering::SeqCst) {
+                return;
+            }
+            waiting = p.cv.wait(waiting).unwrap_or_else(|e| e.into_inner());
+        }
+        drop(waiting);
+        let seed = export(shared);
+        p.requested.store(false, Ordering::SeqCst);
+        p.notify();
+        hook(seed);
+    }
+}
+
+/// Copy a paused run's cut: every hosted task from its slot (none is out,
+/// none holds a delivery), each internal queue (popped and pushed back:
+/// both of its ends are paused), and the counters.
+fn export<P, F>(shared: &Shared<P, F>) -> PartialSeed<P>
+where
+    P: Process + Clone,
+    P::Msg: Clone,
+    F: FlightSink,
+{
+    let mut procs = Vec::new();
+    for (rank, slot) in shared.slots.iter().enumerate() {
+        let Some(task) = &*lock(slot) else { continue };
+        let status = match &task.pending {
+            _ if task.result.is_some() => ProcState::Halted,
+            None => ProcState::Ready,
+            Some(Pending::Recv { chan }) => ProcState::BlockedRecv(*chan),
+            Some(Pending::Send { chan, msg, .. }) => ProcState::BlockedSend(*chan, msg.clone()),
+        };
+        procs.push((rank, task.proc.clone(), status, task.pm));
+    }
+    let (mut queues, mut consumed, mut counters) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, c) in shared.chans.iter().enumerate() {
+        let (m, b, d) = (&c.messages, &c.bytes, c.max_depth.load(Ordering::Relaxed) as u64);
+        let writes = matches!(c.kind, ChanKind::Direct | ChanKind::Egress);
+        let (m, b) =
+            if writes { (m.load(Ordering::Relaxed), b.load(Ordering::Relaxed)) } else { (0, 0) };
+        counters.push((m, b, if writes { d } else { 0 }));
+        consumed.push(match c.kind {
+            ChanKind::Direct => {
+                let q: Vec<P::Msg> = std::iter::from_fn(|| c.ring.try_pop()).collect();
+                q.iter().for_each(|x| assert!(c.ring.try_push(x.clone()).is_ok()));
+                let taken = m - q.len() as u64;
+                if !q.is_empty() {
+                    queues.push((i, q));
+                }
+                taken
+            }
+            ChanKind::Ingress => c.consumed.load(Ordering::Relaxed),
+            ChanKind::Egress | ChanKind::Absent => 0,
+        });
+    }
+    PartialSeed { procs, queues, consumed, counters }
 }
 
 /// Transport-side handle to a partial run: where the messages that arrive
@@ -1021,13 +1187,21 @@ trait Seat: Send + Sync {
 
 impl<P: Process, F: FlightSink> Seat for Shared<P, F> {
     fn leave(&self, rank: ProcId, run: bool) {
+        // Under a seal's pause the seat takes nothing new: a rank it paused
+        // waits in its deque, which the pool steals from afterwards.
+        let run = run && !self.pausing();
         let mut next = Some(rank).filter(|_| run);
         // Nothing runs once the run is done: `harvest` drains the lanes.
         while let Some(r) = next.filter(|_| !self.done.load(Ordering::SeqCst)) {
             run_task(self, self.pool, r);
-            next = lock(&self.workers[self.pool].deque).pop_front();
+            next = if self.pausing() {
+                None
+            } else {
+                lock(&self.workers[self.pool].deque).pop_front()
+            };
         }
         self.seat_taken.store(false, Ordering::SeqCst);
+        self.seal.iter().for_each(Pause::notify);
         if !run {
             self.enqueue(rank, None);
         }
@@ -1039,6 +1213,10 @@ fn worker_loop<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) {
     loop {
         if shared.done.load(Ordering::SeqCst) {
             return;
+        }
+        if let Some(p) = shared.seal.as_ref().filter(|_| shared.pausing()) {
+            shared.wait_out_pause(p);
+            continue;
         }
         match find_task(shared, me) {
             Some(rank) => run_task(shared, me, rank),
@@ -1076,7 +1254,11 @@ fn idle<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) {
     shared.idle_workers.fetch_add(1, Ordering::SeqCst);
     let park = &shared.workers[me].park;
     park.prepare_park();
-    if shared.done.load(Ordering::SeqCst) || shared.queued_tasks() > 0 || shared.rescue(me) > 0 {
+    if shared.done.load(Ordering::SeqCst)
+        || shared.pausing()
+        || shared.queued_tasks() > 0
+        || shared.rescue(me) > 0
+    {
         park.cancel_park();
     } else {
         park.park(WAIT_SLICE);
@@ -1100,6 +1282,13 @@ fn run_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize, rank: P
             *lock(&shared.slots[rank]) = Some(task);
             return;
         }
+        // A seal's pause stops the rank at a step boundary where it holds
+        // no delivery, so its state is one `ProcState` names.
+        if task.delivery.is_none() && shared.pausing() {
+            *lock(&shared.slots[rank]) = Some(task);
+            shared.enqueue(rank, Some(me));
+            return;
+        }
         // A pending operation is retried without re-stepping the process:
         // the rank's action sequence (and so its step count) is identical
         // to the thread-per-rank runner's.
@@ -1114,10 +1303,11 @@ fn run_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize, rank: P
             After::Run(t) => task = t,
             After::Release => return,
         }
-        budget -= 1;
-        if budget == 0 {
+        budget = budget.saturating_sub(1);
+        if budget == 0 && task.delivery.is_none() {
             // Yield: requeue at the back of our own deque so queued peers
-            // get the worker (fair interleaving under oversubscription).
+            // get the worker (fair interleaving under oversubscription),
+            // never between a delivery and the resume that takes it.
             shared.yields.fetch_add(1, Ordering::Relaxed);
             shared.flight.record(me, FlightKind::Yield, rank, 0, 0);
             *lock(&shared.slots[rank]) = Some(task);
@@ -1208,6 +1398,9 @@ fn attempt_recv<P: Process, F: FlightSink>(
     loop {
         if let Some(m) = c.ring.try_pop() {
             task.pm.receives += 1;
+            if c.kind == ChanKind::Ingress {
+                c.consumed.fetch_add(1, Ordering::Relaxed);
+            }
             // `F::ENABLED` gates the byte sizing out of the no-op build.
             let bytes = if F::ENABLED { P::msg_size_bytes(&m) } else { 0 };
             shared.flight.record(me, FlightKind::Recv, rank, chan.0, bytes);
@@ -1288,6 +1481,7 @@ fn attempt_send<P: Process, F: FlightSink>(
                 shared.flight.record(me, FlightKind::Send, rank, chan.0, bytes);
                 shared.flight.record(me, route, rank, chan.0, bytes);
                 shared.progress.fetch_add(1, Ordering::Relaxed);
+                shared.count_egress();
                 After::Run(task)
             }
             Err(e) => {
@@ -1454,6 +1648,7 @@ mod tests {
     /// One side of a 2-rank exchange: `rounds` times, send the round's
     /// number on `out`, then receive on `inp`; the snapshot is the sum of
     /// what arrived.
+    #[derive(Clone)]
     struct Exchange {
         out: ChannelId,
         inp: ChannelId,
@@ -1498,6 +1693,110 @@ mod tests {
         (topo, seed, out, inp)
     }
 
+    /// A ring of `n` [`Exchange`] ranks over slack-1 channels: rank `i`
+    /// sends on `i → i+1` and receives on `i−1 → i`. The partial run hosts
+    /// ranks `0..n−1`; rank `n−1` is played by [`drive_ring`].
+    fn ring(n: usize, rounds: u64) -> (Topology, Vec<Exchange>) {
+        let mut topo = Topology::new(n);
+        let chans: Vec<ChannelId> = (0..n)
+            .map(|i| topo.add(crate::chan::ChannelSpec::bounded(i, (i + 1) % n, 1)))
+            .collect();
+        let procs = (0..n)
+            .map(|i| Exchange {
+                out: chans[i],
+                inp: chans[(i + n - 1) % n],
+                rounds,
+                sent: 0,
+                received: 0,
+                acc: 0,
+            })
+            .collect();
+        (topo, procs)
+    }
+
+    /// Run `seed` (a cut of ranks `0..n−1` of [`ring`]) to its end, playing
+    /// rank `n−1`: it sends round `r` once it has received round `r − 1`,
+    /// so a resumed drive first re-sends the rounds the seed's rank 0 has
+    /// not consumed. Handoffs run on this thread, in the seat.
+    fn drive_ring(
+        topo: &Topology,
+        seed: PartialSeed<Exchange>,
+        rounds: u64,
+        seal: Option<Seal<Exchange>>,
+    ) -> Vec<(ProcId, Vec<u8>)> {
+        let n = topo.n_procs();
+        let (egress, ingress) = (ChannelId(n - 2), ChannelId(n - 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let sink: EgressSink<u64> = Box::new(move |_, msg| {
+            tx.send(msg).unwrap();
+            Ok(FlightKind::DataDirect)
+        });
+        let (mut pushed, carried) = (seed.consumed[ingress.0], seed.counters[egress.0].0);
+        let run = launch_partial(topo, seed, None, Some(sink), seal, |_| NoFlight);
+        let gateway = run.gateway();
+        let mut push_to = |upto: u64| {
+            while pushed < upto.min(rounds) {
+                pushed += 1;
+                if let Some(h) =
+                    gateway.push_inbound(ingress, pushed, FlightKind::DataStar).unwrap()
+                {
+                    h.run();
+                }
+            }
+        };
+        push_to(carried + 1);
+        for round in carried + 1..=rounds {
+            let got = rx.recv_timeout(Duration::from_secs(5)).expect("rank n−2 stopped sending");
+            assert_eq!(got, round);
+            push_to(round + 1);
+        }
+        run.join().unwrap().snapshots
+    }
+
+    #[test]
+    fn a_sealed_cut_resumes_to_the_uninterrupted_result_bitwise() {
+        // Seal every K-th cross-process send, K = 1 (every step boundary
+        // the egress rank reaches), 2, 3 and 7, while the run goes on; the
+        // sealed run and a relaunch from every cut it exported must each
+        // end where the uninterrupted simulation does. CI runs this on a
+        // 2-worker pool, so some seals land while a steal is in progress.
+        const N: usize = 5;
+        const ROUNDS: u64 = 40;
+        let (topo, procs) = ring(N, ROUNDS);
+        let reference = crate::run_simulated(
+            topo.clone(),
+            procs.clone(),
+            &mut crate::policy::RoundRobin::new(),
+        )
+        .unwrap()
+        .snapshots;
+        let want: Vec<(ProcId, Vec<u8>)> = reference[..N - 1].iter().cloned().enumerate().collect();
+        let hosted = || procs[..N - 1].iter().cloned().enumerate().collect::<Vec<_>>();
+        for every in [1, 2, 3, 7] {
+            let cuts = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&cuts);
+            let seal: Seal<Exchange> = (every, Box::new(move |seed| lock(&sink).push(seed)));
+            let seed = PartialSeed::fresh(&topo, hosted());
+            assert_eq!(drive_ring(&topo, seed, ROUNDS, Some(seal)), want, "sealed every {every}");
+            let cuts = std::mem::take(&mut *lock(&cuts));
+            assert!(
+                cuts.len() as u64 >= (ROUNDS - 1) / every,
+                "every {every}: {} cuts",
+                cuts.len()
+            );
+            let mut sent_before = 0;
+            for (i, cut) in cuts.into_iter().enumerate() {
+                // A cut is taken at the `every`-th send or at most one send
+                // per other pool thread after it, and the cuts move forward.
+                let sent = cut.counters[N - 2].0;
+                assert!(sent >= every * (i as u64 + 1) && sent > sent_before, "every {every}");
+                sent_before = sent;
+                assert_eq!(cut.procs.len(), N - 1);
+                assert_eq!(drive_ring(&topo, cut, ROUNDS, None), want, "every {every}, cut {i}");
+            }
+        }
+    }
+
     #[test]
     fn every_egress_send_reaches_the_sink_once_in_order_before_join() {
         const ROUNDS: u64 = 16;
@@ -1508,7 +1807,7 @@ mod tests {
             Ok(FlightKind::DataDirect)
         });
         let recorder = |w| FlightRecorder::new(w, 1024);
-        let run = launch_partial(&topo, seed, Some(2), Some(sink), recorder);
+        let run = launch_partial(&topo, seed, Some(2), Some(sink), None, recorder);
         // The test is rank 1: it answers each message the sink carried, so
         // rank 0 only gets on once its send has reached the sink.
         let gateway = run.gateway();
@@ -1657,7 +1956,7 @@ mod tests {
             });
             let hosted = procs.iter().cloned().enumerate().skip(2 * g).take(2).collect();
             let seed = PartialSeed::fresh(&topo, hosted);
-            runs.push(launch_partial(&topo, seed, Some(workers), Some(sink), flight));
+            runs.push(launch_partial(&topo, seed, Some(workers), Some(sink), None, flight));
         }
         let routers = [Arc::new(Mutex::new(())), Arc::new(Mutex::new(()))];
         let gates: Vec<_> = feeds
@@ -1768,7 +2067,7 @@ mod tests {
                     Ok(FlightKind::DataStar)
                 }
             });
-            let run = launch_partial(&topo, seed, Some(2), Some(sink), |_| NoFlight);
+            let run = launch_partial(&topo, seed, Some(2), Some(sink), None, |_| NoFlight);
             // Answers for the k - 1 sends that succeed and no more: unless
             // the k-th send aborts the run, rank 0 waits forever.
             let gateway = run.gateway();
@@ -1789,7 +2088,7 @@ mod tests {
     #[should_panic(expected = "needs an egress sink")]
     fn a_launch_with_egress_channels_and_no_sink_is_refused() {
         let (topo, seed, _, _) = exchange(1);
-        launch_partial(&topo, seed, None, None, |_| NoFlight);
+        launch_partial(&topo, seed, None, None, None, |_| NoFlight);
     }
 
     #[test]
@@ -1840,8 +2139,7 @@ mod tests {
             result: None,
         };
         let slots = vec![Some(task), None];
-        let shared =
-            build_shared(&topo, slots, chans, None, 1, 0, 1, false, NoFlight);
+        let shared = build_shared(&topo, slots, chans, None, 1, 0, 1, false, None, NoFlight);
         let task = shared.reclaim(0);
         assert!(matches!(task.pending, Some(Pending::Send { msg: 7, .. })));
         assert!(task.parked_since.is_none());
@@ -1851,33 +2149,19 @@ mod tests {
     fn wake_protocol_is_exactly_once() {
         // Two wakes of a parked rank enqueue it exactly once; the second
         // leaves at most a NOTIFIED token.
-        let shared: Shared<Nop, NoFlight> = Shared {
-            topo: Topology::new(1),
-            chans: Vec::new(),
-            slots: vec![Mutex::new(None)],
-            states: vec![AtomicU8::new(PARKED)],
-            waits: Mutex::new(vec![None]),
-            workers: vec![WorkerState {
-                deque: Mutex::new(VecDeque::new()),
-                park: ParkSlot::new(),
-            }],
-            pool: 1,
-            seat_taken: AtomicBool::new(false),
-            injector: Mutex::new(VecDeque::new()),
-            target: 1,
-            egress: Mutex::new(None),
-            poisoned: AtomicBool::new(false),
-            done: AtomicBool::new(false),
-            progress: AtomicU64::new(0),
-            finished: AtomicUsize::new(0),
-            idle_workers: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            yields: AtomicU64::new(0),
-            task_parks: AtomicU64::new(0),
-            verdict: Mutex::new(None),
-            watchdog_park: ParkSlot::new(),
-            flight: NoFlight,
-        };
+        let shared: Arc<Shared<Nop, NoFlight>> = build_shared(
+            &Topology::new(1),
+            vec![None],
+            Vec::new(),
+            None,
+            1,
+            0,
+            1,
+            false,
+            None,
+            NoFlight,
+        );
+        shared.states[0].store(PARKED, Ordering::SeqCst);
         assert!(shared.wake_task(0, None, 0));
         assert!(!shared.wake_task(0, None, 0));
         assert_eq!(shared.queued_tasks(), 1);

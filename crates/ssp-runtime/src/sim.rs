@@ -78,7 +78,7 @@ pub enum ProcState<M> {
     /// Runnable iff the queue is non-empty.
     BlockedRecv(ChannelId),
     /// A send is pending on a channel that would not admit it (a full
-    /// bounded channel, or a closed port); holds the undelivered message.
+    /// bounded channel); holds the undelivered message.
     BlockedSend(ChannelId, M),
     /// The process has halted.
     Halted,
@@ -91,8 +91,6 @@ pub struct Simulator<P: Process> {
     procs: Vec<P>,
     status: Vec<ProcState<P::Msg>>,
     queues: Vec<VecDeque<P::Msg>>,
-    /// Per channel: `Some(open)` marks a port (see [`Simulator::set_port`]).
-    ports: Vec<Option<bool>>,
     metrics: RunMetrics,
     /// Messages in flight across all channels, and its high-water mark.
     queued: usize,
@@ -137,7 +135,6 @@ impl<P: Process> Simulator<P> {
             procs,
             status: (0..n_procs).map(|_| ProcState::Ready).collect(),
             queues: (0..n_chans).map(|_| VecDeque::new()).collect(),
-            ports: vec![None; n_chans],
             metrics,
             queued: 0,
             max_queued: 0,
@@ -151,30 +148,9 @@ impl<P: Process> Simulator<P> {
         self
     }
 
-    /// Mark `chan` as a *port* — a channel whose far end lives outside this
-    /// simulator — or back as an ordinary channel. `None` is the spec's
-    /// capacity rule; `Some(open)` lets a send complete iff `open` and
-    /// ignores capacity, because flow control across a process boundary
-    /// belongs to the transport (the rule `sched` applies to egress
-    /// channels).
-    /// This is API for external steppers that admit sends themselves (the
-    /// distributed supervisor's shadow), not a user setting.
-    pub fn set_port(&mut self, chan: ChannelId, port: Option<bool>) {
-        self.ports[chan.0] = port;
-    }
-
-    /// The messages in flight on `chan`, front (next delivered) to back
-    /// (last sent).
-    pub fn queue(&self, chan: ChannelId) -> &VecDeque<P::Msg> {
-        &self.queues[chan.0]
-    }
-
     /// Would a send on `chan` complete now?
     fn admits_send(&self, chan: ChannelId) -> bool {
-        match self.ports[chan.0] {
-            Some(open) => open,
-            None => self.topo.spec(chan).capacity.is_none_or(|k| self.queues[chan.0].len() < k),
-        }
+        self.topo.spec(chan).capacity.is_none_or(|k| self.queues[chan.0].len() < k)
     }
 
     /// Can `p` take a step now? [`Simulator::runnable`] is the set of
@@ -223,8 +199,8 @@ impl<P: Process> Simulator<P> {
                 if self.admits_send(chan) {
                     self.complete_send(p, chan, msg, obs);
                 } else {
-                    // Full bounded channel (non-paper model) or closed
-                    // port: hold the message until the send is admitted.
+                    // Full bounded channel (non-paper model): hold the
+                    // message until the send is admitted.
                     self.status[p] = ProcState::BlockedSend(chan, msg);
                     obs(event(FlightKind::Park, p, chan.0, 1));
                 }
@@ -331,9 +307,9 @@ impl<P: Process> Simulator<P> {
     /// size in `bytes`), `Park` (`bytes` 0 for a posted receive, 1 for a
     /// blocked send), `Halt`, and `Fault` (`bytes` 0).
     /// A delivery step reports the `Recv` and then the resumed process's
-    /// next action. External steppers — exhaustive interleaving
-    /// enumeration, the distributed supervisor's shadow — use this to
-    /// reuse the simulator's semantics instead of reimplementing them.
+    /// next action. External steppers (exhaustive interleaving
+    /// enumeration) use this to reuse the simulator's semantics instead of
+    /// reimplementing them.
     pub fn step_process_with(
         &mut self,
         p: ProcId,
@@ -347,13 +323,6 @@ impl<P: Process> Simulator<P> {
     /// configuration (every process blocked, none runnable).
     fn deadlock_error(&self) -> RunError {
         waitgraph::deadlock_error(&self.topo, &self.blocked_list())
-    }
-
-    /// The communication metrics accumulated so far (complete once
-    /// [`Simulator::is_done`]). External steppers read these instead of
-    /// re-counting traffic themselves.
-    pub fn metrics(&self) -> &RunMetrics {
-        &self.metrics
     }
 
     /// Snapshot every process's current state (meaningful once
@@ -951,49 +920,5 @@ mod tests {
         sim.step_process_with(0, &mut |_| {}).unwrap();
         let f1 = sim.state_fingerprint(|m| m.to_le_bytes().to_vec());
         assert_ne!(f0, f1);
-    }
-
-    #[test]
-    fn a_port_admits_sends_by_its_gate_not_by_capacity() {
-        // Capacity 1, eager sender: as an ordinary channel the second send
-        // would block on the full queue.
-        let mut topo = Topology::new(2);
-        let c = topo.add(ChannelSpec::bounded(0, 1, 1));
-        let procs = vec![
-            PingPong::Sender { chan: c, next: 0, count: 3 },
-            PingPong::Receiver { chan: c, got: 0, sum: 0, count: 3 },
-        ];
-        let mut sim = Simulator::new(topo, procs);
-        let mut events = Vec::new();
-
-        // A closed port blocks its sender, empty queue or not.
-        sim.set_port(c, Some(false));
-        sim.step_process_with(0, &mut |e| events.push(e)).unwrap();
-        assert_eq!(events, [event(FlightKind::Park, 0, c.0, 1)]);
-        assert!(sim.queue(c).is_empty());
-        assert!(!sim.is_runnable(0));
-        assert_eq!(sim.runnable(), [1], "the receiver may still post its receive");
-
-        // Opening it completes the held send without resuming the process:
-        // message 0 lands, message 1 has not been produced yet.
-        sim.set_port(c, Some(true));
-        assert!(sim.is_runnable(0));
-        events.clear();
-        sim.step_process_with(0, &mut |e| events.push(e)).unwrap();
-        assert_eq!(events, [event(FlightKind::Send, 0, c.0, 0)]);
-        assert_eq!(sim.queue(c).iter().copied().collect::<Vec<_>>(), [0]);
-
-        // Capacity is ignored while the channel is a port...
-        sim.step_process_with(0, &mut |_| {}).unwrap();
-        sim.step_process_with(0, &mut |_| {}).unwrap();
-        assert_eq!(sim.queue(c).len(), 3, "an open port outruns capacity 1");
-        assert_eq!(sim.metrics().channels[c.0].max_queue_depth, 3);
-
-        // ...and is the rule again once it no longer is one.
-        sim.set_port(c, None);
-        let out = sim.run(&mut RoundRobin::new()).unwrap();
-        let (topo, procs) = pair(3);
-        let clean = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
-        assert_eq!(out.snapshots, clean.snapshots);
     }
 }

@@ -255,8 +255,14 @@ impl<T> SpscRing<T> {
 /// the writer has quiesced (a happens-before edge separates its last push
 /// from the snapshot — e.g. `thread::join`); the scheduler drains lanes
 /// only after joining the pool.
+///
+/// The slots grow on first write, up to the window: a lane costs what it
+/// holds, so a short recorded run never touches a whole window.
 pub struct OverwriteRing<T> {
-    slots: Box<[UnsafeCell<T>]>,
+    /// The retained entries, written only by the writer: appended until
+    /// `cap` are held, then overwritten in place.
+    slots: UnsafeCell<Vec<T>>,
+    cap: usize,
     /// Total pushes ever (writer-advanced, `Release` on store).
     head: CachePadded<AtomicU64>,
 }
@@ -264,31 +270,37 @@ pub struct OverwriteRing<T> {
 // SAFETY: values of T cross from the writer thread to the draining thread,
 // so T: Send is required and sufficient.
 unsafe impl<T: Send> Send for OverwriteRing<T> {}
-// SAFETY: the counter is atomic, the slots are written by exactly one
-// thread per the single-writer contract above, and they are read only after
-// a happens-before edge from the writer's last push (`snapshot`).
+// SAFETY: the counter is atomic, the slot vector is written (and grown) by
+// exactly one thread per the single-writer contract above, and it is read
+// only after a happens-before edge from the writer's last push (`snapshot`).
 unsafe impl<T: Send> Sync for OverwriteRing<T> {}
 
-impl<T: Copy + Default> OverwriteRing<T> {
-    /// A ring holding the last `capacity` pushes (`capacity >= 1`).
+impl<T: Copy> OverwriteRing<T> {
+    /// A ring holding the last `capacity` pushes (`capacity >= 1`). It
+    /// allocates nothing until the first push.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "overwrite ring needs capacity >= 1");
         OverwriteRing {
-            slots: (0..capacity).map(|_| UnsafeCell::new(T::default())).collect(),
+            slots: UnsafeCell::new(Vec::new()),
+            cap: capacity,
             head: CachePadded(AtomicU64::new(0)),
         }
     }
 
     /// Writer-only: record `v`, evicting the oldest entry when full. Never
-    /// fails and never blocks — the observed thread pays one slot write and
-    /// one `Release` store.
+    /// fails and never blocks — the observed thread pays one slot write (an
+    /// append, until the window is full) and one `Release` store.
     pub fn push(&self, v: T) {
         let h = self.head.0.load(Ordering::Relaxed);
-        let cap = self.slots.len() as u64;
-        // SAFETY: single writer — only this thread writes slots, and
-        // snapshot() readers are required to have a happens-before edge
-        // after the writer's last push.
-        unsafe { *self.slots[(h % cap) as usize].get() = v };
+        // SAFETY: single writer — only this thread touches the slot
+        // vector, and snapshot() readers are required to have a
+        // happens-before edge after the writer's last push.
+        let slots = unsafe { &mut *self.slots.get() };
+        if slots.len() < self.cap {
+            slots.push(v);
+        } else {
+            slots[(h % self.cap as u64) as usize] = v;
+        }
         self.head.0.store(h + 1, Ordering::Release);
     }
 
@@ -299,12 +311,12 @@ impl<T: Copy + Default> OverwriteRing<T> {
 
     /// Entries currently retained: `min(pushes, capacity)`.
     pub fn occupancy(&self) -> usize {
-        (self.pushes() as usize).min(self.slots.len())
+        (self.pushes() as usize).min(self.cap)
     }
 
     /// The window size this ring was built with.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.cap
     }
 
     /// Pushes that fell out of the window: `pushes - occupancy`.
@@ -317,14 +329,13 @@ impl<T: Copy + Default> OverwriteRing<T> {
     /// orders the writer's slot writes before these reads.
     pub fn snapshot(&self) -> Vec<T> {
         let h = self.pushes();
-        let cap = self.slots.len() as u64;
-        let start = h.saturating_sub(cap);
-        (start..h)
-            // SAFETY: slots in [h - occupancy, h) were fully written before
-            // the Release store of `h` that our Acquire load observed, and
-            // the quiesced-writer contract rules out concurrent overwrites.
-            .map(|pos| unsafe { *self.slots[(pos % cap) as usize].get() })
-            .collect()
+        let cap = self.cap as u64;
+        // SAFETY: the entries of pushes [h - occupancy, h) were fully
+        // written (and the vector grown to hold them) before the Release
+        // store of `h` that our Acquire load observed, and the
+        // quiesced-writer contract rules out a concurrent push.
+        let slots = unsafe { &*self.slots.get() };
+        (h.saturating_sub(cap)..h).map(|pos| slots[(pos % cap) as usize]).collect()
     }
 }
 

@@ -418,7 +418,7 @@ mod tests {
                     sim.step_process_with(p, &mut |_| {}).unwrap();
                 }
                 let seed = sim.into_seed();
-                let out = launch_partial(&topo, seed, Some(workers), None, |_| NoFlight)
+                let out = launch_partial(&topo, seed, Some(workers), None, None, |_| NoFlight)
                     .join()
                     .unwrap();
                 assert_eq!(out.snapshots, expect, "workers={workers}, cut {cut}");
