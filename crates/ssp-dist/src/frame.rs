@@ -18,8 +18,11 @@
 //! the cap is checked before any buffer is reserved, so a hostile or
 //! corrupt peer cannot force an allocation bomb.
 //!
-//! Writes lock nothing here — callers that share a socket between threads
-//! (the worker's scheduler threads, which send DATA, and its completion
+//! A payload may be written in pieces ([`write_frame_parts`]): a rank's
+//! final snapshot goes out from its own buffer beside a 12-byte trailer,
+//! and the header and pieces leave in one vectored write. Writes lock
+//! nothing here — callers that share a socket between threads (the
+//! worker's scheduler threads, which send DATA, and its completion
 //! threads) serialize whole frames under their own mutex so frames never
 //! interleave.
 
@@ -50,8 +53,9 @@ pub enum FrameType {
     /// star plane's frame: the supervisor forwards it to the reader's
     /// worker.
     Data = 2,
-    /// Worker → supervisor: a group finished; snapshots, metrics and, when
-    /// recording, its flight log ([`crate::proto::GroupDone`]).
+    /// Worker → supervisor: a group finished; its metrics and, when
+    /// recording, its flight log ([`crate::proto::GroupDone`]). Follows one
+    /// [`FrameType::Snapshot`] per rank of the group.
     GroupDone = 3,
     /// Worker → supervisor: fatal worker-side error (UTF-8 detail).
     Error = 4,
@@ -102,11 +106,16 @@ pub enum FrameType {
     /// ([`crate::proto::encode_manifest`]); sent only with checkpointing
     /// on.
     Manifest = 17,
+    /// Worker → supervisor: one finished rank's final snapshot, ahead of
+    /// its group's GROUP_DONE. Payload: `[snapshot bytes][rank: u32 le]
+    /// [group: u64 le]` ([`crate::proto::snapshot_trailer`]); the trailer
+    /// is last, so the reader keeps the snapshot in the frame's own buffer.
+    Snapshot = 18,
 }
 
 impl FrameType {
     /// Every frame type, indexed by its wire byte.
-    const ALL: [FrameType; 18] = [
+    const ALL: [FrameType; 19] = [
         FrameType::Hello,
         FrameType::Assign,
         FrameType::Data,
@@ -125,6 +134,7 @@ impl FrameType {
         FrameType::Cut,
         FrameType::Chaos,
         FrameType::Manifest,
+        FrameType::Snapshot,
     ];
 }
 
@@ -172,30 +182,43 @@ impl FrameError {
 
 /// Write one frame; [`write_frame_parts`] on the frame's own payload.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    write_frame_parts(w, frame.ty, &frame.payload)
+    write_frame_parts(w, frame.ty, &[&frame.payload])
 }
 
-/// Write one frame from a borrowed payload: the 5-byte header and the
-/// payload go out in one vectored write, continued after a short write,
-/// with no staging copy. The caller serializes concurrent writers, so a
-/// frame hits the socket whole. A payload too long for [`MAX_FRAME_LEN`]
-/// is `InvalidInput`, and nothing is written.
-pub fn write_frame_parts(w: &mut impl Write, ty: FrameType, payload: &[u8]) -> io::Result<()> {
-    let len = payload
-        .len()
+/// The most pieces [`write_frame_parts`] takes for one payload: a
+/// snapshot and its trailer.
+pub const MAX_PARTS: usize = 2;
+
+/// Write one frame whose payload is `parts` laid end to end, from borrowed
+/// buffers: the 5-byte header and the pieces go out in one vectored write,
+/// continued after a short write, with no staging copy. The caller
+/// serializes concurrent writers, so a frame hits the socket whole. A
+/// payload too long for [`MAX_FRAME_LEN`], or more than [`MAX_PARTS`]
+/// pieces, is `InvalidInput`, and nothing is written.
+pub fn write_frame_parts(w: &mut impl Write, ty: FrameType, parts: &[&[u8]]) -> io::Result<()> {
+    let payload_len: usize = parts.iter().map(|p| p.len()).sum();
+    let len = payload_len
         .checked_add(1)
-        .filter(|&l| l <= MAX_FRAME_LEN as usize)
+        .filter(|&l| l <= MAX_FRAME_LEN as usize && parts.len() <= MAX_PARTS)
         .ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("frame payload of {} bytes exceeds MAX_FRAME_LEN", payload.len()),
+                format!(
+                    "frame payload of {payload_len} bytes in {} pieces exceeds MAX_FRAME_LEN \
+                     or MAX_PARTS",
+                    parts.len()
+                ),
             )
         })?;
     let mut header = [0u8; 5];
     header[..4].copy_from_slice(&(len as u32).to_le_bytes());
     header[4] = ty as u8;
-    let mut bufs = [IoSlice::new(&header), IoSlice::new(payload)];
-    let mut bufs = &mut bufs[..];
+    let mut slices = [IoSlice::new(&[]); MAX_PARTS + 1];
+    slices[0] = IoSlice::new(&header);
+    for (slice, part) in slices[1..].iter_mut().zip(parts) {
+        *slice = IoSlice::new(part);
+    }
+    let mut bufs = &mut slices[..=parts.len()];
     while !bufs.is_empty() {
         match w.write_vectored(bufs) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -378,6 +401,8 @@ mod tests {
         for (byte, ty) in FrameType::ALL.iter().enumerate() {
             assert_eq!(*ty as usize, byte, "ALL must be in wire-byte order");
         }
+        assert_eq!(FrameType::ALL.last(), Some(&FrameType::Snapshot));
+        assert_eq!(FrameType::Snapshot as u8, 18);
     }
 
     #[test]
@@ -386,11 +411,19 @@ mod tests {
         // is a zeroed allocation, never touched here, so it costs no memory.
         let huge = vec![0u8; MAX_FRAME_LEN as usize];
         let mut wire = Vec::new();
-        let e = write_frame_parts(&mut wire, FrameType::Data, &huge).unwrap_err();
+        let e = write_frame_parts(&mut wire, FrameType::Data, &[&huge]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+        // So is the same payload split in pieces, and one piece too many.
+        let (a, b) = huge.split_at(7);
+        let e = write_frame_parts(&mut wire, FrameType::Snapshot, &[a, b]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+        let e =
+            write_frame_parts(&mut wire, FrameType::Data, &[&b"x"[..]; MAX_PARTS + 1]).unwrap_err();
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
         assert!(wire.is_empty(), "a rejected frame must not leave a partial header");
         // The largest legal payload still passes the check.
-        write_frame_parts(&mut io::sink(), FrameType::Data, &huge[1..]).unwrap();
+        write_frame_parts(&mut io::sink(), FrameType::Data, &[&huge[1..]]).unwrap();
+        write_frame_parts(&mut io::sink(), FrameType::Data, &[&a[1..], b]).unwrap();
     }
 
     /// Passes at most `k` bytes per `read`/`write` call, vectored or not,
@@ -446,7 +479,7 @@ mod tests {
                     let mut whole = Vec::new();
                     write_frame(&mut whole, &frame).unwrap();
                     let mut trickled = Trickle { inner: Vec::new(), k };
-                    write_frame_parts(&mut trickled, ty, payload).unwrap();
+                    write_frame_parts(&mut trickled, ty, &[payload]).unwrap();
                     assert_eq!(trickled.inner, whole, "k={k} {ty:?}: short writes changed bytes");
 
                     let mut r = Trickle { inner: Cursor::new(&whole), k };
@@ -461,6 +494,29 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_written_in_pieces_is_the_one_slice_frame_under_short_writes() {
+        let payload: Vec<u8> = (0..40).collect();
+        for k in 1..=7 {
+            for ty in [FrameType::Snapshot, FrameType::Data] {
+                let mut whole = Vec::new();
+                write_frame(&mut whole, &Frame::new(ty, payload.clone())).unwrap();
+                // Every split into two pieces, empty pieces included, so
+                // short writes end inside, at and across the piece boundary.
+                for i in 0..=payload.len() {
+                    let (a, b) = payload.split_at(i);
+                    let mut pieces = Trickle { inner: Vec::new(), k };
+                    write_frame_parts(&mut pieces, ty, &[a, b]).unwrap();
+                    assert_eq!(pieces.inner, whole, "k={k} {ty:?} split at {i}");
+                }
+                let mut pieces = Trickle { inner: Vec::new(), k };
+                write_frame_parts(&mut pieces, ty, &[&payload[..9], &payload[9..]]).unwrap();
+                let read = read_frame(&mut Cursor::new(pieces.inner)).unwrap();
+                assert_eq!(read, Frame::new(ty, payload.clone()), "k={k} {ty:?}");
             }
         }
     }

@@ -7,9 +7,11 @@
 //!
 //! * [`frame`] — the wire format: `[u32 le length][u8 type][payload]`.
 //! * [`proto`] — control payloads, all binary and read through the
-//!   runtime's one bounds-checked reader. A group's life is two frames:
-//!   ASSIGN (workload spec, ranks, plane, peer table, resume manifest) and
-//!   GROUP_DONE (snapshots, metrics, flight log).
+//!   runtime's one bounds-checked reader. A group starts with one ASSIGN
+//!   (workload spec, ranks, plane, peer table, resume manifest) and ends
+//!   with one SNAPSHOT per rank, sent from the snapshot's own buffer and
+//!   kept in the frame's own buffer, then one GROUP_DONE (metrics, flight
+//!   log).
 //! * [`registry`] — named workloads both sides rebuild from a
 //!   [`registry::WorkloadSpec`]; code never crosses the wire.
 //! * [`worker`] — hosts *groups* (one [`ssp_runtime::launch_partial`]

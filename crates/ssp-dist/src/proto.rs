@@ -1,15 +1,16 @@
 //! Payload codecs for the control frames (HELLO / ASSIGN / GROUP_DONE …).
 //!
 //! Every payload is binary and read through `ssp_runtime::proc::Reader`,
-//! the workspace's one reader of untrusted bytes. A group's life is two
-//! frames: ASSIGN starts it, from its registry [`WorkloadSpec`] or, on a
-//! restart, from the group's latest [`Checkpoint`]; GROUP_DONE ends it with
-//! the group's snapshots, its [`RunMetrics`] (in the binary counters a
-//! sealed manifest uses for the same numbers) and, when the recorder is on,
-//! its [`FlightLog`]. In between, with checkpointing on, the group sends
-//! its checkpoints up in MANIFEST frames and its worker receives the
-//! readers' consumed frontiers in CUT frames. An optional field is a
-//! presence byte ([`Reader::flag`]) followed by the value when present.
+//! the workspace's one reader of untrusted bytes. A group starts with one
+//! ASSIGN, from its registry [`WorkloadSpec`] or, on a restart, from the
+//! group's latest [`Checkpoint`], and ends with one SNAPSHOT frame per rank
+//! (the snapshot's bytes behind nothing, then a [`snapshot_trailer`]) and a
+//! GROUP_DONE of its [`RunMetrics`] (in the binary counters a sealed
+//! manifest uses for the same numbers) and, when the recorder is on, its
+//! [`FlightLog`]. In between, with checkpointing on, the group sends its
+//! checkpoints up in MANIFEST frames and its worker receives the readers'
+//! consumed frontiers in CUT frames. An optional field is a presence byte
+//! ([`Reader::flag`]) followed by the value when present.
 //!
 //! All decoders are total over arbitrary bytes: malformed input yields
 //! [`RunError::Protocol`], never a panic, and element counts are validated
@@ -434,13 +435,35 @@ impl WorkerTelemetry {
     }
 }
 
-/// A GROUP_DONE report: the group's final snapshots, metrics and flight log.
+/// Bytes after the snapshot in a SNAPSHOT payload: rank and group.
+pub const SNAPSHOT_TRAILER_LEN: usize = 12;
+
+/// The trailer that follows a rank's snapshot bytes in its SNAPSHOT
+/// payload: `[rank: u32 le][group: u64 le]`. The snapshot goes out from
+/// its own buffer beside it ([`crate::frame::write_frame_parts`]).
+pub fn snapshot_trailer(rank: usize, group: u64) -> [u8; SNAPSHOT_TRAILER_LEN] {
+    let mut out = [0u8; SNAPSHOT_TRAILER_LEN];
+    out[..4].copy_from_slice(&(rank as u32).to_le_bytes());
+    out[4..].copy_from_slice(&group.to_le_bytes());
+    out
+}
+
+/// Read a SNAPSHOT payload's trailer into `(rank, group)`; the snapshot is
+/// the payload's first `len - SNAPSHOT_TRAILER_LEN` bytes. A payload
+/// shorter than the trailer is a typed error.
+pub fn decode_snapshot_trailer(payload: &[u8]) -> Result<(usize, u64), RunError> {
+    let at = payload.len().saturating_sub(SNAPSHOT_TRAILER_LEN);
+    let mut r = Reader::new("SNAPSHOT", &payload[at..]);
+    let trailer = (r.u32("snapshot rank")? as usize, r.u64("snapshot group")?);
+    r.finish(trailer)
+}
+
+/// A GROUP_DONE report: the group's metrics and flight log. Its snapshots
+/// precede it, one SNAPSHOT frame per rank.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupDone {
     /// The group id from the ASSIGN this answers.
     pub group: u64,
-    /// `(rank, snapshot bytes)` for every rank the group hosted.
-    pub snapshots: Vec<(usize, Vec<u8>)>,
     /// The group's full run metrics (global rank/channel ids).
     pub metrics: RunMetrics,
     /// The group's drained flight log, when the recorder was on.
@@ -448,17 +471,12 @@ pub struct GroupDone {
 }
 
 impl GroupDone {
-    /// Serialize: `[u64 group][u32 n] n×([u32 rank][u32 len][bytes])
-    /// [metrics][flight?]`, the metrics and the optional flight log in
-    /// their binary wire forms ([`push_run_metrics`], [`push_flight_log`]).
+    /// Serialize: `[u64 group][metrics][flight?]`, the metrics and the
+    /// optional flight log in their binary wire forms
+    /// ([`push_run_metrics`], [`push_flight_log`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         push_u64(&mut out, self.group);
-        push_u32(&mut out, self.snapshots.len() as u32);
-        for (rank, bytes) in &self.snapshots {
-            push_u32(&mut out, *rank as u32);
-            push_bytes(&mut out, bytes);
-        }
         push_run_metrics(&mut out, &self.metrics);
         out.push(u8::from(self.flight.is_some()));
         if let Some(log) = &self.flight {
@@ -473,13 +491,9 @@ impl GroupDone {
     pub fn decode(payload: &[u8]) -> Result<GroupDone, RunError> {
         let mut r = Reader::new("GROUP_DONE", payload);
         let group = r.u64("group id")?;
-        let n = r.count(8, "snapshots")?;
-        let snapshots = (0..n)
-            .map(|_| Ok((r.u32("snapshot rank")? as usize, r.bytes("snapshot")?.to_vec())))
-            .collect::<Result<_, RunError>>()?;
         let metrics = r.run_metrics()?;
         let flight = r.flag("flight")?.then(|| r.flight_log()).transpose()?;
-        r.finish(GroupDone { group, snapshots, metrics, flight })
+        r.finish(GroupDone { group, metrics, flight })
     }
 }
 
@@ -585,7 +599,6 @@ mod tests {
         flight.push_lifecycle(40, FlightKind::Migrate, 2, 1, 0);
         GroupDone {
             group: 7,
-            snapshots: vec![(0, vec![1, 2, 3]), (2, vec![])],
             // Counters only: endpoints and capacities do not travel.
             metrics: RunMetrics {
                 channels: vec![ChannelMetrics {
@@ -753,13 +766,12 @@ mod tests {
     #[test]
     fn group_done_bytes_are_pinned() {
         const GOLDEN: &str = concat!(
-            "0700000000000000020000000000000003000000010203020000000000000001",
-            "0000000500000000000000280000000000000002000000000000000100000000",
-            "0000000000000000000000000000000000000000000000000000000000000000",
-            "0000000000000000000000000000000200000000000000000000000000000000",
-            "0000000000000000000000000000000101000000090000006c6966656379636c",
-            "6500000000000000000100000028000000000000000c02000000010000000000",
-            "000000000000",
+            "0700000000000000010000000500000000000000280000000000000002000000",
+            "0000000001000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000200000000000000",
+            "0000000000000000000000000000000000000000000000000101000000090000",
+            "006c6966656379636c6500000000000000000100000028000000000000000c02",
+            "000000010000000000000000000000",
         );
         assert_eq!(hex(&group_done().encode()), GOLDEN);
     }
@@ -773,10 +785,10 @@ mod tests {
         assert_eq!(GroupDone::decode(&quiet.encode()).unwrap(), quiet);
         assert_hostile_bytes_fail(&bytes, &gd, GroupDone::decode);
 
-        // Snapshot, lane and event count bombs fail at the count, before
+        // Channel, lane and event count bombs fail at the count, before
         // any allocation. `quiet` ends in its flight flag (0).
-        let mut snapshot_bomb = 0u64.to_le_bytes().to_vec();
-        snapshot_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut channel_bomb = 0u64.to_le_bytes().to_vec();
+        channel_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut lane_bomb = quiet.encode();
         *lane_bomb.last_mut().unwrap() = 1;
         push_u32(&mut lane_bomb, u32::MAX);
@@ -786,7 +798,7 @@ mod tests {
         push_bytes(&mut event_bomb, b"lane");
         push_u64(&mut event_bomb, 0);
         push_u32(&mut event_bomb, u32::MAX);
-        for bomb in [snapshot_bomb, lane_bomb, event_bomb] {
+        for bomb in [channel_bomb, lane_bomb, event_bomb] {
             let detail = GroupDone::decode(&bomb).unwrap_err().to_string();
             assert!(detail.contains("exceeds payload"), "{detail}");
         }
@@ -800,6 +812,21 @@ mod tests {
         unknown[kind_at] = 0xee;
         let detail = GroupDone::decode(&unknown).unwrap_err().to_string();
         assert!(detail.contains("unknown event kind tag 238"), "{detail}");
+    }
+
+    #[test]
+    fn snapshot_trailers_are_pinned_and_short_payloads_fail_typed() {
+        let trailer = snapshot_trailer(70_000, u64::MAX - 1);
+        assert_eq!(hex(&trailer), "70110100feffffffffffffff");
+        let mut payload = b"state".to_vec();
+        payload.extend_from_slice(&trailer);
+        assert_eq!(decode_snapshot_trailer(&payload).unwrap(), (70_000, u64::MAX - 1));
+        // An empty snapshot is the trailer alone.
+        assert_eq!(decode_snapshot_trailer(&snapshot_trailer(0, 3)).unwrap(), (0, 3));
+        for cut in 0..SNAPSHOT_TRAILER_LEN {
+            let r = decode_snapshot_trailer(&payload[payload.len() - cut..]);
+            assert!(matches!(r, Err(RunError::Protocol { .. })), "{cut} bytes: {r:?}");
+        }
     }
 
     fn telemetry() -> WorkerTelemetry {
