@@ -16,8 +16,8 @@ use mesh_archetype::run_msg_simulated;
 use meshgrid::ProcGrid3;
 use ssp_runtime::proc::{push_bytes, push_u64, Reader};
 use ssp_runtime::{
-    crashing, launch_partial, run_recovering, Adversary, AdversarialPolicy, Crash, NoFlight,
-    RandomPolicy, RecoveryConfig, RoundRobin, RunError, SchedulePolicy, Simulator,
+    crashing, launch_partial, run_recovering, Adversary, AdversarialPolicy, Crash, RandomPolicy,
+    RecoveryConfig, RoundRobin, RunError, SchedulePolicy, Simulator,
 };
 
 /// The six-policy battery of the slack tests, freshly constructed per call
@@ -125,7 +125,7 @@ fn mid_exchange_cut_survives_the_state_codec() {
         named(*rank, &short, "short local state");
         *proc = MsgProcess::decode_state(&templates[*rank], &bytes).unwrap();
     }
-    let out = launch_partial(&topo, seed, Some(2), None, None, |_| NoFlight);
+    let out = launch_partial(&topo, seed, Some(2), None, None, None);
     let snapshots: Vec<Vec<u8>> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
     assert_eq!(snapshots, reference.snapshots);
 }

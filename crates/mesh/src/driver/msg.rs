@@ -1662,7 +1662,7 @@ mod tests {
     use crate::driver::MeshLocal;
     use crate::reduce::ReduceAlgo;
     use HostMode::GridRank0;
-    use ssp_runtime::{launch_partial, Adversary, AdversarialPolicy, NoFlight, RandomPolicy};
+    use ssp_runtime::{launch_partial, Adversary, AdversarialPolicy, RandomPolicy};
     use std::sync::Arc;
 
     struct One {
@@ -2255,7 +2255,7 @@ mod tests {
                 staged_seen |= !proc.staged.is_empty();
                 *proc = MsgProcess::decode_state(&templates[*id], &proc.encode_state()).unwrap();
             }
-            let out = launch_partial(&topo, seed, Some(2), None, None, |_| NoFlight);
+            let out = launch_partial(&topo, seed, Some(2), None, None, None);
             let snaps: Vec<_> = out.join().unwrap().snapshots.into_iter().map(|s| s.1).collect();
             assert_eq!(snaps, reference.snapshots, "cut {cut}");
         }

@@ -322,7 +322,7 @@ pub struct Assign {
     /// The global rank ids this group hosts.
     pub ranks: Vec<usize>,
     /// Flight-recorder window (events per lane) to enable on the group's
-    /// scheduler, or `None` for the zero-cost disabled build.
+    /// scheduler, or `None` not to record.
     pub flight: Option<usize>,
     /// The data plane of the group's cross-group traffic.
     pub plane: TransportMode,
@@ -397,12 +397,12 @@ impl Assign {
 
 /// One worker's live counters, snapshotted into each PONG heartbeat
 /// reply: the sum of its groups' [`LiveTelemetry`] plus what the worker
-/// itself routed. Fixed-size little-endian binary: five `u64`s, 40 bytes.
+/// itself routed. Fixed-size little-endian binary: four `u64`s, 32 bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerTelemetry {
     /// The worker's groups' live counters, summed. A `progress` flat
     /// between two heartbeats with ranks still live means the worker is
-    /// stuck.
+    /// stuck, waiting on another worker, or pausing for a checkpoint.
     pub live: LiveTelemetry,
     /// DATA payload bytes the worker has routed to the supervisor.
     pub bytes_routed: u64,
@@ -410,11 +410,11 @@ pub struct WorkerTelemetry {
 
 impl WorkerTelemetry {
     /// Serialize: `[u64 ranks_live][u64 progress][u64 steals]
-    /// [u64 flight_occupancy][u64 bytes_routed]`, all little-endian.
+    /// [u64 bytes_routed]`, all little-endian.
     pub fn encode(&self) -> Vec<u8> {
-        let LiveTelemetry { ranks_live, progress, steals, flight_occupancy } = self.live;
-        let mut out = Vec::with_capacity(40);
-        for v in [ranks_live, progress, steals, flight_occupancy, self.bytes_routed] {
+        let LiveTelemetry { ranks_live, progress, steals } = self.live;
+        let mut out = Vec::with_capacity(32);
+        for v in [ranks_live, progress, steals, self.bytes_routed] {
             push_u64(&mut out, v);
         }
         out
@@ -428,7 +428,6 @@ impl WorkerTelemetry {
             ranks_live: r.u64("ranks live")?,
             progress: r.u64("progress")?,
             steals: r.u64("steals")?,
-            flight_occupancy: r.u64("flight occupancy")?,
         };
         let t = WorkerTelemetry { live, bytes_routed: r.u64("bytes routed")? };
         r.finish(t)
@@ -830,8 +829,7 @@ mod tests {
     }
 
     fn telemetry() -> WorkerTelemetry {
-        let live =
-            LiveTelemetry { ranks_live: 3, progress: 123_456, steals: 7, flight_occupancy: 4096 };
+        let live = LiveTelemetry { ranks_live: 3, progress: 123_456, steals: 7 };
         WorkerTelemetry { live, bytes_routed: 1 << 32 }
     }
 
@@ -839,7 +837,7 @@ mod tests {
     fn pong_bytes_are_pinned() {
         let t = telemetry();
         const GOLDEN: &str = concat!(
-            "030000000000000040e201000000000007000000000000000010000000000000",
+            "030000000000000040e20100000000000700000000000000",
             "0000000001000000",
         );
         assert_eq!(hex(&t.encode()), GOLDEN);
@@ -849,7 +847,7 @@ mod tests {
     fn telemetry_round_trips_and_rejects_odd_sizes() {
         let t = telemetry();
         let bytes = t.encode();
-        assert_eq!(bytes.len(), 40);
+        assert_eq!(bytes.len(), 32);
         assert_eq!(WorkerTelemetry::decode(&bytes).unwrap(), t);
         // Every truncation and any over-length payload is a typed error.
         assert_hostile_bytes_fail(&bytes, &t, WorkerTelemetry::decode);

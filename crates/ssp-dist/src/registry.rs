@@ -26,9 +26,9 @@ use meshgrid::ProcGrid3;
 use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
-    launch_partial, ChannelId, Effect, EgressSink, FlightKind, FlightLog, FlightRecorder,
-    FlightSink, Gateway, GroupManifest, Handoff, LiveTelemetry, ManifestRank, NoFlight, PartialRun,
-    PartialSeed, ProcState, Process, RoundRobin, RunError, RunMetrics, Seal, Simulator, Topology,
+    launch_partial, ChannelId, Effect, EgressSink, FlightKind, FlightLog, Gateway, GroupManifest,
+    Handoff, LiveTelemetry, ManifestRank, PartialRun, PartialSeed, ProcState, Process, RoundRobin,
+    RunError, RunMetrics, Seal, Simulator, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -223,12 +223,12 @@ fn seed_from_manifest<P: Process>(
 }
 
 /// Typed ingress: decodes bytes and hands them to the scheduler gateway.
-struct TypedIngress<P: Process, F: FlightSink> {
-    gateway: Gateway<P, F>,
+struct TypedIngress<P: Process> {
+    gateway: Gateway<P>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
 }
 
-impl<P: Process + 'static, F: FlightSink> GroupIngress for TypedIngress<P, F> {
+impl<P: Process + 'static> GroupIngress for TypedIngress<P> {
     fn push_inbound(
         &self,
         chan: usize,
@@ -246,14 +246,10 @@ impl<P: Process + 'static, F: FlightSink> GroupIngress for TypedIngress<P, F> {
 }
 
 /// Erase a launched run behind the group ingress and a boxed join.
-fn erase_run<P, F>(
-    run: PartialRun<P, F>,
+fn erase_run<P: Process + 'static>(
+    run: PartialRun<P>,
     decode: fn(&[u8]) -> Result<P::Msg, RunError>,
-) -> LaunchedGroup
-where
-    P: Process + 'static,
-    F: FlightSink,
-{
+) -> LaunchedGroup {
     let ingress = Arc::new(TypedIngress { gateway: run.gateway(), decode });
     (ingress, Box::new(move || run.join().map(|o| (o.snapshots, o.metrics, o.flight))))
 }
@@ -262,10 +258,8 @@ where
 /// fresh, or from `resume` ([`seed_from_manifest`]), start a typed group
 /// whose cross-group sends call `sink` with the codec's encoding and whose
 /// seals reach the hook as manifests ([`manifest_of`]), and erase it
-/// ([`erase_run`]). The flight choice picks the scheduler
-/// monomorphization: `None` runs the zero-cost [`NoFlight`] build,
-/// `Some(cap)` the recording one — type-erased here so the distributed
-/// layer stays untyped.
+/// ([`erase_run`]) so the distributed layer stays untyped. `flight` is the
+/// recorder's window per lane, `None` not to record.
 #[allow(clippy::too_many_arguments)]
 fn launch_typed<P>(
     topo: &Topology,
@@ -291,13 +285,7 @@ where
     let seal = seal.map(|(every, mut hook)| -> Seal<P> {
         (every, Box::new(move |seed| hook(manifest_of(seed, encode, encode_state))))
     });
-    Ok(match flight {
-        None => erase_run(launch_partial(topo, seed, workers, egress, seal, |_| NoFlight), decode),
-        Some(cap) => {
-            let recorder = |w| FlightRecorder::new(w, cap);
-            erase_run(launch_partial(topo, seed, workers, egress, seal, recorder), decode)
-        }
-    })
+    Ok(erase_run(launch_partial(topo, seed, workers, egress, seal, flight), decode))
 }
 
 // ---------------------------------------------------------------------------

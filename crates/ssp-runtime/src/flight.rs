@@ -10,15 +10,17 @@
 //! oldest event, because the *newest* events are the ones a post-mortem
 //! needs.
 //!
-//! The cost model is two-tier, checked at compile time:
+//! The cost model is two-tier, chosen per run in one scheduler build:
 //!
-//! - **disabled** (the default): the scheduler is monomorphized over
-//!   [`NoFlight`], a zero-sized sink whose methods are empty `#[inline]`
-//!   bodies. There is no branch, no field, no code — the disabled build is
-//!   bit-for-bit the pre-recorder scheduler, which the determinism suite
-//!   pins behaviorally (`const _` below pins the zero size).
-//! - **enabled**: the scheduler is monomorphized over [`FlightRecorder`];
-//!   each event costs one monotonic-clock read and one ring write.
+//! - **off** (the default): the scheduler holds no recorder, and each
+//!   record site is one not-taken branch on that `None` — message sizing
+//!   for the log included. Theorem 1 makes the result independent of the
+//!   schedule, so recording or not changes no snapshot; the on/off suites
+//!   pin that bitwise.
+//! - **on**: the scheduler holds a [`FlightRecorder`]; each event costs
+//!   one monotonic-clock read and one ring write. Measured always on with a
+//!   1 024-event window, this added 20–27 % to the per-frame `ring_dist`
+//!   workload's wall time (EXPERIMENTS.md E29), so it stays opt-in.
 //!
 //! Lanes are drained only after the pool is joined (a happens-before edge
 //! quiesces every writer), into a [`FlightLog`] that downstream tooling
@@ -42,52 +44,8 @@ pub const DEFAULT_FLIGHT_CAP: usize = 16 * 1024;
 /// watchdog fire, injected fault, lost worker). Unset: no dump.
 pub const FLIGHT_DUMP_ENV: &str = "SSP_FLIGHT_DUMP";
 
-/// Where scheduler instrumentation sends its events. The scheduler is
-/// generic over this, so the disabled path ([`NoFlight`]) compiles to
-/// nothing at all — the `ENABLED` associated const lets call sites gate
-/// argument computation (byte sizing, label lookups) out of the no-op
-/// build too.
-pub trait FlightSink: Send + Sync + 'static {
-    /// Whether this sink records anything. `false` promises every method
-    /// is a no-op, letting instrumentation sites skip argument setup.
-    const ENABLED: bool;
-
-    /// Record one event into `lane` (a writer-thread index; see
-    /// [`FlightRecorder::new`] for the lane layout).
-    #[inline(always)]
-    fn record(&self, _lane: usize, _kind: FlightKind, _rank: usize, _chan: usize, _bytes: u64) {}
-
-    /// Total events currently retained across lanes (live telemetry; safe
-    /// to call concurrently with writers).
-    #[inline(always)]
-    fn occupancy(&self) -> u64 {
-        0
-    }
-
-    /// Drain every lane into a log. Call only once all writers have
-    /// quiesced (post-join). `None` when recording is disabled.
-    fn drain(&self) -> Option<FlightLog> {
-        None
-    }
-}
-
-/// The disabled sink: a zero-sized type whose methods are empty. Being
-/// monomorphized over this *is* the compile-time-checked no-op path — the
-/// assert below fails the build if `NoFlight` ever grows state.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFlight;
-
-impl FlightSink for NoFlight {
-    const ENABLED: bool = false;
-}
-
-const _: () = assert!(
-    std::mem::size_of::<NoFlight>() == 0,
-    "NoFlight must stay zero-sized: the disabled recorder adds no state"
-);
-
-/// The enabled sink: one overwrite-oldest event lane per writer thread,
-/// all timestamped against a common epoch taken at construction.
+/// The recorder: one overwrite-oldest event lane per writer thread, all
+/// timestamped against a common epoch taken at construction.
 pub struct FlightRecorder {
     epoch: Instant,
     lanes: Vec<OverwriteRing<FlightEvent>>,
@@ -112,22 +70,10 @@ impl FlightRecorder {
         }
     }
 
-    /// The `control` lane's index for a recorder built over `n_workers`.
-    pub fn control_lane(n_workers: usize) -> usize {
-        n_workers + 1
-    }
-
-    /// The `gateway` lane's index for a recorder built over `n_workers`.
-    pub fn gateway_lane(n_workers: usize) -> usize {
-        n_workers + 2
-    }
-}
-
-impl FlightSink for FlightRecorder {
-    const ENABLED: bool = true;
-
+    /// Record one event into `lane` (a writer-thread index; see
+    /// [`FlightRecorder::new`] for the lane layout).
     #[inline]
-    fn record(&self, lane: usize, kind: FlightKind, rank: usize, chan: usize, bytes: u64) {
+    pub fn record(&self, lane: usize, kind: FlightKind, rank: usize, chan: usize, bytes: u64) {
         let nanos = self.epoch.elapsed().as_nanos() as u64;
         self.lanes[lane].push(FlightEvent {
             nanos,
@@ -138,12 +84,10 @@ impl FlightSink for FlightRecorder {
         });
     }
 
-    fn occupancy(&self) -> u64 {
-        self.lanes.iter().map(|l| l.occupancy() as u64).sum()
-    }
-
-    fn drain(&self) -> Option<FlightLog> {
-        Some(FlightLog {
+    /// Drain every lane into a log. Call only once all writers have
+    /// quiesced (post-join).
+    pub fn drain(&self) -> FlightLog {
+        FlightLog {
             lanes: self
                 .lanes
                 .iter()
@@ -154,7 +98,7 @@ impl FlightSink for FlightRecorder {
                     events: ring.snapshot(),
                 })
                 .collect(),
-        })
+        }
     }
 }
 
@@ -197,26 +141,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn no_flight_is_a_zero_cost_sink() {
-        // The const assert pins the size at compile time; this pins the
-        // observable behavior.
-        let sink = NoFlight;
-        sink.record(0, FlightKind::Run, 0, 0, 0);
-        assert_eq!(sink.occupancy(), 0);
-        assert!(sink.drain().is_none());
-        const { assert!(!NoFlight::ENABLED) };
-    }
-
-    #[test]
     fn recorder_lanes_drain_in_label_order() {
         let rec = FlightRecorder::new(2, 8);
         rec.record(0, FlightKind::Run, 3, 0, 0);
         rec.record(1, FlightKind::Send, 4, 7, 128);
         rec.record(2, FlightKind::Run, 6, 0, 0); // the helper
-        rec.record(FlightRecorder::control_lane(2), FlightKind::Restore, 0, 0, 42);
-        rec.record(FlightRecorder::gateway_lane(2), FlightKind::Wake, 5, 0, 0);
-        assert_eq!(rec.occupancy(), 5);
-        let log = rec.drain().unwrap();
+        rec.record(3, FlightKind::Restore, 0, 0, 42); // control
+        rec.record(4, FlightKind::Wake, 5, 0, 0); // gateway
+        let log = rec.drain();
+        assert_eq!(log.lanes.iter().map(|l| l.events.len()).sum::<usize>(), 5);
         let labels: Vec<&str> = log.lanes.iter().map(|l| l.label.as_str()).collect();
         assert_eq!(labels, vec!["worker-0", "worker-1", "helper", "control", "gateway"]);
         assert_eq!(log.lanes[1].events[0].bytes, 128);
@@ -233,7 +166,7 @@ mod tests {
         for i in 0..10u64 {
             rec.record(0, FlightKind::Compute, 0, 0, i);
         }
-        let log = rec.drain().unwrap();
+        let log = rec.drain();
         assert_eq!(log.lanes[0].dropped, 6);
         let kept: Vec<u64> = log.lanes[0].events.iter().map(|e| e.bytes).collect();
         assert_eq!(kept, vec![6, 7, 8, 9]);
@@ -243,7 +176,7 @@ mod tests {
     fn postmortem_document_is_a_readable_flight_log() {
         let rec = FlightRecorder::new(1, 4);
         rec.record(0, FlightKind::Park, 2, 9, 0);
-        let log = rec.drain().unwrap();
+        let log = rec.drain();
         let err = RunError::Protocol { proc: 2, detail: "say \"cheese\"\n".to_string() };
         let doc = postmortem_json(&err, &log);
         // The error string survives escaping, and the rank's final event is

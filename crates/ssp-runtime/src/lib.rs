@@ -104,7 +104,7 @@ pub mod waitgraph;
 pub use chan::{ChannelId, ChannelSpec, Topology};
 pub use error::RunError;
 pub use fault::{crashing, Crash, Crashing};
-pub use flight::{FlightRecorder, FlightSink, NoFlight, DEFAULT_FLIGHT_CAP, FLIGHT_DUMP_ENV};
+pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAP, FLIGHT_DUMP_ENV};
 pub use json::JsonValue;
 pub use policy::{
     Adversary, AdversarialPolicy, FixedSchedule, RandomPolicy, RoundRobin, SchedulePolicy,

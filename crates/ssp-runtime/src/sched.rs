@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 
 use crate::chan::{ChannelId, Topology};
 use crate::error::RunError;
-use crate::flight::{FlightRecorder, FlightSink, NoFlight};
+use crate::flight::FlightRecorder;
 use crate::proc::{Effect, ProcId, Process};
 use crate::sim::ProcState;
 use crate::spsc::{ParkSlot, SpscRing};
@@ -218,10 +218,8 @@ struct WorkerState {
     park: ParkSlot,
 }
 
-/// Everything shared between workers and the watchdog. Generic over the
-/// flight-recorder sink so the disabled path ([`NoFlight`], zero-sized)
-/// monomorphizes to exactly the pre-recorder scheduler.
-struct Shared<P: Process, F: FlightSink> {
+/// Everything shared between workers and the watchdog.
+struct Shared<P: Process> {
     topo: Topology,
     chans: Vec<Chan<P::Msg>>,
     /// Task boxes, one per rank. Possession of a rank id popped from a
@@ -267,12 +265,12 @@ struct Shared<P: Process, F: FlightSink> {
     watchdog_park: ParkSlot,
     /// A partial run's seal ([`Seal`]): its cadence and its pause.
     seal: Option<Pause>,
-    /// Flight-recorder sink. [`NoFlight`] (zero-sized, all methods empty)
-    /// when recording is disabled; [`FlightRecorder`] lanes are indexed
-    /// `0..pool` for workers, then `helper` (the seat), `control` (the
-    /// watchdog and pre-spawn lifecycle) and `gateway` (arrivals through
+    /// The flight recorder, `None` when recording is off: every record
+    /// site is one branch on it. Its lanes are indexed `0..pool` for
+    /// workers, then `helper` (the seat), `control` (the watchdog and
+    /// pre-spawn lifecycle) and `gateway` (arrivals through
     /// [`Gateway::push_inbound`]).
-    flight: F,
+    flight: Option<FlightRecorder>,
 }
 
 /// A seal's pause: requested at every `every`-th of `sends`, pool workers
@@ -299,7 +297,7 @@ impl Pause {
 /// run goes on. The last call returns before the run's join does.
 pub type Seal<P> = (u64, Box<dyn FnMut(PartialSeed<P>) + Send>);
 
-impl<P: Process, F: FlightSink> Shared<P, F> {
+impl<P: Process> Shared<P> {
     /// Whether a seal's pause is requested: workers stop at their next step
     /// boundary.
     fn pausing(&self) -> bool {
@@ -326,6 +324,14 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
             waiting = p.cv.wait(waiting).unwrap_or_else(|e| e.into_inner());
         }
         *waiting -= 1;
+    }
+
+    /// Record one event in `lane` if the recorder is on.
+    #[inline]
+    fn record(&self, lane: usize, kind: FlightKind, rank: ProcId, chan: usize, bytes: u64) {
+        if let Some(f) = &self.flight {
+            f.record(lane, kind, rank, chan, bytes);
+        }
     }
 
     /// The flight lane owned by the watchdog/control side.
@@ -396,7 +402,7 @@ impl<P: Process, F: FlightSink> Shared<P, F> {
                 Ordering::Acquire,
             ) {
                 Ok(_) => {
-                    self.flight.record(lane, FlightKind::Wake, rank, 0, 0);
+                    self.record(lane, FlightKind::Wake, rank, 0, 0);
                     return true;
                 }
                 Err(NOTIFIED) => return false,
@@ -508,7 +514,7 @@ fn build_chans<M>(topo: &Topology, hosted: &[bool]) -> Vec<Chan<M>> {
 /// Assemble the shared state for a pool of `n_workers` over `slots` (one
 /// box per rank; `None` for ranks this instance does not host), plus a seat.
 #[allow(clippy::too_many_arguments)]
-fn build_shared<P: Process, F: FlightSink>(
+fn build_shared<P: Process>(
     topo: &Topology,
     slots: Vec<Option<Task<P>>>,
     chans: Vec<Chan<P::Msg>>,
@@ -518,8 +524,8 @@ fn build_shared<P: Process, F: FlightSink>(
     n_workers: usize,
     seat: bool,
     seal_every: Option<u64>,
-    flight: F,
-) -> Arc<Shared<P, F>> {
+    flight: Option<usize>,
+) -> Arc<Shared<P>> {
     let n = slots.len();
     Arc::new(Shared {
         topo: topo.clone(),
@@ -552,13 +558,13 @@ fn build_shared<P: Process, F: FlightSink>(
             waiting: Mutex::new(0),
             cv: Condvar::new(),
         }),
-        flight,
+        flight: flight.map(|cap| FlightRecorder::new(n_workers, cap)),
     })
 }
 
 /// Spawn the worker pool (and the watchdog, if a window is given).
-fn spawn_pool<P: Process + 'static, F: FlightSink>(
-    shared: &Arc<Shared<P, F>>,
+fn spawn_pool<P: Process + 'static>(
+    shared: &Arc<Shared<P>>,
     n_workers: usize,
     watchdog: Option<Duration>,
 ) -> (Vec<JoinHandle<()>>, Option<JoinHandle<()>>) {
@@ -587,8 +593,8 @@ fn spawn_pool<P: Process + 'static, F: FlightSink>(
 /// tasks were left in, so it wins over partial results. An abnormal end
 /// with the recorder enabled writes a post-mortem black box if
 /// [`crate::flight::FLIGHT_DUMP_ENV`] names a path.
-fn harvest<P: Process, F: FlightSink>(
-    shared: &Arc<Shared<P, F>>,
+fn harvest<P: Process>(
+    shared: &Arc<Shared<P>>,
     handles: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
     n_workers: usize,
@@ -604,10 +610,8 @@ fn harvest<P: Process, F: FlightSink>(
         std::thread::yield_now();
     }
     if let Some(v) = lock(&shared.verdict).take() {
-        if F::ENABLED {
-            if let Some(log) = shared.flight.drain() {
-                crate::flight::write_postmortem(&v, &log);
-            }
+        if let Some(f) = &shared.flight {
+            crate::flight::write_postmortem(&v, &f.drain());
         }
         return Err(v);
     }
@@ -634,7 +638,7 @@ fn harvest<P: Process, F: FlightSink>(
         metrics.channels[i].bytes = c.bytes.load(Ordering::Relaxed);
         metrics.channels[i].max_queue_depth = c.max_depth.load(Ordering::Relaxed);
     }
-    Ok(Harvest { snapshots, metrics, flight: shared.flight.drain() })
+    Ok(Harvest { snapshots, metrics, flight: shared.flight.as_ref().map(FlightRecorder::drain) })
 }
 
 /// A joined pool's results: per process, the snapshots of the ranks it
@@ -658,9 +662,8 @@ impl Harvest {
 /// pool and harvest it. The entry point behind every
 /// [`crate::threaded`] `run_threaded_*`: a fresh start passes
 /// [`PartialSeed::fresh`], a resumed run a simulator's
-/// [`crate::sim::Simulator::into_seed`]. Chooses between the two
-/// monomorphizations: [`NoFlight`] (the default — the compile-time no-op
-/// path) and [`FlightRecorder`] when [`ThreadedConfig::flight`] is set.
+/// [`crate::sim::Simulator::into_seed`]. Records a flight log when
+/// [`ThreadedConfig::flight`] is set.
 pub(crate) fn run_full<P>(
     topo: &Topology,
     seed: PartialSeed<P>,
@@ -672,14 +675,9 @@ where
     assert_eq!(seed.procs.len(), topo.n_procs(), "process count must match topology");
     let n_workers = resolve_workers(config.workers, seed.procs.len());
     let watchdog = Some(config.watchdog);
-    match config.flight {
-        None => launch(topo, seed, n_workers, watchdog, false, None, None, NoFlight).harvest(),
-        Some(cap) => {
-            let flight = FlightRecorder::new(n_workers, cap);
-            launch(topo, seed, n_workers, watchdog, false, None, None, flight).harvest()
-        }
-    }
-    .map(Harvest::into_outcome)
+    launch(topo, seed, n_workers, watchdog, false, None, None, config.flight)
+        .harvest()
+        .map(Harvest::into_outcome)
 }
 
 /// A running scheduler instance. One hosting a *subset* of a topology's
@@ -687,8 +685,8 @@ where
 /// [`launch_partial`], feed its ingress channels through
 /// [`PartialRun::gateway`], then collect the hosted ranks' results with
 /// [`PartialRun::join`].
-pub struct PartialRun<P: Process, F: FlightSink = NoFlight> {
-    shared: Arc<Shared<P, F>>,
+pub struct PartialRun<P: Process> {
+    shared: Arc<Shared<P>>,
     hosted: Vec<ProcId>,
     n_workers: usize,
     handles: Vec<JoinHandle<()>>,
@@ -710,9 +708,9 @@ pub struct PartialOutcome {
     pub flight: Option<FlightLog>,
 }
 
-impl<P: Process, F: FlightSink> PartialRun<P, F> {
+impl<P: Process> PartialRun<P> {
     /// A transport-side handle to this run; clone one per bridge thread.
-    pub fn gateway(&self) -> Gateway<P, F> {
+    pub fn gateway(&self) -> Gateway<P> {
         Gateway { shared: Arc::clone(&self.shared) }
     }
 
@@ -794,12 +792,11 @@ impl<P: Process> PartialSeed<P> {
 /// here as in the full topology, so checkpoints and wire frames never
 /// renumber anything.
 ///
-/// `flight` builds the recorder sink from the resolved pool size: `|_|
-/// NoFlight` for the no-op build, `|w| FlightRecorder::new(w, cap)` to
-/// record — the instance's scheduler events then land in per-worker lanes
-/// and drain into [`PartialOutcome::flight`] at join. A cross-process send
-/// is marked `Send`, then the route `egress` returned, in the sender's own
-/// lane. The `gateway` lane is written by [`Gateway::push_inbound`]; the
+/// `flight` is the recorder's window, events per lane, or `None` not to
+/// record; a recording instance's scheduler events land in per-worker
+/// lanes and drain into [`PartialOutcome::flight`] at join. A
+/// cross-process send is marked `Send`, then the route `egress` returned,
+/// in the sender's own lane. The `gateway` lane is written by [`Gateway::push_inbound`]; the
 /// transport must call that from one thread at a time (the ring is
 /// single-writer), which the distributed worker's router lock ensures. A
 /// [`Handoff`]'s runner (lane `helper`) calls `egress` too: its sends must
@@ -813,22 +810,21 @@ impl<P: Process> PartialSeed<P> {
 /// queued, no progress is exactly what waiting on a slow peer looks like,
 /// and the peer's next frame undoes it — so liveness belongs to the
 /// supervisor (socket EOF / heartbeat).
-pub fn launch_partial<P, F>(
+pub fn launch_partial<P>(
     topo: &Topology,
     seed: PartialSeed<P>,
     workers: Option<usize>,
     egress: Option<EgressSink<P::Msg>>,
     seal: Option<Seal<P>>,
-    flight: impl FnOnce(usize) -> F,
-) -> PartialRun<P, F>
+    flight: Option<usize>,
+) -> PartialRun<P>
 where
     P: Process + Clone + 'static,
     P::Msg: Clone,
-    F: FlightSink,
 {
     let n_workers = resolve_workers(workers, seed.procs.len());
     let every = seal.as_ref().map(|s| s.0.max(1));
-    let mut run = launch(topo, seed, n_workers, None, true, egress, every, flight(n_workers));
+    let mut run = launch(topo, seed, n_workers, None, true, egress, every, flight);
     if let Some((_, hook)) = seal {
         let shared = Arc::clone(&run.shared);
         run.handles.push(std::thread::spawn(move || seal_loop(&shared, hook)));
@@ -844,7 +840,7 @@ where
 /// restart — and by Theorem 1 the final snapshots are the same as if the
 /// whole run had happened on one backend.
 #[allow(clippy::too_many_arguments)]
-fn launch<P, F>(
+fn launch<P>(
     topo: &Topology,
     seed: PartialSeed<P>,
     n_workers: usize,
@@ -852,11 +848,10 @@ fn launch<P, F>(
     seat: bool,
     egress: Option<EgressSink<P::Msg>>,
     seal_every: Option<u64>,
-    flight: F,
-) -> PartialRun<P, F>
+    flight: Option<usize>,
+) -> PartialRun<P>
 where
     P: Process + 'static,
-    F: FlightSink,
 {
     let PartialSeed { procs, queues, consumed, counters } = seed;
     let n = topo.n_procs();
@@ -938,7 +933,7 @@ where
         // A resumed cut. No worker thread exists yet, so the control lane
         // is safely ours for this single lifecycle mark (spawn establishes
         // the happens-before).
-        shared.flight.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
+        shared.record(shared.control_lane(), FlightKind::Restore, 0, 0, finished as u64);
     }
     if finished == target {
         shared.finish();
@@ -956,11 +951,10 @@ where
 /// (no handoff is made meanwhile: that needs the pool idle), copy the cut,
 /// lift the pause and run the hook; until the run is over. A pause
 /// requested while the hook runs waits for it.
-fn seal_loop<P, F>(shared: &Shared<P, F>, mut hook: Box<dyn FnMut(PartialSeed<P>) + Send>)
+fn seal_loop<P>(shared: &Shared<P>, mut hook: Box<dyn FnMut(PartialSeed<P>) + Send>)
 where
     P: Process + Clone,
     P::Msg: Clone,
-    F: FlightSink,
 {
     let p = shared.seal.as_ref().expect("a sealed run has a pause");
     loop {
@@ -985,11 +979,10 @@ where
 /// Copy a paused run's cut: every hosted task from its slot (none is out,
 /// none holds a delivery), each internal queue (popped and pushed back:
 /// both of its ends are paused), and the counters.
-fn export<P, F>(shared: &Shared<P, F>) -> PartialSeed<P>
+fn export<P>(shared: &Shared<P>) -> PartialSeed<P>
 where
     P: Process + Clone,
     P::Msg: Clone,
-    F: FlightSink,
 {
     let mut procs = Vec::new();
     for (rank, slot) in shared.slots.iter().enumerate() {
@@ -1029,11 +1022,11 @@ where
 /// Transport-side handle to a partial run: where the messages that arrive
 /// for its ingress channels go in (the distributed backend's socket
 /// threads), plus live telemetry. All clones address the same run.
-pub struct Gateway<P: Process, F: FlightSink = NoFlight> {
-    shared: Arc<Shared<P, F>>,
+pub struct Gateway<P: Process> {
+    shared: Arc<Shared<P>>,
 }
 
-impl<P: Process, F: FlightSink> Clone for Gateway<P, F> {
+impl<P: Process> Clone for Gateway<P> {
     fn clone(&self) -> Self {
         Gateway { shared: Arc::clone(&self.shared) }
     }
@@ -1053,9 +1046,6 @@ pub struct LiveTelemetry {
     pub progress: u64,
     /// Work-steal count so far.
     pub steals: u64,
-    /// Flight-recorder events currently retained across lanes (0 when
-    /// recording is disabled).
-    pub flight_occupancy: u64,
 }
 
 /// Field-wise totals: the live counters of several instances (a
@@ -1066,12 +1056,11 @@ impl std::iter::Sum for LiveTelemetry {
             ranks_live: a.ranks_live + b.ranks_live,
             progress: a.progress + b.progress,
             steals: a.steals + b.steals,
-            flight_occupancy: a.flight_occupancy + b.flight_occupancy,
         })
     }
 }
 
-impl<P: Process, F: FlightSink> Gateway<P, F> {
+impl<P: Process> Gateway<P> {
     /// Snapshot live scheduler telemetry (racy but internally harmless:
     /// each field is an independent atomic read).
     pub fn telemetry(&self) -> LiveTelemetry {
@@ -1080,7 +1069,6 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
             ranks_live: (self.shared.target as u64).saturating_sub(finished),
             progress: self.shared.progress.load(Ordering::Relaxed),
             steals: self.shared.steals.load(Ordering::Relaxed),
-            flight_occupancy: self.shared.flight.occupancy(),
         }
     }
 
@@ -1120,7 +1108,9 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
                 detail: format!("inbound frame for non-ingress channel {chan} ({:?})", c.kind),
             });
         }
-        let bytes = if F::ENABLED { P::msg_size_bytes(&msg) } else { 0 };
+        let shared = &self.shared;
+        // Sized before the ring takes the message, and only to record it.
+        let sized = shared.flight.as_ref().map(|f| (f, P::msg_size_bytes(&msg)));
         if c.ring.try_push(msg).is_err() {
             // Ingress queues are unbounded (`build_chans`) so that this
             // thread never waits on the reader; a push cannot fail. A typed
@@ -1131,9 +1121,10 @@ impl<P: Process, F: FlightSink> Gateway<P, F> {
             });
         }
         // One caller at a time by contract — see `launch_partial`.
-        let shared = &self.shared;
         let lane = shared.gateway_lane();
-        shared.flight.record(lane, route, c.reader, chan.0, bytes);
+        if let Some((f, bytes)) = sized {
+            f.record(lane, route, c.reader, chan.0, bytes);
+        }
         fence(Ordering::SeqCst);
         let woke = c.reader_waiting.swap(false, Ordering::SeqCst) && shared.claim(c.reader, lane);
         shared.progress.fetch_add(1, Ordering::Relaxed);
@@ -1185,7 +1176,7 @@ trait Seat: Send + Sync {
     fn leave(&self, rank: ProcId, run: bool);
 }
 
-impl<P: Process, F: FlightSink> Seat for Shared<P, F> {
+impl<P: Process> Seat for Shared<P> {
     fn leave(&self, rank: ProcId, run: bool) {
         // Under a seal's pause the seat takes nothing new: a rank it paused
         // waits in its deque, which the pool steals from afterwards.
@@ -1208,7 +1199,7 @@ impl<P: Process, F: FlightSink> Seat for Shared<P, F> {
     }
 }
 
-fn worker_loop<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) {
+fn worker_loop<P: Process>(shared: &Shared<P>, me: usize) {
     shared.workers[me].park.register();
     loop {
         if shared.done.load(Ordering::SeqCst) {
@@ -1227,7 +1218,7 @@ fn worker_loop<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) {
 
 /// Own deque first (FIFO — the fairness order), then the injector, then
 /// steal from the back of a sibling's deque.
-fn find_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) -> Option<ProcId> {
+fn find_task<P: Process>(shared: &Shared<P>, me: usize) -> Option<ProcId> {
     if let Some(r) = lock(&shared.workers[me].deque).pop_front() {
         return Some(r);
     }
@@ -1240,7 +1231,7 @@ fn find_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) -> Opt
         if let Some(r) = lock(&shared.workers[victim].deque).pop_back() {
             shared.steals.fetch_add(1, Ordering::Relaxed);
             // `chan` field carries the victim worker index for steals.
-            shared.flight.record(me, FlightKind::Steal, r, victim, 0);
+            shared.record(me, FlightKind::Steal, r, victim, 0);
             return Some(r);
         }
     }
@@ -1250,7 +1241,7 @@ fn find_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) -> Opt
 /// The idle dance: publish the intent to sleep, re-check for work (the
 /// enqueue side checks `idle_workers` *after* pushing, so one of the two
 /// sides always notices), run a rescue sweep, then park briefly.
-fn idle<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) {
+fn idle<P: Process>(shared: &Shared<P>, me: usize) {
     shared.idle_workers.fetch_add(1, Ordering::SeqCst);
     let park = &shared.workers[me].park;
     park.prepare_park();
@@ -1268,14 +1259,14 @@ fn idle<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize) {
 
 /// Run one rank until it parks, halts, faults, exhausts its yield budget,
 /// or the run is poisoned.
-fn run_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize, rank: ProcId) {
+fn run_task<P: Process>(shared: &Shared<P>, me: usize, rank: ProcId) {
     let mut task = lock(&shared.slots[rank])
         .take()
         .expect("a queued rank always has its task in the slot");
     if let Some(t0) = task.parked_since.take() {
         task.pm.blocked_nanos += t0.elapsed().as_nanos() as u64;
     }
-    shared.flight.record(me, FlightKind::Run, rank, 0, 0);
+    shared.record(me, FlightKind::Run, rank, 0, 0);
     let mut budget = YIELD_BUDGET;
     loop {
         if shared.is_poisoned() {
@@ -1309,7 +1300,7 @@ fn run_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize, rank: P
             // get the worker (fair interleaving under oversubscription),
             // never between a delivery and the resume that takes it.
             shared.yields.fetch_add(1, Ordering::Relaxed);
-            shared.flight.record(me, FlightKind::Yield, rank, 0, 0);
+            shared.record(me, FlightKind::Yield, rank, 0, 0);
             *lock(&shared.slots[rank]) = Some(task);
             shared.enqueue(rank, Some(me));
             return;
@@ -1318,8 +1309,8 @@ fn run_task<P: Process, F: FlightSink>(shared: &Shared<P, F>, me: usize, rank: P
 }
 
 /// Perform the rank's next atomic action and dispatch its effect.
-fn step_task<P: Process, F: FlightSink>(
-    shared: &Shared<P, F>,
+fn step_task<P: Process>(
+    shared: &Shared<P>,
     me: usize,
     rank: ProcId,
     mut task: Task<P>,
@@ -1337,7 +1328,7 @@ fn step_task<P: Process, F: FlightSink>(
     match effect {
         Effect::Compute { units } => {
             task.pm.compute_units += units;
-            shared.flight.record(me, FlightKind::Compute, rank, 0, units);
+            shared.record(me, FlightKind::Compute, rank, 0, units);
             After::Run(task)
         }
         Effect::Send { chan, msg } => {
@@ -1367,7 +1358,7 @@ fn step_task<P: Process, F: FlightSink>(
                 }
             }
             *lock(&shared.slots[rank]) = Some(task);
-            shared.flight.record(me, FlightKind::Halt, rank, 0, 0);
+            shared.record(me, FlightKind::Halt, rank, 0, 0);
             if shared.finished.fetch_add(1, Ordering::SeqCst) + 1 == shared.target {
                 shared.finish();
             }
@@ -1375,7 +1366,7 @@ fn step_task<P: Process, F: FlightSink>(
         }
         Effect::Fault { error } => {
             *lock(&shared.slots[rank]) = Some(task);
-            shared.flight.record(me, FlightKind::Fault, rank, 0, 0);
+            shared.record(me, FlightKind::Fault, rank, 0, 0);
             shared.fail(error);
             After::Release
         }
@@ -1383,8 +1374,8 @@ fn step_task<P: Process, F: FlightSink>(
 }
 
 /// Try to deliver from `chan`; park the task on the empty edge.
-fn attempt_recv<P: Process, F: FlightSink>(
-    shared: &Shared<P, F>,
+fn attempt_recv<P: Process>(
+    shared: &Shared<P>,
     me: usize,
     rank: ProcId,
     mut task: Task<P>,
@@ -1401,9 +1392,9 @@ fn attempt_recv<P: Process, F: FlightSink>(
             if c.kind == ChanKind::Ingress {
                 c.consumed.fetch_add(1, Ordering::Relaxed);
             }
-            // `F::ENABLED` gates the byte sizing out of the no-op build.
-            let bytes = if F::ENABLED { P::msg_size_bytes(&m) } else { 0 };
-            shared.flight.record(me, FlightKind::Recv, rank, chan.0, bytes);
+            if let Some(f) = &shared.flight {
+                f.record(me, FlightKind::Recv, rank, chan.0, P::msg_size_bytes(&m));
+            }
             task.delivery = Some(m);
             // Release the writer if it parked (or is parking) on the full
             // edge: pop, fence, consume the flag — the Dekker mirror of
@@ -1440,7 +1431,7 @@ fn attempt_recv<P: Process, F: FlightSink>(
             Ok(_) => {
                 shared.task_parks.fetch_add(1, Ordering::Relaxed);
                 // `bytes = 0` tags a recv-wait park (1 = send-wait).
-                shared.flight.record(me, FlightKind::Park, rank, chan.0, 0);
+                shared.record(me, FlightKind::Park, rank, chan.0, 0);
                 return After::Release;
             }
             Err(_) => {
@@ -1456,8 +1447,8 @@ fn attempt_recv<P: Process, F: FlightSink>(
 /// Try to push onto `chan`; park the task on the full edge. A send on an
 /// egress channel never parks: it is one call of the run's sink.
 #[allow(clippy::too_many_arguments)]
-fn attempt_send<P: Process, F: FlightSink>(
-    shared: &Shared<P, F>,
+fn attempt_send<P: Process>(
+    shared: &Shared<P>,
     me: usize,
     rank: ProcId,
     mut task: Task<P>,
@@ -1478,8 +1469,8 @@ fn attempt_send<P: Process, F: FlightSink>(
                 c.bytes.fetch_add(bytes, Ordering::Relaxed);
                 c.max_depth.fetch_max(1, Ordering::Relaxed);
                 task.pm.sends += 1;
-                shared.flight.record(me, FlightKind::Send, rank, chan.0, bytes);
-                shared.flight.record(me, route, rank, chan.0, bytes);
+                shared.record(me, FlightKind::Send, rank, chan.0, bytes);
+                shared.record(me, route, rank, chan.0, bytes);
                 shared.progress.fetch_add(1, Ordering::Relaxed);
                 shared.count_egress();
                 After::Run(task)
@@ -1509,7 +1500,7 @@ fn attempt_send<P: Process, F: FlightSink>(
                     }
                 }
                 task.pm.sends += 1;
-                shared.flight.record(me, FlightKind::Send, rank, chan.0, bytes);
+                shared.record(me, FlightKind::Send, rank, chan.0, bytes);
                 fence(Ordering::SeqCst);
                 if c.reader_waiting.swap(false, Ordering::SeqCst) {
                     shared.wake_task(c.reader, Some(me), me);
@@ -1547,7 +1538,7 @@ fn attempt_send<P: Process, F: FlightSink>(
                     Ok(_) => {
                         shared.task_parks.fetch_add(1, Ordering::Relaxed);
                         // `bytes = 1` tags a send-wait park (0 = recv-wait).
-                        shared.flight.record(me, FlightKind::Park, rank, chan.0, 1);
+                        shared.record(me, FlightKind::Park, rank, chan.0, 1);
                         return After::Release;
                     }
                     Err(_) => {
@@ -1568,7 +1559,7 @@ fn attempt_send<P: Process, F: FlightSink>(
 /// flat for the whole window *and* every unfinished rank is `PARKED` *and*
 /// the run queues are empty — queued-but-runnable ranks (oversubscription)
 /// never trip it. A rescue sweep gets the last word before declaring.
-fn watchdog_loop<P: Process, F: FlightSink>(shared: &Shared<P, F>, window: Duration) {
+fn watchdog_loop<P: Process>(shared: &Shared<P>, window: Duration) {
     let poll = (window / 4).clamp(Duration::from_millis(1), WAIT_SLICE);
     shared.watchdog_park.register();
     let n = shared.topo.n_procs();
@@ -1732,7 +1723,7 @@ mod tests {
             Ok(FlightKind::DataDirect)
         });
         let (mut pushed, carried) = (seed.consumed[ingress.0], seed.counters[egress.0].0);
-        let run = launch_partial(topo, seed, None, Some(sink), seal, |_| NoFlight);
+        let run = launch_partial(topo, seed, None, Some(sink), seal, None);
         let gateway = run.gateway();
         let mut push_to = |upto: u64| {
             while pushed < upto.min(rounds) {
@@ -1806,8 +1797,7 @@ mod tests {
             tx.send((chan, msg)).unwrap();
             Ok(FlightKind::DataDirect)
         });
-        let recorder = |w| FlightRecorder::new(w, 1024);
-        let run = launch_partial(&topo, seed, Some(2), Some(sink), None, recorder);
+        let run = launch_partial(&topo, seed, Some(2), Some(sink), None, Some(1024));
         // The test is rank 1: it answers each message the sink carried, so
         // rank 0 only gets on once its send has reached the sink.
         let gateway = run.gateway();
@@ -1932,11 +1922,11 @@ mod tests {
     /// that share a lock around `push_inbound`, as a transport's router
     /// does, then run or drop what they are handed as `seed` says.
     /// Returns the snapshots by rank and the gateway threads' tallies.
-    fn race<F: FlightSink>(
+    fn race(
         seed: u64,
         workers: usize,
         rounds: u64,
-        flight: fn(usize) -> F,
+        flight: Option<usize>,
     ) -> (Vec<Vec<u8>>, Fared, Vec<Option<FlightLog>>) {
         let (topo, procs) = mix4(rounds);
         let mut rng = crate::rng::SplitMix64::seed_from_u64(seed);
@@ -2031,11 +2021,8 @@ mod tests {
         let mut total = Fared::default();
         for seed in 0..200 {
             for workers in [1, 2] {
-                let (snapshots, fared, logs) = if seed % 2 == 0 {
-                    race(seed, workers, ROUNDS, |_| NoFlight)
-                } else {
-                    race(seed, workers, ROUNDS, |w| FlightRecorder::new(w, 4096))
-                };
+                let flight = Some(4096).filter(|_| seed % 2 == 1);
+                let (snapshots, fared, logs) = race(seed, workers, ROUNDS, flight);
                 assert_eq!(snapshots, reference, "seed {seed}, {workers} pool workers");
                 // The seat's lane holds events of its own group's ranks only.
                 for (g, log) in logs.into_iter().enumerate().filter_map(|(g, l)| Some((g, l?))) {
@@ -2067,7 +2054,7 @@ mod tests {
                     Ok(FlightKind::DataStar)
                 }
             });
-            let run = launch_partial(&topo, seed, Some(2), Some(sink), None, |_| NoFlight);
+            let run = launch_partial(&topo, seed, Some(2), Some(sink), None, None);
             // Answers for the k - 1 sends that succeed and no more: unless
             // the k-th send aborts the run, rank 0 waits forever.
             let gateway = run.gateway();
@@ -2088,7 +2075,7 @@ mod tests {
     #[should_panic(expected = "needs an egress sink")]
     fn a_launch_with_egress_channels_and_no_sink_is_refused() {
         let (topo, seed, _, _) = exchange(1);
-        launch_partial(&topo, seed, None, None, None, |_| NoFlight);
+        launch_partial(&topo, seed, None, None, None, None);
     }
 
     #[test]
@@ -2139,7 +2126,7 @@ mod tests {
             result: None,
         };
         let slots = vec![Some(task), None];
-        let shared = build_shared(&topo, slots, chans, None, 1, 0, 1, false, None, NoFlight);
+        let shared = build_shared(&topo, slots, chans, None, 1, 0, 1, false, None, None);
         let task = shared.reclaim(0);
         assert!(matches!(task.pending, Some(Pending::Send { msg: 7, .. })));
         assert!(task.parked_since.is_none());
@@ -2149,7 +2136,7 @@ mod tests {
     fn wake_protocol_is_exactly_once() {
         // Two wakes of a parked rank enqueue it exactly once; the second
         // leaves at most a NOTIFIED token.
-        let shared: Arc<Shared<Nop, NoFlight>> = build_shared(
+        let shared: Arc<Shared<Nop>> = build_shared(
             &Topology::new(1),
             vec![None],
             Vec::new(),
@@ -2159,7 +2146,7 @@ mod tests {
             1,
             false,
             None,
-            NoFlight,
+            None,
         );
         shared.states[0].store(PARKED, Ordering::SeqCst);
         assert!(shared.wake_task(0, None, 0));

@@ -304,7 +304,7 @@ impl<T: Copy> OverwriteRing<T> {
         self.head.0.store(h + 1, Ordering::Release);
     }
 
-    /// Total pushes ever (any thread; the live-telemetry read).
+    /// Total pushes ever (any thread).
     pub fn pushes(&self) -> u64 {
         self.head.0.load(Ordering::Acquire)
     }

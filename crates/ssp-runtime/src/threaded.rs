@@ -67,9 +67,9 @@ pub struct ThreadedConfig {
     /// scheduler/channel/lifecycle events per writer thread into
     /// lock-free overwrite-oldest rings ([`crate::flight::FlightRecorder`])
     /// and drains them into [`ThreadedOutcome::flight`] at run end. `None`
-    /// (the default) monomorphizes the scheduler over
-    /// [`crate::flight::NoFlight`] — the exact pre-recorder code, with no
-    /// timestamp reads, branches, or ring state anywhere on the hot path.
+    /// (the default) records nothing: the same scheduler runs with no
+    /// recorder, each record site a branch not taken, with no timestamp
+    /// reads and no ring state.
     pub flight: Option<usize>,
 }
 
@@ -397,7 +397,6 @@ mod tests {
     fn every_cut_of_the_ring_launches_to_the_simulators_final_state() {
         use crate::sched::launch_partial;
         use crate::sim::Simulator;
-        use crate::NoFlight;
         let (topo, procs) = ring(4, 3);
         let reference = run_simulated(topo, procs, &mut RoundRobin::new()).unwrap();
         let expect: Vec<_> = reference.snapshots.iter().cloned().enumerate().collect();
@@ -418,7 +417,7 @@ mod tests {
                     sim.step_process_with(p, &mut |_| {}).unwrap();
                 }
                 let seed = sim.into_seed();
-                let out = launch_partial(&topo, seed, Some(workers), None, None, |_| NoFlight)
+                let out = launch_partial(&topo, seed, Some(workers), None, None, None)
                     .join()
                     .unwrap();
                 assert_eq!(out.snapshots, expect, "workers={workers}, cut {cut}");
