@@ -50,8 +50,9 @@ pub enum FrameType {
     /// Either direction: one message on one cross-group channel.
     /// Payload: `[chan: u32 le][seq: u64 le][encoded message bytes]`
     /// where `seq` is the message's absolute per-channel ordinal. The
-    /// star plane's frame: the supervisor forwards it to the reader's
-    /// worker.
+    /// supervisor forwards it to the reader's worker: every message on the
+    /// star plane, and on the direct planes one whose direct delivery
+    /// failed (peer unreachable).
     Data = 2,
     /// Worker → supervisor: a group finished; its metrics and, when
     /// recording, its flight log ([`crate::proto::GroupDone`]). Follows one
@@ -61,76 +62,64 @@ pub enum FrameType {
     Error = 4,
     /// Supervisor → worker: exit cleanly. Empty payload.
     Shutdown = 5,
-    /// Supervisor → worker liveness probe. Empty payload.
-    Ping = 6,
-    /// Worker → supervisor liveness reply. Payload: a fixed-size
-    /// [`crate::proto::WorkerTelemetry`] snapshot.
-    Pong = 7,
     /// Worker → worker, first frame on a direct peer connection:
     /// identifies the dialer. Payload:
     /// `[from worker: u32 le][generation: u64 le]`.
-    PeerHello = 8,
+    PeerHello = 6,
     /// Supervisor → worker: refreshed rank placement + peer address
     /// table after a membership change, with the channels to replay from
     /// the send logs after a migration ([`crate::proto::Membership`]).
-    Peers = 9,
+    Peers = 7,
     /// Worker → supervisor, in response to SHUTDOWN: final data-plane
     /// and send-log counters ([`crate::proto::Bye`]).
-    Bye = 10,
+    Bye = 8,
     /// Worker → worker: one message on one cross-group channel,
     /// bypassing the supervisor. Same payload layout as [`FrameType::Data`].
-    DataDirect = 11,
+    DataDirect = 9,
     /// Worker → worker: a shared-memory ring doorbell. Payload:
     /// `[chan: u32 le][seq: u64 le][ring offset: u64 le][len: u32 le]
     /// [fnv1a-64 checksum: u64 le]`.
-    DataShm = 12,
+    DataShm = 10,
     /// Worker → worker: cumulative shm-ring consumption ack. Payload:
     /// `[consumed bytes: u64 le]`.
-    ShmAck = 13,
-    /// Worker → supervisor: a message whose direct delivery failed (peer
-    /// unreachable); the supervisor forwards it. Same payload layout as
-    /// [`FrameType::Data`].
-    DataRelay = 14,
+    ShmAck = 11,
     /// Supervisor → worker: the readers' consumed frontiers, from their
     /// groups' latest checkpoints
     /// ([`crate::proto::encode_channel_counts`]); sent only with
     /// checkpointing on.
-    Cut = 15,
+    Cut = 12,
     /// Supervisor → worker: stop after the given number of cross-group
     /// sends ([`crate::proto::encode_chaos`]). Worker → supervisor: the
     /// stop was reached, with the sends made per channel
     /// ([`crate::proto::encode_channel_counts`]); the supervisor kills the
     /// worker.
-    Chaos = 16,
+    Chaos = 13,
     /// Worker → supervisor: a group's new checkpoint
     /// ([`crate::proto::encode_manifest`]); sent only with checkpointing
     /// on.
-    Manifest = 17,
+    Manifest = 14,
     /// Worker → supervisor: one finished rank's final snapshot, ahead of
     /// its group's GROUP_DONE. Payload: `[snapshot bytes][rank: u32 le]
     /// [group: u64 le]` ([`crate::proto::snapshot_trailer`]); the trailer
     /// is last, so the reader keeps the snapshot in the frame's own buffer.
-    Snapshot = 18,
+    Snapshot = 15,
 }
 
 impl FrameType {
     /// Every frame type, indexed by its wire byte.
-    const ALL: [FrameType; 19] = [
+    const ALL: [FrameType; 16] = [
         FrameType::Hello,
         FrameType::Assign,
         FrameType::Data,
         FrameType::GroupDone,
         FrameType::Error,
         FrameType::Shutdown,
-        FrameType::Ping,
-        FrameType::Pong,
         FrameType::PeerHello,
         FrameType::Peers,
         FrameType::Bye,
         FrameType::DataDirect,
         FrameType::DataShm,
         FrameType::ShmAck,
-        FrameType::DataRelay,
         FrameType::Cut,
         FrameType::Chaos,
         FrameType::Manifest,
@@ -298,7 +287,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 /// Bytes before the message in a DATA-family payload: channel and seq.
 pub(crate) const DATA_HEADER_LEN: usize = 12;
 
-/// Encode a DATA / DATA_DIRECT / DATA_RELAY payload:
+/// Encode a DATA / DATA_DIRECT payload:
 /// `[chan: u32 le][seq: u64 le][message bytes]`.
 pub fn encode_data(chan: usize, seq: u64, msg: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(DATA_HEADER_LEN + msg.len());
@@ -353,11 +342,10 @@ mod tests {
             Frame::new(FrameType::Hello, vec![3]),
             Frame::new(FrameType::Data, encode_data(42, 9, b"payload")),
             Frame::new(FrameType::DataDirect, encode_data(1, 0, b"p2p")),
-            Frame::new(FrameType::DataRelay, encode_data(2, 7, b"fallback")),
             Frame::new(FrameType::DataShm, encode_shm_doorbell(3, 11, 4096, 24, 0xfeed)),
             Frame::new(FrameType::ShmAck, 4120u64.to_le_bytes().to_vec()),
             Frame::new(FrameType::PeerHello, vec![0; 12]),
-            Frame::new(FrameType::Ping, vec![]),
+            Frame::new(FrameType::Shutdown, vec![]),
             Frame::new(FrameType::GroupDone, vec![0xff; 1000]),
         ];
         let mut wire = Vec::new();
@@ -402,7 +390,8 @@ mod tests {
             assert_eq!(*ty as usize, byte, "ALL must be in wire-byte order");
         }
         assert_eq!(FrameType::ALL.last(), Some(&FrameType::Snapshot));
-        assert_eq!(FrameType::Snapshot as u8, 18);
+        assert_eq!(FrameType::Snapshot as u8, 15);
+        assert_eq!(FrameType::Data as u8, 2);
     }
 
     #[test]

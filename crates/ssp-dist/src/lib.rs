@@ -26,12 +26,14 @@
 //!   opt-in `direct+shm` plane); halo payloads move through shared
 //!   memory, only a 32-byte doorbell rides the peer socket.
 //! * [`supervisor`] — owns the topology, forwards star and relayed
-//!   messages, brokers peer introductions, keeps each group's latest
-//!   checkpoint (which each group takes alone) and forwards its readers'
-//!   frontiers to the writers, and on a worker death restarts each of its
-//!   groups on a survivor or a fresh process, from the group's own latest
-//!   checkpoint, naming the channels the writers replay from their send
-//!   logs. It keeps no message log of its own.
+//!   messages (both `DATA` frames), brokers peer introductions, keeps
+//!   each group's latest checkpoint (which each group takes alone) and
+//!   forwards its readers' frontiers to the writers, and on a worker
+//!   death restarts each of its groups on a survivor or a fresh process,
+//!   from the group's own latest checkpoint, naming the channels the
+//!   writers replay from their send logs. It keeps no message log of its
+//!   own and sends no probe: it waits on events alone, and a worker's
+//!   death reaches it as its socket's EOF, or as a failed write.
 //!
 //! The correctness claim, inherited from the paper's Theorem 1: processes
 //! are deterministic and interact only via SRSW channels, so a rank rebuilt
@@ -51,11 +53,10 @@ pub mod supervisor;
 pub mod transport;
 pub mod worker;
 
-pub use proto::{PeerTable, WorkerTelemetry};
+pub use proto::PeerTable;
 pub use registry::{build_workload, fdtd_a_args, ring_args, Workload};
 pub use supervisor::{
     run_distributed, ChaosKill, DistConfig, DistOutcome, DistStats, MigrationPolicy, TransportMode,
-    WorkerRow,
 };
 pub use transport::{PeerAddr, PeerListener, PeerStream};
 pub use worker::worker_main;

@@ -18,7 +18,7 @@
 
 use ssp_runtime::proc::{push_bytes, push_u32, push_u64, Reader};
 use ssp_runtime::trace::{push_flight_log, push_run_metrics};
-use ssp_runtime::{FlightLog, GroupManifest, LiveTelemetry, RunError, RunMetrics};
+use ssp_runtime::{FlightLog, GroupManifest, RunError, RunMetrics};
 
 use crate::registry::WorkloadSpec;
 use crate::supervisor::TransportMode;
@@ -276,9 +276,9 @@ impl PeerTable {
 }
 
 /// A PEERS payload, the membership broadcast after a worker death: the
-/// new peer table plus, after a migration, each channel into a restarted
-/// group and the sequence number its writer replays its send log from
-/// (0, or the restarted group's checkpointed consumed frontier).
+/// new peer table plus, after a migration, each channel into or out of a
+/// restarted group and the sequence number its writer replays its send log
+/// from (0, or the reader group's checkpointed consumed frontier).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Membership {
     /// Placement and live peers under the new generation.
@@ -392,45 +392,6 @@ impl Assign {
         let checkpoint = r.flag("checkpoint")?.then(|| r.u64("checkpoint every")).transpose()?;
         let resume = r.flag("resume")?.then(|| Checkpoint::read(&mut r)).transpose()?;
         r.finish(Assign { group, spec, ranks, flight, plane, table, checkpoint, resume })
-    }
-}
-
-/// One worker's live counters, snapshotted into each PONG heartbeat
-/// reply: the sum of its groups' [`LiveTelemetry`] plus what the worker
-/// itself routed. Fixed-size little-endian binary: four `u64`s, 32 bytes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerTelemetry {
-    /// The worker's groups' live counters, summed. A `progress` flat
-    /// between two heartbeats with ranks still live means the worker is
-    /// stuck, waiting on another worker, or pausing for a checkpoint.
-    pub live: LiveTelemetry,
-    /// DATA payload bytes the worker has routed to the supervisor.
-    pub bytes_routed: u64,
-}
-
-impl WorkerTelemetry {
-    /// Serialize: `[u64 ranks_live][u64 progress][u64 steals]
-    /// [u64 bytes_routed]`, all little-endian.
-    pub fn encode(&self) -> Vec<u8> {
-        let LiveTelemetry { ranks_live, progress, steals } = self.live;
-        let mut out = Vec::with_capacity(32);
-        for v in [ranks_live, progress, steals, self.bytes_routed] {
-            push_u64(&mut out, v);
-        }
-        out
-    }
-
-    /// Parse a PONG payload: exactly the fixed wire size, or a typed
-    /// error, never a panic.
-    pub fn decode(payload: &[u8]) -> Result<WorkerTelemetry, RunError> {
-        let mut r = Reader::new("PONG telemetry", payload);
-        let live = LiveTelemetry {
-            ranks_live: r.u64("ranks live")?,
-            progress: r.u64("progress")?,
-            steals: r.u64("steals")?,
-        };
-        let t = WorkerTelemetry { live, bytes_routed: r.u64("bytes routed")? };
-        r.finish(t)
     }
 }
 
@@ -826,33 +787,5 @@ mod tests {
             let r = decode_snapshot_trailer(&payload[payload.len() - cut..]);
             assert!(matches!(r, Err(RunError::Protocol { .. })), "{cut} bytes: {r:?}");
         }
-    }
-
-    fn telemetry() -> WorkerTelemetry {
-        let live = LiveTelemetry { ranks_live: 3, progress: 123_456, steals: 7 };
-        WorkerTelemetry { live, bytes_routed: 1 << 32 }
-    }
-
-    #[test]
-    fn pong_bytes_are_pinned() {
-        let t = telemetry();
-        const GOLDEN: &str = concat!(
-            "030000000000000040e20100000000000700000000000000",
-            "0000000001000000",
-        );
-        assert_eq!(hex(&t.encode()), GOLDEN);
-    }
-
-    #[test]
-    fn telemetry_round_trips_and_rejects_odd_sizes() {
-        let t = telemetry();
-        let bytes = t.encode();
-        assert_eq!(bytes.len(), 32);
-        assert_eq!(WorkerTelemetry::decode(&bytes).unwrap(), t);
-        // Every truncation and any over-length payload is a typed error.
-        assert_hostile_bytes_fail(&bytes, &t, WorkerTelemetry::decode);
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(WorkerTelemetry::decode(&long).is_err());
     }
 }

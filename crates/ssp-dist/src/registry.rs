@@ -27,8 +27,8 @@ use ssp_runtime::json::JsonValue;
 use ssp_runtime::proc::{push_u32, push_u64, Reader};
 use ssp_runtime::{
     launch_partial, ChannelId, Effect, EgressSink, FlightKind, FlightLog, Gateway, GroupManifest,
-    Handoff, LiveTelemetry, ManifestRank, PartialRun, PartialSeed, ProcState, Process, RoundRobin,
-    RunError, RunMetrics, Seal, Simulator, Topology,
+    Handoff, ManifestRank, PartialRun, PartialSeed, ProcState, Process, RoundRobin, RunError,
+    RunMetrics, Seal, Simulator, Topology,
 };
 
 fn bad_args(detail: String) -> RunError {
@@ -58,9 +58,6 @@ pub trait GroupIngress: Send + Sync {
         bytes: &[u8],
         route: FlightKind,
     ) -> Result<Option<Handoff>, RunError>;
-    /// Cheap live counters for heartbeat telemetry (atomic loads only;
-    /// safe to call from the worker's socket loop while the group runs).
-    fn telemetry(&self) -> LiveTelemetry;
 }
 
 /// What a finished group reports: `(rank, snapshot)` pairs for every
@@ -238,11 +235,6 @@ impl<P: Process + 'static> GroupIngress for TypedIngress<P> {
         let msg = (self.decode)(bytes)?;
         self.gateway.push_inbound(ChannelId(chan), msg, route)
     }
-
-    fn telemetry(&self) -> LiveTelemetry {
-        self.gateway.telemetry()
-    }
-
 }
 
 /// Erase a launched run behind the group ingress and a boxed join.

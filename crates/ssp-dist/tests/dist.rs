@@ -28,9 +28,9 @@ fn ring_across_two_workers_matches_the_simulator_bitwise() {
     let st = &out.stats;
     assert!(st.frames_logged > 0, "stats: {st:?}");
     match cfg.transport {
-        TransportMode::Star => assert_eq!(st.frames_routed, st.frames_logged, "stats: {st:?}"),
+        TransportMode::Star => assert_eq!(st.star_frames, st.frames_logged, "stats: {st:?}"),
         TransportMode::Direct { .. } => {
-            assert_eq!(st.frames_routed, 0, "stats: {st:?}");
+            assert_eq!(st.star_frames, 0, "stats: {st:?}");
             assert_eq!(st.frames_logged, st.direct_frames + st.shm_frames, "stats: {st:?}");
         }
     }
@@ -112,23 +112,6 @@ fn migration_budget_zero_surfaces_worker_lost() {
 }
 
 #[test]
-fn heartbeats_run_on_a_schedule_under_steady_star_traffic() {
-    // The star keeps the supervisor busy with one frame per message, so a
-    // heartbeat that waited for a quiet spell would never fire here.
-    let args = ring_args(6, 12_000);
-    let mut cfg = DistConfig::new(2, worker_bin());
-    cfg.transport = TransportMode::Star;
-    let t0 = std::time::Instant::now();
-    let out = run_distributed("ring", &args, &cfg).expect("star ring");
-    let ran = t0.elapsed();
-    assert!(ran > std::time::Duration::from_millis(300), "ring too short to test: {ran:?}");
-    assert_eq!(out.stats.per_worker.len(), 2, "stats: {:?}", out.stats);
-    for (w, row) in out.stats.per_worker.iter().enumerate() {
-        assert!(row.pongs > 0, "worker {w} never answered a heartbeat in {ran:?}: {row:?}");
-    }
-}
-
-#[test]
 fn unknown_workload_fails_before_spawning_anything() {
     let cfg = DistConfig::new(1, worker_bin());
     let err = run_distributed("no-such-workload", &ssp_runtime::JsonValue::Null, &cfg)
@@ -155,7 +138,7 @@ fn a_worker_that_dies_before_hello_is_a_typed_loss_not_a_timeout() {
 }
 
 #[test]
-fn flight_enabled_distributed_run_merges_worker_traces_and_telemetry() {
+fn flight_enabled_distributed_run_merges_worker_traces() {
     let args = fdtd_a_args("tiny", 4);
     let reference = build_workload("fdtd-a", &args).unwrap().run_reference().unwrap();
     let mut cfg = DistConfig::new(2, worker_bin());
@@ -189,20 +172,6 @@ fn flight_enabled_distributed_run_merges_worker_traces_and_telemetry() {
         );
     }
 
-    // Telemetry rows exist only for workers that answered a PING within
-    // the run; a fast run may finish before the first heartbeat, so the
-    // assertions are tolerant of zero rows but strict about their shape.
-    assert!(out.stats.per_worker.len() <= 2, "stats: {:?}", out.stats);
-    for row in &out.stats.per_worker {
-        assert_eq!(row.flatlines, 0, "healthy run must not flatline: {row:?}");
-        if row.pongs > 0 {
-            assert!(
-                row.rtt_nanos < 10_000_000_000,
-                "PING RTT should be far under 10s: {row:?}"
-            );
-        }
-    }
-
     // And with the recorder off, the same run returns no log at all.
     let cfg_off = DistConfig::new(2, worker_bin());
     let out_off = run_distributed("fdtd-a", &args, &cfg_off).unwrap();
@@ -231,7 +200,6 @@ fn direct_mode_keeps_steady_state_traffic_off_the_star() {
         "co-located workers should use the shared ring: {:?}",
         out.stats
     );
-    assert_eq!(out.stats.frames_routed, 0, "stats: {:?}", out.stats);
     assert_eq!(
         out.stats.frames_logged,
         out.stats.shm_frames + out.stats.direct_frames,
@@ -254,10 +222,7 @@ fn direct_mode_keeps_steady_state_traffic_off_the_star() {
     let out = run_distributed("fdtd-a", &args, &cfg).expect("star run");
     assert_eq!(out.snapshots, reference);
     assert_eq!(out.stats.direct_frames + out.stats.shm_frames, 0, "stats: {:?}", out.stats);
-    assert_eq!(
-        out.stats.star_frames, out.stats.frames_routed,
-        "star mode forwards every frame"
-    );
+    assert_eq!(out.stats.star_frames, out.stats.frames_logged, "star mode forwards every frame");
 }
 
 #[test]

@@ -76,7 +76,7 @@ pub enum RunError {
         /// The process-local resume count (1-based) the crash fired at.
         step: u64,
     },
-    /// A distributed worker process died (socket EOF or heartbeat loss)
+    /// A distributed worker process died (its socket's EOF, or a failed write)
     /// and the supervisor could not — or was configured not to — migrate
     /// its ranks to another worker.
     WorkerLost {

@@ -117,8 +117,7 @@ pub use recover::{
     RecoveryOutcome, RecoveryStats,
 };
 pub use sched::{
-    launch_partial, EgressSink, Gateway, Handoff, LiveTelemetry, PartialOutcome, PartialRun,
-    PartialSeed, Seal,
+    launch_partial, EgressSink, Gateway, Handoff, PartialOutcome, PartialRun, PartialSeed, Seal,
 };
 pub use sim::{run_simulated, ProcState, RunOutcome, Simulator};
 pub use threaded::{run_threaded_with, ThreadedConfig, ThreadedOutcome};

@@ -809,7 +809,7 @@ impl<P: Process> PartialSeed<P> {
 /// indistinguishable from deadlock — every hosted rank parked, nothing
 /// queued, no progress is exactly what waiting on a slow peer looks like,
 /// and the peer's next frame undoes it — so liveness belongs to the
-/// supervisor (socket EOF / heartbeat).
+/// supervisor, which learns of a worker's death from its socket's EOF.
 pub fn launch_partial<P>(
     topo: &Topology,
     seed: PartialSeed<P>,
@@ -1021,7 +1021,7 @@ where
 
 /// Transport-side handle to a partial run: where the messages that arrive
 /// for its ingress channels go in (the distributed backend's socket
-/// threads), plus live telemetry. All clones address the same run.
+/// threads). All clones address the same run.
 pub struct Gateway<P: Process> {
     shared: Arc<Shared<P>>,
 }
@@ -1032,46 +1032,7 @@ impl<P: Process> Clone for Gateway<P> {
     }
 }
 
-/// Live scheduler telemetry snapshot, cheap enough for a heartbeat: every
-/// field is one relaxed/SeqCst atomic load. The distributed worker embeds
-/// one per PONG so the supervisor sees per-worker liveness between runs'
-/// end-of-run metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveTelemetry {
-    /// Hosted ranks that have not yet halted.
-    pub ranks_live: u64,
-    /// Completed channel transfers so far (the watchdog's progress
-    /// counter) — a flatline between heartbeats with `ranks_live > 0`
-    /// means the instance is blocked on remote peers or wedged.
-    pub progress: u64,
-    /// Work-steal count so far.
-    pub steals: u64,
-}
-
-/// Field-wise totals: the live counters of several instances (a
-/// distributed worker's groups) as one row.
-impl std::iter::Sum for LiveTelemetry {
-    fn sum<I: Iterator<Item = LiveTelemetry>>(iter: I) -> LiveTelemetry {
-        iter.fold(LiveTelemetry::default(), |a, b| LiveTelemetry {
-            ranks_live: a.ranks_live + b.ranks_live,
-            progress: a.progress + b.progress,
-            steals: a.steals + b.steals,
-        })
-    }
-}
-
 impl<P: Process> Gateway<P> {
-    /// Snapshot live scheduler telemetry (racy but internally harmless:
-    /// each field is an independent atomic read).
-    pub fn telemetry(&self) -> LiveTelemetry {
-        let finished = self.shared.finished.load(Ordering::SeqCst) as u64;
-        LiveTelemetry {
-            ranks_live: (self.shared.target as u64).saturating_sub(finished),
-            progress: self.shared.progress.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
-        }
-    }
-
     /// Deliver a message that arrived from a remote writer into its ingress
     /// channel, waking the hosted reader if it is parked — the transport's
     /// copy of the send path's push → fence → consume-flag → wake
